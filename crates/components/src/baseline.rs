@@ -9,7 +9,9 @@
 //! and the `*-baseline` rows of Fig. 13 measure.
 
 use crate::aba_sc::AbaScBatch;
-use crate::context::{Actions, BinaryAgreement, Broadcaster, Params, RetxState};
+use crate::context::{
+    Actions, BinaryAgreement, Broadcaster, Params, ProvableBroadcaster, RetxState,
+};
 use crate::share_buf::SigShareBuf;
 use bytes::Bytes;
 use std::collections::BTreeSet;
@@ -627,6 +629,16 @@ impl BaselinePrbcSet {
                 self.proofs[instance] = Some(sig);
             }
         }
+    }
+}
+
+impl ProvableBroadcaster for BaselinePrbcSet {
+    fn proof(&self, instance: usize) -> Option<&ThresholdSignature> {
+        BaselinePrbcSet::proof(self, instance)
+    }
+
+    fn proven_count(&self) -> usize {
+        BaselinePrbcSet::proven_count(self)
     }
 }
 

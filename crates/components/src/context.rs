@@ -8,7 +8,7 @@ use wbft_crypto::profile::CryptoSuite;
 use wbft_crypto::schnorr::{KeyPair, PublicKey};
 use wbft_crypto::thresh_coin::{CoinPublicSet, CoinSecretShare};
 use wbft_crypto::thresh_enc::{EncPublicSet, EncSecretShare};
-use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare};
+use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare, ThresholdSignature};
 use wbft_net::Body;
 use wbft_wireless::SimDuration;
 
@@ -181,6 +181,16 @@ pub trait Broadcaster {
 
     /// How many instances have delivered.
     fn delivered_count(&self) -> usize;
+}
+
+/// Provable broadcast: a [`Broadcaster`] whose deliveries come with
+/// threshold-signed delivery proofs — batched PRBC and its baseline set.
+pub trait ProvableBroadcaster: Broadcaster {
+    /// The delivery proof of an instance, once combined.
+    fn proof(&self, instance: usize) -> Option<&ThresholdSignature>;
+
+    /// How many instances have a completed proof.
+    fn proven_count(&self) -> usize;
 }
 
 /// Binary-agreement components over `n` parallel (or serial) instances.

@@ -63,5 +63,8 @@ pub mod rbc;
 pub mod rbc_small;
 pub mod share_buf;
 
-pub use context::{deal_node_crypto, Actions, BinaryAgreement, Broadcaster, NodeCrypto, Params};
+pub use context::{
+    deal_node_crypto, Actions, BinaryAgreement, Broadcaster, NodeCrypto, Params,
+    ProvableBroadcaster,
+};
 pub use share_buf::{CoinShareBuf, SigShareBuf};

@@ -9,7 +9,7 @@
 //! DONE shares are batched into their own packet type because threshold
 //! material dominates packet space (§IV-C1).
 
-use crate::context::{Actions, Broadcaster, Params, RetxState};
+use crate::context::{Actions, Broadcaster, Params, ProvableBroadcaster, RetxState};
 use crate::rbc::RbcBatch;
 use crate::share_buf::SigShareBuf;
 use bytes::Bytes;
@@ -187,6 +187,16 @@ impl PrbcBatch {
 
     fn is_complete(&self) -> bool {
         self.done.iter().all(|d| d.proof.is_some())
+    }
+}
+
+impl ProvableBroadcaster for PrbcBatch {
+    fn proof(&self, instance: usize) -> Option<&ThresholdSignature> {
+        PrbcBatch::proof(self, instance)
+    }
+
+    fn proven_count(&self) -> usize {
+        PrbcBatch::proven_count(self)
     }
 }
 

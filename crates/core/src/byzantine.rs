@@ -161,6 +161,11 @@ impl<E: Engine> Engine for ByzantineEngine<E> {
         self.corrupt(out);
     }
 
+    fn on_work_available(&mut self, out: &mut EngineOut) {
+        self.inner.on_work_available(out);
+        self.corrupt(out);
+    }
+
     fn restore_chain(&mut self, blocks: Vec<Block>) {
         self.inner.restore_chain(blocks);
     }
@@ -201,6 +206,12 @@ mod tests {
             out.sends.push((1, Body::BaseAbaAux { instance: 0, round: 0, value: false }));
         }
         fn on_timer(&mut self, _s: u64, _l: u32, _o: &mut EngineOut) {}
+        fn on_work_available(&mut self, _o: &mut EngineOut) {}
+        fn restore_chain(&mut self, _b: Vec<Block>) {}
+        fn adopt_chain(&mut self, _b: Vec<Block>, _o: &mut EngineOut) {}
+        fn key_epoch(&self, _s: u64) -> u64 {
+            0
+        }
         fn blocks(&self) -> &[Block] {
             &self.blocks
         }
@@ -226,6 +237,36 @@ mod tests {
         let mut out = EngineOut::new();
         e.handle(1, 0, &Body::BaseAbaDecided { instance: 0, value: true }, &mut out);
         assert!(matches!(out.sends[0].1, Body::BaseAbaAux { value: true, .. }));
+    }
+
+    /// The wrapper's contract is "an honest engine behind a corrupting
+    /// wrapper": a fresh local submission must fill the inner engine's
+    /// pipeline window exactly as it would unwrapped.
+    #[test]
+    fn wrapped_pipelined_engine_opens_its_second_epoch_on_fresh_work() {
+        use crate::driver::sessions;
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let crypto =
+            wbft_components::deal_node_crypto(4, wbft_crypto::CryptoSuite::light(), &mut rng)
+                .remove(0);
+        let handle = crate::service::ConsensusHandle::new(16);
+        let inner = crate::protocol::Protocol::HoneyBadgerSc
+            .service_engine_at_depth(crypto, handle.clone(), 8, 64, 2);
+        let mut e = ByzantineEngine::new(inner, ByzantineMode::FlipVotes);
+        let epochs_opened = |out: &EngineOut| -> Vec<u64> {
+            let mut epochs: Vec<u64> =
+                out.sends.iter().map(|(s, _)| sessions::split(*s).0).collect();
+            epochs.dedup();
+            epochs
+        };
+        let mut out = EngineOut::new();
+        e.start(&mut out);
+        assert_eq!(epochs_opened(&out), [0], "idle mempool: only the head epoch opens");
+        handle.submit(bytes::Bytes::from_static(b"tx"), wbft_wireless::SimTime::ZERO);
+        let mut out = EngineOut::new();
+        e.on_work_available(&mut out);
+        assert_eq!(epochs_opened(&out), [1], "W = 2 window slack fills on the submission");
     }
 
     #[test]

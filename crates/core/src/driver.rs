@@ -56,8 +56,11 @@ impl EngineOut {
     }
 }
 
-/// The protocol brain of one node. Implementations: HoneyBadger (and BEAT),
-/// Dumbo, their baselines, and the multi-hop cluster engine.
+/// The protocol brain of one node. The one real implementation is the
+/// epoch pipeline [`crate::engine::EpochEngine`] (HoneyBadger, BEAT, Dumbo
+/// and their baselines are its lanes); the rest are wrappers around it.
+/// Every method is required, so a wrapper that forgets to forward one does
+/// not compile.
 pub trait Engine {
     /// Called once at simulation start.
     fn start(&mut self, out: &mut EngineOut);
@@ -70,27 +73,24 @@ pub trait Engine {
 
     /// Notifies the engine that new client work may be available (a local
     /// submission was just admitted to the mempool). Pipelined engines
-    /// open an extra dissemination epoch mid-agreement here; the default
-    /// — and every strictly sequential engine — does nothing, so the
-    /// sequential event stream is untouched.
-    fn on_work_available(&mut self, _out: &mut EngineOut) {}
+    /// open an extra dissemination epoch mid-agreement here; a strictly
+    /// sequential engine has no window slack to fill, so its event stream
+    /// is untouched.
+    fn on_work_available(&mut self, out: &mut EngineOut);
 
     /// Seeds the engine with a committed chain prefix recovered from the
     /// durable journal. Called *before* [`Engine::start`]: the engine
     /// adopts the blocks as already-committed history and `start` opens
     /// its first live epoch right past them. No sends, timers or service
-    /// interaction happen here — pre-start output has nowhere to go. The
-    /// default (and any engine without chain state) ignores the prefix.
-    fn restore_chain(&mut self, _blocks: Vec<Block>) {}
+    /// interaction happen here — pre-start output has nowhere to go.
+    fn restore_chain(&mut self, blocks: Vec<Block>);
 
     /// Adopts verified peer blocks extending the local chain *mid-run*
     /// (the anti-entropy catch-up path). `blocks` must be contiguous from
     /// the current chain head and already digest-verified by the caller;
     /// non-contiguous entries are ignored. Engines drop any live instance
-    /// of an adopted epoch and move their pipeline past the new head. The
-    /// default does nothing (catch-up simply has no effect on engines
-    /// without chain state).
-    fn adopt_chain(&mut self, _blocks: Vec<Block>, _out: &mut EngineOut) {}
+    /// of an adopted epoch and move their pipeline past the new head.
+    fn adopt_chain(&mut self, blocks: Vec<Block>, out: &mut EngineOut);
 
     /// The key epoch whose threshold keys cover traffic of `session` —
     /// sealed into the session's outgoing envelopes as a wire tag and
@@ -99,9 +99,7 @@ pub trait Engine {
     /// engine sees it). Engines without dynamic membership run at key
     /// epoch 0 forever; tag 0 encodes to nothing, keeping their wire
     /// format byte-identical to pre-membership builds.
-    fn key_epoch(&self, _session: u64) -> u64 {
-        0
-    }
+    fn key_epoch(&self, session: u64) -> u64;
 
     /// Blocks decided so far, in epoch order.
     fn blocks(&self) -> &[Block];
@@ -229,8 +227,6 @@ pub struct ProtocolNode<E: Engine> {
     /// capacity serves every event instead of fresh `Vec`s per frame/timer
     /// — the driver sits on the simulator's hot path.
     scratch: EngineOut,
-    /// Timer-id translation: global id = session * 2^10 + local.
-    _private: (),
 }
 
 /// Timer-id packing: 10 bits of component-local id.
@@ -269,7 +265,6 @@ impl<E: Engine> ProtocolNode<E> {
             journal: None,
             sync: None,
             scratch: EngineOut::new(),
-            _private: (),
         }
     }
 

@@ -11,21 +11,23 @@
 //! the union of the PRBC proposals referenced by the elected candidate's
 //! `W` vector. Serial activation also prevents premature coin-share release
 //! for later instances (§V-A).
+//!
+//! This module is the protocol's [`Lane`]; the epoch pipeline around it is
+//! the shared [`crate::engine::EpochEngine`].
 
-use crate::driver::{sessions, Block, Engine, EngineOut, Tx};
-use crate::service::StopCondition;
-use crate::workload::{decode_batch, encode_batch, BatchSource};
-#[cfg(test)]
-use crate::workload::Workload;
+use crate::driver::{sessions, Block, EngineOut, Tx};
+use crate::engine::{union_block, EpochCtx, Lane};
+use crate::workload::encode_batch;
 use bytes::Bytes;
 use rand::SeedableRng;
-use std::collections::VecDeque;
 use wbft_components::aba_lc::AbaLcBatch;
 use wbft_components::aba_sc::AbaScBatch;
 use wbft_components::baseline::{BaselineAbaSet, BaselineCbcSet, BaselinePrbcSet};
 use wbft_components::cbc::{CbcBatch, CbcSmallBatch};
 use wbft_components::prbc::PrbcBatch;
-use wbft_components::{Actions, BinaryAgreement, Broadcaster, NodeCrypto, Params};
+use wbft_components::{
+    Actions, BinaryAgreement, Broadcaster, NodeCrypto, Params, ProvableBroadcaster,
+};
 use wbft_crypto::hash::Digest32;
 use wbft_crypto::thresh_coin::{CoinName, CoinShare};
 use wbft_crypto::thresh_sig::ThresholdSignature;
@@ -79,93 +81,11 @@ fn decode_commit(data: &[u8]) -> Option<Bitmap> {
 }
 
 // ------------------------------------------------------------------
-// Deployment-style wrappers.
+// Deployment-style wrapper.
 
-/// PRBC in batched or baseline form.
-enum Prbc {
-    Batched(PrbcBatch),
-    Baseline(BaselinePrbcSet),
-}
-
-impl Prbc {
-    fn start(&mut self, v: Bytes, acts: &mut Actions) {
-        match self {
-            Prbc::Batched(x) => x.start(v, acts),
-            Prbc::Baseline(x) => x.start(v, acts),
-        }
-    }
-    fn handle(&mut self, from: usize, body: &Body, acts: &mut Actions) {
-        match self {
-            Prbc::Batched(x) => x.handle(from, body, acts),
-            Prbc::Baseline(x) => x.handle(from, body, acts),
-        }
-    }
-    fn on_timer(&mut self, local: u32, acts: &mut Actions) {
-        match self {
-            Prbc::Batched(x) => x.on_timer(local, acts),
-            Prbc::Baseline(x) => x.on_timer(local, acts),
-        }
-    }
-    fn delivered(&self, j: usize) -> Option<&Bytes> {
-        match self {
-            Prbc::Batched(x) => x.delivered(j),
-            Prbc::Baseline(x) => x.delivered(j),
-        }
-    }
-    fn proof(&self, j: usize) -> Option<&ThresholdSignature> {
-        match self {
-            Prbc::Batched(x) => x.proof(j),
-            Prbc::Baseline(x) => x.proof(j),
-        }
-    }
-    fn proven_count(&self) -> usize {
-        match self {
-            Prbc::Batched(x) => x.proven_count(),
-            Prbc::Baseline(x) => x.proven_count(),
-        }
-    }
-}
-
-/// CBC for the (large) W vectors.
-enum ValueCbc {
-    Batched(CbcBatch),
-    Baseline(BaselineCbcSet),
-}
-
-impl ValueCbc {
-    fn start(&mut self, v: Bytes, acts: &mut Actions) {
-        match self {
-            ValueCbc::Batched(x) => x.start(v, acts),
-            ValueCbc::Baseline(x) => x.start(v, acts),
-        }
-    }
-    fn handle(&mut self, from: usize, body: &Body, acts: &mut Actions) {
-        match self {
-            ValueCbc::Batched(x) => x.handle(from, body, acts),
-            ValueCbc::Baseline(x) => x.handle(from, body, acts),
-        }
-    }
-    fn on_timer(&mut self, local: u32, acts: &mut Actions) {
-        match self {
-            ValueCbc::Batched(x) => x.on_timer(local, acts),
-            ValueCbc::Baseline(x) => x.on_timer(local, acts),
-        }
-    }
-    fn delivered(&self, j: usize) -> Option<&Bytes> {
-        match self {
-            ValueCbc::Batched(x) => x.delivered(j),
-            ValueCbc::Baseline(x) => x.delivered(j),
-        }
-    }
-    fn delivered_count(&self) -> usize {
-        match self {
-            ValueCbc::Batched(x) => x.delivered_count(),
-            ValueCbc::Baseline(x) => x.delivered_count(),
-        }
-    }
-}
-
-/// CBC for the (small) commit sets.
+/// CBC for the (small) commit sets: the batched form broadcasts the bitmap
+/// itself in CBC-small packets, the baseline an encoded copy through the
+/// ordinary per-instance CBC.
 enum CommitCbc {
     Small(CbcSmallBatch),
     Baseline(BaselineCbcSet),
@@ -326,12 +246,12 @@ fn permutation(n: usize, coin: u64) -> Vec<usize> {
 }
 
 // ------------------------------------------------------------------
-// The engine.
+// The lane.
 
-struct EpochState {
-    epoch: u64,
-    prbc: Prbc,
-    value_cbc: ValueCbc,
+/// One epoch's live components.
+pub struct DumboEpoch {
+    prbc: Box<dyn ProvableBroadcaster + Send>,
+    value_cbc: Box<dyn Broadcaster + Send>,
     commit_cbc: CommitCbc,
     pi: PiCoin,
     aba: Box<dyn BinaryAgreement + Send>,
@@ -341,15 +261,16 @@ struct EpochState {
     /// Position in π currently being voted.
     cursor: usize,
     elected: Option<usize>,
-    /// Decided block awaiting in-order finalization (pipelined epochs may
-    /// decide out of order; the chain commits strictly by epoch).
-    decided: Option<Block>,
-    committed: bool,
+    /// The epoch's block was handed to the engine.
+    done: bool,
 }
 
-/// Which deployment style and coin a Dumbo engine runs.
+/// The Dumbo lane — PRBC → CBC_value → CBC_commit → π → serial ABA → W
+/// assembly — in one of its deployment styles. Pipelined depths overlap
+/// only the PRBC dissemination; the serial election is inherently
+/// per-epoch.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DumboVariant {
+pub enum DumboLane {
     /// Batched components, shared-coin serial ABA (threshold signatures).
     Sc,
     /// Batched components, local-coin (Bracha) serial ABA.
@@ -358,439 +279,224 @@ pub enum DumboVariant {
     ScBaseline,
 }
 
-/// Wireless Dumbo engine.
-pub struct DumboEngine {
-    crypto: NodeCrypto,
-    variant: DumboVariant,
-    n: usize,
-    f: usize,
-    me: usize,
-    source: BatchSource,
-    stop: StopCondition,
-    /// Epochs opened so far (`is_done` compares against committed blocks).
-    started: u64,
-    /// Pipeline depth `W`: epochs allowed in flight past the committed
-    /// chain. `W = 1` is the strictly sequential behavior.
-    depth: u64,
-    epochs: VecDeque<EpochState>,
-    blocks: Vec<Block>,
-}
+impl Lane for DumboLane {
+    type Epoch = DumboEpoch;
 
-impl DumboEngine {
-    /// Creates a Dumbo engine of the given variant.
-    pub fn new(
-        crypto: NodeCrypto,
-        variant: DumboVariant,
-        source: impl Into<BatchSource>,
-        stop: StopCondition,
-    ) -> Self {
-        let n = crypto.peer_keys.len();
-        let f = (n - 1) / 3;
-        let me = crypto.me;
-        DumboEngine {
-            crypto,
-            variant,
-            n,
-            f,
-            me,
-            source: source.into(),
-            stop,
-            started: 0,
-            depth: 1,
-            epochs: VecDeque::new(),
-            blocks: Vec::new(),
-        }
-    }
-
-    /// Mutable access to the proposal source.
-    pub fn source_mut(&mut self) -> &mut BatchSource {
-        &mut self.source
-    }
-
-    /// Sets the pipeline depth `W` (clamped to at least 1). Call before
-    /// `start`; `W = 1` reproduces the sequential engine byte for byte.
-    /// Dumbo pipelines the dissemination lane (PRBC/CBC for future epochs
-    /// run while earlier epochs elect); the serial election itself is
-    /// inherently per-epoch.
-    pub fn with_depth(mut self, depth: u64) -> Self {
-        self.depth = depth.max(1);
-        self
-    }
-
-    fn begin_epoch(&mut self, epoch: u64, out: &mut EngineOut) {
-        self.started = self.started.max(epoch + 1);
-        let p_prbc = Params::new(self.n, self.me, sessions::of(epoch, sessions::BROADCAST));
-        let p_val = Params::new(self.n, self.me, sessions::of(epoch, sessions::CBC_VALUE));
-        let p_com = Params::new(self.n, self.me, sessions::of(epoch, sessions::CBC_COMMIT));
-        let p_pi = Params::new(self.n, self.me, sessions::of(epoch, sessions::PI_COIN));
-        let p_aba = Params::new(self.n, self.me, sessions::of(epoch, sessions::ABA));
-        let c = &self.crypto;
-        let (prbc, value_cbc, commit_cbc, aba): (
-            Prbc,
-            ValueCbc,
+    fn open(
+        &self,
+        ctx: &EpochCtx,
+        txs: &[Tx],
+        _: &mut rand_chacha::ChaCha12Rng,
+        out: &mut EngineOut,
+    ) -> DumboEpoch {
+        let p_prbc = ctx.params(sessions::BROADCAST);
+        let p_val = ctx.params(sessions::CBC_VALUE);
+        let p_com = ctx.params(sessions::CBC_COMMIT);
+        let p_aba = ctx.params(sessions::ABA);
+        let c = ctx.crypto;
+        let (mut prbc, value_cbc, commit_cbc): (
+            Box<dyn ProvableBroadcaster + Send>,
+            Box<dyn Broadcaster + Send>,
             CommitCbc,
-            Box<dyn BinaryAgreement + Send>,
-        ) = match self.variant {
-            DumboVariant::Sc => (
-                Prbc::Batched(PrbcBatch::new(p_prbc, c.prbc_pub.clone(), c.prbc_sec.clone())),
-                ValueCbc::Batched(CbcBatch::new(p_val, c.cbc_pub.clone(), c.cbc_sec.clone())),
-                CommitCbc::Small(CbcSmallBatch::new(p_com, c.cbc_pub.clone(), c.cbc_sec.clone())),
-                Box::new(AbaScBatch::new_serial(
-                    p_aba,
-                    CoinFlavor::ThreshSig,
-                    c.coin_pub.clone(),
-                    c.coin_sec.clone(),
-                )),
-            ),
-            DumboVariant::Lc => (
-                Prbc::Batched(PrbcBatch::new(p_prbc, c.prbc_pub.clone(), c.prbc_sec.clone())),
-                ValueCbc::Batched(CbcBatch::new(p_val, c.cbc_pub.clone(), c.cbc_sec.clone())),
-                CommitCbc::Small(CbcSmallBatch::new(p_com, c.cbc_pub.clone(), c.cbc_sec.clone())),
-                Box::new(AbaLcBatch::new(p_aba)),
-            ),
-            DumboVariant::ScBaseline => (
-                Prbc::Baseline(BaselinePrbcSet::new(
-                    p_prbc,
-                    c.prbc_pub.clone(),
-                    c.prbc_sec.clone(),
-                )),
-                ValueCbc::Baseline(BaselineCbcSet::new(
-                    p_val,
-                    c.cbc_pub.clone(),
-                    c.cbc_sec.clone(),
-                )),
+        ) = if *self == DumboLane::ScBaseline {
+            (
+                Box::new(BaselinePrbcSet::new(p_prbc, c.prbc_pub.clone(), c.prbc_sec.clone())),
+                Box::new(BaselineCbcSet::new(p_val, c.cbc_pub.clone(), c.cbc_sec.clone())),
                 CommitCbc::Baseline(BaselineCbcSet::new(
                     p_com,
                     c.cbc_pub.clone(),
                     c.cbc_sec.clone(),
                 )),
-                Box::new(BaselineAbaSet::new(
-                    p_aba,
-                    CoinFlavor::ThreshSig,
-                    c.coin_pub.clone(),
-                    c.coin_sec.clone(),
-                )),
-            ),
+            )
+        } else {
+            (
+                Box::new(PrbcBatch::new(p_prbc, c.prbc_pub.clone(), c.prbc_sec.clone())),
+                Box::new(CbcBatch::new(p_val, c.cbc_pub.clone(), c.cbc_sec.clone())),
+                CommitCbc::Small(CbcSmallBatch::new(p_com, c.cbc_pub.clone(), c.cbc_sec.clone())),
+            )
         };
-        let mut st = EpochState {
-            epoch,
+        let aba: Box<dyn BinaryAgreement + Send> = match self {
+            DumboLane::Sc => Box::new(AbaScBatch::new_serial(
+                p_aba,
+                CoinFlavor::ThreshSig,
+                c.coin_pub.clone(),
+                c.coin_sec.clone(),
+            )),
+            DumboLane::Lc => Box::new(AbaLcBatch::new(p_aba)),
+            DumboLane::ScBaseline => Box::new(BaselineAbaSet::new(
+                p_aba,
+                CoinFlavor::ThreshSig,
+                c.coin_pub.clone(),
+                c.coin_sec.clone(),
+            )),
+        };
+        let mut acts = Actions::new();
+        prbc.start(encode_batch(txs), &mut acts);
+        out.absorb(p_prbc.session, &mut acts);
+        DumboEpoch {
             prbc,
             value_cbc,
             commit_cbc,
-            pi: PiCoin::new(p_pi),
+            pi: PiCoin::new(ctx.params(sessions::PI_COIN)),
             aba,
             value_started: false,
             commit_started: false,
             order: None,
             cursor: 0,
             elected: None,
-            decided: None,
-            committed: false,
-        };
-        let txs = self.source.batch(epoch, self.me);
-        let mut acts = Actions::new();
-        st.prbc.start(encode_batch(&txs), &mut acts);
-        out.absorb(p_prbc.session, &mut acts);
-        self.epochs.push_back(st);
-        // Keep one finalized epoch beyond the pipeline window alive as a
-        // NACK responder for lagging peers.
-        let keep = self.depth as usize + 1;
-        while self.epochs.len() > keep {
-            self.epochs.pop_front();
+            done: false,
         }
     }
 
-    /// Opens dissemination for new epochs until `depth` are in flight past
-    /// the committed chain (or the stop condition refuses). As in the
-    /// HoneyBadger engine, the epoch right past the chain head always
-    /// opens (the sequential cadence) while *extra* pipelined epochs open
-    /// only when the source has work — eager opens on an idle mempool
-    /// would burn whole epochs on empty proposals.
-    fn open_epochs(&mut self, out: &mut EngineOut) {
-        while self.started < self.blocks.len() as u64 + self.depth && self.stop.allows(self.started)
-        {
-            if self.started > self.blocks.len() as u64 && !self.source.has_work() {
-                break;
-            }
-            let next = self.started;
-            self.begin_epoch(next, out);
+    fn handle(
+        &self,
+        st: &mut DumboEpoch,
+        ctx: &EpochCtx,
+        role: u64,
+        from: usize,
+        body: &Body,
+        acts: &mut Actions,
+    ) {
+        match role {
+            sessions::BROADCAST => st.prbc.handle(from, body, acts),
+            sessions::CBC_VALUE => st.value_cbc.handle(from, body, acts),
+            sessions::CBC_COMMIT => st.commit_cbc.handle(from, body, acts),
+            sessions::PI_COIN => st.pi.handle(body, ctx.crypto, acts),
+            sessions::ABA => st.aba.handle(from, body, acts),
+            _ => {}
         }
     }
 
-    fn poll(&mut self, epoch: u64, out: &mut EngineOut) {
-        let quorum = 2 * self.f + 1;
-        let Some(idx) = self.epochs.iter().position(|e| e.epoch == epoch) else { return };
+    fn on_timer(&self, st: &mut DumboEpoch, ctx: &EpochCtx, role: u64, local: u32, acts: &mut Actions) {
+        match role {
+            sessions::BROADCAST => st.prbc.on_timer(local, acts),
+            sessions::CBC_VALUE => st.value_cbc.on_timer(local, acts),
+            sessions::CBC_COMMIT => st.commit_cbc.on_timer(local, acts),
+            sessions::PI_COIN => st.pi.on_timer(local, ctx.crypto, acts),
+            sessions::ABA => st.aba.on_timer(local, acts),
+            _ => {}
+        }
+    }
 
-        // Stage 2: CBC_value after 2f+1 PRBC proofs. At pipelined depths a
-        // *future* epoch's agreement lane (CBC → coin → election) stays
-        // parked until the epoch reaches the chain head — only its PRBC
-        // dissemination overlaps the head's agreement. Starting the CBC
-        // early would exclude proposals still in flight behind pipelined
-        // traffic from the W vector and drop whole batches into requeue.
-        let at_head = self.epochs[idx].epoch == self.blocks.len() as u64;
-        {
-            let st = &mut self.epochs[idx];
-            if !st.value_started
-                && st.prbc.proven_count() >= quorum
-                && (self.depth == 1 || at_head)
-            {
-                st.value_started = true;
-                let mut entries = Vec::new();
-                for j in 0..self.n {
-                    if let (Some(proof), Some(v)) = (st.prbc.proof(j), st.prbc.delivered(j)) {
-                        entries.push((j as u8, Digest32::of(v), *proof));
-                    }
+    fn poll(
+        &self,
+        st: &mut DumboEpoch,
+        ctx: &EpochCtx,
+        may_agree: bool,
+        _pipelined: bool,
+        out: &mut EngineOut,
+    ) -> Option<Block> {
+        let quorum = ctx.quorum();
+        // Stage 2: CBC_value after 2f+1 PRBC proofs. The whole agreement
+        // stage (CBC → coin → election) hangs off this gate: starting the
+        // CBC of a parked epoch early would exclude proposals still in
+        // flight behind pipelined traffic from the W vector.
+        if !st.value_started && st.prbc.proven_count() >= quorum && may_agree {
+            st.value_started = true;
+            let mut entries = Vec::new();
+            for j in 0..ctx.n {
+                if let (Some(proof), Some(v)) = (st.prbc.proof(j), st.prbc.delivered(j)) {
+                    entries.push((j as u8, Digest32::of(v), *proof));
                 }
-                let mut acts = Actions::new();
-                st.value_cbc.start(encode_w(&entries), &mut acts);
-                out.absorb(sessions::of(epoch, sessions::CBC_VALUE), &mut acts);
             }
+            let mut acts = Actions::new();
+            st.value_cbc.start(encode_w(&entries), &mut acts);
+            out.absorb(ctx.session(sessions::CBC_VALUE), &mut acts);
         }
         // Stage 3: CBC_commit after 2f+1 CBC_value deliveries.
-        {
-            let st = &mut self.epochs[idx];
-            if st.value_started && !st.commit_started && st.value_cbc.delivered_count() >= quorum
-            {
-                st.commit_started = true;
-                let mut s = Bitmap::new(self.n);
-                for j in 0..self.n {
-                    if st.value_cbc.delivered(j).is_some() {
-                        s.set(j, true);
-                    }
+        if st.value_started && !st.commit_started && st.value_cbc.delivered_count() >= quorum {
+            st.commit_started = true;
+            let mut s = Bitmap::new(ctx.n);
+            for j in 0..ctx.n {
+                if st.value_cbc.delivered(j).is_some() {
+                    s.set(j, true);
                 }
-                let mut acts = Actions::new();
-                st.commit_cbc.start(s, &mut acts);
-                out.absorb(sessions::of(epoch, sessions::CBC_COMMIT), &mut acts);
             }
+            let mut acts = Actions::new();
+            st.commit_cbc.start(s, &mut acts);
+            out.absorb(ctx.session(sessions::CBC_COMMIT), &mut acts);
         }
         // Stage 4: π coin after 2f+1 commits.
+        if st.commit_started
+            && st.order.is_none()
+            && st.commit_cbc.delivered_count() >= quorum
+            && !st.pi.released
         {
-            let st = &mut self.epochs[idx];
-            if st.commit_started
-                && st.order.is_none()
-                && st.commit_cbc.delivered_count() >= quorum
-                && !st.pi.released
-            {
-                let mut acts = Actions::new();
-                st.pi.activate(&self.crypto, &mut acts);
-                out.absorb(sessions::of(epoch, sessions::PI_COIN), &mut acts);
-            }
-            if st.order.is_none() {
-                if let Some(coin) = st.pi.value {
-                    st.order = Some(permutation(self.n, coin));
-                }
+            let mut acts = Actions::new();
+            st.pi.activate(ctx.crypto, &mut acts);
+            out.absorb(ctx.session(sessions::PI_COIN), &mut acts);
+        }
+        if st.order.is_none() {
+            if let Some(coin) = st.pi.value {
+                st.order = Some(permutation(ctx.n, coin));
             }
         }
         // Stage 5: serial ABA over π.
-        {
-            let st = &mut self.epochs[idx];
-            if let Some(order) = st.order.clone() {
-                while st.elected.is_none() && st.cursor < order.len() {
-                    let candidate = order[st.cursor];
-                    match st.aba.decided(candidate) {
-                        Some(true) => st.elected = Some(candidate),
-                        Some(false) => st.cursor += 1,
-                        None => {
-                            // Activate (idempotent) and wait. Vote 1 only if
-                            // we hold everything stage 6 needs from this
-                            // candidate: its commit set AND its CBC_value. A
-                            // Byzantine candidate can complete the commit CBC
-                            // (a small bitmap) while its CBC_value is
-                            // permanently unrecoverable (init data corrupted
-                            // under an honest root, so no honest node ever
-                            // echoes); voting on the commit CBC alone then
-                            // elects a candidate whose W no one can fetch and
-                            // the epoch deadlocks waiting on NACK
-                            // retransmissions that cannot help. Requiring the
-                            // value locally means a 1-decision implies some
-                            // honest node holds the W and can serve NACKs.
-                            let input = st.commit_cbc.delivered_set(candidate).is_some()
-                                && st.value_cbc.delivered(candidate).is_some();
-                            let mut acts = Actions::new();
-                            st.aba.set_input(candidate, input, &mut acts);
-                            out.absorb(sessions::of(epoch, sessions::ABA), &mut acts);
-                            break;
-                        }
+        if let Some(order) = &st.order {
+            while st.elected.is_none() && st.cursor < order.len() {
+                let candidate = order[st.cursor];
+                match st.aba.decided(candidate) {
+                    Some(true) => st.elected = Some(candidate),
+                    Some(false) => st.cursor += 1,
+                    None => {
+                        // Activate (idempotent) and wait. Vote 1 only if
+                        // we hold everything stage 6 needs from this
+                        // candidate: its commit set AND its CBC_value. A
+                        // Byzantine candidate can complete the commit CBC
+                        // (a small bitmap) while its CBC_value is
+                        // permanently unrecoverable (init data corrupted
+                        // under an honest root, so no honest node ever
+                        // echoes); voting on the commit CBC alone then
+                        // elects a candidate whose W no one can fetch and
+                        // the epoch deadlocks waiting on NACK
+                        // retransmissions that cannot help. Requiring the
+                        // value locally means a 1-decision implies some
+                        // honest node holds the W and can serve NACKs.
+                        let input = st.commit_cbc.delivered_set(candidate).is_some()
+                            && st.value_cbc.delivered(candidate).is_some();
+                        let mut acts = Actions::new();
+                        st.aba.set_input(candidate, input, &mut acts);
+                        out.absorb(ctx.session(sessions::ABA), &mut acts);
+                        break;
                     }
                 }
             }
         }
-        // Stage 6: assemble the block from the elected candidate's W.
-        {
-            let st = &mut self.epochs[idx];
-            if st.committed || st.decided.is_some() {
-                // Already decided; waiting (if at all) on finalization.
-            } else if let Some(c) = st.elected {
-                if let Some(wbytes) = st.value_cbc.delivered(c) {
-                    if let Some(entries) = decode_w(wbytes) {
-                        // Verify the candidate's proofs (charged per entry).
-                        out.charge_us += self.crypto.suite.threshold.signature_profile()
-                            .verify_signature_us
-                            * entries.len() as u64;
-                        let session = sessions::of(epoch, sessions::BROADCAST);
-                        let all_valid = entries.iter().all(|(id, root, proof)| {
-                            PrbcBatch::verify_proof(
-                                session,
-                                &self.crypto.prbc_pub,
-                                *id as usize,
-                                root,
-                                proof,
-                            )
-                        });
-                        let all_present = entries
-                            .iter()
-                            .all(|(id, _, _)| st.prbc.delivered(*id as usize).is_some());
-                        if all_valid && all_present {
-                            let mut txs: Vec<Tx> = Vec::new();
-                            for (id, root, _) in &entries {
-                                let Some(v) = st.prbc.delivered(*id as usize) else { continue };
-                                if Digest32::of(v) == *root {
-                                    if let Some(batch) = decode_batch(v) {
-                                        for tx in batch {
-                                            if !txs.contains(&tx) {
-                                                txs.push(tx);
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            st.decided = Some(Block { epoch, txs });
-                        } else if !all_valid {
-                            // Forged W vector — cannot happen for an elected
-                            // honest candidate; fall back to the next one.
-                            st.elected = None;
-                            st.cursor += 1;
-                        }
-                        // else: waiting on PRBC values via NACK
-                    } else {
-                        // Malformed W: skip candidate.
-                        st.elected = None;
-                        st.cursor += 1;
-                    }
-                }
-                // else: waiting on the candidate's CBC_value via NACK
-            }
+        // Stage 6: assemble the block from the elected candidate's W. An
+        // absent W or PRBC value is on its way via NACK retransmission.
+        if st.done {
+            return None;
         }
-        self.finalize_in_order(out);
-    }
-
-    /// Appends decided epochs to the chain strictly in epoch order — the
-    /// committed digest chain stays a common prefix even when a later
-    /// pipelined epoch decides before an earlier one — then refills the
-    /// dissemination pipeline.
-    fn finalize_in_order(&mut self, out: &mut EngineOut) {
-        let mut advanced = false;
-        loop {
-            let next = self.blocks.len() as u64;
-            let Some(i) = self.epochs.iter().position(|e| e.epoch == next) else { break };
-            let Some(block) = self.epochs[i].decided.take() else { break };
-            self.epochs[i].committed = true;
-            // Service mode: resolve before the next epoch pulls its batch
-            // (see honeybadger.rs).
-            if let BatchSource::Service { handle, .. } = &self.source {
-                handle.resolve_commit(&block);
-            }
-            self.blocks.push(block);
-            advanced = true;
+        let wbytes = st.value_cbc.delivered(st.elected?)?;
+        let Some(entries) = decode_w(wbytes) else {
+            // Malformed W: skip candidate.
+            st.elected = None;
+            st.cursor += 1;
+            return None;
+        };
+        // Verify the candidate's proofs (charged per entry).
+        out.charge_us += ctx.crypto.suite.threshold.signature_profile().verify_signature_us
+            * entries.len() as u64;
+        let session = ctx.session(sessions::BROADCAST);
+        let all_valid = entries.iter().all(|(id, root, proof)| {
+            PrbcBatch::verify_proof(session, &ctx.crypto.prbc_pub, *id as usize, root, proof)
+        });
+        if !all_valid {
+            // Forged W vector — cannot happen for an elected honest
+            // candidate; fall back to the next one.
+            st.elected = None;
+            st.cursor += 1;
+            return None;
         }
-        if advanced {
-            self.open_epochs(out);
-            // The next epoch just became the chain head: release its
-            // parked agreement lane (no-op when its PRBC quorum is not in
-            // yet or at depth 1, where the head is the only open epoch).
-            let head = self.blocks.len() as u64;
-            self.poll(head, out);
+        if !entries.iter().all(|(id, _, _)| st.prbc.delivered(*id as usize).is_some()) {
+            return None;
         }
-    }
-}
-
-impl Engine for DumboEngine {
-    fn start(&mut self, out: &mut EngineOut) {
-        self.open_epochs(out);
-    }
-
-    fn on_work_available(&mut self, out: &mut EngineOut) {
-        // Fill the pipeline window on fresh local submissions (no-op at
-        // the sequential depth, which never has window slack here).
-        self.open_epochs(out);
-    }
-
-    fn restore_chain(&mut self, blocks: Vec<Block>) {
-        // Adopt the recovered prefix as committed history; `start` opens
-        // the first live epoch right past it (see honeybadger.rs).
-        self.started = self.started.max(blocks.len() as u64);
-        self.blocks = blocks;
-    }
-
-    fn adopt_chain(&mut self, blocks: Vec<Block>, out: &mut EngineOut) {
-        let mut advanced = false;
-        for block in blocks {
-            if block.epoch != self.blocks.len() as u64 {
-                continue;
-            }
-            // The live instance of an adopted epoch is moot — drop it so
-            // its election cannot commit a second copy.
-            if let Some(i) = self.epochs.iter().position(|e| e.epoch == block.epoch) {
-                self.epochs.remove(i);
-            }
-            if let BatchSource::Service { handle, .. } = &self.source {
-                handle.resolve_commit(&block);
-            }
-            self.blocks.push(block);
-            advanced = true;
-        }
-        if advanced {
-            self.started = self.started.max(self.blocks.len() as u64);
-            self.open_epochs(out);
-            let head = self.blocks.len() as u64;
-            self.poll(head, out);
-        }
-    }
-
-    fn handle(&mut self, session: u64, from: usize, body: &Body, out: &mut EngineOut) {
-        let (epoch, role) = sessions::split(session);
-        let Some(idx) = self.epochs.iter().position(|e| e.epoch == epoch) else { return };
-        let mut acts = Actions::new();
-        {
-            let st = &mut self.epochs[idx];
-            match role {
-                sessions::BROADCAST => st.prbc.handle(from, body, &mut acts),
-                sessions::CBC_VALUE => st.value_cbc.handle(from, body, &mut acts),
-                sessions::CBC_COMMIT => st.commit_cbc.handle(from, body, &mut acts),
-                sessions::PI_COIN => st.pi.handle(body, &self.crypto, &mut acts),
-                sessions::ABA => st.aba.handle(from, body, &mut acts),
-                _ => {}
-            }
-        }
-        out.absorb(session, &mut acts);
-        self.poll(epoch, out);
-    }
-
-    fn on_timer(&mut self, session: u64, local: u32, out: &mut EngineOut) {
-        let (epoch, role) = sessions::split(session);
-        let Some(idx) = self.epochs.iter().position(|e| e.epoch == epoch) else { return };
-        let mut acts = Actions::new();
-        {
-            let st = &mut self.epochs[idx];
-            match role {
-                sessions::BROADCAST => st.prbc.on_timer(local, &mut acts),
-                sessions::CBC_VALUE => st.value_cbc.on_timer(local, &mut acts),
-                sessions::CBC_COMMIT => st.commit_cbc.on_timer(local, &mut acts),
-                sessions::PI_COIN => st.pi.on_timer(local, &self.crypto, &mut acts),
-                sessions::ABA => st.aba.on_timer(local, &mut acts),
-                _ => {}
-            }
-        }
-        out.absorb(session, &mut acts);
-        self.poll(epoch, out);
-    }
-
-    fn blocks(&self) -> &[Block] {
-        &self.blocks
-    }
-
-    fn is_done(&self) -> bool {
-        self.stop.is_done(self.started, self.blocks.len() as u64)
+        st.done = true;
+        let batches = entries.iter().filter_map(|(id, root, _)| {
+            let v = st.prbc.delivered(*id as usize)?;
+            (Digest32::of(v) == *root).then_some(&v[..])
+        });
+        Some(union_block(ctx.epoch, batches))
     }
 }
 
@@ -798,16 +504,19 @@ impl Engine for DumboEngine {
 mod tests {
     use super::*;
     use crate::driver::ProtocolNode;
+    use crate::engine::EpochEngine;
+    use crate::service::StopCondition;
+    use crate::workload::Workload;
     use wbft_components::deal_node_crypto;
     use wbft_crypto::CryptoSuite;
     use wbft_wireless::{ChannelId, SimConfig, SimTime, Simulator, Topology};
 
-    fn run_dumbo(variant: DumboVariant, seed: u64, epochs: u64) -> Vec<Vec<Block>> {
+    fn run_dumbo(variant: DumboLane, seed: u64, epochs: u64) -> Vec<Vec<Block>> {
         run_dumbo_at_depth(variant, seed, epochs, 1)
     }
 
     fn run_dumbo_at_depth(
-        variant: DumboVariant,
+        variant: DumboLane,
         seed: u64,
         epochs: u64,
         depth: u64,
@@ -819,7 +528,7 @@ mod tests {
             .into_iter()
             .map(|c| {
                 let engine =
-                    DumboEngine::new(c.clone(), variant, workload.clone(), StopCondition::Epochs(epochs))
+                    EpochEngine::new(c.clone(), variant, workload.clone(), StopCondition::Epochs(epochs))
                         .with_depth(depth);
                 ProtocolNode::new(engine, c, ChannelId(0))
             })
@@ -835,7 +544,7 @@ mod tests {
 
     #[test]
     fn dumbo_sc_agreement() {
-        let blocks = run_dumbo(DumboVariant::Sc, 3, 1);
+        let blocks = run_dumbo(DumboLane::Sc, 3, 1);
         let first = &blocks[0];
         assert_eq!(first.len(), 1);
         assert!(!first[0].txs.is_empty());
@@ -846,7 +555,7 @@ mod tests {
 
     #[test]
     fn dumbo_lc_agreement() {
-        let blocks = run_dumbo(DumboVariant::Lc, 4, 1);
+        let blocks = run_dumbo(DumboLane::Lc, 4, 1);
         let first = &blocks[0];
         for b in &blocks {
             assert_eq!(b, first);
@@ -856,7 +565,7 @@ mod tests {
     #[test]
     fn dumbo_sc_pipelined_depths_agree_and_commit_in_order() {
         for depth in [2u64, 4] {
-            let all_blocks = run_dumbo_at_depth(DumboVariant::Sc, 5, 3, depth);
+            let all_blocks = run_dumbo_at_depth(DumboLane::Sc, 5, 3, depth);
             let first = &all_blocks[0];
             assert_eq!(first.len(), 3, "depth {depth}: all epochs commit");
             for (e, b) in first.iter().enumerate() {

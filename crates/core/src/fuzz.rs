@@ -309,12 +309,7 @@ fn mutate(case: &FuzzCase, protocols: &[Protocol], rng: &mut ChaCha12Rng) -> Fuz
     // One structural mutation per generation keeps minimization short.
     match rng.random_range(0..12u32) {
         0 => cfg.seed = rng.random_range(1..1 << 16),
-        1 => {
-            cfg.protocol = protocols[rng.random_range(0..protocols.len())];
-            if !cfg.protocol.supports_churn() {
-                cfg.churn = None;
-            }
-        }
+        1 => cfg.protocol = protocols[rng.random_range(0..protocols.len())],
         2 => {
             // Place (or clear) one Byzantine node; n=4 tolerates f=1, so a
             // placement also clears any crash plan (churn + Byzantine
@@ -382,15 +377,10 @@ fn mutate(case: &FuzzCase, protocols: &[Protocol], rng: &mut ChaCha12Rng) -> Fuz
         _ => {
             // Schedule (or clear) one membership swap: a fresh node joins,
             // a random genesis member leaves. Membership runs are honest,
-            // sequential, crash-free and HoneyBadger-family only, so the
-            // arm clears everything it does not compose with.
+            // sequential and crash-free, so the arm clears everything it
+            // does not compose with.
             cfg.churn = None;
-            let family: Vec<Protocol> =
-                protocols.iter().copied().filter(Protocol::supports_churn).collect();
-            if rng.random_bool(0.75) && !family.is_empty() {
-                if !cfg.protocol.supports_churn() {
-                    cfg.protocol = family[rng.random_range(0..family.len())];
-                }
+            if rng.random_bool(0.75) {
                 cfg.byzantine.clear();
                 cfg.crash = None;
                 cfg.pipeline_depth = 1;
@@ -581,8 +571,8 @@ pub fn campaign(cfg: &FuzzConfig) -> FuzzReport {
 
     // Seed corpus: every protocol's base case, its coin-starvation schedule
     // (only meaningful for shared-coin deployments but harmless elsewhere —
-    // the classifier just never fires), its crash-restart churn case, and —
-    // for the HoneyBadger family — its membership-swap case.
+    // the classifier just never fires), its crash-restart churn case and
+    // its membership-swap case.
     let mut pending: Vec<FuzzCase> = cfg
         .protocols
         .iter()
@@ -593,12 +583,7 @@ pub fn campaign(cfg: &FuzzConfig) -> FuzzReport {
                 crash_restart_case(*p, cfg.event_budget),
             ]
         })
-        .chain(
-            cfg.protocols
-                .iter()
-                .filter(|p| p.supports_churn())
-                .map(|p| membership_churn_case(*p, cfg.event_budget)),
-        )
+        .chain(cfg.protocols.iter().map(|p| membership_churn_case(*p, cfg.event_budget)))
         .collect();
 
     while executed < cfg.scenarios {

@@ -10,18 +10,19 @@
 //! exchange threshold-decryption shares (batched into one packet per
 //! channel access) and commit the decrypted union as the block.
 //!
-//! The engine is generic over the broadcast and agreement deployments, so
-//! the same code yields HoneyBadgerBFT-LC / -SC, BEAT (coin-flipping ABA),
-//! and the unbatched `*-baseline` variants.
+//! This module is the protocol's [`Lane`]: the epoch pipeline around it
+//! (opening epochs, in-order commit, recovery, membership) is the shared
+//! [`EpochEngine`]. The lane is generic over the broadcast and agreement
+//! deployments, so the same code yields HoneyBadgerBFT-LC / -SC, BEAT
+//! (coin-flipping ABA), and the unbatched `*-baseline` variants.
 
-use crate::driver::{sessions, Block, Engine, EngineOut, Tx};
-use crate::membership::MembershipCtl;
+use crate::driver::{sessions, Block, EngineOut, Tx};
+use crate::engine::{union_block, EpochCtx, EpochEngine, Lane};
 use crate::service::StopCondition;
-use crate::workload::{decode_batch, encode_batch, BatchSource};
 #[cfg(test)]
 use crate::workload::Workload;
+use crate::workload::{encode_batch, BatchSource};
 use bytes::Bytes;
-use std::collections::VecDeque;
 use wbft_components::aba_lc::AbaLcBatch;
 use wbft_components::aba_sc::AbaScBatch;
 use wbft_components::baseline::{BaselineAbaSet, BaselineRbcSet};
@@ -32,17 +33,6 @@ use wbft_crypto::GroupElem;
 use wbft_net::{Bitmap, Body, CoinFlavor, RetransmitPolicy};
 
 const TIMER_DEC_RETX: u32 = 0;
-
-/// Retransmission timer of this node's resharing deal (reshare sessions).
-const TIMER_RESHARE_RETX: u32 = 0;
-
-/// Cadence at which a canonical dealer re-serves its deal set. Deals are
-/// idempotent (duplicates drop at the ceremony), so a fixed cadence is
-/// enough; it keeps running until the dealer's engine is done because a
-/// lagging receiver — a joiner still bootstrapping its chain — may need
-/// the deal long after the chain passed the activation epoch.
-const RESHARE_RETX_DELAY: wbft_wireless::SimDuration =
-    wbft_wireless::SimDuration::from_millis(700);
 
 // ------------------------------------------------------------------
 // Ciphertext wire helpers (no binary serde in the dependency set).
@@ -237,7 +227,7 @@ impl DecStage {
         accepted.iter().all(|&j| self.plaintexts[j].is_some())
     }
 
-    fn handle(&mut self, from: usize, body: &Body, crypto: &NodeCrypto, acts: &mut Actions) {
+    fn handle(&mut self, body: &Body, crypto: &NodeCrypto, acts: &mut Actions) {
         match body {
             Body::DecShareBatch { shares, dec_nack } => {
                 for (j, share) in shares {
@@ -254,7 +244,6 @@ impl DecStage {
             }
             _ => {}
         }
-        let _ = from;
         self.flush(acts);
     }
 
@@ -275,266 +264,119 @@ impl DecStage {
 }
 
 // ------------------------------------------------------------------
-// The engine.
+// The lane.
 
 /// One epoch's live components.
-struct EpochState<B, A> {
-    epoch: u64,
-    /// Committee size of this epoch (varies across a membership change).
-    n: usize,
-    /// Fault budget of this epoch.
-    f: usize,
+pub struct HbEpoch<B, A> {
     rbc: B,
     aba: A,
     dec: DecStage,
     aba_inputs_sent: bool,
     accepted: Option<Vec<usize>>,
-    /// Decided block awaiting in-order finalization (pipelined epochs may
-    /// decide out of order; the chain commits strictly by epoch).
-    decided: Option<Block>,
-    committed: bool,
+    /// The epoch's block was handed to the engine.
+    done: bool,
 }
 
-/// Per-epoch ABA factory: builds a fresh agreement instance from the
-/// epoch's committee parameters and the node's (key-epoch-aware) crypto.
-type MakeAba<A> = Box<dyn FnMut(Params, &NodeCrypto) -> A + Send>;
-
-/// HoneyBadgerBFT/BEAT engine, generic over deployment style.
-pub struct HbEngine<B, A> {
-    crypto: NodeCrypto,
-    n: usize,
-    f: usize,
-    me: usize,
-    source: BatchSource,
-    stop: StopCondition,
-    /// Epochs opened so far (`is_done` compares against committed blocks).
-    started: u64,
-    /// Pipeline depth `W`: epochs allowed in flight past the committed
-    /// chain. `W = 1` is the strictly sequential behavior.
-    depth: u64,
-    make_rbc: Box<dyn FnMut(Params) -> B + Send>,
-    make_aba: MakeAba<A>,
+/// The HoneyBadgerBFT/BEAT lane: RBC → parallel ABA → threshold
+/// decryption, generic over deployment style.
+pub struct HbLane<B, A> {
+    make_rbc: fn(Params) -> B,
+    /// Builds a fresh agreement instance from the epoch's committee
+    /// parameters and the (key-epoch-aware) crypto.
+    make_aba: fn(Params, &NodeCrypto) -> A,
     batched_dec: bool,
-    epochs: VecDeque<EpochState<B, A>>,
-    blocks: Vec<Block>,
-    rng: rand_chacha::ChaCha12Rng,
-    /// Dynamic membership (`None` = the fixed genesis committee forever;
-    /// that path is byte-identical to builds without this field).
-    membership: Option<MembershipCtl>,
 }
 
-impl<B: Broadcaster, A: BinaryAgreement> HbEngine<B, A> {
-    /// Creates the engine; `make_rbc`/`make_aba` build fresh components per
-    /// epoch.
-    pub fn new(
-        crypto: NodeCrypto,
-        source: impl Into<BatchSource>,
-        stop: StopCondition,
-        batched_dec: bool,
-        make_rbc: Box<dyn FnMut(Params) -> B + Send>,
-        make_aba: MakeAba<A>,
-    ) -> Self {
-        use rand::SeedableRng;
-        let source = source.into();
-        let n = crypto.peer_keys.len();
-        let f = (n - 1) / 3;
-        let me = crypto.me;
-        let rng = rand_chacha::ChaCha12Rng::seed_from_u64(0xb0b0 ^ ((me as u64) << 16));
-        HbEngine {
-            crypto,
-            n,
-            f,
-            me,
-            source,
-            stop,
-            started: 0,
-            depth: 1,
-            make_rbc,
-            make_aba,
-            batched_dec,
-            epochs: VecDeque::new(),
-            blocks: Vec::new(),
-            rng,
-            membership: None,
-        }
+/// Starts decryption of proposer `j`'s delivered proposal; a malformed
+/// ciphertext from a Byzantine proposer counts as an empty contribution.
+fn activate_dec(
+    dec: &mut DecStage,
+    rbc: &impl Broadcaster,
+    j: usize,
+    ctx: &EpochCtx,
+    out: &mut EngineOut,
+) {
+    if dec.active[j] {
+        return;
     }
-
-    /// Mutable access to the proposal source (the multi-hop tier installs
-    /// fixed proposals before starting an epoch).
-    pub fn source_mut(&mut self) -> &mut BatchSource {
-        &mut self.source
-    }
-
-    /// Sets the pipeline depth `W` (clamped to at least 1). Call before
-    /// `start`; `W = 1` reproduces the sequential engine byte for byte.
-    pub fn with_depth(mut self, depth: u64) -> Self {
-        self.depth = depth.max(1);
-        self
-    }
-
-    /// Enables dynamic membership: per-epoch committee parameters and
-    /// threshold keys come from the chain-derived controller instead of
-    /// the fixed genesis deal. Schedule the node's own join/leave ops on
-    /// the controller before passing it in.
-    pub fn with_membership(mut self, ctl: MembershipCtl) -> Self {
-        self.membership = Some(ctl);
-        self
-    }
-
-    /// The crypto bundle in effect at `epoch`: the membership controller's
-    /// per-key-epoch bundle, falling back to the engine's fixed genesis
-    /// bundle (the only bundle there is without membership; with it, open
-    /// epochs are gated on the controller's bundle existing).
-    fn epoch_crypto<'a>(
-        base: &'a NodeCrypto,
-        membership: &'a Option<MembershipCtl>,
-        epoch: u64,
-    ) -> &'a NodeCrypto {
-        match membership {
-            Some(ctl) => ctl.crypto_at(epoch).unwrap_or(base),
-            None => base,
-        }
-    }
-
-    fn begin_epoch(&mut self, epoch: u64, out: &mut EngineOut) {
-        self.started = self.started.max(epoch + 1);
-        let (n, f, me) = match &self.membership {
-            Some(ctl) => match ctl.committee_at(epoch) {
-                Some(t) => t,
-                // `open_epochs` gates on `can_open`; reaching this means a
-                // logic bug upstream — refuse to open rather than panic.
-                None => return,
-            },
-            None => (self.n, self.f, self.me),
-        };
-        let p_rbc = Params::new(n, me, sessions::of(epoch, sessions::BROADCAST));
-        let p_aba = Params::new(n, me, sessions::of(epoch, sessions::ABA));
-        let p_dec = Params::new(n, me, sessions::of(epoch, sessions::DEC));
-        let crypto = Self::epoch_crypto(&self.crypto, &self.membership, epoch);
-        let mut rbc = (self.make_rbc)(p_rbc);
-        let aba = (self.make_aba)(p_aba, crypto);
-        let dec = DecStage::new(p_dec, epoch, self.batched_dec);
-
-        // Threshold-encrypt the batch (censorship resilience). Membership
-        // ops this node wants committed ride along as reserved
-        // transactions (deduplicated by the union-commit, like any tx).
-        let mut txs = self.source.batch(epoch, me);
-        if let Some(ctl) = &self.membership {
-            for tx in ctl.injectable(epoch) {
-                if !txs.contains(&tx) {
-                    txs.push(tx);
-                }
-            }
-        }
-        let pt = encode_batch(&txs);
-        // Charge an encryption as one share-signing-class operation.
+    let Some(bytes) = rbc.delivered(j) else { return };
+    if let Some(ct) = decode_ciphertext(bytes) {
         let mut acts = Actions::new();
-        acts.charge(crypto.suite.threshold.signature_profile().sign_share_us);
-        let ct = crypto.enc_pub.encrypt(&ct_label(epoch, me), &pt, &mut self.rng);
+        dec.activate(j, ct, ctx.crypto, &mut acts);
+        out.absorb(ctx.session(sessions::DEC), &mut acts);
+    } else {
+        dec.active[j] = true;
+        dec.plaintexts[j] = Some(encode_batch(&[]).to_vec());
+    }
+}
+
+impl<B: Broadcaster, A: BinaryAgreement> Lane for HbLane<B, A> {
+    type Epoch = HbEpoch<B, A>;
+
+    fn open(
+        &self,
+        ctx: &EpochCtx,
+        txs: &[Tx],
+        rng: &mut rand_chacha::ChaCha12Rng,
+        out: &mut EngineOut,
+    ) -> Self::Epoch {
+        let p_rbc = ctx.params(sessions::BROADCAST);
+        let mut rbc = (self.make_rbc)(p_rbc);
+        let aba = (self.make_aba)(ctx.params(sessions::ABA), ctx.crypto);
+        let dec = DecStage::new(ctx.params(sessions::DEC), ctx.epoch, self.batched_dec);
+        // Threshold-encrypt the batch (censorship resilience), charged as
+        // one share-signing-class operation.
+        let mut acts = Actions::new();
+        acts.charge(ctx.crypto.suite.threshold.signature_profile().sign_share_us);
+        let ct = ctx.crypto.enc_pub.encrypt(&ct_label(ctx.epoch, ctx.me), &encode_batch(txs), rng);
         rbc.start(encode_ciphertext(&ct), &mut acts);
         out.absorb(p_rbc.session, &mut acts);
-
-        self.epochs.push_back(EpochState {
-            epoch,
-            n,
-            f,
-            rbc,
-            aba,
-            dec,
-            aba_inputs_sent: false,
-            accepted: None,
-            decided: None,
-            committed: false,
-        });
-        // Keep one finalized epoch beyond the pipeline window alive as a
-        // NACK responder for lagging peers.
-        let keep = self.depth as usize + 1;
-        while self.epochs.len() > keep {
-            self.epochs.pop_front();
-        }
+        HbEpoch { rbc, aba, dec, aba_inputs_sent: false, accepted: None, done: false }
     }
 
-    /// Opens dissemination for new epochs until `depth` are in flight past
-    /// the committed chain (or the stop condition refuses). The epoch
-    /// right past the chain head always opens — that is the sequential
-    /// cadence every depth shares — but *extra* pipelined epochs open only
-    /// while the source has work for them: an eager open on an idle
-    /// mempool would spend a full epoch of airtime on an empty proposal.
-    fn open_epochs(&mut self, out: &mut EngineOut) {
-        while self.started < self.blocks.len() as u64 + self.depth && self.stop.allows(self.started)
-        {
-            // Membership gate: only committee members open an epoch, and
-            // only once its key epoch's threshold keys exist (a running
-            // resharing ceremony holds the activation epoch back; a
-            // leaver stops here for good and finishes by sync adoption).
-            if let Some(ctl) = &self.membership {
-                if !ctl.can_open(self.started) {
-                    break;
-                }
-            }
-            if self.started > self.blocks.len() as u64 && !self.source.has_work() {
-                break;
-            }
-            let next = self.started;
-            self.begin_epoch(next, out);
-        }
-    }
-
-    /// Starts decryption of proposer `j`'s delivered proposal; a malformed
-    /// ciphertext from a Byzantine proposer counts as an empty contribution.
-    fn activate_dec(
-        crypto: &NodeCrypto,
-        st: &mut EpochState<B, A>,
-        j: usize,
-        session: u64,
-        out: &mut EngineOut,
+    fn handle(
+        &self,
+        st: &mut Self::Epoch,
+        ctx: &EpochCtx,
+        role: u64,
+        from: usize,
+        body: &Body,
+        acts: &mut Actions,
     ) {
-        if st.dec.active[j] {
-            return;
-        }
-        let Some(bytes) = st.rbc.delivered(j) else { return };
-        if let Some(ct) = decode_ciphertext(bytes) {
-            let mut acts = Actions::new();
-            st.dec.activate(j, ct, crypto, &mut acts);
-            out.absorb(session, &mut acts);
-        } else {
-            st.dec.active[j] = true;
-            st.dec.plaintexts[j] = Some(encode_batch(&[]).to_vec());
+        match role {
+            sessions::BROADCAST => st.rbc.handle(from, body, acts),
+            sessions::ABA => st.aba.handle(from, body, acts),
+            sessions::DEC => st.dec.handle(body, ctx.crypto, acts),
+            _ => {}
         }
     }
 
-    /// Runs the epoch state machine after any component progress.
-    fn poll(&mut self, epoch: u64, out: &mut EngineOut) {
-        let Some(idx) = self.epochs.iter().position(|e| e.epoch == epoch) else { return };
-        // Quorum math of *this epoch's* committee (membership changes can
-        // resize it between epochs; without membership these are the
-        // engine-constant n and f).
-        let n = self.epochs[idx].n;
-        let quorum = 2 * self.epochs[idx].f + 1;
+    fn on_timer(&self, st: &mut Self::Epoch, _: &EpochCtx, role: u64, local: u32, acts: &mut Actions) {
+        match role {
+            sessions::BROADCAST => st.rbc.on_timer(local, acts),
+            sessions::ABA => st.aba.on_timer(local, acts),
+            sessions::DEC => st.dec.on_timer(local, st.accepted.as_deref(), acts),
+            _ => {}
+        }
+    }
 
-        // 1. Feed ABA inputs when 2f+1 RBCs delivered — all at once. At
-        //    pipelined depths the agreement lane of a *future* epoch stays
-        //    parked until the epoch reaches the chain head: its
-        //    dissemination overlaps the head's agreement, but binding ABA
-        //    inputs while proposals are still in flight behind pipelined
-        //    traffic would vote 0 on slow instances and requeue whole
-        //    batches.
-        let at_head = self.epochs[idx].epoch == self.blocks.len() as u64;
-        {
-            let st = &mut self.epochs[idx];
-            if !st.aba_inputs_sent
-                && st.rbc.delivered_count() >= quorum
-                && (self.depth == 1 || at_head)
-            {
-                st.aba_inputs_sent = true;
-                let mut acts = Actions::new();
-                for j in 0..n {
-                    let input = st.rbc.delivered(j).is_some();
-                    st.aba.set_input(j, input, &mut acts);
-                }
-                let session = sessions::of(epoch, sessions::ABA);
-                out.absorb(session, &mut acts);
+    fn poll(
+        &self,
+        st: &mut Self::Epoch,
+        ctx: &EpochCtx,
+        may_agree: bool,
+        pipelined: bool,
+        out: &mut EngineOut,
+    ) -> Option<Block> {
+        // 1. Feed ABA inputs when 2f+1 RBCs delivered — all at once.
+        if !st.aba_inputs_sent && st.rbc.delivered_count() >= ctx.quorum() && may_agree {
+            st.aba_inputs_sent = true;
+            let mut acts = Actions::new();
+            for j in 0..ctx.n {
+                let input = st.rbc.delivered(j).is_some();
+                st.aba.set_input(j, input, &mut acts);
             }
+            out.absorb(ctx.session(sessions::ABA), &mut acts);
         }
         // 1b. Early-commit fast path (pipelined depths only): once our ABA
         //     inputs are bound, n−f of them are unanimously 1, so start
@@ -543,287 +385,45 @@ impl<B: Broadcaster, A: BinaryAgreement> HbEngine<B, A> {
         //     accepted set to freeze. Commit still waits for stage 2's
         //     frozen set; shares for instances that end up rejected are
         //     simply never combined.
-        if self.depth > 1 {
-            let session = sessions::of(epoch, sessions::DEC);
-            let crypto = Self::epoch_crypto(&self.crypto, &self.membership, epoch);
-            let st = &mut self.epochs[idx];
-            if st.aba_inputs_sent && st.accepted.is_none() {
-                for j in 0..n {
-                    if st.aba.decided(j) != Some(false) {
-                        Self::activate_dec(crypto, st, j, session, out);
-                    }
+        if pipelined && st.aba_inputs_sent && st.accepted.is_none() {
+            for j in 0..ctx.n {
+                if st.aba.decided(j) != Some(false) {
+                    activate_dec(&mut st.dec, &st.rbc, j, ctx, out);
                 }
             }
         }
         // 2. Freeze the accepted set when all ABAs decided.
-        {
-            let st = &mut self.epochs[idx];
-            if st.accepted.is_none() && st.aba_inputs_sent && st.aba.decided_count() == n {
-                let accepted: Vec<usize> =
-                    (0..n).filter(|&j| st.aba.decided(j) == Some(true)).collect();
-                st.accepted = Some(accepted);
-            }
+        if st.accepted.is_none() && st.aba_inputs_sent && st.aba.decided_count() == ctx.n {
+            st.accepted = Some((0..ctx.n).filter(|&j| st.aba.decided(j) == Some(true)).collect());
         }
         // 3. Activate decryption for accepted instances whose value we hold.
-        {
-            let session = sessions::of(epoch, sessions::DEC);
-            let crypto = Self::epoch_crypto(&self.crypto, &self.membership, epoch);
-            let st = &mut self.epochs[idx];
-            if let Some(accepted) = st.accepted.clone() {
-                for j in accepted {
-                    Self::activate_dec(crypto, st, j, session, out);
-                }
-            }
+        let accepted = st.accepted.as_ref()?;
+        for &j in accepted {
+            activate_dec(&mut st.dec, &st.rbc, j, ctx, out);
         }
         // 4. Decide the epoch once every accepted proposal decrypted.
-        {
-            let st = &mut self.epochs[idx];
-            if !st.committed && st.decided.is_none() {
-                if let Some(accepted) = &st.accepted {
-                    if st.dec.complete_for(accepted) {
-                        let mut txs: Vec<Tx> = Vec::new();
-                        for &j in accepted {
-                            if let Some(pt) = &st.dec.plaintexts[j] {
-                                if let Some(batch) = decode_batch(pt) {
-                                    for tx in batch {
-                                        if !txs.contains(&tx) {
-                                            txs.push(tx);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        st.decided = Some(Block { epoch, txs });
-                    }
-                }
-            }
+        if st.done || !st.dec.complete_for(accepted) {
+            return None;
         }
-        self.finalize_in_order(out);
-    }
-
-    /// Appends decided epochs to the chain strictly in epoch order — the
-    /// committed digest chain stays a common prefix even when a later
-    /// pipelined epoch decides before an earlier one — then refills the
-    /// dissemination pipeline.
-    fn finalize_in_order(&mut self, out: &mut EngineOut) {
-        let mut advanced = false;
-        loop {
-            let next = self.blocks.len() as u64;
-            let Some(i) = self.epochs.iter().position(|e| e.epoch == next) else { break };
-            let Some(block) = self.epochs[i].decided.take() else { break };
-            self.epochs[i].committed = true;
-            // Service mode: resolve the commit in the mempool *before* the
-            // next epoch pulls its batch, so a peer-committed transaction
-            // cannot ride again.
-            if let BatchSource::Service { handle, .. } = &self.source {
-                handle.resolve_commit(&block);
-            }
-            self.blocks.push(block);
-            self.on_membership_commit(next, out);
-            advanced = true;
-        }
-        if advanced {
-            self.open_epochs(out);
-            // The next epoch just became the chain head: release its
-            // parked agreement lane (no-op when it has no RBC quorum yet
-            // or at depth 1, where the head is the only open epoch).
-            let head = self.blocks.len() as u64;
-            self.poll(head, out);
-        }
-    }
-
-    /// Chain-commit hook of the membership subsystem: folds the epoch's
-    /// ops into the committee log and, when a change lands, broadcasts
-    /// this node's resharing deal (if it is a canonical dealer) on the
-    /// activation epoch's reshare session, with a retransmission timer.
-    fn on_membership_commit(&mut self, epoch: u64, out: &mut EngineOut) {
-        let Some(ctl) = &mut self.membership else { return };
-        let Some(block) = self.blocks.iter().find(|b| b.epoch == epoch) else { return };
-        if ctl.on_commit(epoch, &block.txs).is_none() {
-            return;
-        }
-        if let Some((activation, key_epoch, deal)) = ctl.make_my_deal(&mut self.rng) {
-            let session = sessions::of(activation, sessions::RESHARE);
-            out.sends.push((
-                session,
-                Body::Reshare { key_epoch, dealer: ctl.me_global(), deal },
-            ));
-            out.timers.push((session, TIMER_RESHARE_RETX, RESHARE_RETX_DELAY));
-        }
-    }
-
-    /// Absorbs a dealer's reshare deal set. When the deal completes the
-    /// ceremony, the new key epoch's bundle just became available and the
-    /// epochs blocked on it can open.
-    fn on_reshare(&mut self, from: usize, body: &Body, out: &mut EngineOut) {
-        let Some(ctl) = &mut self.membership else { return };
-        let Body::Reshare { key_epoch, dealer, deal } = body else { return };
-        // The envelope signature authenticated `from`; a deal claiming a
-        // different dealer identity is forged (or corrupt) — drop it.
-        if *dealer as usize != from {
-            return;
-        }
-        let Some(deal) = wbft_membership::DealSet::decode(deal) else { return };
-        if deal.dealer != *dealer {
-            return;
-        }
-        if ctl.absorb_deal(*key_epoch, deal) {
-            self.open_epochs(out);
-            let head = self.blocks.len() as u64;
-            self.poll(head, out);
-        }
-    }
-}
-
-impl<B: Broadcaster, A: BinaryAgreement> Engine for HbEngine<B, A> {
-    fn start(&mut self, out: &mut EngineOut) {
-        self.open_epochs(out);
-    }
-
-    fn on_work_available(&mut self, out: &mut EngineOut) {
-        // A fresh local submission: fill the pipeline window now instead
-        // of waiting for the next commit. Sequential depth (W = 1) never
-        // has window slack here, so this is a no-op for it.
-        self.open_epochs(out);
-    }
-
-    fn restore_chain(&mut self, blocks: Vec<Block>) {
-        // Adopt the recovered prefix as already-committed history; `start`
-        // then opens the first live epoch right past it (epochs are opened
-        // relative to `blocks.len()`, so no per-epoch state is needed).
-        self.started = self.started.max(blocks.len() as u64);
-        self.blocks = blocks;
-        // Membership runs: refold the committee log from the restored
-        // prefix. No deals can be broadcast from here (pre-start, nothing
-        // to send through); a restart landing mid-ceremony relies on the
-        // other dealers' retransmissions or anti-entropy adoption.
-        for i in 0..self.blocks.len() {
-            let Some(ctl) = &mut self.membership else { break };
-            ctl.on_commit(self.blocks[i].epoch, &self.blocks[i].txs);
-        }
-    }
-
-    fn adopt_chain(&mut self, blocks: Vec<Block>, out: &mut EngineOut) {
-        let mut advanced = false;
-        for block in blocks {
-            if block.epoch != self.blocks.len() as u64 {
-                continue;
-            }
-            // Drop the live instance of the adopted epoch: its agreement
-            // is moot and its components must not commit a second copy.
-            if let Some(i) = self.epochs.iter().position(|e| e.epoch == block.epoch) {
-                self.epochs.remove(i);
-            }
-            if let BatchSource::Service { handle, .. } = &self.source {
-                handle.resolve_commit(&block);
-            }
-            let epoch = block.epoch;
-            self.blocks.push(block);
-            self.on_membership_commit(epoch, out);
-            advanced = true;
-        }
-        if advanced {
-            self.started = self.started.max(self.blocks.len() as u64);
-            self.open_epochs(out);
-            let head = self.blocks.len() as u64;
-            self.poll(head, out);
-        }
-    }
-
-    fn handle(&mut self, session: u64, from: usize, body: &Body, out: &mut EngineOut) {
-        let (epoch, role) = sessions::split(session);
-        if role == sessions::RESHARE {
-            self.on_reshare(from, body, out);
-            return;
-        }
-        // Envelopes carry global node ids; components speak committee
-        // slots. Without membership the two coincide.
-        let from = match &self.membership {
-            Some(ctl) => match ctl.slot_at(epoch, from as u16) {
-                Some(slot) => slot,
-                // Not a member of this epoch's committee (e.g. a leaver's
-                // stale traffic): nothing a component could attribute.
-                None => return,
-            },
-            None => from,
-        };
-        let Some(idx) = self.epochs.iter().position(|e| e.epoch == epoch) else { return };
-        let mut acts = Actions::new();
-        {
-            let crypto = Self::epoch_crypto(&self.crypto, &self.membership, epoch);
-            let st = &mut self.epochs[idx];
-            match role {
-                sessions::BROADCAST => st.rbc.handle(from, body, &mut acts),
-                sessions::ABA => st.aba.handle(from, body, &mut acts),
-                sessions::DEC => st.dec.handle(from, body, crypto, &mut acts),
-                _ => {}
-            }
-        }
-        out.absorb(session, &mut acts);
-        self.poll(epoch, out);
-    }
-
-    fn on_timer(&mut self, session: u64, local: u32, out: &mut EngineOut) {
-        let (epoch, role) = sessions::split(session);
-        if role == sessions::RESHARE {
-            if local != TIMER_RESHARE_RETX || self.is_done() {
-                return;
-            }
-            let Some(ctl) = &self.membership else { return };
-            let Some((_, key_epoch, deal)) = ctl.retx_deal() else { return };
-            out.sends.push((
-                session,
-                Body::Reshare { key_epoch, dealer: ctl.me_global(), deal },
-            ));
-            out.timers.push((session, TIMER_RESHARE_RETX, RESHARE_RETX_DELAY));
-            return;
-        }
-        let Some(idx) = self.epochs.iter().position(|e| e.epoch == epoch) else { return };
-        let mut acts = Actions::new();
-        {
-            let st = &mut self.epochs[idx];
-            match role {
-                sessions::BROADCAST => st.rbc.on_timer(local, &mut acts),
-                sessions::ABA => st.aba.on_timer(local, &mut acts),
-                sessions::DEC => {
-                    let accepted = st.accepted.clone();
-                    st.dec.on_timer(local, accepted.as_deref(), &mut acts)
-                }
-                _ => {}
-            }
-        }
-        out.absorb(session, &mut acts);
-        self.poll(epoch, out);
-    }
-
-    fn blocks(&self) -> &[Block] {
-        &self.blocks
-    }
-
-    fn key_epoch(&self, session: u64) -> u64 {
-        match &self.membership {
-            Some(ctl) => ctl.wire_key_epoch(session),
-            None => 0,
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        let committed = self.blocks.len() as u64;
-        if self.stop.is_done(self.started, committed) {
-            return true;
-        }
-        // Membership runs: a node outside the committee at its chain head
-        // (a leaver past activation, a joiner before it) opens nothing
-        // itself — it finishes by sync adoption once the chain it adopts
-        // reaches the stop.
-        self.membership
-            .as_ref()
-            .is_some_and(|ctl| !ctl.member_at(committed) && !self.stop.allows(committed))
+        st.done = true;
+        let plaintexts = accepted.iter().filter_map(|&j| st.dec.plaintexts[j].as_deref());
+        Some(union_block(ctx.epoch, plaintexts))
     }
 }
 
 // ------------------------------------------------------------------
 // Variant constructors.
+
+fn hb_engine<B: Broadcaster, A: BinaryAgreement>(
+    crypto: NodeCrypto,
+    source: impl Into<BatchSource>,
+    stop: StopCondition,
+    batched: bool,
+    make_rbc: fn(Params) -> B,
+    make_aba: fn(Params, &NodeCrypto) -> A,
+) -> EpochEngine<HbLane<B, A>> {
+    EpochEngine::new(crypto, HbLane { make_rbc, make_aba, batched_dec: batched }, source, stop)
+}
 
 /// Wireless HoneyBadgerBFT-SC: batched RBC + batched shared-coin ABA
 /// (threshold signatures).
@@ -831,17 +431,10 @@ pub fn hb_sc(
     crypto: NodeCrypto,
     source: impl Into<BatchSource>,
     stop: StopCondition,
-) -> HbEngine<RbcBatch, AbaScBatch> {
-    HbEngine::new(
-        crypto,
-        source,
-        stop,
-        true,
-        Box::new(RbcBatch::new),
-        Box::new(|p, c: &NodeCrypto| {
-            AbaScBatch::new_parallel(p, CoinFlavor::ThreshSig, c.coin_pub.clone(), c.coin_sec.clone())
-        }),
-    )
+) -> EpochEngine<HbLane<RbcBatch, AbaScBatch>> {
+    hb_engine(crypto, source, stop, true, RbcBatch::new, |p, c| {
+        AbaScBatch::new_parallel(p, CoinFlavor::ThreshSig, c.coin_pub.clone(), c.coin_sec.clone())
+    })
 }
 
 /// Wireless HoneyBadgerBFT-LC: batched RBC + batched local-coin (Bracha)
@@ -850,15 +443,8 @@ pub fn hb_lc(
     crypto: NodeCrypto,
     source: impl Into<BatchSource>,
     stop: StopCondition,
-) -> HbEngine<RbcBatch, AbaLcBatch> {
-    HbEngine::new(
-        crypto,
-        source,
-        stop,
-        true,
-        Box::new(RbcBatch::new),
-        Box::new(|p, _: &NodeCrypto| AbaLcBatch::new(p)),
-    )
+) -> EpochEngine<HbLane<RbcBatch, AbaLcBatch>> {
+    hb_engine(crypto, source, stop, true, RbcBatch::new, |p, _| AbaLcBatch::new(p))
 }
 
 /// Wireless BEAT (BEAT0): HoneyBadger structure with threshold
@@ -867,17 +453,10 @@ pub fn beat(
     crypto: NodeCrypto,
     source: impl Into<BatchSource>,
     stop: StopCondition,
-) -> HbEngine<RbcBatch, AbaScBatch> {
-    HbEngine::new(
-        crypto,
-        source,
-        stop,
-        true,
-        Box::new(RbcBatch::new),
-        Box::new(|p, c: &NodeCrypto| {
-            AbaScBatch::new_parallel(p, CoinFlavor::CoinFlip, c.coin_pub.clone(), c.coin_sec.clone())
-        }),
-    )
+) -> EpochEngine<HbLane<RbcBatch, AbaScBatch>> {
+    hb_engine(crypto, source, stop, true, RbcBatch::new, |p, c| {
+        AbaScBatch::new_parallel(p, CoinFlavor::CoinFlip, c.coin_pub.clone(), c.coin_sec.clone())
+    })
 }
 
 /// Unbatched HoneyBadgerBFT-SC baseline.
@@ -885,17 +464,10 @@ pub fn hb_sc_baseline(
     crypto: NodeCrypto,
     source: impl Into<BatchSource>,
     stop: StopCondition,
-) -> HbEngine<BaselineRbcSet, BaselineAbaSet> {
-    HbEngine::new(
-        crypto,
-        source,
-        stop,
-        false,
-        Box::new(BaselineRbcSet::new),
-        Box::new(|p, c: &NodeCrypto| {
-            BaselineAbaSet::new(p, CoinFlavor::ThreshSig, c.coin_pub.clone(), c.coin_sec.clone())
-        }),
-    )
+) -> EpochEngine<HbLane<BaselineRbcSet, BaselineAbaSet>> {
+    hb_engine(crypto, source, stop, false, BaselineRbcSet::new, |p, c| {
+        BaselineAbaSet::new(p, CoinFlavor::ThreshSig, c.coin_pub.clone(), c.coin_sec.clone())
+    })
 }
 
 /// Unbatched BEAT baseline.
@@ -903,17 +475,10 @@ pub fn beat_baseline(
     crypto: NodeCrypto,
     source: impl Into<BatchSource>,
     stop: StopCondition,
-) -> HbEngine<BaselineRbcSet, BaselineAbaSet> {
-    HbEngine::new(
-        crypto,
-        source,
-        stop,
-        false,
-        Box::new(BaselineRbcSet::new),
-        Box::new(|p, c: &NodeCrypto| {
-            BaselineAbaSet::new(p, CoinFlavor::CoinFlip, c.coin_pub.clone(), c.coin_sec.clone())
-        }),
-    )
+) -> EpochEngine<HbLane<BaselineRbcSet, BaselineAbaSet>> {
+    hb_engine(crypto, source, stop, false, BaselineRbcSet::new, |p, c| {
+        BaselineAbaSet::new(p, CoinFlavor::CoinFlip, c.coin_pub.clone(), c.coin_sec.clone())
+    })
 }
 
 #[cfg(test)]

@@ -24,6 +24,7 @@
 pub mod byzantine;
 pub mod driver;
 pub mod dumbo;
+pub mod engine;
 pub mod fuzz;
 pub mod honeybadger;
 pub mod membership;

@@ -14,7 +14,7 @@
 //! the verified deal sets — two honest nodes with the same inputs hold
 //! byte-identical committee state, which is what keeps churn-free runs
 //! byte-identical to builds without this module (the controller is simply
-//! absent: `HbEngine.membership = None`).
+//! absent: `EpochEngine.membership = None`).
 
 use crate::driver::{sessions, Tx};
 use bytes::Bytes;

@@ -11,7 +11,8 @@
 //! announcement frame on the cluster channel.
 
 use crate::driver::{sessions, Block, Engine, EngineOut};
-use crate::honeybadger::{hb_sc, HbEngine};
+use crate::engine::EpochEngine;
+use crate::honeybadger::{hb_sc, HbLane};
 use crate::protocol::Protocol;
 use crate::service::StopCondition;
 use crate::workload::{BatchSource, Workload};
@@ -74,7 +75,7 @@ pub struct ClusterNode {
     global_crypto: NodeCrypto,
     global_sizing: Sizing,
     global_channel: ChannelId,
-    global: Option<HbEngine<RbcBatch, AbaScBatch>>,
+    global: Option<EpochEngine<HbLane<RbcBatch, AbaScBatch>>>,
     global_epoch: Option<u64>,
     joined_global: bool,
     /// Epochs whose global outcome this node knows, with tx counts.
@@ -109,7 +110,7 @@ impl ClusterNode {
         local_crypto: NodeCrypto,
         global_crypto: NodeCrypto,
     ) -> Self {
-        let local = protocol.engine(local_crypto.clone(), workload, target_epochs);
+        let local = protocol.engine_at_depth(local_crypto.clone(), workload, target_epochs, 1);
         let local_sizing = Sizing { n: per_cluster, suite: local_crypto.suite };
         let global_sizing =
             Sizing { n: global_crypto.peer_keys.len(), suite: global_crypto.suite };

@@ -2,7 +2,8 @@
 //! a factory that builds engines for them.
 
 use crate::driver::Engine;
-use crate::dumbo::{DumboEngine, DumboVariant};
+use crate::dumbo::DumboLane;
+use crate::engine::{EpochEngine, Lane};
 use crate::honeybadger;
 use crate::membership::MembershipCtl;
 use crate::service::{ConsensusHandle, StopCondition};
@@ -103,20 +104,9 @@ impl Protocol {
         )
     }
 
-    /// Builds the fixed-epoch engine for one node (the pre-redesign
-    /// benchmark shape, kept as the compatibility entry point).
-    pub fn engine(
-        &self,
-        crypto: NodeCrypto,
-        workload: Workload,
-        epochs: u64,
-    ) -> Box<dyn Engine> {
-        self.build_engine(crypto, workload.into(), StopCondition::Epochs(epochs))
-    }
-
-    /// Fixed-epoch engine with a pipeline depth: up to `depth` epochs keep
-    /// their dissemination in flight while earlier ones finish agreement.
-    /// `depth = 1` is exactly [`Protocol::engine`].
+    /// Fixed-epoch engine for one node with a pipeline depth: up to `depth`
+    /// epochs keep their dissemination in flight while earlier ones finish
+    /// agreement (`depth = 1` is strictly sequential).
     pub fn engine_at_depth(
         &self,
         crypto: NodeCrypto,
@@ -124,24 +114,12 @@ impl Protocol {
         epochs: u64,
         depth: u64,
     ) -> Box<dyn Engine> {
-        self.build_engine_at_depth(crypto, workload.into(), StopCondition::Epochs(epochs), depth)
+        self.build(crypto, workload.into(), StopCondition::Epochs(epochs), depth, None)
     }
 
-    /// Builds a live-service engine: proposals pull FIFO from the handle's
-    /// mempool (at most `max_batch` per epoch) and the engine runs until
-    /// the handle requests a stop, bounded by `max_epochs`.
-    pub fn service_engine(
-        &self,
-        crypto: NodeCrypto,
-        handle: ConsensusHandle,
-        max_batch: usize,
-        max_epochs: u64,
-    ) -> Box<dyn Engine> {
-        self.service_engine_at_depth(crypto, handle, max_batch, max_epochs, 1)
-    }
-
-    /// Live-service engine with a pipeline depth (see
-    /// [`Protocol::engine_at_depth`]).
+    /// Live-service engine: proposals pull FIFO from the handle's mempool
+    /// (at most `max_batch` per epoch) and the engine runs until the handle
+    /// requests a stop, bounded by `max_epochs`.
     pub fn service_engine_at_depth(
         &self,
         crypto: NodeCrypto,
@@ -150,113 +128,62 @@ impl Protocol {
         max_epochs: u64,
         depth: u64,
     ) -> Box<dyn Engine> {
-        self.build_engine_at_depth(
+        self.build(
             crypto,
             BatchSource::Service { handle: handle.clone(), max_batch },
             StopCondition::Service { handle, max_epochs },
             depth,
+            None,
         )
     }
 
-    /// Builds a dynamic-membership engine: quorum math, committee slots
-    /// and threshold keys follow the chain-derived committee view in `ctl`
-    /// instead of the fixed genesis deal. HoneyBadger-family deployments
-    /// only.
-    ///
-    /// # Panics
-    ///
-    /// Panics for the Dumbo deployments — their CBC/leader-election lanes
-    /// are not membership-plumbed yet (tracked as a follow-on).
-    /// `true` iff [`Protocol::churn_engine`] can build this deployment —
-    /// the HoneyBadger-family engines whose quorum lanes consult the
-    /// chain-derived committee view.
-    pub fn supports_churn(&self) -> bool {
-        matches!(
-            self,
-            Protocol::HoneyBadgerLc
-                | Protocol::HoneyBadgerSc
-                | Protocol::Beat
-                | Protocol::HoneyBadgerScBaseline
-                | Protocol::BeatBaseline
-        )
-    }
-
-    pub fn churn_engine(
-        &self,
-        crypto: NodeCrypto,
-        ctl: MembershipCtl,
-        workload: Workload,
-        epochs: u64,
-    ) -> Box<dyn Engine> {
-        let source: BatchSource = workload.into();
-        let stop = StopCondition::Epochs(epochs);
-        match self {
-            Protocol::HoneyBadgerLc => {
-                Box::new(honeybadger::hb_lc(crypto, source, stop).with_membership(ctl))
-            }
-            Protocol::HoneyBadgerSc => {
-                Box::new(honeybadger::hb_sc(crypto, source, stop).with_membership(ctl))
-            }
-            Protocol::Beat => {
-                Box::new(honeybadger::beat(crypto, source, stop).with_membership(ctl))
-            }
-            Protocol::HoneyBadgerScBaseline => {
-                Box::new(honeybadger::hb_sc_baseline(crypto, source, stop).with_membership(ctl))
-            }
-            Protocol::BeatBaseline => {
-                Box::new(honeybadger::beat_baseline(crypto, source, stop).with_membership(ctl))
-            }
-            // wbft-lint: allow(totality) — harness misuse guard: testbed validate rejects churn for non-supports_churn protocols first
-            Protocol::DumboLc | Protocol::DumboSc | Protocol::DumboScBaseline => panic!(
-                "dynamic membership is HoneyBadger-family only for now \
-                 (Dumbo churn is a follow-on)"
-            ),
-        }
-    }
-
-    /// Builds the engine for one node from any proposal source and stop
-    /// condition — the general form behind [`Protocol::engine`] and
-    /// [`Protocol::service_engine`].
-    pub fn build_engine(
-        &self,
-        crypto: NodeCrypto,
-        source: BatchSource,
-        stop: StopCondition,
-    ) -> Box<dyn Engine> {
-        self.build_engine_at_depth(crypto, source, stop, 1)
-    }
-
-    /// The general form with a pipeline depth `W ≥ 1` (`W = 1` reproduces
-    /// the sequential engines byte for byte).
-    pub fn build_engine_at_depth(
+    /// The general form: any proposal source and stop condition, a pipeline
+    /// depth `W ≥ 1`, and optionally dynamic membership — quorum math,
+    /// committee slots and threshold keys then follow the chain-derived
+    /// committee view in `membership` instead of the fixed genesis deal.
+    pub fn build(
         &self,
         crypto: NodeCrypto,
         source: BatchSource,
         stop: StopCondition,
         depth: u64,
+        membership: Option<MembershipCtl>,
     ) -> Box<dyn Engine> {
+        fn boxed<L: Lane + 'static>(
+            engine: EpochEngine<L>,
+            depth: u64,
+            membership: Option<MembershipCtl>,
+        ) -> Box<dyn Engine> {
+            let engine = engine.with_depth(depth);
+            Box::new(match membership {
+                Some(ctl) => engine.with_membership(ctl),
+                None => engine,
+            })
+        }
         match self {
             Protocol::HoneyBadgerLc => {
-                Box::new(honeybadger::hb_lc(crypto, source, stop).with_depth(depth))
+                boxed(honeybadger::hb_lc(crypto, source, stop), depth, membership)
             }
             Protocol::HoneyBadgerSc => {
-                Box::new(honeybadger::hb_sc(crypto, source, stop).with_depth(depth))
+                boxed(honeybadger::hb_sc(crypto, source, stop), depth, membership)
             }
-            Protocol::Beat => Box::new(honeybadger::beat(crypto, source, stop).with_depth(depth)),
-            Protocol::DumboLc => {
-                Box::new(DumboEngine::new(crypto, DumboVariant::Lc, source, stop).with_depth(depth))
-            }
-            Protocol::DumboSc => {
-                Box::new(DumboEngine::new(crypto, DumboVariant::Sc, source, stop).with_depth(depth))
-            }
+            Protocol::Beat => boxed(honeybadger::beat(crypto, source, stop), depth, membership),
             Protocol::HoneyBadgerScBaseline => {
-                Box::new(honeybadger::hb_sc_baseline(crypto, source, stop).with_depth(depth))
+                boxed(honeybadger::hb_sc_baseline(crypto, source, stop), depth, membership)
             }
             Protocol::BeatBaseline => {
-                Box::new(honeybadger::beat_baseline(crypto, source, stop).with_depth(depth))
+                boxed(honeybadger::beat_baseline(crypto, source, stop), depth, membership)
             }
-            Protocol::DumboScBaseline => Box::new(
-                DumboEngine::new(crypto, DumboVariant::ScBaseline, source, stop).with_depth(depth),
+            Protocol::DumboLc => {
+                boxed(EpochEngine::new(crypto, DumboLane::Lc, source, stop), depth, membership)
+            }
+            Protocol::DumboSc => {
+                boxed(EpochEngine::new(crypto, DumboLane::Sc, source, stop), depth, membership)
+            }
+            Protocol::DumboScBaseline => boxed(
+                EpochEngine::new(crypto, DumboLane::ScBaseline, source, stop),
+                depth,
+                membership,
             ),
         }
     }

@@ -65,7 +65,7 @@ pub struct SweepSpec {
     /// committee reconfigures mid-run (threshold keys reshared before
     /// activation). Churn points append a `.churn…` label segment, so
     /// static labels keep their exact pre-membership form. Single-hop,
-    /// honest, sequential, HoneyBadger-family only.
+    /// honest, sequential only.
     pub churns: Vec<Option<ChurnPlan>>,
     /// Simulation seeds.
     pub seeds: Vec<u64>,

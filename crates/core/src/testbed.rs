@@ -13,7 +13,9 @@ use crate::membership::MembershipCtl;
 use crate::multihop::ClusterNode;
 use crate::protocol::Protocol;
 use crate::recovery::BlockJournal;
-use crate::service::{ConsensusHandle, ServiceConfig, ServiceReport, ServiceStats};
+use crate::service::{
+    ConsensusHandle, ServiceConfig, ServiceReport, ServiceStats, StopCondition,
+};
 use crate::workload::Workload;
 use wbft_components::deal_node_crypto;
 use wbft_crypto::CryptoSuite;
@@ -127,7 +129,7 @@ pub struct TestbedConfig {
     /// committee view, and threshold keys are reshared to the new
     /// committee before activation. Absent from the JSON encoding when
     /// `None` so pre-membership configs keep their exact bytes.
-    /// Single-hop, non-service, depth-1, HoneyBadger-family only.
+    /// Single-hop, non-service, depth-1 only.
     pub churn: Option<ChurnPlan>,
 }
 
@@ -327,12 +329,6 @@ pub fn validate(cfg: &TestbedConfig) {
         }
         if cfg.crash.is_some() {
             panic!("churn plans do not compose with crash plans (follow-on)");
-        }
-        if !cfg.protocol.supports_churn() {
-            panic!(
-                "dynamic membership is HoneyBadger-family only for now \
-                 (Dumbo churn is a follow-on)"
-            );
         }
         if plan.ops.is_empty() {
             panic!("churn plan has no ops (use churn: None for a static committee)");
@@ -751,8 +747,13 @@ pub(crate) fn build_churn_single_hop(
                     ctl.schedule_op(plan.from_epoch, *op);
                 }
             }
-            let engine =
-                cfg.protocol.churn_engine(c.clone(), ctl, cfg.workload.clone(), cfg.epochs);
+            let engine = cfg.protocol.build(
+                c.clone(),
+                cfg.workload.clone().into(),
+                StopCondition::Epochs(cfg.epochs),
+                1,
+                Some(ctl),
+            );
             ProtocolNode::new(engine, c, ChannelId(0)).with_sync(ChannelId(SYNC_CHANNEL))
         })
         .collect();
@@ -1043,18 +1044,6 @@ mod tests {
         let mut cfg = TestbedConfig::single_hop(Protocol::Beat);
         cfg.epochs = 8;
         cfg.churn = Some(ChurnPlan { from_epoch: 1, ops: vec![MembershipOp::Leave(0)] });
-        validate(&cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "HoneyBadger-family only")]
-    fn dumbo_churn_is_rejected() {
-        let mut cfg = TestbedConfig::single_hop(Protocol::DumboSc);
-        cfg.epochs = 8;
-        cfg.churn = Some(ChurnPlan {
-            from_epoch: 1,
-            ops: vec![MembershipOp::Join(4), MembershipOp::Leave(0)],
-        });
         validate(&cfg);
     }
 

@@ -62,8 +62,15 @@ pub const DETERMINISTIC_CRATES: [&str; 7] =
 
 /// `core` files that are protocol path (engines, driver, service, recovery)
 /// rather than harness (sweep, fuzz, testbed, report, netrun, …).
-pub const CORE_PROTOCOL_FILES: [&str; 6] =
-    ["honeybadger.rs", "dumbo.rs", "protocol.rs", "driver.rs", "recovery.rs", "service.rs"];
+pub const CORE_PROTOCOL_FILES: [&str; 7] = [
+    "engine.rs",
+    "honeybadger.rs",
+    "dumbo.rs",
+    "protocol.rs",
+    "driver.rs",
+    "recovery.rs",
+    "service.rs",
+];
 
 /// `transport` files that are wire codecs (vs. the IO runtime).
 pub const TRANSPORT_CODEC_FILES: [&str; 3] = ["client.rs", "sync.rs", "config.rs"];

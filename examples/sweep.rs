@@ -56,7 +56,7 @@ fn usage() -> ! {
          \x20          members propose admitting node 4 and retiring node 0; the\n\
          \x20          ops commit on-chain, threshold keys are reshared dealerlessly,\n\
          \x20          and the new committee takes over two epochs after the commit\n\
-         \x20          (single-hop, honest, sequential, HoneyBadger-family only)\n\
+         \x20          (single-hop, honest, sequential only)\n\
          reports:   one <label>.json per scenario under --out\n\
          \x20          (default target/reports/sweep); WBFT_SWEEP_THREADS sets the\n\
          \x20          default worker count"

@@ -36,7 +36,7 @@
 //!   `crash_recovery.rs` for the drift guard and the testbed-level
 //!   battery). The fuzzer also mutates crash plans, so new churn failures
 //!   land here as minimized fixtures.
-//! * `membership-swap.{beat,hb-sc}` — node 4 joins and node 0 leaves via
+//! * `membership-swap.{beat,hb-sc,dumbo-sc}` — node 4 joins and node 0 leaves via
 //!   consensus-ordered membership ops; the committee swaps mid-run after a
 //!   dealerless resharing ceremony, and the final epoch commits under the
 //!   new quorum math (see `membership.rs` for the drift guard and the
@@ -64,7 +64,7 @@ fn every_fixture_replays_deterministically_with_its_expected_verdict() {
             replayed += 1;
         }
     }
-    assert!(replayed >= 11, "expected the seeded fixture set, found {replayed}");
+    assert!(replayed >= 12, "expected the seeded fixture set, found {replayed}");
 }
 
 #[test]

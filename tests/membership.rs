@@ -5,8 +5,8 @@
 //! sweep point (`--churn join4+leave0@1`), the same way the pre-redesign
 //! fixtures pin the churn-free grid: dynamic membership must never perturb
 //! what a given seed produces. The live half runs committee growth and a
-//! swap under the other HoneyBadger-family engines, so churn coverage is
-//! not Beat-only.
+//! swap under every deployment — membership lives in the shared epoch
+//! engine, so HoneyBadger, BEAT and Dumbo lanes all reconfigure.
 
 use std::path::{Path, PathBuf};
 use wbft_consensus::fuzz::{
@@ -49,6 +49,9 @@ fn churn_run(protocol: Protocol, plan: ChurnPlan) {
     let mut cfg = TestbedConfig::single_hop(protocol);
     cfg.epochs = 5;
     cfg.workload.batch_size = 8;
+    // The sweep's budget: the unbatched baselines need over an hour of
+    // simulated LoRa time for five epochs.
+    cfg.deadline = wbft_wireless::SimDuration::from_secs(14_400);
     cfg.churn = Some(plan);
     let report = run(&cfg);
     assert!(report.completed, "{protocol:?} churn run must converge");
@@ -59,30 +62,35 @@ fn churn_run(protocol: Protocol, plan: ChurnPlan) {
 /// Committee growth 4 → 7: three joiners, nobody leaves, quorum math
 /// moves from f = 1 to f = 2 at activation.
 #[test]
-fn hb_lc_grows_the_committee() {
-    churn_run(
-        Protocol::HoneyBadgerLc,
-        ChurnPlan {
-            from_epoch: 1,
-            ops: vec![
-                MembershipOp::Join(4),
-                MembershipOp::Join(5),
-                MembershipOp::Join(6),
-            ],
-        },
-    );
+fn lc_engines_grow_the_committee() {
+    for protocol in [Protocol::HoneyBadgerLc, Protocol::DumboLc] {
+        churn_run(
+            protocol,
+            ChurnPlan {
+                from_epoch: 1,
+                ops: vec![
+                    MembershipOp::Join(4),
+                    MembershipOp::Join(5),
+                    MembershipOp::Join(6),
+                ],
+            },
+        );
+    }
 }
 
-/// The headline swap (join 4, leave 0) under the slow-combine engine.
+/// The headline swap (join 4, leave 0) under all eight deployments; `run`
+/// asserts level, agreeing chains with both ops committed.
 #[test]
-fn hb_sc_swaps_a_member() {
-    churn_run(
-        Protocol::HoneyBadgerSc,
-        ChurnPlan {
-            from_epoch: 1,
-            ops: vec![MembershipOp::Join(4), MembershipOp::Leave(0)],
-        },
-    );
+fn every_deployment_swaps_a_member() {
+    for protocol in Protocol::ALL {
+        churn_run(
+            protocol,
+            ChurnPlan {
+                from_epoch: 1,
+                ops: vec![MembershipOp::Join(4), MembershipOp::Leave(0)],
+            },
+        );
+    }
 }
 
 /// Drift guard for the seeded membership fuzz fixtures (replayed by
@@ -91,7 +99,7 @@ fn hb_sc_swaps_a_member() {
 /// the churn plan is present in the encoding.
 #[test]
 fn membership_fixtures_match_the_canonical_encoding() {
-    for p in [Protocol::Beat, Protocol::HoneyBadgerSc] {
+    for p in [Protocol::Beat, Protocol::HoneyBadgerSc, Protocol::DumboSc] {
         let case = membership_churn_case(p, DEFAULT_EVENT_BUDGET);
         let disk = std::fs::read_to_string(fuzz_fixture_dir().join(format!("{}.json", case.label)))
             .unwrap();
@@ -106,7 +114,7 @@ fn membership_fixtures_match_the_canonical_encoding() {
 #[test]
 #[ignore]
 fn regen_membership_fixtures() {
-    for p in [Protocol::Beat, Protocol::HoneyBadgerSc] {
+    for p in [Protocol::Beat, Protocol::HoneyBadgerSc, Protocol::DumboSc] {
         let case = membership_churn_case(p, DEFAULT_EVENT_BUDGET);
         let path = fuzz_fixture_dir().join(format!("{}.json", case.label));
         std::fs::write(&path, fixture_string(&case, FuzzVerdict::Ok)).unwrap();

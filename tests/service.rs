@@ -294,7 +294,8 @@ fn service_stop_condition_halts_engine() {
         .remove(0);
     let handle = ConsensusHandle::new(16);
     handle.stop();
-    let mut engine = Protocol::HoneyBadgerSc.service_engine(crypto, handle.clone(), 8, 64);
+    let mut engine =
+        Protocol::HoneyBadgerSc.service_engine_at_depth(crypto, handle.clone(), 8, 64, 1);
     assert!(engine.is_done(), "stopped before start = nothing to do");
     let mut out = EngineOut::new();
     engine.start(&mut out);
