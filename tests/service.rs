@@ -11,10 +11,11 @@ use wbft_consensus::netrun::{run_udp_service_node, ServiceNodeOpts};
 use wbft_consensus::report::scenario_string;
 use wbft_consensus::service::{block_digests, tx_digest, LatencySummary, Mempool};
 use wbft_consensus::sweep::{run_scenarios, SweepSpec};
-use wbft_consensus::testbed::{run, TestbedConfig};
+use wbft_consensus::testbed::{run, ChurnPlan, CrashEvent, CrashPlan, TestbedConfig};
 use wbft_consensus::{
-    AdmitOutcome, ArrivalSpec, Block, Protocol, ServiceConfig, StopCondition,
+    AdmitOutcome, ArrivalSpec, Block, ByzantineMode, Protocol, ServiceConfig, StopCondition,
 };
+use wbft_membership::MembershipOp;
 use wbft_transport::{ClientMsg, PeerTable, CLIENT_CHANNEL, CLIENT_SRC};
 use wbft_wireless::SimTime;
 
@@ -31,8 +32,11 @@ use wbft_wireless::SimTime;
 /// at W = 1 and to `hb-sc` / `dumbo-sc` in service mode at W = 2 (the
 /// head-parking gate, the early-decryption path and `on_work_available`).
 /// They were written by the last build with two sibling engines, before
-/// the epoch pipeline moved into one skeleton; `WBFT_BLESS=1` rewrites
-/// them after an *intentional* behaviour change.
+/// the epoch pipeline moved into one skeleton. Three more pin the runner
+/// paths nothing else byte-pinned — crash/restart, a Byzantine wrap, a
+/// Dumbo membership swap — written by the last build with one runner per
+/// axis. `WBFT_BLESS=1` rewrites them after an *intentional* behaviour
+/// change.
 #[test]
 fn fixed_epoch_reports_match_pre_redesign_fixtures() {
     let mut spec = SweepSpec::new("regress");
@@ -48,11 +52,33 @@ fn fixed_epoch_reports_match_pre_redesign_fixtures() {
         max_epochs: 64,
     })];
     scenarios.extend(pipelined.expand());
-    assert_eq!(scenarios.len(), 10);
+    // One point per remaining runner path: a crash/restart (journal + sync),
+    // a Byzantine wrap, and a membership swap under a Dumbo lane.
+    let mut crash = SweepSpec::new("regress-crash");
+    crash.epochs = 2;
+    crash.crashes = vec![Some(CrashPlan {
+        crashes: vec![CrashEvent { node: 2, at_us: 5_000_000, restart_us: 30_000_000 }],
+    })];
+    scenarios.extend(crash.expand());
+    let mut byzantine = SweepSpec::new("regress-byz");
+    byzantine.protocols = vec![Protocol::HoneyBadgerSc];
+    byzantine.placements = vec![vec![(1, ByzantineMode::Silent)]];
+    scenarios.extend(byzantine.expand());
+    let mut churn = SweepSpec::new("regress-churn");
+    churn.protocols = vec![Protocol::DumboSc];
+    churn.epochs = 5;
+    churn.churns = vec![Some(ChurnPlan {
+        from_epoch: 1,
+        ops: vec![MembershipOp::Join(4), MembershipOp::Leave(0)],
+    })];
+    scenarios.extend(churn.expand());
+    assert_eq!(scenarios.len(), 13);
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     for scenario in &scenarios {
         let cfg = &scenario.cfg;
         let pre_redesign = cfg.service.is_none()
+            && cfg.crash.is_none()
+            && cfg.churn.is_none()
             && matches!(cfg.protocol, Protocol::Beat | Protocol::DumboSc);
         let path = dir.join(if pre_redesign {
             format!("pre_redesign_{}_sh_seed7.json", cfg.protocol.slug())
