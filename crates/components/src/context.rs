@@ -9,6 +9,7 @@ use wbft_crypto::schnorr::{KeyPair, PublicKey};
 use wbft_crypto::thresh_coin::{CoinPublicSet, CoinSecretShare};
 use wbft_crypto::thresh_enc::{EncPublicSet, EncSecretShare};
 use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare, ThresholdSignature};
+use wbft_crypto::{Scalar, ShareIndex};
 use wbft_net::Body;
 use wbft_wireless::SimDuration;
 
@@ -129,35 +130,68 @@ pub struct NodeCrypto {
 /// Deals a full set of [`NodeCrypto`] for an `n`-node deployment (the
 /// trusted-dealer setup the paper also assumes).
 pub fn deal_node_crypto(n: usize, suite: CryptoSuite, rng: &mut impl RngCore) -> Vec<NodeCrypto> {
-    assert!(n >= 4 && (n - 1).is_multiple_of(3), "need n = 3f+1 >= 4, got {n}");
+    deal_committee_crypto(n, n, suite, rng)
+}
+
+/// Deals the identities of `n_total` nodes around an `n_genesis`-member
+/// genesis committee. Node *identity* is static — every node, genesis
+/// member or future joiner, holds a packet keypair and everyone's
+/// verification keys from the start; *committee membership* is what a
+/// dynamic-membership run changes. The threshold deals are sized to the
+/// genesis committee: its members get real secret shares, while joiners
+/// (ids `n_genesis..`) get the genesis *public* sets — they need them to
+/// verify certificates on the chain they bootstrap — plus placeholder zero
+/// secret shares at their own index. A placeholder used before a resharing
+/// ceremony hands the joiner real shares produces shares that fail
+/// verification loudly instead of silently combining into garbage.
+pub fn deal_committee_crypto(
+    n_genesis: usize,
+    n_total: usize,
+    suite: CryptoSuite,
+    rng: &mut impl RngCore,
+) -> Vec<NodeCrypto> {
+    assert!(
+        n_genesis >= 4 && (n_genesis - 1).is_multiple_of(3),
+        "need n = 3f+1 >= 4, got {n_genesis}"
+    );
+    assert!(n_total >= n_genesis, "total node count below the genesis committee");
+    let n = n_genesis;
     let f = (n - 1) / 3;
-    let keypairs: Vec<KeyPair> = (0..n).map(|_| KeyPair::generate(suite.ecdsa, rng)).collect();
+    let keypairs: Vec<KeyPair> =
+        (0..n_total).map(|_| KeyPair::generate(suite.ecdsa, rng)).collect();
     let peer_keys: Vec<PublicKey> = keypairs.iter().map(|k| k.public()).collect();
     let (prbc_pub, prbc_secs) = wbft_crypto::thresh_sig::deal(n, f, suite.threshold, rng);
     let (cbc_pub, cbc_secs) = wbft_crypto::thresh_sig::deal(n, 2 * f, suite.threshold, rng);
     let (coin_pub, coin_secs) = wbft_crypto::thresh_coin::deal_coin(n, f, suite.threshold, rng);
     let (enc_pub, enc_secs) = wbft_crypto::thresh_enc::deal_enc(n, f, suite.threshold, rng);
+    let sig_placeholder =
+        |idx| SecretKeyShare::from_parts(idx, Scalar::ZERO, suite.threshold);
     keypairs
         .into_iter()
-        .zip(prbc_secs)
-        .zip(cbc_secs)
-        .zip(coin_secs)
-        .zip(enc_secs)
         .enumerate()
-        .map(|(me, ((((keypair, prbc_sec), cbc_sec), coin_sec), enc_sec))| NodeCrypto {
-            me,
-            suite,
-            keypair,
-            peer_keys: peer_keys.clone(),
-            key_epoch: 0,
-            prbc_pub: prbc_pub.clone(),
-            prbc_sec,
-            cbc_pub: cbc_pub.clone(),
-            cbc_sec,
-            coin_pub: coin_pub.clone(),
-            coin_sec,
-            enc_pub: enc_pub.clone(),
-            enc_sec,
+        .map(|(me, keypair)| {
+            let idx = ShareIndex::for_node(me);
+            NodeCrypto {
+                me,
+                suite,
+                keypair,
+                peer_keys: peer_keys.clone(),
+                key_epoch: 0,
+                prbc_pub: prbc_pub.clone(),
+                prbc_sec: prbc_secs.get(me).cloned().unwrap_or_else(|| sig_placeholder(idx)),
+                cbc_pub: cbc_pub.clone(),
+                cbc_sec: cbc_secs.get(me).cloned().unwrap_or_else(|| sig_placeholder(idx)),
+                coin_pub: coin_pub.clone(),
+                coin_sec: coin_secs
+                    .get(me)
+                    .cloned()
+                    .unwrap_or_else(|| CoinSecretShare::from_parts(idx, Scalar::ZERO)),
+                enc_pub: enc_pub.clone(),
+                enc_sec: enc_secs
+                    .get(me)
+                    .cloned()
+                    .unwrap_or_else(|| EncSecretShare::from_parts(idx, Scalar::ZERO)),
+            }
         })
         .collect()
 }

@@ -64,7 +64,7 @@ pub mod rbc_small;
 pub mod share_buf;
 
 pub use context::{
-    deal_node_crypto, Actions, BinaryAgreement, Broadcaster, NodeCrypto, Params,
-    ProvableBroadcaster,
+    deal_committee_crypto, deal_node_crypto, Actions, BinaryAgreement, Broadcaster, NodeCrypto,
+    Params, ProvableBroadcaster,
 };
 pub use share_buf::{CoinShareBuf, SigShareBuf};

@@ -20,6 +20,7 @@ use bytes::Bytes;
 use rand_chacha::ChaCha12Rng;
 use std::collections::VecDeque;
 use wbft_components::{Actions, NodeCrypto, Params};
+use wbft_membership::ACTIVATION_DELAY;
 use wbft_net::Body;
 use wbft_wireless::SimDuration;
 
@@ -279,8 +280,14 @@ impl<L: Lane> EpochEngine<L> {
             // only once its key epoch's threshold keys exist (a running
             // resharing ceremony holds the activation epoch back; a
             // leaver stops here for good and finishes by sync adoption).
+            // The committee of epoch `e` is a function of the blocks up to
+            // `e - ACTIVATION_DELAY`, so a deeper window must not run ahead
+            // of that: an epoch opened earlier would run under a view a
+            // still-uncommitted block can supersede.
             if let Some(ctl) = &self.membership {
-                if !ctl.can_open(self.started) {
+                if !ctl.can_open(self.started)
+                    || self.started >= self.blocks.len() as u64 + ACTIVATION_DELAY
+                {
                     break;
                 }
             }
@@ -597,7 +604,12 @@ mod tests {
 
     /// The epochs `out` saw open, in order.
     fn opened(out: &EngineOut) -> Vec<u64> {
-        out.sends.iter().map(|(s, _)| sessions::split(*s).0).collect()
+        out.sends
+            .iter()
+            .map(|(s, _)| sessions::split(*s))
+            .filter(|(_, role)| *role == sessions::BROADCAST)
+            .map(|(epoch, _)| epoch)
+            .collect()
     }
 
     /// Lets `epoch` decide; returns what the engine did in response.
@@ -681,6 +693,42 @@ mod tests {
         decide(&mut e, 4);
         assert_eq!(chain(&e), [0, 1, 2, 3, 4]);
         assert!(e.is_done());
+    }
+
+    #[test]
+    fn membership_window_never_outruns_the_final_committee_view() {
+        use wbft_membership::MembershipOp;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let crypto = wbft_components::deal_committee_crypto(
+            4,
+            5,
+            wbft_crypto::CryptoSuite::light(),
+            &mut rng,
+        )
+        .remove(0);
+        let mut ctl = MembershipCtl::new(crypto.clone(), 4);
+        ctl.schedule_op(1, MembershipOp::Join(4));
+        ctl.schedule_op(1, MembershipOp::Leave(3));
+        let mut e = EpochEngine::new(crypto, StubLane, Workload::small(), StopCondition::Epochs(8))
+            .with_depth(4)
+            .with_membership(ctl);
+        let mut out = EngineOut::new();
+        e.start(&mut out);
+        assert_eq!(
+            opened(&out),
+            [0, 1],
+            "W = 4, but epoch 2's committee is only final once block 0 is committed"
+        );
+        assert_eq!(opened(&decide(&mut e, 0)), [2]);
+        // Block 1 carries the swap: it activates at epoch 3, whose view is
+        // final now but whose reshared keys do not exist yet.
+        let out = decide(&mut e, 1);
+        assert_eq!(chain(&e), [0, 1]);
+        assert!(opened(&out).is_empty(), "epoch 3 waits for the ceremony");
+        assert!(
+            out.sends.iter().any(|(s, _)| sessions::split(*s) == (3, sessions::RESHARE)),
+            "a canonical dealer deals for the activation epoch"
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@
 use crate::byzantine::ByzantineMode;
 use crate::protocol::Protocol;
 use crate::service::block_digests;
-use crate::testbed::{self, TestbedConfig};
+use crate::testbed::{self, Rig, TestbedConfig};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use std::collections::BTreeMap;
@@ -161,7 +161,8 @@ pub struct FuzzOutcome {
     pub blocks: u64,
     /// Medium collisions.
     pub collisions: u64,
-    /// Digest chain of the first honest node (the agreement reference).
+    /// Digest chain of the agreement reference: the first honest genesis
+    /// member that neither crashes nor leaves.
     pub chain: Vec<Digest32>,
 }
 
@@ -180,58 +181,30 @@ impl ToJson for FuzzOutcome {
     }
 }
 
-/// Runs one case without panicking on protocol failures: disagreement
-/// becomes a [`FuzzVerdict::Divergence`], an unfinished run a
-/// [`FuzzVerdict::Stall`]. Single-hop only (divergence detection needs the
-/// per-node chains the multi-hop tiers don't expose uniformly).
+/// Runs one case without panicking on protocol failures: a failed oracle
+/// of the scenario rig (agreement, level chains, journal replay, committed
+/// membership ops) becomes a [`FuzzVerdict::Divergence`], an unfinished
+/// run — including a restarted node, joiner or leaver that never catches
+/// up — a [`FuzzVerdict::Stall`]. Single-hop only (divergence detection
+/// needs the per-node chains the multi-hop tiers don't expose uniformly).
 pub fn run_case(case: &FuzzCase) -> FuzzOutcome {
     assert!(case.cfg.clusters.is_none(), "fuzz cases are single-hop");
     testbed::validate(&case.cfg);
-    // Crash-plan cases run the journaled, sync-capable build and execute
-    // the churn timeline before the completion race; verdicts (including a
-    // restarted node that never catches up → stall) are judged the same way.
-    let (mut sim, honest) = if case.cfg.crash.is_some() {
-        let (mut sim, honest, stores, crypto) = testbed::build_crash_single_hop(&case.cfg);
-        testbed::apply_crash_timeline(&case.cfg, &mut sim, &crypto, &stores);
-        (sim, honest)
-    } else if case.cfg.churn.is_some() {
-        // Membership runs simulate joiners from the start; a joiner (or
-        // leaver) that never adopts the agreed chain shows up as a stall,
-        // a bad reshare/activation as divergence.
-        testbed::build_churn_single_hop(&case.cfg)
-    } else {
-        testbed::build_single_hop(&case.cfg)
-    };
-    let deadline = SimTime::ZERO + case.cfg.deadline;
+    let mut rig = Rig::build(&case.cfg);
     let budget = case.event_budget;
-    sim.run_until_pred(deadline, |s| {
-        s.events_processed() >= budget
-            || s.behaviors().all(|(id, b)| !honest[id.index()] || b.is_done())
-    });
-    let done = sim.behaviors().all(|(id, b)| !honest[id.index()] || b.is_done());
-    let chains: Vec<Vec<Digest32>> = sim
-        .behaviors()
-        .filter(|(id, _)| honest[id.index()])
-        .map(|(_, b)| block_digests(b.blocks()))
-        .collect();
-    let reference = chains.first().cloned().unwrap_or_default();
-    let divergent = chains.iter().any(|c| {
-        let common = c.len().min(reference.len());
-        c[..common] != reference[..common]
-    });
-    let verdict = if divergent {
-        FuzzVerdict::Divergence
-    } else if !done {
-        FuzzVerdict::Stall
-    } else {
-        FuzzVerdict::Ok
+    let done =
+        rig.run(SimTime::ZERO + case.cfg.deadline, |sim| sim.events_processed() >= budget);
+    let verdict = match rig.finish(done) {
+        Err(_) => FuzzVerdict::Divergence,
+        Ok(_) if !done => FuzzVerdict::Stall,
+        Ok(_) => FuzzVerdict::Ok,
     };
     FuzzOutcome {
         verdict,
-        events: sim.events_processed(),
-        blocks: chains.iter().map(|c| c.len() as u64).max().unwrap_or(0),
-        collisions: sim.metrics().collisions,
-        chain: reference,
+        events: rig.sim.events_processed(),
+        blocks: rig.gated().map(|(_, b)| b.blocks().len() as u64).max().unwrap_or(0),
+        collisions: rig.sim.metrics().collisions,
+        chain: block_digests(rig.reference_chain()),
     }
 }
 
@@ -312,9 +285,9 @@ fn mutate(case: &FuzzCase, protocols: &[Protocol], rng: &mut ChaCha12Rng) -> Fuz
         1 => cfg.protocol = protocols[rng.random_range(0..protocols.len())],
         2 => {
             // Place (or clear) one Byzantine node; n=4 tolerates f=1, so a
-            // placement also clears any crash plan (churn + Byzantine
-            // together would exceed f) and any membership plan (honest
-            // runs only).
+            // placement also clears any crash plan (crashed + Byzantine
+            // together would exceed f) and any membership plan (a
+            // Byzantine dealer has no fallback).
             cfg.byzantine.clear();
             if rng.random_bool(0.75) {
                 let node = rng.random_range(0..cfg.n);
@@ -350,16 +323,11 @@ fn mutate(case: &FuzzCase, protocols: &[Protocol], rng: &mut ChaCha12Rng) -> Fuz
             cfg.churn = None;
         }
         7 => cfg.workload.batch_size = [4usize, 8, 16][rng.random_range(0..3usize)],
-        8 => {
-            cfg.pipeline_depth = [1u64, 2, 4][rng.random_range(0..3usize)];
-            if cfg.pipeline_depth != 1 {
-                cfg.churn = None;
-            }
-        }
+        8 => cfg.pipeline_depth = [1u64, 2, 4][rng.random_range(0..3usize)],
         9 => {
             // Crash one node mid-run; the plan replaces any Byzantine
-            // placement (crash + Byzantine together would exceed f = 1)
-            // and any membership plan (they do not compose yet).
+            // placement (crashed + Byzantine together would exceed f = 1)
+            // and any membership plan (reshared shares are not durable).
             cfg.byzantine.clear();
             cfg.churn = None;
             let node = rng.random_range(0..cfg.n);
@@ -376,14 +344,12 @@ fn mutate(case: &FuzzCase, protocols: &[Protocol], rng: &mut ChaCha12Rng) -> Fuz
         10 => cfg.crash = None,
         _ => {
             // Schedule (or clear) one membership swap: a fresh node joins,
-            // a random genesis member leaves. Membership runs are honest,
-            // sequential and crash-free, so the arm clears everything it
-            // does not compose with.
+            // a random genesis member leaves. Membership runs are honest
+            // and crash-free, so the arm clears both.
             cfg.churn = None;
             if rng.random_bool(0.75) {
                 cfg.byzantine.clear();
                 cfg.crash = None;
-                cfg.pipeline_depth = 1;
                 let from_epoch = rng.random_range(0..=1u64);
                 cfg.epochs = cfg.epochs.max(from_epoch + wbft_membership::ACTIVATION_DELAY + 1);
                 cfg.churn = Some(crate::testbed::ChurnPlan {
@@ -728,6 +694,31 @@ mod tests {
             now: SimTime::ZERO,
         };
         assert_eq!(sched.delay(&d), SimDuration::ZERO, "garbage frames pass through");
+    }
+
+    /// The hand-clears in `mutate` are enforced by the one composition
+    /// rule, not by their comments: no mutant is a config `check` refuses.
+    #[test]
+    fn mutants_always_pass_the_composition_check() {
+        let protocols = [Protocol::Beat, Protocol::DumboSc, Protocol::HoneyBadgerLc];
+        let b = DEFAULT_EVENT_BUDGET;
+        let corpus = [
+            base_case(Protocol::Beat, b),
+            coin_starvation_case(Protocol::Beat, b),
+            crash_restart_case(Protocol::Beat, b),
+            membership_churn_case(Protocol::Beat, b),
+            pipelined_case(Protocol::Beat, 4, b),
+        ];
+        for (i, seed_case) in corpus.iter().enumerate() {
+            let mut rng = ChaCha12Rng::seed_from_u64(0x5eed + i as u64);
+            let mut case = seed_case.clone();
+            for step in 0..2_000 {
+                case = mutate(&case, &protocols, &mut rng);
+                if let Err(why) = case.cfg.check() {
+                    panic!("{} step {step}: mutant refused: {why}", seed_case.label);
+                }
+            }
+        }
     }
 
     #[test]

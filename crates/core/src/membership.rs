@@ -262,7 +262,7 @@ mod tests {
 
     fn ctls(n_genesis: usize, n_total: usize) -> Vec<MembershipCtl> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        crate::testbed::deal_churn_crypto(n_genesis, n_total, CryptoSuite::light(), &mut rng)
+        wbft_components::deal_committee_crypto(n_genesis, n_total, CryptoSuite::light(), &mut rng)
             .into_iter()
             .map(|c| MembershipCtl::new(c, n_genesis))
             .collect()

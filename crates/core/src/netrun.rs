@@ -5,7 +5,7 @@
 //! same deterministic key material from the config seed (so `n` separate
 //! processes sharing a [`TestbedConfig`] agree on every key without any
 //! exchange), wraps the protocol engine in the *same unmodified*
-//! [`ProtocolNode`] driver the simulator uses, and drives it with a
+//! [`ProtocolNode`](crate::driver::ProtocolNode) driver the simulator uses, and drives it with a
 //! [`UdpRuntime`] until the engine decides all its epochs or the wall
 //! deadline passes. The outcome is folded through the same aggregation as
 //! simulator runs, so real-network results land in the identical
@@ -17,19 +17,19 @@
 //! virtual time, so latency numbers are *not* comparable with simulator
 //! reports; channel accesses, bytes on air (nominal) and commit counts are.
 
-use crate::driver::{Engine, ProtocolNode};
-use crate::recovery::BlockJournal;
 use crate::service::{block_digests, AdmitOutcome, ConsensusHandle, ServiceReport};
-use crate::testbed::{finish_report, RunReport, TestbedConfig};
+use crate::testbed::{
+    assemble, deal_single_hop, finish_report, Attach, RunReport, ServiceAttach, TestbedConfig,
+};
 use std::io;
 use std::net::SocketAddr;
 use std::time::Duration;
-use wbft_components::deal_node_crypto;
 use wbft_crypto::hash::Digest32;
+use wbft_journal::JournalStore;
 use wbft_transport::{
     ClientGateway, ClientMsg, PeerTable, SubmitVerdict, TransportStats, UdpRuntime,
 };
-use wbft_wireless::{ChannelId, SimTime};
+use wbft_wireless::SimTime;
 
 /// Outcome of one UDP node run: the standard report plus transport counters.
 #[derive(Clone, Debug)]
@@ -52,10 +52,10 @@ pub struct UdpNodeOutcome {
 ///
 /// # Errors
 ///
-/// * `InvalidInput` — multi-hop configs (clustered deployments still need
-///   the simulator), Byzantine placements (UDP runs are honest-only for
-///   now), a peer table whose size disagrees with `cfg.n`, or an invalid
-///   table;
+/// * `InvalidInput` — a config [`TestbedConfig::check`] refuses, an axis
+///   the UDP runtime cannot honour (multi-hop, Byzantine placements, crash
+///   and churn plans, delivery schedulers — all simulator-only), a peer
+///   table whose size disagrees with `cfg.n`, or an invalid table;
 /// * socket errors from bind/receive.
 pub fn run_udp_node(
     cfg: &TestbedConfig,
@@ -64,44 +64,80 @@ pub fn run_udp_node(
     wall_deadline: Duration,
     linger: Duration,
 ) -> io::Result<UdpNodeOutcome> {
-    if cfg.clusters.is_some() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "multi-hop deployments run on the simulator only",
-        ));
-    }
-    if !cfg.byzantine.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "UDP runs are honest-only; drop the byzantine placement",
-        ));
+    run_node(cfg, peers, me, wall_deadline, linger, None)
+}
+
+/// The one body behind both entry points; `service` selects the
+/// live-service node.
+fn run_node(
+    cfg: &TestbedConfig,
+    peers: PeerTable,
+    me: usize,
+    wall: Duration,
+    linger: Duration,
+    service: Option<&ServiceNodeOpts>,
+) -> io::Result<UdpNodeOutcome> {
+    let invalid = |why: String| io::Error::new(io::ErrorKind::InvalidInput, why);
+    cfg.check().map_err(invalid)?;
+    // Axes the simulator models and this runtime would silently ignore.
+    let simulator_only = [
+        (cfg.clusters.is_some(), "multi-hop deployments"),
+        (!cfg.byzantine.is_empty(), "Byzantine placements (UDP runs are honest-only)"),
+        (cfg.crash.is_some(), "crash plans (kill and respawn the process instead)"),
+        (cfg.churn.is_some(), "churn plans"),
+        (cfg.sched.is_some(), "delivery schedulers"),
+    ];
+    if let Some((_, axis)) = simulator_only.iter().find(|(engaged, _)| *engaged) {
+        return Err(invalid(format!("{axis} run on the simulator only")));
     }
     if peers.len() != cfg.n || me >= cfg.n {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("peer table has {} nodes, config wants n={}, me={me}", peers.len(), cfg.n),
-        ));
+        return Err(invalid(format!(
+            "peer table has {} nodes, config wants n={}, me={me}",
+            peers.len(),
+            cfg.n
+        )));
     }
     // Same seed derivation as the simulator's single-hop path: every
     // process deals the identical key vectors and takes its own slot.
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xdea1);
-    let crypto = deal_node_crypto(cfg.n, cfg.suite, &mut rng)
-        .into_iter()
-        .nth(me)
-        .expect("me < n checked above");
-    let engine: Box<dyn Engine> = cfg.protocol.engine_at_depth(
-        crypto.clone(),
-        cfg.workload.clone(),
-        cfg.epochs,
-        cfg.pipeline_depth,
-    );
-    let node = ProtocolNode::new(engine, crypto, ChannelId(0));
+    let crypto = deal_single_hop(cfg).swap_remove(me);
+    // No local arrival schedule: submissions come over the client channel.
+    // A service node always syncs — late joiners and journal restarts
+    // catch up over the anti-entropy channel.
+    let service = service.map(|opts| (opts, ConsensusHandle::new(opts.mempool_capacity)));
+    let store = match service.as_ref().and_then(|(opts, _)| opts.journal.as_ref()) {
+        Some(path) => {
+            Some(Box::new(wbft_journal::FileStore::open(path)?) as Box<dyn JournalStore + Send>)
+        }
+        None => None,
+    };
+    let attach = Attach {
+        service: service.as_ref().map(|(opts, handle)| ServiceAttach {
+            handle: handle.clone(),
+            arrivals: Vec::new(),
+            max_epochs: opts.max_epochs,
+        }),
+        store,
+        sync: service.is_some(),
+    };
+    let node = assemble(cfg, crypto, attach).map_err(|e| match e {
+        wbft_journal::JournalError::Io(io) => io,
+        other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
+    })?;
     // Per-node rng stream: the ctx rng is not part of consensus state, but
     // distinct streams avoid accidental cross-node correlation.
     let rng_seed = cfg.seed ^ ((me as u64) << 32) ^ 0x11d9;
     let mut runtime = UdpRuntime::new(peers, me as u16, node, rng_seed)?;
-    let completed = runtime.run_until(wall_deadline, linger, |node| node.is_done())?;
+    if let Some((opts, handle)) = &service {
+        runtime.set_late_peers(opts.late_peers.iter().copied());
+        runtime.set_client_gateway(Box::new(ServiceGateway::new(handle.clone())));
+    }
+    let completed = runtime.run_until(wall, linger, |node| node.is_done())?;
+    if let Some((served, shipped, dropped)) = runtime.behavior().sync_counters() {
+        let stats = runtime.stats_mut();
+        stats.sync_requests_served = served;
+        stats.sync_blocks_shipped = shipped;
+        stats.sync_chunks_dropped = dropped;
+    }
     // Elapsed measures up to the decision, not the post-completion linger
     // spent answering stragglers' NACKs (which would deflate throughput).
     let elapsed = runtime
@@ -111,18 +147,21 @@ pub fn run_udp_node(
     let node = runtime.behavior();
     let decision_times = vec![node.clock().completed.clone()];
     let total_txs: u64 = node.blocks().iter().map(|b| b.txs.len() as u64).sum();
+    // A service node runs however many epochs the load takes.
+    let epochs = if service.is_some() { node.blocks().len() as u64 } else { cfg.epochs };
     let mut report = finish_report(
         completed,
         elapsed,
         decision_times,
         total_txs,
         runtime.metrics().clone(),
-        cfg.epochs,
+        epochs,
     );
     // Only this process's metrics row is populated, so the cluster mean
     // would understate by n×; "per node" in a UDP report means *this* node.
     report.channel_accesses_per_node =
         report.metrics.node(wbft_wireless::NodeId(me as u16)).channel_accesses as f64;
+    report.service = service.map(|(_, handle)| ServiceReport::aggregate(&[handle.stats()]));
     let digests = block_digests(node.blocks());
     Ok(UdpNodeOutcome { report, stats: runtime.stats().clone(), block_digests: digests })
 }
@@ -328,88 +367,7 @@ pub fn run_udp_service_node(
     me: usize,
     opts: &ServiceNodeOpts,
 ) -> io::Result<UdpNodeOutcome> {
-    if cfg.clusters.is_some() || !cfg.byzantine.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "UDP service nodes are single-hop and honest-only",
-        ));
-    }
-    if peers.len() != cfg.n || me >= cfg.n {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("peer table has {} nodes, config wants n={}, me={me}", peers.len(), cfg.n),
-        ));
-    }
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xdea1);
-    let crypto = deal_node_crypto(cfg.n, cfg.suite, &mut rng)
-        .into_iter()
-        .nth(me)
-        .expect("me < n checked above");
-    let handle = ConsensusHandle::new(opts.mempool_capacity);
-    let mut engine: Box<dyn Engine> = cfg.protocol.service_engine_at_depth(
-        crypto.clone(),
-        handle.clone(),
-        cfg.workload.batch_size,
-        opts.max_epochs,
-        cfg.pipeline_depth,
-    );
-    // Open the durable journal (if configured) before the engine starts:
-    // the recovered prefix re-enters the block stream and mempool dedup
-    // set via the handle, and the engine resumes from the next epoch.
-    let mut journal = None;
-    let mut recovered_len = 0usize;
-    if let Some(path) = &opts.journal {
-        let store = wbft_journal::FileStore::open(path)?;
-        let (j, blocks) = BlockJournal::open(Box::new(store)).map_err(|e| match e {
-            wbft_journal::JournalError::Io(io) => io,
-            other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
-        })?;
-        handle.recover_chain(&blocks);
-        recovered_len = blocks.len();
-        engine.restore_chain(blocks);
-        journal = Some(j);
-    }
-    // No local arrival schedule: submissions come over the client channel.
-    let mut node = ProtocolNode::new(engine, crypto, ChannelId(0))
-        .with_service(handle.clone(), Vec::new())
-        .with_recovered(recovered_len)
-        .with_sync(ChannelId(wbft_transport::SYNC_CHANNEL));
-    if let Some(j) = journal {
-        node = node.with_journal(j);
-    }
-    let rng_seed = cfg.seed ^ ((me as u64) << 32) ^ 0x11d9;
-    let mut runtime = UdpRuntime::new(peers, me as u16, node, rng_seed)?;
-    runtime.set_late_peers(opts.late_peers.iter().copied());
-    runtime.set_client_gateway(Box::new(ServiceGateway::new(handle.clone())));
-    let completed = runtime.run_until(opts.wall, opts.linger, |node| node.is_done())?;
-    if let Some((served, shipped, dropped)) = runtime.behavior().sync_counters() {
-        let stats = runtime.stats_mut();
-        stats.sync_requests_served = served;
-        stats.sync_blocks_shipped = shipped;
-        stats.sync_chunks_dropped = dropped;
-    }
-    let elapsed = runtime
-        .completed_at()
-        .unwrap_or_else(|| runtime.now())
-        .saturating_since(SimTime::ZERO);
-    let node = runtime.behavior();
-    let decision_times = vec![node.clock().completed.clone()];
-    let total_txs: u64 = node.blocks().iter().map(|b| b.txs.len() as u64).sum();
-    let epochs_run = node.blocks().len() as u64;
-    let mut report = finish_report(
-        completed,
-        elapsed,
-        decision_times,
-        total_txs,
-        runtime.metrics().clone(),
-        epochs_run,
-    );
-    report.channel_accesses_per_node =
-        report.metrics.node(wbft_wireless::NodeId(me as u16)).channel_accesses as f64;
-    report.service = Some(ServiceReport::aggregate(&[handle.stats()]));
-    let digests = block_digests(node.blocks());
-    Ok(UdpNodeOutcome { report, stats: runtime.stats().clone(), block_digests: digests })
+    run_node(cfg, peers, me, opts.wall, opts.linger, Some(opts))
 }
 
 #[cfg(test)]
@@ -480,14 +438,66 @@ mod tests {
     }
 
     #[test]
-    fn rejects_multihop_byzantine_and_size_mismatch() {
+    fn rejects_simulator_only_axes_and_size_mismatch() {
+        use crate::testbed::{ChurnPlan, CrashEvent, CrashPlan};
+        use wbft_membership::MembershipOp;
         let table = PeerTable::loopback(&[47101, 47102, 47103, 47104]);
-        let mut cfg = small_cfg();
-        cfg.clusters = Some(4);
-        assert!(run_udp_node(&cfg, table.clone(), 0, Duration::ZERO, Duration::ZERO).is_err());
-        let mut cfg = small_cfg();
-        cfg.byzantine = vec![(1, crate::ByzantineMode::Silent)];
-        assert!(run_udp_node(&cfg, table.clone(), 0, Duration::ZERO, Duration::ZERO).is_err());
+        // Every axis the runtime would otherwise silently run without.
+        type Mutation = fn(&mut TestbedConfig);
+        let refused: [(Mutation, &str); 6] = [
+            (|c| c.clusters = Some(4), "multi-hop"),
+            (|c| c.byzantine = vec![(1, crate::ByzantineMode::Silent)], "Byzantine"),
+            (
+                |c| {
+                    c.crash = Some(CrashPlan {
+                        crashes: vec![CrashEvent { node: 1, at_us: 1, restart_us: 2 }],
+                    })
+                },
+                "crash plans",
+            ),
+            (
+                |c| {
+                    c.epochs = 4;
+                    c.churn = Some(ChurnPlan {
+                        from_epoch: 0,
+                        ops: vec![MembershipOp::Join(4), MembershipOp::Leave(0)],
+                    })
+                },
+                "churn plans",
+            ),
+            (
+                |c| {
+                    c.sched = Some(wbft_wireless::SchedConfig {
+                        seed: 1,
+                        budget: wbft_wireless::SimDuration::from_secs(2),
+                        policy: wbft_wireless::SchedPolicy::Reorder { p: 0.5 },
+                    })
+                },
+                "delivery schedulers",
+            ),
+            // What `check` itself refuses surfaces the same way.
+            (|c| c.pipeline_depth = 0, "invalid pipeline depth"),
+        ];
+        for (mutate, reason) in refused {
+            let mut cfg = small_cfg();
+            mutate(&mut cfg);
+            let opts = ServiceNodeOpts {
+                wall: Duration::ZERO,
+                linger: Duration::ZERO,
+                max_epochs: 1,
+                mempool_capacity: 8,
+                journal: None,
+                late_peers: Vec::new(),
+            };
+            for outcome in [
+                run_udp_node(&cfg, table.clone(), 0, Duration::ZERO, Duration::ZERO),
+                run_udp_service_node(&cfg, table.clone(), 0, &opts),
+            ] {
+                let err = outcome.unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+                assert!(err.to_string().contains(reason), "{err} lacks {reason:?}");
+            }
+        }
         let cfg = small_cfg();
         assert!(run_udp_node(&cfg, PeerTable::loopback(&[1, 2]), 0, Duration::ZERO, Duration::ZERO)
             .is_err());

@@ -52,20 +52,19 @@ pub struct SweepSpec {
     /// Pipeline depths `W` (epochs whose dissemination may be in flight at
     /// once). `1` is the strictly sequential engine; depths `> 1` append a
     /// `.w{d}` label segment, so depth-1 labels keep their exact
-    /// pre-pipelining form. Single-hop only.
+    /// pre-pipelining form.
     pub pipeline_depths: Vec<u64>,
     /// Crash/churn schedules: `None` = no churn (the classic run), `Some` =
     /// the listed nodes are killed and restarted at the scheduled times
     /// (journal recovery + anti-entropy catch-up). Churn points append a
     /// `.crash…` label segment, so churn-free labels keep their exact
-    /// pre-churn form. Single-hop, non-service only.
+    /// pre-churn form.
     pub crashes: Vec<Option<CrashPlan>>,
     /// Dynamic-membership schedules: `None` = static committee, `Some` =
     /// the plan's join/leave ops ride the ordered transaction path and the
     /// committee reconfigures mid-run (threshold keys reshared before
     /// activation). Churn points append a `.churn…` label segment, so
-    /// static labels keep their exact pre-membership form. Single-hop,
-    /// honest, sequential only.
+    /// static labels keep their exact pre-membership form.
     pub churns: Vec<Option<ChurnPlan>>,
     /// Simulation seeds.
     pub seeds: Vec<u64>,
@@ -140,57 +139,23 @@ impl SweepSpec {
     ///
     /// Labels are unique, filesystem-safe and self-describing, e.g.
     /// `beat.mh4.secp160r1+bn158.loss-none.honest.seed7`.
+    ///
+    /// # Panics
+    ///
+    /// On whatever [`SweepSpec::try_expand`] refuses.
     pub fn expand(&self) -> Vec<Scenario> {
-        // Service runs are single-hop only (clustered service is an open
-        // follow-on); fail loudly rather than at run() inside a worker.
-        assert!(
-            self.services.iter().all(Option::is_none)
-                || self.topologies.iter().all(Option::is_none),
-            "sweep \"{}\" combines a service load with a multi-hop topology — \
-             service runs are single-hop only",
-            self.name
-        );
-        assert!(
-            self.pipeline_depths.iter().all(|&d| d == 1)
-                || self.topologies.iter().all(Option::is_none),
-            "sweep \"{}\" combines a pipeline depth > 1 with a multi-hop topology — \
-             pipelined epochs are single-hop only",
-            self.name
-        );
-        assert!(
-            self.crashes.iter().all(Option::is_none)
-                || (self.topologies.iter().all(Option::is_none)
-                    && self.services.iter().all(Option::is_none)),
-            "sweep \"{}\" combines a crash plan with a multi-hop topology or a \
-             service load — crash/churn runs are single-hop, non-service only",
-            self.name
-        );
-        assert!(
-            self.churns.iter().all(Option::is_none)
-                || (self.topologies.iter().all(Option::is_none)
-                    && self.services.iter().all(Option::is_none)
-                    && self.crashes.iter().all(Option::is_none)
-                    && self.pipeline_depths.iter().all(|&d| d == 1)
-                    && self.placements.iter().all(Vec::is_empty)),
-            "sweep \"{}\" combines a membership churn plan with a multi-hop topology, \
-             service load, crash plan, pipeline depth > 1 or Byzantine placement — \
-             membership churn runs are single-hop, honest, sequential only",
-            self.name
-        );
-        // Reject dishonest axis values before any worker starts: a loss
-        // model that can swallow messages forever or an adversary without
-        // a finite delay bound breaks the eventual-delivery assumption
-        // every liveness claim rests on.
-        for (li, loss) in self.losses.iter().enumerate() {
-            loss.validate().unwrap_or_else(|e| {
-                panic!("sweep \"{}\" loss axis value #{li} is invalid: {e}", self.name)
-            });
-        }
-        if let Some(&protocol) = self.protocols.first() {
-            TestbedConfig::single_hop(protocol).adversary.validate().unwrap_or_else(|e| {
-                panic!("sweep \"{}\" adversary config is invalid: {e}", self.name)
-            });
-        }
+        self.try_expand().unwrap_or_else(|why| panic!("{why}"))
+    }
+
+    /// [`SweepSpec::expand`] for front-ends that report instead of panic.
+    ///
+    /// # Errors
+    ///
+    /// The first grid point [`TestbedConfig::check`] refuses — axis values
+    /// that cannot be combined, a loss model or adversary that breaks eventual
+    /// delivery, a fault plan beyond `f` — named by its scenario label,
+    /// before any worker starts; and duplicate labels.
+    pub fn try_expand(&self) -> Result<Vec<Scenario>, String> {
         let mut out = Vec::with_capacity(self.len());
         for &protocol in &self.protocols {
             for &topology in &self.topologies {
@@ -248,6 +213,12 @@ impl SweepSpec {
                                                         .as_ref()
                                                         .map_or(String::new(), churn_label),
                                                 );
+                                                cfg.check().map_err(|why| {
+                                                    format!(
+                                                        "sweep \"{}\": scenario {label}: {why}",
+                                                        self.name
+                                                    )
+                                                })?;
                                                 out.push(Scenario { label, cfg });
                                             }
                                         }
@@ -264,13 +235,13 @@ impl SweepSpec {
         // report files in release builds.
         let unique: std::collections::BTreeSet<_> =
             out.iter().map(|s| s.label.as_str()).collect();
-        assert_eq!(
-            unique.len(),
-            out.len(),
-            "sweep \"{}\" expands to duplicate scenario labels — remove repeated axis values",
-            self.name
-        );
-        out
+        if unique.len() != out.len() {
+            return Err(format!(
+                "sweep \"{}\" expands to duplicate scenario labels — remove repeated axis values",
+                self.name
+            ));
+        }
+        Ok(out)
     }
 }
 
@@ -440,9 +411,13 @@ mod tests {
         spec.protocols = vec![Protocol::Beat, Protocol::HoneyBadgerSc];
         spec.topologies = vec![None, Some(4)];
         spec.losses = vec![LossModel::None, LossModel::Uniform { p: 0.1 }];
-        spec.placements = vec![Vec::new(), vec![(1, ByzantineMode::Silent)]];
         spec.seeds = vec![1, 2, 3];
-        assert_eq!(spec.len(), 2 * 2 * 2 * 2 * 3);
+        assert_eq!(spec.len(), 2 * 2 * 2 * 3);
+        assert_eq!(spec.expand().len(), spec.len());
+        // Byzantine placements are a single-hop axis.
+        spec.topologies = vec![None];
+        spec.placements = vec![Vec::new(), vec![(1, ByzantineMode::Silent)]];
+        assert_eq!(spec.len(), 2 * 2 * 2 * 3);
         let scenarios = spec.expand();
         assert_eq!(scenarios.len(), spec.len());
         let labels: std::collections::HashSet<_> =
@@ -452,7 +427,7 @@ mod tests {
         assert!(scenarios[0].label.ends_with("seed1"));
         assert!(scenarios[1].label.ends_with("seed2"));
         // Scenario configs carry the axis values.
-        assert!(scenarios.iter().any(|s| s.cfg.clusters == Some(4)));
+        assert!(scenarios.iter().any(|s| matches!(s.cfg.loss, LossModel::Uniform { .. })));
         assert!(scenarios.iter().any(|s| !s.cfg.byzantine.is_empty()));
     }
 
@@ -499,6 +474,7 @@ mod tests {
     fn churn_axis_expands_and_tags_labels() {
         use crate::testbed::ChurnPlan;
         let mut spec = SweepSpec::new("membership");
+        spec.epochs = 5;
         spec.churns = vec![
             None,
             Some(ChurnPlan {
@@ -518,40 +494,27 @@ mod tests {
         assert!(scenarios[1].cfg.churn.is_some());
     }
 
+    /// Which axis values compose is `TestbedConfig::check`'s rule (its
+    /// table test pins every pair); expansion only has to surface the
+    /// refusal, naming the offending grid point.
     #[test]
-    #[should_panic(expected = "single-hop, honest, sequential only")]
-    fn churn_crash_sweeps_are_rejected() {
-        use crate::testbed::{ChurnPlan, CrashEvent, CrashPlan};
-        let mut spec = SweepSpec::new("bad-membership");
-        spec.churns = vec![Some(ChurnPlan {
-            from_epoch: 1,
-            ops: vec![MembershipOp::Join(4), MembershipOp::Leave(0)],
-        })];
-        spec.crashes = vec![Some(CrashPlan {
-            crashes: vec![CrashEvent { node: 1, at_us: 1, restart_us: 2 }],
-        })];
-        spec.expand();
-    }
-
-    #[test]
-    #[should_panic(expected = "single-hop, non-service only")]
-    fn crash_multihop_sweeps_are_rejected() {
-        use crate::testbed::{CrashEvent, CrashPlan};
-        let mut spec = SweepSpec::new("bad-churn");
-        spec.topologies = vec![Some(4)];
-        spec.crashes = vec![Some(CrashPlan {
-            crashes: vec![CrashEvent { node: 0, at_us: 1, restart_us: 2 }],
-        })];
-        spec.expand();
-    }
-
-    #[test]
-    #[should_panic(expected = "single-hop only")]
-    fn pipelined_multihop_sweeps_are_rejected() {
+    fn expand_surfaces_the_refusal_with_the_scenario_label() {
         let mut spec = SweepSpec::new("bad");
-        spec.topologies = vec![Some(4)];
-        spec.pipeline_depths = vec![2];
-        spec.expand();
+        spec.topologies = vec![None, Some(4)];
+        spec.placements = vec![Vec::new(), vec![(1, ByzantineMode::Silent)]];
+        let why = spec.try_expand().unwrap_err();
+        assert!(
+            why.starts_with(
+                "sweep \"bad\": scenario beat.mh4.secp160r1+bn158.loss-none.byz-silent@1.seed7: "
+            ),
+            "{why}"
+        );
+        assert!(why.contains("ClusterNode has no Byzantine wrap"), "{why}");
+        // Single-axis violations surface the same way.
+        let mut spec = SweepSpec::new("lossy");
+        spec.losses = vec![LossModel::Uniform { p: 1.0 }];
+        let why = spec.try_expand().unwrap_err();
+        assert!(why.contains("scenario beat.sh.") && why.contains("invalid loss config"), "{why}");
     }
 
     #[test]

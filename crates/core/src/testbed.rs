@@ -6,9 +6,17 @@
 //! discrete-event simulator, returning the quantities the paper's figures
 //! plot: per-epoch latency, throughput in transactions per minute (TPM),
 //! channel accesses per node, bytes on air, collisions and CPU time.
+//!
+//! Every single-hop scenario — whatever mix of service load, pipelining,
+//! Byzantine nodes, crash/restart and membership churn it engages — runs
+//! on one rig: [`assemble`] builds each node from the config (the UDP
+//! runners in [`crate::netrun`] call it too), the rig plays the scheduled
+//! timeline, races one completion predicate and checks one set of oracles.
+//! Which axes compose is one rule, [`TestbedConfig::check`], stated as the
+//! [`EXCLUSIONS`] table.
 
 use crate::byzantine::{ByzantineEngine, ByzantineMode};
-use crate::driver::{Engine, ProtocolNode};
+use crate::driver::{Block, Engine, ProtocolNode, Tx};
 use crate::membership::MembershipCtl;
 use crate::multihop::ClusterNode;
 use crate::protocol::Protocol;
@@ -16,11 +24,11 @@ use crate::recovery::BlockJournal;
 use crate::service::{
     ConsensusHandle, ServiceConfig, ServiceReport, ServiceStats, StopCondition,
 };
-use crate::workload::Workload;
-use wbft_components::deal_node_crypto;
+use crate::workload::{BatchSource, Workload};
+use wbft_components::{deal_committee_crypto, deal_node_crypto, NodeCrypto};
 use wbft_crypto::CryptoSuite;
+use wbft_journal::{JournalError, JournalStore, SharedMem};
 use wbft_membership::{MembershipOp, ACTIVATION_DELAY};
-use wbft_journal::SharedMem;
 use wbft_transport::SYNC_CHANNEL;
 use wbft_wireless::{
     AdversaryConfig, ChannelId, CsmaParams, DmaParams, LossModel, Metrics, NodeId, RadioParams,
@@ -101,7 +109,7 @@ pub struct TestbedConfig {
     /// [`crate::fuzz::build_scheduler`], which also handles the
     /// protocol-aware policies the wireless layer cannot decode.
     pub sched: Option<SchedConfig>,
-    /// Byzantine nodes: `(node id, behaviour)`. Single-hop only.
+    /// Byzantine nodes: `(node id, behaviour)`, ids distinct and below `n`.
     pub byzantine: Vec<(usize, ByzantineMode)>,
     /// Simulated-time budget.
     pub deadline: SimDuration,
@@ -110,26 +118,24 @@ pub struct TestbedConfig {
     /// `Some` = live-service run: epochs pull proposals from client-fed
     /// mempools under an open-loop arrival schedule instead of the
     /// pre-seeded workload, and the report gains a [`ServiceReport`]
-    /// (single-hop only; `epochs` is ignored in favour of the service's
-    /// `max_epochs`).
+    /// (`epochs` is ignored in favour of the service's `max_epochs`).
     pub service: Option<ServiceConfig>,
     /// Pipeline depth `W`: how many epochs keep their dissemination in
     /// flight while earlier epochs finish agreement. `1` (the default) is
     /// the strictly sequential engine; absent from the JSON encoding at 1
-    /// so pre-pipelining configs keep their exact bytes. Single-hop only.
+    /// so pre-pipelining configs keep their exact bytes.
     pub pipeline_depth: u64,
     /// `Some` = crash/churn schedule: nodes journal commits durably, the
     /// listed nodes are killed and restarted at the scheduled times, and
     /// the run only completes once the restarted nodes have recovered and
     /// caught up. Absent from the JSON encoding when `None` so pre-churn
-    /// configs keep their exact bytes. Single-hop, non-service only.
+    /// configs keep their exact bytes.
     pub crash: Option<CrashPlan>,
     /// `Some` = dynamic-membership schedule: join/leave ops ride the
     /// ordered transaction path, quorum math follows the chain-derived
     /// committee view, and threshold keys are reshared to the new
     /// committee before activation. Absent from the JSON encoding when
     /// `None` so pre-membership configs keep their exact bytes.
-    /// Single-hop, non-service, depth-1 only.
     pub churn: Option<ChurnPlan>,
 }
 
@@ -247,157 +253,281 @@ pub(crate) fn finish_report(
     }
 }
 
-/// Checks a config describes a simulable scenario: the loss model must
-/// leave eventual delivery intact, the adversary must be honest about its
-/// delay bound, and any scheduler config must be well-formed. Panics
-/// loudly — a scenario that breaks the model's standing assumptions would
-/// produce a report whose correctness claims are vacuous.
-pub fn validate(cfg: &TestbedConfig) {
-    if let Err(e) = cfg.loss.validate() {
-        panic!("invalid loss config: {e}");
-    }
-    if let Err(e) = cfg.adversary.validate() {
-        panic!("invalid adversary config: {e}");
-    }
-    if let Some(sched) = &cfg.sched {
-        if let Err(e) = sched.validate() {
-            panic!("invalid scheduler config: {e}");
+/// A scenario axis a config can engage beyond the plain single-hop,
+/// sequential, honest, fixed-committee run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Axis {
+    /// `clusters: Some(_)`.
+    MultiHop,
+    /// `service: Some(_)`.
+    Service,
+    /// `pipeline_depth > 1`.
+    Pipelined,
+    /// `byzantine` non-empty.
+    Byzantine,
+    /// `crash: Some(_)`.
+    Crash,
+    /// `churn: Some(_)`.
+    Churn,
+}
+
+impl Axis {
+    /// Every axis, in the order the composition table lists them.
+    pub const ALL: [Axis; 6] =
+        [Axis::MultiHop, Axis::Service, Axis::Pipelined, Axis::Byzantine, Axis::Crash, Axis::Churn];
+
+    /// Name used in refusals and the README's composition table.
+    pub fn name(self) -> &'static str {
+        match self {
+            Axis::MultiHop => "multi-hop",
+            Axis::Service => "service",
+            Axis::Pipelined => "pipeline depth > 1",
+            Axis::Byzantine => "Byzantine nodes",
+            Axis::Crash => "crash plan",
+            Axis::Churn => "churn plan",
         }
     }
-    if cfg.pipeline_depth == 0 {
-        panic!("invalid pipeline depth: 0 (W >= 1; W = 1 is sequential)");
-    }
-    if cfg.clusters.is_some() && cfg.pipeline_depth != 1 {
-        panic!("pipelined epochs are single-hop only (clustered pipelining is a follow-on)");
-    }
-    if let Some(plan) = &cfg.crash {
-        if cfg.clusters.is_some() {
-            panic!("crash plans are single-hop only");
+
+    fn engaged(self, cfg: &TestbedConfig) -> bool {
+        match self {
+            Axis::MultiHop => cfg.clusters.is_some(),
+            Axis::Service => cfg.service.is_some(),
+            Axis::Pipelined => cfg.pipeline_depth > 1,
+            Axis::Byzantine => !cfg.byzantine.is_empty(),
+            Axis::Crash => cfg.crash.is_some(),
+            Axis::Churn => cfg.churn.is_some(),
         }
-        if cfg.service.is_some() {
-            panic!("crash plans do not compose with service mode (follow-on)");
+    }
+}
+
+/// The pairs of axes that cannot be combined, each with the protocol reason.
+/// Every other pair is a legal scenario. This table is the one statement of
+/// the rule: [`TestbedConfig::check`] enforces it, the sweep and the UDP
+/// runners call `check`, and the README's table is generated from it.
+pub const EXCLUSIONS: [(Axis, Axis, &str); 9] = [
+    (
+        Axis::MultiHop,
+        Axis::Service,
+        "ClusterNode engines propose from the fixed workload; no client handle reaches a cluster tier",
+    ),
+    (
+        Axis::MultiHop,
+        Axis::Pipelined,
+        "ClusterNode runs one single-epoch global instance at a time, seeded by the local decision: no window to deepen",
+    ),
+    (
+        Axis::MultiHop,
+        Axis::Byzantine,
+        "ClusterNode has no Byzantine wrap; the placement would be dropped and the report mislabelled",
+    ),
+    (
+        Axis::MultiHop,
+        Axis::Crash,
+        "ClusterNode has no journal and no sync channel to restart a member from",
+    ),
+    (
+        Axis::MultiHop,
+        Axis::Churn,
+        "ClusterNode engines run fixed committees (no membership controller at either tier)",
+    ),
+    (
+        Axis::Service,
+        Axis::Crash,
+        "a restarted node's mempool is gone: what it admitted but never committed has no drain semantics",
+    ),
+    (
+        Axis::Service,
+        Axis::Churn,
+        "a leaver stops proposing at activation: what is left in its mempool has no drain semantics",
+    ),
+    (
+        Axis::Byzantine,
+        Axis::Churn,
+        "the resharing ceremony waits for every canonical dealer; one that never deals has no fallback",
+    ),
+    (
+        Axis::Crash,
+        Axis::Churn,
+        "reshared key shares are not journaled, and a crashed canonical dealer stalls the ceremony",
+    ),
+];
+
+impl TestbedConfig {
+    /// Checks the config describes a simulable scenario: the loss model
+    /// must leave eventual delivery intact, the adversary must be honest
+    /// about its delay bound, any scheduler config must be well-formed, the
+    /// engaged axes must compose ([`EXCLUSIONS`]) and every fault plan must
+    /// stay inside what the quorum sizes tolerate — a scenario that breaks
+    /// the model's standing assumptions would produce a report whose
+    /// correctness claims are vacuous.
+    ///
+    /// # Errors
+    ///
+    /// The first violated rule, as a one-line reason.
+    pub fn check(&self) -> Result<(), String> {
+        self.loss.validate().map_err(|e| format!("invalid loss config: {e}"))?;
+        self.adversary.validate().map_err(|e| format!("invalid adversary config: {e}"))?;
+        if let Some(sched) = &self.sched {
+            sched.validate().map_err(|e| format!("invalid scheduler config: {e}"))?;
         }
+        if self.pipeline_depth == 0 {
+            return Err("invalid pipeline depth: 0 (W >= 1; W = 1 is sequential)".into());
+        }
+        for (a, b, why) in EXCLUSIONS {
+            if a.engaged(self) && b.engaged(self) {
+                return Err(format!("{} x {} is refused: {why}", a.name(), b.name()));
+            }
+        }
+        for (k, (node, _)) in self.byzantine.iter().enumerate() {
+            if *node >= self.n {
+                return Err(format!("Byzantine placement names node {node} but n = {}", self.n));
+            }
+            if self.byzantine[..k].iter().any(|(b, _)| b == node) {
+                return Err(format!("node {node} is listed as Byzantine more than once"));
+            }
+        }
+        if let Some(plan) = &self.crash {
+            self.check_crash(plan)?;
+        }
+        if let Some(plan) = &self.churn {
+            self.check_churn(plan)?;
+        }
+        Ok(())
+    }
+
+    fn check_crash(&self, plan: &CrashPlan) -> Result<(), String> {
         if plan.crashes.is_empty() {
-            panic!("crash plan has no events (use crash: None for no churn)");
+            return Err("crash plan has no events (use crash: None for no churn)".into());
         }
-        let deadline_us = cfg.deadline.as_micros();
-        let mut seen: Vec<usize> = Vec::new();
-        for ev in &plan.crashes {
-            if ev.node >= cfg.n {
-                panic!("crash event names node {} but n = {}", ev.node, cfg.n);
+        let deadline_us = self.deadline.as_micros();
+        for (k, ev) in plan.crashes.iter().enumerate() {
+            if ev.node >= self.n {
+                return Err(format!("crash event names node {} but n = {}", ev.node, self.n));
             }
             if ev.restart_us <= ev.at_us {
-                panic!("crash of node {} restarts at {}us, not after {}us", ev.node, ev.restart_us, ev.at_us);
+                return Err(format!(
+                    "crash of node {} restarts at {}us, not after {}us",
+                    ev.node, ev.restart_us, ev.at_us
+                ));
             }
             if ev.restart_us >= deadline_us {
-                panic!("crash of node {} restarts after the {}us deadline", ev.node, deadline_us);
+                return Err(format!(
+                    "crash of node {} restarts after the {deadline_us}us deadline",
+                    ev.node
+                ));
             }
-            if cfg.byzantine.iter().any(|(b, _)| *b == ev.node) {
-                panic!("node {} is both Byzantine and crash-scheduled", ev.node);
+            if self.byzantine.iter().any(|(b, _)| *b == ev.node) {
+                return Err(format!("node {} is both Byzantine and crash-scheduled", ev.node));
             }
-            if seen.contains(&ev.node) {
-                panic!("node {} crashes more than once (one event per node)", ev.node);
+            if plan.crashes[..k].iter().any(|e| e.node == ev.node) {
+                return Err(format!(
+                    "node {} crashes more than once (one event per node)",
+                    ev.node
+                ));
             }
-            seen.push(ev.node);
         }
         // A down node is indistinguishable from a silent faulty one, so
         // crashed + Byzantine together must stay within the f the quorum
         // sizes tolerate or the liveness claim is vacuous.
-        let f = cfg.n.saturating_sub(1) / 3;
-        if seen.len() + cfg.byzantine.len() > f {
-            panic!(
-                "{} crashed + {} Byzantine nodes exceed f = {} for n = {}",
-                seen.len(),
-                cfg.byzantine.len(),
-                f,
-                cfg.n
-            );
+        let f = self.n.saturating_sub(1) / 3;
+        if plan.crashes.len() + self.byzantine.len() > f {
+            return Err(format!(
+                "{} crashed + {} Byzantine nodes exceed f = {f} for n = {}",
+                plan.crashes.len(),
+                self.byzantine.len(),
+                self.n
+            ));
         }
+        Ok(())
     }
-    if let Some(plan) = &cfg.churn {
-        if cfg.clusters.is_some() {
-            panic!("churn plans are single-hop only (clustered churn is a follow-on)");
-        }
-        if cfg.service.is_some() {
-            panic!("churn plans do not compose with service mode (follow-on)");
-        }
-        if cfg.pipeline_depth != 1 {
-            panic!("churn plans require pipeline depth 1 (pipelined churn is a follow-on)");
-        }
-        if !cfg.byzantine.is_empty() {
-            panic!("churn plans do not compose with Byzantine nodes (follow-on)");
-        }
-        if cfg.crash.is_some() {
-            panic!("churn plans do not compose with crash plans (follow-on)");
-        }
+
+    fn check_churn(&self, plan: &ChurnPlan) -> Result<(), String> {
         if plan.ops.is_empty() {
-            panic!("churn plan has no ops (use churn: None for a static committee)");
-        }
-        for (i, op) in plan.ops.iter().enumerate() {
-            if plan.ops[..i].contains(op) {
-                panic!("churn plan repeats {op}");
-            }
+            return Err("churn plan has no ops (use churn: None for a static committee)".into());
         }
         let mut join_ids: Vec<usize> = Vec::new();
-        let mut leaves = 0usize;
-        for op in &plan.ops {
+        for (k, op) in plan.ops.iter().enumerate() {
+            if plan.ops[..k].contains(op) {
+                return Err(format!("churn plan repeats {op}"));
+            }
             match op {
-                MembershipOp::Join(id) => {
-                    if (*id as usize) < cfg.n {
-                        panic!("churn {op} names a genesis member (ids below n = {})", cfg.n);
-                    }
-                    join_ids.push(*id as usize);
+                MembershipOp::Join(id) if (*id as usize) < self.n => {
+                    return Err(format!(
+                        "churn {op} names a genesis member (ids below n = {})",
+                        self.n
+                    ));
                 }
-                MembershipOp::Leave(id) => {
-                    if (*id as usize) >= cfg.n {
-                        panic!("churn {op} names a node outside the genesis committee (n = {})", cfg.n);
-                    }
-                    leaves += 1;
+                MembershipOp::Join(id) => join_ids.push(*id as usize),
+                MembershipOp::Leave(id) if (*id as usize) >= self.n => {
+                    return Err(format!(
+                        "churn {op} names a node outside the genesis committee (n = {})",
+                        self.n
+                    ));
                 }
+                MembershipOp::Leave(_) => {}
             }
         }
         // Joins must use contiguous fresh ids: every simulated node has to
         // end up a member eventually, or the run can never complete (a
         // dealt-but-never-joining node would idle at the stop forever).
         join_ids.sort_unstable();
-        for (k, id) in join_ids.iter().enumerate() {
-            if *id != cfg.n + k {
-                panic!(
-                    "churn joins must use contiguous fresh ids from n = {} (got join({id}))",
-                    cfg.n
-                );
-            }
+        if let Some((_, id)) = join_ids.iter().enumerate().find(|(k, id)| **id != self.n + k) {
+            return Err(format!(
+                "churn joins must use contiguous fresh ids from n = {} (got join({id}))",
+                self.n
+            ));
         }
-        let new_n = cfg.n + join_ids.len() - leaves;
+        let leaves = plan.ops.len() - join_ids.len();
+        let new_n = self.n + join_ids.len() - leaves;
         if new_n < 4 || !(new_n - 1).is_multiple_of(3) {
-            panic!("churn plan leaves an invalid committee size {new_n} (need 3f+1 >= 4)");
+            return Err(format!(
+                "churn plan leaves an invalid committee size {new_n} (need 3f+1 >= 4)"
+            ));
         }
         // The change commits no earlier than `from_epoch` and activates
         // ACTIVATION_DELAY epochs later; at least one epoch must run under
         // the new committee or the plan is dead weight.
-        if plan.from_epoch + ACTIVATION_DELAY >= cfg.epochs {
-            panic!(
+        if plan.from_epoch + ACTIVATION_DELAY >= self.epochs {
+            return Err(format!(
                 "churn from epoch {} cannot activate within {} epochs \
                  (activation = commit + {ACTIVATION_DELAY})",
-                plan.from_epoch, cfg.epochs
-            );
+                plan.from_epoch, self.epochs
+            ));
         }
+        Ok(())
+    }
+
+    /// Crash and churn runs put every node on the anti-entropy channel:
+    /// restarted nodes, joiners and leavers catch up through it.
+    fn syncs(&self) -> bool {
+        self.crash.is_some() || self.churn.is_some()
+    }
+
+    /// Simulated nodes: the genesis committee plus every scheduled joiner
+    /// (`check` makes their ids contiguous from `n`).
+    fn n_total(&self) -> usize {
+        let joins = self.churn.iter().flat_map(|p| &p.ops);
+        self.n + joins.filter(|op| matches!(op, MembershipOp::Join(_))).count()
+    }
+}
+
+/// The panicking front of [`TestbedConfig::check`].
+pub fn validate(cfg: &TestbedConfig) {
+    if let Err(why) = cfg.check() {
+        panic!("{why}");
     }
 }
 
 /// Executes one experiment.
 pub fn run(cfg: &TestbedConfig) -> RunReport {
-    assert!(
-        cfg.service.is_none() || cfg.clusters.is_none(),
-        "service runs are single-hop only (clustered service is a follow-on)"
-    );
     validate(cfg);
-    match (cfg.clusters, &cfg.service) {
-        (Some(m), _) => run_multi_hop(cfg, m),
-        (None, Some(svc)) => run_service_single_hop(cfg, svc),
-        (None, None) if cfg.churn.is_some() => run_single_hop_with_churn(cfg),
-        (None, None) if cfg.crash.is_some() => run_single_hop_with_crashes(cfg),
-        (None, None) => run_single_hop(cfg),
+    match cfg.clusters {
+        Some(m) => run_multi_hop(cfg, m),
+        None => {
+            let mut rig = Rig::build(cfg);
+            let completed = rig.run(SimTime::ZERO + cfg.deadline, |_| false);
+            rig.finish(completed).unwrap_or_else(|Divergence(why)| panic!("{why}"))
+        }
     }
 }
 
@@ -419,509 +549,320 @@ fn sim_config(cfg: &TestbedConfig) -> SimConfig {
     }
 }
 
-/// Deals the cryptographic identities of a churn run. Node *identity* is
-/// static — all `n_total` nodes (genesis members and future joiners alike)
-/// hold a packet keypair and everyone's verification keys from the start;
-/// *committee membership* is what changes at runtime. The threshold deals
-/// are sized to the `n_genesis`-node genesis committee: genesis members
-/// get real secret shares, while joiners (ids `n_genesis..`) get the
-/// genesis *public* sets — they need them to verify certificates on the
-/// chain they bootstrap — plus placeholder zero secret shares at their own
-/// index. A placeholder share used before the resharing ceremony hands the
-/// joiner real shares produces shares that fail verification loudly
-/// instead of silently combining into garbage.
-pub fn deal_churn_crypto(
-    n_genesis: usize,
-    n_total: usize,
-    suite: CryptoSuite,
-    rng: &mut impl rand::RngCore,
-) -> Vec<wbft_components::NodeCrypto> {
-    use wbft_crypto::schnorr::{KeyPair, PublicKey};
-    use wbft_crypto::{Scalar, ShareIndex};
-    assert!(
-        n_genesis >= 4 && (n_genesis - 1).is_multiple_of(3),
-        "need genesis n = 3f+1 >= 4, got {n_genesis}"
-    );
-    assert!(n_total >= n_genesis, "total node count below the genesis committee");
-    let f = (n_genesis - 1) / 3;
-    let keypairs: Vec<KeyPair> =
-        (0..n_total).map(|_| KeyPair::generate(suite.ecdsa, rng)).collect();
-    let peer_keys: Vec<PublicKey> = keypairs.iter().map(|k| k.public()).collect();
-    let (prbc_pub, prbc_secs) = wbft_crypto::thresh_sig::deal(n_genesis, f, suite.threshold, rng);
-    let (cbc_pub, cbc_secs) =
-        wbft_crypto::thresh_sig::deal(n_genesis, 2 * f, suite.threshold, rng);
-    let (coin_pub, coin_secs) =
-        wbft_crypto::thresh_coin::deal_coin(n_genesis, f, suite.threshold, rng);
-    let (enc_pub, enc_secs) = wbft_crypto::thresh_enc::deal_enc(n_genesis, f, suite.threshold, rng);
-    (0..n_total)
-        .map(|me| {
-            let idx = ShareIndex::for_node(me);
-            let (prbc_sec, cbc_sec, coin_sec, enc_sec) = if me < n_genesis {
-                (
-                    prbc_secs[me].clone(),
-                    cbc_secs[me].clone(),
-                    coin_secs[me].clone(),
-                    enc_secs[me].clone(),
-                )
-            } else {
-                (
-                    wbft_crypto::thresh_sig::SecretKeyShare::from_parts(
-                        idx,
-                        Scalar::ZERO,
-                        suite.threshold,
-                    ),
-                    wbft_crypto::thresh_sig::SecretKeyShare::from_parts(
-                        idx,
-                        Scalar::ZERO,
-                        suite.threshold,
-                    ),
-                    wbft_crypto::thresh_coin::CoinSecretShare::from_parts(idx, Scalar::ZERO),
-                    wbft_crypto::thresh_enc::EncSecretShare::from_parts(idx, Scalar::ZERO),
-                )
-            };
-            wbft_components::NodeCrypto {
-                me,
-                suite,
-                keypair: keypairs[me].clone(),
-                peer_keys: peer_keys.clone(),
-                key_epoch: 0,
-                prbc_pub: prbc_pub.clone(),
-                prbc_sec,
-                cbc_pub: cbc_pub.clone(),
-                cbc_sec,
-                coin_pub: coin_pub.clone(),
-                coin_sec,
-                enc_pub: enc_pub.clone(),
-                enc_sec,
-            }
-        })
-        .collect()
-}
-
-/// Builds the single-hop simulator and honesty mask shared by the standard
-/// run path and the fuzz harness's observed runs.
-pub(crate) fn build_single_hop(
-    cfg: &TestbedConfig,
-) -> (Simulator<ProtocolNode<Box<dyn Engine>>>, Vec<bool>) {
+/// Deals the single-hop identities of `cfg` from its seed — the simulator
+/// and every UDP process derive the identical key vectors without any
+/// exchange.
+pub(crate) fn deal_single_hop(cfg: &TestbedConfig) -> Vec<NodeCrypto> {
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xdea1);
-    let crypto = deal_node_crypto(cfg.n, cfg.suite, &mut rng);
-    let honest: Vec<bool> = (0..cfg.n)
-        .map(|i| !cfg.byzantine.iter().any(|(b, _)| *b == i))
-        .collect();
-    let behaviors: Vec<_> = crypto
-        .into_iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let engine = cfg.protocol.engine_at_depth(
-                c.clone(),
-                cfg.workload.clone(),
-                cfg.epochs,
-                cfg.pipeline_depth,
-            );
-            let engine: Box<dyn Engine> =
-                match cfg.byzantine.iter().find(|(b, _)| *b == i) {
-                    Some((_, mode)) => Box::new(ByzantineEngine::new(engine, *mode)),
-                    None => engine,
-                };
-            ProtocolNode::new(engine, c, ChannelId(0))
-        })
-        .collect();
-    let mut sim = Simulator::new(sim_config(cfg), Topology::single_hop(cfg.n), behaviors);
-    install_scheduler(cfg, &mut sim);
-    (sim, honest)
+    deal_committee_crypto(cfg.n, cfg.n_total(), cfg.suite, &mut rng)
 }
 
-fn run_single_hop(cfg: &TestbedConfig) -> RunReport {
-    let (mut sim, honest) = build_single_hop(cfg);
-    let deadline = SimTime::ZERO + cfg.deadline;
-    let completed = sim.run_until_pred(deadline, |s| {
-        s.behaviors().all(|(id, b)| !honest[id.index()] || b.is_done())
-    });
-    let elapsed = sim.now().saturating_since(SimTime::ZERO);
-    let decision_times: Vec<Vec<SimTime>> = sim
-        .behaviors()
-        .filter(|(id, _)| honest[id.index()])
-        .map(|(_, b)| b.clock().completed.clone())
-        .collect();
-    let reference = sim
-        .behaviors()
-        .find(|(id, _)| honest[id.index()])
-        .map(|(_, b)| b.blocks().to_vec())
-        .unwrap_or_default();
-    let total_txs: u64 = reference.iter().map(|b| b.txs.len() as u64).sum();
-    // Cross-node agreement is a hard invariant — check it on every run.
-    for (id, b) in sim.behaviors() {
-        if honest[id.index()] && completed {
-            assert_eq!(b.blocks(), &reference[..], "agreement violated at {id}");
+/// One single-hop node, on the simulator or a UDP runtime.
+pub(crate) type Node = ProtocolNode<Box<dyn Engine>>;
+
+/// The resources of one node that outlive (or sit outside) the node
+/// itself. Each is bound only when present, so a run whose axes need none
+/// of them gets the bare engine-on-a-radio every report was pinned with.
+pub(crate) struct Attach {
+    /// Live service binding.
+    pub service: Option<ServiceAttach>,
+    /// Durable block store — the node's disk. Whatever it already holds is
+    /// replayed before the engine starts, so one assembly serves cold boot
+    /// (empty store) and restart.
+    pub store: Option<Box<dyn JournalStore + Send>>,
+    /// Join the anti-entropy sync channel.
+    pub sync: bool,
+}
+
+/// The live-service binding of one node.
+pub(crate) struct ServiceAttach {
+    /// The handle epochs pull proposals from and stream commits into.
+    pub handle: ConsensusHandle,
+    /// Local arrival schedule (empty when submissions arrive over a
+    /// client gateway).
+    pub arrivals: Vec<(SimDuration, Tx)>,
+    /// Hard epoch bound.
+    pub max_epochs: u64,
+}
+
+/// Assembles one node of `cfg`: the only place an engine is built, wrapped
+/// and bound to its driver. The proposal source and stop follow the
+/// service binding (else the fixed workload and epoch count), membership
+/// follows `cfg.churn` (genesis members sponsor the plan's ops; joiners
+/// cannot propose until they are members, so they schedule nothing) and
+/// the Byzantine wrap follows `cfg.byzantine`.
+///
+/// # Errors
+///
+/// The durable store failed to replay.
+pub(crate) fn assemble(
+    cfg: &TestbedConfig,
+    crypto: NodeCrypto,
+    attach: Attach,
+) -> Result<Node, JournalError> {
+    let me = crypto.me;
+    let (source, stop) = match &attach.service {
+        Some(svc) => (
+            BatchSource::Service { handle: svc.handle.clone(), max_batch: cfg.workload.batch_size },
+            StopCondition::Service { handle: svc.handle.clone(), max_epochs: svc.max_epochs },
+        ),
+        None => (cfg.workload.clone().into(), StopCondition::Epochs(cfg.epochs)),
+    };
+    let membership = cfg.churn.as_ref().map(|plan| {
+        let mut ctl = MembershipCtl::new(crypto.clone(), cfg.n);
+        if me < cfg.n {
+            for op in &plan.ops {
+                ctl.schedule_op(plan.from_epoch, *op);
+            }
         }
+        ctl
+    });
+    let mut engine =
+        cfg.protocol.build(crypto.clone(), source, stop, cfg.pipeline_depth, membership);
+    let mut journal = None;
+    let mut recovered = 0;
+    if let Some(store) = attach.store {
+        let (opened, blocks) = BlockJournal::open(store)?;
+        // The recovered prefix re-enters the block stream and the mempool
+        // dedup set; the engine resumes from the epoch past it.
+        if let Some(svc) = &attach.service {
+            svc.handle.recover_chain(&blocks);
+        }
+        recovered = blocks.len();
+        engine.restore_chain(blocks);
+        journal = Some(opened);
     }
-    finish_report(completed, elapsed, decision_times, total_txs, sim.metrics().clone(), cfg.epochs)
+    if let Some((_, mode)) = cfg.byzantine.iter().find(|(b, _)| *b == me) {
+        engine = Box::new(ByzantineEngine::new(engine, *mode));
+    }
+    let mut node = ProtocolNode::new(engine, crypto, ChannelId(0)).with_recovered(recovered);
+    if let Some(svc) = attach.service {
+        node = node.with_service(svc.handle, svc.arrivals);
+    }
+    if let Some(journal) = journal {
+        node = node.with_journal(journal);
+    }
+    if attach.sync {
+        node = node.with_sync(ChannelId(SYNC_CHANNEL));
+    }
+    Ok(node)
 }
 
-/// Builds one journaled, sync-capable node for a crash run. `recover`
-/// replays whatever the durable store holds before the engine starts, so
-/// the same constructor serves both cold boot (empty store) and restart.
-fn build_crash_node(
+/// An oracle of [`Rig::finish`] failed: the run's honest nodes (or their
+/// journals) do not hold one agreed chain.
+pub(crate) struct Divergence(pub(crate) String);
+
+/// One single-hop scenario on the simulator, whatever axes it engages:
+/// the nodes, the scheduled crash/restart timeline, one completion
+/// predicate and one set of oracles.
+pub(crate) struct Rig<'a> {
+    cfg: &'a TestbedConfig,
+    pub(crate) sim: Simulator<Node>,
+    /// Nodes whose completion and agreement count: the honest ones.
+    gate: Vec<bool>,
+    /// The node whose chain is the agreement reference: the first honest
+    /// genesis member that neither crashes nor leaves — it follows the
+    /// whole run natively. `None` only when no such node exists.
+    reference: Option<usize>,
+    crypto: Vec<NodeCrypto>,
+    /// Per-node durable stores (crash runs; else empty). They outlive the
+    /// crashed incarnations — the sim's stand-in for each node's disk.
+    stores: Vec<SharedMem>,
+    /// Per-node service handles (service runs; else empty).
+    handles: Vec<ConsensusHandle>,
+    /// `(simulated µs, node, is restart)`, time-sorted.
+    timeline: Vec<(u64, usize, bool)>,
+}
+
+/// Node `i` of a simulated `cfg`, assembled with what the engaged axes
+/// need: service runs bind a handle and the arrival schedule, crash runs
+/// journal to a durable store (`stores` is empty otherwise).
+fn boot(
     cfg: &TestbedConfig,
     i: usize,
-    crypto: wbft_components::NodeCrypto,
-    store: &SharedMem,
-) -> ProtocolNode<Box<dyn Engine>> {
-    let (journal, blocks) = BlockJournal::open(Box::new(store.clone()))
-        .expect("durable journal recovery failed");
-    let recovered = blocks.len();
-    let mut engine = cfg.protocol.engine_at_depth(
-        crypto.clone(),
-        cfg.workload.clone(),
-        cfg.epochs,
-        cfg.pipeline_depth,
-    );
-    engine.restore_chain(blocks);
-    let engine: Box<dyn Engine> = match cfg.byzantine.iter().find(|(b, _)| *b == i) {
-        Some((_, mode)) => Box::new(ByzantineEngine::new(engine, *mode)),
-        None => engine,
-    };
-    ProtocolNode::new(engine, crypto, ChannelId(0))
-        .with_recovered(recovered)
-        .with_journal(journal)
-        .with_sync(ChannelId(SYNC_CHANNEL))
-}
-
-/// Everything a crash run's restart actions need beyond the simulator
-/// itself: the honest mask, the durable per-node stores, and the dealt
-/// crypto (restarts re-instantiate a node with its original identity).
-pub(crate) type CrashSetup = (
-    Simulator<ProtocolNode<Box<dyn Engine>>>,
-    Vec<bool>,
-    Vec<SharedMem>,
-    Vec<wbft_components::NodeCrypto>,
-);
-
-/// Builds the journaled, sync-capable single-hop simulator for a crash
-/// run, plus the durable stores and dealt crypto the restart actions need.
-/// Shared by the standard crash path and the fuzz harness.
-pub(crate) fn build_crash_single_hop(cfg: &TestbedConfig) -> CrashSetup {
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xdea1);
-    let crypto = deal_node_crypto(cfg.n, cfg.suite, &mut rng);
-    let honest: Vec<bool> = (0..cfg.n)
-        .map(|i| !cfg.byzantine.iter().any(|(b, _)| *b == i))
-        .collect();
-    // The durable stores outlive the crashed incarnations — they are the
-    // sim's stand-in for each node's disk.
-    let stores: Vec<SharedMem> = (0..cfg.n).map(|_| SharedMem::new()).collect();
-    let behaviors: Vec<_> = crypto
-        .iter()
-        .enumerate()
-        .map(|(i, c)| build_crash_node(cfg, i, c.clone(), &stores[i]))
-        .collect();
-    let mut topo = Topology::single_hop(cfg.n);
-    for i in 0..cfg.n {
-        topo.join_channel(NodeId(i as u16), ChannelId(SYNC_CHANNEL));
-    }
-    let mut sim = Simulator::new(sim_config(cfg), topo, behaviors);
-    install_scheduler(cfg, &mut sim);
-    (sim, honest, stores, crypto)
-}
-
-/// Phased execution of the crash plan: advances simulated time to each
-/// crash/restart in order and performs the action. On return every node is
-/// up again and the caller runs the sim to completion.
-pub(crate) fn apply_crash_timeline(
-    cfg: &TestbedConfig,
-    sim: &mut Simulator<ProtocolNode<Box<dyn Engine>>>,
-    crypto: &[wbft_components::NodeCrypto],
+    crypto: &[NodeCrypto],
     stores: &[SharedMem],
-) {
-    enum Action {
-        Crash(usize),
-        Restart(usize),
-    }
-    let Some(plan) = &cfg.crash else { return };
-    let mut actions: Vec<(u64, Action)> = Vec::new();
-    for ev in &plan.crashes {
-        actions.push((ev.at_us, Action::Crash(ev.node)));
-        actions.push((ev.restart_us, Action::Restart(ev.node)));
-    }
-    actions.sort_by_key(|(t, _)| *t);
-    for (t, action) in actions {
-        sim.run_until(SimTime::ZERO + SimDuration::from_micros(t));
-        match action {
-            Action::Crash(i) => sim.crash_node(NodeId(i as u16)),
-            Action::Restart(i) => {
-                let node = build_crash_node(cfg, i, crypto[i].clone(), &stores[i]);
-                sim.restart_node(NodeId(i as u16), node);
-            }
-        }
-    }
-}
-
-/// [`run_single_hop`] with the crash/churn axis engaged: every node
-/// journals commits to an in-memory durable store and listens on the
-/// reserved sync channel; the plan's nodes are crashed (volatile state
-/// dropped, in-flight frames cut) and restarted (journal replayed, chain
-/// caught up via anti-entropy) at their scheduled times.
-fn run_single_hop_with_crashes(cfg: &TestbedConfig) -> RunReport {
-    let plan = cfg.crash.clone().expect("crash path requires a plan");
-    let (mut sim, honest, stores, crypto) = build_crash_single_hop(cfg);
-    let deadline = SimTime::ZERO + cfg.deadline;
-    apply_crash_timeline(cfg, &mut sim, &crypto, &stores);
-    // Completion demands the restarted nodes too: a node that recovered
-    // its journal but never caught up keeps the run from completing.
-    let completed = sim.run_until_pred(deadline, |s| {
-        s.behaviors().all(|(id, b)| !honest[id.index()] || b.is_done())
-    });
-    let elapsed = sim.now().saturating_since(SimTime::ZERO);
-    let decision_times: Vec<Vec<SimTime>> = sim
-        .behaviors()
-        .filter(|(id, _)| honest[id.index()])
-        .map(|(_, b)| b.clock().completed.clone())
-        .collect();
-    let never_crashed_honest = |i: usize| -> bool {
-        honest[i] && !plan.crashes.iter().any(|ev| ev.node == i)
+    handles: &[ConsensusHandle],
+) -> Node {
+    let attach = Attach {
+        service: cfg.service.as_ref().map(|svc| ServiceAttach {
+            handle: handles[i].clone(),
+            arrivals: svc.arrivals.schedule(i),
+            max_epochs: svc.max_epochs,
+        }),
+        store: stores.get(i).map(|s| Box::new(s.clone()) as Box<dyn JournalStore + Send>),
+        sync: cfg.syncs(),
     };
-    let reference = sim
-        .behaviors()
-        .find(|(id, _)| never_crashed_honest(id.index()))
-        .map(|(_, b)| b.blocks().to_vec())
-        .unwrap_or_default();
-    let total_txs: u64 = reference.iter().map(|b| b.txs.len() as u64).sum();
-    for (id, b) in sim.behaviors() {
-        if honest[id.index()] {
-            // Prefix agreement always; level chains once completed — a
-            // restarted node must have converged with the survivors.
-            let common = b.blocks().len().min(reference.len());
-            assert_eq!(&b.blocks()[..common], &reference[..common], "agreement violated at {id}");
-            if completed {
-                assert_eq!(b.blocks().len(), reference.len(), "chains not level at {id}");
-            }
-        }
-    }
-    // The durable stores must themselves replay to the agreed chain — the
-    // journal is the recovery story, so check it, not just the engines.
-    for ev in &plan.crashes {
-        let (_, blocks) = BlockJournal::open(Box::new(stores[ev.node].clone()))
-            .expect("post-run journal replay failed");
-        let common = blocks.len().min(reference.len());
-        assert_eq!(
-            crate::recovery::chain_digests(&blocks[..common]),
-            crate::recovery::chain_digests(&reference[..common]),
-            "journal of node {} diverged from the agreed chain",
-            ev.node
-        );
-    }
-    finish_report(completed, elapsed, decision_times, total_txs, sim.metrics().clone(), cfg.epochs)
+    assemble(cfg, crypto[i].clone(), attach).expect("durable journal recovery failed")
 }
 
-/// Builds the single-hop simulator for a dynamic-membership run: all
-/// `n_total` nodes (genesis members plus scheduled joiners) from the
-/// start, every one sync-capable and membership-aware. The honesty mask is
-/// all-true (churn plans are honest-only). Shared by the standard churn
-/// path and the fuzz harness.
-pub(crate) fn build_churn_single_hop(
-    cfg: &TestbedConfig,
-) -> (Simulator<ProtocolNode<Box<dyn Engine>>>, Vec<bool>) {
-    use rand::SeedableRng;
-    let plan = cfg.churn.clone().expect("churn path requires a plan");
-    let n_total = plan
-        .ops
+/// The completion predicate, evaluated after every simulator event.
+/// Service runs: every gated node saw its full arrival schedule and
+/// resolved every admitted transaction into a block, and the gated chains
+/// are level (no node still waiting on the final commit). Otherwise: every
+/// gated node's engine is done.
+fn complete(sim: &Simulator<Node>, gate: &[bool], handles: &[ConsensusHandle], expected: u64) -> bool {
+    let mut gated = sim.behaviors().filter(|(id, _)| gate[id.index()]);
+    if handles.is_empty() {
+        return gated.all(|(_, b)| b.is_done());
+    }
+    let drained = handles
         .iter()
-        .filter_map(|op| match op {
-            MembershipOp::Join(id) => Some(*id as usize + 1),
-            MembershipOp::Leave(_) => None,
-        })
-        .max()
-        .unwrap_or(cfg.n)
-        .max(cfg.n);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xdea1);
-    let crypto = deal_churn_crypto(cfg.n, n_total, cfg.suite, &mut rng);
-    let behaviors: Vec<_> = crypto
-        .into_iter()
-        .map(|c| {
-            let mut ctl = MembershipCtl::new(c.clone(), cfg.n);
-            // Genesis members sponsor the change; joiners cannot propose
-            // until they are members, so they schedule nothing.
-            if c.me < cfg.n {
-                for op in &plan.ops {
-                    ctl.schedule_op(plan.from_epoch, *op);
-                }
-            }
-            let engine = cfg.protocol.build(
-                c.clone(),
-                cfg.workload.clone().into(),
-                StopCondition::Epochs(cfg.epochs),
-                1,
-                Some(ctl),
-            );
-            ProtocolNode::new(engine, c, ChannelId(0)).with_sync(ChannelId(SYNC_CHANNEL))
-        })
-        .collect();
-    let mut topo = Topology::single_hop(n_total);
-    for i in 0..n_total {
-        topo.join_channel(NodeId(i as u16), ChannelId(SYNC_CHANNEL));
+        .zip(gate)
+        .filter(|(_, gated)| **gated)
+        .all(|(h, _)| h.submissions() == expected && h.drained());
+    drained && {
+        let first = gated.next().map_or(0, |(_, b)| b.blocks().len());
+        gated.all(|(_, b)| b.blocks().len() == first)
     }
-    let mut sim = Simulator::new(sim_config(cfg), topo, behaviors);
-    install_scheduler(cfg, &mut sim);
-    let honest = vec![true; n_total];
-    (sim, honest)
 }
 
-/// [`run_single_hop`] with the dynamic-membership axis engaged. All
-/// `n_total` nodes (genesis members plus scheduled joiners) are simulated
-/// from the start: joiners idle until they bootstrap the chain over the
-/// anti-entropy sync channel, genesis members inject the plan's ops into
-/// their proposals, and once the ops commit the old committee reshare's
-/// canonical dealers hand the threshold keys to the new committee before
-/// it activates. Completion requires every node — leavers and joiners
-/// included — to hold the full agreed chain.
-fn run_single_hop_with_churn(cfg: &TestbedConfig) -> RunReport {
-    let plan = cfg.churn.clone().expect("churn path requires a plan");
-    let (mut sim, _) = build_churn_single_hop(cfg);
-    let deadline = SimTime::ZERO + cfg.deadline;
-    // Every node gates completion: leavers and joiners finish by adopting
-    // the agreed chain over the sync channel.
-    let completed = sim.run_until_pred(deadline, |s| s.behaviors().all(|(_, b)| b.is_done()));
-    let elapsed = sim.now().saturating_since(SimTime::ZERO);
-    let decision_times: Vec<Vec<SimTime>> =
-        sim.behaviors().map(|(_, b)| b.clock().completed.clone()).collect();
-    // Reference chain: a genesis member that never leaves — it follows the
-    // whole run natively, before and after activation.
-    let survives = |i: usize| -> bool {
-        i < cfg.n && !plan.ops.contains(&MembershipOp::Leave(i as u16))
-    };
-    let reference = sim
-        .behaviors()
-        .find(|(id, _)| survives(id.index()))
-        .map(|(_, b)| b.blocks().to_vec())
-        .unwrap_or_default();
-    let total_txs: u64 = reference.iter().map(|b| b.txs.len() as u64).sum();
-    for (id, b) in sim.behaviors() {
-        // Prefix agreement always; level chains once completed — the
-        // honest digest chains of old and new members alike must agree as
-        // a common prefix of the same ledger.
-        let common = b.blocks().len().min(reference.len());
-        assert_eq!(&b.blocks()[..common], &reference[..common], "agreement violated at {id}");
-        if completed {
-            assert_eq!(b.blocks().len(), reference.len(), "chains not level at {id}");
-        }
-    }
-    if completed {
-        // The plan must actually have bitten inside the run: every
-        // scheduled op sits committed in the agreed chain.
-        let committed: Vec<MembershipOp> = reference
+impl<'a> Rig<'a> {
+    /// Builds the scenario `cfg` describes (which [`validate`] accepted).
+    pub(crate) fn build(cfg: &'a TestbedConfig) -> Self {
+        let crypto = deal_single_hop(cfg);
+        let n_total = crypto.len();
+        let crashes = || cfg.crash.iter().flat_map(|plan| &plan.crashes);
+        let leaves =
+            |i| cfg.churn.iter().any(|plan| plan.ops.contains(&MembershipOp::Leave(i as u16)));
+        let gate: Vec<bool> =
+            (0..n_total).map(|i| !cfg.byzantine.iter().any(|(b, _)| *b == i)).collect();
+        let reference =
+            (0..cfg.n).find(|&i| gate[i] && !crashes().any(|ev| ev.node == i) && !leaves(i));
+        let stores: Vec<SharedMem> =
+            cfg.crash.iter().flat_map(|_| (0..n_total).map(|_| SharedMem::new())).collect();
+        let handles: Vec<ConsensusHandle> = cfg
+            .service
             .iter()
-            .flat_map(|b| b.txs.iter().filter_map(|tx| wbft_membership::decode_op(tx.as_ref())))
+            .flat_map(|svc| (0..n_total).map(|_| ConsensusHandle::new(svc.mempool_capacity)))
             .collect();
-        for op in &plan.ops {
-            assert!(committed.contains(op), "churn op {op} never committed");
-        }
-    }
-    finish_report(completed, elapsed, decision_times, total_txs, sim.metrics().clone(), cfg.epochs)
-}
-
-/// The live-service counterpart of [`run_single_hop`]: every node owns a
-/// [`ConsensusHandle`] whose mempool is fed by the deterministic open-loop
-/// arrival schedule (injected through driver timers), epochs pull
-/// proposals from the pool, and the run completes when every honest node's
-/// submissions are resolved and all honest chains are level. The report
-/// carries the standard figures plus a [`ServiceReport`] with per-tx
-/// commit-latency percentiles and backpressure counters.
-fn run_service_single_hop(cfg: &TestbedConfig, svc: &ServiceConfig) -> RunReport {
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xdea1);
-    let crypto = deal_node_crypto(cfg.n, cfg.suite, &mut rng);
-    let honest: Vec<bool> = (0..cfg.n)
-        .map(|i| !cfg.byzantine.iter().any(|(b, _)| *b == i))
-        .collect();
-    let handles: Vec<ConsensusHandle> =
-        (0..cfg.n).map(|_| ConsensusHandle::new(svc.mempool_capacity)).collect();
-    let behaviors: Vec<_> = crypto
-        .into_iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let engine = cfg.protocol.service_engine_at_depth(
-                c.clone(),
-                handles[i].clone(),
-                cfg.workload.batch_size,
-                svc.max_epochs,
-                cfg.pipeline_depth,
-            );
-            let engine: Box<dyn Engine> =
-                match cfg.byzantine.iter().find(|(b, _)| *b == i) {
-                    Some((_, mode)) => Box::new(ByzantineEngine::new(engine, *mode)),
-                    None => engine,
-                };
-            ProtocolNode::new(engine, c, ChannelId(0))
-                .with_service(handles[i].clone(), svc.arrivals.schedule(i))
-        })
-        .collect();
-    let mut sim = Simulator::new(sim_config(cfg), Topology::single_hop(cfg.n), behaviors);
-    install_scheduler(cfg, &mut sim);
-    let deadline = SimTime::ZERO + cfg.deadline;
-    let expected = svc.arrivals.per_node;
-    let completed = sim.run_until_pred(deadline, |s| {
-        // Every honest node saw its full arrival schedule and resolved
-        // every admitted transaction into a block...
-        let drained = handles
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| honest[*i])
-            .all(|(_, h)| h.submissions() == expected && h.drained());
-        // ...and the honest chains are level (no node still waiting on the
-        // final commit), so the agreement check below sees whole chains.
-        drained && {
-            let mut lens =
-                s.behaviors().filter(|(id, _)| honest[id.index()]).map(|(_, b)| b.blocks().len());
-            let first = lens.next().unwrap_or(0);
-            lens.all(|l| l == first)
-        }
-    });
-    let elapsed = sim.now().saturating_since(SimTime::ZERO);
-    let decision_times: Vec<Vec<SimTime>> = sim
-        .behaviors()
-        .filter(|(id, _)| honest[id.index()])
-        .map(|(_, b)| b.clock().completed.clone())
-        .collect();
-    let reference = sim
-        .behaviors()
-        .find(|(id, _)| honest[id.index()])
-        .map(|(_, b)| b.blocks().to_vec())
-        .unwrap_or_default();
-    let total_txs: u64 = reference.iter().map(|b| b.txs.len() as u64).sum();
-    // Prefix agreement is the BFT invariant; when the run completed the
-    // predicate already levelled the chains, so prefixes are whole chains.
-    for (id, b) in sim.behaviors() {
-        if honest[id.index()] {
-            let common = b.blocks().len().min(reference.len());
-            assert_eq!(
-                &b.blocks()[..common],
-                &reference[..common],
-                "agreement violated at {id}"
-            );
-            if completed {
-                assert_eq!(b.blocks().len(), reference.len(), "chains not level at {id}");
+        let mut timeline: Vec<(u64, usize, bool)> = crashes()
+            .flat_map(|ev| [(ev.at_us, ev.node, false), (ev.restart_us, ev.node, true)])
+            .collect();
+        timeline.sort_by_key(|(t, ..)| *t);
+        let behaviors: Vec<Node> =
+            (0..n_total).map(|i| boot(cfg, i, &crypto, &stores, &handles)).collect();
+        let mut topo = Topology::single_hop(n_total);
+        if cfg.syncs() {
+            for i in 0..n_total {
+                topo.join_channel(NodeId(i as u16), ChannelId(SYNC_CHANNEL));
             }
         }
+        let mut sim = Simulator::new(sim_config(cfg), topo, behaviors);
+        install_scheduler(cfg, &mut sim);
+        Rig { cfg, sim, gate, reference, crypto, stores, handles, timeline }
     }
-    let stats: Vec<ServiceStats> = handles
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| honest[*i])
-        .map(|(_, h)| h.stats())
-        .collect();
-    let mut report = finish_report(
-        completed,
-        elapsed,
-        decision_times,
-        total_txs,
-        sim.metrics().clone(),
-        reference.len() as u64,
-    );
-    report.service = Some(ServiceReport::aggregate(&stats));
-    report
+
+    /// Plays the crash/restart timeline, then races the completion
+    /// predicate against `deadline` — and against `extra_stop`, which is
+    /// how the fuzzer adds its event budget. Returns whether the scenario
+    /// completed.
+    pub(crate) fn run(
+        &mut self,
+        deadline: SimTime,
+        mut extra_stop: impl FnMut(&Simulator<Node>) -> bool,
+    ) -> bool {
+        for (t, i, restart) in std::mem::take(&mut self.timeline) {
+            self.sim.run_until(SimTime::ZERO + SimDuration::from_micros(t));
+            if restart {
+                // Same identity, same disk: the journal replays whatever
+                // the dead incarnation committed.
+                let node = boot(self.cfg, i, &self.crypto, &self.stores, &self.handles);
+                self.sim.restart_node(NodeId(i as u16), node);
+            } else {
+                self.sim.crash_node(NodeId(i as u16));
+            }
+        }
+        let (gate, handles) = (&self.gate, &self.handles);
+        let expected = self.cfg.service.as_ref().map_or(0, |svc| svc.arrivals.per_node);
+        self.sim.run_until_pred(deadline, |s| extra_stop(s) || complete(s, gate, handles, expected));
+        complete(&self.sim, gate, handles, expected)
+    }
+
+    /// The agreement reference chain.
+    pub(crate) fn reference_chain(&self) -> &[Block] {
+        match self.reference {
+            Some(i) => self.sim.behavior(NodeId(i as u16)).blocks(),
+            None => &[],
+        }
+    }
+
+    /// The gated (honest) nodes that are up.
+    pub(crate) fn gated(&self) -> impl Iterator<Item = (NodeId, &Node)> {
+        self.sim.behaviors().filter(|(id, _)| self.gate[id.index()])
+    }
+
+    /// Checks the oracles and aggregates the report. Prefix agreement with
+    /// the reference is the BFT invariant and holds at any instant; a
+    /// completed run must also have level chains (restarted nodes, leavers
+    /// and joiners converged), journals that replay to the agreed chain —
+    /// the journal is the recovery story, so check it, not just the
+    /// engines — and every scheduled membership op committed.
+    ///
+    /// # Errors
+    ///
+    /// The first oracle that failed.
+    pub(crate) fn finish(&self, completed: bool) -> Result<RunReport, Divergence> {
+        let reference = self.reference_chain();
+        let agrees = |chain: &[Block]| {
+            let common = chain.len().min(reference.len());
+            chain[..common] == reference[..common]
+        };
+        for (id, b) in self.gated() {
+            if !agrees(b.blocks()) {
+                return Err(Divergence(format!("agreement violated at {id}")));
+            }
+            if completed && b.blocks().len() != reference.len() {
+                return Err(Divergence(format!("chains not level at {id}")));
+            }
+        }
+        for ev in self.cfg.crash.iter().flat_map(|plan| &plan.crashes) {
+            let replayed = BlockJournal::open(Box::new(self.stores[ev.node].clone()));
+            if !replayed.is_ok_and(|(_, blocks)| agrees(&blocks)) {
+                return Err(Divergence(format!(
+                    "journal of node {} diverged from the agreed chain",
+                    ev.node
+                )));
+            }
+        }
+        if let Some(plan) = self.cfg.churn.as_ref().filter(|_| completed) {
+            let committed = |op: &MembershipOp| {
+                reference
+                    .iter()
+                    .flat_map(|b| &b.txs)
+                    .any(|tx| wbft_membership::decode_op(tx.as_ref()) == Some(*op))
+            };
+            if let Some(op) = plan.ops.iter().find(|op| !committed(op)) {
+                return Err(Divergence(format!("churn op {op} never committed")));
+            }
+        }
+        let decision_times = self.gated().map(|(_, b)| b.clock().completed.clone()).collect();
+        let total_txs = reference.iter().map(|b| b.txs.len() as u64).sum();
+        // Service runs report however many epochs the load took.
+        let epochs =
+            if self.handles.is_empty() { self.cfg.epochs } else { reference.len() as u64 };
+        let elapsed = self.sim.now().saturating_since(SimTime::ZERO);
+        let metrics = self.sim.metrics().clone();
+        let mut report =
+            finish_report(completed, elapsed, decision_times, total_txs, metrics, epochs);
+        if !self.handles.is_empty() {
+            let stats: Vec<ServiceStats> = self
+                .handles
+                .iter()
+                .zip(&self.gate)
+                .filter(|(_, gated)| **gated)
+                .map(|(h, _)| h.stats())
+                .collect();
+            report.service = Some(ServiceReport::aggregate(&stats));
+        }
+        Ok(report)
+    }
 }
 
+/// The clustered counterpart of the rig. `ClusterNode` is a different
+/// `NodeBehavior` driving two engines, so it shares the simulator setup and
+/// the aggregation with the rig, not the node assembly.
 fn run_multi_hop(cfg: &TestbedConfig, m: usize) -> RunReport {
     use rand::SeedableRng;
     assert!(m >= 4, "global tier needs at least 4 clusters (3f+1)");
@@ -994,19 +935,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceed f")]
-    fn crash_plan_beyond_f_is_rejected() {
-        let mut cfg = TestbedConfig::single_hop(Protocol::Beat);
-        cfg.crash = Some(CrashPlan {
-            crashes: vec![
-                CrashEvent { node: 0, at_us: 1, restart_us: 2 },
-                CrashEvent { node: 1, at_us: 1, restart_us: 2 },
-            ],
-        });
-        validate(&cfg);
-    }
-
-    #[test]
     fn membership_swap_commits_under_new_committee() {
         // The issue's headline scenario: node n joins and node 0 leaves
         // mid-run; the run keeps committing epochs under the new
@@ -1025,41 +953,103 @@ mod tests {
         assert!(report.total_txs > 0);
     }
 
-    #[test]
-    #[should_panic(expected = "cannot activate")]
-    fn churn_without_activation_room_is_rejected() {
-        let mut cfg = TestbedConfig::single_hop(Protocol::Beat);
-        // Default epochs = 2: a change from epoch 0 activates at 2 at the
-        // earliest, past the stop.
-        cfg.churn = Some(ChurnPlan {
-            from_epoch: 0,
-            ops: vec![MembershipOp::Join(4), MembershipOp::Leave(0)],
-        });
-        validate(&cfg);
+    fn crash_at(node: usize) -> Option<CrashPlan> {
+        Some(CrashPlan { crashes: vec![CrashEvent { node, at_us: 1_000, restart_us: 2_000 }] })
     }
 
-    #[test]
-    #[should_panic(expected = "invalid committee size")]
-    fn churn_to_invalid_size_is_rejected() {
-        let mut cfg = TestbedConfig::single_hop(Protocol::Beat);
-        cfg.epochs = 8;
-        cfg.churn = Some(ChurnPlan { from_epoch: 1, ops: vec![MembershipOp::Leave(0)] });
-        validate(&cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "do not compose with crash plans")]
-    fn churn_and_crash_together_are_rejected() {
-        let mut cfg = TestbedConfig::single_hop(Protocol::Beat);
-        cfg.epochs = 8;
-        cfg.churn = Some(ChurnPlan {
+    fn swap() -> Option<ChurnPlan> {
+        Some(ChurnPlan {
             from_epoch: 1,
             ops: vec![MembershipOp::Join(4), MembershipOp::Leave(0)],
-        });
-        cfg.crash = Some(CrashPlan {
-            crashes: vec![CrashEvent { node: 1, at_us: 1_000, restart_us: 2_000 }],
-        });
-        validate(&cfg);
+        })
+    }
+
+    /// Every pair of axes is either pinned legal or pinned refused with
+    /// its reason; the single-axis rows pin each plan's own bounds.
+    #[test]
+    fn check_accepts_what_composes_and_refuses_the_rest_with_a_reason() {
+        type Mutation = fn(&mut TestbedConfig);
+        let multihop: Mutation = |c| c.clusters = Some(4);
+        let service: Mutation = |c| c.service = Some(ServiceConfig::small());
+        let w2: Mutation = |c| c.pipeline_depth = 2;
+        let w4: Mutation = |c| c.pipeline_depth = 4;
+        let byz: Mutation = |c| c.byzantine = vec![(1, ByzantineMode::Silent)];
+        let crash: Mutation = |c| c.crash = crash_at(2);
+        let churn: Mutation = |c| {
+            c.epochs = 8;
+            c.churn = swap();
+        };
+        let n7: Mutation = |c| c.n = 7;
+        let rows: &[(&[Mutation], Result<(), &str>)] = &[
+            (&[], Ok(())),
+            // Legal pairs.
+            (&[service, w2], Ok(())),
+            (&[service, byz], Ok(())),
+            (&[w2, byz], Ok(())),
+            (&[crash, w2], Ok(())),
+            (&[churn, w4], Ok(())),
+            (&[n7, crash, byz], Ok(())),
+            // Refused pairs: one row per `EXCLUSIONS` entry.
+            (&[multihop, service], Err("no client handle reaches a cluster tier")),
+            (&[multihop, w2], Err("no window to deepen")),
+            (&[multihop, byz], Err("ClusterNode has no Byzantine wrap")),
+            (&[multihop, crash], Err("no journal and no sync channel")),
+            (&[multihop, churn], Err("fixed committees")),
+            (&[service, crash], Err("restarted node's mempool is gone")),
+            (&[service, churn], Err("leaver stops proposing")),
+            (&[byz, churn], Err("one that never deals has no fallback")),
+            (&[crash, churn], Err("reshared key shares are not journaled")),
+            // Each axis's own bounds.
+            (&[|c| c.pipeline_depth = 0], Err("invalid pipeline depth")),
+            (&[|c| c.byzantine = vec![(4, ByzantineMode::Silent)]], Err("names node 4 but n = 4")),
+            (&[byz, byz, |c| c.byzantine.push((1, ByzantineMode::FlipVotes))], Err("more than once")),
+            (&[crash, byz], Err("exceed f")),
+            (&[|c| c.crash = crash_at(4)], Err("crash event names node 4")),
+            (&[n7, byz, |c| c.crash = crash_at(1)], Err("both Byzantine and crash-scheduled")),
+            (&[|c| c.churn = swap()], Err("cannot activate")),
+            (
+                &[churn, |c| c.churn = Some(ChurnPlan { from_epoch: 1, ops: vec![MembershipOp::Leave(0)] })],
+                Err("invalid committee size"),
+            ),
+        ];
+        for (i, (mutations, expected)) in rows.iter().enumerate() {
+            let mut cfg = TestbedConfig::single_hop(Protocol::Beat);
+            for mutate in *mutations {
+                mutate(&mut cfg);
+            }
+            match (cfg.check(), expected) {
+                (Ok(()), Ok(())) => {}
+                (Err(why), Err(reason)) => {
+                    assert!(why.contains(reason), "row {i}: refused with {why:?}, not {reason:?}")
+                }
+                (got, _) => panic!("row {i}: expected {expected:?}, got {got:?}"),
+            }
+        }
+        // The rows above cover the whole matrix: every pair is in exactly
+        // one of the two lists.
+        let refused = |a: Axis, b: Axis| {
+            EXCLUSIONS.iter().any(|(x, y, _)| (*x, *y) == (a, b) || (*x, *y) == (b, a))
+        };
+        let pairs = Axis::ALL.iter().flat_map(|a| Axis::ALL.iter().map(move |b| (*a, *b)));
+        assert_eq!(pairs.filter(|(a, b)| a != b && refused(*a, *b)).count(), 2 * EXCLUSIONS.len());
+    }
+
+    /// The README's composition table is generated from `EXCLUSIONS`.
+    #[test]
+    fn readme_composition_table_matches_the_exclusions() {
+        let readme =
+            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
+                .unwrap();
+        for (i, a) in Axis::ALL.iter().enumerate() {
+            for b in &Axis::ALL[i + 1..] {
+                let verdict = EXCLUSIONS
+                    .iter()
+                    .find(|(x, y, _)| (x, y) == (a, b))
+                    .map_or("legal".to_string(), |(.., why)| format!("refused: {why}"));
+                let row = format!("| {} × {} | {verdict} |", a.name(), b.name());
+                assert!(readme.contains(&row), "README.md lacks the row:\n{row}");
+            }
+        }
     }
 
     #[test]

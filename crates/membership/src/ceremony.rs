@@ -18,8 +18,12 @@
 //! (CBC, `t = 2f`) needs. The set is a pure function of the two
 //! configurations, so every node waits for the *same* deals and derives
 //! the *same* shares; a canonical dealer that never deals stalls the
-//! ceremony (crash/Byzantine-dealer fallback is tracked as a follow-on,
-//! and the testbed refuses plans that crash a scheduled dealer).
+//! ceremony. There is no fallback for a crashed or Byzantine dealer yet,
+//! and reshared shares are not journaled, so a restarted node could not
+//! recover its new-epoch shares either. The testbed therefore refuses a
+//! churn plan together with *any* crash plan or Byzantine placement
+//! outright (`TestbedConfig::check`), not only ones that hit a scheduled
+//! dealer.
 //!
 //! Subshares travel in the clear — see `wbft_crypto::reshare` for why that
 //! is acceptable in this simulation substrate.

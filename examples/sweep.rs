@@ -42,21 +42,23 @@ fn usage() -> ! {
          \x20          1 decided block); each --byz entry is a separate sweep axis value\n\
          service:   adds a live-submission axis next to the fixed-epoch run, e.g.\n\
          \x20          --service 2000x8@64 = one tx every 2000ms per node, 8 per node,\n\
-         \x20          mempool capacity 64 (single-hop only; per-tx latency percentiles\n\
-         \x20          and mempool drop counts land in the report's \"service\" member)\n\
+         \x20          mempool capacity 64 (per-tx latency percentiles and mempool\n\
+         \x20          drop counts land in the report's \"service\" member)\n\
          depths:    pipeline depths W as a sweep axis, e.g. --depths 1,2,4; W epochs\n\
          \x20          keep their dissemination in flight while earlier epochs finish\n\
-         \x20          agreement (W=1 = sequential; single-hop only)\n\
+         \x20          agreement (W=1 = sequential)\n\
          crash:     adds a crash/churn axis next to the churn-free run, e.g.\n\
          \x20          --crash 2@5-30 = node 2 dies 5s in and restarts at 30s,\n\
          \x20          recovering its journal and catching up via anti-entropy\n\
-         \x20          (seconds of simulated time; single-hop, non-service only)\n\
+         \x20          (seconds of simulated time)\n\
          churn:     adds a dynamic-membership axis next to the static-committee\n\
          \x20          run, e.g. --churn join4+leave0@1 = from epoch 1 the genesis\n\
          \x20          members propose admitting node 4 and retiring node 0; the\n\
          \x20          ops commit on-chain, threshold keys are reshared dealerlessly,\n\
          \x20          and the new committee takes over two epochs after the commit\n\
-         \x20          (single-hop, honest, sequential only)\n\
+         composing: a grid point whose axes cannot be combined (README, \"Scenario axes\n\
+         \x20          and what composes\") refuses the sweep with the scenario label\n\
+         \x20          and the reason, exit code 2\n\
          reports:   one <label>.json per scenario under --out\n\
          \x20          (default target/reports/sweep); WBFT_SWEEP_THREADS sets the\n\
          \x20          default worker count"
@@ -237,47 +239,16 @@ fn main() {
         usage();
     }
 
-    // Contradictory axes are configuration bugs, not scenarios — reject
-    // them here with the offending axis value's index, like the loss-model
-    // validation inside expand(), instead of panicking in a worker thread.
-    for (ci, churn) in spec.churns.iter().enumerate() {
-        let Some(plan) = churn else { continue };
-        for (ti, topo) in spec.topologies.iter().enumerate() {
-            if topo.is_some() {
-                eprintln!(
-                    "sweep: churn axis value #{ci} contradicts topology axis value #{ti} \
-                     (clustered) — membership churn is single-hop only"
-                );
-                std::process::exit(2);
-            }
-        }
-        for (ki, crash) in spec.crashes.iter().enumerate() {
-            let Some(crash_plan) = crash else { continue };
-            // A crash of a node scheduled to leave is doubly contradictory
-            // — name it specifically before the generic rejection.
-            for ev in &crash_plan.crashes {
-                if plan.ops.contains(&MembershipOp::Leave(ev.node as u16)) {
-                    eprintln!(
-                        "sweep: churn axis value #{ci} schedules node {} to leave the \
-                         committee while crash axis value #{ki} crash-restarts it — \
-                         drop one of the two",
-                        ev.node
-                    );
-                    std::process::exit(2);
-                }
-            }
-            eprintln!(
-                "sweep: churn axis value #{ci} contradicts crash axis value #{ki} — \
-                 membership churn and crash plans do not compose yet"
-            );
-            std::process::exit(2);
-        }
-    }
-
     // Precedence: --threads > WBFT_SWEEP_THREADS > available parallelism
     // (a zero at either level falls through to the next).
     let threads = resolve_threads(threads, |key| std::env::var(key).ok());
-    let scenarios = spec.expand();
+    // Contradictory axis values are configuration bugs, not scenarios:
+    // refuse the grid with the offending scenario's label and the reason
+    // before any worker starts.
+    let scenarios = spec.try_expand().unwrap_or_else(|why| {
+        eprintln!("{why}");
+        std::process::exit(2);
+    });
     println!(
         "sweep: {} scenarios ({} protocols x {} topologies x {} suites x {} loss x {} placements x {} depths x {} crash x {} churn x {} seeds), {} threads",
         scenarios.len(),

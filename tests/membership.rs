@@ -45,16 +45,17 @@ fn churn_sweep_report_matches_pinned_fixture() {
     );
 }
 
-fn churn_run(protocol: Protocol, plan: ChurnPlan) {
+fn churn_run(protocol: Protocol, depth: u64, plan: ChurnPlan) {
     let mut cfg = TestbedConfig::single_hop(protocol);
     cfg.epochs = 5;
+    cfg.pipeline_depth = depth;
     cfg.workload.batch_size = 8;
     // The sweep's budget: the unbatched baselines need over an hour of
     // simulated LoRa time for five epochs.
     cfg.deadline = wbft_wireless::SimDuration::from_secs(14_400);
     cfg.churn = Some(plan);
     let report = run(&cfg);
-    assert!(report.completed, "{protocol:?} churn run must converge");
+    assert!(report.completed, "{protocol:?} W={depth} churn run must converge");
     assert_eq!(report.epoch_latencies.len(), 5);
     assert!(report.total_txs > 0);
 }
@@ -66,6 +67,7 @@ fn lc_engines_grow_the_committee() {
     for protocol in [Protocol::HoneyBadgerLc, Protocol::DumboLc] {
         churn_run(
             protocol,
+            1,
             ChurnPlan {
                 from_epoch: 1,
                 ops: vec![
@@ -78,18 +80,29 @@ fn lc_engines_grow_the_committee() {
     }
 }
 
+fn swap() -> ChurnPlan {
+    ChurnPlan { from_epoch: 1, ops: vec![MembershipOp::Join(4), MembershipOp::Leave(0)] }
+}
+
 /// The headline swap (join 4, leave 0) under all eight deployments; `run`
 /// asserts level, agreeing chains with both ops committed.
 #[test]
 fn every_deployment_swaps_a_member() {
     for protocol in Protocol::ALL {
-        churn_run(
-            protocol,
-            ChurnPlan {
-                from_epoch: 1,
-                ops: vec![MembershipOp::Join(4), MembershipOp::Leave(0)],
-            },
-        );
+        churn_run(protocol, 1, swap());
+    }
+}
+
+/// The swap under a pipelined window. At `W = 4` the window is deeper
+/// than `ACTIVATION_DELAY`: the engine must hold epochs whose committee
+/// the committed prefix does not determine yet, or the run stalls on
+/// epochs opened under the superseded view.
+#[test]
+fn pipelined_engines_swap_a_member() {
+    for protocol in [Protocol::HoneyBadgerSc, Protocol::DumboSc] {
+        for depth in [2, 4] {
+            churn_run(protocol, depth, swap());
+        }
     }
 }
 

@@ -117,12 +117,3 @@ fn zero_depth_is_rejected() {
     cfg.pipeline_depth = 0;
     run(&cfg);
 }
-
-/// Pipelining is single-hop only (clustered pipelining is a follow-on).
-#[test]
-#[should_panic(expected = "single-hop only")]
-fn pipelined_multihop_is_rejected() {
-    let mut cfg = TestbedConfig::multi_hop(Protocol::Beat);
-    cfg.pipeline_depth = 2;
-    run(&cfg);
-}
