@@ -7,13 +7,21 @@
 //! counterparts, prints the table, and writes a JSON report to
 //! `target/reports/hotpath/` so CI can track the numbers across PRs.
 //!
+//! The predicates behind the verdict memo (`wbft_crypto::memo`) are timed
+//! twice, on inputs never seen before (`first_sight`: the miss path plus the
+//! insert) and on the same inputs again (`repeat`: the hit path) — one
+//! number for both would report whichever the loop happened to hit.
+//!
 //! Acceptance gate: quorum-9 batched share verification must be ≥ 3× faster
 //! than per-share verification.
 
 use rand::SeedableRng;
 use std::time::Instant;
-use wbft_bench::{banner, report_dir, row, write_json};
-use wbft_crypto::{thresh_sig, GroupElem, PrecomputedBase, Scalar, ThresholdCurve};
+use wbft_bench::{banner, pass_us, report_dir, row, write_json};
+use wbft_crypto::schnorr::KeyPair;
+use wbft_crypto::{
+    memo, thresh_enc, thresh_sig, EcdsaCurve, GroupElem, PrecomputedBase, Scalar, ThresholdCurve,
+};
 use wbft_report::Json;
 
 /// Quorum sizes under test: the `f+1` and `2f+1` thresholds of small and
@@ -175,6 +183,45 @@ fn main() {
         ]));
     }
 
+    // ------------------------------------------------- memoized predicates
+    banner(
+        "Hotpath 4 — memoized verification, first sight vs repeat (µs/op)",
+        "a transcript never seen before (computed) vs the same one again (verdict memo hit)",
+    );
+    // Distinct inputs, fewer than the memo holds, so the first pass misses
+    // on every one and the second hits on every one.
+    let distinct = (reps as usize).clamp(16, memo::CAP / 4);
+    memo::clear();
+    let kp = KeyPair::generate(EcdsaCurve::Secp160r1, &mut rng);
+    let pk = kp.public();
+    let signed: Vec<_> = (0..distinct as u64)
+        .map(|i| {
+            let mut m = vec![0u8; 200];
+            m[..8].copy_from_slice(&i.to_le_bytes());
+            let sig = kp.sign(&m);
+            (m, sig)
+        })
+        .collect();
+    let schnorr_first_us = pass_us(&signed, |(m, sig)| pk.verify(m, sig).unwrap());
+    let schnorr_repeat_us = pass_us(&signed, |(m, sig)| pk.verify(m, sig).unwrap());
+    let (enc_pub, enc_secs) = thresh_enc::deal_enc(4, 1, ThresholdCurve::Bn158, &mut rng);
+    let dec_shares: Vec<_> = (0..distinct as u64)
+        .map(|i| {
+            let ct = enc_pub.encrypt(&i.to_le_bytes(), b"hotpath", &mut rng);
+            let share = enc_secs[0].dec_share(&ct);
+            (ct, share)
+        })
+        .collect();
+    let dleq_first_us = pass_us(&dec_shares, |(ct, s)| enc_pub.verify_share(ct, s).unwrap());
+    let dleq_repeat_us = pass_us(&dec_shares, |(ct, s)| enc_pub.verify_share(ct, s).unwrap());
+    assert_eq!(memo::stats(memo::Predicate::Schnorr).misses, distinct as u64);
+    assert_eq!(memo::stats(memo::Predicate::Dleq).hits, distinct as u64);
+    println!("  schnorr verify   first {schnorr_first_us:7.2}   repeat {schnorr_repeat_us:7.2}");
+    println!("  dleq verify      first {dleq_first_us:7.2}   repeat {dleq_repeat_us:7.2}");
+    let first_vs_repeat = |first_sight: f64, repeat: f64| {
+        Json::obj([("first_sight_us", Json::f64(first_sight)), ("repeat_us", Json::f64(repeat))])
+    };
+
     // ----------------------------------------------------------- report
     let report = Json::obj([
         ("kind", Json::str("hotpath-crypto")),
@@ -189,6 +236,8 @@ fn main() {
         ),
         ("multi_pow", Json::arr(multi_rows)),
         ("batch_verify", Json::arr(batch_rows)),
+        ("schnorr_verify", first_vs_repeat(schnorr_first_us, schnorr_repeat_us)),
+        ("dleq_verify", first_vs_repeat(dleq_first_us, dleq_repeat_us)),
     ]);
     let path = report_dir("hotpath").join("hotpath_crypto.json");
     write_json(&path, &report);

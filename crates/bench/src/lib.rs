@@ -386,6 +386,17 @@ pub fn row(cells: &[String], widths: &[usize]) -> String {
         .join("  ")
 }
 
+/// Mean microseconds per item of one pass of `f` over `items` — the
+/// `first_sight` / `repeat` rows of the hotpath benches time the same
+/// inputs twice with it.
+pub fn pass_us<T>(items: &[T], mut f: impl FnMut(&T)) -> f64 {
+    let t0 = std::time::Instant::now();
+    for item in items {
+        f(item);
+    }
+    t0.elapsed().as_secs_f64() * 1e6 / items.len() as f64
+}
+
 /// Prints a banner for one figure/table reproduction.
 pub fn banner(title: &str, note: &str) {
     println!("\n================================================================");

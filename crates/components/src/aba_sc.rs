@@ -130,8 +130,8 @@ impl Inst {
 struct CoinState {
     /// Buffered coin shares, batch-verified at quorum (see `share_buf`).
     shares: CoinShareBuf,
-    /// This node has released its own share.
-    released: bool,
+    /// This node's own share, signed once when it releases the coin.
+    own: Option<CoinShare>,
     value: Option<u64>,
 }
 
@@ -282,13 +282,13 @@ impl AbaScBatch {
     fn release_share(&mut self, domain: u8, round: u16, acts: &mut Actions) {
         let name = self.coin_name(domain, round);
         let state = self.coins.entry((domain, round)).or_default();
-        if state.released {
+        if state.own.is_some() {
             return;
         }
-        state.released = true;
+        let share = self.coin_sec.coin_share(name);
+        state.own = Some(share);
         let (sign_us, _, _) = self.coin_costs();
         acts.charge(sign_us);
-        let share = self.coin_sec.coin_share(name);
         // Record our own share like any other.
         self.record_coin_share(domain, round, &share, acts);
         self.dirty = true;
@@ -478,19 +478,15 @@ impl AbaScBatch {
         }
         let mut coin_shares = Vec::new();
         for (d, r) in coin_rounds {
-            if let Some(state) = self.coins.get(&(d, r)) {
-                if state.released {
-                    let name = self.coin_name(d, r);
-                    let share = self.coin_sec.coin_share(name);
-                    // Wire convention: round field packs (domain << 8) | round.
-                    coin_shares.push(((d as u16) << 8 | (r & 0xff), share));
-                }
+            if let Some(share) = self.coins.get(&(d, r)).and_then(|state| state.own) {
+                // Wire convention: round field packs (domain << 8) | round.
+                coin_shares.push(((d as u16) << 8 | (r & 0xff), share));
             }
         }
         // share_nack: nodes whose coin share we lack for any needed coin.
         let mut share_nack = Bitmap::new(self.p.n);
         for ((_, _), state) in self.coins.iter() {
-            if state.released && state.value.is_none() {
+            if state.own.is_some() && state.value.is_none() {
                 for node in 0..self.p.n {
                     if state.shares.reporters() & (1 << node) == 0 {
                         share_nack.set(node, true);
@@ -763,6 +759,20 @@ mod tests {
             assert_eq!(d[..3], [true, true, true]);
             assert!(!d[3]);
         }
+    }
+
+    #[test]
+    fn each_released_coin_is_signed_exactly_once() {
+        // Split inputs force coin rounds; every vote change rebuilds the
+        // packet, which must re-send the kept share, not sign a new one.
+        let before = wbft_crypto::thresh_coin::tally().shares_signed;
+        let mut nodes = make_nodes(CoinFlavor::ThreshSig, true);
+        run_to_decision(&mut nodes, vec![vec![true], vec![false], vec![true], vec![false]]);
+        let released: usize =
+            nodes.iter().map(|n| n.coins.values().filter(|c| c.own.is_some()).count()).sum();
+        assert!(released >= 4, "every node releases at least one coin");
+        let signed = wbft_crypto::thresh_coin::tally().shares_signed - before;
+        assert_eq!(signed, released as u64);
     }
 
     #[test]

@@ -39,7 +39,9 @@ struct Inst {
     claimed_root: Option<Digest32>,
     frags: Vec<Option<Bytes>>,
     value: Option<Bytes>,
-    my_share_sent: bool,
+    /// This node's echo share over `claimed_root`, signed once the value
+    /// checked out against it (the root cannot change after that).
+    my_share: Option<SigShare>,
     /// Leader only: buffered echo shares, batch-verified at quorum.
     shares: SigShareBuf,
     finish: Option<ThresholdSignature>,
@@ -122,11 +124,8 @@ impl CbcBatch {
             if let Some(r) = inst.claimed_root {
                 roots[j] = r;
             }
-            if inst.my_share_sent {
-                if let Some(root) = &inst.claimed_root {
-                    let share = self.secret.sign_share(&echo_msg(self.p.session, j, root));
-                    echo_shares.push((j as u8, share));
-                }
+            if let Some(share) = inst.my_share {
+                echo_shares.push((j as u8, share));
             }
             if let Some(sig) = &inst.finish {
                 finish_sigs.push((j as u8, *sig));
@@ -182,13 +181,13 @@ impl CbcBatch {
             let value = Bytes::from(value);
             if Digest32::of(&value) == root {
                 inst.value = Some(value);
-                if !inst.my_share_sent {
-                    inst.my_share_sent = true;
+                if inst.my_share.is_none() {
                     acts.charge(self.keys.profile().sign_share_us);
+                    let share = self.secret.sign_share(&echo_msg(self.p.session, instance, &root));
+                    inst.my_share = Some(share);
                     // Own share counts toward the leader's quorum when we
                     // are the leader.
                     if instance == self.p.me {
-                        let share = self.secret.sign_share(&echo_msg(self.p.session, instance, &root));
                         self.record_share(instance, share, acts);
                     }
                 }
@@ -280,14 +279,14 @@ impl Broadcaster for CbcBatch {
         self.started = true;
         let me = self.p.me;
         let root = Digest32::of(&my_value);
+        acts.charge(self.keys.profile().sign_share_us);
+        let share = self.secret.sign_share(&echo_msg(self.p.session, me, &root));
         {
             let inst = &mut self.insts[me];
             inst.claimed_root = Some(root);
             inst.value = Some(my_value);
-            inst.my_share_sent = true;
+            inst.my_share = Some(share);
         }
-        acts.charge(self.keys.profile().sign_share_us);
-        let share = self.secret.sign_share(&echo_msg(self.p.session, me, &root));
         self.record_share(me, share, acts);
         self.send_init_frags(me, acts);
         self.dirty = true;
@@ -356,7 +355,7 @@ impl Broadcaster for CbcBatch {
                     self.retx.peer_behind = true;
                 }
                 if echo_nack.len() == self.p.n
-                    && echo_nack.iter_set().any(|j| self.insts[j].my_share_sent)
+                    && echo_nack.iter_set().any(|j| self.insts[j].my_share.is_some())
                 {
                     self.retx.peer_behind = true;
                 }
@@ -407,7 +406,8 @@ pub struct CbcSmallBatch {
     keys: PublicKeySet,
     secret: SecretKeyShare,
     values: Vec<Option<Bitmap>>,
-    my_share_sent: Vec<bool>,
+    /// This node's echo share per instance, signed once over the value.
+    my_share: Vec<Option<SigShare>>,
     shares: Vec<SigShareBuf>,
     finish: Vec<Option<ThresholdSignature>>,
     dirty: bool,
@@ -428,7 +428,7 @@ impl CbcSmallBatch {
             keys,
             secret,
             values: vec![None; p.n],
-            my_share_sent: vec![false; p.n],
+            my_share: vec![None; p.n],
             shares: vec![SigShareBuf::default(); p.n],
             finish: vec![None; p.n],
             dirty: false,
@@ -468,14 +468,14 @@ impl CbcSmallBatch {
 
     fn echo_if_needed(&mut self, instance: usize, acts: &mut Actions) {
         let Some(value) = self.values[instance] else { return };
-        if self.my_share_sent[instance] {
+        if self.my_share[instance].is_some() {
             return;
         }
-        self.my_share_sent[instance] = true;
         acts.charge(self.keys.profile().sign_share_us);
+        let root = small_root(&value);
+        let share = self.secret.sign_share(&echo_msg(self.p.session, instance, &root));
+        self.my_share[instance] = Some(share);
         if instance == self.p.me {
-            let root = small_root(&value);
-            let share = self.secret.sign_share(&echo_msg(self.p.session, instance, &root));
             self.record_share(instance, share, acts);
         }
         self.dirty = true;
@@ -534,12 +534,8 @@ impl CbcSmallBatch {
         let mut finish_nack = Bitmap::new(n);
         let mut echo_nack = Bitmap::new(n);
         for j in 0..n {
-            if self.my_share_sent[j] {
-                if let Some(v) = self.values[j] {
-                    let share =
-                        self.secret.sign_share(&echo_msg(self.p.session, j, &small_root(&v)));
-                    echo_shares.push((j as u8, share));
-                }
+            if let Some(share) = self.my_share[j] {
+                echo_shares.push((j as u8, share));
             }
             match &self.finish[j] {
                 Some(sig) => finish_sigs.push((j as u8, *sig)),

@@ -32,7 +32,8 @@ fn done_msg(session: u64, instance: usize, root: &Digest32) -> Vec<u8> {
 
 #[derive(Debug, Default)]
 struct DoneInst {
-    my_share_sent: bool,
+    /// This node's DONE share over the delivered root, signed once.
+    my_share: Option<SigShare>,
     /// Buffered DONE shares, batch-verified at quorum (see `share_buf`).
     shares: SigShareBuf,
     proof: Option<ThresholdSignature>,
@@ -95,13 +96,13 @@ impl PrbcBatch {
     /// Signs DONE shares for instances the inner RBC has newly delivered.
     fn sign_new_done(&mut self, acts: &mut Actions) {
         for j in 0..self.p().n {
-            if self.done[j].my_share_sent || self.rbc.delivered(j).is_none() {
+            if self.done[j].my_share.is_some() || self.rbc.delivered(j).is_none() {
                 continue;
             }
             let Some(root) = self.rbc.delivered_root(j) else { continue };
-            self.done[j].my_share_sent = true;
             acts.charge(self.keys.profile().sign_share_us);
             let share = self.secret.sign_share(&done_msg(self.p().session, j, &root));
+            self.done[j].my_share = Some(share);
             self.record_share(j, share, acts, true);
             self.dirty = true;
         }
@@ -158,8 +159,7 @@ impl PrbcBatch {
         for (j, root_slot) in roots.iter_mut().enumerate() {
             if let Some(root) = self.rbc.delivered_root(j) {
                 *root_slot = root;
-                if self.done[j].my_share_sent {
-                    let share = self.secret.sign_share(&done_msg(self.p().session, j, &root));
+                if let Some(share) = self.done[j].my_share {
                     shares.push((j as u8, share));
                 }
             }

@@ -129,7 +129,8 @@ impl CommitCbc {
 
 struct PiCoin {
     p: Params,
-    released: bool,
+    /// This node's own share, signed once when it releases the coin.
+    own: Option<CoinShare>,
     /// Buffered coin shares, batch-verified at quorum (see
     /// `wbft_components::share_buf`).
     shares: wbft_components::CoinShareBuf,
@@ -141,7 +142,7 @@ struct PiCoin {
 impl PiCoin {
     fn new(p: Params) -> Self {
         PiCoin {
-            released: false,
+            own: None,
             shares: wbft_components::CoinShareBuf::default(),
             value: None,
             timer_armed: false,
@@ -155,14 +156,14 @@ impl PiCoin {
     }
 
     fn activate(&mut self, crypto: &NodeCrypto, acts: &mut Actions) {
-        if self.released {
+        if self.own.is_some() {
             return;
         }
-        self.released = true;
         acts.charge(crypto.suite.threshold.coin_profile().sign_share_us);
         let share = crypto.coin_sec.coin_share(self.name());
+        self.own = Some(share);
         self.record(share, crypto, acts, true);
-        self.emit(crypto, acts);
+        self.emit(acts);
         if !self.timer_armed {
             self.timer_armed = true;
             let d = self.retx.next_delay();
@@ -189,11 +190,8 @@ impl PiCoin {
         }
     }
 
-    fn emit(&mut self, crypto: &NodeCrypto, acts: &mut Actions) {
-        if !self.released {
-            return;
-        }
-        let share = crypto.coin_sec.coin_share(self.name());
+    fn emit(&mut self, acts: &mut Actions) {
+        let Some(share) = self.own else { return };
         let mut share_nack = Bitmap::new(self.p.n);
         if self.value.is_none() {
             for node in 0..self.p.n {
@@ -215,17 +213,17 @@ impl PiCoin {
         for (_, share) in coin_shares {
             self.record(*share, crypto, acts, false);
         }
-        if share_nack.len() == self.p.n && share_nack.get(self.p.me) && self.released {
+        if share_nack.len() == self.p.n && share_nack.get(self.p.me) && self.own.is_some() {
             self.retx.peer_behind = true;
         }
     }
 
-    fn on_timer(&mut self, local: u32, crypto: &NodeCrypto, acts: &mut Actions) {
+    fn on_timer(&mut self, local: u32, acts: &mut Actions) {
         if local != TIMER_PI_RETX {
             return;
         }
-        if self.released && self.retx.should_send(self.value.is_some()) {
-            self.emit(crypto, acts);
+        if self.own.is_some() && self.retx.should_send(self.value.is_some()) {
+            self.emit(acts);
             self.retx.peer_behind = false;
         }
         let d = self.retx.next_delay();
@@ -367,12 +365,12 @@ impl Lane for DumboLane {
         }
     }
 
-    fn on_timer(&self, st: &mut DumboEpoch, ctx: &EpochCtx, role: u64, local: u32, acts: &mut Actions) {
+    fn on_timer(&self, st: &mut DumboEpoch, _: &EpochCtx, role: u64, local: u32, acts: &mut Actions) {
         match role {
             sessions::BROADCAST => st.prbc.on_timer(local, acts),
             sessions::CBC_VALUE => st.value_cbc.on_timer(local, acts),
             sessions::CBC_COMMIT => st.commit_cbc.on_timer(local, acts),
-            sessions::PI_COIN => st.pi.on_timer(local, ctx.crypto, acts),
+            sessions::PI_COIN => st.pi.on_timer(local, acts),
             sessions::ABA => st.aba.on_timer(local, acts),
             _ => {}
         }
@@ -420,7 +418,7 @@ impl Lane for DumboLane {
         if st.commit_started
             && st.order.is_none()
             && st.commit_cbc.delivered_count() >= quorum
-            && !st.pi.released
+            && st.pi.own.is_none()
         {
             let mut acts = Actions::new();
             st.pi.activate(ctx.crypto, &mut acts);

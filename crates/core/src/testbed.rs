@@ -917,6 +917,40 @@ mod tests {
     }
 
     #[test]
+    fn an_aired_frame_is_verified_once_and_a_released_coin_signed_once() {
+        // A count guard, not a timer: all four nodes share this thread, so
+        // the verdict memo answers every receiver of a frame after the
+        // first. A memo key that includes the receiver, or a component that
+        // re-signs its share per packet, fails here on any host.
+        use wbft_crypto::memo::{self, Predicate};
+        use wbft_crypto::thresh_coin::tally;
+        let mut cfg = TestbedConfig::single_hop(Protocol::HoneyBadgerSc);
+        cfg.epochs = 2;
+        memo::clear();
+        let before = tally();
+        let report = run(&cfg);
+        assert!(report.completed);
+        let aired = report.metrics.total_channel_accesses();
+        let schnorr = memo::stats(Predicate::Schnorr);
+        assert!(
+            schnorr.misses <= aired,
+            "{} distinct Schnorr verifications for {aired} frames aired",
+            schnorr.misses
+        );
+        assert!(schnorr.hits > schnorr.misses, "n − 1 = 3 receivers ask about each frame");
+        // A node signs its share when it releases a coin and leaves the
+        // round only once the coin is combined, so per node and epoch at
+        // most one released coin is still waiting for its combination.
+        let signed = tally().shares_signed - before.shares_signed;
+        let combined = tally().coins_combined - before.coins_combined;
+        let waiting = (cfg.n as u64) * cfg.epochs;
+        assert!(
+            signed <= combined + waiting,
+            "{signed} coin shares signed for {combined} coins combined"
+        );
+    }
+
+    #[test]
     fn crash_restart_converges() {
         let mut cfg = TestbedConfig::single_hop(Protocol::Beat);
         cfg.epochs = 2;

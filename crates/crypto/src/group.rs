@@ -20,15 +20,15 @@
 //!   Straus/Shamir interleaving for < 16 bases, a Pippenger bucket pass for
 //!   ≥ 16 — one shared squaring chain for the whole product. Backs Lagrange
 //!   combination and batched share verification.
-//! * **Subgroup-membership memo**: [`GroupElem::from_bytes`] caches the
-//!   Euler-criterion exponentiation per canonical encoding, so re-decoding
-//!   the same share/signature bytes across retransmissions is a hash-map
-//!   hit instead of a 254-bit pow.
+//! * **Subgroup-membership verdicts**: [`GroupElem::from_bytes`] keeps the
+//!   result of the Euler-criterion exponentiation per canonical encoding in
+//!   the crate's one verdict memo ([`crate::memo`]), so re-decoding the same
+//!   share/signature bytes — by every receiver of a broadcast, and again on
+//!   retransmission — is a table hit instead of a 254-bit pow.
 
 use crate::field::{Fe, Scalar};
 use crate::hash::Digest32;
-use std::cell::RefCell;
-use std::collections::BTreeMap;
+use crate::memo::{self, Predicate};
 use std::sync::OnceLock;
 
 /// An element of the prime-order subgroup.
@@ -154,21 +154,6 @@ impl<T> PartialEq for PrecompCache<T> {
 }
 
 impl<T> Eq for PrecompCache<T> {}
-
-thread_local! {
-    /// Bounded memo for the subgroup-membership check of
-    /// [`GroupElem::from_bytes`], keyed by the canonical encoding. Entries
-    /// are pure functions of the key, so per-thread maps stay consistent
-    /// with each other and with determinism; thread-local storage keeps the
-    /// parallel sweep executor's workers off a shared lock. Cleared
-    /// wholesale when full.
-    static SUBGROUP_MEMO: RefCell<BTreeMap<[u8; 32], bool>> =
-        const { RefCell::new(BTreeMap::new()) };
-}
-
-/// Max entries held by the decode memo before it is cleared (a full sweep
-/// run touches well under this many distinct encodings).
-const SUBGROUP_MEMO_CAP: usize = 8192;
 
 /// The 4-bit window of a scalar's limbs at window index `w` (LSB first).
 #[inline]
@@ -360,10 +345,11 @@ impl GroupElem {
 
     /// Decodes and validates subgroup membership.
     ///
-    /// The Euler-criterion check (a 254-bit exponentiation) is memoized per
-    /// canonical encoding, so decoding the same share or signature bytes
-    /// repeatedly — the normal case under retransmission-heavy wireless
-    /// traffic — only pays the exponentiation once per process.
+    /// The Euler-criterion check (a 254-bit exponentiation) goes through the
+    /// verdict memo ([`crate::memo`]) under the canonical encoding, so
+    /// decoding the same share or signature bytes repeatedly — the normal
+    /// case under broadcast and retransmission-heavy wireless traffic —
+    /// pays the exponentiation once.
     ///
     /// # Errors
     ///
@@ -376,31 +362,7 @@ impl GroupElem {
         }
         // Key on the canonical encoding so non-canonical inputs share the
         // entry of the value they reduce to.
-        let key = fe.to_bytes();
-        let in_subgroup = SUBGROUP_MEMO.with(|memo| {
-            if let Some(&v) = memo.borrow().get(&key) {
-                return v;
-            }
-            let v = fe.is_in_subgroup();
-            let mut map = memo.borrow_mut();
-            if map.len() >= SUBGROUP_MEMO_CAP {
-                map.clear();
-            }
-            map.insert(key, v);
-            v
-        });
-        if in_subgroup {
-            Ok(GroupElem(fe))
-        } else {
-            Err(NotInSubgroup)
-        }
-    }
-
-    /// [`Self::from_bytes`] without the membership memo — the reference
-    /// implementation the memoized path is property-tested against.
-    pub fn from_bytes_uncached(bytes: &[u8; 32]) -> Result<Self, NotInSubgroup> {
-        let fe = Fe::from_bytes_reduced(bytes);
-        if fe.is_in_subgroup() {
+        if memo::verdict(Predicate::Subgroup, fe.to_bytes(), [0; 32], || fe.is_in_subgroup()) {
             Ok(GroupElem(fe))
         } else {
             Err(NotInSubgroup)
@@ -536,24 +498,6 @@ mod tests {
         let naive =
             many.iter().fold(GroupElem::identity(), |acc, (b, e)| acc.mul(&b.pow(e)));
         assert_eq!(GroupElem::multi_pow(&many), naive);
-    }
-
-    #[test]
-    fn memoized_decode_agrees_with_uncached() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
-        for _ in 0..16 {
-            let x = GroupElem::from_exponent(&Scalar::random(&mut rng));
-            let b = x.to_bytes();
-            // Decode the *same* bytes twice: second hit comes from the memo.
-            assert_eq!(GroupElem::from_bytes(&b), GroupElem::from_bytes_uncached(&b));
-            assert_eq!(GroupElem::from_bytes(&b), Ok(x));
-        }
-        // Non-members agree too.
-        assert_eq!(
-            GroupElem::from_bytes(&[0u8; 32]),
-            GroupElem::from_bytes_uncached(&[0u8; 32])
-        );
     }
 
     #[test]

@@ -65,6 +65,7 @@ pub mod field;
 pub mod group;
 pub mod hash;
 mod limbs;
+pub mod memo;
 pub mod merkle;
 pub mod profile;
 pub mod reshare;

@@ -12,6 +12,7 @@
 use crate::field::Scalar;
 use crate::group::GroupElem;
 use crate::hash::hash_to_scalar;
+use crate::memo::{self, Predicate};
 use crate::profile::EcdsaCurve;
 use rand::RngCore;
 
@@ -83,14 +84,21 @@ impl KeyPair {
 impl PublicKey {
     /// Verifies `sig` over `msg`.
     ///
+    /// The algebraic check `g^z == R · pk^e` goes through the verdict memo
+    /// ([`crate::memo`]) under `(e, z)`: `e = H(R ‖ pk ‖ m)` binds the
+    /// commitment, the key and the message, so the `n − 1` receivers of one
+    /// simulated broadcast (and every byte-identical retransmission) pay the
+    /// two exponentiations once and the challenge hash each time.
+    ///
     /// # Errors
     ///
     /// [`InvalidSignature`] on mismatch.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> Result<(), InvalidSignature> {
         let e = challenge(&sig.r, &self.point, msg);
-        let lhs = GroupElem::from_exponent(&sig.z);
-        let rhs = sig.r.mul(&self.point.pow(&e));
-        if lhs == rhs {
+        let valid = memo::verdict(Predicate::Schnorr, e.to_bytes(), sig.z.to_bytes(), || {
+            GroupElem::from_exponent(&sig.z) == sig.r.mul(&self.point.pow(&e))
+        });
+        if valid {
             Ok(())
         } else {
             Err(InvalidSignature)

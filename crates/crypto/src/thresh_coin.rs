@@ -134,6 +134,36 @@ pub fn deal_coin(
     (CoinPublicSet { curve, threshold, vk_shares, precomp: PrecompCache::default() }, secrets)
 }
 
+/// What this thread has done with coins so far — counts for tests to hold a
+/// run to "each node signs its share of a coin once": signings that
+/// outnumber the coins revealed mean some component re-signs per packet.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CoinTally {
+    /// [`CoinSecretShare::coin_share`] calls.
+    pub shares_signed: u64,
+    /// [`CoinPublicSet::combine_value`] calls that revealed a value.
+    pub coins_combined: u64,
+}
+
+thread_local! {
+    static TALLY: std::cell::Cell<CoinTally> = const {
+        std::cell::Cell::new(CoinTally { shares_signed: 0, coins_combined: 0 })
+    };
+}
+
+/// This thread's [`CoinTally`].
+pub fn tally() -> CoinTally {
+    TALLY.with(std::cell::Cell::get)
+}
+
+fn tally_update(update: impl FnOnce(&mut CoinTally)) {
+    TALLY.with(|t| {
+        let mut tally = t.get();
+        update(&mut tally);
+        t.set(tally);
+    });
+}
+
 /// The known discrete log of the coin point `h_Γ = g^e`.
 fn coin_exponent(name: CoinName) -> Scalar {
     hash_to_scalar("wbft/coin", &[&name.to_bytes()])
@@ -308,6 +338,7 @@ impl CoinPublicSet {
             subset.iter().zip(&lambdas).map(|(s, l)| (s.value, *l)).collect();
         let digest = GroupElem::multi_pow(&pairs).digest("wbft/coin/value");
         let _ = name; // the name is already bound through the share values
+        tally_update(|t| t.coins_combined += 1);
         Ok(digest.to_u64())
     }
 }
@@ -329,8 +360,12 @@ impl CoinSecretShare {
     }
 
     /// Produces this node's share of the coin `name` (`h_Γ^{s_i} =
-    /// g^{e·s_i}`: one scalar multiply plus a fixed-base table pow).
+    /// g^{e·s_i}`: one scalar multiply plus a fixed-base table pow). The
+    /// share is a pure function of `(secret, name)`: sign it once when the
+    /// coin is released and keep it, rather than re-signing per packet
+    /// ([`tally`] lets a test hold callers to that).
     pub fn coin_share(&self, name: CoinName) -> CoinShare {
+        tally_update(|t| t.shares_signed += 1);
         let e = coin_exponent(name);
         CoinShare { index: self.index, value: GroupElem::from_exponent(&e.mul(&self.secret)) }
     }

@@ -17,6 +17,7 @@
 use crate::field::Scalar;
 use crate::group::GroupElem;
 use crate::hash::{hash_to_scalar, keystream, Digest32};
+use crate::memo::{self, Predicate};
 use crate::profile::ThresholdCurve;
 use crate::shamir::{lagrange_coeffs_at_zero, Polynomial, ShamirError, ShareIndex};
 use rand::RngCore;
@@ -211,7 +212,9 @@ impl EncPublicSet {
     /// `A₂ = u^z·d^c` and require `c = H(i, u, vk_i, d, A₁, A₂)`. The
     /// ciphertext's `u` enters both the equation and the challenge hash, so
     /// a share produced for a different ciphertext cannot verify — and a
-    /// bogus `d` is rejected *before* it can poison a combination.
+    /// bogus `d` is rejected *before* it can poison a combination. The two
+    /// multi-exponentiations go through the verdict memo ([`crate::memo`])
+    /// under `(H(i ‖ u ‖ vk_i ‖ d ‖ c), z)` — the whole statement and proof.
     ///
     /// # Errors
     ///
@@ -223,12 +226,23 @@ impl EncPublicSet {
             return Err(ThreshEncError::InvalidShare { index: share.index.value() });
         }
         let vk_i = self.vk_shares[i - 1];
-        let a1 = GroupElem::multi_pow(&[
-            (GroupElem::generator(), share.proof.z),
-            (vk_i, share.proof.c),
-        ]);
-        let a2 = GroupElem::multi_pow(&[(ct.u, share.proof.z), (share.value, share.proof.c)]);
-        if dleq_challenge(share.index, &ct.u, &vk_i, &share.value, &a1, &a2) == share.proof.c {
+        let DleqProof { c, z } = share.proof;
+        let statement = Digest32::of_parts(
+            "wbft/memo/dleq",
+            &[
+                &share.index.value().to_le_bytes(),
+                &ct.u.to_bytes(),
+                &vk_i.to_bytes(),
+                &share.value.to_bytes(),
+                &c.to_bytes(),
+            ],
+        );
+        let valid = memo::verdict(Predicate::Dleq, statement.0, z.to_bytes(), || {
+            let a1 = GroupElem::multi_pow(&[(GroupElem::generator(), z), (vk_i, c)]);
+            let a2 = GroupElem::multi_pow(&[(ct.u, z), (share.value, c)]);
+            dleq_challenge(share.index, &ct.u, &vk_i, &share.value, &a1, &a2) == c
+        });
+        if valid {
             Ok(())
         } else {
             Err(ThreshEncError::InvalidShare { index: share.index.value() })

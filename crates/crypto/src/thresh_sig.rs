@@ -21,6 +21,7 @@
 use crate::field::Scalar;
 use crate::group::{GroupElem, PrecompCache, PrecomputedBase};
 use crate::hash::{hash_to_scalar, Digest32};
+use crate::memo::{self, Predicate};
 use crate::profile::{ThresholdCurve, ThresholdProfile};
 use crate::shamir::{lagrange_coeffs_at_zero, Polynomial, ShamirError, ShareIndex};
 use rand::RngCore;
@@ -344,18 +345,25 @@ impl PublicKeySet {
         Ok(ThresholdSignature { value: GroupElem::multi_pow(&pairs) })
     }
 
-    /// Verifies a combined signature on `msg`.
+    /// Verifies a combined signature on `msg`. The exponentiation goes
+    /// through the verdict memo ([`crate::memo`]) under `(H(vk ‖ e), σ)`: a
+    /// proof or certificate relayed by several peers is checked once.
     ///
     /// # Errors
     ///
     /// [`ThreshSigError::InvalidSignature`] on mismatch.
     pub fn verify(&self, msg: &[u8], sig: &ThresholdSignature) -> Result<(), ThreshSigError> {
         let e = msg_exponent(msg);
-        let expect = match self.tables() {
-            Some(t) => t.vk.pow(&e),
-            None => self.vk.pow(&e),
-        };
-        if expect == sig.value {
+        let statement =
+            Digest32::of_parts("wbft/memo/thresh-sig", &[&self.vk.to_bytes(), &e.to_bytes()]);
+        let valid = memo::verdict(Predicate::ThreshSig, statement.0, sig.to_bytes(), || {
+            let expect = match self.tables() {
+                Some(t) => t.vk.pow(&e),
+                None => self.vk.pow(&e),
+            };
+            expect == sig.value
+        });
+        if valid {
             Ok(())
         } else {
             Err(ThreshSigError::InvalidSignature)

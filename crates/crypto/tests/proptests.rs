@@ -5,7 +5,9 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use wbft_crypto::field::{Fe, Scalar};
 use wbft_crypto::group::GroupElem;
+use wbft_crypto::memo::{self, Predicate};
 use wbft_crypto::merkle::MerkleTree;
+use wbft_crypto::schnorr::KeyPair;
 use wbft_crypto::shamir::{reconstruct_secret, Polynomial, ShareIndex};
 use wbft_crypto::{reshare, thresh_coin, thresh_enc, thresh_sig, ThresholdCurve};
 
@@ -15,6 +17,36 @@ fn arb_fe() -> impl Strategy<Value = Fe> {
 
 fn arb_scalar() -> impl Strategy<Value = Scalar> {
     any::<[u8; 32]>().prop_map(|b| Scalar::from_bytes_reduced(&b))
+}
+
+/// A memoized predicate's uncached reference, the one way there is to get
+/// it: forget every verdict, then ask — the answer is computed. Asking
+/// again is answered from the table. Returns both, with the counters
+/// checked so that each really took the path it is named after
+/// (`consulted` is false where the predicate rejects before it gets to the
+/// memo, e.g. an out-of-range index).
+fn computed_then_repeated(p: Predicate, consulted: bool, check: impl Fn() -> bool) -> (bool, bool) {
+    memo::clear();
+    let computed = check();
+    let repeated = check();
+    let expect = u64::from(consulted);
+    assert_eq!(memo::stats(p), memo::Stats { hits: expect, misses: expect });
+    (computed, repeated)
+}
+
+/// The non-canonical encoding `x + p` of a group element `x < p` (it fits:
+/// `p` has 255 bits).
+fn plus_modulus(canonical: &[u8; 32]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    let mut carry = 0u16;
+    for (i, byte) in out.iter_mut().enumerate() {
+        let m = (Fe::MODULUS[i / 8] >> (8 * (i % 8))) as u8;
+        let sum = canonical[i] as u16 + m as u16 + carry;
+        *byte = sum as u8;
+        carry = sum >> 8;
+    }
+    assert_eq!(carry, 0);
+    out
 }
 
 proptest! {
@@ -257,18 +289,140 @@ proptest! {
         prop_assert_eq!(cpub.verify_shares(name, &batch).is_ok(), per_share_ok);
     }
 
+    // --------------------------------------------- verdict memo ≡ reference
+
     #[test]
-    fn memoized_decode_agrees_with_direct(bytes in any::<[u8; 32]>()) {
-        prop_assert_eq!(GroupElem::from_bytes(&bytes), GroupElem::from_bytes_uncached(&bytes));
+    fn subgroup_verdict_equals_euler_criterion(bytes in any::<[u8; 32]>(), e in arb_scalar()) {
+        // Arbitrary bytes (mostly non-members and non-canonical), a member,
+        // and the member's non-canonical twin.
+        let member = GroupElem::from_exponent(&e).to_bytes();
+        for b in [bytes, member, plus_modulus(&member)] {
+            let fe = Fe::from_bytes_reduced(&b);
+            let (computed, repeated) = computed_then_repeated(
+                Predicate::Subgroup,
+                !fe.is_zero(),
+                || GroupElem::from_bytes(&b).is_ok(),
+            );
+            prop_assert_eq!(computed, fe.is_in_subgroup());
+            prop_assert_eq!(repeated, computed);
+        }
+        prop_assert_eq!(GroupElem::from_bytes(&plus_modulus(&member)), GroupElem::from_bytes(&member));
     }
 
     #[test]
-    fn memoized_decode_agrees_on_valid_encodings(e in arb_scalar()) {
-        let x = GroupElem::from_exponent(&e);
-        let b = x.to_bytes();
-        // First call may populate the memo, second reads it back.
-        prop_assert_eq!(GroupElem::from_bytes(&b), GroupElem::from_bytes_uncached(&b));
-        prop_assert_eq!(GroupElem::from_bytes(&b), Ok(x));
+    fn schnorr_verdict_equals_reference(seed in any::<u64>(), msg in any::<Vec<u8>>(), tamper in 0u8..5) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let kp = KeyPair::generate(wbft_crypto::EcdsaCurve::Secp160r1, &mut rng);
+        let other = KeyPair::generate(wbft_crypto::EcdsaCurve::Secp160r1, &mut rng);
+        let mut sig = kp.sign(&msg);
+        let mut signed = msg.clone();
+        let mut pk = kp.public();
+        match tamper {
+            0 => {}
+            1 => sig.r = sig.r.mul(&GroupElem::generator()),
+            2 => sig.z = sig.z.add(&Scalar::ONE),
+            3 => signed.push(0),
+            _ => pk = other.public(),
+        }
+        let (computed, repeated) =
+            computed_then_repeated(Predicate::Schnorr, true, || pk.verify(&signed, &sig).is_ok());
+        prop_assert_eq!(computed, tamper == 0);
+        prop_assert_eq!(repeated, computed);
+    }
+
+    #[test]
+    fn dleq_verdict_equals_reference(seed in any::<u64>(), pt in any::<Vec<u8>>(), tamper in 0u8..8) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (public, secrets) = thresh_enc::deal_enc(4, 1, ThresholdCurve::Bn158, &mut rng);
+        let (other_deal, _) = thresh_enc::deal_enc(4, 1, ThresholdCurve::Bn158, &mut rng);
+        let ct = public.encrypt(b"A", &pt, &mut rng);
+        let mut against = ct.clone();
+        let mut keys = &public;
+        let mut share = secrets[1].dec_share(&ct);
+        match tamper {
+            0 => {}
+            1 => share.value = share.value.mul(&GroupElem::generator()),
+            2 => share.proof.c = share.proof.c.add(&Scalar::ONE),
+            3 => share.proof.z = share.proof.z.add(&Scalar::ONE),
+            4 => share.index = ShareIndex::for_node(2),
+            5 => share.index = ShareIndex::new(9).unwrap(),
+            6 => against = public.encrypt(b"B", &pt, &mut rng),
+            _ => keys = &other_deal,
+        }
+        let (computed, repeated) = computed_then_repeated(
+            Predicate::Dleq,
+            tamper != 5,
+            || keys.verify_share(&against, &share).is_ok(),
+        );
+        prop_assert_eq!(computed, tamper == 0);
+        prop_assert_eq!(repeated, computed);
+    }
+
+    #[test]
+    fn threshold_signature_verdict_equals_reference(seed in any::<u64>(), msg in any::<Vec<u8>>(), tamper in 0u8..4) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (public, secrets) = thresh_sig::deal(4, 1, ThresholdCurve::Bn158, &mut rng);
+        let (other_deal, _) = thresh_sig::deal(4, 1, ThresholdCurve::Bn158, &mut rng);
+        let shares: Vec<_> = secrets[..2].iter().map(|s| s.sign_share(&msg)).collect();
+        let mut sig = public.combine(&shares).unwrap();
+        let mut signed = msg.clone();
+        let mut keys = &public;
+        match tamper {
+            0 => {}
+            1 => sig.value = sig.value.mul(&GroupElem::generator()),
+            2 => signed.push(0),
+            _ => keys = &other_deal,
+        }
+        // With and without the window tables: same verdict, same key.
+        for tables in [false, true] {
+            if tables {
+                keys.precompute();
+            }
+            let (computed, repeated) = computed_then_repeated(
+                Predicate::ThreshSig,
+                true,
+                || keys.verify(&signed, &sig).is_ok(),
+            );
+            prop_assert_eq!(computed, tamper == 0);
+            prop_assert_eq!(repeated, computed);
+        }
+    }
+
+    #[test]
+    fn two_deals_on_one_thread_never_share_a_verdict(seed in any::<u64>(), msg in any::<Vec<u8>>()) {
+        // Same messages, same thread, one warm table: what deal A's keys
+        // accepted must not be answered "valid" under deal B's, in either
+        // order of asking, and asking B must not disturb A's answer.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        memo::clear();
+
+        let kp = [0, 1].map(|_| KeyPair::generate(wbft_crypto::EcdsaCurve::Secp160r1, &mut rng));
+        let sigs = [kp[0].sign(&msg), kp[1].sign(&msg)];
+        let ts = [0, 1].map(|_| thresh_sig::deal(4, 1, ThresholdCurve::Bn158, &mut rng));
+        let tsigs = [0, 1].map(|d| {
+            let shares: Vec<_> = ts[d].1[..2].iter().map(|s| s.sign_share(&msg)).collect();
+            ts[d].0.combine(&shares).unwrap()
+        });
+        let enc = [0, 1].map(|_| thresh_enc::deal_enc(4, 1, ThresholdCurve::Bn158, &mut rng));
+        // One ciphertext point for both deals: the statement differs only
+        // in the verification key.
+        let ct = enc[0].0.encrypt(b"l", &msg, &mut rng);
+        let dshares = [enc[0].1[0].dec_share(&ct), enc[1].1[0].dec_share(&ct)];
+
+        for _pass in 0..2 {
+            for keys in [0usize, 1] {
+                for proof in [0usize, 1] {
+                    let own = keys == proof;
+                    prop_assert_eq!(kp[keys].public().verify(&msg, &sigs[proof]).is_ok(), own);
+                    prop_assert_eq!(ts[keys].0.verify(&msg, &tsigs[proof]).is_ok(), own);
+                    prop_assert_eq!(enc[keys].0.verify_share(&ct, &dshares[proof]).is_ok(), own);
+                }
+            }
+        }
+        // Second pass was all hits: 4 distinct questions per predicate.
+        for p in [Predicate::Schnorr, Predicate::ThreshSig, Predicate::Dleq] {
+            prop_assert_eq!(memo::stats(p), memo::Stats { hits: 4, misses: 4 });
+        }
     }
 
     // ---------------------------------------------------------- resharing
@@ -432,4 +586,60 @@ proptest! {
         prop_assert!(public.verify_share(&ct_a, &share).is_ok());
         prop_assert!(public.verify_share(&ct_b, &share).is_err());
     }
+}
+
+/// Every memoized predicate, on a valid and a tampered input, asked before
+/// and after the table filled up and was cleared wholesale: the verdicts
+/// are recomputed and come out the same.
+#[test]
+fn verdicts_are_the_same_across_a_clear_when_full() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+    let msg = b"clear-when-full".to_vec();
+    let kp = KeyPair::generate(wbft_crypto::EcdsaCurve::Secp160r1, &mut rng);
+    let sig = kp.sign(&msg);
+    let mut bad_sig = sig;
+    bad_sig.z = bad_sig.z.add(&Scalar::ONE);
+    let (tpub, tsec) = thresh_sig::deal(4, 1, ThresholdCurve::Bn158, &mut rng);
+    let tsig = tpub
+        .combine(&tsec[..2].iter().map(|s| s.sign_share(&msg)).collect::<Vec<_>>())
+        .unwrap();
+    let (epub, esec) = thresh_enc::deal_enc(4, 1, ThresholdCurve::Bn158, &mut rng);
+    let ct = epub.encrypt(b"l", &msg, &mut rng);
+    let dshare = esec[2].dec_share(&ct);
+    let mut bad_dshare = dshare;
+    bad_dshare.value = bad_dshare.value.mul(&GroupElem::generator());
+    let member = GroupElem::from_exponent(&Scalar::from_u64(77)).to_bytes();
+    let non_member = {
+        // The first small value that is not a quadratic residue.
+        let fe = (2u64..).map(Fe::from_u64).find(|fe| !fe.is_in_subgroup()).unwrap();
+        fe.to_bytes()
+    };
+    let ask = || {
+        vec![
+            kp.public().verify(&msg, &sig).is_ok(),
+            kp.public().verify(&msg, &bad_sig).is_ok(),
+            tpub.verify(&msg, &tsig).is_ok(),
+            tpub.verify(b"other", &tsig).is_ok(),
+            epub.verify_share(&ct, &dshare).is_ok(),
+            epub.verify_share(&ct, &bad_dshare).is_ok(),
+            GroupElem::from_bytes(&member).is_ok(),
+            GroupElem::from_bytes(&non_member).is_ok(),
+        ]
+    };
+    let expected = vec![true, false, true, false, true, false, true, false];
+
+    memo::clear();
+    assert_eq!(ask(), expected, "computed");
+    assert_eq!(ask(), expected, "from the table");
+    let schnorr_before = memo::stats(Predicate::Schnorr);
+    assert_eq!(schnorr_before, memo::Stats { hits: 2, misses: 2 });
+    // CAP more distinct entries: the table fills, is cleared, and the
+    // eight verdicts above go with it.
+    for i in 0..memo::CAP as u64 {
+        let x = GroupElem::from_exponent(&Scalar::from_u64(1_000 + i));
+        assert!(GroupElem::from_bytes(&x.to_bytes()).is_ok());
+    }
+    assert_eq!(ask(), expected, "recomputed after the clear");
+    assert_eq!(memo::stats(Predicate::Schnorr), memo::Stats { hits: 2, misses: 4 });
+    assert_eq!(ask(), expected, "from the table again");
 }
