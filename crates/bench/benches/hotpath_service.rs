@@ -3,9 +3,10 @@
 //!
 //! Times the per-transaction costs on the client-facing service path:
 //! mempool admission (fresh, duplicate-reject, full-reject), the
-//! pull/commit cycle, the client-channel codec, datagram framing, and
-//! envelope seal/open (the per-packet consensus cost every submission
-//! ultimately pays n² times). Prints the table and writes a JSON report to
+//! pull/commit cycle, the client-channel codec, datagram framing, and the
+//! consensus envelope — encode when queued, sign when transmitted, open
+//! when received (the per-packet cost every submission ultimately pays n²
+//! times). Prints the table and writes a JSON report to
 //! `target/reports/hotpath/` so CI tracks the numbers across PRs.
 //!
 //! Acceptance gates are deliberately loose (shared runners are noisy):
@@ -17,10 +18,10 @@ use wbft_bench::{banner, pass_us, report_dir, row, write_json};
 use wbft_consensus::service::Mempool;
 use wbft_consensus::Block;
 use wbft_crypto::CryptoSuite;
-use wbft_net::{Body, Envelope, Sizing};
+use wbft_net::{broadcast_signed, Body, Envelope, Sizing};
 use wbft_report::Json;
 use wbft_transport::ClientMsg;
-use wbft_wireless::SimTime;
+use wbft_wireless::{ChannelId, Command, NodeCtx, NodeId, SimTime};
 
 /// Mean microseconds per call over `reps` calls (one warmup call first).
 fn time_us<R>(reps: u32, mut f: impl FnMut() -> R) -> f64 {
@@ -93,7 +94,7 @@ fn main() {
         "Hotpath 2 — wire encode/decode (µs/op)",
         "client channel, datagram framing, and sealed consensus envelopes",
     );
-    let widths = [22usize, 10, 10];
+    let widths = [30usize, 10, 10];
     println!("{}", row(&["codec".into(), "encode".into(), "decode".into()], &widths));
 
     let submit = ClientMsg::Submit { tx: tx_of(77) };
@@ -130,8 +131,8 @@ fn main() {
         )
     );
 
-    // Envelope seal/open: the real per-packet cost (ECDSA-class sign and
-    // verify over the body) every proposal, vote and share pays.
+    // The consensus envelope: the real per-packet cost (ECDSA-class sign
+    // and verify over the body) every proposal, vote and share pays.
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x5e41);
     let crypto = wbft_components::deal_node_crypto(4, CryptoSuite::light(), &mut rng).remove(0);
     let sizing = Sizing { n: 4, suite: crypto.suite };
@@ -147,27 +148,59 @@ fn main() {
             init_nack: wbft_net::Bitmap::new(4),
         },
     };
-    let seal_us = time_us(reps, || env.seal(&crypto.keypair, &sizing).expect("seals"));
-    // Opening goes through the verdict memo (`wbft_crypto::memo`): time
-    // frames never seen before and the same frames again separately, or the
-    // loop reports only the hit path. Fewer frames than the memo holds.
-    let frames: Vec<bytes::Bytes> = (0..(reps as u64).clamp(16, 1024))
-        .map(|session| {
-            let env = Envelope { session, ..env.clone() };
-            env.seal(&crypto.keypair, &sizing).expect("seals").0
-        })
-        .collect();
-    let peer_keys = crypto.peer_keys.clone();
+    // Sending a packet is two steps at two moments (`wbft_net::send`): it
+    // is encoded when it is queued — every version a node builds pays this
+    // — and signed when the runtime transmits it, which only the versions
+    // that air pay. Timed through the same public calls the runtimes make.
+    let mut ctx_rng = rand_chacha::ChaCha12Rng::seed_from_u64(1);
+    let queue_one = |session: u64, rng: &mut rand_chacha::ChaCha12Rng| {
+        let mut ctx = NodeCtx::external(SimTime::ZERO, NodeId(0), rng);
+        let env = Envelope { session, ..env.clone() };
+        broadcast_signed(&mut ctx, ChannelId(0), &crypto.keypair, &sizing, &env, 0)
+            .expect("encodes");
+        match ctx.finish().0.pop() {
+            Some(Command::Broadcast { payload, .. }) => payload,
+            other => panic!("one broadcast expected, got {other:?}"),
+        }
+    };
+    let encode_us = time_us(reps, || queue_one(16, &mut ctx_rng));
+    // Fewer frames than the memo holds (a signature takes two entries).
+    let sessions = 0..(reps as u64).clamp(16, 1024);
+    let queued: Vec<_> = sessions.map(|session| queue_one(session, &mut ctx_rng)).collect();
     wbft_crypto::memo::clear();
+    let t0 = Instant::now();
+    let frames: Vec<bytes::Bytes> = queued.into_iter().map(|payload| payload.finish()).collect();
+    let sign_us = t0.elapsed().as_secs_f64() * 1e6 / frames.len() as f64;
+
+    // Opening goes through the verdict memo (`wbft_crypto::memo`), which
+    // the signer above wrote its own verdicts into. Three passes over the
+    // same frames: as a receiver simulated on the signer's thread finds
+    // them (all hits); as a receiver on its own thread does (the table
+    // cleared after signing: all computed); and those again (all hits).
+    let peer_keys = crypto.peer_keys.clone();
     let open = |sealed: &bytes::Bytes| {
         let opened = Envelope::open(sealed, |src| peer_keys.get(src as usize).copied());
         assert!(std::hint::black_box(opened).expect("opens").1);
     };
+    let schnorr = || wbft_crypto::memo::stats(wbft_crypto::memo::Predicate::Schnorr);
+    let open_signed_here_us = pass_us(&frames, open);
+    assert_eq!((schnorr().hits, schnorr().misses), (frames.len() as u64, 0));
+    wbft_crypto::memo::clear();
     let open_first_us = pass_us(&frames, open);
+    assert_eq!((schnorr().hits, schnorr().misses), (0, frames.len() as u64));
     let open_repeat_us = pass_us(&frames, open);
     println!(
         "{}",
-        row(&["envelope (signed)".into(), format!("{seal_us:.2}"), "-".into()], &widths)
+        row(&["envelope, queue a send".into(), format!("{encode_us:.2}"), "-".into()], &widths)
+    );
+    println!(
+        "{}",
+        row(&["  sign at transmit".into(), format!("{sign_us:.2}"), "-".into()], &widths)
+    );
+    let signed_here = format!("{open_signed_here_us:.2}");
+    println!(
+        "{}",
+        row(&["  open, signed on this thread".into(), "-".into(), signed_here], &widths)
     );
     println!(
         "{}",
@@ -198,7 +231,9 @@ fn main() {
                 ("client_decode_us", Json::f64(client_dec_us)),
                 ("datagram_encode_us", Json::f64(dgram_enc_us)),
                 ("datagram_decode_us", Json::f64(dgram_dec_us)),
-                ("envelope_seal_us", Json::f64(seal_us)),
+                ("envelope_encode_us", Json::f64(encode_us)),
+                ("envelope_sign_us", Json::f64(sign_us)),
+                ("envelope_open_signed_on_this_thread_us", Json::f64(open_signed_here_us)),
                 ("envelope_open_first_sight_us", Json::f64(open_first_us)),
                 ("envelope_open_repeat_us", Json::f64(open_repeat_us)),
             ]),
@@ -221,5 +256,8 @@ fn main() {
     ] {
         assert!(us < floor, "{name} regressed to {us:.1}µs (floor {floor}µs)");
     }
-    println!("[hotpath_service] OK (admit {admit_us:.2}µs/tx, seal {seal_us:.1}µs)");
+    println!(
+        "[hotpath_service] OK (admit {admit_us:.2}µs/tx, encode {encode_us:.2}µs, \
+         sign {sign_us:.1}µs)"
+    );
 }

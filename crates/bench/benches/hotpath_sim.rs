@@ -6,12 +6,16 @@
 //! reports the event count), prints µs/run and events/s per protocol, and
 //! writes a JSON report to `target/reports/hotpath/` so CI can track the
 //! event-loop throughput across PRs. Also asserts that repeated runs are
-//! byte-identical — the refactor's correctness bar.
+//! byte-identical — the refactor's correctness bar. The `sealed/aired`
+//! column is a count, not a timing: packet signatures made per frame that
+//! won the channel (1.00 — a packet is signed when it is transmitted, so
+//! the versions superseded in the transmit queue cost no signature).
 
 use std::time::Instant;
 use wbft_bench::{banner, report_dir, row, write_json};
 use wbft_consensus::fuzz::{base_case, coin_starvation_case, run_case, DEFAULT_EVENT_BUDGET};
 use wbft_consensus::Protocol;
+use wbft_crypto::memo;
 use wbft_report::{Json, ToJson};
 
 /// Mean microseconds per call over `reps` calls (one warmup call first).
@@ -34,11 +38,9 @@ fn main() {
         "Hotpath sim — event-loop throughput (full single-hop runs)",
         "one small epoch per run; events/s is the loop's aggregate rate",
     );
-    let widths = [26usize, 9, 12, 12];
-    println!(
-        "{}",
-        row(&["scenario".into(), "events".into(), "us/run".into(), "events/s".into()], &widths)
-    );
+    let widths = [26usize, 9, 12, 12, 16];
+    let header = ["scenario", "events", "us/run", "events/s", "sealed/aired"];
+    println!("{}", row(&header.map(String::from), &widths));
 
     let cases = [
         base_case(Protocol::Beat, DEFAULT_EVENT_BUDGET),
@@ -57,6 +59,11 @@ fn main() {
             "{}: repeated runs must be byte-identical",
             case.label
         );
+        // The same scenario through the report-producing runner, for the
+        // two counts the fuzz outcome does not carry.
+        memo::clear();
+        let aired = wbft_consensus::run(&case.cfg).metrics.total_channel_accesses();
+        let sealed = memo::stats(memo::Predicate::Schnorr).recorded;
         let us_per_run = time_us(reps, || run_case(case));
         let events_per_sec = reference.events as f64 * 1e6 / us_per_run;
         println!(
@@ -67,6 +74,7 @@ fn main() {
                     reference.events.to_string(),
                     format!("{us_per_run:.0}"),
                     format!("{events_per_sec:.0}"),
+                    format!("{sealed}/{aired} = {:.2}", sealed as f64 / aired as f64),
                 ],
                 &widths
             )
@@ -76,6 +84,9 @@ fn main() {
             ("events", Json::u64(reference.events)),
             ("us_per_run", Json::f64(us_per_run)),
             ("events_per_sec", Json::f64(events_per_sec)),
+            ("sealed", Json::u64(sealed)),
+            ("aired", Json::u64(aired)),
+            ("sealed_per_aired", Json::f64(sealed as f64 / aired as f64)),
         ]));
     }
 

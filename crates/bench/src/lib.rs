@@ -19,7 +19,7 @@ use wbft_components::{
     deal_node_crypto, Actions, BinaryAgreement, Broadcaster, NodeCrypto, Params,
 };
 use wbft_crypto::CryptoSuite;
-use wbft_net::{Bitmap, Body, CoinFlavor, Envelope, Sizing, Vote};
+use wbft_net::{broadcast_signed, Bitmap, Body, CoinFlavor, Envelope, Sizing, Vote};
 use wbft_wireless::{
     ChannelId, Frame, NodeBehavior, NodeCtx, SimConfig, SimDuration, SimTime, Simulator, Topology,
 };
@@ -226,17 +226,10 @@ impl CompNode {
         if charge > 0 {
             ctx.charge_cpu(SimDuration::from_micros(charge));
         }
-        let sign_cost = self.crypto.suite.ecdsa.profile().sign_us;
         for body in sends {
             let env = Envelope { src: self.crypto.me as u16, session: self.session, body };
-            ctx.charge_cpu(SimDuration::from_micros(sign_cost));
-            let (bytes, nominal) =
-                env.seal(&self.crypto.keypair, &self.sizing).expect("bench bodies encode");
-            let slot = self
-                .session
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(env.body.slot_key());
-            ctx.broadcast_slot(ChannelId(0), bytes, nominal, slot);
+            broadcast_signed(ctx, ChannelId(0), &self.crypto.keypair, &self.sizing, &env, 0)
+                .expect("bench bodies encode");
         }
         for (delay, local) in timers {
             ctx.set_timer(delay, local as u64);

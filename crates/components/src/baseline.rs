@@ -302,7 +302,10 @@ struct BCbcInst {
     claimed_root: Option<Digest32>,
     frags: Vec<Option<Bytes>>,
     value: Option<Bytes>,
-    my_share_sent: bool,
+    /// This node's echo share over `claimed_root`, signed once when the
+    /// value arrived and re-sent as is on every retransmission tick (the
+    /// root cannot change once the value is held).
+    my_share: Option<SigShare>,
     /// Buffered echo shares, batch-verified at quorum (see `share_buf`).
     shares: SigShareBuf,
     finish: Option<ThresholdSignature>,
@@ -359,12 +362,12 @@ impl BaselineCbcSet {
         let session = self.p.session;
         let inst = &mut self.insts[instance];
         let Some(root) = inst.claimed_root else { return };
-        if inst.my_share_sent || inst.value.is_none() {
+        if inst.my_share.is_some() || inst.value.is_none() {
             return;
         }
-        inst.my_share_sent = true;
         acts.charge(self.keys.profile().sign_share_us);
         let share = self.secret.sign_share(&cbc_echo_msg(session, instance, &root));
+        inst.my_share = Some(share);
         acts.send(Body::BaseCbcEcho { instance: instance as u8, root, share });
         if instance == self.p.me {
             self.record_share(instance, share, acts, true);
@@ -508,12 +511,8 @@ impl Broadcaster for BaselineCbcSet {
                 if j == self.p.me {
                     self.send_init(j, acts);
                 }
-                if inst.my_share_sent {
-                    if let Some(root) = inst.claimed_root {
-                        let share =
-                            self.secret.sign_share(&cbc_echo_msg(self.p.session, j, &root));
-                        acts.send(Body::BaseCbcEcho { instance: j as u8, root, share });
-                    }
+                if let (Some(share), Some(root)) = (inst.my_share, inst.claimed_root) {
+                    acts.send(Body::BaseCbcEcho { instance: j as u8, root, share });
                 }
             }
             // Re-broadcast any FINISH we hold (peers may have lost it).
@@ -552,7 +551,9 @@ pub struct BaselinePrbcSet {
     rbc: BaselineRbcSet,
     keys: PublicKeySet,
     secret: SecretKeyShare,
-    my_done: Vec<bool>,
+    /// This node's DONE share per instance, signed once on delivery and
+    /// re-sent as is on every retransmission tick.
+    my_done: Vec<Option<SigShare>>,
     /// Buffered DONE shares per instance, batch-verified at quorum.
     shares: Vec<SigShareBuf>,
     proofs: Vec<Option<ThresholdSignature>>,
@@ -573,7 +574,7 @@ impl BaselinePrbcSet {
         keys.precompute();
         BaselinePrbcSet {
             rbc: BaselineRbcSet::new(p),
-            my_done: vec![false; p.n],
+            my_done: vec![None; p.n],
             shares: vec![SigShareBuf::default(); p.n],
             proofs: vec![None; p.n],
             keys,
@@ -597,13 +598,13 @@ impl BaselinePrbcSet {
 
     fn sign_new_done(&mut self, acts: &mut Actions) {
         for j in 0..self.p().n {
-            if self.my_done[j] || self.rbc.delivered(j).is_none() {
+            if self.my_done[j].is_some() || self.rbc.delivered(j).is_none() {
                 continue;
             }
             let Some(root) = self.rbc.delivered_root(j) else { continue };
-            self.my_done[j] = true;
             acts.charge(self.keys.profile().sign_share_us);
             let share = self.secret.sign_share(&prbc_done_msg(self.p().session, j, &root));
+            self.my_done[j] = Some(share);
             acts.send(Body::BasePrbcDone { instance: j as u8, root, share });
             self.record_share(j, share, acts, true);
         }
@@ -662,10 +663,8 @@ impl Broadcaster for BaselinePrbcSet {
         self.rbc.on_timer(local_id, acts);
         // Piggyback DONE retransmission on the RBC tick.
         for j in 0..self.p().n {
-            if self.my_done[j] && self.proofs[j].is_none() {
+            if let (Some(share), None) = (self.my_done[j], &self.proofs[j]) {
                 if let Some(root) = self.rbc.delivered_root(j) {
-                    let share =
-                        self.secret.sign_share(&prbc_done_msg(self.p().session, j, &root));
                     acts.send(Body::BasePrbcDone { instance: j as u8, root, share });
                 }
             }

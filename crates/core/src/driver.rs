@@ -3,15 +3,16 @@
 //! An [`Engine`] is the protocol brain of one node: it owns the consensus
 //! components of the current (and recent) epochs, routes packet bodies to
 //! them by session id, and reports decided blocks. [`ProtocolNode`] adapts
-//! an engine to [`wbft_wireless::NodeBehavior`]: it seals outgoing bodies
-//! into signed envelopes (charging the micro-ecc sign cost), verifies and
+//! an engine to [`wbft_wireless::NodeBehavior`]: it sends outgoing bodies
+//! as envelopes signed at transmit ([`wbft_net::broadcast_signed`]: the
+//! micro-ecc sign cost charged per queued send, the transmit-queue slot
+//! that lets a newer combined packet supersede a stale one), verifies and
 //! opens incoming frames (charging the verify cost, dropping bad
-//! signatures), translates component timers, and applies the transmit-queue
-//! slot discipline that lets a newer combined packet supersede a stale one.
+//! signatures) and translates component timers.
 
 use bytes::Bytes;
 use wbft_components::NodeCrypto;
-use wbft_net::{Body, Envelope, Sizing};
+use wbft_net::{broadcast_signed, Body, Envelope, Sizing};
 use wbft_wireless::{ChannelId, Frame, NodeBehavior, NodeCtx, SimDuration, SimTime};
 
 /// A transaction committed in a block.
@@ -372,23 +373,19 @@ impl<E: Engine> ProtocolNode<E> {
         if out.charge_us > 0 {
             ctx.charge_cpu(SimDuration::from_micros(out.charge_us));
         }
-        let sign_cost = self.crypto.suite.ecdsa.profile().sign_us;
         for (session, body) in out.sends.drain(..) {
             let tag = self.engine.key_epoch(session);
             let env = Envelope { src: self.crypto.me as u16, session, body };
-            ctx.charge_cpu(SimDuration::from_micros(sign_cost));
             // An unencodable (oversized) body is dropped, never a panic: a
             // hostile or runaway message must not abort the node.
-            let Ok((bytes, nominal)) = env.seal_tagged(&self.crypto.keypair, &self.sizing, tag)
-            else {
-                continue;
-            };
-            // Slot: combined packets supersede stale queued versions; the
-            // session disambiguates components.
-            let slot = session
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(env.body.slot_key());
-            ctx.broadcast_slot(self.channel, bytes, nominal, slot);
+            let _ = broadcast_signed(
+                ctx,
+                self.channel,
+                &self.crypto.keypair,
+                &self.sizing,
+                &env,
+                tag,
+            );
         }
         for (session, local, delay) in out.timers.drain(..) {
             ctx.set_timer(delay, (session << TIMER_LOCAL_BITS) | local as u64);

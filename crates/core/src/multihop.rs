@@ -21,7 +21,7 @@ use wbft_components::aba_sc::AbaScBatch;
 use wbft_components::rbc::RbcBatch;
 use wbft_components::NodeCrypto;
 use wbft_crypto::hash::Digest32;
-use wbft_net::{Body, Envelope, Sizing};
+use wbft_net::{broadcast_signed, Body, Envelope, Sizing};
 use wbft_wireless::{ChannelId, Frame, NodeBehavior, NodeCtx, SimDuration, SimTime};
 
 /// Encodes a cluster's global proposal: `(cluster, epoch, digest, txs)`.
@@ -179,17 +179,10 @@ impl ClusterNode {
         if out.charge_us > 0 {
             ctx.charge_cpu(SimDuration::from_micros(out.charge_us));
         }
-        let sign_cost = crypto.suite.ecdsa.profile().sign_us;
         for (session, body) in &out.sends {
-            let session = *session + offset;
-            let env = Envelope { src: crypto.me as u16, session, body: body.clone() };
-            ctx.charge_cpu(SimDuration::from_micros(sign_cost));
-            let Ok((bytes, nominal)) = env.seal(&crypto.keypair, sizing) else {
-                continue;
-            };
-            let slot =
-                session.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(env.body.slot_key());
-            ctx.broadcast_slot(channel, bytes, nominal, slot);
+            let env =
+                Envelope { src: crypto.me as u16, session: *session + offset, body: body.clone() };
+            let _ = broadcast_signed(ctx, channel, &crypto.keypair, sizing, &env, 0);
         }
         for (session, local, delay) in &out.timers {
             let mut id = ((*session + offset) << TIMER_LOCAL_BITS) | *local as u64;
@@ -275,15 +268,14 @@ impl ClusterNode {
             session: sessions::of(epoch, 7),
             body,
         };
-        ctx.charge_cpu(SimDuration::from_micros(
-            self.local_crypto.suite.ecdsa.profile().sign_us,
-        ));
-        let Ok((bytes, nominal)) = env.seal(&self.local_crypto.keypair, &self.local_sizing)
-        else {
-            return;
-        };
-        let slot = 0xeeee_0000u64 | epoch;
-        ctx.broadcast_slot(self.local_channel, bytes, nominal, slot);
+        let _ = broadcast_signed(
+            ctx,
+            self.local_channel,
+            &self.local_crypto.keypair,
+            &self.local_sizing,
+            &env,
+            0,
+        );
     }
 }
 

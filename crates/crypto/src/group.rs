@@ -369,6 +369,15 @@ impl GroupElem {
         }
     }
 
+    /// Records this element's subgroup membership under the key
+    /// [`GroupElem::from_bytes`] asks, for the producers of signatures and
+    /// shares (see [`crate::memo`]): an element built by group operations
+    /// is a member by this type's invariant, so whoever decodes its bytes
+    /// on this thread need not repeat the exponentiation.
+    pub(crate) fn record_member(&self) {
+        memo::record(Predicate::Subgroup, self.to_bytes(), [0; 32], || self.0.is_in_subgroup());
+    }
+
     /// Digest of the canonical encoding — the source of common-coin values.
     pub fn digest(&self, domain: &str) -> Digest32 {
         Digest32::of_parts(domain, &[&self.to_bytes()])

@@ -55,10 +55,13 @@
 //! [`thresh_coin::CoinPublicSet`], random linear combination with
 //! deterministic 64-bit coefficients and a per-share fallback), memoized
 //! batch-inverted Lagrange coefficients
-//! ([`shamir::lagrange_coeffs_at_zero`]), and a subgroup-membership decode
-//! memo. None of it perturbs determinism: every cache is keyed purely by
-//! its inputs. See the workspace README ("Crypto fast paths") for measured
-//! numbers.
+//! ([`shamir::lagrange_coeffs_at_zero`]), and one per-thread verdict memo
+//! ([`memo`]) for the verification predicates every receiver of a broadcast
+//! repeats — which the producer of a signature or share also writes its
+//! own verdict into, so a verifier on the signer's thread (every simulated
+//! receiver) finds the answer waiting. None of it perturbs determinism:
+//! every cache is keyed purely by its inputs. See the workspace README
+//! ("Crypto fast paths") for measured numbers.
 
 mod batch;
 pub mod field;

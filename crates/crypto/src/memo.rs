@@ -19,6 +19,18 @@
 //!   ([`crate::thresh_sig::PublicKeySet::verify`]) — keyed by
 //!   `(H(vk ‖ e), σ)`.
 //!
+//! The table has a second writer besides the verifiers: the *producer* of a
+//! proof. `KeyPair::sign` records its own signature's Schnorr verdict and the
+//! membership of its commitment `R`; `sign_share`, `coin_share` and
+//! `dec_share` record the membership of the element they return ([`record`],
+//! crate-private). Only the holder of the secret can do that — it alone knows
+//! the proof is good without checking it — and signatures are deterministic,
+//! so the record is exactly what the verifier would have computed. On the
+//! simulator's thread the signer's receivers then find their answer waiting;
+//! on a UDP node thread nobody asks the signer's own table, and bytes that
+//! were tampered with, forged or signed elsewhere hash to a key no producer
+//! wrote. Builds with debug assertions evaluate every recorded predicate.
+//!
 //! Every key binds the verification key it was checked under, so two deals
 //! on one thread never share a verdict. A verdict is a pure function of its
 //! key — the negative ones included: a transcript that failed once fails
@@ -57,6 +69,9 @@ pub struct Stats {
     pub hits: u64,
     /// Verdicts computed — the distinct checks actually performed.
     pub misses: u64,
+    /// Verdicts written by their producer ([`record`]) — for
+    /// [`Predicate::Schnorr`], the packet signatures made on this thread.
+    pub recorded: u64,
 }
 
 type Key = (Predicate, [u8; 32], [u8; 32]);
@@ -65,6 +80,15 @@ type Key = (Predicate, [u8; 32], [u8; 32]);
 struct Memo {
     verdicts: BTreeMap<Key, bool>,
     stats: [Stats; 4],
+}
+
+impl Memo {
+    fn insert(&mut self, key: Key, v: bool) {
+        if self.verdicts.len() >= CAP {
+            self.verdicts.clear();
+        }
+        self.verdicts.insert(key, v);
+    }
 }
 
 thread_local! {
@@ -96,14 +120,24 @@ pub(crate) fn verdict(
         return v;
     }
     let v = compute();
-    MEMO.with(|memo| {
-        let verdicts = &mut memo.borrow_mut().verdicts;
-        if verdicts.len() >= CAP {
-            verdicts.clear();
-        }
-        verdicts.insert(key, v);
-    });
+    MEMO.with(|memo| memo.borrow_mut().insert(key, v));
     v
+}
+
+/// Writes down that `predicate` holds on `(a, b)` without anyone having
+/// asked: the producer of a signature or share has just established it by
+/// construction. Only code holding the secret may call this — a record is
+/// a verdict nobody computed, so it must come from the one party that
+/// cannot be wrong about it. `holds` is the predicate itself; builds with
+/// debug assertions (every `cargo test` simulation) evaluate it and refuse a
+/// record it contradicts, so a signer bug cannot hide behind its own entry.
+pub(crate) fn record(predicate: Predicate, a: [u8; 32], b: [u8; 32], holds: impl FnOnce() -> bool) {
+    debug_assert!(holds(), "{predicate:?}: the producer recorded a verdict the predicate refutes");
+    MEMO.with(|memo| {
+        let mut memo = memo.borrow_mut();
+        memo.stats[predicate as usize].recorded += 1;
+        memo.insert((predicate, a, b), true);
+    });
 }
 
 /// This thread's counters for `predicate`.
@@ -139,7 +173,7 @@ mod tests {
             }
         }
         assert_eq!(calls, 2);
-        assert_eq!(stats(Predicate::Schnorr), Stats { hits: 4, misses: 2 });
+        assert_eq!(stats(Predicate::Schnorr), Stats { hits: 4, misses: 2, recorded: 0 });
         assert_eq!(stats(Predicate::Dleq), Stats::default());
     }
 

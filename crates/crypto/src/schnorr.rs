@@ -67,11 +67,20 @@ impl KeyPair {
     }
 
     /// Signs a message (deterministic nonce, RFC-6979 style).
+    ///
+    /// The signer knows its signature verifies and that `R = g^k` is a group
+    /// member, so it records both verdicts in the memo ([`crate::memo`])
+    /// under the keys a verifier would ask: receivers simulated on this
+    /// thread are answered without redoing the check.
     pub fn sign(&self, msg: &[u8]) -> Signature {
         let k = hash_to_scalar("wbft/schnorr/nonce", &[&self.sk.to_bytes(), msg]);
         let r = GroupElem::from_exponent(&k);
         let e = challenge(&r, &self.pk, msg);
         let z = k.add(&e.mul(&self.sk));
+        r.record_member();
+        memo::record(Predicate::Schnorr, e.to_bytes(), z.to_bytes(), || {
+            schnorr_equation(&r, &self.pk, &e, &z)
+        });
         Signature { r, z }
     }
 
@@ -96,7 +105,7 @@ impl PublicKey {
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> Result<(), InvalidSignature> {
         let e = challenge(&sig.r, &self.point, msg);
         let valid = memo::verdict(Predicate::Schnorr, e.to_bytes(), sig.z.to_bytes(), || {
-            GroupElem::from_exponent(&sig.z) == sig.r.mul(&self.point.pow(&e))
+            schnorr_equation(&sig.r, &self.point, &e, &sig.z)
         });
         if valid {
             Ok(())
@@ -109,6 +118,11 @@ impl PublicKey {
     pub fn signature_wire_bytes(&self) -> usize {
         self.curve.profile().signature_bytes
     }
+}
+
+/// The verification equation `g^z == R · pk^e`.
+fn schnorr_equation(r: &GroupElem, pk: &GroupElem, e: &Scalar, z: &Scalar) -> bool {
+    GroupElem::from_exponent(z) == r.mul(&pk.pow(e))
 }
 
 fn challenge(r: &GroupElem, pk: &GroupElem, msg: &[u8]) -> Scalar {

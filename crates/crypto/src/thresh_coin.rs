@@ -367,7 +367,9 @@ impl CoinSecretShare {
     pub fn coin_share(&self, name: CoinName) -> CoinShare {
         tally_update(|t| t.shares_signed += 1);
         let e = coin_exponent(name);
-        CoinShare { index: self.index, value: GroupElem::from_exponent(&e.mul(&self.secret)) }
+        let value = GroupElem::from_exponent(&e.mul(&self.secret));
+        value.record_member();
+        CoinShare { index: self.index, value }
     }
 }
 

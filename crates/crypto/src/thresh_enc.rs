@@ -306,6 +306,7 @@ impl EncSecretShare {
     /// and re-producing the share for retransmission is reproducible.
     pub fn dec_share(&self, ct: &Ciphertext) -> DecShare {
         let d = ct.u.pow(&self.secret);
+        d.record_member();
         let vk_i = GroupElem::from_exponent(&self.secret);
         let k = hash_to_scalar(
             "wbft/thresh-enc/dleq-nonce",

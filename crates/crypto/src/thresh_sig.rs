@@ -402,7 +402,9 @@ impl SecretKeyShare {
     /// roughly 6× cheaper than exponentiating the fresh hash point.
     pub fn sign_share(&self, msg: &[u8]) -> SigShare {
         let e = msg_exponent(msg);
-        SigShare { index: self.index, value: GroupElem::from_exponent(&e.mul(&self.secret)) }
+        let value = GroupElem::from_exponent(&e.mul(&self.secret));
+        value.record_member();
+        SigShare { index: self.index, value }
     }
 }
 

@@ -30,7 +30,7 @@ fn computed_then_repeated(p: Predicate, consulted: bool, check: impl Fn() -> boo
     let computed = check();
     let repeated = check();
     let expect = u64::from(consulted);
-    assert_eq!(memo::stats(p), memo::Stats { hits: expect, misses: expect });
+    assert_eq!(memo::stats(p), memo::Stats { hits: expect, misses: expect, recorded: 0 });
     (computed, repeated)
 }
 
@@ -419,10 +419,71 @@ proptest! {
                 }
             }
         }
-        // Second pass was all hits: 4 distinct questions per predicate.
-        for p in [Predicate::Schnorr, Predicate::ThreshSig, Predicate::Dleq] {
-            prop_assert_eq!(memo::stats(p), memo::Stats { hits: 4, misses: 4 });
+        // 4 distinct questions per predicate, the second pass all hits. The
+        // two signers recorded their own signature's verdict, so only the
+        // cross-deal Schnorr questions were ever computed.
+        for p in [Predicate::ThreshSig, Predicate::Dleq] {
+            prop_assert_eq!(memo::stats(p), memo::Stats { hits: 4, misses: 4, recorded: 0 });
         }
+        prop_assert_eq!(
+            memo::stats(Predicate::Schnorr),
+            memo::Stats { hits: 6, misses: 2, recorded: 2 }
+        );
+    }
+
+    #[test]
+    fn a_recorded_verdict_equals_the_computed_one(seed in any::<u64>(), msg in any::<Vec<u8>>()) {
+        // What a producer writes into the table is what a verifier would
+        // have computed: ask with the record present (a hit), forget
+        // everything, ask again (computed) — same answer. A proof altered
+        // after it was made is not covered by its producer's record.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let kp = KeyPair::generate(wbft_crypto::EcdsaCurve::Secp160r1, &mut rng);
+        let (_, sig_secrets) = thresh_sig::deal(4, 1, ThresholdCurve::Bn158, &mut rng);
+        let (_, coin_secrets) = thresh_coin::deal_coin(4, 1, ThresholdCurve::Bn158, &mut rng);
+        let (enc, enc_secrets) = thresh_enc::deal_enc(4, 1, ThresholdCurve::Bn158, &mut rng);
+        let ct = enc.encrypt(b"l", &msg, &mut rng);
+        let name = thresh_coin::CoinName { session: seed, round: 1, domain: 0 };
+
+        memo::clear();
+        let sig = kp.sign(&msg);
+        let members = [
+            sig.r,
+            sig_secrets[0].sign_share(&msg).value,
+            coin_secrets[1].coin_share(name).value,
+            enc_secrets[2].dec_share(&ct).value,
+        ];
+        let mut tampered = sig;
+        tampered.z = tampered.z.add(&Scalar::ONE);
+        let ask = || {
+            (
+                kp.public().verify(&msg, &sig).is_ok(),
+                kp.public().verify(&msg, &tampered).is_ok(),
+                members.map(|m| GroupElem::from_bytes(&m.to_bytes()).is_ok()),
+            )
+        };
+        let expected = (true, false, [true; 4]);
+
+        prop_assert_eq!(ask(), expected);
+        prop_assert_eq!(
+            memo::stats(Predicate::Schnorr),
+            memo::Stats { hits: 1, misses: 1, recorded: 1 }
+        );
+        prop_assert_eq!(
+            memo::stats(Predicate::Subgroup),
+            memo::Stats { hits: 4, misses: 0, recorded: 4 }
+        );
+
+        memo::clear();
+        prop_assert_eq!(ask(), expected);
+        prop_assert_eq!(
+            memo::stats(Predicate::Schnorr),
+            memo::Stats { hits: 0, misses: 2, recorded: 0 }
+        );
+        prop_assert_eq!(
+            memo::stats(Predicate::Subgroup),
+            memo::Stats { hits: 0, misses: 4, recorded: 0 }
+        );
     }
 
     // ---------------------------------------------------------- resharing
@@ -632,7 +693,7 @@ fn verdicts_are_the_same_across_a_clear_when_full() {
     assert_eq!(ask(), expected, "computed");
     assert_eq!(ask(), expected, "from the table");
     let schnorr_before = memo::stats(Predicate::Schnorr);
-    assert_eq!(schnorr_before, memo::Stats { hits: 2, misses: 2 });
+    assert_eq!(schnorr_before, memo::Stats { hits: 2, misses: 2, recorded: 0 });
     // CAP more distinct entries: the table fills, is cleared, and the
     // eight verdicts above go with it.
     for i in 0..memo::CAP as u64 {
@@ -640,6 +701,9 @@ fn verdicts_are_the_same_across_a_clear_when_full() {
         assert!(GroupElem::from_bytes(&x.to_bytes()).is_ok());
     }
     assert_eq!(ask(), expected, "recomputed after the clear");
-    assert_eq!(memo::stats(Predicate::Schnorr), memo::Stats { hits: 2, misses: 4 });
+    assert_eq!(
+        memo::stats(Predicate::Schnorr),
+        memo::Stats { hits: 2, misses: 4, recorded: 0 }
+    );
     assert_eq!(ask(), expected, "from the table again");
 }

@@ -55,6 +55,7 @@ pub mod datagram;
 pub mod overhead;
 pub mod packets;
 pub mod reliability;
+pub mod send;
 pub mod vote;
 pub mod wire;
 
@@ -62,5 +63,6 @@ pub use bitmap::Bitmap;
 pub use datagram::{Datagram, MAX_DATAGRAM_PAYLOAD};
 pub use packets::{AbaLcInst, AbaScInst, Body, Envelope};
 pub use reliability::RetransmitPolicy;
+pub use send::broadcast_signed;
 pub use vote::{BinValues, Vote};
 pub use wire::{CoinFlavor, Sizing, WireError};

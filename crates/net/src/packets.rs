@@ -13,7 +13,7 @@
 use crate::bitmap::Bitmap;
 use crate::vote::{BinValues, Vote};
 use crate::wire::{ByteSink, CoinFlavor, CountSink, Sink, Sizing, WireError, WireReader};
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use wbft_crypto::hash::Digest32;
 use wbft_crypto::schnorr::{KeyPair, PublicKey, Signature};
 use wbft_crypto::thresh_coin::CoinShare;
@@ -918,6 +918,20 @@ impl Envelope {
         sizing: &Sizing,
         key_epoch: u64,
     ) -> Result<(Bytes, usize), WireError> {
+        let (signed, nominal) = self.encode_signed_region(sizing, key_epoch)?;
+        Ok((append_signature(keypair, signed), nominal))
+    }
+
+    /// The one packet encoder: everything the signature covers (header,
+    /// body, key-epoch tag) and the nominal length of the whole packet,
+    /// signature included. Sealing is this plus [`append_signature`], now
+    /// ([`Envelope::seal_tagged`]) or when the frame is transmitted
+    /// ([`crate::send::broadcast_signed`]).
+    pub(crate) fn encode_signed_region(
+        &self,
+        sizing: &Sizing,
+        key_epoch: u64,
+    ) -> Result<(BytesMut, usize), WireError> {
         let mut nominal = self.nominal_len(sizing)?;
         let mut sink = ByteSink::new();
         sink.u16(self.src);
@@ -927,10 +941,7 @@ impl Envelope {
             sink.u64(key_epoch);
             nominal += 8;
         }
-        let sig = keypair.sign(sink.as_slice());
-        sink.raw(&sig.r.to_bytes());
-        sink.raw(&sig.z.to_bytes());
-        Ok((sink.into_bytes(), nominal))
+        Ok((sink.into_mut(), nominal))
     }
 
     /// Nominal wire length under the paper's packet layout.
@@ -1003,6 +1014,15 @@ impl Envelope {
         };
         Ok((Envelope { src, session, body }, key_epoch, sig_ok))
     }
+}
+
+/// The one packet signer: appends the Schnorr signature over `signed` (the
+/// output of [`Envelope::encode_signed_region`]). Infallible.
+pub(crate) fn append_signature(keypair: &KeyPair, mut signed: BytesMut) -> Bytes {
+    let sig = keypair.sign(&signed);
+    signed.put_slice(&sig.r.to_bytes());
+    signed.put_slice(&sig.z.to_bytes());
+    signed.freeze()
 }
 
 #[cfg(test)]

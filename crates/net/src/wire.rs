@@ -142,9 +142,10 @@ impl ByteSink {
         &self.buf
     }
 
-    /// Appends raw bytes without a length prefix (signatures).
-    pub fn raw(&mut self, v: &[u8]) {
-        self.buf.put_slice(v);
+    /// The buffer itself, still open for appending (a packet whose
+    /// signature is added when it is transmitted).
+    pub fn into_mut(self) -> BytesMut {
+        self.buf
     }
 }
 

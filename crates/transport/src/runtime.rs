@@ -516,7 +516,9 @@ impl<B: NodeBehavior> UdpRuntime<B> {
         for cmd in cmds {
             match cmd {
                 Command::Broadcast { channel, payload, nominal_len, slot: _ } => {
-                    self.broadcast(channel, payload, nominal_len);
+                    // No transmit queue here: every frame leaves at once,
+                    // so its payload is finished at once.
+                    self.broadcast(channel, payload.finish(), nominal_len);
                 }
                 Command::SetTimer { after, id } => {
                     self.timer_seq += 1;
@@ -643,6 +645,61 @@ mod tests {
         // The nominal length (120) survives the trip, not the payload size.
         assert!(rt.behavior().received.iter().all(|&(src, nom)| src == NodeId(0) && nom == 120));
         assert_eq!(rt.metrics().node(NodeId(1)).frames_received, 3);
+    }
+
+    #[test]
+    fn a_deferred_payload_is_finished_before_it_leaves_the_socket() {
+        // No transmit queue, so no later moment to finish a frame at: what
+        // `broadcast_signed` hands over unsigned must arrive signed.
+        use rand::SeedableRng;
+        use wbft_crypto::schnorr::KeyPair;
+        use wbft_net::{broadcast_signed, Body, Envelope, Sizing};
+
+        struct Node {
+            keypair: KeyPair,
+            sends: bool,
+            heard: Vec<Bytes>,
+        }
+        fn packet() -> Envelope {
+            let digest = wbft_crypto::Digest32::of(b"block");
+            let body = Body::GlobalDecision { epoch: 1, digest, tx_count: 2 };
+            Envelope { src: 0, session: 7, body }
+        }
+        impl NodeBehavior for Node {
+            fn on_start(&mut self, ctx: &mut NodeCtx) {
+                if self.sends {
+                    let sizing = Sizing::light(2);
+                    broadcast_signed(ctx, ChannelId(0), &self.keypair, &sizing, &packet(), 0)
+                        .unwrap();
+                }
+            }
+            fn on_frame(&mut self, frame: &Frame, _ctx: &mut NodeCtx) {
+                self.heard.push(frame.payload.clone());
+            }
+            fn on_timer(&mut self, _id: u64, _ctx: &mut NodeCtx) {}
+        }
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let keypair = KeyPair::generate(wbft_crypto::EcdsaCurve::Secp160r1, &mut rng);
+        let node = |sends| Node { keypair: keypair.clone(), sends, heard: Vec::new() };
+        let (mut sockets, table) = loopback_cluster(2);
+        let receiver_socket = sockets.pop().unwrap();
+        let sender_socket = sockets.pop().unwrap();
+        let (sender_table, sender_node) = (table.clone(), node(true));
+        let sender = std::thread::spawn(move || {
+            let mut rt =
+                UdpRuntime::from_socket(sender_socket, sender_table, 0, sender_node, 1).unwrap();
+            rt.run_until(Duration::from_secs(10), Duration::from_millis(200), |_| true).unwrap();
+        });
+        let mut rt = UdpRuntime::from_socket(receiver_socket, table, 1, node(false), 2).unwrap();
+        let ok =
+            rt.run_until(Duration::from_secs(10), Duration::ZERO, |b| !b.heard.is_empty()).unwrap();
+        sender.join().unwrap();
+        assert!(ok);
+        let (env, sig_ok) =
+            Envelope::open(&rt.behavior().heard[0], |_| Some(keypair.public())).unwrap();
+        assert!(sig_ok, "the datagram left unsigned");
+        assert_eq!(env, packet());
     }
 
     #[test]

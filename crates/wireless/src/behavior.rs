@@ -6,11 +6,19 @@
 //! a timer, charge virtual CPU time for crypto work, join/leave a channel).
 //! The same protocol code therefore runs identically under this simulator
 //! and under any real transport that honours the contract.
+//!
+//! A broadcast's payload may be handed over *unfinished* ([`Payload`]): the
+//! bytes a node can build the moment its state changes, plus a [`Finish`]
+//! that completes them — in practice, signs them — when the frame actually
+//! leaves the node. A runtime with a transmit queue finishes a frame at the
+//! one point it leaves the queue, so a version superseded while waiting is
+//! never finished at all; a runtime without a queue finishes it at once.
 
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{ChannelId, NodeId};
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use rand_chacha::ChaCha12Rng;
+use std::sync::Arc;
 
 /// A frame as seen by a receiving node.
 #[derive(Clone, Debug)]
@@ -26,6 +34,40 @@ pub struct Frame {
     /// with the paper's signature sizes (airtime and byte counters use
     /// this, not `payload.len()`; see `wbft-net`).
     pub nominal_len: usize,
+}
+
+/// Completes an unfinished frame at the moment it leaves the node; see
+/// [`Payload::Deferred`]. Must not fail: everything that can go wrong with
+/// a frame (an oversized body, say) is settled when it is queued.
+pub trait Finish: std::fmt::Debug + Send + Sync {
+    /// The frame's final bytes, given what was built when it was queued.
+    fn finish(&self, unfinished: BytesMut) -> Bytes;
+}
+
+/// What a [`Command::Broadcast`] carries.
+#[derive(Clone, Debug)]
+pub enum Payload {
+    /// Final bytes.
+    Ready(Bytes),
+    /// Bytes built at enqueue time and the step that completes them at
+    /// transmit time.
+    Deferred {
+        /// Everything but the part `finisher` adds.
+        unfinished: BytesMut,
+        /// Completes `unfinished` when the frame leaves the node.
+        finisher: Arc<dyn Finish>,
+    },
+}
+
+impl Payload {
+    /// The bytes that go on the air. A runtime calls this exactly once per
+    /// frame it transmits and never for a frame it drops.
+    pub fn finish(self) -> Bytes {
+        match self {
+            Payload::Ready(bytes) => bytes,
+            Payload::Deferred { unfinished, finisher } => finisher.finish(unfinished),
+        }
+    }
 }
 
 /// Commands a behavior can issue during a callback; applied by the driving
@@ -44,8 +86,9 @@ pub enum Command {
     Broadcast {
         /// Target channel.
         channel: ChannelId,
-        /// Frame payload.
-        payload: Bytes,
+        /// Frame payload, finished by the runtime when the frame leaves
+        /// the node.
+        payload: Payload,
         /// Nominal wire length in bytes.
         nominal_len: usize,
         /// Transmit-queue coalescing slot, if any.
@@ -107,7 +150,7 @@ impl<'a> NodeCtx<'a> {
     /// is the wire length used for airtime (callers take it from the packet
     /// codec).
     pub fn broadcast(&mut self, channel: ChannelId, payload: Bytes, nominal_len: usize) {
-        self.cmds.push(Command::Broadcast { channel, payload, nominal_len, slot: None });
+        self.transmit(channel, Payload::Ready(payload), nominal_len, None);
     }
 
     /// Queues a broadcast like [`NodeCtx::broadcast`], but if a frame with
@@ -123,7 +166,19 @@ impl<'a> NodeCtx<'a> {
         nominal_len: usize,
         slot: u64,
     ) {
-        self.cmds.push(Command::Broadcast { channel, payload, nominal_len, slot: Some(slot) });
+        self.transmit(channel, Payload::Ready(payload), nominal_len, Some(slot));
+    }
+
+    /// The general form of [`NodeCtx::broadcast`] / [`NodeCtx::broadcast_slot`]:
+    /// queues `payload`, finished or not, under an optional `slot`.
+    pub fn transmit(
+        &mut self,
+        channel: ChannelId,
+        payload: Payload,
+        nominal_len: usize,
+        slot: Option<u64>,
+    ) {
+        self.cmds.push(Command::Broadcast { channel, payload, nominal_len, slot });
     }
 
     /// Schedules `on_timer(id)` after `after` (subject to CPU availability).

@@ -26,6 +26,12 @@
 //! Protocol logic plugs in as sans-io [`NodeBehavior`] state machines; runs
 //! are bit-for-bit deterministic for a fixed seed.
 //!
+//! A node's transmit queue keeps one frame per slot — a newer version of a
+//! combined packet replaces the one still waiting for the channel — and a
+//! broadcast may carry a [`Payload`] that is only *finished* (signed, in
+//! practice) when its frame leaves that queue, so the versions that never
+//! air cost nothing beyond building them ([`behavior`]).
+//!
 //! ## Example
 //!
 //! ```rust
@@ -64,7 +70,7 @@ pub mod time;
 pub mod topology;
 
 pub use adversary::{AdversaryConfig, LossModel};
-pub use behavior::{Command, Frame, NodeBehavior, NodeCtx};
+pub use behavior::{Command, Finish, Frame, NodeBehavior, NodeCtx, Payload};
 pub use csma::CsmaParams;
 pub use dma::DmaParams;
 pub use metrics::{Metrics, NodeMetrics};

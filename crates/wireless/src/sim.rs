@@ -8,7 +8,7 @@
 //! randomness flows from one ChaCha12 stream.
 
 use crate::adversary::{AdversaryConfig, LossModel};
-use crate::behavior::{Command, Frame, NodeBehavior, NodeCtx};
+use crate::behavior::{Command, Frame, NodeBehavior, NodeCtx, Payload};
 use crate::csma::CsmaParams;
 use crate::dma::DmaParams;
 use crate::metrics::Metrics;
@@ -92,7 +92,9 @@ enum TxState {
 
 struct QueuedFrame {
     channel: ChannelId,
-    payload: Bytes,
+    /// Finished only when the frame leaves the queue ([`Simulator::tx_start`]):
+    /// a version replaced or dropped while it waits is never finished.
+    payload: Payload,
     nominal_len: usize,
     slot: Option<u64>,
 }
@@ -461,18 +463,17 @@ impl<B: NodeBehavior> Simulator<B> {
             match cmd {
                 Command::Broadcast { channel, payload, nominal_len, slot } => {
                     let queue = &mut self.nodes[node.index()].tx_queue;
-                    let replaced = slot.is_some()
-                        && queue.iter_mut().any(|q| {
-                            if q.slot == slot && q.channel == channel {
-                                q.payload = payload.clone();
-                                q.nominal_len = nominal_len;
-                                true
-                            } else {
-                                false
-                            }
-                        });
-                    if !replaced {
-                        queue.push_back(QueuedFrame { channel, payload, nominal_len, slot });
+                    let queued = queue
+                        .iter_mut()
+                        .find(|q| slot.is_some() && q.slot == slot && q.channel == channel);
+                    match queued {
+                        Some(q) => {
+                            q.payload = payload;
+                            q.nominal_len = nominal_len;
+                        }
+                        None => {
+                            queue.push_back(QueuedFrame { channel, payload, nominal_len, slot })
+                        }
                     }
                     // Frames leave the CPU only after the charged crypto work.
                     self.push(ready_at, EventKind::TxAttempt(node));
@@ -545,7 +546,7 @@ impl<B: NodeBehavior> Simulator<B> {
             channel: frame.channel,
             start: self.now,
             end,
-            payload: frame.payload,
+            payload: frame.payload.finish(),
             nominal_len: frame.nominal_len,
         });
         let st = &mut self.nodes[node.index()];
@@ -1072,6 +1073,79 @@ mod tests {
         // the latest version airs once.
         assert_eq!(got, vec![3], "queued versions must coalesce, got {got:?}");
         assert_eq!(sim.metrics().node(NodeId(0)).channel_accesses, 1);
+    }
+
+    #[test]
+    fn a_deferred_payload_is_finished_once_when_it_leaves_the_queue() {
+        use crate::behavior::Finish;
+        use bytes::BytesMut;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        /// Counts its calls and marks the bytes it finished.
+        #[derive(Debug, Default)]
+        struct Stamp(AtomicUsize);
+        impl Finish for Stamp {
+            fn finish(&self, mut unfinished: BytesMut) -> Bytes {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                unfinished.extend_from_slice(b"!");
+                unfinished.freeze()
+            }
+        }
+        /// The sender queues three versions of one slotted packet at start,
+        /// as a node whose state changed three times before it won the
+        /// channel; the listener keeps what it hears.
+        struct Node {
+            sends: Option<Arc<Stamp>>,
+            heard: Vec<Bytes>,
+        }
+        impl NodeBehavior for Node {
+            fn on_start(&mut self, ctx: &mut NodeCtx) {
+                let Some(stamp) = &self.sends else { return };
+                for version in 1..=3u8 {
+                    let mut unfinished = BytesMut::new();
+                    unfinished.extend_from_slice(&[version; 40]);
+                    let finisher: Arc<dyn Finish> = stamp.clone();
+                    let payload = Payload::Deferred { unfinished, finisher };
+                    ctx.transmit(ChannelId(0), payload, 41, Some(9));
+                }
+            }
+            fn on_frame(&mut self, frame: &Frame, _ctx: &mut NodeCtx) {
+                self.heard.push(frame.payload.clone());
+            }
+            fn on_timer(&mut self, _id: u64, _ctx: &mut NodeCtx) {}
+        }
+        let build = || {
+            let stamp = Arc::new(Stamp::default());
+            let behaviors = vec![
+                Node { sends: Some(stamp.clone()), heard: Vec::new() },
+                Node { sends: None, heard: Vec::new() },
+            ];
+            (Simulator::new(cfg(11), Topology::single_hop(2), behaviors), stamp)
+        };
+        let finished = |stamp: &Stamp| stamp.0.load(Ordering::Relaxed);
+
+        // Queued but not yet on the air (the backoff has not elapsed):
+        // nothing is finished. By the end of the run the one version that
+        // aired was finished, once, and is what the listener heard.
+        let (mut sim, stamp) = build();
+        sim.run_until(SimTime::ZERO);
+        assert_eq!(sim.metrics().node(NodeId(0)).channel_accesses, 0);
+        assert_eq!(finished(&stamp), 0, "finished before leaving the queue");
+        sim.run_until(SimTime::from_micros(30_000_000));
+        assert_eq!(sim.metrics().node(NodeId(0)).channel_accesses, 1);
+        assert_eq!(finished(&stamp), 1, "superseded versions must not be finished");
+        let mut v3 = vec![3u8; 40];
+        v3.push(b'!');
+        assert_eq!(sim.behavior(NodeId(1)).heard, vec![Bytes::from(v3)]);
+
+        // A crash empties the queue without finishing what was in it.
+        let (mut sim, stamp) = build();
+        sim.run_until(SimTime::ZERO);
+        sim.crash_node(NodeId(0));
+        sim.run_until(SimTime::from_micros(30_000_000));
+        assert_eq!(finished(&stamp), 0, "a dropped frame was finished");
+        assert!(sim.behavior(NodeId(1)).heard.is_empty());
     }
 
     #[test]
