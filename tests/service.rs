@@ -17,7 +17,7 @@ use wbft_consensus::{
 };
 use wbft_membership::MembershipOp;
 use wbft_transport::{ClientMsg, PeerTable, CLIENT_CHANNEL, CLIENT_SRC};
-use wbft_wireless::SimTime;
+use wbft_wireless::{LossModel, SimTime};
 
 // ------------------------------------------------------------------
 // Byte-identity regression against pre-redesign fixtures.
@@ -35,8 +35,10 @@ use wbft_wireless::SimTime;
 /// the epoch pipeline moved into one skeleton. Three more pin the runner
 /// paths nothing else byte-pinned — crash/restart, a Byzantine wrap, a
 /// Dumbo membership swap — written by the last build with one runner per
-/// axis. `WBFT_BLESS=1` rewrites them after an *intentional* behaviour
-/// change.
+/// axis. The three `.mh4.` files pin the clustered multi-hop runner
+/// (`run_multi_hop`, `ClusterNode`) — two lossy two-epoch points and a
+/// lossless one — written before any of it was optimised or moved.
+/// `WBFT_BLESS=1` rewrites them after an *intentional* behaviour change.
 #[test]
 fn fixed_epoch_reports_match_pre_redesign_fixtures() {
     let mut spec = SweepSpec::new("regress");
@@ -72,13 +74,24 @@ fn fixed_epoch_reports_match_pre_redesign_fixtures() {
         ops: vec![MembershipOp::Join(4), MembershipOp::Leave(0)],
     })];
     scenarios.extend(churn.expand());
-    assert_eq!(scenarios.len(), 13);
+    // The clustered multi-hop runner, through the sweep's topology axis.
+    let mut clustered = SweepSpec::new("regress-mh-lossy");
+    clustered.protocols = vec![Protocol::HoneyBadgerSc, Protocol::DumboSc];
+    clustered.topologies = vec![TestbedConfig::multi_hop(Protocol::Beat).clusters];
+    clustered.losses = vec![LossModel::Uniform { p: 0.1 }];
+    clustered.epochs = 2;
+    scenarios.extend(clustered.expand());
+    let mut clustered_beat = SweepSpec::new("regress-mh");
+    clustered_beat.topologies = clustered.topologies.clone();
+    scenarios.extend(clustered_beat.expand());
+    assert_eq!(scenarios.len(), 16);
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     for scenario in &scenarios {
         let cfg = &scenario.cfg;
         let pre_redesign = cfg.service.is_none()
             && cfg.crash.is_none()
             && cfg.churn.is_none()
+            && cfg.clusters.is_none()
             && matches!(cfg.protocol, Protocol::Beat | Protocol::DumboSc);
         let path = dir.join(if pre_redesign {
             format!("pre_redesign_{}_sh_seed7.json", cfg.protocol.slug())
