@@ -12,6 +12,7 @@ use crate::aba_sc::AbaScBatch;
 use crate::context::{
     Actions, BinaryAgreement, Broadcaster, Params, ProvableBroadcaster, RetxState,
 };
+use crate::rbc::held;
 use crate::share_buf::SigShareBuf;
 use bytes::Bytes;
 use std::collections::BTreeSet;
@@ -30,6 +31,8 @@ const FRAG_BUDGET: usize = crate::rbc::FRAG_BUDGET;
 
 #[derive(Debug, Default)]
 struct BInst {
+    /// Once `value` is held, its digest (the invariant of `rbc::Inst`,
+    /// read through [`held`]).
     claimed_root: Option<Digest32>,
     frags: Vec<Option<Bytes>>,
     value: Option<Bytes>,
@@ -79,13 +82,14 @@ impl BaselineRbcSet {
 
     /// Delivered root of an instance (baseline PRBC signs this).
     pub fn delivered_root(&self, instance: usize) -> Option<Digest32> {
-        self.insts[instance].delivered.as_ref().map(|v| Digest32::of(v))
+        let inst = &self.insts[instance];
+        debug_assert!(inst.delivered.is_none() || inst.delivered == inst.value);
+        inst.delivered.as_ref().and(held(&inst.value, inst.claimed_root)).map(|(_, root)| root)
     }
 
     fn send_init(&self, instance: usize, acts: &mut Actions) {
         let inst = &self.insts[instance];
-        let Some(value) = &inst.value else { return };
-        let root = Digest32::of(value);
+        let Some((value, root)) = held(&inst.value, inst.claimed_root) else { return };
         let chunks: Vec<&[u8]> =
             if value.is_empty() { vec![&[][..]] } else { value.chunks(FRAG_BUDGET).collect() };
         let total = chunks.len() as u8;
@@ -122,12 +126,10 @@ impl BaselineRbcSet {
         let inst = &mut self.insts[j];
         if inst.delivered.is_none() {
             if let Some((root, c)) = count_root_votes(&inst.ready_roots) {
-                if c >= quorum {
-                    if let Some(v) = &inst.value {
-                        if Digest32::of(v) == root {
-                            inst.delivered = Some(v.clone());
-                        }
-                    }
+                if c >= quorum
+                    && held(&inst.value, inst.claimed_root).is_some_and(|(_, r)| r == root)
+                {
+                    inst.delivered = inst.value.clone();
                 }
             }
         }
@@ -342,8 +344,7 @@ impl BaselineCbcSet {
 
     fn send_init(&self, instance: usize, acts: &mut Actions) {
         let inst = &self.insts[instance];
-        let Some(value) = &inst.value else { return };
-        let root = Digest32::of(value);
+        let Some((value, root)) = held(&inst.value, inst.claimed_root) else { return };
         let chunks: Vec<&[u8]> =
             if value.is_empty() { vec![&[][..]] } else { value.chunks(FRAG_BUDGET).collect() };
         let total = chunks.len() as u8;

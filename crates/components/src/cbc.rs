@@ -13,6 +13,7 @@
 //! certificates ride in one combined `CBC_EF` packet per channel access.
 
 use crate::context::{Actions, Broadcaster, Params, RetxState};
+use crate::rbc::held;
 use crate::share_buf::SigShareBuf;
 use bytes::Bytes;
 use wbft_crypto::hash::Digest32;
@@ -36,6 +37,11 @@ fn echo_msg(session: u64, instance: usize, root: &Digest32) -> Vec<u8> {
 
 #[derive(Debug, Default)]
 struct Inst {
+    /// The root the instance's first fragment (or packet) claimed. Once
+    /// `value` is held this *is* its digest and no longer changes (as in
+    /// `rbc::Inst`, read through [`held`]): stored only after the value
+    /// hashed to it, or together with it in `start`; reset only while no
+    /// value is held.
     claimed_root: Option<Digest32>,
     frags: Vec<Option<Bytes>>,
     value: Option<Bytes>,
@@ -86,8 +92,7 @@ impl CbcBatch {
 
     fn send_init_frags(&self, instance: usize, acts: &mut Actions) {
         let inst = &self.insts[instance];
-        let Some(value) = &inst.value else { return };
-        let root = Digest32::of(value);
+        let Some((value, root)) = held(&inst.value, inst.claimed_root) else { return };
         let chunks: Vec<&[u8]> =
             if value.is_empty() { vec![&[][..]] } else { value.chunks(FRAG_BUDGET).collect() };
         let total = chunks.len() as u8;
@@ -674,6 +679,67 @@ mod tests {
         let root = Digest32::of(&vals[2]);
         nodes[0].keys.verify(&echo_msg(5, 2, &root), sig).unwrap();
         assert!(nodes[0].keys.verify(&echo_msg(5, 3, &root), sig).is_err());
+    }
+
+    #[test]
+    fn a_served_root_is_the_digest_of_the_value_it_is_served_for() {
+        // Node 3's second INITIAL fragment is corrupted on the air: nobody
+        // else can assemble (or echo) its value, instances 0–2 deliver.
+        let mut nodes = make();
+        let mut vals: Vec<Bytes> = (0..4).map(|i| Bytes::from(format!("w-{i}"))).collect();
+        vals[3] = Bytes::from(vec![3u8; FRAG_BUDGET + 10]);
+        let mut i = 0;
+        run_mesh(
+            &mut nodes,
+            |n, acts| {
+                n.start(vals[i].clone(), acts);
+                i += 1;
+            },
+            |n, from, body, acts| match body {
+                Body::CbcInit { instance: 3, frag: 1, frag_total, root, init_nack, .. } => {
+                    let corrupt = Body::CbcInit {
+                        instance: 3,
+                        frag: 1,
+                        frag_total: *frag_total,
+                        root: *root,
+                        data: Bytes::from_static(b"not the fragment"),
+                        init_nack: *init_nack,
+                    };
+                    n.handle(from, &corrupt, acts)
+                }
+                _ => n.handle(from, body, acts),
+            },
+            |n| n.delivered_count() == 3,
+        );
+        for node in &nodes {
+            for j in 0..4 {
+                let mut acts = Actions::new();
+                node.send_init_frags(j, &mut acts);
+                let served: Vec<Digest32> = acts
+                    .drain()
+                    .0
+                    .iter()
+                    .map(|body| match body {
+                        Body::CbcInit { root, .. } => *root,
+                        other => panic!("not an INITIAL fragment: {other:?}"),
+                    })
+                    .collect();
+                match &node.insts[j].value {
+                    Some(v) => assert!(!served.is_empty() && served.iter().all(|r| *r == Digest32::of(v))),
+                    None => assert!(served.is_empty()),
+                }
+            }
+        }
+        // The failed assembly left nothing to serve; at the moment of the
+        // failed check the claim itself is dropped.
+        for node in nodes.iter().take(3) {
+            assert!(node.insts[3].value.is_none() && node.delivered(3).is_none());
+        }
+        let mut fresh = make().remove(0);
+        let root = Digest32::of(b"claimed");
+        let mut acts = Actions::new();
+        fresh.handle_init(3, 0, 1, root, &Bytes::from_static(b"something else"), &mut acts);
+        assert!(fresh.insts[3].value.is_none() && fresh.insts[3].claimed_root.is_none());
     }
 
     #[test]

@@ -30,7 +30,11 @@ const TIMER_RETX: u32 = 0;
 
 #[derive(Debug, Default)]
 struct Inst {
-    /// Proposal root claimed by the first INITIAL fragment seen.
+    /// Proposal root claimed by the first INITIAL fragment (or vote) seen.
+    /// Once `value` is held this *is* its digest and no longer changes: a
+    /// value is stored only after it hashed to this root (`handle_init`) or
+    /// together with the root just computed from it (`start`), and the root
+    /// is reset only while no value is held.
     claimed_root: Option<Digest32>,
     /// Fragment buffer (sized on first fragment).
     frags: Vec<Option<Bytes>>,
@@ -74,6 +78,19 @@ impl Inst {
     }
 }
 
+/// A held value with its digest — read off the instance's `claimed_root`,
+/// which the value was checked against when it was stored, not hashed
+/// again. Shared by the RBC and CBC instances and their baseline mirrors,
+/// which all keep the invariant documented on `Inst::claimed_root`.
+pub(crate) fn held(
+    value: &Option<Bytes>,
+    claimed_root: Option<Digest32>,
+) -> Option<(&Bytes, Digest32)> {
+    let held = value.as_ref().zip(claimed_root);
+    debug_assert!(held.is_none_or(|(v, root)| Digest32::of(v) == root));
+    held
+}
+
 fn count_votes(votes: &[Option<Digest32>]) -> Option<(Digest32, usize)> {
     let mut best: Option<(Digest32, usize)> = None;
     for v in votes.iter().flatten() {
@@ -113,19 +130,17 @@ impl RbcBatch {
         &self.p
     }
 
-    /// The delivered root of an instance (PRBC signs this).
+    /// The delivered root of an instance (PRBC signs this). The delivered
+    /// value is the held one, so its digest is the held root.
     pub fn delivered_root(&self, instance: usize) -> Option<Digest32> {
         let inst = &self.insts[instance];
-        inst.delivered.as_ref().map(|v| Digest32::of(v))
+        debug_assert!(inst.delivered.is_none() || inst.delivered == inst.value);
+        inst.delivered.as_ref().and(held(&inst.value, inst.claimed_root)).map(|(_, root)| root)
     }
 
     fn send_init_frags(&self, instance: usize, acts: &mut Actions) {
         let inst = &self.insts[instance];
-        let value = match &inst.value {
-            Some(v) => v,
-            None => return,
-        };
-        let root = Digest32::of(value);
+        let Some((value, root)) = held(&inst.value, inst.claimed_root) else { return };
         let chunks: Vec<&[u8]> =
             if value.is_empty() { vec![&[][..]] } else { value.chunks(FRAG_BUDGET).collect() };
         let total = chunks.len() as u8;
@@ -212,14 +227,13 @@ impl RbcBatch {
         // DELIVER on 2f+1 readies, once the matching value is held.
         if inst.delivered.is_none() {
             if let Some((root, c)) = inst.ready_quorum() {
-                if c >= p.quorum() {
-                    if let Some(v) = &inst.value {
-                        if Digest32::of(v) == root {
-                            inst.delivered = Some(v.clone());
-                            self.dirty = true;
-                        }
-                    }
-                    // Else: our init_nack bit for j is set; holders re-send.
+                // Without the matching value our init_nack bit for j is set
+                // and holders re-send.
+                if c >= p.quorum()
+                    && held(&inst.value, inst.claimed_root).is_some_and(|(_, r)| r == root)
+                {
+                    inst.delivered = inst.value.clone();
+                    self.dirty = true;
                 }
             }
         }
@@ -584,6 +598,58 @@ pub(crate) mod tests {
             resent.iter().any(|b| matches!(b, Body::RbcInit { instance: 0, .. })),
             "timer tick must re-serve the NACKed INIT, got {resent:?}"
         );
+    }
+
+    #[test]
+    fn a_served_root_is_the_digest_of_the_value_it_is_served_for() {
+        // Node 3's second INITIAL fragment is corrupted on the air: nobody
+        // else can assemble its proposal, instances 0–2 deliver everywhere.
+        let mut nodes: Vec<RbcBatch> = (0..4).map(|i| RbcBatch::new(params(i))).collect();
+        let mut vals = values();
+        vals[3] = Bytes::from(vec![3u8; FRAG_BUDGET + 10]);
+        let mut i = 0;
+        run_mesh(
+            &mut nodes,
+            |n, acts| {
+                n.start(vals[i].clone(), acts);
+                i += 1;
+            },
+            |n, from, body, acts| match body {
+                Body::RbcInit { instance: 3, frag: 1, frag_total, root, init_nack, .. } => {
+                    let corrupt = Body::RbcInit {
+                        instance: 3,
+                        frag: 1,
+                        frag_total: *frag_total,
+                        root: *root,
+                        data: Bytes::from_static(b"not the fragment"),
+                        init_nack: *init_nack,
+                    };
+                    n.handle(from, &corrupt, acts)
+                }
+                _ => n.handle(from, body, acts),
+            },
+            |n| n.delivered_count() == 3,
+        );
+        for node in &nodes {
+            for j in 0..4 {
+                assert_eq!(node.delivered_root(j), node.delivered(j).map(|v| Digest32::of(v)));
+            }
+        }
+        // The failed assembly left neither a value nor a root to serve it
+        // under (a root learnt from votes since is a claim, not a digest).
+        for node in nodes.iter().take(3) {
+            let inst = &node.insts[3];
+            assert!(inst.value.is_none() && held(&inst.value, inst.claimed_root).is_none());
+            assert!(node.delivered_root(3).is_none());
+            let mut acts = Actions::new();
+            node.send_init_frags(3, &mut acts);
+            assert!(acts.drain().0.is_empty());
+        }
+        // At the moment of the failed check the claim itself is dropped.
+        let mut fresh = RbcBatch::new(params(0));
+        let root = Digest32::of(b"claimed");
+        fresh.handle_init(3, 0, 1, root, &Bytes::from_static(b"something else"));
+        assert!(fresh.insts[3].value.is_none() && fresh.insts[3].claimed_root.is_none());
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! as envelopes signed at transmit ([`wbft_net::broadcast_signed`]: the
 //! micro-ecc sign cost charged per queued send, the transmit-queue slot
 //! that lets a newer combined packet supersede a stale one), verifies and
-//! opens incoming frames (charging the verify cost, dropping bad
-//! signatures) and translates component timers.
+//! opens incoming frames ([`wbft_net::open_shared`]: once per transmission,
+//! shared by its simulated receivers; charging the verify cost per
+//! receiver, dropping bad signatures) and translates component timers.
 
 use bytes::Bytes;
 use wbft_components::NodeCrypto;
-use wbft_net::{broadcast_signed, Body, Envelope, Sizing};
+use wbft_net::{broadcast_signed, open_shared, Body, Envelope, Sizing};
 use wbft_wireless::{ChannelId, Frame, NodeBehavior, NodeCtx, SimDuration, SimTime};
 
 /// A transaction committed in a block.
@@ -556,18 +557,19 @@ impl<E: Engine> NodeBehavior for ProtocolNode<E> {
         // not — the radio delivered it, the CPU must check it).
         ctx.charge_cpu(SimDuration::from_micros(self.crypto.suite.ecdsa.profile().verify_us));
         let peer_keys = &self.crypto.peer_keys;
-        let opened = Envelope::open_tagged(&frame.payload, |src| {
-            peer_keys.get(src as usize).copied()
-        });
-        let Ok((env, tag, sig_ok)) = opened else { return };
-        if !sig_ok {
+        let Ok(opened) = open_shared(&frame.payload, |src| peer_keys.get(src as usize).copied())
+        else {
+            return;
+        };
+        if !opened.sig_ok {
             return;
         }
+        let env = &opened.env;
         // Key-epoch fencing: a frame tagged for another threshold-key
         // generation carries shares this node could only mis-combine (or,
         // pre-roll, cannot verify at all) — drop it; the sender's
         // retransmission cadence re-serves it once the epochs line up.
-        if tag != self.engine.key_epoch(env.session) {
+        if opened.key_epoch != self.engine.key_epoch(env.session) {
             return;
         }
         let mut out = std::mem::take(&mut self.scratch);

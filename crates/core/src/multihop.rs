@@ -21,7 +21,7 @@ use wbft_components::aba_sc::AbaScBatch;
 use wbft_components::rbc::RbcBatch;
 use wbft_components::NodeCrypto;
 use wbft_crypto::hash::Digest32;
-use wbft_net::{broadcast_signed, Body, Envelope, Sizing};
+use wbft_net::{broadcast_signed, open_shared, Body, Envelope, Sizing};
 use wbft_wireless::{ChannelId, Frame, NodeBehavior, NodeCtx, SimDuration, SimTime};
 
 /// Encodes a cluster's global proposal: `(cluster, epoch, digest, txs)`.
@@ -83,6 +83,23 @@ pub struct ClusterNode {
     /// Completion times of global decisions (the multi-hop latency metric).
     pub decided_at: Vec<SimTime>,
     announced: Vec<u64>,
+    /// Local blocks [`ClusterNode::advance`] has looked at. Whether a block
+    /// puts this node on global duty is settled the first time it is seen
+    /// (leadership is fixed by the epoch, `global_epoch` only rises,
+    /// `global_decisions` only grows) and the local chain only appends —
+    /// a cluster node has no restore or adopt path — so one look is exact.
+    local_seen: usize,
+    /// Reusable engine-output sink, drained by `emit` (see
+    /// `ProtocolNode::scratch`).
+    scratch: EngineOut,
+}
+
+/// The blocks of `chain` past the cursor `seen`, which moves to the chain's
+/// end: every block is handed out exactly once.
+fn unseen<'a>(chain: &'a [Block], seen: &mut usize) -> &'a [Block] {
+    let fresh = chain.get(*seen..).unwrap_or_default();
+    *seen = chain.len();
+    fresh
 }
 
 /// Bit 63 of a timer id marks the global lane.
@@ -132,6 +149,8 @@ impl ClusterNode {
             global_decisions: Vec::new(),
             decided_at: Vec::new(),
             announced: Vec::new(),
+            local_seen: 0,
+            scratch: EngineOut::new(),
         }
     }
 
@@ -179,25 +198,24 @@ impl ClusterNode {
         if out.charge_us > 0 {
             ctx.charge_cpu(SimDuration::from_micros(out.charge_us));
         }
-        for (session, body) in &out.sends {
-            let env =
-                Envelope { src: crypto.me as u16, session: *session + offset, body: body.clone() };
+        for (session, body) in out.sends.drain(..) {
+            let env = Envelope { src: crypto.me as u16, session: session + offset, body };
             let _ = broadcast_signed(ctx, channel, &crypto.keypair, sizing, &env, 0);
         }
-        for (session, local, delay) in &out.timers {
-            let mut id = ((*session + offset) << TIMER_LOCAL_BITS) | *local as u64;
+        for (session, local, delay) in out.timers.drain(..) {
+            let mut id = ((session + offset) << TIMER_LOCAL_BITS) | local as u64;
             if global {
                 id |= GLOBAL_TIMER_BIT;
             }
-            ctx.set_timer(*delay, id);
+            ctx.set_timer(delay, id);
         }
+        out.charge_us = 0;
     }
 
     /// Drives cross-tier transitions after any progress.
     fn advance(&mut self, ctx: &mut NodeCtx) {
         // 1. Newly decided local blocks: if on duty, open the global tier.
-        let local_blocks = self.local.blocks().to_vec();
-        for block in &local_blocks {
+        for block in unseen(self.local.blocks(), &mut self.local_seen) {
             let epoch = block.epoch;
             if self.is_leader(epoch)
                 && self.global_epoch.map(|e| e < epoch).unwrap_or(true)
@@ -222,11 +240,12 @@ impl ClusterNode {
                 // remap through the lane instead (see `emit`).
                 let mut engine =
                     hb_sc(self.global_crypto.clone(), source, StopCondition::Epochs(1));
-                let mut out = EngineOut::new();
+                let mut out = std::mem::take(&mut self.scratch);
                 engine.start(&mut out);
                 self.global = Some(engine);
                 self.global_epoch = Some(epoch);
                 self.emit(&mut out, true, ctx);
+                self.scratch = out;
             }
         }
         // 2. Global decision reached while on duty: tally + announce.
@@ -281,9 +300,10 @@ impl ClusterNode {
 
 impl NodeBehavior for ClusterNode {
     fn on_start(&mut self, ctx: &mut NodeCtx) {
-        let mut out = EngineOut::new();
+        let mut out = std::mem::take(&mut self.scratch);
         self.local.start(&mut out);
         self.emit(&mut out, false, ctx);
+        self.scratch = out;
         ctx.set_timer(SimDuration::from_millis(3_500), TIMER_ANNOUNCE);
         self.advance(ctx);
     }
@@ -298,19 +318,19 @@ impl NodeBehavior for ClusterNode {
         } else {
             &self.local_crypto.peer_keys
         };
-        let Ok((env, sig_ok)) = Envelope::open(&frame.payload, |src| {
-            keys.get(src as usize).copied()
-        }) else {
+        let Ok(opened) = open_shared(&frame.payload, |src| keys.get(src as usize).copied())
+        else {
             return;
         };
-        if !sig_ok {
+        if !opened.sig_ok {
             return;
         }
+        let env = &opened.env;
+        let mut out = std::mem::take(&mut self.scratch);
         if global {
             let offset = self.global_offset();
             if env.session >= offset && env.session < offset + Self::GLOBAL_STRIDE {
                 if let Some(engine) = &mut self.global {
-                    let mut out = EngineOut::new();
                     engine.handle(env.session - offset, env.src as usize, &env.body, &mut out);
                     self.emit(&mut out, true, ctx);
                 }
@@ -325,10 +345,10 @@ impl NodeBehavior for ClusterNode {
                 self.decided_at.push(ctx.now());
             }
         } else {
-            let mut out = EngineOut::new();
             self.local.handle(env.session, env.src as usize, &env.body, &mut out);
             self.emit(&mut out, false, ctx);
         }
+        self.scratch = out;
         self.advance(ctx);
     }
 
@@ -357,7 +377,7 @@ impl NodeBehavior for ClusterNode {
         let id = id & !GLOBAL_TIMER_BIT;
         let session = id >> TIMER_LOCAL_BITS;
         let local = (id & ((1 << TIMER_LOCAL_BITS) - 1)) as u32;
-        let mut out = EngineOut::new();
+        let mut out = std::mem::take(&mut self.scratch);
         if global {
             let offset = self.global_offset();
             if session >= offset && session < offset + Self::GLOBAL_STRIDE {
@@ -370,6 +390,7 @@ impl NodeBehavior for ClusterNode {
             self.local.on_timer(session, local, &mut out);
             self.emit(&mut out, false, ctx);
         }
+        self.scratch = out;
         self.advance(ctx);
     }
 }
@@ -391,6 +412,25 @@ mod tests {
         assert_eq!(ClusterNode::leader_for(0, 4), 0);
         assert_eq!(ClusterNode::leader_for(1, 4), 1);
         assert_eq!(ClusterNode::leader_for(4, 4), 0);
+    }
+
+    #[test]
+    fn every_local_block_is_handed_out_exactly_once() {
+        let mut chain: Vec<Block> = Vec::new();
+        let mut seen = 0;
+        let mut handed_out = Vec::new();
+        // The chain only appends; the cursor is asked after every kind of
+        // step: nothing new, one block, several at once.
+        for grow in [0, 1, 0, 3, 1, 0] {
+            for _ in 0..grow {
+                chain.push(Block { epoch: chain.len() as u64, txs: Vec::new() });
+            }
+            let fresh = unseen(&chain, &mut seen);
+            assert_eq!(fresh.len(), grow);
+            handed_out.extend(fresh.iter().map(|b| b.epoch));
+            assert!(unseen(&chain, &mut seen).is_empty(), "a second look finds nothing");
+        }
+        assert_eq!(handed_out, (0..chain.len() as u64).collect::<Vec<_>>());
     }
 
     #[test]

@@ -919,15 +919,18 @@ mod tests {
     #[test]
     fn an_aired_frame_is_verified_once_and_a_released_coin_signed_once() {
         // A count guard, not a timer: all four nodes share this thread, so
-        // the verdict memo answers every receiver of a frame. A memo key
+        // the opened-frame table answers every receiver of a frame but the
+        // first, and the verdict memo answers that one. A table or memo key
         // that includes the receiver, a packet signed per queued version, or
         // a component that re-signs its share per packet, fails here on any
         // host.
         use wbft_crypto::memo::{self, Predicate};
         use wbft_crypto::thresh_coin::tally;
+        use wbft_net::open;
         let mut cfg = TestbedConfig::single_hop(Protocol::HoneyBadgerSc);
         cfg.epochs = 2;
         memo::clear();
+        open::clear();
         let before = tally();
         let report = run(&cfg);
         assert!(report.completed);
@@ -940,7 +943,12 @@ mod tests {
         // an honest run no receiver computes one (the run stays far below
         // `memo::CAP` entries, so no record is lost to a clear).
         assert_eq!(schnorr.misses, 0, "Schnorr verifications computed");
-        assert!(schnorr.hits > aired, "n − 1 = 3 receivers ask about each frame");
+        // A frame is decoded, and its signature asked about, by its first
+        // receiver only; the other n − 2 = 2 are handed that answer.
+        let opened = open::stats();
+        assert!(opened.computed <= aired, "{opened:?} for {aired} frames aired");
+        assert!(schnorr.hits + schnorr.misses <= aired, "{schnorr:?} for {aired} frames aired");
+        assert!(opened.served > opened.computed, "{opened:?}");
         // A node signs its share when it releases a coin and leaves the
         // round only once the coin is combined, so per node and epoch at
         // most one released coin is still waiting for its combination.

@@ -23,6 +23,16 @@
 //! effects match the paper's testbed rather than this crate's substitute
 //! crypto — see [`wire`].
 //!
+//! Both directions of a signed packet have one path each. Sending is
+//! [`broadcast_signed`] ([`send`]): encoded in full when queued, signed
+//! when the runtime transmits it. Receiving is [`open_shared`] ([`open`]):
+//! [`Envelope::open_tagged`] behind a small per-thread table of recently
+//! opened frames, so the `n − 1` simulated receivers of one transmission
+//! share one decode and one signature check — served only on byte-for-byte
+//! and key equality, so it can never answer differently from the
+//! table-free [`Envelope::open`] / [`Envelope::open_tagged`], which remain
+//! the reference (and what codec benchmarks time).
+//!
 //! ## Example
 //!
 //! ```rust
@@ -52,6 +62,7 @@
 
 pub mod bitmap;
 pub mod datagram;
+pub mod open;
 pub mod overhead;
 pub mod packets;
 pub mod reliability;
@@ -61,6 +72,7 @@ pub mod wire;
 
 pub use bitmap::Bitmap;
 pub use datagram::{Datagram, MAX_DATAGRAM_PAYLOAD};
+pub use open::{open_shared, Opened};
 pub use packets::{AbaLcInst, AbaScInst, Body, Envelope};
 pub use reliability::RetransmitPolicy;
 pub use send::broadcast_signed;

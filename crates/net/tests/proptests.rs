@@ -1,12 +1,17 @@
 //! Property-based tests for the wire layer: arbitrary packets roundtrip,
-//! nominal sizes are consistent, bitmaps behave like sets of bits.
+//! nominal sizes are consistent, bitmaps behave like sets of bits, and the
+//! shared open path answers exactly as the table-free one.
 
 use bytes::Bytes;
 use proptest::prelude::*;
+use rand::SeedableRng;
 use wbft_crypto::hash::Digest32;
+use wbft_crypto::schnorr::{KeyPair, PublicKey};
+use wbft_crypto::EcdsaCurve;
+use wbft_net::open::{self, Stats};
 use wbft_net::packets::{AbaLcInst, AbaScInst};
 use wbft_net::wire::{ByteSink, CountSink, Sizing, WireReader};
-use wbft_net::{BinValues, Bitmap, Body, CoinFlavor, Vote};
+use wbft_net::{open_shared, BinValues, Bitmap, Body, CoinFlavor, Envelope, Opened, Vote};
 
 fn arb_vote() -> impl Strategy<Value = Vote> {
     (0u8..4).prop_map(Vote::from_code)
@@ -110,8 +115,85 @@ fn arb_body() -> impl Strategy<Value = Body> {
     ]
 }
 
+/// Four signing keys per deal; two deals so a frame can meet a wrong key.
+fn deal(seed: u64) -> Vec<KeyPair> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    (0..4).map(|_| KeyPair::generate(EcdsaCurve::Secp160r1, &mut rng)).collect()
+}
+
+fn publics(deal: &[KeyPair]) -> Vec<PublicKey> {
+    deal.iter().map(KeyPair::public).collect()
+}
+
+/// Asks the shared path once and checks the answer against the table-free
+/// reference and the counters against `expect` (the deltas of this ask).
+fn ask(frame: &Bytes, keys: &[PublicKey], expect: Stats) -> Result<(), TestCaseError> {
+    let pk_of = |src: u16| keys.get(src as usize).copied();
+    let reference = Envelope::open_tagged(frame, pk_of)
+        .map(|(env, key_epoch, sig_ok)| Opened { env, key_epoch, sig_ok });
+    let before = open::stats();
+    let shared = open_shared(frame, pk_of);
+    let after = open::stats();
+    prop_assert_eq!(shared.as_deref(), reference.as_ref());
+    let moved =
+        Stats { served: after.served - before.served, computed: after.computed - before.computed };
+    prop_assert_eq!(moved, expect);
+    Ok(())
+}
+
+const COMPUTED: Stats = Stats { served: 0, computed: 1 };
+const SERVED: Stats = Stats { served: 1, computed: 0 };
+
+/// A frame new to the table, asked twice: computed, then served when it
+/// opened at all (a malformed frame is never stored, so it is computed
+/// again).
+fn ask_twice(frame: &Bytes, keys: &[PublicKey]) -> Result<(), TestCaseError> {
+    let opens = Envelope::open_tagged(frame, |_| None).is_ok();
+    ask(frame, keys, COMPUTED)?;
+    ask(frame, keys, if opens { SERVED } else { COMPUTED })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn open_shared_answers_as_open_tagged_and_counts_which_path_answered(
+        body in arb_body(),
+        src in 0u16..4,
+        session in any::<u64>(),
+        tag in prop_oneof![Just(0u64), any::<u64>()],
+        flip in any::<usize>(),
+        cut in any::<usize>(),
+    ) {
+        let (ours, theirs) = (deal(1), deal(2));
+        let (keys, wrong_keys) = (publics(&ours), publics(&theirs));
+        let sizing = Sizing::light(4);
+        let seal = |src: u16, signer: &KeyPair| {
+            Envelope { src, session, body: body.clone() }.seal_tagged(signer, &sizing, tag)
+        };
+        let Ok((sealed, _)) = seal(src, &ours[src as usize]) else {
+            return Ok(()); // an arbitrary body may not fit the wire format
+        };
+        open::clear();
+
+        // A sealed frame: accepted, the second receiver is served.
+        ask_twice(&sealed, &keys)?;
+        // The same bytes under another key table are computed (and refused),
+        // not served; going back to the first table is a computation again.
+        ask(&sealed, &wrong_keys, COMPUTED)?;
+        ask(&sealed, &wrong_keys, SERVED)?;
+        ask(&sealed, &keys, COMPUTED)?;
+
+        // One flipped bit: a refusal or a decode error, shared like the rest.
+        let mut flipped = sealed.to_vec();
+        flipped[flip % sealed.len()] ^= 1 << (flip % 8);
+        ask_twice(&Bytes::from(flipped), &keys)?;
+        // Truncated anywhere, down to nothing.
+        ask_twice(&sealed.slice(..cut % sealed.len()), &keys)?;
+        // A `src` the receiver holds no key for.
+        let (unknown, _) = seal(9, &ours[0]).expect("the same body fits");
+        ask_twice(&unknown, &keys)?;
+    }
 
     #[test]
     fn bodies_roundtrip(body in arb_body()) {

@@ -129,14 +129,17 @@ impl Digest for Sha256 {
 
     fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update([0x80u8]);
-        self.total_len = self.total_len.wrapping_sub(1); // padding is not message
-        while self.buf_len != 56 {
-            self.update([0u8]);
-            self.total_len = self.total_len.wrapping_sub(1);
+        // Pad in the block buffer: 0x80, zeros, the bit length in the last
+        // 8 bytes — in a block of its own when the tail leaves no room.
+        let mut block = self.buf;
+        block[self.buf_len] = 0x80; // `update` leaves buf_len < 64
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            self.compress(&block);
+            block = [0u8; 64];
         }
-        self.update(bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&block);
         let mut out = [0u8; 32];
         for (i, s) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&s.to_be_bytes());
@@ -263,12 +266,16 @@ impl Digest for Sha512 {
 
     fn finalize(mut self) -> [u8; 64] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update([0x80u8]);
-        while self.buf_len != 112 {
-            self.update([0u8]);
+        // As in `Sha256::finalize`, with a 16-byte length field.
+        let mut block = self.buf;
+        block[self.buf_len] = 0x80; // `update` leaves buf_len < 128
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 112 {
+            self.compress(&block);
+            block = [0u8; 128];
         }
-        self.update(bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        block[112..].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&block);
         let mut out = [0u8; 64];
         for (i, s) in self.state.iter().enumerate() {
             out[8 * i..8 * i + 8].copy_from_slice(&s.to_be_bytes());
@@ -330,5 +337,74 @@ mod tests {
             h.update(chunk);
         }
         assert_eq!(h.finalize(), Sha512::digest(&long));
+    }
+
+    /// The padding written out the slow way, one `update` per byte (what
+    /// `finalize` did before it wrote the block buffer directly): message
+    /// bytes, 0x80, zeros up to the length field, the big-endian bit length.
+    /// Ends on a block boundary, so the state is the digest.
+    fn bytewise_sha256(msg: &[u8]) -> [u8; 32] {
+        let mut h = Sha256::new();
+        for b in msg {
+            h.update([*b]);
+        }
+        h.update([0x80u8]);
+        while h.buf_len != 56 {
+            h.update([0u8]);
+        }
+        for b in (msg.len() as u64 * 8).to_be_bytes() {
+            h.update([b]);
+        }
+        assert_eq!(h.buf_len, 0);
+        let mut out = [0u8; 32];
+        for (i, s) in h.state.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&s.to_be_bytes());
+        }
+        out
+    }
+
+    fn bytewise_sha512(msg: &[u8]) -> [u8; 64] {
+        let mut h = Sha512::new();
+        for b in msg {
+            h.update([*b]);
+        }
+        h.update([0x80u8]);
+        while h.buf_len != 112 {
+            h.update([0u8]);
+        }
+        for b in (msg.len() as u128 * 8).to_be_bytes() {
+            h.update([b]);
+        }
+        assert_eq!(h.buf_len, 0);
+        let mut out = [0u8; 64];
+        for (i, s) in h.state.iter().enumerate() {
+            out[8 * i..8 * i + 8].copy_from_slice(&s.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn direct_padding_equals_the_bytewise_reference_at_every_length_and_split() {
+        let msg: Vec<u8> = (0..300u32).map(|i| (i * 131 + 7) as u8).collect();
+        // Every length: each tail position of both block sizes, with and
+        // without room for the length field, across two block boundaries.
+        for len in 0..=msg.len() {
+            assert_eq!(Sha256::digest(&msg[..len]), bytewise_sha256(&msg[..len]), "len {len}");
+            assert_eq!(Sha512::digest(&msg[..len]), bytewise_sha512(&msg[..len]), "len {len}");
+        }
+        // Every split point: the buffered tail `finalize` pads is the same
+        // however the message arrived.
+        let (d256, d512) = (Sha256::digest(&msg), Sha512::digest(&msg));
+        for split in 0..=msg.len() {
+            let (head, tail) = msg.split_at(split);
+            let mut h = Sha256::new();
+            h.update(head);
+            h.update(tail);
+            assert_eq!(h.finalize(), d256, "split {split}");
+            let mut h = Sha512::new();
+            h.update(head);
+            h.update(tail);
+            assert_eq!(h.finalize(), d512, "split {split}");
+        }
     }
 }
