@@ -37,7 +37,10 @@ use wbft_wireless::{LossModel, SimTime};
 /// Dumbo membership swap — written by the last build with one runner per
 /// axis. The three `.mh4.` files pin the clustered multi-hop runner
 /// (`run_multi_hop`, `ClusterNode`) — two lossy two-epoch points and a
-/// lossless one — written before any of it was optimised or moved.
+/// lossless one — written before any of it was optimised or moved. Six
+/// `*-baseline … loss-u0.1` files (honest and `byz-corrupt@1`) pin the
+/// unbatched components' retransmission rules, written while `baseline.rs`
+/// still carried its own copy of the broadcast instance logic.
 /// `WBFT_BLESS=1` rewrites them after an *intentional* behaviour change.
 #[test]
 fn fixed_epoch_reports_match_pre_redesign_fixtures() {
@@ -84,7 +87,20 @@ fn fixed_epoch_reports_match_pre_redesign_fixtures() {
     let mut clustered_beat = SweepSpec::new("regress-mh");
     clustered_beat.topologies = clustered.topologies.clone();
     scenarios.extend(clustered_beat.expand());
-    assert_eq!(scenarios.len(), 16);
+    // The unbatched deployments under loss, honest and with a corrupting
+    // proposer: the baseline retransmission tick and the corrupt-assembly
+    // reset, which the lossless baseline goldens never reach.
+    let mut lossy_baselines = SweepSpec::new("regress-baseline-lossy");
+    lossy_baselines.protocols = vec![
+        Protocol::HoneyBadgerScBaseline,
+        Protocol::BeatBaseline,
+        Protocol::DumboScBaseline,
+    ];
+    lossy_baselines.losses = vec![LossModel::Uniform { p: 0.1 }];
+    lossy_baselines.placements = vec![vec![], vec![(1, ByzantineMode::CorruptProposals)]];
+    lossy_baselines.epochs = 2;
+    scenarios.extend(lossy_baselines.expand());
+    assert_eq!(scenarios.len(), 22);
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     for scenario in &scenarios {
         let cfg = &scenario.cfg;
