@@ -3,68 +3,60 @@
 //!
 //! Each component instance sends its own per-phase packets: an RBC echo is
 //! one frame, a coin share is one frame, and N parallel instances contend
-//! for the channel N separate times per phase. Protocol *logic* is
-//! identical to the batched components (that is the paper's point — only
-//! the packaging changes); the message overhead difference is what Table I
-//! and the `*-baseline` rows of Fig. 13 measure.
+//! for the channel N separate times per phase. Protocol *logic* is the
+//! batched components' (that is the paper's point — only the packaging
+//! changes), and here it literally is: the broadcast sets drive the same
+//! instance state machines (`instance::{BrachaInst, CbcInst, DoneStage}`)
+//! as `rbc` / `cbc` / `prbc`, and the ABA set wraps the batched
+//! `AbaScBatch`. What this file holds is the baseline's packaging — one
+//! frame per transition instead of a dirty-flag flush of one combined
+//! packet, and a retransmission tick that re-sends per-instance state with
+//! no NACK bits to steer it. The message overhead difference is what
+//! Table I and the `*-baseline` rows of Fig. 13 measure.
 
 use crate::aba_sc::AbaScBatch;
 use crate::context::{
     Actions, BinaryAgreement, Broadcaster, Params, ProvableBroadcaster, RetxState,
 };
-use crate::rbc::held;
-use crate::share_buf::SigShareBuf;
+use crate::instance::{Accepted, Assembler, BrachaInst, CbcInst, DoneStage, Signer};
 use bytes::Bytes;
 use std::collections::BTreeSet;
 use wbft_crypto::hash::Digest32;
 use wbft_crypto::thresh_coin::{CoinPublicSet, CoinSecretShare};
-use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare, SigShare, ThresholdSignature};
+use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare, ThresholdSignature};
 use wbft_net::packets::AbaScInst;
 use wbft_net::{BinValues, Bitmap, Body, CoinFlavor, RetransmitPolicy, Vote};
 
 const TIMER_RETX: u32 = 0;
 
-/// Maximum proposal bytes per baseline INITIAL fragment.
-const FRAG_BUDGET: usize = crate::rbc::FRAG_BUDGET;
+/// One `BaseRbcInit` frame per fragment of a held value (the baseline RBC
+/// and CBC share the INITIAL packet).
+fn send_init(asm: &Assembler, instance: usize, acts: &mut Actions) {
+    for f in asm.fragments() {
+        acts.send(Body::BaseRbcInit {
+            instance: instance as u8,
+            frag: f.frag,
+            frag_total: f.frag_total,
+            root: f.root,
+            data: f.data,
+        });
+    }
+}
+
+/// Arms the retransmission tick on the first call.
+fn arm_timer(armed: &mut bool, retx: &mut RetxState, acts: &mut Actions) {
+    if !std::mem::replace(armed, true) {
+        acts.timer(retx.next_delay(), TIMER_RETX);
+    }
+}
 
 // --------------------------------------------------------------- RBC
-
-#[derive(Debug, Default)]
-struct BInst {
-    /// Once `value` is held, its digest (the invariant of `rbc::Inst`,
-    /// read through [`held`]).
-    claimed_root: Option<Digest32>,
-    frags: Vec<Option<Bytes>>,
-    value: Option<Bytes>,
-    echo_roots: Vec<Option<Digest32>>,
-    ready_roots: Vec<Option<Digest32>>,
-    my_echo: Option<Digest32>,
-    my_ready: Option<Digest32>,
-    delivered: Option<Bytes>,
-}
-
-impl BInst {
-    fn new(n: usize) -> Self {
-        BInst { echo_roots: vec![None; n], ready_roots: vec![None; n], ..BInst::default() }
-    }
-}
-
-fn count_root_votes(votes: &[Option<Digest32>]) -> Option<(Digest32, usize)> {
-    let mut best: Option<(Digest32, usize)> = None;
-    for v in votes.iter().flatten() {
-        let c = votes.iter().flatten().filter(|x| *x == v).count();
-        if best.map(|(_, bc)| c > bc).unwrap_or(true) {
-            best = Some((*v, c));
-        }
-    }
-    best
-}
 
 /// N independent per-instance RBCs (unbatched baseline).
 #[derive(Debug)]
 pub struct BaselineRbcSet {
     p: Params,
-    insts: Vec<BInst>,
+    insts: Vec<BrachaInst>,
     retx: RetxState,
     timer_armed: bool,
 }
@@ -73,7 +65,7 @@ impl BaselineRbcSet {
     /// Creates the set.
     pub fn new(p: Params) -> Self {
         BaselineRbcSet {
-            insts: (0..p.n).map(|_| BInst::new(p.n)).collect(),
+            insts: (0..p.n).map(|_| BrachaInst::new(p.n)).collect(),
             retx: RetxState::new(RetransmitPolicy::lora_class(), &p),
             timer_armed: false,
             p,
@@ -82,192 +74,80 @@ impl BaselineRbcSet {
 
     /// Delivered root of an instance (baseline PRBC signs this).
     pub fn delivered_root(&self, instance: usize) -> Option<Digest32> {
-        let inst = &self.insts[instance];
-        debug_assert!(inst.delivered.is_none() || inst.delivered == inst.value);
-        inst.delivered.as_ref().and(held(&inst.value, inst.claimed_root)).map(|(_, root)| root)
+        self.insts.get(instance).and_then(BrachaInst::delivered_root)
     }
 
-    fn send_init(&self, instance: usize, acts: &mut Actions) {
-        let inst = &self.insts[instance];
-        let Some((value, root)) = held(&inst.value, inst.claimed_root) else { return };
-        let chunks: Vec<&[u8]> =
-            if value.is_empty() { vec![&[][..]] } else { value.chunks(FRAG_BUDGET).collect() };
-        let total = chunks.len() as u8;
-        for (i, chunk) in chunks.iter().enumerate() {
-            acts.send(Body::BaseRbcInit {
-                instance: instance as u8,
-                frag: i as u8,
-                frag_total: total,
-                root,
-                data: Bytes::copy_from_slice(chunk),
-            });
-        }
-    }
-
-    /// Per-instance transitions; sends are per-instance packets.
+    /// Re-evaluates instance `j`'s quorums; becoming ready is one frame.
     fn advance(&mut self, j: usize, acts: &mut Actions) {
-        let quorum = self.p.quorum();
-        let f1 = self.p.f + 1;
-        let me = self.p.me;
-        let inst = &mut self.insts[j];
-        if inst.my_ready.is_none() {
-            let from_echo = count_root_votes(&inst.echo_roots)
-                .filter(|(_, c)| *c >= quorum)
-                .map(|(r, _)| r);
-            let from_ready = count_root_votes(&inst.ready_roots)
-                .filter(|(_, c)| *c >= f1)
-                .map(|(r, _)| r);
-            if let Some(root) = from_echo.or(from_ready) {
-                inst.my_ready = Some(root);
-                inst.ready_roots[me] = Some(root);
-                acts.send(Body::BaseRbcReady { instance: j as u8, root });
-            }
+        if let Some(root) = self.insts[j].step(&self.p).ready {
+            acts.send(Body::BaseRbcReady { instance: j as u8, root });
         }
-        let inst = &mut self.insts[j];
-        if inst.delivered.is_none() {
-            if let Some((root, c)) = count_root_votes(&inst.ready_roots) {
-                if c >= quorum
-                    && held(&inst.value, inst.claimed_root).is_some_and(|(_, r)| r == root)
-                {
-                    inst.delivered = inst.value.clone();
-                }
-            }
-        }
-    }
-
-    fn handle_init(
-        &mut self,
-        instance: usize,
-        frag: usize,
-        frag_total: usize,
-        root: Digest32,
-        data: &Bytes,
-        acts: &mut Actions,
-    ) {
-        if instance >= self.p.n || frag_total == 0 || frag >= frag_total || frag_total > 64 {
-            return;
-        }
-        let me = self.p.me;
-        let inst = &mut self.insts[instance];
-        if inst.value.is_some() {
-            return;
-        }
-        if inst.claimed_root.is_none() {
-            inst.claimed_root = Some(root);
-        }
-        if inst.claimed_root != Some(root) {
-            return;
-        }
-        if inst.frags.len() != frag_total {
-            inst.frags = vec![None; frag_total];
-        }
-        inst.frags[frag] = Some(data.clone());
-        if inst.frags.iter().all(Option::is_some) {
-            let mut value = Vec::new();
-            for f in inst.frags.iter().flatten() {
-                value.extend_from_slice(f);
-            }
-            let value = Bytes::from(value);
-            if Digest32::of(&value) == root {
-                inst.value = Some(value);
-                if inst.my_echo.is_none() {
-                    inst.my_echo = Some(root);
-                    inst.echo_roots[me] = Some(root);
-                    acts.send(Body::BaseRbcEcho { instance: instance as u8, root });
-                }
-            } else {
-                inst.frags.clear();
-                inst.claimed_root = None;
-            }
-        }
-        self.advance(instance, acts);
     }
 }
 
 impl Broadcaster for BaselineRbcSet {
     fn start(&mut self, my_value: Bytes, acts: &mut Actions) {
         let me = self.p.me;
-        let root = Digest32::of(&my_value);
-        {
-            let inst = &mut self.insts[me];
-            inst.claimed_root = Some(root);
-            inst.value = Some(my_value);
-            inst.my_echo = Some(root);
-            inst.echo_roots[me] = Some(root);
-        }
-        self.send_init(me, acts);
+        let root = self.insts[me].propose(me, my_value);
+        send_init(&self.insts[me].asm, me, acts);
         acts.send(Body::BaseRbcEcho { instance: me as u8, root });
-        if !self.timer_armed {
-            self.timer_armed = true;
-            let d = self.retx.next_delay();
-            acts.timer(d, TIMER_RETX);
-        }
+        arm_timer(&mut self.timer_armed, &mut self.retx, acts);
     }
 
     fn handle(&mut self, from: usize, body: &Body, acts: &mut Actions) {
-        if from >= self.p.n {
+        let (Body::BaseRbcInit { instance, .. }
+        | Body::BaseRbcEcho { instance, .. }
+        | Body::BaseRbcReady { instance, .. }) = body
+        else {
+            return;
+        };
+        let j = *instance as usize;
+        if from >= self.p.n || j >= self.p.n {
             return;
         }
+        let inst = &mut self.insts[j];
         match body {
-            Body::BaseRbcInit { instance, frag, frag_total, root, data } => {
-                self.handle_init(
-                    *instance as usize,
-                    *frag as usize,
-                    *frag_total as usize,
-                    *root,
-                    data,
-                    acts,
-                );
-            }
-            Body::BaseRbcEcho { instance, root } => {
-                let j = *instance as usize;
-                if j < self.p.n {
-                    if self.insts[j].echo_roots[from].is_none() {
-                        self.insts[j].echo_roots[from] = Some(*root);
+            Body::BaseRbcInit { frag, frag_total, root, data, .. } => {
+                let (frag, frag_total) = (*frag as usize, *frag_total as usize);
+                match inst.on_fragment(self.p.me, frag, frag_total, *root, data) {
+                    Accepted::Refused => return,
+                    Accepted::Buffered => {}
+                    Accepted::Assembled(root) => {
+                        acts.send(Body::BaseRbcEcho { instance: *instance, root })
                     }
-                    if self.insts[j].claimed_root.is_none() {
-                        self.insts[j].claimed_root = Some(*root);
-                    }
-                    // A redundant echo for a delivered instance = the peer
-                    // is still working on it; our READY may be lost.
-                    if self.insts[j].delivered.is_some() {
-                        self.retx.peer_behind = true;
-                    }
-                    self.advance(j, acts);
                 }
             }
-            Body::BaseRbcReady { instance, root } => {
-                let j = *instance as usize;
-                if j < self.p.n {
-                    if self.insts[j].ready_roots[from].is_none() {
-                        self.insts[j].ready_roots[from] = Some(*root);
-                    }
-                    self.advance(j, acts);
+            Body::BaseRbcEcho { root, .. } => {
+                inst.votes.echo(from, *root);
+                inst.asm.claim(*root);
+                // A redundant echo for a delivered instance = the peer
+                // is still working on it; our READY may be lost.
+                if inst.votes.delivered() {
+                    self.retx.peer_behind = true;
                 }
             }
+            Body::BaseRbcReady { root, .. } => inst.votes.ready(from, *root),
             _ => {}
         }
+        self.advance(j, acts);
     }
 
     fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
         if local_id != TIMER_RETX {
             return;
         }
-        let complete = self.delivered_count() == self.p.n;
-        if self.retx.should_send(complete) {
-            // Re-send per-instance state for everything not yet complete.
-            for j in 0..self.p.n {
-                let inst = &self.insts[j];
-                if inst.delivered.is_some() && !self.retx.peer_behind {
+        if self.retx.should_send(self.delivered_count() == self.p.n) {
+            // Re-send per-instance state for everything not yet complete
+            // (or for everything, when a peer is demonstrably behind).
+            for (j, inst) in self.insts.iter().enumerate() {
+                if inst.votes.delivered() && !self.retx.peer_behind {
                     continue;
                 }
-                if j == self.p.me || inst.value.is_some() {
-                    self.send_init(j, acts);
-                }
-                if let Some(root) = inst.my_echo {
+                send_init(&inst.asm, j, acts);
+                if let Some(root) = inst.votes.my_echo() {
                     acts.send(Body::BaseRbcEcho { instance: j as u8, root });
                 }
-                if let Some(root) = inst.my_ready {
+                if let Some(root) = inst.votes.my_ready() {
                     acts.send(Body::BaseRbcReady { instance: j as u8, root });
                 }
             }
@@ -278,11 +158,11 @@ impl Broadcaster for BaselineRbcSet {
     }
 
     fn delivered(&self, instance: usize) -> Option<&Bytes> {
-        self.insts.get(instance).and_then(|i| i.delivered.as_ref())
+        self.insts.get(instance).and_then(BrachaInst::delivered)
     }
 
     fn delivered_count(&self) -> usize {
-        self.insts.iter().filter(|i| i.delivered.is_some()).count()
+        self.insts.iter().filter(|i| i.votes.delivered()).count()
     }
 }
 
@@ -291,111 +171,36 @@ impl Broadcaster for BaselineRbcSet {
 /// N independent per-instance CBCs (unbatched baseline).
 #[derive(Debug)]
 pub struct BaselineCbcSet {
-    p: Params,
-    keys: PublicKeySet,
-    secret: SecretKeyShare,
-    insts: Vec<BCbcInst>,
+    signer: Signer,
+    insts: Vec<CbcInst>,
     retx: RetxState,
     timer_armed: bool,
-}
-
-#[derive(Debug, Default)]
-struct BCbcInst {
-    claimed_root: Option<Digest32>,
-    frags: Vec<Option<Bytes>>,
-    value: Option<Bytes>,
-    /// This node's echo share over `claimed_root`, signed once when the
-    /// value arrived and re-sent as is on every retransmission tick (the
-    /// root cannot change once the value is held).
-    my_share: Option<SigShare>,
-    /// Buffered echo shares, batch-verified at quorum (see `share_buf`).
-    shares: SigShareBuf,
-    finish: Option<ThresholdSignature>,
-    delivered: bool,
-}
-
-fn cbc_echo_msg(session: u64, instance: usize, root: &Digest32) -> Vec<u8> {
-    let mut m = Vec::with_capacity(64);
-    m.extend_from_slice(b"wbft/cbc/echo");
-    m.extend_from_slice(&session.to_le_bytes());
-    m.extend_from_slice(&(instance as u64).to_le_bytes());
-    m.extend_from_slice(root.as_bytes());
-    m
 }
 
 impl BaselineCbcSet {
     /// Creates the set over the `(2f, n)` CBC key set.
     pub fn new(p: Params, keys: PublicKeySet, secret: SecretKeyShare) -> Self {
-        keys.precompute();
         BaselineCbcSet {
-            insts: (0..p.n).map(|_| BCbcInst::default()).collect(),
+            insts: (0..p.n).map(|_| CbcInst::default()).collect(),
             retx: RetxState::new(RetransmitPolicy::lora_class(), &p),
             timer_armed: false,
-            p,
-            keys,
-            secret,
+            signer: Signer::cbc_echo(p, keys, secret),
         }
     }
 
     /// Quorum certificate of a delivered instance.
     pub fn proof(&self, instance: usize) -> Option<&ThresholdSignature> {
-        self.insts[instance].finish.as_ref().filter(|_| self.insts[instance].delivered)
+        self.insts.get(instance).and_then(CbcInst::proof)
     }
 
-    fn send_init(&self, instance: usize, acts: &mut Actions) {
-        let inst = &self.insts[instance];
-        let Some((value, root)) = held(&inst.value, inst.claimed_root) else { return };
-        let chunks: Vec<&[u8]> =
-            if value.is_empty() { vec![&[][..]] } else { value.chunks(FRAG_BUDGET).collect() };
-        let total = chunks.len() as u8;
-        for (i, chunk) in chunks.iter().enumerate() {
-            acts.send(Body::BaseRbcInit {
-                instance: instance as u8,
-                frag: i as u8,
-                frag_total: total,
-                root,
-                data: Bytes::copy_from_slice(chunk),
-            });
-        }
-    }
-
-    fn send_echo(&mut self, instance: usize, acts: &mut Actions) {
-        let session = self.p.session;
-        let inst = &mut self.insts[instance];
-        let Some(root) = inst.claimed_root else { return };
-        if inst.my_share.is_some() || inst.value.is_none() {
-            return;
-        }
-        acts.charge(self.keys.profile().sign_share_us);
-        let share = self.secret.sign_share(&cbc_echo_msg(session, instance, &root));
-        inst.my_share = Some(share);
-        acts.send(Body::BaseCbcEcho { instance: instance as u8, root, share });
-        if instance == self.p.me {
-            self.record_share(instance, share, acts, true);
-        }
-    }
-
-    fn record_share(&mut self, instance: usize, share: SigShare, acts: &mut Actions, own: bool) {
-        if instance != self.p.me || self.insts[instance].finish.is_some() {
-            return;
-        }
-        let Some(root) = self.insts[instance].claimed_root else { return };
-        if !self.insts[instance].shares.insert(share, self.p.n) {
-            return;
-        }
-        if !own {
-            acts.charge(self.keys.profile().verify_share_us);
-        }
-        let quorum = self.p.quorum();
-        let combine_cost = self.keys.profile().combine_us;
-        let msg = cbc_echo_msg(self.p.session, instance, &root);
-        if self.insts[instance].shares.settle(&self.keys, &msg, quorum) {
-            acts.charge(combine_cost);
-            if let Ok(sig) = self.keys.combine(self.insts[instance].shares.shares()) {
-                let inst = &mut self.insts[instance];
-                inst.finish = Some(sig);
-                inst.delivered = true;
-                acts.send(Body::BaseCbcFinish { instance: instance as u8, root, sig });
+    /// Echoes instance `j` once its value is held: one ECHO frame, and —
+    /// for the leader whose own share completes the quorum — one FINISH.
+    fn send_echo(&mut self, j: usize, acts: &mut Actions) {
+        let instance = j as u8;
+        if let Some((share, root, finish)) = self.insts[j].echo(&self.signer, j, acts) {
+            acts.send(Body::BaseCbcEcho { instance, root, share });
+            if let Some(sig) = finish {
+                acts.send(Body::BaseCbcFinish { instance, root, sig });
             }
         }
     }
@@ -403,98 +208,47 @@ impl BaselineCbcSet {
 
 impl Broadcaster for BaselineCbcSet {
     fn start(&mut self, my_value: Bytes, acts: &mut Actions) {
-        let me = self.p.me;
-        let root = Digest32::of(&my_value);
-        {
-            let inst = &mut self.insts[me];
-            inst.claimed_root = Some(root);
-            inst.value = Some(my_value);
-        }
-        self.send_init(me, acts);
+        let me = self.signer.p.me;
+        self.insts[me].asm.hold(my_value);
+        send_init(&self.insts[me].asm, me, acts);
         self.send_echo(me, acts);
-        if !self.timer_armed {
-            self.timer_armed = true;
-            let d = self.retx.next_delay();
-            acts.timer(d, TIMER_RETX);
-        }
+        arm_timer(&mut self.timer_armed, &mut self.retx, acts);
     }
 
     fn handle(&mut self, from: usize, body: &Body, acts: &mut Actions) {
-        if from >= self.p.n {
+        let (Body::BaseRbcInit { instance, .. }
+        | Body::BaseCbcEcho { instance, .. }
+        | Body::BaseCbcFinish { instance, .. }) = body
+        else {
+            return;
+        };
+        let j = *instance as usize;
+        if from >= self.signer.p.n || j >= self.signer.p.n {
             return;
         }
+        let inst = &mut self.insts[j];
         match body {
-            Body::BaseRbcInit { instance, frag, frag_total, root, data } => {
-                let j = *instance as usize;
-                if j >= self.p.n
-                    || *frag_total == 0
-                    || frag >= frag_total
-                    || *frag_total > 64
-                {
-                    return;
-                }
-                let inst = &mut self.insts[j];
-                if inst.value.is_some() {
-                    return;
-                }
-                if inst.claimed_root.is_none() {
-                    inst.claimed_root = Some(*root);
-                }
-                if inst.claimed_root != Some(*root) {
-                    return;
-                }
-                if inst.frags.len() != *frag_total as usize {
-                    inst.frags = vec![None; *frag_total as usize];
-                }
-                inst.frags[*frag as usize] = Some(data.clone());
-                if inst.frags.iter().all(Option::is_some) {
-                    let mut value = Vec::new();
-                    for f in inst.frags.iter().flatten() {
-                        value.extend_from_slice(f);
-                    }
-                    let value = Bytes::from(value);
-                    if Digest32::of(&value) == *root {
-                        inst.value = Some(value);
-                        self.send_echo(j, acts);
-                    } else {
-                        inst.frags.clear();
-                        inst.claimed_root = None;
-                    }
+            Body::BaseRbcInit { frag, frag_total, root, data, .. } => {
+                let (frag, frag_total) = (*frag as usize, *frag_total as usize);
+                if let Accepted::Assembled(_) = inst.asm.accept(frag, frag_total, *root, data) {
+                    self.send_echo(j, acts);
                 }
             }
-            Body::BaseCbcEcho { instance, root, share } => {
-                let j = *instance as usize;
-                if j < self.p.n {
-                    if self.insts[j].claimed_root.is_none() {
-                        self.insts[j].claimed_root = Some(*root);
-                    }
-                    self.record_share(j, *share, acts, false);
+            Body::BaseCbcEcho { root, share, .. } => {
+                inst.asm.claim(*root);
+                if let Some((root, sig)) = inst.record_echo(&self.signer, j, *share, acts) {
+                    acts.send(Body::BaseCbcFinish { instance: *instance, root, sig });
                 }
             }
-            Body::BaseCbcFinish { instance, root, sig } => {
-                let j = *instance as usize;
-                if j < self.p.n && self.insts[j].finish.is_none() {
-                    acts.charge(self.keys.profile().verify_signature_us);
-                    let msg = cbc_echo_msg(self.p.session, j, root);
-                    if self.keys.verify(&msg, sig).is_ok() {
-                        let inst = &mut self.insts[j];
-                        if inst.claimed_root.is_none() {
-                            inst.claimed_root = Some(*root);
-                        }
-                        inst.finish = Some(*sig);
-                        if inst.value.is_some() {
-                            inst.delivered = true;
-                        }
-                    }
+            // The certificate vouches for the root it arrives with: a node
+            // that missed every INITIAL and ECHO adopts it from FINISH.
+            Body::BaseCbcFinish { root, sig, .. } => {
+                let verified = inst.cert.accept_cert(&self.signer, j, root, sig, acts);
+                if verified {
+                    inst.asm.claim(*root);
                 }
             }
             _ => {}
-        }
-        // Deferred delivery when FINISH preceded the value.
-        for inst in &mut self.insts {
-            if inst.finish.is_some() && inst.value.is_some() {
-                inst.delivered = true;
-            }
         }
     }
 
@@ -502,25 +256,22 @@ impl Broadcaster for BaselineCbcSet {
         if local_id != TIMER_RETX {
             return;
         }
-        let complete = self.delivered_count() == self.p.n;
-        if self.retx.should_send(complete) {
-            for j in 0..self.p.n {
-                let inst = &self.insts[j];
-                if inst.delivered {
+        let me = self.signer.p.me;
+        if self.retx.should_send(self.delivered_count() == self.signer.p.n) {
+            for (j, inst) in self.insts.iter().enumerate() {
+                if inst.delivered().is_some() {
                     continue;
                 }
-                if j == self.p.me {
-                    self.send_init(j, acts);
+                if j == me {
+                    send_init(&inst.asm, j, acts);
                 }
-                if let (Some(share), Some(root)) = (inst.my_share, inst.claimed_root) {
+                if let (Some(share), Some(root)) = (inst.cert.my_share(), inst.asm.claimed_root()) {
                     acts.send(Body::BaseCbcEcho { instance: j as u8, root, share });
                 }
             }
             // Re-broadcast any FINISH we hold (peers may have lost it).
-            for j in 0..self.p.n {
-                if let (Some(sig), Some(root)) =
-                    (&self.insts[j].finish, self.insts[j].claimed_root)
-                {
+            for (j, inst) in self.insts.iter().enumerate() {
+                if let (Some(sig), Some(root)) = (inst.cert.cert(), inst.asm.claimed_root()) {
                     acts.send(Body::BaseCbcFinish { instance: j as u8, root, sig: *sig });
                 }
             }
@@ -531,16 +282,11 @@ impl Broadcaster for BaselineCbcSet {
     }
 
     fn delivered(&self, instance: usize) -> Option<&Bytes> {
-        let inst = self.insts.get(instance)?;
-        if inst.delivered {
-            inst.value.as_ref()
-        } else {
-            None
-        }
+        self.insts.get(instance).and_then(CbcInst::delivered)
     }
 
     fn delivered_count(&self) -> usize {
-        self.insts.iter().filter(|i| i.delivered).count()
+        self.insts.iter().filter(|i| i.delivered().is_some()).count()
     }
 }
 
@@ -550,86 +296,30 @@ impl Broadcaster for BaselineCbcSet {
 #[derive(Debug)]
 pub struct BaselinePrbcSet {
     rbc: BaselineRbcSet,
-    keys: PublicKeySet,
-    secret: SecretKeyShare,
-    /// This node's DONE share per instance, signed once on delivery and
-    /// re-sent as is on every retransmission tick.
-    my_done: Vec<Option<SigShare>>,
-    /// Buffered DONE shares per instance, batch-verified at quorum.
-    shares: Vec<SigShareBuf>,
-    proofs: Vec<Option<ThresholdSignature>>,
-}
-
-fn prbc_done_msg(session: u64, instance: usize, root: &Digest32) -> Vec<u8> {
-    let mut m = Vec::with_capacity(64);
-    m.extend_from_slice(b"wbft/prbc/done");
-    m.extend_from_slice(&session.to_le_bytes());
-    m.extend_from_slice(&(instance as u64).to_le_bytes());
-    m.extend_from_slice(root.as_bytes());
-    m
+    done: DoneStage,
 }
 
 impl BaselinePrbcSet {
     /// Creates the set over the `(f, n)` proof key set.
     pub fn new(p: Params, keys: PublicKeySet, secret: SecretKeyShare) -> Self {
-        keys.precompute();
-        BaselinePrbcSet {
-            rbc: BaselineRbcSet::new(p),
-            my_done: vec![None; p.n],
-            shares: vec![SigShareBuf::default(); p.n],
-            proofs: vec![None; p.n],
-            keys,
-            secret,
-        }
-    }
-
-    fn p(&self) -> &Params {
-        &self.rbc.p
+        BaselinePrbcSet { rbc: BaselineRbcSet::new(p), done: DoneStage::new(p, keys, secret) }
     }
 
     /// Delivery proof of an instance.
     pub fn proof(&self, instance: usize) -> Option<&ThresholdSignature> {
-        self.proofs[instance].as_ref()
+        self.done.proof(instance)
     }
 
     /// Instances with a completed proof.
     pub fn proven_count(&self) -> usize {
-        self.proofs.iter().filter(|p| p.is_some()).count()
+        self.done.proven_count()
     }
 
+    /// One DONE frame per instance the inner RBC has newly delivered.
     fn sign_new_done(&mut self, acts: &mut Actions) {
-        for j in 0..self.p().n {
-            if self.my_done[j].is_some() || self.rbc.delivered(j).is_none() {
-                continue;
-            }
-            let Some(root) = self.rbc.delivered_root(j) else { continue };
-            acts.charge(self.keys.profile().sign_share_us);
-            let share = self.secret.sign_share(&prbc_done_msg(self.p().session, j, &root));
-            self.my_done[j] = Some(share);
+        let rbc = &self.rbc;
+        for (j, root, share) in self.done.sign_new(|j| rbc.delivered_root(j), acts) {
             acts.send(Body::BasePrbcDone { instance: j as u8, root, share });
-            self.record_share(j, share, acts, true);
-        }
-    }
-
-    fn record_share(&mut self, instance: usize, share: SigShare, acts: &mut Actions, own: bool) {
-        if instance >= self.p().n || self.proofs[instance].is_some() {
-            return;
-        }
-        let Some(root) = self.rbc.delivered_root(instance) else { return };
-        let n = self.p().n;
-        if !self.shares[instance].insert(share, n) {
-            return;
-        }
-        if !own {
-            acts.charge(self.keys.profile().verify_share_us);
-        }
-        let need = self.p().f + 1;
-        let msg = prbc_done_msg(self.p().session, instance, &root);
-        if self.shares[instance].settle(&self.keys, &msg, need) {
-            acts.charge(self.keys.profile().combine_us);
-            if let Ok(sig) = self.keys.combine(self.shares[instance].shares()) {
-                self.proofs[instance] = Some(sig);
-            }
         }
     }
 }
@@ -653,7 +343,8 @@ impl Broadcaster for BaselinePrbcSet {
     fn handle(&mut self, from: usize, body: &Body, acts: &mut Actions) {
         match body {
             Body::BasePrbcDone { instance, share, .. } => {
-                self.record_share(*instance as usize, *share, acts, false);
+                let j = *instance as usize;
+                self.done.record(j, self.rbc.delivered_root(j), *share, acts);
             }
             _ => self.rbc.handle(from, body, acts),
         }
@@ -663,11 +354,11 @@ impl Broadcaster for BaselinePrbcSet {
     fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
         self.rbc.on_timer(local_id, acts);
         // Piggyback DONE retransmission on the RBC tick.
-        for j in 0..self.p().n {
-            if let (Some(share), None) = (self.my_done[j], &self.proofs[j]) {
-                if let Some(root) = self.rbc.delivered_root(j) {
-                    acts.send(Body::BasePrbcDone { instance: j as u8, root, share });
-                }
+        for j in 0..self.rbc.p.n {
+            if let (Some(share), None, Some(root)) =
+                (self.done.my_share(j), self.done.proof(j), self.rbc.delivered_root(j))
+            {
+                acts.send(Body::BasePrbcDone { instance: j as u8, root, share });
             }
         }
     }
@@ -732,175 +423,117 @@ impl BaselineAbaSet {
             let Body::AbaSc { insts, coin_shares, .. } = body else {
                 continue;
             };
-            for inst in insts {
-                let key = (inst.instance, inst.round, TAG_BVAL0);
-                if inst.bval.zero && self.emitted.insert(key) {
-                    acts.send(Body::BaseAbaBval {
-                        instance: inst.instance,
-                        round: inst.round,
-                        value: false,
-                    });
-                }
-                let key = (inst.instance, inst.round, TAG_BVAL1);
-                if inst.bval.one && self.emitted.insert(key) {
-                    acts.send(Body::BaseAbaBval {
-                        instance: inst.instance,
-                        round: inst.round,
-                        value: true,
-                    });
-                }
-                if let Some(v) = inst.aux.as_bool() {
-                    let key = (inst.instance, inst.round, TAG_AUX);
-                    if self.emitted.insert(key) {
-                        acts.send(Body::BaseAbaAux {
-                            instance: inst.instance,
-                            round: inst.round,
-                            value: v,
-                        });
+            for AbaScInst { instance, round, bval, aux, decided } in insts {
+                let mut emit = |fresh: bool, tag: u8, round: u16, frame: Body| {
+                    if fresh && self.emitted.insert((instance, round, tag)) {
+                        acts.send(frame);
                     }
+                };
+                emit(bval.zero, TAG_BVAL0, round, Body::BaseAbaBval { instance, round, value: false });
+                emit(bval.one, TAG_BVAL1, round, Body::BaseAbaBval { instance, round, value: true });
+                if let Some(value) = aux.as_bool() {
+                    emit(true, TAG_AUX, round, Body::BaseAbaAux { instance, round, value });
                 }
-                if let Some(v) = inst.decided.as_bool() {
-                    let key = (inst.instance, 0, TAG_DECIDED);
-                    if self.emitted.insert(key) {
-                        acts.send(Body::BaseAbaDecided { instance: inst.instance, value: v });
-                    }
+                if let Some(value) = decided.as_bool() {
+                    emit(true, TAG_DECIDED, 0, Body::BaseAbaDecided { instance, value });
                 }
             }
             for (packed, share) in coin_shares {
-                let domain = (packed >> 8) as u8;
-                let round = packed & 0xff;
-                let key = (domain, round, TAG_COIN);
-                if self.emitted.insert(key) {
-                    acts.send(Body::BaseAbaCoin {
-                        instance: domain,
-                        round,
-                        flavor: self.flavor,
-                        share,
-                    });
+                let (instance, round) = ((packed >> 8) as u8, packed & 0xff);
+                if self.emitted.insert((instance, round, TAG_COIN)) {
+                    acts.send(Body::BaseAbaCoin { instance, round, flavor: self.flavor, share });
                 }
             }
         }
     }
 
     /// Translates an incoming baseline frame into the combined form the
-    /// inner state machine consumes.
+    /// inner state machine consumes: one instance entry with one field
+    /// set, or one coin share.
     fn translate_in(&self, body: &Body) -> Option<Body> {
-        match body {
-            Body::BaseAbaBval { instance, round, value } => Some(Body::AbaSc {
-                flavor: self.flavor,
-                insts: vec![AbaScInst {
-                    instance: *instance,
-                    round: *round,
-                    bval: {
-                        let mut b = BinValues::empty();
-                        b.insert(*value);
-                        b
-                    },
-                    aux: Vote::Unknown,
-                    decided: Vote::Unknown,
-                }],
-                coin_shares: vec![],
-                share_nack: Bitmap::new(self.n),
-            }),
-            Body::BaseAbaAux { instance, round, value } => Some(Body::AbaSc {
-                flavor: self.flavor,
-                insts: vec![AbaScInst {
-                    instance: *instance,
-                    round: *round,
-                    bval: BinValues::empty(),
-                    aux: Vote::from_bool(*value),
-                    decided: Vote::Unknown,
-                }],
-                coin_shares: vec![],
-                share_nack: Bitmap::new(self.n),
-            }),
-            Body::BaseAbaDecided { instance, value } => Some(Body::AbaSc {
-                flavor: self.flavor,
-                insts: vec![AbaScInst {
-                    instance: *instance,
-                    round: 0,
-                    bval: BinValues::empty(),
-                    aux: Vote::Unknown,
-                    decided: Vote::from_bool(*value),
-                }],
-                coin_shares: vec![],
-                share_nack: Bitmap::new(self.n),
-            }),
-            Body::BaseAbaCoin { instance, round, flavor, share } => Some(Body::AbaSc {
-                flavor: *flavor,
-                insts: vec![],
-                coin_shares: vec![((*instance as u16) << 8 | (*round & 0xff), *share)],
-                share_nack: Bitmap::new(self.n),
-            }),
-            _ => None,
-        }
+        let blank = |instance: u8, round: u16| AbaScInst {
+            instance,
+            round,
+            bval: BinValues::empty(),
+            aux: Vote::Unknown,
+            decided: Vote::Unknown,
+        };
+        let (flavor, insts, coin_shares) = match body {
+            Body::BaseAbaBval { instance, round, value } => {
+                let bval = BinValues { zero: !*value, one: *value };
+                (self.flavor, vec![AbaScInst { bval, ..blank(*instance, *round) }], vec![])
+            }
+            Body::BaseAbaAux { instance, round, value } => {
+                let aux = Vote::from_bool(*value);
+                (self.flavor, vec![AbaScInst { aux, ..blank(*instance, *round) }], vec![])
+            }
+            Body::BaseAbaDecided { instance, value } => {
+                let decided = Vote::from_bool(*value);
+                (self.flavor, vec![AbaScInst { decided, ..blank(*instance, 0) }], vec![])
+            }
+            Body::BaseAbaCoin { instance, round, flavor, share } => {
+                (*flavor, vec![], vec![((*instance as u16) << 8 | (*round & 0xff), *share)])
+            }
+            _ => return None,
+        };
+        Some(Body::AbaSc { flavor, insts, coin_shares, share_nack: Bitmap::new(self.n) })
     }
 
-    fn relay(&mut self, inner_acts: &mut Actions, acts: &mut Actions) {
+    /// Runs one event on the inner state machine, forwarding its timers
+    /// and charges; returns the combined packets it wants sent.
+    fn drive(
+        &mut self,
+        acts: &mut Actions,
+        event: impl FnOnce(&mut AbaScBatch, &mut Actions),
+    ) -> Vec<Body> {
+        let mut inner_acts = Actions::new();
+        event(&mut self.inner, &mut inner_acts);
         let (sends, timers, charge) = inner_acts.drain();
         acts.charge_us += charge;
-        for t in timers {
-            acts.timers.push(t);
-        }
-        self.translate_out(sends, acts);
+        acts.timers.extend(timers);
+        sends
     }
 }
 
 impl BinaryAgreement for BaselineAbaSet {
     fn set_input(&mut self, instance: usize, value: bool, acts: &mut Actions) {
-        let mut inner_acts = Actions::new();
-        self.inner.set_input(instance, value, &mut inner_acts);
-        self.relay(&mut inner_acts, acts);
+        let sends = self.drive(acts, |inner, a| inner.set_input(instance, value, a));
+        self.translate_out(sends, acts);
     }
 
     fn handle(&mut self, from: usize, body: &Body, acts: &mut Actions) {
         let Some(translated) = self.translate_in(body) else { return };
-        let mut inner_acts = Actions::new();
-        self.inner.handle(from, &translated, &mut inner_acts);
-        self.relay(&mut inner_acts, acts);
+        let sends = self.drive(acts, |inner, a| inner.handle(from, &translated, a));
+        self.translate_out(sends, acts);
     }
 
     fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
-        // Periodic retransmission: re-emit only each instance's *current*
-        // round (re-flooding the whole history window would saturate the
-        // channel — stale rounds are recovered through the current ones).
-        let mut inner_acts = Actions::new();
-        self.inner.on_timer(local_id, &mut inner_acts);
-        let (sends, timers, charge) = inner_acts.drain();
-        acts.charge_us += charge;
-        for t in timers {
-            acts.timers.push(t);
-        }
-        let mut current: Vec<Body> = Vec::new();
-        for body in sends {
-            let Body::AbaSc { flavor, insts, coin_shares, share_nack } = body else {
-                continue;
-            };
-            // Re-emit each instance's current round plus anything a lagging
-            // undecided peer still needs (the inner machine's history
-            // floor) — enough for recovery, without re-flooding the whole
-            // history window every tick.
-            let filtered: Vec<_> = insts
-                .into_iter()
-                .filter(|i| {
-                    let j = i.instance as usize;
-                    let cur = self.inner.round_of(j);
-                    let floor = self.inner.history_floor_of(j).min(cur);
-                    i.round >= cur.saturating_sub(1).min(floor)
-                })
-                .collect();
-            for inst in &filtered {
-                self.emitted.remove(&(inst.instance, inst.round, TAG_BVAL0));
-                self.emitted.remove(&(inst.instance, inst.round, TAG_BVAL1));
-                self.emitted.remove(&(inst.instance, inst.round, TAG_AUX));
+        let mut sends = self.drive(acts, |inner, a| inner.on_timer(local_id, a));
+        // Periodic retransmission: re-emit each instance's current round
+        // plus anything a lagging undecided peer still needs (the inner
+        // machine's history floor) — enough for recovery, without
+        // re-flooding the whole history window every tick (that would
+        // saturate the channel; stale rounds are recovered through the
+        // current ones).
+        for body in &mut sends {
+            let Body::AbaSc { insts, coin_shares, .. } = body else { continue };
+            insts.retain(|i| {
+                let j = i.instance as usize;
+                let cur = self.inner.round_of(j);
+                let floor = self.inner.history_floor_of(j).min(cur);
+                i.round >= cur.saturating_sub(1).min(floor)
+            });
+            for inst in insts.iter() {
+                for tag in [TAG_BVAL0, TAG_BVAL1, TAG_AUX] {
+                    self.emitted.remove(&(inst.instance, inst.round, tag));
+                }
                 self.emitted.remove(&(inst.instance, 0, TAG_DECIDED));
             }
-            for (packed, _) in &coin_shares {
+            for (packed, _) in coin_shares.iter() {
                 self.emitted.remove(&((packed >> 8) as u8, packed & 0xff, TAG_COIN));
             }
-            current.push(Body::AbaSc { flavor, insts: filtered, coin_shares, share_nack });
         }
-        self.translate_out(current, acts);
+        self.translate_out(sends, acts);
     }
 
     fn decided(&self, instance: usize) -> Option<bool> {
@@ -994,6 +627,25 @@ mod tests {
             |n| n.delivered_count() == 4 && n.proven_count() == 4,
         );
         assert!(nodes[0].proof(2).is_some());
+    }
+
+    #[test]
+    fn accessors_answer_none_out_of_range() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(59);
+        let c = deal_node_crypto(4, CryptoSuite::light(), &mut rng).remove(0);
+        let (p, n) = (Params::new(4, 0, 7), 4);
+        assert_eq!(crate::rbc::RbcBatch::new(p).delivered_root(n), None);
+        assert_eq!(BaselineRbcSet::new(p).delivered_root(n), None);
+        let cbc = BaselineCbcSet::new(p, c.cbc_pub.clone(), c.cbc_sec.clone());
+        assert!(cbc.proof(n).is_none() && cbc.delivered(n).is_none());
+        let prbc = BaselinePrbcSet::new(p, c.prbc_pub.clone(), c.prbc_sec.clone());
+        assert!(prbc.proof(n).is_none() && prbc.delivered(n).is_none());
+        let small = crate::cbc::CbcSmallBatch::new(p, c.cbc_pub.clone(), c.cbc_sec.clone());
+        assert!(small.proof(n).is_none() && small.delivered_value(n).is_none());
+        let batched = crate::cbc::CbcBatch::new(p, c.cbc_pub, c.cbc_sec);
+        assert!(batched.proof(n).is_none() && batched.delivered(n).is_none());
+        let batched = crate::prbc::PrbcBatch::new(p, c.prbc_pub, c.prbc_sec);
+        assert!(batched.proof(n).is_none() && batched.delivered(n).is_none());
     }
 
     #[test]

@@ -11,57 +11,27 @@
 //!
 //! Under ConsensusBatcher all N instances' ECHO shares and FINISH
 //! certificates ride in one combined `CBC_EF` packet per channel access.
+//! The instance itself is `instance::CbcInst`, shared with the baseline
+//! set; this file is the batched packaging of it.
 
 use crate::context::{Actions, Broadcaster, Params, RetxState};
-use crate::rbc::held;
-use crate::share_buf::SigShareBuf;
+use crate::instance::{Accepted, CbcInst, ShareCollector, Signer};
 use bytes::Bytes;
 use wbft_crypto::hash::Digest32;
 use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare, SigShare, ThresholdSignature};
 use wbft_net::{Bitmap, Body, RetransmitPolicy};
 
-/// Maximum value bytes per INITIAL fragment.
-pub const FRAG_BUDGET: usize = 150;
+pub use crate::instance::FRAG_BUDGET;
 
 const TIMER_RETX: u32 = 0;
-
-/// The message an echo share signs: binds session, instance and value root.
-fn echo_msg(session: u64, instance: usize, root: &Digest32) -> Vec<u8> {
-    let mut m = Vec::with_capacity(64);
-    m.extend_from_slice(b"wbft/cbc/echo");
-    m.extend_from_slice(&session.to_le_bytes());
-    m.extend_from_slice(&(instance as u64).to_le_bytes());
-    m.extend_from_slice(root.as_bytes());
-    m
-}
-
-#[derive(Debug, Default)]
-struct Inst {
-    /// The root the instance's first fragment (or packet) claimed. Once
-    /// `value` is held this *is* its digest and no longer changes (as in
-    /// `rbc::Inst`, read through [`held`]): stored only after the value
-    /// hashed to it, or together with it in `start`; reset only while no
-    /// value is held.
-    claimed_root: Option<Digest32>,
-    frags: Vec<Option<Bytes>>,
-    value: Option<Bytes>,
-    /// This node's echo share over `claimed_root`, signed once the value
-    /// checked out against it (the root cannot change after that).
-    my_share: Option<SigShare>,
-    /// Leader only: buffered echo shares, batch-verified at quorum.
-    shares: SigShareBuf,
-    finish: Option<ThresholdSignature>,
-    delivered: bool,
-    peers_need_init: bool,
-}
 
 /// N parallel CBC instances under ConsensusBatcher.
 #[derive(Debug)]
 pub struct CbcBatch {
-    p: Params,
-    keys: PublicKeySet,
-    secret: SecretKeyShare,
-    insts: Vec<Inst>,
+    signer: Signer,
+    insts: Vec<CbcInst>,
+    /// Per instance: a peer NACKed its value and we can serve it.
+    peers_need_init: Vec<bool>,
     dirty: bool,
     started: bool,
     retx: RetxState,
@@ -70,48 +40,43 @@ pub struct CbcBatch {
 impl CbcBatch {
     /// Creates the batch over the `(2f, n)` CBC key set.
     pub fn new(p: Params, keys: PublicKeySet, secret: SecretKeyShare) -> Self {
-        keys.precompute();
-        let insts = (0..p.n).map(|_| Inst::default()).collect();
         CbcBatch {
-            p,
-            keys,
-            secret,
-            insts,
+            signer: Signer::cbc_echo(p, keys, secret),
+            insts: (0..p.n).map(|_| CbcInst::default()).collect(),
+            peers_need_init: vec![false; p.n],
             dirty: false,
             started: false,
             retx: RetxState::new(RetransmitPolicy::lora_class(), &p),
         }
     }
 
+    fn p(&self) -> &Params {
+        &self.signer.p
+    }
+
     /// The quorum certificate of a delivered instance.
     pub fn proof(&self, instance: usize) -> Option<&ThresholdSignature> {
-        self.insts.get(instance).and_then(|i| i.finish.as_ref()).filter(|_| {
-            self.insts[instance].delivered
-        })
+        self.insts.get(instance).and_then(CbcInst::proof)
     }
 
     fn send_init_frags(&self, instance: usize, acts: &mut Actions) {
-        let inst = &self.insts[instance];
-        let Some((value, root)) = held(&inst.value, inst.claimed_root) else { return };
-        let chunks: Vec<&[u8]> =
-            if value.is_empty() { vec![&[][..]] } else { value.chunks(FRAG_BUDGET).collect() };
-        let total = chunks.len() as u8;
-        for (i, chunk) in chunks.iter().enumerate() {
+        let init_nack = self.init_nack();
+        for f in self.insts[instance].asm.fragments() {
             acts.send(Body::CbcInit {
                 instance: instance as u8,
-                frag: i as u8,
-                frag_total: total,
-                root,
-                data: Bytes::copy_from_slice(chunk),
-                init_nack: self.init_nack(),
+                frag: f.frag,
+                frag_total: f.frag_total,
+                root: f.root,
+                data: f.data,
+                init_nack,
             });
         }
     }
 
     fn init_nack(&self) -> Bitmap {
-        let mut nack = Bitmap::new(self.p.n);
+        let mut nack = Bitmap::new(self.p().n);
         for (j, inst) in self.insts.iter().enumerate() {
-            if inst.value.is_none() && inst.claimed_root.is_some() {
+            if inst.asm.value().is_none() && inst.asm.claimed_root().is_some() {
                 nack.set(j, true);
             }
         }
@@ -119,27 +84,27 @@ impl CbcBatch {
     }
 
     fn build_ef(&self) -> Body {
-        let n = self.p.n;
+        let n = self.p().n;
         let mut roots = vec![Digest32::zero(); n];
         let mut echo_shares = Vec::new();
         let mut finish_sigs = Vec::new();
         let mut echo_nack = Bitmap::new(n);
         let mut finish_nack = Bitmap::new(n);
         for (j, inst) in self.insts.iter().enumerate() {
-            if let Some(r) = inst.claimed_root {
+            if let Some(r) = inst.asm.claimed_root() {
                 roots[j] = r;
             }
-            if let Some(share) = inst.my_share {
+            if let Some(share) = inst.cert.my_share() {
                 echo_shares.push((j as u8, share));
             }
-            if let Some(sig) = &inst.finish {
-                finish_sigs.push((j as u8, *sig));
-            } else {
-                finish_nack.set(j, true);
-            }
-            if self.p.me == j && inst.finish.is_none() {
-                echo_nack
-                    .set(j, (inst.shares.reporters().count_ones() as usize) < self.p.quorum());
+            match inst.cert.cert() {
+                Some(sig) => finish_sigs.push((j as u8, *sig)),
+                None => {
+                    finish_nack.set(j, true);
+                    if self.p().me == j {
+                        echo_nack.set(j, inst.cert.reported() < self.p().quorum());
+                    }
+                }
             }
         }
         Body::CbcEchoFinish {
@@ -152,6 +117,14 @@ impl CbcBatch {
         }
     }
 
+    /// Echoes instance `instance` once its value is held; whatever that
+    /// produced rides in the next combined packet.
+    fn echo(&mut self, instance: usize, acts: &mut Actions) {
+        if self.insts[instance].echo(&self.signer, instance, acts).is_some() {
+            self.dirty = true;
+        }
+    }
+
     fn handle_init(
         &mut self,
         instance: usize,
@@ -161,120 +134,32 @@ impl CbcBatch {
         data: &Bytes,
         acts: &mut Actions,
     ) {
-        if instance >= self.p.n || frag_total == 0 || frag >= frag_total || frag_total > 64 {
-            return;
-        }
-        let inst = &mut self.insts[instance];
-        if inst.value.is_some() {
-            return;
-        }
-        if inst.claimed_root.is_none() {
-            inst.claimed_root = Some(root);
-        }
-        if inst.claimed_root != Some(root) {
-            return;
-        }
-        if inst.frags.len() != frag_total {
-            inst.frags = vec![None; frag_total];
-        }
-        inst.frags[frag] = Some(data.clone());
-        if inst.frags.iter().all(Option::is_some) {
-            let mut value = Vec::new();
-            for f in inst.frags.iter().flatten() {
-                value.extend_from_slice(f);
-            }
-            let value = Bytes::from(value);
-            if Digest32::of(&value) == root {
-                inst.value = Some(value);
-                if inst.my_share.is_none() {
-                    acts.charge(self.keys.profile().sign_share_us);
-                    let share = self.secret.sign_share(&echo_msg(self.p.session, instance, &root));
-                    inst.my_share = Some(share);
-                    // Own share counts toward the leader's quorum when we
-                    // are the leader.
-                    if instance == self.p.me {
-                        self.record_share(instance, share, acts);
-                    }
-                }
-                self.dirty = true;
-            } else {
-                inst.frags.clear();
-                inst.claimed_root = None;
-            }
-        }
-    }
-
-    /// Leader-side share collection: buffer now, batch-verify at quorum.
-    fn record_share(&mut self, instance: usize, share: SigShare, acts: &mut Actions) {
-        if instance != self.p.me {
-            return; // only the leader combines
-        }
-        let root = match self.insts[instance].claimed_root {
-            Some(r) => r,
-            None => return,
-        };
-        if self.insts[instance].finish.is_some() {
-            return;
-        }
-        let own = share.index.value() as usize == self.p.me + 1;
-        if !self.insts[instance].shares.insert(share, self.p.n) {
-            return;
-        }
-        if !own {
-            acts.charge(self.keys.profile().verify_share_us);
-        }
-        let msg = echo_msg(self.p.session, instance, &root);
-        if self.insts[instance].shares.settle(&self.keys, &msg, self.p.quorum()) {
-            acts.charge(self.keys.profile().combine_us);
-            if let Ok(sig) = self.keys.combine(self.insts[instance].shares.shares()) {
-                let inst = &mut self.insts[instance];
-                inst.finish = Some(sig);
-                inst.delivered = true;
-                self.dirty = true;
-            }
-        }
-    }
-
-    fn record_finish(&mut self, instance: usize, sig: ThresholdSignature, acts: &mut Actions) {
-        if instance >= self.p.n {
-            return;
-        }
-        let root = match self.insts[instance].claimed_root {
-            Some(r) => r,
-            None => return, // can't validate without the root; NACK the value
-        };
-        if self.insts[instance].finish.is_some() {
-            return;
-        }
-        acts.charge(self.keys.profile().verify_signature_us);
-        let msg = echo_msg(self.p.session, instance, &root);
-        if self.keys.verify(&msg, &sig).is_ok() {
-            let inst = &mut self.insts[instance];
-            inst.finish = Some(sig);
-            if inst.value.is_some() {
-                inst.delivered = true;
-            }
+        let Some(inst) = self.insts.get_mut(instance) else { return };
+        if let Accepted::Assembled(_) = inst.asm.accept(frag, frag_total, root, data) {
+            self.echo(instance, acts);
             self.dirty = true;
         }
     }
 
-    fn flush(&mut self, acts: &mut Actions) {
-        // Deferred delivery: FINISH may arrive before the value.
-        for inst in &mut self.insts {
-            if inst.finish.is_some() && inst.value.is_some() && !inst.delivered {
-                inst.delivered = true;
-                self.dirty = true;
+    /// Peers lacking a value we hold → schedule its INITIAL re-send.
+    fn note_init_nack(&mut self, init_nack: &Bitmap) {
+        if init_nack.len() != self.p().n {
+            return;
+        }
+        for j in init_nack.iter_set() {
+            if self.insts[j].asm.value().is_some() {
+                self.peers_need_init[j] = true;
+                self.retx.peer_behind = true;
             }
         }
+    }
+
+    fn flush(&mut self, acts: &mut Actions) {
         if self.dirty {
             acts.send(self.build_ef());
             self.dirty = false;
             self.retx.reset();
         }
-    }
-
-    fn is_complete(&self) -> bool {
-        self.insts.iter().all(|i| i.delivered)
     }
 }
 
@@ -282,17 +167,9 @@ impl Broadcaster for CbcBatch {
     fn start(&mut self, my_value: Bytes, acts: &mut Actions) {
         assert!(!self.started, "CbcBatch started twice");
         self.started = true;
-        let me = self.p.me;
-        let root = Digest32::of(&my_value);
-        acts.charge(self.keys.profile().sign_share_us);
-        let share = self.secret.sign_share(&echo_msg(self.p.session, me, &root));
-        {
-            let inst = &mut self.insts[me];
-            inst.claimed_root = Some(root);
-            inst.value = Some(my_value);
-            inst.my_share = Some(share);
-        }
-        self.record_share(me, share, acts);
+        let me = self.p().me;
+        self.insts[me].asm.hold(my_value);
+        self.echo(me, acts);
         self.send_init_frags(me, acts);
         self.dirty = true;
         self.flush(acts);
@@ -301,19 +178,12 @@ impl Broadcaster for CbcBatch {
     }
 
     fn handle(&mut self, from: usize, body: &Body, acts: &mut Actions) {
-        if from >= self.p.n {
+        if from >= self.p().n {
             return;
         }
         match body {
             Body::CbcInit { instance, frag, frag_total, root, data, init_nack } => {
-                if init_nack.len() == self.p.n {
-                    for j in init_nack.iter_set() {
-                        if self.insts[j].value.is_some() {
-                            self.insts[j].peers_need_init = true;
-                            self.retx.peer_behind = true;
-                        }
-                    }
-                }
+                self.note_init_nack(init_nack);
                 self.handle_init(
                     *instance as usize,
                     *frag as usize,
@@ -331,36 +201,37 @@ impl Broadcaster for CbcBatch {
                 finish_nack,
                 init_nack,
             } => {
-                if roots.len() != self.p.n {
+                let n = self.p().n;
+                if roots.len() != n {
                     return;
                 }
-                for (j, root) in roots.iter().enumerate() {
-                    if !root.is_zero() && self.insts[j].claimed_root.is_none() {
-                        self.insts[j].claimed_root = Some(*root);
+                for (inst, root) in self.insts.iter_mut().zip(roots) {
+                    if !root.is_zero() {
+                        inst.asm.claim(*root);
                     }
                 }
                 for (j, share) in echo_shares {
-                    self.record_share(*j as usize, *share, acts);
+                    let j = *j as usize;
+                    let Some(inst) = self.insts.get_mut(j) else { continue };
+                    self.dirty |= inst.record_echo(&self.signer, j, *share, acts).is_some();
                 }
                 for (j, sig) in finish_sigs {
-                    self.record_finish(*j as usize, *sig, acts);
+                    let j = *j as usize;
+                    let Some(inst) = self.insts.get_mut(j) else { continue };
+                    // Without the root the certificate cannot be checked;
+                    // the value stays NACKed.
+                    let Some(root) = inst.asm.claimed_root() else { continue };
+                    self.dirty |= inst.cert.accept_cert(&self.signer, j, &root, sig, acts);
                 }
                 // NACK evidence: peers missing what we have.
-                if init_nack.len() == self.p.n {
-                    for j in init_nack.iter_set() {
-                        if self.insts[j].value.is_some() {
-                            self.insts[j].peers_need_init = true;
-                            self.retx.peer_behind = true;
-                        }
-                    }
-                }
-                if finish_nack.len() == self.p.n
-                    && finish_nack.iter_set().any(|j| self.insts[j].finish.is_some())
+                self.note_init_nack(init_nack);
+                if finish_nack.len() == n
+                    && finish_nack.iter_set().any(|j| self.insts[j].cert.cert().is_some())
                 {
                     self.retx.peer_behind = true;
                 }
-                if echo_nack.len() == self.p.n
-                    && echo_nack.iter_set().any(|j| self.insts[j].my_share.is_some())
+                if echo_nack.len() == n
+                    && echo_nack.iter_set().any(|j| self.insts[j].cert.my_share().is_some())
                 {
                     self.retx.peer_behind = true;
                 }
@@ -374,11 +245,10 @@ impl Broadcaster for CbcBatch {
         if local_id != TIMER_RETX {
             return;
         }
-        if self.retx.should_send(self.is_complete()) {
-            for j in 0..self.p.n {
-                if self.insts[j].peers_need_init {
+        if self.retx.should_send(self.delivered_count() == self.p().n) {
+            for j in 0..self.p().n {
+                if std::mem::take(&mut self.peers_need_init[j]) {
                     self.send_init_frags(j, acts);
-                    self.insts[j].peers_need_init = false;
                 }
             }
             acts.send(self.build_ef());
@@ -389,16 +259,11 @@ impl Broadcaster for CbcBatch {
     }
 
     fn delivered(&self, instance: usize) -> Option<&Bytes> {
-        let inst = self.insts.get(instance)?;
-        if inst.delivered {
-            inst.value.as_ref()
-        } else {
-            None
-        }
+        self.insts.get(instance).and_then(CbcInst::delivered)
     }
 
     fn delivered_count(&self) -> usize {
-        self.insts.iter().filter(|i| i.delivered).count()
+        self.insts.iter().filter(|i| i.delivered().is_some()).count()
     }
 }
 
@@ -407,14 +272,10 @@ impl Broadcaster for CbcBatch {
 /// saving one phase of channel accesses. Dumbo's `CBC_commit` uses this.
 #[derive(Debug)]
 pub struct CbcSmallBatch {
-    p: Params,
-    keys: PublicKeySet,
-    secret: SecretKeyShare,
+    signer: Signer,
     values: Vec<Option<Bitmap>>,
-    /// This node's echo share per instance, signed once over the value.
-    my_share: Vec<Option<SigShare>>,
-    shares: Vec<SigShareBuf>,
-    finish: Vec<Option<ThresholdSignature>>,
+    /// Echo shares and certificate per instance, over [`small_root`].
+    certs: Vec<ShareCollector>,
     dirty: bool,
     timer_armed: bool,
     retx: RetxState,
@@ -428,24 +289,23 @@ fn small_root(v: &Bitmap) -> Digest32 {
 impl CbcSmallBatch {
     /// Creates the batch over the `(2f, n)` CBC key set.
     pub fn new(p: Params, keys: PublicKeySet, secret: SecretKeyShare) -> Self {
-        keys.precompute();
         CbcSmallBatch {
-            keys,
-            secret,
+            signer: Signer::cbc_echo(p, keys, secret),
             values: vec![None; p.n],
-            my_share: vec![None; p.n],
-            shares: vec![SigShareBuf::default(); p.n],
-            finish: vec![None; p.n],
+            certs: vec![ShareCollector::default(); p.n],
             dirty: false,
             timer_armed: false,
             retx: RetxState::new(RetransmitPolicy::lora_class(), &p),
-            p,
         }
+    }
+
+    fn p(&self) -> &Params {
+        &self.signer.p
     }
 
     /// Starts with this node's id-list value.
     pub fn start(&mut self, my_value: Bitmap, acts: &mut Actions) {
-        let me = self.p.me;
+        let me = self.p().me;
         self.values[me] = Some(my_value);
         self.echo_if_needed(me, acts);
         self.dirty = true;
@@ -454,101 +314,70 @@ impl CbcSmallBatch {
 
     /// Delivered value of an instance.
     pub fn delivered_value(&self, instance: usize) -> Option<Bitmap> {
-        if self.finish[instance].is_some() {
-            self.values[instance]
-        } else {
-            None
-        }
+        self.proof(instance).and_then(|_| self.values[instance])
     }
 
     /// The quorum certificate of a delivered instance.
     pub fn proof(&self, instance: usize) -> Option<&ThresholdSignature> {
-        self.finish[instance].as_ref()
+        self.certs.get(instance).and_then(ShareCollector::cert)
     }
 
     /// Number of delivered instances.
     pub fn delivered_count(&self) -> usize {
-        (0..self.p.n).filter(|&j| self.delivered_value(j).is_some()).count()
+        (0..self.p().n).filter(|&j| self.delivered_value(j).is_some()).count()
+    }
+
+    /// The root an instance's shares sign, once its value is known.
+    fn root_of(&self, instance: usize) -> Option<Digest32> {
+        self.values.get(instance)?.as_ref().map(small_root)
     }
 
     fn echo_if_needed(&mut self, instance: usize, acts: &mut Actions) {
-        let Some(value) = self.values[instance] else { return };
-        if self.my_share[instance].is_some() {
+        let Some(root) = self.root_of(instance) else { return };
+        let Some(share) = self.certs[instance].sign_own(&self.signer, instance, &root, acts)
+        else {
             return;
-        }
-        acts.charge(self.keys.profile().sign_share_us);
-        let root = small_root(&value);
-        let share = self.secret.sign_share(&echo_msg(self.p.session, instance, &root));
-        self.my_share[instance] = Some(share);
-        if instance == self.p.me {
-            self.record_share(instance, share, acts);
-        }
+        };
         self.dirty = true;
+        self.record_share(instance, share, acts);
     }
 
     fn record_share(&mut self, instance: usize, share: SigShare, acts: &mut Actions) {
-        if instance != self.p.me || self.finish[instance].is_some() {
-            return;
+        if instance != self.p().me {
+            return; // only the leader combines
         }
-        let Some(value) = self.values[instance] else { return };
-        let own = share.index.value() as usize == self.p.me + 1;
-        if !self.shares[instance].insert(share, self.p.n) {
-            return;
-        }
-        if !own {
-            acts.charge(self.keys.profile().verify_share_us);
-        }
-        let msg = echo_msg(self.p.session, instance, &small_root(&value));
-        if self.shares[instance].settle(&self.keys, &msg, self.p.quorum()) {
-            acts.charge(self.keys.profile().combine_us);
-            if let Ok(sig) = self.keys.combine(self.shares[instance].shares()) {
-                self.finish[instance] = Some(sig);
-                self.dirty = true;
-            }
-        }
+        let Some(root) = self.root_of(instance) else { return };
+        let finish = self.certs[instance].record(&self.signer, instance, &root, share, acts);
+        self.dirty |= finish.is_some();
     }
 
-    fn record_finish(&mut self, instance: usize, sig: ThresholdSignature, acts: &mut Actions) {
-        if self.finish[instance].is_some() {
-            return;
-        }
-        let Some(value) = self.values[instance] else { return };
-        acts.charge(self.keys.profile().verify_signature_us);
-        let msg = echo_msg(self.p.session, instance, &small_root(&value));
-        if self.keys.verify(&msg, &sig).is_ok() {
-            self.finish[instance] = Some(sig);
-            self.dirty = true;
-        }
+    fn record_finish(&mut self, instance: usize, sig: &ThresholdSignature, acts: &mut Actions) {
+        let Some(root) = self.root_of(instance) else { return };
+        self.dirty |= self.certs[instance].accept_cert(&self.signer, instance, &root, sig, acts);
     }
 
     fn build(&self) -> Body {
-        let n = self.p.n;
+        let n = self.p().n;
         let mut values = Vec::with_capacity(n);
         let mut init_nack = Bitmap::new(n);
-        for j in 0..n {
-            match self.values[j] {
-                Some(v) => values.push(v),
-                None => {
-                    values.push(Bitmap::new(0));
-                    init_nack.set(j, true);
-                }
-            }
-        }
         let mut echo_shares = Vec::new();
         let mut finish_sigs = Vec::new();
         let mut finish_nack = Bitmap::new(n);
         let mut echo_nack = Bitmap::new(n);
-        for j in 0..n {
-            if let Some(share) = self.my_share[j] {
+        for (j, cert) in self.certs.iter().enumerate() {
+            values.push(self.values[j].unwrap_or_else(|| Bitmap::new(0)));
+            init_nack.set(j, self.values[j].is_none());
+            if let Some(share) = cert.my_share() {
                 echo_shares.push((j as u8, share));
             }
-            match &self.finish[j] {
+            match cert.cert() {
                 Some(sig) => finish_sigs.push((j as u8, *sig)),
-                None => finish_nack.set(j, true),
-            }
-            if j == self.p.me && self.finish[j].is_none() {
-                echo_nack
-                    .set(j, (self.shares[j].reporters().count_ones() as usize) < self.p.quorum());
+                None => {
+                    finish_nack.set(j, true);
+                    if j == self.p().me {
+                        echo_nack.set(j, cert.reported() < self.p().quorum());
+                    }
+                }
             }
         }
         Body::CbcSmall { values, echo_shares, finish_sigs, init_nack, echo_nack, finish_nack }
@@ -569,14 +398,15 @@ impl CbcSmallBatch {
 
     /// Processes a packet for this session.
     pub fn handle(&mut self, from: usize, body: &Body, acts: &mut Actions) {
-        if from >= self.p.n {
+        let n = self.p().n;
+        if from >= n {
             return;
         }
         let Body::CbcSmall { values, echo_shares, finish_sigs, init_nack, finish_nack, .. } = body
         else {
             return;
         };
-        if values.len() == self.p.n {
+        if values.len() == n {
             for (j, v) in values.iter().enumerate() {
                 if !v.is_empty() && self.values[j].is_none() {
                     self.values[j] = Some(*v);
@@ -585,22 +415,15 @@ impl CbcSmallBatch {
             }
         }
         for (j, share) in echo_shares {
-            if (*j as usize) < self.p.n {
-                self.record_share(*j as usize, *share, acts);
-            }
+            self.record_share(*j as usize, *share, acts);
         }
         for (j, sig) in finish_sigs {
-            if (*j as usize) < self.p.n {
-                self.record_finish(*j as usize, *sig, acts);
-            }
+            self.record_finish(*j as usize, sig, acts);
         }
-        if init_nack.len() == self.p.n
-            && init_nack.iter_set().any(|j| self.values[j].is_some())
-        {
+        if init_nack.len() == n && init_nack.iter_set().any(|j| self.values[j].is_some()) {
             self.retx.peer_behind = true;
         }
-        if finish_nack.len() == self.p.n
-            && finish_nack.iter_set().any(|j| self.finish[j].is_some())
+        if finish_nack.len() == n && finish_nack.iter_set().any(|j| self.certs[j].cert().is_some())
         {
             self.retx.peer_behind = true;
         }
@@ -612,7 +435,7 @@ impl CbcSmallBatch {
         if local_id != TIMER_RETX {
             return;
         }
-        let complete = self.delivered_count() == self.p.n;
+        let complete = self.delivered_count() == self.p().n;
         if self.retx.should_send(complete) {
             acts.send(self.build());
             self.retx.peer_behind = false;
@@ -626,6 +449,7 @@ impl CbcSmallBatch {
 mod tests {
     use super::*;
     use crate::context::deal_node_crypto;
+    use crate::instance::echo_msg;
     use crate::rbc::tests::run_mesh;
     use rand::SeedableRng;
     use wbft_crypto::CryptoSuite;
@@ -677,8 +501,9 @@ mod tests {
         );
         let sig = nodes[0].proof(2).unwrap();
         let root = Digest32::of(&vals[2]);
-        nodes[0].keys.verify(&echo_msg(5, 2, &root), sig).unwrap();
-        assert!(nodes[0].keys.verify(&echo_msg(5, 3, &root), sig).is_err());
+        let keys = &nodes[0].signer.keys;
+        keys.verify(&echo_msg(5, 2, &root), sig).unwrap();
+        assert!(keys.verify(&echo_msg(5, 3, &root), sig).is_err());
     }
 
     #[test]
@@ -724,7 +549,7 @@ mod tests {
                         other => panic!("not an INITIAL fragment: {other:?}"),
                     })
                     .collect();
-                match &node.insts[j].value {
+                match node.insts[j].asm.value() {
                     Some(v) => assert!(!served.is_empty() && served.iter().all(|r| *r == Digest32::of(v))),
                     None => assert!(served.is_empty()),
                 }
@@ -733,13 +558,14 @@ mod tests {
         // The failed assembly left nothing to serve; at the moment of the
         // failed check the claim itself is dropped.
         for node in nodes.iter().take(3) {
-            assert!(node.insts[3].value.is_none() && node.delivered(3).is_none());
+            assert!(node.insts[3].asm.value().is_none() && node.delivered(3).is_none());
         }
         let mut fresh = make().remove(0);
         let root = Digest32::of(b"claimed");
         let mut acts = Actions::new();
         fresh.handle_init(3, 0, 1, root, &Bytes::from_static(b"something else"), &mut acts);
-        assert!(fresh.insts[3].value.is_none() && fresh.insts[3].claimed_root.is_none());
+        let asm = &fresh.insts[3].asm;
+        assert!(asm.value().is_none() && asm.claimed_root().is_none());
     }
 
     #[test]

@@ -19,7 +19,16 @@
 //! | CBC-small (id lists)      | [`cbc::CbcSmallBatch`] | — |
 //! | Provable RBC              | [`prbc::PrbcBatch`] | [`baseline::BaselinePrbcSet`] |
 //! | Shared-coin ABA (SC / CP) | [`aba_sc::AbaScBatch`] | [`baseline::BaselineAbaSet`] |
-//! | Local-coin ABA (Bracha)   | [`aba_lc::AbaLcBatch`] | (per-report packets via [`wbft_net::Body::BaseAbaLcReport`]) |
+//! | Local-coin ABA (Bracha)   | [`aba_lc::AbaLcBatch`] | — |
+//!
+//! A deployment style is a *packaging*, not a second implementation. What
+//! one RBC / CBC / PRBC instance does — reassembling the proposal, tallying
+//! Bracha's votes, collecting threshold shares into a certificate — lives
+//! once, in the crate-private `instance` module, and both columns drive
+//! it: the batched components add the combined packet, its dirty-flag flush
+//! and NACK bits, the baseline sets add one frame per transition and a
+//! blind retransmission tick. The baseline ABA is likewise the batched
+//! state machine behind a per-item packetizer.
 //!
 //! All components are sans-io state machines: they consume packet bodies
 //! and timer ticks and emit [`context::Actions`] (broadcasts, timers,
@@ -58,6 +67,7 @@ pub mod aba_sc;
 pub mod baseline;
 pub mod cbc;
 pub mod context;
+mod instance;
 pub mod prbc;
 pub mod rbc;
 pub mod rbc_small;

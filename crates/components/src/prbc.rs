@@ -7,45 +7,25 @@
 //! least one honest node delivered `j` — the precondition Dumbo needs
 //! before an instance's value may be referenced by the agreement phase.
 //! DONE shares are batched into their own packet type because threshold
-//! material dominates packet space (§IV-C1).
+//! material dominates packet space (§IV-C1). Signing, collecting and
+//! combining them is `instance::DoneStage`, shared with the baseline set.
 
 use crate::context::{Actions, Broadcaster, Params, ProvableBroadcaster, RetxState};
+use crate::instance::{done_msg, DoneStage};
 use crate::rbc::RbcBatch;
-use crate::share_buf::SigShareBuf;
 use bytes::Bytes;
 use wbft_crypto::hash::Digest32;
-use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare, SigShare, ThresholdSignature};
+use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare, ThresholdSignature};
 use wbft_net::{Bitmap, Body, RetransmitPolicy};
 
 /// Timer ids: 0 is used by the inner RBC; the DONE stage uses 1.
 const TIMER_DONE_RETX: u32 = 1;
 
-/// The message a DONE share signs.
-fn done_msg(session: u64, instance: usize, root: &Digest32) -> Vec<u8> {
-    let mut m = Vec::with_capacity(64);
-    m.extend_from_slice(b"wbft/prbc/done");
-    m.extend_from_slice(&session.to_le_bytes());
-    m.extend_from_slice(&(instance as u64).to_le_bytes());
-    m.extend_from_slice(root.as_bytes());
-    m
-}
-
-#[derive(Debug, Default)]
-struct DoneInst {
-    /// This node's DONE share over the delivered root, signed once.
-    my_share: Option<SigShare>,
-    /// Buffered DONE shares, batch-verified at quorum (see `share_buf`).
-    shares: SigShareBuf,
-    proof: Option<ThresholdSignature>,
-}
-
 /// N parallel PRBC instances under ConsensusBatcher.
 #[derive(Debug)]
 pub struct PrbcBatch {
     rbc: RbcBatch,
-    keys: PublicKeySet,
-    secret: SecretKeyShare,
-    done: Vec<DoneInst>,
+    done: DoneStage,
     dirty: bool,
     timer_armed: bool,
     retx: RetxState,
@@ -54,17 +34,12 @@ pub struct PrbcBatch {
 impl PrbcBatch {
     /// Creates the batch over the `(f, n)` PRBC proof key set.
     pub fn new(p: Params, keys: PublicKeySet, secret: SecretKeyShare) -> Self {
-        // Window tables are shared by every clone of the dealt key set, so
-        // this builds them once per deployment, not once per node.
-        keys.precompute();
         PrbcBatch {
             rbc: RbcBatch::new(p),
-            done: (0..p.n).map(|_| DoneInst::default()).collect(),
+            done: DoneStage::new(p, keys, secret),
             dirty: false,
             timer_armed: false,
             retx: RetxState::new(RetransmitPolicy::lora_class(), &p),
-            keys,
-            secret,
         }
     }
 
@@ -74,12 +49,12 @@ impl PrbcBatch {
 
     /// The delivery proof of an instance, once `f+1` DONE shares combined.
     pub fn proof(&self, instance: usize) -> Option<&ThresholdSignature> {
-        self.done.get(instance).and_then(|d| d.proof.as_ref())
+        self.done.proof(instance)
     }
 
     /// Instances with a completed proof.
     pub fn proven_count(&self) -> usize {
-        self.done.iter().filter(|d| d.proof.is_some()).count()
+        self.done.proven_count()
     }
 
     /// Verifies a proof produced elsewhere (Dumbo's CBC values carry them).
@@ -93,63 +68,6 @@ impl PrbcBatch {
         keys.verify(&done_msg(session, instance, root), proof).is_ok()
     }
 
-    /// Signs DONE shares for instances the inner RBC has newly delivered.
-    fn sign_new_done(&mut self, acts: &mut Actions) {
-        for j in 0..self.p().n {
-            if self.done[j].my_share.is_some() || self.rbc.delivered(j).is_none() {
-                continue;
-            }
-            let Some(root) = self.rbc.delivered_root(j) else { continue };
-            acts.charge(self.keys.profile().sign_share_us);
-            let share = self.secret.sign_share(&done_msg(self.p().session, j, &root));
-            self.done[j].my_share = Some(share);
-            self.record_share(j, share, acts, true);
-            self.dirty = true;
-        }
-    }
-
-    fn record_share(&mut self, instance: usize, share: SigShare, acts: &mut Actions, own: bool) {
-        if instance >= self.p().n || self.done[instance].proof.is_some() {
-            return;
-        }
-        let Some(root) = self.rbc.delivered_root(instance) else {
-            // Can't validate a share against an unknown root yet; our RBC
-            // NACK machinery will fetch the value first.
-            return;
-        };
-        // Buffer now, batch-verify at quorum; the virtual verify cost is
-        // still charged per accepted share, as before.
-        let n = self.p().n;
-        if !self.done[instance].shares.insert(share, n) {
-            return;
-        }
-        if !own {
-            acts.charge(self.keys.profile().verify_share_us);
-        }
-        let need = self.p().f + 1;
-        let combine_cost = self.keys.profile().combine_us;
-        let msg = done_msg(self.p().session, instance, &root);
-        if self.done[instance].shares.settle(&self.keys, &msg, need) {
-            acts.charge(combine_cost);
-            if let Ok(sig) = self.keys.combine(self.done[instance].shares.shares()) {
-                self.done[instance].proof = Some(sig);
-                self.dirty = true;
-            }
-        }
-    }
-
-    fn record_proof(&mut self, instance: usize, sig: ThresholdSignature, acts: &mut Actions) {
-        if instance >= self.p().n || self.done[instance].proof.is_some() {
-            return;
-        }
-        let Some(root) = self.rbc.delivered_root(instance) else { return };
-        acts.charge(self.keys.profile().verify_signature_us);
-        if self.keys.verify(&done_msg(self.p().session, instance, &root), &sig).is_ok() {
-            self.done[instance].proof = Some(sig);
-            self.dirty = true;
-        }
-    }
-
     fn build_done(&self) -> Body {
         let n = self.p().n;
         let mut roots = vec![Digest32::zero(); n];
@@ -159,11 +77,11 @@ impl PrbcBatch {
         for (j, root_slot) in roots.iter_mut().enumerate() {
             if let Some(root) = self.rbc.delivered_root(j) {
                 *root_slot = root;
-                if let Some(share) = self.done[j].my_share {
+                if let Some(share) = self.done.my_share(j) {
                     shares.push((j as u8, share));
                 }
             }
-            match &self.done[j].proof {
+            match self.done.proof(j) {
                 Some(p) => proofs.push((j as u8, *p)),
                 None => sig_nack.set(j, true),
             }
@@ -172,7 +90,9 @@ impl PrbcBatch {
     }
 
     fn flush(&mut self, acts: &mut Actions) {
-        self.sign_new_done(acts);
+        // DONE shares for instances the inner RBC has newly delivered.
+        let rbc = &self.rbc;
+        self.dirty |= !self.done.sign_new(|j| rbc.delivered_root(j), acts).is_empty();
         if self.dirty {
             acts.send(self.build_done());
             self.dirty = false;
@@ -183,10 +103,6 @@ impl PrbcBatch {
             let d = self.retx.next_delay();
             acts.timer(d, TIMER_DONE_RETX);
         }
-    }
-
-    fn is_complete(&self) -> bool {
-        self.done.iter().all(|d| d.proof.is_some())
     }
 }
 
@@ -209,14 +125,19 @@ impl Broadcaster for PrbcBatch {
     fn handle(&mut self, from: usize, body: &Body, acts: &mut Actions) {
         match body {
             Body::PrbcDone { shares, proofs, sig_nack, .. } => {
+                // Shares and proofs for an instance not delivered here yet
+                // are dropped: the RBC NACK machinery fetches the value
+                // first.
                 for (j, share) in shares {
-                    self.record_share(*j as usize, *share, acts, false);
+                    let j = *j as usize;
+                    self.dirty |= self.done.record(j, self.rbc.delivered_root(j), *share, acts);
                 }
                 for (j, sig) in proofs {
-                    self.record_proof(*j as usize, *sig, acts);
+                    let j = *j as usize;
+                    self.dirty |= self.done.accept_proof(j, self.rbc.delivered_root(j), sig, acts);
                 }
                 if sig_nack.len() == self.p().n
-                    && sig_nack.iter_set().any(|j| self.done[j].proof.is_some())
+                    && sig_nack.iter_set().any(|j| self.done.proof(j).is_some())
                 {
                     self.retx.peer_behind = true;
                 }
@@ -228,7 +149,7 @@ impl Broadcaster for PrbcBatch {
 
     fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
         if local_id == TIMER_DONE_RETX {
-            if self.retx.should_send(self.is_complete()) {
+            if self.retx.should_send(self.proven_count() == self.p().n) {
                 acts.send(self.build_done());
                 self.retx.peer_behind = false;
             }
@@ -285,8 +206,8 @@ mod tests {
                 assert_eq!(node.delivered(j), Some(val));
                 let proof = node.proof(j).unwrap();
                 let root = Digest32::of(val);
-                assert!(PrbcBatch::verify_proof(8, &node.keys, j, &root, proof));
-                assert!(!PrbcBatch::verify_proof(8, &node.keys, (j + 1) % 4, &root, proof));
+                assert!(PrbcBatch::verify_proof(8, &node.done.signer.keys, j, &root, proof));
+                assert!(!PrbcBatch::verify_proof(8, &node.done.signer.keys, (j + 1) % 4, &root, proof));
             }
         }
     }

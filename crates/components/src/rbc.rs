@@ -15,98 +15,28 @@
 //! then decides 0); if any honest node delivers a value, every honest node
 //! eventually delivers the same value (Bracha's agreement + totality, which
 //! the integration tests exercise under loss and Byzantine proposers).
+//!
+//! That instance logic is `instance::BrachaInst`, shared with the baseline
+//! set; this file is the ConsensusBatcher packaging of it.
 
 use crate::context::{Actions, Broadcaster, Params, RetxState};
+use crate::instance::{Accepted, BrachaInst};
 use bytes::Bytes;
 use wbft_crypto::hash::Digest32;
 use wbft_net::{Bitmap, Body, RetransmitPolicy};
 
-/// Maximum proposal bytes carried per INITIAL fragment (fits a LoRa frame
-/// after header, root, NACK and signature).
-pub const FRAG_BUDGET: usize = 150;
+pub use crate::instance::{FRAG_BUDGET, MAX_FRAGS, MAX_VALUE_BYTES};
 
 /// Local timer id of the retransmission tick.
 const TIMER_RETX: u32 = 0;
-
-#[derive(Debug, Default)]
-struct Inst {
-    /// Proposal root claimed by the first INITIAL fragment (or vote) seen.
-    /// Once `value` is held this *is* its digest and no longer changes: a
-    /// value is stored only after it hashed to this root (`handle_init`) or
-    /// together with the root just computed from it (`start`), and the root
-    /// is reset only while no value is held.
-    claimed_root: Option<Digest32>,
-    /// Fragment buffer (sized on first fragment).
-    frags: Vec<Option<Bytes>>,
-    /// Assembled and digest-verified proposal.
-    value: Option<Bytes>,
-    /// Per node: the root they echoed (index = node id, includes self).
-    echo_roots: Vec<Option<Digest32>>,
-    /// Per node: the root they declared ready.
-    ready_roots: Vec<Option<Digest32>>,
-    /// Root this node echoes.
-    my_echo: Option<Digest32>,
-    /// Root this node is ready on.
-    my_ready: Option<Digest32>,
-    /// Delivered output.
-    delivered: Option<Bytes>,
-    /// A peer NACKed this instance's proposal and we can serve it.
-    peers_need_init: bool,
-}
-
-impl Inst {
-    fn new(n: usize) -> Self {
-        Inst {
-            echo_roots: vec![None; n],
-            ready_roots: vec![None; n],
-            ..Inst::default()
-        }
-    }
-
-    /// Root with the most echoes and its count.
-    fn echo_quorum(&self) -> Option<(Digest32, usize)> {
-        count_votes(&self.echo_roots)
-    }
-
-    fn ready_quorum(&self) -> Option<(Digest32, usize)> {
-        count_votes(&self.ready_roots)
-    }
-
-    /// The root this node's votes refer to in the combined packet.
-    fn vote_root(&self) -> Option<Digest32> {
-        self.my_ready.or(self.my_echo).or(self.claimed_root)
-    }
-}
-
-/// A held value with its digest — read off the instance's `claimed_root`,
-/// which the value was checked against when it was stored, not hashed
-/// again. Shared by the RBC and CBC instances and their baseline mirrors,
-/// which all keep the invariant documented on `Inst::claimed_root`.
-pub(crate) fn held(
-    value: &Option<Bytes>,
-    claimed_root: Option<Digest32>,
-) -> Option<(&Bytes, Digest32)> {
-    let held = value.as_ref().zip(claimed_root);
-    debug_assert!(held.is_none_or(|(v, root)| Digest32::of(v) == root));
-    held
-}
-
-fn count_votes(votes: &[Option<Digest32>]) -> Option<(Digest32, usize)> {
-    let mut best: Option<(Digest32, usize)> = None;
-    for v in votes.iter().flatten() {
-        let c = votes.iter().flatten().filter(|x| *x == v).count();
-        if best.map(|(_, bc)| c > bc).unwrap_or(true) {
-            best = Some((*v, c));
-        }
-    }
-    best
-}
 
 /// N parallel Bracha RBC instances under ConsensusBatcher.
 #[derive(Debug)]
 pub struct RbcBatch {
     p: Params,
-    insts: Vec<Inst>,
+    insts: Vec<BrachaInst>,
+    /// Per instance: a peer NACKed its proposal and we can serve it.
+    peers_need_init: Vec<bool>,
     dirty: bool,
     started: bool,
     retx: RetxState,
@@ -115,10 +45,10 @@ pub struct RbcBatch {
 impl RbcBatch {
     /// Creates the batch (call [`Broadcaster::start`] to begin).
     pub fn new(p: Params) -> Self {
-        let insts = (0..p.n).map(|_| Inst::new(p.n)).collect();
         RbcBatch {
             p,
-            insts,
+            insts: (0..p.n).map(|_| BrachaInst::new(p.n)).collect(),
+            peers_need_init: vec![false; p.n],
             dirty: false,
             started: false,
             retx: RetxState::new(RetransmitPolicy::lora_class(), &p),
@@ -130,28 +60,21 @@ impl RbcBatch {
         &self.p
     }
 
-    /// The delivered root of an instance (PRBC signs this). The delivered
-    /// value is the held one, so its digest is the held root.
+    /// The delivered root of an instance (PRBC signs this).
     pub fn delivered_root(&self, instance: usize) -> Option<Digest32> {
-        let inst = &self.insts[instance];
-        debug_assert!(inst.delivered.is_none() || inst.delivered == inst.value);
-        inst.delivered.as_ref().and(held(&inst.value, inst.claimed_root)).map(|(_, root)| root)
+        self.insts.get(instance).and_then(BrachaInst::delivered_root)
     }
 
     fn send_init_frags(&self, instance: usize, acts: &mut Actions) {
-        let inst = &self.insts[instance];
-        let Some((value, root)) = held(&inst.value, inst.claimed_root) else { return };
-        let chunks: Vec<&[u8]> =
-            if value.is_empty() { vec![&[][..]] } else { value.chunks(FRAG_BUDGET).collect() };
-        let total = chunks.len() as u8;
-        for (i, chunk) in chunks.iter().enumerate() {
+        let init_nack = self.init_nack();
+        for f in self.insts[instance].asm.fragments() {
             acts.send(Body::RbcInit {
                 instance: instance as u8,
-                frag: i as u8,
-                frag_total: total,
-                root,
-                data: Bytes::copy_from_slice(chunk),
-                init_nack: self.init_nack(),
+                frag: f.frag,
+                frag_total: f.frag_total,
+                root: f.root,
+                data: f.data,
+                init_nack,
             });
         }
     }
@@ -161,10 +84,8 @@ impl RbcBatch {
         for (j, inst) in self.insts.iter().enumerate() {
             // Missing the proposal while votes (or a claimed root) prove the
             // instance exists.
-            let interesting = inst.claimed_root.is_some()
-                || inst.echo_roots.iter().any(Option::is_some)
-                || inst.ready_roots.iter().any(Option::is_some);
-            if inst.value.is_none() && interesting {
+            let interesting = inst.asm.claimed_root().is_some() || inst.votes.any();
+            if inst.asm.value().is_none() && interesting {
                 nack.set(j, true);
             }
         }
@@ -179,16 +100,16 @@ impl RbcBatch {
         let mut echo_nack = Bitmap::new(n);
         let mut ready_nack = Bitmap::new(n);
         for (j, inst) in self.insts.iter().enumerate() {
-            if let Some(r) = inst.vote_root() {
+            let (my_echo, my_ready) = (inst.votes.my_echo(), inst.votes.my_ready());
+            // The root this node's votes refer to in the combined packet.
+            if let Some(r) = my_ready.or(my_echo).or(inst.asm.claimed_root()) {
                 roots[j] = r;
-                echo.set(j, inst.my_echo == Some(r));
-                ready.set(j, inst.my_ready == Some(r));
+                echo.set(j, my_echo == Some(r));
+                ready.set(j, my_ready == Some(r));
             }
-            if inst.delivered.is_none() {
-                let eq = inst.echo_quorum().map(|(_, c)| c).unwrap_or(0);
-                let rq = inst.ready_quorum().map(|(_, c)| c).unwrap_or(0);
-                echo_nack.set(j, eq < self.p.quorum());
-                ready_nack.set(j, rq < self.p.quorum());
+            if !inst.votes.delivered() {
+                echo_nack.set(j, inst.votes.echo_support() < self.p.quorum());
+                ready_nack.set(j, inst.votes.ready_support() < self.p.quorum());
             }
         }
         Body::RbcEchoReady {
@@ -201,41 +122,12 @@ impl RbcBatch {
         }
     }
 
-    /// Re-evaluates vote quorums for one instance, mutating local votes.
+    /// Re-evaluates vote quorums for one instance; any transition rides in
+    /// the next combined packet.
     fn advance(&mut self, j: usize) {
-        let p = self.p;
-        let inst = &mut self.insts[j];
-        // READY on 2f+1 echoes or f+1 readies (Bracha amplification).
-        if inst.my_ready.is_none() {
-            if let Some((root, c)) = inst.echo_quorum() {
-                if c >= p.quorum() {
-                    inst.my_ready = Some(root);
-                    inst.ready_roots[p.me] = Some(root);
-                    self.dirty = true;
-                }
-            }
-        }
-        if inst.my_ready.is_none() {
-            if let Some((root, c)) = inst.ready_quorum() {
-                if c > p.f {
-                    inst.my_ready = Some(root);
-                    inst.ready_roots[p.me] = Some(root);
-                    self.dirty = true;
-                }
-            }
-        }
-        // DELIVER on 2f+1 readies, once the matching value is held.
-        if inst.delivered.is_none() {
-            if let Some((root, c)) = inst.ready_quorum() {
-                // Without the matching value our init_nack bit for j is set
-                // and holders re-send.
-                if c >= p.quorum()
-                    && held(&inst.value, inst.claimed_root).is_some_and(|(_, r)| r == root)
-                {
-                    inst.delivered = inst.value.clone();
-                    self.dirty = true;
-                }
-            }
+        let step = self.insts[j].step(&self.p);
+        if step.ready.is_some() || step.delivered {
+            self.dirty = true;
         }
     }
 
@@ -247,45 +139,26 @@ impl RbcBatch {
         root: Digest32,
         data: &Bytes,
     ) {
-        if instance >= self.p.n || frag_total == 0 || frag >= frag_total || frag_total > 64 {
-            return;
-        }
-        let me = self.p.me;
-        let inst = &mut self.insts[instance];
-        if inst.value.is_some() {
-            return; // already assembled
-        }
-        if inst.claimed_root.is_none() {
-            inst.claimed_root = Some(root);
-        }
-        if inst.claimed_root != Some(root) {
-            return; // equivocating proposer; stick with the first claim
-        }
-        if inst.frags.len() != frag_total {
-            inst.frags = vec![None; frag_total];
-        }
-        inst.frags[frag] = Some(data.clone());
-        if inst.frags.iter().all(Option::is_some) {
-            let mut value = Vec::new();
-            for f in inst.frags.iter().flatten() {
-                value.extend_from_slice(f);
-            }
-            let value = Bytes::from(value);
-            if Digest32::of(&value) == root {
-                inst.value = Some(value);
-                if inst.my_echo.is_none() {
-                    inst.my_echo = Some(root);
-                    inst.echo_roots[me] = Some(root);
-                }
-                self.dirty = true;
-            } else {
-                // Corrupt assembly (mismatched fragments from an
-                // equivocator): reset and re-NACK.
-                inst.frags.clear();
-                inst.claimed_root = None;
-            }
+        let Some(inst) = self.insts.get_mut(instance) else { return };
+        match inst.on_fragment(self.p.me, frag, frag_total, root, data) {
+            Accepted::Refused => return,
+            Accepted::Buffered => {}
+            Accepted::Assembled(_) => self.dirty = true,
         }
         self.advance(instance);
+    }
+
+    /// Peers lacking a proposal we hold → schedule its INITIAL re-send.
+    fn note_init_nack(&mut self, init_nack: &Bitmap) {
+        if init_nack.len() != self.p.n {
+            return;
+        }
+        for j in init_nack.iter_set() {
+            if self.insts[j].asm.value().is_some() {
+                self.peers_need_init[j] = true;
+                self.retx.peer_behind = true;
+            }
+        }
     }
 
     // One parameter per field of the combined ER packet; bundling them
@@ -304,33 +177,24 @@ impl RbcBatch {
         if roots.len() != self.p.n || echo.len() != self.p.n {
             return;
         }
+        self.note_init_nack(init_nack);
         for (j, &root) in roots.iter().enumerate() {
+            let inst = &mut self.insts[j];
             if !root.is_zero() {
-                if echo.get(j) && self.insts[j].echo_roots[from].is_none() {
-                    self.insts[j].echo_roots[from] = Some(root);
+                if echo.get(j) {
+                    inst.votes.echo(from, root);
                 }
-                if ready.get(j) && self.insts[j].ready_roots[from].is_none() {
-                    self.insts[j].ready_roots[from] = Some(root);
+                if ready.get(j) {
+                    inst.votes.ready(from, root);
                 }
-                // Learning a claimed root from votes lets us NACK the value.
-                if self.insts[j].claimed_root.is_none() {
-                    self.insts[j].claimed_root = Some(root);
-                }
-            }
-            // Peer lacks the proposal we hold → schedule INITIAL re-send.
-            if init_nack.len() == self.p.n
-                && init_nack.get(j)
-                && self.insts[j].value.is_some()
-            {
-                self.insts[j].peers_need_init = true;
-                self.retx.peer_behind = true;
+                inst.asm.claim(root);
             }
             // Peer lacks quorums we already have votes for → our combined
             // packet helps them; mark for retransmission.
-            if (echo_nack.len() == self.p.n && echo_nack.get(j) && self.insts[j].my_echo.is_some())
+            if (echo_nack.len() == self.p.n && echo_nack.get(j) && inst.votes.my_echo().is_some())
                 || (ready_nack.len() == self.p.n
                     && ready_nack.get(j)
-                    && self.insts[j].my_ready.is_some())
+                    && inst.votes.my_ready().is_some())
             {
                 self.retx.peer_behind = true;
             }
@@ -345,10 +209,6 @@ impl RbcBatch {
             self.retx.reset();
         }
     }
-
-    fn is_complete(&self) -> bool {
-        self.insts.iter().all(|i| i.delivered.is_some())
-    }
 }
 
 impl Broadcaster for RbcBatch {
@@ -356,14 +216,7 @@ impl Broadcaster for RbcBatch {
         assert!(!self.started, "RbcBatch started twice");
         self.started = true;
         let me = self.p.me;
-        let root = Digest32::of(&my_value);
-        {
-            let inst = &mut self.insts[me];
-            inst.claimed_root = Some(root);
-            inst.value = Some(my_value);
-            inst.my_echo = Some(root);
-            inst.echo_roots[me] = Some(root);
-        }
+        self.insts[me].propose(me, my_value);
         self.send_init_frags(me, acts);
         self.dirty = true;
         self.flush(acts);
@@ -377,14 +230,7 @@ impl Broadcaster for RbcBatch {
         }
         match body {
             Body::RbcInit { instance, frag, frag_total, root, data, init_nack } => {
-                if init_nack.len() == self.p.n {
-                    for j in init_nack.iter_set() {
-                        if self.insts[j].value.is_some() {
-                            self.insts[j].peers_need_init = true;
-                            self.retx.peer_behind = true;
-                        }
-                    }
-                }
+                self.note_init_nack(init_nack);
                 self.handle_init(*instance as usize, *frag as usize, *frag_total as usize, *root, data);
             }
             Body::RbcEchoReady { roots, echo, ready, echo_nack, ready_nack, init_nack } => {
@@ -399,12 +245,11 @@ impl Broadcaster for RbcBatch {
         if local_id != TIMER_RETX {
             return;
         }
-        if self.retx.should_send(self.is_complete()) {
+        if self.retx.should_send(self.delivered_count() == self.p.n) {
             // Serve NACKed proposals first, then the combined vote packet.
             for j in 0..self.p.n {
-                if self.insts[j].peers_need_init {
+                if std::mem::take(&mut self.peers_need_init[j]) {
                     self.send_init_frags(j, acts);
-                    self.insts[j].peers_need_init = false;
                 }
             }
             acts.send(self.build_er());
@@ -415,11 +260,11 @@ impl Broadcaster for RbcBatch {
     }
 
     fn delivered(&self, instance: usize) -> Option<&Bytes> {
-        self.insts.get(instance).and_then(|i| i.delivered.as_ref())
+        self.insts.get(instance).and_then(BrachaInst::delivered)
     }
 
     fn delivered_count(&self) -> usize {
-        self.insts.iter().filter(|i| i.delivered.is_some()).count()
+        self.insts.iter().filter(|i| i.votes.delivered()).count()
     }
 }
 
@@ -638,8 +483,8 @@ pub(crate) mod tests {
         // The failed assembly left neither a value nor a root to serve it
         // under (a root learnt from votes since is a claim, not a digest).
         for node in nodes.iter().take(3) {
-            let inst = &node.insts[3];
-            assert!(inst.value.is_none() && held(&inst.value, inst.claimed_root).is_none());
+            let asm = &node.insts[3].asm;
+            assert!(asm.value().is_none() && asm.held().is_none());
             assert!(node.delivered_root(3).is_none());
             let mut acts = Actions::new();
             node.send_init_frags(3, &mut acts);
@@ -649,7 +494,23 @@ pub(crate) mod tests {
         let mut fresh = RbcBatch::new(params(0));
         let root = Digest32::of(b"claimed");
         fresh.handle_init(3, 0, 1, root, &Bytes::from_static(b"something else"));
-        assert!(fresh.insts[3].value.is_none() && fresh.insts[3].claimed_root.is_none());
+        let asm = &fresh.insts[3].asm;
+        assert!(asm.value().is_none() && asm.claimed_root().is_none());
+    }
+
+    #[test]
+    fn an_oversize_proposal_airs_no_initial() {
+        let sends_of = |len: usize| {
+            let mut acts = Actions::new();
+            RbcBatch::new(params(0)).start(Bytes::from(vec![7u8; len]), &mut acts);
+            acts.drain().0
+        };
+        let fits = sends_of(MAX_VALUE_BYTES);
+        assert_eq!(fits.iter().filter(|b| matches!(b, Body::RbcInit { .. })).count(), MAX_FRAGS);
+        // No receiver reassembles more than MAX_FRAGS fragments, so airing
+        // them would only burn the channel: the vote packet goes out alone.
+        let oversize = sends_of(MAX_VALUE_BYTES + 1);
+        assert!(matches!(oversize.as_slice(), [Body::RbcEchoReady { .. }]));
     }
 
     #[test]

@@ -37,6 +37,9 @@ const TIMER_DEC_RETX: u32 = 0;
 // ------------------------------------------------------------------
 // Ciphertext wire helpers (no binary serde in the dependency set).
 
+/// Proposal bytes a ciphertext adds to its plaintext: `u` and the tag.
+pub const CIPHERTEXT_OVERHEAD: usize = 64;
+
 /// Encodes a threshold ciphertext into proposal bytes.
 pub fn encode_ciphertext(ct: &Ciphertext) -> Bytes {
     let mut out = Vec::with_capacity(ct.wire_len());
@@ -48,7 +51,7 @@ pub fn encode_ciphertext(ct: &Ciphertext) -> Bytes {
 
 /// Decodes proposal bytes back into a ciphertext (`None` = malformed).
 pub fn decode_ciphertext(data: &[u8]) -> Option<Ciphertext> {
-    if data.len() < 64 {
+    if data.len() < CIPHERTEXT_OVERHEAD {
         return None;
     }
     let u_bytes: [u8; 32] = data[..32].try_into().ok()?;
@@ -564,6 +567,7 @@ mod tests {
         );
         let ct = enc.encrypt(b"label", b"some payload", &mut rng);
         let enc_bytes = encode_ciphertext(&ct);
+        assert_eq!(enc_bytes.len(), b"some payload".len() + CIPHERTEXT_OVERHEAD);
         assert_eq!(decode_ciphertext(&enc_bytes), Some(ct));
         assert_eq!(decode_ciphertext(&[0u8; 10]), None);
     }

@@ -104,6 +104,17 @@ impl Protocol {
         )
     }
 
+    /// Bytes of the proposal a node broadcasts for one of `workload`'s
+    /// batches: the encoded batch, threshold-encrypted by the HoneyBadger
+    /// family and sent in the clear by Dumbo.
+    pub fn proposal_bytes(&self, workload: &Workload) -> usize {
+        let encrypted = !matches!(
+            self,
+            Protocol::DumboLc | Protocol::DumboSc | Protocol::DumboScBaseline
+        );
+        workload.encoded_len() + if encrypted { honeybadger::CIPHERTEXT_OVERHEAD } else { 0 }
+    }
+
     /// Fixed-epoch engine for one node with a pipeline depth: up to `depth`
     /// epochs keep their dissemination in flight while earlier ones finish
     /// agreement (`depth = 1` is strictly sequential).

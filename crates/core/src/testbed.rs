@@ -25,6 +25,7 @@ use crate::service::{
     ConsensusHandle, ServiceConfig, ServiceReport, ServiceStats, StopCondition,
 };
 use crate::workload::{BatchSource, Workload};
+use wbft_components::rbc::{FRAG_BUDGET, MAX_FRAGS, MAX_VALUE_BYTES};
 use wbft_components::{deal_committee_crypto, deal_node_crypto, NodeCrypto};
 use wbft_crypto::CryptoSuite;
 use wbft_journal::{JournalError, JournalStore, SharedMem};
@@ -372,6 +373,18 @@ impl TestbedConfig {
         }
         if self.pipeline_depth == 0 {
             return Err("invalid pipeline depth: 0 (W >= 1; W = 1 is sequential)".into());
+        }
+        // A proposal no receiver can reassemble is never aired, and the
+        // run would sit to its deadline. (Service proposals are bounded by
+        // what clients submit, not by the config.)
+        let proposal = self.protocol.proposal_bytes(&self.workload);
+        if self.service.is_none() && proposal > MAX_VALUE_BYTES {
+            return Err(format!(
+                "invalid workload: {} transactions of {} B make a {proposal} B proposal, over \
+                 the {MAX_VALUE_BYTES} B a broadcast instance carries ({MAX_FRAGS} fragments \
+                 of {FRAG_BUDGET} B)",
+                self.workload.batch_size, self.workload.tx_bytes
+            ));
         }
         for (a, b, why) in EXCLUSIONS {
             if a.engaged(self) && b.engaged(self) {
@@ -1046,6 +1059,10 @@ mod tests {
             (&[crash, churn], Err("reshared key shares are not journaled")),
             // Each axis's own bounds.
             (&[|c| c.pipeline_depth = 0], Err("invalid pipeline depth")),
+            // BEAT encrypts: 4 + 529 × 18 + 64 = 9 590 B fits, 530 txs do not.
+            (&[|c| c.workload.batch_size = 529], Ok(())),
+            (&[|c| c.workload.batch_size = 530], Err("9608 B proposal, over the 9600 B")),
+            (&[service, |c| c.workload.batch_size = 530], Ok(())),
             (&[|c| c.byzantine = vec![(4, ByzantineMode::Silent)]], Err("names node 4 but n = 4")),
             (&[byz, byz, |c| c.byzantine.push((1, ByzantineMode::FlipVotes))], Err("more than once")),
             (&[crash, byz], Err("exceed f")),

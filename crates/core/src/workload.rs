@@ -26,6 +26,11 @@ impl Workload {
         Workload { batch_size: 8, tx_bytes: 16, seed: 1 }
     }
 
+    /// Bytes [`encode_batch`] makes of one of this workload's batches.
+    pub fn encoded_len(&self) -> usize {
+        4 + self.batch_size * (2 + self.tx_bytes)
+    }
+
     /// The batch node `me` proposes in `epoch`. Deterministic, and disjoint
     /// across nodes and epochs (each tx embeds its coordinates).
     pub fn batch(&self, epoch: u64, me: usize) -> Vec<Tx> {
@@ -175,6 +180,7 @@ mod tests {
         let w = Workload::small();
         let txs = w.batch(3, 2);
         let enc = encode_batch(&txs);
+        assert_eq!(enc.len(), w.encoded_len());
         assert_eq!(decode_batch(&enc), Some(txs));
     }
 

@@ -279,20 +279,6 @@ pub enum Body {
         /// Decided value.
         value: bool,
     },
-    /// Baseline Bracha-ABA phase-vote report (one voter's vote relayed —
-    /// this per-report granularity is what makes unbatched ABA-LC O(N³)).
-    BaseAbaLcReport {
-        /// Instance id.
-        instance: u8,
-        /// Round.
-        round: u16,
-        /// Phase (0..3).
-        phase: u8,
-        /// Whose vote is being reported.
-        voter: u8,
-        /// The reported vote.
-        value: Vote,
-    },
     // ------------------------------------------------------ consensus layer
     /// Batched threshold-decryption shares for an epoch's accepted
     /// ciphertexts (HoneyBadger/BEAT decryption round).
@@ -369,7 +355,7 @@ impl Body {
             Body::BaseAbaAux { .. } => 16,
             Body::BaseAbaCoin { .. } => 17,
             Body::BaseAbaDecided { .. } => 18,
-            Body::BaseAbaLcReport { .. } => 19,
+            // 19 stays reserved (a retired baseline ABA-LC report form).
             Body::DecShareBatch { .. } => 20,
             Body::BaseDecShare { .. } => 21,
             Body::Complaint { .. } => 22,
@@ -420,12 +406,6 @@ impl Body {
                 (*instance as u64) << 24 | (*round as u64) << 8
             }
             Body::BaseAbaDecided { instance, .. } => *instance as u64,
-            Body::BaseAbaLcReport { instance, round, phase, voter, .. } => {
-                (*instance as u64) << 32
-                    | (*round as u64) << 16
-                    | (*phase as u64) << 8
-                    | *voter as u64
-            }
             Body::BaseDecShare { proposer, .. } => *proposer as u64,
             Body::Complaint { epoch, .. } => *epoch,
             Body::GlobalDecision { epoch, .. } => *epoch,
@@ -608,13 +588,6 @@ impl Body {
                 s.u8(*instance);
                 s.u8(u8::from(*value));
             }
-            Body::BaseAbaLcReport { instance, round, phase, voter, value } => {
-                s.u8(*instance);
-                s.u16(*round);
-                s.u8(*phase);
-                s.u8(*voter);
-                s.u8(value.code());
-            }
             Body::DecShareBatch { shares, dec_nack } => {
                 s.count8(shares.len())?;
                 for (i, share) in shares {
@@ -787,13 +760,6 @@ impl Body {
                 Body::BaseAbaCoin { instance, round, flavor, share: r.coin_share()? }
             }
             18 => Body::BaseAbaDecided { instance: r.u8()?, value: r.u8()? != 0 },
-            19 => Body::BaseAbaLcReport {
-                instance: r.u8()?,
-                round: r.u16()?,
-                phase: r.u8()?,
-                voter: r.u8()?,
-                value: Vote::from_code(r.u8()?),
-            },
             20 => {
                 let shares = decode_indexed(r, WireReader::dec_share)?;
                 Body::DecShareBatch { shares, dec_nack: r.bitmap()? }
@@ -1137,13 +1103,6 @@ mod tests {
             Body::BaseAbaAux { instance: 0, round: 2, value: false },
             Body::BaseAbaCoin { instance: 0, round: 2, flavor: CoinFlavor::CoinFlip, share: coin },
             Body::BaseAbaDecided { instance: 0, value: true },
-            Body::BaseAbaLcReport {
-                instance: 1,
-                round: 0,
-                phase: 2,
-                voter: 3,
-                value: Vote::Bot,
-            },
             Body::DecShareBatch { shares: vec![(0, dec), (2, dec)], dec_nack: Bitmap::new(4) },
             Body::BaseDecShare { proposer: 1, share: dec },
             Body::Complaint { epoch: 9, accused: 2, digest: d },
@@ -1167,6 +1126,17 @@ mod tests {
             assert_eq!(decoded, body);
             assert_eq!(r.remaining(), 0, "{body:?} left bytes");
         }
+    }
+
+    #[test]
+    fn retired_kind_19_is_unknown() {
+        // Kind 19 carried a baseline ABA-LC report no deployment produced;
+        // the number stays reserved so an old frame cannot decode as
+        // something else.
+        let bytes = [19u8, 1, 0, 0, 2, 3, 2];
+        let mut r = WireReader::new(&bytes);
+        assert_eq!(Body::decode(&mut r), Err(WireError::UnknownKind(19)));
+        assert!(sample_bodies().iter().all(|b| b.kind() != 19));
     }
 
     #[test]

@@ -97,15 +97,6 @@ fn arb_body() -> impl Strategy<Value = Body> {
             round: r,
             value: v
         }),
-        (any::<u8>(), any::<u16>(), 0u8..3, any::<u8>(), arb_vote()).prop_map(
-            |(instance, round, phase, voter, value)| Body::BaseAbaLcReport {
-                instance,
-                round,
-                phase,
-                voter,
-                value
-            }
-        ),
         (any::<u64>(), any::<u16>(), arb_digest()).prop_map(|(epoch, accused, digest)| {
             Body::Complaint { epoch, accused, digest }
         }),
