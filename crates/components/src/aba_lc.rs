@@ -29,12 +29,12 @@
 //! against the shared-coin variant (O(N³) messages vs. threshold-crypto
 //! cost).
 
-use crate::context::{Actions, BinaryAgreement, Params, RetxState};
+use crate::context::{Actions, Batcher, BinaryAgreement, Params};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use std::collections::BTreeMap;
 use wbft_net::packets::AbaLcInst;
-use wbft_net::{Body, RetransmitPolicy, Vote};
+use wbft_net::{Body, Vote};
 
 const TIMER_RETX: u32 = 0;
 
@@ -143,9 +143,7 @@ pub struct AbaLcBatch {
     p: Params,
     insts: Vec<Inst>,
     rng: ChaCha12Rng,
-    dirty: bool,
-    timer_armed: bool,
-    retx: RetxState,
+    out: Batcher,
 }
 
 impl AbaLcBatch {
@@ -156,9 +154,7 @@ impl AbaLcBatch {
         AbaLcBatch {
             insts: (0..p.n).map(|_| Inst::new(p.n)).collect(),
             rng: ChaCha12Rng::seed_from_u64(seed),
-            dirty: false,
-            timer_armed: false,
-            retx: RetxState::new(RetransmitPolicy::lora_class(), &p),
+            out: Batcher::new(&p, TIMER_RETX),
             p,
         }
     }
@@ -194,7 +190,7 @@ impl AbaLcBatch {
         if (from == voter || count >= f1) && rs.my_reports[phase][voter] == Vote::Unknown {
             rs.my_reports[phase][voter] = vote;
             rs.reporters[phase][voter][code] |= 1 << me;
-            self.dirty = true;
+            self.out.changed();
         }
         // 2f+1 acceptance.
         let rs = self.round_state(instance, round);
@@ -213,7 +209,7 @@ impl AbaLcBatch {
         }
         rs.my_reports[phase][me] = vote;
         rs.reporters[phase][me][(vote.code() - 1) as usize] |= 1 << me;
-        self.dirty = true;
+        self.out.changed();
     }
 
     fn evaluate(&mut self, instance: usize) {
@@ -323,7 +319,7 @@ impl AbaLcBatch {
                         inst.est = next_est;
                     }
                     inst.round = round + 1;
-                    self.dirty = true;
+                    self.out.changed();
                     // Prune rounds nobody can still need: below both the
                     // static window and the slowest undecided peer.
                     let me = self.p.me;
@@ -365,16 +361,10 @@ impl AbaLcBatch {
     }
 
     fn flush(&mut self, acts: &mut Actions) {
-        if self.dirty {
+        if self.out.flush() {
             acts.send(self.build_packet());
-            self.dirty = false;
-            self.retx.reset();
         }
-        if !self.timer_armed {
-            self.timer_armed = true;
-            let d = self.retx.next_delay();
-            acts.timer(d, TIMER_RETX);
-        }
+        self.out.arm(acts);
     }
 
     fn is_complete(&self) -> bool {
@@ -428,7 +418,7 @@ impl BinaryAgreement for AbaLcBatch {
                 }
                 // A peer stuck behind us needs old rounds we still hold.
                 if inst.peer_round[from] < inst.round && inst.decided.is_none() {
-                    self.retx.peer_behind = true;
+                    self.out.peer_behind();
                 }
             }
             let f1 = (self.p.f + 1) as u32;
@@ -436,14 +426,14 @@ impl BinaryAgreement for AbaLcBatch {
             if inst.decided.is_none() {
                 if inst.claims0.count_ones() >= f1 {
                     inst.decided = Some(false);
-                    self.dirty = true;
+                    self.out.changed();
                 } else if inst.claims1.count_ones() >= f1 {
                     inst.decided = Some(true);
-                    self.dirty = true;
+                    self.out.changed();
                 }
             }
             if inst.decided.is_some() && wire.decided == Vote::Unknown {
-                self.retx.peer_behind = true;
+                self.out.peer_behind();
             }
         }
         for j in 0..self.p.n {
@@ -453,15 +443,9 @@ impl BinaryAgreement for AbaLcBatch {
     }
 
     fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
-        if local_id != TIMER_RETX {
-            return;
-        }
-        if self.retx.should_send(self.is_complete()) {
+        if self.out.tick(local_id, self.is_complete(), acts).is_some() {
             acts.send(self.build_packet());
-            self.retx.peer_behind = false;
         }
-        let d = self.retx.next_delay();
-        acts.timer(d, TIMER_RETX);
     }
 
     fn decided(&self, instance: usize) -> Option<bool> {

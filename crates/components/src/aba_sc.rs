@@ -24,12 +24,12 @@
 //! converge. Termination uses decided-flag gossip: `f+1` matching decided
 //! claims are adopted (at least one is honest).
 
-use crate::context::{Actions, BinaryAgreement, Params, RetxState};
-use crate::share_buf::CoinShareBuf;
+use crate::context::{Actions, Batcher, BinaryAgreement, Params};
+use crate::share_buf::{Collector, Recorded};
 use std::collections::BTreeMap;
 use wbft_crypto::thresh_coin::{CoinName, CoinPublicSet, CoinSecretShare, CoinShare};
 use wbft_net::packets::AbaScInst;
-use wbft_net::{BinValues, Bitmap, Body, CoinFlavor, RetransmitPolicy, Vote};
+use wbft_net::{BinValues, Bitmap, Body, CoinFlavor, Vote};
 
 /// Local timer id of the retransmission tick.
 const TIMER_RETX: u32 = 0;
@@ -125,16 +125,6 @@ impl Inst {
     }
 }
 
-/// State of one common coin (per domain and round).
-#[derive(Debug, Default)]
-struct CoinState {
-    /// Buffered coin shares, batch-verified at quorum (see `share_buf`).
-    shares: CoinShareBuf,
-    /// This node's own share, signed once when it releases the coin.
-    own: Option<CoinShare>,
-    value: Option<u64>,
-}
-
 /// Batched shared-coin ABA over up to N instances.
 pub struct AbaScBatch {
     p: Params,
@@ -145,10 +135,10 @@ pub struct AbaScBatch {
     coin_pub: CoinPublicSet,
     coin_sec: CoinSecretShare,
     insts: Vec<Inst>,
-    coins: BTreeMap<(u8, u16), CoinState>,
-    dirty: bool,
-    timer_armed: bool,
-    retx: RetxState,
+    /// One common coin per domain and round: this node's share (signed once
+    /// when it releases the coin), everyone's shares, the value.
+    coins: BTreeMap<(u8, u16), Collector<CoinPublicSet>>,
+    out: Batcher,
 }
 
 impl std::fmt::Debug for AbaScBatch {
@@ -200,9 +190,7 @@ impl AbaScBatch {
             coin_sec,
             insts,
             coins: BTreeMap::new(),
-            dirty: false,
-            timer_armed: false,
-            retx: RetxState::new(RetransmitPolicy::lora_class(), &p),
+            out: Batcher::new(&p, TIMER_RETX),
         }
     }
 
@@ -264,38 +252,28 @@ impl AbaScBatch {
         let (_, verify_us, combine_us) = self.coin_costs();
         let name = self.coin_name(domain, round);
         let need = self.coin_pub.threshold() + 1;
-        let n = self.p.n;
-        let state = self.coins.entry((domain, round)).or_default();
-        if state.value.is_some() || !state.shares.insert(*share, n) {
-            return;
-        }
-        acts.charge(verify_us);
-        if state.shares.settle(&self.coin_pub, name, need) {
-            acts.charge(combine_us);
-            if let Ok(v) = self.coin_pub.combine_value(name, state.shares.shares()) {
-                state.value = Some(v);
-            }
+        let coin = self.coins.entry((domain, round)).or_default();
+        match coin.record(&self.coin_pub, name, need, self.p.n, *share) {
+            Recorded::Refused => {}
+            Recorded::Buffered => acts.charge(verify_us),
+            Recorded::Combined(_) => acts.charge(verify_us + combine_us),
         }
     }
 
     /// Releases this node's coin share for `(domain, round)` if not yet.
     fn release_share(&mut self, domain: u8, round: u16, acts: &mut Actions) {
         let name = self.coin_name(domain, round);
-        let state = self.coins.entry((domain, round)).or_default();
-        if state.own.is_some() {
-            return;
-        }
-        let share = self.coin_sec.coin_share(name);
-        state.own = Some(share);
+        let coin = self.coins.entry((domain, round)).or_default();
+        let Some(share) = coin.sign_own(|| self.coin_sec.coin_share(name)) else { return };
         let (sign_us, _, _) = self.coin_costs();
         acts.charge(sign_us);
-        // Record our own share like any other.
+        // Record our own share like any other (its verification is charged).
         self.record_coin_share(domain, round, &share, acts);
-        self.dirty = true;
+        self.out.changed();
     }
 
     fn coin_value(&self, domain: u8, round: u16) -> Option<bool> {
-        self.coins.get(&(domain, round)).and_then(|c| c.value).map(|v| v & 1 == 1)
+        self.coins.get(&(domain, round)).and_then(|c| c.output()).map(|v| v & 1 == 1)
     }
 
     /// Casts a BVAL vote for `(instance, round, v)` from this node.
@@ -311,7 +289,7 @@ impl AbaScBatch {
         let seen = &mut inst.seen[round as usize];
         let mask = if v { &mut seen.bval1 } else { &mut seen.bval0 };
         *mask |= 1 << me;
-        self.dirty = true;
+        self.out.changed();
     }
 
     fn cast_aux(&mut self, instance: usize, round: u16, v: bool) {
@@ -326,7 +304,7 @@ impl AbaScBatch {
         let seen = &mut inst.seen[round as usize];
         let mask = if v { &mut seen.aux1 } else { &mut seen.aux0 };
         *mask |= 1 << me;
-        self.dirty = true;
+        self.out.changed();
     }
 
     /// Runs the round state machine for one instance to a fixpoint.
@@ -442,7 +420,7 @@ impl AbaScBatch {
             } else {
                 inst.claims0 |= 1 << me;
             }
-            self.dirty = true;
+            self.out.changed();
         }
     }
 
@@ -478,17 +456,17 @@ impl AbaScBatch {
         }
         let mut coin_shares = Vec::new();
         for (d, r) in coin_rounds {
-            if let Some(share) = self.coins.get(&(d, r)).and_then(|state| state.own) {
+            if let Some(share) = self.coins.get(&(d, r)).and_then(Collector::own) {
                 // Wire convention: round field packs (domain << 8) | round.
                 coin_shares.push(((d as u16) << 8 | (r & 0xff), share));
             }
         }
         // share_nack: nodes whose coin share we lack for any needed coin.
         let mut share_nack = Bitmap::new(self.p.n);
-        for ((_, _), state) in self.coins.iter() {
-            if state.own.is_some() && state.value.is_none() {
+        for coin in self.coins.values() {
+            if coin.own().is_some() && coin.output().is_none() {
                 for node in 0..self.p.n {
-                    if state.shares.reporters() & (1 << node) == 0 {
+                    if coin.reporters() & (1 << node) == 0 {
                         share_nack.set(node, true);
                     }
                 }
@@ -498,16 +476,10 @@ impl AbaScBatch {
     }
 
     fn flush(&mut self, acts: &mut Actions) {
-        if self.dirty {
+        if self.out.flush() {
             acts.send(self.build_packet());
-            self.dirty = false;
-            self.retx.reset();
         }
-        if !self.timer_armed {
-            self.timer_armed = true;
-            let d = self.retx.next_delay();
-            acts.timer(d, TIMER_RETX);
-        }
+        self.out.arm(acts);
     }
 
     fn is_complete(&self) -> bool {
@@ -578,15 +550,15 @@ impl BinaryAgreement for AbaScBatch {
                 let f1 = (self.p.f + 1) as u32;
                 if inst.claims0.count_ones() >= f1 {
                     inst.decided = Some(false);
-                    self.dirty = true;
+                    self.out.changed();
                 } else if inst.claims1.count_ones() >= f1 {
                     inst.decided = Some(true);
-                    self.dirty = true;
+                    self.out.changed();
                 }
             }
             // A peer still mid-protocol where we have decided → serve state.
             if self.insts[j].decided.is_some() && wire.decided == Vote::Unknown {
-                self.retx.peer_behind = true;
+                self.out.peer_behind();
             }
         }
         for (packed, share) in coin_shares {
@@ -595,7 +567,7 @@ impl BinaryAgreement for AbaScBatch {
             self.record_coin_share(domain, round, share, acts);
         }
         if share_nack.len() == self.p.n && share_nack.get(self.p.me) {
-            self.retx.peer_behind = true;
+            self.out.peer_behind();
         }
         for j in 0..self.p.n {
             self.evaluate(j, acts);
@@ -604,15 +576,9 @@ impl BinaryAgreement for AbaScBatch {
     }
 
     fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
-        if local_id != TIMER_RETX {
-            return;
-        }
-        if self.retx.should_send(self.is_complete()) {
+        if self.out.tick(local_id, self.is_complete(), acts).is_some() {
             acts.send(self.build_packet());
-            self.retx.peer_behind = false;
         }
-        let d = self.retx.next_delay();
-        acts.timer(d, TIMER_RETX);
     }
 
     fn decided(&self, instance: usize) -> Option<bool> {
@@ -769,7 +735,7 @@ mod tests {
         let mut nodes = make_nodes(CoinFlavor::ThreshSig, true);
         run_to_decision(&mut nodes, vec![vec![true], vec![false], vec![true], vec![false]]);
         let released: usize =
-            nodes.iter().map(|n| n.coins.values().filter(|c| c.own.is_some()).count()).sum();
+            nodes.iter().map(|n| n.coins.values().filter(|c| c.own().is_some()).count()).sum();
         assert!(released >= 4, "every node releases at least one coin");
         let signed = wbft_crypto::thresh_coin::tally().shares_signed - before;
         assert_eq!(signed, released as u64);

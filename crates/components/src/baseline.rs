@@ -9,14 +9,14 @@
 //! instance state machines (`instance::{BrachaInst, CbcInst, DoneStage}`)
 //! as `rbc` / `cbc` / `prbc`, and the ABA set wraps the batched
 //! `AbaScBatch`. What this file holds is the baseline's packaging — one
-//! frame per transition instead of a dirty-flag flush of one combined
-//! packet, and a retransmission tick that re-sends per-instance state with
-//! no NACK bits to steer it. The message overhead difference is what
+//! frame per transition instead of a flush of one combined packet, and
+//! the shared `Batcher`'s tick re-sending per-instance state with no NACK
+//! bits to steer it. The message overhead difference is what
 //! Table I and the `*-baseline` rows of Fig. 13 measure.
 
 use crate::aba_sc::AbaScBatch;
 use crate::context::{
-    Actions, BinaryAgreement, Broadcaster, Params, ProvableBroadcaster, RetxState,
+    Actions, Batcher, BinaryAgreement, Broadcaster, Params, ProvableBroadcaster,
 };
 use crate::instance::{Accepted, Assembler, BrachaInst, CbcInst, DoneStage, Signer};
 use bytes::Bytes;
@@ -25,7 +25,7 @@ use wbft_crypto::hash::Digest32;
 use wbft_crypto::thresh_coin::{CoinPublicSet, CoinSecretShare};
 use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare, ThresholdSignature};
 use wbft_net::packets::AbaScInst;
-use wbft_net::{BinValues, Bitmap, Body, CoinFlavor, RetransmitPolicy, Vote};
+use wbft_net::{BinValues, Bitmap, Body, CoinFlavor, Vote};
 
 const TIMER_RETX: u32 = 0;
 
@@ -43,13 +43,6 @@ fn send_init(asm: &Assembler, instance: usize, acts: &mut Actions) {
     }
 }
 
-/// Arms the retransmission tick on the first call.
-fn arm_timer(armed: &mut bool, retx: &mut RetxState, acts: &mut Actions) {
-    if !std::mem::replace(armed, true) {
-        acts.timer(retx.next_delay(), TIMER_RETX);
-    }
-}
-
 // --------------------------------------------------------------- RBC
 
 /// N independent per-instance RBCs (unbatched baseline).
@@ -57,8 +50,7 @@ fn arm_timer(armed: &mut bool, retx: &mut RetxState, acts: &mut Actions) {
 pub struct BaselineRbcSet {
     p: Params,
     insts: Vec<BrachaInst>,
-    retx: RetxState,
-    timer_armed: bool,
+    out: Batcher,
 }
 
 impl BaselineRbcSet {
@@ -66,8 +58,7 @@ impl BaselineRbcSet {
     pub fn new(p: Params) -> Self {
         BaselineRbcSet {
             insts: (0..p.n).map(|_| BrachaInst::new(p.n)).collect(),
-            retx: RetxState::new(RetransmitPolicy::lora_class(), &p),
-            timer_armed: false,
+            out: Batcher::new(&p, TIMER_RETX),
             p,
         }
     }
@@ -91,7 +82,7 @@ impl Broadcaster for BaselineRbcSet {
         let root = self.insts[me].propose(me, my_value);
         send_init(&self.insts[me].asm, me, acts);
         acts.send(Body::BaseRbcEcho { instance: me as u8, root });
-        arm_timer(&mut self.timer_armed, &mut self.retx, acts);
+        self.out.arm(acts);
     }
 
     fn handle(&mut self, from: usize, body: &Body, acts: &mut Actions) {
@@ -123,7 +114,7 @@ impl Broadcaster for BaselineRbcSet {
                 // A redundant echo for a delivered instance = the peer
                 // is still working on it; our READY may be lost.
                 if inst.votes.delivered() {
-                    self.retx.peer_behind = true;
+                    self.out.peer_behind();
                 }
             }
             Body::BaseRbcReady { root, .. } => inst.votes.ready(from, *root),
@@ -133,14 +124,12 @@ impl Broadcaster for BaselineRbcSet {
     }
 
     fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
-        if local_id != TIMER_RETX {
-            return;
-        }
-        if self.retx.should_send(self.delivered_count() == self.p.n) {
+        let complete = self.delivered_count() == self.p.n;
+        if let Some(peer_behind) = self.out.tick(local_id, complete, acts) {
             // Re-send per-instance state for everything not yet complete
             // (or for everything, when a peer is demonstrably behind).
             for (j, inst) in self.insts.iter().enumerate() {
-                if inst.votes.delivered() && !self.retx.peer_behind {
+                if inst.votes.delivered() && !peer_behind {
                     continue;
                 }
                 send_init(&inst.asm, j, acts);
@@ -151,10 +140,7 @@ impl Broadcaster for BaselineRbcSet {
                     acts.send(Body::BaseRbcReady { instance: j as u8, root });
                 }
             }
-            self.retx.peer_behind = false;
         }
-        let d = self.retx.next_delay();
-        acts.timer(d, TIMER_RETX);
     }
 
     fn delivered(&self, instance: usize) -> Option<&Bytes> {
@@ -173,8 +159,7 @@ impl Broadcaster for BaselineRbcSet {
 pub struct BaselineCbcSet {
     signer: Signer,
     insts: Vec<CbcInst>,
-    retx: RetxState,
-    timer_armed: bool,
+    out: Batcher,
 }
 
 impl BaselineCbcSet {
@@ -182,8 +167,7 @@ impl BaselineCbcSet {
     pub fn new(p: Params, keys: PublicKeySet, secret: SecretKeyShare) -> Self {
         BaselineCbcSet {
             insts: (0..p.n).map(|_| CbcInst::default()).collect(),
-            retx: RetxState::new(RetransmitPolicy::lora_class(), &p),
-            timer_armed: false,
+            out: Batcher::new(&p, TIMER_RETX),
             signer: Signer::cbc_echo(p, keys, secret),
         }
     }
@@ -212,7 +196,7 @@ impl Broadcaster for BaselineCbcSet {
         self.insts[me].asm.hold(my_value);
         send_init(&self.insts[me].asm, me, acts);
         self.send_echo(me, acts);
-        arm_timer(&mut self.timer_armed, &mut self.retx, acts);
+        self.out.arm(acts);
     }
 
     fn handle(&mut self, from: usize, body: &Body, acts: &mut Actions) {
@@ -243,7 +227,7 @@ impl Broadcaster for BaselineCbcSet {
             // The certificate vouches for the root it arrives with: a node
             // that missed every INITIAL and ECHO adopts it from FINISH.
             Body::BaseCbcFinish { root, sig, .. } => {
-                let verified = inst.cert.accept_cert(&self.signer, j, root, sig, acts);
+                let verified = self.signer.accept_cert(&mut inst.cert, j, root, sig, acts);
                 if verified {
                     inst.asm.claim(*root);
                 }
@@ -253,11 +237,8 @@ impl Broadcaster for BaselineCbcSet {
     }
 
     fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
-        if local_id != TIMER_RETX {
-            return;
-        }
         let me = self.signer.p.me;
-        if self.retx.should_send(self.delivered_count() == self.signer.p.n) {
+        if self.out.tick(local_id, self.delivered_count() == self.signer.p.n, acts).is_some() {
             for (j, inst) in self.insts.iter().enumerate() {
                 if inst.delivered().is_some() {
                     continue;
@@ -265,20 +246,17 @@ impl Broadcaster for BaselineCbcSet {
                 if j == me {
                     send_init(&inst.asm, j, acts);
                 }
-                if let (Some(share), Some(root)) = (inst.cert.my_share(), inst.asm.claimed_root()) {
+                if let (Some(share), Some(root)) = (inst.cert.own(), inst.asm.claimed_root()) {
                     acts.send(Body::BaseCbcEcho { instance: j as u8, root, share });
                 }
             }
             // Re-broadcast any FINISH we hold (peers may have lost it).
             for (j, inst) in self.insts.iter().enumerate() {
-                if let (Some(sig), Some(root)) = (inst.cert.cert(), inst.asm.claimed_root()) {
+                if let (Some(sig), Some(root)) = (inst.cert.output(), inst.asm.claimed_root()) {
                     acts.send(Body::BaseCbcFinish { instance: j as u8, root, sig: *sig });
                 }
             }
-            self.retx.peer_behind = false;
         }
-        let d = self.retx.next_delay();
-        acts.timer(d, TIMER_RETX);
     }
 
     fn delivered(&self, instance: usize) -> Option<&Bytes> {

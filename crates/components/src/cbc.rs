@@ -14,12 +14,12 @@
 //! The instance itself is `instance::CbcInst`, shared with the baseline
 //! set; this file is the batched packaging of it.
 
-use crate::context::{Actions, Broadcaster, Params, RetxState};
-use crate::instance::{Accepted, CbcInst, ShareCollector, Signer};
+use crate::context::{Actions, Batcher, Broadcaster, Params};
+use crate::instance::{Accepted, CbcInst, CertCollector, InitNacks, Signer};
 use bytes::Bytes;
 use wbft_crypto::hash::Digest32;
 use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare, SigShare, ThresholdSignature};
-use wbft_net::{Bitmap, Body, RetransmitPolicy};
+use wbft_net::{Bitmap, Body};
 
 pub use crate::instance::FRAG_BUDGET;
 
@@ -30,11 +30,10 @@ const TIMER_RETX: u32 = 0;
 pub struct CbcBatch {
     signer: Signer,
     insts: Vec<CbcInst>,
-    /// Per instance: a peer NACKed its value and we can serve it.
-    peers_need_init: Vec<bool>,
-    dirty: bool,
+    /// Peers' NACKs of values we can serve.
+    init_nacks: InitNacks,
     started: bool,
-    retx: RetxState,
+    out: Batcher,
 }
 
 impl CbcBatch {
@@ -43,10 +42,9 @@ impl CbcBatch {
         CbcBatch {
             signer: Signer::cbc_echo(p, keys, secret),
             insts: (0..p.n).map(|_| CbcInst::default()).collect(),
-            peers_need_init: vec![false; p.n],
-            dirty: false,
+            init_nacks: InitNacks::new(p.n),
             started: false,
-            retx: RetxState::new(RetransmitPolicy::lora_class(), &p),
+            out: Batcher::new(&p, TIMER_RETX),
         }
     }
 
@@ -94,15 +92,16 @@ impl CbcBatch {
             if let Some(r) = inst.asm.claimed_root() {
                 roots[j] = r;
             }
-            if let Some(share) = inst.cert.my_share() {
+            if let Some(share) = inst.cert.own() {
                 echo_shares.push((j as u8, share));
             }
-            match inst.cert.cert() {
+            match inst.cert.output() {
                 Some(sig) => finish_sigs.push((j as u8, *sig)),
                 None => {
                     finish_nack.set(j, true);
                     if self.p().me == j {
-                        echo_nack.set(j, inst.cert.reported() < self.p().quorum());
+                        let reported = inst.cert.reporters().count_ones() as usize;
+                        echo_nack.set(j, reported < self.p().quorum());
                     }
                 }
             }
@@ -120,9 +119,7 @@ impl CbcBatch {
     /// Echoes instance `instance` once its value is held; whatever that
     /// produced rides in the next combined packet.
     fn echo(&mut self, instance: usize, acts: &mut Actions) {
-        if self.insts[instance].echo(&self.signer, instance, acts).is_some() {
-            self.dirty = true;
-        }
+        self.out.changed_if(self.insts[instance].echo(&self.signer, instance, acts).is_some());
     }
 
     fn handle_init(
@@ -137,28 +134,20 @@ impl CbcBatch {
         let Some(inst) = self.insts.get_mut(instance) else { return };
         if let Accepted::Assembled(_) = inst.asm.accept(frag, frag_total, root, data) {
             self.echo(instance, acts);
-            self.dirty = true;
+            self.out.changed();
         }
     }
 
     /// Peers lacking a value we hold → schedule its INITIAL re-send.
     fn note_init_nack(&mut self, init_nack: &Bitmap) {
-        if init_nack.len() != self.p().n {
-            return;
-        }
-        for j in init_nack.iter_set() {
-            if self.insts[j].asm.value().is_some() {
-                self.peers_need_init[j] = true;
-                self.retx.peer_behind = true;
-            }
+        if self.init_nacks.note(init_nack, |j| self.insts[j].asm.value().is_some()) {
+            self.out.peer_behind();
         }
     }
 
     fn flush(&mut self, acts: &mut Actions) {
-        if self.dirty {
+        if self.out.flush() {
             acts.send(self.build_ef());
-            self.dirty = false;
-            self.retx.reset();
         }
     }
 }
@@ -171,10 +160,9 @@ impl Broadcaster for CbcBatch {
         self.insts[me].asm.hold(my_value);
         self.echo(me, acts);
         self.send_init_frags(me, acts);
-        self.dirty = true;
+        self.out.changed();
         self.flush(acts);
-        let d = self.retx.next_delay();
-        acts.timer(d, TIMER_RETX);
+        self.out.arm(acts);
     }
 
     fn handle(&mut self, from: usize, body: &Body, acts: &mut Actions) {
@@ -213,7 +201,7 @@ impl Broadcaster for CbcBatch {
                 for (j, share) in echo_shares {
                     let j = *j as usize;
                     let Some(inst) = self.insts.get_mut(j) else { continue };
-                    self.dirty |= inst.record_echo(&self.signer, j, *share, acts).is_some();
+                    self.out.changed_if(inst.record_echo(&self.signer, j, *share, acts).is_some());
                 }
                 for (j, sig) in finish_sigs {
                     let j = *j as usize;
@@ -221,19 +209,17 @@ impl Broadcaster for CbcBatch {
                     // Without the root the certificate cannot be checked;
                     // the value stays NACKed.
                     let Some(root) = inst.asm.claimed_root() else { continue };
-                    self.dirty |= inst.cert.accept_cert(&self.signer, j, &root, sig, acts);
+                    let held = self.signer.accept_cert(&mut inst.cert, j, &root, sig, acts);
+                    self.out.changed_if(held);
                 }
                 // NACK evidence: peers missing what we have.
                 self.note_init_nack(init_nack);
-                if finish_nack.len() == n
-                    && finish_nack.iter_set().any(|j| self.insts[j].cert.cert().is_some())
+                if (finish_nack.len() == n
+                    && finish_nack.iter_set().any(|j| self.insts[j].cert.output().is_some()))
+                    || (echo_nack.len() == n
+                        && echo_nack.iter_set().any(|j| self.insts[j].cert.own().is_some()))
                 {
-                    self.retx.peer_behind = true;
-                }
-                if echo_nack.len() == n
-                    && echo_nack.iter_set().any(|j| self.insts[j].cert.my_share().is_some())
-                {
-                    self.retx.peer_behind = true;
+                    self.out.peer_behind();
                 }
             }
             _ => {}
@@ -242,20 +228,12 @@ impl Broadcaster for CbcBatch {
     }
 
     fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
-        if local_id != TIMER_RETX {
-            return;
-        }
-        if self.retx.should_send(self.delivered_count() == self.p().n) {
-            for j in 0..self.p().n {
-                if std::mem::take(&mut self.peers_need_init[j]) {
-                    self.send_init_frags(j, acts);
-                }
+        if self.out.tick(local_id, self.delivered_count() == self.p().n, acts).is_some() {
+            for j in self.init_nacks.take_due() {
+                self.send_init_frags(j, acts);
             }
             acts.send(self.build_ef());
-            self.retx.peer_behind = false;
         }
-        let d = self.retx.next_delay();
-        acts.timer(d, TIMER_RETX);
     }
 
     fn delivered(&self, instance: usize) -> Option<&Bytes> {
@@ -275,10 +253,8 @@ pub struct CbcSmallBatch {
     signer: Signer,
     values: Vec<Option<Bitmap>>,
     /// Echo shares and certificate per instance, over [`small_root`].
-    certs: Vec<ShareCollector>,
-    dirty: bool,
-    timer_armed: bool,
-    retx: RetxState,
+    certs: Vec<CertCollector>,
+    out: Batcher,
 }
 
 /// Digest a small value (bitmap) for signing.
@@ -292,10 +268,8 @@ impl CbcSmallBatch {
         CbcSmallBatch {
             signer: Signer::cbc_echo(p, keys, secret),
             values: vec![None; p.n],
-            certs: vec![ShareCollector::default(); p.n],
-            dirty: false,
-            timer_armed: false,
-            retx: RetxState::new(RetransmitPolicy::lora_class(), &p),
+            certs: vec![CertCollector::default(); p.n],
+            out: Batcher::new(&p, TIMER_RETX),
         }
     }
 
@@ -308,7 +282,7 @@ impl CbcSmallBatch {
         let me = self.p().me;
         self.values[me] = Some(my_value);
         self.echo_if_needed(me, acts);
-        self.dirty = true;
+        self.out.changed();
         self.flush(acts);
     }
 
@@ -319,7 +293,7 @@ impl CbcSmallBatch {
 
     /// The quorum certificate of a delivered instance.
     pub fn proof(&self, instance: usize) -> Option<&ThresholdSignature> {
-        self.certs.get(instance).and_then(ShareCollector::cert)
+        self.certs.get(instance).and_then(CertCollector::output)
     }
 
     /// Number of delivered instances.
@@ -334,11 +308,11 @@ impl CbcSmallBatch {
 
     fn echo_if_needed(&mut self, instance: usize, acts: &mut Actions) {
         let Some(root) = self.root_of(instance) else { return };
-        let Some(share) = self.certs[instance].sign_own(&self.signer, instance, &root, acts)
+        let Some(share) = self.signer.sign_own(&mut self.certs[instance], instance, &root, acts)
         else {
             return;
         };
-        self.dirty = true;
+        self.out.changed();
         self.record_share(instance, share, acts);
     }
 
@@ -347,13 +321,14 @@ impl CbcSmallBatch {
             return; // only the leader combines
         }
         let Some(root) = self.root_of(instance) else { return };
-        let finish = self.certs[instance].record(&self.signer, instance, &root, share, acts);
-        self.dirty |= finish.is_some();
+        let finish = self.signer.record(&mut self.certs[instance], instance, &root, share, acts);
+        self.out.changed_if(finish.is_some());
     }
 
     fn record_finish(&mut self, instance: usize, sig: &ThresholdSignature, acts: &mut Actions) {
         let Some(root) = self.root_of(instance) else { return };
-        self.dirty |= self.certs[instance].accept_cert(&self.signer, instance, &root, sig, acts);
+        let cert = &mut self.certs[instance];
+        self.out.changed_if(self.signer.accept_cert(cert, instance, &root, sig, acts));
     }
 
     fn build(&self) -> Body {
@@ -367,15 +342,16 @@ impl CbcSmallBatch {
         for (j, cert) in self.certs.iter().enumerate() {
             values.push(self.values[j].unwrap_or_else(|| Bitmap::new(0)));
             init_nack.set(j, self.values[j].is_none());
-            if let Some(share) = cert.my_share() {
+            if let Some(share) = cert.own() {
                 echo_shares.push((j as u8, share));
             }
-            match cert.cert() {
+            match cert.output() {
                 Some(sig) => finish_sigs.push((j as u8, *sig)),
                 None => {
                     finish_nack.set(j, true);
                     if j == self.p().me {
-                        echo_nack.set(j, cert.reported() < self.p().quorum());
+                        let reported = cert.reporters().count_ones() as usize;
+                        echo_nack.set(j, reported < self.p().quorum());
                     }
                 }
             }
@@ -384,16 +360,10 @@ impl CbcSmallBatch {
     }
 
     fn flush(&mut self, acts: &mut Actions) {
-        if self.dirty {
+        if self.out.flush() {
             acts.send(self.build());
-            self.dirty = false;
-            self.retx.reset();
         }
-        if !self.timer_armed {
-            self.timer_armed = true;
-            let d = self.retx.next_delay();
-            acts.timer(d, TIMER_RETX);
-        }
+        self.out.arm(acts);
     }
 
     /// Processes a packet for this session.
@@ -420,28 +390,20 @@ impl CbcSmallBatch {
         for (j, sig) in finish_sigs {
             self.record_finish(*j as usize, sig, acts);
         }
-        if init_nack.len() == n && init_nack.iter_set().any(|j| self.values[j].is_some()) {
-            self.retx.peer_behind = true;
-        }
-        if finish_nack.len() == n && finish_nack.iter_set().any(|j| self.certs[j].cert().is_some())
+        if (init_nack.len() == n && init_nack.iter_set().any(|j| self.values[j].is_some()))
+            || (finish_nack.len() == n
+                && finish_nack.iter_set().any(|j| self.certs[j].output().is_some()))
         {
-            self.retx.peer_behind = true;
+            self.out.peer_behind();
         }
         self.flush(acts);
     }
 
     /// Handles the retransmission tick.
     pub fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
-        if local_id != TIMER_RETX {
-            return;
-        }
-        let complete = self.delivered_count() == self.p().n;
-        if self.retx.should_send(complete) {
+        if self.out.tick(local_id, self.delivered_count() == self.p().n, acts).is_some() {
             acts.send(self.build());
-            self.retx.peer_behind = false;
         }
-        let d = self.retx.next_delay();
-        acts.timer(d, TIMER_RETX);
     }
 }
 

@@ -245,45 +245,94 @@ pub trait BinaryAgreement {
     fn decided_count(&self) -> usize;
 }
 
-/// Shared retransmission driver: every component keeps one; it re-arms a
-/// jittered timer while the component is live and decides whether the
-/// periodic tick should actually transmit (state pending or peers behind).
+/// ConsensusBatcher's send discipline, once for every combined packet: a
+/// state change goes out in the next flush, and a jittered tick re-sends
+/// while the component is incomplete or a NACK shows a peer behind. Owns the
+/// changed flag, the armed flag, the backoff with its jitter stream and the
+/// peer-behind evidence; the component owns what the packet says.
 #[derive(Debug)]
-pub struct RetxState {
-    policy: wbft_net::RetransmitPolicy,
-    attempt: u32,
-    /// Evidence since the last send that some peer is behind (their NACK
-    /// bits, or votes they lack that we have).
-    pub peer_behind: bool,
+pub struct Batcher {
     rng: rand_chacha::ChaCha12Rng,
+    /// Local id of the tick timer this batcher arms.
+    timer: u32,
+    attempt: u32,
+    changed: bool,
+    armed: bool,
+    /// Evidence since the last tick's send that some peer is behind (their
+    /// NACK bits, or votes they lack that we have).
+    peer_behind: bool,
 }
 
-impl RetxState {
-    /// Creates a retransmission driver with its own deterministic jitter
-    /// stream (seeded from node id + session so nodes desynchronize).
-    pub fn new(policy: wbft_net::RetransmitPolicy, params: &Params) -> Self {
+impl Batcher {
+    /// Creates the batcher of one component, ticking on local timer
+    /// `timer`, with its own deterministic jitter stream (seeded from node
+    /// id + session so nodes desynchronize).
+    pub fn new(params: &Params, timer: u32) -> Self {
         use rand::SeedableRng;
         let seed = (params.me as u64) << 32 | (params.session & 0xffff_ffff);
-        RetxState { policy, attempt: 0, peer_behind: false, rng: rand_chacha::ChaCha12Rng::seed_from_u64(seed) }
+        Batcher {
+            rng: rand_chacha::ChaCha12Rng::seed_from_u64(seed),
+            timer,
+            attempt: 0,
+            changed: false,
+            armed: false,
+            peer_behind: false,
+        }
     }
 
-    /// Delay until the next tick.
-    pub fn next_delay(&mut self) -> SimDuration {
-        let d = self.policy.delay(self.attempt, &mut self.rng);
+    /// The component's state changed: the next flush sends.
+    pub fn changed(&mut self) {
+        self.changed = true;
+    }
+
+    /// [`Batcher::changed`] when `yes`.
+    pub fn changed_if(&mut self, yes: bool) {
+        self.changed |= yes;
+    }
+
+    /// A peer demonstrably lacks state this node holds: the next tick
+    /// sends even if this node is complete.
+    pub fn peer_behind(&mut self) {
+        self.peer_behind = true;
+    }
+
+    /// `true` exactly when the state changed since the last flush — the
+    /// caller builds and sends its packet now. Fresh information is worth
+    /// sending promptly, so this also resets the backoff.
+    #[must_use]
+    pub fn flush(&mut self) -> bool {
+        if self.changed {
+            self.attempt = 0;
+        }
+        std::mem::take(&mut self.changed)
+    }
+
+    /// Arms the tick timer on the first call.
+    pub fn arm(&mut self, acts: &mut Actions) {
+        if !std::mem::replace(&mut self.armed, true) {
+            self.rearm(acts);
+        }
+    }
+
+    /// The tick, when `local_id` is this batcher's timer: re-arms it, and
+    /// answers `Some(peer_behind)` when the caller must re-send now — it is
+    /// incomplete, or a peer is behind (evidence the send uses up). A
+    /// tick's send is a repeat, not news: it neither clears a pending
+    /// change nor resets the backoff.
+    #[must_use]
+    pub fn tick(&mut self, local_id: u32, complete: bool, acts: &mut Actions) -> Option<bool> {
+        if local_id != self.timer {
+            return None;
+        }
+        self.rearm(acts);
+        let peer_behind = std::mem::take(&mut self.peer_behind);
+        (!complete || peer_behind).then_some(peer_behind)
+    }
+
+    fn rearm(&mut self, acts: &mut Actions) {
+        let policy = wbft_net::RetransmitPolicy::lora_class();
+        acts.timer(policy.delay(self.attempt, &mut self.rng), self.timer);
         self.attempt = self.attempt.saturating_add(1);
-        d
-    }
-
-    /// Resets backoff (called when our own state advances — fresh
-    /// information is worth sending promptly).
-    pub fn reset(&mut self) {
-        self.attempt = 0;
-    }
-
-    /// Whether the periodic tick should transmit: either we are not done,
-    /// or a peer demonstrably needs our state.
-    pub fn should_send(&self, self_complete: bool) -> bool {
-        !self_complete || self.peer_behind
     }
 }
 
@@ -344,17 +393,102 @@ mod tests {
         assert!(nodes[0].peer_keys[3].verify(b"pkt", &sig).is_err());
     }
 
+    const TIMER: u32 = 3;
+
+    /// The delays (µs) of the timers `acts` holds, which must all be the
+    /// batcher's own; drains them.
+    fn delays(acts: &mut Actions) -> Vec<u64> {
+        let (_, timers, _) = acts.drain();
+        timers
+            .iter()
+            .map(|&(d, id)| {
+                assert_eq!(id, TIMER);
+                d.as_micros()
+            })
+            .collect()
+    }
+
     #[test]
-    fn retx_should_send_logic() {
-        let params = Params::new(4, 0, 1);
-        let mut r = RetxState::new(wbft_net::RetransmitPolicy::lora_class(), &params);
-        assert!(r.should_send(false));
-        assert!(!r.should_send(true));
-        r.peer_behind = true;
-        assert!(r.should_send(true));
-        let d1 = r.next_delay();
-        let _ = r.next_delay();
-        r.reset();
-        let _ = d1;
+    fn batcher_flushes_once_per_change_and_resets_the_backoff() {
+        let mut b = Batcher::new(&Params::new(4, 2, 0x1_0000_0007), TIMER);
+        let mut acts = Actions::new();
+        assert!(!b.flush(), "nothing changed yet");
+        b.changed();
+        b.changed_if(false);
+        b.changed();
+        assert!(b.flush(), "any number of changes make one send");
+        assert!(!b.flush());
+        b.changed_if(true);
+        assert!(b.flush());
+        // Arming happens once; the backoff climbs tick by tick ...
+        b.arm(&mut acts);
+        b.arm(&mut acts);
+        assert_eq!(delays(&mut acts).len(), 1);
+        for _ in 0..5 {
+            assert_eq!(b.tick(TIMER, false, &mut acts), Some(false));
+        }
+        let climbed = delays(&mut acts);
+        assert!(climbed.windows(2).all(|w| w[0] < w[1]), "{climbed:?}");
+        // ... an unchanged flush leaves it there, a changed one restarts it.
+        assert!(!b.flush());
+        assert_eq!(b.tick(TIMER, false, &mut acts), Some(false));
+        assert!(delays(&mut acts)[0] > climbed[4]);
+        b.changed();
+        assert!(b.flush());
+        assert_eq!(b.tick(TIMER, false, &mut acts), Some(false));
+        assert!(delays(&mut acts)[0] < 900_000 + 400_000, "first-attempt delay again");
+    }
+
+    #[test]
+    fn batcher_tick_sends_iff_incomplete_or_a_peer_is_behind_and_always_rearms() {
+        let mut b = Batcher::new(&Params::new(4, 0, 1), TIMER);
+        let mut acts = Actions::new();
+        assert_eq!(b.tick(TIMER, false, &mut acts), Some(false), "incomplete");
+        assert_eq!(b.tick(TIMER, true, &mut acts), None, "complete, nobody behind");
+        b.peer_behind();
+        assert_eq!(b.tick(TIMER, true, &mut acts), Some(true), "complete, a peer behind");
+        assert_eq!(b.tick(TIMER, true, &mut acts), None, "the send used the evidence up");
+        b.peer_behind();
+        assert_eq!(b.tick(TIMER, false, &mut acts), Some(true));
+        assert_eq!(delays(&mut acts).len(), 5, "every tick re-arms, sending or not");
+        b.peer_behind();
+        assert_eq!(b.tick(TIMER + 1, false, &mut acts), None, "not this batcher's timer");
+        assert_eq!(b.tick(TIMER, true, &mut acts), Some(true), "which neither re-arms nor forgets");
+        assert_eq!(delays(&mut acts).len(), 1);
+        // A tick's send is a repeat: the pending change still flushes, once.
+        b.changed();
+        assert_eq!(b.tick(TIMER, false, &mut acts), Some(false));
+        assert!(b.flush());
+        assert!(!b.flush());
+    }
+
+    #[test]
+    fn batcher_draws_the_delays_the_retransmission_driver_it_replaced_drew() {
+        // Twelve delays, a backoff reset, two more — drawn at the parent of
+        // this change by the per-component driver the batcher replaced, for
+        // this `(me, session)`: the jitter stream every byte-pinned report
+        // depends on. The session's high half is outside the seed.
+        const PINNED: [u64; 14] = [
+            975_840, 1_403_780, 2_382_515, 3_343_181, 4_618_777, 7_170_080, 10_303_889,
+            15_632_302, 20_391_049, 20_072_657, 20_022_361, 20_051_158, 1_240_078, 1_712_838,
+        ];
+        for session in [0x1_0000_0007, 0x9_0000_0007] {
+            let mut b = Batcher::new(&Params::new(4, 2, session), TIMER);
+            let mut acts = Actions::new();
+            b.arm(&mut acts);
+            for _ in 0..11 {
+                let _ = b.tick(TIMER, true, &mut acts);
+            }
+            b.changed();
+            assert!(b.flush());
+            for _ in 0..2 {
+                let _ = b.tick(TIMER, true, &mut acts);
+            }
+            assert_eq!(delays(&mut acts), PINNED);
+        }
+        let mut other = Batcher::new(&Params::new(4, 3, 0x1_0000_0007), TIMER);
+        let mut acts = Actions::new();
+        other.arm(&mut acts);
+        assert_ne!(delays(&mut acts)[0], PINNED[0], "nodes desynchronize");
     }
 }

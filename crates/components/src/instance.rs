@@ -5,18 +5,20 @@
 //! *packaged* into channel accesses, never what an instance does (paper
 //! §IV, Fig. 4–5). So the instance state machines live here and know
 //! nothing about packets: a proposal [`Assembler`], a Bracha [`VoteTally`]
-//! and a threshold [`ShareCollector`] (under a [`Signer`]), composed into
+//! and a threshold [`CertCollector`] (under a [`Signer`]), composed into
 //! the three instances the protocols run — [`BrachaInst`] (RBC),
 //! [`CbcInst`] (CBC) and the PRBC [`DoneStage`]. The batched components
 //! (`rbc`, `cbc`, `prbc`) and the baseline sets (`baseline`) drive them and
 //! add only their packaging: which [`wbft_net::Body`] a transition goes out
-//! in, and when to retransmit.
+//! in. When it goes out is the shared `Batcher`; the INITIAL NACKs a holder
+//! owes an answer to are [`InitNacks`].
 
 use crate::context::{Actions, Params};
-use crate::share_buf::SigShareBuf;
+use crate::share_buf::{Collector, Recorded};
 use bytes::Bytes;
 use wbft_crypto::hash::Digest32;
 use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare, SigShare, ThresholdSignature};
+use wbft_net::Bitmap;
 
 /// Maximum value bytes carried per INITIAL fragment (fits a LoRa frame
 /// after header, root, NACK and signature).
@@ -158,6 +160,40 @@ impl Assembler {
                 data: Bytes::copy_from_slice(chunk),
             })
             .collect()
+    }
+}
+
+/// Holder side of the INITIAL NACKs of N instances: which values a peer has
+/// asked for that this node holds, until the next tick serves them.
+#[derive(Debug)]
+pub(crate) struct InitNacks {
+    peers_need_init: Vec<bool>,
+}
+
+impl InitNacks {
+    pub(crate) fn new(n: usize) -> Self {
+        InitNacks { peers_need_init: vec![false; n] }
+    }
+
+    /// Notes a peer's INITIAL-NACK bitmap against what this node `holds`;
+    /// `true` when it can serve some NACKed instance (that peer is behind).
+    pub(crate) fn note(&mut self, init_nack: &Bitmap, holds: impl Fn(usize) -> bool) -> bool {
+        if init_nack.len() != self.peers_need_init.len() {
+            return false;
+        }
+        let mut behind = false;
+        for j in init_nack.iter_set().filter(|&j| holds(j)) {
+            self.peers_need_init[j] = true;
+            behind = true;
+        }
+        behind
+    }
+
+    /// Takes the instances whose INITIAL is due a re-send.
+    pub(crate) fn take_due(&mut self) -> Vec<usize> {
+        let due = (0..self.peers_need_init.len()).filter(|&j| self.peers_need_init[j]).collect();
+        self.peers_need_init.fill(false);
+        due
     }
 }
 
@@ -362,6 +398,10 @@ pub(crate) fn done_msg(session: u64, instance: usize, root: &Digest32) -> Vec<u8
     signed_msg(b"wbft/prbc/done", session, instance, root)
 }
 
+/// Threshold signature shares of one instance on their way to a
+/// certificate.
+pub(crate) type CertCollector = Collector<PublicKeySet>;
+
 /// What a component's collectors sign and verify under: one threshold key
 /// set, the message its shares sign, and how many combine.
 #[derive(Debug)]
@@ -400,95 +440,65 @@ impl Signer {
     fn msg(&self, instance: usize, root: &Digest32) -> Vec<u8> {
         (self.msg)(self.p.session, instance, root)
     }
-}
 
-/// Threshold shares of one instance on their way to a certificate: this
-/// node's own share (signed once, re-sent as is), the buffered shares of
-/// the others (batch-verified at quorum, see `share_buf`) and the combined
-/// or received certificate. The simulator's virtual costs are charged
-/// here: a signature per own share, a verification per accepted foreign
-/// share and per received certificate, a combination per quorum.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct ShareCollector {
-    my_share: Option<SigShare>,
-    shares: SigShareBuf,
-    cert: Option<ThresholdSignature>,
-}
-
-impl ShareCollector {
-    pub(crate) fn my_share(&self) -> Option<SigShare> {
-        self.my_share
-    }
-
-    pub(crate) fn cert(&self) -> Option<&ThresholdSignature> {
-        self.cert.as_ref()
-    }
-
-    /// How many distinct nodes' shares are buffered.
-    pub(crate) fn reported(&self) -> usize {
-        self.shares.reporters().count_ones() as usize
-    }
+    // The certificate collectors' virtual costs are charged here: a
+    // signature per own share, a verification per accepted foreign share
+    // and per received certificate, a combination per quorum.
 
     /// Signs this node's share over `(instance, root)` — once; `None` when
     /// it already exists.
     pub(crate) fn sign_own(
-        &mut self,
-        s: &Signer,
+        &self,
+        c: &mut CertCollector,
         instance: usize,
         root: &Digest32,
         acts: &mut Actions,
     ) -> Option<SigShare> {
-        if self.my_share.is_some() {
-            return None;
-        }
-        acts.charge(s.keys.profile().sign_share_us);
-        let share = s.secret.sign_share(&s.msg(instance, root));
-        self.my_share = Some(share);
+        let share = c.sign_own(|| self.secret.sign_share(&self.msg(instance, root)))?;
+        acts.charge(self.keys.profile().sign_share_us);
         Some(share)
     }
 
     /// Buffers a share over `(instance, root)`; returns the certificate
     /// when this share completed it.
     pub(crate) fn record(
-        &mut self,
-        s: &Signer,
+        &self,
+        c: &mut CertCollector,
         instance: usize,
         root: &Digest32,
         share: SigShare,
         acts: &mut Actions,
     ) -> Option<ThresholdSignature> {
-        if self.cert.is_some() || !self.shares.insert(share, s.p.n) {
+        let recorded = c.record(&self.keys, &self.msg(instance, root), self.need, self.p.n, share);
+        if recorded == Recorded::Refused {
             return None;
         }
-        if self.my_share != Some(share) {
-            acts.charge(s.keys.profile().verify_share_us);
+        if c.own() != Some(share) {
+            acts.charge(self.keys.profile().verify_share_us);
         }
-        if !self.shares.settle(&s.keys, &s.msg(instance, root), s.need) {
-            return None;
-        }
-        acts.charge(s.keys.profile().combine_us);
-        self.cert = s.keys.combine(self.shares.shares()).ok();
-        self.cert
+        let Recorded::Combined(cert) = recorded else { return None };
+        acts.charge(self.keys.profile().combine_us);
+        cert
     }
 
     /// Takes a certificate combined elsewhere; `true` when it verified
     /// over `(instance, root)` and is now held.
     pub(crate) fn accept_cert(
-        &mut self,
-        s: &Signer,
+        &self,
+        c: &mut CertCollector,
         instance: usize,
         root: &Digest32,
         sig: &ThresholdSignature,
         acts: &mut Actions,
     ) -> bool {
-        if self.cert.is_some() {
+        if c.output().is_some() {
             return false;
         }
-        acts.charge(s.keys.profile().verify_signature_us);
-        if s.keys.verify(&s.msg(instance, root), sig).is_err() {
+        acts.charge(self.keys.profile().verify_signature_us);
+        if self.keys.verify(&self.msg(instance, root), sig).is_err() {
             return false;
         }
-        self.cert = Some(*sig);
+        c.adopt(*sig);
         true
     }
 }
@@ -498,17 +508,17 @@ impl ShareCollector {
 #[derive(Debug, Default)]
 pub(crate) struct CbcInst {
     pub asm: Assembler,
-    pub cert: ShareCollector,
+    pub cert: CertCollector,
 }
 
 impl CbcInst {
     pub(crate) fn delivered(&self) -> Option<&Bytes> {
-        self.asm.value().filter(|_| self.cert.cert().is_some())
+        self.asm.value().filter(|_| self.cert.output().is_some())
     }
 
     /// The quorum certificate, once delivered.
     pub(crate) fn proof(&self) -> Option<&ThresholdSignature> {
-        self.cert.cert().filter(|_| self.asm.value().is_some())
+        self.cert.output().filter(|_| self.asm.value().is_some())
     }
 
     /// ECHO: signs the held value's root, once. The leader's own share
@@ -521,7 +531,7 @@ impl CbcInst {
         acts: &mut Actions,
     ) -> Option<(SigShare, Digest32, Option<ThresholdSignature>)> {
         let (_, root) = self.asm.held()?;
-        let share = self.cert.sign_own(s, instance, &root, acts)?;
+        let share = s.sign_own(&mut self.cert, instance, &root, acts)?;
         let finish = self.record_echo(s, instance, share, acts).map(|(_, sig)| sig);
         Some((share, root, finish))
     }
@@ -539,7 +549,7 @@ impl CbcInst {
             return None;
         }
         let root = self.asm.claimed_root()?;
-        self.cert.record(s, instance, &root, share, acts).map(|sig| (root, sig))
+        s.record(&mut self.cert, instance, &root, share, acts).map(|sig| (root, sig))
     }
 }
 
@@ -550,13 +560,13 @@ impl CbcInst {
 #[derive(Debug)]
 pub(crate) struct DoneStage {
     pub signer: Signer,
-    insts: Vec<ShareCollector>,
+    insts: Vec<CertCollector>,
 }
 
 impl DoneStage {
     pub(crate) fn new(p: Params, keys: PublicKeySet, secret: SecretKeyShare) -> Self {
         DoneStage {
-            insts: vec![ShareCollector::default(); p.n],
+            insts: vec![CertCollector::default(); p.n],
             signer: Signer::prbc_done(p, keys, secret),
         }
     }
@@ -570,12 +580,12 @@ impl DoneStage {
     ) -> Vec<(usize, Digest32, SigShare)> {
         let mut signed = Vec::new();
         for (j, inst) in self.insts.iter_mut().enumerate() {
-            if inst.my_share.is_some() {
+            if inst.own().is_some() {
                 continue;
             }
             let Some(root) = delivered_root(j) else { continue };
-            if let Some(share) = inst.sign_own(&self.signer, j, &root, acts) {
-                inst.record(&self.signer, j, &root, share, acts);
+            if let Some(share) = self.signer.sign_own(inst, j, &root, acts) {
+                self.signer.record(inst, j, &root, share, acts);
                 signed.push((j, root, share));
             }
         }
@@ -592,7 +602,7 @@ impl DoneStage {
     ) -> bool {
         match (self.insts.get_mut(instance), delivered_root) {
             (Some(inst), Some(root)) => {
-                inst.record(&self.signer, instance, &root, share, acts).is_some()
+                self.signer.record(inst, instance, &root, share, acts).is_some()
             }
             _ => false,
         }
@@ -607,21 +617,21 @@ impl DoneStage {
         acts: &mut Actions,
     ) -> bool {
         match (self.insts.get_mut(instance), delivered_root) {
-            (Some(inst), Some(root)) => inst.accept_cert(&self.signer, instance, &root, sig, acts),
+            (Some(inst), Some(root)) => self.signer.accept_cert(inst, instance, &root, sig, acts),
             _ => false,
         }
     }
 
     pub(crate) fn my_share(&self, instance: usize) -> Option<SigShare> {
-        self.insts.get(instance).and_then(ShareCollector::my_share)
+        self.insts.get(instance).and_then(CertCollector::own)
     }
 
     pub(crate) fn proof(&self, instance: usize) -> Option<&ThresholdSignature> {
-        self.insts.get(instance).and_then(ShareCollector::cert)
+        self.insts.get(instance).and_then(CertCollector::output)
     }
 
     pub(crate) fn proven_count(&self) -> usize {
-        self.insts.iter().filter(|d| d.cert.is_some()).count()
+        self.insts.iter().filter(|d| d.output().is_some()).count()
     }
 }
 
@@ -815,40 +825,40 @@ mod tests {
         let s = signers(83);
         let root = Digest32::of(b"value");
         let profile = s[0].keys.profile();
-        let mut c = ShareCollector::default();
+        let mut c = CertCollector::default();
         let mut acts = Actions::new();
-        let own = c.sign_own(&s[0], 0, &root, &mut acts).unwrap();
+        let own = s[0].sign_own(&mut c, 0, &root, &mut acts).unwrap();
         assert_eq!(acts.charge_us, profile.sign_share_us);
-        assert!(c.sign_own(&s[0], 0, &root, &mut acts).is_none(), "signed once");
-        assert_eq!(c.my_share(), Some(own));
-        assert!(c.record(&s[0], 0, &root, own, &mut acts).is_none());
+        assert!(s[0].sign_own(&mut c, 0, &root, &mut acts).is_none(), "signed once");
+        assert_eq!(c.own(), Some(own));
+        assert!(s[0].record(&mut c, 0, &root, own, &mut acts).is_none());
         assert_eq!(acts.charge_us, profile.sign_share_us, "own share is not charged");
-        assert!(c.record(&s[0], 0, &root, own, &mut acts).is_none(), "duplicate index");
-        assert_eq!(c.reported(), 1);
+        assert!(s[0].record(&mut c, 0, &root, own, &mut acts).is_none(), "duplicate index");
+        assert_eq!(c.reporters().count_ones(), 1);
 
-        let mut theirs = ShareCollector::default();
+        let mut theirs = CertCollector::default();
         let mut scratch = Actions::new();
-        let s1 = theirs.sign_own(&s[1], 0, &root, &mut scratch).unwrap();
+        let s1 = s[1].sign_own(&mut theirs, 0, &root, &mut scratch).unwrap();
         let mut far = s1;
         far.index = ShareIndex::new(5).unwrap();
-        assert!(c.record(&s[0], 0, &root, far, &mut acts).is_none(), "index out of range");
-        assert_eq!((c.reported(), acts.charge_us), (1, profile.sign_share_us));
-        assert!(c.record(&s[0], 0, &root, s1, &mut acts).is_none());
+        assert!(s[0].record(&mut c, 0, &root, far, &mut acts).is_none(), "index out of range");
+        assert_eq!((c.reporters().count_ones(), acts.charge_us), (1, profile.sign_share_us));
+        assert!(s[0].record(&mut c, 0, &root, s1, &mut acts).is_none());
         assert_eq!(acts.charge_us, profile.sign_share_us + profile.verify_share_us);
 
-        let s2 = ShareCollector::default().sign_own(&s[2], 0, &root, &mut scratch).unwrap();
-        let sig = c.record(&s[0], 0, &root, s2, &mut acts).expect("2f + 1 shares combine");
+        let s2 = s[2].sign_own(&mut CertCollector::default(), 0, &root, &mut scratch).unwrap();
+        let sig = s[0].record(&mut c, 0, &root, s2, &mut acts).expect("2f + 1 shares combine");
         assert_eq!(
             acts.charge_us,
             profile.sign_share_us + 2 * profile.verify_share_us + profile.combine_us
         );
-        assert_eq!(c.cert(), Some(&sig));
+        assert_eq!(c.output(), Some(&sig));
         s[0].keys.verify(&echo_msg(9, 0, &root), &sig).unwrap();
         assert!(s[0].keys.verify(&done_msg(9, 0, &root), &sig).is_err(), "phase tag is bound");
         // Certified: later shares are not even buffered.
-        let s3 = ShareCollector::default().sign_own(&s[3], 0, &root, &mut scratch).unwrap();
-        assert!(c.record(&s[0], 0, &root, s3, &mut acts).is_none());
-        assert_eq!(c.reported(), 3);
+        let s3 = s[3].sign_own(&mut CertCollector::default(), 0, &root, &mut scratch).unwrap();
+        assert!(s[0].record(&mut c, 0, &root, s3, &mut acts).is_none());
+        assert_eq!(c.reporters().count_ones(), 3);
     }
 
     #[test]
@@ -857,20 +867,20 @@ mod tests {
         let root = Digest32::of(b"value");
         let mut scratch = Actions::new();
         let shares: Vec<SigShare> = (0..3)
-            .map(|i| ShareCollector::default().sign_own(&s[i], 1, &root, &mut scratch).unwrap())
+            .map(|i| s[i].sign_own(&mut CertCollector::default(), 1, &root, &mut scratch).unwrap())
             .collect();
         let mut bad = shares[0];
         bad.value = bad.value.mul(&GroupElem::generator());
-        let mut c = ShareCollector::default();
+        let mut c = CertCollector::default();
         let mut acts = Actions::new();
-        assert!(c.record(&s[3], 1, &root, bad, &mut acts).is_none());
-        assert!(c.record(&s[3], 1, &root, shares[0], &mut acts).is_none(), "slot taken");
-        assert!(c.record(&s[3], 1, &root, shares[1], &mut acts).is_none());
+        assert!(s[3].record(&mut c, 1, &root, bad, &mut acts).is_none());
+        assert!(s[3].record(&mut c, 1, &root, shares[0], &mut acts).is_none(), "slot taken");
+        assert!(s[3].record(&mut c, 1, &root, shares[1], &mut acts).is_none());
         // The third share reaches the quorum; the batch check evicts the
         // bad one, so no certificate yet — and its slot is free again.
-        assert!(c.record(&s[3], 1, &root, shares[2], &mut acts).is_none());
-        assert_eq!(c.reported(), 2);
-        let sig = c.record(&s[3], 1, &root, shares[0], &mut acts).expect("corrected share");
+        assert!(s[3].record(&mut c, 1, &root, shares[2], &mut acts).is_none());
+        assert_eq!(c.reporters().count_ones(), 2);
+        let sig = s[3].record(&mut c, 1, &root, shares[0], &mut acts).expect("corrected share");
         s[3].keys.verify(&echo_msg(9, 1, &root), &sig).unwrap();
     }
 
@@ -879,21 +889,22 @@ mod tests {
         let s = signers(97);
         let (root, other) = (Digest32::of(b"value"), Digest32::of(b"other"));
         let mut scratch = Actions::new();
-        let mut leader = ShareCollector::default();
+        let mut leader = CertCollector::default();
         let mut sig = None;
         for signer in &s[..3] {
-            let share = ShareCollector::default().sign_own(signer, 2, &root, &mut scratch).unwrap();
-            sig = leader.record(&s[2], 2, &root, share, &mut scratch);
+            let share =
+                signer.sign_own(&mut CertCollector::default(), 2, &root, &mut scratch).unwrap();
+            sig = s[2].record(&mut leader, 2, &root, share, &mut scratch);
         }
         let sig = sig.expect("three shares certify");
-        let mut c = ShareCollector::default();
+        let mut c = CertCollector::default();
         let mut acts = Actions::new();
-        assert!(!c.accept_cert(&s[0], 2, &other, &sig, &mut acts));
-        assert!(!c.accept_cert(&s[0], 3, &root, &sig, &mut acts));
-        assert!(c.cert().is_none());
-        assert!(c.accept_cert(&s[0], 2, &root, &sig, &mut acts));
+        assert!(!s[0].accept_cert(&mut c, 2, &other, &sig, &mut acts));
+        assert!(!s[0].accept_cert(&mut c, 3, &root, &sig, &mut acts));
+        assert!(c.output().is_none());
+        assert!(s[0].accept_cert(&mut c, 2, &root, &sig, &mut acts));
         assert_eq!(acts.charge_us, 3 * s[0].keys.profile().verify_signature_us);
-        assert!(!c.accept_cert(&s[0], 2, &root, &sig, &mut acts), "already held");
+        assert!(!s[0].accept_cert(&mut c, 2, &root, &sig, &mut acts), "already held");
         assert_eq!(acts.charge_us, 3 * s[0].keys.profile().verify_signature_us);
     }
 }

@@ -20,15 +20,28 @@
 //! | Provable RBC              | [`prbc::PrbcBatch`] | [`baseline::BaselinePrbcSet`] |
 //! | Shared-coin ABA (SC / CP) | [`aba_sc::AbaScBatch`] | [`baseline::BaselineAbaSet`] |
 //! | Local-coin ABA (Bracha)   | [`aba_lc::AbaLcBatch`] | — |
+//! | *send discipline, every row* | [`Batcher`] | [`Batcher`] (tick only) |
+//! | *share quorum, every row*    | [`Collector`] | [`Collector`] |
 //!
 //! A deployment style is a *packaging*, not a second implementation. What
 //! one RBC / CBC / PRBC instance does — reassembling the proposal, tallying
 //! Bracha's votes, collecting threshold shares into a certificate — lives
 //! once, in the crate-private `instance` module, and both columns drive
-//! it: the batched components add the combined packet, its dirty-flag flush
-//! and NACK bits, the baseline sets add one frame per transition and a
-//! blind retransmission tick. The baseline ABA is likewise the batched
-//! state machine behind a per-item packetizer.
+//! it: the batched components add the combined packet and its NACK bits,
+//! the baseline sets add one frame per transition. The baseline ABA is
+//! likewise the batched state machine behind a per-item packetizer.
+//!
+//! *When* a packet goes out is one decision too, [`Batcher`]: a state
+//! change rides the next flush, a jittered tick re-sends while the
+//! component is incomplete or a NACK shows a peer behind. Components only
+//! say "changed" / "a peer is behind" and build the packet when asked; the
+//! baseline sets use the tick alone. And "own share once → buffer →
+//! batch-verify at quorum → combine" is one [`Collector`] over a
+//! [`share_buf::ShareScheme`] (signature shares, coin shares), under the CBC
+//! certificates, the PRBC proofs, the ABA coins and Dumbo's π coin. It
+//! reports what happened; the virtual CPU charges stay with the callers,
+//! because they differ (ABA-SC pays a verification for its own coin share,
+//! the certificate and π-coin collectors do not).
 //!
 //! All components are sans-io state machines: they consume packet bodies
 //! and timer ticks and emit [`context::Actions`] (broadcasts, timers,
@@ -74,7 +87,7 @@ pub mod rbc_small;
 pub mod share_buf;
 
 pub use context::{
-    deal_committee_crypto, deal_node_crypto, Actions, BinaryAgreement, Broadcaster, NodeCrypto,
-    Params, ProvableBroadcaster,
+    deal_committee_crypto, deal_node_crypto, Actions, Batcher, BinaryAgreement, Broadcaster,
+    NodeCrypto, Params, ProvableBroadcaster,
 };
-pub use share_buf::{CoinShareBuf, SigShareBuf};
+pub use share_buf::{CoinShareBuf, Collector, Recorded, SigShareBuf};

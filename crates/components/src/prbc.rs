@@ -10,13 +10,13 @@
 //! material dominates packet space (§IV-C1). Signing, collecting and
 //! combining them is `instance::DoneStage`, shared with the baseline set.
 
-use crate::context::{Actions, Broadcaster, Params, ProvableBroadcaster, RetxState};
+use crate::context::{Actions, Batcher, Broadcaster, Params, ProvableBroadcaster};
 use crate::instance::{done_msg, DoneStage};
 use crate::rbc::RbcBatch;
 use bytes::Bytes;
 use wbft_crypto::hash::Digest32;
 use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare, ThresholdSignature};
-use wbft_net::{Bitmap, Body, RetransmitPolicy};
+use wbft_net::{Bitmap, Body};
 
 /// Timer ids: 0 is used by the inner RBC; the DONE stage uses 1.
 const TIMER_DONE_RETX: u32 = 1;
@@ -26,9 +26,7 @@ const TIMER_DONE_RETX: u32 = 1;
 pub struct PrbcBatch {
     rbc: RbcBatch,
     done: DoneStage,
-    dirty: bool,
-    timer_armed: bool,
-    retx: RetxState,
+    out: Batcher,
 }
 
 impl PrbcBatch {
@@ -37,9 +35,7 @@ impl PrbcBatch {
         PrbcBatch {
             rbc: RbcBatch::new(p),
             done: DoneStage::new(p, keys, secret),
-            dirty: false,
-            timer_armed: false,
-            retx: RetxState::new(RetransmitPolicy::lora_class(), &p),
+            out: Batcher::new(&p, TIMER_DONE_RETX),
         }
     }
 
@@ -92,17 +88,11 @@ impl PrbcBatch {
     fn flush(&mut self, acts: &mut Actions) {
         // DONE shares for instances the inner RBC has newly delivered.
         let rbc = &self.rbc;
-        self.dirty |= !self.done.sign_new(|j| rbc.delivered_root(j), acts).is_empty();
-        if self.dirty {
+        self.out.changed_if(!self.done.sign_new(|j| rbc.delivered_root(j), acts).is_empty());
+        if self.out.flush() {
             acts.send(self.build_done());
-            self.dirty = false;
-            self.retx.reset();
         }
-        if !self.timer_armed {
-            self.timer_armed = true;
-            let d = self.retx.next_delay();
-            acts.timer(d, TIMER_DONE_RETX);
-        }
+        self.out.arm(acts);
     }
 }
 
@@ -130,16 +120,18 @@ impl Broadcaster for PrbcBatch {
                 // first.
                 for (j, share) in shares {
                     let j = *j as usize;
-                    self.dirty |= self.done.record(j, self.rbc.delivered_root(j), *share, acts);
+                    let root = self.rbc.delivered_root(j);
+                    self.out.changed_if(self.done.record(j, root, *share, acts));
                 }
                 for (j, sig) in proofs {
                     let j = *j as usize;
-                    self.dirty |= self.done.accept_proof(j, self.rbc.delivered_root(j), sig, acts);
+                    let root = self.rbc.delivered_root(j);
+                    self.out.changed_if(self.done.accept_proof(j, root, sig, acts));
                 }
                 if sig_nack.len() == self.p().n
                     && sig_nack.iter_set().any(|j| self.done.proof(j).is_some())
                 {
-                    self.retx.peer_behind = true;
+                    self.out.peer_behind();
                 }
             }
             _ => self.rbc.handle(from, body, acts),
@@ -149,12 +141,9 @@ impl Broadcaster for PrbcBatch {
 
     fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
         if local_id == TIMER_DONE_RETX {
-            if self.retx.should_send(self.proven_count() == self.p().n) {
+            if self.out.tick(local_id, self.proven_count() == self.p().n, acts).is_some() {
                 acts.send(self.build_done());
-                self.retx.peer_behind = false;
             }
-            let d = self.retx.next_delay();
-            acts.timer(d, TIMER_DONE_RETX);
         } else {
             self.rbc.on_timer(local_id, acts);
             self.flush(acts);

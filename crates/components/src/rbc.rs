@@ -19,11 +19,11 @@
 //! That instance logic is `instance::BrachaInst`, shared with the baseline
 //! set; this file is the ConsensusBatcher packaging of it.
 
-use crate::context::{Actions, Broadcaster, Params, RetxState};
-use crate::instance::{Accepted, BrachaInst};
+use crate::context::{Actions, Batcher, Broadcaster, Params};
+use crate::instance::{Accepted, BrachaInst, InitNacks};
 use bytes::Bytes;
 use wbft_crypto::hash::Digest32;
-use wbft_net::{Bitmap, Body, RetransmitPolicy};
+use wbft_net::{Bitmap, Body};
 
 pub use crate::instance::{FRAG_BUDGET, MAX_FRAGS, MAX_VALUE_BYTES};
 
@@ -35,11 +35,10 @@ const TIMER_RETX: u32 = 0;
 pub struct RbcBatch {
     p: Params,
     insts: Vec<BrachaInst>,
-    /// Per instance: a peer NACKed its proposal and we can serve it.
-    peers_need_init: Vec<bool>,
-    dirty: bool,
+    /// Peers' NACKs of proposals we can serve.
+    init_nacks: InitNacks,
     started: bool,
-    retx: RetxState,
+    out: Batcher,
 }
 
 impl RbcBatch {
@@ -48,10 +47,9 @@ impl RbcBatch {
         RbcBatch {
             p,
             insts: (0..p.n).map(|_| BrachaInst::new(p.n)).collect(),
-            peers_need_init: vec![false; p.n],
-            dirty: false,
+            init_nacks: InitNacks::new(p.n),
             started: false,
-            retx: RetxState::new(RetransmitPolicy::lora_class(), &p),
+            out: Batcher::new(&p, TIMER_RETX),
         }
     }
 
@@ -126,9 +124,7 @@ impl RbcBatch {
     /// the next combined packet.
     fn advance(&mut self, j: usize) {
         let step = self.insts[j].step(&self.p);
-        if step.ready.is_some() || step.delivered {
-            self.dirty = true;
-        }
+        self.out.changed_if(step.ready.is_some() || step.delivered);
     }
 
     fn handle_init(
@@ -143,21 +139,15 @@ impl RbcBatch {
         match inst.on_fragment(self.p.me, frag, frag_total, root, data) {
             Accepted::Refused => return,
             Accepted::Buffered => {}
-            Accepted::Assembled(_) => self.dirty = true,
+            Accepted::Assembled(_) => self.out.changed(),
         }
         self.advance(instance);
     }
 
     /// Peers lacking a proposal we hold → schedule its INITIAL re-send.
     fn note_init_nack(&mut self, init_nack: &Bitmap) {
-        if init_nack.len() != self.p.n {
-            return;
-        }
-        for j in init_nack.iter_set() {
-            if self.insts[j].asm.value().is_some() {
-                self.peers_need_init[j] = true;
-                self.retx.peer_behind = true;
-            }
+        if self.init_nacks.note(init_nack, |j| self.insts[j].asm.value().is_some()) {
+            self.out.peer_behind();
         }
     }
 
@@ -196,17 +186,15 @@ impl RbcBatch {
                     && ready_nack.get(j)
                     && inst.votes.my_ready().is_some())
             {
-                self.retx.peer_behind = true;
+                self.out.peer_behind();
             }
             self.advance(j);
         }
     }
 
     fn flush(&mut self, acts: &mut Actions) {
-        if self.dirty {
+        if self.out.flush() {
             acts.send(self.build_er());
-            self.dirty = false;
-            self.retx.reset();
         }
     }
 }
@@ -218,10 +206,9 @@ impl Broadcaster for RbcBatch {
         let me = self.p.me;
         self.insts[me].propose(me, my_value);
         self.send_init_frags(me, acts);
-        self.dirty = true;
+        self.out.changed();
         self.flush(acts);
-        let d = self.retx.next_delay();
-        acts.timer(d, TIMER_RETX);
+        self.out.arm(acts);
     }
 
     fn handle(&mut self, from: usize, body: &Body, acts: &mut Actions) {
@@ -242,21 +229,13 @@ impl Broadcaster for RbcBatch {
     }
 
     fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
-        if local_id != TIMER_RETX {
-            return;
-        }
-        if self.retx.should_send(self.delivered_count() == self.p.n) {
+        if self.out.tick(local_id, self.delivered_count() == self.p.n, acts).is_some() {
             // Serve NACKed proposals first, then the combined vote packet.
-            for j in 0..self.p.n {
-                if std::mem::take(&mut self.peers_need_init[j]) {
-                    self.send_init_frags(j, acts);
-                }
+            for j in self.init_nacks.take_due() {
+                self.send_init_frags(j, acts);
             }
             acts.send(self.build_er());
-            self.retx.peer_behind = false;
         }
-        let d = self.retx.next_delay();
-        acts.timer(d, TIMER_RETX);
     }
 
     fn delivered(&self, instance: usize) -> Option<&Bytes> {
@@ -443,6 +422,22 @@ pub(crate) mod tests {
             resent.iter().any(|b| matches!(b, Body::RbcInit { instance: 0, .. })),
             "timer tick must re-serve the NACKed INIT, got {resent:?}"
         );
+    }
+
+    #[test]
+    fn a_packet_before_start_is_answered_but_the_tick_is_armed_by_start() {
+        let mut early = RbcBatch::new(params(0));
+        let mut acts = Actions::new();
+        RbcBatch::new(params(1)).start(Bytes::from_static(b"vb"), &mut acts);
+        let (b_sends, _, _) = acts.drain();
+        for body in &b_sends {
+            early.handle(1, body, &mut acts);
+        }
+        let (sends, timers, _) = acts.drain();
+        assert!(sends.iter().any(|b| matches!(b, Body::RbcEchoReady { .. })), "echo goes out");
+        assert!(timers.is_empty(), "handling a packet does not arm the tick");
+        early.start(Bytes::from_static(b"va"), &mut acts);
+        assert_eq!(acts.drain().1.len(), 1, "start arms it, once");
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! identification-by-hash disappears. The horizontal batching of all three
 //! phases is what Fig. 11a measures against plain RBC.
 
-use crate::context::{Actions, Params, RetxState};
-use wbft_net::{Bitmap, Body, RetransmitPolicy, Vote};
+use crate::context::{Actions, Batcher, Params};
+use wbft_net::{Bitmap, Body, Vote};
 
 const TIMER_RETX: u32 = 0;
 
@@ -44,9 +44,7 @@ fn quorum_vote(votes: &[Vote], need: usize) -> Option<Vote> {
 pub struct RbcSmallBatch {
     p: Params,
     insts: Vec<Inst>,
-    dirty: bool,
-    timer_armed: bool,
-    retx: RetxState,
+    out: Batcher,
 }
 
 impl RbcSmallBatch {
@@ -54,9 +52,7 @@ impl RbcSmallBatch {
     pub fn new(p: Params) -> Self {
         RbcSmallBatch {
             insts: (0..p.n).map(|_| Inst::new(p.n)).collect(),
-            dirty: false,
-            timer_armed: false,
-            retx: RetxState::new(RetransmitPolicy::lora_class(), &p),
+            out: Batcher::new(&p, TIMER_RETX),
             p,
         }
     }
@@ -75,7 +71,7 @@ impl RbcSmallBatch {
             inst.my_echo = my_value;
             inst.echo_votes[me] = my_value;
         }
-        self.dirty = true;
+        self.out.changed();
         self.flush(acts);
     }
 
@@ -98,25 +94,25 @@ impl RbcSmallBatch {
         if inst.my_echo == Vote::Unknown && inst.value.is_cast() {
             inst.my_echo = inst.value;
             inst.echo_votes[me] = inst.value;
-            self.dirty = true;
+            self.out.changed();
         }
         let inst = &mut self.insts[j];
         if inst.my_ready == Vote::Unknown {
             if let Some(v) = quorum_vote(&inst.echo_votes, quorum) {
                 inst.my_ready = v;
                 inst.ready_votes[me] = v;
-                self.dirty = true;
+                self.out.changed();
             } else if let Some(v) = quorum_vote(&inst.ready_votes, f1) {
                 inst.my_ready = v;
                 inst.ready_votes[me] = v;
-                self.dirty = true;
+                self.out.changed();
             }
         }
         let inst = &mut self.insts[j];
         if inst.delivered == Vote::Unknown {
             if let Some(v) = quorum_vote(&inst.ready_votes, quorum) {
                 inst.delivered = v;
-                self.dirty = true;
+                self.out.changed();
             }
         }
     }
@@ -151,16 +147,10 @@ impl RbcSmallBatch {
     }
 
     fn flush(&mut self, acts: &mut Actions) {
-        if self.dirty {
+        if self.out.flush() {
             acts.send(self.build());
-            self.dirty = false;
-            self.retx.reset();
         }
-        if !self.timer_armed {
-            self.timer_armed = true;
-            let d = self.retx.next_delay();
-            acts.timer(d, TIMER_RETX);
-        }
+        self.out.arm(acts);
     }
 
     /// Processes a packet for this session.
@@ -193,7 +183,7 @@ impl RbcSmallBatch {
                 || (echo_nack.get(j) && self.insts[j].my_echo.is_cast())
                 || (ready_nack.get(j) && self.insts[j].my_ready.is_cast())
             {
-                self.retx.peer_behind = true;
+                self.out.peer_behind();
             }
             self.advance(j);
         }
@@ -202,16 +192,9 @@ impl RbcSmallBatch {
 
     /// Handles the retransmission tick.
     pub fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
-        if local_id != TIMER_RETX {
-            return;
-        }
-        let complete = self.delivered_count() == self.p.n;
-        if self.retx.should_send(complete) {
+        if self.out.tick(local_id, self.delivered_count() == self.p.n, acts).is_some() {
             acts.send(self.build());
-            self.retx.peer_behind = false;
         }
-        let d = self.retx.next_delay();
-        acts.timer(d, TIMER_RETX);
     }
 }
 

@@ -12,40 +12,125 @@
 //! which are evicted (and their reporter bits freed, so a corrected
 //! retransmission can take the slot).
 //!
-//! The simulator's *charged virtual costs* are unchanged: components still
+//! One [`ShareBuf`] serves every scheme that answers [`ShareScheme`]
+//! (threshold signatures, the common coin), and one [`Collector`] on top
+//! of it is the whole "own share once → buffer → settle at quorum →
+//! combine" sequence under every certificate, proof and coin.
+//!
+//! The simulator's *charged virtual costs* are unchanged: callers still
 //! charge `verify_share_us` per accepted share at arrival and `combine_us`
-//! per combination, exactly as before — only wall-clock CPU drops.
+//! per combination, exactly as before — only wall-clock CPU drops. The
+//! collector reports what it did ([`Recorded`]) and charges nothing,
+//! because who pays for an own share differs by caller.
 
 use wbft_crypto::thresh_coin::{CoinName, CoinPublicSet, CoinShare};
-use wbft_crypto::thresh_sig::{PublicKeySet, SigShare};
+use wbft_crypto::thresh_sig::{PublicKeySet, SigShare, ThresholdSignature};
 use wbft_crypto::ShareIndex;
 
-/// The shared buffer core, generic over the share type. The two public
-/// wrappers only differ in how a batch is verified.
+/// What the buffer and the collector need of a threshold public key set:
+/// whose share a share is, which shares of a batch are invalid, and what a
+/// verified quorum combines into.
+pub trait ShareScheme {
+    /// One node's share.
+    type Share: Copy + PartialEq + std::fmt::Debug;
+    /// What the shares are made over (a message, a coin name).
+    type Msg<'a>: Copy;
+    /// What a quorum of shares combines into.
+    type Output: Copy + PartialEq + std::fmt::Debug;
+
+    /// The index of the node that produced `share`.
+    fn index_of(share: &Self::Share) -> ShareIndex;
+
+    /// Batch-verifies `pending` over `msg`; the positions that fail.
+    fn invalid_positions(&self, msg: Self::Msg<'_>, pending: &[Self::Share]) -> Vec<usize>;
+
+    /// Combines verified shares over `msg`.
+    fn combine(&self, msg: Self::Msg<'_>, shares: &[Self::Share]) -> Option<Self::Output>;
+}
+
+impl ShareScheme for PublicKeySet {
+    type Share = SigShare;
+    type Msg<'a> = &'a [u8];
+    type Output = ThresholdSignature;
+
+    fn index_of(share: &SigShare) -> ShareIndex {
+        share.index
+    }
+
+    fn invalid_positions(&self, msg: &[u8], pending: &[SigShare]) -> Vec<usize> {
+        self.invalid_share_positions(&self.prepare(msg), pending)
+    }
+
+    fn combine(&self, _: &[u8], shares: &[SigShare]) -> Option<ThresholdSignature> {
+        PublicKeySet::combine(self, shares).ok()
+    }
+}
+
+impl ShareScheme for CoinPublicSet {
+    type Share = CoinShare;
+    type Msg<'a> = CoinName;
+    type Output = u64;
+
+    fn index_of(share: &CoinShare) -> ShareIndex {
+        share.index
+    }
+
+    fn invalid_positions(&self, name: CoinName, pending: &[CoinShare]) -> Vec<usize> {
+        self.invalid_share_positions(&self.prepare(name), pending)
+    }
+
+    fn combine(&self, name: CoinName, shares: &[CoinShare]) -> Option<u64> {
+        self.combine_value(name, shares).ok()
+    }
+}
+
+/// A buffer of unverified shares of one scheme for one instance/message.
 #[derive(Debug, Clone)]
-struct RawBuf<S> {
-    shares: Vec<S>,
+pub struct ShareBuf<K: ShareScheme> {
+    shares: Vec<K::Share>,
     /// `shares[..verified]` have passed verification.
     verified: usize,
     reporters: u64,
     /// Key epoch the buffered shares belong to. Shares from another
     /// threshold-key generation are structurally incompatible with this
-    /// buffer's verification keys — see [`RawBuf::insert_tagged`].
+    /// buffer's verification keys — see [`ShareBuf::insert_tagged`].
     key_epoch: u64,
 }
 
-impl<S> Default for RawBuf<S> {
+/// A buffer of unverified signature shares for one instance/message.
+pub type SigShareBuf = ShareBuf<PublicKeySet>;
+
+/// A buffer of unverified coin shares for one `(domain, round)` coin.
+pub type CoinShareBuf = ShareBuf<CoinPublicSet>;
+
+impl<K: ShareScheme> Default for ShareBuf<K> {
     fn default() -> Self {
-        RawBuf { shares: Vec::new(), verified: 0, reporters: 0, key_epoch: 0 }
+        ShareBuf { shares: Vec::new(), verified: 0, reporters: 0, key_epoch: 0 }
     }
 }
 
-impl<S: Copy> RawBuf<S> {
-    /// Drops every buffered share and moves the buffer to `key_epoch`.
-    /// Shares gathered under the old keys are useless under the new ones
-    /// (same indices, different share polynomial), so a buffer that
-    /// outlives a membership resharing roll must evict, not carry over.
-    fn roll_key_epoch(&mut self, key_epoch: u64) {
+impl<K: ShareScheme> ShareBuf<K> {
+    /// The key epoch this buffer currently collects for.
+    pub fn key_epoch(&self) -> u64 {
+        self.key_epoch
+    }
+
+    /// Bitmask of indices currently buffered (verified or pending).
+    pub fn reporters(&self) -> u64 {
+        self.reporters
+    }
+
+    /// The buffered shares, verified prefix first.
+    pub fn shares(&self) -> &[K::Share] {
+        &self.shares
+    }
+
+    /// Drops every buffered share and moves the buffer to `key_epoch`; a
+    /// no-op for the current epoch. Shares gathered under the old keys are
+    /// useless under the new ones (same indices, different share
+    /// polynomial), so a buffer that outlives a membership resharing roll
+    /// must evict, not carry over.
+    pub fn roll_key_epoch(&mut self, key_epoch: u64) {
         if key_epoch == self.key_epoch {
             return;
         }
@@ -55,23 +140,24 @@ impl<S: Copy> RawBuf<S> {
         self.reporters = 0;
     }
 
-    /// [`RawBuf::insert`] for a share tagged with the key epoch it was
+    /// [`ShareBuf::insert`] for a share tagged with the key epoch it was
     /// produced under: a stale (or future) tag is rejected at the door —
     /// it must never reach the batch verifier, where a whole quorum's
     /// combine would fail instead.
-    fn insert_tagged(&mut self, share: S, index: ShareIndex, n: usize, tag: u64) -> bool {
-        if tag != self.key_epoch {
-            return false;
-        }
-        self.insert(share, index, n)
+    pub fn insert_tagged(&mut self, share: K::Share, n: usize, tag: u64) -> bool {
+        tag == self.key_epoch && self.insert(share, n)
     }
 
-    fn insert(&mut self, share: S, index: ShareIndex, n: usize) -> bool {
+    /// Accepts a share into the buffer unless its index is out of range for
+    /// an `n`-node deployment or the index already reported. Returns `true`
+    /// when the share was newly buffered (callers charge the virtual verify
+    /// cost exactly then).
+    pub fn insert(&mut self, share: K::Share, n: usize) -> bool {
         // The reporter bitmask (like every bitmap in the wire layer) caps
         // deployments at 64 nodes; make an oversized deployment fail loudly
         // in debug builds instead of silently never settling a quorum.
         debug_assert!(n <= 64, "share buffers support at most 64 nodes, got n = {n}");
-        let i = index.value() as usize;
+        let i = K::index_of(&share).value() as usize;
         if i == 0 || i > n || i > 64 {
             return false;
         }
@@ -84,24 +170,19 @@ impl<S: Copy> RawBuf<S> {
         true
     }
 
-    /// Once at least `need` shares are buffered, runs `invalid_positions`
-    /// over the unverified suffix, evicting the reported shares (freeing
-    /// their reporter bits via `index_of`). Returns `true` when `need`
-    /// *verified* shares are available.
-    fn settle(
-        &mut self,
-        need: usize,
-        index_of: impl Fn(&S) -> ShareIndex,
-        invalid_positions: impl FnOnce(&[S]) -> Vec<usize>,
-    ) -> bool {
+    /// Once at least `need` shares are buffered, batch-verifies the
+    /// unverified suffix over `msg`, evicting invalid shares (freeing
+    /// their reporter bits). Returns `true` when `need` *verified* shares
+    /// are available — the signal to charge the combine cost and combine.
+    pub fn settle(&mut self, keys: &K, msg: K::Msg<'_>, need: usize) -> bool {
         if self.shares.len() < need {
             return false;
         }
         if self.verified < self.shares.len() {
-            let bad = invalid_positions(&self.shares[self.verified..]);
+            let bad = keys.invalid_positions(msg, &self.shares[self.verified..]);
             for &p in bad.iter().rev() {
                 let evicted = self.shares.remove(self.verified + p);
-                self.reporters &= !(1u64 << (index_of(&evicted).value() - 1));
+                self.reporters &= !(1u64 << (K::index_of(&evicted).value() - 1));
             }
             self.verified = self.shares.len();
         }
@@ -109,103 +190,85 @@ impl<S: Copy> RawBuf<S> {
     }
 }
 
-/// A buffer of unverified signature shares for one instance/message.
-#[derive(Debug, Default, Clone)]
-pub struct SigShareBuf(RawBuf<SigShare>);
+/// What [`Collector::record`] did with a share. The collector only reports:
+/// the virtual costs differ by caller and are charged there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Recorded<O> {
+    /// Not buffered: the output exists already, the index is out of range
+    /// or that node already reported.
+    Refused,
+    /// Buffered; no verified quorum yet.
+    Buffered,
+    /// Buffered, and a verified quorum was combined (`None`: it did not
+    /// combine).
+    Combined(Option<O>),
+}
 
-impl SigShareBuf {
-    /// Accepts a share into the buffer unless its index is out of range for
-    /// an `n`-node deployment or the index already reported. Returns `true`
-    /// when the share was newly buffered (callers charge the virtual verify
-    /// cost exactly then).
-    pub fn insert(&mut self, share: SigShare, n: usize) -> bool {
-        self.0.insert(share, share.index, n)
-    }
+/// Shares of one instance on their way to a combined output: this node's
+/// own share (made once, re-sent as is), the buffered shares of every node
+/// (batch-verified at quorum, invalid ones evicted) and the output,
+/// combined here or adopted from elsewhere.
+#[derive(Debug, Clone)]
+pub struct Collector<K: ShareScheme> {
+    own: Option<K::Share>,
+    shares: ShareBuf<K>,
+    output: Option<K::Output>,
+}
 
-    /// Accepts a share produced under key epoch `tag`; a tag other than
-    /// the buffer's current key epoch is rejected (never buffered, never
-    /// batch-verified).
-    pub fn insert_tagged(&mut self, share: SigShare, n: usize, tag: u64) -> bool {
-        self.0.insert_tagged(share, share.index, n, tag)
-    }
-
-    /// The key epoch this buffer currently collects for.
-    pub fn key_epoch(&self) -> u64 {
-        self.0.key_epoch
-    }
-
-    /// Moves the buffer to `key_epoch`, evicting every buffered share
-    /// (they belong to the superseded sharing). No-op for the current
-    /// epoch.
-    pub fn roll_key_epoch(&mut self, key_epoch: u64) {
-        self.0.roll_key_epoch(key_epoch);
-    }
-
-    /// Bitmask of indices currently buffered (verified or pending).
-    pub fn reporters(&self) -> u64 {
-        self.0.reporters
-    }
-
-    /// The buffered shares, verified prefix first.
-    pub fn shares(&self) -> &[SigShare] {
-        &self.0.shares
-    }
-
-    /// Once at least `need` shares are buffered, batch-verifies the
-    /// unverified suffix against `msg`, evicting invalid shares (freeing
-    /// their reporter bits). Returns `true` when `need` *verified* shares
-    /// are available — the signal to charge the combine cost and combine.
-    pub fn settle(&mut self, keys: &PublicKeySet, msg: &[u8], need: usize) -> bool {
-        self.0.settle(
-            need,
-            |s| s.index,
-            |pending| keys.invalid_share_positions(&keys.prepare(msg), pending),
-        )
+impl<K: ShareScheme> Default for Collector<K> {
+    fn default() -> Self {
+        Collector { own: None, shares: ShareBuf::default(), output: None }
     }
 }
 
-/// A buffer of unverified coin shares for one `(domain, round)` coin.
-#[derive(Debug, Default, Clone)]
-pub struct CoinShareBuf(RawBuf<CoinShare>);
-
-impl CoinShareBuf {
-    /// Accepts a coin share; same contract as [`SigShareBuf::insert`].
-    pub fn insert(&mut self, share: CoinShare, n: usize) -> bool {
-        self.0.insert(share, share.index, n)
+impl<K: ShareScheme> Collector<K> {
+    /// This node's own share, once made.
+    pub fn own(&self) -> Option<K::Share> {
+        self.own
     }
 
-    /// Coin mirror of [`SigShareBuf::insert_tagged`].
-    pub fn insert_tagged(&mut self, share: CoinShare, n: usize, tag: u64) -> bool {
-        self.0.insert_tagged(share, share.index, n, tag)
+    /// The combined (or adopted) output.
+    pub fn output(&self) -> Option<&K::Output> {
+        self.output.as_ref()
     }
 
-    /// The key epoch this buffer currently collects for.
-    pub fn key_epoch(&self) -> u64 {
-        self.0.key_epoch
-    }
-
-    /// Coin mirror of [`SigShareBuf::roll_key_epoch`].
-    pub fn roll_key_epoch(&mut self, key_epoch: u64) {
-        self.0.roll_key_epoch(key_epoch);
-    }
-
-    /// Bitmask of indices currently buffered (verified or pending).
+    /// Bitmask of the nodes whose shares are buffered.
     pub fn reporters(&self) -> u64 {
-        self.0.reporters
+        self.shares.reporters()
     }
 
-    /// The buffered shares, verified prefix first.
-    pub fn shares(&self) -> &[CoinShare] {
-        &self.0.shares
+    /// Makes this node's own share with `sign` — once; `None` when it
+    /// already exists. The share is kept, not yet recorded.
+    pub fn sign_own(&mut self, sign: impl FnOnce() -> K::Share) -> Option<K::Share> {
+        if self.own.is_some() {
+            return None;
+        }
+        self.own = Some(sign());
+        self.own
     }
 
-    /// Coin mirror of [`SigShareBuf::settle`].
-    pub fn settle(&mut self, keys: &CoinPublicSet, name: CoinName, need: usize) -> bool {
-        self.0.settle(
-            need,
-            |s| s.index,
-            |pending| keys.invalid_share_positions(&keys.prepare(name), pending),
-        )
+    /// Buffers one share over `msg`; `need` verified shares combine.
+    pub fn record(
+        &mut self,
+        keys: &K,
+        msg: K::Msg<'_>,
+        need: usize,
+        n: usize,
+        share: K::Share,
+    ) -> Recorded<K::Output> {
+        if self.output.is_some() || !self.shares.insert(share, n) {
+            return Recorded::Refused;
+        }
+        if !self.shares.settle(keys, msg, need) {
+            return Recorded::Buffered;
+        }
+        self.output = keys.combine(msg, self.shares.shares());
+        Recorded::Combined(self.output)
+    }
+
+    /// Holds an output combined elsewhere (the caller verified it).
+    pub fn adopt(&mut self, output: K::Output) {
+        self.output = Some(output);
     }
 }
 
@@ -264,5 +327,55 @@ mod tests {
         assert!(buf.insert(csec[0].coin_share(name), 4));
         assert!(buf.settle(&cpub, name, 2));
         cpub.combine_value(name, buf.shares()).unwrap();
+    }
+
+    /// One collection for either scheme: `shares[0]` is this node's own,
+    /// `bad` a corrupted copy of `shares[1]`; three verified shares combine.
+    fn collects<K: ShareScheme>(keys: &K, msg: K::Msg<'_>, shares: &[K::Share], bad: K::Share) {
+        let mut c = Collector::<K>::default();
+        let mut signed = 0;
+        let mut sign = || {
+            signed += 1;
+            shares[0]
+        };
+        assert_eq!(c.sign_own(&mut sign), Some(shares[0]));
+        assert_eq!(c.sign_own(&mut sign), None, "the own share is made once");
+        assert_eq!((signed, c.own(), c.reporters()), (1, Some(shares[0]), 0));
+        assert_eq!(c.record(keys, msg, 3, 4, shares[0]), Recorded::Buffered);
+        assert_eq!(c.record(keys, msg, 3, 4, shares[0]), Recorded::Refused, "never counted twice");
+        assert_eq!(c.record(keys, msg, 3, 4, bad), Recorded::Buffered);
+        assert_eq!(c.record(keys, msg, 3, 4, shares[1]), Recorded::Refused, "slot taken");
+        // The third share reaches the quorum; the batch check evicts the bad
+        // one, so nothing combines — and its slot is free again.
+        assert_eq!(c.record(keys, msg, 3, 4, shares[2]), Recorded::Buffered);
+        assert_eq!(c.reporters(), 0b101);
+        let Recorded::Combined(Some(output)) = c.record(keys, msg, 3, 4, shares[1]) else {
+            panic!("three verified shares combine");
+        };
+        assert_eq!(c.output(), Some(&output));
+        assert_eq!(Some(output), keys.combine(msg, &[shares[0], shares[2], shares[1]]));
+        // Combined: later shares are not even buffered.
+        assert_eq!(c.record(keys, msg, 3, 4, shares[3]), Recorded::Refused);
+        assert_eq!(c.reporters(), 0b111);
+        let mut adopter = Collector::<K>::default();
+        adopter.adopt(output);
+        assert_eq!(adopter.record(keys, msg, 3, 4, shares[0]), Recorded::Refused);
+    }
+
+    #[test]
+    fn one_collector_serves_both_schemes() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(73);
+        let (pks, sks) = thresh_sig::deal(4, 2, ThresholdCurve::Bn158, &mut rng);
+        let shares: Vec<SigShare> = sks.iter().map(|sk| sk.sign_share(b"collected")).collect();
+        let mut bad = shares[1];
+        bad.value = bad.value.mul(&GroupElem::generator());
+        collects(&pks, &b"collected"[..], &shares, bad);
+
+        let (cpub, csec) = thresh_coin::deal_coin(4, 2, ThresholdCurve::Bn158, &mut rng);
+        let name = CoinName { session: 1, round: 2, domain: 3 };
+        let shares: Vec<CoinShare> = csec.iter().map(|sk| sk.coin_share(name)).collect();
+        let mut bad = shares[1];
+        bad.value = bad.value.mul(&GroupElem::generator());
+        collects(&cpub, name, &shares, bad);
     }
 }

@@ -26,12 +26,13 @@ use wbft_components::baseline::{BaselineAbaSet, BaselineCbcSet, BaselinePrbcSet}
 use wbft_components::cbc::{CbcBatch, CbcSmallBatch};
 use wbft_components::prbc::PrbcBatch;
 use wbft_components::{
-    Actions, BinaryAgreement, Broadcaster, NodeCrypto, Params, ProvableBroadcaster,
+    Actions, Batcher, BinaryAgreement, Broadcaster, Collector, NodeCrypto, Params,
+    ProvableBroadcaster, Recorded,
 };
 use wbft_crypto::hash::Digest32;
-use wbft_crypto::thresh_coin::{CoinName, CoinShare};
+use wbft_crypto::thresh_coin::{CoinName, CoinPublicSet, CoinShare};
 use wbft_crypto::thresh_sig::ThresholdSignature;
-use wbft_net::{Bitmap, Body, CoinFlavor, RetransmitPolicy};
+use wbft_net::{Bitmap, Body, CoinFlavor};
 
 const TIMER_PI_RETX: u32 = 0;
 
@@ -129,26 +130,15 @@ impl CommitCbc {
 
 struct PiCoin {
     p: Params,
-    /// This node's own share, signed once when it releases the coin.
-    own: Option<CoinShare>,
-    /// Buffered coin shares, batch-verified at quorum (see
-    /// `wbft_components::share_buf`).
-    shares: wbft_components::CoinShareBuf,
-    value: Option<u64>,
-    timer_armed: bool,
-    retx: wbft_components::context::RetxState,
+    /// This node's share (signed once, when it releases the coin),
+    /// everyone's shares, the value.
+    coin: Collector<CoinPublicSet>,
+    out: Batcher,
 }
 
 impl PiCoin {
     fn new(p: Params) -> Self {
-        PiCoin {
-            own: None,
-            shares: wbft_components::CoinShareBuf::default(),
-            value: None,
-            timer_armed: false,
-            retx: wbft_components::context::RetxState::new(RetransmitPolicy::lora_class(), &p),
-            p,
-        }
+        PiCoin { coin: Collector::default(), out: Batcher::new(&p, TIMER_PI_RETX), p }
     }
 
     fn name(&self) -> CoinName {
@@ -156,46 +146,36 @@ impl PiCoin {
     }
 
     fn activate(&mut self, crypto: &NodeCrypto, acts: &mut Actions) {
-        if self.own.is_some() {
-            return;
-        }
+        let name = self.name();
+        let Some(share) = self.coin.sign_own(|| crypto.coin_sec.coin_share(name)) else { return };
         acts.charge(crypto.suite.threshold.coin_profile().sign_share_us);
-        let share = crypto.coin_sec.coin_share(self.name());
-        self.own = Some(share);
-        self.record(share, crypto, acts, true);
+        self.record(share, crypto, acts);
         self.emit(acts);
-        if !self.timer_armed {
-            self.timer_armed = true;
-            let d = self.retx.next_delay();
-            acts.timer(d, TIMER_PI_RETX);
-        }
+        self.out.arm(acts);
     }
 
-    fn record(&mut self, share: CoinShare, crypto: &NodeCrypto, acts: &mut Actions, own: bool) {
-        if self.value.is_some() {
-            return;
-        }
-        if !self.shares.insert(share, self.p.n) {
-            return;
-        }
-        if !own {
-            acts.charge(crypto.suite.threshold.coin_profile().verify_share_us);
-        }
+    /// Buffers a coin share; the own share's verification is not charged.
+    fn record(&mut self, share: CoinShare, crypto: &NodeCrypto, acts: &mut Actions) {
         let need = crypto.coin_pub.threshold() + 1;
-        if self.shares.settle(&crypto.coin_pub, self.name(), need) {
-            acts.charge(crypto.suite.threshold.coin_profile().combine_us);
-            if let Ok(v) = crypto.coin_pub.combine_value(self.name(), self.shares.shares()) {
-                self.value = Some(v);
-            }
+        let recorded = self.coin.record(&crypto.coin_pub, self.name(), need, self.p.n, share);
+        if recorded == Recorded::Refused {
+            return;
+        }
+        let profile = crypto.suite.threshold.coin_profile();
+        if self.coin.own() != Some(share) {
+            acts.charge(profile.verify_share_us);
+        }
+        if matches!(recorded, Recorded::Combined(_)) {
+            acts.charge(profile.combine_us);
         }
     }
 
     fn emit(&mut self, acts: &mut Actions) {
-        let Some(share) = self.own else { return };
+        let Some(share) = self.coin.own() else { return };
         let mut share_nack = Bitmap::new(self.p.n);
-        if self.value.is_none() {
+        if self.coin.output().is_none() {
             for node in 0..self.p.n {
-                if self.shares.reporters() & (1 << node) == 0 {
+                if self.coin.reporters() & (1 << node) == 0 {
                     share_nack.set(node, true);
                 }
             }
@@ -211,23 +191,18 @@ impl PiCoin {
     fn handle(&mut self, body: &Body, crypto: &NodeCrypto, acts: &mut Actions) {
         let Body::AbaSc { coin_shares, share_nack, .. } = body else { return };
         for (_, share) in coin_shares {
-            self.record(*share, crypto, acts, false);
+            self.record(*share, crypto, acts);
         }
-        if share_nack.len() == self.p.n && share_nack.get(self.p.me) && self.own.is_some() {
-            self.retx.peer_behind = true;
+        if share_nack.len() == self.p.n && share_nack.get(self.p.me) && self.coin.own().is_some() {
+            self.out.peer_behind();
         }
     }
 
     fn on_timer(&mut self, local: u32, acts: &mut Actions) {
-        if local != TIMER_PI_RETX {
-            return;
-        }
-        if self.own.is_some() && self.retx.should_send(self.value.is_some()) {
+        // The tick is armed by `activate`, so there is a share to emit.
+        if self.out.tick(local, self.coin.output().is_some(), acts).is_some() {
             self.emit(acts);
-            self.retx.peer_behind = false;
         }
-        let d = self.retx.next_delay();
-        acts.timer(d, TIMER_PI_RETX);
     }
 }
 
@@ -418,14 +393,14 @@ impl Lane for DumboLane {
         if st.commit_started
             && st.order.is_none()
             && st.commit_cbc.delivered_count() >= quorum
-            && st.pi.own.is_none()
+            && st.pi.coin.own().is_none()
         {
             let mut acts = Actions::new();
             st.pi.activate(ctx.crypto, &mut acts);
             out.absorb(ctx.session(sessions::PI_COIN), &mut acts);
         }
         if st.order.is_none() {
-            if let Some(coin) = st.pi.value {
+            if let Some(&coin) = st.pi.coin.output() {
                 st.order = Some(permutation(ctx.n, coin));
             }
         }

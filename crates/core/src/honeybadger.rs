@@ -27,10 +27,10 @@ use wbft_components::aba_lc::AbaLcBatch;
 use wbft_components::aba_sc::AbaScBatch;
 use wbft_components::baseline::{BaselineAbaSet, BaselineRbcSet};
 use wbft_components::rbc::RbcBatch;
-use wbft_components::{Actions, BinaryAgreement, Broadcaster, NodeCrypto, Params};
+use wbft_components::{Actions, Batcher, BinaryAgreement, Broadcaster, NodeCrypto, Params};
 use wbft_crypto::thresh_enc::{Ciphertext, DecShare};
 use wbft_crypto::GroupElem;
-use wbft_net::{Bitmap, Body, CoinFlavor, RetransmitPolicy};
+use wbft_net::{Bitmap, Body, CoinFlavor};
 
 const TIMER_DEC_RETX: u32 = 0;
 
@@ -89,9 +89,7 @@ struct DecStage {
     shares: Vec<Vec<DecShare>>,
     reporters: Vec<u64>,
     plaintexts: Vec<Option<Vec<u8>>>,
-    dirty: bool,
-    timer_armed: bool,
-    retx: wbft_components::context::RetxState,
+    out: Batcher,
 }
 
 impl DecStage {
@@ -106,12 +104,7 @@ impl DecStage {
             shares: vec![Vec::new(); p.n],
             reporters: vec![0; p.n],
             plaintexts: vec![None; p.n],
-            dirty: false,
-            timer_armed: false,
-            retx: wbft_components::context::RetxState::new(
-                RetransmitPolicy::lora_class(),
-                &p,
-            ),
+            out: Batcher::new(&p, TIMER_DEC_RETX),
             p,
         }
     }
@@ -130,7 +123,7 @@ impl DecStage {
             acts.charge(crypto.suite.threshold.signature_profile().sign_share_us);
             self.my_shares[j] = Some(share);
             self.record(j, share, crypto, acts, true);
-            self.dirty = true;
+            self.out.changed();
         }
         self.flush(acts);
     }
@@ -151,7 +144,13 @@ impl DecStage {
             // they are re-served by peers' retransmissions once it does.
             return;
         };
-        let bit = 1u64 << (share.index.value() - 1);
+        // The index is off the wire, checked only for non-zero there: refuse
+        // one outside the committee before it shifts the reporter mask.
+        let i = share.index.value() as usize;
+        if i == 0 || i > self.p.n {
+            return;
+        }
+        let bit = 1u64 << (i - 1);
         if self.reporters[j] & bit != 0 {
             return;
         }
@@ -168,7 +167,7 @@ impl DecStage {
             let label = ct_label(self.epoch, j);
             if let Ok(pt) = crypto.enc_pub.decrypt(&label, ct, &self.shares[j]) {
                 self.plaintexts[j] = Some(pt);
-                self.dirty = true;
+                self.out.changed();
             } else {
                 // A corrupt share poisoned the combination; drop collected
                 // shares and rebuild from retransmissions.
@@ -212,18 +211,12 @@ impl DecStage {
     }
 
     fn flush(&mut self, acts: &mut Actions) {
-        if self.dirty {
+        if self.out.flush() {
             for body in self.build() {
                 acts.send(body);
             }
-            self.dirty = false;
-            self.retx.reset();
         }
-        if !self.timer_armed {
-            self.timer_armed = true;
-            let d = self.retx.next_delay();
-            acts.timer(d, TIMER_DEC_RETX);
-        }
+        self.out.arm(acts);
     }
 
     fn complete_for(&self, accepted: &[usize]) -> bool {
@@ -239,7 +232,7 @@ impl DecStage {
                 if dec_nack.len() == self.p.n
                     && dec_nack.iter_set().any(|j| self.my_sent[j])
                 {
-                    self.retx.peer_behind = true;
+                    self.out.peer_behind();
                 }
             }
             Body::BaseDecShare { proposer, share } => {
@@ -251,18 +244,15 @@ impl DecStage {
     }
 
     fn on_timer(&mut self, local: u32, accepted: Option<&[usize]>, acts: &mut Actions) {
-        if local != TIMER_DEC_RETX {
-            return;
-        }
-        let complete = accepted.map(|a| self.complete_for(a)).unwrap_or(false);
-        if self.active.iter().any(|a| *a) && self.retx.should_send(complete) {
+        // Nothing to re-send until some proposer is active (and no NACK can
+        // have named a share of ours before then).
+        let complete =
+            !self.active.contains(&true) || accepted.is_some_and(|a| self.complete_for(a));
+        if self.out.tick(local, complete, acts).is_some() {
             for body in self.build() {
                 acts.send(body);
             }
-            self.retx.peer_behind = false;
         }
-        let d = self.retx.next_delay();
-        acts.timer(d, TIMER_DEC_RETX);
     }
 }
 
@@ -554,6 +544,27 @@ mod tests {
                 assert_eq!(blocks, first, "depth {depth}: all nodes agree");
             }
         }
+    }
+
+    #[test]
+    fn a_dec_share_index_outside_the_committee_is_refused_uncharged() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let crypto = deal_node_crypto(4, CryptoSuite::light(), &mut rng);
+        let mut dec = DecStage::new(Params::new(4, 0, 1), 0, true);
+        let ct = crypto[0].enc_pub.encrypt(&ct_label(0, 1), b"payload", &mut rng);
+        let mut acts = Actions::new();
+        dec.activate(1, ct.clone(), &crypto[0], &mut acts);
+        let charged = acts.charge_us;
+        let mut share = crypto[1].enc_sec.dec_share(&ct);
+        // n + 1, and a forged giant index that would overflow the shift.
+        for index in [5, u16::MAX] {
+            share.index = wbft_crypto::ShareIndex::new(index).unwrap();
+            let batch = Body::DecShareBatch { shares: vec![(1, share)], dec_nack: Bitmap::new(4) };
+            dec.handle(&batch, &crypto[0], &mut acts);
+            dec.handle(&Body::BaseDecShare { proposer: 1, share }, &crypto[0], &mut acts);
+        }
+        assert_eq!(acts.charge_us, charged, "a refused share is not charged");
+        assert_eq!((dec.reporters[1], dec.shares[1].len()), (1, 1), "only the own share is held");
     }
 
     #[test]

@@ -17,6 +17,7 @@ use crate::protocol::Protocol;
 use crate::service::StopCondition;
 use crate::workload::{BatchSource, Workload};
 use bytes::Bytes;
+use std::collections::BTreeSet;
 use wbft_components::aba_sc::AbaScBatch;
 use wbft_components::rbc::RbcBatch;
 use wbft_components::NodeCrypto;
@@ -82,7 +83,11 @@ pub struct ClusterNode {
     pub global_decisions: Vec<(u64, Digest32, u32)>,
     /// Completion times of global decisions (the multi-hop latency metric).
     pub decided_at: Vec<SimTime>,
-    announced: Vec<u64>,
+    /// The epochs in `global_decisions`, for lookup (see `learn`).
+    known: BTreeSet<u64>,
+    /// Positions in `global_decisions` of the outcomes this node produced
+    /// as leader and keeps re-announcing.
+    announced: Vec<usize>,
     /// Local blocks [`ClusterNode::advance`] has looked at. Whether a block
     /// puts this node on global duty is settled the first time it is seen
     /// (leadership is fixed by the epoch, `global_epoch` only rises,
@@ -148,6 +153,7 @@ impl ClusterNode {
             joined_global: false,
             global_decisions: Vec::new(),
             decided_at: Vec::new(),
+            known: BTreeSet::new(),
             announced: Vec::new(),
             local_seen: 0,
             scratch: EngineOut::new(),
@@ -167,6 +173,13 @@ impl ClusterNode {
     pub fn is_done(&self) -> bool {
         self.local.blocks().len() as u64 >= self.target_epochs
             && self.global_decisions.len() as u64 >= self.target_epochs
+    }
+
+    /// Records epoch `epoch`'s global outcome, learnt at `now`.
+    fn learn(&mut self, epoch: u64, digest: Digest32, tx_count: u32, now: SimTime) {
+        self.known.insert(epoch);
+        self.global_decisions.push((epoch, digest, tx_count));
+        self.decided_at.push(now);
     }
 
     /// Total transactions this node saw globally ordered.
@@ -219,7 +232,7 @@ impl ClusterNode {
             let epoch = block.epoch;
             if self.is_leader(epoch)
                 && self.global_epoch.map(|e| e < epoch).unwrap_or(true)
-                && !self.global_decisions.iter().any(|(e, _, _)| *e == epoch)
+                && !self.known.contains(&epoch)
             {
                 // Join the overlay and start the global instance for this
                 // epoch with our cluster's summary as the fixed proposal.
@@ -252,7 +265,7 @@ impl ClusterNode {
         let mut announce: Option<(u64, Digest32, u32)> = None;
         if let (Some(engine), Some(epoch)) = (&self.global, self.global_epoch) {
             if let Some(block) = engine.blocks().first() {
-                if !self.global_decisions.iter().any(|(e, _, _)| *e == epoch) {
+                if !self.known.contains(&epoch) {
                     let digest = block_digest(block);
                     let tx_count: u32 = block
                         .txs
@@ -260,17 +273,14 @@ impl ClusterNode {
                         .filter_map(|tx| decode_summary(tx))
                         .map(|(_, _, _, c)| c)
                         .sum();
-                    self.global_decisions.push((epoch, digest, tx_count));
-                    self.decided_at.push(ctx.now());
                     announce = Some((epoch, digest, tx_count));
                 }
             }
         }
         if let Some((epoch, digest, tx_count)) = announce {
-            if !self.announced.contains(&epoch) {
-                self.announced.push(epoch);
-                self.broadcast_announcement(epoch, digest, tx_count, ctx);
-            }
+            self.announced.push(self.global_decisions.len());
+            self.learn(epoch, digest, tx_count, ctx.now());
+            self.broadcast_announcement(epoch, digest, tx_count, ctx);
         }
     }
 
@@ -338,11 +348,8 @@ impl NodeBehavior for ClusterNode {
         } else if let Body::GlobalDecision { epoch, digest, tx_count } = env.body {
             // Leader's announcement of the global outcome.
             let leader = Self::leader_for(epoch, self.per_cluster);
-            if env.src as usize == leader
-                && !self.global_decisions.iter().any(|(e, _, _)| *e == epoch)
-            {
-                self.global_decisions.push((epoch, digest, tx_count));
-                self.decided_at.push(ctx.now());
+            if env.src as usize == leader && !self.known.contains(&epoch) {
+                self.learn(epoch, digest, tx_count, ctx.now());
             }
         } else {
             self.local.handle(env.session, env.src as usize, &env.body, &mut out);
@@ -357,13 +364,9 @@ impl NodeBehavior for ClusterNode {
             // Leaders re-broadcast every global decision they produced until
             // the deployment completes; slot replacement keeps at most one
             // announcement per epoch in the radio queue.
-            for k in 0..self.announced.len() {
-                let epoch = self.announced[k];
-                if let Some((_, digest, tx_count)) =
-                    self.global_decisions.iter().find(|(e, _, _)| *e == epoch).copied()
-                {
-                    self.broadcast_announcement(epoch, digest, tx_count, ctx);
-                }
+            for &at in &self.announced {
+                let (epoch, digest, tx_count) = self.global_decisions[at];
+                self.broadcast_announcement(epoch, digest, tx_count, ctx);
             }
             // Re-arm unconditionally: the leader cannot know whether every
             // follower has heard (announcements are fire-and-forget), so it

@@ -296,17 +296,6 @@ pub enum Body {
         /// The share.
         share: DecShare,
     },
-    /// Multi-hop: a cluster member's complaint that the current leader
-    /// misrepresented the cluster decision on the global channel, carrying
-    /// the digest the cluster actually decided (§V-B leader replacement).
-    Complaint {
-        /// Epoch the complaint refers to.
-        epoch: u64,
-        /// The accused leader.
-        accused: u16,
-        /// Digest of the correct cluster decision.
-        digest: Digest32,
-    },
     /// Multi-hop: the cluster leader's announcement of the global consensus
     /// outcome for an epoch, broadcast once on the cluster channel.
     GlobalDecision {
@@ -358,7 +347,7 @@ impl Body {
             // 19 stays reserved (a retired baseline ABA-LC report form).
             Body::DecShareBatch { .. } => 20,
             Body::BaseDecShare { .. } => 21,
-            Body::Complaint { .. } => 22,
+            // 22 stays reserved (a retired multi-hop leader complaint).
             Body::GlobalDecision { .. } => 23,
             Body::Reshare { .. } => 24,
         }
@@ -407,7 +396,6 @@ impl Body {
             }
             Body::BaseAbaDecided { instance, .. } => *instance as u64,
             Body::BaseDecShare { proposer, .. } => *proposer as u64,
-            Body::Complaint { epoch, .. } => *epoch,
             Body::GlobalDecision { epoch, .. } => *epoch,
             // One live deal per (dealer, key epoch): a retransmission may
             // supersede its own queued copy, never another dealer's.
@@ -600,11 +588,6 @@ impl Body {
                 s.u8(*proposer);
                 s.dec_share(share);
             }
-            Body::Complaint { epoch, accused, digest } => {
-                s.u64(*epoch);
-                s.u16(*accused);
-                s.digest(digest);
-            }
             Body::GlobalDecision { epoch, digest, tx_count } => {
                 s.u64(*epoch);
                 s.digest(digest);
@@ -765,7 +748,6 @@ impl Body {
                 Body::DecShareBatch { shares, dec_nack: r.bitmap()? }
             }
             21 => Body::BaseDecShare { proposer: r.u8()?, share: r.dec_share()? },
-            22 => Body::Complaint { epoch: r.u64()?, accused: r.u16()?, digest: r.digest()? },
             23 => Body::GlobalDecision {
                 epoch: r.u64()?,
                 digest: r.digest()?,
@@ -1105,7 +1087,6 @@ mod tests {
             Body::BaseAbaDecided { instance: 0, value: true },
             Body::DecShareBatch { shares: vec![(0, dec), (2, dec)], dec_nack: Bitmap::new(4) },
             Body::BaseDecShare { proposer: 1, share: dec },
-            Body::Complaint { epoch: 9, accused: 2, digest: d },
             Body::GlobalDecision { epoch: 9, digest: d, tx_count: 120 },
             Body::Reshare {
                 key_epoch: 3,
@@ -1137,6 +1118,17 @@ mod tests {
         let mut r = WireReader::new(&bytes);
         assert_eq!(Body::decode(&mut r), Err(WireError::UnknownKind(19)));
         assert!(sample_bodies().iter().all(|b| b.kind() != 19));
+    }
+
+    #[test]
+    fn retired_kind_22_is_unknown() {
+        // Kind 22 carried a multi-hop leader complaint nothing ever sent or
+        // read; the number stays reserved like 19.
+        let mut bytes = vec![22u8];
+        bytes.extend_from_slice(&[0; 8 + 2 + 32]);
+        let mut r = WireReader::new(&bytes);
+        assert_eq!(Body::decode(&mut r), Err(WireError::UnknownKind(22)));
+        assert!(sample_bodies().iter().all(|b| b.kind() != 22));
     }
 
     #[test]

@@ -97,9 +97,6 @@ fn arb_body() -> impl Strategy<Value = Body> {
             round: r,
             value: v
         }),
-        (any::<u64>(), any::<u16>(), arb_digest()).prop_map(|(epoch, accused, digest)| {
-            Body::Complaint { epoch, accused, digest }
-        }),
         (any::<u64>(), arb_digest(), any::<u32>()).prop_map(|(epoch, digest, tx_count)| {
             Body::GlobalDecision { epoch, digest, tx_count }
         }),
@@ -213,10 +210,10 @@ proptest! {
         prop_assert_eq!(body.slot_key(), body.slot_key());
         // Slot keys embed the packet kind in the high bits, so two bodies of
         // different variants never collide.
-        let other = Body::Complaint {
+        let other = Body::GlobalDecision {
             epoch: 0,
-            accused: 0,
             digest: Digest32::zero(),
+            tx_count: 0,
         };
         if std::mem::discriminant(&body) != std::mem::discriminant(&other) {
             prop_assert_ne!(body.slot_key() >> 48, other.slot_key() >> 48);

@@ -14,6 +14,7 @@
 //!   client transactions the sequential engine commits.
 
 use proptest::prelude::*;
+use wbft_consensus::sweep::{run_sweep, SweepSpec};
 use wbft_consensus::testbed::{run, TestbedConfig};
 use wbft_consensus::{ArrivalSpec, Protocol, ServiceConfig};
 
@@ -107,6 +108,42 @@ fn pipelined_service_run_survives_loss() {
     assert_eq!(service.committed_client_txs, service.admitted);
     assert_eq!(report.total_txs, service.admitted);
     assert_eq!(service.pending_at_stop, 0);
+}
+
+/// The headline claim of pipelining, in simulated time (deterministic, so
+/// a stable gate): at one saturating arrival schedule — arrivals land
+/// faster than any epoch can drain them, so a backlog exists from the
+/// start — some depth W ≥ 2 beats the sequential engine's mean commit
+/// latency on at least one protocol.
+#[test]
+fn some_pipelined_depth_beats_sequential_at_matched_load() {
+    let mut spec = SweepSpec::new("pipeline-latency");
+    spec.protocols = vec![Protocol::HoneyBadgerSc, Protocol::DumboSc, Protocol::Beat];
+    spec.pipeline_depths = DEPTHS.to_vec();
+    spec.seeds = vec![7];
+    spec.batch_size = 4;
+    spec.services = vec![Some(ServiceConfig {
+        arrivals: ArrivalSpec { per_node: 24, interval_us: 1_000, tx_bytes: 32, seed: 13 },
+        mempool_capacity: 128,
+        max_epochs: 64,
+    })];
+    let mut mean_us = std::collections::BTreeMap::new();
+    for sweep_run in run_sweep(&spec, 1) {
+        let label = &sweep_run.scenario.label;
+        let cfg = &sweep_run.scenario.cfg;
+        assert!(sweep_run.report.completed, "{label}: run must drain");
+        let service = sweep_run.report.service.expect("service member present");
+        assert_eq!(service.committed_client_txs, service.admitted, "{label}");
+        mean_us.insert((cfg.protocol.slug(), cfg.pipeline_depth), service.latency.mean_us);
+    }
+    let wins = |protocol: &Protocol| {
+        let mean = |w: u64| mean_us[&(protocol.slug(), w)];
+        DEPTHS.iter().any(|&w| w > 1 && mean(w) < mean(1))
+    };
+    assert!(
+        spec.protocols.iter().any(wins),
+        "no protocol improved mean commit latency at any pipelined depth: {mean_us:?}"
+    );
 }
 
 /// Depth 0 is rejected loudly rather than silently treated as sequential.
