@@ -39,7 +39,9 @@ const TIMER_PI_RETX: u32 = 0;
 // ------------------------------------------------------------------
 // W-vector encoding: (instance, root, proof) triples.
 
-fn encode_w(entries: &[(u8, Digest32, ThresholdSignature)]) -> Bytes {
+/// Encodes a proof vector `W` (the `CBC_value` proposal): a count byte,
+/// then `(instance, root, proof)` per delivered PRBC instance.
+pub fn encode_w(entries: &[(u8, Digest32, ThresholdSignature)]) -> Bytes {
     let mut out = Vec::with_capacity(1 + entries.len() * 65);
     out.push(entries.len() as u8);
     for (id, root, proof) in entries {
@@ -50,7 +52,9 @@ fn encode_w(entries: &[(u8, Digest32, ThresholdSignature)]) -> Bytes {
     Bytes::from(out)
 }
 
-fn decode_w(data: &[u8]) -> Option<Vec<(u8, Digest32, ThresholdSignature)>> {
+/// Inverse of [`encode_w`]; `None` on malformed input (a Byzantine
+/// candidate's `W` is adversary-controlled bytes).
+pub fn decode_w(data: &[u8]) -> Option<Vec<(u8, Digest32, ThresholdSignature)>> {
     let count = *data.first()? as usize;
     if data.len() != 1 + count * 65 {
         return None;
@@ -67,14 +71,15 @@ fn decode_w(data: &[u8]) -> Option<Vec<(u8, Digest32, ThresholdSignature)>> {
 }
 
 /// Commit-set (bitmap) encoding for the baseline CBC path.
-fn encode_commit(s: &Bitmap) -> Bytes {
+pub fn encode_commit(s: &Bitmap) -> Bytes {
     let mut out = Vec::with_capacity(9);
     out.push(s.len() as u8);
     out.extend_from_slice(&s.to_raw().to_le_bytes());
     Bytes::from(out)
 }
 
-fn decode_commit(data: &[u8]) -> Option<Bitmap> {
+/// Inverse of [`encode_commit`]; `None` on malformed input.
+pub fn decode_commit(data: &[u8]) -> Option<Bitmap> {
     if data.len() != 9 || data[0] > 64 {
         return None;
     }

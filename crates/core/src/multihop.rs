@@ -26,7 +26,7 @@ use wbft_net::{broadcast_signed, open_shared, Body, Envelope, Sizing};
 use wbft_wireless::{ChannelId, Frame, NodeBehavior, NodeCtx, SimDuration, SimTime};
 
 /// Encodes a cluster's global proposal: `(cluster, epoch, digest, txs)`.
-fn encode_summary(cluster: usize, epoch: u64, digest: Digest32, tx_count: u32) -> Bytes {
+pub fn encode_summary(cluster: usize, epoch: u64, digest: Digest32, tx_count: u32) -> Bytes {
     let mut out = Vec::with_capacity(48);
     out.push(cluster as u8);
     out.extend_from_slice(&epoch.to_le_bytes());
