@@ -409,7 +409,7 @@ impl<E: Engine> ProtocolNode<E> {
             sync.digests.push(wbft_journal::chain_digest(
                 &prev,
                 b.epoch,
-                &crate::recovery::encode_block_payload(&b.txs),
+                &crate::workload::encode_batch(&b.txs),
             ));
         }
     }
@@ -455,8 +455,7 @@ impl<E: Engine> ProtocolNode<E> {
                     let mut used = 0usize;
                     let start = e;
                     while e < blocks.len() {
-                        let payload =
-                            Bytes::from(crate::recovery::encode_block_payload(&blocks[e].txs));
+                        let payload = crate::workload::encode_batch(&blocks[e].txs);
                         let sb = SyncBlock { payload, digest: sync.digests[e] };
                         if chunk.len() >= MAX_CHUNK_BLOCKS
                             || used + sb.wire_len() > SYNC_CHUNK_BUDGET
@@ -505,7 +504,7 @@ impl<E: Engine> ProtocolNode<E> {
                     if wbft_journal::chain_digest(&prev, epoch, &sb.payload) != sb.digest {
                         break;
                     }
-                    let Some(txs) = crate::recovery::decode_block_payload(&sb.payload) else {
+                    let Some(txs) = crate::workload::decode_batch(&sb.payload) else {
                         break;
                     };
                     prev = sb.digest;

@@ -32,58 +32,54 @@ use wbft_components::{
 use wbft_crypto::hash::Digest32;
 use wbft_crypto::thresh_coin::{CoinName, CoinPublicSet, CoinShare};
 use wbft_crypto::thresh_sig::ThresholdSignature;
-use wbft_net::{Bitmap, Body, CoinFlavor};
+use wbft_net::wire::{checked_bitmap_len, ByteSink, Sink, Wire, WireReader};
+use wbft_net::{Bitmap, Body, CoinFlavor, WireError};
 
 const TIMER_PI_RETX: u32 = 0;
 
 // ------------------------------------------------------------------
-// W-vector encoding: (instance, root, proof) triples.
+// W-vector and commit-set wire formats.
+
+/// One `W` entry: a delivered PRBC instance, its value root and the
+/// delivery proof.
+type WEntry = (u8, Digest32, ThresholdSignature);
 
 /// Encodes a proof vector `W` (the `CBC_value` proposal): a count byte,
-/// then `(instance, root, proof)` per delivered PRBC instance.
-pub fn encode_w(entries: &[(u8, Digest32, ThresholdSignature)]) -> Bytes {
-    let mut out = Vec::with_capacity(1 + entries.len() * 65);
-    out.push(entries.len() as u8);
-    for (id, root, proof) in entries {
-        out.push(*id);
-        out.extend_from_slice(root.as_bytes());
-        out.extend_from_slice(&proof.to_bytes());
-    }
-    Bytes::from(out)
+/// then `(instance, root, proof)` per delivered PRBC instance. The count is
+/// bounded by the committee size, which `TestbedConfig::check` caps at 64.
+pub fn encode_w(entries: &[WEntry]) -> Bytes {
+    ByteSink::bounded(|s| {
+        s.count8(entries.len())?;
+        entries.iter().try_for_each(|e| e.put(s))
+    })
 }
 
 /// Inverse of [`encode_w`]; `None` on malformed input (a Byzantine
 /// candidate's `W` is adversary-controlled bytes).
-pub fn decode_w(data: &[u8]) -> Option<Vec<(u8, Digest32, ThresholdSignature)>> {
-    let count = *data.first()? as usize;
-    if data.len() != 1 + count * 65 {
-        return None;
-    }
-    let mut out = Vec::with_capacity(count);
-    for k in 0..count {
-        let base = 1 + k * 65;
-        let id = data[base];
-        let root = Digest32(data[base + 1..base + 33].try_into().ok()?);
-        let sig = ThresholdSignature::from_bytes(&data[base + 33..base + 65].try_into().ok()?)?;
-        out.push((id, root, sig));
-    }
-    Some(out)
+pub fn decode_w(data: &[u8]) -> Option<Vec<WEntry>> {
+    WireReader::exact(data, Vec::get).ok()
 }
 
-/// Commit-set (bitmap) encoding for the baseline CBC path.
+/// Commit-set (bitmap) encoding for the baseline CBC path: the bit length,
+/// then the whole 64-bit word.
 pub fn encode_commit(s: &Bitmap) -> Bytes {
-    let mut out = Vec::with_capacity(9);
-    out.push(s.len() as u8);
-    out.extend_from_slice(&s.to_raw().to_le_bytes());
-    Bytes::from(out)
+    ByteSink::bounded(|w| {
+        w.u8(checked_bitmap_len(s.len())?);
+        w.u64(s.to_raw());
+        Ok(())
+    })
 }
 
 /// Inverse of [`encode_commit`]; `None` on malformed input.
 pub fn decode_commit(data: &[u8]) -> Option<Bitmap> {
-    if data.len() != 9 || data[0] > 64 {
-        return None;
-    }
-    Some(Bitmap::from_raw(u64::from_le_bytes(data[1..9].try_into().ok()?), data[0] as usize))
+    WireReader::exact(data, |r| {
+        let (len, raw) = (usize::from(r.u8()?), r.u64()?);
+        if len > Bitmap::CAPACITY {
+            return Err(WireError::Malformed("commit set length"));
+        }
+        Ok(Bitmap::from_raw(raw, len))
+    })
+    .ok()
 }
 
 // ------------------------------------------------------------------

@@ -29,35 +29,31 @@ use wbft_components::baseline::{BaselineAbaSet, BaselineRbcSet};
 use wbft_components::rbc::RbcBatch;
 use wbft_components::{Actions, Batcher, BinaryAgreement, Broadcaster, NodeCrypto, Params};
 use wbft_crypto::thresh_enc::{Ciphertext, DecShare};
-use wbft_crypto::GroupElem;
+use wbft_net::wire::{ByteSink, Sink, WireReader};
 use wbft_net::{Bitmap, Body, CoinFlavor};
 
 const TIMER_DEC_RETX: u32 = 0;
 
 // ------------------------------------------------------------------
-// Ciphertext wire helpers (no binary serde in the dependency set).
+// Ciphertext wire format: `u`, the tag, then the body to the end.
 
 /// Proposal bytes a ciphertext adds to its plaintext: `u` and the tag.
 pub const CIPHERTEXT_OVERHEAD: usize = 64;
 
 /// Encodes a threshold ciphertext into proposal bytes.
 pub fn encode_ciphertext(ct: &Ciphertext) -> Bytes {
-    let mut out = Vec::with_capacity(ct.wire_len());
-    out.extend_from_slice(&ct.u.to_bytes());
-    out.extend_from_slice(ct.tag.as_bytes());
-    out.extend_from_slice(&ct.body);
-    Bytes::from(out)
+    let mut s = ByteSink::new();
+    s.raw(&ct.u.to_bytes());
+    s.digest(&ct.tag);
+    s.raw(&ct.body);
+    s.into_bytes()
 }
 
 /// Decodes proposal bytes back into a ciphertext (`None` = malformed).
 pub fn decode_ciphertext(data: &[u8]) -> Option<Ciphertext> {
-    if data.len() < CIPHERTEXT_OVERHEAD {
-        return None;
-    }
-    let u_bytes: [u8; 32] = data[..32].try_into().ok()?;
-    let u = GroupElem::from_bytes(&u_bytes).ok()?;
-    let tag = wbft_crypto::Digest32(data[32..64].try_into().ok()?);
-    Some(Ciphertext { u, tag, body: data[64..].to_vec() })
+    let mut r = WireReader::new(data);
+    let (u, tag) = (r.group_elem().ok()?, r.digest().ok()?);
+    Some(Ciphertext { u, tag, body: r.rest().to_vec() })
 }
 
 /// The decryption-label of a proposer's epoch ciphertext.

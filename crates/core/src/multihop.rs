@@ -22,29 +22,26 @@ use wbft_components::aba_sc::AbaScBatch;
 use wbft_components::rbc::RbcBatch;
 use wbft_components::NodeCrypto;
 use wbft_crypto::hash::Digest32;
-use wbft_net::{broadcast_signed, open_shared, Body, Envelope, Sizing};
+use wbft_net::wire::{ByteSink, Sink, WireReader};
+use wbft_net::{broadcast_signed, open_shared, Body, Envelope, Sizing, WireError};
 use wbft_wireless::{ChannelId, Frame, NodeBehavior, NodeCtx, SimDuration, SimTime};
 
 /// Encodes a cluster's global proposal: `(cluster, epoch, digest, txs)`.
-pub fn encode_summary(cluster: usize, epoch: u64, digest: Digest32, tx_count: u32) -> Bytes {
-    let mut out = Vec::with_capacity(48);
-    out.push(cluster as u8);
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(digest.as_bytes());
-    out.extend_from_slice(&tx_count.to_le_bytes());
-    Bytes::from(out)
+/// The cluster index fits its byte because `TestbedConfig::check` caps the
+/// clusters at 64; the count is at most one block's transactions.
+pub fn encode_summary(cluster: usize, epoch: u64, digest: Digest32, tx_count: usize) -> Bytes {
+    ByteSink::bounded(|s| {
+        s.u8(u8::try_from(cluster).map_err(|_| WireError::Oversize("cluster index"))?);
+        s.u64(epoch);
+        s.digest(&digest);
+        s.u32(u32::try_from(tx_count).map_err(|_| WireError::Oversize("summary tx count"))?);
+        Ok(())
+    })
 }
 
 /// Decodes a global proposal summary.
 pub fn decode_summary(data: &[u8]) -> Option<(usize, u64, Digest32, u32)> {
-    if data.len() != 45 {
-        return None;
-    }
-    let cluster = data[0] as usize;
-    let epoch = u64::from_le_bytes(data[1..9].try_into().ok()?);
-    let digest = Digest32(data[9..41].try_into().ok()?);
-    let tx_count = u32::from_le_bytes(data[41..45].try_into().ok()?);
-    Some((cluster, epoch, digest, tx_count))
+    WireReader::exact(data, |r| Ok((usize::from(r.u8()?), r.u64()?, r.digest()?, r.u32()?))).ok()
 }
 
 /// Digest of a block (for summaries and announcements).
@@ -240,12 +237,8 @@ impl ClusterNode {
                     self.joined_global = true;
                     ctx.join_channel(self.global_channel);
                 }
-                let summary = encode_summary(
-                    self.cluster,
-                    epoch,
-                    block_digest(block),
-                    block.txs.len() as u32,
-                );
+                let summary =
+                    encode_summary(self.cluster, epoch, block_digest(block), block.txs.len());
                 let mut source = BatchSource::Fixed(Vec::new());
                 source.set_fixed(0, summary);
                 // The global instance runs one epoch; sessions are offset by

@@ -258,6 +258,7 @@ impl ClientGateway for ServiceGateway {
                     AdmitOutcome::Admitted => SubmitVerdict::Admitted,
                     AdmitOutcome::Duplicate => SubmitVerdict::Duplicate,
                     AdmitOutcome::Full => SubmitVerdict::Full,
+                    AdmitOutcome::TooLarge => SubmitVerdict::TooLarge,
                 };
                 let reply = ClientMsg::SubmitReply { verdict, digest: digest.0 };
                 if let Ok(bytes) = reply.encode() {

@@ -10,21 +10,9 @@
 //! and including epoch `e` — it is the digest the sync protocol ships with
 //! each block and the digest restarted nodes compare against their peers.
 
-use crate::driver::{Block, Tx};
+use crate::driver::Block;
 use crate::workload::{decode_batch, encode_batch};
 use wbft_journal::{chain_digest, Journal, JournalError, JournalStore, GENESIS_DIGEST};
-
-/// Encodes a block's transactions as a journal record payload.
-pub fn encode_block_payload(txs: &[Tx]) -> Vec<u8> {
-    encode_batch(txs).to_vec()
-}
-
-/// Inverse of [`encode_block_payload`]. `None` on malformed bytes (journal
-/// checksums make this unreachable for records we wrote, but recovery must
-/// stay total).
-pub fn decode_block_payload(payload: &[u8]) -> Option<Vec<Tx>> {
-    decode_batch(payload)
-}
 
 /// The cumulative journal chain digest after each block of `blocks`,
 /// starting from genesis. `digests[e]` is what the journal head would be
@@ -34,7 +22,7 @@ pub fn chain_digests(blocks: &[Block]) -> Vec<[u8; 32]> {
     let mut out = Vec::with_capacity(blocks.len());
     let mut head = GENESIS_DIGEST;
     for b in blocks {
-        head = chain_digest(&head, b.epoch, &encode_block_payload(&b.txs));
+        head = chain_digest(&head, b.epoch, &encode_batch(&b.txs));
         out.push(head);
     }
     out
@@ -62,7 +50,9 @@ impl BlockJournal {
         let (journal, records) = Journal::open(store)?;
         let mut blocks = Vec::with_capacity(records.len());
         for r in records {
-            let Some(txs) = decode_block_payload(&r.payload) else {
+            // Journal checksums make a bad payload unreachable for records
+            // we wrote, but recovery must stay total.
+            let Some(txs) = decode_batch(&r.payload) else {
                 return Err(JournalError::ChainMismatch { epoch: r.epoch });
             };
             blocks.push(Block { epoch: r.epoch, txs });
@@ -77,7 +67,7 @@ impl BlockJournal {
     /// Store I/O failures, or `EpochGap` when `block.epoch` is not the next
     /// journal epoch (a driver bug, not a runtime condition).
     pub fn append(&mut self, block: &Block) -> Result<[u8; 32], JournalError> {
-        self.journal.append(block.epoch, &encode_block_payload(&block.txs))
+        self.journal.append(block.epoch, &encode_batch(&block.txs))
     }
 
     /// Cumulative chain digest after the last journaled block.
@@ -127,14 +117,6 @@ mod tests {
         assert_eq!(recovered, chain);
         assert_eq!(j.len(), 3);
         assert_eq!(j.head(), *chain_digests(&chain).last().unwrap());
-    }
-
-    #[test]
-    fn payload_codec_round_trips_and_rejects_garbage() {
-        let txs = vec![Bytes::from_static(b"abc"), Bytes::new()];
-        let enc = encode_block_payload(&txs);
-        assert_eq!(decode_block_payload(&enc), Some(txs));
-        assert_eq!(decode_block_payload(&[0xff]), None);
     }
 
     #[test]

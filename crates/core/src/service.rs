@@ -24,8 +24,11 @@
 //! byte-identity guarantee.
 
 use crate::driver::{Block, Tx};
+use crate::honeybadger::CIPHERTEXT_OVERHEAD;
+use crate::workload::{BATCH_COUNT_BYTES, TX_LEN_BYTES};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
+use wbft_components::rbc::MAX_VALUE_BYTES;
 use wbft_crypto::hash::Digest32;
 use wbft_wireless::{SimDuration, SimTime};
 
@@ -55,6 +58,13 @@ pub fn block_digests(blocks: &[Block]) -> Vec<Digest32> {
 // ------------------------------------------------------------------
 // Mempool.
 
+/// The most bytes a proposal batch may encode to: what one broadcast
+/// instance carries ([`MAX_VALUE_BYTES`]) less the threshold ciphertext's
+/// overhead, the strictest lane (HoneyBadger and BEAT encrypt their batch,
+/// Dumbo does not). A larger batch would never be aired, and no instance
+/// would deliver.
+pub const BATCH_BUDGET: usize = MAX_VALUE_BYTES - CIPHERTEXT_OVERHEAD;
+
 /// The explicit backpressure answer to one submission.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdmitOutcome {
@@ -65,6 +75,9 @@ pub enum AdmitOutcome {
     Duplicate,
     /// The pool is at capacity — the client should back off and resubmit.
     Full,
+    /// The transaction alone would make a batch over [`BATCH_BUDGET`]; no
+    /// proposal can ever carry it.
+    TooLarge,
 }
 
 /// Where a known transaction digest currently lives.
@@ -169,6 +182,9 @@ impl Mempool {
     /// Offers one transaction at local time `now`.
     pub fn admit(&mut self, tx: Tx, now: SimTime) -> AdmitOutcome {
         self.stats.submitted += 1;
+        if BATCH_COUNT_BYTES + TX_LEN_BYTES + tx.len() > BATCH_BUDGET {
+            return AdmitOutcome::TooLarge;
+        }
         let d = tx_digest(&tx);
         if self.phases.contains_key(&d) {
             self.stats.rejected_dup += 1;
@@ -187,21 +203,28 @@ impl Mempool {
         AdmitOutcome::Admitted
     }
 
-    /// Pulls up to `max` transactions (FIFO) into the proposal of `epoch`.
+    /// Pulls up to `max` transactions (FIFO) into the proposal of `epoch`,
+    /// stopping before the encoded batch would exceed [`BATCH_BUDGET`]; the
+    /// rest stays queued, in order, for the next proposal.
     pub fn next_batch(&mut self, epoch: u64, max: usize) -> Vec<Tx> {
         let mut out = Vec::new();
+        let mut encoded = BATCH_COUNT_BYTES;
         while out.len() < max {
-            let Some((seq, tx)) = self.queue.pop_front() else { break };
-            let d = tx_digest(&tx);
-            match self.phases.get(&d) {
-                Some(TxPhase::Waiting(since)) => {
-                    self.phases.insert(d, TxPhase::Proposed(seq, *since));
-                    self.in_flight.push((epoch, tx.clone()));
-                    out.push(tx);
-                }
+            let Some((_, tx)) = self.queue.front() else { break };
+            let d = tx_digest(tx);
+            let Some(&TxPhase::Waiting(since)) = self.phases.get(&d) else {
                 // Committed meanwhile through a peer's proposal — drop.
-                _ => continue,
+                self.queue.pop_front();
+                continue;
+            };
+            encoded += TX_LEN_BYTES + tx.len();
+            if encoded > BATCH_BUDGET {
+                break;
             }
+            let Some((seq, tx)) = self.queue.pop_front() else { break };
+            self.phases.insert(d, TxPhase::Proposed(seq, since));
+            self.in_flight.push((epoch, tx.clone()));
+            out.push(tx);
         }
         out
     }
@@ -742,6 +765,36 @@ mod tests {
         let batch = m.next_batch(0, 10);
         assert_eq!(batch.len(), 2);
         assert_eq!(m.admit(tx(3), t0), AdmitOutcome::Admitted);
+    }
+
+    #[test]
+    fn batches_stay_within_the_budget_and_an_oversize_tx_is_refused() {
+        use crate::workload::encode_batch;
+        let mut m = Mempool::new(64);
+        // The largest transaction a proposal carries alone, and one byte more.
+        let max = BATCH_BUDGET - BATCH_COUNT_BYTES - TX_LEN_BYTES;
+        assert_eq!(m.admit(Bytes::from(vec![0; max + 1]), SimTime::ZERO), AdmitOutcome::TooLarge);
+        assert_eq!(m.admit(Bytes::from(vec![0; max]), SimTime::ZERO), AdmitOutcome::Admitted);
+        let admitted: Vec<Tx> = (1..=40).map(|tag| Bytes::from(vec![tag; 400])).collect();
+        for tx in &admitted {
+            assert_eq!(m.admit(tx.clone(), SimTime::ZERO), AdmitOutcome::Admitted);
+        }
+        let (mut drained, mut sizes) = (Vec::new(), Vec::new());
+        for epoch in 0.. {
+            let batch = m.next_batch(epoch, 32);
+            if batch.is_empty() {
+                break;
+            }
+            assert!(encode_batch(&batch).len() <= BATCH_BUDGET, "epoch {epoch}");
+            sizes.push(batch.len());
+            drained.extend(batch);
+        }
+        // The full-size transaction rides alone; the rest follow in order,
+        // 23 of 400 B to a proposal instead of 32.
+        assert_eq!(sizes, [1, 23, 17]);
+        assert_eq!(drained[0].len(), max);
+        assert_eq!(drained[1..], admitted[..]);
+        assert_eq!(m.stats().submitted, 42);
     }
 
     #[test]

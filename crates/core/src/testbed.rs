@@ -30,6 +30,7 @@ use wbft_components::{deal_committee_crypto, deal_node_crypto, NodeCrypto};
 use wbft_crypto::CryptoSuite;
 use wbft_journal::{JournalError, JournalStore, SharedMem};
 use wbft_membership::{MembershipOp, ACTIVATION_DELAY};
+use wbft_net::Bitmap;
 use wbft_transport::SYNC_CHANNEL;
 use wbft_wireless::{
     AdversaryConfig, ChannelId, CsmaParams, DmaParams, LossModel, Metrics, NodeId, RadioParams,
@@ -373,6 +374,21 @@ impl TestbedConfig {
         }
         if self.pipeline_depth == 0 {
             return Err("invalid pipeline depth: 0 (W >= 1; W = 1 is sequential)".into());
+        }
+        // Every node set on the wire (NACKs, votes, commit sets) is a
+        // `Bitmap`, and so is the global tier's set of cluster leaders.
+        let nodes = self.n_total();
+        if nodes > Bitmap::CAPACITY {
+            return Err(format!(
+                "{nodes} nodes (genesis plus joiners) exceed the {} a node bitmap holds",
+                Bitmap::CAPACITY
+            ));
+        }
+        if let Some(m) = self.clusters.filter(|&m| m > Bitmap::CAPACITY) {
+            return Err(format!(
+                "{m} clusters exceed the {} global-tier members a node bitmap holds",
+                Bitmap::CAPACITY
+            ));
         }
         // A proposal no receiver can reassemble is never aired, and the
         // run would sit to its deadline. (Service proposals are bounded by
@@ -1069,6 +1085,21 @@ mod tests {
             (&[|c| c.crash = crash_at(4)], Err("crash event names node 4")),
             (&[n7, byz, |c| c.crash = crash_at(1)], Err("both Byzantine and crash-scheduled")),
             (&[|c| c.churn = swap()], Err("cannot activate")),
+            // Every committee fits a node bitmap, joiners included.
+            (&[|c| c.n = 64], Ok(())),
+            (&[|c| c.n = 67], Err("67 nodes (genesis plus joiners) exceed the 64")),
+            (
+                &[churn, |c| {
+                    c.n = 64;
+                    c.churn = Some(ChurnPlan {
+                        from_epoch: 1,
+                        ops: vec![MembershipOp::Join(64), MembershipOp::Leave(0)],
+                    })
+                }],
+                Err("65 nodes (genesis plus joiners) exceed the 64"),
+            ),
+            (&[|c| c.clusters = Some(64)], Ok(())),
+            (&[|c| c.clusters = Some(65)], Err("65 clusters exceed the 64")),
             (
                 &[churn, |c| c.churn = Some(ChurnPlan { from_epoch: 1, ops: vec![MembershipOp::Leave(0)] })],
                 Err("invalid committee size"),

@@ -3,11 +3,15 @@
 //! The testbed measures throughput in committed transactions per minute
 //! (TPM), so the workload layer both generates reproducible per-node
 //! batches and defines the canonical batch encoding that travels inside
-//! proposals (and, for HoneyBadger/BEAT, inside threshold ciphertexts).
+//! proposals (and, for HoneyBadger/BEAT, inside threshold ciphertexts),
+//! journal records and sync blocks. It writes through `ByteSink` and reads
+//! through `WireReader`, like every other byte format.
 
 use crate::driver::Tx;
 use bytes::Bytes;
 use wbft_crypto::hash::Digest32;
+use wbft_net::wire::{ByteSink, Sink, WireReader};
+use wbft_net::WireError;
 
 /// Deterministic per-node, per-epoch transaction source.
 #[derive(Clone, Debug)]
@@ -28,7 +32,7 @@ impl Workload {
 
     /// Bytes [`encode_batch`] makes of one of this workload's batches.
     pub fn encoded_len(&self) -> usize {
-        4 + self.batch_size * (2 + self.tx_bytes)
+        BATCH_COUNT_BYTES + self.batch_size * (TX_LEN_BYTES + self.tx_bytes)
     }
 
     /// The batch node `me` proposes in `epoch`. Deterministic, and disjoint
@@ -121,45 +125,40 @@ impl From<Workload> for BatchSource {
     }
 }
 
+/// Most transactions [`decode_batch`] accepts in one batch.
+const MAX_BATCH_TXS: usize = 100_000;
+
+/// Bytes [`encode_batch`] spends on the transaction count.
+pub(crate) const BATCH_COUNT_BYTES: usize = 4;
+
+/// Bytes [`encode_batch`] spends on each transaction's length.
+pub(crate) const TX_LEN_BYTES: usize = 2;
+
 /// Serializes a batch: `u32` count, then `u16`-length-prefixed transactions.
+///
+/// The prefixes are bounded where transactions enter: `Mempool::admit`
+/// refuses one over [`crate::service::BATCH_BUDGET`], `TestbedConfig::check`
+/// a workload whose proposal exceeds one broadcast instance, and a decoded
+/// batch's transactions carry u16 lengths already.
 pub fn encode_batch(txs: &[Tx]) -> Bytes {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(txs.len() as u32).to_le_bytes());
-    for tx in txs {
-        out.extend_from_slice(&(tx.len() as u16).to_le_bytes());
-        out.extend_from_slice(tx);
-    }
-    Bytes::from(out)
+    ByteSink::bounded(|s| {
+        s.u32(u32::try_from(txs.len()).map_err(|_| WireError::Oversize("batch count"))?);
+        txs.iter().try_for_each(|tx| s.bytes(tx))
+    })
 }
 
 /// Inverse of [`encode_batch`]. Returns `None` on malformed input
 /// (a Byzantine proposer's garbage decrypts to garbage).
 pub fn decode_batch(data: &[u8]) -> Option<Vec<Tx>> {
-    if data.len() < 4 {
-        return None;
-    }
-    let count = u32::from_le_bytes(data[..4].try_into().ok()?) as usize;
-    if count > 100_000 {
-        return None;
-    }
-    let mut txs = Vec::with_capacity(count);
-    let mut pos = 4;
-    for _ in 0..count {
-        if data.len() < pos + 2 {
-            return None;
+    WireReader::exact(data, |r| {
+        let count = r.u32()? as usize;
+        if count > MAX_BATCH_TXS {
+            return Err(WireError::Malformed("batch count"));
         }
-        let len = u16::from_le_bytes(data[pos..pos + 2].try_into().ok()?) as usize;
-        pos += 2;
-        if data.len() < pos + len {
-            return None;
-        }
-        txs.push(Bytes::copy_from_slice(&data[pos..pos + len]));
-        pos += len;
-    }
-    if pos != data.len() {
-        return None;
-    }
-    Some(txs)
+        // Each transaction takes at least its two length bytes.
+        r.list(count, r.remaining() / 2, WireReader::bytes)
+    })
+    .ok()
 }
 
 #[cfg(test)]

@@ -37,7 +37,9 @@ use wbft_crypto::reshare::{self, ReshareDealing};
 use wbft_crypto::thresh_coin::{CoinPublicSet, CoinSecretShare};
 use wbft_crypto::thresh_enc::{EncPublicSet, EncSecretShare};
 use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare};
-use wbft_crypto::{GroupElem, Scalar, ShareIndex};
+use wbft_crypto::{GroupElem, ShareIndex};
+use wbft_net::wire::{ByteSink, Sink, WireReader};
+use wbft_net::WireError;
 
 use crate::view::CommitteeConfig;
 
@@ -76,76 +78,60 @@ pub struct DealSet {
     pub enc: ReshareDealing,
 }
 
-fn encode_dealing(v: &mut Vec<u8>, d: &ReshareDealing) {
-    v.extend_from_slice(&d.dealer.value().to_le_bytes());
-    v.extend_from_slice(&(d.commitments.len() as u16).to_le_bytes());
-    for c in &d.commitments {
-        v.extend_from_slice(&c.to_bytes());
+/// One dealing: dealer index, the u16-counted commitments, then the
+/// u16-counted `(index, subshare)` pairs.
+fn put_dealing(s: &mut ByteSink, d: &ReshareDealing) -> Result<(), WireError> {
+    s.u16(d.dealer.value());
+    s.count16(d.commitments.len())?;
+    d.commitments.iter().for_each(|c| s.raw(&c.to_bytes()));
+    s.count16(d.subshares.len())?;
+    for (i, sub) in &d.subshares {
+        s.u16(i.value());
+        s.raw(&sub.to_bytes());
     }
-    v.extend_from_slice(&(d.subshares.len() as u16).to_le_bytes());
-    for (i, s) in &d.subshares {
-        v.extend_from_slice(&i.value().to_le_bytes());
-        v.extend_from_slice(&s.to_bytes());
-    }
+    Ok(())
 }
 
-struct Cursor<'a>(&'a [u8]);
-
-impl<'a> Cursor<'a> {
-    fn u16(&mut self) -> Option<u16> {
-        let (head, rest) = self.0.split_first_chunk::<2>()?;
-        self.0 = rest;
-        Some(u16::from_le_bytes(*head))
-    }
-
-    fn arr32(&mut self) -> Option<[u8; 32]> {
-        let (head, rest) = self.0.split_first_chunk::<32>()?;
-        self.0 = rest;
-        Some(*head)
-    }
-}
-
-fn decode_dealing(c: &mut Cursor<'_>) -> Option<ReshareDealing> {
-    let dealer = ShareIndex::new(c.u16()?).ok()?;
-    let n_commit = c.u16()? as usize;
-    let mut commitments = Vec::with_capacity(n_commit.min(64));
-    for _ in 0..n_commit {
-        commitments.push(GroupElem::from_bytes(&c.arr32()?).ok()?);
-    }
-    let n_sub = c.u16()? as usize;
-    let mut subshares = Vec::with_capacity(n_sub.min(64));
-    for _ in 0..n_sub {
-        let i = ShareIndex::new(c.u16()?).ok()?;
-        let s = Scalar::from_bytes_reduced(&c.arr32()?);
-        subshares.push((i, s));
-    }
-    Some(ReshareDealing { dealer, commitments, subshares })
+/// Reads one dealing. Both lists reserve at most 64 entries up front, the
+/// committee ceiling, whatever count the bytes claim.
+fn get_dealing(r: &mut WireReader<'_>) -> Result<ReshareDealing, WireError> {
+    let dealer = r.share_index()?;
+    let count = usize::from(r.u16()?);
+    let commitments = r.list(count, 64, WireReader::group_elem)?;
+    let count = usize::from(r.u16()?);
+    let subshares = r.list(count, 64, |r| Ok((r.share_index()?, r.scalar()?)))?;
+    Ok(ReshareDealing { dealer, commitments, subshares })
 }
 
 impl DealSet {
     /// Serializes for the wire (the net layer carries this as opaque bytes
-    /// so it stays independent of membership types).
+    /// so it stays independent of membership types): the dealer's global
+    /// id, then the PRBC, CBC, coin and encryption dealings.
+    ///
+    /// A dealing lists one commitment per threshold degree and one subshare
+    /// per new member, so its u16 counts are bounded by the committee size,
+    /// which `TestbedConfig::check` caps at 64 nodes.
     pub fn encode(&self) -> Bytes {
-        let mut v = Vec::new();
-        v.extend_from_slice(&self.dealer.to_le_bytes());
-        for d in [&self.prbc, &self.cbc, &self.coin, &self.enc] {
-            encode_dealing(&mut v, d);
-        }
-        Bytes::from(v)
+        ByteSink::bounded(|s| {
+            s.u16(self.dealer);
+            [&self.prbc, &self.cbc, &self.coin, &self.enc]
+                .into_iter()
+                .try_for_each(|d| put_dealing(s, d))
+        })
     }
 
     /// Total inverse of [`DealSet::encode`]: `None` on any malformed input.
     pub fn decode(bytes: &[u8]) -> Option<DealSet> {
-        let mut c = Cursor(bytes);
-        let dealer = c.u16()?;
-        let prbc = decode_dealing(&mut c)?;
-        let cbc = decode_dealing(&mut c)?;
-        let coin = decode_dealing(&mut c)?;
-        let enc = decode_dealing(&mut c)?;
-        if !c.0.is_empty() {
-            return None;
-        }
-        Some(DealSet { dealer, prbc, cbc, coin, enc })
+        WireReader::exact(bytes, |r| {
+            Ok(DealSet {
+                dealer: r.u16()?,
+                prbc: get_dealing(r)?,
+                cbc: get_dealing(r)?,
+                coin: get_dealing(r)?,
+                enc: get_dealing(r)?,
+            })
+        })
+        .ok()
     }
 }
 
@@ -348,6 +334,7 @@ mod tests {
     use rand::SeedableRng;
     use wbft_components::deal_node_crypto;
     use wbft_crypto::profile::CryptoSuite;
+    use wbft_crypto::Scalar;
 
     fn swap_configs() -> (CommitteeConfig, CommitteeConfig) {
         let mut log = CommitteeLog::new(4);

@@ -9,6 +9,8 @@
 //! arbitrary bytes and simply returns `None` for client transactions.
 
 use bytes::Bytes;
+use wbft_net::wire::{ByteSink, Sink, WireReader};
+use wbft_net::WireError;
 
 /// Magic prefix reserving the membership transaction class.
 pub const MEMBERSHIP_TX_MAGIC: &[u8; 8] = b"WBFT/MEM";
@@ -44,31 +46,33 @@ impl core::fmt::Display for MembershipOp {
 
 /// Encodes an op as a reserved-class transaction: magic, kind byte, node id.
 pub fn encode_op(op: MembershipOp) -> Bytes {
-    let mut v = Vec::with_capacity(11);
-    v.extend_from_slice(MEMBERSHIP_TX_MAGIC);
     let (kind, node) = match op {
-        MembershipOp::Join(n) => (0u8, n),
-        MembershipOp::Leave(n) => (1u8, n),
+        MembershipOp::Join(n) => (0, n),
+        MembershipOp::Leave(n) => (1, n),
     };
-    v.push(kind);
-    v.extend_from_slice(&node.to_le_bytes());
-    Bytes::from(v)
+    let mut s = ByteSink::new();
+    s.raw(MEMBERSHIP_TX_MAGIC);
+    s.u8(kind);
+    s.u16(node);
+    s.into_bytes()
 }
 
 /// Decodes a reserved-class transaction back into an op. Returns `None`
 /// for anything that is not an exactly well-formed membership tx — client
 /// payloads, truncated bytes, unknown kinds, trailing garbage.
 pub fn decode_op(tx: &[u8]) -> Option<MembershipOp> {
-    let rest = tx.strip_prefix(MEMBERSHIP_TX_MAGIC.as_slice())?;
-    if rest.len() != 3 {
-        return None;
-    }
-    let node = u16::from_le_bytes([rest[1], rest[2]]);
-    match rest[0] {
-        0 => Some(MembershipOp::Join(node)),
-        1 => Some(MembershipOp::Leave(node)),
-        _ => None,
-    }
+    WireReader::exact(tx, |r| {
+        if r.array()? != *MEMBERSHIP_TX_MAGIC {
+            return Err(WireError::Malformed("membership magic"));
+        }
+        let (kind, node) = (r.u8()?, r.u16()?);
+        match kind {
+            0 => Ok(MembershipOp::Join(node)),
+            1 => Ok(MembershipOp::Leave(node)),
+            _ => Err(WireError::Malformed("membership op kind")),
+        }
+    })
+    .ok()
 }
 
 #[cfg(test)]

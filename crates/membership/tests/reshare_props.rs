@@ -7,7 +7,10 @@
 //! verify under the genesis public keys, while shares from the superseded
 //! sharing must die at the door. Unit tests pin one swap; these tests walk
 //! random committee sizes, random leave/join sets, random deal-absorption
-//! orders and random combine subsets.
+//! orders and random combine subsets. The deal set and the membership op
+//! are bytes from the network, so their codecs get the hostile-input
+//! battery: exact round trip, every strict prefix and a trailing byte
+//! refused, garbage never a panic.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -16,7 +19,7 @@ use wbft_components::{deal_node_crypto, CoinShareBuf, NodeCrypto, SigShareBuf};
 use wbft_crypto::profile::CryptoSuite;
 use wbft_crypto::thresh_coin::CoinName;
 use wbft_crypto::{thresh_coin, thresh_sig, ThresholdCurve};
-use wbft_membership::{CommitteeLog, DealSet, MembershipOp, ReshareCeremony};
+use wbft_membership::{decode_op, encode_op, CommitteeLog, DealSet, MembershipOp, ReshareCeremony};
 
 /// Fisher–Yates over a copy; the shim's `StdRng` is deterministic per seed
 /// so every failing case replays exactly.
@@ -209,5 +212,60 @@ proptest! {
         prop_assert!(cbuf.shares().is_empty());
         prop_assert_eq!(cbuf.reporters(), 0);
         prop_assert!(cbuf.insert_tagged(csec[2].coin_share(name), 4, epoch));
+    }
+}
+
+/// The hostile-input battery of a format that fills its payload exactly:
+/// the encoding decodes back to the value, and every strict prefix and the
+/// encoding plus one byte are refused.
+fn exact_format<T: PartialEq + std::fmt::Debug>(
+    value: &T,
+    bytes: &[u8],
+    decode: impl Fn(&[u8]) -> Option<T>,
+    extra: u8,
+) -> Result<(), TestCaseError> {
+    let decoded = decode(bytes);
+    prop_assert_eq!(decoded.as_ref(), Some(value));
+    for cut in 0..bytes.len() {
+        prop_assert!(decode(&bytes[..cut]).is_none(), "prefix of {} bytes", cut);
+    }
+    let mut longer = bytes.to_vec();
+    longer.push(extra);
+    prop_assert!(decode(&longer).is_none(), "trailing byte accepted");
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn deal_set_codec_is_exact(seed in any::<u64>(), extra in any::<u8>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let genesis = deal_node_crypto(4, CryptoSuite::light(), &mut rng);
+        let mut log = CommitteeLog::new(4);
+        let ops = [MembershipOp::Join(4), MembershipOp::Leave((seed % 4) as u16)];
+        let new = log.on_commit(1, &ops).cloned().expect("a swap is a valid change");
+        let ceremony = ReshareCeremony::new(log.config_at(0).clone(), new);
+        let dealer = ceremony.dealers()[0];
+        let deal = ceremony.make_deal(&genesis[dealer as usize], dealer, &mut rng).unwrap();
+        exact_format(&deal, &deal.encode(), DealSet::decode, extra)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn membership_op_codec_is_exact(join in any::<bool>(), node in any::<u16>(), extra in any::<u8>()) {
+        let op = if join { MembershipOp::Join(node) } else { MembershipOp::Leave(node) };
+        exact_format(&op, &encode_op(op), decode_op, extra)?;
+    }
+
+    #[test]
+    fn deal_set_and_op_decoders_never_panic_on_garbage(
+        data in proptest::collection::vec(any::<u8>(), 0..900)
+    ) {
+        let _ = DealSet::decode(&data); // each must return, never panic
+        let _ = decode_op(&data);
     }
 }

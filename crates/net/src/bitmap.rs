@@ -12,13 +12,17 @@ pub struct Bitmap {
 }
 
 impl Bitmap {
+    /// Most bits a bitmap holds — and so the most nodes any committee, and
+    /// the most clusters a multi-hop global tier, can have.
+    pub const CAPACITY: usize = 64;
+
     /// An empty bitmap of logical length `len`.
     ///
     /// # Panics
     ///
     /// Panics if `len > 64`.
     pub fn new(len: usize) -> Self {
-        assert!(len <= 64, "bitmap capacity is 64, got {len}");
+        assert!(len <= Self::CAPACITY, "bitmap capacity is 64, got {len}");
         // wbft-lint: allow(wire-safety) — len asserted ≤ 64 just above
         Bitmap { bits: 0, len: len as u8 }
     }
@@ -108,7 +112,7 @@ impl Bitmap {
 
     /// Rebuilds from a raw word; bits beyond `len` are cleared.
     pub fn from_raw(bits: u64, len: usize) -> Self {
-        assert!(len <= 64, "bitmap capacity is 64, got {len}");
+        assert!(len <= Self::CAPACITY, "bitmap capacity is 64, got {len}");
         let mask = if len == 64 { u64::MAX } else { (1u64 << len) - 1 };
         // wbft-lint: allow(wire-safety) — len asserted ≤ 64 just above
         Bitmap { bits: bits & mask, len: len as u8 }

@@ -8,11 +8,15 @@
 //! unbatched deployment the paper compares against.
 //!
 //! A body encodes through the dual-mode [`Sink`](crate::wire::Sink); see
-//! [`crate::wire`] for how nominal (paper-sized) lengths are derived.
+//! [`crate::wire`] for how nominal (paper-sized) lengths are derived. Each
+//! variant's layout is one entry of the wire table below — its kind byte
+//! and the order its fields travel in — from which the kind, the encoder
+//! and the decoder are generated, every field a [`Wire`] type; only the two
+//! coin-carrying variants are written out by hand.
 
 use crate::bitmap::Bitmap;
 use crate::vote::{BinValues, Vote};
-use crate::wire::{ByteSink, CoinFlavor, CountSink, Sink, Sizing, WireError, WireReader};
+use crate::wire::{ByteSink, CoinFlavor, CountSink, Sink, Sizing, Wire, WireError, WireReader};
 use bytes::{BufMut, Bytes, BytesMut};
 use wbft_crypto::hash::Digest32;
 use wbft_crypto::schnorr::{KeyPair, PublicKey, Signature};
@@ -322,37 +326,6 @@ pub enum Body {
 }
 
 impl Body {
-    /// Discriminant byte for encoding.
-    fn kind(&self) -> u8 {
-        match self {
-            Body::RbcInit { .. } => 0,
-            Body::RbcEchoReady { .. } => 1,
-            Body::CbcInit { .. } => 2,
-            Body::CbcEchoFinish { .. } => 3,
-            Body::PrbcDone { .. } => 4,
-            Body::RbcSmall { .. } => 5,
-            Body::CbcSmall { .. } => 6,
-            Body::AbaLc { .. } => 7,
-            Body::AbaSc { .. } => 8,
-            Body::BaseRbcInit { .. } => 9,
-            Body::BaseRbcEcho { .. } => 10,
-            Body::BaseRbcReady { .. } => 11,
-            Body::BaseCbcEcho { .. } => 12,
-            Body::BaseCbcFinish { .. } => 13,
-            Body::BasePrbcDone { .. } => 14,
-            Body::BaseAbaBval { .. } => 15,
-            Body::BaseAbaAux { .. } => 16,
-            Body::BaseAbaCoin { .. } => 17,
-            Body::BaseAbaDecided { .. } => 18,
-            // 19 stays reserved (a retired baseline ABA-LC report form).
-            Body::DecShareBatch { .. } => 20,
-            Body::BaseDecShare { .. } => 21,
-            // 22 stays reserved (a retired multi-hop leader complaint).
-            Body::GlobalDecision { .. } => 23,
-            Body::Reshare { .. } => 24,
-        }
-    }
-
     /// Stable transmit-queue slot for this body: two bodies with the same
     /// slot carry *versions of the same logical packet* (a combined
     /// ConsensusBatcher packet, a specific INITIAL fragment, a specific
@@ -403,419 +376,208 @@ impl Body {
         };
         kind << 48 | sub
     }
+}
 
-    /// Encodes the body (without header or signature) into a sink.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Oversize`] when a variable-length field (fragment data,
-    /// bitmap, list count) does not fit its wire-format length prefix — the
-    /// caller drops the message instead of aborting the node.
-    pub fn encode_into(&self, s: &mut impl Sink) -> Result<(), WireError> {
-        s.u8(self.kind());
-        match self {
-            Body::RbcInit { instance, frag, frag_total, root, data, init_nack }
-            | Body::CbcInit { instance, frag, frag_total, root, data, init_nack } => {
-                s.u8(*instance);
-                s.u8(*frag);
-                s.u8(*frag_total);
-                s.digest(root);
-                s.bytes(data)?;
-                s.bitmap(init_nack)?;
-            }
-            Body::RbcEchoReady { roots, echo, ready, echo_nack, ready_nack, init_nack } => {
-                encode_roots(s, roots)?;
-                s.bitmap(echo)?;
-                s.bitmap(ready)?;
-                s.bitmap(echo_nack)?;
-                s.bitmap(ready_nack)?;
-                s.bitmap(init_nack)?;
-            }
-            Body::CbcEchoFinish {
-                roots,
-                echo_shares,
-                finish_sigs,
-                echo_nack,
-                finish_nack,
-                init_nack,
-            } => {
-                encode_roots(s, roots)?;
-                s.count8(echo_shares.len())?;
-                for (i, share) in echo_shares {
-                    s.u8(*i);
-                    s.sig_share(share);
-                }
-                s.count8(finish_sigs.len())?;
-                for (i, sig) in finish_sigs {
-                    s.u8(*i);
-                    s.thresh_sig(sig);
-                }
-                s.bitmap(echo_nack)?;
-                s.bitmap(finish_nack)?;
-                s.bitmap(init_nack)?;
-            }
-            Body::PrbcDone { roots, shares, proofs, sig_nack } => {
-                encode_roots(s, roots)?;
-                s.count8(shares.len())?;
-                for (i, share) in shares {
-                    s.u8(*i);
-                    s.sig_share(share);
-                }
-                s.count8(proofs.len())?;
-                for (i, sig) in proofs {
-                    s.u8(*i);
-                    s.thresh_sig(sig);
-                }
-                s.bitmap(sig_nack)?;
-            }
-            Body::RbcSmall { values, echo, ready, init_nack, echo_nack, ready_nack } => {
-                encode_votes(s, values)?;
-                s.bitmap(echo)?;
-                s.bitmap(ready)?;
-                s.bitmap(init_nack)?;
-                s.bitmap(echo_nack)?;
-                s.bitmap(ready_nack)?;
-            }
-            Body::CbcSmall {
-                values,
-                echo_shares,
-                finish_sigs,
-                init_nack,
-                echo_nack,
-                finish_nack,
-            } => {
-                s.count8(values.len())?;
-                for v in values {
-                    s.bitmap(v)?;
-                }
-                s.count8(echo_shares.len())?;
-                for (i, share) in echo_shares {
-                    s.u8(*i);
-                    s.sig_share(share);
-                }
-                s.count8(finish_sigs.len())?;
-                for (i, sig) in finish_sigs {
-                    s.u8(*i);
-                    s.thresh_sig(sig);
-                }
-                s.bitmap(init_nack)?;
-                s.bitmap(echo_nack)?;
-                s.bitmap(finish_nack)?;
-            }
-            Body::AbaLc { insts } => {
-                s.count8(insts.len())?;
-                for inst in insts {
-                    s.u8(inst.instance);
-                    s.u16(inst.round);
-                    s.u8(inst.decided.code());
-                    for phase in &inst.reports {
-                        encode_votes(s, phase)?;
-                    }
+/// Generates `Body::kind`, [`Body::encode_into`] and [`Body::decode`] from
+/// the wire table below: per variant, its kind byte and the order its
+/// fields travel in, every field a [`Wire`] type. An entry ending in
+/// `via put, get` names a hand-written codec instead.
+macro_rules! body_codec {
+    ($($kind:literal => $variant:ident { $($field:ident),* } $(via $put:ident, $get:ident)?;)*) => {
+        impl Body {
+            /// Discriminant byte for encoding.
+            fn kind(&self) -> u8 {
+                match self {
+                    $(Body::$variant { .. } => $kind,)*
                 }
             }
-            Body::AbaSc { flavor, insts, coin_shares, share_nack } => {
-                s.u8(match flavor {
-                    CoinFlavor::ThreshSig => 0,
-                    CoinFlavor::CoinFlip => 1,
-                });
-                s.count8(insts.len())?;
-                for inst in insts {
-                    s.u8(inst.instance);
-                    s.u16(inst.round);
-                    s.u8(inst.bval.code() | (inst.aux.code() << 2) | (inst.decided.code() << 4));
+
+            /// Encodes the body (without header or signature) into a sink.
+            ///
+            /// # Errors
+            ///
+            /// [`WireError::Oversize`] when a variable-length field
+            /// (fragment data, bitmap, list count) does not fit its
+            /// wire-format length prefix — the caller drops the message
+            /// instead of aborting the node.
+            pub fn encode_into(&self, s: &mut impl Sink) -> Result<(), WireError> {
+                s.u8(self.kind());
+                match self {
+                    $(Body::$variant { $($field),* } => {
+                        body_codec!(@put s $(via $put)?; $($field),*)
+                    })*
                 }
-                s.count8(coin_shares.len())?;
-                for (round, share) in coin_shares {
-                    s.u16(*round);
-                    s.coin_share(share, *flavor);
+            }
+
+            /// Decodes a body.
+            ///
+            /// # Errors
+            ///
+            /// Any [`WireError`] on truncation, bad group elements, or
+            /// unknown discriminants.
+            pub fn decode(r: &mut WireReader<'_>) -> Result<Body, WireError> {
+                match r.u8()? {
+                    $($kind => body_codec!(@get r $(via $get)?; $variant { $($field),* }),)*
+                    other => Err(WireError::UnknownKind(other)),
                 }
-                s.bitmap(share_nack)?;
             }
-            Body::BaseRbcInit { instance, frag, frag_total, root, data } => {
-                s.u8(*instance);
-                s.u8(*frag);
-                s.u8(*frag_total);
-                s.digest(root);
-                s.bytes(data)?;
-            }
-            Body::BaseRbcEcho { instance, root } | Body::BaseRbcReady { instance, root } => {
-                s.u8(*instance);
-                s.digest(root);
-            }
-            Body::BaseCbcEcho { instance, root, share } => {
-                s.u8(*instance);
-                s.digest(root);
-                s.sig_share(share);
-            }
-            Body::BaseCbcFinish { instance, root, sig } => {
-                s.u8(*instance);
-                s.digest(root);
-                s.thresh_sig(sig);
-            }
-            Body::BasePrbcDone { instance, root, share } => {
-                s.u8(*instance);
-                s.digest(root);
-                s.sig_share(share);
-            }
-            Body::BaseAbaBval { instance, round, value }
-            | Body::BaseAbaAux { instance, round, value } => {
-                s.u8(*instance);
-                s.u16(*round);
-                s.u8(u8::from(*value));
-            }
-            Body::BaseAbaCoin { instance, round, flavor, share } => {
-                s.u8(*instance);
-                s.u16(*round);
-                s.u8(match flavor {
-                    CoinFlavor::ThreshSig => 0,
-                    CoinFlavor::CoinFlip => 1,
-                });
-                s.coin_share(share, *flavor);
-            }
-            Body::BaseAbaDecided { instance, value } => {
-                s.u8(*instance);
-                s.u8(u8::from(*value));
-            }
-            Body::DecShareBatch { shares, dec_nack } => {
-                s.count8(shares.len())?;
-                for (i, share) in shares {
-                    s.u8(*i);
-                    s.dec_share(share);
-                }
-                s.bitmap(dec_nack)?;
-            }
-            Body::BaseDecShare { proposer, share } => {
-                s.u8(*proposer);
-                s.dec_share(share);
-            }
-            Body::GlobalDecision { epoch, digest, tx_count } => {
-                s.u64(*epoch);
-                s.digest(digest);
-                s.u32(*tx_count);
-            }
-            Body::Reshare { key_epoch, dealer, deal } => {
-                s.u64(*key_epoch);
-                s.u16(*dealer);
-                s.bytes(deal)?;
-            }
+        }
+    };
+    (@put $s:ident; $($field:ident),*) => {{
+        $($field.put($s)?;)*
+        Ok(())
+    }};
+    (@put $s:ident via $put:ident; $($field:ident),*) => { $put($s, $($field),*) };
+    (@get $r:ident; $variant:ident { $($field:ident),* }) => {
+        Ok(Body::$variant { $($field: Wire::get($r)?),* })
+    };
+    (@get $r:ident via $get:ident; $variant:ident { $($field:ident),* }) => { $get($r) };
+}
+
+// The wire table. Kinds 19 and 22 stay reserved (a retired baseline ABA-LC
+// report and a retired multi-hop leader complaint), so an old frame cannot
+// decode as something else. The two coin-carrying variants are written out
+// because a coin share's nominal size depends on the sibling `flavor`.
+body_codec! {
+    0 => RbcInit { instance, frag, frag_total, root, data, init_nack };
+    1 => RbcEchoReady { roots, echo, ready, echo_nack, ready_nack, init_nack };
+    2 => CbcInit { instance, frag, frag_total, root, data, init_nack };
+    3 => CbcEchoFinish { roots, echo_shares, finish_sigs, echo_nack, finish_nack, init_nack };
+    4 => PrbcDone { roots, shares, proofs, sig_nack };
+    5 => RbcSmall { values, echo, ready, init_nack, echo_nack, ready_nack };
+    6 => CbcSmall { values, echo_shares, finish_sigs, init_nack, echo_nack, finish_nack };
+    7 => AbaLc { insts };
+    8 => AbaSc { flavor, insts, coin_shares, share_nack } via put_aba_sc, get_aba_sc;
+    9 => BaseRbcInit { instance, frag, frag_total, root, data };
+    10 => BaseRbcEcho { instance, root };
+    11 => BaseRbcReady { instance, root };
+    12 => BaseCbcEcho { instance, root, share };
+    13 => BaseCbcFinish { instance, root, sig };
+    14 => BasePrbcDone { instance, root, share };
+    15 => BaseAbaBval { instance, round, value };
+    16 => BaseAbaAux { instance, round, value };
+    17 => BaseAbaCoin { instance, round, flavor, share } via put_base_coin, get_base_coin;
+    18 => BaseAbaDecided { instance, value };
+    20 => DecShareBatch { shares, dec_nack };
+    21 => BaseDecShare { proposer, share };
+    23 => GlobalDecision { epoch, digest, tx_count };
+    24 => Reshare { key_epoch, dealer, deal };
+}
+
+fn put_aba_sc(
+    s: &mut impl Sink,
+    flavor: &CoinFlavor,
+    insts: &[AbaScInst],
+    coin_shares: &[(u16, CoinShare)],
+    share_nack: &Bitmap,
+) -> Result<(), WireError> {
+    flavor.put(s)?;
+    s.count8(insts.len())?;
+    insts.iter().try_for_each(|inst| inst.put(s))?;
+    s.count8(coin_shares.len())?;
+    for (round, share) in coin_shares {
+        s.u16(*round);
+        s.coin_share(share, *flavor);
+    }
+    share_nack.put(s)
+}
+
+fn get_aba_sc(r: &mut WireReader<'_>) -> Result<Body, WireError> {
+    let flavor = CoinFlavor::get(r)?;
+    let insts = Vec::get(r)?;
+    let count = usize::from(r.u8()?);
+    let coin_shares = r.list(count, count, |r| Ok((r.u16()?, r.coin_share()?)))?;
+    Ok(Body::AbaSc { flavor, insts, coin_shares, share_nack: r.bitmap()? })
+}
+
+fn put_base_coin(
+    s: &mut impl Sink,
+    instance: &u8,
+    round: &u16,
+    flavor: &CoinFlavor,
+    share: &CoinShare,
+) -> Result<(), WireError> {
+    s.u8(*instance);
+    s.u16(*round);
+    flavor.put(s)?;
+    s.coin_share(share, *flavor);
+    Ok(())
+}
+
+fn get_base_coin(r: &mut WireReader<'_>) -> Result<Body, WireError> {
+    Ok(Body::BaseAbaCoin {
+        instance: r.u8()?,
+        round: r.u16()?,
+        flavor: CoinFlavor::get(r)?,
+        share: r.coin_share()?,
+    })
+}
+
+/// One byte: 0 for threshold signatures, anything else coin flipping.
+impl Wire for CoinFlavor {
+    fn put(&self, s: &mut impl Sink) -> Result<(), WireError> {
+        s.u8(match self {
+            CoinFlavor::ThreshSig => 0,
+            CoinFlavor::CoinFlip => 1,
+        });
+        Ok(())
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(if r.u8()? == 0 { CoinFlavor::ThreshSig } else { CoinFlavor::CoinFlip })
+    }
+}
+
+/// Votes pack four to a byte (2 bits each) behind a u8 count, matching the
+/// paper's "2N bits" accounting.
+impl Wire for Vec<Vote> {
+    fn put(&self, s: &mut impl Sink) -> Result<(), WireError> {
+        s.count8(self.len())?;
+        for chunk in self.chunks(4) {
+            s.u8(chunk.iter().enumerate().fold(0, |b, (i, v)| b | v.code() << (i * 2)));
         }
         Ok(())
     }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let count = usize::from(r.u8()?);
+        let packed = r.take(count.div_ceil(4))?;
+        let votes = packed.iter().flat_map(|b| (0..4).map(move |i| Vote::from_code(b >> (i * 2))));
+        Ok(votes.take(count).collect())
+    }
+}
 
-    /// Decodes a body.
-    ///
-    /// # Errors
-    ///
-    /// Any [`WireError`] on truncation, bad group elements, or unknown
-    /// discriminants.
-    pub fn decode(r: &mut WireReader<'_>) -> Result<Body, WireError> {
-        let kind = r.u8()?;
-        Ok(match kind {
-            0 | 2 => {
-                let instance = r.u8()?;
-                let frag = r.u8()?;
-                let frag_total = r.u8()?;
-                let root = r.digest()?;
-                let data = r.bytes()?;
-                let init_nack = r.bitmap()?;
-                if kind == 0 {
-                    Body::RbcInit { instance, frag, frag_total, root, data, init_nack }
-                } else {
-                    Body::CbcInit { instance, frag, frag_total, root, data, init_nack }
-                }
-            }
-            1 => Body::RbcEchoReady {
-                roots: decode_roots(r)?,
-                echo: r.bitmap()?,
-                ready: r.bitmap()?,
-                echo_nack: r.bitmap()?,
-                ready_nack: r.bitmap()?,
-                init_nack: r.bitmap()?,
-            },
-            3 => {
-                let roots = decode_roots(r)?;
-                let echo_shares = decode_indexed(r, WireReader::sig_share)?;
-                let finish_sigs = decode_indexed(r, WireReader::thresh_sig)?;
-                Body::CbcEchoFinish {
-                    roots,
-                    echo_shares,
-                    finish_sigs,
-                    echo_nack: r.bitmap()?,
-                    finish_nack: r.bitmap()?,
-                    init_nack: r.bitmap()?,
-                }
-            }
-            4 => {
-                let roots = decode_roots(r)?;
-                let shares = decode_indexed(r, WireReader::sig_share)?;
-                let proofs = decode_indexed(r, WireReader::thresh_sig)?;
-                Body::PrbcDone { roots, shares, proofs, sig_nack: r.bitmap()? }
-            }
-            5 => Body::RbcSmall {
-                values: decode_votes(r)?,
-                echo: r.bitmap()?,
-                ready: r.bitmap()?,
-                init_nack: r.bitmap()?,
-                echo_nack: r.bitmap()?,
-                ready_nack: r.bitmap()?,
-            },
-            6 => {
-                let count = r.u8()? as usize;
-                let mut values = Vec::with_capacity(count);
-                for _ in 0..count {
-                    values.push(r.bitmap()?);
-                }
-                let echo_shares = decode_indexed(r, WireReader::sig_share)?;
-                let finish_sigs = decode_indexed(r, WireReader::thresh_sig)?;
-                Body::CbcSmall {
-                    values,
-                    echo_shares,
-                    finish_sigs,
-                    init_nack: r.bitmap()?,
-                    echo_nack: r.bitmap()?,
-                    finish_nack: r.bitmap()?,
-                }
-            }
-            7 => {
-                let count = r.u8()? as usize;
-                let mut insts = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let instance = r.u8()?;
-                    let round = r.u16()?;
-                    let decided = Vote::from_code(r.u8()?);
-                    let reports = [decode_votes(r)?, decode_votes(r)?, decode_votes(r)?];
-                    insts.push(AbaLcInst { instance, round, reports, decided });
-                }
-                Body::AbaLc { insts }
-            }
-            8 => {
-                let flavor =
-                    if r.u8()? == 0 { CoinFlavor::ThreshSig } else { CoinFlavor::CoinFlip };
-                let count = r.u8()? as usize;
-                let mut insts = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let instance = r.u8()?;
-                    let round = r.u16()?;
-                    let packed = r.u8()?;
-                    insts.push(AbaScInst {
-                        instance,
-                        round,
-                        bval: BinValues::from_code(packed & 0b11),
-                        aux: Vote::from_code((packed >> 2) & 0b11),
-                        decided: Vote::from_code((packed >> 4) & 0b11),
-                    });
-                }
-                let share_count = r.u8()? as usize;
-                let mut coin_shares = Vec::with_capacity(share_count);
-                for _ in 0..share_count {
-                    let round = r.u16()?;
-                    coin_shares.push((round, r.coin_share()?));
-                }
-                Body::AbaSc { flavor, insts, coin_shares, share_nack: r.bitmap()? }
-            }
-            9 => Body::BaseRbcInit {
-                instance: r.u8()?,
-                frag: r.u8()?,
-                frag_total: r.u8()?,
-                root: r.digest()?,
-                data: r.bytes()?,
-            },
-            10 => Body::BaseRbcEcho { instance: r.u8()?, root: r.digest()? },
-            11 => Body::BaseRbcReady { instance: r.u8()?, root: r.digest()? },
-            12 => Body::BaseCbcEcho { instance: r.u8()?, root: r.digest()?, share: r.sig_share()? },
-            13 => Body::BaseCbcFinish {
-                instance: r.u8()?,
-                root: r.digest()?,
-                sig: r.thresh_sig()?,
-            },
-            14 => Body::BasePrbcDone {
-                instance: r.u8()?,
-                root: r.digest()?,
-                share: r.sig_share()?,
-            },
-            15 => Body::BaseAbaBval { instance: r.u8()?, round: r.u16()?, value: r.u8()? != 0 },
-            16 => Body::BaseAbaAux { instance: r.u8()?, round: r.u16()?, value: r.u8()? != 0 },
-            17 => {
-                let instance = r.u8()?;
-                let round = r.u16()?;
-                let flavor =
-                    if r.u8()? == 0 { CoinFlavor::ThreshSig } else { CoinFlavor::CoinFlip };
-                Body::BaseAbaCoin { instance, round, flavor, share: r.coin_share()? }
-            }
-            18 => Body::BaseAbaDecided { instance: r.u8()?, value: r.u8()? != 0 },
-            20 => {
-                let shares = decode_indexed(r, WireReader::dec_share)?;
-                Body::DecShareBatch { shares, dec_nack: r.bitmap()? }
-            }
-            21 => Body::BaseDecShare { proposer: r.u8()?, share: r.dec_share()? },
-            23 => Body::GlobalDecision {
-                epoch: r.u64()?,
-                digest: r.digest()?,
-                tx_count: r.u32()?,
-            },
-            24 => Body::Reshare { key_epoch: r.u64()?, dealer: r.u16()?, deal: r.bytes()? },
-            other => return Err(WireError::UnknownKind(other)),
+/// Instance, round, decided vote, then the three phase report lists.
+impl Wire for AbaLcInst {
+    fn put(&self, s: &mut impl Sink) -> Result<(), WireError> {
+        s.u8(self.instance);
+        s.u16(self.round);
+        s.u8(self.decided.code());
+        self.reports.iter().try_for_each(|phase| phase.put(s))
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let (instance, round, decided) = (r.u8()?, r.u16()?, Vote::from_code(r.u8()?));
+        let reports = [Vec::get(r)?, Vec::get(r)?, Vec::get(r)?];
+        Ok(AbaLcInst { instance, round, reports, decided })
+    }
+}
+
+/// Instance, round, then BVAL / AUX / decided packed into one byte.
+impl Wire for AbaScInst {
+    fn put(&self, s: &mut impl Sink) -> Result<(), WireError> {
+        s.u8(self.instance);
+        s.u16(self.round);
+        s.u8(self.bval.code() | self.aux.code() << 2 | self.decided.code() << 4);
+        Ok(())
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let (instance, round, packed) = (r.u8()?, r.u16()?, r.u8()?);
+        Ok(AbaScInst {
+            instance,
+            round,
+            bval: BinValues::from_code(packed & 0b11),
+            aux: Vote::from_code(packed >> 2),
+            decided: Vote::from_code(packed >> 4),
         })
     }
-}
-
-fn encode_roots(s: &mut impl Sink, roots: &[Digest32]) -> Result<(), WireError> {
-    s.count8(roots.len())?;
-    for root in roots {
-        s.digest(root);
-    }
-    Ok(())
-}
-
-fn decode_roots(r: &mut WireReader<'_>) -> Result<Vec<Digest32>, WireError> {
-    let count = r.u8()? as usize;
-    let mut roots = Vec::with_capacity(count);
-    for _ in 0..count {
-        roots.push(r.digest()?);
-    }
-    Ok(roots)
-}
-
-/// Votes are packed four per byte (2 bits each), matching the paper's
-/// "2N bits" accounting.
-fn encode_votes(s: &mut impl Sink, votes: &[Vote]) -> Result<(), WireError> {
-    s.count8(votes.len())?;
-    for chunk in votes.chunks(4) {
-        let mut b = 0u8;
-        for (i, v) in chunk.iter().enumerate() {
-            b |= v.code() << (i * 2);
-        }
-        s.u8(b);
-    }
-    Ok(())
-}
-
-fn decode_votes(r: &mut WireReader<'_>) -> Result<Vec<Vote>, WireError> {
-    let count = r.u8()? as usize;
-    let mut votes = Vec::with_capacity(count);
-    let nbytes = count.div_ceil(4);
-    for _ in 0..nbytes {
-        let b = r.u8()?;
-        for i in 0..4 {
-            if votes.len() < count {
-                votes.push(Vote::from_code((b >> (i * 2)) & 0b11));
-            }
-        }
-    }
-    Ok(votes)
-}
-
-fn decode_indexed<'a, T>(
-    r: &mut WireReader<'a>,
-    read: impl Fn(&mut WireReader<'a>) -> Result<T, WireError>,
-) -> Result<Vec<(u8, T)>, WireError> {
-    let count = r.u8()? as usize;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let i = r.u8()?;
-        out.push((i, read(r)?));
-    }
-    Ok(out)
 }
 
 /// A full packet: header + body + packet signature (the paper's four-part
@@ -949,10 +711,8 @@ impl Envelope {
             8 => r.u64()?,
             _ => return Err(WireError::Malformed("trailing bytes")),
         };
-        let r_bytes: [u8; 32] =
-            sig_bytes.get(..32).and_then(|b| b.try_into().ok()).ok_or(WireError::Truncated)?;
-        let z_bytes: [u8; 32] =
-            sig_bytes.get(32..).and_then(|b| b.try_into().ok()).ok_or(WireError::Truncated)?;
+        let mut sig = WireReader::new(sig_bytes);
+        let (r_bytes, z_bytes): ([u8; 32], [u8; 32]) = (sig.array()?, sig.array()?);
         let sig_ok = match GroupElem::from_bytes(&r_bytes) {
             Ok(r_elem) => {
                 let sig = Signature { r: r_elem, z: Scalar::from_bytes_reduced(&z_bytes) };

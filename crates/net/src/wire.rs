@@ -1,6 +1,6 @@
-//! The dual-mode wire codec.
+//! The byte codec every wire and proposal format is written in.
 //!
-//! Every packet encodes through a [`Sink`] with two implementations:
+//! Writing goes through a [`Sink`] with two implementations:
 //!
 //! * [`ByteSink`] writes the actual bytes exchanged in the simulation
 //!   (group elements are 32 bytes — the size of *this crate's* crypto);
@@ -11,7 +11,18 @@
 //!   length, so packet-size effects match the paper's testbed, not our
 //!   substitute crypto.
 //!
-//! Decoding reads the actual bytes back with [`WireReader`].
+//! The two differ only in how a crypto value is priced ([`Sink::priced`]);
+//! every other field costs what it weighs ([`Sink::raw`]), so one encoder
+//! yields both the bytes and the nominal length.
+//!
+//! Reading goes through [`WireReader`]: every access is length-checked, so
+//! truncated or hostile input yields a [`WireError`], never a panic, and
+//! a count read off the wire reserves no more than its format allows
+//! ([`WireReader::list`]). A field type with one layout implements [`Wire`]
+//! (its writer and its reader side by side); the packet bodies of
+//! [`crate::packets`] are field lists over it. Formats outside this crate
+//! — client and sync messages, deal sets, proposal batches, ciphertexts —
+//! write through [`ByteSink`] and read through [`WireReader`] too.
 
 use crate::bitmap::Bitmap;
 use bytes::{BufMut, Bytes, BytesMut};
@@ -71,53 +82,124 @@ pub fn checked_bitmap_len(len: usize) -> Result<u8, WireError> {
     u8::try_from(len).map_err(|_| WireError::Oversize("bitmap"))
 }
 
+/// What a crypto value costs in the paper's deployment.
+#[derive(Clone, Copy, Debug)]
+pub enum Nominal {
+    /// A threshold share — signature, ABA-SC coin or decryption share: the
+    /// threshold curve's share size.
+    Share,
+    /// A combined threshold signature.
+    Signature,
+    /// A coin-flipping share (ABA-CP / BEAT), which carries extra
+    /// verification data.
+    CoinFlipShare,
+    /// Bytes the paper's curves do not carry at all.
+    Free,
+}
+
 /// Encoding destination; see module docs.
 ///
-/// Variable-length fields (`bytes`, `bitmap`, `count8`) are fallible: a
-/// value that does not fit its wire-format length prefix yields
-/// [`WireError::Oversize`] instead of panicking or silently truncating, so
-/// an oversized message can never abort a node mid-encode.
+/// An implementation supplies [`Sink::raw`] and [`Sink::priced`]; every
+/// field writer is built on those two. Variable-length fields (`bytes`,
+/// `bitmap`, `count8`, `count16`) are fallible: a value that does not fit
+/// its wire-format length prefix yields [`WireError::Oversize`] instead of
+/// panicking or silently truncating, so an oversized message can never
+/// abort a node mid-encode.
 pub trait Sink {
+    /// Bytes whose nominal length is their real length.
+    fn raw(&mut self, v: &[u8]);
+    /// A crypto value: `real` is this crate's encoding, `nominal` what it
+    /// costs in the paper's deployment.
+    fn priced(&mut self, real: &[u8], nominal: Nominal);
+
     /// Raw byte.
-    fn u8(&mut self, v: u8);
+    fn u8(&mut self, v: u8) {
+        self.raw(&[v]);
+    }
     /// Little-endian u16.
-    fn u16(&mut self, v: u16);
+    fn u16(&mut self, v: u16) {
+        self.raw(&v.to_le_bytes());
+    }
     /// Little-endian u32.
-    fn u32(&mut self, v: u32);
+    fn u32(&mut self, v: u32) {
+        self.raw(&v.to_le_bytes());
+    }
     /// Little-endian u64.
-    fn u64(&mut self, v: u64);
+    fn u64(&mut self, v: u64) {
+        self.raw(&v.to_le_bytes());
+    }
     /// Length-prefixed byte string (u16 prefix).
     ///
     /// # Errors
     ///
     /// [`WireError::Oversize`] for inputs longer than 65535 bytes.
-    fn bytes(&mut self, v: &[u8]) -> Result<(), WireError>;
+    fn bytes(&mut self, v: &[u8]) -> Result<(), WireError> {
+        self.u16(checked_bytes_len(v.len())?);
+        self.raw(v);
+        Ok(())
+    }
     /// A 32-byte digest.
-    fn digest(&mut self, v: &Digest32);
-    /// A bitmap (length known from context).
+    fn digest(&mut self, v: &Digest32) {
+        self.raw(v.as_bytes());
+    }
+    /// A bitmap: its bit length, then `ceil(len / 8)` bytes.
     ///
     /// # Errors
     ///
     /// [`WireError::Oversize`] if the logical length exceeds the u8 prefix.
-    fn bitmap(&mut self, v: &Bitmap) -> Result<(), WireError>;
+    fn bitmap(&mut self, v: &Bitmap) -> Result<(), WireError> {
+        self.u8(checked_bitmap_len(v.len())?);
+        let raw = v.to_raw().to_le_bytes();
+        self.raw(raw.get(..v.wire_len()).ok_or(WireError::Oversize("bitmap"))?);
+        Ok(())
+    }
     /// A u8 element-count prefix for a variable-length list.
     ///
     /// # Errors
     ///
     /// [`WireError::Oversize`] for counts above 255.
     fn count8(&mut self, n: usize) -> Result<(), WireError> {
-        let b = u8::try_from(n).map_err(|_| WireError::Oversize("list count"))?;
-        self.u8(b);
+        self.u8(u8::try_from(n).map_err(|_| WireError::Oversize("list count"))?);
+        Ok(())
+    }
+    /// A u16 element-count prefix for a variable-length list.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Oversize`] for counts above 65535.
+    fn count16(&mut self, n: usize) -> Result<(), WireError> {
+        self.u16(u16::try_from(n).map_err(|_| WireError::Oversize("list count"))?);
         Ok(())
     }
     /// A threshold signature share.
-    fn sig_share(&mut self, v: &SigShare);
+    fn sig_share(&mut self, v: &SigShare) {
+        self.u16(v.index.value());
+        self.priced(&v.value.to_bytes(), Nominal::Share);
+    }
     /// A combined threshold signature.
-    fn thresh_sig(&mut self, v: &ThresholdSignature);
+    fn thresh_sig(&mut self, v: &ThresholdSignature) {
+        self.priced(&v.to_bytes(), Nominal::Signature);
+    }
     /// A coin share of the given flavor.
-    fn coin_share(&mut self, v: &CoinShare, flavor: CoinFlavor);
-    /// A threshold-decryption share.
-    fn dec_share(&mut self, v: &DecShare);
+    fn coin_share(&mut self, v: &CoinShare, flavor: CoinFlavor) {
+        self.u16(v.index.value());
+        let nominal = match flavor {
+            CoinFlavor::ThreshSig => Nominal::Share,
+            CoinFlavor::CoinFlip => Nominal::CoinFlipShare,
+        };
+        self.priced(&v.value.to_bytes(), nominal);
+    }
+    /// A threshold-decryption share. Its nominal size stays the pairing
+    /// deployment's share size: the paper's MIRACL curves verify decryption
+    /// shares with a pairing and carry no DLEQ bytes — the proof is a
+    /// substitute-crypto artifact, so charging it would distort the
+    /// airtime model.
+    fn dec_share(&mut self, v: &DecShare) {
+        self.u16(v.index.value());
+        self.priced(&v.value.to_bytes(), Nominal::Share);
+        self.priced(&v.proof.c.to_bytes(), Nominal::Free);
+        self.priced(&v.proof.z.to_bytes(), Nominal::Free);
+    }
 }
 
 /// Writes real bytes.
@@ -147,52 +229,28 @@ impl ByteSink {
     pub fn into_mut(self) -> BytesMut {
         self.buf
     }
+
+    /// Encodes a format whose every length prefix is bounded where its
+    /// values enter the system, so an overflow is a broken invariant: it is
+    /// asserted, never written truncated.
+    ///
+    /// # Panics
+    ///
+    /// If `put` fails.
+    pub fn bounded(put: impl FnOnce(&mut ByteSink) -> Result<(), WireError>) -> Bytes {
+        let mut s = ByteSink::new();
+        let fits = put(&mut s);
+        assert!(fits.is_ok(), "a bounded format overflowed its length prefix: {fits:?}");
+        s.into_bytes()
+    }
 }
 
 impl Sink for ByteSink {
-    fn u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.put_u16_le(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
-    }
-    fn bytes(&mut self, v: &[u8]) -> Result<(), WireError> {
-        self.buf.put_u16_le(checked_bytes_len(v.len())?);
+    fn raw(&mut self, v: &[u8]) {
         self.buf.put_slice(v);
-        Ok(())
     }
-    fn digest(&mut self, v: &Digest32) {
-        self.buf.put_slice(v.as_bytes());
-    }
-    fn bitmap(&mut self, v: &Bitmap) -> Result<(), WireError> {
-        self.buf.put_u8(checked_bitmap_len(v.len())?);
-        let raw = v.to_raw().to_le_bytes();
-        let prefix = raw.get(..v.wire_len()).ok_or(WireError::Oversize("bitmap"))?;
-        self.buf.put_slice(prefix);
-        Ok(())
-    }
-    fn sig_share(&mut self, v: &SigShare) {
-        self.buf.put_u16_le(v.index.value());
-        self.buf.put_slice(&v.value.to_bytes());
-    }
-    fn thresh_sig(&mut self, v: &ThresholdSignature) {
-        self.buf.put_slice(&v.to_bytes());
-    }
-    fn coin_share(&mut self, v: &CoinShare, _flavor: CoinFlavor) {
-        self.buf.put_u16_le(v.index.value());
-        self.buf.put_slice(&v.value.to_bytes());
-    }
-    fn dec_share(&mut self, v: &DecShare) {
-        self.buf.put_u16_le(v.index.value());
-        self.buf.put_slice(&v.value.to_bytes());
-        self.buf.put_slice(&v.proof.c.to_bytes());
-        self.buf.put_slice(&v.proof.z.to_bytes());
+    fn priced(&mut self, real: &[u8], _nominal: Nominal) {
+        self.buf.put_slice(real);
     }
 }
 
@@ -215,54 +273,17 @@ impl CountSink {
 }
 
 impl Sink for CountSink {
-    fn u8(&mut self, _v: u8) {
-        self.total += 1;
+    fn raw(&mut self, v: &[u8]) {
+        self.total += v.len();
     }
-    fn u16(&mut self, _v: u16) {
-        self.total += 2;
-    }
-    fn u32(&mut self, _v: u32) {
-        self.total += 4;
-    }
-    fn u64(&mut self, _v: u64) {
-        self.total += 8;
-    }
-    fn bytes(&mut self, v: &[u8]) -> Result<(), WireError> {
-        // Same bound as ByteSink, so the nominal and real paths agree on
-        // which messages are encodable.
-        checked_bytes_len(v.len())?;
-        self.total += 2 + v.len();
-        Ok(())
-    }
-    fn digest(&mut self, _v: &Digest32) {
-        self.total += 32;
-    }
-    fn bitmap(&mut self, v: &Bitmap) -> Result<(), WireError> {
-        checked_bitmap_len(v.len())?;
-        self.total += 1 + v.wire_len();
-        Ok(())
-    }
-    fn sig_share(&mut self, _v: &SigShare) {
-        self.total += 2 + self.sizing.suite.threshold.signature_profile().share_bytes;
-    }
-    fn thresh_sig(&mut self, _v: &ThresholdSignature) {
-        self.total += self.sizing.suite.threshold.signature_profile().signature_bytes;
-    }
-    fn coin_share(&mut self, _v: &CoinShare, flavor: CoinFlavor) {
-        self.total += 2
-            + match flavor {
-                CoinFlavor::ThreshSig => {
-                    self.sizing.suite.threshold.signature_profile().share_bytes
-                }
-                CoinFlavor::CoinFlip => self.sizing.suite.threshold.coin_profile().share_bytes,
-            };
-    }
-    fn dec_share(&mut self, _v: &DecShare) {
-        // Nominal size stays the pairing-deployment share size: the paper's
-        // MIRACL curves verify decryption shares with a pairing and carry no
-        // DLEQ bytes — the proof is a substitute-crypto artifact, so
-        // charging it would distort the airtime model.
-        self.total += 2 + self.sizing.suite.threshold.signature_profile().share_bytes;
+    fn priced(&mut self, _real: &[u8], nominal: Nominal) {
+        let threshold = self.sizing.suite.threshold;
+        self.total += match nominal {
+            Nominal::Share => threshold.signature_profile().share_bytes,
+            Nominal::Signature => threshold.signature_profile().signature_bytes,
+            Nominal::CoinFlipShare => threshold.coin_profile().share_bytes,
+            Nominal::Free => 0,
+        };
     }
 }
 
@@ -309,59 +330,113 @@ impl<'a> WireReader<'a> {
         WireReader { data, pos: 0 }
     }
 
+    /// Reads all of `data` with `read` and refuses any byte it leaves over:
+    /// the decoder of a format that fills its carrier exactly.
+    ///
+    /// # Errors
+    ///
+    /// `read`'s error, or [`WireError::Malformed`] on trailing bytes.
+    pub fn exact<T>(
+        data: &'a [u8],
+        read: impl FnOnce(&mut Self) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
+        let mut r = WireReader::new(data);
+        let value = read(&mut r)?;
+        if r.remaining() != 0 {
+            return Err(WireError::Malformed("trailing bytes"));
+        }
+        Ok(value)
+    }
+
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+    /// Reads the next `n` bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Truncated`] if fewer remain.
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
         let s = self.data.get(self.pos..end).ok_or(WireError::Truncated)?;
         self.pos = end;
         Ok(s)
     }
 
+    /// Reads everything left (a trailing field that runs to the end).
+    pub fn rest(&mut self) -> &'a [u8] {
+        let s = self.data.get(self.pos..).unwrap_or_default();
+        self.pos = self.data.len();
+        s
+    }
+
     /// Reads exactly `N` bytes into an array.
-    fn take_arr<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Truncated`] if fewer remain.
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
         self.take(N)?.try_into().map_err(|_| WireError::Truncated)
+    }
+
+    /// Reads `count` items with `get`, reserving room for at most `cap` of
+    /// them up front: a count read off the wire reserves no more memory
+    /// than its format allows, whatever the bytes behind it hold.
+    ///
+    /// # Errors
+    ///
+    /// The first error `get` returns.
+    pub fn list<T>(
+        &mut self,
+        count: usize,
+        cap: usize,
+        mut get: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let mut out = Vec::with_capacity(count.min(cap));
+        for _ in 0..count {
+            out.push(get(self)?);
+        }
+        Ok(out)
     }
 
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, WireError> {
-        let [b] = self.take_arr()?;
+        let [b] = self.array()?;
         Ok(b)
     }
 
     /// Reads a little-endian u16.
     pub fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take_arr()?))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian u32.
     pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take_arr()?))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian u64.
     pub fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take_arr()?))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Reads a length-prefixed byte string.
     pub fn bytes(&mut self) -> Result<Bytes, WireError> {
-        let len = self.u16()? as usize;
+        let len = usize::from(self.u16()?);
         Ok(Bytes::copy_from_slice(self.take(len)?))
     }
 
     /// Reads a digest.
     pub fn digest(&mut self) -> Result<Digest32, WireError> {
-        Ok(Digest32(self.take_arr()?))
+        Ok(Digest32(self.array()?))
     }
 
     /// Reads a bitmap.
     pub fn bitmap(&mut self) -> Result<Bitmap, WireError> {
-        let len = self.u8()? as usize;
-        if len > 64 {
+        let len = usize::from(self.u8()?);
+        if len > Bitmap::CAPACITY {
             return Err(WireError::Malformed("bitmap length"));
         }
         let nbytes = len.div_ceil(8);
@@ -374,49 +449,178 @@ impl<'a> WireReader<'a> {
         Ok(Bitmap::from_raw(u64::from_le_bytes(raw), len))
     }
 
-    fn group_elem(&mut self) -> Result<GroupElem, WireError> {
-        let a = self.take_arr()?;
-        GroupElem::from_bytes(&a).map_err(|_| WireError::BadGroupElement)
+    /// Reads a group element, checking subgroup membership.
+    pub fn group_elem(&mut self) -> Result<GroupElem, WireError> {
+        GroupElem::from_bytes(&self.array()?).map_err(|_| WireError::BadGroupElement)
     }
 
-    fn share_index(&mut self) -> Result<ShareIndex, WireError> {
+    /// Reads a scalar (reduced modulo the group order).
+    pub fn scalar(&mut self) -> Result<Scalar, WireError> {
+        Ok(Scalar::from_bytes_reduced(&self.array()?))
+    }
+
+    /// Reads a (non-zero) share index.
+    pub fn share_index(&mut self) -> Result<ShareIndex, WireError> {
         ShareIndex::new(self.u16()?).map_err(|_| WireError::Malformed("zero share index"))
     }
 
     /// Reads a threshold signature share.
     pub fn sig_share(&mut self) -> Result<SigShare, WireError> {
-        let index = self.share_index()?;
-        let value = self.group_elem()?;
-        Ok(SigShare { index, value })
+        Ok(SigShare { index: self.share_index()?, value: self.group_elem()? })
     }
 
     /// Reads a combined threshold signature.
     pub fn thresh_sig(&mut self) -> Result<ThresholdSignature, WireError> {
-        let value = self.group_elem()?;
-        Ok(ThresholdSignature { value })
+        Ok(ThresholdSignature { value: self.group_elem()? })
     }
 
     /// Reads a coin share.
     pub fn coin_share(&mut self) -> Result<CoinShare, WireError> {
-        let index = self.share_index()?;
-        let value = self.group_elem()?;
-        Ok(CoinShare { index, value })
-    }
-
-    fn scalar(&mut self) -> Result<Scalar, WireError> {
-        let b = self.take(32)?;
-        let mut a = [0u8; 32];
-        a.copy_from_slice(b);
-        Ok(Scalar::from_bytes_reduced(&a))
+        Ok(CoinShare { index: self.share_index()?, value: self.group_elem()? })
     }
 
     /// Reads a decryption share (value plus its DLEQ proof scalars).
     pub fn dec_share(&mut self) -> Result<DecShare, WireError> {
         let index = self.share_index()?;
         let value = self.group_elem()?;
-        let c = self.scalar()?;
-        let z = self.scalar()?;
-        Ok(DecShare { index, value, proof: DleqProof { c, z } })
+        let proof = DleqProof { c: self.scalar()?, z: self.scalar()? };
+        Ok(DecShare { index, value, proof })
+    }
+}
+
+/// A field type with one wire layout: its writer and its reader side by
+/// side, so the two cannot drift apart. Writing through any [`Sink`] gives
+/// the real bytes and the nominal length from the same code.
+pub trait Wire: Sized {
+    /// Writes the value.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Oversize`] when a length prefix inside it overflows.
+    fn put(&self, s: &mut impl Sink) -> Result<(), WireError>;
+    /// Reads a value back.
+    ///
+    /// # Errors
+    ///
+    /// Any [`WireError`] on truncated or malformed bytes.
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError>;
+}
+
+macro_rules! wire_by_value {
+    ($($t:ident),*) => {$(
+        impl Wire for $t {
+            fn put(&self, s: &mut impl Sink) -> Result<(), WireError> {
+                s.$t(*self);
+                Ok(())
+            }
+            fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                r.$t()
+            }
+        }
+    )*};
+}
+wire_by_value!(u8, u16, u32, u64);
+
+/// Booleans travel as one byte; any non-zero byte reads as `true`.
+impl Wire for bool {
+    fn put(&self, s: &mut impl Sink) -> Result<(), WireError> {
+        s.u8(u8::from(*self));
+        Ok(())
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(r.u8()? != 0)
+    }
+}
+
+impl Wire for Digest32 {
+    fn put(&self, s: &mut impl Sink) -> Result<(), WireError> {
+        s.digest(self);
+        Ok(())
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        r.digest()
+    }
+}
+
+impl Wire for Bytes {
+    fn put(&self, s: &mut impl Sink) -> Result<(), WireError> {
+        s.bytes(self)
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        r.bytes()
+    }
+}
+
+impl Wire for Bitmap {
+    fn put(&self, s: &mut impl Sink) -> Result<(), WireError> {
+        s.bitmap(self)
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        r.bitmap()
+    }
+}
+
+impl Wire for SigShare {
+    fn put(&self, s: &mut impl Sink) -> Result<(), WireError> {
+        s.sig_share(self);
+        Ok(())
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        r.sig_share()
+    }
+}
+
+impl Wire for ThresholdSignature {
+    fn put(&self, s: &mut impl Sink) -> Result<(), WireError> {
+        s.thresh_sig(self);
+        Ok(())
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        r.thresh_sig()
+    }
+}
+
+impl Wire for DecShare {
+    fn put(&self, s: &mut impl Sink) -> Result<(), WireError> {
+        s.dec_share(self);
+        Ok(())
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        r.dec_share()
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, s: &mut impl Sink) -> Result<(), WireError> {
+        self.0.put(s)?;
+        self.1.put(s)
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn put(&self, s: &mut impl Sink) -> Result<(), WireError> {
+        self.0.put(s)?;
+        self.1.put(s)?;
+        self.2.put(s)
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok((A::get(r)?, B::get(r)?, C::get(r)?))
+    }
+}
+
+/// A list: a u8 count, then the items. (Votes, which are not [`Wire`]
+/// themselves, pack four to a byte instead — `crate::packets`.)
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, s: &mut impl Sink) -> Result<(), WireError> {
+        s.count8(self.len())?;
+        self.iter().try_for_each(|item| item.put(s))
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let count = usize::from(r.u8()?);
+        r.list(count, count, T::get)
     }
 }
 

@@ -14,9 +14,14 @@
 //! Commit notifications carry transaction *digests*, not bodies: a client
 //! matches the digests of its own submissions to measure commit latency,
 //! and the block contents are already public on the consensus channel.
+//!
+//! Messages write through [`ByteSink`] and read through [`WireReader`]; each
+//! fills its datagram payload exactly, so a decoder refuses trailing bytes
+//! as firmly as missing ones.
 
 use bytes::Bytes;
 use wbft_net::datagram::MAX_DATAGRAM_PAYLOAD;
+use wbft_net::wire::{ByteSink, Sink, WireReader};
 use wbft_net::WireError;
 
 /// Reserved datagram channel for client traffic (peer tables must not
@@ -42,6 +47,9 @@ pub enum SubmitVerdict {
     Duplicate,
     /// Dropped — the mempool is full; back off and resubmit.
     Full,
+    /// Refused — the transaction alone exceeds what one proposal carries;
+    /// resubmitting cannot help.
+    TooLarge,
 }
 
 impl SubmitVerdict {
@@ -50,6 +58,7 @@ impl SubmitVerdict {
             SubmitVerdict::Admitted => 0,
             SubmitVerdict::Duplicate => 1,
             SubmitVerdict::Full => 2,
+            SubmitVerdict::TooLarge => 3,
         }
     }
 
@@ -58,6 +67,7 @@ impl SubmitVerdict {
             0 => Some(SubmitVerdict::Admitted),
             1 => Some(SubmitVerdict::Duplicate),
             2 => Some(SubmitVerdict::Full),
+            3 => Some(SubmitVerdict::TooLarge),
             _ => None,
         }
     }
@@ -109,73 +119,57 @@ impl ClientMsg {
     /// prefix can describe or a digest list beyond [`MAX_BLOCK_DIGESTS`] —
     /// refused, never silently truncated (block senders chunk instead).
     pub fn encode(&self) -> Result<Bytes, WireError> {
-        let mut out = Vec::new();
+        let mut s = ByteSink::new();
         match self {
             ClientMsg::Submit { tx } => {
-                let len = u16::try_from(tx.len())
-                    .map_err(|_| WireError::Oversize("client transaction"))?;
-                out.push(TAG_SUBMIT);
-                out.extend_from_slice(&len.to_le_bytes());
-                out.extend_from_slice(tx);
+                s.u8(TAG_SUBMIT);
+                s.bytes(tx)?;
             }
             ClientMsg::SubmitReply { verdict, digest } => {
-                out.push(TAG_SUBMIT_REPLY);
-                out.push(verdict.to_byte());
-                out.extend_from_slice(digest);
+                s.u8(TAG_SUBMIT_REPLY);
+                s.u8(verdict.to_byte());
+                s.raw(digest);
             }
-            ClientMsg::Subscribe => out.push(TAG_SUBSCRIBE),
+            ClientMsg::Subscribe => s.u8(TAG_SUBSCRIBE),
             ClientMsg::Block { epoch, digests } => {
                 if digests.len() > MAX_BLOCK_DIGESTS {
                     return Err(WireError::Oversize("block digest list"));
                 }
-                let count = u16::try_from(digests.len())
-                    .map_err(|_| WireError::Oversize("block digest list"))?;
-                out.push(TAG_BLOCK);
-                out.extend_from_slice(&epoch.to_le_bytes());
-                out.extend_from_slice(&count.to_le_bytes());
-                for d in digests {
-                    out.extend_from_slice(d);
-                }
+                s.u8(TAG_BLOCK);
+                s.u64(*epoch);
+                s.count16(digests.len())?;
+                digests.iter().for_each(|d| s.raw(d));
             }
-            ClientMsg::Stop => out.push(TAG_STOP),
+            ClientMsg::Stop => s.u8(TAG_STOP),
         }
-        Ok(Bytes::from(out))
+        Ok(s.into_bytes())
     }
 
     /// Decodes one payload; `None` for anything malformed (length-checked,
-    /// never a panic — clients are untrusted).
+    /// never a panic — clients are untrusted). Every message fills its
+    /// payload exactly.
     pub fn decode(data: &[u8]) -> Option<ClientMsg> {
-        let (&tag, rest) = data.split_first()?;
-        match tag {
-            TAG_SUBMIT => {
-                let len = u16::from_le_bytes(rest.get(..2)?.try_into().ok()?) as usize;
-                let tx = rest.get(2..)?;
-                (tx.len() == len).then(|| ClientMsg::Submit { tx: Bytes::copy_from_slice(tx) })
-            }
-            TAG_SUBMIT_REPLY => {
-                let (&verdict_byte, digest_bytes) = rest.split_first()?;
-                Some(ClientMsg::SubmitReply {
-                    verdict: SubmitVerdict::from_byte(verdict_byte)?,
-                    digest: digest_bytes.try_into().ok()?,
-                })
-            }
-            TAG_SUBSCRIBE => rest.is_empty().then_some(ClientMsg::Subscribe),
-            TAG_BLOCK => {
-                let epoch = u64::from_le_bytes(rest.get(..8)?.try_into().ok()?);
-                let count = u16::from_le_bytes(rest.get(8..10)?.try_into().ok()?) as usize;
-                let body = rest.get(10..)?;
-                if body.len() != count * 32 {
-                    return None;
+        WireReader::exact(data, |r| {
+            Ok(match r.u8()? {
+                TAG_SUBMIT => ClientMsg::Submit { tx: r.bytes()? },
+                TAG_SUBMIT_REPLY => ClientMsg::SubmitReply {
+                    verdict: SubmitVerdict::from_byte(r.u8()?)
+                        .ok_or(WireError::Malformed("submit verdict"))?,
+                    digest: r.array()?,
+                },
+                TAG_SUBSCRIBE => ClientMsg::Subscribe,
+                TAG_BLOCK => {
+                    let epoch = r.u64()?;
+                    let count = usize::from(r.u16()?);
+                    // A digest list reserves no more than the datagram holds.
+                    let digests = r.list(count, r.remaining() / 32, WireReader::array)?;
+                    ClientMsg::Block { epoch, digests }
                 }
-                let mut digests = Vec::with_capacity(count);
-                for c in body.chunks_exact(32) {
-                    digests.push(c.try_into().ok()?);
-                }
-                Some(ClientMsg::Block { epoch, digests })
-            }
-            TAG_STOP => rest.is_empty().then_some(ClientMsg::Stop),
-            _ => None,
-        }
+                TAG_STOP => ClientMsg::Stop,
+                other => return Err(WireError::UnknownKind(other)),
+            })
+        })
+        .ok()
     }
 }
 
@@ -197,6 +191,7 @@ mod tests {
             digest: [7; 32],
         });
         roundtrip(ClientMsg::SubmitReply { verdict: SubmitVerdict::Full, digest: [0; 32] });
+        roundtrip(ClientMsg::SubmitReply { verdict: SubmitVerdict::TooLarge, digest: [3; 32] });
         roundtrip(ClientMsg::Subscribe);
         roundtrip(ClientMsg::Block { epoch: 42, digests: vec![[1; 32], [2; 32]] });
         roundtrip(ClientMsg::Block { epoch: 0, digests: vec![] });
@@ -209,7 +204,7 @@ mod tests {
         assert_eq!(ClientMsg::decode(&[99]), None);
         assert_eq!(ClientMsg::decode(&[TAG_SUBMIT, 5, 0, b'x']), None); // short tx
         assert_eq!(ClientMsg::decode(&[TAG_SUBMIT_REPLY, 9]), None);
-        assert_eq!(ClientMsg::decode(&[TAG_SUBMIT_REPLY, 3, 0]), None); // bad verdict
+        assert_eq!(ClientMsg::decode(&[TAG_SUBMIT_REPLY, 4, 0]), None); // bad verdict
         assert_eq!(ClientMsg::decode(&[TAG_SUBSCRIBE, 0]), None); // trailing byte
         let mut block =
             ClientMsg::Block { epoch: 1, digests: vec![[1; 32]] }.encode().unwrap().to_vec();

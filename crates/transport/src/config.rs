@@ -20,16 +20,6 @@ use std::net::SocketAddr;
 use wbft_report::{field, FromJson, Json, JsonError, ToJson};
 use wbft_wireless::ChannelId;
 
-/// Decodes an *optional trailing* member: absent means `None`. The
-/// version member is encoded only when non-zero, which keeps genesis
-/// tables byte-identical to their pre-membership encoding.
-fn opt_field<T: FromJson>(j: &Json, key: &str) -> Result<Option<T>, JsonError> {
-    match j.get(key) {
-        None => Ok(None),
-        Some(v) => Ok(Some(T::from_json(v)?)),
-    }
-}
-
 /// One node's network identity.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PeerEntry {
@@ -74,10 +64,6 @@ impl FromJson for PeerEntry {
 pub struct PeerTable {
     /// All peers, in node-id order.
     pub peers: Vec<PeerEntry>,
-    /// Membership version: 0 for a launcher-written genesis table, +1 per
-    /// applied [`PeerUpdate`](crate::membership::PeerUpdate). Absent from
-    /// the JSON encoding when 0 so genesis tables keep their exact bytes.
-    pub version: u64,
 }
 
 impl PeerTable {
@@ -93,62 +79,7 @@ impl PeerTable {
                     channels: vec![0],
                 })
                 .collect(),
-            version: 0,
         }
-    }
-
-    /// Applies one versioned membership update. Only the exact next
-    /// version is accepted: replays (`version <= self.version`) and gaps
-    /// (`version > self.version + 1`) are rejected without touching the
-    /// table, so updates can arrive duplicated or reordered. A join must
-    /// name a fresh id at a fresh address; a leave must name a present id.
-    /// Joined entries keep the table in ascending id order (ids stay
-    /// *node identities*, so a post-leave table is legitimately sparse).
-    ///
-    /// # Errors
-    ///
-    /// A description of why the update was refused.
-    pub fn apply(&mut self, update: &crate::membership::PeerUpdate) -> Result<(), String> {
-        use crate::membership::PeerOp;
-        if update.version != self.version + 1 {
-            return Err(format!(
-                "update to version {} does not follow table version {}",
-                update.version, self.version
-            ));
-        }
-        match &update.op {
-            PeerOp::Join(entry) => {
-                if self.entry(entry.node).is_some() {
-                    return Err(format!("join of node {}: id already present", entry.node));
-                }
-                if self.peers.iter().any(|p| p.addr == entry.addr) {
-                    return Err(format!("join of node {}: address {} taken", entry.node, entry.addr));
-                }
-                for reserved in [
-                    crate::runtime::CONTROL_CHANNEL,
-                    crate::client::CLIENT_CHANNEL,
-                    crate::sync::SYNC_CHANNEL,
-                    crate::membership::MEMBERSHIP_CHANNEL,
-                ] {
-                    if entry.channels.contains(&reserved) {
-                        return Err(format!(
-                            "join of node {}: channel {reserved} is reserved",
-                            entry.node
-                        ));
-                    }
-                }
-                let pos = self.peers.partition_point(|p| p.node < entry.node);
-                self.peers.insert(pos, entry.clone());
-            }
-            PeerOp::Leave(node) => {
-                let Some(pos) = self.peers.iter().position(|p| p.node == *node) else {
-                    return Err(format!("leave of node {node}: not in the table"));
-                };
-                self.peers.remove(pos);
-            }
-        }
-        self.version = update.version;
-        Ok(())
     }
 
     /// Number of nodes.
@@ -182,35 +113,25 @@ impl PeerTable {
             .collect()
     }
 
-    /// Validates the table. A genesis table (version 0) must have dense
-    /// ids `0..n` in order (so a launcher cannot misnumber a deployment);
-    /// a churned table (version > 0) only needs strictly ascending ids —
-    /// ids are stable node *identities*, so retirements leave gaps. In
-    /// both cases addresses must be unique and no entry may claim the
-    /// transport's reserved channels — control
+    /// Validates the table: ids must be dense `0..n` in order (so a
+    /// launcher cannot misnumber a deployment), addresses unique, and no
+    /// entry may claim the transport's reserved channels — control
     /// ([`crate::runtime::CONTROL_CHANNEL`]), client submission
-    /// ([`crate::client::CLIENT_CHANNEL`]), anti-entropy sync
-    /// ([`crate::sync::SYNC_CHANNEL`]) and membership control
-    /// ([`crate::membership::MEMBERSHIP_CHANNEL`]).
+    /// ([`crate::client::CLIENT_CHANNEL`]) and anti-entropy sync
+    /// ([`crate::sync::SYNC_CHANNEL`]).
     ///
     /// # Errors
     ///
     /// A description of the first violation.
     pub fn validate(&self) -> Result<(), String> {
-        let mut prev_node: Option<u16> = None;
         for (i, p) in self.peers.iter().enumerate() {
-            if self.version == 0 && p.node as usize != i {
+            if p.node as usize != i {
                 return Err(format!("peer {i} has id {} — ids must be dense 0..n", p.node));
             }
-            if prev_node.is_some_and(|prev| p.node <= prev) {
-                return Err(format!("peer ids not strictly ascending at id {}", p.node));
-            }
-            prev_node = Some(p.node);
             for reserved in [
                 crate::runtime::CONTROL_CHANNEL,
                 crate::client::CLIENT_CHANNEL,
                 crate::sync::SYNC_CHANNEL,
-                crate::membership::MEMBERSHIP_CHANNEL,
             ] {
                 if p.channels.contains(&reserved) {
                     return Err(format!(
@@ -233,17 +154,13 @@ impl PeerTable {
 
 impl ToJson for PeerTable {
     fn to_json(&self) -> Json {
-        let mut members = vec![("peers", self.peers.to_json())];
-        if self.version != 0 {
-            members.push(("version", Json::u64(self.version)));
-        }
-        Json::obj(members)
+        Json::obj([("peers", self.peers.to_json())])
     }
 }
 
 impl FromJson for PeerTable {
     fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(PeerTable { peers: field(j, "peers")?, version: opt_field(j, "version")?.unwrap_or(0) })
+        Ok(PeerTable { peers: field(j, "peers")? })
     }
 }
 
@@ -307,66 +224,6 @@ mod tests {
         let mut table = PeerTable::loopback(&[1, 2]);
         table.peers[0].channels.push(crate::sync::SYNC_CHANNEL);
         assert!(table.validate().is_err());
-    }
-
-    #[test]
-    fn validation_rejects_the_reserved_membership_channel() {
-        let mut table = PeerTable::loopback(&[1, 2]);
-        table.peers[0].channels.push(crate::membership::MEMBERSHIP_CHANNEL);
-        assert!(table.validate().is_err());
-    }
-
-    #[test]
-    fn versioned_updates_apply_in_order_only() {
-        use crate::membership::{PeerOp, PeerUpdate};
-        let mut table = PeerTable::loopback(&[47001, 47002, 47003, 47004]);
-        let joiner = PeerEntry {
-            node: 4,
-            addr: SocketAddr::from(([127, 0, 0, 1], 47005)),
-            channels: vec![0],
-        };
-        let join = PeerUpdate { version: 1, op: PeerOp::Join(joiner.clone()) };
-        // A gap (version 2 first) and a replay (version 0) are refused.
-        assert!(table.apply(&PeerUpdate { version: 2, op: PeerOp::Leave(0) }).is_err());
-        table.apply(&join).unwrap();
-        assert!(table.apply(&join).is_err(), "replay of version 1");
-        assert_eq!(table.version, 1);
-        assert_eq!(table.len(), 5);
-        table.apply(&PeerUpdate { version: 2, op: PeerOp::Leave(0) }).unwrap();
-        // Post-leave the table is sparse but still valid, and the leaver
-        // is gone from every multicast set.
-        table.validate().unwrap();
-        assert_eq!(table.entry(0), None);
-        assert_eq!(table.multicast_set(1, ChannelId(0)).len(), 3);
-        // Leaving an absent node and re-joining a taken address fail.
-        assert!(table.apply(&PeerUpdate { version: 3, op: PeerOp::Leave(0) }).is_err());
-        let clash = PeerEntry { node: 9, ..joiner };
-        assert!(table.apply(&PeerUpdate { version: 3, op: PeerOp::Join(clash) }).is_err());
-        assert_eq!(table.version, 2);
-    }
-
-    #[test]
-    fn churned_tables_round_trip_and_genesis_bytes_are_stable() {
-        use crate::membership::{PeerOp, PeerUpdate};
-        let mut table = PeerTable::loopback(&[47001, 47002, 47003, 47004]);
-        let genesis_text = table.to_json().pretty();
-        assert!(!genesis_text.contains("version"), "version 0 must stay absent");
-        table
-            .apply(&PeerUpdate {
-                version: 1,
-                op: PeerOp::Join(PeerEntry {
-                    node: 4,
-                    addr: SocketAddr::from(([127, 0, 0, 1], 47005)),
-                    channels: vec![0],
-                }),
-            })
-            .unwrap();
-        table.apply(&PeerUpdate { version: 2, op: PeerOp::Leave(0) }).unwrap();
-        let text = table.to_json().pretty();
-        let decoded = PeerTable::from_json(&wbft_report::parse(&text).unwrap()).unwrap();
-        assert_eq!(decoded, table);
-        assert_eq!(decoded.version, 2);
-        assert_eq!(decoded.to_json().pretty(), text);
     }
 
     #[test]

@@ -31,13 +31,11 @@
 
 pub mod client;
 pub mod config;
-pub mod membership;
 pub mod runtime;
 pub mod sync;
 
 pub use client::{ClientMsg, SubmitVerdict, CLIENT_CHANNEL, CLIENT_SRC};
 pub use config::{PeerEntry, PeerTable};
-pub use membership::{MembershipMsg, PeerOp, PeerUpdate, MEMBERSHIP_CHANNEL};
 pub use runtime::{ClientGateway, UdpRuntime};
 pub use sync::{SyncBlock, SyncMsg, SYNC_CHANNEL, SYNC_CHUNK_BUDGET};
 

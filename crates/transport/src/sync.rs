@@ -15,11 +15,15 @@
 //! own digest chain before adopting it. The per-block `digest` here is the
 //! cumulative journal chain digest (`wbft_journal::chain_digest`) after the
 //! block, so a chunk extends a local chain head verifiably or not at all —
-//! forged payloads cannot survive the check. The block `payload` bytes are
-//! opaque to the transport (the consensus layer encodes its tx batch).
+//! corrupted payloads cannot survive the check. (The digests are not
+//! authenticated: a peer that computes them can still forge an extension.)
+//! The block `payload` bytes are opaque to the transport (the consensus
+//! layer encodes its tx batch). Messages write through [`ByteSink`] and
+//! read through [`WireReader`], and fill their payload exactly.
 
 use bytes::Bytes;
 use wbft_net::datagram::MAX_DATAGRAM_PAYLOAD;
+use wbft_net::wire::{ByteSink, Sink, WireReader};
 use wbft_net::WireError;
 
 /// Reserved datagram channel for anti-entropy sync traffic (peer tables
@@ -79,63 +83,47 @@ impl SyncMsg {
     /// one-byte block count — refused, never truncated (responders budget
     /// with [`SYNC_CHUNK_BUDGET`] instead).
     pub fn encode(&self) -> Result<Bytes, WireError> {
-        let mut out = Vec::new();
+        let mut s = ByteSink::new();
         match self {
             SyncMsg::HeadAnnounce { height } => {
-                out.push(TAG_HEAD);
-                out.extend_from_slice(&height.to_le_bytes());
+                s.u8(TAG_HEAD);
+                s.u64(*height);
             }
             SyncMsg::BlockChunk { start_epoch, blocks } => {
-                if blocks.len() > MAX_CHUNK_BLOCKS {
-                    return Err(WireError::Oversize("sync chunk block count"));
-                }
-                let count = u8::try_from(blocks.len())
-                    .map_err(|_| WireError::Oversize("sync chunk block count"))?;
-                out.push(TAG_CHUNK);
-                out.extend_from_slice(&start_epoch.to_le_bytes());
-                out.push(count);
+                s.u8(TAG_CHUNK);
+                s.u64(*start_epoch);
+                s.count8(blocks.len())?;
                 for b in blocks {
-                    let len = u16::try_from(b.payload.len())
-                        .map_err(|_| WireError::Oversize("sync block payload"))?;
-                    out.extend_from_slice(&len.to_le_bytes());
-                    out.extend_from_slice(&b.payload);
-                    out.extend_from_slice(&b.digest);
+                    s.bytes(&b.payload)?;
+                    s.raw(&b.digest);
                 }
-                if out.len() > MAX_DATAGRAM_PAYLOAD {
+                if s.as_slice().len() > MAX_DATAGRAM_PAYLOAD {
                     return Err(WireError::Oversize("sync chunk"));
                 }
             }
         }
-        Ok(Bytes::from(out))
+        Ok(s.into_bytes())
     }
 
     /// Decodes one payload; `None` for anything malformed (length-checked,
-    /// never a panic — sync messages are unauthenticated).
+    /// never a panic — sync messages are unauthenticated). Every message
+    /// fills its payload exactly.
     pub fn decode(data: &[u8]) -> Option<SyncMsg> {
-        let (&tag, rest) = data.split_first()?;
-        match tag {
-            TAG_HEAD => {
-                if rest.len() != 8 {
-                    return None;
+        WireReader::exact(data, |r| {
+            Ok(match r.u8()? {
+                TAG_HEAD => SyncMsg::HeadAnnounce { height: r.u64()? },
+                TAG_CHUNK => {
+                    let start_epoch = r.u64()?;
+                    let count = usize::from(r.u8()?);
+                    let blocks = r.list(count, count, |r| {
+                        Ok(SyncBlock { payload: r.bytes()?, digest: r.array()? })
+                    })?;
+                    SyncMsg::BlockChunk { start_epoch, blocks }
                 }
-                Some(SyncMsg::HeadAnnounce { height: u64::from_le_bytes(rest.try_into().ok()?) })
-            }
-            TAG_CHUNK => {
-                let start_epoch = u64::from_le_bytes(rest.get(..8)?.try_into().ok()?);
-                let count = *rest.get(8)? as usize;
-                let mut body = rest.get(9..)?;
-                let mut blocks = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let len = u16::from_le_bytes(body.get(..2)?.try_into().ok()?) as usize;
-                    let payload = body.get(2..2 + len)?;
-                    let digest: [u8; 32] = body.get(2 + len..2 + len + 32)?.try_into().ok()?;
-                    blocks.push(SyncBlock { payload: Bytes::copy_from_slice(payload), digest });
-                    body = body.get(2 + len + 32..)?;
-                }
-                body.is_empty().then_some(SyncMsg::BlockChunk { start_epoch, blocks })
-            }
-            _ => None,
-        }
+                other => return Err(WireError::UnknownKind(other)),
+            })
+        })
+        .ok()
     }
 }
 

@@ -7,13 +7,17 @@
 //! * malformed, truncated, bit-flipped or garbage datagrams never panic —
 //!   they return a `WireError` the transport counts as a drop;
 //! * the `Sink` length-prefix checks hold at their exact boundaries under
-//!   arbitrary inputs.
+//!   arbitrary inputs;
+//! * the client and sync messages that ride inside datagrams decode back to
+//!   what was encoded, refuse every strict prefix and a trailing byte, and
+//!   never panic on garbage.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use wbft_net::datagram::{Datagram, HEADER_BYTES, VERSION};
 use wbft_net::wire::{ByteSink, CountSink, Sink, Sizing, WireError};
 use wbft_net::Bitmap;
+use wbft_transport::{ClientMsg, SubmitVerdict, SyncBlock, SyncMsg};
 
 fn arb_datagram() -> impl Strategy<Value = Datagram> {
     (
@@ -137,4 +141,75 @@ fn error_classes_are_distinguished() {
         bytes
     };
     assert_eq!(Datagram::decode(&short_payload), Err(WireError::Truncated));
+}
+
+fn arb_client_msg() -> impl Strategy<Value = ClientMsg> {
+    let verdicts = [
+        SubmitVerdict::Admitted,
+        SubmitVerdict::Duplicate,
+        SubmitVerdict::Full,
+        SubmitVerdict::TooLarge,
+    ];
+    prop_oneof![
+        proptest::collection::vec(any::<u8>(), 0..300)
+            .prop_map(|tx| ClientMsg::Submit { tx: Bytes::from(tx) }),
+        (0usize..4, any::<[u8; 32]>())
+            .prop_map(move |(v, digest)| ClientMsg::SubmitReply { verdict: verdicts[v], digest }),
+        Just(ClientMsg::Subscribe),
+        (any::<u64>(), proptest::collection::vec(any::<[u8; 32]>(), 0..12))
+            .prop_map(|(epoch, digests)| ClientMsg::Block { epoch, digests }),
+        Just(ClientMsg::Stop),
+    ]
+}
+
+fn arb_sync_msg() -> impl Strategy<Value = SyncMsg> {
+    let block = (proptest::collection::vec(any::<u8>(), 0..200), any::<[u8; 32]>())
+        .prop_map(|(payload, digest)| SyncBlock { payload: Bytes::from(payload), digest });
+    prop_oneof![
+        any::<u64>().prop_map(|height| SyncMsg::HeadAnnounce { height }),
+        (any::<u64>(), proptest::collection::vec(block, 0..6))
+            .prop_map(|(start_epoch, blocks)| SyncMsg::BlockChunk { start_epoch, blocks }),
+    ]
+}
+
+/// The hostile-input battery of a format that fills its payload exactly:
+/// the encoding decodes back to the value, and every strict prefix and the
+/// encoding plus one byte are refused.
+fn exact_format<T: PartialEq + std::fmt::Debug>(
+    value: &T,
+    bytes: &[u8],
+    decode: impl Fn(&[u8]) -> Option<T>,
+    extra: u8,
+) -> Result<(), TestCaseError> {
+    let decoded = decode(bytes);
+    prop_assert_eq!(decoded.as_ref(), Some(value));
+    for cut in 0..bytes.len() {
+        prop_assert!(decode(&bytes[..cut]).is_none(), "prefix of {} bytes", cut);
+    }
+    let mut longer = bytes.to_vec();
+    longer.push(extra);
+    prop_assert!(decode(&longer).is_none(), "trailing byte accepted");
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn client_msg_codec_is_exact(msg in arb_client_msg(), extra in any::<u8>()) {
+        exact_format(&msg, &msg.encode().unwrap(), ClientMsg::decode, extra)?;
+    }
+
+    #[test]
+    fn sync_msg_codec_is_exact(msg in arb_sync_msg(), extra in any::<u8>()) {
+        exact_format(&msg, &msg.encode().unwrap(), SyncMsg::decode, extra)?;
+    }
+
+    #[test]
+    fn client_and_sync_decoders_never_panic_on_garbage(
+        data in proptest::collection::vec(any::<u8>(), 0..300)
+    ) {
+        let _ = ClientMsg::decode(&data); // must return, never panic
+        let _ = SyncMsg::decode(&data);
+    }
 }

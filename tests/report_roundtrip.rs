@@ -3,15 +3,24 @@
 //!
 //! * `encode_batch`/`decode_batch` round-trip on arbitrary transaction
 //!   vectors (including empty and max-size transactions), and `decode_batch`
-//!   returns `None` — never panics — on truncated or garbage input.
+//!   returns `None` — never panics — on truncated or garbage input. The
+//!   other proposal formats — Dumbo's W-vector and commit set, the
+//!   multi-hop summary, the HB ciphertext — get the same battery.
 //! * JSON: `encode → decode → encode` is a fixpoint for `RunReport` and
 //!   `TestbedConfig`, and the parser never panics on arbitrary input.
 
 use bytes::Bytes;
 use proptest::prelude::*;
+use rand::SeedableRng;
+use wbft_consensus::dumbo::{decode_commit, decode_w, encode_commit, encode_w};
+use wbft_consensus::honeybadger::{decode_ciphertext, encode_ciphertext, CIPHERTEXT_OVERHEAD};
+use wbft_consensus::multihop::{decode_summary, encode_summary};
 use wbft_consensus::testbed::{RunReport, TestbedConfig};
 use wbft_consensus::workload::{decode_batch, encode_batch};
 use wbft_consensus::{ByzantineMode, Protocol};
+use wbft_crypto::hash::Digest32;
+use wbft_crypto::{thresh_enc, thresh_sig, ThresholdCurve};
+use wbft_net::Bitmap;
 use wbft_report::{parse, FromJson, Json, ToJson};
 use wbft_wireless::{LossModel, Metrics, NodeId, NodeMetrics, SimDuration};
 
@@ -207,4 +216,97 @@ fn nan_mean_latency_crosses_json() {
     let decoded = RunReport::from_json(&parse(&text).unwrap()).unwrap();
     assert!(decoded.mean_latency_s.is_nan());
     assert_eq!(decoded.to_json().pretty(), text);
+}
+
+/// The hostile-input battery of a format that fills its payload exactly:
+/// the encoding decodes back to the value, and every strict prefix and the
+/// encoding plus one byte are refused.
+fn exact_format<T: PartialEq + std::fmt::Debug>(
+    value: &T,
+    bytes: &[u8],
+    decode: impl Fn(&[u8]) -> Option<T>,
+    extra: u8,
+) -> Result<(), TestCaseError> {
+    let decoded = decode(bytes);
+    prop_assert_eq!(decoded.as_ref(), Some(value));
+    for cut in 0..bytes.len() {
+        prop_assert!(decode(&bytes[..cut]).is_none(), "prefix of {} bytes", cut);
+    }
+    let mut longer = bytes.to_vec();
+    longer.push(extra);
+    prop_assert!(decode(&longer).is_none(), "trailing byte accepted");
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn w_vector_codec_is_exact(
+        picks in proptest::collection::vec((any::<u8>(), any::<[u8; 32]>(), any::<bool>()), 0..8),
+        seed in any::<u64>(),
+        extra in any::<u8>(),
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (pks, sks) = thresh_sig::deal(4, 1, ThresholdCurve::Bn158, &mut rng);
+        let sign = |m: &[u8]| pks.combine(&[sks[0].sign_share(m), sks[2].sign_share(m)]).unwrap();
+        let proofs = [sign(b"a"), sign(b"b")];
+        let entries: Vec<_> = picks
+            .into_iter()
+            .map(|(id, root, which)| (id, Digest32(root), proofs[usize::from(which)]))
+            .collect();
+        exact_format(&entries, &encode_w(&entries), decode_w, extra)?;
+    }
+
+    #[test]
+    fn commit_set_codec_is_exact(len in 0usize..=64, raw in any::<u64>(), extra in any::<u8>()) {
+        let set = Bitmap::from_raw(raw, len);
+        exact_format(&set, &encode_commit(&set), decode_commit, extra)?;
+    }
+
+    #[test]
+    fn summary_codec_is_exact(
+        cluster in any::<u8>(),
+        epoch in any::<u64>(),
+        digest in any::<[u8; 32]>(),
+        txs in any::<u32>(),
+        extra in any::<u8>(),
+    ) {
+        let value = (usize::from(cluster), epoch, Digest32(digest), txs);
+        let bytes = encode_summary(value.0, epoch, value.2, txs as usize);
+        exact_format(&value, &bytes, decode_summary, extra)?;
+    }
+
+    /// A ciphertext's body runs to the end of the proposal, so a longer or
+    /// shorter body is another (well-formed) ciphertext whose tag no longer
+    /// matches; only prefixes shorter than `u` and the tag are malformed.
+    #[test]
+    fn ciphertext_codec_roundtrips_and_refuses_short_prefixes(
+        plaintext in proptest::collection::vec(any::<u8>(), 0..300),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (enc, _) = thresh_enc::deal_enc(4, 1, ThresholdCurve::Bn158, &mut rng);
+        let ct = enc.encrypt(b"label", &plaintext, &mut rng);
+        let bytes = encode_ciphertext(&ct);
+        prop_assert_eq!(decode_ciphertext(&bytes), Some(ct.clone()));
+        for cut in 0..bytes.len() {
+            let decoded = decode_ciphertext(&bytes[..cut]);
+            if cut < CIPHERTEXT_OVERHEAD {
+                prop_assert!(decoded.is_none(), "prefix of {} bytes", cut);
+            } else {
+                prop_assert_ne!(decoded, Some(ct.clone()));
+            }
+        }
+    }
+
+    #[test]
+    fn proposal_decoders_never_panic_on_garbage(
+        data in proptest::collection::vec(any::<u8>(), 0..400)
+    ) {
+        let _ = decode_w(&data); // each must return, never panic
+        let _ = decode_commit(&data);
+        let _ = decode_summary(&data);
+        let _ = decode_ciphertext(&data);
+    }
 }

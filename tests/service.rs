@@ -192,6 +192,7 @@ proptest! {
                 AdmitOutcome::Admitted => admitted += 1,
                 AdmitOutcome::Full => {}
                 AdmitOutcome::Duplicate => prop_assert!(false, "all txs distinct"),
+                AdmitOutcome::TooLarge => prop_assert!(false, "8-byte txs fit a batch"),
             }
             prop_assert!(pool.pending() <= capacity);
         }
@@ -529,4 +530,26 @@ fn explicit_stop_condition_equals_compat_engine_path() {
         "fixed-epoch runs must stay deterministic"
     );
     let _ = StopCondition::Epochs(cfg.epochs); // the compat mode is public API
+}
+
+/// Transactions whose count fits a batch but whose bytes do not: 32 of
+/// 400 B encode to 12.9 KB, over the 9 600 B one broadcast instance
+/// carries. Proposals are cut at `BATCH_BUDGET` instead, so the cluster
+/// keeps committing (before the cut, no INITIAL was aired and nothing
+/// committed).
+#[test]
+fn service_batches_over_the_broadcast_limit_are_cut_not_stalled() {
+    for protocol in [Protocol::HoneyBadgerSc, Protocol::DumboSc] {
+        let mut cfg = TestbedConfig::single_hop(protocol);
+        cfg.workload.batch_size = 32;
+        cfg.deadline = wbft_wireless::SimDuration::from_secs(6_000);
+        cfg.service = Some(ServiceConfig {
+            arrivals: ArrivalSpec { per_node: 40, interval_us: 100_000, tx_bytes: 400, seed: 3 },
+            mempool_capacity: 256,
+            max_epochs: 20,
+        });
+        let service = run(&cfg).service.expect("service member present");
+        assert_eq!(service.admitted, 160, "{protocol}: 400 B transactions fit a proposal");
+        assert!(service.committed_client_txs > 0, "{protocol}: {service:?}");
+    }
 }
