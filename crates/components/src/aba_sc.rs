@@ -180,7 +180,6 @@ impl AbaScBatch {
         coin_pub: CoinPublicSet,
         coin_sec: CoinSecretShare,
     ) -> Self {
-        coin_pub.precompute();
         let insts = (0..p.n).map(|_| Inst::new(p.n)).collect();
         AbaScBatch {
             p,
@@ -241,7 +240,7 @@ impl AbaScBatch {
     }
 
     /// Charges and buffers a peer's coin share; the buffered quorum is
-    /// batch-verified and combined in one pass.
+    /// verified and combined in one pass.
     fn record_coin_share(
         &mut self,
         domain: u8,

@@ -421,9 +421,6 @@ impl Signer {
         msg: fn(u64, usize, &Digest32) -> Vec<u8>,
         need: usize,
     ) -> Self {
-        // Window tables are shared by every clone of the dealt key set, so
-        // this builds them once per deployment, not once per node.
-        keys.precompute();
         Signer { p, keys, secret, msg, need }
     }
 
@@ -876,7 +873,7 @@ mod tests {
         assert!(s[3].record(&mut c, 1, &root, bad, &mut acts).is_none());
         assert!(s[3].record(&mut c, 1, &root, shares[0], &mut acts).is_none(), "slot taken");
         assert!(s[3].record(&mut c, 1, &root, shares[1], &mut acts).is_none());
-        // The third share reaches the quorum; the batch check evicts the
+        // The third share reaches the quorum; its check evicts the
         // bad one, so no certificate yet — and its slot is free again.
         assert!(s[3].record(&mut c, 1, &root, shares[2], &mut acts).is_none());
         assert_eq!(c.reporters().count_ones(), 2);

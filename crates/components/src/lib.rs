@@ -36,7 +36,7 @@
 //! component is incomplete or a NACK shows a peer behind. Components only
 //! say "changed" / "a peer is behind" and build the packet when asked; the
 //! baseline sets use the tick alone. And "own share once → buffer →
-//! batch-verify at quorum → combine" is one [`Collector`] over a
+//! verify at quorum → combine" is one [`Collector`] over a
 //! [`share_buf::ShareScheme`] (signature shares, coin shares), under the CBC
 //! certificates, the PRBC proofs, the ABA coins and Dumbo's π coin. It
 //! reports what happened; the virtual CPU charges stay with the callers,

@@ -1,16 +1,16 @@
-//! Buffered batch verification of threshold shares — the component-side
-//! half of the crypto fast path.
+//! Buffered verification of threshold shares — the component-side half of
+//! the crypto fast path.
 //!
-//! Every quorum-collecting component used to verify each arriving share
-//! with its own group exponentiation. The buffers here change the *real*
-//! work, not the protocol: shares are accepted into a per-instance buffer
-//! (deduplicated by reporter bit, index-range checked) and only verified
-//! once a quorum's worth has accumulated — with one random-linear-
-//! combination batch check ([`wbft_crypto::thresh_sig::PublicKeySet::
-//! verify_shares`]) instead of per-share exponentiations. When the batch
-//! check fails, the per-share fallback localizes the Byzantine shares,
-//! which are evicted (and their reporter bits freed, so a corrected
-//! retransmission can take the slot).
+//! The buffers here change the *real* work, not the protocol: shares are
+//! accepted into a per-instance buffer (deduplicated by reporter bit,
+//! index-range checked) and only verified once a quorum's worth has
+//! accumulated, each by one window-table exponentiation
+//! ([`wbft_crypto::thresh_sig::PublicKeySet::invalid_share_positions`]). A
+//! share that fails is evicted and its reporter bit freed, so a corrected
+//! retransmission can take the slot. A quorum of checked shares then
+//! combines to `vk^e` off the group key's table
+//! ([`wbft_crypto::thresh_sig::PublicKeySet::combine_verified`]) instead of
+//! by Lagrange interpolation.
 //!
 //! One [`ShareBuf`] serves every scheme that answers [`ShareScheme`]
 //! (threshold signatures, the common coin), and one [`Collector`] on top
@@ -41,10 +41,10 @@ pub trait ShareScheme {
     /// The index of the node that produced `share`.
     fn index_of(share: &Self::Share) -> ShareIndex;
 
-    /// Batch-verifies `pending` over `msg`; the positions that fail.
+    /// Verifies `pending` over `msg`; the positions that fail.
     fn invalid_positions(&self, msg: Self::Msg<'_>, pending: &[Self::Share]) -> Vec<usize>;
 
-    /// Combines verified shares over `msg`.
+    /// Combines shares over `msg` that each passed [`Self::invalid_positions`].
     fn combine(&self, msg: Self::Msg<'_>, shares: &[Self::Share]) -> Option<Self::Output>;
 }
 
@@ -61,8 +61,8 @@ impl ShareScheme for PublicKeySet {
         self.invalid_share_positions(&self.prepare(msg), pending)
     }
 
-    fn combine(&self, _: &[u8], shares: &[SigShare]) -> Option<ThresholdSignature> {
-        PublicKeySet::combine(self, shares).ok()
+    fn combine(&self, msg: &[u8], shares: &[SigShare]) -> Option<ThresholdSignature> {
+        self.combine_verified(&self.prepare(msg), shares).ok()
     }
 }
 
@@ -80,7 +80,7 @@ impl ShareScheme for CoinPublicSet {
     }
 
     fn combine(&self, name: CoinName, shares: &[CoinShare]) -> Option<u64> {
-        self.combine_value(name, shares).ok()
+        self.combine_verified(&self.prepare(name), shares).ok()
     }
 }
 
@@ -141,9 +141,8 @@ impl<K: ShareScheme> ShareBuf<K> {
     }
 
     /// [`ShareBuf::insert`] for a share tagged with the key epoch it was
-    /// produced under: a stale (or future) tag is rejected at the door —
-    /// it must never reach the batch verifier, where a whole quorum's
-    /// combine would fail instead.
+    /// produced under: a stale (or future) tag is rejected at the door, so
+    /// it never takes a reporter slot only to be evicted at the quorum.
     pub fn insert_tagged(&mut self, share: K::Share, n: usize, tag: u64) -> bool {
         tag == self.key_epoch && self.insert(share, n)
     }
@@ -170,10 +169,10 @@ impl<K: ShareScheme> ShareBuf<K> {
         true
     }
 
-    /// Once at least `need` shares are buffered, batch-verifies the
-    /// unverified suffix over `msg`, evicting invalid shares (freeing
-    /// their reporter bits). Returns `true` when `need` *verified* shares
-    /// are available — the signal to charge the combine cost and combine.
+    /// Once at least `need` shares are buffered, verifies the unverified
+    /// suffix over `msg`, evicting invalid shares (freeing their reporter
+    /// bits). Returns `true` when `need` *verified* shares are available —
+    /// the signal to charge the combine cost and combine.
     pub fn settle(&mut self, keys: &K, msg: K::Msg<'_>, need: usize) -> bool {
         if self.shares.len() < need {
             return false;
@@ -206,7 +205,7 @@ pub enum Recorded<O> {
 
 /// Shares of one instance on their way to a combined output: this node's
 /// own share (made once, re-sent as is), the buffered shares of every node
-/// (batch-verified at quorum, invalid ones evicted) and the output,
+/// (verified at quorum, invalid ones evicted) and the output,
 /// combined here or adopted from elsewhere.
 #[derive(Debug, Clone)]
 pub struct Collector<K: ShareScheme> {
@@ -329,9 +328,19 @@ mod tests {
         cpub.combine_value(name, buf.shares()).unwrap();
     }
 
-    /// One collection for either scheme: `shares[0]` is this node's own,
-    /// `bad` a corrupted copy of `shares[1]`; three verified shares combine.
-    fn collects<K: ShareScheme>(keys: &K, msg: K::Msg<'_>, shares: &[K::Share], bad: K::Share) {
+    /// One collection for either scheme over a `(t, n)` deal, `n` the number
+    /// of `shares`: `shares[0]` is this node's own, `bad` a corrupted copy of
+    /// `shares[1]`, and `reference` the public Lagrange combination that
+    /// `t + 1` verified shares must come to.
+    fn collects<K: ShareScheme>(
+        keys: &K,
+        msg: K::Msg<'_>,
+        t: usize,
+        shares: &[K::Share],
+        bad: K::Share,
+        reference: impl Fn(&[K::Share]) -> Option<K::Output>,
+    ) {
+        let (n, need) = (shares.len(), t + 1);
         let mut c = Collector::<K>::default();
         let mut signed = 0;
         let mut sign = || {
@@ -341,41 +350,48 @@ mod tests {
         assert_eq!(c.sign_own(&mut sign), Some(shares[0]));
         assert_eq!(c.sign_own(&mut sign), None, "the own share is made once");
         assert_eq!((signed, c.own(), c.reporters()), (1, Some(shares[0]), 0));
-        assert_eq!(c.record(keys, msg, 3, 4, shares[0]), Recorded::Buffered);
-        assert_eq!(c.record(keys, msg, 3, 4, shares[0]), Recorded::Refused, "never counted twice");
-        assert_eq!(c.record(keys, msg, 3, 4, bad), Recorded::Buffered);
-        assert_eq!(c.record(keys, msg, 3, 4, shares[1]), Recorded::Refused, "slot taken");
-        // The third share reaches the quorum; the batch check evicts the bad
-        // one, so nothing combines — and its slot is free again.
-        assert_eq!(c.record(keys, msg, 3, 4, shares[2]), Recorded::Buffered);
-        assert_eq!(c.reporters(), 0b101);
-        let Recorded::Combined(Some(output)) = c.record(keys, msg, 3, 4, shares[1]) else {
-            panic!("three verified shares combine");
+        assert_eq!(c.record(keys, msg, need, n, shares[0]), Recorded::Buffered);
+        let again = c.record(keys, msg, need, n, shares[0]);
+        assert_eq!(again, Recorded::Refused, "never counted twice");
+        for &share in &shares[2..need] {
+            assert_eq!(c.record(keys, msg, need, n, share), Recorded::Buffered);
+        }
+        // The bad share reaches the quorum and has it checked: it is
+        // evicted, so nothing combines — and its slot is free again.
+        assert_eq!(c.record(keys, msg, need, n, bad), Recorded::Buffered);
+        assert_eq!(c.reporters(), ((1 << need) - 1) & !0b10);
+        let Recorded::Combined(Some(output)) = c.record(keys, msg, need, n, shares[1]) else {
+            panic!("{need} verified shares combine");
         };
         assert_eq!(c.output(), Some(&output));
-        assert_eq!(Some(output), keys.combine(msg, &[shares[0], shares[2], shares[1]]));
+        let quorum = [&shares[..1], &shares[2..need], &shares[1..2]].concat();
+        assert_eq!(Some(output), reference(&quorum));
         // Combined: later shares are not even buffered.
-        assert_eq!(c.record(keys, msg, 3, 4, shares[3]), Recorded::Refused);
-        assert_eq!(c.reporters(), 0b111);
+        if need < n {
+            assert_eq!(c.record(keys, msg, need, n, shares[need]), Recorded::Refused);
+        }
+        assert_eq!(c.reporters(), (1 << need) - 1);
         let mut adopter = Collector::<K>::default();
         adopter.adopt(output);
-        assert_eq!(adopter.record(keys, msg, 3, 4, shares[0]), Recorded::Refused);
+        assert_eq!(adopter.record(keys, msg, need, n, shares[0]), Recorded::Refused);
     }
 
     #[test]
-    fn one_collector_serves_both_schemes() {
+    fn one_collector_serves_both_schemes_and_combines_what_lagrange_does() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(73);
-        let (pks, sks) = thresh_sig::deal(4, 2, ThresholdCurve::Bn158, &mut rng);
-        let shares: Vec<SigShare> = sks.iter().map(|sk| sk.sign_share(b"collected")).collect();
-        let mut bad = shares[1];
-        bad.value = bad.value.mul(&GroupElem::generator());
-        collects(&pks, &b"collected"[..], &shares, bad);
-
-        let (cpub, csec) = thresh_coin::deal_coin(4, 2, ThresholdCurve::Bn158, &mut rng);
         let name = CoinName { session: 1, round: 2, domain: 3 };
-        let shares: Vec<CoinShare> = csec.iter().map(|sk| sk.coin_share(name)).collect();
-        let mut bad = shares[1];
-        bad.value = bad.value.mul(&GroupElem::generator());
-        collects(&cpub, name, &shares, bad);
+        for (n, t) in [(4, 1), (4, 2), (7, 2), (16, 5)] {
+            let (pks, sks) = thresh_sig::deal(n, t, ThresholdCurve::Bn158, &mut rng);
+            let shares: Vec<SigShare> = sks.iter().map(|sk| sk.sign_share(b"collected")).collect();
+            let mut bad = shares[1];
+            bad.value = bad.value.mul(&GroupElem::generator());
+            collects(&pks, &b"collected"[..], t, &shares, bad, |q| pks.combine(q).ok());
+
+            let (cpub, csec) = thresh_coin::deal_coin(n, t, ThresholdCurve::Bn158, &mut rng);
+            let shares: Vec<CoinShare> = csec.iter().map(|sk| sk.coin_share(name)).collect();
+            let mut bad = shares[1];
+            bad.value = bad.value.mul(&GroupElem::generator());
+            collects(&cpub, name, t, &shares, bad, |q| cpub.combine_value(name, q).ok());
+        }
     }
 }

@@ -19,7 +19,7 @@
 //! * **Simultaneous multi-exponentiation** ([`GroupElem::multi_pow`]):
 //!   Straus/Shamir interleaving for < 16 bases, a Pippenger bucket pass for
 //!   ≥ 16 — one shared squaring chain for the whole product. Backs Lagrange
-//!   combination and batched share verification.
+//!   combination, the DLEQ check and Feldman commitment evaluation.
 //! * **Subgroup-membership verdicts**: [`GroupElem::from_bytes`] keeps the
 //!   result of the Euler-criterion exponentiation per canonical encoding in
 //!   the crate's one verdict memo ([`crate::memo`]), so re-decoding the same
@@ -248,8 +248,8 @@ impl GroupElem {
     /// 16-entry tables, one shared squaring chain) and a Pippenger bucket
     /// pass at 16 bases or more (no per-base tables; one 15-bucket
     /// accumulation per window). Both skip leading all-zero windows, so
-    /// short exponents — like the 64-bit coefficients of batched share
-    /// verification — cost proportionally less.
+    /// short exponents — like the index powers `x^k` of a Feldman commitment
+    /// evaluation — cost proportionally less.
     pub fn multi_pow(pairs: &[(GroupElem, Scalar)]) -> GroupElem {
         match pairs.len() {
             0 => GroupElem::identity(),
@@ -264,9 +264,9 @@ impl GroupElem {
         let Some(top_bit) = highest_bit(&exps) else {
             return GroupElem::identity();
         };
-        // Window width: short exponents (batch-verification coefficients
-        // are 64-bit) amortize per-base tables over few windows, so a
-        // narrower window with its 4× smaller table wins there.
+        // Window width: short exponents (the index powers of a Feldman
+        // commitment evaluation) amortize per-base tables over few windows,
+        // so a narrower window with its 4× smaller table wins there.
         let width = if top_bit < 72 { 3 } else { 4 };
         let table_len = 1usize << width;
         let tables: Vec<Vec<Fe>> = pairs

@@ -100,53 +100,6 @@ pub fn hash_to_fe(domain: &str, parts: &[&[u8]]) -> Fe {
     Fe::from_wide_bytes_reduced(&wide)
 }
 
-/// Derives the deterministic 64-bit random-linear-combination coefficients
-/// for batched share verification.
-///
-/// The transcript commits to the verification context (`context`, e.g. the
-/// message exponent) and to every `(index, value)` pair in the batch, so a
-/// prover cannot choose shares *after* learning its coefficient: any change
-/// to any share re-randomizes every coefficient. 64-bit coefficients bound
-/// the false-accept probability of a rigged batch at `2^-64` — ample for a
-/// simulation substrate (and each coefficient is forced non-zero so no
-/// share can be silently dropped from the check).
-pub fn batch_coefficients(
-    domain: &str,
-    context: &[u8],
-    shares: impl Iterator<Item = (u16, [u8; 32])>,
-) -> Vec<Scalar> {
-    let mut h = Sha256::new();
-    h.update((domain.len() as u64).to_le_bytes());
-    h.update(domain.as_bytes());
-    h.update((context.len() as u64).to_le_bytes());
-    h.update(context);
-    let mut count = 0u64;
-    for (index, value) in shares {
-        h.update(index.to_le_bytes());
-        h.update(value);
-        count += 1;
-    }
-    let transcript: [u8; 32] = h.finalize().into();
-    // Counter-mode expansion: each 32-byte block yields four 64-bit
-    // coefficients, so a quorum-sized batch needs only a couple of hashes.
-    let mut out = Vec::with_capacity(count as usize);
-    let mut block_idx = 0u64;
-    while (out.len() as u64) < count {
-        let block =
-            Digest32::of_parts("wbft/batch-coeff", &[&transcript, &block_idx.to_le_bytes()]);
-        for chunk in block.0.chunks_exact(8) {
-            if (out.len() as u64) >= count {
-                break;
-            }
-            let mut b = [0u8; 8];
-            b.copy_from_slice(chunk);
-            out.push(Scalar::from_u64(u64::from_le_bytes(b).max(1)));
-        }
-        block_idx += 1;
-    }
-    out
-}
-
 /// Expandable-output keystream for the threshold-encryption hybrid layer:
 /// SHA-256 in counter mode keyed by `key` and `label`.
 pub fn keystream(key: &[u8], label: &[u8], len: usize) -> Vec<u8> {

@@ -50,11 +50,12 @@
 //! group exponentiation, so the crate ships a fast-path engine — fixed-base
 //! window tables ([`group::PrecomputedBase`], plus a process-wide generator
 //! table behind [`GroupElem::from_exponent`]), simultaneous
-//! multi-exponentiation ([`GroupElem::multi_pow`]), batched share
-//! verification (`verify_shares` on [`thresh_sig::PublicKeySet`] and
-//! [`thresh_coin::CoinPublicSet`], random linear combination with
-//! deterministic 64-bit coefficients and a per-share fallback), memoized
-//! batch-inverted Lagrange coefficients
+//! multi-exponentiation ([`GroupElem::multi_pow`]), share quorums at table
+//! cost ([`thresh_sig::PublicKeySet`] and [`thresh_coin::CoinPublicSet`]
+//! check each share with one window-table pow per share key, and
+//! `combine_verified` reads a checked quorum's output off the group key's
+//! table instead of interpolating), memoized batch-inverted Lagrange
+//! coefficients
 //! ([`shamir::lagrange_coeffs_at_zero`]), and one per-thread verdict memo
 //! ([`memo`]) for the verification predicates every receiver of a broadcast
 //! repeats — which the producer of a signature or share also writes its
@@ -63,7 +64,6 @@
 //! every cache is keyed purely by its inputs. See the workspace README
 //! ("Crypto fast paths") for measured numbers.
 
-mod batch;
 pub mod field;
 pub mod group;
 pub mod hash;
@@ -71,6 +71,7 @@ mod limbs;
 pub mod memo;
 pub mod merkle;
 pub mod profile;
+mod quorum;
 pub mod reshare;
 pub mod schnorr;
 pub mod shamir;

@@ -21,15 +21,16 @@
 //!
 //! The table has a second writer besides the verifiers: the *producer* of a
 //! proof. `KeyPair::sign` records its own signature's Schnorr verdict and the
-//! membership of its commitment `R`; `sign_share`, `coin_share` and
-//! `dec_share` record the membership of the element they return ([`record`],
-//! crate-private). Only the holder of the secret can do that — it alone knows
-//! the proof is good without checking it — and signatures are deterministic,
-//! so the record is exactly what the verifier would have computed. On the
-//! simulator's thread the signer's receivers then find their answer waiting;
-//! on a UDP node thread nobody asks the signer's own table, and bytes that
-//! were tampered with, forged or signed elsewhere hash to a key no producer
-//! wrote. Builds with debug assertions evaluate every recorded predicate.
+//! membership of its commitment `R`; `dec_share` records its DLEQ proof's
+//! verdict; `sign_share`, `coin_share` and `dec_share` record the membership
+//! of the element they return ([`record`], crate-private). Only the holder of
+//! the secret can do that — it alone knows the proof is good without
+//! checking it — and signatures are deterministic, so the record is exactly
+//! what the verifier would have computed. On the simulator's thread the
+//! signer's receivers then find their answer waiting; on a UDP node thread
+//! nobody asks the signer's own table, and bytes that were tampered with,
+//! forged or signed elsewhere hash to a key no producer wrote. Builds with
+//! debug assertions evaluate every recorded predicate.
 //!
 //! Every key binds the verification key it was checked under, so two deals
 //! on one thread never share a verdict. A verdict is a pure function of its

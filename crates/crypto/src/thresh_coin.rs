@@ -17,10 +17,11 @@
 //! needs for termination.
 
 use crate::field::Scalar;
-use crate::group::{GroupElem, PrecompCache, PrecomputedBase};
+use crate::group::{GroupElem, PrecompCache};
 use crate::hash::hash_to_scalar;
 use crate::profile::{CoinProfile, ThresholdCurve};
-use crate::shamir::{lagrange_coeffs_at_zero, Polynomial, ShamirError, ShareIndex};
+use crate::quorum::{interpolate, Item, KeyTables};
+use crate::shamir::{Polynomial, ShamirError, ShareIndex};
 use rand::RngCore;
 
 /// Errors from coin operations.
@@ -94,7 +95,7 @@ pub struct CoinPublicSet {
     curve: ThresholdCurve,
     threshold: usize,
     vk_shares: Vec<GroupElem>,
-    precomp: PrecompCache<Vec<PrecomputedBase>>,
+    precomp: PrecompCache<KeyTables>,
 }
 
 /// One node's secret coin key share.
@@ -141,7 +142,8 @@ pub fn deal_coin(
 pub struct CoinTally {
     /// [`CoinSecretShare::coin_share`] calls.
     pub shares_signed: u64,
-    /// [`CoinPublicSet::combine_value`] calls that revealed a value.
+    /// Coin values revealed: [`CoinPublicSet::combine_value`] and
+    /// [`CoinPublicSet::combine_verified`] calls that returned one.
     pub coins_combined: u64,
 }
 
@@ -169,11 +171,22 @@ fn coin_exponent(name: CoinName) -> Scalar {
     hash_to_scalar("wbft/coin", &[&name.to_bytes()])
 }
 
+fn items(shares: &[CoinShare]) -> Vec<Item> {
+    shares.iter().map(|s| (s.index, s.value)).collect()
+}
+
+/// The value of the coin whose combined point is `h_Γ^s`, counted in this
+/// thread's [`tally`].
+fn reveal(combined: GroupElem) -> u64 {
+    tally_update(|t| t.coins_combined += 1);
+    combined.digest("wbft/coin/value").to_u64()
+}
+
 impl CoinPublicSet {
-    /// Assembles a coin set from rolled parts (resharing ceremony). A coin
-    /// set has no combined `vk`; coin *values* are preserved across a roll
-    /// because they are a function of the shared secret, which resharing
-    /// keeps fixed.
+    /// Assembles a coin set from rolled parts (resharing ceremony). Its
+    /// group key is interpolated from the share keys; coin *values* are
+    /// preserved across a roll because they are a function of the shared
+    /// secret, which resharing keeps fixed.
     pub fn from_parts(
         curve: ThresholdCurve,
         threshold: usize,
@@ -207,22 +220,28 @@ impl CoinPublicSet {
         self.curve.coin_profile()
     }
 
-    /// Builds the fixed-base window tables for every coin verification key
-    /// (opt-in; shared by all clones of this key set).
-    pub fn precompute(&self) {
-        self.precomp.0.get_or_init(|| self.vk_shares.iter().map(PrecomputedBase::new).collect());
+    /// The window tables for the group key and every `vk_shares[i]`, built
+    /// on first use and shared by all clones of this key set. A coin set is
+    /// dealt without its group key, so the build interpolates it once from
+    /// share keys `1..=threshold + 1`.
+    fn tables(&self) -> &KeyTables {
+        self.precomp.0.get_or_init(|| {
+            let keys: Vec<Item> = self
+                .vk_shares
+                .iter()
+                .enumerate()
+                .map(|(i, vk)| (ShareIndex::for_node(i), *vk))
+                .collect();
+            let vk = interpolate(self.threshold, &keys)
+                .expect("a coin set holds at least threshold + 1 share keys");
+            KeyTables::new(&vk, &self.vk_shares)
+        })
     }
 
-    fn tables(&self) -> Option<&Vec<PrecomputedBase>> {
-        self.precomp.0.get()
-    }
-
-    /// `vk_shares[i]^e`, through the window table when built.
-    fn vk_share_pow(&self, i: usize, e: &Scalar) -> GroupElem {
-        match self.tables() {
-            Some(t) => t[i].pow(e),
-            None => self.vk_shares[i].pow(e),
-        }
+    /// The group key `g^s` of the shared secret `s` — stable across
+    /// resharing, like the coin values.
+    pub fn group_key(&self) -> GroupElem {
+        self.tables().group_key()
     }
 
     /// Pre-hashes a coin name for repeated share operations.
@@ -249,21 +268,12 @@ impl CoinPublicSet {
         coin: &PreparedCoin,
         share: &CoinShare,
     ) -> Result<(), CoinError> {
-        let i = share.index.value() as usize;
-        if i == 0 || i > self.vk_shares.len() {
-            return Err(CoinError::InvalidShare { index: share.index.value() });
-        }
-        if self.vk_share_pow(i - 1, &coin.e) == share.value {
-            Ok(())
-        } else {
-            Err(CoinError::InvalidShare { index: share.index.value() })
-        }
+        self.verify_shares_prepared(coin, std::slice::from_ref(share))
     }
 
-    /// Verifies a batch of shares of the *same* coin with one random linear
-    /// combination — the coin mirror of
-    /// [`crate::thresh_sig::PublicKeySet::verify_shares`] (same soundness
-    /// argument, same per-share fallback on batch failure).
+    /// Verifies shares of the *same* coin, each by one table exponentiation
+    /// — the coin mirror of
+    /// [`crate::thresh_sig::PublicKeySet::verify_shares`].
     ///
     /// # Errors
     ///
@@ -289,22 +299,13 @@ impl CoinPublicSet {
     }
 
     /// The positions (into `shares`) of every share failing verification;
-    /// empty when the whole batch is valid (decided by the batch fast path
-    /// shared with `thresh_sig`, [`crate::batch`]).
+    /// empty when all are valid.
     pub fn invalid_share_positions(
         &self,
         coin: &PreparedCoin,
         shares: &[CoinShare],
     ) -> Vec<usize> {
-        let items: Vec<crate::batch::Item> =
-            shares.iter().map(|s| (s.index.value(), s.value)).collect();
-        crate::batch::invalid_share_positions(
-            &self.vk_shares,
-            self.tables().map(|t| t.as_slice()),
-            &coin.e,
-            "wbft/coin/batch",
-            &items,
-        )
+        self.tables().invalid_positions(&coin.e, &items(shares))
     }
 
     /// Combines `threshold + 1` shares into the coin's boolean value.
@@ -319,27 +320,33 @@ impl CoinPublicSet {
         Ok(self.combine_value(name, shares)? & 1 == 1)
     }
 
-    /// Combines into a 64-bit coin value (used to seed Dumbo's permutation π).
+    /// Combines into a 64-bit coin value (used to seed Dumbo's permutation
+    /// π) by Lagrange interpolation of the first `threshold + 1` shares.
     ///
     /// # Errors
     ///
     /// Propagates share-set errors.
     pub fn combine_value(&self, name: CoinName, shares: &[CoinShare]) -> Result<u64, CoinError> {
-        if shares.len() < self.threshold + 1 {
-            return Err(CoinError::Shamir(ShamirError::NotEnoughShares {
-                got: shares.len(),
-                need: self.threshold + 1,
-            }));
-        }
-        let subset = &shares[..self.threshold + 1];
-        let indices: Vec<ShareIndex> = subset.iter().map(|s| s.index).collect();
-        let lambdas = lagrange_coeffs_at_zero(&indices)?;
-        let pairs: Vec<(GroupElem, Scalar)> =
-            subset.iter().zip(&lambdas).map(|(s, l)| (s.value, *l)).collect();
-        let digest = GroupElem::multi_pow(&pairs).digest("wbft/coin/value");
         let _ = name; // the name is already bound through the share values
-        tally_update(|t| t.coins_combined += 1);
-        Ok(digest.to_u64())
+        Ok(reveal(interpolate(self.threshold, &items(shares))?))
+    }
+
+    /// [`Self::combine_value`] for a quorum of distinct shares that *each
+    /// passed* [`Self::invalid_share_positions`] for `coin`: their
+    /// combination is `vk^e`, read off the group key's window table instead
+    /// of interpolated. The caller guarantees the precondition; builds with
+    /// debug assertions interpolate too and panic on a difference.
+    ///
+    /// # Errors
+    ///
+    /// [`CoinError::Shamir`] when fewer than `threshold + 1` shares are
+    /// given.
+    pub fn combine_verified(
+        &self,
+        coin: &PreparedCoin,
+        quorum: &[CoinShare],
+    ) -> Result<u64, CoinError> {
+        Ok(reveal(self.tables().combine_verified(self.threshold, &coin.e, &items(quorum))?))
     }
 }
 
@@ -466,15 +473,42 @@ mod tests {
         );
         let pc = pub_set.prepare(n);
         assert_eq!(pub_set.invalid_share_positions(&pc, &mixed), vec![1]);
-        // Tables change nothing.
-        pub_set.precompute();
-        pub_set.verify_shares(n, &shares).unwrap();
-        assert_eq!(pub_set.invalid_share_positions(&pc, &mixed), vec![1]);
         for s in &shares {
             pub_set.verify_share(n, s).unwrap();
         }
         // Wrong-name shares fail in batch as they do per-share.
         assert!(pub_set.verify_shares(name(9), &shares).is_err());
+    }
+
+    #[test]
+    fn the_group_key_is_g_to_the_shared_secret() {
+        // Any quorum of share keys interpolates to one key, and it is g^s
+        // for the s a quorum of secret shares interpolates to.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let (pub_set, secrets) = deal_coin(7, 2, ThresholdCurve::Bn158, &mut rng);
+        let keys =
+            |slots: [usize; 3]| slots.map(|i| (ShareIndex::for_node(i), pub_set.share_keys()[i]));
+        let a = interpolate(2, &keys([0, 1, 2])).unwrap();
+        assert_eq!(interpolate(2, &keys([6, 4, 3])).unwrap(), a);
+        let quorum: Vec<_> = secrets[4..].iter().map(|s| (s.index, s.secret)).collect();
+        let s = crate::shamir::reconstruct_secret(&quorum, 2).unwrap();
+        assert_eq!(GroupElem::from_exponent(&s), a);
+        assert_eq!(pub_set.group_key(), a);
+    }
+
+    #[test]
+    fn a_verified_quorum_reveals_the_interpolated_value() {
+        let (pub_set, secrets) = setup();
+        let n = name(4);
+        let pc = pub_set.prepare(n);
+        let shares: Vec<_> = secrets.iter().map(|s| s.coin_share(n)).collect();
+        assert!(pub_set.invalid_share_positions(&pc, &shares).is_empty());
+        let before = tally().coins_combined;
+        for quorum in [[shares[0], shares[1]], [shares[3], shares[2]]] {
+            assert_eq!(pub_set.combine_verified(&pc, &quorum), pub_set.combine_value(n, &quorum));
+        }
+        assert_eq!(tally().coins_combined - before, 4, "each call reveals once");
+        assert!(matches!(pub_set.combine_verified(&pc, &shares[..1]), Err(CoinError::Shamir(_))));
     }
 
     #[test]

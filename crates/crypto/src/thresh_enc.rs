@@ -19,7 +19,8 @@ use crate::group::GroupElem;
 use crate::hash::{hash_to_scalar, keystream, Digest32};
 use crate::memo::{self, Predicate};
 use crate::profile::ThresholdCurve;
-use crate::shamir::{lagrange_coeffs_at_zero, Polynomial, ShamirError, ShareIndex};
+use crate::quorum::{interpolate, Item};
+use crate::shamir::{Polynomial, ShamirError, ShareIndex};
 use rand::RngCore;
 
 /// Errors from threshold decryption.
@@ -134,6 +135,42 @@ fn dleq_challenge(
     )
 }
 
+/// The verdict-memo key of a DLEQ proof with challenge `c` for the
+/// statement `(i, u, vk_i, d)`; the response `z` completes it.
+fn dleq_statement(
+    index: ShareIndex,
+    u: &GroupElem,
+    vk_i: &GroupElem,
+    d: &GroupElem,
+    c: &Scalar,
+) -> [u8; 32] {
+    Digest32::of_parts(
+        "wbft/memo/dleq",
+        &[
+            &index.value().to_le_bytes(),
+            &u.to_bytes(),
+            &vk_i.to_bytes(),
+            &d.to_bytes(),
+            &c.to_bytes(),
+        ],
+    )
+    .0
+}
+
+/// The DLEQ check of [`EncPublicSet::verify_share`], uncached.
+fn dleq_holds(
+    index: ShareIndex,
+    u: &GroupElem,
+    vk_i: &GroupElem,
+    d: &GroupElem,
+    proof: &DleqProof,
+) -> bool {
+    let DleqProof { c, z } = *proof;
+    let a1 = GroupElem::multi_pow(&[(GroupElem::generator(), z), (*vk_i, c)]);
+    let a2 = GroupElem::multi_pow(&[(*u, z), (*d, c)]);
+    dleq_challenge(index, u, vk_i, d, &a1, &a2) == c
+}
+
 /// Deals a `(threshold, n)` encryption key set; HoneyBadgerBFT uses
 /// `threshold = f`.
 pub fn deal_enc(
@@ -226,21 +263,9 @@ impl EncPublicSet {
             return Err(ThreshEncError::InvalidShare { index: share.index.value() });
         }
         let vk_i = self.vk_shares[i - 1];
-        let DleqProof { c, z } = share.proof;
-        let statement = Digest32::of_parts(
-            "wbft/memo/dleq",
-            &[
-                &share.index.value().to_le_bytes(),
-                &ct.u.to_bytes(),
-                &vk_i.to_bytes(),
-                &share.value.to_bytes(),
-                &c.to_bytes(),
-            ],
-        );
-        let valid = memo::verdict(Predicate::Dleq, statement.0, z.to_bytes(), || {
-            let a1 = GroupElem::multi_pow(&[(GroupElem::generator(), z), (vk_i, c)]);
-            let a2 = GroupElem::multi_pow(&[(ct.u, z), (share.value, c)]);
-            dleq_challenge(share.index, &ct.u, &vk_i, &share.value, &a1, &a2) == c
+        let statement = dleq_statement(share.index, &ct.u, &vk_i, &share.value, &share.proof.c);
+        let valid = memo::verdict(Predicate::Dleq, statement, share.proof.z.to_bytes(), || {
+            dleq_holds(share.index, &ct.u, &vk_i, &share.value, &share.proof)
         });
         if valid {
             Ok(())
@@ -262,18 +287,8 @@ impl EncPublicSet {
         ct: &Ciphertext,
         shares: &[DecShare],
     ) -> Result<Vec<u8>, ThreshEncError> {
-        if shares.len() < self.threshold + 1 {
-            return Err(ThreshEncError::Shamir(ShamirError::NotEnoughShares {
-                got: shares.len(),
-                need: self.threshold + 1,
-            }));
-        }
-        let subset = &shares[..self.threshold + 1];
-        let indices: Vec<ShareIndex> = subset.iter().map(|s| s.index).collect();
-        let lambdas = lagrange_coeffs_at_zero(&indices)?;
-        let pairs: Vec<(GroupElem, Scalar)> =
-            subset.iter().zip(&lambdas).map(|(s, l)| (s.value, *l)).collect();
-        let key = GroupElem::multi_pow(&pairs).to_bytes();
+        let items: Vec<Item> = shares.iter().map(|s| (s.index, s.value)).collect();
+        let key = interpolate(self.threshold, &items)?.to_bytes();
         let expect_tag =
             Digest32::of_parts("wbft/thresh-enc/tag", &[&key, &ct.u.to_bytes(), &ct.body, label]);
         if expect_tag != ct.tag {
@@ -303,7 +318,9 @@ impl EncSecretShare {
     /// Produces this node's decryption share for a ciphertext, with its
     /// DLEQ proof. The proof nonce is derived deterministically from the
     /// secret and the statement (RFC 6979 style), so signing needs no RNG
-    /// and re-producing the share for retransmission is reproducible.
+    /// and re-producing the share for retransmission is reproducible. The
+    /// producer knows its proof verifies, so it records the verdict in the
+    /// memo ([`crate::memo`]) under the key a verifier would ask.
     pub fn dec_share(&self, ct: &Ciphertext) -> DecShare {
         let d = ct.u.pow(&self.secret);
         d.record_member();
@@ -315,8 +332,14 @@ impl EncSecretShare {
         let a1 = GroupElem::from_exponent(&k);
         let a2 = ct.u.pow(&k);
         let c = dleq_challenge(self.index, &ct.u, &vk_i, &d, &a1, &a2);
-        let z = k.sub(&c.mul(&self.secret));
-        DecShare { index: self.index, value: d, proof: DleqProof { c, z } }
+        let proof = DleqProof { c, z: k.sub(&c.mul(&self.secret)) };
+        memo::record(
+            Predicate::Dleq,
+            dleq_statement(self.index, &ct.u, &vk_i, &d, &c),
+            proof.z.to_bytes(),
+            || dleq_holds(self.index, &ct.u, &vk_i, &d, &proof),
+        );
+        DecShare { index: self.index, value: d, proof }
     }
 }
 

@@ -10,7 +10,10 @@
 //! Because [`GroupElem::hash_to_group`] produces `h = g^{e}` with known
 //! exponent `e = H(m)`, share verification is the *real* algebraic check
 //! `σ_i == vk_i^{e}` using only public data (`vk_i = g^{s_i}`), and combined
-//! verification is `σ == vk^{e}` — no pairings needed. The trade-off, stated
+//! verification is `σ == vk^{e}` — no pairings needed. Both run through
+//! window tables for `vk` and every `vk_i`, built on the first check. A
+//! quorum of checked shares therefore combines to `vk^e` without
+//! interpolating ([`PublicKeySet::combine_verified`]). The trade-off, stated
 //! plainly: with a known-discrete-log `h`, anyone can *forge* shares by
 //! computing `vk_i^{e}` themselves, so this scheme is **not secure against a
 //! cryptographic adversary**. It is structurally faithful (same API, same
@@ -19,11 +22,12 @@
 //! [`crate::profile::ThresholdProfile`]. See DESIGN.md §2.
 
 use crate::field::Scalar;
-use crate::group::{GroupElem, PrecompCache, PrecomputedBase};
+use crate::group::{GroupElem, PrecompCache};
 use crate::hash::{hash_to_scalar, Digest32};
 use crate::memo::{self, Predicate};
 use crate::profile::{ThresholdCurve, ThresholdProfile};
-use crate::shamir::{lagrange_coeffs_at_zero, Polynomial, ShamirError, ShareIndex};
+use crate::quorum::{interpolate, Item, KeyTables};
+use crate::shamir::{Polynomial, ShamirError, ShareIndex};
 use rand::RngCore;
 
 /// Domain tag binding message hashes to this scheme.
@@ -49,11 +53,8 @@ impl PreparedMessage {
     }
 }
 
-/// Opt-in fixed-base window tables for a key set's verification keys
-/// (cached via the clone-shared [`PrecompCache`]).
-struct KeyTables {
-    vk: PrecomputedBase,
-    shares: Vec<PrecomputedBase>,
+fn items(shares: &[SigShare]) -> Vec<Item> {
+    shares.iter().map(|s| (s.index, s.value)).collect()
 }
 
 /// Errors from threshold-signature operations.
@@ -207,28 +208,11 @@ impl PublicKeySet {
         self.curve.signature_profile()
     }
 
-    /// Builds the fixed-base window tables for `vk` and every `vk_shares[i]`
-    /// (opt-in: ~3 plain exponentiations of build cost per base, amortized
-    /// across every verification afterwards). The tables are shared by all
-    /// clones of this key set, so calling this from every node of a
-    /// deployment still builds them once.
-    pub fn precompute(&self) {
-        self.precomp.0.get_or_init(|| KeyTables {
-            vk: PrecomputedBase::new(&self.vk),
-            shares: self.vk_shares.iter().map(PrecomputedBase::new).collect(),
-        });
-    }
-
-    fn tables(&self) -> Option<&KeyTables> {
-        self.precomp.0.get()
-    }
-
-    /// `vk_shares[i]^e`, through the window table when built.
-    fn vk_share_pow(&self, i: usize, e: &Scalar) -> GroupElem {
-        match self.tables() {
-            Some(t) => t.shares[i].pow(e),
-            None => self.vk_shares[i].pow(e),
-        }
+    /// The window tables for `vk` and every `vk_shares[i]`, built on first
+    /// use (~3 plain exponentiations per base) and shared by all clones of
+    /// this key set, so every node of a deployment uses one build.
+    fn tables(&self) -> &KeyTables {
+        self.precomp.0.get_or_init(|| KeyTables::new(&self.vk, &self.vk_shares))
     }
 
     /// Pre-hashes a message for repeated share operations against this set.
@@ -256,25 +240,12 @@ impl PublicKeySet {
         msg: &PreparedMessage,
         share: &SigShare,
     ) -> Result<(), ThreshSigError> {
-        let i = share.index.value() as usize;
-        if i == 0 || i > self.vk_shares.len() {
-            return Err(ThreshSigError::InvalidShare { index: share.index.value() });
-        }
-        if self.vk_share_pow(i - 1, &msg.e) == share.value {
-            Ok(())
-        } else {
-            Err(ThreshSigError::InvalidShare { index: share.index.value() })
-        }
+        self.verify_shares_prepared(msg, std::slice::from_ref(share))
     }
 
-    /// Verifies a batch of shares of the *same* message with one random
-    /// linear combination: accepts iff `Π σ_i^{r_i} == (Π vk_i^{r_i})^e`
-    /// for deterministic non-zero 64-bit coefficients `r_i` derived from
-    /// the whole batch (see [`batch_coefficients`]). Sound up to a `2^-64`
-    /// false-accept probability; on batch failure it falls back to
-    /// per-share checks, so the reported error still names a Byzantine
-    /// share. Accepts exactly the batches in which every share passes
-    /// [`Self::verify_share`] (duplicates included).
+    /// Verifies shares of the *same* message, each by one table
+    /// exponentiation `σ_i == vk_i^e`. Accepts exactly the sets in which
+    /// every share passes [`Self::verify_share`] (duplicates included).
     ///
     /// # Errors
     ///
@@ -302,47 +273,45 @@ impl PublicKeySet {
     }
 
     /// The positions (into `shares`) of every share that fails
-    /// verification — empty when the whole batch is valid, which the batch
-    /// fast path decides with two multi-exponentiations (see
-    /// [`crate::batch`]). Components use this to evict exactly the
-    /// Byzantine shares from a buffered quorum.
+    /// verification — empty when all are valid. Components use this to
+    /// evict exactly the Byzantine shares from a buffered quorum.
     pub fn invalid_share_positions(
         &self,
         msg: &PreparedMessage,
         shares: &[SigShare],
     ) -> Vec<usize> {
-        let items: Vec<crate::batch::Item> =
-            shares.iter().map(|s| (s.index.value(), s.value)).collect();
-        crate::batch::invalid_share_positions(
-            &self.vk_shares,
-            self.tables().map(|t| t.shares.as_slice()),
-            &msg.e,
-            "wbft/thresh-sig/batch",
-            &items,
-        )
+        self.tables().invalid_positions(&msg.e, &items(shares))
     }
 
-    /// Combines `threshold + 1` verified shares into a signature: one
-    /// simultaneous multi-exponentiation over the (memoized, batch-inverted)
-    /// Lagrange coefficients of the quorum's index set.
+    /// Combines `threshold + 1` shares into a signature: one simultaneous
+    /// multi-exponentiation over the (memoized, batch-inverted) Lagrange
+    /// coefficients of the quorum's index set.
     ///
     /// # Errors
     ///
     /// Propagates share-set errors; the result verifies iff all shares were
     /// genuine.
     pub fn combine(&self, shares: &[SigShare]) -> Result<ThresholdSignature, ThreshSigError> {
-        if shares.len() < self.threshold + 1 {
-            return Err(ThreshSigError::Shamir(ShamirError::NotEnoughShares {
-                got: shares.len(),
-                need: self.threshold + 1,
-            }));
-        }
-        let subset = &shares[..self.threshold + 1];
-        let indices: Vec<ShareIndex> = subset.iter().map(|s| s.index).collect();
-        let lambdas = lagrange_coeffs_at_zero(&indices)?;
-        let pairs: Vec<(GroupElem, Scalar)> =
-            subset.iter().zip(&lambdas).map(|(s, l)| (s.value, *l)).collect();
-        Ok(ThresholdSignature { value: GroupElem::multi_pow(&pairs) })
+        Ok(ThresholdSignature { value: interpolate(self.threshold, &items(shares))? })
+    }
+
+    /// [`Self::combine`] for a quorum of distinct shares that *each passed*
+    /// [`Self::invalid_share_positions`] over `msg`: their combination is
+    /// `vk^e`, read off the group key's window table instead of
+    /// interpolated. The caller guarantees the precondition; builds with
+    /// debug assertions interpolate too and panic on a difference.
+    ///
+    /// # Errors
+    ///
+    /// [`ThreshSigError::Shamir`] when fewer than `threshold + 1` shares are
+    /// given.
+    pub fn combine_verified(
+        &self,
+        msg: &PreparedMessage,
+        quorum: &[SigShare],
+    ) -> Result<ThresholdSignature, ThreshSigError> {
+        let value = self.tables().combine_verified(self.threshold, &msg.e, &items(quorum))?;
+        Ok(ThresholdSignature { value })
     }
 
     /// Verifies a combined signature on `msg`. The exponentiation goes
@@ -357,11 +326,7 @@ impl PublicKeySet {
         let statement =
             Digest32::of_parts("wbft/memo/thresh-sig", &[&self.vk.to_bytes(), &e.to_bytes()]);
         let valid = memo::verdict(Predicate::ThreshSig, statement.0, sig.to_bytes(), || {
-            let expect = match self.tables() {
-                Some(t) => t.vk.pow(&e),
-                None => self.vk.pow(&e),
-            };
-            expect == sig.value
+            self.tables().group_pow(&e) == sig.value
         });
         if valid {
             Ok(())
@@ -515,23 +480,31 @@ mod tests {
     }
 
     #[test]
-    fn precomputed_tables_do_not_change_results() {
-        let (pks, sks) = setup(4, 1);
-        let msg = b"tables";
+    fn a_verified_quorum_combines_to_the_interpolated_signature() {
+        let (pks, sks) = setup(7, 2);
+        let msg = b"verified";
+        let pm = pks.prepare(msg);
         let shares: Vec<_> = sks.iter().map(|sk| sk.sign_share(msg)).collect();
-        let plain_sig = pks.combine(&shares[..2]).unwrap();
-        pks.precompute();
-        for s in &shares {
-            pks.verify_share(msg, s).unwrap();
+        assert!(pks.invalid_share_positions(&pm, &shares).is_empty());
+        for quorum in [&shares[..3], &shares[4..], &[shares[6], shares[0], shares[3]]] {
+            let sig = pks.combine_verified(&pm, quorum).unwrap();
+            assert_eq!(Ok(sig), pks.combine(quorum));
+            pks.verify(msg, &sig).unwrap();
         }
-        pks.verify_shares(msg, &shares).unwrap();
-        pks.verify(msg, &plain_sig).unwrap();
-        assert_eq!(pks.combine(&shares[..2]).unwrap(), plain_sig);
-        // A tampered share still fails through the table path.
-        let mut bad = shares[0];
+        assert_eq!(
+            pks.combine_verified(&pm, &shares[..2]),
+            Err(ThreshSigError::Shamir(ShamirError::NotEnoughShares { got: 2, need: 3 }))
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "never passed its check")]
+    fn an_unchecked_quorum_is_refused_by_the_reference() {
+        let (pks, sks) = setup(4, 1);
+        let mut bad = sks[0].sign_share(b"m");
         bad.value = bad.value.mul(&GroupElem::generator());
-        assert!(pks.verify_share(msg, &bad).is_err());
-        assert!(pks.verify_shares(msg, &[shares[1], bad]).is_err());
+        let _ = pks.combine_verified(&pks.prepare(b"m"), &[bad, sks[1].sign_share(b"m")]);
     }
 
     #[test]

@@ -373,19 +373,13 @@ proptest! {
             2 => signed.push(0),
             _ => keys = &other_deal,
         }
-        // With and without the window tables: same verdict, same key.
-        for tables in [false, true] {
-            if tables {
-                keys.precompute();
-            }
-            let (computed, repeated) = computed_then_repeated(
-                Predicate::ThreshSig,
-                true,
-                || keys.verify(&signed, &sig).is_ok(),
-            );
-            prop_assert_eq!(computed, tamper == 0);
-            prop_assert_eq!(repeated, computed);
-        }
+        let (computed, repeated) = computed_then_repeated(
+            Predicate::ThreshSig,
+            true,
+            || keys.verify(&signed, &sig).is_ok(),
+        );
+        prop_assert_eq!(computed, tamper == 0);
+        prop_assert_eq!(repeated, computed);
     }
 
     #[test]
@@ -420,15 +414,16 @@ proptest! {
             }
         }
         // 4 distinct questions per predicate, the second pass all hits. The
-        // two signers recorded their own signature's verdict, so only the
-        // cross-deal Schnorr questions were ever computed.
-        for p in [Predicate::ThreshSig, Predicate::Dleq] {
-            prop_assert_eq!(memo::stats(p), memo::Stats { hits: 4, misses: 4, recorded: 0 });
-        }
+        // two signers and the two decryption-share producers recorded their
+        // own proof's verdict, so only the cross-deal Schnorr and DLEQ
+        // questions were ever computed.
         prop_assert_eq!(
-            memo::stats(Predicate::Schnorr),
-            memo::Stats { hits: 6, misses: 2, recorded: 2 }
+            memo::stats(Predicate::ThreshSig),
+            memo::Stats { hits: 4, misses: 4, recorded: 0 }
         );
+        for p in [Predicate::Schnorr, Predicate::Dleq] {
+            prop_assert_eq!(memo::stats(p), memo::Stats { hits: 6, misses: 2, recorded: 2 });
+        }
     }
 
     #[test]
@@ -447,28 +442,30 @@ proptest! {
 
         memo::clear();
         let sig = kp.sign(&msg);
+        let dshare = enc_secrets[2].dec_share(&ct);
         let members = [
             sig.r,
             sig_secrets[0].sign_share(&msg).value,
             coin_secrets[1].coin_share(name).value,
-            enc_secrets[2].dec_share(&ct).value,
+            dshare.value,
         ];
         let mut tampered = sig;
         tampered.z = tampered.z.add(&Scalar::ONE);
+        let mut tampered_dshare = dshare;
+        tampered_dshare.proof.z = tampered_dshare.proof.z.add(&Scalar::ONE);
         let ask = || {
             (
-                kp.public().verify(&msg, &sig).is_ok(),
-                kp.public().verify(&msg, &tampered).is_ok(),
+                [&sig, &tampered].map(|s| kp.public().verify(&msg, s).is_ok()),
+                [&dshare, &tampered_dshare].map(|d| enc.verify_share(&ct, d).is_ok()),
                 members.map(|m| GroupElem::from_bytes(&m.to_bytes()).is_ok()),
             )
         };
-        let expected = (true, false, [true; 4]);
+        let expected = ([true, false], [true, false], [true; 4]);
 
         prop_assert_eq!(ask(), expected);
-        prop_assert_eq!(
-            memo::stats(Predicate::Schnorr),
-            memo::Stats { hits: 1, misses: 1, recorded: 1 }
-        );
+        for p in [Predicate::Schnorr, Predicate::Dleq] {
+            prop_assert_eq!(memo::stats(p), memo::Stats { hits: 1, misses: 1, recorded: 1 });
+        }
         prop_assert_eq!(
             memo::stats(Predicate::Subgroup),
             memo::Stats { hits: 4, misses: 0, recorded: 4 }
@@ -476,10 +473,9 @@ proptest! {
 
         memo::clear();
         prop_assert_eq!(ask(), expected);
-        prop_assert_eq!(
-            memo::stats(Predicate::Schnorr),
-            memo::Stats { hits: 0, misses: 2, recorded: 0 }
-        );
+        for p in [Predicate::Schnorr, Predicate::Dleq] {
+            prop_assert_eq!(memo::stats(p), memo::Stats { hits: 0, misses: 2, recorded: 0 });
+        }
         prop_assert_eq!(
             memo::stats(Predicate::Subgroup),
             memo::Stats { hits: 0, misses: 4, recorded: 0 }

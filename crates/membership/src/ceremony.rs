@@ -332,7 +332,8 @@ mod tests {
     use crate::view::CommitteeLog;
     use crate::MembershipOp;
     use rand::SeedableRng;
-    use wbft_components::deal_node_crypto;
+    use wbft_components::share_buf::ShareScheme;
+    use wbft_components::{deal_node_crypto, Collector, Recorded};
     use wbft_crypto::profile::CryptoSuite;
     use wbft_crypto::Scalar;
 
@@ -403,6 +404,21 @@ mod tests {
         assert_eq!(DealSet::decode(b""), None);
     }
 
+    /// What a [`Collector`] over `keys` combines `shares` into, recorded in
+    /// order.
+    fn collected<K: ShareScheme>(
+        keys: &K,
+        msg: K::Msg<'_>,
+        need: usize,
+        shares: &[K::Share],
+    ) -> Option<K::Output> {
+        let mut c = Collector::<K>::default();
+        shares.iter().find_map(|&share| match c.record(keys, msg, need, shares.len(), share) {
+            Recorded::Combined(output) => output,
+            _ => None,
+        })
+    }
+
     #[test]
     fn rolled_signatures_verify_under_the_genesis_group_key() {
         let (genesis, ceremony) = run_ceremony();
@@ -439,6 +455,15 @@ mod tests {
             genesis[0].coin_pub.combine(name, &old_shares[..2]).unwrap(),
             rolled[0].coin_pub.combine(name, &new_shares[..2]).unwrap(),
         );
+        // A rolled set's Collector, which reads its output off the rolled
+        // group key, comes to the genesis values.
+        assert_eq!(rolled[0].coin_pub.group_key(), genesis[0].coin_pub.group_key());
+        assert_eq!(
+            collected(&rolled[0].coin_pub, name, 2, &new_shares),
+            Some(genesis[0].coin_pub.combine_value(name, &old_shares[..2]).unwrap()),
+        );
+        assert_eq!(collected(&rolled[0].prbc_pub, &msg[..], 2, &shares), Some(sig));
+        assert_eq!(collected(&rolled[1].cbc_pub, &msg[..], 3, &cbc_shares), Some(cbc_sig));
     }
 
     #[test]
