@@ -8,21 +8,33 @@
 //!   multi-hop summary, the HB ciphertext — get the same battery.
 //! * JSON: `encode → decode → encode` is a fixpoint for `RunReport` and
 //!   `TestbedConfig`, and the parser never panics on arbitrary input.
+//! * Committed JSON: every scenario document under `tests/fixtures/` and
+//!   every fuzz fixture under `tests/fixtures/fuzz/` decodes and re-encodes
+//!   to its exact bytes. `codec_every_member.json` carries every config and
+//!   report member the run goldens leave out, so each one is pinned too.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use rand::SeedableRng;
+use std::path::{Path, PathBuf};
 use wbft_consensus::dumbo::{decode_commit, decode_w, encode_commit, encode_w};
+use wbft_consensus::fuzz::{decode_fixture, fixture_string};
 use wbft_consensus::honeybadger::{decode_ciphertext, encode_ciphertext, CIPHERTEXT_OVERHEAD};
 use wbft_consensus::multihop::{decode_summary, encode_summary};
-use wbft_consensus::testbed::{RunReport, TestbedConfig};
+use wbft_consensus::report::{decode_scenario, scenario_string};
+use wbft_consensus::service::{LatencySummary, ServiceReport};
+use wbft_consensus::testbed::{ChurnPlan, CrashEvent, CrashPlan, RunReport, TestbedConfig};
 use wbft_consensus::workload::{decode_batch, encode_batch};
-use wbft_consensus::{ByzantineMode, Protocol};
+use wbft_consensus::{ArrivalSpec, ByzantineMode, Protocol, ServiceConfig};
 use wbft_crypto::hash::Digest32;
-use wbft_crypto::{thresh_enc, thresh_sig, ThresholdCurve};
+use wbft_crypto::{thresh_enc, thresh_sig, CryptoSuite, ThresholdCurve};
+use wbft_membership::MembershipOp;
 use wbft_net::Bitmap;
 use wbft_report::{parse, FromJson, Json, ToJson};
-use wbft_wireless::{LossModel, Metrics, NodeId, NodeMetrics, SimDuration};
+use wbft_wireless::{
+    AdversaryConfig, LossModel, Metrics, NodeId, NodeMetrics, SchedConfig, SchedPolicy,
+    SimDuration,
+};
 
 fn arb_txs() -> impl Strategy<Value = Vec<Bytes>> {
     proptest::collection::vec(
@@ -216,6 +228,139 @@ fn nan_mean_latency_crosses_json() {
     let decoded = RunReport::from_json(&parse(&text).unwrap()).unwrap();
     assert!(decoded.mean_latency_s.is_nan());
     assert_eq!(decoded.to_json().pretty(), text);
+}
+
+// ------------------------------------------------------------------
+// Committed documents: decoding and re-encoding reproduces every byte.
+
+fn fixture_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
+}
+
+/// The `.json` files directly under `dir`, in name order.
+fn json_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|e| e == "json"))
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn every_committed_scenario_document_round_trips_to_its_bytes() {
+    let files = json_files(&fixture_dir());
+    assert!(files.len() >= 24, "expected the golden set, found {}", files.len());
+    for path in files {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (label, cfg, report) = decode_scenario(&text)
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(scenario_string(&label, &cfg, &report), text, "{}", path.display());
+    }
+}
+
+#[test]
+fn every_committed_fuzz_fixture_round_trips_to_its_bytes() {
+    let files = json_files(&fixture_dir().join("fuzz"));
+    assert!(files.len() >= 12, "expected the seeded fixture set, found {}", files.len());
+    for path in files {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (case, expect) = decode_fixture(&parse(&text).unwrap())
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(fixture_string(&case, expect), text, "{}", path.display());
+    }
+}
+
+/// A scenario that sets every member no run golden carries: a service
+/// section in config and report, a victim schedule, depth 2, a crash plan,
+/// a membership plan, a delay bound, per-receiver loss, targeted delays and
+/// all four Byzantine modes. It is a codec document, not a runnable
+/// composition.
+fn every_member_scenario() -> (TestbedConfig, RunReport) {
+    let mut cfg = TestbedConfig::single_hop(Protocol::DumboSc);
+    cfg.suite = CryptoSuite::medium();
+    cfg.loss = LossModel::PerReceiver { rates: vec![(NodeId(1), 0.25), (NodeId(3), 0.5)] };
+    cfg.adversary = AdversaryConfig {
+        jitter: Some(SimDuration::from_millis(2)),
+        targeted: vec![(NodeId(2), SimDuration::from_secs(1))],
+        bound: Some(SimDuration::from_secs(4)),
+    };
+    cfg.byzantine = vec![
+        (0, ByzantineMode::Silent),
+        (1, ByzantineMode::Crash { after_epoch: 2 }),
+        (2, ByzantineMode::FlipVotes),
+        (3, ByzantineMode::CorruptProposals),
+    ];
+    cfg.service = Some(ServiceConfig {
+        arrivals: ArrivalSpec { per_node: 6, interval_us: 400_000, tx_bytes: 32, seed: 13 },
+        mempool_capacity: 64,
+        max_epochs: 9,
+    });
+    cfg.sched = Some(SchedConfig {
+        seed: 11,
+        budget: SimDuration::from_secs(3),
+        policy: SchedPolicy::Victim { victims: vec![NodeId(1), NodeId(2)] },
+    });
+    cfg.pipeline_depth = 2;
+    cfg.crash = Some(CrashPlan {
+        crashes: vec![CrashEvent { node: 2, at_us: 5_000_000, restart_us: 30_000_000 }],
+    });
+    cfg.churn = Some(ChurnPlan {
+        from_epoch: 1,
+        ops: vec![MembershipOp::Join(4), MembershipOp::Leave(0)],
+    });
+    let mut metrics = Metrics::new(2);
+    metrics.collisions = 3;
+    *metrics.node_mut(NodeId(1)) = NodeMetrics {
+        channel_accesses: 7,
+        bytes_sent: 900,
+        airtime: SimDuration::from_millis(42),
+        frames_received: 12,
+        lost_collision: 1,
+        lost_noise: 2,
+        lost_half_duplex: 3,
+        cpu_time: SimDuration::from_micros(1_500),
+    };
+    let report = RunReport {
+        completed: true,
+        elapsed: SimDuration::from_secs(90),
+        epoch_latencies: vec![SimDuration::from_secs(30), SimDuration::from_micros(31_250_001)],
+        mean_latency_s: 30.625,
+        throughput_tpm: 10.5,
+        total_txs: 15,
+        channel_accesses_per_node: 4.25,
+        bytes_on_air: 900,
+        collisions: 3,
+        metrics,
+        service: Some(ServiceReport {
+            submitted: 20,
+            admitted: 18,
+            rejected_dup: 1,
+            rejected_full: 1,
+            requeued: 2,
+            peak_occupancy: 7,
+            pending_at_stop: 0,
+            committed_client_txs: 18,
+            latency: LatencySummary {
+                count: 18,
+                mean_us: 31_000_000.5,
+                p50_us: 29_000_000,
+                p90_us: 44_000_000,
+                p99_us: 51_000_000,
+                max_us: 52_000_000,
+            },
+        }),
+    };
+    (cfg, report)
+}
+
+#[test]
+fn the_every_member_document_is_what_the_encoder_writes() {
+    let (cfg, report) = every_member_scenario();
+    let text = scenario_string("codec.every-member", &cfg, &report);
+    let disk = std::fs::read_to_string(fixture_dir().join("codec_every_member.json")).unwrap();
+    assert_eq!(text, disk);
 }
 
 /// The hostile-input battery of a format that fills its payload exactly:
