@@ -10,7 +10,7 @@
 
 use std::time::Instant;
 use wbft_bench::{banner, row};
-use wbft_consensus::report::{read_report, report_root, write_reports};
+use wbft_consensus::report::{read_report, report_root, write_reports, Scenario};
 use wbft_consensus::sweep::{run_sweep, sweep_threads, SweepSpec};
 use wbft_consensus::Protocol;
 use wbft_crypto::{thresh_coin, thresh_sig, CryptoSuite, EcdsaCurve, ThresholdCurve};
@@ -185,7 +185,8 @@ fn fig10d() {
     );
     let mut results = Vec::new();
     for path in &paths {
-        let (_, cfg, report) = read_report(path).expect("report file must decode");
+        let Scenario { config: cfg, report, .. } =
+            read_report(path).expect("report file must decode");
         let label = format!("{}+{}", cfg.suite.ecdsa.name(), cfg.suite.threshold.name());
         assert!(report.completed, "{label} run must finish");
         println!(

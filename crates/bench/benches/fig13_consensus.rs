@@ -13,7 +13,7 @@
 //! shared-coin variants edge local-coin ones.
 
 use wbft_bench::{banner, row};
-use wbft_consensus::report::{read_report, report_root, write_reports};
+use wbft_consensus::report::{read_report, report_root, write_reports, Scenario};
 use wbft_consensus::sweep::{run_sweep, sweep_threads, SweepSpec};
 use wbft_consensus::testbed::RunReport;
 use wbft_consensus::Protocol;
@@ -37,7 +37,8 @@ fn sweep_scenario(title: &str, note: &str, multihop: bool, seed: u64) -> Vec<(Pr
     );
     let mut results = Vec::new();
     for path in &paths {
-        let (_, cfg, report) = read_report(path).expect("report file must decode");
+        let Scenario { config: cfg, report, .. } =
+            read_report(path).expect("report file must decode");
         assert!(report.completed, "{} (multihop={multihop}) did not complete", cfg.protocol);
         println!(
             "{}",

@@ -38,7 +38,7 @@ use std::io;
 use std::path::Path;
 use wbft_crypto::hash::Digest32;
 use wbft_net::packets::{Body, Envelope};
-use wbft_report::{field, Json, JsonError, ToJson};
+use wbft_report::{json_name, json_record, FromJson, Json, JsonError, ToJson};
 use wbft_wireless::{
     Delivery, DeliveryScheduler, NodeId, SchedConfig, SchedPolicy, SimDuration, SimTime,
 };
@@ -115,8 +115,24 @@ pub struct FuzzCase {
     pub label: String,
     /// The scenario (single-hop).
     pub cfg: TestbedConfig,
-    /// Simulator events after which an unfinished run counts as stalled.
+    /// Simulator events after which an unfinished batched run counts as
+    /// stalled; an unbatched one gets [`BASELINE_BUDGET_FACTOR`] times as
+    /// many (see [`FuzzCase::stall_threshold`]).
     pub event_budget: u64,
+}
+
+impl FuzzCase {
+    /// Simulator events after which this case's unfinished run counts as
+    /// stalled: its budget, scaled by the deployment's packaging. It is
+    /// read when the case runs, because a mutation may switch a batched
+    /// parent to a baseline.
+    pub fn stall_threshold(&self) -> u64 {
+        if self.cfg.protocol.is_batched() {
+            self.event_budget
+        } else {
+            self.event_budget.saturating_mul(BASELINE_BUDGET_FACTOR)
+        }
+    }
 }
 
 /// What one case's run concluded.
@@ -131,21 +147,16 @@ pub enum FuzzVerdict {
 }
 
 impl FuzzVerdict {
+    /// Every verdict.
+    pub const ALL: [FuzzVerdict; 3] =
+        [FuzzVerdict::Ok, FuzzVerdict::Stall, FuzzVerdict::Divergence];
+
     /// Stable name used in fixture files and reports.
     pub fn name(&self) -> &'static str {
         match self {
             FuzzVerdict::Ok => "ok",
             FuzzVerdict::Stall => "stall",
             FuzzVerdict::Divergence => "divergence",
-        }
-    }
-
-    fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "ok" => Some(FuzzVerdict::Ok),
-            "stall" => Some(FuzzVerdict::Stall),
-            "divergence" => Some(FuzzVerdict::Divergence),
-            _ => None,
         }
     }
 }
@@ -166,19 +177,12 @@ pub struct FuzzOutcome {
     pub chain: Vec<Digest32>,
 }
 
-impl ToJson for FuzzOutcome {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("verdict", Json::str(self.verdict.name())),
-            ("events", Json::u64(self.events)),
-            ("blocks", Json::u64(self.blocks)),
-            ("collisions", Json::u64(self.collisions)),
-            (
-                "chain",
-                Json::arr(self.chain.iter().map(|d| Json::str(hex32(d)))),
-            ),
-        ])
-    }
+json_name! {
+    FuzzVerdict: FuzzVerdict::ALL => name;
+}
+
+json_record! {
+    FuzzOutcome { verdict, events, blocks, collisions, chain }
 }
 
 /// Runs one case without panicking on protocol failures: a failed oracle
@@ -191,7 +195,7 @@ pub fn run_case(case: &FuzzCase) -> FuzzOutcome {
     assert!(case.cfg.clusters.is_none(), "fuzz cases are single-hop");
     testbed::validate(&case.cfg);
     let mut rig = Rig::build(&case.cfg);
-    let budget = case.event_budget;
+    let budget = case.stall_threshold();
     let done =
         rig.run(SimTime::ZERO + case.cfg.deadline, |sim| sim.events_processed() >= budget);
     let verdict = match rig.finish(done) {
@@ -210,14 +214,6 @@ pub fn run_case(case: &FuzzCase) -> FuzzOutcome {
 
 // ------------------------------------------------------------------
 // Coverage.
-
-fn hex32(d: &Digest32) -> String {
-    use std::fmt::Write as _;
-    d.0.iter().fold(String::with_capacity(64), |mut s, b| {
-        let _ = write!(s, "{b:02x}");
-        s
-    })
-}
 
 fn fnv1a(hash: &mut u64, data: &[u8]) {
     for &b in data {
@@ -420,9 +416,21 @@ impl FuzzConfig {
 }
 
 /// Default per-case event budget: comfortably above what a healthy
-/// small-batch single-hop epoch needs (measured in the tens of thousands),
-/// low enough that a stalled case aborts quickly.
+/// small-batch single-hop epoch of a batched deployment needs (measured in
+/// the tens of thousands), low enough that a stalled case aborts quickly.
 pub const DEFAULT_EVENT_BUDGET: u64 = 400_000;
+
+/// How many times its event budget an unbatched (baseline) case may run
+/// before it counts as stalled. A baseline airs one frame per instance and
+/// phase where a batched deployment airs one per phase, so a healthy
+/// baseline run takes several times the events the budget was sized for.
+/// Measured on a 150-case campaign, `sweep --fuzz 150 --seeds 7 --protocols
+/// hb-sc-baseline,beat-baseline,dumbo-sc-baseline`, run at 10× the budget:
+/// the largest event count of a run that completed, minimization
+/// candidates included, was 819 641 (an hb-sc-baseline membership swap),
+/// 2.05× the default budget. At 1× the same campaign reports 24 stalls,
+/// and 18 of them complete at 10× (403 220 – 819 641 events).
+pub const BASELINE_BUDGET_FACTOR: u64 = 3;
 
 /// One failing case, minimized, with its outcome.
 #[derive(Clone, Debug)]
@@ -623,25 +631,34 @@ pub fn minimize(case: &FuzzCase, verdict: FuzzVerdict) -> FuzzCase {
 // ------------------------------------------------------------------
 // Fixtures.
 
+/// A fixture document: a case and the verdict its replay must produce.
+struct Fixture {
+    label: String,
+    config: TestbedConfig,
+    event_budget: u64,
+    expect: FuzzVerdict,
+}
+
+json_record! {
+    Fixture { label, config, event_budget, expect }
+}
+
 /// Canonical fixture encoding of a case and its expected verdict.
 pub fn fixture_string(case: &FuzzCase, expect: FuzzVerdict) -> String {
-    wbft_report::to_file_string(&Json::obj([
-        ("label", Json::str(case.label.clone())),
-        ("config", case.cfg.to_json()),
-        ("event_budget", Json::u64(case.event_budget)),
-        ("expect", Json::str(expect.name())),
-    ]))
+    let doc = Fixture {
+        label: case.label.clone(),
+        config: case.cfg.clone(),
+        event_budget: case.event_budget,
+        expect,
+    };
+    wbft_report::to_file_string(&doc.to_json())
 }
 
 /// Decodes a fixture produced by [`fixture_string`].
 pub fn decode_fixture(j: &Json) -> Result<(FuzzCase, FuzzVerdict), JsonError> {
-    let label: String = field(j, "label")?;
-    let cfg: TestbedConfig = field(j, "config")?;
-    let event_budget: u64 = field(j, "event_budget")?;
-    let expect: String = field(j, "expect")?;
-    let expect = FuzzVerdict::from_name(&expect)
-        .ok_or_else(|| JsonError("unknown expected verdict".into()))?;
-    Ok((FuzzCase { label, cfg, event_budget }, expect))
+    let doc = Fixture::from_json(j)?;
+    let case = FuzzCase { label: doc.label, cfg: doc.config, event_budget: doc.event_budget };
+    Ok((case, doc.expect))
 }
 
 /// Replays a fixture file: runs the case twice and checks that (a) both

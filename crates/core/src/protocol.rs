@@ -11,7 +11,7 @@ use crate::workload::{BatchSource, Workload};
 use wbft_components::NodeCrypto;
 
 /// A consensus protocol deployment.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Protocol {
     /// ConsensusBatcher HoneyBadgerBFT, local-coin (Bracha) ABA.
     HoneyBadgerLc,

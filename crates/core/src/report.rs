@@ -5,8 +5,10 @@
 //! `{"label", "config", "report"}` — so a figure script (or a later
 //! session) can regenerate tables without re-running simulations, and the
 //! determinism battery can compare serial and parallel executions
-//! byte-for-byte. Encoding is deterministic: member order is fixed by the
-//! `ToJson` impls and numbers are written exactly (see `wbft_report::json`).
+//! byte-for-byte. Each format below is one schema-table entry (see
+//! `wbft_report::convert`): its members in the order they are written.
+//! Encoding is deterministic and numbers are written exactly (see
+//! `wbft_report::json`).
 
 use crate::byzantine::ByzantineMode;
 use crate::protocol::Protocol;
@@ -16,380 +18,118 @@ use crate::testbed::{ChurnPlan, CrashEvent, CrashPlan, RunReport, TestbedConfig}
 use crate::workload::Workload;
 use std::io;
 use std::path::{Path, PathBuf};
-use wbft_membership::MembershipOp;
-use wbft_report::{field, member, FromJson, Json, JsonError, ToJson};
+use wbft_crypto::hash::Digest32;
+use wbft_report::{json_name, json_record, json_tagged, FromJson, JsonError, ToJson};
 
-/// Decodes an *optional trailing* member: absent means `None`. Service
-/// members are encoded only when present, which keeps fixed-epoch
-/// documents byte-identical to their pre-service encoding.
-fn opt_field<T: FromJson>(j: &Json, key: &str) -> Result<Option<T>, JsonError> {
-    match j.get(key) {
-        None => Ok(None),
-        Some(v) => Ok(Some(T::from_json(v)?)),
-    }
+/// The self-contained document of one scenario run.
+#[derive(Clone, Debug)]
+pub struct Scenario {
+    /// The scenario label (the report's file stem).
+    pub label: String,
+    /// What was run.
+    pub config: TestbedConfig,
+    /// What it measured.
+    pub report: RunReport,
+    /// Per-block content digests, carried by UDP node reports so a launcher
+    /// can check that nodes agree on what they committed, not merely on
+    /// how much. Absent from simulated runs.
+    pub block_digests: Option<Vec<Digest32>>,
 }
 
-impl ToJson for Protocol {
-    fn to_json(&self) -> Json {
-        Json::str(self.slug())
-    }
-}
-
-impl FromJson for Protocol {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let slug = j.as_str().ok_or_else(|| JsonError("expected protocol slug".into()))?;
-        Protocol::from_slug(slug)
-            .ok_or_else(|| JsonError(format!("unknown protocol \"{slug}\"")))
-    }
-}
-
-impl ToJson for ByzantineMode {
-    fn to_json(&self) -> Json {
-        match self {
-            ByzantineMode::Silent => Json::obj([("mode", Json::str("silent"))]),
-            ByzantineMode::Crash { after_epoch } => Json::obj([
-                ("mode", Json::str("crash")),
-                ("after_epoch", Json::u64(*after_epoch)),
-            ]),
-            ByzantineMode::FlipVotes => Json::obj([("mode", Json::str("flip-votes"))]),
-            ByzantineMode::CorruptProposals => {
-                Json::obj([("mode", Json::str("corrupt-proposals"))])
-            }
+impl Scenario {
+    /// The document of one run, without a digest chain.
+    pub fn new(label: &str, config: &TestbedConfig, report: &RunReport) -> Self {
+        Scenario {
+            label: label.to_string(),
+            config: config.clone(),
+            report: report.clone(),
+            block_digests: None,
         }
     }
 }
 
-impl FromJson for ByzantineMode {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        match member(j, "mode")?.as_str() {
-            Some("silent") => Ok(ByzantineMode::Silent),
-            Some("crash") => Ok(ByzantineMode::Crash { after_epoch: field(j, "after_epoch")? }),
-            Some("flip-votes") => Ok(ByzantineMode::FlipVotes),
-            Some("corrupt-proposals") => Ok(ByzantineMode::CorruptProposals),
-            _ => Err(JsonError("unknown byzantine mode".into())),
-        }
+json_name! {
+    Protocol: Protocol::ALL => slug;
+}
+
+json_tagged! {
+    ByzantineMode by "mode" {
+        Silent = "silent" {},
+        Crash = "crash" { after_epoch },
+        FlipVotes = "flip-votes" {},
+        CorruptProposals = "corrupt-proposals" {},
     }
 }
 
-impl ToJson for Workload {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("batch_size", self.batch_size.to_json()),
-            ("tx_bytes", self.tx_bytes.to_json()),
-            ("seed", Json::u64(self.seed)),
-        ])
+// Trailing members written only when set (`= None`) or away from their
+// default (`= 1`) keep the bytes of documents that predate each feature.
+json_record! {
+    Workload { batch_size, tx_bytes, seed }
+    ArrivalSpec { per_node, interval_us, tx_bytes, seed }
+    ServiceConfig { arrivals, mempool_capacity, max_epochs }
+    LatencySummary { count, mean_us, p50_us, p90_us, p99_us, max_us }
+    ServiceReport {
+        submitted,
+        admitted,
+        rejected_dup,
+        rejected_full,
+        requeued,
+        peak_occupancy,
+        pending_at_stop,
+        committed_client_txs,
+        latency,
     }
-}
-
-impl FromJson for Workload {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(Workload {
-            batch_size: field(j, "batch_size")?,
-            tx_bytes: field(j, "tx_bytes")?,
-            seed: field(j, "seed")?,
-        })
+    CrashEvent { node, at_us, restart_us }
+    CrashPlan { crashes }
+    ChurnPlan { from_epoch, ops }
+    TestbedConfig {
+        protocol,
+        n,
+        epochs,
+        workload,
+        suite,
+        seed,
+        loss,
+        radio,
+        csma,
+        dma,
+        adversary,
+        byzantine,
+        deadline as "deadline_us",
+        clusters,
+        service = None,
+        sched = None,
+        pipeline_depth = 1,
+        crash = None,
+        churn = None,
     }
-}
-
-impl ToJson for ArrivalSpec {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("per_node", Json::u64(self.per_node)),
-            ("interval_us", Json::u64(self.interval_us)),
-            ("tx_bytes", self.tx_bytes.to_json()),
-            ("seed", Json::u64(self.seed)),
-        ])
+    RunReport {
+        completed,
+        elapsed as "elapsed_us",
+        epoch_latencies as "epoch_latencies_us",
+        mean_latency_s,
+        throughput_tpm,
+        total_txs,
+        channel_accesses_per_node,
+        bytes_on_air,
+        collisions,
+        metrics,
+        service = None,
     }
-}
-
-impl FromJson for ArrivalSpec {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(ArrivalSpec {
-            per_node: field(j, "per_node")?,
-            interval_us: field(j, "interval_us")?,
-            tx_bytes: field(j, "tx_bytes")?,
-            seed: field(j, "seed")?,
-        })
-    }
-}
-
-impl ToJson for ServiceConfig {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("arrivals", self.arrivals.to_json()),
-            ("mempool_capacity", self.mempool_capacity.to_json()),
-            ("max_epochs", Json::u64(self.max_epochs)),
-        ])
-    }
-}
-
-impl FromJson for ServiceConfig {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(ServiceConfig {
-            arrivals: field(j, "arrivals")?,
-            mempool_capacity: field(j, "mempool_capacity")?,
-            max_epochs: field(j, "max_epochs")?,
-        })
-    }
-}
-
-impl ToJson for LatencySummary {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("count", Json::u64(self.count)),
-            ("mean_us", Json::f64(self.mean_us)),
-            ("p50_us", Json::u64(self.p50_us)),
-            ("p90_us", Json::u64(self.p90_us)),
-            ("p99_us", Json::u64(self.p99_us)),
-            ("max_us", Json::u64(self.max_us)),
-        ])
-    }
-}
-
-impl FromJson for LatencySummary {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(LatencySummary {
-            count: field(j, "count")?,
-            mean_us: field(j, "mean_us")?,
-            p50_us: field(j, "p50_us")?,
-            p90_us: field(j, "p90_us")?,
-            p99_us: field(j, "p99_us")?,
-            max_us: field(j, "max_us")?,
-        })
-    }
-}
-
-impl ToJson for ServiceReport {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("submitted", Json::u64(self.submitted)),
-            ("admitted", Json::u64(self.admitted)),
-            ("rejected_dup", Json::u64(self.rejected_dup)),
-            ("rejected_full", Json::u64(self.rejected_full)),
-            ("requeued", Json::u64(self.requeued)),
-            ("peak_occupancy", Json::u64(self.peak_occupancy)),
-            ("pending_at_stop", Json::u64(self.pending_at_stop)),
-            ("committed_client_txs", Json::u64(self.committed_client_txs)),
-            ("latency", self.latency.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ServiceReport {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(ServiceReport {
-            submitted: field(j, "submitted")?,
-            admitted: field(j, "admitted")?,
-            rejected_dup: field(j, "rejected_dup")?,
-            rejected_full: field(j, "rejected_full")?,
-            requeued: field(j, "requeued")?,
-            peak_occupancy: field(j, "peak_occupancy")?,
-            pending_at_stop: field(j, "pending_at_stop")?,
-            committed_client_txs: field(j, "committed_client_txs")?,
-            latency: field(j, "latency")?,
-        })
-    }
-}
-
-impl ToJson for CrashEvent {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("node", self.node.to_json()),
-            ("at_us", Json::u64(self.at_us)),
-            ("restart_us", Json::u64(self.restart_us)),
-        ])
-    }
-}
-
-impl FromJson for CrashEvent {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(CrashEvent {
-            node: field(j, "node")?,
-            at_us: field(j, "at_us")?,
-            restart_us: field(j, "restart_us")?,
-        })
-    }
-}
-
-impl ToJson for CrashPlan {
-    fn to_json(&self) -> Json {
-        Json::obj([("crashes", self.crashes.to_json())])
-    }
-}
-
-impl FromJson for CrashPlan {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(CrashPlan { crashes: field(j, "crashes")? })
-    }
-}
-
-// `MembershipOp` and the codec traits are both foreign to this crate, so
-// the op encoding lives in free helpers used by the `ChurnPlan` impls.
-fn membership_op_to_json(op: &MembershipOp) -> Json {
-    let (kind, node) = match op {
-        MembershipOp::Join(n) => ("join", *n),
-        MembershipOp::Leave(n) => ("leave", *n),
-    };
-    Json::obj([("op", Json::str(kind)), ("node", Json::u64(node as u64))])
-}
-
-fn membership_op_from_json(j: &Json) -> Result<MembershipOp, JsonError> {
-    let node: u64 = field(j, "node")?;
-    let node: u16 =
-        node.try_into().map_err(|_| JsonError("membership node id out of range".into()))?;
-    match member(j, "op")?.as_str() {
-        Some("join") => Ok(MembershipOp::Join(node)),
-        Some("leave") => Ok(MembershipOp::Leave(node)),
-        _ => Err(JsonError("unknown membership op".into())),
-    }
-}
-
-impl ToJson for ChurnPlan {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("from_epoch", Json::u64(self.from_epoch)),
-            ("ops", Json::arr(self.ops.iter().map(membership_op_to_json))),
-        ])
-    }
-}
-
-impl FromJson for ChurnPlan {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let ops = member(j, "ops")?
-            .as_arr()
-            .ok_or_else(|| JsonError("expected ops array".into()))?
-            .iter()
-            .map(membership_op_from_json)
-            .collect::<Result<_, _>>()?;
-        Ok(ChurnPlan { from_epoch: field(j, "from_epoch")?, ops })
-    }
-}
-
-impl ToJson for TestbedConfig {
-    fn to_json(&self) -> Json {
-        let mut members = vec![
-            ("protocol", self.protocol.to_json()),
-            ("n", self.n.to_json()),
-            ("epochs", Json::u64(self.epochs)),
-            ("workload", self.workload.to_json()),
-            ("suite", self.suite.to_json()),
-            ("seed", Json::u64(self.seed)),
-            ("loss", self.loss.to_json()),
-            ("radio", self.radio.to_json()),
-            ("csma", self.csma.to_json()),
-            ("dma", self.dma.to_json()),
-            ("adversary", self.adversary.to_json()),
-            ("byzantine", self.byzantine.to_json()),
-            ("deadline_us", self.deadline.to_json()),
-            ("clusters", self.clusters.to_json()),
-        ];
-        // Trailing optional members: absent when unset so configs predating
-        // each feature keep their exact byte encoding.
-        if let Some(service) = &self.service {
-            members.push(("service", service.to_json()));
-        }
-        if let Some(sched) = &self.sched {
-            members.push(("sched", sched.to_json()));
-        }
-        if self.pipeline_depth != 1 {
-            members.push(("pipeline_depth", Json::u64(self.pipeline_depth)));
-        }
-        if let Some(crash) = &self.crash {
-            members.push(("crash", crash.to_json()));
-        }
-        if let Some(churn) = &self.churn {
-            members.push(("churn", churn.to_json()));
-        }
-        Json::obj(members)
-    }
-}
-
-impl FromJson for TestbedConfig {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(TestbedConfig {
-            protocol: field(j, "protocol")?,
-            n: field(j, "n")?,
-            epochs: field(j, "epochs")?,
-            workload: field(j, "workload")?,
-            suite: field(j, "suite")?,
-            seed: field(j, "seed")?,
-            loss: field(j, "loss")?,
-            radio: field(j, "radio")?,
-            csma: field(j, "csma")?,
-            dma: field(j, "dma")?,
-            adversary: field(j, "adversary")?,
-            byzantine: field(j, "byzantine")?,
-            deadline: field(j, "deadline_us")?,
-            clusters: field(j, "clusters")?,
-            service: opt_field(j, "service")?,
-            sched: opt_field(j, "sched")?,
-            pipeline_depth: opt_field::<u64>(j, "pipeline_depth")?.unwrap_or(1),
-            crash: opt_field(j, "crash")?,
-            churn: opt_field(j, "churn")?,
-        })
-    }
-}
-
-impl ToJson for RunReport {
-    fn to_json(&self) -> Json {
-        let mut members = vec![
-            ("completed", Json::Bool(self.completed)),
-            ("elapsed_us", self.elapsed.to_json()),
-            ("epoch_latencies_us", self.epoch_latencies.to_json()),
-            ("mean_latency_s", Json::f64(self.mean_latency_s)),
-            ("throughput_tpm", Json::f64(self.throughput_tpm)),
-            ("total_txs", Json::u64(self.total_txs)),
-            ("channel_accesses_per_node", Json::f64(self.channel_accesses_per_node)),
-            ("bytes_on_air", Json::u64(self.bytes_on_air)),
-            ("collisions", Json::u64(self.collisions)),
-            ("metrics", self.metrics.to_json()),
-        ];
-        // Trailing optional member, as in `TestbedConfig`.
-        if let Some(service) = &self.service {
-            members.push(("service", service.to_json()));
-        }
-        Json::obj(members)
-    }
-}
-
-impl FromJson for RunReport {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(RunReport {
-            completed: field(j, "completed")?,
-            elapsed: field(j, "elapsed_us")?,
-            epoch_latencies: field(j, "epoch_latencies_us")?,
-            mean_latency_s: field(j, "mean_latency_s")?,
-            throughput_tpm: field(j, "throughput_tpm")?,
-            total_txs: field(j, "total_txs")?,
-            channel_accesses_per_node: field(j, "channel_accesses_per_node")?,
-            bytes_on_air: field(j, "bytes_on_air")?,
-            collisions: field(j, "collisions")?,
-            metrics: field(j, "metrics")?,
-            service: opt_field(j, "service")?,
-        })
-    }
-}
-
-/// The self-contained document for one sweep scenario.
-pub fn scenario_json(label: &str, cfg: &TestbedConfig, report: &RunReport) -> Json {
-    Json::obj([
-        ("label", Json::str(label)),
-        ("config", cfg.to_json()),
-        ("report", report.to_json()),
-    ])
+    Scenario { label, config, report, block_digests = None }
 }
 
 /// Canonical on-disk encoding of one scenario document (see
 /// [`wbft_report::to_file_string`]). Byte-identity of two runs is defined
 /// on this string.
 pub fn scenario_string(label: &str, cfg: &TestbedConfig, report: &RunReport) -> String {
-    wbft_report::to_file_string(&scenario_json(label, cfg, report))
+    wbft_report::to_file_string(&Scenario::new(label, cfg, report).to_json())
 }
 
-/// Inverse of [`scenario_string`]/[`scenario_json`].
+/// Inverse of [`scenario_string`].
 pub fn decode_scenario(text: &str) -> Result<(String, TestbedConfig, RunReport), JsonError> {
-    let j = wbft_report::parse(text)?;
-    Ok((field(&j, "label")?, field(&j, "config")?, field(&j, "report")?))
+    let doc = Scenario::from_json(&wbft_report::parse(text)?)?;
+    Ok((doc.label, doc.config, doc.report))
 }
 
 /// The report root: `<target dir>/reports`.
@@ -419,24 +159,25 @@ pub fn write_reports(dir: &Path, runs: &[SweepRun]) -> io::Result<Vec<PathBuf>> 
     let mut paths = Vec::with_capacity(runs.len());
     for run in runs {
         let path = dir.join(format!("{}.json", run.scenario.label));
-        let doc = scenario_json(&run.scenario.label, &run.scenario.cfg, &run.report);
-        wbft_report::write_file(&path, &doc)?;
+        let doc = Scenario::new(&run.scenario.label, &run.scenario.cfg, &run.report);
+        wbft_report::write_file(&path, &doc.to_json())?;
         paths.push(path);
     }
     Ok(paths)
 }
 
 /// Reads and decodes one scenario report file.
-pub fn read_report(path: &Path) -> io::Result<(String, TestbedConfig, RunReport)> {
+pub fn read_report(path: &Path) -> io::Result<Scenario> {
     let j = wbft_report::read_file(path)?;
-    (|| Ok((field(&j, "label")?, field(&j, "config")?, field(&j, "report")?)))().map_err(
-        |e: JsonError| io::Error::new(io::ErrorKind::InvalidData, format!("{}: {e}", path.display())),
-    )
+    Scenario::from_json(&j).map_err(|e| {
+        io::Error::new(io::ErrorKind::InvalidData, format!("{}: {e}", path.display()))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wbft_membership::MembershipOp;
     use wbft_wireless::SimDuration;
 
     #[test]

@@ -26,7 +26,7 @@ macro_rules! prime_field {
         modulus_minus_2 = $mm2:expr
     ) => {
         $(#[$doc])*
-        #[derive(Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+        #[derive(Clone, Copy, PartialEq, Eq, Hash)]
         pub struct $name {
             limbs: [u64; 4],
         }

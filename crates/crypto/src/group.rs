@@ -37,7 +37,7 @@ use std::sync::OnceLock;
 /// quadratic residue (never zero). This matters for share verification:
 /// a Byzantine node cannot smuggle a low-order element into a combine step
 /// because no low-order elements exist besides 1.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct GroupElem(Fe);
 
 /// Error returned when bytes decode to a value outside the subgroup.

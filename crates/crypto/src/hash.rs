@@ -14,7 +14,7 @@ use sha2::{Digest as _, Sha256, Sha512};
 /// Used throughout the packet layer to identify proposals: the batched
 /// ECHO/READY packets of ConsensusBatcher carry one digest per instance
 /// (the `Hash` part of the packet structures in Fig. 4 of the paper).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Digest32(pub [u8; 32]);
 
 impl Digest32 {

@@ -17,7 +17,7 @@ pub struct MerkleTree {
 }
 
 /// An inclusion proof for one leaf.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MerkleProof {
     /// Zero-based index of the proven leaf.
     pub index: usize,

@@ -15,7 +15,7 @@
 //! threshold signature = 21 bytes; secp160r1 packet signature = 40 bytes.
 
 /// The six pairing-curve deployments for threshold cryptography.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ThresholdCurve {
     /// 158-bit Barreto–Naehrig curve — the lightest deployment; the paper
     /// selects it (with secp160r1) for all consensus experiments.
@@ -146,7 +146,7 @@ impl ThresholdCurve {
 
 /// Per-operation virtual CPU cost (µs) and wire sizes for threshold
 /// signatures on one curve.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ThresholdProfile {
     /// Which curve this profile describes.
     pub curve: ThresholdCurve,
@@ -168,7 +168,7 @@ pub struct ThresholdProfile {
 
 /// Per-operation virtual CPU cost (µs) and wire sizes for threshold coin
 /// flipping on one curve.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CoinProfile {
     /// Which curve this profile describes.
     pub curve: ThresholdCurve,
@@ -185,7 +185,7 @@ pub struct CoinProfile {
 }
 
 /// The five micro-ecc curves for per-packet digital signatures (Fig. 10c).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum EcdsaCurve {
     /// 160-bit — smallest signatures (40 bytes); the paper's pick.
     Secp160r1,
@@ -258,7 +258,7 @@ impl EcdsaCurve {
 }
 
 /// Per-operation virtual CPU cost (µs) and wire size for packet signatures.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct EcdsaProfile {
     /// Which curve this profile describes.
     pub curve: EcdsaCurve,
@@ -272,7 +272,7 @@ pub struct EcdsaProfile {
 
 /// The pair of curve deployments a node runs with — the paper pairs
 /// secp160r1+BN158 and secp192r1+BN254 in Fig. 10d and adopts the former.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CryptoSuite {
     /// Curve for per-packet digital signatures.
     pub ecdsa: EcdsaCurve,

@@ -101,7 +101,7 @@ impl From<ShamirError> for ReshareError {
 /// One dealer's resharing of its own old share: Feldman commitments to the
 /// fresh polynomial plus one subshare per new-committee index. Broadcast
 /// in the clear (see the module docs for the confidentiality caveat).
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReshareDealing {
     /// The dealer's index in the *old* sharing.
     pub dealer: ShareIndex,

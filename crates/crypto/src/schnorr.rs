@@ -17,7 +17,7 @@ use crate::profile::EcdsaCurve;
 use rand::RngCore;
 
 /// A signing keypair for one node.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct KeyPair {
     sk: Scalar,
     pk: GroupElem,
@@ -25,14 +25,14 @@ pub struct KeyPair {
 }
 
 /// A public verification key.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PublicKey {
     point: GroupElem,
     curve: EcdsaCurve,
 }
 
 /// A Schnorr signature `(R, z)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Signature {
     /// Commitment `g^k`.
     pub r: GroupElem,

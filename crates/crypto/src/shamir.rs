@@ -9,7 +9,7 @@ use rand::RngCore;
 
 /// One-based index of a share (node `i` holds the evaluation at `x = i+1`;
 /// zero is reserved for the secret itself).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct ShareIndex(u16);
 
 impl ShareIndex {

@@ -53,7 +53,7 @@ impl From<ShamirError> for CoinError {
 /// The name that identifies one coin toss. Under ConsensusBatcher, *all
 /// parallel ABA instances in the same round share one coin* (paper §IV-C2,
 /// Technical Challenge III): the instance id is deliberately absent.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct CoinName {
     /// Consensus session (epoch) the coin belongs to.
     pub session: u64,
@@ -90,7 +90,7 @@ impl PreparedCoin {
 }
 
 /// Public coin-verification material.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CoinPublicSet {
     curve: ThresholdCurve,
     threshold: usize,
@@ -99,14 +99,14 @@ pub struct CoinPublicSet {
 }
 
 /// One node's secret coin key share.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CoinSecretShare {
     index: ShareIndex,
     secret: Scalar,
 }
 
 /// A coin share: `(i, h_Γ^{s_i})`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CoinShare {
     /// Producing share index.
     pub index: ShareIndex,

@@ -55,7 +55,7 @@ impl From<ShamirError> for ThreshEncError {
 }
 
 /// Public encryption key material.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EncPublicSet {
     curve: ThresholdCurve,
     threshold: usize,
@@ -64,14 +64,14 @@ pub struct EncPublicSet {
 }
 
 /// One node's secret decryption key share.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct EncSecretShare {
     index: ShareIndex,
     secret: Scalar,
 }
 
 /// A hybrid threshold ciphertext.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Ciphertext {
     /// `g^r`.
     pub u: GroupElem,
@@ -94,7 +94,7 @@ impl Ciphertext {
 /// point `u`. This is what binds a share to its ciphertext — a share for
 /// ciphertext A replays a proof over A's `u`, which cannot verify against
 /// ciphertext B's.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DleqProof {
     /// Fiat–Shamir challenge `c = H(i, u, vk_i, d, g^k, u^k)`.
     pub c: Scalar,
@@ -103,7 +103,7 @@ pub struct DleqProof {
 }
 
 /// A decryption share `(i, u^{s_i}, π)` with its DLEQ proof.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DecShare {
     /// Producing share index.
     pub index: ShareIndex,

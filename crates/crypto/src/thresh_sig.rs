@@ -90,7 +90,7 @@ impl From<ShamirError> for ThreshSigError {
 
 /// Public key material: the combined verification key plus one verification
 /// key per share. Distributed to every node by the dealer.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PublicKeySet {
     curve: ThresholdCurve,
     threshold: usize,
@@ -100,7 +100,7 @@ pub struct PublicKeySet {
 }
 
 /// One node's secret key share.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SecretKeyShare {
     index: ShareIndex,
     secret: Scalar,
@@ -108,7 +108,7 @@ pub struct SecretKeyShare {
 }
 
 /// A signature share: `(i, h^{s_i})`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SigShare {
     /// Which share produced this.
     pub index: ShareIndex,
@@ -117,7 +117,7 @@ pub struct SigShare {
 }
 
 /// A combined threshold signature `h^s`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ThresholdSignature {
     /// The group element `h^s`.
     pub value: GroupElem,

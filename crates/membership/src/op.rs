@@ -35,6 +35,14 @@ impl MembershipOp {
     }
 }
 
+// A churn plan's op in reports and fixtures: `{"op": "join", "node": 4}`.
+wbft_report::json_tagged! {
+    MembershipOp by "op" {
+        Join = "join" (node),
+        Leave = "leave" (node),
+    }
+}
+
 impl core::fmt::Display for MembershipOp {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {

@@ -5,7 +5,7 @@
 //! Capacity is 64, comfortably above the paper's N = 4…16.
 
 /// A fixed-capacity bitmap (up to 64 bits), one bit per instance or node.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Bitmap {
     bits: u64,
     len: u8,

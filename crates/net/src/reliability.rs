@@ -13,7 +13,7 @@ use wbft_wireless::SimDuration;
 use rand::Rng;
 
 /// Retransmission timing for a component's combined packet.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetransmitPolicy {
     /// Base interval between rebroadcasts while incomplete.
     pub interval: SimDuration,

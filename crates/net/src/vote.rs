@@ -4,7 +4,7 @@
 //! needed").
 
 /// A two-bit vote value.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum Vote {
     /// No vote observed yet.
     #[default]
@@ -64,7 +64,7 @@ impl Vote {
 
 /// The `bin_values` set of shared-coin ABA: which of {0, 1} have passed the
 /// 2f+1 BVAL threshold.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub struct BinValues {
     /// 0 is in the set.
     pub zero: bool,

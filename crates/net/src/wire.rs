@@ -37,7 +37,7 @@ use wbft_crypto::{GroupElem, Scalar};
 /// Which coin deployment a coin share belongs to — threshold signatures
 /// (ABA-SC) or threshold coin flipping (ABA-CP / BEAT). Decides the nominal
 /// share size.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CoinFlavor {
     /// Coin from threshold signatures (Cachin's ABA).
     ThreshSig,

@@ -1,18 +1,34 @@
-//! Typed conversions between domain values and [`Json`].
+//! Typed conversions between domain values and [`Json`], and the schema
+//! table every report, config and fixture format is stated in.
 //!
-//! `ToJson`/`FromJson` play the role the serde traits would if the shim's
-//! derives were real: every type that appears in a sweep report implements
-//! them by hand, with stable field names that double as the report schema
-//! (documented in the README's "Running sweeps" section). Conversions for
-//! the wireless and crypto configuration types live here; the testbed types
-//! (`TestbedConfig`, `RunReport`, …) implement the traits in
-//! `wbft_consensus::report`.
+//! A format is one table entry that lists its members once, in the order
+//! they are written, and generates both [`ToJson`] and [`FromJson`]:
+//!
+//! * [`json_record!`](crate::json_record) — a struct as an object. A member
+//!   is `field`, `field as "key"` when its key differs from the field name,
+//!   and either may end in `= default`: the member is then omitted when it
+//!   equals `default` and decodes as `default` when absent.
+//! * [`json_tagged!`](crate::json_tagged) — an enum as an object whose tag
+//!   member names the variant, followed by the variant's fields.
+//! * [`json_name!`](crate::json_name) — a fieldless enum as its name string.
+//!
+//! Generated decoders refuse a member their entry does not name, so a
+//! misspelled key is an error instead of a silently defaulted field.
+//! Entries for the wireless and crypto configuration types live here; the
+//! testbed, fuzz, transport and example formats sit next to their types.
+//! The schema is documented in the README's "Running sweeps" section.
+//!
+//! The hand-written pairs are the values that are not records: primitives,
+//! `Vec` / `Option` / pairs, [`SimDuration`] / [`SimTime`] / [`NodeId`],
+//! [`Digest32`] (a hex string), [`SocketAddr`] (its string form) and
+//! [`Metrics`] (built through `from_parts`).
 //!
 //! Conventions: durations and instants are microsecond integers with an
-//! `_us` key suffix; enums are tagged objects (`{"kind": …}`) or name
-//! strings; non-finite floats encode as `null` and decode as NaN.
+//! `_us` key suffix; non-finite floats encode as `null` and decode as NaN.
 
 use crate::json::{Json, JsonError};
+use std::net::SocketAddr;
+use wbft_crypto::hash::Digest32;
 use wbft_crypto::{CryptoSuite, EcdsaCurve, ThresholdCurve};
 use wbft_wireless::{
     AdversaryConfig, CsmaParams, DmaParams, LossModel, Metrics, NodeId, NodeMetrics, RadioParams,
@@ -31,16 +47,180 @@ pub trait FromJson: Sized {
     fn from_json(j: &Json) -> Result<Self, JsonError>;
 }
 
-/// Looks up a required object member.
-pub fn member<'a>(j: &'a Json, key: &str) -> Result<&'a Json, JsonError> {
-    j.get(key).ok_or_else(|| JsonError::msg(format!("missing member \"{key}\"")))
+/// The members of one object, checked against the keys its format names.
+/// Generated decoders read through it.
+pub struct Members<'a>(&'a Json);
+
+impl<'a> Members<'a> {
+    /// The members of `j`, which must be an object whose every key is one
+    /// of `keys`.
+    pub fn of(j: &'a Json, keys: &[&str]) -> Result<Self, JsonError> {
+        let Json::Obj(members) = j else {
+            return Err(JsonError::msg("expected object"));
+        };
+        match members.iter().find(|(k, _)| !keys.contains(&k.as_str())) {
+            Some((k, _)) => Err(JsonError::msg(format!("unknown member \"{k}\""))),
+            None => Ok(Members(j)),
+        }
+    }
+
+    /// Decodes the required member `key`.
+    pub fn get<T: FromJson>(&self, key: &str) -> Result<T, JsonError> {
+        match self.0.get(key) {
+            Some(v) => decode_member(v, key),
+            None => Err(JsonError::msg(format!("missing member \"{key}\""))),
+        }
+    }
+
+    /// Decodes member `key`, or `default` when it is absent.
+    pub fn get_or<T: FromJson>(&self, key: &str, default: T) -> Result<T, JsonError> {
+        match self.0.get(key) {
+            Some(v) => decode_member(v, key),
+            None => Ok(default),
+        }
+    }
+
+    /// The variant name a tagged object holds under `tag`.
+    pub fn tag(j: &'a Json, tag: &str) -> Result<&'a str, JsonError> {
+        j.get(tag)
+            .and_then(Json::as_str)
+            .ok_or_else(|| JsonError::msg(format!("missing member \"{tag}\"")))
+    }
+
+    /// The value of `all` whose `name` is the string `j`.
+    pub fn named<T: Copy>(
+        j: &Json,
+        what: &str,
+        all: &[T],
+        name: impl Fn(&T) -> &'static str,
+    ) -> Result<T, JsonError> {
+        let s = j.as_str().ok_or_else(|| JsonError::msg(format!("expected {what} name")))?;
+        all.iter()
+            .copied()
+            .find(|v| name(v) == s)
+            .ok_or_else(|| JsonError::msg(format!("unknown {what} \"{s}\"")))
+    }
 }
 
-/// Looks up and decodes a required object member.
-pub fn field<T: FromJson>(j: &Json, key: &str) -> Result<T, JsonError> {
-    T::from_json(member(j, key)?)
-        .map_err(|e| JsonError::msg(format!("in member \"{key}\": {e}")))
+fn decode_member<T: FromJson>(v: &Json, key: &str) -> Result<T, JsonError> {
+    T::from_json(v).map_err(|e| JsonError::msg(format!("in member \"{key}\": {e}")))
 }
+
+/// Generates [`ToJson`] and [`FromJson`] for structs written as objects,
+/// one entry per struct: its members in the order they are written. A
+/// member is `field` or `field as "key"`, optionally followed by
+/// `= default` (omitted when equal to `default`, `default` when absent).
+/// A plain `Option` member is always written, as `null` when `None`.
+#[macro_export]
+macro_rules! json_record {
+    ($($ty:ident { $($field:ident $(as $key:literal)? $(= $default:expr)?),* $(,)? })*) => {$(
+        impl $crate::ToJson for $ty {
+            fn to_json(&self) -> $crate::Json {
+                let members = [$($crate::json_record!(@put self.$field,
+                    $crate::json_record!(@key $field $($key)?) $(, $default)?)),*];
+                $crate::Json::Obj(members.into_iter().flatten().collect())
+            }
+        }
+
+        impl $crate::FromJson for $ty {
+            fn from_json(j: &$crate::Json) -> Result<Self, $crate::JsonError> {
+                let m = $crate::Members::of(
+                    j,
+                    &[$($crate::json_record!(@key $field $($key)?)),*],
+                )?;
+                Ok($ty {
+                    $($field: $crate::json_record!(@get m,
+                        $crate::json_record!(@key $field $($key)?) $(, $default)?)?,)*
+                })
+            }
+        }
+    )*};
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
+    (@put $value:expr, $key:expr) => {
+        Some(($key.to_string(), $crate::ToJson::to_json(&$value)))
+    };
+    (@put $value:expr, $key:expr, $default:expr) => {
+        ($value != $default).then(|| ($key.to_string(), $crate::ToJson::to_json(&$value)))
+    };
+    (@get $m:ident, $key:expr) => { $m.get($key) };
+    (@get $m:ident, $key:expr, $default:expr) => { $m.get_or($key, $default) };
+}
+
+/// Generates [`ToJson`] and [`FromJson`] for enums written as tagged
+/// objects: `Enum by "tag" { Variant = "name" fields, … }`, where `fields`
+/// is `{}` (unit), `{ a, b }` (struct variant) or `(a)` (a one-field
+/// tuple variant whose value is written under key `a`). The tag member
+/// comes first, then the fields in the order listed.
+#[macro_export]
+macro_rules! json_tagged {
+    ($($ty:ident by $tag:literal { $($variant:ident = $name:literal $fields:tt),* $(,)? })*) => {$(
+        impl $crate::ToJson for $ty {
+            fn to_json(&self) -> $crate::Json {
+                match self {
+                    $($crate::json_tagged!(@pat $variant $fields) => {
+                        $crate::Json::Obj($crate::json_tagged!(@members $tag, $name, $fields))
+                    })*
+                }
+            }
+        }
+
+        impl $crate::FromJson for $ty {
+            fn from_json(j: &$crate::Json) -> Result<Self, $crate::JsonError> {
+                match $crate::Members::tag(j, $tag)? {
+                    $($name => $crate::json_tagged!(@get j, $tag, $variant $fields),)*
+                    other => Err($crate::JsonError(format!("unknown {} \"{other}\"", $tag))),
+                }
+            }
+        }
+    )*};
+    (@pat $variant:ident {}) => { Self::$variant };
+    (@pat $variant:ident { $($field:ident),+ }) => { Self::$variant { $($field),+ } };
+    (@pat $variant:ident ($field:ident)) => { Self::$variant($field) };
+    (@members $tag:literal, $name:literal, { $($field:ident),* }) => {
+        vec![
+            ($tag.to_string(), $crate::Json::str($name)),
+            $((stringify!($field).to_string(), $crate::ToJson::to_json($field)),)*
+        ]
+    };
+    (@members $tag:literal, $name:literal, ($field:ident)) => {
+        $crate::json_tagged!(@members $tag, $name, { $field })
+    };
+    (@get $j:ident, $tag:literal, $variant:ident {}) => {{
+        $crate::Members::of($j, &[$tag])?;
+        Ok(Self::$variant)
+    }};
+    (@get $j:ident, $tag:literal, $variant:ident { $($field:ident),+ }) => {{
+        let m = $crate::Members::of($j, &[$tag, $(stringify!($field)),+])?;
+        Ok(Self::$variant { $($field: m.get(stringify!($field))?),+ })
+    }};
+    (@get $j:ident, $tag:literal, $variant:ident ($field:ident)) => {{
+        let m = $crate::Members::of($j, &[$tag, stringify!($field)])?;
+        Ok(Self::$variant(m.get(stringify!($field))?))
+    }};
+}
+
+/// Generates [`ToJson`] and [`FromJson`] for enums written as name
+/// strings: `Enum: ALL => name`, where `ALL` lists every value and
+/// `name(&self) -> &'static str` gives each one's string.
+#[macro_export]
+macro_rules! json_name {
+    ($($ty:ident: $all:expr => $name:ident;)*) => {$(
+        impl $crate::ToJson for $ty {
+            fn to_json(&self) -> $crate::Json {
+                $crate::Json::str(self.$name())
+            }
+        }
+
+        impl $crate::FromJson for $ty {
+            fn from_json(j: &$crate::Json) -> Result<Self, $crate::JsonError> {
+                $crate::Members::named(j, stringify!($ty), &$all, |v| v.$name())
+            }
+        }
+    )*};
+}
+
+// ------------------------------------------------------------- primitives
 
 impl ToJson for bool {
     fn to_json(&self) -> Json {
@@ -66,29 +246,26 @@ impl FromJson for u64 {
     }
 }
 
-impl ToJson for u32 {
-    fn to_json(&self) -> Json {
-        Json::u64(*self as u64)
-    }
+/// Narrower unsigned integers: written as `u64`, range-checked on decode.
+macro_rules! narrow_unsigned {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn to_json(&self) -> Json {
+                Json::u64(*self as u64)
+            }
+        }
+
+        impl FromJson for $t {
+            fn from_json(j: &Json) -> Result<Self, JsonError> {
+                u64::from_json(j)?
+                    .try_into()
+                    .map_err(|_| JsonError::msg(concat!(stringify!($t), " out of range")))
+            }
+        }
+    )*};
 }
 
-impl FromJson for u32 {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        u64::from_json(j)?.try_into().map_err(|_| JsonError::msg("u32 out of range"))
-    }
-}
-
-impl ToJson for usize {
-    fn to_json(&self) -> Json {
-        Json::u64(*self as u64)
-    }
-}
-
-impl FromJson for usize {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        u64::from_json(j)?.try_into().map_err(|_| JsonError::msg("usize out of range"))
-    }
-}
+narrow_unsigned!(u8, u16, u32, usize);
 
 impl ToJson for f64 {
     fn to_json(&self) -> Json {
@@ -164,6 +341,19 @@ impl<A: FromJson, B: FromJson> FromJson for (A, B) {
     }
 }
 
+impl ToJson for SocketAddr {
+    fn to_json(&self) -> Json {
+        Json::str(self.to_string())
+    }
+}
+
+impl FromJson for SocketAddr {
+    fn from_json(j: &Json) -> Result<Self, JsonError> {
+        let s = String::from_json(j)?;
+        s.parse().map_err(|e| JsonError::msg(format!("bad socket address \"{s}\": {e}")))
+    }
+}
+
 // ---------------------------------------------------------------- wireless
 
 impl ToJson for SimDuration {
@@ -192,204 +382,13 @@ impl FromJson for SimTime {
 
 impl ToJson for NodeId {
     fn to_json(&self) -> Json {
-        Json::u64(self.0 as u64)
+        self.0.to_json()
     }
 }
 
 impl FromJson for NodeId {
     fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let raw: u64 = u64::from_json(j)?;
-        Ok(NodeId(raw.try_into().map_err(|_| JsonError::msg("node id out of range"))?))
-    }
-}
-
-impl ToJson for LossModel {
-    fn to_json(&self) -> Json {
-        match self {
-            LossModel::None => Json::obj([("kind", Json::str("none"))]),
-            LossModel::Uniform { p } => {
-                Json::obj([("kind", Json::str("uniform")), ("p", Json::f64(*p))])
-            }
-            LossModel::PerReceiver { rates } => {
-                Json::obj([("kind", Json::str("per_receiver")), ("rates", rates.to_json())])
-            }
-        }
-    }
-}
-
-impl FromJson for LossModel {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        match member(j, "kind")?.as_str() {
-            Some("none") => Ok(LossModel::None),
-            Some("uniform") => Ok(LossModel::Uniform { p: field(j, "p")? }),
-            Some("per_receiver") => Ok(LossModel::PerReceiver { rates: field(j, "rates")? }),
-            _ => Err(JsonError::msg("unknown loss model kind")),
-        }
-    }
-}
-
-impl ToJson for AdversaryConfig {
-    fn to_json(&self) -> Json {
-        // `bound_us` is a trailing optional member: encoded only when set,
-        // so configs predating the delay bound serialize byte-identically.
-        let mut members =
-            vec![("jitter_us", self.jitter.to_json()), ("targeted", self.targeted.to_json())];
-        if self.bound.is_some() {
-            members.push(("bound_us", self.bound.to_json()));
-        }
-        Json::obj(members)
-    }
-}
-
-impl FromJson for AdversaryConfig {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(AdversaryConfig {
-            jitter: field(j, "jitter_us")?,
-            targeted: field(j, "targeted")?,
-            bound: match j.get("bound_us") {
-                Some(v) => Option::from_json(v)?,
-                None => None,
-            },
-        })
-    }
-}
-
-impl ToJson for SchedConfig {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("seed", Json::u64(self.seed)),
-            ("budget_us", self.budget.to_json()),
-            ("policy", self.policy.to_json()),
-        ])
-    }
-}
-
-impl FromJson for SchedConfig {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(SchedConfig {
-            seed: field(j, "seed")?,
-            budget: field(j, "budget_us")?,
-            policy: field(j, "policy")?,
-        })
-    }
-}
-
-impl ToJson for SchedPolicy {
-    fn to_json(&self) -> Json {
-        match self {
-            SchedPolicy::Reorder { p } => {
-                Json::obj([("kind", Json::str("reorder")), ("p", Json::f64(*p))])
-            }
-            SchedPolicy::Victim { victims } => {
-                Json::obj([("kind", Json::str("victim")), ("victims", victims.to_json())])
-            }
-            SchedPolicy::CoinStarve { pass } => {
-                Json::obj([("kind", Json::str("coin_starve")), ("pass", pass.to_json())])
-            }
-        }
-    }
-}
-
-impl FromJson for SchedPolicy {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        match member(j, "kind")?.as_str() {
-            Some("reorder") => Ok(SchedPolicy::Reorder { p: field(j, "p")? }),
-            Some("victim") => Ok(SchedPolicy::Victim { victims: field(j, "victims")? }),
-            Some("coin_starve") => Ok(SchedPolicy::CoinStarve { pass: field(j, "pass")? }),
-            _ => Err(JsonError::msg("unknown sched policy kind")),
-        }
-    }
-}
-
-impl ToJson for RadioParams {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("bitrate_bps", Json::u64(self.bitrate_bps)),
-            ("preamble_us", Json::u64(self.preamble_us)),
-            ("max_frame_bytes", self.max_frame_bytes.to_json()),
-        ])
-    }
-}
-
-impl FromJson for RadioParams {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(RadioParams {
-            bitrate_bps: field(j, "bitrate_bps")?,
-            preamble_us: field(j, "preamble_us")?,
-            max_frame_bytes: field(j, "max_frame_bytes")?,
-        })
-    }
-}
-
-impl ToJson for CsmaParams {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("difs_us", Json::u64(self.difs_us)),
-            ("slot_us", Json::u64(self.slot_us)),
-            ("cw_slots", self.cw_slots.to_json()),
-        ])
-    }
-}
-
-impl FromJson for CsmaParams {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(CsmaParams {
-            difs_us: field(j, "difs_us")?,
-            slot_us: field(j, "slot_us")?,
-            cw_slots: field(j, "cw_slots")?,
-        })
-    }
-}
-
-impl ToJson for DmaParams {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("half_buffer_bytes", self.half_buffer_bytes.to_json()),
-            ("alignment", Json::Bool(self.alignment)),
-            ("interrupt_us", Json::u64(self.interrupt_us)),
-            ("flush_timeout_us", Json::u64(self.flush_timeout_us)),
-        ])
-    }
-}
-
-impl FromJson for DmaParams {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(DmaParams {
-            half_buffer_bytes: field(j, "half_buffer_bytes")?,
-            alignment: field(j, "alignment")?,
-            interrupt_us: field(j, "interrupt_us")?,
-            flush_timeout_us: field(j, "flush_timeout_us")?,
-        })
-    }
-}
-
-impl ToJson for NodeMetrics {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("channel_accesses", Json::u64(self.channel_accesses)),
-            ("bytes_sent", Json::u64(self.bytes_sent)),
-            ("airtime_us", self.airtime.to_json()),
-            ("frames_received", Json::u64(self.frames_received)),
-            ("lost_collision", Json::u64(self.lost_collision)),
-            ("lost_noise", Json::u64(self.lost_noise)),
-            ("lost_half_duplex", Json::u64(self.lost_half_duplex)),
-            ("cpu_time_us", self.cpu_time.to_json()),
-        ])
-    }
-}
-
-impl FromJson for NodeMetrics {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(NodeMetrics {
-            channel_accesses: field(j, "channel_accesses")?,
-            bytes_sent: field(j, "bytes_sent")?,
-            airtime: field(j, "airtime_us")?,
-            frames_received: field(j, "frames_received")?,
-            lost_collision: field(j, "lost_collision")?,
-            lost_noise: field(j, "lost_noise")?,
-            lost_half_duplex: field(j, "lost_half_duplex")?,
-            cpu_time: field(j, "cpu_time_us")?,
-        })
+        Ok(NodeId(u16::from_json(j)?))
     }
 }
 
@@ -402,54 +401,68 @@ impl ToJson for Metrics {
 
 impl FromJson for Metrics {
     fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(Metrics::from_parts(field(j, "per_node")?, field(j, "collisions")?))
+        let m = Members::of(j, &["collisions", "per_node"])?;
+        Ok(Metrics::from_parts(m.get("per_node")?, m.get("collisions")?))
+    }
+}
+
+json_tagged! {
+    LossModel by "kind" {
+        None = "none" {},
+        Uniform = "uniform" { p },
+        PerReceiver = "per_receiver" { rates },
+    }
+    SchedPolicy by "kind" {
+        Reorder = "reorder" { p },
+        Victim = "victim" { victims },
+        CoinStarve = "coin_starve" { pass },
+    }
+}
+
+json_record! {
+    AdversaryConfig { jitter as "jitter_us", targeted, bound as "bound_us" = None }
+    SchedConfig { seed, budget as "budget_us", policy }
+    RadioParams { bitrate_bps, preamble_us, max_frame_bytes }
+    CsmaParams { difs_us, slot_us, cw_slots }
+    DmaParams { half_buffer_bytes, alignment, interrupt_us, flush_timeout_us }
+    NodeMetrics {
+        channel_accesses,
+        bytes_sent,
+        airtime as "airtime_us",
+        frames_received,
+        lost_collision,
+        lost_noise,
+        lost_half_duplex,
+        cpu_time as "cpu_time_us",
     }
 }
 
 // ------------------------------------------------------------------ crypto
 
-impl ToJson for EcdsaCurve {
+impl ToJson for Digest32 {
     fn to_json(&self) -> Json {
-        Json::str(self.name())
+        Json::str(hex::encode(self.0))
     }
 }
 
-impl FromJson for EcdsaCurve {
+impl FromJson for Digest32 {
     fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let name = j.as_str().ok_or_else(|| JsonError::msg("expected curve name"))?;
-        EcdsaCurve::ALL
-            .into_iter()
-            .find(|c| c.name() == name)
-            .ok_or_else(|| JsonError::msg(format!("unknown ECDSA curve \"{name}\"")))
+        let s = String::from_json(j)?;
+        hex::decode(&s)
+            .ok()
+            .and_then(|bytes| bytes.try_into().ok())
+            .map(Digest32)
+            .ok_or_else(|| JsonError::msg(format!("bad digest \"{s}\"")))
     }
 }
 
-impl ToJson for ThresholdCurve {
-    fn to_json(&self) -> Json {
-        Json::str(self.name())
-    }
+json_name! {
+    EcdsaCurve: EcdsaCurve::ALL => name;
+    ThresholdCurve: ThresholdCurve::ALL => name;
 }
 
-impl FromJson for ThresholdCurve {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let name = j.as_str().ok_or_else(|| JsonError::msg("expected curve name"))?;
-        ThresholdCurve::ALL
-            .into_iter()
-            .find(|c| c.name() == name)
-            .ok_or_else(|| JsonError::msg(format!("unknown threshold curve \"{name}\"")))
-    }
-}
-
-impl ToJson for CryptoSuite {
-    fn to_json(&self) -> Json {
-        Json::obj([("ecdsa", self.ecdsa.to_json()), ("threshold", self.threshold.to_json())])
-    }
-}
-
-impl FromJson for CryptoSuite {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(CryptoSuite { ecdsa: field(j, "ecdsa")?, threshold: field(j, "threshold")? })
-    }
+json_record! {
+    CryptoSuite { ecdsa, threshold }
 }
 
 #[cfg(test)]
@@ -533,10 +546,49 @@ mod tests {
     }
 
     #[test]
+    fn digests_and_addresses_round_trip() {
+        let d = Digest32::of(b"block");
+        assert_eq!(d.to_json(), Json::str(hex::encode(d.0)));
+        assert_eq!(round_trip(&d), d);
+        assert!(Digest32::from_json(&Json::str("abcd")).is_err());
+        let a = SocketAddr::from(([127, 0, 0, 1], 47001));
+        assert_eq!(round_trip(&a), a);
+        assert!(SocketAddr::from_json(&Json::str("not-an-addr")).is_err());
+    }
+
+    #[test]
     fn schema_mismatches_are_errors() {
         assert!(LossModel::from_json(&parse(r#"{"kind":"gaussian"}"#).unwrap()).is_err());
         assert!(EcdsaCurve::from_json(&Json::str("secp999r9")).is_err());
         assert!(u64::from_json(&Json::str("7")).is_err());
         assert!(NodeId::from_json(&Json::u64(1 << 40)).is_err());
+        assert!(u8::from_json(&Json::u64(256)).is_err());
+    }
+
+    /// A member no entry names is refused with its key, in records, in
+    /// tagged variants and in the hand-written `Metrics` decoder alike.
+    #[test]
+    fn unknown_members_are_refused_by_name() {
+        for (text, key) in [
+            (r#"{"difs_us":1,"slot_us":2,"cw_slot":3}"#, "cw_slot"),
+            (r#"{"jitter_us":null,"targeted":[],"bound":5}"#, "bound"),
+            (r#"{"kind":"uniform","p":0.1,"q":0.2}"#, "q"),
+            (r#"{"kind":"none","p":0.1}"#, "p"),
+            (r#"{"collisions":0,"per_node":[],"extra":1}"#, "extra"),
+        ] {
+            let j = parse(text).unwrap();
+            let err = match key {
+                "cw_slot" => CsmaParams::from_json(&j).map(drop),
+                "bound" => AdversaryConfig::from_json(&j).map(drop),
+                "extra" => Metrics::from_json(&j).map(drop),
+                _ => LossModel::from_json(&j).map(drop),
+            }
+            .unwrap_err();
+            assert!(err.0.contains(&format!("\"{key}\"")), "{text}: {err}");
+        }
+        // Absent defaulted members decode to their default.
+        let a = AdversaryConfig::from_json(&parse(r#"{"jitter_us":null,"targeted":[]}"#).unwrap())
+            .unwrap();
+        assert_eq!(a.bound, None);
     }
 }

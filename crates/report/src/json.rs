@@ -1,9 +1,7 @@
 //! A minimal, dependency-free JSON value model with a parser and two
 //! writers (compact and pretty).
 //!
-//! The serde shim's derives expand to nothing (the build environment has no
-//! registry access), so machine-readable reports need a real encoder. The
-//! subset implemented here is exactly what the sweep harness requires:
+//! The subset implemented here is exactly what the sweep harness requires:
 //!
 //! * object member order is preserved, making encoding deterministic —
 //!   byte-identical reports are how the determinism tests compare runs;

@@ -1,21 +1,18 @@
 #![forbid(unsafe_code)]
 //! # wbft-report — machine-readable reports for the sweep harness
 //!
-//! The workspace's serde is an offline no-op shim, so this crate supplies
-//! the real serialization path the testbed needs: a minimal JSON value
-//! model with a non-panicking parser and deterministic writers ([`json`]),
-//! and hand-written [`ToJson`]/[`FromJson`] conversions for the wireless
-//! and crypto configuration types ([`convert`]). The consensus crate builds
-//! on these to serialize `TestbedConfig`/`RunReport` into
-//! `target/reports/*.json`, which is what makes figure regeneration
-//! scriptable and lets the determinism tests compare runs byte-for-byte.
-//!
-//! When registry access exists, swapping the serde shim for real serde can
-//! retire the hand-written impls; the JSON schema documented in the README
-//! is the stable interface.
+//! A minimal JSON value model with a non-panicking parser and
+//! deterministic writers ([`json`]), the [`ToJson`]/[`FromJson`] traits
+//! and the schema table that generates them ([`convert`]: one
+//! [`json_record!`], [`json_tagged!`] or [`json_name!`] entry per format).
+//! The consensus crate builds on these to serialize
+//! `TestbedConfig`/`RunReport` into `target/reports/*.json`, which is what
+//! makes figure regeneration scriptable and lets the determinism tests
+//! compare runs byte-for-byte. The JSON schema documented in the README is
+//! the stable interface.
 
 pub mod convert;
 pub mod json;
 
-pub use convert::{field, member, FromJson, ToJson};
+pub use convert::{FromJson, Members, ToJson};
 pub use json::{parse, read_file, to_file_string, write_file, Json, JsonError, Number};

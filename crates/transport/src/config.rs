@@ -17,7 +17,7 @@
 //! ```
 
 use std::net::SocketAddr;
-use wbft_report::{field, FromJson, Json, JsonError, ToJson};
+use wbft_report::json_record;
 use wbft_wireless::ChannelId;
 
 /// One node's network identity.
@@ -29,34 +29,6 @@ pub struct PeerEntry {
     pub addr: SocketAddr,
     /// Logical channels the node listens on.
     pub channels: Vec<u8>,
-}
-
-impl ToJson for PeerEntry {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("node", Json::u64(self.node as u64)),
-            ("addr", Json::str(self.addr.to_string())),
-            ("channels", Json::arr(self.channels.iter().map(|&c| Json::u64(c as u64)))),
-        ])
-    }
-}
-
-impl FromJson for PeerEntry {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let node: u64 = field(j, "node")?;
-        let node =
-            u16::try_from(node).map_err(|_| JsonError(format!("node id {node} out of range")))?;
-        let addr: String = field(j, "addr")?;
-        let addr: SocketAddr = addr
-            .parse()
-            .map_err(|e| JsonError(format!("bad socket address \"{addr}\": {e}")))?;
-        let channels: Vec<u64> = field(j, "channels")?;
-        let channels = channels
-            .into_iter()
-            .map(|c| u8::try_from(c).map_err(|_| JsonError(format!("channel {c} out of range"))))
-            .collect::<Result<_, _>>()?;
-        Ok(PeerEntry { node, addr, channels })
-    }
 }
 
 /// The full deployment: one entry per node, indexed by node id.
@@ -152,21 +124,15 @@ impl PeerTable {
     }
 }
 
-impl ToJson for PeerTable {
-    fn to_json(&self) -> Json {
-        Json::obj([("peers", self.peers.to_json())])
-    }
-}
-
-impl FromJson for PeerTable {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(PeerTable { peers: field(j, "peers")? })
-    }
+json_record! {
+    PeerEntry { node, addr, channels }
+    PeerTable { peers }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wbft_report::{FromJson, ToJson};
 
     #[test]
     fn loopback_table_is_valid_and_round_trips() {

@@ -17,7 +17,7 @@ use crate::topology::NodeId;
 use rand::Rng;
 
 /// Stochastic frame-loss model applied per (sender, receiver) delivery.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 #[derive(Default)]
 pub enum LossModel {
     /// No losses beyond collisions.
@@ -94,7 +94,7 @@ pub const DEFAULT_DELAY_BOUND: SimDuration = SimDuration::from_secs(30);
 /// Adversarial scheduling of honest-to-honest deliveries: extra receive
 /// delays, clamped to [`AdversaryConfig::delay_bound`] so that eventual
 /// delivery holds whatever `jitter`/`targeted` are set to.
-#[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct AdversaryConfig {
     /// Random extra delay in `[0, max)` added to every delivery —
     /// asynchrony "weather".

@@ -11,7 +11,7 @@ use crate::time::SimDuration;
 use rand::Rng;
 
 /// Medium-access parameters shared by all nodes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CsmaParams {
     /// Idle period sensed before the backoff countdown starts.
     pub difs_us: u64,

@@ -19,7 +19,7 @@
 use crate::time::SimDuration;
 
 /// DMA buffer behaviour for every node in a deployment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DmaParams {
     /// Half-buffer size `D` in bytes; the buffer holds `2D`.
     pub half_buffer_bytes: usize,

@@ -8,7 +8,7 @@ use crate::time::SimDuration;
 use crate::topology::NodeId;
 
 /// Counters for one node.
-#[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct NodeMetrics {
     /// Completed transmissions — each one is one channel-access contention
     /// (the "message overhead per node" of Table I).
@@ -31,7 +31,7 @@ pub struct NodeMetrics {
 }
 
 /// Aggregated counters for a simulation run.
-#[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Metrics {
     per_node: Vec<NodeMetrics>,
     /// Collision events on the medium (each counted once, not per receiver).

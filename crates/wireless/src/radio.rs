@@ -10,7 +10,7 @@
 use crate::time::SimDuration;
 
 /// Physical-layer parameters of all radios in a deployment.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RadioParams {
     /// Effective payload bitrate in bits per second.
     pub bitrate_bps: u64,

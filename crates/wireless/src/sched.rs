@@ -80,7 +80,7 @@ pub struct SchedStats {
 
 /// Declarative, serializable description of a scheduling attack — what a
 /// fuzz case carries and a fixture replays.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SchedConfig {
     /// Scheduler RNG seed (independent of the simulation seed).
     pub seed: u64,
@@ -91,7 +91,7 @@ pub struct SchedConfig {
 }
 
 /// The scheduling attacks the testbed knows how to mount.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SchedPolicy {
     /// Adversarial reorder: each delivery independently delayed by a
     /// uniform draw in `[0, budget]` with probability `p` — maximal

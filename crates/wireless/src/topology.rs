@@ -9,7 +9,7 @@
 use crate::time::SimDuration;
 
 /// Identifies a node in the simulation (dense, zero-based).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct NodeId(pub u16);
 
 impl NodeId {
@@ -27,11 +27,11 @@ impl core::fmt::Display for NodeId {
 
 /// Identifies a radio channel. Frames only reach nodes listening on the
 /// same channel.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct ChannelId(pub u8);
 
 /// A 2-D position in metres.
-#[derive(Clone, Copy, PartialEq, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct Position {
     /// X coordinate (m).
     pub x: f64,
@@ -48,7 +48,7 @@ impl Position {
 
 /// Per-link extra latency modelling the multi-hop routing overlay on the
 /// global channel (paper: leaders communicate "through a routing protocol").
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RoutingModel {
     /// Mean number of relay hops between two overlay members.
     pub mean_hops: f64,
@@ -88,7 +88,7 @@ impl Default for RoutingModel {
 }
 
 /// Static description of the deployment's geometry and channel plan.
-#[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Topology {
     positions: Vec<Position>,
     comm_radius: f64,

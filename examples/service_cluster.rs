@@ -32,11 +32,11 @@ use std::time::{Duration, Instant};
 mod support;
 use support::{allocate_loopback_table, wait_all};
 use wbft_consensus::netrun::{run_udp_service_node, ServiceNodeOpts};
-use wbft_consensus::report::{report_root, scenario_json};
+use wbft_consensus::report::{read_report, report_root, Scenario};
 use wbft_consensus::service::tx_digest;
 use wbft_consensus::{Protocol, TestbedConfig};
 use wbft_crypto::hash::Digest32;
-use wbft_report::{field, Json, ToJson};
+use wbft_report::{FromJson, ToJson};
 use wbft_transport::{ClientMsg, PeerTable, SubmitVerdict, CLIENT_CHANNEL, CLIENT_SRC};
 
 fn usage() -> ! {
@@ -87,34 +87,16 @@ struct ClusterDoc {
     late_node: Option<usize>,
 }
 
-impl ClusterDoc {
-    fn to_json(&self) -> Json {
-        let mut members: Vec<(String, Json)> = vec![
-            ("config".into(), self.cfg.to_json()),
-            ("peers".into(), self.peers.to_json()),
-            ("wall_secs".into(), Json::u64(self.wall_secs)),
-            ("linger_ms".into(), Json::u64(self.linger_ms)),
-            ("max_epochs".into(), Json::u64(self.max_epochs)),
-            ("mempool_cap".into(), Json::u64(self.mempool_cap)),
-            ("journal".into(), Json::Bool(self.journal)),
-        ];
-        if let Some(late) = self.late_node {
-            members.push(("late_node".into(), Json::u64(late as u64)));
-        }
-        Json::Obj(members)
-    }
-
-    fn from_json(j: &Json) -> Result<Self, wbft_report::JsonError> {
-        Ok(ClusterDoc {
-            cfg: field(j, "config")?,
-            peers: field(j, "peers")?,
-            wall_secs: field(j, "wall_secs")?,
-            linger_ms: field(j, "linger_ms")?,
-            max_epochs: field(j, "max_epochs")?,
-            mempool_cap: field(j, "mempool_cap")?,
-            journal: field(j, "journal")?,
-            late_node: j.get("late_node").and_then(Json::as_u64).map(|v| v as usize),
-        })
+wbft_report::json_record! {
+    ClusterDoc {
+        cfg as "config",
+        peers,
+        wall_secs,
+        linger_ms,
+        max_epochs,
+        mempool_cap,
+        journal,
+        late_node = None,
     }
 }
 
@@ -157,17 +139,16 @@ fn child_main(me: usize, cluster_path: &Path, out_dir: &Path) -> ! {
         mempool_capacity: doc.mempool_cap as usize,
         max_epochs: doc.max_epochs,
     });
-    let mut scenario = scenario_json(&label, &cfg, &outcome.report);
     // Per-block content digests ride along so the launcher can check the
     // nodes agree on what they committed, not merely on how much.
-    if let Json::Obj(members) = &mut scenario {
-        members.push((
-            "block_digests".into(),
-            Json::arr(outcome.block_digests.iter().map(|d| Json::str(hex::encode(d.0)))),
-        ));
-    }
+    let scenario = Scenario {
+        label,
+        config: cfg,
+        report: outcome.report.clone(),
+        block_digests: Some(outcome.block_digests.clone()),
+    };
     let report_path = out_dir.join(format!("node{me}.json"));
-    wbft_report::write_file(&report_path, &scenario)
+    wbft_report::write_file(&report_path, &scenario.to_json())
         .unwrap_or_else(|e| fatal(&format!("write {}: {e}", report_path.display())));
     eprintln!(
         "node {me}: completed={} epochs={} client_txs={} p50={}us pending={} drops(full={})",
@@ -550,10 +531,10 @@ fn main() {
 
     // Cross-check node reports: committed client txs, latency percentiles
     // present, and digest-chain prefix agreement.
-    let mut chains: Vec<Vec<String>> = vec![Vec::new(); n];
+    let mut chains: Vec<Vec<Digest32>> = vec![Vec::new(); n];
     for (me, chain) in chains.iter_mut().enumerate() {
         let path = dir.join(format!("node{me}.json"));
-        let doc = match wbft_report::read_file(&path) {
+        let doc = match read_report(&path) {
             Ok(doc) => doc,
             Err(e) => {
                 eprintln!("unreadable report {}: {e}", path.display());
@@ -561,46 +542,34 @@ fn main() {
                 continue;
             }
         };
-        let report: Result<wbft_consensus::RunReport, _> = field(&doc, "report");
-        match report {
-            Ok(report) => {
-                let Some(service) = report.service else {
-                    eprintln!("node {me}: report has no service member");
-                    success = false;
-                    continue;
-                };
-                println!(
-                    "node {me}: epochs={} client_txs={} latency p50/p90/p99 = {}/{}/{} ms, \
-                     peak_occupancy={} drops(full={}, dup={})",
-                    report.epoch_latencies.len(),
-                    service.committed_client_txs,
-                    service.latency.p50_us / 1_000,
-                    service.latency.p90_us / 1_000,
-                    service.latency.p99_us / 1_000,
-                    service.peak_occupancy,
-                    service.rejected_full,
-                    service.rejected_dup,
-                );
-                // The late joiner's chain may be all anti-entropy catch-up
-                // (no fresh commits of its own); the join drill judges it
-                // on chain convergence below instead.
-                let is_joiner = join.map(|(idx, _)| idx) == Some(me);
-                if (service.committed_client_txs == 0 || service.latency.count == 0)
-                    && !is_joiner
-                {
-                    eprintln!("node {me}: no committed client transactions");
-                    success = false;
-                }
-            }
-            Err(e) => {
-                eprintln!("node {me}: bad report: {e}");
-                success = false;
-            }
+        let report = doc.report;
+        let Some(service) = report.service else {
+            eprintln!("node {me}: report has no service member");
+            success = false;
+            continue;
+        };
+        println!(
+            "node {me}: epochs={} client_txs={} latency p50/p90/p99 = {}/{}/{} ms, \
+             peak_occupancy={} drops(full={}, dup={})",
+            report.epoch_latencies.len(),
+            service.committed_client_txs,
+            service.latency.p50_us / 1_000,
+            service.latency.p90_us / 1_000,
+            service.latency.p99_us / 1_000,
+            service.peak_occupancy,
+            service.rejected_full,
+            service.rejected_dup,
+        );
+        // The late joiner's chain may be all anti-entropy catch-up (no fresh
+        // commits of its own); the join drill judges it on chain
+        // convergence below instead.
+        let is_joiner = join.map(|(idx, _)| idx) == Some(me);
+        if (service.committed_client_txs == 0 || service.latency.count == 0) && !is_joiner {
+            eprintln!("node {me}: no committed client transactions");
+            success = false;
         }
-        match doc.get("block_digests").and_then(Json::as_arr) {
-            Some(arr) => {
-                *chain = arr.iter().map(|d| d.as_str().unwrap_or_default().to_string()).collect()
-            }
+        match doc.block_digests {
+            Some(digests) => *chain = digests,
             None => {
                 eprintln!("node {me}: report missing block_digests");
                 success = false;

@@ -28,9 +28,10 @@ use std::time::Duration;
 mod support;
 use support::{allocate_loopback_table, wait_all};
 use wbft_consensus::netrun::run_udp_node;
-use wbft_consensus::report::{report_root, scenario_json};
+use wbft_consensus::report::{read_report, report_root, Scenario};
 use wbft_consensus::{Protocol, TestbedConfig};
-use wbft_report::{field, Json, ToJson};
+use wbft_crypto::hash::Digest32;
+use wbft_report::{FromJson, ToJson};
 use wbft_transport::PeerTable;
 
 fn usage() -> ! {
@@ -53,24 +54,8 @@ struct ClusterDoc {
     linger_ms: u64,
 }
 
-impl ClusterDoc {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("config", self.cfg.to_json()),
-            ("peers", self.peers.to_json()),
-            ("wall_secs", Json::u64(self.wall_secs)),
-            ("linger_ms", Json::u64(self.linger_ms)),
-        ])
-    }
-
-    fn from_json(j: &Json) -> Result<Self, wbft_report::JsonError> {
-        Ok(ClusterDoc {
-            cfg: field(j, "config")?,
-            peers: field(j, "peers")?,
-            wall_secs: field(j, "wall_secs")?,
-            linger_ms: field(j, "linger_ms")?,
-        })
-    }
+wbft_report::json_record! {
+    ClusterDoc { cfg as "config", peers, wall_secs, linger_ms }
 }
 
 fn child_main(me: usize, cluster_path: &Path, out_dir: &Path) -> ! {
@@ -88,16 +73,15 @@ fn child_main(me: usize, cluster_path: &Path, out_dir: &Path) -> ! {
     .unwrap_or_else(|e| fatal(&format!("node {me}: {e}")));
     let label = format!("udp.{}.node{me}", doc.cfg.protocol.slug());
     let report_path = out_dir.join(format!("node{me}.json"));
-    let mut scenario = scenario_json(&label, &doc.cfg, &outcome.report);
     // Per-block content digests: the launcher compares these across nodes,
     // so divergent-but-equal-sized commits fail loudly.
-    if let Json::Obj(members) = &mut scenario {
-        members.push((
-            "block_digests".into(),
-            Json::arr(outcome.block_digests.iter().map(|d| Json::str(hex::encode(d.0)))),
-        ));
-    }
-    wbft_report::write_file(&report_path, &scenario)
+    let scenario = Scenario {
+        label,
+        config: doc.cfg,
+        report: outcome.report.clone(),
+        block_digests: Some(outcome.block_digests),
+    };
+    wbft_report::write_file(&report_path, &scenario.to_json())
         .unwrap_or_else(|e| fatal(&format!("write {}: {e}", report_path.display())));
     eprintln!(
         "node {me}: completed={} txs={} accesses={} drops(malformed={}, foreign={})",
@@ -155,7 +139,7 @@ fn run_cluster(cfg: &TestbedConfig, out_dir: &Path, wall_secs: u64) -> bool {
     // Cross-check the per-node reports even when some child failed — the
     // report files are the artifact CI asserts on.
     let mut txs = Vec::new();
-    let mut chains: Vec<Vec<String>> = Vec::new();
+    let mut chains: Vec<Vec<Digest32>> = Vec::new();
     for me in 0..cfg.n {
         let path = out_dir.join(format!("node{me}.json"));
         match std::fs::metadata(&path) {
@@ -166,26 +150,13 @@ fn run_cluster(cfg: &TestbedConfig, out_dir: &Path, wall_secs: u64) -> bool {
                 continue;
             }
         }
-        match wbft_report::read_file(&path) {
-            Ok(doc) => match doc.get("block_digests").and_then(Json::as_arr) {
-                Some(arr) => chains.push(
-                    arr.iter().map(|d| d.as_str().unwrap_or_default().to_string()).collect(),
-                ),
-                None => {
-                    eprintln!("{slug}: report {} lacks block_digests", path.display());
-                    success = false;
-                }
-            },
-            Err(e) => {
-                eprintln!("{slug}: unreadable report {}: {e}", path.display());
-                success = false;
-            }
-        }
-        match wbft_consensus::report::read_report(&path) {
-            Ok((label, _cfg, report)) => {
+        match read_report(&path) {
+            Ok(doc) => {
+                let report = &doc.report;
                 println!(
-                    "{label}: completed={} elapsed={:.1}s txs={} accesses/node={:.1} \
+                    "{}: completed={} elapsed={:.1}s txs={} accesses/node={:.1} \
                      bytes_on_air={}",
+                    doc.label,
                     report.completed,
                     report.elapsed.as_secs_f64(),
                     report.total_txs,
@@ -196,6 +167,13 @@ fn run_cluster(cfg: &TestbedConfig, out_dir: &Path, wall_secs: u64) -> bool {
                     success = false;
                 }
                 txs.push(report.total_txs);
+                match doc.block_digests {
+                    Some(chain) => chains.push(chain),
+                    None => {
+                        eprintln!("{slug}: report {} lacks block_digests", path.display());
+                        success = false;
+                    }
+                }
             }
             Err(e) => {
                 eprintln!("{slug}: unreadable report {}: {e}", path.display());
