@@ -27,7 +27,8 @@
 use crate::context::{Actions, Batcher, BinaryAgreement, Params};
 use crate::share_buf::{Collector, Recorded};
 use std::collections::BTreeMap;
-use wbft_crypto::thresh_coin::{CoinName, CoinPublicSet, CoinSecretShare, CoinShare};
+use wbft_crypto::thresh_coin::{self, CoinName, CoinPublicSet};
+use wbft_crypto::thresh_sig::{SecretKeyShare, SigShare};
 use wbft_net::packets::AbaScInst;
 use wbft_net::{BinValues, Bitmap, Body, CoinFlavor, Vote};
 
@@ -125,6 +126,15 @@ impl Inst {
     }
 }
 
+/// One common coin: this node's share (signed once when it releases the
+/// coin), everyone's shares, and the coin, derived once from the combined
+/// signature.
+#[derive(Debug, Default)]
+struct Coin {
+    shares: Collector,
+    value: Option<bool>,
+}
+
 /// Batched shared-coin ABA over up to N instances.
 pub struct AbaScBatch {
     p: Params,
@@ -133,11 +143,10 @@ pub struct AbaScBatch {
     /// Serial deployment: per-instance domains.
     shared_coin: bool,
     coin_pub: CoinPublicSet,
-    coin_sec: CoinSecretShare,
+    coin_sec: SecretKeyShare,
     insts: Vec<Inst>,
-    /// One common coin per domain and round: this node's share (signed once
-    /// when it releases the coin), everyone's shares, the value.
-    coins: BTreeMap<(u8, u16), Collector<CoinPublicSet>>,
+    /// One common coin per domain and round.
+    coins: BTreeMap<(u8, u16), Coin>,
     out: Batcher,
 }
 
@@ -157,7 +166,7 @@ impl AbaScBatch {
         p: Params,
         flavor: CoinFlavor,
         coin_pub: CoinPublicSet,
-        coin_sec: CoinSecretShare,
+        coin_sec: SecretKeyShare,
     ) -> Self {
         Self::new(p, flavor, true, coin_pub, coin_sec)
     }
@@ -168,7 +177,7 @@ impl AbaScBatch {
         p: Params,
         flavor: CoinFlavor,
         coin_pub: CoinPublicSet,
-        coin_sec: CoinSecretShare,
+        coin_sec: SecretKeyShare,
     ) -> Self {
         Self::new(p, flavor, false, coin_pub, coin_sec)
     }
@@ -178,7 +187,7 @@ impl AbaScBatch {
         flavor: CoinFlavor,
         shared_coin: bool,
         coin_pub: CoinPublicSet,
-        coin_sec: CoinSecretShare,
+        coin_sec: SecretKeyShare,
     ) -> Self {
         let insts = (0..p.n).map(|_| Inst::new(p.n)).collect();
         AbaScBatch {
@@ -229,7 +238,7 @@ impl AbaScBatch {
     fn coin_costs(&self) -> (u64, u64, u64) {
         match self.flavor {
             CoinFlavor::ThreshSig => {
-                let p = self.coin_pub.profile().curve.signature_profile();
+                let p = self.coin_pub.keys().profile();
                 (p.sign_share_us, p.verify_share_us, p.combine_us)
             }
             CoinFlavor::CoinFlip => {
@@ -245,17 +254,20 @@ impl AbaScBatch {
         &mut self,
         domain: u8,
         round: u16,
-        share: &CoinShare,
+        share: &SigShare,
         acts: &mut Actions,
     ) {
         let (_, verify_us, combine_us) = self.coin_costs();
         let name = self.coin_name(domain, round);
-        let need = self.coin_pub.threshold() + 1;
+        let keys = self.coin_pub.keys();
         let coin = self.coins.entry((domain, round)).or_default();
-        match coin.record(&self.coin_pub, name, need, self.p.n, *share) {
+        match coin.shares.record(keys, name, keys.threshold() + 1, self.p.n, *share) {
             Recorded::Refused => {}
             Recorded::Buffered => acts.charge(verify_us),
-            Recorded::Combined(_) => acts.charge(verify_us + combine_us),
+            Recorded::Combined(sig) => {
+                coin.value = sig.map(|sig| thresh_coin::reveal(&sig) & 1 == 1);
+                acts.charge(verify_us + combine_us);
+            }
         }
     }
 
@@ -263,7 +275,7 @@ impl AbaScBatch {
     fn release_share(&mut self, domain: u8, round: u16, acts: &mut Actions) {
         let name = self.coin_name(domain, round);
         let coin = self.coins.entry((domain, round)).or_default();
-        let Some(share) = coin.sign_own(|| self.coin_sec.coin_share(name)) else { return };
+        let Some(share) = coin.shares.sign_own(|| self.coin_sec.coin_share(name)) else { return };
         let (sign_us, _, _) = self.coin_costs();
         acts.charge(sign_us);
         // Record our own share like any other (its verification is charged).
@@ -272,7 +284,7 @@ impl AbaScBatch {
     }
 
     fn coin_value(&self, domain: u8, round: u16) -> Option<bool> {
-        self.coins.get(&(domain, round)).and_then(|c| c.output()).map(|v| v & 1 == 1)
+        self.coins.get(&(domain, round)).and_then(|c| c.value)
     }
 
     /// Casts a BVAL vote for `(instance, round, v)` from this node.
@@ -455,7 +467,7 @@ impl AbaScBatch {
         }
         let mut coin_shares = Vec::new();
         for (d, r) in coin_rounds {
-            if let Some(share) = self.coins.get(&(d, r)).and_then(Collector::own) {
+            if let Some(share) = self.coins.get(&(d, r)).and_then(|c| c.shares.own()) {
                 // Wire convention: round field packs (domain << 8) | round.
                 coin_shares.push(((d as u16) << 8 | (r & 0xff), share));
             }
@@ -463,9 +475,9 @@ impl AbaScBatch {
         // share_nack: nodes whose coin share we lack for any needed coin.
         let mut share_nack = Bitmap::new(self.p.n);
         for coin in self.coins.values() {
-            if coin.own().is_some() && coin.output().is_none() {
+            if coin.shares.own().is_some() && coin.value.is_none() {
                 for node in 0..self.p.n {
-                    if coin.reporters() & (1 << node) == 0 {
+                    if coin.shares.reporters() & (1 << node) == 0 {
                         share_nack.set(node, true);
                     }
                 }
@@ -733,8 +745,10 @@ mod tests {
         let before = wbft_crypto::thresh_coin::tally().shares_signed;
         let mut nodes = make_nodes(CoinFlavor::ThreshSig, true);
         run_to_decision(&mut nodes, vec![vec![true], vec![false], vec![true], vec![false]]);
-        let released: usize =
-            nodes.iter().map(|n| n.coins.values().filter(|c| c.own().is_some()).count()).sum();
+        let released: usize = nodes
+            .iter()
+            .map(|n| n.coins.values().filter(|c| c.shares.own().is_some()).count())
+            .sum();
         assert!(released >= 4, "every node releases at least one coin");
         let signed = wbft_crypto::thresh_coin::tally().shares_signed - before;
         assert_eq!(signed, released as u64);

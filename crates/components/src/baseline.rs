@@ -22,7 +22,7 @@ use crate::instance::{Accepted, Assembler, BrachaInst, CbcInst, DoneStage, Signe
 use bytes::Bytes;
 use std::collections::BTreeSet;
 use wbft_crypto::hash::Digest32;
-use wbft_crypto::thresh_coin::{CoinPublicSet, CoinSecretShare};
+use wbft_crypto::thresh_coin::CoinPublicSet;
 use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare, ThresholdSignature};
 use wbft_net::packets::AbaScInst;
 use wbft_net::{BinValues, Bitmap, Body, CoinFlavor, Vote};
@@ -384,7 +384,7 @@ impl BaselineAbaSet {
         p: Params,
         flavor: CoinFlavor,
         coin_pub: CoinPublicSet,
-        coin_sec: CoinSecretShare,
+        coin_sec: SecretKeyShare,
     ) -> Self {
         BaselineAbaSet {
             n: p.n,

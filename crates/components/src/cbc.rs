@@ -15,7 +15,8 @@
 //! set; this file is the batched packaging of it.
 
 use crate::context::{Actions, Batcher, Broadcaster, Params};
-use crate::instance::{Accepted, CbcInst, CertCollector, InitNacks, Signer};
+use crate::instance::{Accepted, CbcInst, InitNacks, Signer};
+use crate::share_buf::Collector;
 use bytes::Bytes;
 use wbft_crypto::hash::Digest32;
 use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare, SigShare, ThresholdSignature};
@@ -253,7 +254,7 @@ pub struct CbcSmallBatch {
     signer: Signer,
     values: Vec<Option<Bitmap>>,
     /// Echo shares and certificate per instance, over [`small_root`].
-    certs: Vec<CertCollector>,
+    certs: Vec<Collector>,
     out: Batcher,
 }
 
@@ -268,7 +269,7 @@ impl CbcSmallBatch {
         CbcSmallBatch {
             signer: Signer::cbc_echo(p, keys, secret),
             values: vec![None; p.n],
-            certs: vec![CertCollector::default(); p.n],
+            certs: vec![Collector::default(); p.n],
             out: Batcher::new(&p, TIMER_RETX),
         }
     }
@@ -293,7 +294,7 @@ impl CbcSmallBatch {
 
     /// The quorum certificate of a delivered instance.
     pub fn proof(&self, instance: usize) -> Option<&ThresholdSignature> {
-        self.certs.get(instance).and_then(CertCollector::output)
+        self.certs.get(instance).and_then(Collector::output)
     }
 
     /// Number of delivered instances.

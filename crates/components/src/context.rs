@@ -6,7 +6,7 @@ use bytes::Bytes;
 use rand::RngCore;
 use wbft_crypto::profile::CryptoSuite;
 use wbft_crypto::schnorr::{KeyPair, PublicKey};
-use wbft_crypto::thresh_coin::{CoinPublicSet, CoinSecretShare};
+use wbft_crypto::thresh_coin::CoinPublicSet;
 use wbft_crypto::thresh_enc::{EncPublicSet, EncSecretShare};
 use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare, ThresholdSignature};
 use wbft_crypto::{Scalar, ShareIndex};
@@ -117,10 +117,10 @@ pub struct NodeCrypto {
     pub cbc_pub: PublicKeySet,
     /// Secret share for `cbc_pub`.
     pub cbc_sec: SecretKeyShare,
-    /// `(f, n)` common coin.
+    /// `(f, n)` threshold signatures on coin names — the common coin.
     pub coin_pub: CoinPublicSet,
     /// Secret share for `coin_pub`.
-    pub coin_sec: CoinSecretShare,
+    pub coin_sec: SecretKeyShare,
     /// `(f, n)` threshold encryption — censorship resilience.
     pub enc_pub: EncPublicSet,
     /// Secret share for `enc_pub`.
@@ -182,10 +182,7 @@ pub fn deal_committee_crypto(
                 cbc_pub: cbc_pub.clone(),
                 cbc_sec: cbc_secs.get(me).cloned().unwrap_or_else(|| sig_placeholder(idx)),
                 coin_pub: coin_pub.clone(),
-                coin_sec: coin_secs
-                    .get(me)
-                    .cloned()
-                    .unwrap_or_else(|| CoinSecretShare::from_parts(idx, Scalar::ZERO)),
+                coin_sec: coin_secs.get(me).cloned().unwrap_or_else(|| sig_placeholder(idx)),
                 enc_pub: enc_pub.clone(),
                 enc_sec: enc_secs
                     .get(me)

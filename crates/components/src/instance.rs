@@ -5,7 +5,7 @@
 //! *packaged* into channel accesses, never what an instance does (paper
 //! §IV, Fig. 4–5). So the instance state machines live here and know
 //! nothing about packets: a proposal [`Assembler`], a Bracha [`VoteTally`]
-//! and a threshold [`CertCollector`] (under a [`Signer`]), composed into
+//! and a threshold-share [`Collector`] (under a [`Signer`]), composed into
 //! the three instances the protocols run — [`BrachaInst`] (RBC),
 //! [`CbcInst`] (CBC) and the PRBC [`DoneStage`]. The batched components
 //! (`rbc`, `cbc`, `prbc`) and the baseline sets (`baseline`) drive them and
@@ -398,10 +398,6 @@ pub(crate) fn done_msg(session: u64, instance: usize, root: &Digest32) -> Vec<u8
     signed_msg(b"wbft/prbc/done", session, instance, root)
 }
 
-/// Threshold signature shares of one instance on their way to a
-/// certificate.
-pub(crate) type CertCollector = Collector<PublicKeySet>;
-
 /// What a component's collectors sign and verify under: one threshold key
 /// set, the message its shares sign, and how many combine.
 #[derive(Debug)]
@@ -446,7 +442,7 @@ impl Signer {
     /// it already exists.
     pub(crate) fn sign_own(
         &self,
-        c: &mut CertCollector,
+        c: &mut Collector,
         instance: usize,
         root: &Digest32,
         acts: &mut Actions,
@@ -460,13 +456,14 @@ impl Signer {
     /// when this share completed it.
     pub(crate) fn record(
         &self,
-        c: &mut CertCollector,
+        c: &mut Collector,
         instance: usize,
         root: &Digest32,
         share: SigShare,
         acts: &mut Actions,
     ) -> Option<ThresholdSignature> {
-        let recorded = c.record(&self.keys, &self.msg(instance, root), self.need, self.p.n, share);
+        let msg = self.msg(instance, root);
+        let recorded = c.record(&self.keys, &msg[..], self.need, self.p.n, share);
         if recorded == Recorded::Refused {
             return None;
         }
@@ -482,7 +479,7 @@ impl Signer {
     /// over `(instance, root)` and is now held.
     pub(crate) fn accept_cert(
         &self,
-        c: &mut CertCollector,
+        c: &mut Collector,
         instance: usize,
         root: &Digest32,
         sig: &ThresholdSignature,
@@ -505,7 +502,7 @@ impl Signer {
 #[derive(Debug, Default)]
 pub(crate) struct CbcInst {
     pub asm: Assembler,
-    pub cert: CertCollector,
+    pub cert: Collector,
 }
 
 impl CbcInst {
@@ -557,13 +554,13 @@ impl CbcInst {
 #[derive(Debug)]
 pub(crate) struct DoneStage {
     pub signer: Signer,
-    insts: Vec<CertCollector>,
+    insts: Vec<Collector>,
 }
 
 impl DoneStage {
     pub(crate) fn new(p: Params, keys: PublicKeySet, secret: SecretKeyShare) -> Self {
         DoneStage {
-            insts: vec![CertCollector::default(); p.n],
+            insts: vec![Collector::default(); p.n],
             signer: Signer::prbc_done(p, keys, secret),
         }
     }
@@ -620,11 +617,11 @@ impl DoneStage {
     }
 
     pub(crate) fn my_share(&self, instance: usize) -> Option<SigShare> {
-        self.insts.get(instance).and_then(CertCollector::own)
+        self.insts.get(instance).and_then(Collector::own)
     }
 
     pub(crate) fn proof(&self, instance: usize) -> Option<&ThresholdSignature> {
-        self.insts.get(instance).and_then(CertCollector::output)
+        self.insts.get(instance).and_then(Collector::output)
     }
 
     pub(crate) fn proven_count(&self) -> usize {
@@ -822,7 +819,7 @@ mod tests {
         let s = signers(83);
         let root = Digest32::of(b"value");
         let profile = s[0].keys.profile();
-        let mut c = CertCollector::default();
+        let mut c = Collector::default();
         let mut acts = Actions::new();
         let own = s[0].sign_own(&mut c, 0, &root, &mut acts).unwrap();
         assert_eq!(acts.charge_us, profile.sign_share_us);
@@ -833,7 +830,7 @@ mod tests {
         assert!(s[0].record(&mut c, 0, &root, own, &mut acts).is_none(), "duplicate index");
         assert_eq!(c.reporters().count_ones(), 1);
 
-        let mut theirs = CertCollector::default();
+        let mut theirs = Collector::default();
         let mut scratch = Actions::new();
         let s1 = s[1].sign_own(&mut theirs, 0, &root, &mut scratch).unwrap();
         let mut far = s1;
@@ -843,7 +840,7 @@ mod tests {
         assert!(s[0].record(&mut c, 0, &root, s1, &mut acts).is_none());
         assert_eq!(acts.charge_us, profile.sign_share_us + profile.verify_share_us);
 
-        let s2 = s[2].sign_own(&mut CertCollector::default(), 0, &root, &mut scratch).unwrap();
+        let s2 = s[2].sign_own(&mut Collector::default(), 0, &root, &mut scratch).unwrap();
         let sig = s[0].record(&mut c, 0, &root, s2, &mut acts).expect("2f + 1 shares combine");
         assert_eq!(
             acts.charge_us,
@@ -853,7 +850,7 @@ mod tests {
         s[0].keys.verify(&echo_msg(9, 0, &root), &sig).unwrap();
         assert!(s[0].keys.verify(&done_msg(9, 0, &root), &sig).is_err(), "phase tag is bound");
         // Certified: later shares are not even buffered.
-        let s3 = s[3].sign_own(&mut CertCollector::default(), 0, &root, &mut scratch).unwrap();
+        let s3 = s[3].sign_own(&mut Collector::default(), 0, &root, &mut scratch).unwrap();
         assert!(s[0].record(&mut c, 0, &root, s3, &mut acts).is_none());
         assert_eq!(c.reporters().count_ones(), 3);
     }
@@ -864,11 +861,11 @@ mod tests {
         let root = Digest32::of(b"value");
         let mut scratch = Actions::new();
         let shares: Vec<SigShare> = (0..3)
-            .map(|i| s[i].sign_own(&mut CertCollector::default(), 1, &root, &mut scratch).unwrap())
+            .map(|i| s[i].sign_own(&mut Collector::default(), 1, &root, &mut scratch).unwrap())
             .collect();
         let mut bad = shares[0];
         bad.value = bad.value.mul(&GroupElem::generator());
-        let mut c = CertCollector::default();
+        let mut c = Collector::default();
         let mut acts = Actions::new();
         assert!(s[3].record(&mut c, 1, &root, bad, &mut acts).is_none());
         assert!(s[3].record(&mut c, 1, &root, shares[0], &mut acts).is_none(), "slot taken");
@@ -886,15 +883,15 @@ mod tests {
         let s = signers(97);
         let (root, other) = (Digest32::of(b"value"), Digest32::of(b"other"));
         let mut scratch = Actions::new();
-        let mut leader = CertCollector::default();
+        let mut leader = Collector::default();
         let mut sig = None;
         for signer in &s[..3] {
             let share =
-                signer.sign_own(&mut CertCollector::default(), 2, &root, &mut scratch).unwrap();
+                signer.sign_own(&mut Collector::default(), 2, &root, &mut scratch).unwrap();
             sig = s[2].record(&mut leader, 2, &root, share, &mut scratch);
         }
         let sig = sig.expect("three shares certify");
-        let mut c = CertCollector::default();
+        let mut c = Collector::default();
         let mut acts = Actions::new();
         assert!(!s[0].accept_cert(&mut c, 2, &other, &sig, &mut acts));
         assert!(!s[0].accept_cert(&mut c, 3, &root, &sig, &mut acts));

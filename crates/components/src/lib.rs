@@ -36,8 +36,8 @@
 //! component is incomplete or a NACK shows a peer behind. Components only
 //! say "changed" / "a peer is behind" and build the packet when asked; the
 //! baseline sets use the tick alone. And "own share once → buffer →
-//! verify at quorum → combine" is one [`Collector`] over a
-//! [`share_buf::ShareScheme`] (signature shares, coin shares), under the CBC
+//! verify at quorum → combine" is one [`Collector`] of threshold-signature
+//! shares — a coin is a threshold signature on its name — under the CBC
 //! certificates, the PRBC proofs, the ABA coins and Dumbo's π coin. It
 //! reports what happened; the virtual CPU charges stay with the callers,
 //! because they differ (ABA-SC pays a verification for its own coin share,
@@ -90,4 +90,4 @@ pub use context::{
     deal_committee_crypto, deal_node_crypto, Actions, Batcher, BinaryAgreement, Broadcaster,
     NodeCrypto, Params, ProvableBroadcaster,
 };
-pub use share_buf::{CoinShareBuf, Collector, Recorded, SigShareBuf};
+pub use share_buf::{Collector, Recorded, SigShareBuf};

@@ -12,10 +12,13 @@
 //! ([`wbft_crypto::thresh_sig::PublicKeySet::combine_verified`]) instead of
 //! by Lagrange interpolation.
 //!
-//! One [`ShareBuf`] serves every scheme that answers [`ShareScheme`]
-//! (threshold signatures, the common coin), and one [`Collector`] on top
-//! of it is the whole "own share once → buffer → settle at quorum →
-//! combine" sequence under every certificate, proof and coin.
+//! There is one threshold scheme: the common coin is a threshold signature
+//! on its name ([`wbft_crypto::thresh_coin`]). So one [`SigShareBuf`] and
+//! one [`Collector`] on top of it are the whole "own share once → buffer →
+//! settle at quorum → combine" sequence under every certificate, proof and
+//! coin; what a quorum is over is anything that converts into a
+//! [`PreparedMessage`] — message bytes, a coin name, or a message already
+//! prepared.
 //!
 //! The simulator's *charged virtual costs* are unchanged: callers still
 //! charge `verify_share_us` per accepted share at arrival and `combine_us`
@@ -23,93 +26,22 @@
 //! collector reports what it did ([`Recorded`]) and charges nothing,
 //! because who pays for an own share differs by caller.
 
-use wbft_crypto::thresh_coin::{CoinName, CoinPublicSet, CoinShare};
-use wbft_crypto::thresh_sig::{PublicKeySet, SigShare, ThresholdSignature};
-use wbft_crypto::ShareIndex;
+use wbft_crypto::thresh_sig::{PreparedMessage, PublicKeySet, SigShare, ThresholdSignature};
 
-/// What the buffer and the collector need of a threshold public key set:
-/// whose share a share is, which shares of a batch are invalid, and what a
-/// verified quorum combines into.
-pub trait ShareScheme {
-    /// One node's share.
-    type Share: Copy + PartialEq + std::fmt::Debug;
-    /// What the shares are made over (a message, a coin name).
-    type Msg<'a>: Copy;
-    /// What a quorum of shares combines into.
-    type Output: Copy + PartialEq + std::fmt::Debug;
-
-    /// The index of the node that produced `share`.
-    fn index_of(share: &Self::Share) -> ShareIndex;
-
-    /// Verifies `pending` over `msg`; the positions that fail.
-    fn invalid_positions(&self, msg: Self::Msg<'_>, pending: &[Self::Share]) -> Vec<usize>;
-
-    /// Combines shares over `msg` that each passed [`Self::invalid_positions`].
-    fn combine(&self, msg: Self::Msg<'_>, shares: &[Self::Share]) -> Option<Self::Output>;
-}
-
-impl ShareScheme for PublicKeySet {
-    type Share = SigShare;
-    type Msg<'a> = &'a [u8];
-    type Output = ThresholdSignature;
-
-    fn index_of(share: &SigShare) -> ShareIndex {
-        share.index
-    }
-
-    fn invalid_positions(&self, msg: &[u8], pending: &[SigShare]) -> Vec<usize> {
-        self.invalid_share_positions(&self.prepare(msg), pending)
-    }
-
-    fn combine(&self, msg: &[u8], shares: &[SigShare]) -> Option<ThresholdSignature> {
-        self.combine_verified(&self.prepare(msg), shares).ok()
-    }
-}
-
-impl ShareScheme for CoinPublicSet {
-    type Share = CoinShare;
-    type Msg<'a> = CoinName;
-    type Output = u64;
-
-    fn index_of(share: &CoinShare) -> ShareIndex {
-        share.index
-    }
-
-    fn invalid_positions(&self, name: CoinName, pending: &[CoinShare]) -> Vec<usize> {
-        self.invalid_share_positions(&self.prepare(name), pending)
-    }
-
-    fn combine(&self, name: CoinName, shares: &[CoinShare]) -> Option<u64> {
-        self.combine_verified(&self.prepare(name), shares).ok()
-    }
-}
-
-/// A buffer of unverified shares of one scheme for one instance/message.
-#[derive(Debug, Clone)]
-pub struct ShareBuf<K: ShareScheme> {
-    shares: Vec<K::Share>,
+/// A buffer of unverified signature shares for one instance/message.
+#[derive(Debug, Clone, Default)]
+pub struct SigShareBuf {
+    shares: Vec<SigShare>,
     /// `shares[..verified]` have passed verification.
     verified: usize,
     reporters: u64,
     /// Key epoch the buffered shares belong to. Shares from another
     /// threshold-key generation are structurally incompatible with this
-    /// buffer's verification keys — see [`ShareBuf::insert_tagged`].
+    /// buffer's verification keys — see [`SigShareBuf::insert_tagged`].
     key_epoch: u64,
 }
 
-/// A buffer of unverified signature shares for one instance/message.
-pub type SigShareBuf = ShareBuf<PublicKeySet>;
-
-/// A buffer of unverified coin shares for one `(domain, round)` coin.
-pub type CoinShareBuf = ShareBuf<CoinPublicSet>;
-
-impl<K: ShareScheme> Default for ShareBuf<K> {
-    fn default() -> Self {
-        ShareBuf { shares: Vec::new(), verified: 0, reporters: 0, key_epoch: 0 }
-    }
-}
-
-impl<K: ShareScheme> ShareBuf<K> {
+impl SigShareBuf {
     /// The key epoch this buffer currently collects for.
     pub fn key_epoch(&self) -> u64 {
         self.key_epoch
@@ -121,7 +53,7 @@ impl<K: ShareScheme> ShareBuf<K> {
     }
 
     /// The buffered shares, verified prefix first.
-    pub fn shares(&self) -> &[K::Share] {
+    pub fn shares(&self) -> &[SigShare] {
         &self.shares
     }
 
@@ -140,10 +72,10 @@ impl<K: ShareScheme> ShareBuf<K> {
         self.reporters = 0;
     }
 
-    /// [`ShareBuf::insert`] for a share tagged with the key epoch it was
+    /// [`SigShareBuf::insert`] for a share tagged with the key epoch it was
     /// produced under: a stale (or future) tag is rejected at the door, so
     /// it never takes a reporter slot only to be evicted at the quorum.
-    pub fn insert_tagged(&mut self, share: K::Share, n: usize, tag: u64) -> bool {
+    pub fn insert_tagged(&mut self, share: SigShare, n: usize, tag: u64) -> bool {
         tag == self.key_epoch && self.insert(share, n)
     }
 
@@ -151,12 +83,12 @@ impl<K: ShareScheme> ShareBuf<K> {
     /// an `n`-node deployment or the index already reported. Returns `true`
     /// when the share was newly buffered (callers charge the virtual verify
     /// cost exactly then).
-    pub fn insert(&mut self, share: K::Share, n: usize) -> bool {
+    pub fn insert(&mut self, share: SigShare, n: usize) -> bool {
         // The reporter bitmask (like every bitmap in the wire layer) caps
         // deployments at 64 nodes; make an oversized deployment fail loudly
         // in debug builds instead of silently never settling a quorum.
         debug_assert!(n <= 64, "share buffers support at most 64 nodes, got n = {n}");
-        let i = K::index_of(&share).value() as usize;
+        let i = share.index.value() as usize;
         if i == 0 || i > n || i > 64 {
             return false;
         }
@@ -172,16 +104,22 @@ impl<K: ShareScheme> ShareBuf<K> {
     /// Once at least `need` shares are buffered, verifies the unverified
     /// suffix over `msg`, evicting invalid shares (freeing their reporter
     /// bits). Returns `true` when `need` *verified* shares are available —
-    /// the signal to charge the combine cost and combine.
-    pub fn settle(&mut self, keys: &K, msg: K::Msg<'_>, need: usize) -> bool {
+    /// the signal to charge the combine cost and combine. `msg` is hashed
+    /// only when there is a suffix to verify.
+    pub fn settle(
+        &mut self,
+        keys: &PublicKeySet,
+        msg: impl Into<PreparedMessage>,
+        need: usize,
+    ) -> bool {
         if self.shares.len() < need {
             return false;
         }
         if self.verified < self.shares.len() {
-            let bad = keys.invalid_positions(msg, &self.shares[self.verified..]);
+            let bad = keys.invalid_share_positions(&msg.into(), &self.shares[self.verified..]);
             for &p in bad.iter().rev() {
                 let evicted = self.shares.remove(self.verified + p);
-                self.reporters &= !(1u64 << (K::index_of(&evicted).value() - 1));
+                self.reporters &= !(1u64 << (evicted.index.value() - 1));
             }
             self.verified = self.shares.len();
         }
@@ -192,7 +130,7 @@ impl<K: ShareScheme> ShareBuf<K> {
 /// What [`Collector::record`] did with a share. The collector only reports:
 /// the virtual costs differ by caller and are charged there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Recorded<O> {
+pub enum Recorded {
     /// Not buffered: the output exists already, the index is out of range
     /// or that node already reported.
     Refused,
@@ -200,34 +138,28 @@ pub enum Recorded<O> {
     Buffered,
     /// Buffered, and a verified quorum was combined (`None`: it did not
     /// combine).
-    Combined(Option<O>),
+    Combined(Option<ThresholdSignature>),
 }
 
-/// Shares of one instance on their way to a combined output: this node's
-/// own share (made once, re-sent as is), the buffered shares of every node
-/// (verified at quorum, invalid ones evicted) and the output,
-/// combined here or adopted from elsewhere.
-#[derive(Debug, Clone)]
-pub struct Collector<K: ShareScheme> {
-    own: Option<K::Share>,
-    shares: ShareBuf<K>,
-    output: Option<K::Output>,
+/// Shares of one instance on their way to a combined signature: this
+/// node's own share (made once, re-sent as is), the buffered shares of
+/// every node (verified at quorum, invalid ones evicted) and the
+/// signature, combined here or adopted from elsewhere.
+#[derive(Debug, Clone, Default)]
+pub struct Collector {
+    own: Option<SigShare>,
+    shares: SigShareBuf,
+    output: Option<ThresholdSignature>,
 }
 
-impl<K: ShareScheme> Default for Collector<K> {
-    fn default() -> Self {
-        Collector { own: None, shares: ShareBuf::default(), output: None }
-    }
-}
-
-impl<K: ShareScheme> Collector<K> {
+impl Collector {
     /// This node's own share, once made.
-    pub fn own(&self) -> Option<K::Share> {
+    pub fn own(&self) -> Option<SigShare> {
         self.own
     }
 
-    /// The combined (or adopted) output.
-    pub fn output(&self) -> Option<&K::Output> {
+    /// The combined (or adopted) signature.
+    pub fn output(&self) -> Option<&ThresholdSignature> {
         self.output.as_ref()
     }
 
@@ -238,7 +170,7 @@ impl<K: ShareScheme> Collector<K> {
 
     /// Makes this node's own share with `sign` — once; `None` when it
     /// already exists. The share is kept, not yet recorded.
-    pub fn sign_own(&mut self, sign: impl FnOnce() -> K::Share) -> Option<K::Share> {
+    pub fn sign_own(&mut self, sign: impl FnOnce() -> SigShare) -> Option<SigShare> {
         if self.own.is_some() {
             return None;
         }
@@ -246,27 +178,32 @@ impl<K: ShareScheme> Collector<K> {
         self.own
     }
 
-    /// Buffers one share over `msg`; `need` verified shares combine.
+    /// Buffers one share over `msg`; `need` verified shares combine. `msg`
+    /// is hashed once the buffer holds a quorum's worth, not before.
     pub fn record(
         &mut self,
-        keys: &K,
-        msg: K::Msg<'_>,
+        keys: &PublicKeySet,
+        msg: impl Into<PreparedMessage>,
         need: usize,
         n: usize,
-        share: K::Share,
-    ) -> Recorded<K::Output> {
+        share: SigShare,
+    ) -> Recorded {
         if self.output.is_some() || !self.shares.insert(share, n) {
             return Recorded::Refused;
         }
+        if self.shares.shares().len() < need {
+            return Recorded::Buffered;
+        }
+        let msg = msg.into();
         if !self.shares.settle(keys, msg, need) {
             return Recorded::Buffered;
         }
-        self.output = keys.combine(msg, self.shares.shares());
+        self.output = keys.combine_verified(&msg, self.shares.shares()).ok();
         Recorded::Combined(self.output)
     }
 
-    /// Holds an output combined elsewhere (the caller verified it).
-    pub fn adopt(&mut self, output: K::Output) {
+    /// Holds a signature combined elsewhere (the caller verified it).
+    pub fn adopt(&mut self, output: ThresholdSignature) {
         self.output = Some(output);
     }
 }
@@ -275,6 +212,7 @@ impl<K: ShareScheme> Collector<K> {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use wbft_crypto::thresh_coin::CoinName;
     use wbft_crypto::{thresh_coin, thresh_sig, GroupElem, ShareIndex, ThresholdCurve};
 
     #[test]
@@ -320,28 +258,31 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(71);
         let (cpub, csec) = thresh_coin::deal_coin(4, 1, ThresholdCurve::Bn158, &mut rng);
         let name = CoinName { session: 1, round: 0, domain: 0 };
-        let mut buf = CoinShareBuf::default();
+        let mut buf = SigShareBuf::default();
         assert!(buf.insert(csec[2].coin_share(name), 4));
-        assert!(!buf.settle(&cpub, name, 2));
+        assert!(!buf.settle(cpub.keys(), name, 2));
         assert!(buf.insert(csec[0].coin_share(name), 4));
-        assert!(buf.settle(&cpub, name, 2));
+        assert!(buf.settle(cpub.keys(), name, 2));
         cpub.combine_value(name, buf.shares()).unwrap();
+        // A share of another coin is evicted at the quorum.
+        assert!(buf.insert(csec[1].coin_share(CoinName { round: 1, ..name }), 4));
+        assert!(buf.settle(cpub.keys(), name, 2));
+        assert_eq!(buf.shares().len(), 2);
     }
 
-    /// One collection for either scheme over a `(t, n)` deal, `n` the number
-    /// of `shares`: `shares[0]` is this node's own, `bad` a corrupted copy of
-    /// `shares[1]`, and `reference` the public Lagrange combination that
-    /// `t + 1` verified shares must come to.
-    fn collects<K: ShareScheme>(
-        keys: &K,
-        msg: K::Msg<'_>,
+    /// One collection over a `(t, n)` deal, `n` the number of `shares`:
+    /// `shares[0]` is this node's own, `bad` a corrupted copy of
+    /// `shares[1]`, and `t + 1` verified shares must combine to what the
+    /// public Lagrange combination gives.
+    fn collects(
+        keys: &PublicKeySet,
+        msg: impl Into<PreparedMessage> + Copy,
         t: usize,
-        shares: &[K::Share],
-        bad: K::Share,
-        reference: impl Fn(&[K::Share]) -> Option<K::Output>,
-    ) {
+        shares: &[SigShare],
+        bad: SigShare,
+    ) -> ThresholdSignature {
         let (n, need) = (shares.len(), t + 1);
-        let mut c = Collector::<K>::default();
+        let mut c = Collector::default();
         let mut signed = 0;
         let mut sign = || {
             signed += 1;
@@ -365,19 +306,20 @@ mod tests {
         };
         assert_eq!(c.output(), Some(&output));
         let quorum = [&shares[..1], &shares[2..need], &shares[1..2]].concat();
-        assert_eq!(Some(output), reference(&quorum));
+        assert_eq!(Ok(output), keys.combine(&quorum));
         // Combined: later shares are not even buffered.
         if need < n {
             assert_eq!(c.record(keys, msg, need, n, shares[need]), Recorded::Refused);
         }
         assert_eq!(c.reporters(), (1 << need) - 1);
-        let mut adopter = Collector::<K>::default();
+        let mut adopter = Collector::default();
         adopter.adopt(output);
         assert_eq!(adopter.record(keys, msg, need, n, shares[0]), Recorded::Refused);
+        output
     }
 
     #[test]
-    fn one_collector_serves_both_schemes_and_combines_what_lagrange_does() {
+    fn one_collector_serves_messages_and_coins_and_combines_what_lagrange_does() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(73);
         let name = CoinName { session: 1, round: 2, domain: 3 };
         for (n, t) in [(4, 1), (4, 2), (7, 2), (16, 5)] {
@@ -385,13 +327,15 @@ mod tests {
             let shares: Vec<SigShare> = sks.iter().map(|sk| sk.sign_share(b"collected")).collect();
             let mut bad = shares[1];
             bad.value = bad.value.mul(&GroupElem::generator());
-            collects(&pks, &b"collected"[..], t, &shares, bad, |q| pks.combine(q).ok());
+            collects(&pks, b"collected", t, &shares, bad);
+            collects(&pks, pks.prepare(b"collected"), t, &shares, bad);
 
             let (cpub, csec) = thresh_coin::deal_coin(n, t, ThresholdCurve::Bn158, &mut rng);
-            let shares: Vec<CoinShare> = csec.iter().map(|sk| sk.coin_share(name)).collect();
+            let shares: Vec<SigShare> = csec.iter().map(|sk| sk.coin_share(name)).collect();
             let mut bad = shares[1];
             bad.value = bad.value.mul(&GroupElem::generator());
-            collects(&cpub, name, t, &shares, bad, |q| cpub.combine_value(name, q).ok());
+            let sig = collects(cpub.keys(), name, t, &shares, bad);
+            assert_eq!(Ok(thresh_coin::reveal(&sig)), cpub.combine_value(name, &shares));
         }
     }
 }

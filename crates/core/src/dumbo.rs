@@ -30,8 +30,8 @@ use wbft_components::{
     ProvableBroadcaster, Recorded,
 };
 use wbft_crypto::hash::Digest32;
-use wbft_crypto::thresh_coin::{CoinName, CoinPublicSet, CoinShare};
-use wbft_crypto::thresh_sig::ThresholdSignature;
+use wbft_crypto::thresh_coin::{self, CoinName};
+use wbft_crypto::thresh_sig::{SigShare, ThresholdSignature};
 use wbft_net::wire::{checked_bitmap_len, ByteSink, Sink, Wire, WireReader};
 use wbft_net::{Bitmap, Body, CoinFlavor, WireError};
 
@@ -131,15 +131,17 @@ impl CommitCbc {
 
 struct PiCoin {
     p: Params,
-    /// This node's share (signed once, when it releases the coin),
-    /// everyone's shares, the value.
-    coin: Collector<CoinPublicSet>,
+    /// This node's share (signed once, when it releases the coin) and
+    /// everyone's shares.
+    coin: Collector,
+    /// The coin's value, derived once from the combined signature.
+    value: Option<u64>,
     out: Batcher,
 }
 
 impl PiCoin {
     fn new(p: Params) -> Self {
-        PiCoin { coin: Collector::default(), out: Batcher::new(&p, TIMER_PI_RETX), p }
+        PiCoin { coin: Collector::default(), value: None, out: Batcher::new(&p, TIMER_PI_RETX), p }
     }
 
     fn name(&self) -> CoinName {
@@ -156,9 +158,9 @@ impl PiCoin {
     }
 
     /// Buffers a coin share; the own share's verification is not charged.
-    fn record(&mut self, share: CoinShare, crypto: &NodeCrypto, acts: &mut Actions) {
-        let need = crypto.coin_pub.threshold() + 1;
-        let recorded = self.coin.record(&crypto.coin_pub, self.name(), need, self.p.n, share);
+    fn record(&mut self, share: SigShare, crypto: &NodeCrypto, acts: &mut Actions) {
+        let keys = crypto.coin_pub.keys();
+        let recorded = self.coin.record(keys, self.name(), keys.threshold() + 1, self.p.n, share);
         if recorded == Recorded::Refused {
             return;
         }
@@ -166,7 +168,8 @@ impl PiCoin {
         if self.coin.own() != Some(share) {
             acts.charge(profile.verify_share_us);
         }
-        if matches!(recorded, Recorded::Combined(_)) {
+        if let Recorded::Combined(sig) = recorded {
+            self.value = sig.map(|sig| thresh_coin::reveal(&sig));
             acts.charge(profile.combine_us);
         }
     }
@@ -174,7 +177,7 @@ impl PiCoin {
     fn emit(&mut self, acts: &mut Actions) {
         let Some(share) = self.coin.own() else { return };
         let mut share_nack = Bitmap::new(self.p.n);
-        if self.coin.output().is_none() {
+        if self.value.is_none() {
             for node in 0..self.p.n {
                 if self.coin.reporters() & (1 << node) == 0 {
                     share_nack.set(node, true);
@@ -201,7 +204,7 @@ impl PiCoin {
 
     fn on_timer(&mut self, local: u32, acts: &mut Actions) {
         // The tick is armed by `activate`, so there is a share to emit.
-        if self.out.tick(local, self.coin.output().is_some(), acts).is_some() {
+        if self.out.tick(local, self.value.is_some(), acts).is_some() {
             self.emit(acts);
         }
     }
@@ -401,7 +404,7 @@ impl Lane for DumboLane {
             out.absorb(ctx.session(sessions::PI_COIN), &mut acts);
         }
         if st.order.is_none() {
-            if let Some(&coin) = st.pi.coin.output() {
+            if let Some(coin) = st.pi.value {
                 st.order = Some(permutation(ctx.n, coin));
             }
         }

@@ -51,17 +51,17 @@
 //! window tables ([`group::PrecomputedBase`], plus a process-wide generator
 //! table behind [`GroupElem::from_exponent`]), simultaneous
 //! multi-exponentiation ([`GroupElem::multi_pow`]), share quorums at table
-//! cost ([`thresh_sig::PublicKeySet`] and [`thresh_coin::CoinPublicSet`]
-//! check each share with one window-table pow per share key, and
-//! `combine_verified` reads a checked quorum's output off the group key's
-//! table instead of interpolating), memoized batch-inverted Lagrange
-//! coefficients
-//! ([`shamir::lagrange_coeffs_at_zero`]), and one per-thread verdict memo
-//! ([`memo`]) for the verification predicates every receiver of a broadcast
-//! repeats — which the producer of a signature or share also writes its
-//! own verdict into, so a verifier on the signer's thread (every simulated
-//! receiver) finds the answer waiting. None of it perturbs determinism:
-//! every cache is keyed purely by its inputs. See the workspace README
+//! cost ([`thresh_sig::PublicKeySet`], under certificates, proofs and the
+//! common coin alike, checks each share with one window-table pow per share
+//! key, and `combine_verified` reads a checked quorum's output off the
+//! group key's table instead of interpolating), memoized batch-inverted
+//! Lagrange coefficients ([`shamir::lagrange_coeffs_at_zero`]), and one
+//! per-thread verdict memo ([`memo`]) for the verification predicates
+//! every receiver of a broadcast repeats — which the producer of a
+//! signature or share also writes its own verdict into, so a verifier on
+//! the signer's thread (every simulated receiver) finds the answer waiting.
+//! None of it perturbs determinism: every cache is keyed purely by its
+//! inputs. See the workspace README
 //! ("Crypto fast paths") for measured numbers.
 
 pub mod field;

@@ -1,12 +1,11 @@
-//! Shared core of threshold share quorums.
+//! The share-quorum algebra under [`crate::thresh_sig`], the one threshold
+//! scheme: its key sets sign certificates and proofs, and the common coin
+//! too (a coin name is one more message, see [`crate::thresh_coin`]).
 //!
-//! `thresh_sig` and `thresh_coin` check and combine shares with the same
-//! algebra, differing only in domain tag and error type. With `h = g^e` the
-//! point a message or coin name hashes to, the share `(i, σ_i)` is valid iff
-//! `σ_i == vk_i^e`, and `t + 1` valid shares of distinct indices combine by
-//! Lagrange interpolation in the exponent to `Π σ_i^{λ_i} = g^{e·s} = vk^e`.
-//! Both schemes route through this module, so the share check, the
-//! combination and the window tables under them have one implementation.
+//! With `h = g^e` the point a message hashes to, the share `(i, σ_i)` is
+//! valid iff `σ_i == vk_i^e`, and `t + 1` valid shares of distinct indices
+//! combine by Lagrange interpolation in the exponent to
+//! `Π σ_i^{λ_i} = g^{e·s} = vk^e`.
 
 use crate::field::Scalar;
 use crate::group::{GroupElem, PrecomputedBase};
@@ -30,11 +29,6 @@ impl KeyTables {
             vk: PrecomputedBase::new(vk),
             shares: vk_shares.iter().map(PrecomputedBase::new).collect(),
         }
-    }
-
-    /// The group key `vk`.
-    pub(crate) fn group_key(&self) -> GroupElem {
-        self.vk.base()
     }
 
     /// `vk^e`, by table lookups.

@@ -1,5 +1,6 @@
 //! `(t, n)` threshold signatures — the PRBC DONE phase, CBC echoes, and the
-//! ABA-SC common coin all build on these.
+//! common coin (a threshold signature on the coin's name, see
+//! [`crate::thresh_coin`]) all build on these.
 //!
 //! BLS-style construction in the pairing-free group of [`crate::group`]:
 //! a trusted dealer shares a secret `s` with a degree-`t` Shamir polynomial;
@@ -33,14 +34,9 @@ use rand::RngCore;
 /// Domain tag binding message hashes to this scheme.
 const MSG_DOMAIN: &str = "wbft/thresh-sig/msg";
 
-/// The known discrete log of `H(msg)` — see [`GroupElem::hash_to_group`].
-fn msg_exponent(msg: &[u8]) -> Scalar {
-    hash_to_scalar(MSG_DOMAIN, &[msg])
-}
-
-/// A message pre-hashed for share operations: caches the exponent `e` with
-/// `H(msg) = g^e`, so verifying `n` shares of one message hashes once
-/// instead of `n` times.
+/// A message pre-hashed for share operations: caches the known discrete log
+/// `e` of `H(msg) = g^e` (see [`GroupElem::hash_to_group`]), so verifying
+/// `n` shares of one message hashes once instead of `n` times.
 #[derive(Clone, Copy, Debug)]
 pub struct PreparedMessage {
     e: Scalar,
@@ -49,7 +45,24 @@ pub struct PreparedMessage {
 impl PreparedMessage {
     /// Prepares a message for repeated share verification.
     pub fn new(msg: &[u8]) -> Self {
-        PreparedMessage { e: msg_exponent(msg) }
+        Self::under(MSG_DOMAIN, msg)
+    }
+
+    /// A message hashed under its own domain tag (a coin name).
+    pub(crate) fn under(domain: &str, msg: &[u8]) -> Self {
+        PreparedMessage { e: hash_to_scalar(domain, &[msg]) }
+    }
+}
+
+impl From<&[u8]> for PreparedMessage {
+    fn from(msg: &[u8]) -> Self {
+        PreparedMessage::new(msg)
+    }
+}
+
+impl<const N: usize> From<&[u8; N]> for PreparedMessage {
+    fn from(msg: &[u8; N]) -> Self {
+        PreparedMessage::new(msg)
     }
 }
 
@@ -133,11 +146,6 @@ impl ThresholdSignature {
     /// Decode (validating subgroup membership).
     pub fn from_bytes(bytes: &[u8; 32]) -> Option<Self> {
         GroupElem::from_bytes(bytes).ok().map(|value| ThresholdSignature { value })
-    }
-
-    /// Digest of the signature — used to derive coins and Dumbo's π.
-    pub fn digest(&self) -> Digest32 {
-        self.value.digest("wbft/thresh-sig")
     }
 }
 
@@ -322,7 +330,7 @@ impl PublicKeySet {
     ///
     /// [`ThreshSigError::InvalidSignature`] on mismatch.
     pub fn verify(&self, msg: &[u8], sig: &ThresholdSignature) -> Result<(), ThreshSigError> {
-        let e = msg_exponent(msg);
+        let e = PreparedMessage::new(msg).e;
         let statement =
             Digest32::of_parts("wbft/memo/thresh-sig", &[&self.vk.to_bytes(), &e.to_bytes()]);
         let valid = memo::verdict(Predicate::ThreshSig, statement.0, sig.to_bytes(), || {
@@ -366,8 +374,12 @@ impl SecretKeyShare {
     /// scalar multiplication plus a fixed-base table exponentiation —
     /// roughly 6× cheaper than exponentiating the fresh hash point.
     pub fn sign_share(&self, msg: &[u8]) -> SigShare {
-        let e = msg_exponent(msg);
-        let value = GroupElem::from_exponent(&e.mul(&self.secret));
+        self.sign_prepared(&PreparedMessage::new(msg))
+    }
+
+    /// [`Self::sign_share`] over a pre-hashed message (a coin name).
+    pub(crate) fn sign_prepared(&self, msg: &PreparedMessage) -> SigShare {
+        let value = GroupElem::from_exponent(&msg.e.mul(&self.secret));
         value.record_member();
         SigShare { index: self.index, value }
     }
@@ -537,6 +549,5 @@ mod tests {
         let siga = pks.combine(&sa).unwrap();
         let sigb = pks.combine(&sb).unwrap();
         assert_ne!(siga, sigb);
-        assert_ne!(siga.digest(), sigb.digest());
     }
 }

@@ -285,7 +285,7 @@ proptest! {
                 share
             })
             .collect();
-        let per_share_ok = batch.iter().all(|s| cpub.verify_share(name, s).is_ok());
+        let per_share_ok = batch.iter().all(|s| cpub.verify_shares(name, &[*s]).is_ok());
         prop_assert_eq!(cpub.verify_shares(name, &batch).is_ok(), per_share_ok);
     }
 
@@ -616,14 +616,16 @@ proptest! {
         let rolled_pub = thresh_coin::CoinPublicSet::from_parts(
             ThresholdCurve::Bn158,
             1,
+            genesis.keys().group_key(),
             new_indices.iter().map(|&j| reshare::derive_vk_share(&refs, j).unwrap()).collect(),
         );
         let rolled_secs: Vec<_> = new_indices
             .iter()
             .map(|&j| {
-                thresh_coin::CoinSecretShare::from_parts(
+                thresh_sig::SecretKeyShare::from_parts(
                     j,
                     reshare::combine_subshares(&refs, j).unwrap(),
+                    ThresholdCurve::Bn158,
                 )
             })
             .collect();

@@ -1,7 +1,6 @@
 //! The command-line runner behind `cargo run -p wbft-lint` and the facade
 //! `examples/lint.rs`.
 
-use crate::baseline::Baseline;
 use crate::rules::{Finding, Rule};
 use crate::{find_workspace_root, run_workspace, LintReport};
 use std::collections::BTreeMap;
@@ -13,10 +12,6 @@ use wbft_report::json::{self, Json};
 pub struct CliOptions {
     /// Workspace root (default: found by walking up from the cwd).
     pub root: Option<PathBuf>,
-    /// Baseline path (default: `<root>/lint-baseline.json`).
-    pub baseline: Option<PathBuf>,
-    /// Rewrite the baseline from current findings instead of checking.
-    pub write_baseline: bool,
     /// Also write the full machine-readable report here.
     pub json_out: Option<PathBuf>,
     /// Print a rule's long-form rationale and exit.
@@ -26,15 +21,13 @@ pub struct CliOptions {
 }
 
 const USAGE: &str = "\
-usage: wbft-lint [--root DIR] [--baseline FILE] [--write-baseline]
-                 [--json FILE] [--explain RULE] [--list-rules]
+usage: wbft-lint [--root DIR] [--json FILE] [--explain RULE] [--list-rules]
 
 Runs the workspace static analysis passes (determinism, ordered-state,
-totality, wire-safety, unsafe-code) and checks findings against the
-committed lint-baseline.json ratchet.
+totality, wire-safety, unsafe-code). Every finding fails the check: fix it,
+or justify it with an inline pragma.
 
-exit status: 0 = clean or fully grandfathered, 1 = new findings (or a
-missing baseline with findings present), 2 = usage/IO error.";
+exit status: 0 = clean, 1 = findings, 2 = usage/IO error.";
 
 impl CliOptions {
     /// Parses CLI arguments (without the program name).
@@ -47,8 +40,6 @@ impl CliOptions {
             };
             match arg.as_str() {
                 "--root" => opts.root = Some(PathBuf::from(value("--root")?)),
-                "--baseline" => opts.baseline = Some(PathBuf::from(value("--baseline")?)),
-                "--write-baseline" => opts.write_baseline = true,
                 "--json" => opts.json_out = Some(PathBuf::from(value("--json")?)),
                 "--explain" => opts.explain = Some(value("--explain")?),
                 "--list-rules" => opts.list_rules = true,
@@ -103,7 +94,6 @@ pub fn cli_main(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let baseline_path = opts.baseline.clone().unwrap_or_else(|| root.join("lint-baseline.json"));
 
     let started = std::time::Instant::now();
     let report = match run_workspace(&root) {
@@ -122,52 +112,14 @@ pub fn cli_main(args: &[String]) -> i32 {
         }
     }
 
-    if opts.write_baseline {
-        let base = Baseline::from_findings(&report.findings);
-        if let Err(e) = json::write_file(&baseline_path, &base.to_json()) {
-            eprintln!("writing {}: {e}", baseline_path.display());
-            return 2;
-        }
-        println!(
-            "wrote {} ({} grandfathered findings across {} files scanned)",
-            baseline_path.display(),
-            report.findings.len(),
-            report.files_scanned
-        );
-        return 0;
-    }
+    print_summary(&report, elapsed);
 
-    let baseline = if baseline_path.exists() {
-        match json::read_file(&baseline_path).map_err(|e| e.to_string()).and_then(|j| {
-            Baseline::from_json(&j).map_err(|e| format!("{}: {e}", baseline_path.display()))
-        }) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        }
-    } else {
-        Baseline::default()
-    };
-
-    let diff = baseline.diff(&report.findings);
-    print_summary(&report, &baseline, elapsed);
-
-    if !diff.improved.is_empty() {
-        println!("\nratchet can tighten ({} keys improved):", diff.improved.len());
-        for (rule, path, what, was, now) in &diff.improved {
-            println!("  {}: {} `{}` {} -> {}", rule.name(), path, what, was, now);
-        }
-        println!("  re-run with --write-baseline to lock in the improvement");
-    }
-
-    if diff.regressions.is_empty() {
+    if report.findings.is_empty() {
         println!("\nlint-check: OK ({} files in {:.2?})", report.files_scanned, elapsed);
         0
     } else {
-        println!("\nlint-check: {} new finding(s) not in the baseline:", diff.regressions.len());
-        for f in &diff.regressions {
+        println!("\nlint-check: {} finding(s):", report.findings.len());
+        for f in &report.findings {
             println!("  {f}");
         }
         println!("\nfix the finding, or add a justified pragma:");
@@ -186,23 +138,14 @@ fn rule_table(findings: &[Finding]) -> BTreeMap<Rule, u32> {
     t
 }
 
-fn print_summary(report: &LintReport, baseline: &Baseline, elapsed: std::time::Duration) {
+fn print_summary(report: &LintReport, elapsed: std::time::Duration) {
     let current = rule_table(&report.findings);
-    let base = baseline.rule_counts();
     println!(
-        "wbft-lint: {} files scanned in {:.2?}; findings per rule (current/baseline):",
+        "wbft-lint: {} files scanned in {:.2?}; findings per rule:",
         report.files_scanned, elapsed
     );
     for rule in Rule::ALL {
-        let now = current.get(&rule).copied().unwrap_or(0);
-        let was = base.get(&rule).copied().unwrap_or(0);
-        let delta = i64::from(now) - i64::from(was);
-        let marker = match delta {
-            0 => String::new(),
-            d if d > 0 => format!("  (+{d} NEW)"),
-            d => format!("  ({d})"),
-        };
-        println!("  {:13} {:4} / {:<4}{}", rule.name(), now, was, marker);
+        println!("  {:13} {:4}", rule.name(), current.get(&rule).copied().unwrap_or(0));
     }
 }
 
@@ -252,15 +195,16 @@ mod tests {
 
     #[test]
     fn flags_parse() {
-        let o = parse(&["--root", "/x", "--write-baseline", "--json", "out.json"]).unwrap();
+        let o = parse(&["--root", "/x", "--json", "out.json", "--list-rules"]).unwrap();
         assert_eq!(o.root.as_deref(), Some(std::path::Path::new("/x")));
-        assert!(o.write_baseline);
+        assert!(o.list_rules);
         assert_eq!(o.json_out.as_deref(), Some(std::path::Path::new("out.json")));
     }
 
     #[test]
     fn unknown_flag_rejected() {
         assert!(parse(&["--frobnicate"]).is_err());
+        assert!(parse(&["--write-baseline"]).is_err(), "there is no baseline");
         assert!(parse(&["--root"]).is_err(), "missing value");
     }
 

@@ -14,14 +14,12 @@
 //! environment has no registry access, consistent with the hand-rolled JSON
 //! codec in `wbft-report`): no type information, just careful token
 //! patterns scoped by a file classifier. See [`rules::Rule::explain`] for
-//! each rule's rationale, [`pragma`] for the justified-allow escape hatch,
-//! and [`baseline`] for the one-way ratchet.
+//! each rule's rationale and [`pragma`] for the justified-allow escape
+//! hatch, the only way a finding is suppressed.
 //!
 //! Run it with `cargo run -p wbft-lint` (or `--example lint` from the
-//! facade). Exit status 1 means findings not covered by
-//! `lint-baseline.json`.
+//! facade). Exit status 1 means the scan found something.
 
-pub mod baseline;
 pub mod classify;
 pub mod lexer;
 pub mod passes;

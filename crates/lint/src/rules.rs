@@ -32,7 +32,7 @@ impl Rule {
         Rule::UnusedAllow,
     ];
 
-    /// The stable name used in pragmas, reports, and the baseline.
+    /// The stable name used in pragmas and reports.
     pub fn name(self) -> &'static str {
         match self {
             Rule::Determinism => "determinism",
@@ -180,17 +180,9 @@ pub struct Finding {
     /// 1-based line number.
     pub line: u32,
     /// What matched — a stable token key (`"unwrap"`, `"HashMap"`,
-    /// `"as u8"`, `"0xfe"`, `"Instant::now"`, `"indexing"`, …). Baseline
-    /// ratcheting keys on (rule, path, what), so `what` must not contain
+    /// `"as u8"`, `"0xfe"`, `"Instant::now"`, `"indexing"`, …), free of
     /// line-dependent text.
     pub what: String,
-}
-
-impl Finding {
-    /// The ratchet key this finding counts under.
-    pub fn key(&self) -> (Rule, &str, &str) {
-        (self.rule, &self.path, &self.what)
-    }
 }
 
 impl core::fmt::Display for Finding {

@@ -34,7 +34,7 @@ use bytes::Bytes;
 use rand::RngCore;
 use wbft_components::NodeCrypto;
 use wbft_crypto::reshare::{self, ReshareDealing};
-use wbft_crypto::thresh_coin::{CoinPublicSet, CoinSecretShare};
+use wbft_crypto::thresh_coin::CoinPublicSet;
 use wbft_crypto::thresh_enc::{EncPublicSet, EncSecretShare};
 use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare};
 use wbft_crypto::{GroupElem, ShareIndex};
@@ -214,7 +214,7 @@ impl ReshareCeremony {
         let f = self.new.f();
         let ok = self.dealing_ok(&deal.prbc, slot, &old_crypto.prbc_pub.share_keys()[slot], f)
             && self.dealing_ok(&deal.cbc, slot, &old_crypto.cbc_pub.share_keys()[slot], 2 * f)
-            && self.dealing_ok(&deal.coin, slot, &old_crypto.coin_pub.share_keys()[slot], f)
+            && self.dealing_ok(&deal.coin, slot, &old_crypto.coin_pub.keys().share_keys()[slot], f)
             && self.dealing_ok(&deal.enc, slot, &old_crypto.enc_pub.share_keys()[slot], f);
         if !ok {
             return false;
@@ -269,6 +269,7 @@ impl ReshareCeremony {
         // an inconsistent deal collection — refuse to roll.
         if reshare::derive_group_key(&prbc).ok()? != old_crypto.prbc_pub.group_key()
             || reshare::derive_group_key(&cbc).ok()? != old_crypto.cbc_pub.group_key()
+            || reshare::derive_group_key(&coin).ok()? != old_crypto.coin_pub.keys().group_key()
             || reshare::derive_group_key(&enc).ok()? != old_crypto.enc_pub.group_key()
         {
             return None;
@@ -286,7 +287,12 @@ impl ReshareCeremony {
             old_crypto.cbc_pub.group_key(),
             share_keys(&cbc)?,
         );
-        let coin_pub = CoinPublicSet::from_parts(curve, f, share_keys(&coin)?);
+        let coin_pub = CoinPublicSet::from_parts(
+            curve,
+            f,
+            old_crypto.coin_pub.keys().group_key(),
+            share_keys(&coin)?,
+        );
         let enc_pub = EncPublicSet::from_parts(
             curve,
             f,
@@ -312,9 +318,10 @@ impl ReshareCeremony {
                 curve,
             ),
             cbc_pub,
-            coin_sec: CoinSecretShare::from_parts(
+            coin_sec: SecretKeyShare::from_parts(
                 my_index,
                 reshare::combine_subshares(&coin, my_index).ok()?,
+                curve,
             ),
             coin_pub,
             enc_sec: EncSecretShare::from_parts(
@@ -332,9 +339,10 @@ mod tests {
     use crate::view::CommitteeLog;
     use crate::MembershipOp;
     use rand::SeedableRng;
-    use wbft_components::share_buf::ShareScheme;
     use wbft_components::{deal_node_crypto, Collector, Recorded};
     use wbft_crypto::profile::CryptoSuite;
+    use wbft_crypto::thresh_coin::{self, CoinName};
+    use wbft_crypto::thresh_sig::{PreparedMessage, SigShare, ThresholdSignature};
     use wbft_crypto::Scalar;
 
     fn swap_configs() -> (CommitteeConfig, CommitteeConfig) {
@@ -406,13 +414,13 @@ mod tests {
 
     /// What a [`Collector`] over `keys` combines `shares` into, recorded in
     /// order.
-    fn collected<K: ShareScheme>(
-        keys: &K,
-        msg: K::Msg<'_>,
+    fn collected(
+        keys: &PublicKeySet,
+        msg: impl Into<PreparedMessage> + Copy,
         need: usize,
-        shares: &[K::Share],
-    ) -> Option<K::Output> {
-        let mut c = Collector::<K>::default();
+        shares: &[SigShare],
+    ) -> Option<ThresholdSignature> {
+        let mut c = Collector::default();
         shares.iter().find_map(|&share| match c.record(keys, msg, need, shares.len(), share) {
             Recorded::Combined(output) => output,
             _ => None,
@@ -436,6 +444,7 @@ mod tests {
         for c in &rolled[1..] {
             assert_eq!(c.prbc_pub.share_keys(), rolled[0].prbc_pub.share_keys());
             assert_eq!(c.cbc_pub.share_keys(), rolled[0].cbc_pub.share_keys());
+            assert_eq!(c.coin_pub.keys().share_keys(), rolled[0].coin_pub.keys().share_keys());
         }
         assert_eq!(rolled[0].key_epoch, 1);
         // New-committee shares combine into signatures the *genesis*
@@ -448,22 +457,39 @@ mod tests {
         let cbc_sig = rolled[1].cbc_pub.combine(&cbc_shares[..3]).unwrap();
         genesis[2].cbc_pub.verify(msg, &cbc_sig).unwrap();
         // Coin values are a function of the fixed group secret: unchanged.
-        let name = wbft_crypto::thresh_coin::CoinName { session: 9, round: 3, domain: 1 };
+        let name = CoinName { session: 9, round: 3, domain: 1 };
         let old_shares: Vec<_> = genesis.iter().map(|c| c.coin_sec.coin_share(name)).collect();
         let new_shares: Vec<_> = rolled.iter().map(|c| c.coin_sec.coin_share(name)).collect();
         assert_eq!(
             genesis[0].coin_pub.combine(name, &old_shares[..2]).unwrap(),
             rolled[0].coin_pub.combine(name, &new_shares[..2]).unwrap(),
         );
-        // A rolled set's Collector, which reads its output off the rolled
-        // group key, comes to the genesis values.
-        assert_eq!(rolled[0].coin_pub.group_key(), genesis[0].coin_pub.group_key());
+        // The rolled coin set carries the genesis coin key, so its
+        // Collector, which reads its output off that key, comes to the
+        // genesis coin: the same signature, the same value.
+        let (old_coin, new_coin) = (genesis[0].coin_pub.keys(), rolled[0].coin_pub.keys());
+        assert_eq!(new_coin.group_key(), old_coin.group_key());
+        let coin = collected(new_coin, name, 2, &new_shares).unwrap();
+        assert_eq!(Some(coin), collected(old_coin, name, 2, &old_shares));
         assert_eq!(
-            collected(&rolled[0].coin_pub, name, 2, &new_shares),
-            Some(genesis[0].coin_pub.combine_value(name, &old_shares[..2]).unwrap()),
+            thresh_coin::reveal(&coin),
+            genesis[0].coin_pub.combine_value(name, &old_shares[..2]).unwrap(),
         );
         assert_eq!(collected(&rolled[0].prbc_pub, &msg[..], 2, &shares), Some(sig));
         assert_eq!(collected(&rolled[1].cbc_pub, &msg[..], 3, &cbc_shares), Some(cbc_sig));
+    }
+
+    #[test]
+    fn a_roll_against_another_coin_key_is_refused() {
+        // The coin's dealings must re-encode the old coin set's group key,
+        // like the other three schemes': an old bundle publishing another
+        // coin key rolls to nothing.
+        let (genesis, ceremony) = run_ceremony();
+        let mut other = genesis[1].clone();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(43);
+        other.coin_pub = deal_node_crypto(4, CryptoSuite::light(), &mut rng)[1].coin_pub.clone();
+        assert!(ceremony.rolled_crypto(&genesis[1], 1).is_some());
+        assert!(ceremony.rolled_crypto(&other, 1).is_none());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use wbft_components::{deal_node_crypto, CoinShareBuf, NodeCrypto, SigShareBuf};
+use wbft_components::{deal_node_crypto, NodeCrypto, SigShareBuf};
 use wbft_crypto::profile::CryptoSuite;
 use wbft_crypto::thresh_coin::CoinName;
 use wbft_crypto::{thresh_coin, thresh_sig, ThresholdCurve};
@@ -103,6 +103,7 @@ proptest! {
             prop_assert_eq!(c.key_epoch, 1);
             prop_assert_eq!(c.prbc_pub.share_keys(), rolled[0].prbc_pub.share_keys());
             prop_assert_eq!(c.cbc_pub.share_keys(), rolled[0].cbc_pub.share_keys());
+            prop_assert_eq!(c.coin_pub.keys().share_keys(), rolled[0].coin_pub.keys().share_keys());
         }
 
         // A random (f+1)-subset of new-committee PRBC shares combines into
@@ -203,11 +204,11 @@ proptest! {
 
         let (cpub, csec) = thresh_coin::deal_coin(4, 1, ThresholdCurve::Bn158, &mut rng);
         let name = CoinName { session: epoch, round: 0, domain: 0 };
-        let mut cbuf = CoinShareBuf::default();
+        let mut cbuf = SigShareBuf::default();
         prop_assert!(!cbuf.insert_tagged(csec[2].coin_share(name), 4, epoch));
         prop_assert!(cbuf.insert_tagged(csec[2].coin_share(name), 4, 0));
         prop_assert!(cbuf.insert_tagged(csec[0].coin_share(name), 4, 0));
-        prop_assert!(cbuf.settle(&cpub, name, 2));
+        prop_assert!(cbuf.settle(cpub.keys(), name, 2));
         cbuf.roll_key_epoch(epoch);
         prop_assert!(cbuf.shares().is_empty());
         prop_assert_eq!(cbuf.reporters(), 0);

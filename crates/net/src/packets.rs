@@ -20,7 +20,6 @@ use crate::wire::{ByteSink, CoinFlavor, CountSink, Sink, Sizing, Wire, WireError
 use bytes::{BufMut, Bytes, BytesMut};
 use wbft_crypto::hash::Digest32;
 use wbft_crypto::schnorr::{KeyPair, PublicKey, Signature};
-use wbft_crypto::thresh_coin::CoinShare;
 use wbft_crypto::thresh_enc::DecShare;
 use wbft_crypto::thresh_sig::{SigShare, ThresholdSignature};
 use wbft_crypto::{GroupElem, Scalar};
@@ -188,7 +187,7 @@ pub enum Body {
         /// Per-instance state.
         insts: Vec<AbaScInst>,
         /// Coin shares by round.
-        coin_shares: Vec<(u16, CoinShare)>,
+        coin_shares: Vec<(u16, SigShare)>,
         /// Bit per node = "I lack a coin share from them" (Share_nack).
         share_nack: Bitmap,
     },
@@ -274,7 +273,7 @@ pub enum Body {
         /// Coin deployment.
         flavor: CoinFlavor,
         /// The share.
-        share: CoinShare,
+        share: SigShare,
     },
     /// Baseline decided broadcast (termination gossip).
     BaseAbaDecided {
@@ -468,7 +467,7 @@ fn put_aba_sc(
     s: &mut impl Sink,
     flavor: &CoinFlavor,
     insts: &[AbaScInst],
-    coin_shares: &[(u16, CoinShare)],
+    coin_shares: &[(u16, SigShare)],
     share_nack: &Bitmap,
 ) -> Result<(), WireError> {
     flavor.put(s)?;
@@ -486,7 +485,7 @@ fn get_aba_sc(r: &mut WireReader<'_>) -> Result<Body, WireError> {
     let flavor = CoinFlavor::get(r)?;
     let insts = Vec::get(r)?;
     let count = usize::from(r.u8()?);
-    let coin_shares = r.list(count, count, |r| Ok((r.u16()?, r.coin_share()?)))?;
+    let coin_shares = r.list(count, count, |r| Ok((r.u16()?, r.sig_share()?)))?;
     Ok(Body::AbaSc { flavor, insts, coin_shares, share_nack: r.bitmap()? })
 }
 
@@ -495,7 +494,7 @@ fn put_base_coin(
     instance: &u8,
     round: &u16,
     flavor: &CoinFlavor,
-    share: &CoinShare,
+    share: &SigShare,
 ) -> Result<(), WireError> {
     s.u8(*instance);
     s.u16(*round);
@@ -509,7 +508,7 @@ fn get_base_coin(r: &mut WireReader<'_>) -> Result<Body, WireError> {
         instance: r.u8()?,
         round: r.u16()?,
         flavor: CoinFlavor::get(r)?,
-        share: r.coin_share()?,
+        share: r.sig_share()?,
     })
 }
 

@@ -29,7 +29,6 @@ use bytes::{BufMut, Bytes, BytesMut};
 use wbft_crypto::hash::Digest32;
 use wbft_crypto::profile::CryptoSuite;
 use wbft_crypto::shamir::ShareIndex;
-use wbft_crypto::thresh_coin::CoinShare;
 use wbft_crypto::thresh_enc::{DecShare, DleqProof};
 use wbft_crypto::thresh_sig::{SigShare, ThresholdSignature};
 use wbft_crypto::{GroupElem, Scalar};
@@ -180,8 +179,9 @@ pub trait Sink {
     fn thresh_sig(&mut self, v: &ThresholdSignature) {
         self.priced(&v.to_bytes(), Nominal::Signature);
     }
-    /// A coin share of the given flavor.
-    fn coin_share(&mut self, v: &CoinShare, flavor: CoinFlavor) {
+    /// A coin share (a signature share on the coin's name), priced by
+    /// flavor.
+    fn coin_share(&mut self, v: &SigShare, flavor: CoinFlavor) {
         self.u16(v.index.value());
         let nominal = match flavor {
             CoinFlavor::ThreshSig => Nominal::Share,
@@ -472,11 +472,6 @@ impl<'a> WireReader<'a> {
     /// Reads a combined threshold signature.
     pub fn thresh_sig(&mut self) -> Result<ThresholdSignature, WireError> {
         Ok(ThresholdSignature { value: self.group_elem()? })
-    }
-
-    /// Reads a coin share.
-    pub fn coin_share(&mut self) -> Result<CoinShare, WireError> {
-        Ok(CoinShare { index: self.share_index()?, value: self.group_elem()? })
     }
 
     /// Reads a decryption share (value plus its DLEQ proof scalars).
