@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # wbft-bench — harness regenerating the paper's tables and figures
 //!
 //! Shared infrastructure for the five bench targets (`table1_overhead`,

@@ -1,7 +1,16 @@
-#![forbid(unsafe_code)]
-// Totality backstop (type-aware side of wbft-lint's T1 rule): protocol
-// paths must not panic via unwrap/expect. Test code is exempt.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Totality: a panic on a protocol path aborts the node mid-epoch, so none
+// of the panicking calls may appear outside test code.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 //! # wbft-components — consensus components for wireless asynchronous BFT
 //!
 //! The component layer of the ConsensusBatcher reproduction (*"Asynchronous

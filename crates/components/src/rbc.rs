@@ -151,9 +151,10 @@ impl RbcBatch {
         }
     }
 
-    // One parameter per field of the combined ER packet; bundling them
-    // into a struct would just duplicate `Body::RbcEchoReady`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one parameter per field of `Body::RbcEchoReady`; a struct would duplicate it"
+    )]
     fn handle_er(
         &mut self,
         from: usize,

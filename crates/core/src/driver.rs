@@ -1,3 +1,14 @@
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 //! Glue between protocol engines and the wireless simulator.
 //!
 //! An [`Engine`] is the protocol brain of one node: it owns the consensus
@@ -162,8 +173,6 @@ pub mod sessions {
     /// Membership resharing-ceremony deals (session epoch = the change's
     /// activation epoch; traffic is signed under the *old* key epoch).
     pub const RESHARE: u64 = 7;
-    /// Multi-hop global consensus offset (added to everything global).
-    pub const GLOBAL_BASE: u64 = 1 << 40;
 
     /// The session id of `role` in `epoch`.
     pub fn of(epoch: u64, role: u64) -> u64 {
@@ -172,8 +181,7 @@ pub mod sessions {
 
     /// Inverse of [`of`]: `(epoch, role)`.
     pub fn split(session: u64) -> (u64, u64) {
-        let local = session % GLOBAL_BASE;
-        (local / PER_EPOCH, local % PER_EPOCH)
+        (session / PER_EPOCH, session % PER_EPOCH)
     }
 }
 

@@ -1,3 +1,14 @@
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 //! Wireless Dumbo (Dumbo2) — paper §V-A, Fig. 7b.
 //!
 //! Per epoch: N batched PRBC instances spread proposals and produce

@@ -1,3 +1,14 @@
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 //! The epoch pipeline every deployment shares — paper §V-A, Fig. 7.
 //!
 //! HoneyBadgerBFT, BEAT and Dumbo are the same loop over different

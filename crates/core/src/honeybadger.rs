@@ -1,3 +1,14 @@
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 //! Wireless HoneyBadgerBFT (and BEAT) — paper §V-A, Fig. 7a.
 //!
 //! Per epoch: every node threshold-encrypts its transaction batch and

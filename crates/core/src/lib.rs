@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # wbft-consensus — wireless asynchronous BFT consensus
 //!
 //! The consensus layer and testbed of the ConsensusBatcher reproduction

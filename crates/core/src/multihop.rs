@@ -118,7 +118,10 @@ impl ClusterNode {
     /// among the M clusters (every member holds its cluster's share and
     /// uses it only while leader — the key custody question is out of the
     /// paper's scope).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a node's place in two tiers, its workload and one key set per tier"
+    )]
     pub fn new(
         cluster: usize,
         member: usize,
@@ -241,9 +244,6 @@ impl ClusterNode {
                     encode_summary(self.cluster, epoch, block_digest(block), block.txs.len());
                 let mut source = BatchSource::Fixed(Vec::new());
                 source.set_fixed(0, summary);
-                // The global instance runs one epoch; sessions are offset by
-                // GLOBAL_BASE via the session ids the engine derives — we
-                // remap through the lane instead (see `emit`).
                 let mut engine =
                     hb_sc(self.global_crypto.clone(), source, StopCondition::Epochs(1));
                 let mut out = std::mem::take(&mut self.scratch);

@@ -1,3 +1,16 @@
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation
+    )
+)]
 //! Restart-from-journal: the bridge between consensus [`Block`]s and the
 //! durable [`wbft_journal`] chain, plus the digest arithmetic the
 //! anti-entropy sync protocol verifies chunks against.

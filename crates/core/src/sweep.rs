@@ -420,7 +420,7 @@ mod tests {
         assert_eq!(spec.len(), 2 * 2 * 2 * 3);
         let scenarios = spec.expand();
         assert_eq!(scenarios.len(), spec.len());
-        let labels: std::collections::HashSet<_> =
+        let labels: std::collections::BTreeSet<_> =
             scenarios.iter().map(|s| s.label.clone()).collect();
         assert_eq!(labels.len(), scenarios.len(), "labels must be unique");
         // Innermost axis varies fastest.

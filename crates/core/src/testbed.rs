@@ -354,6 +354,11 @@ pub const EXCLUSIONS: [(Axis, Axis, &str); 9] = [
     ),
 ];
 
+/// `true` for a committee size `n = 3f + 1 >= 4`.
+fn is_bft_size(n: usize) -> bool {
+    n >= 4 && (n - 1).is_multiple_of(3)
+}
+
 impl TestbedConfig {
     /// Checks the config describes a simulable scenario: the loss model
     /// must leave eventual delivery intact, the adversary must be honest
@@ -389,6 +394,14 @@ impl TestbedConfig {
                 "{m} clusters exceed the {} global-tier members a node bitmap holds",
                 Bitmap::CAPACITY
             ));
+        }
+        // Every committee is dealt `(f, n)` threshold keys, so the genesis
+        // committee and a multi-hop global tier both need `n = 3f + 1`.
+        if !is_bft_size(self.n) {
+            return Err(format!("invalid genesis committee size {} (need 3f+1 >= 4)", self.n));
+        }
+        if let Some(m) = self.clusters.filter(|&m| !is_bft_size(m)) {
+            return Err(format!("invalid cluster count {m} (need 3f+1 >= 4)"));
         }
         // A proposal no receiver can reassemble is never aired, and the
         // run would sit to its deadline. (Service proposals are bounded by
@@ -508,7 +521,7 @@ impl TestbedConfig {
         }
         let leaves = plan.ops.len() - join_ids.len();
         let new_n = self.n + join_ids.len() - leaves;
-        if new_n < 4 || !(new_n - 1).is_multiple_of(3) {
+        if !is_bft_size(new_n) {
             return Err(format!(
                 "churn plan leaves an invalid committee size {new_n} (need 3f+1 >= 4)"
             ));
@@ -894,7 +907,6 @@ impl<'a> Rig<'a> {
 /// the aggregation with the rig, not the node assembly.
 fn run_multi_hop(cfg: &TestbedConfig, m: usize) -> RunReport {
     use rand::SeedableRng;
-    assert!(m >= 4, "global tier needs at least 4 clusters (3f+1)");
     let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xc1u64);
     // Per-cluster key sets plus one global set among cluster slots.
     let global_crypto = deal_node_crypto(m, cfg.suite, &mut rng);
@@ -1100,6 +1112,12 @@ mod tests {
             ),
             (&[|c| c.clusters = Some(64)], Ok(())),
             (&[|c| c.clusters = Some(65)], Err("65 clusters exceed the 64")),
+            // Every committee `check` admits can be dealt: n = 3f + 1 >= 4.
+            (&[|c| c.n = 5], Err("invalid genesis committee size 5 (need 3f+1 >= 4)")),
+            (&[|c| c.clusters = Some(3)], Err("invalid cluster count 3 (need 3f+1 >= 4)")),
+            (&[|c| c.clusters = Some(5)], Err("invalid cluster count 5 (need 3f+1 >= 4)")),
+            (&[multihop], Ok(())),
+            (&[|c| c.clusters = Some(7)], Ok(())),
             (
                 &[churn, |c| c.churn = Some(ChurnPlan { from_epoch: 1, ops: vec![MembershipOp::Leave(0)] })],
                 Err("invalid committee size"),

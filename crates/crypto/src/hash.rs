@@ -4,7 +4,7 @@
 // sha2 shim (which returns plain arrays) but required by the real sha2
 // crate (which returns a `GenericArray`); keeping it is what makes the
 // registry swap a one-line Cargo.toml change.
-#![allow(clippy::useless_conversion)]
+#![expect(clippy::useless_conversion, reason = "the real sha2 crate needs the `.into()`")]
 
 use crate::field::{Fe, Scalar};
 use sha2::{Digest as _, Sha256, Sha512};

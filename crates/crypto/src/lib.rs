@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # wbft-crypto — lightweight cryptography for wireless asynchronous BFT
 //!
 //! The cryptographic substrate of the ConsensusBatcher reproduction

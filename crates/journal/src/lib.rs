@@ -1,7 +1,19 @@
-#![forbid(unsafe_code)]
-// Totality backstop (type-aware side of wbft-lint's T1 rule): protocol
-// paths must not panic via unwrap/expect. Test code is exempt.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Totality and wire safety: a panic on a protocol path aborts the node
+// mid-epoch, and this crate parses bytes an adversary controls, so outside
+// test code nothing panics, indexes a slice directly or truncates a cast.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation
+    )
+)]
 //! Append-only write-ahead journal of committed blocks.
 //!
 //! Each record is framed as
@@ -108,6 +120,7 @@ pub fn chain_digest(prev: &[u8; 32], epoch: u64, payload: &[u8]) -> [u8; 32] {
 }
 
 /// Encode one framed record extending the chain head `prev`.
+#[expect(clippy::cast_possible_truncation, reason = "record_len asserted ≤ MAX_FRAME first")]
 pub fn encode_record(prev: &[u8; 32], epoch: u64, payload: &[u8]) -> Vec<u8> {
     let record_len = RECORD_HEADER + payload.len();
     assert!(
@@ -115,7 +128,6 @@ pub fn encode_record(prev: &[u8; 32], epoch: u64, payload: &[u8]) -> Vec<u8> {
         "journal record exceeds MAX_FRAME and could never be recovered"
     );
     let mut out = Vec::with_capacity(4 + record_len + CHECKSUM_LEN);
-    // wbft-lint: allow(wire-safety) — record_len asserted ≤ MAX_FRAME above
     out.extend_from_slice(&(record_len as u32).to_le_bytes());
     out.extend_from_slice(prev);
     out.extend_from_slice(&epoch.to_le_bytes());
@@ -253,7 +265,7 @@ impl JournalStore for MemStore {
         Ok(())
     }
     fn truncate(&mut self, len: u64) -> io::Result<()> {
-        self.bytes.truncate(len as usize);
+        self.bytes.truncate(usize::try_from(len).unwrap_or(usize::MAX));
         Ok(())
     }
 }
@@ -285,7 +297,8 @@ impl JournalStore for SharedMem {
         Ok(())
     }
     fn truncate(&mut self, len: u64) -> io::Result<()> {
-        self.bytes.lock().unwrap_or_else(std::sync::PoisonError::into_inner).truncate(len as usize);
+        let len = usize::try_from(len).unwrap_or(usize::MAX);
+        self.bytes.lock().unwrap_or_else(std::sync::PoisonError::into_inner).truncate(len);
         Ok(())
     }
 }

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # wbft-membership — consensus-ordered dynamic membership
 //!
 //! Dynamic committee membership for the wireless BFT stack: join/leave

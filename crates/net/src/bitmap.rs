@@ -21,9 +21,9 @@ impl Bitmap {
     /// # Panics
     ///
     /// Panics if `len > 64`.
+    #[expect(clippy::cast_possible_truncation, reason = "len asserted ≤ 64 first")]
     pub fn new(len: usize) -> Self {
         assert!(len <= Self::CAPACITY, "bitmap capacity is 64, got {len}");
-        // wbft-lint: allow(wire-safety) — len asserted ≤ 64 just above
         Bitmap { bits: 0, len: len as u8 }
     }
 
@@ -111,10 +111,10 @@ impl Bitmap {
     }
 
     /// Rebuilds from a raw word; bits beyond `len` are cleared.
+    #[expect(clippy::cast_possible_truncation, reason = "len asserted ≤ 64 first")]
     pub fn from_raw(bits: u64, len: usize) -> Self {
         assert!(len <= Self::CAPACITY, "bitmap capacity is 64, got {len}");
         let mask = if len == 64 { u64::MAX } else { (1u64 << len) - 1 };
-        // wbft-lint: allow(wire-safety) — len asserted ≤ 64 just above
         Bitmap { bits: bits & mask, len: len as u8 }
     }
 }

@@ -1,7 +1,19 @@
-#![forbid(unsafe_code)]
-// Totality backstop (type-aware side of wbft-lint's T1 rule): protocol
-// paths must not panic via unwrap/expect. Test code is exempt.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Totality and wire safety: a panic on a protocol path aborts the node
+// mid-epoch, and this crate parses bytes an adversary controls, so outside
+// test code nothing panics, indexes a slice directly or truncates a cast.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation
+    )
+)]
 //! # wbft-net — the ConsensusBatcher packet module
 //!
 //! Wire-format layer of the reproduction of *"Asynchronous BFT Consensus

@@ -91,7 +91,7 @@ thread_local! {
 /// too short to have them (it is shorter than a signature and cannot open).
 fn slot_of(frame: &[u8]) -> Option<usize> {
     let tail = frame.last_chunk::<8>()?;
-    Some((u64::from_le_bytes(*tail) % SLOTS as u64) as usize)
+    usize::try_from(u64::from_le_bytes(*tail) % SLOTS as u64).ok()
 }
 
 /// [`Envelope::open_tagged`], computed once per distinct `(frame, key)` the

@@ -45,6 +45,7 @@ impl RetransmitPolicy {
         for _ in 0..attempt.min(16) {
             base *= factor;
         }
+        #[expect(clippy::cast_possible_truncation, reason = "a float-to-int `as` saturates")]
         let base = (base as u64).min(self.max_interval.as_micros());
         let jitter = if self.jitter.as_micros() > 0 {
             rng.random_range(0..self.jitter.as_micros())

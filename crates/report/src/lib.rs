@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # wbft-report — machine-readable reports for the sweep harness
 //!
 //! A minimal JSON value model with a non-panicking parser and

@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 //! The client-submission wire protocol: how external processes talk to a
 //! consensus node over UDP.
 //!
@@ -26,7 +27,6 @@ use wbft_net::WireError;
 
 /// Reserved datagram channel for client traffic (peer tables must not
 /// assign it, like the control channel).
-// wbft-lint: allow(wire-safety) — the defining constant for the reserved client channel
 pub const CLIENT_CHANNEL: u8 = 0xfe;
 
 /// Most digests one [`ClientMsg::Block`] may carry and still fit a single

@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 //! The peer table: who the nodes are, where their sockets live, and which
 //! logical channels each one listens on.
 //!

@@ -1,7 +1,18 @@
-#![forbid(unsafe_code)]
-// Totality backstop (type-aware side of wbft-lint's T1 rule): protocol
-// paths must not panic via unwrap/expect. Test code is exempt.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Totality and wire safety: a panic on a protocol path aborts the node
+// mid-epoch, and a truncating cast silently corrupts a frame, so neither
+// may appear outside test code. The codec modules also deny indexing.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::cast_possible_truncation
+    )
+)]
 //! # wbft-transport — real-network transport for sans-io protocol code
 //!
 //! The paper's testbed runs consensus over real radios; this crate is the

@@ -48,7 +48,6 @@ const POLL_QUANTUM: Duration = Duration::from_millis(20);
 
 /// Reserved control channel for the startup barrier; peer tables must not
 /// assign it to protocol traffic.
-// wbft-lint: allow(wire-safety) — the defining constant for the reserved control channel
 pub const CONTROL_CHANNEL: u8 = 0xff;
 
 /// Barrier probe: "are you bound yet?". Answered with [`READY_PAYLOAD`].
@@ -211,7 +210,7 @@ impl<B: NodeBehavior> UdpRuntime<B> {
 
     /// Monotonic time since construction, as [`SimTime`] microseconds.
     pub fn now(&self) -> SimTime {
-        SimTime::from_micros(self.start.elapsed().as_micros() as u64)
+        SimTime::from_micros(u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX))
     }
 
     /// The driven behavior.

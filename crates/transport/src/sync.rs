@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 //! The anti-entropy catch-up wire protocol: how a restarted or lagging node
 //! recovers the committed-block suffix it is missing from its peers.
 //!
@@ -28,7 +29,6 @@ use wbft_net::WireError;
 
 /// Reserved datagram channel for anti-entropy sync traffic (peer tables
 /// must not assign it, like the control and client channels).
-// wbft-lint: allow(wire-safety) — the defining constant for the reserved sync channel
 pub const SYNC_CHANNEL: u8 = 0xfd;
 
 /// Per-block framing cost inside a [`SyncMsg::BlockChunk`]: u16 payload

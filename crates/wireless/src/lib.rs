@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # wbft-wireless — deterministic wireless-network simulator
 //!
 //! The testbed substrate of the ConsensusBatcher reproduction: a

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Offline stand-in for the `bytes` crate: cheaply-cloneable immutable
 //! [`Bytes`] (an `Arc<[u8]>` window), a growable [`BytesMut`], and the
 //! [`Buf`] / [`BufMut`] traits. Only the subset this workspace uses is

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Offline stand-in for `criterion`.
 //!
 //! The five paper-figure benches in `wbft-bench` are plain `fn main`

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Offline stand-in for the `hex` crate.
 
 /// Lower-case hex encoding.

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Offline stand-in for `proptest`.
 //!
 //! Implements the subset this workspace's property tests use: the
@@ -159,7 +158,7 @@ pub struct Union<T> {
 }
 
 impl<T> Union<T> {
-    #[allow(clippy::new_without_default)]
+    #[expect(clippy::new_without_default, reason = "mirrors upstream proptest's API")]
     pub fn new() -> Self {
         Union { arms: Vec::new() }
     }
@@ -282,7 +281,10 @@ macro_rules! impl_tuple_strategy {
     ($($S:ident),+) => {
         impl<$($S: Strategy),+> Strategy for ($($S,)+) {
             type Value = ($($S::Value,)+);
-            #[allow(non_snake_case)]
+            #[expect(
+                non_snake_case,
+                reason = "binds each strategy under its type parameter's name"
+            )]
             fn new_value(&self, rng: &mut TestRng) -> Self::Value {
                 let ($($S,)+) = self;
                 ($($S.new_value(rng),)+)

@@ -16,7 +16,10 @@ impl SplitMix64 {
         SplitMix64 { state }
     }
 
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "mirrors SplitMix64's own `next`; not an Iterator"
+    )]
     pub fn next(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Offline stand-in for the `rand_chacha` crate: a ChaCha12 RNG over the
 //! shared ChaCha core in the `rand` shim. Deterministic and self-consistent;
 //! not bit-compatible with upstream `rand_chacha` (nothing in this workspace

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Offline stand-in for the `sha2` crate: faithful FIPS 180-4 SHA-256 and
 //! SHA-512 (verified against the standard test vectors below) behind the
 //! subset of the `Digest` trait this workspace uses. `finalize` returns a

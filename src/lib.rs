@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # wbft — reproduction of *Asynchronous BFT Consensus Made Wireless*
 //!
 //! Facade crate re-exporting the workspace layers under one roof:
