@@ -8,13 +8,15 @@
 //! report to `target/reports/hotpath/` so CI can track the numbers across
 //! PRs.
 //!
-//! The predicates behind the verdict memo (`wbft_crypto::memo`) are timed
-//! on inputs never seen before (`first_sight`: the miss path plus the
-//! insert) and on the same inputs again (`repeat`: the hit path) — one
-//! number for both would report whichever the loop happened to hit. A
-//! signer records its own verdict, so the first-sight pass starts from a
-//! table cleared *after* the inputs were signed; what a verifier sharing
-//! the signer's thread pays instead is the `signed_on_this_thread` row.
+//! The predicates behind the answer tables (the verdict memo
+//! `wbft_crypto::memo` and the Schnorr transcript table) are timed on
+//! inputs never seen before (`first_sight`: the miss path plus the insert)
+//! and on the same inputs again (`repeat`: the hit path) — one number for
+//! both would report whichever the loop happened to hit. A signer's
+//! transcript answers its own signatures, so the first-sight pass starts
+//! from tables cleared *after* the inputs were signed; what a verifier
+//! sharing the signer's thread pays instead is the `signed_on_this_thread`
+//! row.
 //!
 //! Acceptance gate: quorum-9 share verification (`verify_shares`) must be
 //! ≥ 3× faster than the naive per-share square-and-multiply check.
@@ -23,7 +25,8 @@ use rand::SeedableRng;
 use std::time::Instant;
 use wbft_bench::{banner, pass_us, report_dir, row, write_json};
 use wbft_crypto::hash::hash_to_scalar;
-use wbft_crypto::schnorr::KeyPair;
+use wbft_crypto::schnorr::{self, KeyPair, Role};
+use wbft_crypto::table::Stats;
 use wbft_crypto::{
     memo, thresh_enc, thresh_sig, EcdsaCurve, GroupElem, PrecomputedBase, Scalar, ThresholdCurve,
 };
@@ -43,6 +46,12 @@ fn time_us<R>(reps: u32, mut f: impl FnMut() -> R) -> f64 {
     t0.elapsed().as_secs_f64() * 1e6 / reps as f64
 }
 
+/// Forgets every answer of this thread's crypto tables.
+fn clear_tables() {
+    memo::clear();
+    schnorr::clear();
+}
+
 fn rand_scalars(rng: &mut impl rand::RngCore, k: usize) -> Vec<Scalar> {
     (0..k).map(|_| Scalar::random(rng)).collect()
 }
@@ -57,7 +66,7 @@ fn main() {
     // ---------------------------------------------------------- single pow
     banner(
         "Hotpath 1 — fixed-base exponentiation (µs/op)",
-        "square-and-multiply vs 4-bit-window table (the generator's table)",
+        "square-and-multiply vs the generator's 8-bit-window table; build is a 4-bit key table",
     );
     let exps = rand_scalars(&mut rng, 32);
     let g = GroupElem::generator();
@@ -181,15 +190,16 @@ fn main() {
     // ------------------------------------------------- memoized predicates
     banner(
         "Hotpath 4 — memoized verification, first sight vs repeat (µs/op)",
-        "a transcript never seen before (computed) vs the same one again (verdict memo hit)",
+        "a transcript never seen before (computed) vs the same one again (answer-table hit)",
     );
-    // Distinct inputs, fewer than the memo holds (a signature takes two
-    // entries), so a pass misses on every one or hits on every one.
-    let distinct = (reps as usize).clamp(16, memo::CAP / 4);
-    memo::clear();
+    // Distinct inputs, few enough that no set of either table overflows, so
+    // a pass misses on every one or hits on every one.
+    let distinct = (reps as usize).clamp(16, memo::SETS / 4);
+    let signatures = distinct.min(schnorr::SETS * schnorr::WAYS / 8);
+    clear_tables();
     let kp = KeyPair::generate(EcdsaCurve::Secp160r1, &mut rng);
     let pk = kp.public();
-    let signed: Vec<_> = (0..distinct as u64)
+    let signed: Vec<_> = (0..signatures as u64)
         .map(|i| {
             let mut m = vec![0u8; 200];
             m[..8].copy_from_slice(&i.to_le_bytes());
@@ -198,8 +208,8 @@ fn main() {
         })
         .collect();
     let schnorr_signed_here_us = pass_us(&signed, |(m, sig)| pk.verify(m, sig).unwrap());
-    let all_hits = memo::Stats { hits: distinct as u64, misses: 0, recorded: distinct as u64 };
-    assert_eq!(memo::stats(memo::Predicate::Schnorr), all_hits, "the signer's records answer");
+    let all_hits = Stats { hits: signatures as u64, misses: 0, recorded: 0 };
+    assert_eq!(schnorr::stats(Role::Verifier), all_hits, "the signer's transcripts answer");
     let (enc_pub, enc_secs) = thresh_enc::deal_enc(4, 1, ThresholdCurve::Bn158, &mut rng);
     let dec_shares: Vec<_> = (0..distinct as u64)
         .map(|i| {
@@ -210,15 +220,14 @@ fn main() {
         .collect();
     // Forget what the signer and the share producer recorded: from here on
     // a verifier is alone.
-    memo::clear();
+    clear_tables();
     let schnorr_first_us = pass_us(&signed, |(m, sig)| pk.verify(m, sig).unwrap());
     let schnorr_repeat_us = pass_us(&signed, |(m, sig)| pk.verify(m, sig).unwrap());
     let dleq_first_us = pass_us(&dec_shares, |(ct, s)| enc_pub.verify_share(ct, s).unwrap());
     let dleq_repeat_us = pass_us(&dec_shares, |(ct, s)| enc_pub.verify_share(ct, s).unwrap());
-    assert_eq!(memo::stats(memo::Predicate::Schnorr).misses, distinct as u64);
-    let computed_then_hit =
-        memo::Stats { hits: distinct as u64, misses: distinct as u64, recorded: 0 };
-    assert_eq!(memo::stats(memo::Predicate::Dleq), computed_then_hit, "first sight computed");
+    let computed_then_hit = |n: usize| Stats { hits: n as u64, misses: n as u64, recorded: 0 };
+    assert_eq!(schnorr::stats(Role::Verifier), computed_then_hit(signatures), "first sight");
+    assert_eq!(memo::stats(memo::Predicate::Dleq), computed_then_hit(distinct), "first sight");
     println!(
         "  schnorr verify   first {schnorr_first_us:7.2}   repeat {schnorr_repeat_us:7.2}   \
          signed on this thread {schnorr_signed_here_us:7.2}"

@@ -17,7 +17,8 @@ use std::time::Instant;
 use wbft_bench::{banner, pass_us, report_dir, row, write_json};
 use wbft_consensus::service::Mempool;
 use wbft_consensus::Block;
-use wbft_crypto::CryptoSuite;
+use wbft_crypto::schnorr::{self, Role};
+use wbft_crypto::{memo, CryptoSuite};
 use wbft_net::{broadcast_signed, Body, Envelope, Sizing};
 use wbft_report::Json;
 use wbft_transport::ClientMsg;
@@ -37,6 +38,12 @@ fn tx_of(tag: u64) -> bytes::Bytes {
     let mut v = vec![0u8; 64];
     v[..8].copy_from_slice(&tag.to_le_bytes());
     bytes::Bytes::from(v)
+}
+
+/// Forgets every answer of this thread's crypto tables.
+fn clear_tables() {
+    memo::clear();
+    schnorr::clear();
 }
 
 fn main() {
@@ -164,30 +171,33 @@ fn main() {
         }
     };
     let encode_us = time_us(reps, || queue_one(16, &mut ctx_rng));
-    // Fewer frames than the memo holds (a signature takes two entries).
-    let sessions = 0..(reps as u64).clamp(16, 1024);
+    // Few enough frames that no set of the transcript table overflows, so
+    // every frame's signature is still held when it is opened.
+    let sessions = 0..(reps as u64).clamp(16, (schnorr::SETS * schnorr::WAYS / 8) as u64);
     let queued: Vec<_> = sessions.map(|session| queue_one(session, &mut ctx_rng)).collect();
-    wbft_crypto::memo::clear();
+    clear_tables();
     let t0 = Instant::now();
     let frames: Vec<bytes::Bytes> = queued.into_iter().map(|payload| payload.finish()).collect();
     let sign_us = t0.elapsed().as_secs_f64() * 1e6 / frames.len() as f64;
+    let signs = schnorr::stats(Role::Signer);
+    assert_eq!((signs.hits, signs.misses), (0, frames.len() as u64), "each frame signed afresh");
 
-    // Opening goes through the verdict memo (`wbft_crypto::memo`), which
-    // the signer above wrote its own verdicts into. Three passes over the
-    // same frames: as a receiver simulated on the signer's thread finds
-    // them (all hits); as a receiver on its own thread does (the table
-    // cleared after signing: all computed); and those again (all hits).
+    // Opening goes through the transcript table, which the signer above
+    // filled. Three passes over the same frames: as a receiver simulated on
+    // the signer's thread finds them (all hits); as a receiver on its own
+    // thread does (the tables cleared after signing: all computed); and
+    // those again (all hits).
     let peer_keys = crypto.peer_keys.clone();
     let open = |sealed: &bytes::Bytes| {
         let opened = Envelope::open(sealed, |src| peer_keys.get(src as usize).copied());
         assert!(std::hint::black_box(opened).expect("opens").1);
     };
-    let schnorr = || wbft_crypto::memo::stats(wbft_crypto::memo::Predicate::Schnorr);
+    let verifies = || schnorr::stats(Role::Verifier);
     let open_signed_here_us = pass_us(&frames, open);
-    assert_eq!((schnorr().hits, schnorr().misses), (frames.len() as u64, 0));
-    wbft_crypto::memo::clear();
+    assert_eq!((verifies().hits, verifies().misses), (frames.len() as u64, 0));
+    clear_tables();
     let open_first_us = pass_us(&frames, open);
-    assert_eq!((schnorr().hits, schnorr().misses), (0, frames.len() as u64));
+    assert_eq!((verifies().hits, verifies().misses), (0, frames.len() as u64));
     let open_repeat_us = pass_us(&frames, open);
     println!(
         "{}",

@@ -961,35 +961,39 @@ mod tests {
     fn an_aired_frame_is_verified_once_and_a_released_coin_signed_once() {
         // A count guard, not a timer: all four nodes share this thread, so
         // the opened-frame table answers every receiver of a frame but the
-        // first, and the verdict memo answers that one. A table or memo key
-        // that includes the receiver, a packet signed per queued version, or
-        // a component that re-signs its share per packet, fails here on any
+        // first, and the signer's transcript answers that one. A table key
+        // that includes the receiver, a packet signed per queued version, a
+        // receiver that hashes a frame its signer's transcript holds, or a
+        // component that re-signs its share per packet, fails here on any
         // host.
-        use wbft_crypto::memo::{self, Predicate};
+        use wbft_crypto::schnorr::{self, Role};
         use wbft_crypto::thresh_coin::tally;
         use wbft_net::open;
         let mut cfg = TestbedConfig::single_hop(Protocol::HoneyBadgerSc);
         cfg.epochs = 2;
-        memo::clear();
+        schnorr::clear();
         open::clear();
         let before = tally();
         let report = run(&cfg);
         assert!(report.completed);
         let aired = report.metrics.total_channel_accesses();
-        let schnorr = memo::stats(Predicate::Schnorr);
         // A packet is signed when it wins its slot, not when it is built:
-        // versions superseded in the transmit queue are never signed.
-        assert_eq!(schnorr.recorded, aired, "packet signatures made for {aired} frames aired");
-        // The signer shares this thread and recorded its own verdict, so in
-        // an honest run no receiver computes one (the run stays far below
-        // `memo::CAP` entries, so no record is lost to a clear).
-        assert_eq!(schnorr.misses, 0, "Schnorr verifications computed");
+        // versions superseded in the transmit queue are never signed, and a
+        // byte-identical re-send reuses its signature.
+        let signs = schnorr::stats(Role::Signer);
+        assert_eq!(signs.hits + signs.misses, aired, "{signs:?} for {aired} frames aired");
+        assert!(signs.hits > 0, "retransmission ticks re-send unchanged packets: {signs:?}");
+        // The signer shares this thread and its transcript is still held
+        // when the frame lands, so in an honest run no receiver hashes a
+        // challenge.
+        let verifies = schnorr::stats(Role::Verifier);
+        assert_eq!(verifies.misses, 0, "Schnorr verifications computed");
         // A frame is decoded, and its signature asked about, by its first
         // receiver only; the other n − 2 = 2 are handed that answer.
         let opened = open::stats();
-        assert!(opened.computed <= aired, "{opened:?} for {aired} frames aired");
-        assert!(schnorr.hits + schnorr.misses <= aired, "{schnorr:?} for {aired} frames aired");
-        assert!(opened.served > opened.computed, "{opened:?}");
+        assert!(opened.misses <= aired, "{opened:?} for {aired} frames aired");
+        assert!(verifies.hits <= aired, "{verifies:?} for {aired} frames aired");
+        assert!(opened.hits > opened.misses, "{opened:?}");
         // A node signs its share when it releases a coin and leaves the
         // round only once the coin is combined, so per node and epoch at
         // most one released coin is still waiting for its combination.

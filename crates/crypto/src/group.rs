@@ -13,9 +13,10 @@
 //! * **Fixed-base windowed exponentiation** ([`PrecomputedBase`]): a
 //!   4-bit-window table (`64 windows × 16 entries`) turns a ~256-double /
 //!   ~128-multiply square-and-multiply into ≤ 63 table multiplies with *no*
-//!   squarings. A process-wide table for the generator backs
-//!   [`GroupElem::from_exponent`] (and therefore `hash_to_group` and every
-//!   share-signing operation).
+//!   squarings. A process-wide table for the generator, with 8-bit windows
+//!   (`32 × 256 entries`, ≤ 31 multiplies), backs
+//!   [`GroupElem::from_exponent`] (and therefore every signature nonce,
+//!   `hash_to_group` and every share-signing operation).
 //! * **Simultaneous multi-exponentiation** ([`GroupElem::multi_pow`]):
 //!   Straus/Shamir interleaving for < 16 bases, a Pippenger bucket pass for
 //!   ≥ 16 — one shared squaring chain for the whole product. Backs Lagrange
@@ -52,70 +53,81 @@ impl core::fmt::Display for NotInSubgroup {
 
 impl std::error::Error for NotInSubgroup {}
 
-/// A fixed-base exponentiation table: 64 windows of 4 bits, each holding
-/// the 16 multiples `base^(d · 16^w)` for `d ∈ 0..16`.
+/// A fixed-base exponentiation table: `⌈256 / width⌉` windows of `width`
+/// bits, each holding the `2^width` multiples `base^(d · 2^(width·w))`.
 ///
-/// `pow` is then a product of at most 64 table entries (one per non-zero
-/// window) — no squarings at all — versus ~255 squarings + ~127 multiplies
-/// for square-and-multiply. Building a table costs ~1 200 multiplies
-/// (≈ 3 plain exponentiations), so it pays for itself after three uses of
-/// the same base.
+/// `pow` is then a product of at most one table entry per window — no
+/// squarings at all — versus ~255 squarings + ~127 multiplies for
+/// square-and-multiply. [`PrecomputedBase::new`] builds 4-bit windows
+/// (64 × 16 entries, ~1 000 multiplies ≈ 3 plain exponentiations, so it
+/// pays for itself after three uses of the same base); the process-wide
+/// generator table uses 8-bit windows (32 × 256 entries, 256 KiB, built
+/// once), so every `g^x` costs ≤ 31 multiplies instead of ≤ 63.
 pub struct PrecomputedBase {
-    /// `windows[w][d] = base^(d · 16^w)`; `windows[w][0]` is unused.
-    windows: Box<[[Fe; 16]]>,
+    /// Window width in bits.
+    width: usize,
+    /// `entries[(w << width) | d] = base^(d · 2^(width·w))`; entry `d = 0`
+    /// of each window is unused.
+    entries: Box<[Fe]>,
 }
 
 impl PrecomputedBase {
-    const WINDOWS: usize = 64;
-
-    /// Builds the window table for `base`.
+    /// Builds the 4-bit window table for `base`.
     pub fn new(base: &GroupElem) -> Self {
-        let mut windows = Vec::with_capacity(Self::WINDOWS);
-        let mut wbase = base.0; // base^(16^w)
-        for _ in 0..Self::WINDOWS {
-            let mut row = [Fe::ONE; 16];
-            row[1] = wbase;
-            for d in 2..16 {
-                row[d] = row[d - 1].mul(&wbase);
+        Self::with_width(base, 4)
+    }
+
+    fn with_width(base: &GroupElem, width: usize) -> Self {
+        let row = 1usize << width;
+        let windows = 256usize.div_ceil(width);
+        let mut entries = vec![Fe::ONE; windows * row];
+        let mut wbase = base.0; // base^(2^(width·w))
+        for window in entries.chunks_exact_mut(row) {
+            window[1] = wbase;
+            for d in 2..row {
+                window[d] = window[d - 1].mul(&wbase);
             }
-            // Next window's base: base^(16^(w+1)) = row[15] · wbase.
-            wbase = row[15].mul(&wbase);
-            windows.push(row);
+            // Next window's base: base^(2^(width·(w+1))) = window[row-1] · wbase.
+            wbase = window[row - 1].mul(&wbase);
         }
-        PrecomputedBase { windows: windows.into_boxed_slice() }
+        PrecomputedBase { width, entries: entries.into_boxed_slice() }
     }
 
     /// The base this table was built for.
     pub fn base(&self) -> GroupElem {
-        GroupElem(self.windows[0][1])
+        GroupElem(self.entries[1])
     }
 
-    /// `base^exp` by table lookups: one multiply per non-zero 4-bit window
-    /// of the exponent. Short exponents (e.g. 64-bit batch coefficients)
-    /// cost proportionally less.
+    /// `base^exp` by table lookups: one multiply per non-zero window of the
+    /// exponent. Short exponents (e.g. 64-bit batch coefficients) cost
+    /// proportionally less.
     pub fn pow(&self, exp: &Scalar) -> GroupElem {
         let limbs = exp.limbs();
-        let mut acc = Fe::ONE;
-        for (w, row) in self.windows.iter().enumerate() {
-            let d = window_digit(&limbs, w);
+        let mut acc: Option<Fe> = None;
+        for (w, window) in self.entries.chunks_exact(1 << self.width).enumerate() {
+            let d = digit_at(&limbs, w * self.width, self.width);
             if d != 0 {
-                acc = acc.mul(&row[d]);
+                acc = Some(acc.map_or(window[d], |acc| acc.mul(&window[d])));
             }
         }
-        GroupElem(acc)
+        GroupElem(acc.unwrap_or(Fe::ONE))
     }
 }
 
 impl core::fmt::Debug for PrecomputedBase {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("PrecomputedBase").field("base", &self.base()).finish_non_exhaustive()
+        f.debug_struct("PrecomputedBase")
+            .field("base", &self.base())
+            .field("width", &self.width)
+            .finish_non_exhaustive()
     }
 }
 
-/// Process-wide window table for the generator `g = 4`, built on first use.
+/// Process-wide 8-bit window table for the generator `g = 4`, built on
+/// first use.
 fn generator_table() -> &'static PrecomputedBase {
     static TABLE: OnceLock<PrecomputedBase> = OnceLock::new();
-    TABLE.get_or_init(|| PrecomputedBase::new(&GroupElem(Fe::from_u64(4))))
+    TABLE.get_or_init(|| PrecomputedBase::with_width(&GroupElem(Fe::from_u64(4)), 8))
 }
 
 /// A lazily-filled cache of precomputed tables, shared by all clones of the
@@ -155,7 +167,8 @@ impl<T> PartialEq for PrecompCache<T> {
 
 impl<T> Eq for PrecompCache<T> {}
 
-/// The 4-bit window of a scalar's limbs at window index `w` (LSB first).
+/// The 4-bit window of a scalar's limbs at window index `w` (LSB first),
+/// the Pippenger pass's digit.
 #[inline]
 fn window_digit(limbs: &[u64; 4], w: usize) -> usize {
     ((limbs[w / 16] >> ((w % 16) * 4)) & 0xf) as usize
@@ -192,7 +205,7 @@ fn highest_bit(exps: &[[u64; 4]]) -> Option<usize> {
 /// The highest window index holding a non-zero digit across all exponents,
 /// or `None` if every exponent is zero.
 fn highest_window(exps: &[[u64; 4]]) -> Option<usize> {
-    (0..PrecomputedBase::WINDOWS)
+    (0..64)
         .rev()
         .find(|&w| exps.iter().any(|e| window_digit(e, w) != 0))
 }
@@ -451,9 +464,12 @@ mod tests {
             let e = Scalar::random(&mut rng);
             assert_eq!(GroupElem::from_exponent(&e), g.pow(&e));
         }
-        // Edge exponents.
+        // Edge exponents, among them the largest (every 8-bit window full).
         assert_eq!(GroupElem::from_exponent(&Scalar::ZERO), GroupElem::identity());
         assert_eq!(GroupElem::from_exponent(&Scalar::ONE), g);
+        let top = Scalar::ZERO.sub(&Scalar::ONE);
+        assert_eq!(GroupElem::from_exponent(&top), g.pow(&top));
+        assert_eq!(GroupElem::from_exponent(&top).mul(&g), GroupElem::identity());
     }
 
     #[test]

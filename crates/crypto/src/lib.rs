@@ -47,21 +47,23 @@
 //!
 //! Real wall-clock (as opposed to the charged virtual cost) is dominated by
 //! group exponentiation, so the crate ships a fast-path engine — fixed-base
-//! window tables ([`group::PrecomputedBase`], plus a process-wide generator
-//! table behind [`GroupElem::from_exponent`]), simultaneous
+//! window tables ([`group::PrecomputedBase`], plus a process-wide 8-bit
+//! generator table behind [`GroupElem::from_exponent`]), simultaneous
 //! multi-exponentiation ([`GroupElem::multi_pow`]), share quorums at table
 //! cost ([`thresh_sig::PublicKeySet`], under certificates, proofs and the
 //! common coin alike, checks each share with one window-table pow per share
 //! key, and `combine_verified` reads a checked quorum's output off the
 //! group key's table instead of interpolating), memoized batch-inverted
-//! Lagrange coefficients ([`shamir::lagrange_coeffs_at_zero`]), and one
-//! per-thread verdict memo ([`memo`]) for the verification predicates
-//! every receiver of a broadcast repeats — which the producer of a
-//! signature or share also writes its own verdict into, so a verifier on
-//! the signer's thread (every simulated receiver) finds the answer waiting.
-//! None of it perturbs determinism: every cache is keyed purely by its
-//! inputs. See the workspace README
-//! ("Crypto fast paths") for measured numbers.
+//! Lagrange coefficients ([`shamir::lagrange_coeffs_at_zero`]), and
+//! per-thread answer tables ([`table::AnswerTable`]): the verdict memo
+//! ([`memo`]) for the verification predicates every receiver of a
+//! broadcast repeats, and the Schnorr transcript table ([`schnorr`]) that
+//! signs each distinct packet once and answers its receivers. The producer
+//! of a signature, share or combined signature writes its own answer into
+//! them, so a verifier on the producer's thread (every simulated receiver)
+//! finds the answer waiting. None of it perturbs determinism: every cache
+//! is keyed exactly by its inputs. See the workspace README ("Crypto fast
+//! paths") for measured numbers.
 
 pub mod field;
 pub mod group;
@@ -74,6 +76,7 @@ mod quorum;
 pub mod reshare;
 pub mod schnorr;
 pub mod shamir;
+pub mod table;
 pub mod thresh_coin;
 pub mod thresh_enc;
 pub mod thresh_sig;

@@ -4,14 +4,11 @@
 //! A simulated broadcast is checked by every receiver on the simulator's
 //! one thread, and a retransmitted frame is byte-identical to its first
 //! transmission (signatures and proofs are deterministic), so the same
-//! question is asked `n − 1` times or more. Four predicates route through
+//! question is asked `n − 1` times or more. Three predicates route through
 //! this table, each under its own [`Predicate`] tag:
 //!
 //! * subgroup membership of a decoded element
 //!   ([`crate::GroupElem::from_bytes`]) — keyed by the canonical encoding;
-//! * a Schnorr packet signature ([`crate::schnorr::PublicKey::verify`]) —
-//!   keyed by `(e, z)` with `e = H(R ‖ pk ‖ m)`: the challenge already binds
-//!   commitment, key and message, so a hit costs the hash a miss needs anyway;
 //! * a decryption share's DLEQ proof
 //!   ([`crate::thresh_enc::EncPublicSet::verify_share`]) — keyed by
 //!   `(H(i ‖ u ‖ vk_i ‖ d ‖ c), z)`;
@@ -19,83 +16,71 @@
 //!   ([`crate::thresh_sig::PublicKeySet::verify`]) — keyed by
 //!   `(H(vk ‖ e), σ)`.
 //!
+//! Packet signatures have their own table, keyed by the exact signed bytes
+//! ([`crate::schnorr`]), so a verifier needs no hash to find its answer.
+//!
 //! The table has a second writer besides the verifiers: the *producer* of a
-//! proof. `KeyPair::sign` records its own signature's Schnorr verdict and the
-//! membership of its commitment `R`; `dec_share` records its DLEQ proof's
-//! verdict; `sign_share`, `coin_share` and `dec_share` record the membership
-//! of the element they return ([`record`], crate-private). Only the holder of
-//! the secret can do that — it alone knows the proof is good without
-//! checking it — and signatures are deterministic, so the record is exactly
-//! what the verifier would have computed. On the simulator's thread the
-//! signer's receivers then find their answer waiting; on a UDP node thread
-//! nobody asks the signer's own table, and bytes that were tampered with,
-//! forged or signed elsewhere hash to a key no producer wrote. Builds with
-//! debug assertions evaluate every recorded predicate.
+//! proof. `dec_share` records its DLEQ proof's verdict; `combine_verified`
+//! records its output's threshold-signature verdict; `KeyPair::sign`,
+//! `sign_share`, `coin_share`, `dec_share` and `combine_verified` record
+//! the membership of the element they return ([`record`], crate-private).
+//! Only the holder of the secret (or of a checked quorum) can do that — it
+//! alone knows the proof is good without checking it — and signatures are
+//! deterministic, so the record is exactly what the verifier would have
+//! computed. On the simulator's thread the producer's receivers then find
+//! their answer waiting; on a UDP node thread nobody asks the producer's own
+//! table, and bytes that were tampered with, forged or made elsewhere map to
+//! a key no producer wrote. Builds with debug assertions evaluate every
+//! recorded predicate.
 //!
 //! Every key binds the verification key it was checked under, so two deals
 //! on one thread never share a verdict. A verdict is a pure function of its
 //! key — the negative ones included: a transcript that failed once fails
 //! forever — so a hit and a miss are indistinguishable to the caller,
 //! per-thread tables never disagree, and nothing a simulation reports can
-//! depend on what the table holds. The table is cleared wholesale when it
-//! reaches [`CAP`] entries.
+//! depend on what the table holds. The table is an [`AnswerTable`] of
+//! [`SETS`] × [`WAYS`] entries: a new key evicts the least recently used
+//! entry of its set, never the rest of the table.
 
+use crate::table::{AnswerTable, Stats};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 
 /// The memoized predicates; the tag domain-separates their keys.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Predicate {
     /// Subgroup membership of a decoded group element.
     Subgroup,
-    /// Schnorr packet-signature verification.
-    Schnorr,
     /// DLEQ proof of a threshold-decryption share.
     Dleq,
     /// Combined threshold-signature verification.
     ThreshSig,
 }
 
-/// Entries held before the table is cleared. A constant, sized to memory:
-/// a full table is ~0.4 MiB, what the subgroup-only memo it replaces held
-/// (twice the entries at half the key width), and spans several hundred
-/// frames — every receiver of a broadcast and the retransmissions that
-/// follow it.
-pub const CAP: usize = 4096;
+/// Sets of the table. With [`WAYS`] a constant sized to memory, not a
+/// knob: 4 096 entries of 66 bytes (~0.27 MiB, less than the full
+/// `BTreeMap` it replaced), several hundred frames' worth — every receiver
+/// of a broadcast and the retransmissions that follow it. A direct-mapped
+/// table of 8 192 entries cost 11 % more resident memory on a four-thread
+/// UDP cluster, one memo per node thread.
+pub const SETS: usize = 1024;
 
-/// This thread's verdict counters for one predicate.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Stats {
-    /// Verdicts answered from the table.
-    pub hits: u64,
-    /// Verdicts computed — the distinct checks actually performed.
-    pub misses: u64,
-    /// Verdicts written by their producer ([`record`]) — for
-    /// [`Predicate::Schnorr`], the packet signatures made on this thread.
-    pub recorded: u64,
-}
+/// Entries per set.
+pub const WAYS: usize = 4;
 
 type Key = (Predicate, [u8; 32], [u8; 32]);
-
-#[derive(Default)]
-struct Memo {
-    verdicts: BTreeMap<Key, bool>,
-    stats: [Stats; 4],
-}
-
-impl Memo {
-    fn insert(&mut self, key: Key, v: bool) {
-        if self.verdicts.len() >= CAP {
-            self.verdicts.clear();
-        }
-        self.verdicts.insert(key, v);
-    }
-}
 
 thread_local! {
     /// Per thread: the parallel sweep executor's workers and the UDP node
     /// threads stay off a shared lock.
-    static MEMO: RefCell<Memo> = RefCell::new(Memo::default());
+    static MEMO: RefCell<AnswerTable<Key, bool, 3>> = RefCell::new(AnswerTable::new(SETS, WAYS));
+}
+
+/// The set hint of a transcript: `a` is a hash output or a canonical
+/// element encoding, uniform in its first word.
+fn hint(predicate: Predicate, a: &[u8; 32]) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&a[..8]);
+    u64::from_le_bytes(word) ^ predicate as u64
 }
 
 /// The verdict of `predicate` on the transcript `(a, b)`: from the table
@@ -107,21 +92,13 @@ pub(crate) fn verdict(
     compute: impl FnOnce() -> bool,
 ) -> bool {
     let key = (predicate, a, b);
-    let known = MEMO.with(|memo| {
-        let mut memo = memo.borrow_mut();
-        let known = memo.verdicts.get(&key).copied();
-        let stats = &mut memo.stats[predicate as usize];
-        match known {
-            Some(_) => stats.hits += 1,
-            None => stats.misses += 1,
-        }
-        known
-    });
+    let hint = hint(predicate, &a);
+    let known = MEMO.with(|memo| memo.borrow_mut().lookup(predicate as usize, hint, &key, |_| true));
     if let Some(v) = known {
         return v;
     }
     let v = compute();
-    MEMO.with(|memo| memo.borrow_mut().insert(key, v));
+    MEMO.with(|memo| memo.borrow_mut().insert(hint, key, v));
     v
 }
 
@@ -134,25 +111,23 @@ pub(crate) fn verdict(
 /// record it contradicts, so a signer bug cannot hide behind its own entry.
 pub(crate) fn record(predicate: Predicate, a: [u8; 32], b: [u8; 32], holds: impl FnOnce() -> bool) {
     debug_assert!(holds(), "{predicate:?}: the producer recorded a verdict the predicate refutes");
-    MEMO.with(|memo| {
-        let mut memo = memo.borrow_mut();
-        memo.stats[predicate as usize].recorded += 1;
-        memo.insert((predicate, a, b), true);
-    });
+    let hint = hint(predicate, &a);
+    MEMO.with(|memo| memo.borrow_mut().record(predicate as usize, hint, (predicate, a, b), true));
 }
 
 /// This thread's counters for `predicate`.
 pub fn stats(predicate: Predicate) -> Stats {
-    MEMO.with(|memo| memo.borrow().stats[predicate as usize])
+    MEMO.with(|memo| memo.borrow().stats(predicate as usize))
 }
 
 /// Forgets every verdict and zeroes the counters of this thread, so the
 /// next call of each predicate computes its answer. This is the one way to
 /// the uncached reference: tests compare it with the memoized answer, the
 /// `hotpath_*` benches start their first-sight rows from it, and nothing
-/// else needs it.
+/// else needs it. Packet signatures have their own
+/// [`crate::schnorr::clear`].
 pub fn clear() {
-    MEMO.with(|memo| *memo.borrow_mut() = Memo::default());
+    MEMO.with(|memo| memo.borrow_mut().clear());
 }
 
 #[cfg(test)]
@@ -166,7 +141,7 @@ mod tests {
         for expect in [false, true] {
             let a = [expect as u8; 32];
             for _ in 0..3 {
-                let v = verdict(Predicate::Schnorr, a, [0; 32], || {
+                let v = verdict(Predicate::Dleq, a, [0; 32], || {
                     calls += 1;
                     expect
                 });
@@ -174,8 +149,8 @@ mod tests {
             }
         }
         assert_eq!(calls, 2);
-        assert_eq!(stats(Predicate::Schnorr), Stats { hits: 4, misses: 2, recorded: 0 });
-        assert_eq!(stats(Predicate::Dleq), Stats::default());
+        assert_eq!(stats(Predicate::Dleq), Stats { hits: 4, misses: 2, recorded: 0 });
+        assert_eq!(stats(Predicate::ThreshSig), Stats::default());
     }
 
     #[test]
@@ -187,19 +162,23 @@ mod tests {
     }
 
     #[test]
-    fn a_full_table_is_cleared_and_recomputes() {
+    fn a_new_key_evicts_its_sets_oldest_entry_and_nothing_else() {
         clear();
-        let word = |i: usize| {
+        let word = |i: u64| {
             let mut w = [0u8; 32];
-            w[..8].copy_from_slice(&(i as u64).to_le_bytes());
+            w[..8].copy_from_slice(&i.to_le_bytes());
             w
         };
-        for i in 0..CAP {
-            verdict(Predicate::Dleq, word(i), [0; 32], || i % 2 == 0);
+        let set = |i: u64| MEMO.with(|memo| memo.borrow().set_of(hint(Predicate::Dleq, &word(i))));
+        let neighbour = (1..).find(|&i| set(i) != set(0)).unwrap();
+        let same_set: Vec<u64> = (1..).filter(|&i| set(i) == set(0)).take(WAYS).collect();
+        verdict(Predicate::Dleq, word(0), [0; 32], || true);
+        verdict(Predicate::Dleq, word(neighbour), [0; 32], || true);
+        // WAYS newer keys in the same set: entry 0 goes, its neighbour stays.
+        for &i in &same_set {
+            verdict(Predicate::Dleq, word(i), [0; 32], || false);
         }
-        // Full: entry 0 is still a hit, the next new key clears the table.
-        assert!(verdict(Predicate::Dleq, word(0), [0; 32], || unreachable!()));
-        verdict(Predicate::Dleq, word(CAP), [0; 32], || true);
+        assert!(verdict(Predicate::Dleq, word(neighbour), [0; 32], || unreachable!()));
         let mut recomputed = false;
         assert!(verdict(Predicate::Dleq, word(0), [0; 32], || {
             recomputed = true;

@@ -8,13 +8,41 @@
 //! group; the group itself is undersized for production use, which is fine
 //! for a testbed). The *charged* cost and wire size come from the selected
 //! micro-ecc curve profile.
+//!
+//! ## The transcript table
+//!
+//! Signing is deterministic, so a signature is a pure function of the key
+//! pair and the exact message bytes, and a verdict a pure function of the
+//! verification key, the bytes and the signature. One per-thread
+//! [`AnswerTable`] holds both, keyed by `(verification key, exact message
+//! bytes)` and answering with the signature, its verdict and whether
+//! [`KeyPair::sign`] wrote it:
+//!
+//! * **sign** reads it first: a byte-identical re-send (a retransmission
+//!   tick re-airs unchanged packets) returns the stored signature. Only an
+//!   entry `sign` wrote is reused. Builds with debug assertions recompute
+//!   the signature and compare.
+//! * **verify** reads it before hashing: when this thread signed exactly
+//!   these bytes, or verified exactly this signature over them before, the
+//!   stored verdict answers — a compare instead of a SHA-512 pass and two
+//!   exponentiations. A verdict it computes is stored the same way.
+//!
+//! An entry answers a verifier only for the very signature it holds, and
+//! the key is compared in full (the set is picked by a mix of the bytes),
+//! so flipped bytes, another key or another signature over the same bytes
+//! find no answer and are computed (another signature's verdict never
+//! displaces a valid entry for the same bytes); a collision or an eviction
+//! costs a recomputation, never an answer. On the simulator's thread every
+//! receiver of a frame is answered by its signer's entry; on a UDP node
+//! thread a duplicate receipt is.
 
 use crate::field::Scalar;
 use crate::group::GroupElem;
 use crate::hash::hash_to_scalar;
-use crate::memo::{self, Predicate};
 use crate::profile::EcdsaCurve;
+use crate::table::{self, AnswerTable, Stats};
 use rand::RngCore;
+use std::cell::RefCell;
 
 /// A signing keypair for one node.
 #[derive(Clone, Debug)]
@@ -52,6 +80,92 @@ impl core::fmt::Display for InvalidSignature {
 
 impl std::error::Error for InvalidSignature {}
 
+/// The two users of the transcript table, each with its own counters
+/// ([`stats`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Role {
+    /// [`KeyPair::sign`]: a hit is a reused signature, a miss a fresh one.
+    Signer,
+    /// [`PublicKey::verify`]: a hit is a stored verdict, a miss a computed
+    /// one (challenge hash and equation).
+    Verifier,
+}
+
+/// Sets of the transcript table. With [`WAYS`] a constant sized to memory,
+/// not a knob: each entry holds one copy of its message, and 256 entries
+/// span the window in which a frame is received and re-sent. On the
+/// benchmark's 16-node multi-hop set they reuse 16 221 of 60 905
+/// signatures (128 entries: 12 274; 512: 18 574); on the 4-node
+/// single-hop set 9 945 of 46 827, about what any larger table reuses.
+pub const SETS: usize = 64;
+
+/// Entries per set.
+pub const WAYS: usize = 4;
+
+/// A table key: the verification key and the exact signed bytes.
+#[derive(PartialEq)]
+struct Transcript {
+    pk: GroupElem,
+    msg: Box<[u8]>,
+}
+
+impl PartialEq<(&GroupElem, &[u8])> for Transcript {
+    fn eq(&self, (pk, msg): &(&GroupElem, &[u8])) -> bool {
+        self.pk == **pk && *self.msg == **msg
+    }
+}
+
+/// What the table knows about a transcript.
+#[derive(Clone, Copy)]
+struct Answer {
+    sig: Signature,
+    valid: bool,
+    /// Written by [`KeyPair::sign`]: the signature is this key's own.
+    signed: bool,
+}
+
+thread_local! {
+    /// Per thread, like the verdict memo.
+    static TRANSCRIPTS: RefCell<AnswerTable<Transcript, Answer, 2>> =
+        RefCell::new(AnswerTable::new(SETS, WAYS));
+}
+
+/// The set hint of a transcript: a mix of the bytes, and the key's first
+/// word.
+fn hint(pk: &GroupElem, msg: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&pk.to_bytes()[..8]);
+    table::mix(msg) ^ u64::from_le_bytes(word)
+}
+
+/// Consults the transcript table for `(pk, msg)` on behalf of `role`.
+fn lookup(
+    role: Role,
+    hint: u64,
+    pk: &GroupElem,
+    msg: &[u8],
+    usable: impl FnOnce(&Answer) -> bool,
+) -> Option<Answer> {
+    TRANSCRIPTS.with(|t| t.borrow_mut().lookup(role as usize, hint, &(pk, msg), usable))
+}
+
+fn store(hint: u64, pk: &GroupElem, msg: &[u8], answer: Answer) {
+    let key = Transcript { pk: *pk, msg: msg.into() };
+    TRANSCRIPTS.with(|t| t.borrow_mut().insert(hint, key, answer));
+}
+
+/// This thread's transcript-table counters for `role`.
+pub fn stats(role: Role) -> Stats {
+    TRANSCRIPTS.with(|t| t.borrow().stats(role as usize))
+}
+
+/// Forgets every stored signature and verdict and zeroes the counters of
+/// this thread (the counterpart of [`crate::memo::clear`]): the next sign
+/// and the next verify compute.
+pub fn clear() {
+    TRANSCRIPTS.with(|t| t.borrow_mut().clear());
+}
+
 impl KeyPair {
     /// Generates a keypair; `curve` selects the cost/size profile charged
     /// for its operations.
@@ -68,19 +182,37 @@ impl KeyPair {
 
     /// Signs a message (deterministic nonce, RFC-6979 style).
     ///
-    /// The signer knows its signature verifies and that `R = g^k` is a group
-    /// member, so it records both verdicts in the memo ([`crate::memo`])
-    /// under the keys a verifier would ask: receivers simulated on this
-    /// thread are answered without redoing the check.
+    /// Through the transcript table (see the [module docs](self)): a
+    /// message this key signed recently is answered with the stored
+    /// signature, and a fresh signature is stored for the verifiers and
+    /// re-sends that follow. Either way the signer also records that
+    /// `R = g^k` is a group member in the verdict memo ([`crate::memo`]),
+    /// under the key the decoder asks before `verify` runs.
     pub fn sign(&self, msg: &[u8]) -> Signature {
+        let hint = hint(&self.pk, msg);
+        let sig = match lookup(Role::Signer, hint, &self.pk, msg, |a| a.signed) {
+            Some(stored) => {
+                debug_assert_eq!(stored.sig, self.compute(msg), "a stored signature differs");
+                stored.sig
+            }
+            None => {
+                let sig = self.compute(msg);
+                store(hint, &self.pk, msg, Answer { sig, valid: true, signed: true });
+                sig
+            }
+        };
+        sig.r.record_member();
+        sig
+    }
+
+    /// The signature itself. Builds with debug assertions check it
+    /// verifies, so a signer bug cannot hide behind its own table entry.
+    fn compute(&self, msg: &[u8]) -> Signature {
         let k = hash_to_scalar("wbft/schnorr/nonce", &[&self.sk.to_bytes(), msg]);
         let r = GroupElem::from_exponent(&k);
         let e = challenge(&r, &self.pk, msg);
         let z = k.add(&e.mul(&self.sk));
-        r.record_member();
-        memo::record(Predicate::Schnorr, e.to_bytes(), z.to_bytes(), || {
-            schnorr_equation(&r, &self.pk, &e, &z)
-        });
+        debug_assert!(schnorr_equation(&r, &self.pk, &e, &z), "a fresh signature does not verify");
         Signature { r, z }
     }
 
@@ -93,20 +225,36 @@ impl KeyPair {
 impl PublicKey {
     /// Verifies `sig` over `msg`.
     ///
-    /// The algebraic check `g^z == R · pk^e` goes through the verdict memo
-    /// ([`crate::memo`]) under `(e, z)`: `e = H(R ‖ pk ‖ m)` binds the
-    /// commitment, the key and the message, so the `n − 1` receivers of one
-    /// simulated broadcast (and every byte-identical retransmission) pay the
-    /// two exponentiations once and the challenge hash each time.
+    /// Through the transcript table (see the [module docs](self)): when
+    /// this thread signed exactly `msg` under this key and produced exactly
+    /// `sig`, or verified `sig` over `msg` before, the stored verdict
+    /// answers. Otherwise the challenge `e = H(R ‖ pk ‖ m)` is hashed, the
+    /// equation `g^z == R · pk^e` is checked and the verdict stored — unless
+    /// the table holds a valid signature over these bytes: that entry keeps
+    /// its place, so a tampered copy of an honest frame cannot displace the
+    /// answer its honest receivers ask for.
     ///
     /// # Errors
     ///
     /// [`InvalidSignature`] on mismatch.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> Result<(), InvalidSignature> {
-        let e = challenge(&sig.r, &self.point, msg);
-        let valid = memo::verdict(Predicate::Schnorr, e.to_bytes(), sig.z.to_bytes(), || {
-            schnorr_equation(&sig.r, &self.point, &e, &sig.z)
+        let hint = hint(&self.point, msg);
+        let mut holds_valid = false;
+        let stored = lookup(Role::Verifier, hint, &self.point, msg, |a| {
+            holds_valid = a.valid;
+            a.sig == *sig
         });
+        let valid = match stored {
+            Some(stored) => stored.valid,
+            None => {
+                let e = challenge(&sig.r, &self.point, msg);
+                let valid = schnorr_equation(&sig.r, &self.point, &e, &sig.z);
+                if !holds_valid {
+                    store(hint, &self.point, msg, Answer { sig: *sig, valid, signed: false });
+                }
+                valid
+            }
+        };
         if valid {
             Ok(())
         } else {
@@ -175,6 +323,38 @@ mod tests {
         let kp = keypair();
         assert_eq!(kp.sign(b"m"), kp.sign(b"m"));
         assert_ne!(kp.sign(b"m"), kp.sign(b"n"));
+    }
+
+    #[test]
+    fn a_resend_reuses_and_the_signers_entry_answers_only_its_own_signature() {
+        let kp = keypair();
+        clear();
+        let sig = kp.sign(b"frame");
+        assert_eq!(kp.sign(b"frame"), sig);
+        assert_eq!(stats(Role::Signer), Stats { hits: 1, misses: 1, recorded: 0 });
+        kp.public().verify(b"frame", &sig).unwrap();
+        assert_eq!(stats(Role::Verifier), Stats { hits: 1, misses: 0, recorded: 0 });
+        let mut other = sig;
+        other.z = other.z.add(&Scalar::ONE);
+        assert_eq!(kp.public().verify(b"frame", &other), Err(InvalidSignature));
+        assert_eq!(stats(Role::Verifier), Stats { hits: 1, misses: 1, recorded: 0 });
+        // The refusal did not displace the signer's entry.
+        kp.public().verify(b"frame", &sig).unwrap();
+        assert_eq!(kp.public().verify(b"frame", &other), Err(InvalidSignature));
+        assert_eq!(stats(Role::Verifier), Stats { hits: 2, misses: 2, recorded: 0 });
+        assert_eq!(kp.sign(b"frame"), sig);
+        assert_eq!(stats(Role::Signer), Stats { hits: 2, misses: 1, recorded: 0 });
+    }
+
+    #[test]
+    fn a_verifiers_entry_is_never_reused_as_a_signature() {
+        let kp = keypair();
+        let sig = kp.sign(b"frame");
+        clear();
+        kp.public().verify(b"frame", &sig).unwrap();
+        assert_eq!(kp.sign(b"frame"), sig);
+        assert_eq!(stats(Role::Signer), Stats { hits: 0, misses: 1, recorded: 0 });
+        assert_eq!(stats(Role::Verifier), Stats { hits: 0, misses: 1, recorded: 0 });
     }
 
     #[test]

@@ -309,6 +309,12 @@ impl PublicKeySet {
     /// interpolated. The caller guarantees the precondition; builds with
     /// debug assertions interpolate too and panic on a difference.
     ///
+    /// The output is the one group element of a proof or certificate that
+    /// no share producer made, so the combiner records what it knows of it
+    /// in the verdict memo ([`crate::memo`]): its subgroup membership and
+    /// its [`Self::verify`] verdict. Receivers simulated on this thread then
+    /// decode and check the relayed signature without an exponentiation.
+    ///
     /// # Errors
     ///
     /// [`ThreshSigError::Shamir`] when fewer than `threshold + 1` shares are
@@ -318,8 +324,19 @@ impl PublicKeySet {
         msg: &PreparedMessage,
         quorum: &[SigShare],
     ) -> Result<ThresholdSignature, ThreshSigError> {
-        let value = self.tables().combine_verified(self.threshold, &msg.e, &items(quorum))?;
+        let tables = self.tables();
+        let value = tables.combine_verified(self.threshold, &msg.e, &items(quorum))?;
+        value.record_member();
+        memo::record(Predicate::ThreshSig, self.statement(&msg.e), value.to_bytes(), || {
+            tables.group_pow(&msg.e) == value
+        });
         Ok(ThresholdSignature { value })
+    }
+
+    /// The memo key's first half for a combined signature over the message
+    /// hashing to `g^e`: `H(vk ‖ e)`.
+    fn statement(&self, e: &Scalar) -> [u8; 32] {
+        Digest32::of_parts("wbft/memo/thresh-sig", &[&self.vk.to_bytes(), &e.to_bytes()]).0
     }
 
     /// Verifies a combined signature on `msg`. The exponentiation goes
@@ -331,9 +348,7 @@ impl PublicKeySet {
     /// [`ThreshSigError::InvalidSignature`] on mismatch.
     pub fn verify(&self, msg: &[u8], sig: &ThresholdSignature) -> Result<(), ThreshSigError> {
         let e = PreparedMessage::new(msg).e;
-        let statement =
-            Digest32::of_parts("wbft/memo/thresh-sig", &[&self.vk.to_bytes(), &e.to_bytes()]);
-        let valid = memo::verdict(Predicate::ThreshSig, statement.0, sig.to_bytes(), || {
+        let valid = memo::verdict(Predicate::ThreshSig, self.statement(&e), sig.to_bytes(), || {
             self.tables().group_pow(&e) == sig.value
         });
         if valid {

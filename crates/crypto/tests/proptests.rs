@@ -7,8 +7,9 @@ use wbft_crypto::field::{Fe, Scalar};
 use wbft_crypto::group::GroupElem;
 use wbft_crypto::memo::{self, Predicate};
 use wbft_crypto::merkle::MerkleTree;
-use wbft_crypto::schnorr::KeyPair;
+use wbft_crypto::schnorr::{self, KeyPair, Role};
 use wbft_crypto::shamir::{reconstruct_secret, Polynomial, ShareIndex};
+use wbft_crypto::table::{AnswerTable, Stats};
 use wbft_crypto::{reshare, thresh_coin, thresh_enc, thresh_sig, ThresholdCurve};
 
 fn arb_fe() -> impl Strategy<Value = Fe> {
@@ -19,18 +20,41 @@ fn arb_scalar() -> impl Strategy<Value = Scalar> {
     any::<[u8; 32]>().prop_map(|b| Scalar::from_bytes_reduced(&b))
 }
 
+/// The counters a check moves: a memo predicate's, or the transcript
+/// table's verifier side.
+#[derive(Clone, Copy)]
+enum Counted {
+    Memo(Predicate),
+    Schnorr,
+}
+
+impl Counted {
+    fn stats(self) -> Stats {
+        match self {
+            Counted::Memo(p) => memo::stats(p),
+            Counted::Schnorr => schnorr::stats(Role::Verifier),
+        }
+    }
+}
+
+/// Forgets every answer of this thread's crypto tables.
+fn clear_tables() {
+    memo::clear();
+    schnorr::clear();
+}
+
 /// A memoized predicate's uncached reference, the one way there is to get
-/// it: forget every verdict, then ask — the answer is computed. Asking
+/// it: forget every answer, then ask — the answer is computed. Asking
 /// again is answered from the table. Returns both, with the counters
 /// checked so that each really took the path it is named after
 /// (`consulted` is false where the predicate rejects before it gets to the
-/// memo, e.g. an out-of-range index).
-fn computed_then_repeated(p: Predicate, consulted: bool, check: impl Fn() -> bool) -> (bool, bool) {
-    memo::clear();
+/// table, e.g. an out-of-range index).
+fn computed_then_repeated(c: Counted, consulted: bool, check: impl Fn() -> bool) -> (bool, bool) {
+    clear_tables();
     let computed = check();
     let repeated = check();
     let expect = u64::from(consulted);
-    assert_eq!(memo::stats(p), memo::Stats { hits: expect, misses: expect, recorded: 0 });
+    assert_eq!(c.stats(), Stats { hits: expect, misses: expect, recorded: 0 });
     (computed, repeated)
 }
 
@@ -299,7 +323,7 @@ proptest! {
         for b in [bytes, member, plus_modulus(&member)] {
             let fe = Fe::from_bytes_reduced(&b);
             let (computed, repeated) = computed_then_repeated(
-                Predicate::Subgroup,
+                Counted::Memo(Predicate::Subgroup),
                 !fe.is_zero(),
                 || GroupElem::from_bytes(&b).is_ok(),
             );
@@ -325,7 +349,7 @@ proptest! {
             _ => pk = other.public(),
         }
         let (computed, repeated) =
-            computed_then_repeated(Predicate::Schnorr, true, || pk.verify(&signed, &sig).is_ok());
+            computed_then_repeated(Counted::Schnorr, true, || pk.verify(&signed, &sig).is_ok());
         prop_assert_eq!(computed, tamper == 0);
         prop_assert_eq!(repeated, computed);
     }
@@ -350,7 +374,7 @@ proptest! {
             _ => keys = &other_deal,
         }
         let (computed, repeated) = computed_then_repeated(
-            Predicate::Dleq,
+            Counted::Memo(Predicate::Dleq),
             tamper != 5,
             || keys.verify_share(&against, &share).is_ok(),
         );
@@ -374,7 +398,7 @@ proptest! {
             _ => keys = &other_deal,
         }
         let (computed, repeated) = computed_then_repeated(
-            Predicate::ThreshSig,
+            Counted::Memo(Predicate::ThreshSig),
             true,
             || keys.verify(&signed, &sig).is_ok(),
         );
@@ -388,7 +412,7 @@ proptest! {
         // accepted must not be answered "valid" under deal B's, in either
         // order of asking, and asking B must not disturb A's answer.
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        memo::clear();
+        clear_tables();
 
         let kp = [0, 1].map(|_| KeyPair::generate(wbft_crypto::EcdsaCurve::Secp160r1, &mut rng));
         let sigs = [kp[0].sign(&msg), kp[1].sign(&msg)];
@@ -414,16 +438,17 @@ proptest! {
             }
         }
         // 4 distinct questions per predicate, the second pass all hits. The
-        // two signers and the two decryption-share producers recorded their
-        // own proof's verdict, so only the cross-deal Schnorr and DLEQ
-        // questions were ever computed.
+        // two decryption-share producers recorded their own proof's
+        // verdict, so only the cross-deal DLEQ questions were ever computed.
         prop_assert_eq!(
             memo::stats(Predicate::ThreshSig),
-            memo::Stats { hits: 4, misses: 4, recorded: 0 }
+            Stats { hits: 4, misses: 4, recorded: 0 }
         );
-        for p in [Predicate::Schnorr, Predicate::Dleq] {
-            prop_assert_eq!(memo::stats(p), memo::Stats { hits: 6, misses: 2, recorded: 2 });
-        }
+        prop_assert_eq!(memo::stats(Predicate::Dleq), Stats { hits: 6, misses: 2, recorded: 2 });
+        // The two signers' transcripts answer their own signatures; a
+        // cross-deal signature over the same bytes is computed each time and
+        // never displaces the signer's entry.
+        prop_assert_eq!(schnorr::stats(Role::Verifier), Stats { hits: 4, misses: 4, recorded: 0 });
     }
 
     #[test]
@@ -440,7 +465,7 @@ proptest! {
         let ct = enc.encrypt(b"l", &msg, &mut rng);
         let name = thresh_coin::CoinName { session: seed, round: 1, domain: 0 };
 
-        memo::clear();
+        clear_tables();
         let sig = kp.sign(&msg);
         let dshare = enc_secrets[2].dec_share(&ct);
         let members = [
@@ -463,23 +488,131 @@ proptest! {
         let expected = ([true, false], [true, false], [true; 4]);
 
         prop_assert_eq!(ask(), expected);
-        for p in [Predicate::Schnorr, Predicate::Dleq] {
-            prop_assert_eq!(memo::stats(p), memo::Stats { hits: 1, misses: 1, recorded: 1 });
-        }
+        prop_assert_eq!(memo::stats(Predicate::Dleq), Stats { hits: 1, misses: 1, recorded: 1 });
+        prop_assert_eq!(schnorr::stats(Role::Verifier), Stats { hits: 1, misses: 1, recorded: 0 });
         prop_assert_eq!(
             memo::stats(Predicate::Subgroup),
-            memo::Stats { hits: 4, misses: 0, recorded: 4 }
+            Stats { hits: 4, misses: 0, recorded: 4 }
         );
 
-        memo::clear();
+        clear_tables();
         prop_assert_eq!(ask(), expected);
-        for p in [Predicate::Schnorr, Predicate::Dleq] {
-            prop_assert_eq!(memo::stats(p), memo::Stats { hits: 0, misses: 2, recorded: 0 });
-        }
+        prop_assert_eq!(memo::stats(Predicate::Dleq), Stats { hits: 0, misses: 2, recorded: 0 });
+        prop_assert_eq!(schnorr::stats(Role::Verifier), Stats { hits: 0, misses: 2, recorded: 0 });
         prop_assert_eq!(
             memo::stats(Predicate::Subgroup),
-            memo::Stats { hits: 0, misses: 4, recorded: 0 }
+            Stats { hits: 0, misses: 4, recorded: 0 }
         );
+    }
+
+    #[test]
+    fn a_combiner_records_what_it_combines(seed in any::<u64>(), msg in any::<Vec<u8>>()) {
+        // A combined proof or certificate is decoded and checked by its
+        // receivers; the combiner's records answer both questions, and they
+        // are the verdicts computed anew.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (public, secrets) = thresh_sig::deal(4, 1, ThresholdCurve::Bn158, &mut rng);
+        let pm = public.prepare(&msg);
+        let shares: Vec<_> = secrets[1..3].iter().map(|s| s.sign_share(&msg)).collect();
+        prop_assert!(public.invalid_share_positions(&pm, &shares).is_empty());
+        clear_tables();
+        let sig = public.combine_verified(&pm, &shares).unwrap();
+        let ask = || {
+            let decoded = thresh_sig::ThresholdSignature::from_bytes(&sig.to_bytes());
+            (decoded == Some(sig), decoded.is_some_and(|d| public.verify(&msg, &d).is_ok()))
+        };
+        prop_assert_eq!(ask(), (true, true));
+        prop_assert_eq!(
+            memo::stats(Predicate::Subgroup),
+            Stats { hits: 1, misses: 0, recorded: 1 }
+        );
+        prop_assert_eq!(
+            memo::stats(Predicate::ThreshSig),
+            Stats { hits: 1, misses: 0, recorded: 1 }
+        );
+        clear_tables();
+        prop_assert_eq!(ask(), (true, true));
+        prop_assert_eq!(memo::stats(Predicate::ThreshSig), Stats { hits: 0, misses: 1, recorded: 0 });
+    }
+
+    // -------------------------------------------- transcript table ≡ sign
+
+    #[test]
+    fn sign_through_the_table_equals_sign_after_clear(seed in any::<u64>(), msg in any::<Vec<u8>>()) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let kp = KeyPair::generate(wbft_crypto::EcdsaCurve::Secp160r1, &mut rng);
+        schnorr::clear();
+        let fresh = kp.sign(&msg);
+        let reused = kp.sign(&msg);
+        prop_assert_eq!(schnorr::stats(Role::Signer), Stats { hits: 1, misses: 1, recorded: 0 });
+        schnorr::clear();
+        let reference = kp.sign(&msg);
+        prop_assert_eq!(schnorr::stats(Role::Signer), Stats { hits: 0, misses: 1, recorded: 0 });
+        prop_assert_eq!(fresh, reference);
+        prop_assert_eq!(reused, reference);
+        prop_assert!(kp.public().verify(&msg, &reused).is_ok());
+    }
+
+    #[test]
+    fn verify_never_takes_the_signers_entry_for_other_bytes_keys_or_signatures(
+        seed in any::<u64>(),
+        msg in any::<Vec<u8>>(),
+        flip in any::<usize>(),
+        tamper in 0u8..4,
+    ) {
+        // The signer's transcript is held (warm); each question is asked
+        // with it and again after `clear()` (the reference).
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let kp = KeyPair::generate(wbft_crypto::EcdsaCurve::Secp160r1, &mut rng);
+        let other = KeyPair::generate(wbft_crypto::EcdsaCurve::Secp160r1, &mut rng);
+        let mut signed = msg.clone();
+        let mut pk = kp.public();
+        let mut sig = kp.sign(&msg);
+        match tamper {
+            0 if !msg.is_empty() => signed[flip % msg.len()] ^= 1 << (flip % 8),
+            0 => signed.push(0),
+            1 => pk = other.public(),
+            2 => sig = other.sign(&msg),
+            _ => sig.z = sig.z.add(&Scalar::ONE),
+        }
+        let warm = pk.verify(&signed, &sig).is_ok();
+        prop_assert_eq!(schnorr::stats(Role::Verifier).hits, 0, "answered by the signer's entry");
+        // The signer's entry still answers its own signature.
+        prop_assert!(kp.public().verify(&msg, &kp.sign(&msg)).is_ok());
+        prop_assert_eq!(schnorr::stats(Role::Verifier).hits, 1);
+        clear_tables();
+        prop_assert_eq!(pk.verify(&signed, &sig).is_ok(), warm);
+        prop_assert!(!warm);
+    }
+
+    // --------------------------------------------------------- answer table
+
+    #[test]
+    fn a_table_with_every_key_in_one_set_answers_only_for_keys_it_holds(
+        ops in prop::collection::vec((any::<bool>(), 0u8..8, any::<u64>(), any::<u16>()), 1..64),
+    ) {
+        // One set of four ways: every key collides. The model is the set's
+        // most-recently-used list.
+        let mut table: AnswerTable<u8, u16> = AnswerTable::new(1, 4);
+        let mut model: Vec<(u8, u16)> = Vec::new();
+        for (insert, key, hint, value) in ops {
+            let held = model.iter().position(|(k, _)| *k == key);
+            if insert {
+                table.insert(hint, key, value);
+                match held {
+                    Some(p) => { model.remove(p); }
+                    None => model.truncate(3),
+                }
+                model.insert(0, (key, value));
+            } else {
+                let answer = table.lookup(0, hint, &key, |_| true);
+                prop_assert_eq!(answer, held.map(|p| model[p].1));
+                if let Some(p) = held {
+                    let entry = model.remove(p);
+                    model.insert(0, entry);
+                }
+            }
+        }
     }
 
     // ---------------------------------------------------------- resharing
@@ -647,13 +780,13 @@ proptest! {
     }
 }
 
-/// Every memoized predicate, on a valid and a tampered input, asked before
-/// and after the table filled up and was cleared wholesale: the verdicts
+/// Every table-backed predicate, on a valid and a tampered input, asked
+/// before and after its entries were evicted by newer keys: the verdicts
 /// are recomputed and come out the same.
 #[test]
-fn verdicts_are_the_same_across_a_clear_when_full() {
+fn verdicts_are_the_same_after_eviction() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(41);
-    let msg = b"clear-when-full".to_vec();
+    let msg = b"evicted".to_vec();
     let kp = KeyPair::generate(wbft_crypto::EcdsaCurve::Secp160r1, &mut rng);
     let sig = kp.sign(&msg);
     let mut bad_sig = sig;
@@ -686,22 +819,55 @@ fn verdicts_are_the_same_across_a_clear_when_full() {
         ]
     };
     let expected = vec![true, false, true, false, true, false, true, false];
+    let predicates = [Predicate::Subgroup, Predicate::Dleq, Predicate::ThreshSig];
+    let misses = || predicates.map(|p| memo::stats(p).misses);
+    let verifier_misses = || schnorr::stats(Role::Verifier).misses;
 
-    memo::clear();
+    clear_tables();
     assert_eq!(ask(), expected, "computed");
-    assert_eq!(ask(), expected, "from the table");
-    let schnorr_before = memo::stats(Predicate::Schnorr);
-    assert_eq!(schnorr_before, memo::Stats { hits: 2, misses: 2, recorded: 0 });
-    // CAP more distinct entries: the table fills, is cleared, and the
-    // eight verdicts above go with it.
-    for i in 0..memo::CAP as u64 {
+    assert_eq!(misses(), [2, 2, 2]);
+    assert_eq!(verifier_misses(), 2);
+    assert_eq!(ask(), expected, "from the tables");
+    // The valid signature's verdict holds its entry; the tampered one is
+    // computed every time.
+    assert_eq!(misses(), [2, 2, 2]);
+    assert_eq!(verifier_misses(), 3);
+
+    // Six times the memo's entries and eight times the transcript table's,
+    // all distinct: every set turns over, and the verdicts above go.
+    for i in 0..6 * (memo::SETS * memo::WAYS) as u64 {
         let x = GroupElem::from_exponent(&Scalar::from_u64(1_000 + i));
         assert!(GroupElem::from_bytes(&x.to_bytes()).is_ok());
     }
-    assert_eq!(ask(), expected, "recomputed after the clear");
-    assert_eq!(
-        memo::stats(Predicate::Schnorr),
-        memo::Stats { hits: 2, misses: 4, recorded: 0 }
-    );
-    assert_eq!(ask(), expected, "from the table again");
+    for i in 0..8 * (schnorr::SETS * schnorr::WAYS) as u64 {
+        kp.sign(&i.to_le_bytes());
+    }
+    let before = (misses(), verifier_misses());
+    assert_eq!(ask(), expected, "recomputed after eviction");
+    assert_eq!(misses(), before.0.map(|m| m + 2));
+    assert_eq!(verifier_misses(), before.1 + 2);
+    assert_eq!(ask(), expected, "from the tables again");
+    assert_eq!(misses(), before.0.map(|m| m + 2));
+    assert_eq!(verifier_misses(), before.1 + 3);
+}
+
+/// A signature whose transcript was evicted is signed afresh, to the same
+/// value.
+#[test]
+fn sign_after_eviction_equals_the_reference() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(43);
+    let kp = KeyPair::generate(wbft_crypto::EcdsaCurve::Secp160r1, &mut rng);
+    let msgs: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 40 + usize::from(i)]).collect();
+    schnorr::clear();
+    let first: Vec<_> = msgs.iter().map(|m| kp.sign(m)).collect();
+    for i in 0..8 * (schnorr::SETS * schnorr::WAYS) as u64 {
+        kp.sign(&i.to_le_bytes());
+    }
+    let fresh_before = schnorr::stats(Role::Signer).misses;
+    let again: Vec<_> = msgs.iter().map(|m| kp.sign(m)).collect();
+    assert_eq!(schnorr::stats(Role::Signer).misses, fresh_before + 4, "signed afresh");
+    schnorr::clear();
+    let reference: Vec<_> = msgs.iter().map(|m| kp.sign(m)).collect();
+    assert_eq!(first, reference);
+    assert_eq!(again, reference);
 }

@@ -37,7 +37,9 @@
 //!
 //! Both directions of a signed packet have one path each. Sending is
 //! [`broadcast_signed`] ([`send`]): encoded in full when queued, signed
-//! when the runtime transmits it. Receiving is [`open_shared`] ([`open`]):
+//! when the runtime transmits it (a byte-identical re-send reuses the
+//! signature from the signer's transcript table, see
+//! [`wbft_crypto::schnorr`]). Receiving is [`open_shared`] ([`open`]):
 //! [`Envelope::open_tagged`] behind a small per-thread table of recently
 //! opened frames, so the `n − 1` simulated receivers of one transmission
 //! share one decode and one signature check — served only on byte-for-byte

@@ -60,8 +60,8 @@ mod tests {
     use super::*;
     use crate::packets::Body;
     use rand::SeedableRng;
-    use wbft_crypto::memo::{self, Predicate, Stats};
-    use wbft_crypto::schnorr::PublicKey;
+    use wbft_crypto::schnorr::{self, PublicKey, Role};
+    use wbft_crypto::table::Stats;
     use wbft_crypto::{Digest32, EcdsaCurve};
     use wbft_wireless::{Frame, NodeBehavior, NodeId, SimConfig, SimTime, Simulator, Topology};
 
@@ -97,7 +97,7 @@ mod tests {
         let nodes = (0..2).map(|_| Node { keypair: keypair.clone(), heard: Vec::new() }).collect();
         let mut sim = Simulator::new(SimConfig::default(), Topology::single_hop(2), nodes);
 
-        memo::clear();
+        schnorr::clear();
         sim.run_until(SimTime::from_micros(10_000_000));
         let heard = sim.behavior(NodeId(1)).heard.clone();
         assert_eq!(heard.len(), 1);
@@ -105,19 +105,25 @@ mod tests {
         let (sealed, nominal) = packet().seal_tagged(&keypair, &Sizing::light(2), 4).unwrap();
         assert_eq!(heard[0], sealed);
         assert_eq!(sim.metrics().node(NodeId(0)).bytes_sent, nominal as u64);
+        // Signed once: the simulator's finish; `seal_tagged` reused it.
+        let signs = Stats { hits: 1, misses: 1, recorded: 0 };
+        assert_eq!(schnorr::stats(Role::Signer), signs);
 
-        // The signer ran on this thread (twice: the simulator's finish and
-        // the `seal_tagged` above), so the receiver's question is a hit …
+        // The signer ran on this thread, so the receiver's question is
+        // answered by its transcript, without a challenge hash …
         let (env, tag, sig_ok) = Envelope::open_tagged(&heard[0], pk_of).unwrap();
         assert!(sig_ok && env == packet() && tag == 4);
-        assert_eq!(memo::stats(Predicate::Schnorr), Stats { hits: 1, misses: 0, recorded: 2 });
+        let verifies = Stats { hits: 1, misses: 0, recorded: 0 };
+        assert_eq!(schnorr::stats(Role::Verifier), verifies);
 
-        // … but bytes altered after signing are nobody's record: their
+        // … but bytes altered after signing are nobody's transcript: their
         // verdict is computed, and it is a refusal.
         let mut flipped = heard[0].to_vec();
         flipped[12] ^= 1;
         let (_, _, sig_ok) = Envelope::open_tagged(&flipped, pk_of).unwrap();
         assert!(!sig_ok);
-        assert_eq!(memo::stats(Predicate::Schnorr), Stats { hits: 1, misses: 1, recorded: 2 });
+        let verifies = Stats { hits: 1, misses: 1, recorded: 0 };
+        assert_eq!(schnorr::stats(Role::Verifier), verifies);
+        assert_eq!(schnorr::stats(Role::Signer), signs);
     }
 }

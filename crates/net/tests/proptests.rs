@@ -123,14 +123,17 @@ fn ask(frame: &Bytes, keys: &[PublicKey], expect: Stats) -> Result<(), TestCaseE
     let shared = open_shared(frame, pk_of);
     let after = open::stats();
     prop_assert_eq!(shared.as_deref(), reference.as_ref());
-    let moved =
-        Stats { served: after.served - before.served, computed: after.computed - before.computed };
+    let moved = Stats {
+        hits: after.hits - before.hits,
+        misses: after.misses - before.misses,
+        recorded: after.recorded - before.recorded,
+    };
     prop_assert_eq!(moved, expect);
     Ok(())
 }
 
-const COMPUTED: Stats = Stats { served: 0, computed: 1 };
-const SERVED: Stats = Stats { served: 1, computed: 0 };
+const COMPUTED: Stats = Stats { hits: 0, misses: 1, recorded: 0 };
+const SERVED: Stats = Stats { hits: 1, misses: 0, recorded: 0 };
 
 /// A frame new to the table, asked twice: computed, then served when it
 /// opened at all (a malformed frame is never stored, so it is computed
