@@ -18,7 +18,7 @@ use wbft_bench::{banner, pass_us, report_dir, row, write_json};
 use wbft_consensus::service::Mempool;
 use wbft_consensus::Block;
 use wbft_crypto::schnorr::{self, Role};
-use wbft_crypto::{memo, CryptoSuite};
+use wbft_crypto::{memo, quorum, CryptoSuite};
 use wbft_net::{broadcast_signed, Body, Envelope, Sizing};
 use wbft_report::Json;
 use wbft_transport::ClientMsg;
@@ -44,6 +44,7 @@ fn tx_of(tag: u64) -> bytes::Bytes {
 fn clear_tables() {
     memo::clear();
     schnorr::clear();
+    quorum::clear();
 }
 
 fn main() {

@@ -29,7 +29,7 @@ use crate::service::StopCondition;
 use crate::workload::{decode_batch, BatchSource};
 use bytes::Bytes;
 use rand_chacha::ChaCha12Rng;
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use wbft_components::{Actions, NodeCrypto, Params};
 use wbft_membership::ACTIVATION_DELAY;
 use wbft_net::Body;
@@ -128,12 +128,13 @@ pub trait Lane {
 /// both carried commits with the first). Undecodable batches — a
 /// Byzantine proposer's garbage — contribute nothing.
 pub fn union_block<'a>(epoch: u64, batches: impl IntoIterator<Item = &'a [u8]>) -> Block {
-    let mut txs: Vec<Tx> = Vec::new();
-    for tx in batches.into_iter().filter_map(decode_batch).flatten() {
-        if !txs.contains(&tx) {
-            txs.push(tx);
-        }
-    }
+    let mut seen = BTreeSet::new();
+    let txs = batches
+        .into_iter()
+        .filter_map(decode_batch)
+        .flatten()
+        .filter(|tx| seen.insert(tx.clone()))
+        .collect();
     Block { epoch, txs }
 }
 

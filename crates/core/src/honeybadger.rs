@@ -172,7 +172,9 @@ impl DecStage {
         if self.shares[j].len() > self.p.f {
             acts.charge(crypto.suite.threshold.signature_profile().combine_us);
             let label = ct_label(self.epoch, j);
-            if let Ok(pt) = crypto.enc_pub.decrypt(&label, ct, &self.shares[j]) {
+            // Every collected share passed `verify_share` above, from distinct
+            // reporters: the decryption key may come from the power table.
+            if let Ok(pt) = crypto.enc_pub.decrypt_verified(&label, ct, &self.shares[j]) {
                 self.plaintexts[j] = Some(pt);
                 self.out.changed();
             } else {

@@ -1007,6 +1007,40 @@ mod tests {
     }
 
     #[test]
+    fn a_lossless_run_computes_no_decryption_key_and_each_group_power_once() {
+        // A count guard, not a timer: all nodes share this thread, so every
+        // share a node checks was signed here, and its signer recorded the
+        // power `vk_i^e`; every ciphertext was encrypted here, and its
+        // encryptor recorded the decryption key and the membership of `u`.
+        // What is left to compute is the group key's power `vk^e` of each
+        // message, once: a message some quorum combines carries at least
+        // f + 1 recorded shares, so the powers computed number at most
+        // recorded / (f + 1). A key that picks up the asker, a signer that
+        // records under another key than the checker asks, or a table that
+        // thrashes, fails here on any host.
+        use wbft_crypto::memo::{self, Predicate};
+        use wbft_crypto::quorum::{self, Lane};
+        for protocol in [Protocol::HoneyBadgerSc, Protocol::Beat, Protocol::DumboSc] {
+            let mut cfg = TestbedConfig::single_hop(protocol);
+            cfg.epochs = 2;
+            memo::clear();
+            quorum::clear();
+            let report = run(&cfg);
+            assert!(report.completed);
+            let keys = quorum::stats(Lane::KeySet);
+            let f = (cfg.n as u64 - 1) / 3;
+            assert!(keys.misses * (f + 1) <= keys.recorded, "{protocol:?}: {keys:?}");
+            assert!(keys.hits > keys.recorded, "{protocol:?}: {keys:?}");
+            let decryption = quorum::stats(Lane::DecryptionKey);
+            assert_eq!(decryption.misses, 0, "{protocol:?}: decryption keys interpolated");
+            let encrypts = protocol != Protocol::DumboSc;
+            assert_eq!(decryption.hits > 0, encrypts, "{protocol:?}: {decryption:?}");
+            let subgroup = memo::stats(Predicate::Subgroup);
+            assert_eq!(subgroup.misses, 0, "{protocol:?}: subgroup checks computed");
+        }
+    }
+
+    #[test]
     fn crash_restart_converges() {
         let mut cfg = TestbedConfig::single_hop(Protocol::Beat);
         cfg.epochs = 2;

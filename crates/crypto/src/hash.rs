@@ -101,17 +101,30 @@ pub fn hash_to_fe(domain: &str, parts: &[&[u8]]) -> Fe {
 }
 
 /// Expandable-output keystream for the threshold-encryption hybrid layer:
-/// SHA-256 in counter mode keyed by `key` and `label`.
+/// SHA-256 in counter mode keyed by `key` and `label`. Block `c` is
+/// `Digest32::of_parts("wbft/keystream", &[key, label, &c.to_le_bytes()])`;
+/// everything before the counter is the same for every block, so it is
+/// absorbed once and the hash state cloned per block — for the short keys
+/// and labels of the hybrid layer, one compression per 32 bytes instead of
+/// two.
 pub fn keystream(key: &[u8], label: &[u8], len: usize) -> Vec<u8> {
+    const DOMAIN: &str = "wbft/keystream";
+    let mut prefix = Sha256::new();
+    prefix.update((DOMAIN.len() as u64).to_le_bytes());
+    prefix.update(DOMAIN.as_bytes());
+    for part in [key, label] {
+        prefix.update((part.len() as u64).to_le_bytes());
+        prefix.update(part);
+    }
+    prefix.update(8u64.to_le_bytes());
     let mut out = Vec::with_capacity(len);
     let mut counter = 0u64;
     while out.len() < len {
-        let block = Digest32::of_parts(
-            "wbft/keystream",
-            &[key, label, &counter.to_le_bytes()],
-        );
+        let mut h = prefix.clone();
+        h.update(counter.to_le_bytes());
+        let block: [u8; 32] = h.finalize().into();
         let take = (len - out.len()).min(32);
-        out.extend_from_slice(&block.0[..take]);
+        out.extend_from_slice(&block[..take]);
         counter += 1;
     }
     out

@@ -51,18 +51,20 @@
 //! generator table behind [`GroupElem::from_exponent`]), simultaneous
 //! multi-exponentiation ([`GroupElem::multi_pow`]), share quorums at table
 //! cost ([`thresh_sig::PublicKeySet`], under certificates, proofs and the
-//! common coin alike, checks each share with one window-table pow per share
-//! key, and `combine_verified` reads a checked quorum's output off the
-//! group key's table instead of interpolating), memoized batch-inverted
+//! common coin alike, checks each share against one power of its share
+//! key, and `combine_verified` takes a checked quorum's output as a power
+//! of the group key instead of interpolating), memoized batch-inverted
 //! Lagrange coefficients ([`shamir::lagrange_coeffs_at_zero`]), and
 //! per-thread answer tables ([`table::AnswerTable`]): the verdict memo
 //! ([`memo`]) for the verification predicates every receiver of a
-//! broadcast repeats, and the Schnorr transcript table ([`schnorr`]) that
-//! signs each distinct packet once and answers its receivers. The producer
-//! of a signature, share or combined signature writes its own answer into
-//! them, so a verifier on the producer's thread (every simulated receiver)
-//! finds the answer waiting. None of it perturbs determinism: every cache
-//! is keyed exactly by its inputs. See the workspace README ("Crypto fast
+//! broadcast repeats, the power table ([`quorum`]) for the key-set powers
+//! under share checks, combines, signature checks and decryption keys, and
+//! the Schnorr transcript table ([`schnorr`]) that signs each distinct
+//! packet once and answers its receivers. The producer of a signature,
+//! share or ciphertext writes its own answer into them, so a verifier on
+//! the producer's thread (every simulated receiver) finds the answer
+//! waiting. None of it perturbs determinism: every cache is keyed exactly
+//! by its inputs. See the workspace README ("Crypto fast
 //! paths") for measured numbers.
 
 pub mod field;
@@ -72,7 +74,7 @@ mod limbs;
 pub mod memo;
 pub mod merkle;
 pub mod profile;
-mod quorum;
+pub mod quorum;
 pub mod reshare;
 pub mod schnorr;
 pub mod shamir;

@@ -4,26 +4,26 @@
 //! A simulated broadcast is checked by every receiver on the simulator's
 //! one thread, and a retransmitted frame is byte-identical to its first
 //! transmission (signatures and proofs are deterministic), so the same
-//! question is asked `n − 1` times or more. Three predicates route through
+//! question is asked `n − 1` times or more. Two predicates route through
 //! this table, each under its own [`Predicate`] tag:
 //!
 //! * subgroup membership of a decoded element
 //!   ([`crate::GroupElem::from_bytes`]) — keyed by the canonical encoding;
 //! * a decryption share's DLEQ proof
 //!   ([`crate::thresh_enc::EncPublicSet::verify_share`]) — keyed by
-//!   `(H(i ‖ u ‖ vk_i ‖ d ‖ c), z)`;
-//! * a combined threshold signature
-//!   ([`crate::thresh_sig::PublicKeySet::verify`]) — keyed by
-//!   `(H(vk ‖ e), σ)`.
+//!   `(H(i ‖ u ‖ vk_i ‖ d ‖ c), z)`.
 //!
 //! Packet signatures have their own table, keyed by the exact signed bytes
 //! ([`crate::schnorr`]), so a verifier needs no hash to find its answer.
+//! Share checks, combined threshold signatures and decryption keys are
+//! powers of public keys, held by the power table ([`crate::quorum`]),
+//! which stores the power and leaves the comparison to its caller.
 //!
 //! The table has a second writer besides the verifiers: the *producer* of a
-//! proof. `dec_share` records its DLEQ proof's verdict; `combine_verified`
-//! records its output's threshold-signature verdict; `KeyPair::sign`,
-//! `sign_share`, `coin_share`, `dec_share` and `combine_verified` record
-//! the membership of the element they return ([`record`], crate-private).
+//! proof. `dec_share` records its DLEQ proof's verdict; `KeyPair::sign`,
+//! `sign_share`, `coin_share`, `dec_share`, `combine_verified` and
+//! `encrypt` record the membership of the element they return
+//! ([`record`], crate-private).
 //! Only the holder of the secret (or of a checked quorum) can do that — it
 //! alone knows the proof is good without checking it — and signatures are
 //! deterministic, so the record is exactly what the verifier would have
@@ -52,8 +52,6 @@ pub enum Predicate {
     Subgroup,
     /// DLEQ proof of a threshold-decryption share.
     Dleq,
-    /// Combined threshold-signature verification.
-    ThreshSig,
 }
 
 /// Sets of the table. With [`WAYS`] a constant sized to memory, not a
@@ -72,7 +70,7 @@ type Key = (Predicate, [u8; 32], [u8; 32]);
 thread_local! {
     /// Per thread: the parallel sweep executor's workers and the UDP node
     /// threads stay off a shared lock.
-    static MEMO: RefCell<AnswerTable<Key, bool, 3>> = RefCell::new(AnswerTable::new(SETS, WAYS));
+    static MEMO: RefCell<AnswerTable<Key, bool, 2>> = RefCell::new(AnswerTable::new(SETS, WAYS));
 }
 
 /// The set hint of a transcript: `a` is a hash output or a canonical
@@ -124,8 +122,8 @@ pub fn stats(predicate: Predicate) -> Stats {
 /// next call of each predicate computes its answer. This is the one way to
 /// the uncached reference: tests compare it with the memoized answer, the
 /// `hotpath_*` benches start their first-sight rows from it, and nothing
-/// else needs it. Packet signatures have their own
-/// [`crate::schnorr::clear`].
+/// else needs it. Packet signatures and powers have their own
+/// [`crate::schnorr::clear`] and [`crate::quorum::clear`].
 pub fn clear() {
     MEMO.with(|memo| memo.borrow_mut().clear());
 }
@@ -150,14 +148,14 @@ mod tests {
         }
         assert_eq!(calls, 2);
         assert_eq!(stats(Predicate::Dleq), Stats { hits: 4, misses: 2, recorded: 0 });
-        assert_eq!(stats(Predicate::ThreshSig), Stats::default());
+        assert_eq!(stats(Predicate::Subgroup), Stats::default());
     }
 
     #[test]
     fn the_tag_separates_equal_transcripts() {
         clear();
         assert!(verdict(Predicate::Subgroup, [7; 32], [0; 32], || true));
-        assert!(!verdict(Predicate::ThreshSig, [7; 32], [0; 32], || false));
+        assert!(!verdict(Predicate::Dleq, [7; 32], [0; 32], || false));
         assert!(verdict(Predicate::Subgroup, [7; 32], [0; 32], || unreachable!()));
     }
 

@@ -13,13 +13,21 @@
 //! Unlike the signature module, nothing here needs pairings, so this scheme
 //! is the real construction (a CPA-secure TDH0-style scheme with a
 //! ciphertext-integrity tag; no CCA proof intended).
+//!
+//! The decryption key `u^s` is a power of the ciphertext's `u` by the
+//! discrete log of `vk`, so it goes through the per-thread power table
+//! ([`crate::quorum`]) under `(u, log vk)`. The encryptor knows it as
+//! `vk^r` and records it; [`EncPublicSet::decrypt_verified`], given shares
+//! that each passed their DLEQ check, reads it from there and interpolates
+//! only when the table does not hold it. [`EncPublicSet::decrypt`] stays the
+//! reference for shares nobody checked.
 
 use crate::field::Scalar;
 use crate::group::GroupElem;
 use crate::hash::{hash_to_scalar, keystream, Digest32};
 use crate::memo::{self, Predicate};
 use crate::profile::ThresholdCurve;
-use crate::quorum::{interpolate, Item};
+use crate::quorum::{self, interpolate, Exponent, Item, Lane};
 use crate::shamir::{Polynomial, ShamirError, ShareIndex};
 use rand::RngCore;
 
@@ -63,11 +71,13 @@ pub struct EncPublicSet {
     vk_shares: Vec<GroupElem>,
 }
 
-/// One node's secret decryption key share.
+/// One node's secret decryption key share, with its verification key
+/// `vk_i = g^{s_i}`.
 #[derive(Clone, Debug)]
 pub struct EncSecretShare {
     index: ShareIndex,
     secret: Scalar,
+    vk_share: GroupElem,
 }
 
 /// A hybrid threshold ciphertext.
@@ -187,8 +197,9 @@ pub fn deal_enc(
     for i in 0..n {
         let index = ShareIndex::for_node(i);
         let s_i = poly.share(index);
-        vk_shares.push(GroupElem::from_exponent(&s_i));
-        secrets.push(EncSecretShare { index, secret: s_i });
+        let vk_share = GroupElem::from_exponent(&s_i);
+        vk_shares.push(vk_share);
+        secrets.push(EncSecretShare { index, secret: s_i, vk_share });
     }
     (EncPublicSet { curve, threshold, vk, vk_shares }, secrets)
 }
@@ -233,10 +244,19 @@ impl EncPublicSet {
 
     /// Encrypts `plaintext` under this key set, bound to `label`
     /// (HoneyBadgerBFT labels each ciphertext with `(epoch, proposer)`).
+    ///
+    /// The encryptor drew `r`, so it knows the decryption key `u^s = vk^r`
+    /// and that `u = g^r` is a group member: it records the first in the
+    /// power table ([`crate::quorum`]) under `(u, log vk)` and the second in
+    /// the verdict memo ([`crate::memo`]).
     pub fn encrypt(&self, label: &[u8], plaintext: &[u8], rng: &mut impl RngCore) -> Ciphertext {
         let r = Scalar::random(rng);
         let u = GroupElem::from_exponent(&r);
         let shared = self.vk.pow(&r);
+        u.record_member();
+        quorum::record(Lane::DecryptionKey, u, Exponent::LogOf(self.vk), shared, || {
+            GroupElem::from_exponent(&r) == u && self.vk.pow(&r) == shared
+        });
         let key = shared.to_bytes();
         let ks = keystream(&key, label, plaintext.len());
         let body: Vec<u8> = plaintext.iter().zip(&ks).map(|(p, k)| p ^ k).collect();
@@ -287,22 +307,75 @@ impl EncPublicSet {
         ct: &Ciphertext,
         shares: &[DecShare],
     ) -> Result<Vec<u8>, ThreshEncError> {
-        let items: Vec<Item> = shares.iter().map(|s| (s.index, s.value)).collect();
-        let key = interpolate(self.threshold, &items)?.to_bytes();
-        let expect_tag =
-            Digest32::of_parts("wbft/thresh-enc/tag", &[&key, &ct.u.to_bytes(), &ct.body, label]);
-        if expect_tag != ct.tag {
-            return Err(ThreshEncError::IntegrityFailure);
-        }
-        let ks = keystream(&key, label, ct.body.len());
-        Ok(ct.body.iter().zip(&ks).map(|(c, k)| c ^ k).collect())
+        let key = interpolate(self.threshold, &items(shares))?;
+        open(label, ct, &key)
     }
+
+    /// [`Self::decrypt`] for distinct shares that *each passed*
+    /// [`Self::verify_share`] against `ct`: they combine to the decryption
+    /// key `u^s`, so it is read from the power table ([`crate::quorum`]) —
+    /// the encryptor's record, or an earlier decryption's — and interpolated
+    /// only when the table does not hold it. The caller guarantees the
+    /// precondition; builds with debug assertions interpolate every time
+    /// and panic on a difference.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::decrypt`]: [`ThreshEncError::IntegrityFailure`] when the
+    /// ciphertext's tag does not match (a Byzantine proposer's ciphertext),
+    /// [`ThreshEncError::Shamir`] when fewer than `threshold + 1` shares are
+    /// given or, on a table miss, their index set is unusable.
+    pub fn decrypt_verified(
+        &self,
+        label: &[u8],
+        ct: &Ciphertext,
+        shares: &[DecShare],
+    ) -> Result<Vec<u8>, ThreshEncError> {
+        let need = self.threshold + 1;
+        if shares.len() < need {
+            return Err(ShamirError::NotEnoughShares { got: shares.len(), need }.into());
+        }
+        let log_vk = Exponent::LogOf(self.vk);
+        let key = match quorum::lookup(Lane::DecryptionKey, &ct.u, log_vk) {
+            Some(key) => {
+                debug_assert_eq!(
+                    interpolate(self.threshold, &items(shares)),
+                    Ok(key),
+                    "a decryption share of the quorum never passed its check"
+                );
+                key
+            }
+            None => {
+                let key = interpolate(self.threshold, &items(shares))?;
+                quorum::insert(&ct.u, log_vk, key);
+                key
+            }
+        };
+        open(label, ct, &key)
+    }
+}
+
+fn items(shares: &[DecShare]) -> Vec<Item> {
+    shares.iter().map(|s| (s.index, s.value)).collect()
+}
+
+/// Checks `ct`'s tag under the decryption key `key` and strips the
+/// keystream.
+fn open(label: &[u8], ct: &Ciphertext, key: &GroupElem) -> Result<Vec<u8>, ThreshEncError> {
+    let key = key.to_bytes();
+    let expect_tag =
+        Digest32::of_parts("wbft/thresh-enc/tag", &[&key, &ct.u.to_bytes(), &ct.body, label]);
+    if expect_tag != ct.tag {
+        return Err(ThreshEncError::IntegrityFailure);
+    }
+    let ks = keystream(&key, label, ct.body.len());
+    Ok(ct.body.iter().zip(&ks).map(|(c, k)| c ^ k).collect())
 }
 
 impl EncSecretShare {
     /// Assembles a share from rolled parts (resharing combination).
     pub fn from_parts(index: ShareIndex, secret: Scalar) -> Self {
-        EncSecretShare { index, secret }
+        EncSecretShare { index, secret, vk_share: GroupElem::from_exponent(&secret) }
     }
 
     /// The raw secret scalar, for acting as a resharing dealer.
@@ -324,7 +397,7 @@ impl EncSecretShare {
     pub fn dec_share(&self, ct: &Ciphertext) -> DecShare {
         let d = ct.u.pow(&self.secret);
         d.record_member();
-        let vk_i = GroupElem::from_exponent(&self.secret);
+        let vk_i = self.vk_share;
         let k = hash_to_scalar(
             "wbft/thresh-enc/dleq-nonce",
             &[&self.secret.to_bytes(), &ct.u.to_bytes(), &d.to_bytes()],

@@ -11,10 +11,13 @@
 //! Because [`GroupElem::hash_to_group`] produces `h = g^{e}` with known
 //! exponent `e = H(m)`, share verification is the *real* algebraic check
 //! `σ_i == vk_i^{e}` using only public data (`vk_i = g^{s_i}`), and combined
-//! verification is `σ == vk^{e}` — no pairings needed. Both run through
-//! window tables for `vk` and every `vk_i`, built on the first check. A
-//! quorum of checked shares therefore combines to `vk^e` without
-//! interpolating ([`PublicKeySet::combine_verified`]). The trade-off, stated
+//! verification is `σ == vk^{e}` — no pairings needed. Both powers come
+//! from the per-thread power table ([`crate::quorum`]) when this thread
+//! knows them — a signer records its share's, and the first check or
+//! combine of a message stores `vk^e` — and otherwise from window tables
+//! for `vk` and every `vk_i`, built on the first check. A quorum of checked
+//! shares therefore combines to `vk^e` without interpolating
+//! ([`PublicKeySet::combine_verified`]). The trade-off, stated
 //! plainly: with a known-discrete-log `h`, anyone can *forge* shares by
 //! computing `vk_i^{e}` themselves, so this scheme is **not secure against a
 //! cryptographic adversary**. It is structurally faithful (same API, same
@@ -24,10 +27,9 @@
 
 use crate::field::Scalar;
 use crate::group::{GroupElem, PrecompCache};
-use crate::hash::{hash_to_scalar, Digest32};
-use crate::memo::{self, Predicate};
+use crate::hash::hash_to_scalar;
 use crate::profile::{ThresholdCurve, ThresholdProfile};
-use crate::quorum::{interpolate, Item, KeyTables};
+use crate::quorum::{self, interpolate, Exponent, Item, KeyTables, Lane};
 use crate::shamir::{Polynomial, ShamirError, ShareIndex};
 use rand::RngCore;
 
@@ -112,11 +114,12 @@ pub struct PublicKeySet {
     precomp: PrecompCache<KeyTables>,
 }
 
-/// One node's secret key share.
+/// One node's secret key share, with its verification key `vk_i = g^{s_i}`.
 #[derive(Clone, Debug)]
 pub struct SecretKeyShare {
     index: ShareIndex,
     secret: Scalar,
+    vk_share: GroupElem,
     curve: ThresholdCurve,
 }
 
@@ -167,8 +170,9 @@ pub fn deal(
     for i in 0..n {
         let index = ShareIndex::for_node(i);
         let s_i = poly.share(index);
-        vk_shares.push(GroupElem::from_exponent(&s_i));
-        secrets.push(SecretKeyShare { index, secret: s_i, curve });
+        let vk_share = GroupElem::from_exponent(&s_i);
+        vk_shares.push(vk_share);
+        secrets.push(SecretKeyShare { index, secret: s_i, vk_share, curve });
     }
     (PublicKeySet { curve, threshold, vk, vk_shares, precomp: PrecompCache::default() }, secrets)
 }
@@ -251,8 +255,8 @@ impl PublicKeySet {
         self.verify_shares_prepared(msg, std::slice::from_ref(share))
     }
 
-    /// Verifies shares of the *same* message, each by one table
-    /// exponentiation `σ_i == vk_i^e`. Accepts exactly the sets in which
+    /// Verifies shares of the *same* message, each against the power
+    /// `vk_i^e` ([`crate::quorum`]). Accepts exactly the sets in which
     /// every share passes [`Self::verify_share`] (duplicates included).
     ///
     /// # Errors
@@ -305,15 +309,16 @@ impl PublicKeySet {
 
     /// [`Self::combine`] for a quorum of distinct shares that *each passed*
     /// [`Self::invalid_share_positions`] over `msg`: their combination is
-    /// `vk^e`, read off the group key's window table instead of
-    /// interpolated. The caller guarantees the precondition; builds with
-    /// debug assertions interpolate too and panic on a difference.
+    /// the power `vk^e` ([`crate::quorum`]) instead of an interpolation.
+    /// The caller guarantees the precondition; builds with debug assertions
+    /// interpolate too and panic on a difference.
     ///
     /// The output is the one group element of a proof or certificate that
-    /// no share producer made, so the combiner records what it knows of it
-    /// in the verdict memo ([`crate::memo`]): its subgroup membership and
-    /// its [`Self::verify`] verdict. Receivers simulated on this thread then
-    /// decode and check the relayed signature without an exponentiation.
+    /// no share producer made. Its power stays in the table for
+    /// [`Self::verify`], and the combiner records its subgroup membership in
+    /// the verdict memo ([`crate::memo`]), so receivers simulated on this
+    /// thread decode and check the relayed signature without an
+    /// exponentiation.
     ///
     /// # Errors
     ///
@@ -324,34 +329,21 @@ impl PublicKeySet {
         msg: &PreparedMessage,
         quorum: &[SigShare],
     ) -> Result<ThresholdSignature, ThreshSigError> {
-        let tables = self.tables();
-        let value = tables.combine_verified(self.threshold, &msg.e, &items(quorum))?;
+        let value = self.tables().combine_verified(self.threshold, &msg.e, &items(quorum))?;
         value.record_member();
-        memo::record(Predicate::ThreshSig, self.statement(&msg.e), value.to_bytes(), || {
-            tables.group_pow(&msg.e) == value
-        });
         Ok(ThresholdSignature { value })
     }
 
-    /// The memo key's first half for a combined signature over the message
-    /// hashing to `g^e`: `H(vk ‖ e)`.
-    fn statement(&self, e: &Scalar) -> [u8; 32] {
-        Digest32::of_parts("wbft/memo/thresh-sig", &[&self.vk.to_bytes(), &e.to_bytes()]).0
-    }
-
-    /// Verifies a combined signature on `msg`. The exponentiation goes
-    /// through the verdict memo ([`crate::memo`]) under `(H(vk ‖ e), σ)`: a
-    /// proof or certificate relayed by several peers is checked once.
+    /// Verifies a combined signature on `msg` against the power `vk^e`
+    /// ([`crate::quorum`]): a proof or certificate relayed by several peers,
+    /// or combined on this thread, costs one exponentiation, and the
+    /// comparison is made anew each time.
     ///
     /// # Errors
     ///
     /// [`ThreshSigError::InvalidSignature`] on mismatch.
     pub fn verify(&self, msg: &[u8], sig: &ThresholdSignature) -> Result<(), ThreshSigError> {
-        let e = PreparedMessage::new(msg).e;
-        let valid = memo::verdict(Predicate::ThreshSig, self.statement(&e), sig.to_bytes(), || {
-            self.tables().group_pow(&e) == sig.value
-        });
-        if valid {
+        if self.tables().group_pow(&PreparedMessage::new(msg).e) == sig.value {
             Ok(())
         } else {
             Err(ThreshSigError::InvalidSignature)
@@ -362,7 +354,7 @@ impl PublicKeySet {
 impl SecretKeyShare {
     /// Assembles a share from rolled parts (resharing combination).
     pub fn from_parts(index: ShareIndex, secret: Scalar, curve: ThresholdCurve) -> Self {
-        SecretKeyShare { index, secret, curve }
+        SecretKeyShare { index, secret, vk_share: GroupElem::from_exponent(&secret), curve }
     }
 
     /// The raw secret scalar — the resharing ceremony needs it to act as a
@@ -393,9 +385,17 @@ impl SecretKeyShare {
     }
 
     /// [`Self::sign_share`] over a pre-hashed message (a coin name).
+    ///
+    /// The signer knows its share is `vk_i^e` by construction, so it
+    /// records the power in the power table ([`crate::quorum`]) under the
+    /// key a share check asks, and the share's subgroup membership in the
+    /// verdict memo ([`crate::memo`]).
     pub(crate) fn sign_prepared(&self, msg: &PreparedMessage) -> SigShare {
         let value = GroupElem::from_exponent(&msg.e.mul(&self.secret));
         value.record_member();
+        quorum::record(Lane::KeySet, self.vk_share, Exponent::Known(msg.e), value, || {
+            self.vk_share.pow(&msg.e) == value
+        });
         SigShare { index: self.index, value }
     }
 }

@@ -6,7 +6,9 @@ use rand::SeedableRng;
 use wbft_crypto::field::{Fe, Scalar};
 use wbft_crypto::group::GroupElem;
 use wbft_crypto::memo::{self, Predicate};
+use wbft_crypto::hash::{keystream, Digest32};
 use wbft_crypto::merkle::MerkleTree;
+use wbft_crypto::quorum::{self, Lane};
 use wbft_crypto::schnorr::{self, KeyPair, Role};
 use wbft_crypto::shamir::{reconstruct_secret, Polynomial, ShareIndex};
 use wbft_crypto::table::{AnswerTable, Stats};
@@ -20,12 +22,13 @@ fn arb_scalar() -> impl Strategy<Value = Scalar> {
     any::<[u8; 32]>().prop_map(|b| Scalar::from_bytes_reduced(&b))
 }
 
-/// The counters a check moves: a memo predicate's, or the transcript
-/// table's verifier side.
+/// The counters a check moves: a memo predicate's, the transcript table's
+/// verifier side, or a power-table lane.
 #[derive(Clone, Copy)]
 enum Counted {
     Memo(Predicate),
     Schnorr,
+    Power(Lane),
 }
 
 impl Counted {
@@ -33,6 +36,7 @@ impl Counted {
         match self {
             Counted::Memo(p) => memo::stats(p),
             Counted::Schnorr => schnorr::stats(Role::Verifier),
+            Counted::Power(lane) => quorum::stats(lane),
         }
     }
 }
@@ -41,6 +45,7 @@ impl Counted {
 fn clear_tables() {
     memo::clear();
     schnorr::clear();
+    quorum::clear();
 }
 
 /// A memoized predicate's uncached reference, the one way there is to get
@@ -398,7 +403,7 @@ proptest! {
             _ => keys = &other_deal,
         }
         let (computed, repeated) = computed_then_repeated(
-            Counted::Memo(Predicate::ThreshSig),
+            Counted::Power(Lane::KeySet),
             true,
             || keys.verify(&signed, &sig).is_ok(),
         );
@@ -437,13 +442,12 @@ proptest! {
                 }
             }
         }
-        // 4 distinct questions per predicate, the second pass all hits. The
+        // The combined signatures are checked against two powers, `vk^e`
+        // of each deal, computed once each; the four share signers recorded
+        // theirs. 4 distinct DLEQ questions, the second pass all hits. The
         // two decryption-share producers recorded their own proof's
         // verdict, so only the cross-deal DLEQ questions were ever computed.
-        prop_assert_eq!(
-            memo::stats(Predicate::ThreshSig),
-            Stats { hits: 4, misses: 4, recorded: 0 }
-        );
+        prop_assert_eq!(quorum::stats(Lane::KeySet), Stats { hits: 6, misses: 2, recorded: 4 });
         prop_assert_eq!(memo::stats(Predicate::Dleq), Stats { hits: 6, misses: 2, recorded: 2 });
         // The two signers' transcripts answer their own signatures; a
         // cross-deal signature over the same bytes is computed each time and
@@ -508,8 +512,9 @@ proptest! {
     #[test]
     fn a_combiner_records_what_it_combines(seed in any::<u64>(), msg in any::<Vec<u8>>()) {
         // A combined proof or certificate is decoded and checked by its
-        // receivers; the combiner's records answer both questions, and they
-        // are the verdicts computed anew.
+        // receivers; what the combiner left in the tables (the membership
+        // record, the power `vk^e`) answers both questions, and the answers
+        // are the ones computed anew.
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let (public, secrets) = thresh_sig::deal(4, 1, ThresholdCurve::Bn158, &mut rng);
         let pm = public.prepare(&msg);
@@ -526,13 +531,122 @@ proptest! {
             memo::stats(Predicate::Subgroup),
             Stats { hits: 1, misses: 0, recorded: 1 }
         );
-        prop_assert_eq!(
-            memo::stats(Predicate::ThreshSig),
-            Stats { hits: 1, misses: 0, recorded: 1 }
-        );
+        prop_assert_eq!(quorum::stats(Lane::KeySet), Stats { hits: 1, misses: 1, recorded: 0 });
         clear_tables();
         prop_assert_eq!(ask(), (true, true));
-        prop_assert_eq!(memo::stats(Predicate::ThreshSig), Stats { hits: 0, misses: 1, recorded: 0 });
+        prop_assert_eq!(quorum::stats(Lane::KeySet), Stats { hits: 0, misses: 1, recorded: 0 });
+    }
+
+    // ------------------------------------------- power table ≡ reference
+
+    #[test]
+    fn a_foreign_share_is_refused_with_the_table_warm(seed in any::<u64>(), msg in any::<Vec<u8>>(), tamper in 0u8..4) {
+        // The table is warm with every power in play: the signers' records
+        // and each checked quorum's `vk^e`, for this message, another
+        // message, and this message under another deal. A forged share,
+        // another deal's share of the same index and message, or another
+        // message's share is refused by the share check and spoils the
+        // signature it combines into — with the table warm and after
+        // `clear` alike.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (public, secrets) = thresh_sig::deal(4, 1, ThresholdCurve::Bn158, &mut rng);
+        let (other_public, other_secrets) = thresh_sig::deal(4, 1, ThresholdCurve::Bn158, &mut rng);
+        let mut other_msg = msg.clone();
+        other_msg.push(0);
+        clear_tables();
+        let mut signed = Vec::new();
+        for (keys, signers, m) in
+            [(&public, &secrets, &msg), (&public, &secrets, &other_msg), (&other_public, &other_secrets, &msg)]
+        {
+            let pm = keys.prepare(m);
+            let shares: Vec<_> = signers.iter().map(|s| s.sign_share(m)).collect();
+            prop_assert!(keys.invalid_share_positions(&pm, &shares).is_empty());
+            keys.combine_verified(&pm, &shares[..2]).unwrap();
+            signed.push(shares);
+        }
+        let honest = &signed[0];
+        let share = match tamper {
+            0 => honest[1],
+            1 => {
+                let forged = honest[1].value.mul(&GroupElem::generator());
+                thresh_sig::SigShare { value: forged, ..honest[1] }
+            }
+            2 => signed[2][1],
+            _ => signed[1][1],
+        };
+        let ask = || {
+            let combined = public.combine(&[honest[0], share]).unwrap();
+            (public.verify_share(&msg, &share).is_ok(), public.verify(&msg, &combined).is_ok())
+        };
+        let before = quorum::stats(Lane::KeySet);
+        let warm = ask();
+        prop_assert_eq!(quorum::stats(Lane::KeySet).hits, before.hits + 2, "answered by the table");
+        prop_assert_eq!(warm, (tamper == 0, tamper == 0));
+        clear_tables();
+        prop_assert_eq!(ask(), warm);
+    }
+
+    #[test]
+    fn decrypt_verified_equals_decrypt_for_every_verified_quorum(
+        seed in any::<u64>(),
+        pt in any::<Vec<u8>>(),
+        label in any::<Vec<u8>>(),
+    ) {
+        // Warm: the encryptor's record answers every quorum. Cold: the first
+        // quorum interpolates, the rest are answered. Either way the
+        // plaintext (or the refusal, under another label) is `decrypt`'s.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (public, secrets) = thresh_enc::deal_enc(4, 1, ThresholdCurve::Bn158, &mut rng);
+        clear_tables();
+        let ct = public.encrypt(&label, &pt, &mut rng);
+        let shares: Vec<_> = secrets.iter().map(|s| s.dec_share(&ct)).collect();
+        for s in &shares {
+            prop_assert!(public.verify_share(&ct, s).is_ok());
+        }
+        let quorums: Vec<[thresh_enc::DecShare; 2]> = (0..4)
+            .flat_map(|a| (0..4).filter(move |&b| b != a).map(move |b| (a, b)))
+            .map(|(a, b)| [shares[a], shares[b]])
+            .collect();
+        let mut wrong = label.clone();
+        wrong.push(0);
+        let ask = || {
+            for q in &quorums {
+                let reference = public.decrypt(&label, &ct, q);
+                prop_assert_eq!(&reference, &Ok(pt.clone()));
+                prop_assert_eq!(public.decrypt_verified(&label, &ct, q), reference);
+                prop_assert_eq!(
+                    public.decrypt_verified(&wrong, &ct, q),
+                    Err(thresh_enc::ThreshEncError::IntegrityFailure)
+                );
+            }
+            let short = &shares[..1];
+            prop_assert_eq!(
+                public.decrypt_verified(&label, &ct, short),
+                public.decrypt(&label, &ct, short)
+            );
+            Ok(())
+        };
+        let asked = 2 * quorums.len() as u64;
+        ask()?;
+        let warm = Stats { hits: asked, misses: 0, recorded: 1 };
+        prop_assert_eq!(quorum::stats(Lane::DecryptionKey), warm);
+        clear_tables();
+        ask()?;
+        let cold = Stats { hits: asked - 1, misses: 1, recorded: 0 };
+        prop_assert_eq!(quorum::stats(Lane::DecryptionKey), cold);
+    }
+
+    #[test]
+    fn keystream_equals_the_counter_digests(
+        key in prop::collection::vec(any::<u8>(), 0..80),
+        label in prop::collection::vec(any::<u8>(), 0..80),
+        len in 0usize..200,
+    ) {
+        let reference: Vec<u8> = (0u64..)
+            .flat_map(|c| Digest32::of_parts("wbft/keystream", &[&key, &label, &c.to_le_bytes()]).0)
+            .take(len)
+            .collect();
+        prop_assert_eq!(keystream(&key, &label, len), reference);
     }
 
     // -------------------------------------------- transcript table ≡ sign
@@ -819,8 +933,13 @@ fn verdicts_are_the_same_after_eviction() {
         ]
     };
     let expected = vec![true, false, true, false, true, false, true, false];
-    let predicates = [Predicate::Subgroup, Predicate::Dleq, Predicate::ThreshSig];
-    let misses = || predicates.map(|p| memo::stats(p).misses);
+    let misses = || {
+        [
+            memo::stats(Predicate::Subgroup).misses,
+            memo::stats(Predicate::Dleq).misses,
+            quorum::stats(Lane::KeySet).misses,
+        ]
+    };
     let verifier_misses = || schnorr::stats(Role::Verifier).misses;
 
     clear_tables();
@@ -829,18 +948,21 @@ fn verdicts_are_the_same_after_eviction() {
     assert_eq!(verifier_misses(), 2);
     assert_eq!(ask(), expected, "from the tables");
     // The valid signature's verdict holds its entry; the tampered one is
-    // computed every time.
+    // computed every time. The power table holds both messages' `vk^e`.
     assert_eq!(misses(), [2, 2, 2]);
     assert_eq!(verifier_misses(), 3);
 
-    // Six times the memo's entries and eight times the transcript table's,
-    // all distinct: every set turns over, and the verdicts above go.
+    // Six times the memo's entries and eight times the transcript and power
+    // tables', all distinct: every set turns over, and the answers above go.
     for i in 0..6 * (memo::SETS * memo::WAYS) as u64 {
         let x = GroupElem::from_exponent(&Scalar::from_u64(1_000 + i));
         assert!(GroupElem::from_bytes(&x.to_bytes()).is_ok());
     }
     for i in 0..8 * (schnorr::SETS * schnorr::WAYS) as u64 {
         kp.sign(&i.to_le_bytes());
+    }
+    for i in 0..8 * (quorum::SETS * quorum::WAYS) as u64 {
+        assert!(tpub.verify(&i.to_le_bytes(), &tsig).is_err());
     }
     let before = (misses(), verifier_misses());
     assert_eq!(ask(), expected, "recomputed after eviction");

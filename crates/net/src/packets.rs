@@ -595,6 +595,9 @@ pub struct Envelope {
 /// packet type, routing information).
 const HEADER_NOMINAL: usize = 8;
 
+/// Real bytes of the trailing packet signature: `R` and `z`, 32 each.
+const SIGNATURE_LEN: usize = 64;
+
 impl Envelope {
     /// Encodes and signs: returns `(bytes, nominal_len)`.
     ///
@@ -635,14 +638,18 @@ impl Envelope {
     /// body, key-epoch tag) and the nominal length of the whole packet,
     /// signature included. Sealing is this plus [`append_signature`], now
     /// ([`Envelope::seal_tagged`]) or when the frame is transmitted
-    /// ([`crate::send::broadcast_signed`]).
+    /// ([`crate::send::broadcast_signed`]). The buffer is allocated once, at
+    /// the packet's final length: the counting pass that prices the body
+    /// also measures it.
     pub(crate) fn encode_signed_region(
         &self,
         sizing: &Sizing,
         key_epoch: u64,
     ) -> Result<(BytesMut, usize), WireError> {
-        let mut nominal = self.nominal_len(sizing)?;
-        let mut sink = ByteSink::new();
+        let (body_len, mut nominal) = self.lengths(sizing)?;
+        let tag_len = if key_epoch != 0 { 8 } else { 0 };
+        let signed_len = 2 + 8 + body_len + tag_len;
+        let mut sink = ByteSink::with_capacity(signed_len + SIGNATURE_LEN);
         sink.u16(self.src);
         sink.u64(self.session);
         self.body.encode_into(&mut sink)?;
@@ -650,6 +657,7 @@ impl Envelope {
             sink.u64(key_epoch);
             nominal += 8;
         }
+        debug_assert_eq!(sink.as_slice().len(), signed_len, "the counting pass measured otherwise");
         Ok((sink.into_mut(), nominal))
     }
 
@@ -659,13 +667,18 @@ impl Envelope {
     ///
     /// [`WireError::Oversize`] under the same conditions as [`Envelope::seal`].
     pub fn nominal_len(&self, sizing: &Sizing) -> Result<usize, WireError> {
+        Ok(self.lengths(sizing)?.1)
+    }
+
+    /// The body's real encoded length, and the nominal length of the
+    /// packet: the paper's header charge, the body's nominal bytes and the
+    /// packet signature.
+    fn lengths(&self, sizing: &Sizing) -> Result<(usize, usize), WireError> {
         let mut count = CountSink::new(*sizing);
         self.body.encode_into(&mut count)?;
-        // The count included the real header fields through encode; replace
-        // with the paper's header charge plus the packet signature.
-        Ok(HEADER_NOMINAL
-            + count.total()
-            + sizing.suite.ecdsa.profile().signature_bytes)
+        let nominal =
+            HEADER_NOMINAL + count.total() + sizing.suite.ecdsa.profile().signature_bytes;
+        Ok((count.real(), nominal))
     }
 
     /// Decodes and verifies a sealed packet.
@@ -697,10 +710,10 @@ impl Envelope {
         bytes: &[u8],
         pk_of: impl Fn(u16) -> Option<PublicKey>,
     ) -> Result<(Envelope, u64, bool), WireError> {
-        if bytes.len() < 64 {
+        if bytes.len() < SIGNATURE_LEN {
             return Err(WireError::Truncated);
         }
-        let (signed, sig_bytes) = bytes.split_at(bytes.len() - 64);
+        let (signed, sig_bytes) = bytes.split_at(bytes.len() - SIGNATURE_LEN);
         let mut r = WireReader::new(signed);
         let src = r.u16()?;
         let session = r.u64()?;

@@ -214,6 +214,11 @@ impl ByteSink {
         Self::default()
     }
 
+    /// Fresh empty sink that holds `capacity` bytes without growing.
+    pub fn with_capacity(capacity: usize) -> Self {
+        ByteSink { buf: BytesMut::with_capacity(capacity) }
+    }
+
     /// Finishes encoding.
     pub fn into_bytes(self) -> Bytes {
         self.buf.freeze()
@@ -254,29 +259,39 @@ impl Sink for ByteSink {
     }
 }
 
-/// Counts nominal bytes under a [`Sizing`].
+/// Counts nominal bytes under a [`Sizing`], and the real bytes a
+/// [`ByteSink`] would write.
 pub struct CountSink {
     sizing: Sizing,
     total: usize,
+    real: usize,
 }
 
 impl CountSink {
     /// Fresh counter.
     pub fn new(sizing: Sizing) -> Self {
-        CountSink { sizing, total: 0 }
+        CountSink { sizing, total: 0, real: 0 }
     }
 
     /// The nominal byte count.
     pub fn total(&self) -> usize {
         self.total
     }
+
+    /// The real byte count: the length of the same encoding into a
+    /// [`ByteSink`].
+    pub fn real(&self) -> usize {
+        self.real
+    }
 }
 
 impl Sink for CountSink {
     fn raw(&mut self, v: &[u8]) {
         self.total += v.len();
+        self.real += v.len();
     }
-    fn priced(&mut self, _real: &[u8], nominal: Nominal) {
+    fn priced(&mut self, real: &[u8], nominal: Nominal) {
+        self.real += real.len();
         let threshold = self.sizing.suite.threshold;
         self.total += match nominal {
             Nominal::Share => threshold.signature_profile().share_bytes,

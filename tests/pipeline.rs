@@ -13,10 +13,13 @@
 //! * pipelined service runs at matched arrival rates commit the same
 //!   client transactions the sequential engine commits.
 
+use bytes::Bytes;
 use proptest::prelude::*;
+use wbft_consensus::engine::union_block;
 use wbft_consensus::sweep::{run_sweep, SweepSpec};
 use wbft_consensus::testbed::{run, TestbedConfig};
-use wbft_consensus::{ArrivalSpec, Protocol, ServiceConfig};
+use wbft_consensus::workload::{decode_batch, encode_batch};
+use wbft_consensus::{ArrivalSpec, Protocol, ServiceConfig, Tx};
 
 const DEPTHS: [u64; 3] = [1, 2, 4];
 
@@ -33,6 +36,43 @@ fn pipelined_service_cfg(protocol: Protocol, seed: u64, depth: u64) -> TestbedCo
         max_epochs: 64,
     });
     cfg
+}
+
+/// One proposal: a batch of transactions drawn from a small pool (so
+/// proposers overlap and repeat themselves), or undecodable bytes.
+fn arb_proposal() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        prop::collection::vec(0u8..12, 0..10).prop_map(|picks| {
+            let txs: Vec<Tx> =
+                picks.iter().map(|&p| Bytes::from(vec![p; 1 + usize::from(p % 3)])).collect();
+            encode_batch(&txs).to_vec()
+        }),
+        prop::collection::vec(any::<u8>(), 0..12),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The block of an epoch is the quadratic first-occurrence union it
+    /// replaced: every decodable proposal's transactions in order, each
+    /// transaction once, at its first position; garbage contributes
+    /// nothing.
+    #[test]
+    fn union_block_keeps_the_first_occurrence_of_every_transaction(
+        proposals in prop::collection::vec(arb_proposal(), 0..6),
+        epoch in any::<u64>(),
+    ) {
+        let mut reference: Vec<Tx> = Vec::new();
+        for tx in proposals.iter().filter_map(|p| decode_batch(p)).flatten() {
+            if !reference.contains(&tx) {
+                reference.push(tx);
+            }
+        }
+        let block = union_block(epoch, proposals.iter().map(Vec::as_slice));
+        prop_assert_eq!(block.epoch, epoch);
+        prop_assert_eq!(block.txs, reference);
+    }
 }
 
 proptest! {
