@@ -17,7 +17,6 @@ use wbft_bench::{
     banner, proposal_of_packets, read_json, report_dir, row, run_component, write_json, Comp,
     CompInput,
 };
-use wbft_components::baseline::BaselineCbcSet;
 use wbft_components::cbc::{CbcBatch, CbcSmallBatch};
 use wbft_components::prbc::PrbcBatch;
 use wbft_components::rbc::RbcBatch;
@@ -74,7 +73,10 @@ fn measure_once(which: &str, parallelism: usize, packets: usize, seed: u64) -> f
         "CBC-baseline" => run_component(
             4,
             seed,
-            |_, c, p| Comp::BaseCbc(BaselineCbcSet::new(p, c.cbc_pub.clone(), c.cbc_sec.clone())),
+            |_, c, p| {
+                let p = p.packed(wbft_components::Packing::PerInstance);
+                Comp::Cbc(CbcBatch::new(p, c.cbc_pub.clone(), c.cbc_sec.clone()))
+            },
             inputs,
             parallelism,
         ),

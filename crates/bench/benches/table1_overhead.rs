@@ -9,8 +9,8 @@
 
 use wbft_bench::{banner, read_json, report_dir, row, run_component, write_json, Comp, CompInput};
 use wbft_components::aba_sc::AbaScBatch;
-use wbft_components::baseline::{BaselineAbaSet, BaselineRbcSet};
 use wbft_components::rbc::RbcBatch;
+use wbft_components::Packing;
 use wbft_consensus::sweep::{parallel_map, sweep_threads};
 use wbft_net::overhead::Component;
 use wbft_net::CoinFlavor;
@@ -25,7 +25,10 @@ fn run_labelled(label: &str) -> wbft_bench::CompResult {
     match label {
         "rbc-batched" => run_component(4, 11, |_, _, p| Comp::Rbc(RbcBatch::new(p)), value, 4),
         "rbc-baseline" => {
-            run_component(4, 11, |_, _, p| Comp::BaseRbc(BaselineRbcSet::new(p)), value, 4)
+            let comp = |_, _: &_, p: wbft_components::Params| {
+                Comp::Rbc(RbcBatch::new(p.packed(Packing::PerInstance)))
+            };
+            run_component(4, 11, comp, value, 4)
         }
         "aba-batched" => run_component(
             4,
@@ -45,8 +48,8 @@ fn run_labelled(label: &str) -> wbft_bench::CompResult {
             4,
             13,
             |_, c, p| {
-                Comp::BaseAba(BaselineAbaSet::new(
-                    p,
+                Comp::AbaSc(AbaScBatch::new_serial(
+                    p.packed(Packing::PerInstance),
                     CoinFlavor::ThreshSig,
                     c.coin_pub.clone(),
                     c.coin_sec.clone(),

@@ -9,7 +9,6 @@
 use bytes::Bytes;
 use wbft_components::aba_lc::AbaLcBatch;
 use wbft_components::aba_sc::AbaScBatch;
-use wbft_components::baseline::{BaselineAbaSet, BaselineCbcSet, BaselinePrbcSet, BaselineRbcSet};
 use wbft_components::cbc::{CbcBatch, CbcSmallBatch};
 use wbft_components::prbc::PrbcBatch;
 use wbft_components::rbc::RbcBatch;
@@ -23,7 +22,9 @@ use wbft_wireless::{
     ChannelId, Frame, NodeBehavior, NodeCtx, SimConfig, SimDuration, SimTime, Simulator, Topology,
 };
 
-/// A consensus component under benchmark.
+/// A consensus component under benchmark; its `Params` carry the packing,
+/// so a baseline is the same component built with
+/// [`Packing::PerInstance`](wbft_components::Packing).
 pub enum Comp {
     /// Batched Bracha RBC.
     Rbc(RbcBatch),
@@ -39,14 +40,6 @@ pub enum Comp {
     AbaSc(AbaScBatch),
     /// Batched local-coin ABA.
     AbaLc(AbaLcBatch),
-    /// Baseline RBC.
-    BaseRbc(BaselineRbcSet),
-    /// Baseline CBC.
-    BaseCbc(BaselineCbcSet),
-    /// Baseline PRBC.
-    BasePrbc(BaselinePrbcSet),
-    /// Baseline ABA.
-    BaseAba(BaselineAbaSet),
 }
 
 /// What each node feeds its component at start.
@@ -77,9 +70,6 @@ impl Comp {
             (Comp::Rbc(c), CompInput::Value(Some(v))) => c.start(v.clone(), acts),
             (Comp::Cbc(c), CompInput::Value(Some(v))) => c.start(v.clone(), acts),
             (Comp::Prbc(c), CompInput::Value(Some(v))) => c.start(v.clone(), acts),
-            (Comp::BaseRbc(c), CompInput::Value(Some(v))) => c.start(v.clone(), acts),
-            (Comp::BaseCbc(c), CompInput::Value(Some(v))) => c.start(v.clone(), acts),
-            (Comp::BasePrbc(c), CompInput::Value(Some(v))) => c.start(v.clone(), acts),
             (Comp::RbcSmall(c), CompInput::Value(Some(_))) => c.start(Vote::One, acts),
             (Comp::CbcSmall(c), CompInput::Value(Some(_))) => {
                 c.start(Bitmap::from_raw(0b0111, 4), acts)
@@ -94,16 +84,8 @@ impl Comp {
                     c.set_input(j, *value, acts);
                 }
             }
-            (Comp::BaseAba(c), CompInput::AbaParallel { parallelism, value }) => {
-                for j in 0..*parallelism {
-                    c.set_input(j, *value, acts);
-                }
-            }
             (Comp::AbaSc(c), CompInput::AbaSerial { value, .. }) => c.set_input(0, *value, acts),
             (Comp::AbaLc(c), CompInput::AbaSerial { value, .. }) => c.set_input(0, *value, acts),
-            (Comp::BaseAba(c), CompInput::AbaSerial { value, .. }) => {
-                c.set_input(0, *value, acts)
-            }
             _ => {}
         }
     }
@@ -117,10 +99,6 @@ impl Comp {
             Comp::Prbc(c) => c.handle(from, body, acts),
             Comp::AbaSc(c) => c.handle(from, body, acts),
             Comp::AbaLc(c) => c.handle(from, body, acts),
-            Comp::BaseRbc(c) => c.handle(from, body, acts),
-            Comp::BaseCbc(c) => c.handle(from, body, acts),
-            Comp::BasePrbc(c) => c.handle(from, body, acts),
-            Comp::BaseAba(c) => c.handle(from, body, acts),
         }
     }
 
@@ -133,10 +111,6 @@ impl Comp {
             Comp::Prbc(c) => c.on_timer(local, acts),
             Comp::AbaSc(c) => c.on_timer(local, acts),
             Comp::AbaLc(c) => c.on_timer(local, acts),
-            Comp::BaseRbc(c) => c.on_timer(local, acts),
-            Comp::BaseCbc(c) => c.on_timer(local, acts),
-            Comp::BasePrbc(c) => c.on_timer(local, acts),
-            Comp::BaseAba(c) => c.on_timer(local, acts),
         }
     }
 
@@ -159,13 +133,6 @@ impl Comp {
                     }
                 }
             }
-            Comp::BaseAba(c) => {
-                for j in 0..*count {
-                    if c.decided(j).is_some() && j + 1 < *count {
-                        c.set_input(j + 1, *value, acts);
-                    }
-                }
-            }
             _ => {}
         }
     }
@@ -180,7 +147,6 @@ impl Comp {
         match self {
             Comp::AbaSc(c) => (0..target).all(|j| c.decided(j).is_some()),
             Comp::AbaLc(c) => (0..target).all(|j| c.decided(j).is_some()),
-            Comp::BaseAba(c) => (0..target).all(|j| c.decided(j).is_some()),
             _ => false,
         }
     }
@@ -192,9 +158,6 @@ impl Comp {
             Comp::Cbc(c) => c.delivered_count() >= target,
             Comp::CbcSmall(c) => c.delivered_count() >= target,
             Comp::Prbc(c) => c.delivered_count() >= target && c.proven_count() >= target,
-            Comp::BaseRbc(c) => c.delivered_count() >= target,
-            Comp::BaseCbc(c) => c.delivered_count() >= target,
-            Comp::BasePrbc(c) => c.delivered_count() >= target && c.proven_count() >= target,
             _ => false,
         }
     }
@@ -259,7 +222,8 @@ impl NodeBehavior for CompNode {
             return;
         }
         let mut acts = Actions::new();
-        self.comp.handle(env.src as usize, &env.body, &mut acts);
+        let body = wbft_net::join(&env.body, self.sizing.n);
+        self.comp.handle(env.src as usize, &body, &mut acts);
         let input = self.input.clone();
         self.comp.poll_serial(&input, &mut acts);
         self.apply(&mut acts, ctx);

@@ -362,7 +362,8 @@ impl AbaLcBatch {
 
     fn flush(&mut self, acts: &mut Actions) {
         if self.out.flush() {
-            acts.send(self.build_packet());
+            let body = self.build_packet();
+            self.out.send(body, acts);
         }
         self.out.arm(acts);
     }
@@ -443,8 +444,9 @@ impl BinaryAgreement for AbaLcBatch {
     }
 
     fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
-        if self.out.tick(local_id, self.is_complete(), acts).is_some() {
-            acts.send(self.build_packet());
+        if let Some(behind) = self.out.tick(local_id, self.is_complete(), acts) {
+            let body = self.build_packet();
+            self.out.resend(behind, body, acts);
         }
     }
 

@@ -207,17 +207,6 @@ impl AbaScBatch {
         self.insts[instance].active
     }
 
-    /// The oldest round some undecided peer still needs for `instance`
-    /// (used by the baseline adapter to bound retransmission).
-    pub fn history_floor_of(&self, instance: usize) -> u16 {
-        self.insts[instance].history_floor(self.p.me)
-    }
-
-    /// The instance's current round.
-    pub fn round_of(&self, instance: usize) -> u16 {
-        self.insts[instance].round
-    }
-
     fn domain(&self, instance: usize) -> u8 {
         if self.shared_coin {
             0
@@ -488,7 +477,8 @@ impl AbaScBatch {
 
     fn flush(&mut self, acts: &mut Actions) {
         if self.out.flush() {
-            acts.send(self.build_packet());
+            let body = self.build_packet();
+            self.out.send(body, acts);
         }
         self.out.arm(acts);
     }
@@ -568,17 +558,29 @@ impl BinaryAgreement for AbaScBatch {
                 }
             }
             // A peer still mid-protocol where we have decided → serve state.
-            if self.insts[j].decided.is_some() && wire.decided == Vote::Unknown {
-                self.out.peer_behind();
+            // Any peer's round is where a per-instance re-send reaches back
+            // to: a peer that adopted a decision still needs its round's
+            // votes to move on and vote in the rounds the others are in.
+            let at = self.insts[j].peer_round[from];
+            if wire.decided == Vote::Unknown && self.insts[j].decided.is_some() {
+                self.out.peer_lacks(j, at);
             }
+            self.out.peer_at(j, at);
         }
         for (packed, share) in coin_shares {
             let domain = (packed >> 8) as u8;
             let round = packed & 0xff;
             self.record_coin_share(domain, round, share, acts);
         }
+        // A peer lacks our share of some coin: of the coins it names, when
+        // it names any.
         if share_nack.len() == self.p.n && share_nack.get(self.p.me) {
-            self.out.peer_behind();
+            if coin_shares.is_empty() {
+                self.out.peer_behind();
+            }
+            for (packed, _) in coin_shares {
+                self.out.peer_lacks(usize::from(packed >> 8), packed & 0xff);
+            }
         }
         for j in 0..self.p.n {
             self.evaluate(j, acts);
@@ -587,8 +589,9 @@ impl BinaryAgreement for AbaScBatch {
     }
 
     fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
-        if self.out.tick(local_id, self.is_complete(), acts).is_some() {
-            acts.send(self.build_packet());
+        if let Some(behind) = self.out.tick(local_id, self.is_complete(), acts) {
+            let body = self.build_packet();
+            self.out.resend(behind, body, acts);
         }
     }
 
@@ -604,18 +607,23 @@ impl BinaryAgreement for AbaScBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::deal_node_crypto;
+    use crate::context::{deal_node_crypto, Packing};
     use rand::SeedableRng;
     use wbft_crypto::CryptoSuite;
+    use wbft_net::join;
 
     fn make_nodes(flavor: CoinFlavor, shared: bool) -> Vec<AbaScBatch> {
+        make_packed(flavor, shared, Packing::Combined)
+    }
+
+    fn make_packed(flavor: CoinFlavor, shared: bool, packing: Packing) -> Vec<AbaScBatch> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         let crypto = deal_node_crypto(4, CryptoSuite::light(), &mut rng);
         crypto
             .into_iter()
             .enumerate()
             .map(|(i, c)| {
-                let p = Params::new(4, i, 11);
+                let p = Params::new(4, i, 11).packed(packing);
                 if shared {
                     AbaScBatch::new_parallel(p, flavor, c.coin_pub, c.coin_sec)
                 } else {
@@ -625,7 +633,8 @@ mod tests {
             .collect()
     }
 
-    /// Synchronous mesh exchange until all nodes decide all instances.
+    /// Synchronous mesh exchange until all nodes decide all instances,
+    /// joining per-instance frames as a node's engine does.
     fn run_to_decision(nodes: &mut [AbaScBatch], inputs: Vec<Vec<bool>>) -> Vec<Vec<bool>> {
         let n_inst = inputs[0].len();
         let mut inbox: Vec<(usize, Body)> = Vec::new();
@@ -647,7 +656,7 @@ mod tests {
                     continue;
                 }
                 let mut acts = Actions::new();
-                node.handle(src, &body, &mut acts);
+                node.handle(src, &join(&body, 4), &mut acts);
                 for b in acts.drain().0 {
                     inbox.push((i, b));
                 }
@@ -675,13 +684,13 @@ mod tests {
                         continue;
                     }
                     let mut acts = Actions::new();
-                    nodes[i].handle(src, &body, &mut acts);
+                    nodes[i].handle(src, &join(&body, 4), &mut acts);
                     for b in acts.drain().0 {
                         // deliver immediately
                         for (k, nk) in nodes.iter_mut().enumerate() {
                             if k != i {
                                 let mut a2 = Actions::new();
-                                nk.handle(i, &b, &mut a2);
+                                nk.handle(i, &join(&b, 4), &mut a2);
                                 // second-order sends dropped; ticks repeat
                             }
                         }
@@ -715,15 +724,35 @@ mod tests {
 
     #[test]
     fn split_inputs_agree() {
-        let mut nodes = make_nodes(CoinFlavor::ThreshSig, true);
-        let decisions = run_to_decision(
-            &mut nodes,
-            vec![vec![true], vec![false], vec![true], vec![false]],
-        );
-        let first = decisions[0][0];
-        for d in &decisions {
-            assert_eq!(d[0], first, "agreement violated: {decisions:?}");
+        // The batched parallel deployment, and the baseline's: serial coin
+        // domains, one instance per frame.
+        for (shared, packing) in [(true, Packing::Combined), (false, Packing::PerInstance)] {
+            let mut nodes = make_packed(CoinFlavor::ThreshSig, shared, packing);
+            let decisions = run_to_decision(
+                &mut nodes,
+                vec![vec![true], vec![false], vec![true], vec![false]],
+            );
+            let first = decisions[0][0];
+            for d in &decisions {
+                assert_eq!(d[0], first, "agreement violated under {packing:?}: {decisions:?}");
+            }
         }
+    }
+
+    #[test]
+    fn the_baseline_emits_per_item_packets() {
+        let mut node = make_packed(CoinFlavor::ThreshSig, false, Packing::PerInstance).remove(0);
+        let mut acts = Actions::new();
+        node.set_input(0, true, &mut acts);
+        let (sends, _, _) = acts.drain();
+        assert!(
+            sends.iter().all(|b| matches!(b, Body::BaseAbaVote { .. } | Body::BaseAbaCoin { .. })),
+            "baseline must emit per-item packets, got {sends:?}"
+        );
+        assert!(
+            sends.iter().any(|b| matches!(b, Body::BaseAbaVote { inst, .. } if inst.bval.one)),
+            "initial BVAL expected"
+        );
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! guarantee — exactly why Dumbo can afford CBC's three message steps.
 //!
 //! Under ConsensusBatcher all N instances' ECHO shares and FINISH
-//! certificates ride in one combined `CBC_EF` packet per channel access.
-//! The instance itself is `instance::CbcInst`, shared with the baseline
-//! set; this file is the batched packaging of it.
+//! certificates ride in one combined `CBC_EF` packet per channel access
+//! (the baseline airs its entries one instance per frame). The instance
+//! itself is `instance::CbcInst`.
 
 use crate::context::{Actions, Batcher, Broadcaster, Params};
 use crate::instance::{Accepted, CbcInst, InitNacks, Signer};
@@ -141,14 +141,15 @@ impl CbcBatch {
 
     /// Peers lacking a value we hold → schedule its INITIAL re-send.
     fn note_init_nack(&mut self, init_nack: &Bitmap) {
-        if self.init_nacks.note(init_nack, |j| self.insts[j].asm.value().is_some()) {
-            self.out.peer_behind();
+        for j in self.init_nacks.note(init_nack, |j| self.insts[j].asm.value().is_some()) {
+            self.out.peer_lacks(j, 0);
         }
     }
 
     fn flush(&mut self, acts: &mut Actions) {
         if self.out.flush() {
-            acts.send(self.build_ef());
+            let body = self.build_ef();
+            self.out.send(body, acts);
         }
     }
 }
@@ -215,12 +216,15 @@ impl Broadcaster for CbcBatch {
                 }
                 // NACK evidence: peers missing what we have.
                 self.note_init_nack(init_nack);
-                if (finish_nack.len() == n
-                    && finish_nack.iter_set().any(|j| self.insts[j].cert.output().is_some()))
-                    || (echo_nack.len() == n
-                        && echo_nack.iter_set().any(|j| self.insts[j].cert.own().is_some()))
-                {
-                    self.out.peer_behind();
+                for (j, inst) in self.insts.iter().enumerate() {
+                    let lacks_finish = finish_nack.len() == n
+                        && finish_nack.get(j)
+                        && inst.cert.output().is_some();
+                    let lacks_echo =
+                        echo_nack.len() == n && echo_nack.get(j) && inst.cert.own().is_some();
+                    if lacks_finish || lacks_echo {
+                        self.out.peer_lacks(j, 0);
+                    }
                 }
             }
             _ => {}
@@ -229,11 +233,12 @@ impl Broadcaster for CbcBatch {
     }
 
     fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
-        if self.out.tick(local_id, self.delivered_count() == self.p().n, acts).is_some() {
+        if let Some(behind) = self.out.tick(local_id, self.delivered_count() == self.p().n, acts) {
             for j in self.init_nacks.take_due() {
                 self.send_init_frags(j, acts);
             }
-            acts.send(self.build_ef());
+            let body = self.build_ef();
+            self.out.resend(behind, body, acts);
         }
     }
 
@@ -362,7 +367,8 @@ impl CbcSmallBatch {
 
     fn flush(&mut self, acts: &mut Actions) {
         if self.out.flush() {
-            acts.send(self.build());
+            let body = self.build();
+            self.out.send(body, acts);
         }
         self.out.arm(acts);
     }
@@ -402,8 +408,9 @@ impl CbcSmallBatch {
 
     /// Handles the retransmission tick.
     pub fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
-        if self.out.tick(local_id, self.delivered_count() == self.p().n, acts).is_some() {
-            acts.send(self.build());
+        if let Some(behind) = self.out.tick(local_id, self.delivered_count() == self.p().n, acts) {
+            let body = self.build();
+            self.out.resend(behind, body, acts);
         }
     }
 }
@@ -413,38 +420,61 @@ mod tests {
     use super::*;
     use crate::context::deal_node_crypto;
     use crate::instance::echo_msg;
-    use crate::rbc::tests::run_mesh;
+    use crate::rbc::tests::{run_mesh, Packing, PACKINGS};
     use rand::SeedableRng;
     use wbft_crypto::CryptoSuite;
 
     fn make() -> Vec<CbcBatch> {
+        make_packed(Packing::Combined)
+    }
+
+    fn make_packed(packing: Packing) -> Vec<CbcBatch> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(23);
         deal_node_crypto(4, CryptoSuite::light(), &mut rng)
             .into_iter()
             .enumerate()
-            .map(|(i, c)| CbcBatch::new(Params::new(4, i, 5), c.cbc_pub, c.cbc_sec))
+            .map(|(i, c)| CbcBatch::new(Params::new(4, i, 5).packed(packing), c.cbc_pub, c.cbc_sec))
             .collect()
     }
 
     #[test]
     fn all_instances_deliver_with_proofs() {
-        let mut nodes = make();
-        let vals: Vec<Bytes> = (0..4).map(|i| Bytes::from(format!("w-{i}"))).collect();
-        let mut i = 0;
-        run_mesh(
-            &mut nodes,
-            |n, acts| {
-                n.start(vals[i].clone(), acts);
-                i += 1;
-            },
-            |n, from, body, acts| n.handle(from, body, acts),
-            |n| n.delivered_count() == 4,
-        );
-        for node in &nodes {
-            for (j, val) in vals.iter().enumerate() {
-                assert_eq!(node.delivered(j), Some(val));
-                assert!(node.proof(j).is_some(), "missing certificate for {j}");
+        for packing in PACKINGS {
+            let mut nodes = make_packed(packing);
+            let vals: Vec<Bytes> = (0..4).map(|i| Bytes::from(format!("w-{i}"))).collect();
+            let mut i = 0;
+            run_mesh(
+                &mut nodes,
+                |n, acts| {
+                    n.start(vals[i].clone(), acts);
+                    i += 1;
+                },
+                |n, from, body, acts| n.handle(from, body, acts),
+                |n| n.delivered_count() == 4,
+            );
+            for node in &nodes {
+                for (j, val) in vals.iter().enumerate() {
+                    assert_eq!(node.delivered(j), Some(val));
+                    assert!(node.proof(j).is_some(), "missing certificate for {j}");
+                }
             }
+        }
+    }
+
+    #[test]
+    fn accessors_answer_none_out_of_range() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(59);
+        let c = deal_node_crypto(4, CryptoSuite::light(), &mut rng).remove(0);
+        let n = 4;
+        for packing in PACKINGS {
+            let p = Params::new(4, 0, 7).packed(packing);
+            assert_eq!(crate::rbc::RbcBatch::new(p).delivered_root(n), None);
+            let small = CbcSmallBatch::new(p, c.cbc_pub.clone(), c.cbc_sec.clone());
+            assert!(small.proof(n).is_none() && small.delivered_value(n).is_none());
+            let batched = CbcBatch::new(p, c.cbc_pub.clone(), c.cbc_sec.clone());
+            assert!(batched.proof(n).is_none() && batched.delivered(n).is_none());
+            let batched = crate::prbc::PrbcBatch::new(p, c.prbc_pub.clone(), c.prbc_sec.clone());
+            assert!(batched.proof(n).is_none() && batched.delivered(n).is_none());
         }
     }
 

@@ -4,14 +4,27 @@
 
 use bytes::Bytes;
 use rand::RngCore;
+use std::collections::BTreeMap;
 use wbft_crypto::profile::CryptoSuite;
 use wbft_crypto::schnorr::{KeyPair, PublicKey};
 use wbft_crypto::thresh_coin::CoinPublicSet;
 use wbft_crypto::thresh_enc::{EncPublicSet, EncSecretShare};
-use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare, ThresholdSignature};
+use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare};
 use wbft_crypto::{Scalar, ShareIndex};
 use wbft_net::Body;
 use wbft_wireless::SimDuration;
+
+/// How a component's state reaches the air: the one thing that differs
+/// between a ConsensusBatcher deployment and its unbatched baseline.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Packing {
+    /// One combined packet for all N instances per channel access.
+    #[default]
+    Combined,
+    /// One frame per (instance, phase) entry of that packet
+    /// ([`wbft_net::split`]).
+    PerInstance,
+}
 
 /// Core BFT parameters of one component batch.
 #[derive(Clone, Copy, Debug)]
@@ -24,6 +37,8 @@ pub struct Params {
     pub me: usize,
     /// Session id binding packets to this component batch.
     pub session: u64,
+    /// How the component's packets are packaged.
+    pub packing: Packing,
 }
 
 impl Params {
@@ -35,7 +50,12 @@ impl Params {
     pub fn new(n: usize, me: usize, session: u64) -> Self {
         assert!(n >= 4 && (n - 1).is_multiple_of(3), "need n = 3f+1 >= 4, got {n}");
         assert!(me < n, "node id {me} out of range for n = {n}");
-        Params { n, f: (n - 1) / 3, me, session }
+        Params { n, f: (n - 1) / 3, me, session, packing: Packing::Combined }
+    }
+
+    /// The same parameters under another packing.
+    pub fn packed(self, packing: Packing) -> Self {
+        Params { packing, ..self }
     }
 
     /// The Byzantine quorum `2f + 1`.
@@ -193,9 +213,8 @@ pub fn deal_committee_crypto(
         .collect()
 }
 
-/// Broadcast components that deliver `(instance, value)` pairs — batched
-/// RBC and the per-instance baseline set implement this, so consensus
-/// drivers are generic over the deployment style.
+/// Broadcast components that deliver `(instance, value)` pairs — RBC, CBC
+/// and PRBC implement this.
 pub trait Broadcaster {
     /// Starts the component; `my_value` is this node's proposal (instance
     /// `me`).
@@ -212,16 +231,6 @@ pub trait Broadcaster {
 
     /// How many instances have delivered.
     fn delivered_count(&self) -> usize;
-}
-
-/// Provable broadcast: a [`Broadcaster`] whose deliveries come with
-/// threshold-signed delivery proofs — batched PRBC and its baseline set.
-pub trait ProvableBroadcaster: Broadcaster {
-    /// The delivery proof of an instance, once combined.
-    fn proof(&self, instance: usize) -> Option<&ThresholdSignature>;
-
-    /// How many instances have a completed proof.
-    fn proven_count(&self) -> usize;
 }
 
 /// Binary-agreement components over `n` parallel (or serial) instances.
@@ -245,8 +254,25 @@ pub trait BinaryAgreement {
 /// ConsensusBatcher's send discipline, once for every combined packet: a
 /// state change goes out in the next flush, and a jittered tick re-sends
 /// while the component is incomplete or a NACK shows a peer behind. Owns the
-/// changed flag, the armed flag, the backoff with its jitter stream and the
-/// peer-behind evidence; the component owns what the packet says.
+/// changed flag, the armed flag, the backoff with its jitter stream, the
+/// peer-behind evidence and the packing; the component owns what the packet
+/// says, and hands it to [`Batcher::send`] (a flush) or [`Batcher::resend`]
+/// (a tick).
+///
+/// Under [`Packing::Combined`] both pass the packet through, and evidence
+/// naming an instance ([`Batcher::peer_lacks`]) counts as a peer behind.
+/// Under [`Packing::PerInstance`] the packet is split into its
+/// per-instance frames, and
+/// - a flush sends each frame that is news over the last frame sent in its
+///   slot ([`Body::is_news_over`]: an ask it no longer makes — a cleared
+///   NACK, a decision — is not news), but no NACK frame: a request rides
+///   the ticks ([`Body::is_request`]);
+/// - a tick re-sends the frames of every instance incomplete here (one of
+///   its frames asks for something: a NACK bit, an undecided vote), of every
+///   instance a peer's NACK named, and of all instances when the evidence
+///   named none ([`Batcher::peer_behind`]) — of an instance's rounds only
+///   its latest, and older ones down to the lowest round a peer was seen at
+///   ([`Batcher::peer_at`]) or named.
 #[derive(Debug)]
 pub struct Batcher {
     rng: rand_chacha::ChaCha12Rng,
@@ -258,12 +284,79 @@ pub struct Batcher {
     /// Evidence since the last tick's send that some peer is behind (their
     /// NACK bits, or votes they lack that we have).
     peer_behind: bool,
+    /// The per-instance packing's state; `None` under the combined one.
+    frames: Option<Box<Frames>>,
+}
+
+/// What the per-instance packing remembers between sends.
+#[derive(Debug, Default)]
+struct Frames {
+    /// The last frame sent per transmit slot.
+    sent: BTreeMap<u64, Body>,
+    /// Since the last tick's send, per instance: the lowest round a peer was
+    /// seen at or lacks from, and whether some peer lacks it.
+    wanted: BTreeMap<u8, Want>,
+}
+
+/// What peers were seen to want of one instance.
+#[derive(Clone, Copy, Debug)]
+struct Want {
+    from_round: u16,
+    lacked: bool,
+}
+
+impl Frames {
+    fn want(&mut self, instance: usize, round: u16, lacked: bool) {
+        let Ok(instance) = u8::try_from(instance) else { return };
+        let want = self.wanted.entry(instance).or_insert(Want { from_round: round, lacked });
+        want.from_round = want.from_round.min(round);
+        want.lacked |= lacked;
+    }
+
+    fn send(&mut self, body: Body, acts: &mut Actions) {
+        for frame in wbft_net::split(body) {
+            let slot = frame.slot_key();
+            let news = self.sent.get(&slot).is_none_or(|last| frame.is_news_over(last));
+            if news && !frame.is_request() {
+                self.emit(slot, frame, acts);
+            }
+        }
+    }
+
+    fn resend(&mut self, peer_behind: bool, body: Body, acts: &mut Actions) {
+        let frames = wbft_net::split(body);
+        // Per instance: its latest round, and whether it is incomplete here.
+        let mut latest: BTreeMap<u8, (u16, bool)> = BTreeMap::new();
+        for frame in &frames {
+            let Some((instance, round)) = frame.place() else { continue };
+            let (top, asks) = latest.entry(instance).or_insert((round, false));
+            *top = (*top).max(round);
+            *asks |= frame.asks() != 0;
+        }
+        let wanted = std::mem::take(&mut self.wanted);
+        for frame in frames {
+            let due = frame.place().is_none_or(|(instance, round)| {
+                let want = wanted.get(&instance);
+                let (top, asks) = latest.get(&instance).copied().unwrap_or_default();
+                round >= want.map_or(top, |w| w.from_round.min(top))
+                    && (peer_behind || asks || want.is_some_and(|w| w.lacked))
+            });
+            if due {
+                self.emit(frame.slot_key(), frame, acts);
+            }
+        }
+    }
+
+    fn emit(&mut self, slot: u64, frame: Body, acts: &mut Actions) {
+        self.sent.insert(slot, frame.clone());
+        acts.send(frame);
+    }
 }
 
 impl Batcher {
     /// Creates the batcher of one component, ticking on local timer
     /// `timer`, with its own deterministic jitter stream (seeded from node
-    /// id + session so nodes desynchronize).
+    /// id + session so nodes desynchronize), packaging as `params` says.
     pub fn new(params: &Params, timer: u32) -> Self {
         use rand::SeedableRng;
         let seed = (params.me as u64) << 32 | (params.session & 0xffff_ffff);
@@ -274,6 +367,7 @@ impl Batcher {
             changed: false,
             armed: false,
             peer_behind: false,
+            frames: (params.packing == Packing::PerInstance).then(Box::default),
         }
     }
 
@@ -293,15 +387,51 @@ impl Batcher {
         self.peer_behind = true;
     }
 
+    /// A peer's NACK shows it lacks this node's state of `instance` from
+    /// `round` on: the next tick sends even if this node is complete.
+    pub fn peer_lacks(&mut self, instance: usize, round: u16) {
+        match &mut self.frames {
+            None => self.peer_behind = true,
+            Some(frames) => frames.want(instance, round, true),
+        }
+    }
+
+    /// A peer is at `round` of `instance`: under per-instance packing the
+    /// next tick's re-send reaches back to that round. Not evidence that
+    /// the peer is behind by itself.
+    pub fn peer_at(&mut self, instance: usize, round: u16) {
+        if let Some(frames) = &mut self.frames {
+            frames.want(instance, round, false);
+        }
+    }
+
     /// `true` exactly when the state changed since the last flush — the
-    /// caller builds and sends its packet now. Fresh information is worth
-    /// sending promptly, so this also resets the backoff.
+    /// caller builds its packet and [`Batcher::send`]s it now. Fresh
+    /// information is worth sending promptly, so this also resets the
+    /// backoff.
     #[must_use]
     pub fn flush(&mut self) -> bool {
         if self.changed {
             self.attempt = 0;
         }
         std::mem::take(&mut self.changed)
+    }
+
+    /// Sends a flush's packet under this batcher's packing.
+    pub fn send(&mut self, body: Body, acts: &mut Actions) {
+        match &mut self.frames {
+            None => acts.send(body),
+            Some(frames) => frames.send(body, acts),
+        }
+    }
+
+    /// Re-sends a tick's packet under this batcher's packing;
+    /// `peer_behind` is what [`Batcher::tick`] answered.
+    pub fn resend(&mut self, peer_behind: bool, body: Body, acts: &mut Actions) {
+        match &mut self.frames {
+            None => acts.send(body),
+            Some(frames) => frames.resend(peer_behind, body, acts),
+        }
     }
 
     /// Arms the tick timer on the first call.
@@ -313,9 +443,10 @@ impl Batcher {
 
     /// The tick, when `local_id` is this batcher's timer: re-arms it, and
     /// answers `Some(peer_behind)` when the caller must re-send now — it is
-    /// incomplete, or a peer is behind (evidence the send uses up). A
-    /// tick's send is a repeat, not news: it neither clears a pending
-    /// change nor resets the backoff.
+    /// incomplete, or a peer is behind (evidence the send uses up); the
+    /// caller passes the answer to [`Batcher::resend`]. A tick's send is a
+    /// repeat, not news: it neither clears a pending change nor resets the
+    /// backoff.
     #[must_use]
     pub fn tick(&mut self, local_id: u32, complete: bool, acts: &mut Actions) -> Option<bool> {
         if local_id != self.timer {
@@ -323,7 +454,12 @@ impl Batcher {
         }
         self.rearm(acts);
         let peer_behind = std::mem::take(&mut self.peer_behind);
-        (!complete || peer_behind).then_some(peer_behind)
+        let lacked = self.frames.as_ref().is_some_and(|f| f.wanted.values().any(|w| w.lacked));
+        let due = (!complete || peer_behind || lacked).then_some(peer_behind);
+        if let (None, Some(frames)) = (due, &mut self.frames) {
+            frames.wanted.clear();
+        }
+        due
     }
 
     fn rearm(&mut self, acts: &mut Actions) {
@@ -487,5 +623,97 @@ mod tests {
         let mut acts = Actions::new();
         other.arm(&mut acts);
         assert_ne!(delays(&mut acts)[0], PINNED[0], "nodes desynchronize");
+    }
+
+    /// An ABA-SC body: per instance, one vote entry per round `0..=round`,
+    /// undecided ones asking.
+    fn aba_body(rounds: &[(u8, u16, bool)]) -> Body {
+        use wbft_net::packets::AbaScInst;
+        use wbft_net::{BinValues, Bitmap, CoinFlavor, Vote};
+        let insts = rounds
+            .iter()
+            .flat_map(|&(instance, top, decided)| {
+                (0..=top).map(move |round| AbaScInst {
+                    instance,
+                    round,
+                    bval: BinValues { zero: false, one: true },
+                    aux: Vote::One,
+                    decided: if decided { Vote::One } else { Vote::Unknown },
+                })
+            })
+            .collect();
+        Body::AbaSc { flavor: CoinFlavor::ThreshSig, insts, coin_shares: vec![], share_nack: Bitmap::new(4) }
+    }
+
+    /// `(instance, round)` of every frame `acts` holds; drains it.
+    fn places(acts: &mut Actions) -> Vec<(u8, u16)> {
+        acts.drain().0.iter().map(|f| f.place().expect("a per-instance frame")).collect()
+    }
+
+    #[test]
+    fn a_combined_batcher_passes_bodies_through_and_counts_named_evidence_as_a_peer_behind() {
+        let mut b = Batcher::new(&Params::new(4, 0, 1), TIMER);
+        let mut acts = Actions::new();
+        let body = aba_body(&[(0, 3, false)]);
+        b.send(body.clone(), &mut acts);
+        b.resend(false, body.clone(), &mut acts);
+        assert_eq!(acts.drain().0, [body.clone(), body]);
+        b.peer_at(0, 0);
+        assert_eq!(b.tick(TIMER, true, &mut acts), None, "a peer's round is no evidence");
+        b.peer_lacks(0, 0);
+        assert_eq!(b.tick(TIMER, true, &mut acts), Some(true));
+    }
+
+    #[test]
+    fn a_per_instance_flush_sends_news_only_and_no_request() {
+        use wbft_net::Bitmap;
+        let mut b = Batcher::new(&Params::new(4, 0, 1).packed(Packing::PerInstance), TIMER);
+        let mut acts = Actions::new();
+        b.send(aba_body(&[(0, 1, false)]), &mut acts);
+        assert_eq!(places(&mut acts), [(0, 0), (0, 1)]);
+        // Round 2 is news; a decision alone is not.
+        b.send(aba_body(&[(0, 2, false)]), &mut acts);
+        assert_eq!(places(&mut acts), [(0, 2)]);
+        b.send(aba_body(&[(0, 2, true)]), &mut acts);
+        assert!(acts.drain().0.is_empty());
+        // An RBC entry with nothing but NACK bits is a request: ticks only.
+        let d = wbft_crypto::hash::Digest32::of(b"v");
+        let er = Body::RbcEchoReady {
+            roots: vec![d, d, wbft_crypto::hash::Digest32::zero(), d],
+            echo: Bitmap::from_raw(0b0001, 4),
+            ready: Bitmap::new(4),
+            echo_nack: Bitmap::from_raw(0b0111, 4),
+            ready_nack: Bitmap::from_raw(0b0111, 4),
+            init_nack: Bitmap::from_raw(0b0010, 4),
+        };
+        b.send(er.clone(), &mut acts);
+        assert!(matches!(acts.drain().0.as_slice(), [Body::BaseRbcEcho { instance: 0, .. }]));
+        b.resend(false, er, &mut acts);
+        let resent: Vec<_> = acts.drain().0.iter().map(|f| (f.is_request(), f.place())).collect();
+        assert_eq!(resent, [(false, Some((0, 0))), (true, Some((1, 0))), (true, Some((2, 0)))]);
+    }
+
+    #[test]
+    fn a_per_instance_tick_resends_incomplete_and_named_instances_from_their_latest_round() {
+        let mut b = Batcher::new(&Params::new(4, 0, 1).packed(Packing::PerInstance), TIMER);
+        let mut acts = Actions::new();
+        let body = aba_body(&[(0, 3, false), (1, 2, true), (2, 4, true)]);
+        // Instance 0 is undecided here: its latest round goes out.
+        assert_eq!(b.tick(TIMER, false, &mut acts), Some(false));
+        b.resend(false, body.clone(), &mut acts);
+        assert_eq!(places(&mut acts), [(0, 3)]);
+        // A peer seen at round 1 of instance 0, and one lacking instance 2
+        // from round 3: both reach back.
+        b.peer_at(0, 1);
+        b.peer_lacks(2, 3);
+        assert_eq!(b.tick(TIMER, true, &mut acts), Some(false), "a named lack is evidence");
+        b.resend(false, body.clone(), &mut acts);
+        assert_eq!(places(&mut acts), [(0, 1), (0, 2), (0, 3), (2, 3), (2, 4)]);
+        // The evidence was used up; an unnamed peer behind asks for all.
+        assert_eq!(b.tick(TIMER, true, &mut acts), None);
+        b.peer_behind();
+        assert_eq!(b.tick(TIMER, true, &mut acts), Some(true));
+        b.resend(true, body, &mut acts);
+        assert_eq!(places(&mut acts), [(0, 3), (1, 2), (2, 4)]);
     }
 }

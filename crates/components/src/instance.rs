@@ -7,11 +7,11 @@
 //! nothing about packets: a proposal [`Assembler`], a Bracha [`VoteTally`]
 //! and a threshold-share [`Collector`] (under a [`Signer`]), composed into
 //! the three instances the protocols run — [`BrachaInst`] (RBC),
-//! [`CbcInst`] (CBC) and the PRBC [`DoneStage`]. The batched components
-//! (`rbc`, `cbc`, `prbc`) and the baseline sets (`baseline`) drive them and
-//! add only their packaging: which [`wbft_net::Body`] a transition goes out
-//! in. When it goes out is the shared `Batcher`; the INITIAL NACKs a holder
-//! owes an answer to are [`InitNacks`].
+//! [`CbcInst`] (CBC) and the PRBC [`DoneStage`]. The components (`rbc`,
+//! `cbc`, `prbc`) drive them and add only the combined packet a transition
+//! goes out in; when and in how many frames it goes out is the shared
+//! `Batcher`; the INITIAL NACKs a holder owes an answer to are
+//! [`InitNacks`].
 
 use crate::context::{Actions, Params};
 use crate::share_buf::{Collector, Recorded};
@@ -176,17 +176,16 @@ impl InitNacks {
     }
 
     /// Notes a peer's INITIAL-NACK bitmap against what this node `holds`;
-    /// `true` when it can serve some NACKed instance (that peer is behind).
-    pub(crate) fn note(&mut self, init_nack: &Bitmap, holds: impl Fn(usize) -> bool) -> bool {
+    /// answers the NACKed instances it can serve (that peer lacks them).
+    pub(crate) fn note(&mut self, init_nack: &Bitmap, holds: impl Fn(usize) -> bool) -> Vec<usize> {
         if init_nack.len() != self.peers_need_init.len() {
-            return false;
+            return Vec::new();
         }
-        let mut behind = false;
-        for j in init_nack.iter_set().filter(|&j| holds(j)) {
+        let served: Vec<usize> = init_nack.iter_set().filter(|&j| holds(j)).collect();
+        for &j in &served {
             self.peers_need_init[j] = true;
-            behind = true;
         }
-        behind
+        served
     }
 
     /// Takes the instances whose INITIAL is due a re-send.

@@ -15,36 +15,38 @@
 //!
 //! The component layer of the ConsensusBatcher reproduction (*"Asynchronous
 //! BFT Consensus Made Wireless"*, ICDCS 2025): every broadcast and
-//! agreement primitive the three consensus protocols are built from, in
-//! both **ConsensusBatcher-batched** form (one combined packet per channel
-//! access for all N parallel instances) and **baseline** form (per-instance
-//! per-phase packets, the unbatched deployment the paper compares against).
+//! agreement primitive the three consensus protocols are built from. Each
+//! runs in two packagings, chosen by [`Params::packing`]:
+//! **ConsensusBatcher** ([`Packing::Combined`]: one combined packet per
+//! channel access for all N parallel instances) and the **baseline**
+//! ([`Packing::PerInstance`]: one frame per instance and phase, the
+//! unbatched deployment the paper compares against).
 //!
-//! | Component | Batched | Baseline |
-//! |-----------|---------|----------|
-//! | Bracha reliable broadcast | [`rbc::RbcBatch`] | [`baseline::BaselineRbcSet`] |
-//! | RBC-small (2-bit values)  | [`rbc_small::RbcSmallBatch`] | — |
-//! | Consistent broadcast      | [`cbc::CbcBatch`] | [`baseline::BaselineCbcSet`] |
-//! | CBC-small (id lists)      | [`cbc::CbcSmallBatch`] | — |
-//! | Provable RBC              | [`prbc::PrbcBatch`] | [`baseline::BaselinePrbcSet`] |
-//! | Shared-coin ABA (SC / CP) | [`aba_sc::AbaScBatch`] | [`baseline::BaselineAbaSet`] |
-//! | Local-coin ABA (Bracha)   | [`aba_lc::AbaLcBatch`] | — |
-//! | *send discipline, every row* | [`Batcher`] | [`Batcher`] (tick only) |
-//! | *share quorum, every row*    | [`Collector`] | [`Collector`] |
+//! | Component | Type |
+//! |-----------|------|
+//! | Bracha reliable broadcast | [`rbc::RbcBatch`] |
+//! | RBC-small (2-bit values)  | [`rbc_small::RbcSmallBatch`] (batched only) |
+//! | Consistent broadcast      | [`cbc::CbcBatch`] |
+//! | CBC-small (id lists)      | [`cbc::CbcSmallBatch`] (batched only) |
+//! | Provable RBC              | [`prbc::PrbcBatch`] |
+//! | Shared-coin ABA (SC / CP) | [`aba_sc::AbaScBatch`] (the baseline's is serial: one coin per instance) |
+//! | Local-coin ABA (Bracha)   | [`aba_lc::AbaLcBatch`] (batched only) |
+//! | *send discipline, every row* | [`Batcher`] |
+//! | *share quorum, every row*    | [`Collector`] |
 //!
 //! A deployment style is a *packaging*, not a second implementation. What
 //! one RBC / CBC / PRBC instance does — reassembling the proposal, tallying
 //! Bracha's votes, collecting threshold shares into a certificate — lives
-//! once, in the crate-private `instance` module, and both columns drive
-//! it: the batched components add the combined packet and its NACK bits,
-//! the baseline sets add one frame per transition. The baseline ABA is
-//! likewise the batched state machine behind a per-item packetizer.
+//! once, in the crate-private `instance` module, and each component builds
+//! one combined packet with its NACK bits whatever the packing.
 //!
-//! *When* a packet goes out is one decision too, [`Batcher`]: a state
-//! change rides the next flush, a jittered tick re-sends while the
+//! *When* and *how* a packet goes out is one decision too, [`Batcher`]: a
+//! state change rides the next flush, a jittered tick re-sends while the
 //! component is incomplete or a NACK shows a peer behind. Components only
-//! say "changed" / "a peer is behind" and build the packet when asked; the
-//! baseline sets use the tick alone. And "own share once → buffer →
+//! say "changed" / "a peer is behind" (or which instance a peer lacks) and
+//! build the packet when asked; under the per-instance packing the batcher
+//! splits it into frames ([`wbft_net::split`]) and re-sends only the
+//! instances a NACK asks for. And "own share once → buffer →
 //! verify at quorum → combine" is one [`Collector`] of threshold-signature
 //! shares — a coin is a threshold signature on its name — under the CBC
 //! certificates, the PRBC proofs, the ABA coins and Dumbo's π coin. It
@@ -86,7 +88,6 @@
 
 pub mod aba_lc;
 pub mod aba_sc;
-pub mod baseline;
 pub mod cbc;
 pub mod context;
 mod instance;
@@ -97,6 +98,6 @@ pub mod share_buf;
 
 pub use context::{
     deal_committee_crypto, deal_node_crypto, Actions, Batcher, BinaryAgreement, Broadcaster,
-    NodeCrypto, Params, ProvableBroadcaster,
+    NodeCrypto, Packing, Params,
 };
 pub use share_buf::{Collector, Recorded, SigShareBuf};

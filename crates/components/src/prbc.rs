@@ -8,9 +8,9 @@
 //! before an instance's value may be referenced by the agreement phase.
 //! DONE shares are batched into their own packet type because threshold
 //! material dominates packet space (§IV-C1). Signing, collecting and
-//! combining them is `instance::DoneStage`, shared with the baseline set.
+//! combining them is `instance::DoneStage`.
 
-use crate::context::{Actions, Batcher, Broadcaster, Params, ProvableBroadcaster};
+use crate::context::{Actions, Batcher, Broadcaster, Params};
 use crate::instance::{done_msg, DoneStage};
 use crate::rbc::RbcBatch;
 use bytes::Bytes;
@@ -90,19 +90,10 @@ impl PrbcBatch {
         let rbc = &self.rbc;
         self.out.changed_if(!self.done.sign_new(|j| rbc.delivered_root(j), acts).is_empty());
         if self.out.flush() {
-            acts.send(self.build_done());
+            let body = self.build_done();
+            self.out.send(body, acts);
         }
         self.out.arm(acts);
-    }
-}
-
-impl ProvableBroadcaster for PrbcBatch {
-    fn proof(&self, instance: usize) -> Option<&ThresholdSignature> {
-        PrbcBatch::proof(self, instance)
-    }
-
-    fn proven_count(&self) -> usize {
-        PrbcBatch::proven_count(self)
     }
 }
 
@@ -128,10 +119,10 @@ impl Broadcaster for PrbcBatch {
                     let root = self.rbc.delivered_root(j);
                     self.out.changed_if(self.done.accept_proof(j, root, sig, acts));
                 }
-                if sig_nack.len() == self.p().n
-                    && sig_nack.iter_set().any(|j| self.done.proof(j).is_some())
-                {
-                    self.out.peer_behind();
+                if sig_nack.len() == self.p().n {
+                    for j in sig_nack.iter_set().filter(|&j| self.done.proof(j).is_some()) {
+                        self.out.peer_lacks(j, 0);
+                    }
                 }
             }
             _ => self.rbc.handle(from, body, acts),
@@ -141,8 +132,9 @@ impl Broadcaster for PrbcBatch {
 
     fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
         if local_id == TIMER_DONE_RETX {
-            if self.out.tick(local_id, self.proven_count() == self.p().n, acts).is_some() {
-                acts.send(self.build_done());
+            if let Some(behind) = self.out.tick(local_id, self.proven_count() == self.p().n, acts) {
+                let body = self.build_done();
+                self.out.resend(behind, body, acts);
             }
         } else {
             self.rbc.on_timer(local_id, acts);
@@ -163,22 +155,32 @@ impl Broadcaster for PrbcBatch {
 mod tests {
     use super::*;
     use crate::context::deal_node_crypto;
-    use crate::rbc::tests::run_mesh;
+    use crate::rbc::tests::{run_mesh, Packing, PACKINGS};
     use rand::SeedableRng;
     use wbft_crypto::CryptoSuite;
 
     fn make() -> Vec<PrbcBatch> {
+        make_packed(Packing::Combined)
+    }
+
+    fn make_packed(packing: Packing) -> Vec<PrbcBatch> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(37);
         deal_node_crypto(4, CryptoSuite::light(), &mut rng)
             .into_iter()
             .enumerate()
-            .map(|(i, c)| PrbcBatch::new(Params::new(4, i, 8), c.prbc_pub, c.prbc_sec))
+            .map(|(i, c)| PrbcBatch::new(Params::new(4, i, 8).packed(packing), c.prbc_pub, c.prbc_sec))
             .collect()
     }
 
     #[test]
     fn delivers_and_proves_all_instances() {
-        let mut nodes = make();
+        for packing in PACKINGS {
+            delivers_and_proves_all_instances_under(packing);
+        }
+    }
+
+    fn delivers_and_proves_all_instances_under(packing: Packing) {
+        let mut nodes = make_packed(packing);
         let vals: Vec<Bytes> = (0..4).map(|i| Bytes::from(format!("prbc-{i}"))).collect();
         let mut i = 0;
         run_mesh(

@@ -16,8 +16,9 @@
 //! eventually delivers the same value (Bracha's agreement + totality, which
 //! the integration tests exercise under loss and Byzantine proposers).
 //!
-//! That instance logic is `instance::BrachaInst`, shared with the baseline
-//! set; this file is the ConsensusBatcher packaging of it.
+//! That instance logic is `instance::BrachaInst`; this file gathers N of
+//! them into the combined packet, which the `Batcher` airs whole or, for
+//! the baseline, one instance per frame.
 
 use crate::context::{Actions, Batcher, Broadcaster, Params};
 use crate::instance::{Accepted, BrachaInst, InitNacks};
@@ -146,8 +147,8 @@ impl RbcBatch {
 
     /// Peers lacking a proposal we hold → schedule its INITIAL re-send.
     fn note_init_nack(&mut self, init_nack: &Bitmap) {
-        if self.init_nacks.note(init_nack, |j| self.insts[j].asm.value().is_some()) {
-            self.out.peer_behind();
+        for j in self.init_nacks.note(init_nack, |j| self.insts[j].asm.value().is_some()) {
+            self.out.peer_lacks(j, 0);
         }
     }
 
@@ -187,7 +188,7 @@ impl RbcBatch {
                     && ready_nack.get(j)
                     && inst.votes.my_ready().is_some())
             {
-                self.out.peer_behind();
+                self.out.peer_lacks(j, 0);
             }
             self.advance(j);
         }
@@ -195,7 +196,8 @@ impl RbcBatch {
 
     fn flush(&mut self, acts: &mut Actions) {
         if self.out.flush() {
-            acts.send(self.build_er());
+            let body = self.build_er();
+            self.out.send(body, acts);
         }
     }
 }
@@ -230,12 +232,13 @@ impl Broadcaster for RbcBatch {
     }
 
     fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
-        if self.out.tick(local_id, self.delivered_count() == self.p.n, acts).is_some() {
+        if let Some(behind) = self.out.tick(local_id, self.delivered_count() == self.p.n, acts) {
             // Serve NACKed proposals first, then the combined vote packet.
             for j in self.init_nacks.take_due() {
                 self.send_init_frags(j, acts);
             }
-            acts.send(self.build_er());
+            let body = self.build_er();
+            self.out.resend(behind, body, acts);
         }
     }
 
@@ -251,10 +254,12 @@ impl Broadcaster for RbcBatch {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    pub(crate) use crate::context::Packing;
 
     /// Drives a set of in-memory nodes to completion by synchronously
-    /// exchanging every send with every other node (no losses). Returns the
-    /// number of "channel accesses" (sends) performed.
+    /// exchanging every send with every other node (no losses), joining
+    /// per-instance frames as a node's engine does. Returns the number of
+    /// "channel accesses" (sends) performed.
     pub(crate) fn run_mesh<C>(
         nodes: &mut [C],
         mut start: impl FnMut(&mut C, &mut Actions),
@@ -275,12 +280,13 @@ pub(crate) mod tests {
         while let Some((src, body)) = inbox.pop() {
             steps += 1;
             assert!(steps < 100_000, "mesh did not converge");
+            let n = nodes.len();
             for (i, node) in nodes.iter_mut().enumerate() {
                 if i == src {
                     continue;
                 }
                 let mut acts = Actions::new();
-                handle(node, src, &body, &mut acts);
+                handle(node, src, &wbft_net::join(&body, n), &mut acts);
                 for b in acts.drain().0 {
                     sends += 1;
                     inbox.push((i, b));
@@ -298,27 +304,41 @@ pub(crate) mod tests {
         Params::new(4, me, 7)
     }
 
+    /// Both packings of one component: the batched deployment and the
+    /// baseline.
+    pub(crate) const PACKINGS: [Packing; 2] = [Packing::Combined, Packing::PerInstance];
+
     fn values() -> Vec<Bytes> {
         (0..4).map(|i| Bytes::from(format!("proposal-{i}"))).collect()
     }
 
     #[test]
     fn all_nodes_deliver_all_instances() {
-        let mut nodes: Vec<RbcBatch> = (0..4).map(|i| RbcBatch::new(params(i))).collect();
-        let vals = values();
-        let mut i = 0;
-        run_mesh(
-            &mut nodes,
-            |n, acts| {
-                n.start(vals[i].clone(), acts);
-                i += 1;
-            },
-            |n, from, body, acts| n.handle(from, body, acts),
-            |n| n.delivered_count() == 4,
-        );
-        for node in &nodes {
-            for (j, v) in vals.iter().enumerate() {
-                assert_eq!(node.delivered(j), Some(v));
+        for packing in PACKINGS {
+            let mut nodes: Vec<RbcBatch> =
+                (0..4).map(|i| RbcBatch::new(params(i).packed(packing))).collect();
+            let vals = values();
+            let mut i = 0;
+            let sends = run_mesh(
+                &mut nodes,
+                |n, acts| {
+                    n.start(vals[i].clone(), acts);
+                    i += 1;
+                },
+                |n, from, body, acts| n.handle(from, body, acts),
+                |n| n.delivered_count() == 4,
+            );
+            for node in &nodes {
+                for (j, v) in vals.iter().enumerate() {
+                    assert_eq!(node.delivered(j), Some(v));
+                }
+            }
+            // Channel-access comparison against batched RBC lives at the
+            // simulator level (slot coalescing applies there); here we only
+            // sanity-check the baseline's per-phase packet count: at least
+            // one INIT + echo + ready per node per instance.
+            if packing == Packing::PerInstance {
+                assert!(sends >= 4 * (1 + 4 + 4), "suspiciously few baseline sends: {sends}");
             }
         }
     }

@@ -148,7 +148,8 @@ impl RbcSmallBatch {
 
     fn flush(&mut self, acts: &mut Actions) {
         if self.out.flush() {
-            acts.send(self.build());
+            let body = self.build();
+            self.out.send(body, acts);
         }
         self.out.arm(acts);
     }
@@ -192,8 +193,9 @@ impl RbcSmallBatch {
 
     /// Handles the retransmission tick.
     pub fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
-        if self.out.tick(local_id, self.delivered_count() == self.p.n, acts).is_some() {
-            acts.send(self.build());
+        if let Some(behind) = self.out.tick(local_id, self.delivered_count() == self.p.n, acts) {
+            let body = self.build();
+            self.out.resend(behind, body, acts);
         }
     }
 }

@@ -102,15 +102,18 @@ fn flip_vote(v: &mut Vote) {
     };
 }
 
+fn flip_aba_sc(AbaScInst { bval, aux, decided, .. }: &mut AbaScInst) {
+    *bval = BinValues { zero: bval.one, one: bval.zero };
+    flip_vote(aux);
+    flip_vote(decided);
+}
+
+/// Inverts every binary vote a body carries, in combined bodies and the
+/// baseline's per-instance frames alike.
 fn flip_votes(body: &mut Body) {
     match body {
-        Body::AbaSc { insts, .. } => {
-            for AbaScInst { bval, aux, decided, .. } in insts {
-                *bval = BinValues { zero: bval.one, one: bval.zero };
-                flip_vote(aux);
-                flip_vote(decided);
-            }
-        }
+        Body::AbaSc { insts, .. } => insts.iter_mut().for_each(flip_aba_sc),
+        Body::BaseAbaVote { inst, .. } => flip_aba_sc(inst),
         Body::AbaLc { insts } => {
             for AbaLcInst { reports, decided, .. } in insts {
                 for phase in reports {
@@ -126,22 +129,15 @@ fn flip_votes(body: &mut Body) {
                 flip_vote(v);
             }
         }
-        Body::BaseAbaBval { value, .. }
-        | Body::BaseAbaAux { value, .. }
-        | Body::BaseAbaDecided { value, .. } => *value = !*value,
         _ => {}
     }
 }
 
+/// Garbles every INITIAL fragment; both packagings send the same ones.
 fn corrupt_proposal(body: &mut Body) {
-    match body {
-        Body::RbcInit { data, .. }
-        | Body::CbcInit { data, .. }
-        | Body::BaseRbcInit { data, .. } => {
-            let garbage: Vec<u8> = data.iter().map(|b| b ^ 0xA5).collect();
-            *data = bytes::Bytes::from(garbage);
-        }
-        _ => {}
+    if let Body::RbcInit { data, .. } | Body::CbcInit { data, .. } = body {
+        let garbage: Vec<u8> = data.iter().map(|b| b ^ 0xA5).collect();
+        *data = bytes::Bytes::from(garbage);
     }
 }
 
@@ -198,12 +194,17 @@ mod tests {
     struct Dummy {
         blocks: Vec<Block>,
     }
+
+    fn vote(bval: BinValues, aux: Vote) -> Body {
+        let inst = AbaScInst { instance: 0, round: 0, bval, aux, decided: Vote::Unknown };
+        Body::BaseAbaVote { flavor: wbft_net::CoinFlavor::ThreshSig, inst }
+    }
     impl Engine for Dummy {
         fn start(&mut self, out: &mut EngineOut) {
-            out.sends.push((1, Body::BaseAbaBval { instance: 0, round: 0, value: true }));
+            out.sends.push((1, vote(BinValues { zero: false, one: true }, Vote::Unknown)));
         }
         fn handle(&mut self, _s: u64, _f: usize, _b: &Body, out: &mut EngineOut) {
-            out.sends.push((1, Body::BaseAbaAux { instance: 0, round: 0, value: false }));
+            out.sends.push((1, vote(BinValues::empty(), Vote::Zero)));
         }
         fn on_timer(&mut self, _s: u64, _l: u32, _o: &mut EngineOut) {}
         fn on_work_available(&mut self, _o: &mut EngineOut) {}
@@ -233,10 +234,54 @@ mod tests {
         let mut e = ByzantineEngine::new(Dummy { blocks: vec![] }, ByzantineMode::FlipVotes);
         let mut out = EngineOut::new();
         e.start(&mut out);
-        assert!(matches!(out.sends[0].1, Body::BaseAbaBval { value: false, .. }));
+        assert_eq!(out.sends[0].1, vote(BinValues { zero: true, one: false }, Vote::Unknown));
         let mut out = EngineOut::new();
-        e.handle(1, 0, &Body::BaseAbaDecided { instance: 0, value: true }, &mut out);
-        assert!(matches!(out.sends[0].1, Body::BaseAbaAux { value: true, .. }));
+        e.handle(1, 0, &vote(BinValues::empty(), Vote::One), &mut out);
+        assert_eq!(out.sends[0].1, vote(BinValues::empty(), Vote::One));
+    }
+
+    /// What the baseline deployments air is what the wrapper must reach:
+    /// every vote frame of a per-instance ABA and every INITIAL fragment of
+    /// a per-instance RBC and CBC is mutated.
+    #[test]
+    fn byzantine_modes_reach_every_per_instance_vote_and_initial_frame() {
+        use rand::SeedableRng;
+        use wbft_components::aba_sc::AbaScBatch;
+        use wbft_components::cbc::CbcBatch;
+        use wbft_components::rbc::RbcBatch;
+        use wbft_components::{Actions, BinaryAgreement, Broadcaster, Packing, Params};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let c = wbft_components::deal_node_crypto(4, wbft_crypto::CryptoSuite::light(), &mut rng)
+            .remove(0);
+        let p = Params::new(4, 0, 9).packed(Packing::PerInstance);
+        let flavor = wbft_net::CoinFlavor::ThreshSig;
+        let mut acts = Actions::new();
+        let mut aba = AbaScBatch::new_serial(p, flavor, c.coin_pub.clone(), c.coin_sec.clone());
+        for j in 0..4 {
+            aba.set_input(j, j % 2 == 0, &mut acts);
+        }
+        let value = bytes::Bytes::from(vec![7u8; 300]);
+        RbcBatch::new(p).start(value.clone(), &mut acts);
+        CbcBatch::new(p, c.cbc_pub.clone(), c.cbc_sec.clone()).start(value, &mut acts);
+        let (sends, _, _) = acts.drain();
+        let (mut votes, mut inits) = (0, 0);
+        for frame in sends {
+            let (mut flipped, mut corrupted) = (frame.clone(), frame.clone());
+            flip_votes(&mut flipped);
+            corrupt_proposal(&mut corrupted);
+            match frame {
+                Body::BaseAbaVote { .. } => {
+                    votes += 1;
+                    assert_ne!(flipped, frame, "vote frame left intact");
+                }
+                Body::RbcInit { .. } | Body::CbcInit { .. } => {
+                    inits += 1;
+                    assert_ne!(corrupted, frame, "INITIAL fragment left intact");
+                }
+                _ => assert!(!matches!(frame, Body::AbaSc { .. }), "combined body under PerInstance"),
+            }
+        }
+        assert!(votes >= 4 && inits >= 4, "{votes} vote frames, {inits} INITIAL fragments");
     }
 
     /// The wrapper's contract is "an honest engine behind a corrupting
@@ -283,16 +328,17 @@ mod tests {
 
     #[test]
     fn corrupt_proposals_keeps_length() {
-        let mut body = Body::BaseRbcInit {
+        let mut body = Body::RbcInit {
             instance: 0,
             frag: 0,
             frag_total: 1,
             root: wbft_crypto::Digest32::of(b"x"),
             data: bytes::Bytes::from_static(b"hello"),
+            init_nack: wbft_net::Bitmap::new(4),
         };
         corrupt_proposal(&mut body);
         match body {
-            Body::BaseRbcInit { data, .. } => {
+            Body::RbcInit { data, .. } => {
                 assert_eq!(data.len(), 5);
                 assert_ne!(&data[..], b"hello");
             }

@@ -33,12 +33,11 @@ use bytes::Bytes;
 use rand::SeedableRng;
 use wbft_components::aba_lc::AbaLcBatch;
 use wbft_components::aba_sc::AbaScBatch;
-use wbft_components::baseline::{BaselineAbaSet, BaselineCbcSet, BaselinePrbcSet};
 use wbft_components::cbc::{CbcBatch, CbcSmallBatch};
 use wbft_components::prbc::PrbcBatch;
 use wbft_components::{
-    Actions, Batcher, BinaryAgreement, Broadcaster, Collector, NodeCrypto, Params,
-    ProvableBroadcaster, Recorded,
+    Actions, Batcher, BinaryAgreement, Broadcaster, Collector, NodeCrypto, Packing, Params,
+    Recorded,
 };
 use wbft_crypto::hash::Digest32;
 use wbft_crypto::thresh_coin::{self, CoinName};
@@ -71,7 +70,7 @@ pub fn decode_w(data: &[u8]) -> Option<Vec<WEntry>> {
     WireReader::exact(data, Vec::get).ok()
 }
 
-/// Commit-set (bitmap) encoding for the baseline CBC path: the bit length,
+/// Commit-set (bitmap) encoding for the baseline's CBC_commit: the bit length,
 /// then the whole 64-bit word.
 pub fn encode_commit(s: &Bitmap) -> Bytes {
     ByteSink::bounded(|w| {
@@ -97,42 +96,43 @@ pub fn decode_commit(data: &[u8]) -> Option<Bitmap> {
 // Deployment-style wrapper.
 
 /// CBC for the (small) commit sets: the batched form broadcasts the bitmap
-/// itself in CBC-small packets, the baseline an encoded copy through the
-/// ordinary per-instance CBC.
+/// itself in CBC-small packets, whose INITIAL rides the vote packet; the
+/// baseline, which has no such fold, an encoded copy through the ordinary
+/// CBC.
 enum CommitCbc {
     Small(CbcSmallBatch),
-    Baseline(BaselineCbcSet),
+    Full(CbcBatch),
 }
 
 impl CommitCbc {
     fn start(&mut self, s: Bitmap, acts: &mut Actions) {
         match self {
             CommitCbc::Small(x) => x.start(s, acts),
-            CommitCbc::Baseline(x) => x.start(encode_commit(&s), acts),
+            CommitCbc::Full(x) => x.start(encode_commit(&s), acts),
         }
     }
     fn handle(&mut self, from: usize, body: &Body, acts: &mut Actions) {
         match self {
             CommitCbc::Small(x) => x.handle(from, body, acts),
-            CommitCbc::Baseline(x) => x.handle(from, body, acts),
+            CommitCbc::Full(x) => x.handle(from, body, acts),
         }
     }
     fn on_timer(&mut self, local: u32, acts: &mut Actions) {
         match self {
             CommitCbc::Small(x) => x.on_timer(local, acts),
-            CommitCbc::Baseline(x) => x.on_timer(local, acts),
+            CommitCbc::Full(x) => x.on_timer(local, acts),
         }
     }
     fn delivered_set(&self, j: usize) -> Option<Bitmap> {
         match self {
             CommitCbc::Small(x) => x.delivered_value(j),
-            CommitCbc::Baseline(x) => x.delivered(j).and_then(|b| decode_commit(b)),
+            CommitCbc::Full(x) => x.delivered(j).and_then(|b| decode_commit(b)),
         }
     }
     fn delivered_count(&self) -> usize {
         match self {
             CommitCbc::Small(x) => x.delivered_count(),
-            CommitCbc::Baseline(x) => x.delivered_count(),
+            CommitCbc::Full(x) => x.delivered_count(),
         }
     }
 }
@@ -164,7 +164,9 @@ impl PiCoin {
         let Some(share) = self.coin.sign_own(|| crypto.coin_sec.coin_share(name)) else { return };
         acts.charge(crypto.suite.threshold.coin_profile().sign_share_us);
         self.record(share, crypto, acts);
-        self.emit(acts);
+        if let Some(body) = self.packet() {
+            self.out.send(body, acts);
+        }
         self.out.arm(acts);
     }
 
@@ -185,8 +187,9 @@ impl PiCoin {
         }
     }
 
-    fn emit(&mut self, acts: &mut Actions) {
-        let Some(share) = self.coin.own() else { return };
+    /// The coin packet, once this node released its share.
+    fn packet(&self) -> Option<Body> {
+        let share = self.coin.own()?;
         let mut share_nack = Bitmap::new(self.p.n);
         if self.value.is_none() {
             for node in 0..self.p.n {
@@ -195,12 +198,12 @@ impl PiCoin {
                 }
             }
         }
-        acts.send(Body::AbaSc {
+        Some(Body::AbaSc {
             flavor: CoinFlavor::ThreshSig,
             insts: vec![],
             coin_shares: vec![(0, share)],
             share_nack,
-        });
+        })
     }
 
     fn handle(&mut self, body: &Body, crypto: &NodeCrypto, acts: &mut Actions) {
@@ -215,8 +218,10 @@ impl PiCoin {
 
     fn on_timer(&mut self, local: u32, acts: &mut Actions) {
         // The tick is armed by `activate`, so there is a share to emit.
-        if self.out.tick(local, self.value.is_some(), acts).is_some() {
-            self.emit(acts);
+        if let Some(behind) = self.out.tick(local, self.value.is_some(), acts) {
+            if let Some(body) = self.packet() {
+                self.out.resend(behind, body, acts);
+            }
         }
     }
 }
@@ -238,8 +243,8 @@ fn permutation(n: usize, coin: u64) -> Vec<usize> {
 
 /// One epoch's live components.
 pub struct DumboEpoch {
-    prbc: Box<dyn ProvableBroadcaster + Send>,
-    value_cbc: Box<dyn Broadcaster + Send>,
+    prbc: PrbcBatch,
+    value_cbc: CbcBatch,
     commit_cbc: CommitCbc,
     pi: PiCoin,
     aba: Box<dyn BinaryAgreement + Send>,
@@ -277,41 +282,26 @@ impl Lane for DumboLane {
         _: &mut rand_chacha::ChaCha12Rng,
         out: &mut EngineOut,
     ) -> DumboEpoch {
-        let p_prbc = ctx.params(sessions::BROADCAST);
-        let p_val = ctx.params(sessions::CBC_VALUE);
-        let p_com = ctx.params(sessions::CBC_COMMIT);
-        let p_aba = ctx.params(sessions::ABA);
+        let packing =
+            if *self == DumboLane::ScBaseline { Packing::PerInstance } else { Packing::Combined };
+        let params = |role| ctx.params(role).packed(packing);
+        let p_prbc = params(sessions::BROADCAST);
+        let (p_val, p_com, p_aba) =
+            (params(sessions::CBC_VALUE), params(sessions::CBC_COMMIT), params(sessions::ABA));
         let c = ctx.crypto;
-        let (mut prbc, value_cbc, commit_cbc): (
-            Box<dyn ProvableBroadcaster + Send>,
-            Box<dyn Broadcaster + Send>,
-            CommitCbc,
-        ) = if *self == DumboLane::ScBaseline {
-            (
-                Box::new(BaselinePrbcSet::new(p_prbc, c.prbc_pub.clone(), c.prbc_sec.clone())),
-                Box::new(BaselineCbcSet::new(p_val, c.cbc_pub.clone(), c.cbc_sec.clone())),
-                CommitCbc::Baseline(BaselineCbcSet::new(
-                    p_com,
-                    c.cbc_pub.clone(),
-                    c.cbc_sec.clone(),
-                )),
-            )
-        } else {
-            (
-                Box::new(PrbcBatch::new(p_prbc, c.prbc_pub.clone(), c.prbc_sec.clone())),
-                Box::new(CbcBatch::new(p_val, c.cbc_pub.clone(), c.cbc_sec.clone())),
-                CommitCbc::Small(CbcSmallBatch::new(p_com, c.cbc_pub.clone(), c.cbc_sec.clone())),
-            )
+        let mut prbc = PrbcBatch::new(p_prbc, c.prbc_pub.clone(), c.prbc_sec.clone());
+        let value_cbc = CbcBatch::new(p_val, c.cbc_pub.clone(), c.cbc_sec.clone());
+        let commit_cbc = match packing {
+            Packing::Combined => {
+                CommitCbc::Small(CbcSmallBatch::new(p_com, c.cbc_pub.clone(), c.cbc_sec.clone()))
+            }
+            Packing::PerInstance => {
+                CommitCbc::Full(CbcBatch::new(p_com, c.cbc_pub.clone(), c.cbc_sec.clone()))
+            }
         };
         let aba: Box<dyn BinaryAgreement + Send> = match self {
-            DumboLane::Sc => Box::new(AbaScBatch::new_serial(
-                p_aba,
-                CoinFlavor::ThreshSig,
-                c.coin_pub.clone(),
-                c.coin_sec.clone(),
-            )),
             DumboLane::Lc => Box::new(AbaLcBatch::new(p_aba)),
-            DumboLane::ScBaseline => Box::new(BaselineAbaSet::new(
+            DumboLane::Sc | DumboLane::ScBaseline => Box::new(AbaScBatch::new_serial(
                 p_aba,
                 CoinFlavor::ThreshSig,
                 c.coin_pub.clone(),
@@ -325,7 +315,7 @@ impl Lane for DumboLane {
             prbc,
             value_cbc,
             commit_cbc,
-            pi: PiCoin::new(ctx.params(sessions::PI_COIN)),
+            pi: PiCoin::new(params(sessions::PI_COIN)),
             aba,
             value_started: false,
             commit_started: false,

@@ -490,8 +490,11 @@ impl<L: Lane> Engine for EpochEngine<L> {
         else {
             return;
         };
+        // A baseline's per-instance frame reaches its component as the
+        // combined body holding its one entry.
+        let body = wbft_net::join(body, ctx.n);
         let mut acts = Actions::new();
-        self.lane.handle(&mut live.state, &ctx, role, from, body, &mut acts);
+        self.lane.handle(&mut live.state, &ctx, role, from, &body, &mut acts);
         out.absorb(session, &mut acts);
         self.poll(epoch, out);
     }
@@ -559,7 +562,7 @@ mod tests {
     }
 
     fn marker() -> Body {
-        Body::BaseAbaBval { instance: 0, round: 0, value: true }
+        Body::GlobalDecision { epoch: 0, digest: wbft_crypto::hash::Digest32::zero(), tx_count: 0 }
     }
 
     impl Lane for StubLane {

@@ -81,7 +81,7 @@ fn classify_coin(payload: &[u8]) -> Option<(u64, u16)> {
             let round = coin_shares.iter().map(|(r, _)| *r).max().unwrap_or(0);
             Some((env.session, round))
         }
-        Body::BaseAbaCoin { round, .. } => Some((env.session, *round)),
+        Body::BaseAbaCoin { coin, .. } => Some((env.session, *coin)),
         _ => {
             let (_, role) = crate::driver::sessions::split(env.session);
             (role == crate::driver::sessions::PI_COIN).then_some((env.session, 0))
@@ -115,24 +115,8 @@ pub struct FuzzCase {
     pub label: String,
     /// The scenario (single-hop).
     pub cfg: TestbedConfig,
-    /// Simulator events after which an unfinished batched run counts as
-    /// stalled; an unbatched one gets [`BASELINE_BUDGET_FACTOR`] times as
-    /// many (see [`FuzzCase::stall_threshold`]).
+    /// Simulator events after which an unfinished run counts as stalled.
     pub event_budget: u64,
-}
-
-impl FuzzCase {
-    /// Simulator events after which this case's unfinished run counts as
-    /// stalled: its budget, scaled by the deployment's packaging. It is
-    /// read when the case runs, because a mutation may switch a batched
-    /// parent to a baseline.
-    pub fn stall_threshold(&self) -> u64 {
-        if self.cfg.protocol.is_batched() {
-            self.event_budget
-        } else {
-            self.event_budget.saturating_mul(BASELINE_BUDGET_FACTOR)
-        }
-    }
 }
 
 /// What one case's run concluded.
@@ -195,7 +179,7 @@ pub fn run_case(case: &FuzzCase) -> FuzzOutcome {
     assert!(case.cfg.clusters.is_none(), "fuzz cases are single-hop");
     testbed::validate(&case.cfg);
     let mut rig = Rig::build(&case.cfg);
-    let budget = case.stall_threshold();
+    let budget = case.event_budget;
     let done =
         rig.run(SimTime::ZERO + case.cfg.deadline, |sim| sim.events_processed() >= budget);
     let verdict = match rig.finish(done) {
@@ -416,21 +400,14 @@ impl FuzzConfig {
 }
 
 /// Default per-case event budget: comfortably above what a healthy
-/// small-batch single-hop epoch of a batched deployment needs (measured in
-/// the tens of thousands), low enough that a stalled case aborts quickly.
+/// small-batch single-hop epoch needs (measured in the tens of thousands),
+/// low enough that a stalled case aborts quickly. The unbatched
+/// deployments fit it too: on the 150-case campaign `sweep --fuzz 150
+/// --seeds 7 --protocols hb-sc-baseline,beat-baseline,dumbo-sc-baseline`,
+/// run at 10× the budget, every case completed and the largest run took
+/// 119 288 events (an hb-sc-baseline reordering case), 0.30× the budget.
 pub const DEFAULT_EVENT_BUDGET: u64 = 400_000;
 
-/// How many times its event budget an unbatched (baseline) case may run
-/// before it counts as stalled. A baseline airs one frame per instance and
-/// phase where a batched deployment airs one per phase, so a healthy
-/// baseline run takes several times the events the budget was sized for.
-/// Measured on a 150-case campaign, `sweep --fuzz 150 --seeds 7 --protocols
-/// hb-sc-baseline,beat-baseline,dumbo-sc-baseline`, run at 10× the budget:
-/// the largest event count of a run that completed, minimization
-/// candidates included, was 819 641 (an hb-sc-baseline membership swap),
-/// 2.05× the default budget. At 1× the same campaign reports 24 stalls,
-/// and 18 of them complete at 10× (403 220 – 819 641 events).
-pub const BASELINE_BUDGET_FACTOR: u64 = 3;
 
 /// One failing case, minimized, with its outcome.
 #[derive(Clone, Debug)]

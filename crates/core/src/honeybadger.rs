@@ -23,9 +23,10 @@
 //!
 //! This module is the protocol's [`Lane`]: the epoch pipeline around it
 //! (opening epochs, in-order commit, recovery, membership) is the shared
-//! [`EpochEngine`]. The lane is generic over the broadcast and agreement
-//! deployments, so the same code yields HoneyBadgerBFT-LC / -SC, BEAT
-//! (coin-flipping ABA), and the unbatched `*-baseline` variants.
+//! [`EpochEngine`]. The lane is generic over the agreement component and
+//! takes a packing, so the same code yields HoneyBadgerBFT-LC / -SC, BEAT
+//! (coin-flipping ABA), and the unbatched `*-baseline` variants (the same
+//! components, one instance per frame).
 
 use crate::driver::{sessions, Block, EngineOut, Tx};
 use crate::engine::{union_block, EpochCtx, EpochEngine, Lane};
@@ -36,9 +37,10 @@ use crate::workload::{encode_batch, BatchSource};
 use bytes::Bytes;
 use wbft_components::aba_lc::AbaLcBatch;
 use wbft_components::aba_sc::AbaScBatch;
-use wbft_components::baseline::{BaselineAbaSet, BaselineRbcSet};
 use wbft_components::rbc::RbcBatch;
-use wbft_components::{Actions, Batcher, BinaryAgreement, Broadcaster, NodeCrypto, Params};
+use wbft_components::{
+    Actions, Batcher, BinaryAgreement, Broadcaster, NodeCrypto, Packing, Params,
+};
 use wbft_crypto::thresh_enc::{Ciphertext, DecShare};
 use wbft_net::wire::{ByteSink, Sink, WireReader};
 use wbft_net::{Bitmap, Body, CoinFlavor};
@@ -80,13 +82,12 @@ fn ct_label(epoch: u64, proposer: usize) -> Vec<u8> {
 // Decryption stage.
 
 /// Collects and serves threshold-decryption shares for the epoch's accepted
-/// ciphertexts. Batched mode ships one [`Body::DecShareBatch`] per channel
-/// access; baseline mode one [`Body::BaseDecShare`] per proposer.
+/// ciphertexts in one [`Body::DecShareBatch`] per flush, packaged by its
+/// [`Batcher`].
 #[derive(Debug)]
 struct DecStage {
     p: Params,
     epoch: u64,
-    batched: bool,
     cts: Vec<Option<Ciphertext>>,
     active: Vec<bool>,
     my_sent: Vec<bool>,
@@ -100,10 +101,9 @@ struct DecStage {
 }
 
 impl DecStage {
-    fn new(p: Params, epoch: u64, batched: bool) -> Self {
+    fn new(p: Params, epoch: u64) -> Self {
         DecStage {
             epoch,
-            batched,
             cts: vec![None; p.n],
             active: vec![false; p.n],
             my_sent: vec![false; p.n],
@@ -191,39 +191,26 @@ impl DecStage {
         }
     }
 
-    fn build(&self) -> Vec<Body> {
-        if self.batched {
-            let mut shares = Vec::new();
-            let mut dec_nack = Bitmap::new(self.p.n);
-            for j in 0..self.p.n {
-                if self.my_sent[j] {
-                    if let Some(share) = self.my_shares[j] {
-                        shares.push((j as u8, share));
-                    }
-                }
-                if self.active[j] && self.plaintexts[j].is_none() {
-                    dec_nack.set(j, true);
+    fn build(&self) -> Body {
+        let mut shares = Vec::new();
+        let mut dec_nack = Bitmap::new(self.p.n);
+        for j in 0..self.p.n {
+            if self.my_sent[j] {
+                if let Some(share) = self.my_shares[j] {
+                    shares.push((j as u8, share));
                 }
             }
-            vec![Body::DecShareBatch { shares, dec_nack }]
-        } else {
-            let mut out = Vec::new();
-            for j in 0..self.p.n {
-                if self.my_sent[j] {
-                    if let Some(share) = self.my_shares[j] {
-                        out.push(Body::BaseDecShare { proposer: j as u8, share });
-                    }
-                }
+            if self.active[j] && self.plaintexts[j].is_none() {
+                dec_nack.set(j, true);
             }
-            out
         }
+        Body::DecShareBatch { shares, dec_nack }
     }
 
     fn flush(&mut self, acts: &mut Actions) {
         if self.out.flush() {
-            for body in self.build() {
-                acts.send(body);
-            }
+            let body = self.build();
+            self.out.send(body, acts);
         }
         self.out.arm(acts);
     }
@@ -233,21 +220,15 @@ impl DecStage {
     }
 
     fn handle(&mut self, body: &Body, crypto: &NodeCrypto, acts: &mut Actions) {
-        match body {
-            Body::DecShareBatch { shares, dec_nack } => {
-                for (j, share) in shares {
-                    self.record(*j as usize, *share, crypto, acts, false);
-                }
-                if dec_nack.len() == self.p.n
-                    && dec_nack.iter_set().any(|j| self.my_sent[j])
-                {
-                    self.out.peer_behind();
+        if let Body::DecShareBatch { shares, dec_nack } = body {
+            for (j, share) in shares {
+                self.record(*j as usize, *share, crypto, acts, false);
+            }
+            if dec_nack.len() == self.p.n {
+                for j in dec_nack.iter_set().filter(|&j| self.my_sent[j]) {
+                    self.out.peer_lacks(j, 0);
                 }
             }
-            Body::BaseDecShare { proposer, share } => {
-                self.record(*proposer as usize, *share, crypto, acts, false);
-            }
-            _ => {}
         }
         self.flush(acts);
     }
@@ -257,10 +238,9 @@ impl DecStage {
         // have named a share of ours before then).
         let complete =
             !self.active.contains(&true) || accepted.is_some_and(|a| self.complete_for(a));
-        if self.out.tick(local, complete, acts).is_some() {
-            for body in self.build() {
-                acts.send(body);
-            }
+        if let Some(behind) = self.out.tick(local, complete, acts) {
+            let body = self.build();
+            self.out.resend(behind, body, acts);
         }
     }
 }
@@ -269,8 +249,8 @@ impl DecStage {
 // The lane.
 
 /// One epoch's live components.
-pub struct HbEpoch<B, A> {
-    rbc: B,
+pub struct HbEpoch<A> {
+    rbc: RbcBatch,
     aba: A,
     dec: DecStage,
     aba_inputs_sent: bool,
@@ -280,20 +260,19 @@ pub struct HbEpoch<B, A> {
 }
 
 /// The HoneyBadgerBFT/BEAT lane: RBC → parallel ABA → threshold
-/// decryption, generic over deployment style.
-pub struct HbLane<B, A> {
-    make_rbc: fn(Params) -> B,
+/// decryption, generic over the agreement component and the packing.
+pub struct HbLane<A> {
     /// Builds a fresh agreement instance from the epoch's committee
     /// parameters and the (key-epoch-aware) crypto.
     make_aba: fn(Params, &NodeCrypto) -> A,
-    batched_dec: bool,
+    packing: Packing,
 }
 
 /// Starts decryption of proposer `j`'s delivered proposal; a malformed
 /// ciphertext from a Byzantine proposer counts as an empty contribution.
 fn activate_dec(
     dec: &mut DecStage,
-    rbc: &impl Broadcaster,
+    rbc: &RbcBatch,
     j: usize,
     ctx: &EpochCtx,
     out: &mut EngineOut,
@@ -312,8 +291,8 @@ fn activate_dec(
     }
 }
 
-impl<B: Broadcaster, A: BinaryAgreement> Lane for HbLane<B, A> {
-    type Epoch = HbEpoch<B, A>;
+impl<A: BinaryAgreement> Lane for HbLane<A> {
+    type Epoch = HbEpoch<A>;
 
     fn open(
         &self,
@@ -322,10 +301,11 @@ impl<B: Broadcaster, A: BinaryAgreement> Lane for HbLane<B, A> {
         rng: &mut rand_chacha::ChaCha12Rng,
         out: &mut EngineOut,
     ) -> Self::Epoch {
-        let p_rbc = ctx.params(sessions::BROADCAST);
-        let mut rbc = (self.make_rbc)(p_rbc);
-        let aba = (self.make_aba)(ctx.params(sessions::ABA), ctx.crypto);
-        let dec = DecStage::new(ctx.params(sessions::DEC), ctx.epoch, self.batched_dec);
+        let params = |role| ctx.params(role).packed(self.packing);
+        let p_rbc = params(sessions::BROADCAST);
+        let mut rbc = RbcBatch::new(p_rbc);
+        let aba = (self.make_aba)(params(sessions::ABA), ctx.crypto);
+        let dec = DecStage::new(params(sessions::DEC), ctx.epoch);
         // Threshold-encrypt the batch (censorship resilience), charged as
         // one share-signing-class operation.
         let mut acts = Actions::new();
@@ -416,15 +396,14 @@ impl<B: Broadcaster, A: BinaryAgreement> Lane for HbLane<B, A> {
 // ------------------------------------------------------------------
 // Variant constructors.
 
-fn hb_engine<B: Broadcaster, A: BinaryAgreement>(
+fn hb_engine<A: BinaryAgreement>(
     crypto: NodeCrypto,
     source: impl Into<BatchSource>,
     stop: StopCondition,
-    batched: bool,
-    make_rbc: fn(Params) -> B,
+    packing: Packing,
     make_aba: fn(Params, &NodeCrypto) -> A,
-) -> EpochEngine<HbLane<B, A>> {
-    EpochEngine::new(crypto, HbLane { make_rbc, make_aba, batched_dec: batched }, source, stop)
+) -> EpochEngine<HbLane<A>> {
+    EpochEngine::new(crypto, HbLane { make_aba, packing }, source, stop)
 }
 
 /// Wireless HoneyBadgerBFT-SC: batched RBC + batched shared-coin ABA
@@ -433,8 +412,8 @@ pub fn hb_sc(
     crypto: NodeCrypto,
     source: impl Into<BatchSource>,
     stop: StopCondition,
-) -> EpochEngine<HbLane<RbcBatch, AbaScBatch>> {
-    hb_engine(crypto, source, stop, true, RbcBatch::new, |p, c| {
+) -> EpochEngine<HbLane<AbaScBatch>> {
+    hb_engine(crypto, source, stop, Packing::Combined, |p, c| {
         AbaScBatch::new_parallel(p, CoinFlavor::ThreshSig, c.coin_pub.clone(), c.coin_sec.clone())
     })
 }
@@ -445,8 +424,8 @@ pub fn hb_lc(
     crypto: NodeCrypto,
     source: impl Into<BatchSource>,
     stop: StopCondition,
-) -> EpochEngine<HbLane<RbcBatch, AbaLcBatch>> {
-    hb_engine(crypto, source, stop, true, RbcBatch::new, |p, _| AbaLcBatch::new(p))
+) -> EpochEngine<HbLane<AbaLcBatch>> {
+    hb_engine(crypto, source, stop, Packing::Combined, |p, _| AbaLcBatch::new(p))
 }
 
 /// Wireless BEAT (BEAT0): HoneyBadger structure with threshold
@@ -455,31 +434,32 @@ pub fn beat(
     crypto: NodeCrypto,
     source: impl Into<BatchSource>,
     stop: StopCondition,
-) -> EpochEngine<HbLane<RbcBatch, AbaScBatch>> {
-    hb_engine(crypto, source, stop, true, RbcBatch::new, |p, c| {
+) -> EpochEngine<HbLane<AbaScBatch>> {
+    hb_engine(crypto, source, stop, Packing::Combined, |p, c| {
         AbaScBatch::new_parallel(p, CoinFlavor::CoinFlip, c.coin_pub.clone(), c.coin_sec.clone())
     })
 }
 
-/// Unbatched HoneyBadgerBFT-SC baseline.
+/// Unbatched HoneyBadgerBFT-SC baseline: the batched components, one
+/// instance per frame, each ABA instance with its own coin.
 pub fn hb_sc_baseline(
     crypto: NodeCrypto,
     source: impl Into<BatchSource>,
     stop: StopCondition,
-) -> EpochEngine<HbLane<BaselineRbcSet, BaselineAbaSet>> {
-    hb_engine(crypto, source, stop, false, BaselineRbcSet::new, |p, c| {
-        BaselineAbaSet::new(p, CoinFlavor::ThreshSig, c.coin_pub.clone(), c.coin_sec.clone())
+) -> EpochEngine<HbLane<AbaScBatch>> {
+    hb_engine(crypto, source, stop, Packing::PerInstance, |p, c| {
+        AbaScBatch::new_serial(p, CoinFlavor::ThreshSig, c.coin_pub.clone(), c.coin_sec.clone())
     })
 }
 
-/// Unbatched BEAT baseline.
+/// Unbatched BEAT baseline, likewise.
 pub fn beat_baseline(
     crypto: NodeCrypto,
     source: impl Into<BatchSource>,
     stop: StopCondition,
-) -> EpochEngine<HbLane<BaselineRbcSet, BaselineAbaSet>> {
-    hb_engine(crypto, source, stop, false, BaselineRbcSet::new, |p, c| {
-        BaselineAbaSet::new(p, CoinFlavor::CoinFlip, c.coin_pub.clone(), c.coin_sec.clone())
+) -> EpochEngine<HbLane<AbaScBatch>> {
+    hb_engine(crypto, source, stop, Packing::PerInstance, |p, c| {
+        AbaScBatch::new_serial(p, CoinFlavor::CoinFlip, c.coin_pub.clone(), c.coin_sec.clone())
     })
 }
 
@@ -559,7 +539,7 @@ mod tests {
     fn a_dec_share_index_outside_the_committee_is_refused_uncharged() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let crypto = deal_node_crypto(4, CryptoSuite::light(), &mut rng);
-        let mut dec = DecStage::new(Params::new(4, 0, 1), 0, true);
+        let mut dec = DecStage::new(Params::new(4, 0, 1), 0);
         let ct = crypto[0].enc_pub.encrypt(&ct_label(0, 1), b"payload", &mut rng);
         let mut acts = Actions::new();
         dec.activate(1, ct.clone(), &crypto[0], &mut acts);
@@ -570,7 +550,6 @@ mod tests {
             share.index = wbft_crypto::ShareIndex::new(index).unwrap();
             let batch = Body::DecShareBatch { shares: vec![(1, share)], dec_nack: Bitmap::new(4) };
             dec.handle(&batch, &crypto[0], &mut acts);
-            dec.handle(&Body::BaseDecShare { proposer: 1, share }, &crypto[0], &mut acts);
         }
         assert_eq!(acts.charge_us, charged, "a refused share is not charged");
         assert_eq!((dec.reporters[1], dec.shares[1].len()), (1, 1), "only the own share is held");

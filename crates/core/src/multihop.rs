@@ -19,7 +19,6 @@ use crate::workload::{BatchSource, Workload};
 use bytes::Bytes;
 use std::collections::BTreeSet;
 use wbft_components::aba_sc::AbaScBatch;
-use wbft_components::rbc::RbcBatch;
 use wbft_components::NodeCrypto;
 use wbft_crypto::hash::Digest32;
 use wbft_net::wire::{ByteSink, Sink, WireReader};
@@ -73,7 +72,7 @@ pub struct ClusterNode {
     global_crypto: NodeCrypto,
     global_sizing: Sizing,
     global_channel: ChannelId,
-    global: Option<EpochEngine<HbLane<RbcBatch, AbaScBatch>>>,
+    global: Option<EpochEngine<HbLane<AbaScBatch>>>,
     global_epoch: Option<u64>,
     joined_global: bool,
     /// Epochs whose global outcome this node knows, with tx counts.

@@ -18,9 +18,9 @@
 //!
 //! Wire-format layer of the reproduction of *"Asynchronous BFT Consensus
 //! Made Wireless"* (ICDCS 2025): the batched packet structures of Figs. 4–6,
-//! their per-instance baseline counterparts, compressed O(N) NACK bitmaps,
-//! NACK-driven retransmission policy, and the Table I message-overhead
-//! closed forms.
+//! the baseline's per-instance frames and the split / join between the two
+//! ([`split`]), compressed O(N) NACK bitmaps, NACK-driven retransmission
+//! policy, and the Table I message-overhead closed forms.
 //!
 //! The central idea of ConsensusBatcher lives in these packet layouts:
 //! *vertical batching* merges the same phase of N parallel component
@@ -81,6 +81,7 @@ pub mod overhead;
 pub mod packets;
 pub mod reliability;
 pub mod send;
+pub mod split;
 pub mod vote;
 pub mod wire;
 
@@ -90,5 +91,6 @@ pub use open::{open_shared, Opened};
 pub use packets::{AbaLcInst, AbaScInst, Body, Envelope};
 pub use reliability::RetransmitPolicy;
 pub use send::broadcast_signed;
+pub use split::{join, split};
 pub use vote::{BinValues, Vote};
 pub use wire::{CoinFlavor, Sizing, WireError};

@@ -1,11 +1,13 @@
-//! ConsensusBatcher packet structures (paper Figs. 4, 5, 6) and their
-//! per-instance baseline counterparts.
+//! ConsensusBatcher packet structures (paper Figs. 4, 5, 6) and the
+//! per-instance frames of the baseline packaging.
 //!
 //! Every packet payload follows the paper's four-part split — header, NACK,
-//! value, signature (§IV-B1). *Batched* packets carry the state of all `N`
-//! parallel instances of a component and are the unit of one channel access;
-//! *baseline* packets carry one phase of one instance each, reproducing the
-//! unbatched deployment the paper compares against.
+//! value, signature (§IV-B1). *Combined* packets carry the state of all `N`
+//! parallel instances of a component and are the unit of one channel access.
+//! The `Base*` frames carry one (instance, phase) entry of a combined packet
+//! each, with that instance's NACK bits, reproducing the unbatched
+//! deployment the paper compares against; [`crate::split`] converts between
+//! the two, so both deployments share one NACK-steered retransmission rule.
 //!
 //! A body encodes through the dual-mode [`Sink`](crate::wire::Sink); see
 //! [`crate::wire`] for how nominal (paper-sized) lengths are derived. Each
@@ -191,44 +193,50 @@ pub enum Body {
         /// Bit per node = "I lack a coin share from them" (Share_nack).
         share_nack: Bitmap,
     },
-    // ------------------------------------------------------ baseline RBC
-    /// Baseline (unbatched) RBC INITIAL — one instance, one channel access.
-    BaseRbcInit {
-        /// Instance id.
-        instance: u8,
-        /// Fragment index.
-        frag: u8,
-        /// Total fragments.
-        frag_total: u8,
-        /// Proposal root.
-        root: Digest32,
-        /// Fragment payload.
-        data: Bytes,
-    },
-    /// Baseline RBC ECHO.
+    // ------------------------------------------------------ per-instance
+    // One instance's entry of a combined body, one frame each: the
+    // baseline packaging (`wbft_net::split`). Every frame carries its own
+    // instance's NACK bits, in the order of the combined body's bitmaps.
+    /// One instance's RBC ECHO (of `RbcEchoReady`).
     BaseRbcEcho {
         /// Instance id.
         instance: u8,
         /// Echoed proposal root.
         root: Digest32,
+        /// Bits 0–2: the instance's echo, ready and INITIAL NACK.
+        nack: u8,
     },
-    /// Baseline RBC READY.
+    /// One instance's RBC READY.
     BaseRbcReady {
         /// Instance id.
         instance: u8,
         /// Ready proposal root.
         root: Digest32,
+        /// As [`Body::BaseRbcEcho`].
+        nack: u8,
     },
-    /// Baseline CBC ECHO (signature share back to the leader).
+    /// One RBC instance's NACK bits with no vote of the sender's to carry
+    /// them: it lacks the instance's proposal, or knows nothing of it yet.
+    BaseRbcNack {
+        /// Instance id.
+        instance: u8,
+        /// The root the sender knows (zero = none).
+        root: Digest32,
+        /// As [`Body::BaseRbcEcho`].
+        nack: u8,
+    },
+    /// One instance's CBC ECHO share (of `CbcEchoFinish`).
     BaseCbcEcho {
         /// Instance id.
         instance: u8,
         /// Echoed value root.
         root: Digest32,
-        /// This node's echo share.
+        /// The sender's echo share.
         share: SigShare,
+        /// Bits 0–2: the instance's echo, FINISH and INITIAL NACK.
+        nack: u8,
     },
-    /// Baseline CBC FINISH (combined signature from the leader).
+    /// One instance's CBC FINISH certificate.
     BaseCbcFinish {
         /// Instance id.
         instance: u8,
@@ -236,51 +244,59 @@ pub enum Body {
         root: Digest32,
         /// The combined signature.
         sig: ThresholdSignature,
+        /// As [`Body::BaseCbcEcho`].
+        nack: u8,
     },
-    /// Baseline PRBC DONE share.
+    /// One CBC instance's NACK bits with no share or certificate to carry
+    /// them.
+    BaseCbcNack {
+        /// Instance id.
+        instance: u8,
+        /// The root the sender knows (zero = none).
+        root: Digest32,
+        /// As [`Body::BaseCbcEcho`].
+        nack: u8,
+    },
+    /// One instance's PRBC DONE share (of `PrbcDone`).
     BasePrbcDone {
         /// Instance id.
         instance: u8,
         /// Delivered root.
         root: Digest32,
-        /// This node's DONE share.
+        /// The sender's DONE share.
         share: SigShare,
+        /// Bit 0: the sender lacks the instance's proof.
+        nack: u8,
     },
-    /// Baseline shared-coin ABA BVAL vote.
-    BaseAbaBval {
+    /// One instance's PRBC delivery proof.
+    BasePrbcProof {
         /// Instance id.
         instance: u8,
-        /// Round.
-        round: u16,
-        /// The vote.
-        value: bool,
+        /// Delivered root (zero = not delivered at the sender).
+        root: Digest32,
+        /// The combined proof.
+        proof: ThresholdSignature,
+        /// As [`Body::BasePrbcDone`].
+        nack: u8,
     },
-    /// Baseline shared-coin ABA AUX vote.
-    BaseAbaAux {
-        /// Instance id.
-        instance: u8,
-        /// Round.
-        round: u16,
-        /// The vote.
-        value: bool,
+    /// One (instance, round) entry of `AbaSc`; its round is its NACK.
+    BaseAbaVote {
+        /// Which coin deployment the instance runs.
+        flavor: CoinFlavor,
+        /// The entry.
+        inst: AbaScInst,
     },
-    /// Baseline coin share.
+    /// One coin share of `AbaSc`.
     BaseAbaCoin {
-        /// Instance id.
-        instance: u8,
-        /// Round.
-        round: u16,
         /// Coin deployment.
         flavor: CoinFlavor,
+        /// `(domain << 8) | round`, as in `AbaSc`'s coin shares.
+        coin: u16,
         /// The share.
         share: SigShare,
-    },
-    /// Baseline decided broadcast (termination gossip).
-    BaseAbaDecided {
-        /// Instance id.
-        instance: u8,
-        /// Decided value.
-        value: bool,
+        /// `AbaSc`'s `Share_nack`; carried by the last coin frame of a
+        /// split body, empty on the others.
+        share_nack: Bitmap,
     },
     // ------------------------------------------------------ consensus layer
     /// Batched threshold-decryption shares for an epoch's accepted
@@ -292,12 +308,14 @@ pub enum Body {
         /// proposer `j`'s ciphertext.
         dec_nack: Bitmap,
     },
-    /// Baseline single decryption share.
+    /// One proposer's decryption share (of `DecShareBatch`).
     BaseDecShare {
         /// Whose ciphertext.
         proposer: u8,
         /// The share.
         share: DecShare,
+        /// Bit 0: the sender lacks a decryption quorum for it.
+        nack: u8,
     },
     /// Multi-hop: the cluster leader's announcement of the global consensus
     /// outcome for an epoch, broadcast once on the cluster channel.
@@ -334,44 +352,22 @@ impl Body {
     /// rounds) get distinct slots.
     pub fn slot_key(&self) -> u64 {
         let kind = self.kind() as u64;
+        // Per-instance frames: distinct per (instance, round); the phase is
+        // the kind.
+        if let Some((instance, round)) = self.place() {
+            return kind << 48 | (instance as u64) << 16 | round as u64;
+        }
         let sub = match self {
-            // Combined packets: one live version per component session.
-            Body::RbcEchoReady { .. }
-            | Body::CbcEchoFinish { .. }
-            | Body::PrbcDone { .. }
-            | Body::RbcSmall { .. }
-            | Body::CbcSmall { .. }
-            | Body::AbaLc { .. }
-            | Body::AbaSc { .. }
-            | Body::DecShareBatch { .. } => 0,
             // Fragments: distinct per (instance, fragment).
-            Body::RbcInit { instance, frag, .. }
-            | Body::CbcInit { instance, frag, .. }
-            | Body::BaseRbcInit { instance, frag, .. } => {
+            Body::RbcInit { instance, frag, .. } | Body::CbcInit { instance, frag, .. } => {
                 (*instance as u64) << 8 | *frag as u64
             }
-            // Baseline per-instance votes: distinct per identifying fields.
-            Body::BaseRbcEcho { instance, .. } | Body::BaseRbcReady { instance, .. } => {
-                *instance as u64
-            }
-            Body::BaseCbcEcho { instance, .. }
-            | Body::BaseCbcFinish { instance, .. }
-            | Body::BasePrbcDone { instance, .. } => *instance as u64,
-            Body::BaseAbaBval { instance, round, value } => {
-                (*instance as u64) << 24 | (*round as u64) << 8 | *value as u64
-            }
-            Body::BaseAbaAux { instance, round, value } => {
-                (*instance as u64) << 24 | (*round as u64) << 8 | *value as u64
-            }
-            Body::BaseAbaCoin { instance, round, .. } => {
-                (*instance as u64) << 24 | (*round as u64) << 8
-            }
-            Body::BaseAbaDecided { instance, .. } => *instance as u64,
-            Body::BaseDecShare { proposer, .. } => *proposer as u64,
             Body::GlobalDecision { epoch, .. } => *epoch,
             // One live deal per (dealer, key epoch): a retransmission may
             // supersede its own queued copy, never another dealer's.
             Body::Reshare { key_epoch, dealer, .. } => *key_epoch << 16 | *dealer as u64,
+            // Combined packets: one live version per component session.
+            _ => 0,
         };
         kind << 48 | sub
     }
@@ -433,10 +429,11 @@ macro_rules! body_codec {
     (@get $r:ident via $get:ident; $variant:ident { $($field:ident),* }) => { $get($r) };
 }
 
-// The wire table. Kinds 19 and 22 stay reserved (a retired baseline ABA-LC
-// report and a retired multi-hop leader complaint), so an old frame cannot
-// decode as something else. The two coin-carrying variants are written out
-// because a coin share's nominal size depends on the sibling `flavor`.
+// The wire table. Kinds 9–19, 21 and 22 stay reserved (retired per-instance
+// layouts without NACK bits, a retired baseline ABA-LC report and a retired
+// multi-hop leader complaint), so an old frame cannot decode as something
+// else. The coin-carrying variants are written out because a coin share's
+// nominal size depends on the sibling `flavor`.
 body_codec! {
     0 => RbcInit { instance, frag, frag_total, root, data, init_nack };
     1 => RbcEchoReady { roots, echo, ready, echo_nack, ready_nack, init_nack };
@@ -447,20 +444,20 @@ body_codec! {
     6 => CbcSmall { values, echo_shares, finish_sigs, init_nack, echo_nack, finish_nack };
     7 => AbaLc { insts };
     8 => AbaSc { flavor, insts, coin_shares, share_nack } via put_aba_sc, get_aba_sc;
-    9 => BaseRbcInit { instance, frag, frag_total, root, data };
-    10 => BaseRbcEcho { instance, root };
-    11 => BaseRbcReady { instance, root };
-    12 => BaseCbcEcho { instance, root, share };
-    13 => BaseCbcFinish { instance, root, sig };
-    14 => BasePrbcDone { instance, root, share };
-    15 => BaseAbaBval { instance, round, value };
-    16 => BaseAbaAux { instance, round, value };
-    17 => BaseAbaCoin { instance, round, flavor, share } via put_base_coin, get_base_coin;
-    18 => BaseAbaDecided { instance, value };
     20 => DecShareBatch { shares, dec_nack };
-    21 => BaseDecShare { proposer, share };
     23 => GlobalDecision { epoch, digest, tx_count };
     24 => Reshare { key_epoch, dealer, deal };
+    25 => BaseRbcEcho { instance, root, nack };
+    26 => BaseRbcReady { instance, root, nack };
+    27 => BaseRbcNack { instance, root, nack };
+    28 => BaseCbcEcho { instance, root, share, nack };
+    29 => BaseCbcFinish { instance, root, sig, nack };
+    30 => BaseCbcNack { instance, root, nack };
+    31 => BasePrbcDone { instance, root, share, nack };
+    32 => BasePrbcProof { instance, root, proof, nack };
+    33 => BaseAbaVote { flavor, inst };
+    34 => BaseAbaCoin { flavor, coin, share, share_nack } via put_base_coin, get_base_coin;
+    35 => BaseDecShare { proposer, share, nack };
 }
 
 fn put_aba_sc(
@@ -491,24 +488,23 @@ fn get_aba_sc(r: &mut WireReader<'_>) -> Result<Body, WireError> {
 
 fn put_base_coin(
     s: &mut impl Sink,
-    instance: &u8,
-    round: &u16,
     flavor: &CoinFlavor,
+    coin: &u16,
     share: &SigShare,
+    share_nack: &Bitmap,
 ) -> Result<(), WireError> {
-    s.u8(*instance);
-    s.u16(*round);
     flavor.put(s)?;
+    s.u16(*coin);
     s.coin_share(share, *flavor);
-    Ok(())
+    share_nack.put(s)
 }
 
 fn get_base_coin(r: &mut WireReader<'_>) -> Result<Body, WireError> {
     Ok(Body::BaseAbaCoin {
-        instance: r.u8()?,
-        round: r.u16()?,
         flavor: CoinFlavor::get(r)?,
+        coin: r.u16()?,
         share: r.sig_share()?,
+        share_nack: r.bitmap()?,
     })
 }
 
@@ -841,24 +837,32 @@ mod tests {
                 coin_shares: vec![(1, coin)],
                 share_nack: Bitmap::from_raw(0b0011, 4),
             },
-            Body::BaseRbcInit {
-                instance: 0,
-                frag: 1,
-                frag_total: 2,
-                root: d,
-                data: Bytes::from_static(b"x"),
+            Body::BaseRbcEcho { instance: 3, root: d, nack: 0b011 },
+            Body::BaseRbcReady { instance: 3, root: d, nack: 0 },
+            Body::BaseRbcNack { instance: 1, root: d, nack: 0b111 },
+            Body::BaseCbcEcho { instance: 1, root: d, share, nack: 0b010 },
+            Body::BaseCbcFinish { instance: 1, root: d, sig, nack: 0b100 },
+            Body::BaseCbcNack { instance: 0, root: d, nack: 0b110 },
+            Body::BasePrbcDone { instance: 2, root: d, share, nack: 1 },
+            Body::BasePrbcProof { instance: 2, root: d, proof: sig, nack: 0 },
+            Body::BaseAbaVote {
+                flavor: CoinFlavor::CoinFlip,
+                inst: AbaScInst {
+                    instance: 0,
+                    round: 2,
+                    bval: BinValues { zero: false, one: true },
+                    aux: Vote::Zero,
+                    decided: Vote::Unknown,
+                },
             },
-            Body::BaseRbcEcho { instance: 3, root: d },
-            Body::BaseRbcReady { instance: 3, root: d },
-            Body::BaseCbcEcho { instance: 1, root: d, share },
-            Body::BaseCbcFinish { instance: 1, root: d, sig },
-            Body::BasePrbcDone { instance: 2, root: d, share },
-            Body::BaseAbaBval { instance: 0, round: 2, value: true },
-            Body::BaseAbaAux { instance: 0, round: 2, value: false },
-            Body::BaseAbaCoin { instance: 0, round: 2, flavor: CoinFlavor::CoinFlip, share: coin },
-            Body::BaseAbaDecided { instance: 0, value: true },
+            Body::BaseAbaCoin {
+                flavor: CoinFlavor::CoinFlip,
+                coin: 2,
+                share: coin,
+                share_nack: Bitmap::from_raw(0b0100, 4),
+            },
             Body::DecShareBatch { shares: vec![(0, dec), (2, dec)], dec_nack: Bitmap::new(4) },
-            Body::BaseDecShare { proposer: 1, share: dec },
+            Body::BaseDecShare { proposer: 1, share: dec, nack: 1 },
             Body::GlobalDecision { epoch: 9, digest: d, tx_count: 120 },
             Body::Reshare {
                 key_epoch: 3,
@@ -882,25 +886,18 @@ mod tests {
     }
 
     #[test]
-    fn retired_kind_19_is_unknown() {
-        // Kind 19 carried a baseline ABA-LC report no deployment produced;
-        // the number stays reserved so an old frame cannot decode as
-        // something else.
-        let bytes = [19u8, 1, 0, 0, 2, 3, 2];
-        let mut r = WireReader::new(&bytes);
-        assert_eq!(Body::decode(&mut r), Err(WireError::UnknownKind(19)));
-        assert!(sample_bodies().iter().all(|b| b.kind() != 19));
-    }
-
-    #[test]
-    fn retired_kind_22_is_unknown() {
-        // Kind 22 carried a multi-hop leader complaint nothing ever sent or
-        // read; the number stays reserved like 19.
-        let mut bytes = vec![22u8];
-        bytes.extend_from_slice(&[0; 8 + 2 + 32]);
-        let mut r = WireReader::new(&bytes);
-        assert_eq!(Body::decode(&mut r), Err(WireError::UnknownKind(22)));
-        assert!(sample_bodies().iter().all(|b| b.kind() != 22));
+    fn retired_kinds_are_unknown() {
+        // 9–18 and 21 carried per-instance frames without NACK bits, 19 a
+        // baseline ABA-LC report no deployment produced, 22 a multi-hop
+        // leader complaint nothing ever sent or read. The numbers stay
+        // reserved so an old frame cannot decode as something else.
+        for kind in (9u8..=19).chain([21, 22]) {
+            let mut bytes = vec![kind];
+            bytes.extend_from_slice(&[0; 8 + 2 + 32 + 64]);
+            let mut r = WireReader::new(&bytes);
+            assert_eq!(Body::decode(&mut r), Err(WireError::UnknownKind(kind)));
+            assert!(sample_bodies().iter().all(|b| b.kind() != kind));
+        }
     }
 
     #[test]
@@ -923,11 +920,11 @@ mod tests {
         let env = Envelope {
             src: 0,
             session: 1,
-            body: Body::BaseAbaDecided { instance: 0, value: true },
+            body: Body::BaseRbcReady { instance: 0, root: Digest32::zero(), nack: 1 },
         };
         let (bytes, _) = env.seal(&kp, &Sizing::light(4)).unwrap();
         let mut tampered = bytes.to_vec();
-        // Flip the decided value inside the body.
+        // Flip the NACK bits inside the body.
         let idx = tampered.len() - 65;
         tampered[idx] ^= 1;
         let (opened, sig_ok) = Envelope::open(&tampered, |_| Some(kp.public())).unwrap();
@@ -943,7 +940,7 @@ mod tests {
         let env = Envelope {
             src: 0,
             session: 1,
-            body: Body::BaseAbaDecided { instance: 0, value: false },
+            body: Body::BaseRbcReady { instance: 0, root: Digest32::zero(), nack: 0 },
         };
         let (bytes, _) = env.seal(&kp, &Sizing::light(4)).unwrap();
         let (_, sig_ok) = Envelope::open(&bytes, |_| Some(other.public())).unwrap();
@@ -1042,7 +1039,7 @@ mod tests {
         let env = Envelope {
             src: 0,
             session: 3,
-            body: Body::BaseAbaDecided { instance: 1, value: false },
+            body: Body::BaseRbcReady { instance: 1, root: Digest32::zero(), nack: 0 },
         };
         let (bytes, _) = env.seal(&kp, &Sizing::light(4)).unwrap();
         let (opened, key_epoch, sig_ok) =
@@ -1059,24 +1056,26 @@ mod tests {
         let at_limit = Envelope {
             src: 0,
             session: 0,
-            body: Body::BaseRbcInit {
+            body: Body::RbcInit {
                 instance: 0,
                 frag: 0,
                 frag_total: 1,
                 root: Digest32::of(b"big"),
                 data: Bytes::from(vec![7u8; u16::MAX as usize]),
+                init_nack: Bitmap::new(4),
             },
         };
         assert!(at_limit.seal(&kp, &Sizing::light(4)).is_ok());
         let over = Envelope {
             src: 0,
             session: 0,
-            body: Body::BaseRbcInit {
+            body: Body::RbcInit {
                 instance: 0,
                 frag: 0,
                 frag_total: 1,
                 root: Digest32::of(b"big"),
                 data: Bytes::from(vec![7u8; u16::MAX as usize + 1]),
+                init_nack: Bitmap::new(4),
             },
         };
         assert_eq!(

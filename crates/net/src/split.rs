@@ -1,0 +1,264 @@
+//! The baseline packaging: a combined body split into one frame per
+//! (instance, phase) entry, and a frame joined back into the combined body
+//! its components read.
+//!
+//! ConsensusBatcher and the unbatched baseline run the same components;
+//! only how their state reaches the air differs. A component always builds
+//! its combined body — `RbcEchoReady`, `CbcEchoFinish`, `PrbcDone`,
+//! `AbaSc`, `DecShareBatch`. Under the baseline packaging the sender's
+//! batcher [`split`]s it into `Base*` frames, each carrying one instance's
+//! entry and that instance's NACK bits, and the receiver [`join`]s every
+//! frame back into a combined body holding that one entry, so components
+//! match only their combined variants. INITIAL fragments are per instance
+//! already and pass through, as does every other body.
+//!
+//! An RBC or CBC entry whose only content is NACK bits becomes a NACK frame
+//! ([`Body::is_request`]): a request, not news. What a split drops: the
+//! NACK bits of a PRBC or decryption entry with no share or proof (the
+//! sender has not delivered the instance, which the RBC's own NACKs
+//! recover), and `AbaSc`'s `Share_nack` when the body has no coin share.
+
+use crate::bitmap::Bitmap;
+use crate::packets::{AbaScInst, Body};
+use crate::vote::Vote;
+use std::borrow::Cow;
+use wbft_crypto::hash::Digest32;
+
+/// Bit `j` of `b`, `false` beyond its length.
+fn bit(b: &Bitmap, j: usize) -> bool {
+    j < b.len() && b.get(j)
+}
+
+/// Packs NACK bits, the first in bit 0.
+fn pack(bits: [bool; 3]) -> u8 {
+    bits.iter().enumerate().fold(0, |acc, (i, &b)| acc | u8::from(b) << i)
+}
+
+/// A bitmap of `n` bits holding only bit `j`, set to `value`.
+fn one(n: usize, j: usize, value: bool) -> Bitmap {
+    let mut b = Bitmap::new(n);
+    if value {
+        b.set(j, true);
+    }
+    b
+}
+
+/// Splits a combined body into its per-instance frames; any other body is
+/// its own one frame.
+pub fn split(body: Body) -> Vec<Body> {
+    let mut out = Vec::new();
+    match body {
+        Body::RbcEchoReady { roots, echo, ready, echo_nack, ready_nack, init_nack } => {
+            for (instance, root) in (0..=u8::MAX).zip(roots) {
+                let j = usize::from(instance);
+                let nack = pack([bit(&echo_nack, j), bit(&ready_nack, j), bit(&init_nack, j)]);
+                let (voted_echo, voted_ready) = (bit(&echo, j), bit(&ready, j));
+                if voted_echo {
+                    out.push(Body::BaseRbcEcho { instance, root, nack });
+                }
+                if voted_ready {
+                    out.push(Body::BaseRbcReady { instance, root, nack });
+                }
+                if !voted_echo && !voted_ready && nack != 0 {
+                    out.push(Body::BaseRbcNack { instance, root, nack });
+                }
+            }
+        }
+        Body::CbcEchoFinish { roots, echo_shares, finish_sigs, echo_nack, finish_nack, init_nack } => {
+            for (instance, root) in (0..=u8::MAX).zip(roots) {
+                let j = usize::from(instance);
+                let nack = pack([bit(&echo_nack, j), bit(&finish_nack, j), bit(&init_nack, j)]);
+                let share = echo_shares.iter().find(|(i, _)| *i == instance);
+                let sig = finish_sigs.iter().find(|(i, _)| *i == instance);
+                if let Some(&(_, share)) = share {
+                    out.push(Body::BaseCbcEcho { instance, root, share, nack });
+                }
+                if let Some(&(_, sig)) = sig {
+                    out.push(Body::BaseCbcFinish { instance, root, sig, nack });
+                }
+                if share.is_none() && sig.is_none() && nack != 0 {
+                    out.push(Body::BaseCbcNack { instance, root, nack });
+                }
+            }
+        }
+        Body::PrbcDone { roots, shares, proofs, sig_nack } => {
+            let root = |j: u8| roots.get(usize::from(j)).copied().unwrap_or_else(Digest32::zero);
+            let nack = |j: u8| u8::from(bit(&sig_nack, usize::from(j)));
+            for (instance, share) in shares {
+                out.push(Body::BasePrbcDone { instance, root: root(instance), share, nack: nack(instance) });
+            }
+            for (instance, proof) in proofs {
+                out.push(Body::BasePrbcProof { instance, root: root(instance), proof, nack: nack(instance) });
+            }
+        }
+        Body::AbaSc { flavor, insts, coin_shares, share_nack } => {
+            out.extend(insts.into_iter().map(|inst| Body::BaseAbaVote { flavor, inst }));
+            let last = coin_shares.len().saturating_sub(1);
+            for (i, (coin, share)) in coin_shares.into_iter().enumerate() {
+                let share_nack = if i == last { share_nack } else { Bitmap::new(share_nack.len()) };
+                out.push(Body::BaseAbaCoin { flavor, coin, share, share_nack });
+            }
+        }
+        Body::DecShareBatch { shares, dec_nack } => {
+            for (proposer, share) in shares {
+                let nack = u8::from(bit(&dec_nack, usize::from(proposer)));
+                out.push(Body::BaseDecShare { proposer, share, nack });
+            }
+        }
+        other => out.push(other),
+    }
+    out
+}
+
+/// The combined body holding the one entry of a per-instance frame, for a
+/// committee of `n`; any other body — and a frame naming an instance
+/// outside the committee, which no component reads — is returned as it is.
+pub fn join(body: &Body, n: usize) -> Cow<'_, Body> {
+    let Some(j) = body.place().map(|(instance, _)| usize::from(instance)).filter(|&j| j < n)
+    else {
+        return Cow::Borrowed(body);
+    };
+    let roots_of = |root: Digest32| {
+        let mut roots = vec![Digest32::zero(); n];
+        if let Some(r) = roots.get_mut(j) {
+            *r = root;
+        }
+        roots
+    };
+    let nack_bit = |nack: u8, i: u32| one(n, j, nack >> i & 1 == 1);
+    Cow::Owned(match body {
+        Body::BaseRbcEcho { root, nack, .. }
+        | Body::BaseRbcReady { root, nack, .. }
+        | Body::BaseRbcNack { root, nack, .. } => Body::RbcEchoReady {
+            roots: roots_of(*root),
+            echo: one(n, j, matches!(body, Body::BaseRbcEcho { .. })),
+            ready: one(n, j, matches!(body, Body::BaseRbcReady { .. })),
+            echo_nack: nack_bit(*nack, 0),
+            ready_nack: nack_bit(*nack, 1),
+            init_nack: nack_bit(*nack, 2),
+        },
+        Body::BaseCbcEcho { root, nack, .. }
+        | Body::BaseCbcFinish { root, nack, .. }
+        | Body::BaseCbcNack { root, nack, .. } => Body::CbcEchoFinish {
+            roots: roots_of(*root),
+            echo_shares: match body {
+                Body::BaseCbcEcho { instance, share, .. } => vec![(*instance, *share)],
+                _ => Vec::new(),
+            },
+            finish_sigs: match body {
+                Body::BaseCbcFinish { instance, sig, .. } => vec![(*instance, *sig)],
+                _ => Vec::new(),
+            },
+            echo_nack: nack_bit(*nack, 0),
+            finish_nack: nack_bit(*nack, 1),
+            init_nack: nack_bit(*nack, 2),
+        },
+        Body::BasePrbcDone { root, nack, .. } | Body::BasePrbcProof { root, nack, .. } => {
+            Body::PrbcDone {
+                roots: roots_of(*root),
+                shares: match body {
+                    Body::BasePrbcDone { instance, share, .. } => vec![(*instance, *share)],
+                    _ => Vec::new(),
+                },
+                proofs: match body {
+                    Body::BasePrbcProof { instance, proof, .. } => vec![(*instance, *proof)],
+                    _ => Vec::new(),
+                },
+                sig_nack: nack_bit(*nack, 0),
+            }
+        }
+        Body::BaseAbaVote { flavor, inst } => Body::AbaSc {
+            flavor: *flavor,
+            insts: vec![inst.clone()],
+            coin_shares: Vec::new(),
+            share_nack: Bitmap::new(n),
+        },
+        Body::BaseAbaCoin { flavor, coin, share, share_nack } => Body::AbaSc {
+            flavor: *flavor,
+            insts: Vec::new(),
+            coin_shares: vec![(*coin, *share)],
+            share_nack: *share_nack,
+        },
+        Body::BaseDecShare { proposer, share, nack } => Body::DecShareBatch {
+            shares: vec![(*proposer, *share)],
+            dec_nack: nack_bit(*nack, 0),
+        },
+        other => return Cow::Borrowed(other),
+    })
+}
+
+impl Body {
+    /// A per-instance frame's instance, round and asks; `None` for any
+    /// other body.
+    fn frame(&self) -> Option<(u8, u16, u64)> {
+        match self {
+            Body::BaseRbcEcho { instance, nack, .. }
+            | Body::BaseRbcReady { instance, nack, .. }
+            | Body::BaseRbcNack { instance, nack, .. }
+            | Body::BaseCbcEcho { instance, nack, .. }
+            | Body::BaseCbcFinish { instance, nack, .. }
+            | Body::BaseCbcNack { instance, nack, .. }
+            | Body::BasePrbcDone { instance, nack, .. }
+            | Body::BasePrbcProof { instance, nack, .. }
+            | Body::BaseDecShare { proposer: instance, nack, .. } => {
+                Some((*instance, 0, u64::from(*nack)))
+            }
+            Body::BaseAbaVote { inst, .. } => {
+                Some((inst.instance, inst.round, u64::from(inst.decided == Vote::Unknown)))
+            }
+            Body::BaseAbaCoin { coin, share_nack, .. } => {
+                let [domain, round] = coin.to_be_bytes();
+                Some((domain, u16::from(round), share_nack.to_raw()))
+            }
+            _ => None,
+        }
+    }
+
+    /// The `(instance, round)` a per-instance frame speaks for — a coin
+    /// share's instance is its coin domain; `None` for any other body.
+    pub fn place(&self) -> Option<(u8, u16)> {
+        self.frame().map(|(instance, round, _)| (instance, round))
+    }
+
+    /// What a per-instance frame asks its receivers for, one bit per NACK:
+    /// its NACK bits, an undecided ABA entry, a coin frame's `Share_nack`.
+    /// Zero for any other body.
+    pub fn asks(&self) -> u64 {
+        self.frame().map_or(0, |(_, _, asks)| asks)
+    }
+
+    /// `true` for a frame that only asks: an RBC or CBC entry's NACK bits
+    /// with nothing of the sender's to carry them.
+    pub fn is_request(&self) -> bool {
+        matches!(self, Body::BaseRbcNack { .. } | Body::BaseCbcNack { .. })
+    }
+
+    /// `true` when this frame says something `older`, the last frame sent
+    /// in its slot, did not: anything but asks it no longer makes — a
+    /// cleared NACK, a decision — differs, or it asks for more.
+    pub fn is_news_over(&self, older: &Body) -> bool {
+        self.asks() & !older.asks() != 0 || self.without_asks() != older.without_asks()
+    }
+
+    fn without_asks(&self) -> Cow<'_, Body> {
+        if self.place().is_none() {
+            return Cow::Borrowed(self);
+        }
+        let mut quiet = self.clone();
+        match &mut quiet {
+            Body::BaseRbcEcho { nack, .. }
+            | Body::BaseRbcReady { nack, .. }
+            | Body::BaseRbcNack { nack, .. }
+            | Body::BaseCbcEcho { nack, .. }
+            | Body::BaseCbcFinish { nack, .. }
+            | Body::BaseCbcNack { nack, .. }
+            | Body::BasePrbcDone { nack, .. }
+            | Body::BasePrbcProof { nack, .. }
+            | Body::BaseDecShare { nack, .. } => *nack = 0,
+            Body::BaseAbaVote { inst: AbaScInst { decided, .. }, .. } => *decided = Vote::Unknown,
+            Body::BaseAbaCoin { share_nack, .. } => *share_nack = Bitmap::new(share_nack.len()),
+            _ => {}
+        }
+        Cow::Owned(quiet)
+    }
+}

@@ -11,7 +11,12 @@ use wbft_crypto::EcdsaCurve;
 use wbft_net::open::{self, Stats};
 use wbft_net::packets::{AbaLcInst, AbaScInst};
 use wbft_net::wire::{ByteSink, CountSink, Sizing, WireReader};
-use wbft_net::{open_shared, BinValues, Bitmap, Body, CoinFlavor, Envelope, Opened, Vote};
+use std::collections::{BTreeMap, BTreeSet};
+use wbft_crypto::thresh_enc::DecShare;
+use wbft_crypto::thresh_sig::{SigShare, ThresholdSignature};
+use wbft_net::{
+    join, open_shared, split, BinValues, Bitmap, Body, CoinFlavor, Envelope, Opened, Vote,
+};
 
 fn arb_vote() -> impl Strategy<Value = Vote> {
     (0u8..4).prop_map(Vote::from_code)
@@ -91,16 +96,190 @@ fn arb_body() -> impl Strategy<Value = Body> {
                 share_nack,
             }
         ),
-        // Baseline votes.
-        (any::<u8>(), any::<u16>(), any::<bool>()).prop_map(|(i, r, v)| Body::BaseAbaBval {
-            instance: i,
-            round: r,
-            value: v
-        }),
+        // Per-instance frames.
+        (any::<u8>(), any::<u16>(), 0u8..4, arb_vote(), arb_vote()).prop_map(
+            |(instance, round, bval, aux, decided)| Body::BaseAbaVote {
+                flavor: CoinFlavor::CoinFlip,
+                inst: AbaScInst { instance, round, bval: BinValues::from_code(bval), aux, decided },
+            }
+        ),
+        (any::<u8>(), arb_digest(), any::<u8>())
+            .prop_map(|(instance, root, nack)| Body::BaseRbcReady { instance, root, nack }),
         (any::<u64>(), arb_digest(), any::<u32>()).prop_map(|(epoch, digest, tx_count)| {
             Body::GlobalDecision { epoch, digest, tx_count }
         }),
     ]
+}
+
+/// One real share, certificate, coin share and decryption share: which
+/// instances carry one is what the split properties vary.
+#[derive(Clone, Copy, Debug)]
+struct Material {
+    share: SigShare,
+    sig: ThresholdSignature,
+    coin: SigShare,
+    dec: DecShare,
+}
+
+fn material() -> Material {
+    use wbft_crypto::ThresholdCurve::Bn158;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    let (pks, sks) = wbft_crypto::thresh_sig::deal(4, 1, Bn158, &mut rng);
+    let share = sks[0].sign_share(b"m");
+    let sig = pks.combine(&[share, sks[1].sign_share(b"m")]).expect("two shares combine");
+    let (_, coins) = wbft_crypto::thresh_coin::deal_coin(4, 1, Bn158, &mut rng);
+    let coin = coins[2].coin_share(wbft_crypto::thresh_coin::CoinName { session: 1, round: 0, domain: 0 });
+    let (enc, decs) = wbft_crypto::thresh_enc::deal_enc(4, 1, Bn158, &mut rng);
+    let dec = decs[3].dec_share(&enc.encrypt(b"l", b"pt", &mut rng));
+    Material { share, sig, coin, dec }
+}
+
+/// Instances `0..4` picked by the low bits of `mask`, paired with `item`.
+fn pick<T: Copy>(mask: u8, item: T) -> Vec<(u8, T)> {
+    (0..4u8).filter(|j| mask >> j & 1 == 1).map(|j| (j, item)).collect()
+}
+
+/// A combined body of every kind the baseline packaging splits, at n = 4.
+fn arb_combined() -> impl Strategy<Value = Body> {
+    let n = 4usize;
+    let m = material();
+    let roots = || proptest::collection::vec(prop_oneof![Just(Digest32::zero()), arb_digest()], n);
+    let bitmaps = || (arb_bitmap(n), arb_bitmap(n), arb_bitmap(n));
+    prop_oneof![
+        (roots(), arb_bitmap(n), arb_bitmap(n), bitmaps()).prop_map(
+            |(roots, echo, ready, (echo_nack, ready_nack, init_nack))| Body::RbcEchoReady {
+                roots, echo, ready, echo_nack, ready_nack, init_nack
+            }
+        ),
+        (roots(), any::<u8>(), any::<u8>(), bitmaps()).prop_map(
+            move |(roots, shares, sigs, (echo_nack, finish_nack, init_nack))| Body::CbcEchoFinish {
+                roots,
+                echo_shares: pick(shares, m.share),
+                finish_sigs: pick(sigs, m.sig),
+                echo_nack,
+                finish_nack,
+                init_nack,
+            }
+        ),
+        (roots(), any::<u8>(), any::<u8>(), arb_bitmap(n)).prop_map(
+            move |(roots, shares, proofs, sig_nack)| Body::PrbcDone {
+                roots,
+                shares: pick(shares, m.share),
+                proofs: pick(proofs, m.sig),
+                sig_nack,
+            }
+        ),
+        (
+            proptest::collection::vec(((0u8..4, 0u16..8), (0u8..4, arb_vote(), arb_vote())), 0..8),
+            proptest::collection::vec((0u16..4, 0u16..256), 0..4),
+            any::<bool>(),
+            arb_bitmap(n)
+        )
+            .prop_map(move |(entries, coins, flip, share_nack)| Body::AbaSc {
+                flavor: if flip { CoinFlavor::CoinFlip } else { CoinFlavor::ThreshSig },
+                insts: BTreeMap::<_, _>::from_iter(entries)
+                    .into_iter()
+                    .map(|((instance, round), (bval, aux, decided))| AbaScInst {
+                        instance,
+                        round,
+                        bval: BinValues::from_code(bval),
+                        aux,
+                        decided,
+                    })
+                    .collect(),
+                coin_shares: BTreeSet::from_iter(coins.into_iter().map(|(d, r)| d << 8 | r))
+                    .into_iter()
+                    .map(|c| (c, m.coin))
+                    .collect(),
+                share_nack,
+            }),
+        (any::<u8>(), arb_bitmap(n))
+            .prop_map(move |(shares, dec_nack)| Body::DecShareBatch { shares: pick(shares, m.dec), dec_nack }),
+    ]
+}
+
+/// What a combined body says, one fact set per entry — `(j, 0)` for an
+/// instance, `(instance, 1000 + round)` for an ABA vote entry, `(1000 +
+/// domain, round)` for a coin, `(2000 + node, 0)` for `Share_nack` — so
+/// that merging the bodies of several frames is a union.
+type Facts = BTreeMap<(usize, u16), BTreeSet<String>>;
+
+fn facts(body: &Body) -> Facts {
+    let mut out = Facts::new();
+    let mut fact = |j: usize, round: u16, what: String| {
+        out.entry((j, round)).or_default().insert(what);
+    };
+    let bits = |b: &Bitmap, name: &str, fact: &mut dyn FnMut(usize, u16, String)| {
+        for j in b.iter_set() {
+            fact(j, 0, name.to_string());
+        }
+    };
+    match body {
+        Body::RbcEchoReady { roots, echo, ready, echo_nack, ready_nack, init_nack } => {
+            for (j, root) in roots.iter().enumerate().filter(|(_, r)| !r.is_zero()) {
+                fact(j, 0, format!("root {root:?}"));
+            }
+            bits(echo, "echo", &mut fact);
+            bits(ready, "ready", &mut fact);
+            bits(echo_nack, "echo_nack", &mut fact);
+            bits(ready_nack, "ready_nack", &mut fact);
+            bits(init_nack, "init_nack", &mut fact);
+        }
+        Body::CbcEchoFinish { roots, echo_shares, finish_sigs, echo_nack, finish_nack, init_nack } => {
+            for (j, root) in roots.iter().enumerate().filter(|(_, r)| !r.is_zero()) {
+                fact(j, 0, format!("root {root:?}"));
+            }
+            echo_shares.iter().for_each(|(j, s)| fact(usize::from(*j), 0, format!("share {s:?}")));
+            finish_sigs.iter().for_each(|(j, s)| fact(usize::from(*j), 0, format!("sig {s:?}")));
+            bits(echo_nack, "echo_nack", &mut fact);
+            bits(finish_nack, "finish_nack", &mut fact);
+            bits(init_nack, "init_nack", &mut fact);
+        }
+        Body::PrbcDone { roots, shares, proofs, sig_nack } => {
+            for (j, root) in roots.iter().enumerate().filter(|(_, r)| !r.is_zero()) {
+                fact(j, 0, format!("root {root:?}"));
+            }
+            shares.iter().for_each(|(j, s)| fact(usize::from(*j), 0, format!("share {s:?}")));
+            proofs.iter().for_each(|(j, s)| fact(usize::from(*j), 0, format!("proof {s:?}")));
+            bits(sig_nack, "sig_nack", &mut fact);
+        }
+        Body::AbaSc { flavor, insts, coin_shares, share_nack } => {
+            for i in insts {
+                let entry = format!("{flavor:?} {:?} {:?} {:?}", i.bval, i.aux, i.decided);
+                fact(usize::from(i.instance), i.round + 1000, entry);
+            }
+            for (coin, share) in coin_shares {
+                let [domain, round] = coin.to_be_bytes();
+                fact(1000 + usize::from(domain), u16::from(round), format!("{flavor:?} coin {share:?}"));
+            }
+            bits(share_nack, "share_nack", &mut |j, _, what| fact(2000 + j, 0, what));
+        }
+        Body::DecShareBatch { shares, dec_nack } => {
+            shares.iter().for_each(|(j, s)| fact(usize::from(*j), 0, format!("dec {s:?}")));
+            bits(dec_nack, "dec_nack", &mut fact);
+        }
+        other => panic!("not a combined body: {other:?}"),
+    }
+    out
+}
+
+/// The facts a split keeps: a PRBC or decryption entry with nothing but
+/// NACK bits has no frame to ride, an RBC or CBC entry with nothing but a
+/// root says nothing, and `Share_nack` needs a coin frame.
+fn kept(body: &Body) -> Facts {
+    let mut all = facts(body);
+    let has = |f: &BTreeSet<String>, what: fn(&String) -> bool| f.iter().any(what);
+    match body {
+        Body::RbcEchoReady { .. } | Body::CbcEchoFinish { .. } => {
+            all.retain(|_, f| has(f, |x| !x.starts_with("root")))
+        }
+        Body::PrbcDone { .. } | Body::DecShareBatch { .. } => {
+            all.retain(|_, f| has(f, |x| ["share ", "proof ", "dec "].iter().any(|p| x.starts_with(p))))
+        }
+        Body::AbaSc { coin_shares, .. } if coin_shares.is_empty() => all.retain(|(j, _), _| *j < 2000),
+        _ => {}
+    }
+    all
 }
 
 /// Four signing keys per deal; two deals so a frame can meet a wrong key.
@@ -220,6 +399,37 @@ proptest! {
         };
         if std::mem::discriminant(&body) != std::mem::discriminant(&other) {
             prop_assert_ne!(body.slot_key() >> 48, other.slot_key() >> 48);
+        }
+    }
+
+    #[test]
+    fn joining_the_frames_of_a_split_reproduces_its_entries_in_distinct_slots(
+        body in arb_combined(),
+    ) {
+        let frames = split(body.clone());
+        let mut merged = Facts::new();
+        for frame in &frames {
+            let Some((instance, _)) = frame.place() else {
+                return Err(TestCaseError::fail(format!("not a per-instance frame: {frame:?}")));
+            };
+            // A frame naming an instance outside the committee is no
+            // component's: it is returned as it is.
+            let outside = join(frame, usize::from(instance));
+            prop_assert!(matches!(outside, std::borrow::Cow::Borrowed(_)));
+            let joined = join(frame, 4);
+            prop_assert!(&*joined != frame, "a per-instance frame joins to its combined body");
+            for (entry, f) in facts(&joined) {
+                merged.entry(entry).or_default().extend(f);
+            }
+        }
+        prop_assert_eq!(merged, kept(&body));
+        for (i, a) in frames.iter().enumerate() {
+            for b in &frames[i + 1..] {
+                let (ka, kb) = (std::mem::discriminant(a), std::mem::discriminant(b));
+                if (ka, a.place()) != (kb, b.place()) {
+                    prop_assert!(a.slot_key() != b.slot_key(), "{:?} and {:?} share a slot", a, b);
+                }
+            }
         }
     }
 

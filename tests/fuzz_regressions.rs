@@ -58,8 +58,8 @@
 
 use std::path::{Path, PathBuf};
 use wbft_consensus::fuzz::{
-    base_case, coin_starvation_case, fixture_string, pipelined_case, replay_fixture, FuzzVerdict,
-    DEFAULT_EVENT_BUDGET,
+    base_case, coin_starvation_case, fixture_string, pipelined_case, replay_fixture, run_case,
+    FuzzVerdict, DEFAULT_EVENT_BUDGET,
 };
 use wbft_consensus::Protocol;
 use wbft_wireless::LossModel;
@@ -126,5 +126,35 @@ fn livelock_fixtures_match_the_canonical_encoding() {
         let disk =
             std::fs::read_to_string(fixture_dir().join(format!("{}.json", case.label))).unwrap();
         assert_eq!(fixture_string(&case, FuzzVerdict::Stall), disk, "{} drifted", case.label);
+    }
+}
+
+/// The livelock gate: the unbatched deployments under uniform loss, on the
+/// grid that measured the pinned livelocks (n = 4, one epoch, batch 8,
+/// p ∈ {0.1, 0.2, 0.28}, seeds 1–12). No run may diverge; Dumbo's baseline
+/// must complete all 36, and each HoneyBadger baseline may stall on at most
+/// one, the count the grid measured before the baselines shared the
+/// batched components' NACK-steered retransmission.
+#[test]
+fn lossy_baselines_stay_live() {
+    for (p, allowed_stalls) in [
+        (Protocol::DumboScBaseline, 0),
+        (Protocol::HoneyBadgerScBaseline, 1),
+        (Protocol::BeatBaseline, 1),
+    ] {
+        let mut stalls = Vec::new();
+        for loss in [0.1, 0.2, 0.28] {
+            for seed in 1..=12 {
+                let mut case = base_case(p, DEFAULT_EVENT_BUDGET);
+                case.cfg.loss = LossModel::Uniform { p: loss };
+                case.cfg.seed = seed;
+                match run_case(&case).verdict {
+                    FuzzVerdict::Ok => {}
+                    FuzzVerdict::Stall => stalls.push((loss, seed)),
+                    FuzzVerdict::Divergence => panic!("{p} diverged at p = {loss}, seed {seed}"),
+                }
+            }
+        }
+        assert!(stalls.len() <= allowed_stalls, "{p} stalled at (p, seed) {stalls:?}");
     }
 }

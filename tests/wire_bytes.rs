@@ -120,14 +120,15 @@ fn variant(body: &Body) -> &'static str {
             flavor: CoinFlavor::CoinFlip,
             ..
         } => "aba_sc.flip",
-        Body::BaseRbcInit { .. } => "base_rbc_init",
         Body::BaseRbcEcho { .. } => "base_rbc_echo",
         Body::BaseRbcReady { .. } => "base_rbc_ready",
+        Body::BaseRbcNack { .. } => "base_rbc_nack",
         Body::BaseCbcEcho { .. } => "base_cbc_echo",
         Body::BaseCbcFinish { .. } => "base_cbc_finish",
+        Body::BaseCbcNack { .. } => "base_cbc_nack",
         Body::BasePrbcDone { .. } => "base_prbc_done",
-        Body::BaseAbaBval { .. } => "base_aba_bval",
-        Body::BaseAbaAux { .. } => "base_aba_aux",
+        Body::BasePrbcProof { .. } => "base_prbc_proof",
+        Body::BaseAbaVote { .. } => "base_aba_vote",
         Body::BaseAbaCoin {
             flavor: CoinFlavor::ThreshSig,
             ..
@@ -136,7 +137,6 @@ fn variant(body: &Body) -> &'static str {
             flavor: CoinFlavor::CoinFlip,
             ..
         } => "base_aba_coin.flip",
-        Body::BaseAbaDecided { .. } => "base_aba_decided",
         Body::DecShareBatch { .. } => "dec_share_batch",
         Body::BaseDecShare { .. } => "base_dec_share",
         Body::GlobalDecision { .. } => "global_decision",
@@ -265,61 +265,74 @@ fn bodies() -> Vec<Body> {
         },
         aba_sc(CoinFlavor::ThreshSig),
         aba_sc(CoinFlavor::CoinFlip),
-        Body::BaseRbcInit {
-            instance: 0,
-            frag: 1,
-            frag_total: 2,
-            root: d,
-            data: Bytes::from_static(b"x"),
-        },
         Body::BaseRbcEcho {
             instance: 3,
             root: d,
+            nack: 0b011,
         },
         Body::BaseRbcReady {
             instance: 2,
             root: e,
+            nack: 0b010,
+        },
+        Body::BaseRbcNack {
+            instance: 1,
+            root: d,
+            nack: 0b111,
         },
         Body::BaseCbcEcho {
             instance: 1,
             root: d,
             share,
+            nack: 0b010,
         },
         Body::BaseCbcFinish {
             instance: 1,
             root: e,
             sig,
+            nack: 0b100,
+        },
+        Body::BaseCbcNack {
+            instance: 0,
+            root: e,
+            nack: 0b110,
         },
         Body::BasePrbcDone {
             instance: 2,
             root: d,
             share,
+            nack: 1,
         },
-        Body::BaseAbaBval {
-            instance: 0,
-            round: 2,
-            value: true,
-        },
-        Body::BaseAbaAux {
+        Body::BasePrbcProof {
             instance: 3,
-            round: 258,
-            value: false,
+            root: e,
+            proof: sig,
+            nack: 0,
         },
-        Body::BaseAbaCoin {
-            instance: 0,
-            round: 2,
+        Body::BaseAbaVote {
             flavor: CoinFlavor::ThreshSig,
-            share: coin,
+            inst: AbaScInst {
+                instance: 3,
+                round: 258,
+                bval: BinValues {
+                    zero: true,
+                    one: false,
+                },
+                aux: Vote::Zero,
+                decided: Vote::Unknown,
+            },
         },
         Body::BaseAbaCoin {
-            instance: 1,
-            round: 4,
-            flavor: CoinFlavor::CoinFlip,
+            flavor: CoinFlavor::ThreshSig,
+            coin: 2,
             share: coin,
+            share_nack: bm(0b1010),
         },
-        Body::BaseAbaDecided {
-            instance: 2,
-            value: true,
+        Body::BaseAbaCoin {
+            flavor: CoinFlavor::CoinFlip,
+            coin: 1 << 8 | 4,
+            share: coin,
+            share_nack: Bitmap::new(4),
         },
         Body::DecShareBatch {
             shares: vec![(0, dec), (2, dec)],
@@ -328,6 +341,7 @@ fn bodies() -> Vec<Body> {
         Body::BaseDecShare {
             proposer: 1,
             share: dec,
+            nack: 1,
         },
         Body::GlobalDecision {
             epoch: 9,
@@ -378,9 +392,10 @@ fn envelopes(out: &mut String) -> Bytes {
     let tagged = Envelope {
         src: 1,
         session: 77,
-        body: Body::BaseAbaDecided {
+        body: Body::BaseRbcReady {
             instance: 1,
-            value: false,
+            root: Digest32::zero(),
+            nack: 0,
         },
     };
     let (bytes, nominal) = tagged.seal_tagged(&kp, &light, 5).unwrap();
