@@ -39,8 +39,10 @@ use wbft_wireless::{LossModel, SimTime};
 /// (`run_multi_hop`, `ClusterNode`) — two lossy two-epoch points and a
 /// lossless one — written before any of it was optimised or moved. Six
 /// `*-baseline … loss-u0.1` files (honest and `byz-corrupt@1`) pin the
-/// unbatched components' retransmission rules, written while `baseline.rs`
-/// still carried its own copy of the broadcast instance logic.
+/// per-instance packing's retransmission — the batched components' NACK-
+/// steered rule, one instance per frame — which the three lossless
+/// baseline files never reach; all nine were rewritten when the baselines
+/// moved onto the batched components.
 /// `WBFT_BLESS=1` rewrites them after an *intentional* behaviour change.
 #[test]
 fn fixed_epoch_reports_match_pre_redesign_fixtures() {

@@ -48,22 +48,22 @@ envelope.cbc_small 157 109 141 526a21b2cd6f049737fb241e066d62aae7b182949f8972d74
 envelope.aba_lc 96 70 78 7e2dcd3fe7c0cb5eaac909c093cbc69e5369ff8e2e31f1bd3700876b1c8bd474
 envelope.aba_sc.sig 160 112 144 4b719baa18b08ebffec86bf880585b85357e864fb0a8c8c6fb74ab3a6a6b159b
 envelope.aba_sc.flip 160 128 160 91a369487bdc73628a6808083fcaf07bf3b8b4686a12fb7132f57a9b2a0fb2f0
-envelope.base_rbc_init 113 87 95 0246537172a530ece68dd72100aa80be8e565ddae993c99b400d49277638f44f
-envelope.base_rbc_echo 108 82 90 b4e4fb87e408c338f7175d4c71448401b9be0a185c2faccac9ca3832ac575ec0
-envelope.base_rbc_ready 108 82 90 e5f4188c07be40ca8fea7d4cdd6c9e53dc02f3534b20feae6c9df11620fe8403
-envelope.base_cbc_echo 142 105 125 2e468e0f5c76cf4ccc0dba2d463cabfb6c2481cb9df01ca744b401d5a40ac2d2
-envelope.base_cbc_finish 140 103 123 84ad06ce14dbd55a118a91dc42fb9a378b9ddd64b3d70e945df22c77aaf803a7
-envelope.base_prbc_done 142 105 125 8c09a33c308f74b8892b7cbec8b477ce6a4abfd9fa673a4f8d431b3dfa488498
-envelope.base_aba_bval 79 53 61 deca1cba64c5ac233f6ab26a394969f5bbe38f1ff48e0ec1e52f2dd764cf0477
-envelope.base_aba_aux 79 53 61 72190db95478ac6173853e2c94610ef32ac2871446ae5b044f45468654ac29e0
-envelope.base_aba_coin.sig 113 76 96 3bec8a907f637f8859911cca6ab2355266479756550bce5c9fa2d77f9dfe55ad
-envelope.base_aba_coin.flip 113 84 104 134586cb17d2fce75ada80a85efc78123eb43a83b8b7075ce6dc42962cd411ba
-envelope.base_aba_decided 77 51 59 da66eb9e14e127cf2ec200efee110af9635a86afb56f0a395e947731352b237f
+envelope.base_rbc_echo 109 83 91 2f60dc886e2f7a627a3ec46cc73a7593ff3947291e5bfd101c4cd7f215364eab
+envelope.base_rbc_ready 109 83 91 85bf7aa21005c6f776eb6f20a0c32de6977866e0ba2361b184ba7c74df5c1738
+envelope.base_rbc_nack 109 83 91 fb9e78b8b9a53f3720e1dc8a25db37d6f526e70a8bef7e1e98ba7fc3ba9258d7
+envelope.base_cbc_echo 143 106 126 ce724792c73dc071161bc2285a5fdabc5ac36724c6ad365ac0f6245d76c59d67
+envelope.base_cbc_finish 141 104 124 23fff2864973d86237849c761361aeeaec5ab499aaf29e61892ab7d71769f3cd
+envelope.base_cbc_nack 109 83 91 233a0df83165fbc4d0311eee05bfcef5bcca5d936865a31d01d4df595dd62556
+envelope.base_prbc_done 143 106 126 698ac0cbe1ad08372fa399495d2f2e5ca10fde60a959040253b31b7f6f6da073
+envelope.base_prbc_proof 141 104 124 4e8aae2534da143500ff6bd06ff49852775902d86ce673f52f57da533dbb604e
+envelope.base_aba_vote 80 54 62 e6e97c2b9bd5717714be0951fc262ccebbad9f1f27b3cb498b04066c045b69ff
+envelope.base_aba_coin.sig 114 77 97 fc779a3ea368afc3fe594737eaccfce07f838089ef89b24eafbda9300e848618
+envelope.base_aba_coin.flip 114 85 105 e5b6750d0aff068e45d64392f48cb73945cff909fe9fcf7ea67d42241ee90549
 envelope.dec_share_batch 276 100 132 8cb1441d88963060b6f34d6c4298348e766abb56a3e3f576927e84deaaa7234a
-envelope.base_dec_share 174 73 93 c740ab90ad4da83a571dc1afb38362fa684103eaf279537a37ba5da82b666709
+envelope.base_dec_share 175 74 94 d967a5ecbcaa16b0b9649d3b7867be55ba55a9e9e92f37116ee34b4baaae3931
 envelope.global_decision 119 93 101 f47e46e330ecdd01c1747c2f9be6802e5a9dc40ba0d5b8acbe8f97804092554a
 envelope.reshare 102 76 84 32a2e99e8c8d7e0855b62aa91b28cefffa04d6c4b975579d2ccf1385c3321407
-envelope.tagged 85 59 67 b52dbbeb73f8b8ff39bfba550f679cca55d1c90b89b7a6eb36b940432387e6a3
+envelope.tagged 117 91 99 0e3bafc7d4f73a86888c3df24674b73af3f48a8c46c21047239698d6dbdbc738
 client.submit 14 - - 9229acbd243f546a2460860b6f5bba3cebf0d02251cee78196e38e103fbbb7eb
 client.submit.empty 3 - - fb50dc0717ff266cf9baf82b1ce7a1c2ef6d9247859680b11a19fb7077f5f222
 client.reply.admitted 34 - - 21be29685a48bab34995c01fbc8b777890b98002c297f6c84e8df16ebaf2725c
