@@ -25,10 +25,10 @@
 //! claims are adopted (at least one is honest).
 
 use crate::context::{Actions, Batcher, BinaryAgreement, Params};
-use crate::share_buf::{Collector, Recorded};
+use crate::share_buf::{Collector, Quorum, Recorded};
 use std::collections::BTreeMap;
 use wbft_crypto::thresh_coin::{self, CoinName, CoinPublicSet};
-use wbft_crypto::thresh_sig::{SecretKeyShare, SigShare};
+use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare, SigShare};
 use wbft_net::packets::AbaScInst;
 use wbft_net::{BinValues, Bitmap, Body, CoinFlavor, Vote};
 
@@ -135,6 +135,19 @@ struct Coin {
     value: Option<bool>,
 }
 
+/// The terms of a deployment's coins: `f + 1` shares under the coin key
+/// set. ABA-SC prices them as *threshold signatures* (Fig. 10a costs),
+/// ABA-CP as *threshold coin flipping* (Fig. 10b costs: cheaper operations,
+/// bigger shares); the scheme underneath is the same.
+fn coin_quorum(coin_pub: &CoinPublicSet, flavor: CoinFlavor, n: usize) -> Quorum<'_, PublicKeySet> {
+    let keys = coin_pub.keys();
+    let q = Quorum::new(keys, keys.threshold() + 1, n);
+    match flavor {
+        CoinFlavor::ThreshSig => q,
+        CoinFlavor::CoinFlip => Quorum { price: coin_pub.profile(), ..q },
+    }
+}
+
 /// Batched shared-coin ABA over up to N instances.
 pub struct AbaScBatch {
     p: Params,
@@ -219,43 +232,24 @@ impl AbaScBatch {
         CoinName { session: self.p.session, round: round as u32, domain: domain as u32 }
     }
 
-    /// Per-operation costs of this deployment's coin: ABA-SC derives its
-    /// coin from *threshold signatures* (Fig. 10a costs), ABA-CP from
-    /// *threshold coin flipping* (Fig. 10b costs — cheaper ops, bigger
-    /// shares). The underlying simulation scheme is identical; the charged
-    /// virtual CPU time is what differs.
-    fn coin_costs(&self) -> (u64, u64, u64) {
-        match self.flavor {
-            CoinFlavor::ThreshSig => {
-                let p = self.coin_pub.keys().profile();
-                (p.sign_share_us, p.verify_share_us, p.combine_us)
-            }
-            CoinFlavor::CoinFlip => {
-                let p = self.coin_pub.profile();
-                (p.sign_share_us, p.verify_share_us, p.combine_us)
-            }
-        }
-    }
-
-    /// Charges and buffers a peer's coin share; the buffered quorum is
-    /// verified and combined in one pass.
+    /// Buffers a coin share; the buffered quorum is verified and combined
+    /// in one pass. `false` when the share was refused.
     fn record_coin_share(
         &mut self,
         domain: u8,
         round: u16,
         share: &SigShare,
         acts: &mut Actions,
-    ) {
-        let (_, verify_us, combine_us) = self.coin_costs();
+    ) -> bool {
         let name = self.coin_name(domain, round);
-        let keys = self.coin_pub.keys();
+        let q = coin_quorum(&self.coin_pub, self.flavor, self.p.n);
         let coin = self.coins.entry((domain, round)).or_default();
-        match coin.shares.record(keys, name, keys.threshold() + 1, self.p.n, *share) {
-            Recorded::Refused => {}
-            Recorded::Buffered => acts.charge(verify_us),
+        match coin.shares.record(&q, name, *share, acts) {
+            Recorded::Refused => false,
+            Recorded::Buffered => true,
             Recorded::Combined(sig) => {
                 coin.value = sig.map(|sig| thresh_coin::reveal(&sig) & 1 == 1);
-                acts.charge(verify_us + combine_us);
+                true
             }
         }
     }
@@ -263,12 +257,17 @@ impl AbaScBatch {
     /// Releases this node's coin share for `(domain, round)` if not yet.
     fn release_share(&mut self, domain: u8, round: u16, acts: &mut Actions) {
         let name = self.coin_name(domain, round);
+        let q = coin_quorum(&self.coin_pub, self.flavor, self.p.n);
+        let own_check = q.price.verify_share_us;
         let coin = self.coins.entry((domain, round)).or_default();
-        let Some(share) = coin.shares.sign_own(|| self.coin_sec.coin_share(name)) else { return };
-        let (sign_us, _, _) = self.coin_costs();
-        acts.charge(sign_us);
-        // Record our own share like any other (its verification is charged).
-        self.record_coin_share(domain, round, &share, acts);
+        let Some(share) = coin.shares.sign_own(&q, || self.coin_sec.coin_share(name), acts) else {
+            return;
+        };
+        if self.record_coin_share(domain, round, &share, acts) {
+            // Unlike every other collector, it pays to check its own share
+            // (ROADMAP item 5).
+            acts.charge(own_check);
+        }
         self.out.changed();
     }
 

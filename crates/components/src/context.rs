@@ -22,7 +22,7 @@ pub enum Packing {
     #[default]
     Combined,
     /// One frame per (instance, phase) entry of that packet
-    /// ([`wbft_net::split`]).
+    /// ([`wbft_net::split()`]).
     PerInstance,
 }
 

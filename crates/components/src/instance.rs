@@ -14,7 +14,7 @@
 //! [`InitNacks`].
 
 use crate::context::{Actions, Params};
-use crate::share_buf::{Collector, Recorded};
+use crate::share_buf::{Collector, Quorum, Recorded};
 use bytes::Bytes;
 use wbft_crypto::hash::Digest32;
 use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare, SigShare, ThresholdSignature};
@@ -433,9 +433,10 @@ impl Signer {
         (self.msg)(self.p.session, instance, root)
     }
 
-    // The certificate collectors' virtual costs are charged here: a
-    // signature per own share, a verification per accepted foreign share
-    // and per received certificate, a combination per quorum.
+    /// The quorum of this signer's collectors, priced from its key set.
+    fn quorum(&self) -> Quorum<'_, PublicKeySet> {
+        Quorum::new(&self.keys, self.need, self.p.n)
+    }
 
     /// Signs this node's share over `(instance, root)` — once; `None` when
     /// it already exists.
@@ -446,9 +447,7 @@ impl Signer {
         root: &Digest32,
         acts: &mut Actions,
     ) -> Option<SigShare> {
-        let share = c.sign_own(|| self.secret.sign_share(&self.msg(instance, root)))?;
-        acts.charge(self.keys.profile().sign_share_us);
-        Some(share)
+        c.sign_own(&self.quorum(), || self.secret.sign_share(&self.msg(instance, root)), acts)
     }
 
     /// Buffers a share over `(instance, root)`; returns the certificate
@@ -462,16 +461,21 @@ impl Signer {
         acts: &mut Actions,
     ) -> Option<ThresholdSignature> {
         let msg = self.msg(instance, root);
-        let recorded = c.record(&self.keys, &msg[..], self.need, self.p.n, share);
-        if recorded == Recorded::Refused {
-            return None;
+        match c.record(&self.quorum(), &msg[..], share, acts) {
+            Recorded::Combined(cert) => cert,
+            _ => None,
         }
-        if c.own() != Some(share) {
-            acts.charge(self.keys.profile().verify_share_us);
-        }
-        let Recorded::Combined(cert) = recorded else { return None };
-        acts.charge(self.keys.profile().combine_us);
-        cert
+    }
+
+    /// Checks a certificate combined elsewhere over `(instance, root)`.
+    pub(crate) fn check_cert(
+        &self,
+        instance: usize,
+        root: &Digest32,
+        sig: &ThresholdSignature,
+        acts: &mut Actions,
+    ) -> bool {
+        self.quorum().check(&self.msg(instance, root), sig, acts)
     }
 
     /// Takes a certificate combined elsewhere; `true` when it verified
@@ -484,15 +488,7 @@ impl Signer {
         sig: &ThresholdSignature,
         acts: &mut Actions,
     ) -> bool {
-        if c.output().is_some() {
-            return false;
-        }
-        acts.charge(self.keys.profile().verify_signature_us);
-        if self.keys.verify(&self.msg(instance, root), sig).is_err() {
-            return false;
-        }
-        c.adopt(*sig);
-        true
+        c.adopt(&self.quorum(), &self.msg(instance, root), *sig, acts)
     }
 }
 

@@ -45,14 +45,15 @@
 //! component is incomplete or a NACK shows a peer behind. Components only
 //! say "changed" / "a peer is behind" (or which instance a peer lacks) and
 //! build the packet when asked; under the per-instance packing the batcher
-//! splits it into frames ([`wbft_net::split`]) and re-sends only the
-//! instances a NACK asks for. And "own share once → buffer →
-//! verify at quorum → combine" is one [`Collector`] of threshold-signature
-//! shares — a coin is a threshold signature on its name — under the CBC
-//! certificates, the PRBC proofs, the ABA coins and Dumbo's π coin. It
-//! reports what happened; the virtual CPU charges stay with the callers,
-//! because they differ (ABA-SC pays a verification for its own coin share,
-//! the certificate and π-coin collectors do not).
+//! splits it into frames ([`wbft_net::split()`]) and re-sends only the
+//! instances a NACK asks for. And "own share once → buffer → verify at
+//! quorum → combine" is one [`Collector`] over a threshold key set: under
+//! the CBC certificates, the PRBC proofs, the ABA coins and Dumbo's π coin
+//! (a coin is a threshold signature on its name) and HoneyBadger's
+//! threshold decryption. The collector is also the one place a threshold
+//! share is priced: it charges the virtual CPU of a share signature, each
+//! foreign share's verification, the combination and an adopted
+//! certificate's check at its [`Quorum`]'s price.
 //!
 //! All components are sans-io state machines: they consume packet bodies
 //! and timer ticks and emit [`context::Actions`] (broadcasts, timers,
@@ -100,4 +101,4 @@ pub use context::{
     deal_committee_crypto, deal_node_crypto, Actions, Batcher, BinaryAgreement, Broadcaster,
     NodeCrypto, Packing, Params,
 };
-pub use share_buf::{Collector, Recorded, SigShareBuf};
+pub use share_buf::{Collector, Quorum, Recorded, SigShareBuf};

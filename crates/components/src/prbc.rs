@@ -11,7 +11,7 @@
 //! combining them is `instance::DoneStage`.
 
 use crate::context::{Actions, Batcher, Broadcaster, Params};
-use crate::instance::{done_msg, DoneStage};
+use crate::instance::DoneStage;
 use crate::rbc::RbcBatch;
 use bytes::Bytes;
 use wbft_crypto::hash::Digest32;
@@ -53,15 +53,16 @@ impl PrbcBatch {
         self.done.proven_count()
     }
 
-    /// Verifies a proof produced elsewhere (Dumbo's CBC values carry them).
-    pub fn verify_proof(
-        session: u64,
-        keys: &PublicKeySet,
+    /// Checks a delivery proof produced elsewhere (Dumbo's CBC values carry
+    /// them), charged one signature verification.
+    pub fn check_proof(
+        &self,
         instance: usize,
         root: &Digest32,
         proof: &ThresholdSignature,
+        acts: &mut Actions,
     ) -> bool {
-        keys.verify(&done_msg(session, instance, root), proof).is_ok()
+        self.done.signer.check_cert(instance, root, proof, acts)
     }
 
     fn build_done(&self) -> Body {
@@ -197,8 +198,11 @@ mod tests {
                 assert_eq!(node.delivered(j), Some(val));
                 let proof = node.proof(j).unwrap();
                 let root = Digest32::of(val);
-                assert!(PrbcBatch::verify_proof(8, &node.done.signer.keys, j, &root, proof));
-                assert!(!PrbcBatch::verify_proof(8, &node.done.signer.keys, (j + 1) % 4, &root, proof));
+                let mut acts = Actions::new();
+                assert!(node.check_proof(j, &root, proof, &mut acts));
+                assert!(!node.check_proof((j + 1) % 4, &root, proof, &mut acts));
+                let check = node.done.signer.keys.profile().verify_signature_us;
+                assert_eq!(acts.charge_us, 2 * check, "each check is charged");
             }
         }
     }

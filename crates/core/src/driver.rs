@@ -173,6 +173,8 @@ pub mod sessions {
     /// Membership resharing-ceremony deals (session epoch = the change's
     /// activation epoch; traffic is signed under the *old* key epoch).
     pub const RESHARE: u64 = 7;
+    /// Multi-hop global-decision announcements inside a cluster.
+    pub const GLOBAL_DECISION: u64 = 8;
 
     /// The session id of `role` in `epoch`.
     pub fn of(epoch: u64, role: u64) -> u64 {
@@ -337,11 +339,6 @@ impl<E: Engine> ProtocolNode<E> {
     /// The wrapped engine.
     pub fn engine(&self) -> &E {
         &self.engine
-    }
-
-    /// Mutable engine access.
-    pub fn engine_mut(&mut self) -> &mut E {
-        &mut self.engine
     }
 
     /// Epoch completion times at this node.

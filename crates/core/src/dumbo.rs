@@ -37,11 +37,11 @@ use wbft_components::cbc::{CbcBatch, CbcSmallBatch};
 use wbft_components::prbc::PrbcBatch;
 use wbft_components::{
     Actions, Batcher, BinaryAgreement, Broadcaster, Collector, NodeCrypto, Packing, Params,
-    Recorded,
+    Quorum, Recorded,
 };
 use wbft_crypto::hash::Digest32;
 use wbft_crypto::thresh_coin::{self, CoinName};
-use wbft_crypto::thresh_sig::{SigShare, ThresholdSignature};
+use wbft_crypto::thresh_sig::{PublicKeySet, SigShare, ThresholdSignature};
 use wbft_net::wire::{checked_bitmap_len, ByteSink, Sink, Wire, WireReader};
 use wbft_net::{Bitmap, Body, CoinFlavor, WireError};
 
@@ -159,10 +159,21 @@ impl PiCoin {
         CoinName { session: self.p.session, round: 0, domain: 0 }
     }
 
+    /// `f + 1` shares under the coin key set.
+    fn quorum<'k>(&self, crypto: &'k NodeCrypto) -> Quorum<'k, PublicKeySet> {
+        let keys = crypto.coin_pub.keys();
+        let q = Quorum::new(keys, keys.threshold() + 1, self.p.n);
+        // Aired as threshold-signature shares, priced as a coin flip
+        // (ROADMAP item 5).
+        Quorum { price: crypto.coin_pub.profile(), ..q }
+    }
+
     fn activate(&mut self, crypto: &NodeCrypto, acts: &mut Actions) {
         let name = self.name();
-        let Some(share) = self.coin.sign_own(|| crypto.coin_sec.coin_share(name)) else { return };
-        acts.charge(crypto.suite.threshold.coin_profile().sign_share_us);
+        let q = self.quorum(crypto);
+        let Some(share) = self.coin.sign_own(&q, || crypto.coin_sec.coin_share(name), acts) else {
+            return;
+        };
         self.record(share, crypto, acts);
         if let Some(body) = self.packet() {
             self.out.send(body, acts);
@@ -170,20 +181,11 @@ impl PiCoin {
         self.out.arm(acts);
     }
 
-    /// Buffers a coin share; the own share's verification is not charged.
+    /// Buffers a coin share.
     fn record(&mut self, share: SigShare, crypto: &NodeCrypto, acts: &mut Actions) {
-        let keys = crypto.coin_pub.keys();
-        let recorded = self.coin.record(keys, self.name(), keys.threshold() + 1, self.p.n, share);
-        if recorded == Recorded::Refused {
-            return;
-        }
-        let profile = crypto.suite.threshold.coin_profile();
-        if self.coin.own() != Some(share) {
-            acts.charge(profile.verify_share_us);
-        }
-        if let Recorded::Combined(sig) = recorded {
+        let q = self.quorum(crypto);
+        if let Recorded::Combined(sig) = self.coin.record(&q, self.name(), share, acts) {
             self.value = sig.map(|sig| thresh_coin::reveal(&sig));
-            acts.charge(profile.combine_us);
         }
     }
 
@@ -254,6 +256,8 @@ pub struct DumboEpoch {
     /// Position in π currently being voted.
     cursor: usize,
     elected: Option<usize>,
+    /// The elected candidate's W, once its proofs checked.
+    w: Option<Vec<WEntry>>,
     /// The epoch's block was handed to the engine.
     done: bool,
 }
@@ -322,6 +326,7 @@ impl Lane for DumboLane {
             order: None,
             cursor: 0,
             elected: None,
+            w: None,
             done: false,
         }
     }
@@ -440,32 +445,31 @@ impl Lane for DumboLane {
                 }
             }
         }
-        // Stage 6: assemble the block from the elected candidate's W. An
-        // absent W or PRBC value is on its way via NACK retransmission.
+        // Stage 6: assemble the block from the elected candidate's W, its
+        // proofs checked once. An absent W or PRBC value is on its way via
+        // NACK retransmission.
         if st.done {
             return None;
         }
-        let wbytes = st.value_cbc.delivered(st.elected?)?;
-        let Some(entries) = decode_w(wbytes) else {
-            // Malformed W: skip candidate.
-            st.elected = None;
-            st.cursor += 1;
-            return None;
-        };
-        // Verify the candidate's proofs (charged per entry).
-        out.charge_us += ctx.crypto.suite.threshold.signature_profile().verify_signature_us
-            * entries.len() as u64;
-        let session = ctx.session(sessions::BROADCAST);
-        let all_valid = entries.iter().all(|(id, root, proof)| {
-            PrbcBatch::verify_proof(session, &ctx.crypto.prbc_pub, *id as usize, root, proof)
-        });
-        if !all_valid {
-            // Forged W vector — cannot happen for an elected honest
-            // candidate; fall back to the next one.
-            st.elected = None;
-            st.cursor += 1;
-            return None;
+        if st.w.is_none() {
+            let wbytes = st.value_cbc.delivered(st.elected?)?;
+            let mut acts = Actions::new();
+            let mut valid = |(id, root, proof): &WEntry| {
+                st.prbc.check_proof(*id as usize, root, proof, &mut acts)
+            };
+            // Every proof is checked (and charged), a forged one or not.
+            let w = decode_w(wbytes).filter(|w| w.iter().filter(|e| valid(e)).count() == w.len());
+            out.absorb(ctx.session(sessions::BROADCAST), &mut acts);
+            let Some(w) = w else {
+                // A malformed or forged W cannot come from an elected
+                // honest candidate; fall back to the next one.
+                st.elected = None;
+                st.cursor += 1;
+                return None;
+            };
+            st.w = Some(w);
         }
+        let entries = st.w.as_ref()?;
         if !entries.iter().all(|(id, _, _)| st.prbc.delivered(*id as usize).is_some()) {
             return None;
         }
@@ -553,6 +557,70 @@ mod tests {
                 assert_eq!(blocks, first, "depth {depth}: all nodes agree");
             }
         }
+    }
+
+    /// One Dumbo-SC epoch on four lanes over a lossless in-memory mesh
+    /// without timers, where node `victim` never receives an INITIAL
+    /// fragment of PRBC instance `held`. Returns the crypto and each node's
+    /// epoch.
+    fn mesh_withholding(victim: usize, held: u8) -> (Vec<NodeCrypto>, Vec<DumboEpoch>) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
+        let crypto = deal_node_crypto(4, CryptoSuite::light(), &mut rng);
+        fn ctx(c: &NodeCrypto) -> EpochCtx<'_> {
+            EpochCtx { epoch: 0, n: 4, f: 1, me: c.me, crypto: c }
+        }
+        let workload = Workload::small();
+        let mut chacha = rand_chacha::ChaCha12Rng::seed_from_u64(0);
+        let mut queue = std::collections::VecDeque::new();
+        let mut epochs: Vec<DumboEpoch> = crypto
+            .iter()
+            .map(|c| {
+                let mut out = EngineOut::new();
+                let txs = workload.batch(0, c.me);
+                let st = DumboLane::Sc.open(&ctx(c), &txs, &mut chacha, &mut out);
+                queue.extend(out.sends.into_iter().map(|(session, body)| (c.me, session, body)));
+                st
+            })
+            .collect();
+        while let Some((from, session, body)) = queue.pop_front() {
+            for (to, st) in epochs.iter_mut().enumerate().filter(|(to, _)| *to != from) {
+                let init = matches!(body, Body::RbcInit { instance, .. } if instance == held);
+                if to == victim && init {
+                    continue;
+                }
+                let ctx = ctx(&crypto[to]);
+                let mut acts = Actions::new();
+                DumboLane::Sc.handle(st, &ctx, sessions::split(session).1, from, &body, &mut acts);
+                let mut out = EngineOut::new();
+                out.absorb(session, &mut acts);
+                DumboLane::Sc.poll(st, &ctx, true, false, &mut out);
+                queue.extend(out.sends.into_iter().map(|(session, body)| (to, session, body)));
+            }
+        }
+        (crypto, epochs)
+    }
+
+    #[test]
+    fn the_elected_w_is_checked_once_while_a_value_it_names_is_missing() {
+        let cases = (1..4usize).flat_map(|victim| (0..4u8).map(move |held| (victim, held)));
+        for (victim, held) in cases.filter(|&(victim, held)| victim != held as usize) {
+            let (crypto, mut epochs) = mesh_withholding(victim, held);
+            let st = &mut epochs[victim];
+            let named = st.w.as_ref().is_some_and(|w| w.iter().any(|(id, ..)| *id == held));
+            if !named {
+                continue;
+            }
+            assert!(st.prbc.delivered(held as usize).is_none(), "instance {held} withheld");
+            let ctx = EpochCtx { epoch: 0, n: 4, f: 1, me: victim, crypto: &crypto[victim] };
+            assert!(st.w.is_some() && !st.done, "node {victim} elected and checked the W");
+            for poll in 0..2 {
+                let mut out = EngineOut::new();
+                assert_eq!(DumboLane::Sc.poll(st, &ctx, true, false, &mut out), None);
+                assert_eq!(out.charge_us, 0, "poll {poll} re-checked the elected W");
+            }
+            return;
+        }
+        panic!("no elected W named a withheld instance");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! This module also owns the protocol-aware delivery schedulers that
 //! [`wbft_wireless::sched`] cannot build (it sits below envelope
 //! decoding): [`build_scheduler`] turns any
-//! [`SchedPolicy`](wbft_wireless::SchedPolicy) — including
+//! [`SchedPolicy`] — including
 //! [`CoinStarve`](wbft_wireless::SchedPolicy::CoinStarve) — into an
 //! installable scheduler.
 

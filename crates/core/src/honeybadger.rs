@@ -39,9 +39,10 @@ use wbft_components::aba_lc::AbaLcBatch;
 use wbft_components::aba_sc::AbaScBatch;
 use wbft_components::rbc::RbcBatch;
 use wbft_components::{
-    Actions, Batcher, BinaryAgreement, Broadcaster, NodeCrypto, Packing, Params,
+    Actions, Batcher, BinaryAgreement, Broadcaster, Collector, NodeCrypto, Packing, Params,
+    Quorum, Recorded,
 };
-use wbft_crypto::thresh_enc::{Ciphertext, DecShare};
+use wbft_crypto::thresh_enc::{Ciphertext, DecShare, EncPublicSet};
 use wbft_net::wire::{ByteSink, Sink, WireReader};
 use wbft_net::{Bitmap, Body, CoinFlavor};
 
@@ -70,11 +71,11 @@ pub fn decode_ciphertext(data: &[u8]) -> Option<Ciphertext> {
 }
 
 /// The decryption-label of a proposer's epoch ciphertext.
-fn ct_label(epoch: u64, proposer: usize) -> Vec<u8> {
-    let mut l = Vec::with_capacity(24);
-    l.extend_from_slice(b"wbft/hb/ct");
-    l.extend_from_slice(&epoch.to_le_bytes());
-    l.extend_from_slice(&(proposer as u64).to_le_bytes());
+fn ct_label(epoch: u64, proposer: usize) -> [u8; 26] {
+    let mut l = [0u8; 26];
+    l[..10].copy_from_slice(b"wbft/hb/ct");
+    l[10..18].copy_from_slice(&epoch.to_le_bytes());
+    l[18..].copy_from_slice(&(proposer as u64).to_le_bytes());
     l
 }
 
@@ -83,19 +84,14 @@ fn ct_label(epoch: u64, proposer: usize) -> Vec<u8> {
 
 /// Collects and serves threshold-decryption shares for the epoch's accepted
 /// ciphertexts in one [`Body::DecShareBatch`] per flush, packaged by its
-/// [`Batcher`].
+/// [`Batcher`]. Each proposer's shares go through one [`Collector`], which
+/// makes this node's share once and decrypts at `f + 1` checked shares.
 #[derive(Debug)]
 struct DecStage {
     p: Params,
     epoch: u64,
     cts: Vec<Option<Ciphertext>>,
-    active: Vec<bool>,
-    my_sent: Vec<bool>,
-    /// This node's own share per proposer, cached so retransmission-heavy
-    /// flushes don't recompute the DLEQ proof every packet build.
-    my_shares: Vec<Option<DecShare>>,
-    shares: Vec<Vec<DecShare>>,
-    reporters: Vec<u64>,
+    shares: Vec<Collector<EncPublicSet>>,
     plaintexts: Vec<Option<Vec<u8>>>,
     out: Batcher,
 }
@@ -105,89 +101,46 @@ impl DecStage {
         DecStage {
             epoch,
             cts: vec![None; p.n],
-            active: vec![false; p.n],
-            my_sent: vec![false; p.n],
-            my_shares: vec![None; p.n],
-            shares: vec![Vec::new(); p.n],
-            reporters: vec![0; p.n],
+            shares: vec![Collector::default(); p.n],
             plaintexts: vec![None; p.n],
             out: Batcher::new(&p, TIMER_DEC_RETX),
             p,
         }
     }
 
+    /// Whether decryption of proposer `j`'s proposal started: its
+    /// ciphertext is held, or it was undecodable.
+    fn active(&self, j: usize) -> bool {
+        self.cts[j].is_some() || self.plaintexts[j].is_some()
+    }
+
     /// Activates decryption of proposer `j`'s ciphertext.
     fn activate(&mut self, j: usize, ct: Ciphertext, crypto: &NodeCrypto, acts: &mut Actions) {
-        if self.active[j] {
+        if self.active(j) {
             return;
         }
-        self.active[j] = true;
-        let my_share = (!self.my_sent[j]).then(|| crypto.enc_sec.dec_share(&ct));
+        let q = Quorum::new(&crypto.enc_pub, self.p.f + 1, self.p.n);
+        let my_share = self.shares[j].sign_own(&q, || crypto.enc_sec.dec_share(&ct), acts);
         self.cts[j] = Some(ct);
         if let Some(share) = my_share {
-            self.my_sent[j] = true;
-            // Producing a decryption share costs one share-signing op.
-            acts.charge(crypto.suite.threshold.signature_profile().sign_share_us);
-            self.my_shares[j] = Some(share);
-            self.record(j, share, crypto, acts, true);
+            self.record(j, share, crypto, acts);
             self.out.changed();
         }
         self.flush(acts);
     }
 
-    fn record(
-        &mut self,
-        j: usize,
-        share: DecShare,
-        crypto: &NodeCrypto,
-        acts: &mut Actions,
-        own: bool,
-    ) {
-        if j >= self.p.n || self.plaintexts[j].is_some() {
-            return;
-        }
-        let Some(ct) = &self.cts[j] else {
-            // Shares may arrive before our RBC delivered the ciphertext;
-            // they are re-served by peers' retransmissions once it does.
-            return;
-        };
-        // The index is off the wire, checked only for non-zero there: refuse
-        // one outside the committee before it shifts the reporter mask.
-        let i = share.index.value() as usize;
-        if i == 0 || i > self.p.n {
-            return;
-        }
-        let bit = 1u64 << (i - 1);
-        if self.reporters[j] & bit != 0 {
-            return;
-        }
-        if !own {
-            acts.charge(crypto.suite.threshold.signature_profile().verify_share_us);
-        }
-        if crypto.enc_pub.verify_share(ct, &share).is_err() {
-            return;
-        }
-        self.reporters[j] |= bit;
-        self.shares[j].push(share);
-        if self.shares[j].len() > self.p.f {
-            acts.charge(crypto.suite.threshold.signature_profile().combine_us);
-            let label = ct_label(self.epoch, j);
-            // Every collected share passed `verify_share` above, from distinct
-            // reporters: the decryption key may come from the power table.
-            if let Ok(pt) = crypto.enc_pub.decrypt_verified(&label, ct, &self.shares[j]) {
-                self.plaintexts[j] = Some(pt);
-                self.out.changed();
-            } else {
-                // A corrupt share poisoned the combination; drop collected
-                // shares and rebuild from retransmissions.
-                self.shares[j].clear();
-                self.reporters[j] = 0;
-                if self.my_sent[j] {
-                    if let Some(share) = self.my_shares[j] {
-                        self.record(j, share, crypto, acts, true);
-                    }
-                }
-            }
+    /// Buffers a decryption share of proposer `j`'s ciphertext.
+    fn record(&mut self, j: usize, share: DecShare, crypto: &NodeCrypto, acts: &mut Actions) {
+        // Shares may arrive before our RBC delivered the ciphertext; they
+        // are re-served by peers' retransmissions once it does.
+        let Some(Some(ct)) = self.cts.get(j) else { return };
+        let q = Quorum::new(&crypto.enc_pub, self.p.f + 1, self.p.n);
+        let label = ct_label(self.epoch, j);
+        if let Recorded::Combined(pt) = self.shares[j].record(&q, (&label[..], ct), share, acts) {
+            // A tag that fails under the combined key is the proposer's
+            // fault, and every honest node finds it: an empty contribution.
+            self.plaintexts[j] = Some(pt.unwrap_or_else(|| encode_batch(&[]).to_vec()));
+            self.out.changed();
         }
     }
 
@@ -195,12 +148,10 @@ impl DecStage {
         let mut shares = Vec::new();
         let mut dec_nack = Bitmap::new(self.p.n);
         for j in 0..self.p.n {
-            if self.my_sent[j] {
-                if let Some(share) = self.my_shares[j] {
-                    shares.push((j as u8, share));
-                }
+            if let Some(share) = self.shares[j].own() {
+                shares.push((j as u8, share));
             }
-            if self.active[j] && self.plaintexts[j].is_none() {
+            if self.cts[j].is_some() && self.plaintexts[j].is_none() {
                 dec_nack.set(j, true);
             }
         }
@@ -222,10 +173,10 @@ impl DecStage {
     fn handle(&mut self, body: &Body, crypto: &NodeCrypto, acts: &mut Actions) {
         if let Body::DecShareBatch { shares, dec_nack } = body {
             for (j, share) in shares {
-                self.record(*j as usize, *share, crypto, acts, false);
+                self.record(*j as usize, *share, crypto, acts);
             }
             if dec_nack.len() == self.p.n {
-                for j in dec_nack.iter_set().filter(|&j| self.my_sent[j]) {
+                for j in dec_nack.iter_set().filter(|&j| self.shares[j].own().is_some()) {
                     self.out.peer_lacks(j, 0);
                 }
             }
@@ -236,8 +187,8 @@ impl DecStage {
     fn on_timer(&mut self, local: u32, accepted: Option<&[usize]>, acts: &mut Actions) {
         // Nothing to re-send until some proposer is active (and no NACK can
         // have named a share of ours before then).
-        let complete =
-            !self.active.contains(&true) || accepted.is_some_and(|a| self.complete_for(a));
+        let idle = !(0..self.p.n).any(|j| self.active(j));
+        let complete = idle || accepted.is_some_and(|a| self.complete_for(a));
         if let Some(behind) = self.out.tick(local, complete, acts) {
             let body = self.build();
             self.out.resend(behind, body, acts);
@@ -277,7 +228,7 @@ fn activate_dec(
     ctx: &EpochCtx,
     out: &mut EngineOut,
 ) {
-    if dec.active[j] {
+    if dec.active(j) {
         return;
     }
     let Some(bytes) = rbc.delivered(j) else { return };
@@ -286,7 +237,6 @@ fn activate_dec(
         dec.activate(j, ct, ctx.crypto, &mut acts);
         out.absorb(ctx.session(sessions::DEC), &mut acts);
     } else {
-        dec.active[j] = true;
         dec.plaintexts[j] = Some(encode_batch(&[]).to_vec());
     }
 }
@@ -535,6 +485,108 @@ mod tests {
         }
     }
 
+    /// HoneyBadgerBFT-SC whose proposals are encrypted under the next
+    /// epoch's label, as a proposer replaying another epoch's ciphertext:
+    /// its decryption shares all check, and its tag fails.
+    struct Replayer(HbLane<AbaScBatch>);
+
+    impl Lane for Replayer {
+        type Epoch = HbEpoch<AbaScBatch>;
+
+        fn open(
+            &self,
+            ctx: &EpochCtx,
+            txs: &[Tx],
+            rng: &mut rand_chacha::ChaCha12Rng,
+            out: &mut EngineOut,
+        ) -> Self::Epoch {
+            let mut st = self.0.open(ctx, txs, rng, &mut EngineOut::new());
+            let p = ctx.params(sessions::BROADCAST).packed(self.0.packing);
+            let label = ct_label(ctx.epoch + 1, ctx.me);
+            let ct = ctx.crypto.enc_pub.encrypt(&label, &encode_batch(txs), rng);
+            let mut acts = Actions::new();
+            st.rbc = RbcBatch::new(p);
+            st.rbc.start(encode_ciphertext(&ct), &mut acts);
+            out.absorb(p.session, &mut acts);
+            st
+        }
+
+        fn handle(
+            &self,
+            st: &mut Self::Epoch,
+            ctx: &EpochCtx,
+            role: u64,
+            from: usize,
+            body: &Body,
+            acts: &mut Actions,
+        ) {
+            self.0.handle(st, ctx, role, from, body, acts);
+        }
+
+        fn on_timer(
+            &self,
+            st: &mut Self::Epoch,
+            ctx: &EpochCtx,
+            role: u64,
+            local: u32,
+            acts: &mut Actions,
+        ) {
+            self.0.on_timer(st, ctx, role, local, acts);
+        }
+
+        fn poll(
+            &self,
+            st: &mut Self::Epoch,
+            ctx: &EpochCtx,
+            may_agree: bool,
+            pipelined: bool,
+            out: &mut EngineOut,
+        ) -> Option<Block> {
+            self.0.poll(st, ctx, may_agree, pipelined, out)
+        }
+    }
+
+    #[test]
+    fn a_ciphertext_under_another_epochs_label_is_an_empty_contribution_and_the_epoch_commits() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+        let crypto = deal_node_crypto(4, CryptoSuite::light(), &mut rng);
+        let workload = Workload::small();
+        let stop = || StopCondition::Epochs(2);
+        let behaviors: Vec<_> = crypto
+            .into_iter()
+            .map(|c| {
+                let engine: Box<dyn crate::driver::Engine> = if c.me == 1 {
+                    let lane = Replayer(HbLane {
+                        make_aba: |p, c| {
+                            let (coin_pub, coin_sec) = (c.coin_pub.clone(), c.coin_sec.clone());
+                            AbaScBatch::new_parallel(p, CoinFlavor::ThreshSig, coin_pub, coin_sec)
+                        },
+                        packing: Packing::Combined,
+                    });
+                    Box::new(EpochEngine::new(c.clone(), lane, workload.clone(), stop()))
+                } else {
+                    Box::new(hb_sc(c.clone(), workload.clone(), stop()))
+                };
+                ProtocolNode::new(engine, c, ChannelId(0))
+            })
+            .collect();
+        let mut sim = Simulator::new(SimConfig::default(), Topology::single_hop(4), behaviors);
+        let ok = sim.run_until_pred(SimTime::from_micros(3_600_000_000), |s| {
+            s.behaviors().all(|(_, b)| b.is_done())
+        });
+        assert!(ok, "a replayed ciphertext must not stall the epoch");
+        let chains: Vec<Vec<Block>> = sim.behaviors().map(|(_, b)| b.blocks().to_vec()).collect();
+        for chain in &chains {
+            assert_eq!(chain, &chains[0], "all nodes agree");
+        }
+        for block in &chains[0] {
+            let replayed = workload.batch(block.epoch, 1);
+            assert!(!block.txs.is_empty(), "the honest proposals commit");
+            let contributed = block.txs.iter().any(|tx| replayed.contains(tx));
+            assert!(!contributed, "node 1 contributes nothing");
+        }
+    }
+
     #[test]
     fn a_dec_share_index_outside_the_committee_is_refused_uncharged() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
@@ -552,7 +604,8 @@ mod tests {
             dec.handle(&batch, &crypto[0], &mut acts);
         }
         assert_eq!(acts.charge_us, charged, "a refused share is not charged");
-        assert_eq!((dec.reporters[1], dec.shares[1].len()), (1, 1), "only the own share is held");
+        let held = (dec.shares[1].reporters(), dec.shares[1].own().is_some());
+        assert_eq!(held, (1, true), "only the own share is held");
     }
 
     #[test]

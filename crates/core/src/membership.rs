@@ -21,7 +21,7 @@ use bytes::Bytes;
 use rand::RngCore;
 use wbft_components::NodeCrypto;
 use wbft_membership::{
-    decode_op, encode_op, CommitteeConfig, CommitteeLog, DealSet, MembershipOp, ReshareCeremony,
+    decode_op, encode_op, CommitteeLog, DealSet, MembershipOp, ReshareCeremony,
 };
 
 /// A change committed: what the engine must do next (broadcast its deal if
@@ -175,11 +175,6 @@ impl MembershipCtl {
             self.absorb_deal(k, deal);
         }
         Some(kickoff)
-    }
-
-    /// The configuration the live ceremony produces keys for, if any.
-    pub fn pending_config(&self) -> Option<&CommitteeConfig> {
-        self.ceremony.as_ref().map(|l| l.ceremony.target())
     }
 
     /// Builds, stores (for retransmission) and self-absorbs this node's

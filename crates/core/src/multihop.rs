@@ -286,7 +286,7 @@ impl ClusterNode {
         let body = Body::GlobalDecision { epoch, digest, tx_count };
         let env = Envelope {
             src: self.local_crypto.me as u16,
-            session: sessions::of(epoch, 7),
+            session: sessions::of(epoch, sessions::GLOBAL_DECISION),
             body,
         };
         let _ = broadcast_signed(

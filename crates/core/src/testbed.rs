@@ -9,7 +9,7 @@
 //!
 //! Every single-hop scenario — whatever mix of service load, pipelining,
 //! Byzantine nodes, crash/restart and membership churn it engages — runs
-//! on one rig: [`assemble`] builds each node from the config (the UDP
+//! on one rig: `assemble` builds each node from the config (the UDP
 //! runners in [`crate::netrun`] call it too), the rig plays the scheduled
 //! timeline, races one completion predicate and checks one set of oracles.
 //! Which axes compose is one rule, [`TestbedConfig::check`], stated as the
@@ -27,7 +27,7 @@ use crate::service::{
 use crate::workload::{BatchSource, Workload};
 use wbft_components::rbc::{FRAG_BUDGET, MAX_FRAGS, MAX_VALUE_BYTES};
 use wbft_components::{deal_committee_crypto, deal_node_crypto, NodeCrypto};
-use wbft_crypto::CryptoSuite;
+use wbft_crypto::{CryptoSuite, Digest32};
 use wbft_journal::{JournalError, JournalStore, SharedMem};
 use wbft_membership::{MembershipOp, ACTIVATION_DELAY};
 use wbft_net::Bitmap;
@@ -931,6 +931,10 @@ fn run_multi_hop(cfg: &TestbedConfig, m: usize) -> RunReport {
     install_scheduler(cfg, &mut sim);
     let deadline = SimTime::ZERO + cfg.deadline;
     let completed = sim.run_until_pred(deadline, |s| s.behaviors().all(|(_, b)| b.is_done()));
+    let ledgers = sim.behaviors().map(|(id, b)| (id, &b.global_decisions[..]));
+    if let Some(id) = ledger_divergence(ledgers).filter(|_| completed) {
+        panic!("global agreement violated at {id}");
+    }
     let elapsed = sim.now().saturating_since(SimTime::ZERO);
     let decision_times: Vec<Vec<SimTime>> =
         sim.behaviors().map(|(_, b)| b.decided_at.clone()).collect();
@@ -938,9 +942,35 @@ fn run_multi_hop(cfg: &TestbedConfig, m: usize) -> RunReport {
     finish_report(completed, elapsed, decision_times, total_txs, sim.metrics().clone(), cfg.epochs)
 }
 
+/// The first node whose global ledger, in epoch order, differs from the
+/// first node's: the agreement oracle of a completed clustered run.
+fn ledger_divergence<'a>(
+    mut ledgers: impl Iterator<Item = (NodeId, &'a [(u64, Digest32, u32)])>,
+) -> Option<NodeId> {
+    let sorted = |ledger: &[(u64, Digest32, u32)]| {
+        let mut ledger = ledger.to_vec();
+        ledger.sort_by_key(|&(epoch, ..)| epoch);
+        ledger
+    };
+    let reference = sorted(ledgers.next()?.1);
+    ledgers.find(|(_, ledger)| sorted(ledger) != reference).map(|(id, _)| id)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn clustered_ledgers_agree_in_epoch_order_or_name_the_first_divergent_node() {
+        let (a, b) = (Digest32::of(b"a"), Digest32::of(b"b"));
+        let named = |ledgers: [&[(u64, Digest32, u32)]; 3]| {
+            ledger_divergence(ledgers.into_iter().zip(0..).map(|(l, i)| (NodeId(i), l)))
+        };
+        let (ledger, reordered) = ([(0, a, 3), (1, b, 2)], [(1, b, 2), (0, a, 3)]);
+        assert_eq!(named([&ledger, &reordered, &ledger]), None, "arrival order does not matter");
+        assert_eq!(named([&ledger, &reordered, &ledger[..1]]), Some(NodeId(2)), "a short ledger");
+        assert_eq!(named([&ledger, &[(0, a, 3), (1, a, 2)], &ledger]), Some(NodeId(1)), "a fork");
+    }
 
     #[test]
     fn single_hop_beat_reports_sane_numbers() {

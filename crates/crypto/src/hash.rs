@@ -6,7 +6,7 @@
 // registry swap a one-line Cargo.toml change.
 #![expect(clippy::useless_conversion, reason = "the real sha2 crate needs the `.into()`")]
 
-use crate::field::{Fe, Scalar};
+use crate::field::Scalar;
 use sha2::{Digest as _, Sha256, Sha512};
 
 /// A 32-byte SHA-256 digest.
@@ -85,19 +85,6 @@ pub fn hash_to_scalar(domain: &str, parts: &[&[u8]]) -> Scalar {
     }
     let wide: [u8; 64] = h.finalize().into();
     Scalar::from_wide_bytes_reduced(&wide)
-}
-
-/// Hash arbitrary input to a near-uniform [`Fe`], under a domain tag.
-pub fn hash_to_fe(domain: &str, parts: &[&[u8]]) -> Fe {
-    let mut h = Sha512::new();
-    h.update((domain.len() as u64).to_le_bytes());
-    h.update(domain.as_bytes());
-    for p in parts {
-        h.update((p.len() as u64).to_le_bytes());
-        h.update(p);
-    }
-    let wide: [u8; 64] = h.finalize().into();
-    Fe::from_wide_bytes_reduced(&wide)
 }
 
 /// Expandable-output keystream for the threshold-encryption hybrid layer:

@@ -86,7 +86,5 @@ pub mod thresh_sig;
 pub use field::{Fe, Scalar};
 pub use group::{GroupElem, PrecomputedBase};
 pub use hash::Digest32;
-pub use profile::{
-    CoinProfile, CryptoSuite, EcdsaCurve, EcdsaProfile, ThresholdCurve, ThresholdProfile,
-};
+pub use profile::{CryptoSuite, EcdsaCurve, EcdsaProfile, ThresholdCurve, ThresholdProfile};
 pub use shamir::ShareIndex;

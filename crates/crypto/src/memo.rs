@@ -23,7 +23,7 @@
 //! proof. `dec_share` records its DLEQ proof's verdict; `KeyPair::sign`,
 //! `sign_share`, `coin_share`, `dec_share`, `combine_verified` and
 //! `encrypt` record the membership of the element they return
-//! ([`record`], crate-private).
+//! (`record`, crate-private).
 //! Only the holder of the secret (or of a checked quorum) can do that — it
 //! alone knows the proof is good without checking it — and signatures are
 //! deterministic, so the record is exactly what the verifier would have

@@ -126,26 +126,28 @@ impl ThresholdCurve {
     /// Cost/size profile for *threshold coin flipping* on this curve
     /// (Fig. 10b) — BEAT's replacement for threshold signatures. Cheaper
     /// per-operation (no pairing in share verification) but shares carry
-    /// extra verification data (paper §V-A).
-    pub fn coin_profile(&self) -> CoinProfile {
+    /// extra verification data (paper §V-A). A coin is combined, never sent
+    /// or checked as a signature: its `verify_signature_us` and
+    /// `signature_bytes` are the signature profile's.
+    pub fn coin_profile(&self) -> ThresholdProfile {
         // Fig. 10b sits visibly below Fig. 10a on the shared log scale:
         // coin-flipping share operations avoid the pairing, costing roughly
         // a quarter of the signature ops; the share carries a small amount
         // of extra verification data (§V-A).
         let sig = self.signature_profile();
-        CoinProfile {
-            curve: *self,
+        ThresholdProfile {
             dealer_us: sig.dealer_us * 9 / 10,
             sign_share_us: sig.sign_share_us / 4,
             verify_share_us: sig.verify_share_us / 4,
             combine_us: sig.combine_us / 3,
             share_bytes: sig.share_bytes + 8, // extra verification data
+            ..sig
         }
     }
 }
 
 /// Per-operation virtual CPU cost (µs) and wire sizes for threshold
-/// signatures on one curve.
+/// signatures, or threshold coin flipping, on one curve.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ThresholdProfile {
     /// Which curve this profile describes.
@@ -163,24 +165,6 @@ pub struct ThresholdProfile {
     /// Wire size of a combined threshold signature.
     pub signature_bytes: usize,
     /// Wire size of one share.
-    pub share_bytes: usize,
-}
-
-/// Per-operation virtual CPU cost (µs) and wire sizes for threshold coin
-/// flipping on one curve.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CoinProfile {
-    /// Which curve this profile describes.
-    pub curve: ThresholdCurve,
-    /// Trusted-dealer setup.
-    pub dealer_us: u64,
-    /// Producing one coin share.
-    pub sign_share_us: u64,
-    /// Verifying one coin share.
-    pub verify_share_us: u64,
-    /// Combining shares into the coin value.
-    pub combine_us: u64,
-    /// Wire size of one coin share (includes verification data).
     pub share_bytes: usize,
 }
 

@@ -15,8 +15,8 @@
 //! the simulator's one thread all `n` nodes ask the same powers, so one
 //! per-thread [`AnswerTable`] holds them, keyed by `(base, exponent)`
 //! compared in full and answering with the power itself. The exponent is a
-//! known scalar ([`Exponent::Known`]) or the discrete log of a public key
-//! ([`Exponent::LogOf`]): the decryption key `u^s` is keyed by
+//! known scalar (`Exponent::Known`) or the discrete log of a public key
+//! (`Exponent::LogOf`): the decryption key `u^s` is keyed by
 //! `(u, log vk)` while `s` stays secret.
 //!
 //! The table stores powers, never verdicts: the caller compares. A forged

@@ -7,8 +7,8 @@
 //!   `Γ` is the low bit(s) of `H(h_Γ^s)`, where `h_Γ^s` is the unique
 //!   threshold signature on `Γ`.
 //! * **Threshold coin flipping** (BEAT / ABA-CP): identical combinatorics
-//!   with the cheaper [`crate::profile::CoinProfile`] costs and shares that
-//!   carry extra verification data.
+//!   with the cheaper costs of [`ThresholdCurve::coin_profile`] and shares
+//!   that carry extra verification data.
 //!
 //! A deployment deals the coin as one more [`crate::thresh_sig`] key set. A
 //! coin name is a message prepared under its own domain tag, `"wbft/coin"`,
@@ -23,7 +23,7 @@
 //! needs for termination.
 
 use crate::group::GroupElem;
-use crate::profile::{CoinProfile, ThresholdCurve};
+use crate::profile::{ThresholdCurve, ThresholdProfile};
 use crate::thresh_sig::{
     self, PreparedMessage, PublicKeySet, SecretKeyShare, SigShare, ThreshSigError,
     ThresholdSignature,
@@ -138,7 +138,7 @@ impl CoinPublicSet {
     }
 
     /// Cost profile for the coin-flipping deployment of this key set.
-    pub fn profile(&self) -> CoinProfile {
+    pub fn profile(&self) -> ThresholdProfile {
         self.0.curve().coin_profile()
     }
 

@@ -339,7 +339,7 @@ mod tests {
     use crate::view::CommitteeLog;
     use crate::MembershipOp;
     use rand::SeedableRng;
-    use wbft_components::{deal_node_crypto, Collector, Recorded};
+        use wbft_components::{deal_node_crypto, Actions, Collector, Quorum, Recorded};
     use wbft_crypto::profile::CryptoSuite;
     use wbft_crypto::thresh_coin::{self, CoinName};
     use wbft_crypto::thresh_sig::{PreparedMessage, SigShare, ThresholdSignature};
@@ -420,8 +420,9 @@ mod tests {
         need: usize,
         shares: &[SigShare],
     ) -> Option<ThresholdSignature> {
+        let (q, mut acts) = (Quorum::new(keys, need, shares.len()), Actions::new());
         let mut c = Collector::default();
-        shares.iter().find_map(|&share| match c.record(keys, msg, need, shares.len(), share) {
+        shares.iter().find_map(|&share| match c.record(&q, msg, share, &mut acts) {
             Recorded::Combined(output) => output,
             _ => None,
         })

@@ -57,11 +57,6 @@ impl CommitteeConfig {
         self.members.binary_search(&node).ok()
     }
 
-    /// The global id seated in `slot`, if in range.
-    pub fn global_of(&self, slot: usize) -> Option<u16> {
-        self.members.get(slot).copied()
-    }
-
     /// `true` iff `node` is a member.
     pub fn contains(&self, node: u16) -> bool {
         self.slot_of(node).is_some()
@@ -135,12 +130,6 @@ impl CommitteeLog {
     /// The most recently scheduled configuration (may not be active yet).
     pub fn latest(&self) -> &CommitteeConfig {
         self.configs.last().expect("log always holds genesis")
-    }
-
-    /// The configuration scheduled to activate *after* `epoch`, if any —
-    /// i.e. the change whose ceremony should be running at `epoch`.
-    pub fn pending_after(&self, epoch: u64) -> Option<&CommitteeConfig> {
-        self.configs.iter().find(|c| c.activation_epoch > epoch)
     }
 
     /// Folds the membership ops committed in `epoch` into the schedule.

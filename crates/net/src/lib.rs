@@ -19,7 +19,7 @@
 //! Wire-format layer of the reproduction of *"Asynchronous BFT Consensus
 //! Made Wireless"* (ICDCS 2025): the batched packet structures of Figs. 4–6,
 //! the baseline's per-instance frames and the split / join between the two
-//! ([`split`]), compressed O(N) NACK bitmaps, NACK-driven retransmission
+//! ([`split`](mod@split)), compressed O(N) NACK bitmaps, NACK-driven retransmission
 //! policy, and the Table I message-overhead closed forms.
 //!
 //! The central idea of ConsensusBatcher lives in these packet layouts:

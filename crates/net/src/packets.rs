@@ -6,10 +6,10 @@
 //! parallel instances of a component and are the unit of one channel access.
 //! The `Base*` frames carry one (instance, phase) entry of a combined packet
 //! each, with that instance's NACK bits, reproducing the unbatched
-//! deployment the paper compares against; [`crate::split`] converts between
+//! deployment the paper compares against; [`crate::split()`] converts between
 //! the two, so both deployments share one NACK-steered retransmission rule.
 //!
-//! A body encodes through the dual-mode [`Sink`](crate::wire::Sink); see
+//! A body encodes through the dual-mode [`Sink`]; see
 //! [`crate::wire`] for how nominal (paper-sized) lengths are derived. Each
 //! variant's layout is one entry of the wire table below — its kind byte
 //! and the order its fields travel in — from which the kind, the encoder

@@ -43,11 +43,6 @@ impl Number {
         Number(v.to_string())
     }
 
-    /// An exact signed integer.
-    pub fn from_i64(v: i64) -> Self {
-        Number(v.to_string())
-    }
-
     /// A finite float, formatted with Rust's shortest round-trip `Display`.
     ///
     /// # Panics

@@ -66,7 +66,7 @@ const HELLO_INTERVAL: Duration = Duration::from_millis(100);
 const MAX_BARRIER_BUFFER: usize = 4_096;
 
 /// Handles datagrams on the reserved client channel
-/// ([`CLIENT_CHANNEL`](crate::client::CLIENT_CHANNEL)) — the runtime stays
+/// ([`CLIENT_CHANNEL`]) — the runtime stays
 /// generic over protocol behaviors while a service layer plugs in
 /// submission handling and the committed-block stream.
 ///
@@ -201,7 +201,7 @@ impl<B: NodeBehavior> UdpRuntime<B> {
     }
 
     /// Installs the client-channel gateway: datagrams on
-    /// [`CLIENT_CHANNEL`](crate::client::CLIENT_CHANNEL) are routed to it
+    /// [`CLIENT_CHANNEL`] are routed to it
     /// (they are counted foreign drops otherwise), and its tick hook runs
     /// every event-loop iteration.
     pub fn set_client_gateway(&mut self, gateway: Box<dyn ClientGateway>) {

@@ -223,13 +223,6 @@ impl Topology {
             .map(|(_, m)| *m)
             .unwrap_or_else(RoutingModel::direct)
     }
-
-    /// Overrides the communication radius (defaults to 1 m, matching the
-    /// paper's low-power-antenna setup).
-    pub fn with_comm_radius(mut self, radius: f64) -> Self {
-        self.comm_radius = radius;
-        self
-    }
 }
 
 #[cfg(test)]
