@@ -139,7 +139,7 @@ struct Coin {
 /// set. ABA-SC prices them as *threshold signatures* (Fig. 10a costs),
 /// ABA-CP as *threshold coin flipping* (Fig. 10b costs: cheaper operations,
 /// bigger shares); the scheme underneath is the same.
-fn coin_quorum(coin_pub: &CoinPublicSet, flavor: CoinFlavor, n: usize) -> Quorum<'_, PublicKeySet> {
+pub fn coin_quorum(coin_pub: &CoinPublicSet, flavor: CoinFlavor, n: usize) -> Quorum<'_, PublicKeySet> {
     let keys = coin_pub.keys();
     let q = Quorum::new(keys, keys.threshold() + 1, n);
     match flavor {

@@ -429,12 +429,13 @@ impl Signer {
         Signer::new(p, keys, secret, done_msg, p.f + 1)
     }
 
-    fn msg(&self, instance: usize, root: &Digest32) -> Vec<u8> {
+    /// The message a share over `(instance, root)` signs.
+    pub(crate) fn msg(&self, instance: usize, root: &Digest32) -> Vec<u8> {
         (self.msg)(self.p.session, instance, root)
     }
 
     /// The quorum of this signer's collectors, priced from its key set.
-    fn quorum(&self) -> Quorum<'_, PublicKeySet> {
+    pub(crate) fn quorum(&self) -> Quorum<'_, PublicKeySet> {
         Quorum::new(&self.keys, self.need, self.p.n)
     }
 
@@ -465,17 +466,6 @@ impl Signer {
             Recorded::Combined(cert) => cert,
             _ => None,
         }
-    }
-
-    /// Checks a certificate combined elsewhere over `(instance, root)`.
-    pub(crate) fn check_cert(
-        &self,
-        instance: usize,
-        root: &Digest32,
-        sig: &ThresholdSignature,
-        acts: &mut Actions,
-    ) -> bool {
-        self.quorum().check(&self.msg(instance, root), sig, acts)
     }
 
     /// Takes a certificate combined elsewhere; `true` when it verified

@@ -62,7 +62,8 @@ impl PrbcBatch {
         proof: &ThresholdSignature,
         acts: &mut Actions,
     ) -> bool {
-        self.done.signer.check_cert(instance, root, proof, acts)
+        let signer = &self.done.signer;
+        signer.quorum().check(&signer.msg(instance, root), proof, acts)
     }
 
     fn build_done(&self) -> Body {

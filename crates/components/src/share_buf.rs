@@ -7,7 +7,9 @@
 //! elsewhere. The buffer deduplicates by reporter bit and refuses indices
 //! outside the committee. It checks shares only once a quorum's worth has
 //! arrived, and evicts an invalid share and frees its reporter bit, so a
-//! corrected retransmission can take the slot.
+//! corrected retransmission can take the slot. A buffer belongs to one key
+//! epoch: [`ShareBuf::insert_tagged`] refuses a share tagged with another,
+//! and [`ShareBuf::roll_key_epoch`] evicts everything it held.
 //!
 //! A collection runs over a [`KeySet`], the key set its shares are checked
 //! against:
@@ -149,6 +151,10 @@ pub struct ShareBuf<K: KeySet> {
     /// `shares[..verified]` have passed their check.
     verified: usize,
     reporters: u64,
+    /// Key epoch the buffered shares belong to. Shares from another
+    /// threshold-key generation are structurally incompatible with this
+    /// buffer's keys — see [`ShareBuf::insert_tagged`].
+    key_epoch: u64,
 }
 
 /// A buffer of threshold-signature (and coin) shares.
@@ -156,11 +162,16 @@ pub type SigShareBuf = ShareBuf<PublicKeySet>;
 
 impl<K: KeySet> Default for ShareBuf<K> {
     fn default() -> Self {
-        ShareBuf { shares: Vec::new(), verified: 0, reporters: 0 }
+        ShareBuf { shares: Vec::new(), verified: 0, reporters: 0, key_epoch: 0 }
     }
 }
 
 impl<K: KeySet> ShareBuf<K> {
+    /// The key epoch this buffer currently collects for.
+    pub fn key_epoch(&self) -> u64 {
+        self.key_epoch
+    }
+
     /// Bitmask of indices currently buffered (verified or pending).
     pub fn reporters(&self) -> u64 {
         self.reporters
@@ -169,6 +180,24 @@ impl<K: KeySet> ShareBuf<K> {
     /// The buffered shares, verified prefix first.
     pub fn shares(&self) -> &[K::Share] {
         &self.shares
+    }
+
+    /// Drops every buffered share and moves the buffer to `key_epoch`; a
+    /// no-op for the current epoch. Shares gathered under the old keys are
+    /// useless under the new ones (same indices, different share
+    /// polynomial), so a buffer that outlives a membership resharing roll
+    /// must evict, not carry over.
+    pub fn roll_key_epoch(&mut self, key_epoch: u64) {
+        if key_epoch != self.key_epoch {
+            *self = ShareBuf { key_epoch, ..ShareBuf::default() };
+        }
+    }
+
+    /// [`ShareBuf::insert`] for a share tagged with the key epoch it was
+    /// produced under: a stale (or future) tag is rejected at the door, so
+    /// it never takes a reporter slot only to be evicted at the quorum.
+    pub fn insert_tagged(&mut self, share: K::Share, n: usize, tag: u64) -> bool {
+        tag == self.key_epoch && self.insert(share, n)
     }
 
     /// Accepts a share into the buffer unless its index is out of range for
@@ -391,14 +420,16 @@ mod tests {
 
     /// One collection over a `(t, n)` deal, `n` the number of `shares`:
     /// `shares[0]` is this node's own, `bad` a corrupted copy of
-    /// `shares[1]`, and `t + 1` verified shares must combine to what
-    /// `combine` gives. Every step is charged at the quorum's price.
+    /// `shares[1]`, and `t + 1` verified shares must combine to what the
+    /// uncached `reference` combination of the same quorum gives. Every
+    /// step is charged at the quorum's price.
     fn collects<'m, K: KeySet>(
         keys: &K,
         msg: impl Into<K::Msg<'m>> + Copy,
         t: usize,
         shares: &[K::Share],
         bad: K::Share,
+        reference: impl Fn(&[K::Share]) -> Option<K::Output>,
     ) -> Option<K::Output> {
         let (n, need) = (shares.len(), t + 1);
         let q = Quorum::new(keys, need, n);
@@ -430,7 +461,7 @@ mod tests {
         };
         assert_eq!(c.output(), output.as_ref());
         let quorum = [&shares[..1], &shares[2..need], &shares[1..2]].concat();
-        assert_eq!(output, keys.combine(msg.into(), &quorum));
+        assert_eq!(output, reference(&quorum));
         // Each foreign share once (the bad one too), one combination.
         let verified = need as u64;
         assert_eq!(
@@ -458,15 +489,18 @@ mod tests {
             let shares: Vec<SigShare> = sks.iter().map(|sk| sk.sign_share(b"collected")).collect();
             let mut bad = shares[1];
             bad.value = bad.value.mul(&GroupElem::generator());
-            let sig = collects(&pks, b"collected", t, &shares, bad).unwrap();
+            let lagrange = |quorum: &[SigShare]| pks.combine(quorum).ok();
+            let sig = collects(&pks, b"collected", t, &shares, bad, lagrange).unwrap();
             assert_eq!(Ok(sig), pks.combine(&shares[..=t]));
-            collects(&pks, pks.prepare(b"collected"), t, &shares, bad);
+            let prepared = pks.prepare(b"collected");
+            assert_eq!(collects(&pks, prepared, t, &shares, bad, lagrange), Some(sig));
 
             let (cpub, csec) = thresh_coin::deal_coin(n, t, ThresholdCurve::Bn158, &mut rng);
             let shares: Vec<SigShare> = csec.iter().map(|sk| sk.coin_share(name)).collect();
             let mut bad = shares[1];
             bad.value = bad.value.mul(&GroupElem::generator());
-            let sig = collects(cpub.keys(), name, t, &shares, bad).unwrap();
+            let lagrange = |quorum: &[SigShare]| cpub.keys().combine(quorum).ok();
+            let sig = collects(cpub.keys(), name, t, &shares, bad, lagrange).unwrap();
             assert_eq!(Ok(thresh_coin::reveal(&sig)), cpub.combine_value(name, &shares));
         }
     }
@@ -481,11 +515,14 @@ mod tests {
             let mut bad = shares[1];
             bad.value = bad.value.mul(&GroupElem::generator());
             let sealed = (&b"label"[..], &ct);
-            assert_eq!(collects(&enc, sealed, t, &shares, bad), Some(b"plaintext".to_vec()));
+            let lagrange = |quorum: &[DecShare]| enc.decrypt(b"label", &ct, quorum).ok();
+            let plain = collects(&enc, sealed, t, &shares, bad, lagrange);
+            assert_eq!(plain, Some(b"plaintext".to_vec()));
             // Encrypted under another label: every share checks, and the
             // quorum gives nothing.
             let replayed = (&b"other"[..], &ct);
-            assert_eq!(collects(&enc, replayed, t, &shares, bad), None);
+            let lagrange = |quorum: &[DecShare]| enc.decrypt(b"other", &ct, quorum).ok();
+            assert_eq!(collects(&enc, replayed, t, &shares, bad, lagrange), None);
         }
     }
 

@@ -32,7 +32,7 @@ use crate::workload::encode_batch;
 use bytes::Bytes;
 use rand::SeedableRng;
 use wbft_components::aba_lc::AbaLcBatch;
-use wbft_components::aba_sc::AbaScBatch;
+use wbft_components::aba_sc::{coin_quorum, AbaScBatch};
 use wbft_components::cbc::{CbcBatch, CbcSmallBatch};
 use wbft_components::prbc::PrbcBatch;
 use wbft_components::{
@@ -161,11 +161,8 @@ impl PiCoin {
 
     /// `f + 1` shares under the coin key set.
     fn quorum<'k>(&self, crypto: &'k NodeCrypto) -> Quorum<'k, PublicKeySet> {
-        let keys = crypto.coin_pub.keys();
-        let q = Quorum::new(keys, keys.threshold() + 1, self.p.n);
-        // Aired as threshold-signature shares, priced as a coin flip
-        // (ROADMAP item 5).
-        Quorum { price: crypto.coin_pub.profile(), ..q }
+        // Aired as threshold-signature shares, priced as a coin flip (ROADMAP item 5).
+        coin_quorum(&crypto.coin_pub, CoinFlavor::CoinFlip, self.p.n)
     }
 
     fn activate(&mut self, crypto: &NodeCrypto, acts: &mut Actions) {

@@ -114,11 +114,9 @@ impl DecStage {
         self.cts[j].is_some() || self.plaintexts[j].is_some()
     }
 
-    /// Activates decryption of proposer `j`'s ciphertext.
+    /// Activates decryption of proposer `j`'s ciphertext; `j` is not
+    /// [`active`](Self::active) yet.
     fn activate(&mut self, j: usize, ct: Ciphertext, crypto: &NodeCrypto, acts: &mut Actions) {
-        if self.active(j) {
-            return;
-        }
         let q = Quorum::new(&crypto.enc_pub, self.p.f + 1, self.p.n);
         let my_share = self.shares[j].sign_own(&q, || crypto.enc_sec.dec_share(&ct), acts);
         self.cts[j] = Some(ct);

@@ -339,7 +339,7 @@ mod tests {
     use crate::view::CommitteeLog;
     use crate::MembershipOp;
     use rand::SeedableRng;
-        use wbft_components::{deal_node_crypto, Actions, Collector, Quorum, Recorded};
+    use wbft_components::{deal_node_crypto, Actions, Collector, Quorum, Recorded};
     use wbft_crypto::profile::CryptoSuite;
     use wbft_crypto::thresh_coin::{self, CoinName};
     use wbft_crypto::thresh_sig::{PreparedMessage, SigShare, ThresholdSignature};
