@@ -7,9 +7,9 @@
 //! elsewhere. The buffer deduplicates by reporter bit and refuses indices
 //! outside the committee. It checks shares only once a quorum's worth has
 //! arrived, and evicts an invalid share and frees its reporter bit, so a
-//! corrected retransmission can take the slot. A buffer belongs to one key
-//! epoch: [`ShareBuf::insert_tagged`] refuses a share tagged with another,
-//! and [`ShareBuf::roll_key_epoch`] evicts everything it held.
+//! corrected retransmission can take the slot. A buffer never sees a share
+//! of another key epoch: the node driver drops such frames when it opens
+//! them.
 //!
 //! A collection runs over a [`KeySet`], the key set its shares are checked
 //! against:
@@ -151,10 +151,6 @@ pub struct ShareBuf<K: KeySet> {
     /// `shares[..verified]` have passed their check.
     verified: usize,
     reporters: u64,
-    /// Key epoch the buffered shares belong to. Shares from another
-    /// threshold-key generation are structurally incompatible with this
-    /// buffer's keys — see [`ShareBuf::insert_tagged`].
-    key_epoch: u64,
 }
 
 /// A buffer of threshold-signature (and coin) shares.
@@ -162,16 +158,11 @@ pub type SigShareBuf = ShareBuf<PublicKeySet>;
 
 impl<K: KeySet> Default for ShareBuf<K> {
     fn default() -> Self {
-        ShareBuf { shares: Vec::new(), verified: 0, reporters: 0, key_epoch: 0 }
+        ShareBuf { shares: Vec::new(), verified: 0, reporters: 0 }
     }
 }
 
 impl<K: KeySet> ShareBuf<K> {
-    /// The key epoch this buffer currently collects for.
-    pub fn key_epoch(&self) -> u64 {
-        self.key_epoch
-    }
-
     /// Bitmask of indices currently buffered (verified or pending).
     pub fn reporters(&self) -> u64 {
         self.reporters
@@ -180,24 +171,6 @@ impl<K: KeySet> ShareBuf<K> {
     /// The buffered shares, verified prefix first.
     pub fn shares(&self) -> &[K::Share] {
         &self.shares
-    }
-
-    /// Drops every buffered share and moves the buffer to `key_epoch`; a
-    /// no-op for the current epoch. Shares gathered under the old keys are
-    /// useless under the new ones (same indices, different share
-    /// polynomial), so a buffer that outlives a membership resharing roll
-    /// must evict, not carry over.
-    pub fn roll_key_epoch(&mut self, key_epoch: u64) {
-        if key_epoch != self.key_epoch {
-            *self = ShareBuf { key_epoch, ..ShareBuf::default() };
-        }
-    }
-
-    /// [`ShareBuf::insert`] for a share tagged with the key epoch it was
-    /// produced under: a stale (or future) tag is rejected at the door, so
-    /// it never takes a reporter slot only to be evicted at the quorum.
-    pub fn insert_tagged(&mut self, share: K::Share, n: usize, tag: u64) -> bool {
-        tag == self.key_epoch && self.insert(share, n)
     }
 
     /// Accepts a share into the buffer unless its index is out of range for

@@ -157,55 +157,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// A share buffer that rolls to a new key epoch must evict everything
-    /// it held and refuse every stale-tagged share afterwards — stale
-    /// shares are rejected at the door, never handed to the combiner.
-    #[test]
-    fn share_buf_rejects_and_evicts_stale_key_epochs(
-        seed in any::<u64>(),
-        buffered in 1usize..4,
-        old_epoch in 0u64..3,
-        bump in 1u64..4,
-    ) {
-        use wbft_components::share_buf::SigShareBuf;
-
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let (pks, sks) =
-            wbft_crypto::thresh_sig::deal(4, 1, wbft_crypto::ThresholdCurve::Bn158, &mut rng);
-        let msg = b"key-epoch-boundary";
-
-        let mut buf = SigShareBuf::default();
-        buf.roll_key_epoch(old_epoch);
-        for sk in &sks[..buffered] {
-            prop_assert!(buf.insert_tagged(sk.sign_share(msg), 4, old_epoch));
-        }
-        prop_assert_eq!(buf.shares().len(), buffered);
-        // Mis-tagged shares never buffer, in either direction.
-        prop_assert!(!buf.insert_tagged(sks[3].sign_share(msg), 4, old_epoch + bump));
-        prop_assert_eq!(buf.shares().len(), buffered);
-
-        // The roll evicts every share of the superseded epoch and frees
-        // the reporter slots.
-        let new_epoch = old_epoch + bump;
-        buf.roll_key_epoch(new_epoch);
-        prop_assert_eq!(buf.key_epoch(), new_epoch);
-        prop_assert_eq!(buf.shares().len(), 0);
-        prop_assert_eq!(buf.reporters(), 0);
-        // Old-epoch tags are now stale and rejected; current-epoch shares
-        // settle a quorum as usual.
-        prop_assert!(!buf.insert_tagged(sks[0].sign_share(msg), 4, old_epoch));
-        for sk in &sks[..2] {
-            prop_assert!(buf.insert_tagged(sk.sign_share(msg), 4, new_epoch));
-        }
-        prop_assert!(buf.settle(&pks, msg, 2));
-        let sig = pks.combine(buf.shares()).unwrap();
-        pks.verify(msg, &sig).unwrap();
-        // Rolling to the same epoch is a no-op.
-        buf.roll_key_epoch(new_epoch);
-        prop_assert_eq!(buf.shares().len(), 2);
-    }
-}

@@ -13,18 +13,22 @@
 //!
 //! An [`Engine`] is the protocol brain of one node: it owns the consensus
 //! components of the current (and recent) epochs, routes packet bodies to
-//! them by session id, and reports decided blocks. [`ProtocolNode`] adapts
-//! an engine to [`wbft_wireless::NodeBehavior`]: it sends outgoing bodies
-//! as envelopes signed at transmit ([`wbft_net::broadcast_signed`]: the
-//! micro-ecc sign cost charged per queued send, the transmit-queue slot
-//! that lets a newer combined packet supersede a stale one), verifies and
-//! opens incoming frames ([`wbft_net::open_shared`]: once per transmission,
-//! shared by its simulated receivers; charging the verify cost per
-//! receiver, dropping bad signatures) and translates component timers.
+//! them by session id, and reports decided blocks. [`ProtocolNode`] is the
+//! one node driver that adapts an engine to
+//! [`wbft_wireless::NodeBehavior`]: it sends outgoing bodies as envelopes
+//! signed at transmit ([`wbft_net::broadcast_signed`]: the micro-ecc sign
+//! cost charged per queued send, the transmit-queue slot that lets a newer
+//! combined packet supersede a stale one), verifies and opens incoming
+//! frames ([`wbft_net::open_shared`]: once per transmission, shared by its
+//! simulated receivers; charging the verify cost per receiver, dropping bad
+//! signatures and frames of another key epoch) and translates component
+//! timers. A clustered node ([`crate::multihop::ClusterNode`]) runs one
+//! `ProtocolNode` per tier.
 
 use bytes::Bytes;
+use std::rc::Rc;
 use wbft_components::NodeCrypto;
-use wbft_net::{broadcast_signed, open_shared, Body, Envelope, Sizing};
+use wbft_net::{broadcast_signed, open_shared, Body, Envelope, Opened, Sizing};
 use wbft_wireless::{ChannelId, Frame, NodeBehavior, NodeCtx, SimDuration, SimTime};
 
 /// A transaction committed in a block.
@@ -71,7 +75,9 @@ impl EngineOut {
 
 /// The protocol brain of one node. The one real implementation is the
 /// epoch pipeline [`crate::engine::EpochEngine`] (HoneyBadger, BEAT, Dumbo
-/// and their baselines are its lanes); the rest are wrappers around it.
+/// and their baselines are its lanes); the rest are wrappers around it:
+/// [`crate::ByzantineEngine`] and the multi-hop global tier's duty slot,
+/// which runs one single-epoch instance per leader duty.
 /// Every method is required, so a wrapper that forgets to forward one does
 /// not compile.
 pub trait Engine {
@@ -235,7 +241,7 @@ pub struct ProtocolNode<E: Engine> {
     /// the in-flight epoch.
     journal: Option<crate::recovery::BlockJournal>,
     sync: Option<SyncState>,
-    /// Reusable engine-output sink: `apply` drains it, so one allocation's
+    /// Reusable engine-output sink: `drive` drains it, so one allocation's
     /// capacity serves every event instead of fresh `Vec`s per frame/timer
     /// — the driver sits on the simulator's hot path.
     scratch: EngineOut,
@@ -243,6 +249,11 @@ pub struct ProtocolNode<E: Engine> {
 
 /// Timer-id packing: 10 bits of component-local id.
 const TIMER_LOCAL_BITS: u64 = 10;
+
+/// The engine session a component timer id belongs to.
+pub(crate) fn timer_session(id: u64) -> u64 {
+    id >> TIMER_LOCAL_BITS
+}
 
 /// Driver-level timer lane for client arrivals (sessions stay far below
 /// bit 53, so `session << TIMER_LOCAL_BITS` never reaches this bit).
@@ -356,7 +367,13 @@ impl<E: Engine> ProtocolNode<E> {
         self.engine.is_done()
     }
 
-    fn apply(&mut self, out: &mut EngineOut, ctx: &mut NodeCtx) {
+    /// Runs one step against the engine, then applies its output: records
+    /// newly decided blocks (streaming them to the service and the
+    /// journal), charges its CPU, airs its sends and arms its timers. The
+    /// one place engine output reaches the radio.
+    pub(crate) fn drive(&mut self, ctx: &mut NodeCtx, step: impl FnOnce(&mut E, &mut EngineOut)) {
+        let mut out = std::mem::take(&mut self.scratch);
+        step(&mut self.engine, &mut out);
         // Record newly completed epochs (and stream them to the service).
         while self.clock.completed.len() < self.engine.blocks().len() {
             let idx = self.clock.completed.len();
@@ -397,6 +414,25 @@ impl<E: Engine> ProtocolNode<E> {
             ctx.set_timer(delay, (session << TIMER_LOCAL_BITS) | local as u64);
         }
         out.charge_us = 0;
+        self.scratch = out;
+    }
+
+    /// Opens one enveloped frame: charges the signature check (whether it
+    /// passes or not — the radio delivered it, the CPU must check it),
+    /// opens it once per transmission ([`open_shared`]) and hands it out
+    /// only if its signature holds and it passes the key-epoch fence.
+    pub(crate) fn open(&self, frame: &Frame, ctx: &mut NodeCtx) -> Option<Rc<Opened>> {
+        ctx.charge_cpu(SimDuration::from_micros(self.crypto.suite.ecdsa.profile().verify_us));
+        let peer_keys = &self.crypto.peer_keys;
+        let opened = open_shared(&frame.payload, |src| peer_keys.get(src as usize).copied()).ok()?;
+        // Key-epoch fencing: a frame tagged for another threshold-key
+        // generation carries shares this node could only mis-combine (or,
+        // pre-roll, cannot verify at all) — drop it; the sender's
+        // retransmission cadence re-serves it once the epochs line up.
+        if !opened.sig_ok || opened.key_epoch != self.engine.key_epoch(opened.env.session) {
+            return None;
+        }
+        Some(opened)
     }
 
     /// Extends the cached cumulative chain digests to cover every committed
@@ -518,10 +554,7 @@ impl<E: Engine> ProtocolNode<E> {
                 if adopted.is_empty() {
                     return;
                 }
-                let mut out = std::mem::take(&mut self.scratch);
-                self.engine.adopt_chain(adopted, &mut out);
-                self.apply(&mut out, ctx);
-                self.scratch = out;
+                self.drive(ctx, |engine, out| engine.adopt_chain(adopted, out));
             }
         }
     }
@@ -540,10 +573,7 @@ impl<E: Engine> NodeBehavior for ProtocolNode<E> {
         if self.sync.is_some() {
             ctx.set_timer(SYNC_ANNOUNCE_INTERVAL, SYNC_TIMER_BIT);
         }
-        let mut out = std::mem::take(&mut self.scratch);
-        self.engine.start(&mut out);
-        self.apply(&mut out, ctx);
-        self.scratch = out;
+        self.drive(ctx, |engine, out| engine.start(out));
     }
 
     fn on_frame(&mut self, frame: &Frame, ctx: &mut NodeCtx) {
@@ -557,29 +587,9 @@ impl<E: Engine> NodeBehavior for ProtocolNode<E> {
                 return;
             }
         }
-        // Verify the packet signature (cost charged whether it passes or
-        // not — the radio delivered it, the CPU must check it).
-        ctx.charge_cpu(SimDuration::from_micros(self.crypto.suite.ecdsa.profile().verify_us));
-        let peer_keys = &self.crypto.peer_keys;
-        let Ok(opened) = open_shared(&frame.payload, |src| peer_keys.get(src as usize).copied())
-        else {
-            return;
-        };
-        if !opened.sig_ok {
-            return;
-        }
+        let Some(opened) = self.open(frame, ctx) else { return };
         let env = &opened.env;
-        // Key-epoch fencing: a frame tagged for another threshold-key
-        // generation carries shares this node could only mis-combine (or,
-        // pre-roll, cannot verify at all) — drop it; the sender's
-        // retransmission cadence re-serves it once the epochs line up.
-        if opened.key_epoch != self.engine.key_epoch(env.session) {
-            return;
-        }
-        let mut out = std::mem::take(&mut self.scratch);
-        self.engine.handle(env.session, env.src as usize, &env.body, &mut out);
-        self.apply(&mut out, ctx);
-        self.scratch = out;
+        self.drive(ctx, |engine, out| engine.handle(env.session, env.src as usize, &env.body, out));
     }
 
     fn on_timer(&mut self, id: u64, ctx: &mut NodeCtx) {
@@ -594,22 +604,15 @@ impl<E: Engine> NodeBehavior for ProtocolNode<E> {
                     svc.handle.submit(tx.clone(), ctx.now());
                 }
             }
-            let mut out = std::mem::take(&mut self.scratch);
-            self.engine.on_work_available(&mut out);
-            self.apply(&mut out, ctx);
-            self.scratch = out;
+            self.drive(ctx, |engine, out| engine.on_work_available(out));
             return;
         }
         if id & SYNC_TIMER_BIT != 0 {
             self.announce_head(ctx);
             return;
         }
-        let session = id >> TIMER_LOCAL_BITS;
         let local = (id & ((1 << TIMER_LOCAL_BITS) - 1)) as u32;
-        let mut out = std::mem::take(&mut self.scratch);
-        self.engine.on_timer(session, local, &mut out);
-        self.apply(&mut out, ctx);
-        self.scratch = out;
+        self.drive(ctx, |engine, out| engine.on_timer(timer_session(id), local, out));
     }
 }
 
@@ -624,6 +627,60 @@ mod tests {
                 let s = sessions::of(epoch, role);
                 assert_eq!(sessions::split(s), (epoch, role));
             }
+        }
+    }
+
+    /// A stub engine at key epoch 1 that counts the bodies it is handed.
+    struct Counting {
+        handled: usize,
+    }
+
+    impl Engine for Counting {
+        fn start(&mut self, _out: &mut EngineOut) {}
+        fn handle(&mut self, _s: u64, _f: usize, _b: &Body, _out: &mut EngineOut) {
+            self.handled += 1;
+        }
+        fn on_timer(&mut self, _s: u64, _l: u32, _out: &mut EngineOut) {}
+        fn on_work_available(&mut self, _out: &mut EngineOut) {}
+        fn restore_chain(&mut self, _b: Vec<Block>) {}
+        fn adopt_chain(&mut self, _b: Vec<Block>, _out: &mut EngineOut) {}
+        fn key_epoch(&self, _s: u64) -> u64 {
+            1
+        }
+        fn blocks(&self) -> &[Block] {
+            &[]
+        }
+        fn is_done(&self) -> bool {
+            false
+        }
+    }
+
+    /// Every frame a node receives passes `ProtocolNode::open`: one tagged
+    /// with another key epoch than the engine keeps for its session never
+    /// reaches the engine, yet its signature check is charged; one with the
+    /// matching tag is delivered.
+    #[test]
+    fn the_key_epoch_fence_drops_mistagged_frames_after_charging_their_check() {
+        use rand::SeedableRng;
+        use wbft_wireless::NodeId;
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(11);
+        let mut crypto =
+            wbft_components::deal_node_crypto(4, wbft_crypto::CryptoSuite::light(), &mut rng);
+        let sender = crypto.remove(1);
+        let me = crypto.remove(0);
+        let verify = SimDuration::from_micros(me.suite.ecdsa.profile().verify_us);
+        let sizing = Sizing { n: 4, suite: me.suite };
+        let mut node = ProtocolNode::new(Counting { handled: 0 }, me, ChannelId(0));
+        let digest = wbft_crypto::Digest32::of(b"d");
+        let body = Body::GlobalDecision { epoch: 0, digest, tx_count: 3 };
+        let env = Envelope { src: sender.me as u16, session: 5, body };
+        for (tag, handled) in [(0, 0), (2, 0), (1, 1)] {
+            let (payload, nominal_len) = env.seal_tagged(&sender.keypair, &sizing, tag).unwrap();
+            let frame = Frame { src: NodeId(1), channel: ChannelId(0), payload, nominal_len };
+            let mut ctx = NodeCtx::external(SimTime::ZERO, NodeId(0), &mut rng);
+            node.on_frame(&frame, &mut ctx);
+            assert_eq!(ctx.finish().1, verify, "tag {tag}: the check is charged once");
+            assert_eq!(node.engine().handled, handled, "tag {tag}");
         }
     }
 

@@ -16,9 +16,9 @@
 //! [`EXCLUSIONS`] table.
 
 use crate::byzantine::{ByzantineEngine, ByzantineMode};
-use crate::driver::{Block, Engine, ProtocolNode, Tx};
+use crate::driver::{sessions, Block, Engine, ProtocolNode, Tx};
 use crate::membership::MembershipCtl;
-use crate::multihop::ClusterNode;
+use crate::multihop::{ClusterNode, DUTY_STRIDE};
 use crate::protocol::Protocol;
 use crate::recovery::BlockJournal;
 use crate::service::{
@@ -402,6 +402,17 @@ impl TestbedConfig {
         }
         if let Some(m) = self.clusters.filter(|&m| !is_bft_size(m)) {
             return Err(format!("invalid cluster count {m} (need 3f+1 >= 4)"));
+        }
+        // A clustered node tells its tiers' timers apart by session, so the
+        // local sessions must stay below the global tier's.
+        let local_sessions = self.epochs.saturating_mul(sessions::PER_EPOCH);
+        if self.clusters.is_some() && local_sessions >= DUTY_STRIDE {
+            return Err(format!(
+                "{} epochs are too many for a multi-hop run: {} local sessions per epoch must \
+                 stay below the global tier's first session, {DUTY_STRIDE}",
+                self.epochs,
+                sessions::PER_EPOCH
+            ));
         }
         // A proposal no receiver can reassemble is never aired, and the
         // run would sit to its deadline. (Service proposals are bounded by
@@ -902,9 +913,11 @@ impl<'a> Rig<'a> {
     }
 }
 
-/// The clustered counterpart of the rig. `ClusterNode` is a different
-/// `NodeBehavior` driving two engines, so it shares the simulator setup and
-/// the aggregation with the rig, not the node assembly.
+/// The clustered counterpart of the rig. Each `ClusterNode` runs its two
+/// tiers on the rig's node driver (`ProtocolNode`) but builds them itself:
+/// per-cluster and global key sets, and no service, journal, sync or
+/// Byzantine wrap (`EXCLUSIONS`), so this shares the simulator setup and
+/// the aggregation with the rig, not `assemble`.
 fn run_multi_hop(cfg: &TestbedConfig, m: usize) -> RunReport {
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xc1u64);
@@ -1180,6 +1193,9 @@ mod tests {
             ),
             (&[|c| c.clusters = Some(64)], Ok(())),
             (&[|c| c.clusters = Some(65)], Err("65 clusters exceed the 64")),
+            // A clustered node's local sessions stay below its global ones.
+            (&[multihop, |c| c.epochs = 65_535], Ok(())),
+            (&[multihop, |c| c.epochs = 65_536], Err("65536 epochs are too many for a multi-hop")),
             // Every committee `check` admits can be dealt: n = 3f + 1 >= 4.
             (&[|c| c.n = 5], Err("invalid genesis committee size 5 (need 3f+1 >= 4)")),
             (&[|c| c.clusters = Some(3)], Err("invalid cluster count 3 (need 3f+1 >= 4)")),

@@ -15,10 +15,9 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use wbft_components::{deal_node_crypto, NodeCrypto, SigShareBuf};
+use wbft_components::{deal_node_crypto, NodeCrypto};
 use wbft_crypto::profile::CryptoSuite;
 use wbft_crypto::thresh_coin::CoinName;
-use wbft_crypto::{thresh_coin, thresh_sig, ThresholdCurve};
 use wbft_membership::{decode_op, encode_op, CommitteeLog, DealSet, MembershipOp, ReshareCeremony};
 
 /// Fisher–Yates over a copy; the shim's `StdRng` is deterministic per seed
@@ -164,55 +163,6 @@ proptest! {
             let stale = g.prbc_sec.sign_share(msg);
             prop_assert!(rolled[0].prbc_pub.verify_share(msg, &stale).is_err());
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Share buffers enforce the key epoch at the door: a mistagged share
-    /// never buffers, and rolling the buffer evicts everything — including
-    /// the reporter bits, so the same indices can report again under the
-    /// new epoch.
-    #[test]
-    fn share_bufs_reject_mistagged_and_evict_on_roll(
-        seed in any::<u64>(),
-        epoch in 1u64..1_000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (pks, sks) = thresh_sig::deal(4, 1, ThresholdCurve::Bn158, &mut rng);
-        let msg = b"tagged";
-
-        let mut buf = SigShareBuf::default();
-        prop_assert_eq!(buf.key_epoch(), 0);
-        // Wrong tag (future epoch): rejected, nothing buffered.
-        prop_assert!(!buf.insert_tagged(sks[0].sign_share(msg), 4, epoch));
-        prop_assert_eq!(buf.reporters(), 0);
-        // Right tag: buffered.
-        prop_assert!(buf.insert_tagged(sks[0].sign_share(msg), 4, 0));
-        prop_assert!(buf.insert_tagged(sks[1].sign_share(msg), 4, 0));
-        prop_assert!(buf.settle(&pks, msg, 2));
-        // Roll: everything evicted, reporter bits freed.
-        buf.roll_key_epoch(epoch);
-        prop_assert_eq!(buf.key_epoch(), epoch);
-        prop_assert!(buf.shares().is_empty());
-        prop_assert_eq!(buf.reporters(), 0);
-        // Old-tag shares are now the stale ones; new-tag shares reuse the
-        // freed slots.
-        prop_assert!(!buf.insert_tagged(sks[0].sign_share(msg), 4, 0));
-        prop_assert!(buf.insert_tagged(sks[0].sign_share(msg), 4, epoch));
-
-        let (cpub, csec) = thresh_coin::deal_coin(4, 1, ThresholdCurve::Bn158, &mut rng);
-        let name = CoinName { session: epoch, round: 0, domain: 0 };
-        let mut cbuf = SigShareBuf::default();
-        prop_assert!(!cbuf.insert_tagged(csec[2].coin_share(name), 4, epoch));
-        prop_assert!(cbuf.insert_tagged(csec[2].coin_share(name), 4, 0));
-        prop_assert!(cbuf.insert_tagged(csec[0].coin_share(name), 4, 0));
-        prop_assert!(cbuf.settle(cpub.keys(), name, 2));
-        cbuf.roll_key_epoch(epoch);
-        prop_assert!(cbuf.shares().is_empty());
-        prop_assert_eq!(cbuf.reporters(), 0);
-        prop_assert!(cbuf.insert_tagged(csec[2].coin_share(name), 4, epoch));
     }
 }
 
