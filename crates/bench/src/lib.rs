@@ -42,6 +42,28 @@ pub enum Comp {
     AbaLc(AbaLcBatch),
 }
 
+/// Wraps each component in its [`Comp`] variant, so a `make` closure of
+/// [`run_component`] can end in `.into()`.
+macro_rules! comp_from {
+    ($($ty:ty => $variant:ident),*) => {$(
+        impl From<$ty> for Comp {
+            fn from(c: $ty) -> Self {
+                Comp::$variant(c)
+            }
+        }
+    )*};
+}
+
+comp_from!(
+    RbcBatch => Rbc,
+    RbcSmallBatch => RbcSmall,
+    CbcBatch => Cbc,
+    CbcSmallBatch => CbcSmall,
+    PrbcBatch => Prbc,
+    AbaScBatch => AbaSc,
+    AbaLcBatch => AbaLc
+);
+
 /// What each node feeds its component at start.
 #[derive(Clone, Debug)]
 pub enum CompInput {
