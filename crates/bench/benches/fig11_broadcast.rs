@@ -14,8 +14,7 @@
 
 use std::path::Path;
 use wbft_bench::{
-    banner, proposal_of_packets, read_json, report_dir, row, run_component, write_json, Comp,
-    CompInput,
+    banner, proposal_of_packets, read_json, report_dir, row, run_component, write_json, CompInput,
 };
 use wbft_components::cbc::{CbcBatch, CbcSmallBatch};
 use wbft_components::prbc::PrbcBatch;
@@ -45,28 +44,28 @@ fn measure_once(which: &str, parallelism: usize, packets: usize, seed: u64) -> f
         CompInput::Value((i < parallelism).then(|| proposal_of_packets(packets, i)))
     };
     let result = match which {
-        "RBC" => run_component(4, seed, |_, _, p| Comp::Rbc(RbcBatch::new(p)), inputs, parallelism),
+        "RBC" => run_component(4, seed, |_, _, p| RbcBatch::new(p).into(), inputs, parallelism),
         "RBC-small" => {
-            run_component(4, seed, |_, _, p| Comp::RbcSmall(RbcSmallBatch::new(p)), inputs, parallelism)
+            run_component(4, seed, |_, _, p| RbcSmallBatch::new(p).into(), inputs, parallelism)
         }
         "CBC" => run_component(
             4,
             seed,
-            |_, c, p| Comp::Cbc(CbcBatch::new(p, c.cbc_pub.clone(), c.cbc_sec.clone())),
+            |_, c, p| CbcBatch::new(p, c.cbc_pub.clone(), c.cbc_sec.clone()).into(),
             inputs,
             parallelism,
         ),
         "CBC-small" => run_component(
             4,
             seed,
-            |_, c, p| Comp::CbcSmall(CbcSmallBatch::new(p, c.cbc_pub.clone(), c.cbc_sec.clone())),
+            |_, c, p| CbcSmallBatch::new(p, c.cbc_pub.clone(), c.cbc_sec.clone()).into(),
             inputs,
             parallelism,
         ),
         "PRBC" => run_component(
             4,
             seed,
-            |_, c, p| Comp::Prbc(PrbcBatch::new(p, c.prbc_pub.clone(), c.prbc_sec.clone())),
+            |_, c, p| PrbcBatch::new(p, c.prbc_pub.clone(), c.prbc_sec.clone()).into(),
             inputs,
             parallelism,
         ),
@@ -75,7 +74,7 @@ fn measure_once(which: &str, parallelism: usize, packets: usize, seed: u64) -> f
             seed,
             |_, c, p| {
                 let p = p.packed(wbft_components::Packing::PerInstance);
-                Comp::Cbc(CbcBatch::new(p, c.cbc_pub.clone(), c.cbc_sec.clone()))
+                CbcBatch::new(p, c.cbc_pub.clone(), c.cbc_sec.clone()).into()
             },
             inputs,
             parallelism,

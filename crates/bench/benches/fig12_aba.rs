@@ -11,11 +11,10 @@
 //! serially, ABA-SC stays below ABA-LC.
 
 use std::path::Path;
-use wbft_bench::{
-    aba_sc_comp, aba_sc_serial_comp, banner, read_json, report_dir, row, run_component,
-    write_json, Comp, CompInput,
-};
+use wbft_bench::{banner, read_json, report_dir, row, run_component, write_json, Comp, CompInput};
 use wbft_components::aba_lc::AbaLcBatch;
+use wbft_components::aba_sc::AbaScBatch;
+use wbft_components::NodeCrypto;
 use wbft_consensus::sweep::{parallel_map, sweep_threads};
 use wbft_net::CoinFlavor;
 use wbft_report::Json;
@@ -43,31 +42,22 @@ fn measure_once(pt: &Point, seed: u64) -> f64 {
             CompInput::AbaParallel { parallelism: count, value: true }
         }
     };
-    let result = match (pt.which, serial) {
-        ("ABA-LC", _) => run_component(4, seed, |_, _, p| Comp::AbaLc(AbaLcBatch::new(p)), inputs, 0),
-        ("ABA-SC", false) => run_component(
-            4,
-            seed,
-            |_, c, p| aba_sc_comp(c, p, CoinFlavor::ThreshSig),
-            inputs,
-            0,
-        ),
-        ("ABA-SC", true) => run_component(
-            4,
-            seed,
-            |_, c, p| aba_sc_serial_comp(c, p, CoinFlavor::ThreshSig),
-            inputs,
-            0,
-        ),
-        ("ABA-CP", false) => run_component(
-            4,
-            seed,
-            |_, c, p| aba_sc_comp(c, p, CoinFlavor::CoinFlip),
-            inputs,
-            0,
-        ),
+    // ABA-LC has no coin; ABA-SC and ABA-CP are one component by flavor.
+    let flavor = match (pt.which, serial) {
+        ("ABA-LC", _) => None,
+        ("ABA-SC", _) => Some(CoinFlavor::ThreshSig),
+        ("ABA-CP", false) => Some(CoinFlavor::CoinFlip),
         _ => unreachable!(),
     };
+    let make = move |_, c: &NodeCrypto, p| -> Comp {
+        let (pk, sk) = (c.coin_pub.clone(), c.coin_sec.clone());
+        match flavor {
+            None => AbaLcBatch::new(p).into(),
+            Some(flavor) if serial => AbaScBatch::new_serial(p, flavor, pk, sk).into(),
+            Some(flavor) => AbaScBatch::new_parallel(p, flavor, pk, sk).into(),
+        }
+    };
+    let result = run_component(4, seed, make, inputs, 0);
     assert!(result.completed, "{} count={count} did not complete", pt.which);
     result.latency.as_secs_f64()
 }

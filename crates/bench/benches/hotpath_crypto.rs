@@ -24,8 +24,7 @@
 //! check.
 
 use rand::SeedableRng;
-use std::time::Instant;
-use wbft_bench::{banner, pass_us, report_dir, row, write_json};
+use wbft_bench::{banner, clear_tables, pass_us, report_dir, row, time_us, write_json};
 use wbft_crypto::hash::hash_to_scalar;
 use wbft_crypto::schnorr::{self, KeyPair, Role};
 use wbft_crypto::table::Stats;
@@ -38,23 +37,6 @@ use wbft_report::Json;
 /// Quorum sizes under test: the `f+1` and `2f+1` thresholds of small and
 /// mid-size deployments.
 const QUORUMS: [usize; 4] = [2, 5, 9, 17];
-
-/// Mean microseconds per call over `reps` calls (one warmup call first).
-fn time_us<R>(reps: u32, mut f: impl FnMut() -> R) -> f64 {
-    std::hint::black_box(f());
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(f());
-    }
-    t0.elapsed().as_secs_f64() * 1e6 / reps as f64
-}
-
-/// Forgets every answer of this thread's crypto tables.
-fn clear_tables() {
-    memo::clear();
-    schnorr::clear();
-    quorum::clear();
-}
 
 fn rand_scalars(rng: &mut impl rand::RngCore, k: usize) -> Vec<Scalar> {
     (0..k).map(|_| Scalar::random(rng)).collect()

@@ -14,37 +14,20 @@
 
 use rand::SeedableRng;
 use std::time::Instant;
-use wbft_bench::{banner, pass_us, report_dir, row, write_json};
+use wbft_bench::{banner, clear_tables, pass_us, report_dir, row, time_us, write_json};
 use wbft_consensus::service::Mempool;
 use wbft_consensus::Block;
 use wbft_crypto::schnorr::{self, Role};
-use wbft_crypto::{memo, quorum, CryptoSuite};
+use wbft_crypto::CryptoSuite;
 use wbft_net::{broadcast_signed, Body, Envelope, Sizing};
 use wbft_report::Json;
 use wbft_transport::ClientMsg;
 use wbft_wireless::{ChannelId, Command, NodeCtx, NodeId, SimTime};
 
-/// Mean microseconds per call over `reps` calls (one warmup call first).
-fn time_us<R>(reps: u32, mut f: impl FnMut() -> R) -> f64 {
-    std::hint::black_box(f());
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(f());
-    }
-    t0.elapsed().as_secs_f64() * 1e6 / reps as f64
-}
-
 fn tx_of(tag: u64) -> bytes::Bytes {
     let mut v = vec![0u8; 64];
     v[..8].copy_from_slice(&tag.to_le_bytes());
     bytes::Bytes::from(v)
-}
-
-/// Forgets every answer of this thread's crypto tables.
-fn clear_tables() {
-    memo::clear();
-    schnorr::clear();
-    quorum::clear();
 }
 
 fn main() {

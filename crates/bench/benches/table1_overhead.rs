@@ -7,7 +7,7 @@
 //! The four measurement runs fan across worker threads; closed forms and
 //! measurements are written to `target/reports/table1/table1.json`.
 
-use wbft_bench::{banner, read_json, report_dir, row, run_component, write_json, Comp, CompInput};
+use wbft_bench::{banner, read_json, report_dir, row, run_component, write_json, CompInput};
 use wbft_components::aba_sc::AbaScBatch;
 use wbft_components::rbc::RbcBatch;
 use wbft_components::Packing;
@@ -23,23 +23,25 @@ fn run_labelled(label: &str) -> wbft_bench::CompResult {
     let value = |i: usize| CompInput::Value(Some(wbft_bench::proposal_of_packets(1, i)));
     let aba_in = |_: usize| CompInput::AbaParallel { parallelism: 4, value: true };
     match label {
-        "rbc-batched" => run_component(4, 11, |_, _, p| Comp::Rbc(RbcBatch::new(p)), value, 4),
-        "rbc-baseline" => {
-            let comp = |_, _: &_, p: wbft_components::Params| {
-                Comp::Rbc(RbcBatch::new(p.packed(Packing::PerInstance)))
-            };
-            run_component(4, 11, comp, value, 4)
-        }
+        "rbc-batched" => run_component(4, 11, |_, _, p| RbcBatch::new(p).into(), value, 4),
+        "rbc-baseline" => run_component(
+            4,
+            11,
+            |_, _, p| RbcBatch::new(p.packed(Packing::PerInstance)).into(),
+            value,
+            4,
+        ),
         "aba-batched" => run_component(
             4,
             13,
             |_, c, p| {
-                Comp::AbaSc(AbaScBatch::new_parallel(
+                AbaScBatch::new_parallel(
                     p,
                     CoinFlavor::ThreshSig,
                     c.coin_pub.clone(),
                     c.coin_sec.clone(),
-                ))
+                )
+                .into()
             },
             aba_in,
             4,
@@ -48,12 +50,13 @@ fn run_labelled(label: &str) -> wbft_bench::CompResult {
             4,
             13,
             |_, c, p| {
-                Comp::AbaSc(AbaScBatch::new_serial(
+                AbaScBatch::new_serial(
                     p.packed(Packing::PerInstance),
                     CoinFlavor::ThreshSig,
                     c.coin_pub.clone(),
                     c.coin_sec.clone(),
-                ))
+                )
+                .into()
             },
             aba_in,
             4,

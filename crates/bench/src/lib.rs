@@ -1,45 +1,39 @@
 //! # wbft-bench — harness regenerating the paper's tables and figures
 //!
-//! Shared infrastructure for the five bench targets (`table1_overhead`,
-//! `fig10_crypto`, `fig11_broadcast`, `fig12_aba`, `fig13_consensus`): a
-//! component-level simulator driver that runs a single consensus component
-//! across N wireless nodes and measures completion latency and channel
-//! accesses, plus table-printing helpers.
+//! Shared infrastructure for the bench targets (`table1_overhead`,
+//! `fig10_crypto`, `fig11_broadcast`, `fig12_aba`, `fig13_consensus` and the
+//! `hotpath_*` microbenches): the component rig, which runs a single
+//! consensus component across N wireless nodes and measures completion
+//! latency and channel accesses, plus report, timing and table-printing
+//! helpers.
+//!
+//! Each rig node is an ordinary [`ProtocolNode`] over `CompEngine`, an
+//! engine of one component: its frames are signed, opened once per
+//! transmission, fenced and charged by the same driver as every deployment's.
 
 use bytes::Bytes;
-use wbft_components::aba_lc::AbaLcBatch;
-use wbft_components::aba_sc::AbaScBatch;
-use wbft_components::cbc::{CbcBatch, CbcSmallBatch};
-use wbft_components::prbc::PrbcBatch;
-use wbft_components::rbc::RbcBatch;
-use wbft_components::rbc_small::RbcSmallBatch;
-use wbft_components::{
-    deal_node_crypto, Actions, BinaryAgreement, Broadcaster, NodeCrypto, Params,
-};
+use wbft_components::{aba_lc, aba_sc, cbc, prbc, rbc, rbc_small};
+use wbft_components::{deal_node_crypto, Actions, BinaryAgreement, Broadcaster, NodeCrypto, Params};
+use wbft_consensus::{Block, Engine, EngineOut, ProtocolNode};
 use wbft_crypto::CryptoSuite;
-use wbft_net::{broadcast_signed, Bitmap, Body, CoinFlavor, Envelope, Sizing, Vote};
-use wbft_wireless::{
-    ChannelId, Frame, NodeBehavior, NodeCtx, SimConfig, SimDuration, SimTime, Simulator, Topology,
-};
+use wbft_net::{Bitmap, Body, Vote};
+use wbft_wireless::{ChannelId, SimConfig, SimDuration, SimTime, Simulator, Topology};
 
 /// A consensus component under benchmark; its `Params` carry the packing,
 /// so a baseline is the same component built with
-/// [`Packing::PerInstance`](wbft_components::Packing).
+/// [`Packing::PerInstance`](wbft_components::Packing). Build one with
+/// `.into()` from the component.
 pub enum Comp {
-    /// Batched Bracha RBC.
-    Rbc(RbcBatch),
-    /// Batched RBC-small.
-    RbcSmall(RbcSmallBatch),
-    /// Batched CBC.
-    Cbc(CbcBatch),
-    /// Batched CBC-small.
-    CbcSmall(CbcSmallBatch),
-    /// Batched PRBC.
-    Prbc(PrbcBatch),
-    /// Batched shared-coin ABA (SC or CP by flavor).
-    AbaSc(AbaScBatch),
-    /// Batched local-coin ABA.
-    AbaLc(AbaLcBatch),
+    /// RBC or CBC: complete once the target count of instances delivered.
+    Broadcast(Box<dyn Broadcaster>),
+    /// PRBC: complete once the target count delivered *and* is proven.
+    Prbc(Box<prbc::PrbcBatch>),
+    /// RBC-small (one vote per instance).
+    RbcSmall(Box<rbc_small::RbcSmallBatch>),
+    /// CBC-small (one bitmap per instance).
+    CbcSmall(Box<cbc::CbcSmallBatch>),
+    /// ABA-SC, ABA-CP (by coin flavor) or ABA-LC.
+    Aba(Box<dyn BinaryAgreement>),
 }
 
 /// Wraps each component in its [`Comp`] variant, so a `make` closure of
@@ -48,21 +42,15 @@ macro_rules! comp_from {
     ($($ty:ty => $variant:ident),*) => {$(
         impl From<$ty> for Comp {
             fn from(c: $ty) -> Self {
-                Comp::$variant(c)
+                Comp::$variant(Box::new(c))
             }
         }
     )*};
 }
 
-comp_from!(
-    RbcBatch => Rbc,
-    RbcSmallBatch => RbcSmall,
-    CbcBatch => Cbc,
-    CbcSmallBatch => CbcSmall,
-    PrbcBatch => Prbc,
-    AbaScBatch => AbaSc,
-    AbaLcBatch => AbaLc
-);
+comp_from!(rbc::RbcBatch => Broadcast, cbc::CbcBatch => Broadcast, prbc::PrbcBatch => Prbc);
+comp_from!(rbc_small::RbcSmallBatch => RbcSmall, cbc::CbcSmallBatch => CbcSmall);
+comp_from!(aba_sc::AbaScBatch => Aba, aba_lc::AbaLcBatch => Aba);
 
 /// What each node feeds its component at start.
 #[derive(Clone, Debug)]
@@ -77,7 +65,7 @@ pub enum CompInput {
         /// Input value for each activated instance.
         value: bool,
     },
-    /// Serial ABA: instances activated one after the other by the driver.
+    /// Serial ABA: instances activated one after the other by the rig.
     AbaSerial {
         /// How many instances run in sequence.
         count: usize,
@@ -89,174 +77,133 @@ pub enum CompInput {
 impl Comp {
     fn start(&mut self, input: &CompInput, acts: &mut Actions) {
         match (self, input) {
-            (Comp::Rbc(c), CompInput::Value(Some(v))) => c.start(v.clone(), acts),
-            (Comp::Cbc(c), CompInput::Value(Some(v))) => c.start(v.clone(), acts),
+            (Comp::Broadcast(c), CompInput::Value(Some(v))) => c.start(v.clone(), acts),
             (Comp::Prbc(c), CompInput::Value(Some(v))) => c.start(v.clone(), acts),
             (Comp::RbcSmall(c), CompInput::Value(Some(_))) => c.start(Vote::One, acts),
             (Comp::CbcSmall(c), CompInput::Value(Some(_))) => {
                 c.start(Bitmap::from_raw(0b0111, 4), acts)
             }
-            (Comp::AbaSc(c), CompInput::AbaParallel { parallelism, value }) => {
-                for j in 0..*parallelism {
-                    c.set_input(j, *value, acts);
-                }
+            (Comp::Aba(c), CompInput::AbaParallel { parallelism, value }) => {
+                (0..*parallelism).for_each(|j| c.set_input(j, *value, acts))
             }
-            (Comp::AbaLc(c), CompInput::AbaParallel { parallelism, value }) => {
-                for j in 0..*parallelism {
-                    c.set_input(j, *value, acts);
-                }
-            }
-            (Comp::AbaSc(c), CompInput::AbaSerial { value, .. }) => c.set_input(0, *value, acts),
-            (Comp::AbaLc(c), CompInput::AbaSerial { value, .. }) => c.set_input(0, *value, acts),
+            (Comp::Aba(c), CompInput::AbaSerial { value, .. }) => c.set_input(0, *value, acts),
             _ => {}
         }
     }
 
     fn handle(&mut self, from: usize, body: &Body, acts: &mut Actions) {
         match self {
-            Comp::Rbc(c) => c.handle(from, body, acts),
-            Comp::RbcSmall(c) => c.handle(from, body, acts),
-            Comp::Cbc(c) => c.handle(from, body, acts),
-            Comp::CbcSmall(c) => c.handle(from, body, acts),
+            Comp::Broadcast(c) => c.handle(from, body, acts),
             Comp::Prbc(c) => c.handle(from, body, acts),
-            Comp::AbaSc(c) => c.handle(from, body, acts),
-            Comp::AbaLc(c) => c.handle(from, body, acts),
+            Comp::RbcSmall(c) => c.handle(from, body, acts),
+            Comp::CbcSmall(c) => c.handle(from, body, acts),
+            Comp::Aba(c) => c.handle(from, body, acts),
         }
     }
 
     fn on_timer(&mut self, local: u32, acts: &mut Actions) {
         match self {
-            Comp::Rbc(c) => c.on_timer(local, acts),
-            Comp::RbcSmall(c) => c.on_timer(local, acts),
-            Comp::Cbc(c) => c.on_timer(local, acts),
-            Comp::CbcSmall(c) => c.on_timer(local, acts),
+            Comp::Broadcast(c) => c.on_timer(local, acts),
             Comp::Prbc(c) => c.on_timer(local, acts),
-            Comp::AbaSc(c) => c.on_timer(local, acts),
-            Comp::AbaLc(c) => c.on_timer(local, acts),
+            Comp::RbcSmall(c) => c.on_timer(local, acts),
+            Comp::CbcSmall(c) => c.on_timer(local, acts),
+            Comp::Aba(c) => c.on_timer(local, acts),
         }
     }
 
-    /// Serial-ABA driver hook: activate the next instance when the current
-    /// one decides.
+    /// Serial ABA: activates each instance whose predecessor decided
+    /// (`set_input` ignores an instance already active).
     fn poll_serial(&mut self, input: &CompInput, acts: &mut Actions) {
-        let CompInput::AbaSerial { count, value } = input else { return };
-        match self {
-            Comp::AbaSc(c) => {
-                for j in 0..*count {
-                    if c.decided(j).is_some() && j + 1 < *count && !c.is_active(j + 1) {
-                        c.set_input(j + 1, *value, acts);
-                    }
+        if let (Comp::Aba(c), CompInput::AbaSerial { count, value }) = (self, input) {
+            for j in 1..*count {
+                if c.decided(j - 1).is_some() {
+                    c.set_input(j, *value, acts);
                 }
             }
-            Comp::AbaLc(c) => {
-                for j in 0..*count {
-                    if c.decided(j).is_some() && j + 1 < *count {
-                        c.set_input(j + 1, *value, acts); // idempotent
-                    }
-                }
-            }
-            _ => {}
         }
     }
 
-    /// Has this node completed the experiment's ABA target?
-    fn aba_complete(&self, input: &CompInput) -> bool {
-        let target = match input {
-            CompInput::AbaParallel { parallelism, .. } => *parallelism,
-            CompInput::AbaSerial { count, .. } => *count,
-            CompInput::Value(_) => return false,
-        };
-        match self {
-            Comp::AbaSc(c) => (0..target).all(|j| c.decided(j).is_some()),
-            Comp::AbaLc(c) => (0..target).all(|j| c.decided(j).is_some()),
-            _ => false,
-        }
-    }
-
-    fn delivered_at_least(&self, target: usize) -> bool {
-        match self {
-            Comp::Rbc(c) => c.delivered_count() >= target,
-            Comp::RbcSmall(c) => c.delivered_count() >= target,
-            Comp::Cbc(c) => c.delivered_count() >= target,
-            Comp::CbcSmall(c) => c.delivered_count() >= target,
-            Comp::Prbc(c) => c.delivered_count() >= target && c.proven_count() >= target,
+    /// Has this node met the experiment's target: `target` broadcast
+    /// instances delivered, or every ABA instance of `input` decided?
+    fn is_complete(&self, input: &CompInput, target: usize) -> bool {
+        match (self, input) {
+            (Comp::Broadcast(c), CompInput::Value(_)) => c.delivered_count() >= target,
+            (Comp::Prbc(c), CompInput::Value(_)) => {
+                c.delivered_count() >= target && c.proven_count() >= target
+            }
+            (Comp::RbcSmall(c), CompInput::Value(_)) => c.delivered_count() >= target,
+            (Comp::CbcSmall(c), CompInput::Value(_)) => c.delivered_count() >= target,
+            (
+                Comp::Aba(c),
+                CompInput::AbaParallel { parallelism: count, .. }
+                | CompInput::AbaSerial { count, .. },
+            ) => (0..*count).all(|j| c.decided(j).is_some()),
             _ => false,
         }
     }
 }
 
-/// Simulator behavior hosting one component per node.
-pub struct CompNode {
+/// The session every rig component runs at.
+const SESSION: u64 = 1;
+
+/// The engine of one rig node: one component at session 1, which decides
+/// one empty block the first time the experiment's target is met — the
+/// driver's epoch clock then holds this node's completion time.
+struct CompEngine {
     comp: Comp,
     input: CompInput,
     target_instances: usize,
-    crypto: NodeCrypto,
-    sizing: Sizing,
-    session: u64,
-    /// Completion time at this node.
-    pub completed_at: Option<SimTime>,
+    n: usize,
+    blocks: Vec<Block>,
 }
 
-impl CompNode {
-    fn is_complete(&self) -> bool {
-        match &self.input {
-            CompInput::Value(_) => self.comp.delivered_at_least(self.target_instances),
-            other => self.comp.aba_complete(other),
-        }
-    }
-
-    fn apply(&mut self, acts: &mut Actions, ctx: &mut NodeCtx) {
-        let (sends, timers, charge) = acts.drain();
-        if charge > 0 {
-            ctx.charge_cpu(SimDuration::from_micros(charge));
-        }
-        for body in sends {
-            let env = Envelope { src: self.crypto.me as u16, session: self.session, body };
-            broadcast_signed(ctx, ChannelId(0), &self.crypto.keypair, &self.sizing, &env, 0)
-                .expect("bench bodies encode");
-        }
-        for (delay, local) in timers {
-            ctx.set_timer(delay, local as u64);
-        }
-        if self.completed_at.is_none() && self.is_complete() {
-            self.completed_at = Some(ctx.now());
+impl CompEngine {
+    /// Activates the next serial instance, hands the component's actions
+    /// to the driver and decides once complete.
+    fn settle(&mut self, mut acts: Actions, out: &mut EngineOut) {
+        self.comp.poll_serial(&self.input, &mut acts);
+        out.absorb(SESSION, &mut acts);
+        if self.blocks.is_empty() && self.comp.is_complete(&self.input, self.target_instances) {
+            self.blocks.push(Block { epoch: 0, txs: Vec::new() });
         }
     }
 }
 
-impl NodeBehavior for CompNode {
-    fn on_start(&mut self, ctx: &mut NodeCtx) {
+impl Engine for CompEngine {
+    fn start(&mut self, out: &mut EngineOut) {
         let mut acts = Actions::new();
-        let input = self.input.clone();
-        self.comp.start(&input, &mut acts);
-        self.apply(&mut acts, ctx);
+        self.comp.start(&self.input, &mut acts);
+        self.settle(acts, out);
     }
 
-    fn on_frame(&mut self, frame: &Frame, ctx: &mut NodeCtx) {
-        ctx.charge_cpu(SimDuration::from_micros(self.crypto.suite.ecdsa.profile().verify_us));
-        let keys = &self.crypto.peer_keys;
-        let Ok((env, sig_ok)) =
-            Envelope::open(&frame.payload, |src| keys.get(src as usize).copied())
-        else {
-            return;
-        };
-        if !sig_ok || env.session != self.session {
-            return;
-        }
+    fn handle(&mut self, _session: u64, from: usize, body: &Body, out: &mut EngineOut) {
         let mut acts = Actions::new();
-        let body = wbft_net::join(&env.body, self.sizing.n);
-        self.comp.handle(env.src as usize, &body, &mut acts);
-        let input = self.input.clone();
-        self.comp.poll_serial(&input, &mut acts);
-        self.apply(&mut acts, ctx);
+        self.comp.handle(from, &wbft_net::join(body, self.n), &mut acts);
+        self.settle(acts, out);
     }
 
-    fn on_timer(&mut self, id: u64, ctx: &mut NodeCtx) {
+    fn on_timer(&mut self, _session: u64, local: u32, out: &mut EngineOut) {
         let mut acts = Actions::new();
-        self.comp.on_timer(id as u32, &mut acts);
-        let input = self.input.clone();
-        self.comp.poll_serial(&input, &mut acts);
-        self.apply(&mut acts, ctx);
+        self.comp.on_timer(local, &mut acts);
+        self.settle(acts, out);
+    }
+
+    fn on_work_available(&mut self, _out: &mut EngineOut) {}
+
+    fn restore_chain(&mut self, _blocks: Vec<Block>) {}
+
+    fn adopt_chain(&mut self, _blocks: Vec<Block>, _out: &mut EngineOut) {}
+
+    fn key_epoch(&self, _session: u64) -> u64 {
+        0
+    }
+
+    fn blocks(&self) -> &[Block] {
+        &self.blocks
+    }
+
+    fn is_done(&self) -> bool {
+        !self.blocks.is_empty()
     }
 }
 
@@ -277,6 +224,10 @@ pub struct CompResult {
 /// `inputs` supplies each node's start input; `target_instances` is the
 /// number of instances every node must deliver for completion (broadcast
 /// components).
+///
+/// # Panics
+///
+/// If a node's driver dropped a send whose body does not encode.
 pub fn run_component(
     n: usize,
     seed: u64,
@@ -287,39 +238,29 @@ pub fn run_component(
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xbe9c);
     let crypto = deal_node_crypto(n, CryptoSuite::light(), &mut rng);
-    let session = 1u64;
-    let behaviors: Vec<CompNode> = crypto
+    let nodes: Vec<ProtocolNode<CompEngine>> = crypto
         .into_iter()
         .enumerate()
         .map(|(i, c)| {
-            let params = Params::new(n, i, session);
-            CompNode {
-                comp: make(i, &c, params),
-                input: inputs(i),
-                target_instances,
-                sizing: Sizing { n, suite: c.suite },
-                session,
-                crypto: c,
-                completed_at: None,
-            }
+            let (comp, input) = (make(i, &c, Params::new(n, i, SESSION)), inputs(i));
+            let engine = CompEngine { comp, input, target_instances, n, blocks: Vec::new() };
+            ProtocolNode::new(engine, c, ChannelId(0))
         })
         .collect();
     let cfg = SimConfig { seed, ..SimConfig::default() };
-    let mut sim = Simulator::new(cfg, Topology::single_hop(n), behaviors);
+    let mut sim = Simulator::new(cfg, Topology::single_hop(n), nodes);
     let deadline = SimTime::from_micros(1_800_000_000);
-    let completed =
-        sim.run_until_pred(deadline, |s| s.behaviors().all(|(_, b)| b.completed_at.is_some()));
+    let completed = sim.run_until_pred(deadline, |s| s.behaviors().all(|(_, b)| b.is_done()));
+    for (id, node) in sim.behaviors() {
+        assert_eq!(node.unencodable_sends(), 0, "{id:?} dropped an unencodable send");
+    }
     let latency = sim
         .behaviors()
-        .filter_map(|(_, b)| b.completed_at)
+        .filter_map(|(_, b)| b.clock().completed.first().copied())
         .max()
         .unwrap_or(deadline)
         .saturating_since(SimTime::ZERO);
-    CompResult {
-        latency,
-        accesses_per_node: sim.metrics().mean_channel_accesses(),
-        completed,
-    }
+    CompResult { latency, accesses_per_node: sim.metrics().mean_channel_accesses(), completed }
 }
 
 /// Reports directory for one figure: `target/reports/<name>/`, created.
@@ -375,6 +316,19 @@ pub fn pass_us<T>(items: &[T], mut f: impl FnMut(&T)) -> f64 {
     t0.elapsed().as_secs_f64() * 1e6 / items.len() as f64
 }
 
+/// Mean microseconds per call over `reps` calls (one warmup call first).
+pub fn time_us<R>(reps: u32, mut f: impl FnMut() -> R) -> f64 {
+    std::hint::black_box(f());
+    pass_us(&vec![(); reps as usize], |_| drop(std::hint::black_box(f())))
+}
+
+/// Forgets every answer of this thread's crypto tables.
+pub fn clear_tables() {
+    wbft_crypto::memo::clear();
+    wbft_crypto::schnorr::clear();
+    wbft_crypto::quorum::clear();
+}
+
 /// Prints a banner for one figure/table reproduction.
 pub fn banner(title: &str, note: &str) {
     println!("\n================================================================");
@@ -389,14 +343,4 @@ pub fn banner(title: &str, note: &str) {
 pub fn proposal_of_packets(packets: usize, node: usize) -> Bytes {
     let len = packets * wbft_components::rbc::FRAG_BUDGET - 10;
     Bytes::from(vec![0xA0 | node as u8; len.max(8)])
-}
-
-/// Parallel shared-coin ABA component.
-pub fn aba_sc_comp(c: &NodeCrypto, p: Params, flavor: CoinFlavor) -> Comp {
-    Comp::AbaSc(AbaScBatch::new_parallel(p, flavor, c.coin_pub.clone(), c.coin_sec.clone()))
-}
-
-/// Serial shared-coin ABA component.
-pub fn aba_sc_serial_comp(c: &NodeCrypto, p: Params, flavor: CoinFlavor) -> Comp {
-    Comp::AbaSc(AbaScBatch::new_serial(p, flavor, c.coin_pub.clone(), c.coin_sec.clone()))
 }

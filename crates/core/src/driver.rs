@@ -22,8 +22,11 @@
 //! frames ([`wbft_net::open_shared`]: once per transmission, shared by its
 //! simulated receivers; charging the verify cost per receiver, dropping bad
 //! signatures and frames of another key epoch) and translates component
-//! timers. A clustered node ([`crate::multihop::ClusterNode`]) runs one
-//! `ProtocolNode` per tier.
+//! timers. A send whose body does not encode is dropped and counted
+//! ([`ProtocolNode::unencodable_sends`]). A clustered node
+//! ([`crate::multihop::ClusterNode`]) runs one `ProtocolNode` per tier, and
+//! the figure benches' component rig (`wbft_bench::run_component`) one per
+//! node over a one-component engine.
 
 use bytes::Bytes;
 use std::rc::Rc;
@@ -73,11 +76,14 @@ impl EngineOut {
     }
 }
 
-/// The protocol brain of one node. The one real implementation is the
-/// epoch pipeline [`crate::engine::EpochEngine`] (HoneyBadger, BEAT, Dumbo
-/// and their baselines are its lanes); the rest are wrappers around it:
+/// The protocol brain of one node. Every deployment runs the epoch
+/// pipeline [`crate::engine::EpochEngine`] (HoneyBadger, BEAT, Dumbo and
+/// their baselines are its lanes) or a wrapper around it:
 /// [`crate::ByzantineEngine`] and the multi-hop global tier's duty slot,
-/// which runs one single-epoch instance per leader duty.
+/// which runs one single-epoch instance per leader duty. The one other
+/// implementation is the figure benches' rig engine (`CompEngine` in
+/// `wbft-bench`), which runs a single component and decides one empty block
+/// when it completes.
 /// Every method is required, so a wrapper that forgets to forward one does
 /// not compile.
 pub trait Engine {
@@ -245,6 +251,8 @@ pub struct ProtocolNode<E: Engine> {
     /// capacity serves every event instead of fresh `Vec`s per frame/timer
     /// — the driver sits on the simulator's hot path.
     scratch: EngineOut,
+    /// Sends dropped because their body does not fit the wire format.
+    unencodable: u64,
 }
 
 /// Timer-id packing: 10 bits of component-local id.
@@ -288,6 +296,7 @@ impl<E: Engine> ProtocolNode<E> {
             journal: None,
             sync: None,
             scratch: EngineOut::new(),
+            unencodable: 0,
         }
     }
 
@@ -367,6 +376,12 @@ impl<E: Engine> ProtocolNode<E> {
         self.engine.is_done()
     }
 
+    /// Sends the engine made that the driver dropped because their body
+    /// does not fit the wire format ([`broadcast_signed`] refused them).
+    pub fn unencodable_sends(&self) -> u64 {
+        self.unencodable
+    }
+
     /// Runs one step against the engine, then applies its output: records
     /// newly decided blocks (streaming them to the service and the
     /// journal), charges its CPU, airs its sends and arms its timers. The
@@ -399,16 +414,13 @@ impl<E: Engine> ProtocolNode<E> {
         for (session, body) in out.sends.drain(..) {
             let tag = self.engine.key_epoch(session);
             let env = Envelope { src: self.crypto.me as u16, session, body };
-            // An unencodable (oversized) body is dropped, never a panic: a
-            // hostile or runaway message must not abort the node.
-            let _ = broadcast_signed(
-                ctx,
-                self.channel,
-                &self.crypto.keypair,
-                &self.sizing,
-                &env,
-                tag,
-            );
+            // An unencodable (oversized) body is dropped and counted, never
+            // a panic: a hostile or runaway message must not abort the node.
+            let sent =
+                broadcast_signed(ctx, self.channel, &self.crypto.keypair, &self.sizing, &env, tag);
+            if sent.is_err() {
+                self.unencodable += 1;
+            }
         }
         for (session, local, delay) in out.timers.drain(..) {
             ctx.set_timer(delay, (session << TIMER_LOCAL_BITS) | local as u64);
@@ -630,13 +642,17 @@ mod tests {
         }
     }
 
-    /// A stub engine at key epoch 1 that counts the bodies it is handed.
+    /// A stub engine at key epoch 1 that counts the bodies it is handed
+    /// and sends `at_start` at start.
     struct Counting {
         handled: usize,
+        at_start: Vec<(u64, Body)>,
     }
 
     impl Engine for Counting {
-        fn start(&mut self, _out: &mut EngineOut) {}
+        fn start(&mut self, out: &mut EngineOut) {
+            out.sends.append(&mut self.at_start);
+        }
         fn handle(&mut self, _s: u64, _f: usize, _b: &Body, _out: &mut EngineOut) {
             self.handled += 1;
         }
@@ -670,7 +686,8 @@ mod tests {
         let me = crypto.remove(0);
         let verify = SimDuration::from_micros(me.suite.ecdsa.profile().verify_us);
         let sizing = Sizing { n: 4, suite: me.suite };
-        let mut node = ProtocolNode::new(Counting { handled: 0 }, me, ChannelId(0));
+        let stub = Counting { handled: 0, at_start: Vec::new() };
+        let mut node = ProtocolNode::new(stub, me, ChannelId(0));
         let digest = wbft_crypto::Digest32::of(b"d");
         let body = Body::GlobalDecision { epoch: 0, digest, tx_count: 3 };
         let env = Envelope { src: sender.me as u16, session: 5, body };
@@ -682,6 +699,35 @@ mod tests {
             assert_eq!(ctx.finish().1, verify, "tag {tag}: the check is charged once");
             assert_eq!(node.engine().handled, handled, "tag {tag}");
         }
+    }
+
+    /// A body the wire format cannot carry (a fragment one byte over the
+    /// `u16` length prefix) is dropped and counted, never aired — and its
+    /// signing cost is still charged, as `broadcast_signed` documents.
+    #[test]
+    fn an_unencodable_send_is_counted_and_not_aired_but_its_signing_is_charged() {
+        use rand::SeedableRng;
+        use wbft_wireless::NodeId;
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(12);
+        let me = wbft_components::deal_node_crypto(4, wbft_crypto::CryptoSuite::light(), &mut rng)
+            .swap_remove(0);
+        let sign = SimDuration::from_micros(me.suite.ecdsa.profile().sign_us);
+        let body = Body::RbcInit {
+            instance: 0,
+            frag: 0,
+            frag_total: 1,
+            root: wbft_crypto::Digest32::of(b"big"),
+            data: Bytes::from(vec![7u8; u16::MAX as usize + 1]),
+            init_nack: wbft_net::Bitmap::new(4),
+        };
+        let stub = Counting { handled: 0, at_start: vec![(5, body)] };
+        let mut node = ProtocolNode::new(stub, me, ChannelId(0));
+        let mut ctx = NodeCtx::external(SimTime::ZERO, NodeId(0), &mut rng);
+        node.on_start(&mut ctx);
+        let (cmds, charged) = ctx.finish();
+        assert_eq!(node.unencodable_sends(), 1);
+        assert!(cmds.is_empty(), "nothing is aired: {cmds:?}");
+        assert_eq!(charged, sign, "the signing charge is made");
     }
 
     #[test]
