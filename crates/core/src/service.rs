@@ -676,7 +676,9 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Nearest-rank percentiles over `samples` (sorted internally).
+    /// Percentiles over `samples` (sorted internally): percentile `p` is
+    /// the sample at index `round(p · (len − 1))` of the sorted list, so
+    /// p50 of an even count is the upper of the two middle samples.
     pub fn from_samples(samples: &[u64]) -> Self {
         if samples.is_empty() {
             return LatencySummary {

@@ -7,7 +7,7 @@
 //! the reserved [`CLIENT_CHANNEL`]: submit a transaction, receive an
 //! explicit admit/reject (the mempool's backpressure signal), subscribe to
 //! the committed-block stream, and request a graceful stop. Messages ride
-//! the standard [`Datagram`](wbft_net::datagram::Datagram) framing with
+//! the standard [`Datagram`] framing with
 //! `src = `[`CLIENT_SRC`] (clients have no node id), so the runtime's
 //! existing decode path handles them; the node side answers through a
 //! [`ClientGateway`](crate::runtime::ClientGateway) implementation.
@@ -16,12 +16,19 @@
 //! matches the digests of its own submissions to measure commit latency,
 //! and the block contents are already public on the consensus channel.
 //!
+//! [`ServiceClient`] is the protocol's client side: it submits, re-sends
+//! and matches the commit streams for the service launcher and its tests.
+//!
 //! Messages write through [`ByteSink`] and read through [`WireReader`]; each
 //! fills its datagram payload exactly, so a decoder refuses trailing bytes
 //! as firmly as missing ones.
 
 use bytes::Bytes;
-use wbft_net::datagram::MAX_DATAGRAM_PAYLOAD;
+use std::collections::BTreeSet;
+use std::io;
+use std::net::{SocketAddr, UdpSocket};
+use std::time::{Duration, Instant};
+use wbft_net::datagram::{Datagram, MAX_DATAGRAM_PAYLOAD};
 use wbft_net::wire::{ByteSink, Sink, WireReader};
 use wbft_net::WireError;
 
@@ -173,6 +180,156 @@ impl ClientMsg {
     }
 }
 
+/// How often [`ServiceClient::nudge`] re-sends at most.
+const NUDGE_INTERVAL: Duration = Duration::from_millis(500);
+
+/// What one [`ServiceClient::poll`] learned.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ClientEvent {
+    /// Node `node` streamed back submission `tx` (its index in submit
+    /// order) for the first time.
+    Committed {
+        /// Index of the node in the cluster's address list.
+        node: usize,
+        /// Index of the submission, in submit order.
+        tx: usize,
+    },
+    /// A node refused a submission because its mempool is full.
+    Full,
+}
+
+/// An external client of a service cluster: it submits transactions to
+/// every node and matches the nodes' commit streams against them.
+///
+/// Only datagrams from the cluster's own addresses count, and each
+/// (node, submission) pair counts once: a restarted node, or a
+/// re-subscription after eviction, replays its whole stream.
+pub struct ServiceClient {
+    socket: UdpSocket,
+    nodes: Vec<SocketAddr>,
+    subscribe: Bytes,
+    stop: Bytes,
+    /// Each submission's digest and framed `Submit`, in submit order.
+    submissions: Vec<([u8; 32], Bytes)>,
+    /// The (submission, node) pairs streamed back so far.
+    seen: BTreeSet<(usize, usize)>,
+    last_nudge: Option<Instant>,
+    buf: Vec<u8>,
+}
+
+/// Frames one client message as a datagram on [`CLIENT_CHANNEL`].
+fn frame(msg: &ClientMsg) -> Result<Bytes, WireError> {
+    Datagram { src: CLIENT_SRC, channel: CLIENT_CHANNEL, nominal_len: 0, payload: msg.encode()? }
+        .encode()
+}
+
+impl ServiceClient {
+    /// Binds an ephemeral loopback port for a client of the nodes at
+    /// `nodes`. [`poll`](Self::poll) waits at most 20 ms for a datagram.
+    ///
+    /// # Errors
+    ///
+    /// The socket's bind or configuration error.
+    pub fn bind(nodes: &[SocketAddr]) -> io::Result<ServiceClient> {
+        let socket = UdpSocket::bind("127.0.0.1:0")?;
+        socket.set_read_timeout(Some(Duration::from_millis(20)))?;
+        Ok(ServiceClient {
+            socket,
+            nodes: nodes.to_vec(),
+            subscribe: frame(&ClientMsg::Subscribe).map_err(io::Error::other)?,
+            stop: frame(&ClientMsg::Stop).map_err(io::Error::other)?,
+            submissions: Vec::new(),
+            seen: BTreeSet::new(),
+            last_nudge: None,
+            buf: vec![0; 1 << 16],
+        })
+    }
+
+    /// Sends `tx`, whose digest is `digest`, to every node (the mempools
+    /// commit a transaction once across proposers). Returns its index.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Oversize`] for a transaction one datagram cannot carry.
+    pub fn submit(&mut self, tx: Bytes, digest: [u8; 32]) -> Result<usize, WireError> {
+        let submit = frame(&ClientMsg::Submit { tx })?;
+        self.send_all(&submit);
+        self.submissions.push((digest, submit));
+        Ok(self.submissions.len() - 1)
+    }
+
+    /// At most once per 500 ms: subscribes to every node again and re-sends
+    /// each submission that no node has streamed back yet. The first
+    /// datagrams race the nodes' socket binds and UDP is lossy; both
+    /// messages are idempotent at the node.
+    pub fn nudge(&mut self) {
+        if self.last_nudge.is_some_and(|at| at.elapsed() < NUDGE_INTERVAL) {
+            return;
+        }
+        self.last_nudge = Some(Instant::now());
+        self.send_all(&self.subscribe);
+        for (tx, (_, submit)) in self.submissions.iter().enumerate() {
+            if self.seen.range((tx, 0)..(tx + 1, 0)).next().is_none() {
+                self.send_all(submit);
+            }
+        }
+    }
+
+    /// Reads one datagram (or times out) and reports what it carried that
+    /// is new. Datagrams from outside the cluster are ignored.
+    pub fn poll(&mut self) -> Vec<ClientEvent> {
+        let mut events = Vec::new();
+        let Ok((len, from)) = self.socket.recv_from(&mut self.buf) else { return events };
+        let node = self.nodes.iter().position(|&a| a == from);
+        let datagram = self.buf.get(..len).and_then(|b| Datagram::decode(b).ok());
+        let msg = datagram
+            .filter(|d| d.channel == CLIENT_CHANNEL)
+            .and_then(|d| ClientMsg::decode(&d.payload));
+        match (node, msg) {
+            (Some(node), Some(ClientMsg::Block { digests, .. })) => {
+                for digest in digests {
+                    let tx = self.submissions.iter().position(|(d, _)| *d == digest);
+                    if let Some(tx) = tx.filter(|&tx| self.seen.insert((tx, node))) {
+                        events.push(ClientEvent::Committed { node, tx });
+                    }
+                }
+            }
+            (Some(_), Some(ClientMsg::SubmitReply { verdict: SubmitVerdict::Full, .. })) => {
+                events.push(ClientEvent::Full);
+            }
+            _ => {}
+        }
+        events
+    }
+
+    /// Whether every node has streamed back every submission.
+    pub fn all_seen(&self) -> bool {
+        self.seen.len() == self.submissions.len() * self.nodes.len()
+    }
+
+    /// Per node, how many submissions it has streamed back.
+    pub fn seen(&self) -> Vec<usize> {
+        let streamed = |node| self.seen.iter().filter(|&&(_, n)| n == node).count();
+        (0..self.nodes.len()).map(streamed).collect()
+    }
+
+    /// Asks every node to stop, `times` times with `gap` between, against
+    /// UDP loss.
+    pub fn stop(&self, times: usize, gap: Duration) {
+        for _ in 0..times {
+            self.send_all(&self.stop);
+            std::thread::sleep(gap);
+        }
+    }
+
+    /// A failed send is a lost datagram; [`nudge`](Self::nudge) repeats.
+    fn send_all(&self, datagram: &[u8]) {
+        for node in &self.nodes {
+            let _ = self.socket.send_to(datagram, node);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,5 +390,100 @@ mod tests {
         let enc = max.encode().expect("exact limit fits the codec");
         assert!(enc.len() <= MAX_DATAGRAM_PAYLOAD);
         assert_eq!(ClientMsg::decode(&enc), Some(max));
+    }
+
+    /// Two fake nodes on loopback and a client of them.
+    fn cluster() -> (Vec<UdpSocket>, ServiceClient) {
+        let nodes: Vec<UdpSocket> =
+            (0..2).map(|_| UdpSocket::bind("127.0.0.1:0").expect("bind node")).collect();
+        for node in &nodes {
+            node.set_read_timeout(Some(Duration::from_millis(100))).expect("timeout");
+        }
+        let addrs: Vec<SocketAddr> = nodes.iter().map(|n| n.local_addr().expect("addr")).collect();
+        (nodes, ServiceClient::bind(&addrs).expect("bind client"))
+    }
+
+    /// Every client message waiting at `node`, and the last sender.
+    fn drain(node: &UdpSocket) -> (Vec<ClientMsg>, Option<SocketAddr>) {
+        let mut buf = [0u8; 2048];
+        let (mut msgs, mut from) = (Vec::new(), None);
+        while let Ok((len, addr)) = node.recv_from(&mut buf) {
+            let datagram = Datagram::decode(&buf[..len]).expect("client datagram");
+            msgs.push(ClientMsg::decode(&datagram.payload).expect("client message"));
+            from = Some(addr);
+        }
+        (msgs, from)
+    }
+
+    fn stream(from: &UdpSocket, to: SocketAddr, digests: Vec<[u8; 32]>) {
+        let block = frame(&ClientMsg::Block { epoch: 0, digests }).expect("frames");
+        from.send_to(&block, to).expect("send");
+    }
+
+    fn submit(client: &mut ServiceClient, i: u8) -> usize {
+        client.submit(Bytes::from(vec![i; 4]), [i; 32]).expect("fits")
+    }
+
+    #[test]
+    fn a_block_from_outside_the_cluster_is_ignored() {
+        let (nodes, mut client) = cluster();
+        submit(&mut client, 1);
+        let (_, at) = drain(&nodes[0]);
+        let at = at.expect("the submission reached node 0");
+        let stranger = UdpSocket::bind("127.0.0.1:0").expect("bind");
+        stream(&stranger, at, vec![[1; 32]]);
+        assert_eq!(client.poll(), vec![]);
+        assert_eq!(client.seen(), vec![0, 0]);
+        stream(&nodes[0], at, vec![[1; 32]]);
+        assert_eq!(client.poll(), vec![ClientEvent::Committed { node: 0, tx: 0 }]);
+        assert_eq!(client.seen(), vec![1, 0]);
+    }
+
+    #[test]
+    fn a_replayed_block_counts_each_submission_once_per_node() {
+        let (nodes, mut client) = cluster();
+        submit(&mut client, 1);
+        submit(&mut client, 2);
+        let at = drain(&nodes[0]).1.expect("submissions reached node 0");
+        drain(&nodes[1]);
+        stream(&nodes[0], at, vec![[1; 32], [9; 32], [2; 32]]);
+        let first = vec![
+            ClientEvent::Committed { node: 0, tx: 0 },
+            ClientEvent::Committed { node: 0, tx: 1 },
+        ];
+        assert_eq!(client.poll(), first);
+        // A restarted node, or a re-subscription, replays the stream.
+        stream(&nodes[0], at, vec![[1; 32], [2; 32]]);
+        assert_eq!(client.poll(), vec![]);
+        assert_eq!(client.seen(), vec![2, 0]);
+        assert!(!client.all_seen());
+        stream(&nodes[1], at, vec![[2; 32], [1; 32]]);
+        assert_eq!(client.poll().len(), 2);
+        assert!(client.all_seen());
+    }
+
+    #[test]
+    fn nudge_resends_only_what_no_node_streamed_back_at_most_once_per_interval() {
+        let (nodes, mut client) = cluster();
+        let tx = Bytes::from(vec![2u8; 4]);
+        submit(&mut client, 1);
+        client.submit(tx.clone(), [2; 32]).expect("fits");
+        let at = drain(&nodes[0]).1.expect("submissions reached node 0");
+        drain(&nodes[1]);
+        // Node 1 alone has streamed submission 0 back: nobody re-sends it.
+        stream(&nodes[1], at, vec![[1; 32]]);
+        assert_eq!(client.poll().len(), 1);
+        let resent = vec![ClientMsg::Subscribe, ClientMsg::Submit { tx }];
+        client.nudge();
+        for node in &nodes {
+            assert_eq!(drain(node).0, resent);
+        }
+        client.nudge();
+        for node in &nodes {
+            assert_eq!(drain(node).0, vec![], "a second nudge inside the interval sends nothing");
+        }
+        std::thread::sleep(NUDGE_INTERVAL);
+        client.nudge();
+        assert_eq!(drain(&nodes[0]).0, resent);
     }
 }

@@ -45,7 +45,9 @@ pub mod config;
 pub mod runtime;
 pub mod sync;
 
-pub use client::{ClientMsg, SubmitVerdict, CLIENT_CHANNEL, CLIENT_SRC};
+pub use client::{
+    ClientEvent, ClientMsg, ServiceClient, SubmitVerdict, CLIENT_CHANNEL, CLIENT_SRC,
+};
 pub use config::{PeerEntry, PeerTable};
 pub use runtime::{ClientGateway, UdpRuntime};
 pub use sync::{SyncBlock, SyncMsg, SYNC_CHANNEL, SYNC_CHUNK_BUDGET};

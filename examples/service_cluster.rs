@@ -23,21 +23,23 @@
 //! client transaction, reports latency percentiles, and agrees with its
 //! peers on the committed block *contents* (digest chains, not counts).
 
-use std::net::{SocketAddr, UdpSocket};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command};
+use std::net::SocketAddr;
+use std::path::Path;
+use std::process::Child;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 #[path = "support/mod.rs"]
 mod support;
-use support::{allocate_loopback_table, wait_all};
+use support::{allocate_loopback_table, diverging, node_mode, read_reports, spawn_node, wait_all};
 use wbft_consensus::netrun::{run_udp_service_node, ServiceNodeOpts};
-use wbft_consensus::report::{read_report, report_root, Scenario};
-use wbft_consensus::service::tx_digest;
+use wbft_consensus::report::{report_root, Scenario};
+use wbft_consensus::service::{tx_digest, LatencySummary};
 use wbft_consensus::{Protocol, TestbedConfig};
 use wbft_crypto::hash::Digest32;
 use wbft_report::{FromJson, ToJson};
-use wbft_transport::{ClientMsg, PeerTable, SubmitVerdict, CLIENT_CHANNEL, CLIENT_SRC};
+use wbft_transport::{ClientEvent, PeerTable, ServiceClient};
 
 fn usage() -> ! {
     eprintln!(
@@ -52,12 +54,13 @@ fn usage() -> ! {
          reads the streamed commits, and stops the cluster. --duration and\n\
          --max-epochs are hard bounds so runs terminate even without a drain.\n\
          --journal gives each node a durable block journal in <out>/<slug>;\n\
-         --crash-node I@T (implies --journal) SIGKILLs node I's process T ms\n\
-         into the run and respawns it — the restart must recover its journal,\n\
-         catch up over anti-entropy, and end in agreement, or the launcher\n\
-         exits non-zero.\n\
-         --join-node I@T spawns node I's process only T ms into the run: the\n\
-         rest of the committee starts (and commits) without it, the joiner\n\
+         A drill acts on node I once the client has seen K of its\n\
+         transactions commit.\n\
+         --crash-node I@K (implies --journal) SIGKILLs node I's process and\n\
+         respawns it — the restart must recover its journal, catch up over\n\
+         anti-entropy, and end in agreement, or the launcher exits non-zero.\n\
+         --join-node I@K spawns node I's process only then: the rest of\n\
+         the committee starts (and commits) without it, the joiner\n\
          bootstraps the missed chain over the anti-entropy sync channel, and\n\
          its digest chain must converge with the original committee's.\n\
          Reports: <out>/<slug>/node<i>.json (RunReport + service stats)"
@@ -174,19 +177,10 @@ fn child_main(me: usize, cluster_path: &Path, out_dir: &Path) -> ! {
 // ------------------------------------------------------------------
 // Client side (runs in the launcher process — external to every node).
 
-struct ClientOutcome {
-    /// Digest → submit instant of every admitted transaction.
-    submitted: Vec<(Digest32, Instant)>,
-    /// Per-node count of our digests seen on that node's commit stream.
-    seen_per_node: Vec<usize>,
-    /// End-to-end latency samples (submit → first commit notification).
-    latencies_ms: Vec<u64>,
-    rejected: usize,
-}
-
 /// Submits `txs` transactions to every node (paced at `interval`), reading
-/// the commit streams until every submission is acknowledged by every node
-/// or `deadline` passes.
+/// the commit streams until every node has streamed back every submission
+/// or `deadline` passes, then stops the cluster. `committed` counts the
+/// transactions seen committed (the drills' trigger). Returns that count.
 fn run_client(
     addrs: &[SocketAddr],
     txs: usize,
@@ -194,56 +188,23 @@ fn run_client(
     seed: u64,
     interval: Duration,
     deadline: Duration,
-) -> ClientOutcome {
-    let socket = UdpSocket::bind("127.0.0.1:0").expect("bind client socket");
-    socket.set_read_timeout(Some(Duration::from_millis(20))).expect("set timeout");
-    let send = |addr: SocketAddr, msg: &ClientMsg| {
-        let datagram = wbft_net::datagram::Datagram {
-            src: CLIENT_SRC,
-            channel: CLIENT_CHANNEL,
-            nominal_len: 0,
-            payload: msg.encode().expect("client messages fit"),
-        };
-        let _ = socket.send_to(&datagram.encode().expect("client frames fit"), addr);
-    };
-    let mut out = ClientOutcome {
-        submitted: Vec::new(),
-        seen_per_node: vec![0; addrs.len()],
-        latencies_ms: Vec::new(),
-        rejected: 0,
-    };
+    committed: &AtomicUsize,
+) -> usize {
+    let mut client = ServiceClient::bind(addrs).expect("bind client socket");
     let start = Instant::now();
-    let mut next_submit = Instant::now();
-    let mut submitted = 0usize;
-    let mut first_commit: Vec<Option<Instant>> = Vec::new();
-    let mut buf = [0u8; 65536];
-    let mut tx_bodies: Vec<bytes::Bytes> = Vec::new();
-    let mut last_nudge = Instant::now() - Duration::from_secs(10);
+    let mut next_submit = start;
+    // Submit instant of each transaction not yet seen committed.
+    let mut pending: Vec<Option<Instant>> = Vec::new();
+    let mut latencies_us = Vec::new();
+    let mut rejected = 0usize;
     loop {
-        // Periodically (re-)subscribe and re-send unacknowledged
-        // submissions: the first datagrams race the nodes' socket binds
-        // and UDP is lossy. Both are idempotent — a repeat Subscribe to an
-        // already-subscribed node is ignored, and resubmission is
-        // deduplicated by the mempool.
-        if last_nudge.elapsed() >= Duration::from_millis(500) {
-            last_nudge = Instant::now();
-            for &addr in addrs {
-                send(addr, &ClientMsg::Subscribe);
-            }
-            for (i, (_, _)) in out.submitted.iter().enumerate() {
-                if first_commit[i].is_none() {
-                    for &addr in addrs {
-                        send(addr, &ClientMsg::Submit { tx: tx_bodies[i].clone() });
-                    }
-                }
-            }
-        }
+        client.nudge();
         // Pace the open-loop submissions; each tx goes to *every* node, so
         // the run also exercises cross-proposer dedup.
-        if submitted < txs && Instant::now() >= next_submit {
+        if pending.len() < txs && Instant::now() >= next_submit {
             let tag = Digest32::of_parts(
                 "wbft/service-cluster/tx",
-                &[&seed.to_le_bytes(), &(submitted as u64).to_le_bytes()],
+                &[&seed.to_le_bytes(), &(pending.len() as u64).to_le_bytes()],
             );
             let mut tx = Vec::with_capacity(tx_bytes);
             while tx.len() < tx_bytes {
@@ -251,107 +212,58 @@ fn run_client(
                 tx.extend_from_slice(&tag.as_bytes()[..take]);
             }
             let tx = bytes::Bytes::from(tx);
-            out.submitted.push((tx_digest(&tx), Instant::now()));
-            first_commit.push(None);
-            for &addr in addrs {
-                send(addr, &ClientMsg::Submit { tx: tx.clone() });
-            }
-            tx_bodies.push(tx);
-            submitted += 1;
+            let digest = tx_digest(&tx).0;
+            pending.push(Some(Instant::now()));
+            client.submit(tx, digest).expect("a transaction fits one datagram");
             next_submit += interval;
         }
-        // Drain the streams.
-        if let Ok((n, from)) = socket.recv_from(&mut buf) {
-            if let Ok(datagram) = wbft_net::datagram::Datagram::decode(&buf[..n]) {
-                if datagram.channel == CLIENT_CHANNEL {
-                    match ClientMsg::decode(&datagram.payload) {
-                        Some(ClientMsg::Block { digests, .. }) => {
-                            let node = addrs.iter().position(|a| *a == from);
-                            for d in digests {
-                                if let Some(i) =
-                                    out.submitted.iter().position(|(s, _)| s.0 == d)
-                                {
-                                    if let Some(node) = node {
-                                        out.seen_per_node[node] += 1;
-                                    }
-                                    if first_commit[i].is_none() {
-                                        first_commit[i] = Some(Instant::now());
-                                        let lat = first_commit[i]
-                                            .expect("just set")
-                                            .duration_since(out.submitted[i].1);
-                                        out.latencies_ms.push(lat.as_millis() as u64);
-                                    }
-                                }
-                            }
-                        }
-                        // Duplicate replies are expected (same tx to n
-                        // nodes is admitted once per node); Full means
-                        // real backpressure.
-                        Some(ClientMsg::SubmitReply {
-                            verdict: SubmitVerdict::Full, ..
-                        }) => out.rejected += 1,
-                        _ => {}
+        for event in client.poll() {
+            match event {
+                ClientEvent::Committed { tx, .. } => {
+                    if let Some(at) = pending[tx].take() {
+                        latencies_us.push(at.elapsed().as_micros() as u64);
+                        committed.fetch_add(1, Ordering::Relaxed);
                     }
                 }
+                // Real backpressure (a duplicate verdict is expected: each
+                // tx goes to every node, and again until one streams it back).
+                ClientEvent::Full => rejected += 1,
             }
         }
-        let all_seen = submitted == txs
-            && out.seen_per_node.iter().all(|&seen| seen >= txs);
-        if all_seen || start.elapsed() >= deadline {
+        if (pending.len() == txs && client.all_seen()) || start.elapsed() >= deadline {
             break;
         }
     }
     // Graceful stop — best-effort (x3 against UDP loss); the nodes' own
     // --duration/--max-epochs guards bound the run if all three are lost.
-    for _ in 0..3 {
-        for &addr in addrs {
-            send(addr, &ClientMsg::Stop);
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    out
+    client.stop(3, Duration::from_millis(50));
+    let lat = LatencySummary::from_samples(&latencies_us);
+    println!(
+        "client: {} submitted, {} committed (p50 {}ms, p90 {}ms, max {}ms), {} full-rejections",
+        pending.len(),
+        lat.count,
+        lat.p50_us / 1_000,
+        lat.p90_us / 1_000,
+        lat.max_us / 1_000,
+        rejected,
+    );
+    latencies_us.len()
 }
 
 // ------------------------------------------------------------------
 // Launcher.
 
-/// Parses `I@T`: node `I` at `T` milliseconds into the run (SIGKILL for
-/// `--crash-node`, first spawn for `--join-node`).
-fn parse_node_at(spec: &str) -> Option<(usize, u64)> {
+/// Parses `I@K`: node `I`, once the client has seen `K` transactions
+/// commit (SIGKILL for `--crash-node`, first spawn for `--join-node`).
+fn parse_node_at(spec: &str) -> Option<(usize, usize)> {
     let (node, at) = spec.split_once('@')?;
     Some((node.parse().ok()?, at.parse().ok()?))
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((p * (sorted.len() - 1) as f64).round()) as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-
-    // Node mode: --node I --cluster PATH --out DIR.
-    if args.first().map(String::as_str) == Some("--node") {
-        let mut me = None;
-        let mut cluster = None;
-        let mut out = None;
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            let mut value = || it.next().map(String::as_str).unwrap_or_else(|| usage());
-            match flag.as_str() {
-                "--node" => me = value().parse().ok(),
-                "--cluster" => cluster = Some(PathBuf::from(value())),
-                "--out" => out = Some(PathBuf::from(value())),
-                _ => usage(),
-            }
-        }
-        match (me, cluster, out) {
-            (Some(me), Some(cluster), Some(out)) => child_main(me, &cluster, &out),
-            _ => usage(),
-        }
+    if let Some((me, cluster, out)) = node_mode(&args) {
+        child_main(me, &cluster, &out);
     }
 
     let mut n = 4usize;
@@ -365,8 +277,8 @@ fn main() {
     let mut duration_secs = 90u64;
     let mut linger_ms = 2_000u64;
     let mut journal = false;
-    let mut crash: Option<(usize, u64)> = None;
-    let mut join: Option<(usize, u64)> = None;
+    let mut crash: Option<(usize, usize)> = None;
+    let mut join: Option<(usize, usize)> = None;
     let mut out = report_root().join("service");
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -392,35 +304,28 @@ fn main() {
             _ => usage(),
         }
     }
-    if n < 4 || !(n - 1).is_multiple_of(3) {
-        eprintln!("--n must satisfy n = 3f+1 >= 4 (4, 7, 10, ...)");
-        std::process::exit(2);
-    }
-    if let Some((idx, _)) = crash {
-        if idx >= n {
-            eprintln!("--crash-node index {idx} out of range for n={n}");
-            std::process::exit(2);
-        }
-        // A crash-restart run without a journal would restart from genesis
-        // and only converge by luck; durability is the point of the drill.
-        journal = true;
-    }
-    if let Some((idx, _)) = join {
-        if idx >= n {
-            eprintln!("--join-node index {idx} out of range for n={n}");
-            std::process::exit(2);
-        }
-        if crash.is_some() {
-            eprintln!("--join-node and --crash-node are separate drills; run them separately");
-            std::process::exit(2);
-        }
-    }
-
     let mut cfg = TestbedConfig::single_hop(protocol);
     cfg.n = n;
     cfg.seed = seed;
     // batch_size is the per-epoch mempool pull cap in service mode.
     cfg.workload.batch_size = 16;
+    if let Err(reason) = cfg.check() {
+        eprintln!("service_cluster: {reason}");
+        std::process::exit(2);
+    }
+    if crash.is_some() && join.is_some() {
+        eprintln!("--join-node and --crash-node are separate drills; run them separately");
+        std::process::exit(2);
+    }
+    let drill = crash.or(join);
+    if let Some((idx, _)) = drill.filter(|&(idx, _)| idx >= n) {
+        eprintln!("drill node index {idx} out of range for n={n}");
+        std::process::exit(2);
+    }
+    // A crash-restart run without a journal would restart from genesis and
+    // only converge by luck; durability is the point of the drill.
+    journal |= crash.is_some();
+    let late_node = join.map(|(idx, _)| idx);
     let peers = allocate_loopback_table(n);
     let addrs: Vec<SocketAddr> =
         (0..n as u16).map(|i| peers.addr_of(i).expect("dense table")).collect();
@@ -435,82 +340,68 @@ fn main() {
         }
     }
     let doc = ClusterDoc {
-        cfg: cfg.clone(),
+        cfg,
         peers,
         wall_secs: duration_secs,
         linger_ms,
         max_epochs,
         mempool_cap,
         journal,
-        late_node: join.map(|(idx, _)| idx),
+        late_node,
     };
     let cluster_path = dir.join("cluster.json");
     wbft_report::write_file(&cluster_path, &doc.to_json()).expect("write cluster doc");
 
-    let exe = std::env::current_exe().expect("current exe");
-    let spawn_node = |me: usize| -> Child {
-        Command::new(&exe)
-            .arg("--node")
-            .arg(me.to_string())
-            .arg("--cluster")
-            .arg(&cluster_path)
-            .arg("--out")
-            .arg(&dir)
-            .spawn()
-            .unwrap_or_else(|e| fatal(&format!("spawn node {me}: {e}")))
-    };
-    // The late joiner (if any) is spawned by the drill schedule below, not
-    // here — the point is that its process does not exist at cluster start.
+    // The late joiner (if any) is spawned by the drill below, not here —
+    // the point is that its process does not exist at cluster start.
     let mut children: Vec<(usize, Child)> = (0..n)
-        .filter(|&me| join.map(|(idx, _)| idx) != Some(me))
-        .map(|me| (me, spawn_node(me)))
+        .filter(|&me| late_node != Some(me))
+        .map(|me| (me, spawn_node(me, &cluster_path, &dir)))
         .collect();
 
     // Give the cluster a moment to pass its startup barrier, then drive
-    // live traffic from a client thread while this thread runs the crash
-    // schedule (if any).
+    // live traffic from a client thread while this thread runs the drill
+    // (if any).
     std::thread::sleep(Duration::from_millis(300));
     let run_started = Instant::now();
     let client_deadline = Duration::from_secs(duration_secs.saturating_sub(5).max(5));
+    let committed = Arc::new(AtomicUsize::new(0));
     let client = {
         let addrs = addrs.clone();
         let interval = Duration::from_millis(interval_ms);
+        let committed = Arc::clone(&committed);
         std::thread::spawn(move || {
-            run_client(&addrs, txs, tx_bytes, seed, interval, client_deadline)
+            run_client(&addrs, txs, tx_bytes, seed, interval, client_deadline, &committed)
         })
     };
-    if let Some((idx, at_ms)) = crash {
-        let at = Duration::from_millis(at_ms);
-        std::thread::sleep(at.saturating_sub(run_started.elapsed()));
-        let child = &mut children[idx].1;
-        // SIGKILL, not a graceful stop: the journal's torn-tail recovery is
-        // exactly the artifact a hard kill leaves behind.
-        let _ = child.kill();
-        let _ = child.wait();
-        eprintln!("launcher: killed node {idx} at {:?}; respawning", run_started.elapsed());
-        std::thread::sleep(Duration::from_millis(500));
-        children[idx].1 = spawn_node(idx);
+    // A drill fires on the client's progress, not on the wall clock, so it
+    // lands mid-load however fast the host is.
+    if let Some((idx, at)) = drill {
+        while committed.load(Ordering::Relaxed) < at && !client.is_finished() {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let when = format!(
+            "after {} commits, {:?} into the run",
+            committed.load(Ordering::Relaxed),
+            run_started.elapsed()
+        );
+        if crash.is_some() {
+            let child = &mut children[idx].1;
+            // SIGKILL, not a graceful stop: the journal's torn-tail recovery
+            // is exactly the artifact a hard kill leaves behind.
+            let _ = child.kill();
+            let _ = child.wait();
+            eprintln!("launcher: killed node {idx} {when}; respawning");
+            std::thread::sleep(Duration::from_millis(500));
+            children[idx].1 = spawn_node(idx, &cluster_path, &dir);
+        } else {
+            eprintln!("launcher: spawning late joiner node {idx} {when}");
+            children.push((idx, spawn_node(idx, &cluster_path, &dir)));
+            // Restore position == node id for the per-node bookkeeping below.
+            children.sort_by_key(|&(me, _)| me);
+        }
     }
-    if let Some((idx, at_ms)) = join {
-        let at = Duration::from_millis(at_ms);
-        std::thread::sleep(at.saturating_sub(run_started.elapsed()));
-        eprintln!("launcher: spawning late joiner node {idx} at {:?}", run_started.elapsed());
-        children.push((idx, spawn_node(idx)));
-        // Restore position == node id for the per-node bookkeeping below.
-        children.sort_by_key(|&(me, _)| me);
-    }
-    let client = client.join().expect("client thread");
-    let mut lat = client.latencies_ms.clone();
-    lat.sort_unstable();
-    println!(
-        "client: {} submitted, {} committed (p50 {}ms, p90 {}ms, max {}ms), {} full-rejections",
-        client.submitted.len(),
-        lat.len(),
-        percentile(&lat, 0.50),
-        percentile(&lat, 0.90),
-        lat.last().copied().unwrap_or(0),
-        client.rejected,
-    );
+    let client_committed = client.join().expect("client thread");
 
     let ok = wait_all(&mut children, Duration::from_secs(duration_secs + 15));
     let mut success = true;
@@ -520,11 +411,9 @@ fn main() {
             success = false;
         }
     }
-    if lat.len() < txs {
+    if client_committed < txs {
         eprintln!(
-            "client saw only {}/{} transactions committed before the deadline",
-            lat.len(),
-            txs
+            "client saw only {client_committed}/{txs} transactions committed before the deadline"
         );
         success = false;
     }
@@ -532,18 +421,13 @@ fn main() {
     // Cross-check node reports: committed client txs, latency percentiles
     // present, and digest-chain prefix agreement.
     let mut chains: Vec<Vec<Digest32>> = vec![Vec::new(); n];
-    for (me, chain) in chains.iter_mut().enumerate() {
-        let path = dir.join(format!("node{me}.json"));
-        let doc = match read_report(&path) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("unreadable report {}: {e}", path.display());
-                success = false;
-                continue;
-            }
+    for (me, (slot, read)) in chains.iter_mut().zip(read_reports(&dir, n)).enumerate() {
+        let Some((doc, chain)) = read else {
+            success = false;
+            continue;
         };
-        let report = doc.report;
-        let Some(service) = report.service else {
+        *slot = chain;
+        let Some(service) = doc.report.service else {
             eprintln!("node {me}: report has no service member");
             success = false;
             continue;
@@ -551,7 +435,7 @@ fn main() {
         println!(
             "node {me}: epochs={} client_txs={} latency p50/p90/p99 = {}/{}/{} ms, \
              peak_occupancy={} drops(full={}, dup={})",
-            report.epoch_latencies.len(),
+            doc.report.epoch_latencies.len(),
             service.committed_client_txs,
             service.latency.p50_us / 1_000,
             service.latency.p90_us / 1_000,
@@ -563,82 +447,42 @@ fn main() {
         // The late joiner's chain may be all anti-entropy catch-up (no fresh
         // commits of its own); the join drill judges it on chain
         // convergence below instead.
-        let is_joiner = join.map(|(idx, _)| idx) == Some(me);
-        if (service.committed_client_txs == 0 || service.latency.count == 0) && !is_joiner {
+        if (service.committed_client_txs == 0 || service.latency.count == 0)
+            && late_node != Some(me)
+        {
             eprintln!("node {me}: no committed client transactions");
             success = false;
-        }
-        match doc.block_digests {
-            Some(digests) => *chain = digests,
-            None => {
-                eprintln!("node {me}: report missing block_digests");
-                success = false;
-            }
         }
     }
     // Digest-chain prefix agreement: nodes may stop one epoch apart (the
     // stop races the last commit), but the common prefix must be identical.
-    for a in 0..n {
-        for b in a + 1..n {
-            let common = chains[a].len().min(chains[b].len());
-            if common == 0 || chains[a][..common] != chains[b][..common] {
-                eprintln!(
-                    "AGREEMENT VIOLATION — digest chains of nodes {a}/{b} diverge: \
-                     {:?} vs {:?}",
-                    &chains[a][..common.min(4)],
-                    &chains[b][..common.min(4)]
-                );
-                success = false;
-            }
-        }
+    if let Some((a, b)) = diverging(&chains) {
+        let common = chains[a].len().min(chains[b].len()).min(4);
+        eprintln!(
+            "AGREEMENT VIOLATION — digest chains of nodes {a}/{b} diverge: {:?} vs {:?}",
+            &chains[a][..common],
+            &chains[b][..common]
+        );
+        success = false;
     }
-    // Convergence after the crash drill: the restarted node must have
-    // recovered its journal and caught up over anti-entropy — its chain may
-    // not lag behind the shortest surviving peer's.
-    if let Some((idx, _)) = crash {
-        let others_min = chains
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != idx)
-            .map(|(_, c)| c.len())
-            .min()
-            .unwrap_or(0);
+    // Convergence after a drill: the restarted node must have recovered its
+    // journal, and the late joiner bootstrapped the chain it missed, over
+    // anti-entropy — its chain may not lag behind the shortest other one
+    // (prefix agreement above already proved the contents identical).
+    if let Some((idx, _)) = drill {
+        let others_min = (0..n).filter(|&i| i != idx).map(|i| chains[i].len()).min().unwrap_or(0);
+        let (drill, node) =
+            if crash.is_some() { ("crash", "restarted node") } else { ("join", "late joiner") };
         if chains[idx].len() < others_min {
             eprintln!(
-                "CATCH-UP FAILURE — restarted node {idx} holds {} blocks, shortest \
-                 surviving peer holds {others_min}",
+                "CATCH-UP FAILURE — {node} {idx} holds {} blocks, the shortest other \
+                 chain {others_min}",
                 chains[idx].len()
             );
             success = false;
         } else {
             println!(
-                "crash drill: node {idx} restarted with {} blocks, peers hold >= {others_min}",
-                chains[idx].len()
-            );
-        }
-    }
-    // Convergence after the join drill: the late joiner must have
-    // bootstrapped the chain it missed over anti-entropy — its digest chain
-    // may not lag behind the shortest on-time peer's (prefix agreement
-    // above already proved the contents identical).
-    if let Some((idx, _)) = join {
-        let others_min = chains
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != idx)
-            .map(|(_, c)| c.len())
-            .min()
-            .unwrap_or(0);
-        if chains[idx].len() < others_min {
-            eprintln!(
-                "JOIN CATCH-UP FAILURE — late joiner {idx} holds {} blocks, shortest \
-                 on-time peer holds {others_min}",
-                chains[idx].len()
-            );
-            success = false;
-        } else {
-            println!(
-                "join drill: node {idx} joined late with {} blocks, peers hold >= {others_min}",
+                "{drill} drill: {node} {idx} holds {} blocks, the others >= {others_min}",
                 chains[idx].len()
             );
         }

@@ -20,15 +20,15 @@
 //! Exit status is non-zero on any missing/empty report, child failure,
 //! disagreement, or timeout — the CI loopback smoke step relies on that.
 
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command};
+use std::path::Path;
+use std::process::Child;
 use std::time::Duration;
 
 #[path = "support/mod.rs"]
 mod support;
-use support::{allocate_loopback_table, wait_all};
+use support::{allocate_loopback_table, diverging, node_mode, read_reports, spawn_node, wait_all};
 use wbft_consensus::netrun::run_udp_node;
-use wbft_consensus::report::{read_report, report_root, Scenario};
+use wbft_consensus::report::{report_root, Scenario};
 use wbft_consensus::{Protocol, TestbedConfig};
 use wbft_crypto::hash::Digest32;
 use wbft_report::{FromJson, ToJson};
@@ -110,21 +110,8 @@ fn run_cluster(cfg: &TestbedConfig, out_dir: &Path, wall_secs: u64) -> bool {
     let cluster_path = out_dir.join("cluster.json");
     wbft_report::write_file(&cluster_path, &doc.to_json()).expect("write cluster doc");
 
-    let exe = std::env::current_exe().expect("current exe");
-    let mut children: Vec<(usize, Child)> = (0..cfg.n)
-        .map(|me| {
-            let child = Command::new(&exe)
-                .arg("--node")
-                .arg(me.to_string())
-                .arg("--cluster")
-                .arg(&cluster_path)
-                .arg("--out")
-                .arg(out_dir)
-                .spawn()
-                .unwrap_or_else(|e| fatal(&format!("spawn node {me}: {e}")));
-            (me, child)
-        })
-        .collect();
+    let mut children: Vec<(usize, Child)> =
+        (0..cfg.n).map(|me| (me, spawn_node(me, &cluster_path, out_dir))).collect();
     // Children stop on their own wall deadline; give them a little extra
     // before the launcher starts killing.
     let ok = wait_all(&mut children, Duration::from_secs(wall_secs + 15));
@@ -138,77 +125,43 @@ fn run_cluster(cfg: &TestbedConfig, out_dir: &Path, wall_secs: u64) -> bool {
     }
     // Cross-check the per-node reports even when some child failed — the
     // report files are the artifact CI asserts on.
-    let mut txs = Vec::new();
-    let mut chains: Vec<Vec<Digest32>> = Vec::new();
-    for me in 0..cfg.n {
-        let path = out_dir.join(format!("node{me}.json"));
-        match std::fs::metadata(&path) {
-            Ok(m) if m.len() > 0 => {}
-            _ => {
-                eprintln!("{slug}: missing or empty report {}", path.display());
-                success = false;
-                continue;
-            }
-        }
-        match read_report(&path) {
-            Ok(doc) => {
-                let report = &doc.report;
-                println!(
-                    "{}: completed={} elapsed={:.1}s txs={} accesses/node={:.1} \
-                     bytes_on_air={}",
-                    doc.label,
-                    report.completed,
-                    report.elapsed.as_secs_f64(),
-                    report.total_txs,
-                    report.channel_accesses_per_node,
-                    report.bytes_on_air,
-                );
-                if !report.completed || report.total_txs == 0 {
-                    success = false;
-                }
-                txs.push(report.total_txs);
-                match doc.block_digests {
-                    Some(chain) => chains.push(chain),
-                    None => {
-                        eprintln!("{slug}: report {} lacks block_digests", path.display());
-                        success = false;
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("{slug}: unreadable report {}: {e}", path.display());
-                success = false;
-            }
-        }
-    }
-    if !txs.is_empty() && !txs.windows(2).all(|w| w[0] == w[1]) {
-        eprintln!("{slug}: AGREEMENT VIOLATION — per-node commit counts {txs:?}");
-        success = false;
-    }
-    // Content agreement: equal tx counts are not enough — the per-block
-    // digest chains must be identical (fixed-epoch runs end level, so this
-    // is full equality, not merely a common prefix).
-    for (me, chain) in chains.iter().enumerate().skip(1) {
-        if *chain != chains[0] {
-            eprintln!(
-                "{slug}: AGREEMENT VIOLATION — node {me}'s block contents diverge \
-                 (digest chain {:?}... vs node 0's {:?}...)",
-                &chain[..chain.len().min(2)],
-                &chains[0][..chains[0].len().min(2)],
-            );
+    let reports = read_reports(out_dir, cfg.n);
+    let mut chains: Vec<Vec<Digest32>> = vec![Vec::new(); cfg.n];
+    for (slot, read) in chains.iter_mut().zip(&reports) {
+        let Some((doc, chain)) = read else {
             success = false;
-        }
+            continue;
+        };
+        let report = &doc.report;
+        println!(
+            "{}: completed={} elapsed={:.1}s txs={} accesses/node={:.1} bytes_on_air={}",
+            doc.label,
+            report.completed,
+            report.elapsed.as_secs_f64(),
+            report.total_txs,
+            report.channel_accesses_per_node,
+            report.bytes_on_air,
+        );
+        success &= report.completed && report.total_txs > 0;
+        slot.clone_from(chain);
     }
-    if chains.iter().any(|c| c.is_empty()) {
-        eprintln!("{slug}: a node committed no blocks");
+    // Content agreement: the per-block digest chains, which cover every
+    // committed transaction, must be identical (fixed-epoch runs end level,
+    // so this is full equality, not merely a common prefix).
+    if let Some((a, b)) = diverging(&chains) {
+        eprintln!("{slug}: AGREEMENT VIOLATION — nodes {a}/{b}'s block contents diverge");
+        success = false;
+    } else if !chains.windows(2).all(|w| w[0].len() == w[1].len()) {
+        let lens: Vec<usize> = chains.iter().map(Vec::len).collect();
+        eprintln!("{slug}: AGREEMENT VIOLATION — digest chains end at {lens:?} blocks");
         success = false;
     }
-    if success {
+    if let (true, Some((doc, chain))) = (success, &reports[0]) {
         println!(
             "{slug}: {} nodes agreed on {} txs ({} blocks, identical contents) over loopback UDP",
             cfg.n,
-            txs[0],
-            chains[0].len()
+            doc.report.total_txs,
+            chain.len()
         );
     }
     success
@@ -217,25 +170,8 @@ fn run_cluster(cfg: &TestbedConfig, out_dir: &Path, wall_secs: u64) -> bool {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
 
-    // Child mode: --node I --cluster PATH --out DIR.
-    if args.first().map(String::as_str) == Some("--node") {
-        let mut me = None;
-        let mut cluster = None;
-        let mut out = None;
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            let mut value = || it.next().map(String::as_str).unwrap_or_else(|| usage());
-            match flag.as_str() {
-                "--node" => me = value().parse().ok(),
-                "--cluster" => cluster = Some(PathBuf::from(value())),
-                "--out" => out = Some(PathBuf::from(value())),
-                _ => usage(),
-            }
-        }
-        match (me, cluster, out) {
-            (Some(me), Some(cluster), Some(out)) => child_main(me, &cluster, &out),
-            _ => usage(),
-        }
+    if let Some((me, cluster, out)) = node_mode(&args) {
+        child_main(me, &cluster, &out);
     }
 
     // Launcher mode.
@@ -266,22 +202,25 @@ fn main() {
             _ => usage(),
         }
     }
-    if n < 4 || !(n - 1).is_multiple_of(3) {
-        eprintln!("--n must satisfy n = 3f+1 >= 4 (4, 7, 10, ...)");
-        std::process::exit(2);
-    }
 
+    let configs: Vec<TestbedConfig> = protocols
+        .into_iter()
+        .map(|protocol| {
+            let mut cfg = TestbedConfig::single_hop(protocol);
+            cfg.n = n;
+            cfg.epochs = epochs;
+            cfg.workload.batch_size = batch;
+            cfg.seed = seed;
+            if let Err(reason) = cfg.check() {
+                eprintln!("udp_cluster: {reason}");
+                std::process::exit(2);
+            }
+            cfg
+        })
+        .collect();
     let mut all_ok = true;
-    for protocol in protocols {
-        let mut cfg = TestbedConfig::single_hop(protocol);
-        cfg.n = n;
-        cfg.epochs = epochs;
-        cfg.workload.batch_size = batch;
-        cfg.seed = seed;
-        let dir = out.join(protocol.slug());
-        if !run_cluster(&cfg, &dir, wall_secs) {
-            all_ok = false;
-        }
+    for cfg in &configs {
+        all_ok &= run_cluster(cfg, &out.join(cfg.protocol.slug()), wall_secs);
     }
     std::process::exit(if all_ok { 0 } else { 1 });
 }

@@ -16,7 +16,7 @@ use wbft_consensus::{
     AdmitOutcome, ArrivalSpec, Block, ByzantineMode, Protocol, ServiceConfig, StopCondition,
 };
 use wbft_membership::MembershipOp;
-use wbft_transport::{ClientMsg, PeerTable, CLIENT_CHANNEL, CLIENT_SRC};
+use wbft_transport::{PeerTable, ServiceClient};
 use wbft_wireless::{LossModel, SimTime};
 
 // ------------------------------------------------------------------
@@ -364,16 +364,6 @@ fn service_stop_condition_halts_engine() {
 // ------------------------------------------------------------------
 // The UDP service path: external client, streamed commits, graceful stop.
 
-fn client_send(socket: &std::net::UdpSocket, addr: std::net::SocketAddr, msg: &ClientMsg) {
-    let datagram = wbft_net::datagram::Datagram {
-        src: CLIENT_SRC,
-        channel: CLIENT_CHANNEL,
-        nominal_len: 0,
-        payload: msg.encode().expect("client messages fit"),
-    };
-    socket.send_to(&datagram.encode().expect("client frames fit"), addr).expect("send");
-}
-
 /// Four in-process UDP service nodes; an external client socket submits
 /// transactions mid-run, reads the commit stream, and stops the cluster.
 /// Every node must commit the client's transactions with recorded latency,
@@ -410,81 +400,24 @@ fn udp_service_nodes_serve_live_submissions() {
         })
         .collect();
 
-    // The external client: subscribe everywhere, submit 3 txs to every
-    // node (exercising cross-proposer dedup), read the streams. The first
-    // subscribes may hit not-yet-bound sockets, so they are re-sent below
-    // (subscription is idempotent and replays the stream from the start).
-    let client = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
-    client.set_read_timeout(Some(Duration::from_millis(25))).unwrap();
-    let txs: Vec<Bytes> = (0..3u64)
-        .map(|i| Bytes::from(format!("udp-service-tx-{i}-{:016x}", i.wrapping_mul(0x9e37))))
-        .collect();
-    let digests: Vec<[u8; 32]> = txs.iter().map(|t| tx_digest(t).0).collect();
+    // The external client submits 3 txs to every node (exercising
+    // cross-proposer dedup) mid-run — the nodes are already running empty
+    // epochs by the time they arrive — and reads the streams.
+    let mut client = ServiceClient::bind(&addrs).unwrap();
+    client.nudge();
+    std::thread::sleep(Duration::from_millis(400));
+    for i in 0..3u64 {
+        let tx = Bytes::from(format!("udp-service-tx-{i}-{:016x}", i.wrapping_mul(0x9e37)));
+        let digest = tx_digest(&tx).0;
+        client.submit(tx, digest).unwrap();
+    }
     let deadline = std::time::Instant::now() + Duration::from_secs(90);
-    let mut submitted = false;
-    let mut seen = vec![std::collections::BTreeSet::new(); n];
-    let mut buf = [0u8; 65536];
-    let mut last_nudge = std::time::Instant::now() - Duration::from_secs(10);
-    while std::time::Instant::now() < deadline {
-        // Periodically (re-)subscribe and (re-)submit: UDP is lossy and
-        // the first datagrams may predate the nodes' socket binds. Both
-        // operations are idempotent — subscription replays the stream,
-        // resubmission is deduplicated by the mempool.
-        if last_nudge.elapsed() >= Duration::from_millis(500) {
-            last_nudge = std::time::Instant::now();
-            for &addr in &addrs {
-                client_send(&client, addr, &ClientMsg::Subscribe);
-            }
-            if submitted {
-                for tx in &txs {
-                    for &addr in &addrs {
-                        client_send(&client, addr, &ClientMsg::Submit { tx: tx.clone() });
-                    }
-                }
-            }
-        }
-        if !submitted {
-            // Mid-run live submission: the nodes are already consensus-ing
-            // (empty epochs) by the time these arrive.
-            std::thread::sleep(Duration::from_millis(400));
-            for tx in &txs {
-                for &addr in &addrs {
-                    client_send(&client, addr, &ClientMsg::Submit { tx: tx.clone() });
-                }
-            }
-            submitted = true;
-        }
-        if let Ok((len, from)) = client.recv_from(&mut buf) {
-            if let Ok(datagram) = wbft_net::datagram::Datagram::decode(&buf[..len]) {
-                if let Some(ClientMsg::Block { digests: got, .. }) =
-                    ClientMsg::decode(&datagram.payload)
-                {
-                    if let Some(node) = addrs.iter().position(|a| *a == from) {
-                        for d in got {
-                            if digests.contains(&d) {
-                                seen[node].insert(d);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if seen.iter().all(|s| s.len() == txs.len()) {
-            break;
-        }
+    while !client.all_seen() && std::time::Instant::now() < deadline {
+        client.nudge();
+        client.poll();
     }
-    assert!(
-        seen.iter().all(|s| s.len() == txs.len()),
-        "every node must stream every client tx back; saw {:?}",
-        seen.iter().map(|s| s.len()).collect::<Vec<_>>()
-    );
-    // Graceful stop (repeated against UDP loss).
-    for _ in 0..5 {
-        for &addr in &addrs {
-            client_send(&client, addr, &ClientMsg::Stop);
-        }
-        std::thread::sleep(Duration::from_millis(100));
-    }
+    assert!(client.all_seen(), "every node streams every tx back; saw {:?}", client.seen());
+    client.stop(5, Duration::from_millis(100));
     let outcomes: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
     for (me, out) in outcomes.iter().enumerate() {
         let service = out.report.service.as_ref().expect("service stats present");
