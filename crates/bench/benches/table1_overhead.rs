@@ -7,10 +7,9 @@
 //! The four measurement runs fan across worker threads; closed forms and
 //! measurements are written to `target/reports/table1/table1.json`.
 
-use wbft_bench::{banner, read_json, report_dir, row, run_component, write_json, CompInput};
-use wbft_components::aba_sc::AbaScBatch;
+use wbft_bench::{banner, read_json, report_dir, row, run_component, write_json, Comp, CompInput};
 use wbft_components::rbc::RbcBatch;
-use wbft_components::Packing;
+use wbft_components::{Agreement, Packing};
 use wbft_consensus::sweep::{parallel_map, sweep_threads};
 use wbft_net::overhead::Component;
 use wbft_net::CoinFlavor;
@@ -22,6 +21,8 @@ const RUNS: [&str; 4] = ["rbc-batched", "rbc-baseline", "aba-batched", "aba-base
 fn run_labelled(label: &str) -> wbft_bench::CompResult {
     let value = |i: usize| CompInput::Value(Some(wbft_bench::proposal_of_packets(1, i)));
     let aba_in = |_: usize| CompInput::AbaParallel { parallelism: 4, value: true };
+    // Cachin's ABA: one coin per round batched, one per instance in the baseline.
+    let aba = |serial| Agreement::SharedCoin { flavor: CoinFlavor::ThreshSig, serial };
     match label {
         "rbc-batched" => run_component(4, 11, |_, _, p| RbcBatch::new(p).into(), value, 4),
         "rbc-baseline" => run_component(
@@ -31,33 +32,13 @@ fn run_labelled(label: &str) -> wbft_bench::CompResult {
             value,
             4,
         ),
-        "aba-batched" => run_component(
-            4,
-            13,
-            |_, c, p| {
-                AbaScBatch::new_parallel(
-                    p,
-                    CoinFlavor::ThreshSig,
-                    c.coin_pub.clone(),
-                    c.coin_sec.clone(),
-                )
-                .into()
-            },
-            aba_in,
-            4,
-        ),
+        "aba-batched" => {
+            run_component(4, 13, |_, c, p| Comp::Aba(aba(false).build(p, c)), aba_in, 4)
+        }
         "aba-baseline" => run_component(
             4,
             13,
-            |_, c, p| {
-                AbaScBatch::new_serial(
-                    p.packed(Packing::PerInstance),
-                    CoinFlavor::ThreshSig,
-                    c.coin_pub.clone(),
-                    c.coin_sec.clone(),
-                )
-                .into()
-            },
+            |_, c, p| Comp::Aba(aba(true).build(p.packed(Packing::PerInstance), c)),
             aba_in,
             4,
         ),

@@ -2,6 +2,8 @@
 //! components emit into, per-node cryptographic material, and the
 //! component-facing traits the consensus layer composes.
 
+use crate::aba_lc::AbaLcBatch;
+use crate::aba_sc::AbaScBatch;
 use bytes::Bytes;
 use rand::RngCore;
 use std::collections::BTreeMap;
@@ -11,7 +13,7 @@ use wbft_crypto::thresh_coin::CoinPublicSet;
 use wbft_crypto::thresh_enc::{EncPublicSet, EncSecretShare};
 use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare};
 use wbft_crypto::{Scalar, ShareIndex};
-use wbft_net::Body;
+use wbft_net::{Body, CoinFlavor};
 use wbft_wireless::SimDuration;
 
 /// How a component's state reaches the air: the one thing that differs
@@ -249,6 +251,43 @@ pub trait BinaryAgreement {
 
     /// How many instances have decided.
     fn decided_count(&self) -> usize;
+}
+
+/// Which binary agreement a deployment runs under its broadcast phase: the
+/// one choice besides the skeleton and the packing that tells the paper's
+/// deployments apart.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Agreement {
+    /// Cachin-style ABA over a threshold common coin of `flavor`
+    /// ([`AbaScBatch`]). `serial` gives every instance a coin of its own,
+    /// as Dumbo's one-at-a-time election and the baselines use; otherwise
+    /// all instances share one coin per round.
+    SharedCoin {
+        /// How the coin is made: threshold signature or coin flipping.
+        flavor: CoinFlavor,
+        /// One coin per instance rather than one per round.
+        serial: bool,
+    },
+    /// Bracha's ABA with local coins ([`AbaLcBatch`]).
+    LocalCoin,
+}
+
+impl Agreement {
+    /// A fresh agreement component under `p`, drawing its coin shares from
+    /// `crypto`.
+    pub fn build(self, p: Params, crypto: &NodeCrypto) -> Box<dyn BinaryAgreement + Send> {
+        match self {
+            Agreement::SharedCoin { flavor, serial } => {
+                let (pk, sk) = (crypto.coin_pub.clone(), crypto.coin_sec.clone());
+                Box::new(if serial {
+                    AbaScBatch::new_serial(p, flavor, pk, sk)
+                } else {
+                    AbaScBatch::new_parallel(p, flavor, pk, sk)
+                })
+            }
+            Agreement::LocalCoin => Box::new(AbaLcBatch::new(p)),
+        }
+    }
 }
 
 /// ConsensusBatcher's send discipline, once for every combined packet: a

@@ -31,6 +31,7 @@
 //! | Provable RBC              | [`prbc::PrbcBatch`] |
 //! | Shared-coin ABA (SC / CP) | [`aba_sc::AbaScBatch`] (the baseline's is serial: one coin per instance) |
 //! | Local-coin ABA (Bracha)   | [`aba_lc::AbaLcBatch`] (batched only) |
+//! | *either ABA, by deployment*  | [`Agreement`] |
 //! | *send discipline, every row* | [`Batcher`] |
 //! | *share quorum, every row*    | [`Collector`] |
 //!
@@ -98,7 +99,7 @@ pub mod rbc_small;
 pub mod share_buf;
 
 pub use context::{
-    deal_committee_crypto, deal_node_crypto, Actions, Batcher, BinaryAgreement, Broadcaster,
-    NodeCrypto, Packing, Params,
+    deal_committee_crypto, deal_node_crypto, Actions, Agreement, Batcher, BinaryAgreement,
+    Broadcaster, NodeCrypto, Packing, Params,
 };
 pub use share_buf::{Collector, Quorum, Recorded, SigShareBuf};

@@ -31,13 +31,12 @@ use crate::engine::{union_block, EpochCtx, Lane};
 use crate::workload::encode_batch;
 use bytes::Bytes;
 use rand::SeedableRng;
-use wbft_components::aba_lc::AbaLcBatch;
-use wbft_components::aba_sc::{coin_quorum, AbaScBatch};
+use wbft_components::aba_sc::coin_quorum;
 use wbft_components::cbc::{CbcBatch, CbcSmallBatch};
 use wbft_components::prbc::PrbcBatch;
 use wbft_components::{
-    Actions, Batcher, BinaryAgreement, Broadcaster, Collector, NodeCrypto, Packing, Params,
-    Quorum, Recorded,
+    Actions, Agreement, Batcher, BinaryAgreement, Broadcaster, Collector, NodeCrypto, Packing,
+    Params, Quorum, Recorded,
 };
 use wbft_crypto::hash::Digest32;
 use wbft_crypto::thresh_coin::{self, CoinName};
@@ -260,17 +259,15 @@ pub struct DumboEpoch {
 }
 
 /// The Dumbo lane — PRBC → CBC_value → CBC_commit → π → serial ABA → W
-/// assembly — in one of its deployment styles. Pipelined depths overlap
-/// only the PRBC dissemination; the serial election is inherently
+/// assembly — under one agreement and one packing. Pipelined depths
+/// overlap only the PRBC dissemination; the serial election is inherently
 /// per-epoch.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DumboLane {
-    /// Batched components, shared-coin serial ABA (threshold signatures).
-    Sc,
-    /// Batched components, local-coin (Bracha) serial ABA.
-    Lc,
-    /// Unbatched components, shared-coin serial ABA.
-    ScBaseline,
+#[derive(Clone, Copy, Debug)]
+pub struct DumboLane {
+    /// The agreement each epoch's election runs.
+    pub(crate) agreement: Agreement,
+    /// How every component's packets are packaged.
+    pub(crate) packing: Packing,
 }
 
 impl Lane for DumboLane {
@@ -283,31 +280,19 @@ impl Lane for DumboLane {
         _: &mut rand_chacha::ChaCha12Rng,
         out: &mut EngineOut,
     ) -> DumboEpoch {
-        let packing =
-            if *self == DumboLane::ScBaseline { Packing::PerInstance } else { Packing::Combined };
-        let params = |role| ctx.params(role).packed(packing);
+        let params = |role| ctx.params(role).packed(self.packing);
         let p_prbc = params(sessions::BROADCAST);
-        let (p_val, p_com, p_aba) =
-            (params(sessions::CBC_VALUE), params(sessions::CBC_COMMIT), params(sessions::ABA));
+        let (p_val, p_com) = (params(sessions::CBC_VALUE), params(sessions::CBC_COMMIT));
         let c = ctx.crypto;
         let mut prbc = PrbcBatch::new(p_prbc, c.prbc_pub.clone(), c.prbc_sec.clone());
         let value_cbc = CbcBatch::new(p_val, c.cbc_pub.clone(), c.cbc_sec.clone());
-        let commit_cbc = match packing {
+        let commit_cbc = match self.packing {
             Packing::Combined => {
                 CommitCbc::Small(CbcSmallBatch::new(p_com, c.cbc_pub.clone(), c.cbc_sec.clone()))
             }
             Packing::PerInstance => {
                 CommitCbc::Full(CbcBatch::new(p_com, c.cbc_pub.clone(), c.cbc_sec.clone()))
             }
-        };
-        let aba: Box<dyn BinaryAgreement + Send> = match self {
-            DumboLane::Lc => Box::new(AbaLcBatch::new(p_aba)),
-            DumboLane::Sc | DumboLane::ScBaseline => Box::new(AbaScBatch::new_serial(
-                p_aba,
-                CoinFlavor::ThreshSig,
-                c.coin_pub.clone(),
-                c.coin_sec.clone(),
-            )),
         };
         let mut acts = Actions::new();
         prbc.start(encode_batch(txs), &mut acts);
@@ -317,7 +302,7 @@ impl Lane for DumboLane {
             value_cbc,
             commit_cbc,
             pi: PiCoin::new(params(sessions::PI_COIN)),
-            aba,
+            aba: self.agreement.build(params(sessions::ABA), c),
             value_started: false,
             commit_started: false,
             order: None,
@@ -483,19 +468,24 @@ impl Lane for DumboLane {
 mod tests {
     use super::*;
     use crate::driver::ProtocolNode;
-    use crate::engine::EpochEngine;
-    use crate::service::StopCondition;
     use crate::workload::Workload;
+    use crate::Protocol;
     use wbft_components::deal_node_crypto;
     use wbft_crypto::CryptoSuite;
     use wbft_wireless::{ChannelId, SimConfig, SimTime, Simulator, Topology};
 
-    fn run_dumbo(variant: DumboLane, seed: u64, epochs: u64) -> Vec<Vec<Block>> {
+    /// Dumbo-SC's lane.
+    const SC: DumboLane = DumboLane {
+        agreement: Agreement::SharedCoin { flavor: CoinFlavor::ThreshSig, serial: true },
+        packing: Packing::Combined,
+    };
+
+    fn run_dumbo(variant: Protocol, seed: u64, epochs: u64) -> Vec<Vec<Block>> {
         run_dumbo_at_depth(variant, seed, epochs, 1)
     }
 
     fn run_dumbo_at_depth(
-        variant: DumboLane,
+        variant: Protocol,
         seed: u64,
         epochs: u64,
         depth: u64,
@@ -506,9 +496,7 @@ mod tests {
         let behaviors: Vec<_> = crypto
             .into_iter()
             .map(|c| {
-                let engine =
-                    EpochEngine::new(c.clone(), variant, workload.clone(), StopCondition::Epochs(epochs))
-                        .with_depth(depth);
+                let engine = variant.engine_at_depth(c.clone(), workload.clone(), epochs, depth);
                 ProtocolNode::new(engine, c, ChannelId(0))
             })
             .collect();
@@ -517,13 +505,13 @@ mod tests {
         let ok = sim.run_until_pred(SimTime::from_micros(3_600_000_000), |s| {
             s.behaviors().all(|(_, b)| b.is_done())
         });
-        assert!(ok, "Dumbo({variant:?}) did not complete in a simulated hour");
+        assert!(ok, "{variant} did not complete in a simulated hour");
         sim.behaviors().map(|(_, b)| b.blocks().to_vec()).collect()
     }
 
     #[test]
     fn dumbo_sc_agreement() {
-        let blocks = run_dumbo(DumboLane::Sc, 3, 1);
+        let blocks = run_dumbo(Protocol::DumboSc, 3, 1);
         let first = &blocks[0];
         assert_eq!(first.len(), 1);
         assert!(!first[0].txs.is_empty());
@@ -534,7 +522,7 @@ mod tests {
 
     #[test]
     fn dumbo_lc_agreement() {
-        let blocks = run_dumbo(DumboLane::Lc, 4, 1);
+        let blocks = run_dumbo(Protocol::DumboLc, 4, 1);
         let first = &blocks[0];
         for b in &blocks {
             assert_eq!(b, first);
@@ -544,7 +532,7 @@ mod tests {
     #[test]
     fn dumbo_sc_pipelined_depths_agree_and_commit_in_order() {
         for depth in [2u64, 4] {
-            let all_blocks = run_dumbo_at_depth(DumboLane::Sc, 5, 3, depth);
+            let all_blocks = run_dumbo_at_depth(Protocol::DumboSc, 5, 3, depth);
             let first = &all_blocks[0];
             assert_eq!(first.len(), 3, "depth {depth}: all epochs commit");
             for (e, b) in first.iter().enumerate() {
@@ -574,7 +562,7 @@ mod tests {
             .map(|c| {
                 let mut out = EngineOut::new();
                 let txs = workload.batch(0, c.me);
-                let st = DumboLane::Sc.open(&ctx(c), &txs, &mut chacha, &mut out);
+                let st = SC.open(&ctx(c), &txs, &mut chacha, &mut out);
                 queue.extend(out.sends.into_iter().map(|(session, body)| (c.me, session, body)));
                 st
             })
@@ -587,10 +575,10 @@ mod tests {
                 }
                 let ctx = ctx(&crypto[to]);
                 let mut acts = Actions::new();
-                DumboLane::Sc.handle(st, &ctx, sessions::split(session).1, from, &body, &mut acts);
+                SC.handle(st, &ctx, sessions::split(session).1, from, &body, &mut acts);
                 let mut out = EngineOut::new();
                 out.absorb(session, &mut acts);
-                DumboLane::Sc.poll(st, &ctx, true, false, &mut out);
+                SC.poll(st, &ctx, true, false, &mut out);
                 queue.extend(out.sends.into_iter().map(|(session, body)| (to, session, body)));
             }
         }
@@ -612,7 +600,7 @@ mod tests {
             assert!(st.w.is_some() && !st.done, "node {victim} elected and checked the W");
             for poll in 0..2 {
                 let mut out = EngineOut::new();
-                assert_eq!(DumboLane::Sc.poll(st, &ctx, true, false, &mut out), None);
+                assert_eq!(SC.poll(st, &ctx, true, false, &mut out), None);
                 assert_eq!(out.charge_us, 0, "poll {poll} re-checked the elected W");
             }
             return;

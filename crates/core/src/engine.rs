@@ -21,7 +21,11 @@
 //! committee and threshold keys, the resharing ceremony). A [`Lane`]
 //! supplies only what differs between protocols: which components one
 //! epoch runs and how their progress turns into a block — see
-//! [`crate::honeybadger::HbLane`] and [`crate::dumbo::DumboLane`].
+//! [`crate::honeybadger::HbLane`] and [`crate::dumbo::DumboLane`], each a
+//! skeleton under an [`wbft_components::Agreement`] and a packing. Which
+//! lane, agreement and packing make each deployment is one row per
+//! [`crate::Protocol`], and outside tests `Protocol::build` is the one
+//! place an engine is built.
 
 use crate::driver::{sessions, Block, Engine, EngineOut, Tx};
 use crate::membership::MembershipCtl;
@@ -221,12 +225,6 @@ impl<L: Lane> EpochEngine<L> {
             membership: None,
             crypto,
         }
-    }
-
-    /// Mutable access to the proposal source (the multi-hop tier installs
-    /// fixed proposals before starting an epoch).
-    pub fn source_mut(&mut self) -> &mut BatchSource {
-        &mut self.source
     }
 
     /// Sets the pipeline depth `W` (clamped to at least 1). Call before

@@ -23,28 +23,23 @@
 //!
 //! This module is the protocol's [`Lane`]: the epoch pipeline around it
 //! (opening epochs, in-order commit, recovery, membership) is the shared
-//! [`EpochEngine`]. The lane is generic over the agreement component and
-//! takes a packing, so the same code yields HoneyBadgerBFT-LC / -SC, BEAT
+//! [`crate::engine::EpochEngine`]. The lane takes an [`Agreement`] and a
+//! packing, so the same code yields HoneyBadgerBFT-LC / -SC, BEAT
 //! (coin-flipping ABA), and the unbatched `*-baseline` variants (the same
-//! components, one instance per frame).
+//! components, one instance per frame); [`crate::Protocol`] states which.
 
 use crate::driver::{sessions, Block, EngineOut, Tx};
-use crate::engine::{union_block, EpochCtx, EpochEngine, Lane};
-use crate::service::StopCondition;
-#[cfg(test)]
-use crate::workload::Workload;
-use crate::workload::{encode_batch, BatchSource};
+use crate::engine::{union_block, EpochCtx, Lane};
+use crate::workload::encode_batch;
 use bytes::Bytes;
-use wbft_components::aba_lc::AbaLcBatch;
-use wbft_components::aba_sc::AbaScBatch;
 use wbft_components::rbc::RbcBatch;
 use wbft_components::{
-    Actions, Batcher, BinaryAgreement, Broadcaster, Collector, NodeCrypto, Packing, Params,
-    Quorum, Recorded,
+    Actions, Agreement, Batcher, BinaryAgreement, Broadcaster, Collector, NodeCrypto, Packing,
+    Params, Quorum, Recorded,
 };
 use wbft_crypto::thresh_enc::{Ciphertext, DecShare, EncPublicSet};
 use wbft_net::wire::{ByteSink, Sink, WireReader};
-use wbft_net::{Bitmap, Body, CoinFlavor};
+use wbft_net::{Bitmap, Body};
 
 const TIMER_DEC_RETX: u32 = 0;
 
@@ -198,9 +193,9 @@ impl DecStage {
 // The lane.
 
 /// One epoch's live components.
-pub struct HbEpoch<A> {
+pub struct HbEpoch {
     rbc: RbcBatch,
-    aba: A,
+    aba: Box<dyn BinaryAgreement + Send>,
     dec: DecStage,
     aba_inputs_sent: bool,
     accepted: Option<Vec<usize>>,
@@ -209,12 +204,13 @@ pub struct HbEpoch<A> {
 }
 
 /// The HoneyBadgerBFT/BEAT lane: RBC → parallel ABA → threshold
-/// decryption, generic over the agreement component and the packing.
-pub struct HbLane<A> {
-    /// Builds a fresh agreement instance from the epoch's committee
-    /// parameters and the (key-epoch-aware) crypto.
-    make_aba: fn(Params, &NodeCrypto) -> A,
-    packing: Packing,
+/// decryption, under one agreement and one packing.
+pub struct HbLane {
+    /// The agreement each epoch builds, under the epoch's committee and
+    /// (key-epoch-aware) crypto.
+    pub(crate) agreement: Agreement,
+    /// How every component's packets are packaged.
+    pub(crate) packing: Packing,
 }
 
 /// Starts decryption of proposer `j`'s delivered proposal; a malformed
@@ -239,8 +235,8 @@ fn activate_dec(
     }
 }
 
-impl<A: BinaryAgreement> Lane for HbLane<A> {
-    type Epoch = HbEpoch<A>;
+impl Lane for HbLane {
+    type Epoch = HbEpoch;
 
     fn open(
         &self,
@@ -252,7 +248,7 @@ impl<A: BinaryAgreement> Lane for HbLane<A> {
         let params = |role| ctx.params(role).packed(self.packing);
         let p_rbc = params(sessions::BROADCAST);
         let mut rbc = RbcBatch::new(p_rbc);
-        let aba = (self.make_aba)(params(sessions::ABA), ctx.crypto);
+        let aba = self.agreement.build(params(sessions::ABA), ctx.crypto);
         let dec = DecStage::new(params(sessions::DEC), ctx.epoch);
         // Threshold-encrypt the batch (censorship resilience), charged as
         // one share-signing-class operation.
@@ -341,83 +337,18 @@ impl<A: BinaryAgreement> Lane for HbLane<A> {
     }
 }
 
-// ------------------------------------------------------------------
-// Variant constructors.
-
-fn hb_engine<A: BinaryAgreement>(
-    crypto: NodeCrypto,
-    source: impl Into<BatchSource>,
-    stop: StopCondition,
-    packing: Packing,
-    make_aba: fn(Params, &NodeCrypto) -> A,
-) -> EpochEngine<HbLane<A>> {
-    EpochEngine::new(crypto, HbLane { make_aba, packing }, source, stop)
-}
-
-/// Wireless HoneyBadgerBFT-SC: batched RBC + batched shared-coin ABA
-/// (threshold signatures).
-pub fn hb_sc(
-    crypto: NodeCrypto,
-    source: impl Into<BatchSource>,
-    stop: StopCondition,
-) -> EpochEngine<HbLane<AbaScBatch>> {
-    hb_engine(crypto, source, stop, Packing::Combined, |p, c| {
-        AbaScBatch::new_parallel(p, CoinFlavor::ThreshSig, c.coin_pub.clone(), c.coin_sec.clone())
-    })
-}
-
-/// Wireless HoneyBadgerBFT-LC: batched RBC + batched local-coin (Bracha)
-/// ABA.
-pub fn hb_lc(
-    crypto: NodeCrypto,
-    source: impl Into<BatchSource>,
-    stop: StopCondition,
-) -> EpochEngine<HbLane<AbaLcBatch>> {
-    hb_engine(crypto, source, stop, Packing::Combined, |p, _| AbaLcBatch::new(p))
-}
-
-/// Wireless BEAT (BEAT0): HoneyBadger structure with threshold
-/// coin-flipping ABA.
-pub fn beat(
-    crypto: NodeCrypto,
-    source: impl Into<BatchSource>,
-    stop: StopCondition,
-) -> EpochEngine<HbLane<AbaScBatch>> {
-    hb_engine(crypto, source, stop, Packing::Combined, |p, c| {
-        AbaScBatch::new_parallel(p, CoinFlavor::CoinFlip, c.coin_pub.clone(), c.coin_sec.clone())
-    })
-}
-
-/// Unbatched HoneyBadgerBFT-SC baseline: the batched components, one
-/// instance per frame, each ABA instance with its own coin.
-pub fn hb_sc_baseline(
-    crypto: NodeCrypto,
-    source: impl Into<BatchSource>,
-    stop: StopCondition,
-) -> EpochEngine<HbLane<AbaScBatch>> {
-    hb_engine(crypto, source, stop, Packing::PerInstance, |p, c| {
-        AbaScBatch::new_serial(p, CoinFlavor::ThreshSig, c.coin_pub.clone(), c.coin_sec.clone())
-    })
-}
-
-/// Unbatched BEAT baseline, likewise.
-pub fn beat_baseline(
-    crypto: NodeCrypto,
-    source: impl Into<BatchSource>,
-    stop: StopCondition,
-) -> EpochEngine<HbLane<AbaScBatch>> {
-    hb_engine(crypto, source, stop, Packing::PerInstance, |p, c| {
-        AbaScBatch::new_serial(p, CoinFlavor::CoinFlip, c.coin_pub.clone(), c.coin_sec.clone())
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::ProtocolNode;
+    use crate::engine::EpochEngine;
+    use crate::service::StopCondition;
+    use crate::workload::Workload;
+    use crate::Protocol;
     use rand::SeedableRng;
     use wbft_components::deal_node_crypto;
     use wbft_crypto::CryptoSuite;
+    use wbft_net::CoinFlavor;
     use wbft_wireless::{ChannelId, SimConfig, SimTime, Simulator, Topology};
 
     fn run_hb_sc(seed: u64, epochs: u64) -> Vec<Vec<Block>> {
@@ -431,8 +362,12 @@ mod tests {
         let behaviors: Vec<_> = crypto
             .into_iter()
             .map(|c| {
-                let engine = hb_sc(c.clone(), workload.clone(), StopCondition::Epochs(epochs))
-                    .with_depth(depth);
+                let engine = Protocol::HoneyBadgerSc.engine_at_depth(
+                    c.clone(),
+                    workload.clone(),
+                    epochs,
+                    depth,
+                );
                 ProtocolNode::new(engine, c, ChannelId(0))
             })
             .collect();
@@ -486,10 +421,10 @@ mod tests {
     /// HoneyBadgerBFT-SC whose proposals are encrypted under the next
     /// epoch's label, as a proposer replaying another epoch's ciphertext:
     /// its decryption shares all check, and its tag fails.
-    struct Replayer(HbLane<AbaScBatch>);
+    struct Replayer(HbLane);
 
     impl Lane for Replayer {
-        type Epoch = HbEpoch<AbaScBatch>;
+        type Epoch = HbEpoch;
 
         fn open(
             &self,
@@ -549,21 +484,17 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(99);
         let crypto = deal_node_crypto(4, CryptoSuite::light(), &mut rng);
         let workload = Workload::small();
-        let stop = || StopCondition::Epochs(2);
         let behaviors: Vec<_> = crypto
             .into_iter()
             .map(|c| {
                 let engine: Box<dyn crate::driver::Engine> = if c.me == 1 {
-                    let lane = Replayer(HbLane {
-                        make_aba: |p, c| {
-                            let (coin_pub, coin_sec) = (c.coin_pub.clone(), c.coin_sec.clone());
-                            AbaScBatch::new_parallel(p, CoinFlavor::ThreshSig, coin_pub, coin_sec)
-                        },
-                        packing: Packing::Combined,
-                    });
-                    Box::new(EpochEngine::new(c.clone(), lane, workload.clone(), stop()))
+                    let flavor = CoinFlavor::ThreshSig;
+                    let agreement = Agreement::SharedCoin { flavor, serial: false };
+                    let lane = Replayer(HbLane { agreement, packing: Packing::Combined });
+                    let stop = StopCondition::Epochs(2);
+                    Box::new(EpochEngine::new(c.clone(), lane, workload.clone(), stop))
                 } else {
-                    Box::new(hb_sc(c.clone(), workload.clone(), stop()))
+                    Protocol::HoneyBadgerSc.engine_at_depth(c.clone(), workload.clone(), 2, 1)
                 };
                 ProtocolNode::new(engine, c, ChannelId(0))
             })

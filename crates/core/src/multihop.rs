@@ -11,14 +11,11 @@
 //! announcement frame on the cluster channel.
 
 use crate::driver::{sessions, timer_session, Block, Engine, EngineOut, ProtocolNode};
-use crate::engine::EpochEngine;
-use crate::honeybadger::{hb_sc, HbLane};
 use crate::protocol::Protocol;
 use crate::service::StopCondition;
 use crate::workload::{BatchSource, Workload};
 use bytes::Bytes;
 use std::collections::BTreeSet;
-use wbft_components::aba_sc::AbaScBatch;
 use wbft_components::NodeCrypto;
 use wbft_crypto::hash::Digest32;
 use wbft_net::wire::{ByteSink, Sink, WireReader};
@@ -62,11 +59,8 @@ const GLOBAL_CHANNEL: ChannelId = ChannelId(0);
 /// superseded duty, or of none, matches nothing.
 struct GlobalSlot {
     crypto: NodeCrypto,
-    duty: Option<(u64, HbSc)>,
+    duty: Option<(u64, Box<dyn Engine>)>,
 }
-
-/// The global tier's consensus: hb-sc among the M cluster leaders.
-type HbSc = EpochEngine<HbLane<AbaScBatch>>;
 
 /// Wire sessions reserved per global duty: the duty of epoch `e` owns
 /// `(e + 1) · DUTY_STRIDE` onwards. Local sessions stay below the first
@@ -79,11 +73,13 @@ impl GlobalSlot {
         self.duty.as_ref().map(|(epoch, _)| *epoch)
     }
 
-    /// Takes the duty of `epoch`: a fresh instance proposing `summary`.
+    /// Takes the duty of `epoch`: a fresh hb-sc instance among the M
+    /// cluster leaders, proposing `summary`.
     fn take(&mut self, epoch: u64, summary: Bytes, out: &mut EngineOut) {
-        let mut source = BatchSource::Fixed(Vec::new());
-        source.set_fixed(0, summary);
-        self.duty = Some((epoch, hb_sc(self.crypto.clone(), source, StopCondition::Epochs(1))));
+        let source = BatchSource::Fixed(vec![Some(summary)]);
+        let stop = StopCondition::Epochs(1);
+        let engine = Protocol::HoneyBadgerSc.build(self.crypto.clone(), source, stop, 1, None);
+        self.duty = Some((epoch, engine));
         self.start(out);
     }
 
@@ -96,7 +92,11 @@ impl GlobalSlot {
 
     /// Runs `step` on the current duty's instance and shifts the sessions
     /// it emits onto the wire.
-    fn shifted(&mut self, out: &mut EngineOut, step: impl FnOnce(&mut HbSc, &mut EngineOut)) {
+    fn shifted(
+        &mut self,
+        out: &mut EngineOut,
+        step: impl FnOnce(&mut dyn Engine, &mut EngineOut),
+    ) {
         let Some((epoch, engine)) = &mut self.duty else { return };
         let offset = (*epoch + 1) * DUTY_STRIDE;
         let (sends, timers) = (out.sends.len(), out.timers.len());

@@ -15,11 +15,12 @@
 use crate::driver::Engine;
 use crate::dumbo::DumboLane;
 use crate::engine::{EpochEngine, Lane};
-use crate::honeybadger;
+use crate::honeybadger::{HbLane, CIPHERTEXT_OVERHEAD};
 use crate::membership::MembershipCtl;
 use crate::service::{ConsensusHandle, StopCondition};
 use crate::workload::{BatchSource, Workload};
-use wbft_components::NodeCrypto;
+use wbft_components::{Agreement, NodeCrypto, Packing};
+use wbft_net::CoinFlavor;
 
 /// A consensus protocol deployment.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -42,7 +43,35 @@ pub enum Protocol {
     DumboScBaseline,
 }
 
+/// The epoch skeleton a deployment runs its agreement in.
+#[derive(Clone, Copy)]
+enum Skeleton {
+    /// RBC → parallel ABA → threshold decryption ([`HbLane`]).
+    HoneyBadger,
+    /// PRBC → CBCs → π → serial ABA ([`DumboLane`]).
+    Dumbo,
+}
+
 impl Protocol {
+    /// What this deployment is: its skeleton, its binary agreement and its
+    /// packing. Everything else about it follows from this row.
+    fn row(&self) -> (Skeleton, Agreement, Packing) {
+        use Skeleton::{Dumbo, HoneyBadger};
+        let (sig, flip) = (CoinFlavor::ThreshSig, CoinFlavor::CoinFlip);
+        let shared = |flavor, serial| Agreement::SharedCoin { flavor, serial };
+        let (batched, baseline) = (Packing::Combined, Packing::PerInstance);
+        match self {
+            Protocol::HoneyBadgerLc => (HoneyBadger, Agreement::LocalCoin, batched),
+            Protocol::HoneyBadgerSc => (HoneyBadger, shared(sig, false), batched),
+            Protocol::Beat => (HoneyBadger, shared(flip, false), batched),
+            Protocol::DumboLc => (Dumbo, Agreement::LocalCoin, batched),
+            Protocol::DumboSc => (Dumbo, shared(sig, true), batched),
+            Protocol::HoneyBadgerScBaseline => (HoneyBadger, shared(sig, true), baseline),
+            Protocol::BeatBaseline => (HoneyBadger, shared(flip, true), baseline),
+            Protocol::DumboScBaseline => (Dumbo, shared(sig, true), baseline),
+        }
+    }
+
     /// All eight deployments in the order of Fig. 13's legend.
     pub const ALL: [Protocol; 8] = [
         Protocol::HoneyBadgerScBaseline,
@@ -107,23 +136,15 @@ impl Protocol {
 
     /// Whether this deployment uses ConsensusBatcher.
     pub fn is_batched(&self) -> bool {
-        !matches!(
-            self,
-            Protocol::HoneyBadgerScBaseline
-                | Protocol::BeatBaseline
-                | Protocol::DumboScBaseline
-        )
+        self.row().2 == Packing::Combined
     }
 
     /// Bytes of the proposal a node broadcasts for one of `workload`'s
     /// batches: the encoded batch, threshold-encrypted by the HoneyBadger
     /// family and sent in the clear by Dumbo.
     pub fn proposal_bytes(&self, workload: &Workload) -> usize {
-        let encrypted = !matches!(
-            self,
-            Protocol::DumboLc | Protocol::DumboSc | Protocol::DumboScBaseline
-        );
-        workload.encoded_len() + if encrypted { honeybadger::CIPHERTEXT_OVERHEAD } else { 0 }
+        let encrypted = matches!(self.row().0, Skeleton::HoneyBadger);
+        workload.encoded_len() + if encrypted { CIPHERTEXT_OVERHEAD } else { 0 }
     }
 
     /// Fixed-epoch engine for one node with a pipeline depth: up to `depth`
@@ -182,31 +203,16 @@ impl Protocol {
                 None => engine,
             })
         }
-        match self {
-            Protocol::HoneyBadgerLc => {
-                boxed(honeybadger::hb_lc(crypto, source, stop), depth, membership)
+        let (skeleton, agreement, packing) = self.row();
+        match skeleton {
+            Skeleton::HoneyBadger => {
+                let lane = HbLane { agreement, packing };
+                boxed(EpochEngine::new(crypto, lane, source, stop), depth, membership)
             }
-            Protocol::HoneyBadgerSc => {
-                boxed(honeybadger::hb_sc(crypto, source, stop), depth, membership)
+            Skeleton::Dumbo => {
+                let lane = DumboLane { agreement, packing };
+                boxed(EpochEngine::new(crypto, lane, source, stop), depth, membership)
             }
-            Protocol::Beat => boxed(honeybadger::beat(crypto, source, stop), depth, membership),
-            Protocol::HoneyBadgerScBaseline => {
-                boxed(honeybadger::hb_sc_baseline(crypto, source, stop), depth, membership)
-            }
-            Protocol::BeatBaseline => {
-                boxed(honeybadger::beat_baseline(crypto, source, stop), depth, membership)
-            }
-            Protocol::DumboLc => {
-                boxed(EpochEngine::new(crypto, DumboLane::Lc, source, stop), depth, membership)
-            }
-            Protocol::DumboSc => {
-                boxed(EpochEngine::new(crypto, DumboLane::Sc, source, stop), depth, membership)
-            }
-            Protocol::DumboScBaseline => boxed(
-                EpochEngine::new(crypto, DumboLane::ScBaseline, source, stop),
-                depth,
-                membership,
-            ),
         }
     }
 }
@@ -232,6 +238,15 @@ mod tests {
         for p in Protocol::BASELINES {
             assert!(!p.is_batched(), "{p}");
             assert!(p.name().ends_with("baseline"));
+        }
+        // The five HoneyBadger-lane deployments encrypt their proposals
+        // (`u` and the tag, 64 B); the three Dumbo ones send them in the
+        // clear.
+        let clear = [Protocol::DumboLc, Protocol::DumboSc, Protocol::DumboScBaseline];
+        let w = Workload::small();
+        for p in Protocol::ALL {
+            let overhead = if clear.contains(&p) { 0 } else { 64 };
+            assert_eq!(p.proposal_bytes(&w) - w.encoded_len(), overhead, "{p}");
         }
     }
 

@@ -68,8 +68,8 @@ impl Workload {
 pub enum BatchSource {
     /// Deterministic synthetic transactions.
     Workload(Workload),
-    /// A fixed single-proposal payload per epoch, set via
-    /// [`BatchSource::set_fixed`]; epochs without one propose empty batches.
+    /// A fixed single-proposal payload per epoch, indexed by epoch; epochs
+    /// without one propose empty batches.
     Fixed(Vec<Option<Tx>>),
     /// Live proposals pulled FIFO from a bounded client mempool (see
     /// [`crate::service`]); epochs finding the pool empty propose empty
@@ -105,16 +105,6 @@ impl BatchSource {
         match self {
             BatchSource::Workload(_) | BatchSource::Fixed(_) => true,
             BatchSource::Service { handle, .. } => handle.has_pending(),
-        }
-    }
-
-    /// Installs the fixed proposal for an epoch.
-    pub fn set_fixed(&mut self, epoch: u64, tx: Tx) {
-        if let BatchSource::Fixed(slots) = self {
-            while slots.len() <= epoch as usize {
-                slots.push(None);
-            }
-            slots[epoch as usize] = Some(tx);
         }
     }
 }

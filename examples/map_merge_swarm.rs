@@ -14,8 +14,7 @@ use rand::SeedableRng;
 use std::collections::BTreeMap;
 use wbft_components::deal_node_crypto;
 use wbft_consensus::driver::ProtocolNode;
-use wbft_consensus::honeybadger::hb_sc;
-use wbft_consensus::{StopCondition, Workload};
+use wbft_consensus::{Protocol, Workload};
 use wbft_crypto::CryptoSuite;
 use wbft_wireless::{ChannelId, NodeId, RadioParams, SimConfig, SimTime, Simulator, Topology};
 
@@ -31,7 +30,11 @@ fn main() {
 
     let behaviors: Vec<_> = crypto
         .into_iter()
-        .map(|c| ProtocolNode::new(hb_sc(c.clone(), workload.clone(), StopCondition::Epochs(epochs)), c, ChannelId(0)))
+        .map(|c| {
+            let engine =
+                Protocol::HoneyBadgerSc.engine_at_depth(c.clone(), workload.clone(), epochs, 1);
+            ProtocolNode::new(engine, c, ChannelId(0))
+        })
         .collect();
 
     // A faster (BLE-class) radio: seven nodes on LoRa would crawl.

@@ -12,11 +12,12 @@ use wbft_consensus::Protocol;
 use wbft_wireless::LossModel;
 
 fn usage() -> ! {
+    let protocols: Vec<&str> = Protocol::ALL.iter().map(Protocol::slug).collect();
     eprintln!(
         "usage: testbed_cli <protocol> [--epochs E] [--batch B] [--seed S] \
          [--loss P] [--multihop]\n\
-         protocols: hb-lc hb-sc beat dumbo-lc dumbo-sc \
-         hb-sc-baseline beat-baseline dumbo-sc-baseline"
+         protocols: {}",
+        protocols.join(" ")
     );
     std::process::exit(2);
 }
@@ -44,6 +45,10 @@ fn main() {
             "--multihop" => cfg.clusters = Some(4),
             _ => usage(),
         }
+    }
+    if let Err(reason) = cfg.check() {
+        eprintln!("testbed_cli: {reason}");
+        std::process::exit(2);
     }
 
     println!("running {} ({} epochs, batch {}, seed {}{})…",

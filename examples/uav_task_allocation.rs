@@ -14,8 +14,7 @@ use bytes::Bytes;
 use rand::SeedableRng;
 use wbft_components::deal_node_crypto;
 use wbft_consensus::driver::ProtocolNode;
-use wbft_consensus::honeybadger::beat;
-use wbft_consensus::{BatchSource, StopCondition, Workload};
+use wbft_consensus::{BatchSource, Protocol, StopCondition};
 use wbft_crypto::CryptoSuite;
 use wbft_wireless::{ChannelId, LossModel, NodeId, SimConfig, SimTime, Simulator, Topology};
 
@@ -37,17 +36,11 @@ fn main() {
     let behaviors: Vec<_> = crypto
         .into_iter()
         .map(|c| {
-            let me = c.me;
-            let mut engine = beat(c.clone(), Workload::small(), StopCondition::Epochs(1));
-            // Replace the synthetic workload with the UAV's real claims.
-            let mut source = BatchSource::Fixed(Vec::new());
-            // One proposal (the claim bundle) for epoch 0: encode each claim
-            // as its own transaction by proposing them via the fixed slot.
-            let bundle = wbft_consensus::workload::encode_batch(&claims_of(me));
-            source.set_fixed(0, bundle);
-            // The fixed source yields one tx = the encoded bundle; decode on
-            // commit below.
-            *engine.source_mut() = source;
+            // One proposal for epoch 0: the UAV's claims, encoded as one
+            // bundle transaction (decoded on commit below).
+            let bundle = wbft_consensus::workload::encode_batch(&claims_of(c.me));
+            let source = BatchSource::Fixed(vec![Some(bundle)]);
+            let engine = Protocol::Beat.build(c.clone(), source, StopCondition::Epochs(1), 1, None);
             ProtocolNode::new(engine, c, ChannelId(0))
         })
         .collect();
