@@ -344,7 +344,9 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha12Rng;
+    use std::collections::{BTreeMap, VecDeque};
     use wbft_components::deal_node_crypto;
+    use wbft_crypto::thresh_sig::SigShare;
     use wbft_crypto::CryptoSuite;
     use wbft_net::{Envelope, Sizing};
     use wbft_wireless::{Command, NodeId};
@@ -444,6 +446,56 @@ mod tests {
         for id in armed {
             assert!(commands(&mut rng, |ctx| node.on_timer(id, ctx)).is_empty());
         }
+    }
+
+    /// Leader `me`'s duty of `epoch`, started: its engine and opening sends.
+    fn duty(crypto: &NodeCrypto, epoch: u64) -> (Box<dyn Engine>, EngineOut) {
+        let summary = encode_summary(crypto.me, epoch, Digest32::of(b"block"), 8);
+        let mut slot = GlobalSlot { crypto: crypto.clone(), duty: None };
+        let mut out = EngineOut::new();
+        slot.take(epoch, summary, &mut out);
+        (Box::new(slot), out)
+    }
+
+    /// Runs the four leaders' duties of `epoch` to decision over a lossless
+    /// in-memory mesh and returns every ABA-SC coin share aired, keyed by
+    /// `(sender, (domain << 8) | round)`.
+    fn coin_shares_of_duty(global: &[NodeCrypto], epoch: u64) -> BTreeMap<(usize, u16), SigShare> {
+        let mut engines = Vec::new();
+        let mut queue = VecDeque::new();
+        for crypto in global {
+            let (engine, out) = duty(crypto, epoch);
+            engines.push(engine);
+            queue.extend(out.sends.into_iter().map(|(session, body)| (crypto.me, session, body)));
+        }
+        let mut shares = BTreeMap::new();
+        while let Some((from, session, body)) = queue.pop_front() {
+            if let Body::AbaSc { coin_shares, .. } = &body {
+                for (tag, share) in coin_shares {
+                    shares.insert((from, *tag), *share);
+                }
+            }
+            for (to, engine) in engines.iter_mut().enumerate().filter(|(to, _)| *to != from) {
+                let mut out = EngineOut::new();
+                engine.handle(session, from, &body, &mut out);
+                queue.extend(out.sends.into_iter().map(|(s, b)| (to, s, b)));
+            }
+        }
+        assert!(engines.iter().all(|e| e.blocks().len() == 1), "every duty of {epoch} decides");
+        shares
+    }
+
+    /// A common coin is unpredictable only until it is first revealed: a
+    /// later duty's coin shares must not be the earlier one's.
+    #[test]
+    fn no_global_duty_reveals_a_coin_share_an_earlier_duty_revealed() {
+        let (_, global, _) = member0();
+        let first = coin_shares_of_duty(&global, 3);
+        let second = coin_shares_of_duty(&global, 7);
+        let common: Vec<_> = second.keys().filter(|k| first.contains_key(k)).collect();
+        assert!(!common.is_empty(), "both duties air coin shares of the same rounds");
+        let reused = common.iter().filter(|k| first[**k] == second[**k]).count();
+        assert_eq!(reused, 0, "{reused} of {} common coin shares revealed twice", common.len());
     }
 
     #[test]
