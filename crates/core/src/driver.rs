@@ -78,9 +78,9 @@ impl EngineOut {
 
 /// The protocol brain of one node. Every deployment runs the epoch
 /// pipeline [`crate::engine::EpochEngine`] (HoneyBadger, BEAT, Dumbo and
-/// their baselines are its lanes) or a wrapper around it:
-/// [`crate::ByzantineEngine`] and the multi-hop global tier's duty slot,
-/// which runs one single-epoch instance per leader duty. The one other
+/// their baselines are its lanes; the multi-hop global tier runs one per
+/// leader duty, at the duty's own epoch) or the wrapper around it,
+/// [`crate::ByzantineEngine`]. The one other
 /// implementation is the figure benches' rig engine (`CompEngine` in
 /// `wbft-bench`), which runs a single component and decides one empty block
 /// when it completes.
@@ -255,16 +255,33 @@ pub struct ProtocolNode<E: Engine> {
     unencodable: u64,
 }
 
-/// Timer-id packing: 10 bits of component-local id.
+/// Component timer ids: 10 bits of component-local id, the engine session
+/// above them, and from bit 54 the node's channel, so the two tiers of a
+/// clustered node arm disjoint ids. On channel 0 an id is plain
+/// `(session << 10) | local`.
 const TIMER_LOCAL_BITS: u64 = 10;
 
-/// The engine session a component timer id belongs to.
-pub(crate) fn timer_session(id: u64) -> u64 {
-    id >> TIMER_LOCAL_BITS
+/// First bit of a component timer id's channel (sessions stay below
+/// `2^44`, so `session << TIMER_LOCAL_BITS` never reaches it).
+const TIMER_CHANNEL_SHIFT: u64 = 54;
+
+/// The component timer id of `(session, local)` on `channel`.
+fn timer_id(channel: ChannelId, session: u64, local: u32) -> u64 {
+    (u64::from(channel.0) << TIMER_CHANNEL_SHIFT) | (session << TIMER_LOCAL_BITS) | u64::from(local)
 }
 
-/// Driver-level timer lane for client arrivals (sessions stay far below
-/// bit 53, so `session << TIMER_LOCAL_BITS` never reaches this bit).
+/// The channel a component timer id was armed on.
+pub(crate) fn timer_channel(id: u64) -> ChannelId {
+    ChannelId((id >> TIMER_CHANNEL_SHIFT) as u8)
+}
+
+/// The engine session a component timer id belongs to.
+fn timer_session(id: u64) -> u64 {
+    (id & ((1 << TIMER_CHANNEL_SHIFT) - 1)) >> TIMER_LOCAL_BITS
+}
+
+/// Driver-level timer lane for client arrivals (above a channel's eight
+/// bits, so no component timer id reaches it).
 const ARRIVAL_TIMER_BIT: u64 = 1 << 63;
 
 /// Driver-level timer lane for periodic anti-entropy head announcements.
@@ -423,7 +440,7 @@ impl<E: Engine> ProtocolNode<E> {
             }
         }
         for (session, local, delay) in out.timers.drain(..) {
-            ctx.set_timer(delay, (session << TIMER_LOCAL_BITS) | local as u64);
+            ctx.set_timer(delay, timer_id(self.channel, session, local));
         }
         out.charge_us = 0;
         self.scratch = out;
@@ -642,21 +659,28 @@ mod tests {
         }
     }
 
-    /// A stub engine at key epoch 1 that counts the bodies it is handed
-    /// and sends `at_start` at start.
+    /// A stub engine at key epoch 1 that counts the bodies it is handed,
+    /// records the timers that fire, and sends `at_start` and arms
+    /// `timers_at_start` at start.
+    #[derive(Default)]
     struct Counting {
         handled: usize,
         at_start: Vec<(u64, Body)>,
+        timers_at_start: Vec<(u64, u32, SimDuration)>,
+        fired: Vec<(u64, u32)>,
     }
 
     impl Engine for Counting {
         fn start(&mut self, out: &mut EngineOut) {
             out.sends.append(&mut self.at_start);
+            out.timers.append(&mut self.timers_at_start);
         }
         fn handle(&mut self, _s: u64, _f: usize, _b: &Body, _out: &mut EngineOut) {
             self.handled += 1;
         }
-        fn on_timer(&mut self, _s: u64, _l: u32, _out: &mut EngineOut) {}
+        fn on_timer(&mut self, session: u64, local: u32, _out: &mut EngineOut) {
+            self.fired.push((session, local));
+        }
         fn on_work_available(&mut self, _out: &mut EngineOut) {}
         fn restore_chain(&mut self, _b: Vec<Block>) {}
         fn adopt_chain(&mut self, _b: Vec<Block>, _out: &mut EngineOut) {}
@@ -686,8 +710,7 @@ mod tests {
         let me = crypto.remove(0);
         let verify = SimDuration::from_micros(me.suite.ecdsa.profile().verify_us);
         let sizing = Sizing { n: 4, suite: me.suite };
-        let stub = Counting { handled: 0, at_start: Vec::new() };
-        let mut node = ProtocolNode::new(stub, me, ChannelId(0));
+        let mut node = ProtocolNode::new(Counting::default(), me, ChannelId(0));
         let digest = wbft_crypto::Digest32::of(b"d");
         let body = Body::GlobalDecision { epoch: 0, digest, tx_count: 3 };
         let env = Envelope { src: sender.me as u16, session: 5, body };
@@ -720,7 +743,7 @@ mod tests {
             data: Bytes::from(vec![7u8; u16::MAX as usize + 1]),
             init_nack: wbft_net::Bitmap::new(4),
         };
-        let stub = Counting { handled: 0, at_start: vec![(5, body)] };
+        let stub = Counting { at_start: vec![(5, body)], ..Counting::default() };
         let mut node = ProtocolNode::new(stub, me, ChannelId(0));
         let mut ctx = NodeCtx::external(SimTime::ZERO, NodeId(0), &mut rng);
         node.on_start(&mut ctx);
@@ -728,6 +751,41 @@ mod tests {
         assert_eq!(node.unencodable_sends(), 1);
         assert!(cmds.is_empty(), "nothing is aired: {cmds:?}");
         assert_eq!(charged, sign, "the signing charge is made");
+    }
+
+    /// A component timer armed on channel `c` carries `c` in its id, for a
+    /// clustered node to route by, and comes back to the engine as the
+    /// `(session, local)` it was armed with. On channel 0 its id is plain
+    /// `(session << 10) | local`.
+    #[test]
+    fn a_component_timer_id_packs_its_channel_session_and_local_id() {
+        use rand::SeedableRng;
+        use wbft_wireless::{Command, NodeId};
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(13);
+        let me = wbft_components::deal_node_crypto(4, wbft_crypto::CryptoSuite::light(), &mut rng)
+            .swap_remove(0);
+        let (session, local) = (sessions::of((1 << 40) - 1, sessions::ABA), 1023);
+        for channel in [0, 1, 64, u8::MAX] {
+            let timers_at_start = vec![(session, local, SimDuration::from_millis(5))];
+            let stub = Counting { timers_at_start, ..Counting::default() };
+            let mut node = ProtocolNode::new(stub, me.clone(), ChannelId(channel));
+            let mut ctx = NodeCtx::external(SimTime::ZERO, NodeId(0), &mut rng);
+            node.on_start(&mut ctx);
+            let armed: Vec<u64> = (ctx.finish().0.into_iter())
+                .filter_map(|cmd| match cmd {
+                    Command::SetTimer { id, .. } => Some(id),
+                    _ => None,
+                })
+                .collect();
+            let [id] = armed[..] else { panic!("channel {channel}: armed {armed:?}") };
+            assert_eq!(timer_channel(id), ChannelId(channel));
+            assert_eq!(timer_session(id), session);
+            if channel == 0 {
+                assert_eq!(id, (session << 10) | u64::from(local));
+            }
+            node.on_timer(id, &mut NodeCtx::external(SimTime::ZERO, NodeId(0), &mut rng));
+            assert_eq!(node.engine().fired, [(session, local)], "channel {channel}");
+        }
     }
 
     #[test]

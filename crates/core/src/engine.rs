@@ -24,8 +24,8 @@
 //! [`crate::honeybadger::HbLane`] and [`crate::dumbo::DumboLane`], each a
 //! skeleton under an [`wbft_components::Agreement`] and a packing. Which
 //! lane, agreement and packing make each deployment is one row per
-//! [`crate::Protocol`], and outside tests `Protocol::build` is the one
-//! place an engine is built.
+//! [`crate::Protocol`], and outside tests an engine is built only there:
+//! by `Protocol::build`, or for a multi-hop global duty by `Protocol::duty`.
 
 use crate::driver::{sessions, Block, Engine, EngineOut, Tx};
 use crate::membership::MembershipCtl;
@@ -163,7 +163,9 @@ pub struct EpochEngine<L: Lane> {
     me: usize,
     source: BatchSource,
     stop: StopCondition,
-    /// Epochs opened so far (`is_done` compares against committed blocks).
+    /// The epoch of `blocks[0]`: 0, or a global duty's own epoch.
+    first: u64,
+    /// Epochs opened so far (`is_done` compares against the chain head).
     started: u64,
     /// Pipeline depth `W`: epochs allowed in flight past the committed
     /// chain. `W = 1` is the strictly sequential behavior.
@@ -217,6 +219,7 @@ impl<L: Lane> EpochEngine<L> {
             me,
             source: source.into(),
             stop,
+            first: 0,
             started: 0,
             depth: 1,
             epochs: VecDeque::new(),
@@ -233,6 +236,21 @@ impl<L: Lane> EpochEngine<L> {
     pub fn with_depth(mut self, depth: u64) -> Self {
         self.depth = depth.max(1);
         self
+    }
+
+    /// Runs the engine from `epoch` on, as if the epochs before it were
+    /// committed elsewhere: the multi-hop global duty of `epoch` names its
+    /// sessions, coins and ciphertexts after that epoch, as a local tier
+    /// does. Call before `start`.
+    pub(crate) fn starting_at(mut self, epoch: u64) -> Self {
+        self.first = epoch;
+        self.started = epoch;
+        self
+    }
+
+    /// The chain head: the epoch the next committed block will have.
+    fn head(&self) -> u64 {
+        self.first + self.blocks.len() as u64
     }
 
     /// Enables dynamic membership: per-epoch committee parameters and
@@ -284,8 +302,7 @@ impl<L: Lane> EpochEngine<L> {
     /// while the source has work for them: an eager open on an idle
     /// mempool would spend a full epoch of airtime on an empty proposal.
     fn open_epochs(&mut self, out: &mut EngineOut) {
-        while self.started < self.blocks.len() as u64 + self.depth && self.stop.allows(self.started)
-        {
+        while self.started < self.head() + self.depth && self.stop.allows(self.started) {
             // Membership gate: only committee members open an epoch, and
             // only once its key epoch's threshold keys exist (a running
             // resharing ceremony holds the activation epoch back; a
@@ -296,12 +313,12 @@ impl<L: Lane> EpochEngine<L> {
             // still-uncommitted block can supersede.
             if let Some(ctl) = &self.membership {
                 if !ctl.can_open(self.started)
-                    || self.started >= self.blocks.len() as u64 + ACTIVATION_DELAY
+                    || self.started >= self.head() + ACTIVATION_DELAY
                 {
                     break;
                 }
             }
-            if self.started > self.blocks.len() as u64 && !self.source.has_work() {
+            if self.started > self.head() && !self.source.has_work() {
                 break;
             }
             let next = self.started;
@@ -329,7 +346,7 @@ impl<L: Lane> EpochEngine<L> {
     /// proposals are still in flight behind pipelined traffic would vote
     /// slow instances out and requeue whole batches.
     fn poll(&mut self, epoch: u64, out: &mut EngineOut) {
-        let may_agree = self.depth == 1 || epoch == self.blocks.len() as u64;
+        let may_agree = self.depth == 1 || epoch == self.head();
         let Some((live, ctx)) =
             Self::live(&mut self.epochs, &self.crypto, &self.membership, epoch)
         else {
@@ -368,8 +385,7 @@ impl<L: Lane> EpochEngine<L> {
     /// the head is the only open epoch).
     fn advance_head(&mut self, out: &mut EngineOut) {
         self.open_epochs(out);
-        let head = self.blocks.len() as u64;
-        self.poll(head, out);
+        self.poll(self.head(), out);
     }
 
     /// Appends decided epochs to the chain strictly in epoch order — the
@@ -378,7 +394,7 @@ impl<L: Lane> EpochEngine<L> {
     fn finalize_in_order(&mut self, out: &mut EngineOut) {
         let mut advanced = false;
         loop {
-            let next = self.blocks.len() as u64;
+            let next = self.head();
             let Some(live) = self.epochs.iter_mut().find(|e| e.epoch == next) else { break };
             let Some(block) = live.decided.take() else { break };
             self.commit(block, out);
@@ -434,9 +450,9 @@ impl<L: Lane> Engine for EpochEngine<L> {
     fn restore_chain(&mut self, blocks: Vec<Block>) {
         // Adopt the recovered prefix as already-committed history; `start`
         // then opens the first live epoch right past it (epochs are opened
-        // relative to `blocks.len()`, so no per-epoch state is needed).
-        self.started = self.started.max(blocks.len() as u64);
+        // relative to the chain head, so no per-epoch state is needed).
         self.blocks = blocks;
+        self.started = self.started.max(self.head());
         // Membership runs: refold the committee log from the restored
         // prefix. No deals can be broadcast from here (pre-start, nothing
         // to send through); a restart landing mid-ceremony relies on the
@@ -451,7 +467,7 @@ impl<L: Lane> Engine for EpochEngine<L> {
     fn adopt_chain(&mut self, blocks: Vec<Block>, out: &mut EngineOut) {
         let mut advanced = false;
         for block in blocks {
-            if block.epoch != self.blocks.len() as u64 {
+            if block.epoch != self.head() {
                 continue;
             }
             // Drop the live instance of the adopted epoch: its agreement
@@ -461,7 +477,7 @@ impl<L: Lane> Engine for EpochEngine<L> {
             advanced = true;
         }
         if advanced {
-            self.started = self.started.max(self.blocks.len() as u64);
+            self.started = self.started.max(self.head());
             self.advance_head(out);
         }
     }
@@ -526,7 +542,7 @@ impl<L: Lane> Engine for EpochEngine<L> {
     }
 
     fn is_done(&self) -> bool {
-        let committed = self.blocks.len() as u64;
+        let committed = self.head();
         if self.stop.is_done(self.started, committed) {
             return true;
         }

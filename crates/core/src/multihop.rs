@@ -9,11 +9,16 @@
 //! epoch ("changeable cluster leader"), which bounds the damage of a
 //! Byzantine leader; followers learn the global outcome from the leader's
 //! announcement frame on the cluster channel.
+//!
+//! Both tiers name everything by epoch. The global duty of epoch `e` is an
+//! hb-sc engine that runs epoch `e` itself (`Protocol::duty`), so its
+//! sessions, common coins and ciphertext labels are that epoch's, as in a
+//! local tier, and no two duties reveal the same coin. A node's two tiers
+//! tell their timers apart by the channel packed into each timer id.
 
-use crate::driver::{sessions, timer_session, Block, Engine, EngineOut, ProtocolNode};
+use crate::driver::{sessions, timer_channel, Block, Engine, ProtocolNode};
 use crate::protocol::Protocol;
-use crate::service::StopCondition;
-use crate::workload::{BatchSource, Workload};
+use crate::workload::Workload;
 use bytes::Bytes;
 use std::collections::BTreeSet;
 use wbft_components::NodeCrypto;
@@ -52,89 +57,6 @@ fn block_digest(block: &Block) -> Digest32 {
 /// The channel of the global tier, shared by every cluster's leader.
 const GLOBAL_CHANNEL: ChannelId = ChannelId(0);
 
-/// The global tier's engine: the single-epoch hb-sc instance of the duty
-/// this node last took as its cluster's leader. Every duty's instance
-/// numbers its sessions from zero, so the slot shifts them by
-/// `(epoch + 1) · 2^20` on sends, frames and timers; a frame or timer of a
-/// superseded duty, or of none, matches nothing.
-struct GlobalSlot {
-    crypto: NodeCrypto,
-    duty: Option<(u64, Box<dyn Engine>)>,
-}
-
-/// Wire sessions reserved per global duty: the duty of epoch `e` owns
-/// `(e + 1) · DUTY_STRIDE` onwards. Local sessions stay below the first
-/// (`TestbedConfig::check`), which is how a timer finds its tier.
-pub(crate) const DUTY_STRIDE: u64 = 1 << 20;
-
-impl GlobalSlot {
-    /// The epoch of the current duty.
-    fn epoch(&self) -> Option<u64> {
-        self.duty.as_ref().map(|(epoch, _)| *epoch)
-    }
-
-    /// Takes the duty of `epoch`: a fresh hb-sc instance among the M
-    /// cluster leaders, proposing `summary`.
-    fn take(&mut self, epoch: u64, summary: Bytes, out: &mut EngineOut) {
-        let source = BatchSource::Fixed(vec![Some(summary)]);
-        let stop = StopCondition::Epochs(1);
-        let engine = Protocol::HoneyBadgerSc.build(self.crypto.clone(), source, stop, 1, None);
-        self.duty = Some((epoch, engine));
-        self.start(out);
-    }
-
-    /// The current duty's own session for the wire session `session`, if
-    /// the duty owns it.
-    fn unshift(&self, session: u64) -> Option<u64> {
-        let offset = (self.epoch()? + 1) * DUTY_STRIDE;
-        session.checked_sub(offset).filter(|s| *s < DUTY_STRIDE)
-    }
-
-    /// Runs `step` on the current duty's instance and shifts the sessions
-    /// it emits onto the wire.
-    fn shifted(
-        &mut self,
-        out: &mut EngineOut,
-        step: impl FnOnce(&mut dyn Engine, &mut EngineOut),
-    ) {
-        let Some((epoch, engine)) = &mut self.duty else { return };
-        let offset = (*epoch + 1) * DUTY_STRIDE;
-        let (sends, timers) = (out.sends.len(), out.timers.len());
-        step(engine, out);
-        out.sends[sends..].iter_mut().for_each(|(session, _)| *session += offset);
-        out.timers[timers..].iter_mut().for_each(|(session, ..)| *session += offset);
-    }
-}
-
-impl Engine for GlobalSlot {
-    fn start(&mut self, out: &mut EngineOut) {
-        self.shifted(out, |engine, out| engine.start(out));
-    }
-    fn handle(&mut self, session: u64, from: usize, body: &Body, out: &mut EngineOut) {
-        if let Some(s) = self.unshift(session) {
-            self.shifted(out, |engine, out| engine.handle(s, from, body, out));
-        }
-    }
-    fn on_timer(&mut self, session: u64, local: u32, out: &mut EngineOut) {
-        if let Some(s) = self.unshift(session) {
-            self.shifted(out, |engine, out| engine.on_timer(s, local, out));
-        }
-    }
-    fn on_work_available(&mut self, _out: &mut EngineOut) {}
-    fn restore_chain(&mut self, _blocks: Vec<Block>) {}
-    fn adopt_chain(&mut self, _blocks: Vec<Block>, _out: &mut EngineOut) {}
-    /// The global tier runs one fixed committee.
-    fn key_epoch(&self, _session: u64) -> u64 {
-        0
-    }
-    fn blocks(&self) -> &[Block] {
-        self.duty.as_ref().map_or(&[], |(_, engine)| engine.blocks())
-    }
-    fn is_done(&self) -> bool {
-        self.duty.as_ref().is_none_or(|(_, engine)| engine.is_done())
-    }
-}
-
 /// One node of a clustered deployment: local consensus member, sometimes
 /// global-tier leader. Each tier is a [`ProtocolNode`]; this node adds the
 /// cross-tier rule: take a duty, tally, announce, learn.
@@ -149,8 +71,13 @@ pub struct ClusterNode {
     target_epochs: u64,
     /// Local consensus, on the cluster's channel.
     local: ProtocolNode<Box<dyn Engine>>,
-    /// Global consensus among cluster leaders, on [`GLOBAL_CHANNEL`].
-    global: ProtocolNode<GlobalSlot>,
+    /// Global consensus among cluster leaders, on [`GLOBAL_CHANNEL`]: the
+    /// engine of the duty this node last took as its cluster's leader
+    /// (`Protocol::duty`), replaced by the next; a frame or timer of a
+    /// superseded duty names an epoch the new one does not run.
+    global: ProtocolNode<Box<dyn Engine>>,
+    /// The key share this node runs its global duties under.
+    global_crypto: NodeCrypto,
     /// Epochs whose global outcome this node knows, with tx counts.
     pub global_decisions: Vec<(u64, Digest32, u32)>,
     /// Completion times of global decisions (the multi-hop latency metric).
@@ -162,8 +89,8 @@ pub struct ClusterNode {
     announced: Vec<usize>,
     /// Local blocks [`ClusterNode::advance`] has looked at. Whether a block
     /// puts this node on global duty is settled the first time it is seen
-    /// (leadership is fixed by the epoch, the duty's epoch only rises,
-    /// `global_decisions` only grows) and the local chain only appends —
+    /// (leadership is fixed by the epoch, `global_decisions` only grows)
+    /// and the local chain only appends, in epoch order —
     /// a cluster node has no restore or adopt path — so one look is exact.
     local_seen: usize,
 }
@@ -202,14 +129,17 @@ impl ClusterNode {
         global_crypto: NodeCrypto,
     ) -> Self {
         let local = protocol.engine_at_depth(local_crypto.clone(), workload, target_epochs, 1);
-        let slot = GlobalSlot { crypto: global_crypto.clone(), duty: None };
+        // Until its first duty the global tier runs an engine of no epochs.
+        let idle =
+            Protocol::HoneyBadgerSc.engine_at_depth(global_crypto.clone(), Workload::small(), 0, 1);
         ClusterNode {
             cluster,
             member,
             per_cluster,
             target_epochs,
             local: ProtocolNode::new(local, local_crypto, ChannelId(cluster as u8 + 1)),
-            global: ProtocolNode::new(slot, global_crypto, GLOBAL_CHANNEL),
+            global: ProtocolNode::new(idle, global_crypto.clone(), GLOBAL_CHANNEL),
+            global_crypto,
             global_decisions: Vec::new(),
             decided_at: Vec::new(),
             known: BTreeSet::new(),
@@ -250,22 +180,22 @@ impl ClusterNode {
         // 1. Newly decided local blocks: if on duty, open the global tier.
         for block in unseen(self.local.blocks(), &mut self.local_seen) {
             let epoch = block.epoch;
-            if self.is_leader(epoch)
-                && self.global.engine().epoch().is_none_or(|e| e < epoch)
-                && !self.known.contains(&epoch)
-            {
-                // Join the overlay (a no-op once joined) and start the
-                // global instance for this epoch with our cluster's summary
-                // as the fixed proposal.
+            if self.is_leader(epoch) && !self.known.contains(&epoch) {
+                // Join the overlay (a no-op once joined) and take the duty
+                // of this epoch with our cluster's summary as its proposal.
                 ctx.join_channel(GLOBAL_CHANNEL);
                 let summary =
                     encode_summary(self.cluster, epoch, block_digest(block), block.txs.len());
-                self.global.drive(ctx, |slot, out| slot.take(epoch, summary, out));
+                let duty = Protocol::duty(self.global_crypto.clone(), epoch, summary);
+                self.global.drive(ctx, |engine, out| {
+                    *engine = duty;
+                    engine.start(out);
+                });
             }
         }
         // 2. Global decision reached while on duty: tally + announce.
-        let slot = self.global.engine();
-        if let (Some(block), Some(epoch)) = (slot.blocks().first(), slot.epoch()) {
+        if let Some(block) = self.global.blocks().first() {
+            let epoch = block.epoch;
             if !self.known.contains(&epoch) {
                 let tx_count =
                     block.txs.iter().filter_map(|tx| decode_summary(tx)).map(|(.., c)| c).sum();
@@ -320,7 +250,7 @@ impl NodeBehavior for ClusterNode {
     fn on_timer(&mut self, id: u64, ctx: &mut NodeCtx) {
         // The announce timer shares its bit with `ProtocolNode`'s sync
         // timer, so it is routed here, before either tier sees it. Every
-        // other id is a component timer, whose session names its tier.
+        // other id is a component timer, armed on its tier's channel.
         if id == TIMER_ANNOUNCE {
             // Leaders re-broadcast every global decision they produced until
             // the deployment completes. Re-arm unconditionally: the leader
@@ -330,7 +260,7 @@ impl NodeBehavior for ClusterNode {
             // radio queue.
             self.announce(0, ctx);
             ctx.set_timer(SimDuration::from_millis(3_500), TIMER_ANNOUNCE);
-        } else if timer_session(id) >= DUTY_STRIDE {
+        } else if timer_channel(id) == GLOBAL_CHANNEL {
             self.global.on_timer(id, ctx);
         } else {
             self.local.on_timer(id, ctx);
@@ -342,6 +272,7 @@ impl NodeBehavior for ClusterNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::EngineOut;
     use rand::SeedableRng;
     use rand_chacha::ChaCha12Rng;
     use std::collections::{BTreeMap, VecDeque};
@@ -350,11 +281,6 @@ mod tests {
     use wbft_crypto::CryptoSuite;
     use wbft_net::{Envelope, Sizing};
     use wbft_wireless::{Command, NodeId};
-
-    /// The first wire session of the duty of `epoch`.
-    fn at(epoch: u64) -> u64 {
-        (epoch + 1) * DUTY_STRIDE
-    }
 
     /// Member 0 of cluster 0 in a 4 × 4 hb-sc deployment, with the global
     /// and the cluster key sets it was dealt from.
@@ -390,18 +316,31 @@ mod tests {
         Frame { src: NodeId(from.me as u16), channel, payload, nominal_len }
     }
 
-    #[test]
-    fn a_duty_shifts_what_it_emits_into_its_own_session_range() {
-        let (_, global, _) = member0();
-        let mut slot = GlobalSlot { crypto: global[1].clone(), duty: None };
+    /// Leader `me`'s duty of `epoch`, started: its engine and opening sends.
+    fn duty(crypto: &NodeCrypto, epoch: u64) -> (Box<dyn Engine>, EngineOut) {
+        let summary = encode_summary(crypto.me, epoch, Digest32::of(b"block"), 8);
+        let mut engine = Protocol::duty(crypto.clone(), epoch, summary);
         let mut out = EngineOut::new();
-        slot.start(&mut out);
-        assert!(out.sends.is_empty() && out.timers.is_empty(), "no duty, nothing to start");
-        slot.take(3, encode_summary(1, 3, Digest32::of(b"b"), 8), &mut out);
-        let range = at(3)..at(4);
+        engine.start(&mut out);
+        (engine, out)
+    }
+
+    /// `node` takes the duty of `epoch`, as [`ClusterNode::advance`] does.
+    fn take(node: &mut ClusterNode, epoch: u64, summary: Bytes, ctx: &mut NodeCtx) {
+        let duty = Protocol::duty(node.global_crypto.clone(), epoch, summary);
+        node.global.drive(ctx, |engine, out| {
+            *engine = duty;
+            engine.start(out);
+        });
+    }
+
+    #[test]
+    fn a_duty_runs_in_its_own_epochs_sessions() {
+        let (_, global, _) = member0();
+        let (_, out) = duty(&global[1], 3);
         assert!(!out.sends.is_empty() && !out.timers.is_empty());
-        assert!(out.sends.iter().all(|(session, _)| range.contains(session)));
-        assert!(out.timers.iter().all(|(session, ..)| range.contains(session)));
+        let sessions = out.sends.iter().map(|(s, _)| s).chain(out.timers.iter().map(|(s, ..)| s));
+        assert!(sessions.map(|s| sessions::split(*s).0).all(|epoch| epoch == 3));
     }
 
     #[test]
@@ -409,9 +348,7 @@ mod tests {
         let (mut node, global, _) = member0();
         let mut rng = ChaCha12Rng::seed_from_u64(1);
         // Leader 1's opening frames for the duty of epoch 3.
-        let mut peer = GlobalSlot { crypto: global[1].clone(), duty: None };
-        let mut out = EngineOut::new();
-        peer.take(3, encode_summary(1, 3, Digest32::of(b"b"), 8), &mut out);
+        let (_, out) = duty(&global[1], 3);
         let frames: Vec<Frame> = out
             .sends
             .into_iter()
@@ -421,17 +358,15 @@ mod tests {
             commands(rng, |ctx| frames.iter().for_each(|f| node.on_frame(f, ctx)))
         };
         assert!(hear(&mut node, &mut rng).is_empty(), "no duty: nothing reached, nothing aired");
-        // On the duty of epoch 3 the frames round-trip through the shift.
+        // On the duty of epoch 3 they reach it.
         let summary = encode_summary(0, 3, Digest32::of(b"a"), 8);
-        let armed: Vec<u64> = commands(&mut rng, |ctx| {
-            node.global.drive(ctx, |slot, out| slot.take(3, summary, out))
-        })
-        .into_iter()
-        .filter_map(|cmd| match cmd {
-            Command::SetTimer { id, .. } => Some(id),
-            _ => None,
-        })
-        .collect();
+        let armed: Vec<u64> = commands(&mut rng, |ctx| take(&mut node, 3, summary, ctx))
+            .into_iter()
+            .filter_map(|cmd| match cmd {
+                Command::SetTimer { id, .. } => Some(id),
+                _ => None,
+            })
+            .collect();
         assert!(!armed.is_empty());
         let aired = |cmds: &[Command]| cmds.iter().any(|c| matches!(c, Command::Broadcast { .. }));
         assert!(aired(&hear(&mut node, &mut rng)), "the current duty answers its peer");
@@ -441,20 +376,11 @@ mod tests {
         // The duty of epoch 7 supersedes it: epoch 3's frames and timers
         // match nothing.
         let summary = encode_summary(0, 7, Digest32::of(b"c"), 8);
-        commands(&mut rng, |ctx| node.global.drive(ctx, |slot, out| slot.take(7, summary, out)));
+        commands(&mut rng, |ctx| take(&mut node, 7, summary, ctx));
         assert!(hear(&mut node, &mut rng).is_empty(), "superseded duty: nothing aired");
         for id in armed {
             assert!(commands(&mut rng, |ctx| node.on_timer(id, ctx)).is_empty());
         }
-    }
-
-    /// Leader `me`'s duty of `epoch`, started: its engine and opening sends.
-    fn duty(crypto: &NodeCrypto, epoch: u64) -> (Box<dyn Engine>, EngineOut) {
-        let summary = encode_summary(crypto.me, epoch, Digest32::of(b"block"), 8);
-        let mut slot = GlobalSlot { crypto: crypto.clone(), duty: None };
-        let mut out = EngineOut::new();
-        slot.take(epoch, summary, &mut out);
-        (Box::new(slot), out)
     }
 
     /// Runs the four leaders' duties of `epoch` to decision over a lossless

@@ -12,7 +12,7 @@
 //! The eight consensus deployments of the paper's evaluation (Fig. 13) and
 //! a factory that builds engines for them.
 
-use crate::driver::Engine;
+use crate::driver::{Engine, Tx};
 use crate::dumbo::DumboLane;
 use crate::engine::{EpochEngine, Lane};
 use crate::honeybadger::{HbLane, CIPHERTEXT_OVERHEAD};
@@ -214,6 +214,18 @@ impl Protocol {
                 boxed(EpochEngine::new(crypto, lane, source, stop), depth, membership)
             }
         }
+    }
+
+    /// The multi-hop global tier's duty of `epoch`: hb-sc among the cluster
+    /// leaders, proposing `proposal` in epoch `epoch` alone. It runs that
+    /// epoch itself, so its sessions, coins and ciphertext labels are the
+    /// epoch's own and no two duties share one.
+    pub(crate) fn duty(crypto: NodeCrypto, epoch: u64, proposal: Tx) -> Box<dyn Engine> {
+        let (_, agreement, packing) = Protocol::HoneyBadgerSc.row();
+        let lane = HbLane { agreement, packing };
+        let stop = StopCondition::Epochs(epoch + 1);
+        let source = BatchSource::Fixed(proposal);
+        Box::new(EpochEngine::new(crypto, lane, source, stop).starting_at(epoch))
     }
 }
 

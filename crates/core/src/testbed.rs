@@ -16,9 +16,9 @@
 //! [`EXCLUSIONS`] table.
 
 use crate::byzantine::{ByzantineEngine, ByzantineMode};
-use crate::driver::{sessions, Block, Engine, ProtocolNode, Tx};
+use crate::driver::{Block, Engine, ProtocolNode, Tx};
 use crate::membership::MembershipCtl;
-use crate::multihop::{ClusterNode, DUTY_STRIDE};
+use crate::multihop::ClusterNode;
 use crate::protocol::Protocol;
 use crate::recovery::BlockJournal;
 use crate::service::{
@@ -402,17 +402,6 @@ impl TestbedConfig {
         }
         if let Some(m) = self.clusters.filter(|&m| !is_bft_size(m)) {
             return Err(format!("invalid cluster count {m} (need 3f+1 >= 4)"));
-        }
-        // A clustered node tells its tiers' timers apart by session, so the
-        // local sessions must stay below the global tier's.
-        let local_sessions = self.epochs.saturating_mul(sessions::PER_EPOCH);
-        if self.clusters.is_some() && local_sessions >= DUTY_STRIDE {
-            return Err(format!(
-                "{} epochs are too many for a multi-hop run: {} local sessions per epoch must \
-                 stay below the global tier's first session, {DUTY_STRIDE}",
-                self.epochs,
-                sessions::PER_EPOCH
-            ));
         }
         // A proposal no receiver can reassemble is never aired, and the
         // run would sit to its deadline. (Service proposals are bounded by
@@ -1193,9 +1182,8 @@ mod tests {
             ),
             (&[|c| c.clusters = Some(64)], Ok(())),
             (&[|c| c.clusters = Some(65)], Err("65 clusters exceed the 64")),
-            // A clustered node's local sessions stay below its global ones.
-            (&[multihop, |c| c.epochs = 65_535], Ok(())),
-            (&[multihop, |c| c.epochs = 65_536], Err("65536 epochs are too many for a multi-hop")),
+            // Both tiers of a clustered node name their sessions by epoch.
+            (&[multihop, |c| c.epochs = 65_536], Ok(())),
             // Every committee `check` admits can be dealt: n = 3f + 1 >= 4.
             (&[|c| c.n = 5], Err("invalid genesis committee size 5 (need 3f+1 >= 4)")),
             (&[|c| c.clusters = Some(3)], Err("invalid cluster count 3 (need 3f+1 >= 4)")),

@@ -68,9 +68,9 @@ impl Workload {
 pub enum BatchSource {
     /// Deterministic synthetic transactions.
     Workload(Workload),
-    /// A fixed single-proposal payload per epoch, indexed by epoch; epochs
-    /// without one propose empty batches.
-    Fixed(Vec<Option<Tx>>),
+    /// One fixed transaction, proposed in every epoch the engine opens (a
+    /// one-epoch engine: the global duty, one allocation round).
+    Fixed(Tx),
     /// Live proposals pulled FIFO from a bounded client mempool (see
     /// [`crate::service`]); epochs finding the pool empty propose empty
     /// batches and keep the pipeline turning.
@@ -87,18 +87,14 @@ impl BatchSource {
     pub fn batch(&self, epoch: u64, me: usize) -> Vec<Tx> {
         match self {
             BatchSource::Workload(w) => w.batch(epoch, me),
-            BatchSource::Fixed(slots) => slots
-                .get(epoch as usize)
-                .and_then(|t| t.clone())
-                .map(|t| vec![t])
-                .unwrap_or_default(),
+            BatchSource::Fixed(tx) => vec![tx.clone()],
             BatchSource::Service { handle, max_batch } => handle.next_batch(epoch, *max_batch),
         }
     }
 
     /// Whether the source has transactions worth a new epoch right now.
-    /// Synthetic and fixed sources always do (their content is a function
-    /// of the epoch number); a live mempool only when transactions are
+    /// Synthetic and fixed sources always do (their content never runs
+    /// out); a live mempool only when transactions are
     /// queued — pipelined engines use this to avoid burning a whole
     /// epoch's airtime on an empty proposal.
     pub fn has_work(&self) -> bool {

@@ -39,7 +39,7 @@ fn main() {
             // One proposal for epoch 0: the UAV's claims, encoded as one
             // bundle transaction (decoded on commit below).
             let bundle = wbft_consensus::workload::encode_batch(&claims_of(c.me));
-            let source = BatchSource::Fixed(vec![Some(bundle)]);
+            let source = BatchSource::Fixed(bundle);
             let engine = Protocol::Beat.build(c.clone(), source, StopCondition::Epochs(1), 1, None);
             ProtocolNode::new(engine, c, ChannelId(0))
         })
