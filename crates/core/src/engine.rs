@@ -761,6 +761,18 @@ mod tests {
     }
 
     #[test]
+    fn an_engine_started_at_an_epoch_runs_from_it() {
+        let mut e = engine(Workload::small(), StopCondition::Epochs(8), 1).starting_at(6);
+        let mut out = EngineOut::new();
+        e.start(&mut out);
+        assert_eq!(opened(&out), [6]);
+        assert_eq!(opened(&decide(&mut e, 6)), [7]);
+        decide(&mut e, 7);
+        assert_eq!(chain(&e), [6, 7]);
+        assert!(e.is_done());
+    }
+
+    #[test]
     fn sequential_depth_keeps_one_undecided_epoch_open() {
         let mut e = engine(Workload::small(), StopCondition::Epochs(4), 1);
         let mut out = EngineOut::new();
