@@ -201,6 +201,13 @@ fn send_deal(ctl: &MembershipCtl, session: u64, key_epoch: u64, deal: Bytes, out
     out.timers.push((session, TIMER_RESHARE_RETX, RESHARE_RETX_DELAY));
 }
 
+/// The rng stream of node `me`'s engine whose first epoch is `first`; an
+/// engine that starts at epoch 0 draws the stream it always drew.
+fn rng_for(me: usize, first: u64) -> ChaCha12Rng {
+    use rand::SeedableRng;
+    ChaCha12Rng::seed_from_u64(0xb0b0 ^ ((me as u64) << 16) ^ (first << 32))
+}
+
 impl<L: Lane> EpochEngine<L> {
     /// Creates a sequential (`W = 1`), fixed-committee engine.
     pub fn new(
@@ -209,7 +216,6 @@ impl<L: Lane> EpochEngine<L> {
         source: impl Into<BatchSource>,
         stop: StopCondition,
     ) -> Self {
-        use rand::SeedableRng;
         let n = crypto.peer_keys.len();
         let me = crypto.me;
         EpochEngine {
@@ -224,7 +230,7 @@ impl<L: Lane> EpochEngine<L> {
             depth: 1,
             epochs: VecDeque::new(),
             blocks: Vec::new(),
-            rng: ChaCha12Rng::seed_from_u64(0xb0b0 ^ ((me as u64) << 16)),
+            rng: rng_for(me, 0),
             membership: None,
             crypto,
         }
@@ -241,10 +247,12 @@ impl<L: Lane> EpochEngine<L> {
     /// Runs the engine from `epoch` on, as if the epochs before it were
     /// committed elsewhere: the multi-hop global duty of `epoch` names its
     /// sessions, coins and ciphertexts after that epoch, as a local tier
-    /// does. Call before `start`.
+    /// does. Its rng stream is the first epoch's too, so no two duties of
+    /// one leader encrypt with the same randomness. Call before `start`.
     pub(crate) fn starting_at(mut self, epoch: u64) -> Self {
         self.first = epoch;
         self.started = epoch;
+        self.rng = rng_for(self.me, epoch);
         self
     }
 

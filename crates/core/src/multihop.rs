@@ -277,6 +277,7 @@ mod tests {
     use rand_chacha::ChaCha12Rng;
     use std::collections::{BTreeMap, VecDeque};
     use wbft_components::deal_node_crypto;
+    use wbft_crypto::thresh_enc::DecShare;
     use wbft_crypto::thresh_sig::SigShare;
     use wbft_crypto::CryptoSuite;
     use wbft_net::{Envelope, Sizing};
@@ -384,9 +385,8 @@ mod tests {
     }
 
     /// Runs the four leaders' duties of `epoch` to decision over a lossless
-    /// in-memory mesh and returns every ABA-SC coin share aired, keyed by
-    /// `(sender, (domain << 8) | round)`.
-    fn coin_shares_of_duty(global: &[NodeCrypto], epoch: u64) -> BTreeMap<(usize, u16), SigShare> {
+    /// in-memory mesh and returns every body aired, with its sender.
+    fn aired_by_duty(global: &[NodeCrypto], epoch: u64) -> Vec<(usize, Body)> {
         let mut engines = Vec::new();
         let mut queue = VecDeque::new();
         for crypto in global {
@@ -394,20 +394,40 @@ mod tests {
             engines.push(engine);
             queue.extend(out.sends.into_iter().map(|(session, body)| (crypto.me, session, body)));
         }
-        let mut shares = BTreeMap::new();
+        let mut aired = Vec::new();
         while let Some((from, session, body)) = queue.pop_front() {
-            if let Body::AbaSc { coin_shares, .. } = &body {
-                for (tag, share) in coin_shares {
-                    shares.insert((from, *tag), *share);
-                }
-            }
             for (to, engine) in engines.iter_mut().enumerate().filter(|(to, _)| *to != from) {
                 let mut out = EngineOut::new();
                 engine.handle(session, from, &body, &mut out);
                 queue.extend(out.sends.into_iter().map(|(s, b)| (to, s, b)));
             }
+            aired.push((from, body));
         }
         assert!(engines.iter().all(|e| e.blocks().len() == 1), "every duty of {epoch} decides");
+        aired
+    }
+
+    /// Every ABA-SC coin share a duty of `epoch` airs, keyed by `(sender,
+    /// (domain << 8) | round)`.
+    fn coin_shares_of_duty(global: &[NodeCrypto], epoch: u64) -> BTreeMap<(usize, u16), SigShare> {
+        let mut shares = BTreeMap::new();
+        for (from, body) in aired_by_duty(global, epoch) {
+            if let Body::AbaSc { coin_shares, .. } = body {
+                shares.extend(coin_shares.into_iter().map(|(tag, share)| ((from, tag), share)));
+            }
+        }
+        shares
+    }
+
+    /// Every decryption share a duty of `epoch` airs, keyed by `(sender,
+    /// proposer)`.
+    fn dec_shares_of_duty(global: &[NodeCrypto], epoch: u64) -> BTreeMap<(usize, u8), DecShare> {
+        let mut shares = BTreeMap::new();
+        for (from, body) in aired_by_duty(global, epoch) {
+            if let Body::DecShareBatch { shares: batch, .. } = body {
+                shares.extend(batch.into_iter().map(|(proposer, share)| ((from, proposer), share)));
+            }
+        }
         shares
     }
 
@@ -422,6 +442,21 @@ mod tests {
         assert!(!common.is_empty(), "both duties air coin shares of the same rounds");
         let reused = common.iter().filter(|k| first[**k] == second[**k]).count();
         assert_eq!(reused, 0, "{reused} of {} common coin shares revealed twice", common.len());
+    }
+
+    /// A proposal stays secret until agreement only if its encryption
+    /// randomness is fresh: were a leader's `r` the same in two duties, the
+    /// first duty's decryption shares (`vk_i^r`) would open the second's
+    /// ciphertext before it is agreed.
+    #[test]
+    fn no_global_duty_encrypts_with_an_earlier_duty_s_randomness() {
+        let (_, global, _) = member0();
+        let first = dec_shares_of_duty(&global, 3);
+        let second = dec_shares_of_duty(&global, 7);
+        let common: Vec<_> = second.keys().filter(|k| first.contains_key(k)).collect();
+        assert!(!common.is_empty(), "both duties air decryption shares for the same proposers");
+        let reused = common.iter().filter(|k| first[**k] == second[**k]).count();
+        assert_eq!(reused, 0, "{reused} of {} common decryption shares repeated", common.len());
     }
 
     #[test]
