@@ -170,6 +170,12 @@ impl ClusterNode {
         self.decided_at.push(now);
     }
 
+    /// Sends either tier dropped because the wire format cannot carry them
+    /// ([`ProtocolNode::unencodable_sends`]).
+    pub fn unencodable_sends(&self) -> u64 {
+        self.local.unencodable_sends() + self.global.unencodable_sends()
+    }
+
     /// Total transactions this node saw globally ordered.
     pub fn global_tx_total(&self) -> u64 {
         self.global_decisions.iter().map(|(_, _, c)| *c as u64).sum()

@@ -692,7 +692,8 @@ pub(crate) fn assemble(
 }
 
 /// An oracle of [`Rig::finish`] failed: the run's honest nodes (or their
-/// journals) do not hold one agreed chain.
+/// journals) do not hold one agreed chain, or a node dropped a send the
+/// wire format cannot carry.
 pub(crate) struct Divergence(pub(crate) String);
 
 /// One single-hop scenario on the simulator, whatever axes it engages:
@@ -840,12 +841,17 @@ impl<'a> Rig<'a> {
     /// completed run must also have level chains (restarted nodes, leavers
     /// and joiners converged), journals that replay to the agreed chain —
     /// the journal is the recovery story, so check it, not just the
-    /// engines — and every scheduled membership op committed.
+    /// engines — and every scheduled membership op committed. No node, of
+    /// any run, may have dropped a send as unencodable: a packet the wire
+    /// format cannot carry never reaches its peers.
     ///
     /// # Errors
     ///
     /// The first oracle that failed.
     pub(crate) fn finish(&self, completed: bool) -> Result<RunReport, Divergence> {
+        if let Some((id, dropped)) = unencodable(self.sim.behaviors(), Node::unencodable_sends) {
+            return Err(Divergence(format!("{id} dropped {dropped} unencodable sends")));
+        }
         let reference = self.reference_chain();
         let agrees = |chain: &[Block]| {
             let common = chain.len().min(reference.len());
@@ -937,11 +943,22 @@ fn run_multi_hop(cfg: &TestbedConfig, m: usize) -> RunReport {
     if let Some(id) = ledger_divergence(ledgers).filter(|_| completed) {
         panic!("global agreement violated at {id}");
     }
+    if let Some((id, dropped)) = unencodable(sim.behaviors(), ClusterNode::unencodable_sends) {
+        panic!("{id} dropped {dropped} unencodable sends");
+    }
     let elapsed = sim.now().saturating_since(SimTime::ZERO);
     let decision_times: Vec<Vec<SimTime>> =
         sim.behaviors().map(|(_, b)| b.decided_at.clone()).collect();
     let total_txs = sim.behavior(NodeId(0)).global_tx_total();
     finish_report(completed, elapsed, decision_times, total_txs, sim.metrics().clone(), cfg.epochs)
+}
+
+/// The first node that dropped a send as unencodable, with how many.
+fn unencodable<'a, B: 'a>(
+    mut nodes: impl Iterator<Item = (NodeId, &'a B)>,
+    dropped: impl Fn(&B) -> u64,
+) -> Option<(NodeId, u64)> {
+    nodes.find_map(|(id, b)| Some((id, dropped(b))).filter(|(_, n)| *n > 0))
 }
 
 /// The first node whose global ledger, in epoch order, differs from the
@@ -972,6 +989,14 @@ mod tests {
         assert_eq!(named([&ledger, &reordered, &ledger]), None, "arrival order does not matter");
         assert_eq!(named([&ledger, &reordered, &ledger[..1]]), Some(NodeId(2)), "a short ledger");
         assert_eq!(named([&ledger, &[(0, a, 3), (1, a, 2)], &ledger]), Some(NodeId(1)), "a fork");
+    }
+
+    #[test]
+    fn the_unencodable_oracle_names_the_first_node_that_dropped_a_send() {
+        let counts = [0u64, 0, 3, 1];
+        let nodes = || counts.iter().enumerate().map(|(i, c)| (NodeId(i as u16), c));
+        assert_eq!(unencodable(nodes(), |c| *c), Some((NodeId(2), 3)));
+        assert_eq!(unencodable(nodes().take(2), |c| *c), None);
     }
 
     #[test]
