@@ -136,7 +136,7 @@ fn main() {
             ready: wbft_net::Bitmap::new(4),
             echo_nack: wbft_net::Bitmap::new(4),
             ready_nack: wbft_net::Bitmap::new(4),
-            init_nack: wbft_net::Bitmap::new(4),
+            init_nack: wbft_net::InitNack::new(4),
         },
     };
     // Sending a packet is two steps at two moments (`wbft_net::send`): it

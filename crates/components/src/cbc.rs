@@ -20,7 +20,7 @@ use crate::share_buf::Collector;
 use bytes::Bytes;
 use wbft_crypto::hash::Digest32;
 use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare, SigShare, ThresholdSignature};
-use wbft_net::{Bitmap, Body};
+use wbft_net::{Bitmap, Body, InitNack};
 
 pub use crate::instance::FRAG_BUDGET;
 
@@ -58,25 +58,30 @@ impl CbcBatch {
         self.insts.get(instance).and_then(CbcInst::proof)
     }
 
-    fn send_init_frags(&self, instance: usize, acts: &mut Actions) {
+    /// Airs the fragments of `instance`'s held value that `frags` names
+    /// (bit `f` = fragment `f`).
+    fn send_init_frags(&self, instance: usize, frags: u64, acts: &mut Actions) {
         let init_nack = self.init_nack();
         for f in self.insts[instance].asm.fragments() {
-            acts.send(Body::CbcInit {
-                instance: instance as u8,
-                frag: f.frag,
-                frag_total: f.frag_total,
-                root: f.root,
-                data: f.data,
-                init_nack,
-            });
+            if frags >> f.frag & 1 == 1 {
+                acts.send(Body::CbcInit {
+                    instance: instance as u8,
+                    frag: f.frag,
+                    frag_total: f.frag_total,
+                    root: f.root,
+                    data: f.data,
+                    init_nack: init_nack.clone(),
+                });
+            }
         }
     }
 
-    fn init_nack(&self) -> Bitmap {
-        let mut nack = Bitmap::new(self.p().n);
+    /// Missing a value whose root is known: ask for the fragments lacking.
+    fn init_nack(&self) -> InitNack {
+        let mut nack = InitNack::new(self.p().n);
         for (j, inst) in self.insts.iter().enumerate() {
             if inst.asm.value().is_none() && inst.asm.claimed_root().is_some() {
-                nack.set(j, true);
+                nack.ask(j, inst.asm.lacks());
             }
         }
         nack
@@ -139,9 +144,10 @@ impl CbcBatch {
         }
     }
 
-    /// Peers lacking a value we hold → schedule its INITIAL re-send.
-    fn note_init_nack(&mut self, init_nack: &Bitmap) {
-        for j in self.init_nacks.note(init_nack, |j| self.insts[j].asm.value().is_some()) {
+    /// Peers lacking fragments of a value we hold → schedule their INITIAL
+    /// re-send.
+    fn note_init_nack(&mut self, init_nack: &InitNack) {
+        for j in self.init_nacks.note(init_nack, |j| self.insts[j].asm.frag_count()) {
             self.out.peer_lacks(j, 0);
         }
     }
@@ -161,7 +167,7 @@ impl Broadcaster for CbcBatch {
         let me = self.p().me;
         self.insts[me].asm.hold(my_value);
         self.echo(me, acts);
-        self.send_init_frags(me, acts);
+        self.send_init_frags(me, u64::MAX, acts);
         self.out.changed();
         self.flush(acts);
         self.out.arm(acts);
@@ -234,8 +240,8 @@ impl Broadcaster for CbcBatch {
 
     fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
         if let Some(behind) = self.out.tick(local_id, self.delivered_count() == self.p().n, acts) {
-            for j in self.init_nacks.take_due() {
-                self.send_init_frags(j, acts);
+            for (j, frags) in self.init_nacks.take_due() {
+                self.send_init_frags(j, frags, acts);
             }
             let body = self.build_ef();
             self.out.resend(behind, body, acts);
@@ -521,7 +527,7 @@ mod tests {
                         frag_total: *frag_total,
                         root: *root,
                         data: Bytes::from_static(b"not the fragment"),
-                        init_nack: *init_nack,
+                        init_nack: init_nack.clone(),
                     };
                     n.handle(from, &corrupt, acts)
                 }
@@ -532,7 +538,7 @@ mod tests {
         for node in &nodes {
             for j in 0..4 {
                 let mut acts = Actions::new();
-                node.send_init_frags(j, &mut acts);
+                node.send_init_frags(j, u64::MAX, &mut acts);
                 let served: Vec<Digest32> = acts
                     .drain()
                     .0
@@ -559,6 +565,107 @@ mod tests {
         fresh.handle_init(3, 0, 1, root, &Bytes::from_static(b"something else"), &mut acts);
         let asm = &fresh.insts[3].asm;
         assert!(asm.value().is_none() && asm.claimed_root().is_none());
+    }
+
+    /// Node 0's opening sends for a five-fragment value: its INITIAL
+    /// fragments and its combined packet.
+    fn five_fragment_leader(nodes: &mut [CbcBatch]) -> (Vec<Body>, Body) {
+        let mut acts = Actions::new();
+        nodes[0].start(Bytes::from(vec![5u8; FRAG_BUDGET * 4 + 10]), &mut acts);
+        let (inits, ef): (Vec<Body>, Vec<Body>) =
+            acts.drain().0.into_iter().partition(|b| matches!(b, Body::CbcInit { .. }));
+        assert_eq!((inits.len(), ef.len()), (5, 1));
+        (inits, ef.into_iter().next().unwrap())
+    }
+
+    /// What `node`'s next tick airs: its INITIAL NACK and the INITIAL
+    /// fragments (by index) it re-airs.
+    fn tick(node: &mut CbcBatch) -> (InitNack, Vec<u8>) {
+        let mut acts = Actions::new();
+        node.on_timer(TIMER_RETX, &mut acts);
+        let (mut nack, mut frags) = (None, Vec::new());
+        for body in acts.drain().0 {
+            match body {
+                Body::CbcEchoFinish { init_nack, .. } => nack = Some(init_nack),
+                Body::CbcInit { frag, .. } => frags.push(frag),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        (nack.expect("one combined packet per tick"), frags)
+    }
+
+    /// The requests of `nack`, by instance.
+    fn asks(nack: &InitNack) -> Vec<(usize, Bitmap)> {
+        nack.iter().map(|(j, request)| (j, *request)).collect()
+    }
+
+    /// A combined packet that says nothing but `init_nack`.
+    fn asking(init_nack: InitNack) -> Body {
+        Body::CbcEchoFinish {
+            roots: vec![Digest32::zero(); 4],
+            echo_shares: Vec::new(),
+            finish_sigs: Vec::new(),
+            echo_nack: Bitmap::new(4),
+            finish_nack: Bitmap::new(4),
+            init_nack,
+        }
+    }
+
+    #[test]
+    fn a_nack_names_the_one_missing_fragment_and_the_holder_re_airs_only_it() {
+        let mut nodes = make();
+        let (inits, ef) = five_fragment_leader(&mut nodes);
+        let mut acts = Actions::new();
+        for body in inits.iter().enumerate().filter(|(i, _)| *i != 2).map(|(_, b)| b) {
+            nodes[1].handle(0, body, &mut acts);
+        }
+        nodes[1].handle(0, &ef, &mut acts);
+        let (nack, _) = tick(&mut nodes[1]);
+        assert_eq!(asks(&nack), [(0, Bitmap::from_raw(0b00100, 5))], "exactly fragment 2 of 5");
+        nodes[0].handle(1, &asking(nack), &mut acts);
+        assert_eq!(tick(&mut nodes[0]).1, [2], "one INITIAL frame, not five");
+        assert!(tick(&mut nodes[0]).1.is_empty(), "served once");
+    }
+
+    #[test]
+    fn a_node_holding_no_fragment_of_a_known_instance_asks_for_all_of_them() {
+        let mut nodes = make();
+        let (_, ef) = five_fragment_leader(&mut nodes);
+        let mut acts = Actions::new();
+        nodes[2].handle(0, &ef, &mut acts);
+        let (nack, _) = tick(&mut nodes[2]);
+        assert_eq!(asks(&nack), [(0, Bitmap::new(0))], "the empty request: every fragment");
+        nodes[0].handle(2, &asking(nack), &mut acts);
+        assert_eq!(tick(&mut nodes[0]).1, [0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn a_reset_assembly_asks_for_every_fragment_again() {
+        let mut nodes = make();
+        let (inits, ef) = five_fragment_leader(&mut nodes);
+        let b = &mut nodes[1];
+        let mut acts = Actions::new();
+        b.handle(0, &ef, &mut acts);
+        for body in inits.iter().take(4) {
+            b.handle(0, body, &mut acts);
+        }
+        assert_eq!(asks(&b.init_nack()), [(0, Bitmap::from_raw(0b10000, 5))]);
+        // An equivocating leader's last fragment does not hash to the root:
+        // the assembly resets; once the root is claimed again, every
+        // fragment is asked for.
+        let Body::CbcInit { frag_total, root, init_nack, .. } = &inits[4] else { unreachable!() };
+        let forged = Body::CbcInit {
+            instance: 0,
+            frag: 4,
+            frag_total: *frag_total,
+            root: *root,
+            data: Bytes::from_static(b"another value's tail"),
+            init_nack: init_nack.clone(),
+        };
+        b.handle(0, &forged, &mut acts);
+        assert!(b.insts[0].asm.claimed_root().is_none() && b.delivered(0).is_none());
+        b.handle(0, &ef, &mut acts);
+        assert_eq!(asks(&tick(b).0), [(0, Bitmap::new(0))]);
     }
 
     #[test]

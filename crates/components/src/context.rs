@@ -723,7 +723,11 @@ mod tests {
             ready: Bitmap::new(4),
             echo_nack: Bitmap::from_raw(0b0111, 4),
             ready_nack: Bitmap::from_raw(0b0111, 4),
-            init_nack: Bitmap::from_raw(0b0010, 4),
+            init_nack: {
+                let mut nack = wbft_net::InitNack::new(4);
+                nack.ask(1, Bitmap::new(0));
+                nack
+            },
         };
         b.send(er.clone(), &mut acts);
         assert!(matches!(acts.drain().0.as_slice(), [Body::BaseRbcEcho { instance: 0, .. }]));

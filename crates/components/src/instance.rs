@@ -10,15 +10,16 @@
 //! [`CbcInst`] (CBC) and the PRBC [`DoneStage`]. The components (`rbc`,
 //! `cbc`, `prbc`) drive them and add only the combined packet a transition
 //! goes out in; when and in how many frames it goes out is the shared
-//! `Batcher`; the INITIAL NACKs a holder owes an answer to are
-//! [`InitNacks`].
+//! `Batcher`; the INITIAL NACKs a holder owes an answer to — down to the
+//! fragments they ask for — are [`InitNacks`].
 
 use crate::context::{Actions, Params};
 use crate::share_buf::{Collector, Quorum, Recorded};
 use bytes::Bytes;
 use wbft_crypto::hash::Digest32;
 use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare, SigShare, ThresholdSignature};
-use wbft_net::Bitmap;
+use wbft_net::init_nack::asked;
+use wbft_net::{Bitmap, InitNack};
 
 /// Maximum value bytes carried per INITIAL fragment (fits a LoRa frame
 /// after header, root, NACK and signature).
@@ -140,58 +141,87 @@ impl Assembler {
         }
     }
 
+    /// The fragments this node still lacks, as an INITIAL fragment request
+    /// (`wbft_net::init_nack`): a bit per fragment of the split it is
+    /// assembling, set where one is missing — or the empty request, which
+    /// asks for all of them, while it holds none (nothing buffered yet, or
+    /// a mismatched assembly just reset).
+    pub(crate) fn lacks(&self) -> Bitmap {
+        let mut lacks = Bitmap::new(self.frags.len());
+        for (i, frag) in self.frags.iter().enumerate() {
+            lacks.set(i, frag.is_none());
+        }
+        lacks
+    }
+
+    /// How many INITIAL fragments the held value splits into; `None` when
+    /// no value is held or it is too large for any receiver to reassemble.
+    pub(crate) fn frag_count(&self) -> Option<usize> {
+        let count = self.value.as_ref()?.len().div_ceil(FRAG_BUDGET).max(1);
+        (count <= MAX_FRAGS).then_some(count)
+    }
+
     /// The held value split for the INITIAL phase; nothing when no value
     /// is held or it is too large for any receiver to reassemble.
     pub(crate) fn fragments(&self) -> Vec<Fragment> {
-        let Some((value, root)) = self.held() else { return Vec::new() };
-        let chunks: Vec<&[u8]> =
-            if value.is_empty() { vec![&[][..]] } else { value.chunks(FRAG_BUDGET).collect() };
-        if chunks.len() > MAX_FRAGS {
+        let (Some((value, root)), Some(frag_total)) = (self.held(), self.frag_count()) else {
             return Vec::new();
-        }
-        let frag_total = chunks.len() as u8;
-        chunks
-            .iter()
-            .enumerate()
-            .map(|(i, chunk)| Fragment {
+        };
+        (0..frag_total)
+            .map(|i| Fragment {
                 frag: i as u8,
-                frag_total,
+                frag_total: frag_total as u8,
                 root,
-                data: Bytes::copy_from_slice(chunk),
+                data: value.slice(i * FRAG_BUDGET..value.len().min((i + 1) * FRAG_BUDGET)),
             })
             .collect()
     }
 }
 
-/// Holder side of the INITIAL NACKs of N instances: which values a peer has
-/// asked for that this node holds, until the next tick serves them.
+/// Holder side of the INITIAL NACKs of N instances: which fragments of the
+/// values this node holds peers have asked for, until the next tick serves
+/// them. Requests for one instance are unioned, so one re-air of a fragment
+/// answers every peer that lacks it.
 #[derive(Debug)]
 pub(crate) struct InitNacks {
-    peers_need_init: Vec<bool>,
+    /// Per instance, bit `f`: some peer asked for fragment `f`.
+    due: Vec<u64>,
 }
 
 impl InitNacks {
     pub(crate) fn new(n: usize) -> Self {
-        InitNacks { peers_need_init: vec![false; n] }
+        InitNacks { due: vec![0; n] }
     }
 
-    /// Notes a peer's INITIAL-NACK bitmap against what this node `holds`;
-    /// answers the NACKed instances it can serve (that peer lacks them).
-    pub(crate) fn note(&mut self, init_nack: &Bitmap, holds: impl Fn(usize) -> bool) -> Vec<usize> {
-        if init_nack.len() != self.peers_need_init.len() {
+    /// Notes a peer's INITIAL NACK against the values this node holds
+    /// (`frag_count`: how many fragments its value of an instance splits
+    /// into, `None` when it holds none); answers the NACKed instances it
+    /// can serve.
+    pub(crate) fn note(
+        &mut self,
+        init_nack: &InitNack,
+        frag_count: impl Fn(usize) -> Option<usize>,
+    ) -> Vec<usize> {
+        if init_nack.len() != self.due.len() {
             return Vec::new();
         }
-        let served: Vec<usize> = init_nack.iter_set().filter(|&j| holds(j)).collect();
-        for &j in &served {
-            self.peers_need_init[j] = true;
+        let mut served = Vec::new();
+        for (j, request) in init_nack.iter() {
+            let asked = frag_count(j).map_or(0, |total| asked(request, total).to_raw());
+            if let Some(due) = self.due.get_mut(j).filter(|_| asked != 0) {
+                *due |= asked;
+                served.push(j);
+            }
         }
         served
     }
 
-    /// Takes the instances whose INITIAL is due a re-send.
-    pub(crate) fn take_due(&mut self) -> Vec<usize> {
-        let due = (0..self.peers_need_init.len()).filter(|&j| self.peers_need_init[j]).collect();
-        self.peers_need_init.fill(false);
+    /// Takes the instances whose INITIAL is due a re-send, each with the
+    /// fragments asked for (bit `f` = fragment `f`).
+    pub(crate) fn take_due(&mut self) -> Vec<(usize, u64)> {
+        let due = self.due.iter().enumerate().filter(|(_, f)| **f != 0).map(|(j, f)| (j, *f));
+        let due = due.collect();
+        self.due.fill(0);
         due
     }
 }
@@ -708,6 +738,33 @@ mod tests {
         // Served afresh: the reset instance takes the real fragments.
         assert_eq!(feed(&mut asm, &frags, &[1, 0]), [Accepted::Buffered, Accepted::Assembled(root)]);
         assert_eq!(asm.held(), Some((&v, root)));
+    }
+
+    #[test]
+    fn an_assembler_asks_for_what_it_lacks_and_a_holder_serves_the_union() {
+        let mut sender = Assembler::default();
+        sender.hold(value(FRAG_BUDGET * 4 + 1));
+        let frags = sender.fragments();
+        assert_eq!(sender.frag_count(), Some(5));
+        let mut asm = Assembler::default();
+        assert_eq!(asm.lacks(), Bitmap::new(0), "nothing buffered: the request for all");
+        feed(&mut asm, &frags, &[0, 3]);
+        assert_eq!((asm.lacks(), asm.frag_count()), (Bitmap::from_raw(0b10110, 5), None));
+        let ask = |j: usize, request: Bitmap| {
+            let mut nack = InitNack::new(4);
+            nack.ask(j, request);
+            nack
+        };
+        let mut nacks = InitNacks::new(4);
+        let holds_1 = |j: usize| (j == 1).then_some(5);
+        assert_eq!(nacks.note(&ask(1, asm.lacks()), holds_1), [1]);
+        assert_eq!(nacks.note(&ask(1, Bitmap::from_raw(0b00001, 5)), holds_1), [1]);
+        assert!(nacks.note(&ask(2, Bitmap::new(0)), holds_1).is_empty(), "not held here");
+        assert_eq!(nacks.take_due(), [(1, 0b10111)], "the union, once");
+        assert!(nacks.take_due().is_empty());
+        // A request of another length than the held split asks for all.
+        nacks.note(&ask(1, Bitmap::from_raw(0b1, 3)), holds_1);
+        assert_eq!(nacks.take_due(), [(1, 0b11111)]);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! folded together (horizontal batching). NACK bits drive retransmission:
 //! each node periodically rebroadcasts its combined packet while it is
 //! behind or sees evidence a peer is, and proposal holders re-send INITIAL
-//! fragments when `Initial_nack` bits implicate an instance they can serve.
+//! fragments when `Initial_nack` bits implicate an instance they can serve —
+//! only the fragments the NACK names as lacking.
 //!
 //! Votes are cast on the proposal digest, so equivocation by a Byzantine
 //! proposer splits the vote and the instance simply never delivers (its ABA
@@ -24,7 +25,7 @@ use crate::context::{Actions, Batcher, Broadcaster, Params};
 use crate::instance::{Accepted, BrachaInst, InitNacks};
 use bytes::Bytes;
 use wbft_crypto::hash::Digest32;
-use wbft_net::{Bitmap, Body};
+use wbft_net::{Bitmap, Body, InitNack};
 
 pub use crate::instance::{FRAG_BUDGET, MAX_FRAGS, MAX_VALUE_BYTES};
 
@@ -64,28 +65,32 @@ impl RbcBatch {
         self.insts.get(instance).and_then(BrachaInst::delivered_root)
     }
 
-    fn send_init_frags(&self, instance: usize, acts: &mut Actions) {
+    /// Airs the fragments of `instance`'s held value that `frags` names
+    /// (bit `f` = fragment `f`).
+    fn send_init_frags(&self, instance: usize, frags: u64, acts: &mut Actions) {
         let init_nack = self.init_nack();
         for f in self.insts[instance].asm.fragments() {
-            acts.send(Body::RbcInit {
-                instance: instance as u8,
-                frag: f.frag,
-                frag_total: f.frag_total,
-                root: f.root,
-                data: f.data,
-                init_nack,
-            });
+            if frags >> f.frag & 1 == 1 {
+                acts.send(Body::RbcInit {
+                    instance: instance as u8,
+                    frag: f.frag,
+                    frag_total: f.frag_total,
+                    root: f.root,
+                    data: f.data,
+                    init_nack: init_nack.clone(),
+                });
+            }
         }
     }
 
-    fn init_nack(&self) -> Bitmap {
-        let mut nack = Bitmap::new(self.p.n);
+    fn init_nack(&self) -> InitNack {
+        let mut nack = InitNack::new(self.p.n);
         for (j, inst) in self.insts.iter().enumerate() {
             // Missing the proposal while votes (or a claimed root) prove the
-            // instance exists.
+            // instance exists: ask for the fragments still lacking.
             let interesting = inst.asm.claimed_root().is_some() || inst.votes.any();
             if inst.asm.value().is_none() && interesting {
-                nack.set(j, true);
+                nack.ask(j, inst.asm.lacks());
             }
         }
         nack
@@ -145,9 +150,10 @@ impl RbcBatch {
         self.advance(instance);
     }
 
-    /// Peers lacking a proposal we hold → schedule its INITIAL re-send.
-    fn note_init_nack(&mut self, init_nack: &Bitmap) {
-        for j in self.init_nacks.note(init_nack, |j| self.insts[j].asm.value().is_some()) {
+    /// Peers lacking fragments of a proposal we hold → schedule their
+    /// INITIAL re-send.
+    fn note_init_nack(&mut self, init_nack: &InitNack) {
+        for j in self.init_nacks.note(init_nack, |j| self.insts[j].asm.frag_count()) {
             self.out.peer_lacks(j, 0);
         }
     }
@@ -164,7 +170,7 @@ impl RbcBatch {
         ready: &Bitmap,
         echo_nack: &Bitmap,
         ready_nack: &Bitmap,
-        init_nack: &Bitmap,
+        init_nack: &InitNack,
     ) {
         if roots.len() != self.p.n || echo.len() != self.p.n {
             return;
@@ -208,7 +214,7 @@ impl Broadcaster for RbcBatch {
         self.started = true;
         let me = self.p.me;
         self.insts[me].propose(me, my_value);
-        self.send_init_frags(me, acts);
+        self.send_init_frags(me, u64::MAX, acts);
         self.out.changed();
         self.flush(acts);
         self.out.arm(acts);
@@ -233,9 +239,9 @@ impl Broadcaster for RbcBatch {
 
     fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
         if let Some(behind) = self.out.tick(local_id, self.delivered_count() == self.p.n, acts) {
-            // Serve NACKed proposals first, then the combined vote packet.
-            for j in self.init_nacks.take_due() {
-                self.send_init_frags(j, acts);
+            // Serve the NACKed fragments first, then the combined vote packet.
+            for (j, frags) in self.init_nacks.take_due() {
+                self.send_init_frags(j, frags, acts);
             }
             let body = self.build_er();
             self.out.resend(behind, body, acts);
@@ -445,6 +451,127 @@ pub(crate) mod tests {
         );
     }
 
+    /// Node 0's opening sends for a five-fragment proposal: its INITIAL
+    /// fragments and its vote packet.
+    fn five_fragment_proposer() -> (RbcBatch, Vec<Body>, Body) {
+        let mut a = RbcBatch::new(params(0));
+        let mut acts = Actions::new();
+        a.start(Bytes::from(vec![5u8; FRAG_BUDGET * 4 + 10]), &mut acts);
+        let (sends, _, _) = acts.drain();
+        let (inits, er): (Vec<Body>, Vec<Body>) =
+            sends.into_iter().partition(|b| matches!(b, Body::RbcInit { .. }));
+        assert_eq!((inits.len(), er.len()), (5, 1));
+        (a, inits, er.into_iter().next().unwrap())
+    }
+
+    /// The INITIAL NACK `node`'s next tick airs.
+    fn ticked_init_nack(node: &mut RbcBatch) -> InitNack {
+        let mut acts = Actions::new();
+        node.on_timer(TIMER_RETX, &mut acts);
+        let nacks: Vec<InitNack> = acts
+            .drain()
+            .0
+            .into_iter()
+            .filter_map(|b| match b {
+                Body::RbcEchoReady { init_nack, .. } => Some(init_nack),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(nacks.len(), 1, "one vote packet per tick");
+        nacks.into_iter().next().unwrap()
+    }
+
+    /// A vote packet that says nothing but `init_nack`.
+    fn asking(init_nack: InitNack) -> Body {
+        Body::RbcEchoReady {
+            roots: vec![Digest32::zero(); 4],
+            echo: Bitmap::new(4),
+            ready: Bitmap::new(4),
+            echo_nack: Bitmap::new(4),
+            ready_nack: Bitmap::new(4),
+            init_nack,
+        }
+    }
+
+    /// The INITIAL fragments (by index) `node`'s next tick re-airs.
+    fn ticked_fragments(node: &mut RbcBatch) -> Vec<u8> {
+        let mut acts = Actions::new();
+        node.on_timer(TIMER_RETX, &mut acts);
+        acts.drain()
+            .0
+            .iter()
+            .filter_map(|b| match b {
+                Body::RbcInit { frag, .. } => Some(*frag),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_nack_names_the_one_missing_fragment_and_the_holder_re_airs_only_it() {
+        let (mut a, inits, er) = five_fragment_proposer();
+        let mut b = RbcBatch::new(params(1));
+        let mut acts = Actions::new();
+        for (i, body) in inits.iter().enumerate().filter(|(i, _)| *i != 2) {
+            b.handle(0, body, &mut acts);
+            assert!(b.delivered(0).is_none(), "fragment {i} alone completes nothing");
+        }
+        b.handle(0, &er, &mut acts);
+        let nack = ticked_init_nack(&mut b);
+        let asks: Vec<(usize, Bitmap)> = nack.iter().map(|(j, r)| (j, *r)).collect();
+        assert_eq!(asks, [(0, Bitmap::from_raw(0b00100, 5))], "exactly fragment 2 of 5");
+        // The holder's next tick re-airs that fragment alone, not all five.
+        a.handle(1, &asking(nack.clone()), &mut acts);
+        assert_eq!(ticked_fragments(&mut a), [2]);
+        assert!(ticked_fragments(&mut a).is_empty(), "served once");
+        // Two peers' requests are unioned and served on one tick.
+        let mut other = InitNack::new(4);
+        other.ask(0, Bitmap::from_raw(0b10001, 5));
+        a.handle(1, &asking(nack), &mut acts);
+        a.handle(2, &asking(other), &mut acts);
+        assert_eq!(ticked_fragments(&mut a), [0, 2, 4]);
+    }
+
+    #[test]
+    fn a_node_holding_no_fragment_of_a_voted_instance_asks_for_all_of_them() {
+        let (mut a, _, er) = five_fragment_proposer();
+        let mut c = RbcBatch::new(params(2));
+        let mut acts = Actions::new();
+        c.handle(0, &er, &mut acts);
+        let nack = ticked_init_nack(&mut c);
+        let asks: Vec<(usize, Bitmap)> = nack.iter().map(|(j, r)| (j, *r)).collect();
+        assert_eq!(asks, [(0, Bitmap::new(0))], "the empty request: every fragment");
+        a.handle(2, &asking(nack), &mut acts);
+        assert_eq!(ticked_fragments(&mut a), [0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn a_reset_assembly_asks_for_every_fragment_again() {
+        let (_, inits, er) = five_fragment_proposer();
+        let mut b = RbcBatch::new(params(1));
+        let mut acts = Actions::new();
+        b.handle(0, &er, &mut acts);
+        for body in inits.iter().take(4) {
+            b.handle(0, body, &mut acts);
+        }
+        assert_eq!(b.init_nack().request(0), Some(&Bitmap::from_raw(0b10000, 5)));
+        // An equivocating proposer's last fragment does not hash to the
+        // root: the assembly resets, and every fragment is asked for again.
+        let Body::RbcInit { frag_total, root, init_nack, .. } = &inits[4] else { unreachable!() };
+        let forged = Body::RbcInit {
+            instance: 0,
+            frag: 4,
+            frag_total: *frag_total,
+            root: *root,
+            data: Bytes::from_static(b"another value's tail"),
+            init_nack: init_nack.clone(),
+        };
+        b.handle(0, &forged, &mut acts);
+        assert!(b.insts[0].asm.claimed_root().is_none() && b.delivered(0).is_none());
+        let asks: Vec<(usize, Bitmap)> = ticked_init_nack(&mut b).iter().map(|(j, r)| (j, *r)).collect();
+        assert_eq!(asks, [(0, Bitmap::new(0))]);
+    }
+
     #[test]
     fn a_packet_before_start_is_answered_but_the_tick_is_armed_by_start() {
         let mut early = RbcBatch::new(params(0));
@@ -483,7 +610,7 @@ pub(crate) mod tests {
                         frag_total: *frag_total,
                         root: *root,
                         data: Bytes::from_static(b"not the fragment"),
-                        init_nack: *init_nack,
+                        init_nack: init_nack.clone(),
                     };
                     n.handle(from, &corrupt, acts)
                 }
@@ -503,7 +630,7 @@ pub(crate) mod tests {
             assert!(asm.value().is_none() && asm.held().is_none());
             assert!(node.delivered_root(3).is_none());
             let mut acts = Actions::new();
-            node.send_init_frags(3, &mut acts);
+            node.send_init_frags(3, u64::MAX, &mut acts);
             assert!(acts.drain().0.is_empty());
         }
         // At the moment of the failed check the claim itself is dropped.

@@ -244,7 +244,7 @@ mod tests {
             ready: Bitmap::new(4),
             echo_nack: Bitmap::new(4),
             ready_nack: Bitmap::new(4),
-            init_nack: Bitmap::new(4),
+            init_nack: wbft_net::InitNack::new(4),
         };
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let kp = wbft_crypto::schnorr::KeyPair::generate(

@@ -334,7 +334,7 @@ mod tests {
             frag_total: 1,
             root: wbft_crypto::Digest32::of(b"x"),
             data: bytes::Bytes::from_static(b"hello"),
-            init_nack: wbft_net::Bitmap::new(4),
+            init_nack: wbft_net::InitNack::new(4),
         };
         corrupt_proposal(&mut body);
         match body {

@@ -741,7 +741,7 @@ mod tests {
             frag_total: 1,
             root: wbft_crypto::Digest32::of(b"big"),
             data: Bytes::from(vec![7u8; u16::MAX as usize + 1]),
-            init_nack: wbft_net::Bitmap::new(4),
+            init_nack: wbft_net::InitNack::new(4),
         };
         let stub = Counting { at_start: vec![(5, body)], ..Counting::default() };
         let mut node = ProtocolNode::new(stub, me, ChannelId(0));

@@ -50,7 +50,7 @@
 //! ## Example
 //!
 //! ```rust
-//! use wbft_net::{Bitmap, Body, Envelope, Sizing};
+//! use wbft_net::{Bitmap, Body, Envelope, InitNack, Sizing};
 //! use wbft_crypto::{schnorr::KeyPair, EcdsaCurve, Digest32};
 //! use rand::SeedableRng;
 //!
@@ -65,7 +65,7 @@
 //!         ready: Bitmap::new(4),
 //!         echo_nack: Bitmap::new(4),
 //!         ready_nack: Bitmap::new(4),
-//!         init_nack: Bitmap::new(4),
+//!         init_nack: InitNack::new(4),
 //!     },
 //! };
 //! let (bytes, nominal) = env.seal(&kp, &Sizing::light(4))?;
@@ -76,6 +76,7 @@
 
 pub mod bitmap;
 pub mod datagram;
+pub mod init_nack;
 pub mod open;
 pub mod overhead;
 pub mod packets;
@@ -87,6 +88,7 @@ pub mod wire;
 
 pub use bitmap::Bitmap;
 pub use datagram::{Datagram, MAX_DATAGRAM_PAYLOAD};
+pub use init_nack::{FrameNack, InitNack};
 pub use open::{open_shared, Opened};
 pub use packets::{AbaLcInst, AbaScInst, Body, Envelope};
 pub use reliability::RetransmitPolicy;

@@ -2,7 +2,10 @@
 //! per-instance frames of the baseline packaging.
 //!
 //! Every packet payload follows the paper's four-part split — header, NACK,
-//! value, signature (§IV-B1). *Combined* packets carry the state of all `N`
+//! value, signature (§IV-B1). An INITIAL NACK names, per instance, the
+//! fragments of the proposal its sender lacks ([`crate::init_nack`]), so a
+//! holder re-airs only those; without one set, a packet encodes as if the
+//! field were the plain bitmap (or NACK byte) it extends. *Combined* packets carry the state of all `N`
 //! parallel instances of a component and are the unit of one channel access.
 //! The `Base*` frames carry one (instance, phase) entry of a combined packet
 //! each, with that instance's NACK bits, reproducing the unbatched
@@ -17,6 +20,7 @@
 //! coin-carrying variants are written out by hand.
 
 use crate::bitmap::Bitmap;
+use crate::init_nack::{FrameNack, InitNack};
 use crate::vote::{BinValues, Vote};
 use crate::wire::{ByteSink, CoinFlavor, CountSink, Sink, Sizing, Wire, WireError, WireReader};
 use bytes::{BufMut, Bytes, BytesMut};
@@ -73,8 +77,9 @@ pub enum Body {
         root: Digest32,
         /// Fragment payload.
         data: Bytes,
-        /// Bit `j` set = "I am still missing instance `j`'s proposal".
-        init_nack: Bitmap,
+        /// Bit `j` set = "I am still missing instance `j`'s proposal", with
+        /// the fragments of it I lack.
+        init_nack: InitNack,
     },
     /// Batched ECHO+READY phases of N RBC instances (Fig. 4a, `RBC_ER`).
     RbcEchoReady {
@@ -89,8 +94,9 @@ pub enum Body {
         echo_nack: Bitmap,
         /// Compressed O(N) NACK for readies.
         ready_nack: Bitmap,
-        /// Bit `j` = still missing instance `j`'s proposal fragments.
-        init_nack: Bitmap,
+        /// Bit `j` = still missing instance `j`'s proposal, with the
+        /// fragments of it still missing.
+        init_nack: InitNack,
     },
     // ------------------------------------------------------ batched CBC
     /// INITIAL phase of batched CBC (Fig. 4b, `CBC_INIT`).
@@ -105,8 +111,8 @@ pub enum Body {
         root: Digest32,
         /// Fragment payload.
         data: Bytes,
-        /// Missing-proposal NACK.
-        init_nack: Bitmap,
+        /// Missing-proposal NACK, with the fragments missing.
+        init_nack: InitNack,
     },
     /// Batched ECHO+FINISH of N CBC instances (Fig. 4b, `CBC_EF`): echo
     /// signature shares (logically N-to-1 to each leader) and combined
@@ -122,8 +128,8 @@ pub enum Body {
         echo_nack: Bitmap,
         /// Bit `j` = this node lacks instance `j`'s FINISH signature.
         finish_nack: Bitmap,
-        /// Missing-proposal NACK.
-        init_nack: Bitmap,
+        /// Missing-proposal NACK, with the fragments missing.
+        init_nack: InitNack,
     },
     // ------------------------------------------------------ batched PRBC
     /// Batched DONE phase of N PRBC instances (Fig. 4c): threshold
@@ -203,8 +209,9 @@ pub enum Body {
         instance: u8,
         /// Echoed proposal root.
         root: Digest32,
-        /// Bits 0–2: the instance's echo, ready and INITIAL NACK.
-        nack: u8,
+        /// Bits 0–2: the instance's echo, ready and INITIAL NACK, with the
+        /// fragments the INITIAL NACK asks for.
+        nack: FrameNack,
     },
     /// One instance's RBC READY.
     BaseRbcReady {
@@ -213,7 +220,7 @@ pub enum Body {
         /// Ready proposal root.
         root: Digest32,
         /// As [`Body::BaseRbcEcho`].
-        nack: u8,
+        nack: FrameNack,
     },
     /// One RBC instance's NACK bits with no vote of the sender's to carry
     /// them: it lacks the instance's proposal, or knows nothing of it yet.
@@ -223,7 +230,7 @@ pub enum Body {
         /// The root the sender knows (zero = none).
         root: Digest32,
         /// As [`Body::BaseRbcEcho`].
-        nack: u8,
+        nack: FrameNack,
     },
     /// One instance's CBC ECHO share (of `CbcEchoFinish`).
     BaseCbcEcho {
@@ -233,8 +240,9 @@ pub enum Body {
         root: Digest32,
         /// The sender's echo share.
         share: SigShare,
-        /// Bits 0–2: the instance's echo, FINISH and INITIAL NACK.
-        nack: u8,
+        /// Bits 0–2: the instance's echo, FINISH and INITIAL NACK, with the
+        /// fragments the INITIAL NACK asks for.
+        nack: FrameNack,
     },
     /// One instance's CBC FINISH certificate.
     BaseCbcFinish {
@@ -245,7 +253,7 @@ pub enum Body {
         /// The combined signature.
         sig: ThresholdSignature,
         /// As [`Body::BaseCbcEcho`].
-        nack: u8,
+        nack: FrameNack,
     },
     /// One CBC instance's NACK bits with no share or certificate to carry
     /// them.
@@ -255,7 +263,7 @@ pub enum Body {
         /// The root the sender knows (zero = none).
         root: Digest32,
         /// As [`Body::BaseCbcEcho`].
-        nack: u8,
+        nack: FrameNack,
     },
     /// One instance's PRBC DONE share (of `PrbcDone`).
     BasePrbcDone {
@@ -773,7 +781,12 @@ mod tests {
                 frag_total: 3,
                 root: d,
                 data: Bytes::from_static(b"fragment-data"),
-                init_nack: Bitmap::from_raw(0b0101, 4),
+                init_nack: {
+                    let mut nack = InitNack::new(4);
+                    nack.ask(0, Bitmap::from_raw(0b010, 3));
+                    nack.ask(2, Bitmap::new(0));
+                    nack
+                },
             },
             Body::RbcEchoReady {
                 roots: vec![d, Digest32::zero(), d, d],
@@ -781,7 +794,7 @@ mod tests {
                 ready: Bitmap::from_raw(0b0001, 4),
                 echo_nack: Bitmap::from_raw(0b0010, 4),
                 ready_nack: Bitmap::from_raw(0b1110, 4),
-                init_nack: Bitmap::new(4),
+                init_nack: InitNack::new(4),
             },
             Body::CbcEchoFinish {
                 roots: vec![d; 4],
@@ -789,7 +802,7 @@ mod tests {
                 finish_sigs: vec![(1, sig)],
                 echo_nack: Bitmap::new(4),
                 finish_nack: Bitmap::full(4),
-                init_nack: Bitmap::new(4),
+                init_nack: InitNack::new(4),
             },
             Body::PrbcDone {
                 roots: vec![d; 4],
@@ -837,12 +850,12 @@ mod tests {
                 coin_shares: vec![(1, coin)],
                 share_nack: Bitmap::from_raw(0b0011, 4),
             },
-            Body::BaseRbcEcho { instance: 3, root: d, nack: 0b011 },
-            Body::BaseRbcReady { instance: 3, root: d, nack: 0 },
-            Body::BaseRbcNack { instance: 1, root: d, nack: 0b111 },
-            Body::BaseCbcEcho { instance: 1, root: d, share, nack: 0b010 },
-            Body::BaseCbcFinish { instance: 1, root: d, sig, nack: 0b100 },
-            Body::BaseCbcNack { instance: 0, root: d, nack: 0b110 },
+            Body::BaseRbcEcho { instance: 3, root: d, nack: 0b011.into() },
+            Body::BaseRbcReady { instance: 3, root: d, nack: 0.into() },
+            Body::BaseRbcNack { instance: 1, root: d, nack: FrameNack::new(0b111, Bitmap::from_raw(0b1001, 4)) },
+            Body::BaseCbcEcho { instance: 1, root: d, share, nack: 0b010.into() },
+            Body::BaseCbcFinish { instance: 1, root: d, sig, nack: 0b100.into() },
+            Body::BaseCbcNack { instance: 0, root: d, nack: 0b110.into() },
             Body::BasePrbcDone { instance: 2, root: d, share, nack: 1 },
             Body::BasePrbcProof { instance: 2, root: d, proof: sig, nack: 0 },
             Body::BaseAbaVote {
@@ -920,7 +933,7 @@ mod tests {
         let env = Envelope {
             src: 0,
             session: 1,
-            body: Body::BaseRbcReady { instance: 0, root: Digest32::zero(), nack: 1 },
+            body: Body::BaseRbcReady { instance: 0, root: Digest32::zero(), nack: 1.into() },
         };
         let (bytes, _) = env.seal(&kp, &Sizing::light(4)).unwrap();
         let mut tampered = bytes.to_vec();
@@ -940,7 +953,7 @@ mod tests {
         let env = Envelope {
             src: 0,
             session: 1,
-            body: Body::BaseRbcReady { instance: 0, root: Digest32::zero(), nack: 0 },
+            body: Body::BaseRbcReady { instance: 0, root: Digest32::zero(), nack: 0.into() },
         };
         let (bytes, _) = env.seal(&kp, &Sizing::light(4)).unwrap();
         let (_, sig_ok) = Envelope::open(&bytes, |_| Some(other.public())).unwrap();
@@ -960,7 +973,7 @@ mod tests {
                 ready: Bitmap::new(4),
                 echo_nack: Bitmap::new(4),
                 ready_nack: Bitmap::new(4),
-                init_nack: Bitmap::new(4),
+                init_nack: InitNack::new(4),
             },
         };
         let nominal = env.nominal_len(&Sizing::light(4)).unwrap();
@@ -980,7 +993,11 @@ mod tests {
                 ready: Bitmap::full(4),
                 echo_nack: Bitmap::full(4),
                 ready_nack: Bitmap::full(4),
-                init_nack: Bitmap::full(4),
+                init_nack: {
+                    let mut nack = InitNack::new(4);
+                    (0..4).for_each(|j| nack.ask(j, Bitmap::new(0)));
+                    nack
+                },
             },
         };
         assert!(env.nominal_len(&Sizing::light(4)).unwrap() <= 255);
@@ -1039,7 +1056,7 @@ mod tests {
         let env = Envelope {
             src: 0,
             session: 3,
-            body: Body::BaseRbcReady { instance: 1, root: Digest32::zero(), nack: 0 },
+            body: Body::BaseRbcReady { instance: 1, root: Digest32::zero(), nack: 0.into() },
         };
         let (bytes, _) = env.seal(&kp, &Sizing::light(4)).unwrap();
         let (opened, key_epoch, sig_ok) =
@@ -1062,7 +1079,7 @@ mod tests {
                 frag_total: 1,
                 root: Digest32::of(b"big"),
                 data: Bytes::from(vec![7u8; u16::MAX as usize]),
-                init_nack: Bitmap::new(4),
+                init_nack: InitNack::new(4),
             },
         };
         assert!(at_limit.seal(&kp, &Sizing::light(4)).is_ok());
@@ -1075,7 +1092,7 @@ mod tests {
                 frag_total: 1,
                 root: Digest32::of(b"big"),
                 data: Bytes::from(vec![7u8; u16::MAX as usize + 1]),
-                init_nack: Bitmap::new(4),
+                init_nack: InitNack::new(4),
             },
         };
         assert_eq!(
@@ -1101,7 +1118,7 @@ mod tests {
             finish_sigs: Vec::new(),
             echo_nack: Bitmap::new(4),
             finish_nack: Bitmap::new(4),
-            init_nack: Bitmap::new(4),
+            init_nack: InitNack::new(4),
         };
         let mut sink = ByteSink::new();
         assert_eq!(

@@ -13,12 +13,15 @@
 //! already and pass through, as does every other body.
 //!
 //! An RBC or CBC entry whose only content is NACK bits becomes a NACK frame
-//! ([`Body::is_request`]): a request, not news. What a split drops: the
+//! ([`Body::is_request`]): a request, not news. An RBC or CBC frame with its
+//! INITIAL bit set carries its instance's fragment request ([`FrameNack`]),
+//! and the join puts it back into the combined body's [`InitNack`]. What a split drops: the
 //! NACK bits of a PRBC or decryption entry with no share or proof (the
 //! sender has not delivered the instance, which the RBC's own NACKs
 //! recover), and `AbaSc`'s `Share_nack` when the body has no coin share.
 
 use crate::bitmap::Bitmap;
+use crate::init_nack::{FrameNack, InitNack};
 use crate::packets::{AbaScInst, Body};
 use crate::vote::Vote;
 use std::borrow::Cow;
@@ -29,9 +32,14 @@ fn bit(b: &Bitmap, j: usize) -> bool {
     j < b.len() && b.get(j)
 }
 
-/// Packs NACK bits, the first in bit 0.
-fn pack(bits: [bool; 3]) -> u8 {
-    bits.iter().enumerate().fold(0, |acc, (i, &b)| acc | u8::from(b) << i)
+/// Packs an RBC or CBC instance's NACK bits, the first in bit 0, the
+/// INITIAL one last, with its fragment request.
+fn pack(bits: [bool; 2], init_nack: &InitNack, j: usize) -> FrameNack {
+    let bits = bits.iter().enumerate().fold(0, |acc, (i, &b)| acc | u8::from(b) << i);
+    match init_nack.request(j) {
+        Some(request) => FrameNack::new(bits | FrameNack::INIT, *request),
+        None => FrameNack::from(bits),
+    }
 }
 
 /// A bitmap of `n` bits holding only bit `j`, set to `value`.
@@ -51,7 +59,7 @@ pub fn split(body: Body) -> Vec<Body> {
         Body::RbcEchoReady { roots, echo, ready, echo_nack, ready_nack, init_nack } => {
             for (instance, root) in (0..=u8::MAX).zip(roots) {
                 let j = usize::from(instance);
-                let nack = pack([bit(&echo_nack, j), bit(&ready_nack, j), bit(&init_nack, j)]);
+                let nack = pack([bit(&echo_nack, j), bit(&ready_nack, j)], &init_nack, j);
                 let (voted_echo, voted_ready) = (bit(&echo, j), bit(&ready, j));
                 if voted_echo {
                     out.push(Body::BaseRbcEcho { instance, root, nack });
@@ -59,7 +67,7 @@ pub fn split(body: Body) -> Vec<Body> {
                 if voted_ready {
                     out.push(Body::BaseRbcReady { instance, root, nack });
                 }
-                if !voted_echo && !voted_ready && nack != 0 {
+                if !voted_echo && !voted_ready && nack.bits() != 0 {
                     out.push(Body::BaseRbcNack { instance, root, nack });
                 }
             }
@@ -67,7 +75,7 @@ pub fn split(body: Body) -> Vec<Body> {
         Body::CbcEchoFinish { roots, echo_shares, finish_sigs, echo_nack, finish_nack, init_nack } => {
             for (instance, root) in (0..=u8::MAX).zip(roots) {
                 let j = usize::from(instance);
-                let nack = pack([bit(&echo_nack, j), bit(&finish_nack, j), bit(&init_nack, j)]);
+                let nack = pack([bit(&echo_nack, j), bit(&finish_nack, j)], &init_nack, j);
                 let share = echo_shares.iter().find(|(i, _)| *i == instance);
                 let sig = finish_sigs.iter().find(|(i, _)| *i == instance);
                 if let Some(&(_, share)) = share {
@@ -76,7 +84,7 @@ pub fn split(body: Body) -> Vec<Body> {
                 if let Some(&(_, sig)) = sig {
                     out.push(Body::BaseCbcFinish { instance, root, sig, nack });
                 }
-                if share.is_none() && sig.is_none() && nack != 0 {
+                if share.is_none() && sig.is_none() && nack.bits() != 0 {
                     out.push(Body::BaseCbcNack { instance, root, nack });
                 }
             }
@@ -126,6 +134,13 @@ pub fn join(body: &Body, n: usize) -> Cow<'_, Body> {
         roots
     };
     let nack_bit = |nack: u8, i: u32| one(n, j, nack >> i & 1 == 1);
+    let init_nack = |nack: &FrameNack| {
+        let mut init_nack = InitNack::new(n);
+        if let Some(request) = nack.request() {
+            init_nack.ask(j, *request);
+        }
+        init_nack
+    };
     Cow::Owned(match body {
         Body::BaseRbcEcho { root, nack, .. }
         | Body::BaseRbcReady { root, nack, .. }
@@ -133,9 +148,9 @@ pub fn join(body: &Body, n: usize) -> Cow<'_, Body> {
             roots: roots_of(*root),
             echo: one(n, j, matches!(body, Body::BaseRbcEcho { .. })),
             ready: one(n, j, matches!(body, Body::BaseRbcReady { .. })),
-            echo_nack: nack_bit(*nack, 0),
-            ready_nack: nack_bit(*nack, 1),
-            init_nack: nack_bit(*nack, 2),
+            echo_nack: nack_bit(nack.bits(), 0),
+            ready_nack: nack_bit(nack.bits(), 1),
+            init_nack: init_nack(nack),
         },
         Body::BaseCbcEcho { root, nack, .. }
         | Body::BaseCbcFinish { root, nack, .. }
@@ -149,9 +164,9 @@ pub fn join(body: &Body, n: usize) -> Cow<'_, Body> {
                 Body::BaseCbcFinish { instance, sig, .. } => vec![(*instance, *sig)],
                 _ => Vec::new(),
             },
-            echo_nack: nack_bit(*nack, 0),
-            finish_nack: nack_bit(*nack, 1),
-            init_nack: nack_bit(*nack, 2),
+            echo_nack: nack_bit(nack.bits(), 0),
+            finish_nack: nack_bit(nack.bits(), 1),
+            init_nack: init_nack(nack),
         },
         Body::BasePrbcDone { root, nack, .. } | Body::BasePrbcProof { root, nack, .. } => {
             Body::PrbcDone {
@@ -191,14 +206,11 @@ impl Body {
     /// A per-instance frame's instance, round and asks; `None` for any
     /// other body.
     fn frame(&self) -> Option<(u8, u16, u64)> {
+        if let Some((instance, nack)) = self.broadcast_frame() {
+            return Some((instance, 0, u64::from(nack.bits())));
+        }
         match self {
-            Body::BaseRbcEcho { instance, nack, .. }
-            | Body::BaseRbcReady { instance, nack, .. }
-            | Body::BaseRbcNack { instance, nack, .. }
-            | Body::BaseCbcEcho { instance, nack, .. }
-            | Body::BaseCbcFinish { instance, nack, .. }
-            | Body::BaseCbcNack { instance, nack, .. }
-            | Body::BasePrbcDone { instance, nack, .. }
+            Body::BasePrbcDone { instance, nack, .. }
             | Body::BasePrbcProof { instance, nack, .. }
             | Body::BaseDecShare { proposer: instance, nack, .. } => {
                 Some((*instance, 0, u64::from(*nack)))
@@ -210,6 +222,20 @@ impl Body {
                 let [domain, round] = coin.to_be_bytes();
                 Some((domain, u16::from(round), share_nack.to_raw()))
             }
+            _ => None,
+        }
+    }
+
+    /// An RBC or CBC per-instance frame's instance and NACK; `None` for any
+    /// other body.
+    fn broadcast_frame(&self) -> Option<(u8, &FrameNack)> {
+        match self {
+            Body::BaseRbcEcho { instance, nack, .. }
+            | Body::BaseRbcReady { instance, nack, .. }
+            | Body::BaseRbcNack { instance, nack, .. }
+            | Body::BaseCbcEcho { instance, nack, .. }
+            | Body::BaseCbcFinish { instance, nack, .. }
+            | Body::BaseCbcNack { instance, nack, .. } => Some((*instance, nack)),
             _ => None,
         }
     }
@@ -235,9 +261,14 @@ impl Body {
 
     /// `true` when this frame says something `older`, the last frame sent
     /// in its slot, did not: anything but asks it no longer makes — a
-    /// cleared NACK, a decision — differs, or it asks for more.
+    /// cleared NACK, a decision, a fragment received — differs, or it asks
+    /// for more: a NACK bit or a fragment.
     pub fn is_news_over(&self, older: &Body) -> bool {
-        self.asks() & !older.asks() != 0 || self.without_asks() != older.without_asks()
+        let asks_beyond = match (self.broadcast_frame(), older.broadcast_frame()) {
+            (Some((_, new)), Some((_, old))) => new.asks_beyond(old),
+            _ => self.asks() & !older.asks() != 0,
+        };
+        asks_beyond || self.without_asks() != older.without_asks()
     }
 
     fn without_asks(&self) -> Cow<'_, Body> {
@@ -251,8 +282,8 @@ impl Body {
             | Body::BaseRbcNack { nack, .. }
             | Body::BaseCbcEcho { nack, .. }
             | Body::BaseCbcFinish { nack, .. }
-            | Body::BaseCbcNack { nack, .. }
-            | Body::BasePrbcDone { nack, .. }
+            | Body::BaseCbcNack { nack, .. } => *nack = FrameNack::default(),
+            Body::BasePrbcDone { nack, .. }
             | Body::BasePrbcProof { nack, .. }
             | Body::BaseDecShare { nack, .. } => *nack = 0,
             Body::BaseAbaVote { inst: AbaScInst { decided, .. }, .. } => *decided = Vote::Unknown,

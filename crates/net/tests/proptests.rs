@@ -15,7 +15,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use wbft_crypto::thresh_enc::DecShare;
 use wbft_crypto::thresh_sig::{SigShare, ThresholdSignature};
 use wbft_net::{
-    join, open_shared, split, BinValues, Bitmap, Body, CoinFlavor, Envelope, Opened, Vote,
+    join, open_shared, split, BinValues, Bitmap, Body, CoinFlavor, Envelope, FrameNack, InitNack,
+    Opened, Vote,
 };
 
 fn arb_vote() -> impl Strategy<Value = Vote> {
@@ -26,6 +27,27 @@ fn arb_bitmap(len: usize) -> impl Strategy<Value = Bitmap> {
     any::<u64>().prop_map(move |raw| Bitmap::from_raw(raw, len))
 }
 
+/// A fragment request: empty (all fragments) or up to eight fragments.
+fn arb_request() -> impl Strategy<Value = Bitmap> {
+    (0usize..=8, any::<u64>()).prop_map(|(len, raw)| Bitmap::from_raw(raw, len))
+}
+
+/// An INITIAL NACK over `n` instances, each NACKed one with a request.
+fn arb_init_nack(n: usize) -> impl Strategy<Value = InitNack> {
+    (arb_bitmap(n), proptest::collection::vec(arb_request(), n)).prop_map(move |(nacked, requests)| {
+        let mut nack = InitNack::new(n);
+        for j in nacked.iter_set() {
+            nack.ask(j, requests[j]);
+        }
+        nack
+    })
+}
+
+/// A per-instance frame's NACK bits, with a request when bit 2 is set.
+fn arb_frame_nack() -> impl Strategy<Value = FrameNack> {
+    (any::<u8>(), arb_request()).prop_map(|(bits, request)| FrameNack::new(bits, request))
+}
+
 fn arb_digest() -> impl Strategy<Value = Digest32> {
     any::<[u8; 32]>().prop_map(Digest32)
 }
@@ -34,7 +56,7 @@ fn arb_body() -> impl Strategy<Value = Body> {
     let n = 4usize;
     prop_oneof![
         // RBC INIT with arbitrary fragment payloads.
-        (any::<u8>(), 0u8..4, 1u8..5, arb_digest(), any::<Vec<u8>>(), arb_bitmap(n)).prop_map(
+        (any::<u8>(), 0u8..4, 1u8..5, arb_digest(), any::<Vec<u8>>(), arb_init_nack(n)).prop_map(
             |(instance, frag, frag_total, root, data, init_nack)| Body::RbcInit {
                 instance,
                 frag: frag % frag_total,
@@ -51,7 +73,7 @@ fn arb_body() -> impl Strategy<Value = Body> {
             arb_bitmap(n),
             arb_bitmap(n),
             arb_bitmap(n),
-            arb_bitmap(n)
+            arb_init_nack(n)
         )
             .prop_map(|(roots, echo, ready, echo_nack, ready_nack, init_nack)| {
                 Body::RbcEchoReady { roots, echo, ready, echo_nack, ready_nack, init_nack }
@@ -103,7 +125,7 @@ fn arb_body() -> impl Strategy<Value = Body> {
                 inst: AbaScInst { instance, round, bval: BinValues::from_code(bval), aux, decided },
             }
         ),
-        (any::<u8>(), arb_digest(), any::<u8>())
+        (any::<u8>(), arb_digest(), arb_frame_nack())
             .prop_map(|(instance, root, nack)| Body::BaseRbcReady { instance, root, nack }),
         (any::<u64>(), arb_digest(), any::<u32>()).prop_map(|(epoch, digest, tx_count)| {
             Body::GlobalDecision { epoch, digest, tx_count }
@@ -144,7 +166,7 @@ fn arb_combined() -> impl Strategy<Value = Body> {
     let n = 4usize;
     let m = material();
     let roots = || proptest::collection::vec(prop_oneof![Just(Digest32::zero()), arb_digest()], n);
-    let bitmaps = || (arb_bitmap(n), arb_bitmap(n), arb_bitmap(n));
+    let bitmaps = || (arb_bitmap(n), arb_bitmap(n), arb_init_nack(n));
     prop_oneof![
         (roots(), arb_bitmap(n), arb_bitmap(n), bitmaps()).prop_map(
             |(roots, echo, ready, (echo_nack, ready_nack, init_nack))| Body::RbcEchoReady {
@@ -214,6 +236,11 @@ fn facts(body: &Body) -> Facts {
             fact(j, 0, name.to_string());
         }
     };
+    let requests = |nack: &InitNack, fact: &mut dyn FnMut(usize, u16, String)| {
+        for (j, request) in nack.iter() {
+            fact(j, 0, format!("init_nack {request:?}"));
+        }
+    };
     match body {
         Body::RbcEchoReady { roots, echo, ready, echo_nack, ready_nack, init_nack } => {
             for (j, root) in roots.iter().enumerate().filter(|(_, r)| !r.is_zero()) {
@@ -223,7 +250,7 @@ fn facts(body: &Body) -> Facts {
             bits(ready, "ready", &mut fact);
             bits(echo_nack, "echo_nack", &mut fact);
             bits(ready_nack, "ready_nack", &mut fact);
-            bits(init_nack, "init_nack", &mut fact);
+            requests(init_nack, &mut fact);
         }
         Body::CbcEchoFinish { roots, echo_shares, finish_sigs, echo_nack, finish_nack, init_nack } => {
             for (j, root) in roots.iter().enumerate().filter(|(_, r)| !r.is_zero()) {
@@ -233,7 +260,7 @@ fn facts(body: &Body) -> Facts {
             finish_sigs.iter().for_each(|(j, s)| fact(usize::from(*j), 0, format!("sig {s:?}")));
             bits(echo_nack, "echo_nack", &mut fact);
             bits(finish_nack, "finish_nack", &mut fact);
-            bits(init_nack, "init_nack", &mut fact);
+            requests(init_nack, &mut fact);
         }
         Body::PrbcDone { roots, shares, proofs, sig_nack } => {
             for (j, root) in roots.iter().enumerate().filter(|(_, r)| !r.is_zero()) {

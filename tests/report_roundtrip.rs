@@ -5,7 +5,8 @@
 //!   vectors (including empty and max-size transactions), and `decode_batch`
 //!   returns `None` — never panics — on truncated or garbage input. The
 //!   other proposal formats — Dumbo's W-vector and commit set, the
-//!   multi-hop summary, the HB ciphertext — get the same battery.
+//!   multi-hop summary, the HB ciphertext — get the same battery, and so do
+//!   the INITIAL NACK's fragment requests (`InitNack`, `FrameNack`).
 //! * JSON: `encode → decode → encode` is a fixpoint for `RunReport` and
 //!   `TestbedConfig`, and the parser never panics on arbitrary input.
 //! * Committed JSON: every scenario document under `tests/fixtures/` and
@@ -29,7 +30,8 @@ use wbft_consensus::{ArrivalSpec, ByzantineMode, Protocol, ServiceConfig};
 use wbft_crypto::hash::Digest32;
 use wbft_crypto::{thresh_enc, thresh_sig, CryptoSuite, ThresholdCurve};
 use wbft_membership::MembershipOp;
-use wbft_net::Bitmap;
+use wbft_net::wire::{ByteSink, Wire, WireReader};
+use wbft_net::{Bitmap, FrameNack, InitNack};
 use wbft_report::{parse, FromJson, Json, ToJson};
 use wbft_wireless::{
     AdversaryConfig, LossModel, Metrics, NodeId, NodeMetrics, SchedConfig, SchedPolicy,
@@ -383,8 +385,41 @@ fn exact_format<T: PartialEq + std::fmt::Debug>(
     Ok(())
 }
 
+/// A wire value's encoding.
+fn wire_bytes(value: &impl Wire) -> Vec<u8> {
+    let mut sink = ByteSink::new();
+    value.put(&mut sink).unwrap();
+    sink.into_bytes().to_vec()
+}
+
+/// A wire value read from exactly `bytes`.
+fn wire_decode<T: Wire>(bytes: &[u8]) -> Option<T> {
+    let mut r = WireReader::new(bytes);
+    let value = T::get(&mut r).ok()?;
+    (r.remaining() == 0).then_some(value)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Fragment requests ride behind the instance bitmap (and behind a
+    /// per-instance frame's NACK byte), one per NACKed instance.
+    #[test]
+    fn init_nack_codecs_are_exact(
+        nacked in any::<u64>(),
+        requests in proptest::collection::vec((0usize..=64, any::<u64>()), 4),
+        bits in any::<u8>(),
+        extra in any::<u8>(),
+    ) {
+        let request = |(len, raw): (usize, u64)| Bitmap::from_raw(raw, len);
+        let mut nack = InitNack::new(4);
+        for j in Bitmap::from_raw(nacked, 4).iter_set() {
+            nack.ask(j, request(requests[j]));
+        }
+        exact_format(&nack, &wire_bytes(&nack), wire_decode::<InitNack>, extra)?;
+        let frame = FrameNack::new(bits, request(requests[0]));
+        exact_format(&frame, &wire_bytes(&frame), wire_decode::<FrameNack>, extra)?;
+    }
 
     #[test]
     fn w_vector_codec_is_exact(

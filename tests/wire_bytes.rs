@@ -31,16 +31,16 @@ use wbft_crypto::{CryptoSuite, EcdsaCurve, ThresholdCurve};
 use wbft_membership::{decode_op, encode_op, CommitteeLog, DealSet, MembershipOp, ReshareCeremony};
 use wbft_net::packets::{AbaLcInst, AbaScInst};
 use wbft_net::wire::Sizing;
-use wbft_net::{BinValues, Bitmap, Body, CoinFlavor, Datagram, Envelope, Vote};
+use wbft_net::{BinValues, Bitmap, Body, CoinFlavor, Datagram, Envelope, FrameNack, InitNack, Vote};
 use wbft_transport::{ClientMsg, SubmitVerdict, SyncBlock, SyncMsg};
 
 /// One line per pinned encoding: name, byte length, nominal length under
 /// the light and the medium suite (`-` where the format has no nominal
 /// length of its own), SHA-256 of the bytes.
 const PINNED: &str = "\
-envelope.rbc_init 127 101 109 98af9bed940b275abc1c92d6866023deafb3b7137caaa81055ef542ae7d3bb3d
+envelope.rbc_init 130 104 112 4b9183688671da32be7d6903a29c9318dc07d6e6076be16ce3fb71a2853f20cd
 envelope.rbc_echo_ready 214 188 196 d6f5819e70ddbc0a10e6c85b0b89687827d3d693deec93c1e7774266f37caff2
-envelope.cbc_init 123 97 105 836aed235b70309c4efe3b7435336464d5611134a26dc9bc7fab891d4d111b40
+envelope.cbc_init 125 99 107 209a869c16836d2dd45b1cbbd2a8d245ddd3a85d5954c391f345f1bee7a1cb11
 envelope.cbc_echo_finish 315 256 300 ad6502a10446981524da888ab79174d8e92baf463a824d958b6a4e2bad6010a9
 envelope.prbc_done 309 250 294 8dcbc6f3c79687d360fa320211d2ce126aef704898f6fbac5de31da6b0b141ff
 envelope.rbc_small 88 62 70 2a639d55347a0828ef8cf40501132d80aca49e4565fee0214698b584224b311d
@@ -50,10 +50,10 @@ envelope.aba_sc.sig 160 112 144 4b719baa18b08ebffec86bf880585b85357e864fb0a8c8c6
 envelope.aba_sc.flip 160 128 160 91a369487bdc73628a6808083fcaf07bf3b8b4686a12fb7132f57a9b2a0fb2f0
 envelope.base_rbc_echo 109 83 91 2f60dc886e2f7a627a3ec46cc73a7593ff3947291e5bfd101c4cd7f215364eab
 envelope.base_rbc_ready 109 83 91 85bf7aa21005c6f776eb6f20a0c32de6977866e0ba2361b184ba7c74df5c1738
-envelope.base_rbc_nack 109 83 91 fb9e78b8b9a53f3720e1dc8a25db37d6f526e70a8bef7e1e98ba7fc3ba9258d7
+envelope.base_rbc_nack 111 85 93 d30abfc616734c7809332265b555daa58679266f88f01a1e43bd1e14742f22ac
 envelope.base_cbc_echo 143 106 126 ce724792c73dc071161bc2285a5fdabc5ac36724c6ad365ac0f6245d76c59d67
-envelope.base_cbc_finish 141 104 124 23fff2864973d86237849c761361aeeaec5ab499aaf29e61892ab7d71769f3cd
-envelope.base_cbc_nack 109 83 91 233a0df83165fbc4d0311eee05bfcef5bcca5d936865a31d01d4df595dd62556
+envelope.base_cbc_finish 143 106 126 094676ffc3939b9718d5b938900cf6d1a36e21dc2d1e81e450954f79a014bb85
+envelope.base_cbc_nack 110 84 92 6e9b0557dc84bd2396c196ac43014540da299edb5c5850a7a3f12d48494f8f2a
 envelope.base_prbc_done 143 106 126 698ac0cbe1ad08372fa399495d2f2e5ca10fde60a959040253b31b7f6f6da073
 envelope.base_prbc_proof 141 104 124 4e8aae2534da143500ff6bd06ff49852775902d86ce673f52f57da533dbb604e
 envelope.base_aba_vote 80 54 62 e6e97c2b9bd5717714be0951fc262ccebbad9f1f27b3cb498b04066c045b69ff
@@ -161,6 +161,13 @@ fn bodies() -> Vec<Body> {
     let d = Digest32::of(b"proposal");
     let e = Digest32::of(b"other");
     let bm = |raw: u64| Bitmap::from_raw(raw, 4);
+    // INITIAL NACKs name the fragments they lack: instance `j` with its
+    // request, an empty request asking for every fragment.
+    let init_nack = |asks: &[(usize, Bitmap)]| {
+        let mut nack = InitNack::new(4);
+        asks.iter().for_each(|&(j, request)| nack.ask(j, request));
+        nack
+    };
     let aba_sc = |flavor| Body::AbaSc {
         flavor,
         insts: vec![
@@ -195,7 +202,7 @@ fn bodies() -> Vec<Body> {
             frag_total: 3,
             root: d,
             data: Bytes::from_static(b"fragment-data"),
-            init_nack: bm(0b0101),
+            init_nack: init_nack(&[(0, Bitmap::from_raw(0b00100, 5)), (2, Bitmap::new(0))]),
         },
         Body::RbcEchoReady {
             roots: vec![d, Digest32::zero(), e, d],
@@ -203,7 +210,7 @@ fn bodies() -> Vec<Body> {
             ready: bm(0b0001),
             echo_nack: bm(0b0010),
             ready_nack: bm(0b1110),
-            init_nack: Bitmap::new(4),
+            init_nack: InitNack::new(4),
         },
         Body::CbcInit {
             instance: 1,
@@ -211,7 +218,7 @@ fn bodies() -> Vec<Body> {
             frag_total: 1,
             root: e,
             data: Bytes::from_static(b"cbc-value"),
-            init_nack: bm(0b1000),
+            init_nack: init_nack(&[(3, Bitmap::from_raw(0b110, 3))]),
         },
         Body::CbcEchoFinish {
             roots: vec![d, e, d, Digest32::zero()],
@@ -219,7 +226,7 @@ fn bodies() -> Vec<Body> {
             finish_sigs: vec![(1, sig)],
             echo_nack: bm(0b0100),
             finish_nack: Bitmap::full(4),
-            init_nack: Bitmap::new(4),
+            init_nack: InitNack::new(4),
         },
         Body::PrbcDone {
             roots: vec![d; 4],
@@ -268,34 +275,34 @@ fn bodies() -> Vec<Body> {
         Body::BaseRbcEcho {
             instance: 3,
             root: d,
-            nack: 0b011,
+            nack: 0b011.into(),
         },
         Body::BaseRbcReady {
             instance: 2,
             root: e,
-            nack: 0b010,
+            nack: 0b010.into(),
         },
         Body::BaseRbcNack {
             instance: 1,
             root: d,
-            nack: 0b111,
+            nack: FrameNack::new(0b111, Bitmap::from_raw(0b01, 2)),
         },
         Body::BaseCbcEcho {
             instance: 1,
             root: d,
             share,
-            nack: 0b010,
+            nack: 0b010.into(),
         },
         Body::BaseCbcFinish {
             instance: 1,
             root: e,
             sig,
-            nack: 0b100,
+            nack: FrameNack::new(0b100, Bitmap::from_raw(0b1000, 4)),
         },
         Body::BaseCbcNack {
             instance: 0,
             root: e,
-            nack: 0b110,
+            nack: 0b110.into(),
         },
         Body::BasePrbcDone {
             instance: 2,
@@ -395,7 +402,7 @@ fn envelopes(out: &mut String) -> Bytes {
         body: Body::BaseRbcReady {
             instance: 1,
             root: Digest32::zero(),
-            nack: 0,
+            nack: 0.into(),
         },
     };
     let (bytes, nominal) = tagged.seal_tagged(&kp, &light, 5).unwrap();
