@@ -24,7 +24,7 @@ const PINNED: [(&str, u64, f64, bool); 11] = [
     ("prbc", 8766245, 6.75, true),
     ("rbc-small", 909604, 2.0, true),
     ("cbc-small", 2274651, 2.25, true),
-    ("cbc-per-instance", 6099433, 8.75, true),
+    ("cbc-per-instance", 6100895, 8.75, true),
     ("aba-cp-parallel", 3583885, 4.5, true),
     ("aba-sc-serial", 16976697, 13.75, true),
     ("aba-lc-serial", 9275772, 14.5, true),
