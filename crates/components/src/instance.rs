@@ -219,8 +219,7 @@ impl InitNacks {
     /// Takes the instances whose INITIAL is due a re-send, each with the
     /// fragments asked for (bit `f` = fragment `f`).
     pub(crate) fn take_due(&mut self) -> Vec<(usize, u64)> {
-        let due = self.due.iter().enumerate().filter(|(_, f)| **f != 0).map(|(j, f)| (j, *f));
-        let due = due.collect();
+        let due = self.due.iter().copied().enumerate().filter(|&(_, f)| f != 0).collect();
         self.due.fill(0);
         due
     }

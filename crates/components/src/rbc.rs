@@ -433,7 +433,7 @@ pub(crate) mod tests {
         b.on_timer(TIMER_RETX, &mut b_tick);
         let (b2, _, _) = b_tick.drain();
         let nacked = b2.iter().any(|body| match body {
-            Body::RbcEchoReady { init_nack, .. } => init_nack.get(0),
+            Body::RbcEchoReady { init_nack, .. } => init_nack.request(0).is_some(),
             _ => false,
         });
         assert!(nacked, "b should NACK the missing proposal");

@@ -81,16 +81,6 @@ impl InitNack {
         self.nacked.is_empty()
     }
 
-    /// Whether instance `j` is NACKed (`false` beyond the length).
-    pub fn get(&self, j: usize) -> bool {
-        j < self.len() && self.nacked.get(j)
-    }
-
-    /// The NACKed instances.
-    pub fn nacked(&self) -> &Bitmap {
-        &self.nacked
-    }
-
     /// The fragment request of instance `j`; `None` when it is not NACKed.
     pub fn request(&self, j: usize) -> Option<&Bitmap> {
         self.iter().find(|(i, _)| *i == j).map(|(_, request)| request)
@@ -205,7 +195,6 @@ mod tests {
         nack.ask(3, Bitmap::from_raw(0b00100, 5));
         nack.ask(1, Bitmap::new(0));
         nack.ask(3, Bitmap::from_raw(0b00110, 5));
-        assert_eq!(nack.nacked(), &Bitmap::from_raw(0b1010, 4));
         let asks: Vec<_> = nack.iter().map(|(j, r)| (j, *r)).collect();
         assert_eq!(asks, [(1, Bitmap::new(0)), (3, Bitmap::from_raw(0b00110, 5))]);
         assert_eq!((nack.request(3), nack.request(2)), (Some(&Bitmap::from_raw(0b00110, 5)), None));

@@ -15,10 +15,11 @@
 //! An RBC or CBC entry whose only content is NACK bits becomes a NACK frame
 //! ([`Body::is_request`]): a request, not news. An RBC or CBC frame with its
 //! INITIAL bit set carries its instance's fragment request ([`FrameNack`]),
-//! and the join puts it back into the combined body's [`InitNack`]. What a split drops: the
-//! NACK bits of a PRBC or decryption entry with no share or proof (the
-//! sender has not delivered the instance, which the RBC's own NACKs
-//! recover), and `AbaSc`'s `Share_nack` when the body has no coin share.
+//! which the join puts back into the combined body's [`InitNack`]. What a
+//! split drops: the NACK bits of a PRBC or decryption entry with no share or
+//! proof (the sender has not delivered the instance, which the RBC's own
+//! NACKs recover), and `AbaSc`'s `Share_nack` when the body has no coin
+//! share.
 
 use crate::bitmap::Bitmap;
 use crate::init_nack::{FrameNack, InitNack};
