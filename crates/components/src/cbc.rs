@@ -669,6 +669,30 @@ mod tests {
     }
 
     #[test]
+    fn a_root_a_peer_names_does_not_lock_out_the_leader_s_fragments() {
+        let mut nodes = make();
+        let (inits, _) = five_fragment_leader(&mut nodes);
+        let mut roots = vec![Digest32::zero(); 4];
+        roots[0] = Digest32::of(b"not node 0's value");
+        let poison = Body::CbcEchoFinish {
+            roots,
+            echo_shares: Vec::new(),
+            finish_sigs: Vec::new(),
+            echo_nack: Bitmap::new(4),
+            finish_nack: Bitmap::new(4),
+            init_nack: InitNack::new(4),
+        };
+        let b = &mut nodes[1];
+        let mut acts = Actions::new();
+        b.handle(2, &poison, &mut acts);
+        for body in &inits {
+            b.handle(0, body, &mut acts);
+        }
+        assert!(b.insts[0].asm.value().is_some(), "the leader's value was refused");
+        assert!(b.insts[0].cert.own().is_some(), "and not echoed");
+    }
+
+    #[test]
     fn silent_leader_instance_stays_undelivered() {
         let mut nodes = make();
         let vals: Vec<Bytes> = (0..4).map(|i| Bytes::from(format!("w-{i}"))).collect();

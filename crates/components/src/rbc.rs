@@ -573,6 +573,35 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_root_a_peer_names_does_not_lock_out_the_proposer_s_fragments() {
+        let (_, inits, _) = five_fragment_proposer();
+        let false_root = Digest32::of(b"not node 0's proposal");
+        // One peer names a false root for instance 0 without a vote, another
+        // echoes it: neither may decide which fragments are taken.
+        for echo_bit in [false, true] {
+            let mut b = RbcBatch::new(params(1));
+            let mut roots = vec![Digest32::zero(); 4];
+            roots[0] = false_root;
+            let mut echo = Bitmap::new(4);
+            echo.set(0, echo_bit);
+            let poison = Body::RbcEchoReady {
+                roots,
+                echo,
+                ready: Bitmap::new(4),
+                echo_nack: Bitmap::new(4),
+                ready_nack: Bitmap::new(4),
+                init_nack: InitNack::new(4),
+            };
+            let mut acts = Actions::new();
+            b.handle(2, &poison, &mut acts);
+            for body in &inits {
+                b.handle(0, body, &mut acts);
+            }
+            assert!(b.insts[0].asm.value().is_some(), "echo bit {echo_bit}: value refused");
+        }
+    }
+
+    #[test]
     fn a_packet_before_start_is_answered_but_the_tick_is_armed_by_start() {
         let mut early = RbcBatch::new(params(0));
         let mut acts = Actions::new();
