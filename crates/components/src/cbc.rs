@@ -13,6 +13,15 @@
 //! certificates ride in one combined `CBC_EF` packet per channel access
 //! (the baseline airs its entries one instance per frame). The instance
 //! itself is `instance::CbcInst`.
+//!
+//! INITIAL fragments are asked for only on evidence they were lost. Once
+//! the value was heard aired whole — the leader's combined packet, which it
+//! queues behind its fragments, or any echo share or certificate over the
+//! value — a node asks for each fragment it lacks; before that, only for a
+//! gap below a fragment it holds. Holders re-air what is asked at their
+//! next tick, less any fragment another node aired first. Which fragments
+//! an instance takes is decided by its first fragment, or by a certificate
+//! that verifies under the root its packet names, never by a bare root.
 
 use crate::context::{Actions, Batcher, Broadcaster, Params};
 use crate::instance::{Accepted, CbcInst, InitNacks, Signer};
@@ -76,12 +85,13 @@ impl CbcBatch {
         }
     }
 
-    /// Missing a value whose root is known: ask for the fragments lacking.
+    /// Every fragment still lacking of a value heard aired whole; before
+    /// that, only gaps.
     fn init_nack(&self) -> InitNack {
         let mut nack = InitNack::new(self.p().n);
         for (j, inst) in self.insts.iter().enumerate() {
-            if inst.asm.value().is_none() && inst.asm.claimed_root().is_some() {
-                nack.ask(j, inst.asm.lacks());
+            if let Some(request) = inst.asm.request(inst.aired) {
+                nack.ask(j, request);
             }
         }
         nack
@@ -138,6 +148,9 @@ impl CbcBatch {
         acts: &mut Actions,
     ) {
         let Some(inst) = self.insts.get_mut(instance) else { return };
+        if inst.asm.airs(frag, frag_total, root, data) {
+            self.init_nacks.overheard(instance, frag);
+        }
         if let Accepted::Assembled(_) = inst.asm.accept(frag, frag_total, root, data) {
             self.echo(instance, acts);
             self.out.changed();
@@ -201,23 +214,30 @@ impl Broadcaster for CbcBatch {
                 if roots.len() != n {
                     return;
                 }
-                for (inst, root) in self.insts.iter_mut().zip(roots) {
-                    if !root.is_zero() {
-                        inst.asm.claim(*root);
-                    }
+                // The leader queues this packet behind its fragments.
+                if let Some(inst) = self.insts.get_mut(from).filter(|_| !roots[from].is_zero()) {
+                    inst.aired = true;
                 }
                 for (j, share) in echo_shares {
                     let j = *j as usize;
                     let Some(inst) = self.insts.get_mut(j) else { continue };
+                    inst.aired = true;
                     self.out.changed_if(inst.record_echo(&self.signer, j, *share, acts).is_some());
                 }
                 for (j, sig) in finish_sigs {
                     let j = *j as usize;
                     let Some(inst) = self.insts.get_mut(j) else { continue };
-                    // Without the root the certificate cannot be checked;
-                    // the value stays NACKed.
-                    let Some(root) = inst.asm.claimed_root() else { continue };
+                    inst.aired = true;
+                    // Checked against the root this packet names; one that
+                    // verifies is the root whose fragments are taken.
+                    let root = roots[j];
+                    if root.is_zero() || inst.asm.held().is_some_and(|(_, held)| held != root) {
+                        continue;
+                    }
                     let held = self.signer.accept_cert(&mut inst.cert, j, &root, sig, acts);
+                    if held {
+                        inst.asm.claim(root);
+                    }
                     self.out.changed_if(held);
                 }
                 // NACK evidence: peers missing what we have.
@@ -628,6 +648,45 @@ mod tests {
     }
 
     #[test]
+    fn a_node_asks_only_for_gaps_until_it_hears_the_value_aired() {
+        let mut nodes = make();
+        let (inits, ef) = five_fragment_leader(&mut nodes);
+        let mut acts = Actions::new();
+        nodes[1].handle(0, &inits[0], &mut acts);
+        assert!(asks(&tick(&mut nodes[1]).0).is_empty(), "a lone first fragment asks nothing");
+        nodes[1].handle(0, &inits[1], &mut acts);
+        nodes[1].handle(0, &inits[3], &mut acts);
+        assert_eq!(asks(&tick(&mut nodes[1]).0), [(0, Bitmap::from_raw(0b00100, 5))], "the gap");
+        // Another node's echo share over the value: it was aired whole.
+        for body in &inits {
+            nodes[2].handle(0, body, &mut acts);
+        }
+        let echoed = nodes[2].build_ef();
+        nodes[1].handle(2, &echoed, &mut acts);
+        assert_eq!(asks(&tick(&mut nodes[1]).0), [(0, Bitmap::from_raw(0b10100, 5))]);
+        // The leader's own packet is evidence too.
+        nodes[3].handle(0, &inits[0], &mut acts);
+        nodes[3].handle(0, &ef, &mut acts);
+        assert_eq!(asks(&tick(&mut nodes[3]).0), [(0, Bitmap::from_raw(0b11110, 5))]);
+    }
+
+    #[test]
+    fn a_due_fragment_another_node_airs_first_is_not_re_aired_unless_asked_again() {
+        let mut nodes = make();
+        let (inits, _) = five_fragment_leader(&mut nodes);
+        let mut nack = InitNack::new(4);
+        nack.ask(0, Bitmap::from_raw(0b00110, 5));
+        let mut acts = Actions::new();
+        nodes[0].handle(2, &asking(nack.clone()), &mut acts);
+        // Node 3 relays fragment 1 first: the leader no longer owes it.
+        nodes[0].handle(3, &inits[1], &mut acts);
+        assert_eq!(tick(&mut nodes[0]).1, [2]);
+        // The requester missed the relay's airing and asks again: served.
+        nodes[0].handle(2, &asking(nack), &mut acts);
+        assert_eq!(tick(&mut nodes[0]).1, [1, 2]);
+    }
+
+    #[test]
     fn a_node_holding_no_fragment_of_a_known_instance_asks_for_all_of_them() {
         let mut nodes = make();
         let (_, ef) = five_fragment_leader(&mut nodes);
@@ -690,6 +749,54 @@ mod tests {
         }
         assert!(b.insts[0].asm.value().is_some(), "the leader's value was refused");
         assert!(b.insts[0].cert.own().is_some(), "and not echoed");
+    }
+
+    #[test]
+    fn a_certificate_is_checked_under_the_root_its_packet_names_and_then_decides_the_root() {
+        // Every node delivers node 0's five-fragment value; its packet then
+        // carries the certificate.
+        let mut nodes = make();
+        let val = Bytes::from(vec![5u8; FRAG_BUDGET * 4 + 10]);
+        let vals = [val.clone(), Bytes::from_static(b"w-1"), Bytes::from_static(b"w-2"), Bytes::from_static(b"w-3")];
+        let mut i = 0;
+        run_mesh(
+            &mut nodes,
+            |n, acts| {
+                n.start(vals[i].clone(), acts);
+                i += 1;
+            },
+            |n, from, body, acts| n.handle(from, body, acts),
+            |n| n.delivered_count() == 4,
+        );
+        let (inits, _) = five_fragment_leader(&mut make());
+        let Body::CbcEchoFinish { roots, finish_sigs, .. } = nodes[0].build_ef() else { unreachable!() };
+        let certified = |roots: Vec<Digest32>| Body::CbcEchoFinish {
+            roots,
+            echo_shares: Vec::new(),
+            finish_sigs: finish_sigs.clone(),
+            echo_nack: Bitmap::new(4),
+            finish_nack: Bitmap::new(4),
+            init_nack: InitNack::new(4),
+        };
+        // A fresh node first takes an equivocator's fragment under another root.
+        let mut b = make().remove(1);
+        let mut acts = Actions::new();
+        let forged = Digest32::of(b"an equivocator's root");
+        b.handle_init(0, 0, 5, forged, &Bytes::from_static(b"x"), &mut acts);
+        assert_eq!(b.insts[0].asm.claimed_root(), Some(forged));
+        // The certificate in a packet naming a false root does not verify.
+        let mut false_roots = roots.clone();
+        false_roots[0] = forged;
+        b.handle(2, &certified(false_roots), &mut acts);
+        assert!(b.insts[0].cert.output().is_none());
+        // Under the root it certifies it does, and that root now decides.
+        b.handle(2, &certified(roots.clone()), &mut acts);
+        assert!(b.insts[0].cert.output().is_some());
+        assert_eq!(b.insts[0].asm.claimed_root(), Some(roots[0]));
+        for body in &inits {
+            b.handle(0, body, &mut acts);
+        }
+        assert_eq!(b.delivered(0), Some(&val));
     }
 
     #[test]

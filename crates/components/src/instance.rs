@@ -11,7 +11,8 @@
 //! `cbc`, `prbc`) drive them and add only the combined packet a transition
 //! goes out in; when and in how many frames it goes out is the shared
 //! `Batcher`; the INITIAL NACKs a holder owes an answer to — down to the
-//! fragments they ask for — are [`InitNacks`].
+//! fragments they ask for, less those the air answered since — are
+//! [`InitNacks`].
 
 use crate::context::{Actions, Params};
 use crate::share_buf::{Collector, Quorum, Recorded};
@@ -47,7 +48,7 @@ pub(crate) struct Fragment {
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Accepted {
     /// Malformed, redundant (value already held) or for another root than
-    /// the one first claimed: nothing changed.
+    /// the one claimed: nothing changed.
     Refused,
     /// Buffered — or it completed an assembly that did not hash to the
     /// claimed root, which dropped buffer and claim alike.
@@ -60,11 +61,13 @@ pub(crate) enum Accepted {
 /// and the digest-verified value.
 #[derive(Debug, Default)]
 pub(crate) struct Assembler {
-    /// Root claimed by the first INITIAL fragment (or vote) seen. Once
-    /// `value` is held this *is* its digest and no longer changes: a value
-    /// is stored only after it hashed to this root (`accept`) or together
-    /// with the root just computed from it (`hold`), and the root is reset
-    /// only while no value is held.
+    /// Root claimed by the first INITIAL fragment seen, or by a certificate
+    /// that verified under it (`claim`) — never by a root a peer merely
+    /// names, which could lock the honest fragments out. Once `value` is
+    /// held this *is* its digest and no longer changes: a value is stored
+    /// only after it hashed to this root (`accept`) or together with the
+    /// root just computed from it (`hold`), and the root is reset only
+    /// while no value is held.
     claimed_root: Option<Digest32>,
     /// Fragment buffer (sized on first fragment).
     frags: Vec<Option<Bytes>>,
@@ -80,10 +83,14 @@ impl Assembler {
         root
     }
 
-    /// Learns the instance's root from a vote or a combined packet (lets
-    /// the node NACK the value); the first claim sticks.
+    /// Learns the instance's root from a certificate that verified under
+    /// it: fragments buffered under another root (an equivocator's) are
+    /// dropped. Nothing changes once a value is held.
     pub(crate) fn claim(&mut self, root: Digest32) {
-        self.claimed_root.get_or_insert(root);
+        if self.value.is_none() && self.claimed_root != Some(root) {
+            self.claimed_root = Some(root);
+            self.frags.clear();
+        }
     }
 
     pub(crate) fn claimed_root(&self) -> Option<Digest32> {
@@ -141,17 +148,42 @@ impl Assembler {
         }
     }
 
-    /// The fragments this node still lacks, as an INITIAL fragment request
-    /// (`wbft_net::init_nack`): a bit per fragment of the split it is
-    /// assembling, set where one is missing — or the empty request, which
-    /// asks for all of them, while it holds none (nothing buffered yet, or
-    /// a mismatched assembly just reset).
-    pub(crate) fn lacks(&self) -> Bitmap {
-        let mut lacks = Bitmap::new(self.frags.len());
-        for (i, frag) in self.frags.iter().enumerate() {
-            lacks.set(i, frag.is_none());
+    /// The INITIAL fragment request (`wbft_net::init_nack`) this node has
+    /// evidence for, `None` when it holds the value or has none. A bit per
+    /// fragment of the split it is assembling, set where one is asked for;
+    /// the empty request asks for all of them.
+    ///
+    /// With `lost` — the caller saw the whole value aired — every missing
+    /// fragment is asked for, all of them while none is held (nothing
+    /// buffered yet, or a mismatched assembly just reset). Without it only
+    /// the gaps below the highest fragment held are: fragments air in
+    /// ascending order, so a missing one above it may still be on its way.
+    pub(crate) fn request(&self, lost: bool) -> Option<Bitmap> {
+        if self.value.is_some() {
+            return None;
         }
-        lacks
+        let end = if lost {
+            self.frags.len()
+        } else {
+            self.frags.iter().rposition(Option::is_some).filter(|&top| top > 0)?
+        };
+        let mut request = Bitmap::new(self.frags.len());
+        for (i, frag) in self.frags[..end].iter().enumerate() {
+            request.set(i, frag.is_none());
+        }
+        (lost || request.count() > 0).then_some(request)
+    }
+
+    /// Whether an INITIAL fragment heard on the air is fragment `frag` of
+    /// the value this node holds, as this node would air it.
+    pub(crate) fn airs(&self, frag: usize, frag_total: usize, root: Digest32, data: &Bytes) -> bool {
+        let (Some((value, held)), Some(total)) = (self.held(), self.frag_count()) else {
+            return false;
+        };
+        held == root
+            && total == frag_total
+            && value.get(frag * FRAG_BUDGET..value.len().min((frag + 1) * FRAG_BUDGET))
+                == Some(&data[..])
     }
 
     /// How many INITIAL fragments the held value splits into; `None` when
@@ -181,10 +213,13 @@ impl Assembler {
 /// Holder side of the INITIAL NACKs of N instances: which fragments of the
 /// values this node holds peers have asked for, until the next tick serves
 /// them. Requests for one instance are unioned, so one re-air of a fragment
-/// answers every peer that lacks it.
+/// answers every peer that lacks it — and a fragment some other node airs
+/// first is no longer due here ([`InitNacks::overheard`]): a requester that
+/// missed that airing too asks again.
 #[derive(Debug)]
 pub(crate) struct InitNacks {
-    /// Per instance, bit `f`: some peer asked for fragment `f`.
+    /// Per instance, bit `f`: some peer asked for fragment `f`, and it has
+    /// not been heard on the air since.
     due: Vec<u64>,
 }
 
@@ -214,6 +249,14 @@ impl InitNacks {
             }
         }
         served
+    }
+
+    /// Another node aired fragment `frag` of `instance` (the one this node
+    /// would air): the request it answered is no longer due here.
+    pub(crate) fn overheard(&mut self, instance: usize, frag: usize) {
+        if let Some(due) = self.due.get_mut(instance) {
+            *due &= !1u64.checked_shl(frag as u32).unwrap_or(0);
+        }
     }
 
     /// Takes the instances whose INITIAL is due a re-send, each with the
@@ -517,6 +560,10 @@ impl Signer {
 pub(crate) struct CbcInst {
     pub asm: Assembler,
     pub cert: Collector,
+    /// The leader's value has been aired whole: its combined packet (which
+    /// it queues behind its fragments), or an echo share or certificate
+    /// over the value, was heard. Evidence that a missing fragment was lost.
+    pub aired: bool,
 }
 
 impl CbcInst {
@@ -689,6 +736,9 @@ mod tests {
         );
         assert_eq!(asm.held(), Some((&v, root)));
         assert_eq!(asm.fragments(), frags);
+        asm.claim(Digest32::of(b"certified elsewhere"));
+        assert_eq!(asm.held(), Some((&v, root)), "a held value keeps its root");
+        assert_eq!(asm.request(true), None, "and asks for nothing");
     }
 
     #[test]
@@ -703,8 +753,11 @@ mod tests {
         assert_eq!(asm.accept(0, 2, a, &data), Accepted::Buffered);
         assert_eq!(asm.accept(1, 2, b, &data), Accepted::Refused);
         assert_eq!(asm.claimed_root(), Some(a));
+        // A certified root replaces a fragment's, and drops its buffer.
         asm.claim(b);
-        assert_eq!(asm.claimed_root(), Some(a), "the first claim sticks");
+        assert_eq!(asm.claimed_root(), Some(b));
+        assert_eq!(asm.accept(1, 2, a, &data), Accepted::Refused);
+        assert_eq!(asm.request(true), Some(Bitmap::new(0)), "nothing buffered any more");
     }
 
     #[test]
@@ -740,15 +793,26 @@ mod tests {
     }
 
     #[test]
-    fn an_assembler_asks_for_what_it_lacks_and_a_holder_serves_the_union() {
+    fn an_assembler_asks_for_gaps_alone_until_it_saw_the_value_aired() {
         let mut sender = Assembler::default();
         sender.hold(value(FRAG_BUDGET * 4 + 1));
         let frags = sender.fragments();
         assert_eq!(sender.frag_count(), Some(5));
         let mut asm = Assembler::default();
-        assert_eq!(asm.lacks(), Bitmap::new(0), "nothing buffered: the request for all");
-        feed(&mut asm, &frags, &[0, 3]);
-        assert_eq!((asm.lacks(), asm.frag_count()), (Bitmap::from_raw(0b10110, 5), None));
+        assert_eq!(asm.request(false), None, "nothing heard: nothing to ask for");
+        assert_eq!(asm.request(true), Some(Bitmap::new(0)), "aired, none held: the request for all");
+        feed(&mut asm, &frags, &[0]);
+        assert_eq!(asm.request(false), None, "a lone first fragment: the rest may be on its way");
+        feed(&mut asm, &frags, &[3]);
+        assert_eq!(asm.request(false), Some(Bitmap::from_raw(0b00110, 5)), "the gaps below 3");
+        assert_eq!(asm.request(true), Some(Bitmap::from_raw(0b10110, 5)), "every missing one");
+        assert_eq!(asm.frag_count(), None);
+        feed(&mut asm, &frags, &[1, 2]);
+        assert_eq!(asm.request(false), None, "no gap below the highest held");
+    }
+
+    #[test]
+    fn a_holder_serves_the_union_of_requests_less_what_the_air_answered() {
         let ask = |j: usize, request: Bitmap| {
             let mut nack = InitNack::new(4);
             nack.ask(j, request);
@@ -756,7 +820,7 @@ mod tests {
         };
         let mut nacks = InitNacks::new(4);
         let holds_1 = |j: usize| (j == 1).then_some(5);
-        assert_eq!(nacks.note(&ask(1, asm.lacks()), holds_1), [1]);
+        assert_eq!(nacks.note(&ask(1, Bitmap::from_raw(0b10110, 5)), holds_1), [1]);
         assert_eq!(nacks.note(&ask(1, Bitmap::from_raw(0b00001, 5)), holds_1), [1]);
         assert!(nacks.note(&ask(2, Bitmap::new(0)), holds_1).is_empty(), "not held here");
         assert_eq!(nacks.take_due(), [(1, 0b10111)], "the union, once");
@@ -764,6 +828,35 @@ mod tests {
         // A request of another length than the held split asks for all.
         nacks.note(&ask(1, Bitmap::from_raw(0b1, 3)), holds_1);
         assert_eq!(nacks.take_due(), [(1, 0b11111)]);
+        // Fragments another node aired since are not due; asked again, they are.
+        nacks.note(&ask(1, Bitmap::from_raw(0b00110, 5)), holds_1);
+        nacks.overheard(1, 2);
+        nacks.overheard(1, 64);
+        nacks.overheard(9, 1);
+        assert_eq!(nacks.take_due(), [(1, 0b00010)]);
+        nacks.note(&ask(1, Bitmap::from_raw(0b00100, 5)), holds_1);
+        nacks.overheard(1, 2);
+        assert!(nacks.take_due().is_empty());
+        nacks.note(&ask(1, Bitmap::from_raw(0b00100, 5)), holds_1);
+        assert_eq!(nacks.take_due(), [(1, 0b00100)]);
+    }
+
+    #[test]
+    fn a_holder_recognises_only_its_own_fragments_on_the_air() {
+        let mut sender = Assembler::default();
+        let root = sender.hold(value(FRAG_BUDGET * 2 + 7));
+        let frags = sender.fragments();
+        for f in &frags {
+            assert!(sender.airs(f.frag as usize, 3, root, &f.data));
+        }
+        let f = &frags[1];
+        assert!(!sender.airs(1, 4, root, &f.data), "another split");
+        assert!(!sender.airs(1, 3, Digest32::of(b"other"), &f.data), "another root");
+        assert!(!sender.airs(2, 3, root, &f.data), "another fragment's bytes");
+        assert!(!sender.airs(7, 3, root, &Bytes::new()), "past the value");
+        let mut partial = Assembler::default();
+        feed(&mut partial, &frags, &[0, 1]);
+        assert!(!partial.airs(1, 3, root, &f.data), "nothing held, nothing due");
     }
 
     #[test]

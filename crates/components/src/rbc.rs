@@ -7,9 +7,16 @@
 //! packet per channel access (vertical batching), with ECHO and READY
 //! folded together (horizontal batching). NACK bits drive retransmission:
 //! each node periodically rebroadcasts its combined packet while it is
-//! behind or sees evidence a peer is, and proposal holders re-send INITIAL
-//! fragments when `Initial_nack` bits implicate an instance they can serve —
-//! only the fragments the NACK names as lacking.
+//! behind or sees evidence a peer is.
+//!
+//! INITIAL fragments are asked for only on evidence they were lost. Once a
+//! vote for an instance is heard — its voter held the whole proposal, so
+//! every fragment has been aired — a node asks for each fragment it lacks;
+//! before that, only for a gap below a fragment it holds, as fragments air
+//! in ascending order. Holders re-air the fragments asked for at their next
+//! tick, less any another node aired first. Which fragments an instance
+//! takes is decided by its first fragment alone, never by a root a peer's
+//! packet names.
 //!
 //! Votes are cast on the proposal digest, so equivocation by a Byzantine
 //! proposer splits the vote and the instance simply never delivers (its ABA
@@ -86,11 +93,10 @@ impl RbcBatch {
     fn init_nack(&self) -> InitNack {
         let mut nack = InitNack::new(self.p.n);
         for (j, inst) in self.insts.iter().enumerate() {
-            // Missing the proposal while votes (or a claimed root) prove the
-            // instance exists: ask for the fragments still lacking.
-            let interesting = inst.asm.claimed_root().is_some() || inst.votes.any();
-            if inst.asm.value().is_none() && interesting {
-                nack.ask(j, inst.asm.lacks());
+            // A vote shows the whole proposal was aired (its voter held it):
+            // ask for every fragment still lacking. Before one, only gaps.
+            if let Some(request) = inst.asm.request(inst.votes.any()) {
+                nack.ask(j, request);
             }
         }
         nack
@@ -142,6 +148,9 @@ impl RbcBatch {
         data: &Bytes,
     ) {
         let Some(inst) = self.insts.get_mut(instance) else { return };
+        if inst.asm.airs(frag, frag_total, root, data) {
+            self.init_nacks.overheard(instance, frag);
+        }
         match inst.on_fragment(self.p.me, frag, frag_total, root, data) {
             Accepted::Refused => return,
             Accepted::Buffered => {}
@@ -185,7 +194,6 @@ impl RbcBatch {
                 if ready.get(j) {
                     inst.votes.ready(from, root);
                 }
-                inst.asm.claim(root);
             }
             // Peer lacks quorums we already have votes for → our combined
             // packet helps them; mark for retransmission.
@@ -530,6 +538,42 @@ pub(crate) mod tests {
         a.handle(1, &asking(nack), &mut acts);
         a.handle(2, &asking(other), &mut acts);
         assert_eq!(ticked_fragments(&mut a), [0, 2, 4]);
+    }
+
+    /// The requests of `nack`, by instance.
+    fn asks(nack: &InitNack) -> Vec<(usize, Bitmap)> {
+        nack.iter().map(|(j, request)| (j, *request)).collect()
+    }
+
+    #[test]
+    fn a_node_asks_only_for_gaps_until_a_vote_shows_the_proposal_was_aired() {
+        let (_, inits, er) = five_fragment_proposer();
+        let mut b = RbcBatch::new(params(1));
+        let mut acts = Actions::new();
+        b.handle(0, &inits[0], &mut acts);
+        assert!(asks(&ticked_init_nack(&mut b)).is_empty(), "a lone first fragment asks nothing");
+        b.handle(0, &inits[1], &mut acts);
+        b.handle(0, &inits[3], &mut acts);
+        assert_eq!(asks(&ticked_init_nack(&mut b)), [(0, Bitmap::from_raw(0b00100, 5))], "the gap");
+        b.handle(0, &er, &mut acts);
+        let all_missing = [(0, Bitmap::from_raw(0b10100, 5))];
+        assert_eq!(asks(&ticked_init_nack(&mut b)), all_missing, "after a vote: all missing");
+    }
+
+    #[test]
+    fn a_due_fragment_another_node_airs_first_is_not_re_aired_unless_asked_again() {
+        let (mut a, inits, _) = five_fragment_proposer();
+        let mut nack = InitNack::new(4);
+        nack.ask(0, Bitmap::from_raw(0b00110, 5));
+        let mut acts = Actions::new();
+        a.handle(2, &asking(nack.clone()), &mut acts);
+        // Node 3 relays fragment 1 first; a holds the value, so takes
+        // nothing from it, but no longer owes that fragment.
+        a.handle(3, &inits[1], &mut acts);
+        assert_eq!(ticked_fragments(&mut a), [2]);
+        // The requester missed the relay's airing and asks again: served.
+        a.handle(2, &asking(nack), &mut acts);
+        assert_eq!(ticked_fragments(&mut a), [1, 2]);
     }
 
     #[test]
