@@ -61,13 +61,13 @@ pub(crate) enum Accepted {
 /// and the digest-verified value.
 #[derive(Debug, Default)]
 pub(crate) struct Assembler {
-    /// Root claimed by the first INITIAL fragment seen, or by a certificate
-    /// that verified under it (`claim`) — never by a root a peer merely
-    /// names, which could lock the honest fragments out. Once `value` is
-    /// held this *is* its digest and no longer changes: a value is stored
-    /// only after it hashed to this root (`accept`) or together with the
-    /// root just computed from it (`hold`), and the root is reset only
-    /// while no value is held.
+    /// Root claimed by the first INITIAL fragment seen, or by evidence that
+    /// honest nodes hold the value under it (`claim`) — never by a root a
+    /// peer merely names, which could lock the honest fragments out. Once
+    /// `value` is held this *is* its digest and no longer changes: a value
+    /// is stored only after it hashed to this root (`accept`) or together
+    /// with the root just computed from it (`hold`), and the root is reset
+    /// only while no value is held.
     claimed_root: Option<Digest32>,
     /// Fragment buffer (sized on first fragment).
     frags: Vec<Option<Bytes>>,
@@ -83,9 +83,11 @@ impl Assembler {
         root
     }
 
-    /// Learns the instance's root from a certificate that verified under
-    /// it: fragments buffered under another root (an equivocator's) are
-    /// dropped. Nothing changes once a value is held.
+    /// Learns the instance's root from evidence that honest nodes hold the
+    /// value under it — a CBC certificate that verified under it, or this
+    /// node's READY on it: fragments buffered under another root (an
+    /// equivocator's or a forger's) are dropped. Nothing changes once a
+    /// value is held.
     pub(crate) fn claim(&mut self, root: Digest32) {
         if self.value.is_none() && self.claimed_root != Some(root) {
             self.claimed_root = Some(root);

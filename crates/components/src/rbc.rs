@@ -15,7 +15,8 @@
 //! before that, only for a gap below a fragment it holds, as fragments air
 //! in ascending order. Holders re-air the fragments asked for at their next
 //! tick, less any another node aired first. Which fragments an instance
-//! takes is decided by its first fragment alone, never by a root a peer's
+//! takes is decided by its first fragment until this node readies on a
+//! root (f + 1 honest nodes hold that value), never by a root a peer's
 //! packet names.
 //!
 //! Votes are cast on the proposal digest, so equivocation by a Byzantine
@@ -133,9 +134,13 @@ impl RbcBatch {
     }
 
     /// Re-evaluates vote quorums for one instance; any transition rides in
-    /// the next combined packet.
+    /// the next combined packet. The root this node readies on is held by
+    /// f + 1 honest nodes, so it decides which fragments are taken.
     fn advance(&mut self, j: usize) {
         let step = self.insts[j].step(&self.p);
+        if let Some(root) = step.ready {
+            self.insts[j].asm.claim(root);
+        }
         self.out.changed_if(step.ready.is_some() || step.delivered);
     }
 
@@ -643,6 +648,36 @@ pub(crate) mod tests {
             }
             assert!(b.insts[0].asm.value().is_some(), "echo bit {echo_bit}: value refused");
         }
+    }
+
+    #[test]
+    fn a_forged_first_fragment_gives_way_to_the_root_this_node_readies_on() {
+        let (_, inits, er) = five_fragment_proposer();
+        let mut b = RbcBatch::new(params(1));
+        let mut acts = Actions::new();
+        let forged = Body::RbcInit {
+            instance: 0,
+            frag: 0,
+            frag_total: 5,
+            root: Digest32::of(b"a forger's root"),
+            data: Bytes::from_static(b"x"),
+            init_nack: InitNack::new(4),
+        };
+        b.handle(2, &forged, &mut acts);
+        for body in &inits {
+            b.handle(0, body, &mut acts);
+        }
+        assert!(b.insts[0].asm.value().is_none(), "the forged root refuses the real fragments");
+        // Echoes from 2f + 1 nodes: b readies on the real root and drops
+        // the forged buffer, so the re-aired fragments assemble.
+        for from in [0, 2, 3] {
+            b.handle(from, &er, &mut acts);
+        }
+        assert_eq!(asks(&ticked_init_nack(&mut b)), [(0, Bitmap::new(0))], "every fragment");
+        for body in &inits {
+            b.handle(0, body, &mut acts);
+        }
+        assert!(b.insts[0].asm.value().is_some());
     }
 
     #[test]
