@@ -234,11 +234,11 @@ impl Broadcaster for CbcBatch {
                     if root.is_zero() || inst.asm.held().is_some_and(|(_, held)| held != root) {
                         continue;
                     }
-                    let held = self.signer.accept_cert(&mut inst.cert, j, &root, sig, acts);
-                    if held {
+                    let adopted = self.signer.accept_cert(&mut inst.cert, j, &root, sig, acts);
+                    if adopted {
                         inst.asm.claim(root);
                     }
-                    self.out.changed_if(held);
+                    self.out.changed_if(adopted);
                 }
                 // NACK evidence: peers missing what we have.
                 self.note_init_nack(init_nack);
@@ -446,7 +446,7 @@ mod tests {
     use super::*;
     use crate::context::deal_node_crypto;
     use crate::instance::echo_msg;
-    use crate::rbc::tests::{run_mesh, Packing, PACKINGS};
+    use crate::rbc::tests::{asks, run_mesh, Packing, PACKINGS};
     use rand::SeedableRng;
     use wbft_crypto::CryptoSuite;
 
@@ -612,11 +612,6 @@ mod tests {
             }
         }
         (nack.expect("one combined packet per tick"), frags)
-    }
-
-    /// The requests of `nack`, by instance.
-    fn asks(nack: &InitNack) -> Vec<(usize, Bitmap)> {
-        nack.iter().map(|(j, request)| (j, *request)).collect()
     }
 
     /// A combined packet that says nothing but `init_nack`.

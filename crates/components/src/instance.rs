@@ -167,7 +167,7 @@ impl Assembler {
         let end = if lost {
             self.frags.len()
         } else {
-            self.frags.iter().rposition(Option::is_some).filter(|&top| top > 0)?
+            self.frags.iter().rposition(Option::is_some)?
         };
         let mut request = Bitmap::new(self.frags.len());
         for (i, frag) in self.frags[..end].iter().enumerate() {
@@ -184,6 +184,7 @@ impl Assembler {
         };
         held == root
             && total == frag_total
+            && frag < total
             && value.get(frag * FRAG_BUDGET..value.len().min((frag + 1) * FRAG_BUDGET))
                 == Some(&data[..])
     }
@@ -856,6 +857,9 @@ mod tests {
         assert!(!sender.airs(1, 3, Digest32::of(b"other"), &f.data), "another root");
         assert!(!sender.airs(2, 3, root, &f.data), "another fragment's bytes");
         assert!(!sender.airs(7, 3, root, &Bytes::new()), "past the value");
+        let mut exact = Assembler::default();
+        let exact_root = exact.hold(value(FRAG_BUDGET * 2));
+        assert!(!exact.airs(2, 2, exact_root, &Bytes::new()), "one past the last fragment");
         let mut partial = Assembler::default();
         feed(&mut partial, &frags, &[0, 1]);
         assert!(!partial.airs(1, 3, root, &f.data), "nothing held, nothing due");

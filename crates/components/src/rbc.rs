@@ -494,6 +494,11 @@ pub(crate) mod tests {
         nacks.into_iter().next().unwrap()
     }
 
+    /// The requests of `nack`, by instance.
+    pub(crate) fn asks(nack: &InitNack) -> Vec<(usize, Bitmap)> {
+        nack.iter().map(|(j, request)| (j, *request)).collect()
+    }
+
     /// A vote packet that says nothing but `init_nack`.
     fn asking(init_nack: InitNack) -> Body {
         Body::RbcEchoReady {
@@ -531,8 +536,7 @@ pub(crate) mod tests {
         }
         b.handle(0, &er, &mut acts);
         let nack = ticked_init_nack(&mut b);
-        let asks: Vec<(usize, Bitmap)> = nack.iter().map(|(j, r)| (j, *r)).collect();
-        assert_eq!(asks, [(0, Bitmap::from_raw(0b00100, 5))], "exactly fragment 2 of 5");
+        assert_eq!(asks(&nack), [(0, Bitmap::from_raw(0b00100, 5))], "exactly fragment 2 of 5");
         // The holder's next tick re-airs that fragment alone, not all five.
         a.handle(1, &asking(nack.clone()), &mut acts);
         assert_eq!(ticked_fragments(&mut a), [2]);
@@ -543,11 +547,6 @@ pub(crate) mod tests {
         a.handle(1, &asking(nack), &mut acts);
         a.handle(2, &asking(other), &mut acts);
         assert_eq!(ticked_fragments(&mut a), [0, 2, 4]);
-    }
-
-    /// The requests of `nack`, by instance.
-    fn asks(nack: &InitNack) -> Vec<(usize, Bitmap)> {
-        nack.iter().map(|(j, request)| (j, *request)).collect()
     }
 
     #[test]
@@ -588,8 +587,7 @@ pub(crate) mod tests {
         let mut acts = Actions::new();
         c.handle(0, &er, &mut acts);
         let nack = ticked_init_nack(&mut c);
-        let asks: Vec<(usize, Bitmap)> = nack.iter().map(|(j, r)| (j, *r)).collect();
-        assert_eq!(asks, [(0, Bitmap::new(0))], "the empty request: every fragment");
+        assert_eq!(asks(&nack), [(0, Bitmap::new(0))], "the empty request: every fragment");
         a.handle(2, &asking(nack), &mut acts);
         assert_eq!(ticked_fragments(&mut a), [0, 1, 2, 3, 4]);
     }
@@ -617,8 +615,7 @@ pub(crate) mod tests {
         };
         b.handle(0, &forged, &mut acts);
         assert!(b.insts[0].asm.claimed_root().is_none() && b.delivered(0).is_none());
-        let asks: Vec<(usize, Bitmap)> = ticked_init_nack(&mut b).iter().map(|(j, r)| (j, *r)).collect();
-        assert_eq!(asks, [(0, Bitmap::new(0))]);
+        assert_eq!(asks(&ticked_init_nack(&mut b)), [(0, Bitmap::new(0))]);
     }
 
     #[test]
