@@ -263,7 +263,7 @@ const TIMER_LOCAL_BITS: u64 = 10;
 
 /// First bit of a component timer id's channel (sessions stay below
 /// `2^44`, so `session << TIMER_LOCAL_BITS` never reaches it).
-const TIMER_CHANNEL_SHIFT: u64 = 54;
+pub(crate) const TIMER_CHANNEL_SHIFT: u64 = 54;
 
 /// The component timer id of `(session, local)` on `channel`.
 fn timer_id(channel: ChannelId, session: u64, local: u32) -> u64 {
@@ -282,10 +282,10 @@ fn timer_session(id: u64) -> u64 {
 
 /// Driver-level timer lane for client arrivals (above a channel's eight
 /// bits, so no component timer id reaches it).
-const ARRIVAL_TIMER_BIT: u64 = 1 << 63;
+pub(crate) const ARRIVAL_TIMER_BIT: u64 = 1 << 63;
 
 /// Driver-level timer lane for periodic anti-entropy head announcements.
-const SYNC_TIMER_BIT: u64 = 1 << 62;
+pub(crate) const SYNC_TIMER_BIT: u64 = 1 << 62;
 
 /// Cadence of head announcements on the sync channel.
 const SYNC_ANNOUNCE_INTERVAL: SimDuration = SimDuration::from_millis(500);

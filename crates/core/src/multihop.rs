@@ -16,7 +16,7 @@
 //! local tier, and no two duties reveal the same coin. A node's two tiers
 //! tell their timers apart by the channel packed into each timer id.
 
-use crate::driver::{sessions, timer_channel, Block, Engine, ProtocolNode};
+use crate::driver::{sessions, timer_channel, Block, Engine, ProtocolNode, TIMER_CHANNEL_SHIFT};
 use crate::protocol::Protocol;
 use crate::workload::Workload;
 use bytes::Bytes;
@@ -105,7 +105,9 @@ fn unseen<'a>(chain: &'a [Block], seen: &mut usize) -> &'a [Block] {
 
 /// Dedicated timer re-announcing known global decisions on the cluster
 /// channel (an announcement lost to a collision must not strand followers).
-const TIMER_ANNOUNCE: u64 = 1 << 62;
+/// A component-layout id on channel 0xff, which no tier runs on: it carries
+/// neither driver lane bit, so no `ProtocolNode` arms it.
+const TIMER_ANNOUNCE: u64 = 0xff << TIMER_CHANNEL_SHIFT;
 
 impl ClusterNode {
     /// Builds one node.
@@ -254,9 +256,8 @@ impl NodeBehavior for ClusterNode {
     }
 
     fn on_timer(&mut self, id: u64, ctx: &mut NodeCtx) {
-        // The announce timer shares its bit with `ProtocolNode`'s sync
-        // timer, so it is routed here, before either tier sees it. Every
-        // other id is a component timer, armed on its tier's channel.
+        // The announce timer is this node's own; every other id is a
+        // component timer, armed on its tier's channel.
         if id == TIMER_ANNOUNCE {
             // Leaders re-broadcast every global decision they produced until
             // the deployment completes. Re-arm unconditionally: the leader
@@ -339,6 +340,15 @@ mod tests {
             *engine = duty;
             engine.start(out);
         });
+    }
+
+    #[test]
+    fn the_announce_timer_is_an_id_no_tier_arms() {
+        use crate::driver::{ARRIVAL_TIMER_BIT, SYNC_TIMER_BIT};
+        assert_eq!(TIMER_ANNOUNCE & ARRIVAL_TIMER_BIT, 0, "a tier's client arrivals");
+        assert_eq!(TIMER_ANNOUNCE & SYNC_TIMER_BIT, 0, "a tier's head announcements");
+        let channel = timer_channel(TIMER_ANNOUNCE);
+        assert!(channel != GLOBAL_CHANNEL && channel.0 > 64, "a tier's components");
     }
 
     #[test]
