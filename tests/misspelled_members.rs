@@ -105,7 +105,7 @@ fn every_member_of_a_scenario_document_is_refused_when_misspelled() {
 
 #[test]
 fn a_udp_node_report_carries_its_digest_chain_and_nothing_else() {
-    let text = read("pre_redesign_beat_sh_seed7.json");
+    let text = read("scenarios/beat.sh.secp160r1+bn158.loss-none.honest.seed7.json");
     let (label, config, report) = decode_scenario(&text).unwrap();
     let digests = vec![Digest32::of(b"block 0"), Digest32::of(b"block 1")];
     let doc = Scenario { label, config, report, block_digests: Some(digests.clone()) }.to_json();

@@ -10,8 +10,8 @@
 //! * JSON: `encode → decode → encode` is a fixpoint for `RunReport` and
 //!   `TestbedConfig`, and the parser never panics on arbitrary input.
 //! * Committed JSON: every scenario document under `tests/fixtures/` and
-//!   every fuzz fixture under `tests/fixtures/fuzz/` decodes and re-encodes
-//!   to its exact bytes. `codec_every_member.json` carries every config and
+//!   `tests/fixtures/scenarios/`, and every fuzz fixture under
+//!   `tests/fixtures/fuzz/`, decodes and re-encodes to its exact bytes. `codec_every_member.json` carries every config and
 //!   report member the run goldens leave out, so each one is pinned too.
 
 use bytes::Bytes;
@@ -252,7 +252,8 @@ fn json_files(dir: &Path) -> Vec<PathBuf> {
 
 #[test]
 fn every_committed_scenario_document_round_trips_to_its_bytes() {
-    let files = json_files(&fixture_dir());
+    let mut files = json_files(&fixture_dir());
+    files.extend(json_files(&fixture_dir().join("scenarios")));
     assert!(files.len() >= 24, "expected the golden set, found {}", files.len());
     for path in files {
         let text = std::fs::read_to_string(&path).unwrap();

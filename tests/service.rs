@@ -20,32 +20,27 @@ use wbft_transport::{PeerTable, ServiceClient};
 use wbft_wireless::{LossModel, SimTime};
 
 // ------------------------------------------------------------------
-// Byte-identity regression against pre-redesign fixtures.
+// Byte-identity regression against the scenario goldens.
 
-/// The exact grid `examples/sweep.rs --protocols beat,dumbo-sc --seeds 7`
-/// ran *before* the service redesign; the `pre_redesign_*` fixture files
-/// under `tests/fixtures/` hold the reports that build produced. The
-/// redesigned engines (StopCondition::Epochs compatibility mode) must
-/// reproduce them byte for byte.
+/// Runs 22 fixed scenarios and compares each report, byte for byte, with
+/// `tests/fixtures/scenarios/<label>.json`:
 ///
-/// The `pre_skeleton_*` files widen the same pin to all eight deployments
-/// at W = 1 and to `hb-sc` / `dumbo-sc` in service mode at W = 2 (the
-/// head-parking gate, the early-decryption path and `on_work_available`).
-/// They were written by the last build with two sibling engines, before
-/// the epoch pipeline moved into one skeleton. Three more pin the runner
-/// paths nothing else byte-pinned — crash/restart, a Byzantine wrap, a
-/// Dumbo membership swap — written by the last build with one runner per
-/// axis. The three `.mh4.` files pin the clustered multi-hop runner
-/// (`run_multi_hop`, `ClusterNode`) — two lossy two-epoch points and a
-/// lossless one — written before any of it was optimised or moved. Six
-/// `*-baseline … loss-u0.1` files (honest and `byz-corrupt@1`) pin the
-/// per-instance packing's retransmission — the batched components' NACK-
-/// steered rule, one instance per frame — which the three lossless
-/// baseline files never reach; all nine were rewritten when the baselines
-/// moved onto the batched components.
-/// `WBFT_BLESS=1` rewrites them after an *intentional* behaviour change.
+/// * all eight deployments, single hop, lossless, W = 1 (`Protocol::ALL`
+///   through `StopCondition::Epochs`);
+/// * `hb-sc` and `dumbo-sc` in service mode at W = 2: the head-parking
+///   gate, the early-decryption path and `on_work_available`;
+/// * one point per remaining runner path: a crash and restart (journal and
+///   sync), a Byzantine wrap and a Dumbo membership swap;
+/// * the clustered multi-hop runner (`run_multi_hop`, `ClusterNode`): two
+///   lossy two-epoch points and a lossless one (the `.mh4.` files);
+/// * the three per-instance baselines at 10 % loss, honest and with a
+///   corrupting proposer: the per-instance retransmission and the
+///   corrupt-assembly reset, which the lossless baselines never reach.
+///
+/// `WBFT_BLESS=1` rewrites all of them after an *intentional* behaviour
+/// change.
 #[test]
-fn fixed_epoch_reports_match_pre_redesign_fixtures() {
+fn fixed_epoch_reports_match_the_scenario_goldens() {
     let mut spec = SweepSpec::new("regress");
     spec.protocols = Protocol::ALL.to_vec();
     let mut scenarios = spec.expand();
@@ -103,22 +98,13 @@ fn fixed_epoch_reports_match_pre_redesign_fixtures() {
     lossy_baselines.epochs = 2;
     scenarios.extend(lossy_baselines.expand());
     assert_eq!(scenarios.len(), 22);
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/scenarios");
     for scenario in &scenarios {
         let cfg = &scenario.cfg;
-        let pre_redesign = cfg.service.is_none()
-            && cfg.crash.is_none()
-            && cfg.churn.is_none()
-            && cfg.clusters.is_none()
-            && matches!(cfg.protocol, Protocol::Beat | Protocol::DumboSc);
-        let path = dir.join(if pre_redesign {
-            format!("pre_redesign_{}_sh_seed7.json", cfg.protocol.slug())
-        } else {
-            format!("pre_skeleton_{}.json", scenario.label)
-        });
+        let path = dir.join(format!("{}.json", scenario.label));
         let report = run(cfg);
         let text = scenario_string(&scenario.label, cfg, &report);
-        if !pre_redesign && std::env::var_os("WBFT_BLESS").is_some() {
+        if std::env::var_os("WBFT_BLESS").is_some() {
             std::fs::write(&path, &text).unwrap();
         }
         let golden = std::fs::read_to_string(&path).unwrap();
