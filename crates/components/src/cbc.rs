@@ -11,20 +11,16 @@
 //!
 //! Under ConsensusBatcher all N instances' ECHO shares and FINISH
 //! certificates ride in one combined `CBC_EF` packet per channel access
-//! (the baseline airs its entries one instance per frame). The instance
-//! itself is `instance::CbcInst`.
+//! (the baseline airs its entries one instance per frame).
 //!
-//! INITIAL fragments are asked for only on evidence they were lost. Once
-//! the value was heard aired whole — the leader's combined packet, which it
-//! queues behind its fragments, or any echo share or certificate over the
-//! value — a node asks for each fragment it lacks; before that, only for a
-//! gap below a fragment it holds. Holders re-air what is asked at their
-//! next tick, less any fragment another node aired first. Which fragments
-//! an instance takes is decided by its first fragment, or by a certificate
-//! that verifies under the root its packet names, never by a bare root.
+//! The INITIAL phase is `instance::Initial`, whose doc states its rule.
+//! CBC's evidence that a value was aired whole is the leader's combined
+//! packet (which it queues behind its fragments) or any echo share or
+//! certificate for the instance; a certificate that verifies under the
+//! root its packet names decides which fragments the instance takes.
 
 use crate::context::{Actions, Batcher, Broadcaster, Params};
-use crate::instance::{Accepted, CbcInst, InitNacks, Signer};
+use crate::instance::{Accepted, Fragment, Initial, Signer};
 use crate::share_buf::Collector;
 use bytes::Bytes;
 use wbft_crypto::hash::Digest32;
@@ -39,11 +35,25 @@ const TIMER_RETX: u32 = 0;
 #[derive(Debug)]
 pub struct CbcBatch {
     signer: Signer,
-    insts: Vec<CbcInst>,
-    /// Peers' NACKs of values we can serve.
-    init_nacks: InitNacks,
+    init: Initial,
+    /// Per instance: the echo shares over its root and, once combined or
+    /// adopted, the quorum certificate. Delivery = value + certificate, in
+    /// either order.
+    certs: Vec<Collector>,
     started: bool,
     out: Batcher,
+}
+
+/// The packet a CBC INITIAL fragment airs in.
+pub(crate) fn cbc_init(instance: u8, f: Fragment, init_nack: InitNack) -> Body {
+    Body::CbcInit {
+        instance,
+        frag: f.frag,
+        frag_total: f.frag_total,
+        root: f.root,
+        data: f.data,
+        init_nack,
+    }
 }
 
 impl CbcBatch {
@@ -51,8 +61,8 @@ impl CbcBatch {
     pub fn new(p: Params, keys: PublicKeySet, secret: SecretKeyShare) -> Self {
         CbcBatch {
             signer: Signer::cbc_echo(p, keys, secret),
-            insts: (0..p.n).map(|_| CbcInst::default()).collect(),
-            init_nacks: InitNacks::new(p.n),
+            init: Initial::new(p.n),
+            certs: vec![Collector::default(); p.n],
             started: false,
             out: Batcher::new(&p, TIMER_RETX),
         }
@@ -64,37 +74,8 @@ impl CbcBatch {
 
     /// The quorum certificate of a delivered instance.
     pub fn proof(&self, instance: usize) -> Option<&ThresholdSignature> {
-        self.insts.get(instance).and_then(CbcInst::proof)
-    }
-
-    /// Airs the fragments of `instance`'s held value that `frags` names
-    /// (bit `f` = fragment `f`).
-    fn send_init_frags(&self, instance: usize, frags: u64, acts: &mut Actions) {
-        let init_nack = self.init_nack();
-        for f in self.insts[instance].asm.fragments() {
-            if frags >> f.frag & 1 == 1 {
-                acts.send(Body::CbcInit {
-                    instance: instance as u8,
-                    frag: f.frag,
-                    frag_total: f.frag_total,
-                    root: f.root,
-                    data: f.data,
-                    init_nack: init_nack.clone(),
-                });
-            }
-        }
-    }
-
-    /// Every fragment still lacking of a value heard aired whole; before
-    /// that, only gaps.
-    fn init_nack(&self) -> InitNack {
-        let mut nack = InitNack::new(self.p().n);
-        for (j, inst) in self.insts.iter().enumerate() {
-            if let Some(request) = inst.asm.request(inst.aired) {
-                nack.ask(j, request);
-            }
-        }
-        nack
+        self.init.get(instance)?.value()?;
+        self.certs[instance].output()
     }
 
     fn build_ef(&self) -> Body {
@@ -104,19 +85,19 @@ impl CbcBatch {
         let mut finish_sigs = Vec::new();
         let mut echo_nack = Bitmap::new(n);
         let mut finish_nack = Bitmap::new(n);
-        for (j, inst) in self.insts.iter().enumerate() {
-            if let Some(r) = inst.asm.claimed_root() {
+        for (j, cert) in self.certs.iter().enumerate() {
+            if let Some(r) = self.init[j].claimed_root() {
                 roots[j] = r;
             }
-            if let Some(share) = inst.cert.own() {
+            if let Some(share) = cert.own() {
                 echo_shares.push((j as u8, share));
             }
-            match inst.cert.output() {
+            match cert.output() {
                 Some(sig) => finish_sigs.push((j as u8, *sig)),
                 None => {
                     finish_nack.set(j, true);
                     if self.p().me == j {
-                        let reported = inst.cert.reporters().count_ones() as usize;
+                        let reported = cert.reporters().count_ones() as usize;
                         echo_nack.set(j, reported < self.p().quorum());
                     }
                 }
@@ -128,16 +109,34 @@ impl CbcBatch {
             finish_sigs,
             echo_nack,
             finish_nack,
-            init_nack: self.init_nack(),
+            init_nack: self.init.init_nack(),
         }
     }
 
-    /// Echoes instance `instance` once its value is held; whatever that
-    /// produced rides in the next combined packet.
+    /// ECHO: signs `instance`'s held value's root, once; the share and
+    /// whatever it completed ride in the next combined packet. The leader's
+    /// own share opens its collection.
     fn echo(&mut self, instance: usize, acts: &mut Actions) {
-        self.out.changed_if(self.insts[instance].echo(&self.signer, instance, acts).is_some());
+        let Some((_, root)) = self.init[instance].held() else { return };
+        let Some(share) = self.signer.sign_own(&mut self.certs[instance], instance, &root, acts)
+        else {
+            return;
+        };
+        self.record_echo(instance, share, acts);
+        self.out.changed();
     }
 
+    /// Leader-side collection of an echo share (only the leader combines).
+    fn record_echo(&mut self, instance: usize, share: SigShare, acts: &mut Actions) {
+        if instance != self.p().me {
+            return;
+        }
+        let Some(root) = self.init[instance].claimed_root() else { return };
+        let cert = &mut self.certs[instance];
+        self.out.changed_if(self.signer.record(cert, instance, &root, share, acts).is_some());
+    }
+
+    /// A heard INITIAL fragment; a completed value is echoed.
     fn handle_init(
         &mut self,
         instance: usize,
@@ -147,21 +146,9 @@ impl CbcBatch {
         data: &Bytes,
         acts: &mut Actions,
     ) {
-        let Some(inst) = self.insts.get_mut(instance) else { return };
-        if inst.asm.airs(frag, frag_total, root, data) {
-            self.init_nacks.overheard(instance, frag);
-        }
-        if let Accepted::Assembled(_) = inst.asm.accept(frag, frag_total, root, data) {
+        if let Accepted::Assembled(_) = self.init.heard(instance, frag, frag_total, root, data) {
             self.echo(instance, acts);
             self.out.changed();
-        }
-    }
-
-    /// Peers lacking fragments of a value we hold → schedule their INITIAL
-    /// re-send.
-    fn note_init_nack(&mut self, init_nack: &InitNack) {
-        for j in self.init_nacks.note(init_nack, |j| self.insts[j].asm.frag_count()) {
-            self.out.peer_lacks(j, 0);
         }
     }
 
@@ -178,9 +165,9 @@ impl Broadcaster for CbcBatch {
         assert!(!self.started, "CbcBatch started twice");
         self.started = true;
         let me = self.p().me;
-        self.insts[me].asm.hold(my_value);
+        self.init.hold(me, my_value);
         self.echo(me, acts);
-        self.send_init_frags(me, u64::MAX, acts);
+        self.init.air(me, u64::MAX, cbc_init, acts);
         self.out.changed();
         self.flush(acts);
         self.out.arm(acts);
@@ -192,7 +179,7 @@ impl Broadcaster for CbcBatch {
         }
         match body {
             Body::CbcInit { instance, frag, frag_total, root, data, init_nack } => {
-                self.note_init_nack(init_nack);
+                self.init.note(init_nack, &mut self.out);
                 self.handle_init(
                     *instance as usize,
                     *frag as usize,
@@ -214,40 +201,42 @@ impl Broadcaster for CbcBatch {
                 if roots.len() != n {
                     return;
                 }
-                // The leader queues this packet behind its fragments.
-                if let Some(inst) = self.insts.get_mut(from).filter(|_| !roots[from].is_zero()) {
-                    inst.aired = true;
+                // Evidence the value was aired whole: the leader queues this
+                // packet behind its fragments, and a share or certificate
+                // is over the value.
+                if !roots[from].is_zero() {
+                    self.init.aired(from);
                 }
                 for (j, share) in echo_shares {
                     let j = *j as usize;
-                    let Some(inst) = self.insts.get_mut(j) else { continue };
-                    inst.aired = true;
-                    self.out.changed_if(inst.record_echo(&self.signer, j, *share, acts).is_some());
+                    self.init.aired(j);
+                    self.record_echo(j, *share, acts);
                 }
                 for (j, sig) in finish_sigs {
                     let j = *j as usize;
-                    let Some(inst) = self.insts.get_mut(j) else { continue };
-                    inst.aired = true;
+                    if j >= n {
+                        continue;
+                    }
+                    self.init.aired(j);
                     // Checked against the root this packet names; one that
                     // verifies is the root whose fragments are taken.
                     let root = roots[j];
-                    if root.is_zero() || inst.asm.held().is_some_and(|(_, held)| held != root) {
+                    if root.is_zero() || self.init[j].held().is_some_and(|(_, held)| held != root) {
                         continue;
                     }
-                    let adopted = self.signer.accept_cert(&mut inst.cert, j, &root, sig, acts);
+                    let adopted = self.signer.accept_cert(&mut self.certs[j], j, &root, sig, acts);
                     if adopted {
-                        inst.asm.claim(root);
+                        self.init.claim(j, root);
                     }
                     self.out.changed_if(adopted);
                 }
                 // NACK evidence: peers missing what we have.
-                self.note_init_nack(init_nack);
-                for (j, inst) in self.insts.iter().enumerate() {
-                    let lacks_finish = finish_nack.len() == n
-                        && finish_nack.get(j)
-                        && inst.cert.output().is_some();
+                self.init.note(init_nack, &mut self.out);
+                for (j, cert) in self.certs.iter().enumerate() {
+                    let lacks_finish =
+                        finish_nack.len() == n && finish_nack.get(j) && cert.output().is_some();
                     let lacks_echo =
-                        echo_nack.len() == n && echo_nack.get(j) && inst.cert.own().is_some();
+                        echo_nack.len() == n && echo_nack.get(j) && cert.own().is_some();
                     if lacks_finish || lacks_echo {
                         self.out.peer_lacks(j, 0);
                     }
@@ -260,20 +249,19 @@ impl Broadcaster for CbcBatch {
 
     fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
         if let Some(behind) = self.out.tick(local_id, self.delivered_count() == self.p().n, acts) {
-            for (j, frags) in self.init_nacks.take_due() {
-                self.send_init_frags(j, frags, acts);
-            }
+            self.init.air_due(cbc_init, acts);
             let body = self.build_ef();
             self.out.resend(behind, body, acts);
         }
     }
 
     fn delivered(&self, instance: usize) -> Option<&Bytes> {
-        self.insts.get(instance).and_then(CbcInst::delivered)
+        self.certs.get(instance)?.output()?;
+        self.init[instance].value()
     }
 
     fn delivered_count(&self) -> usize {
-        self.insts.iter().filter(|i| i.delivered().is_some()).count()
+        (0..self.p().n).filter(|&j| self.delivered(j).is_some()).count()
     }
 }
 
@@ -445,8 +433,9 @@ impl CbcSmallBatch {
 mod tests {
     use super::*;
     use crate::context::deal_node_crypto;
-    use crate::instance::echo_msg;
-    use crate::rbc::tests::{asks, run_mesh, Packing, PACKINGS};
+    use crate::instance::tests::initial::{asks, five_fragment_proposer, tick, Component};
+    use crate::instance::{echo_msg, InitBody};
+    use crate::rbc::tests::{run_mesh, Packing, PACKINGS};
     use rand::SeedableRng;
     use wbft_crypto::CryptoSuite;
 
@@ -525,225 +514,51 @@ mod tests {
         assert!(keys.verify(&echo_msg(5, 3, &root), sig).is_err());
     }
 
-    #[test]
-    fn a_served_root_is_the_digest_of_the_value_it_is_served_for() {
-        // Node 3's second INITIAL fragment is corrupted on the air: nobody
-        // else can assemble (or echo) its value, instances 0–2 deliver.
-        let mut nodes = make();
-        let mut vals: Vec<Bytes> = (0..4).map(|i| Bytes::from(format!("w-{i}"))).collect();
-        vals[3] = Bytes::from(vec![3u8; FRAG_BUDGET + 10]);
-        let mut i = 0;
-        run_mesh(
-            &mut nodes,
-            |n, acts| {
-                n.start(vals[i].clone(), acts);
-                i += 1;
-            },
-            |n, from, body, acts| match body {
-                Body::CbcInit { instance: 3, frag: 1, frag_total, root, init_nack, .. } => {
-                    let corrupt = Body::CbcInit {
-                        instance: 3,
-                        frag: 1,
-                        frag_total: *frag_total,
-                        root: *root,
-                        data: Bytes::from_static(b"not the fragment"),
-                        init_nack: init_nack.clone(),
-                    };
-                    n.handle(from, &corrupt, acts)
-                }
-                _ => n.handle(from, body, acts),
-            },
-            |n| n.delivered_count() == 3,
-        );
-        for node in &nodes {
-            for j in 0..4 {
-                let mut acts = Actions::new();
-                node.send_init_frags(j, u64::MAX, &mut acts);
-                let served: Vec<Digest32> = acts
-                    .drain()
-                    .0
-                    .iter()
-                    .map(|body| match body {
-                        Body::CbcInit { root, .. } => *root,
-                        other => panic!("not an INITIAL fragment: {other:?}"),
-                    })
-                    .collect();
-                match node.insts[j].asm.value() {
-                    Some(v) => assert!(!served.is_empty() && served.iter().all(|r| *r == Digest32::of(v))),
-                    None => assert!(served.is_empty()),
-                }
-            }
+    impl Component for CbcBatch {
+        const INIT: InitBody = cbc_init;
+
+        fn node(me: usize) -> Self {
+            make().swap_remove(me)
         }
-        // The failed assembly left nothing to serve; at the moment of the
-        // failed check the claim itself is dropped.
-        for node in nodes.iter().take(3) {
-            assert!(node.insts[3].asm.value().is_none() && node.delivered(3).is_none());
+
+        fn initial(&self) -> &Initial {
+            &self.init
         }
-        let mut fresh = make().remove(0);
-        let root = Digest32::of(b"claimed");
-        let mut acts = Actions::new();
-        fresh.handle_init(3, 0, 1, root, &Bytes::from_static(b"something else"), &mut acts);
-        let asm = &fresh.insts[3].asm;
-        assert!(asm.value().is_none() && asm.claimed_root().is_none());
+
+        fn asking(init_nack: InitNack) -> Body {
+            bare(vec![Digest32::zero(); 4], init_nack)
+        }
+
+        /// A packet naming `root` for instance 0, and nothing else.
+        fn naming(root: Digest32) -> Vec<Body> {
+            let mut roots = vec![Digest32::zero(); 4];
+            roots[0] = root;
+            vec![bare(roots, InitNack::new(4))]
+        }
     }
 
-    /// Node 0's opening sends for a five-fragment value: its INITIAL
-    /// fragments and its combined packet.
-    fn five_fragment_leader(nodes: &mut [CbcBatch]) -> (Vec<Body>, Body) {
-        let mut acts = Actions::new();
-        nodes[0].start(Bytes::from(vec![5u8; FRAG_BUDGET * 4 + 10]), &mut acts);
-        let (inits, ef): (Vec<Body>, Vec<Body>) =
-            acts.drain().0.into_iter().partition(|b| matches!(b, Body::CbcInit { .. }));
-        assert_eq!((inits.len(), ef.len()), (5, 1));
-        (inits, ef.into_iter().next().unwrap())
-    }
-
-    /// What `node`'s next tick airs: its INITIAL NACK and the INITIAL
-    /// fragments (by index) it re-airs.
-    fn tick(node: &mut CbcBatch) -> (InitNack, Vec<u8>) {
-        let mut acts = Actions::new();
-        node.on_timer(TIMER_RETX, &mut acts);
-        let (mut nack, mut frags) = (None, Vec::new());
-        for body in acts.drain().0 {
-            match body {
-                Body::CbcEchoFinish { init_nack, .. } => nack = Some(init_nack),
-                Body::CbcInit { frag, .. } => frags.push(frag),
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        (nack.expect("one combined packet per tick"), frags)
-    }
-
-    /// A combined packet that says nothing but `init_nack`.
-    fn asking(init_nack: InitNack) -> Body {
-        Body::CbcEchoFinish {
-            roots: vec![Digest32::zero(); 4],
-            echo_shares: Vec::new(),
-            finish_sigs: Vec::new(),
-            echo_nack: Bitmap::new(4),
-            finish_nack: Bitmap::new(4),
-            init_nack,
-        }
+    /// A combined packet that carries nothing but `roots` and `init_nack`.
+    fn bare(roots: Vec<Digest32>, init_nack: InitNack) -> Body {
+        let (echo_shares, finish_sigs) = (Vec::new(), Vec::new());
+        let (echo_nack, finish_nack) = (Bitmap::new(4), Bitmap::new(4));
+        Body::CbcEchoFinish { roots, echo_shares, finish_sigs, echo_nack, finish_nack, init_nack }
     }
 
     #[test]
-    fn a_nack_names_the_one_missing_fragment_and_the_holder_re_airs_only_it() {
+    fn another_node_s_echo_share_shows_the_value_was_aired() {
+        let (_, inits, _) = five_fragment_proposer::<CbcBatch>();
         let mut nodes = make();
-        let (inits, ef) = five_fragment_leader(&mut nodes);
         let mut acts = Actions::new();
-        for body in inits.iter().enumerate().filter(|(i, _)| *i != 2).map(|(_, b)| b) {
-            nodes[1].handle(0, body, &mut acts);
+        for frag in [0, 1, 3] {
+            nodes[1].handle(0, &inits[frag], &mut acts);
         }
-        nodes[1].handle(0, &ef, &mut acts);
-        let (nack, _) = tick(&mut nodes[1]);
-        assert_eq!(asks(&nack), [(0, Bitmap::from_raw(0b00100, 5))], "exactly fragment 2 of 5");
-        nodes[0].handle(1, &asking(nack), &mut acts);
-        assert_eq!(tick(&mut nodes[0]).1, [2], "one INITIAL frame, not five");
-        assert!(tick(&mut nodes[0]).1.is_empty(), "served once");
-    }
-
-    #[test]
-    fn a_node_asks_only_for_gaps_until_it_hears_the_value_aired() {
-        let mut nodes = make();
-        let (inits, ef) = five_fragment_leader(&mut nodes);
-        let mut acts = Actions::new();
-        nodes[1].handle(0, &inits[0], &mut acts);
-        assert!(asks(&tick(&mut nodes[1]).0).is_empty(), "a lone first fragment asks nothing");
-        nodes[1].handle(0, &inits[1], &mut acts);
-        nodes[1].handle(0, &inits[3], &mut acts);
         assert_eq!(asks(&tick(&mut nodes[1]).0), [(0, Bitmap::from_raw(0b00100, 5))], "the gap");
-        // Another node's echo share over the value: it was aired whole.
         for body in &inits {
             nodes[2].handle(0, body, &mut acts);
         }
         let echoed = nodes[2].build_ef();
         nodes[1].handle(2, &echoed, &mut acts);
         assert_eq!(asks(&tick(&mut nodes[1]).0), [(0, Bitmap::from_raw(0b10100, 5))]);
-        // The leader's own packet is evidence too.
-        nodes[3].handle(0, &inits[0], &mut acts);
-        nodes[3].handle(0, &ef, &mut acts);
-        assert_eq!(asks(&tick(&mut nodes[3]).0), [(0, Bitmap::from_raw(0b11110, 5))]);
-    }
-
-    #[test]
-    fn a_due_fragment_another_node_airs_first_is_not_re_aired_unless_asked_again() {
-        let mut nodes = make();
-        let (inits, _) = five_fragment_leader(&mut nodes);
-        let mut nack = InitNack::new(4);
-        nack.ask(0, Bitmap::from_raw(0b00110, 5));
-        let mut acts = Actions::new();
-        nodes[0].handle(2, &asking(nack.clone()), &mut acts);
-        // Node 3 relays fragment 1 first: the leader no longer owes it.
-        nodes[0].handle(3, &inits[1], &mut acts);
-        assert_eq!(tick(&mut nodes[0]).1, [2]);
-        // The requester missed the relay's airing and asks again: served.
-        nodes[0].handle(2, &asking(nack), &mut acts);
-        assert_eq!(tick(&mut nodes[0]).1, [1, 2]);
-    }
-
-    #[test]
-    fn a_node_holding_no_fragment_of_a_known_instance_asks_for_all_of_them() {
-        let mut nodes = make();
-        let (_, ef) = five_fragment_leader(&mut nodes);
-        let mut acts = Actions::new();
-        nodes[2].handle(0, &ef, &mut acts);
-        let (nack, _) = tick(&mut nodes[2]);
-        assert_eq!(asks(&nack), [(0, Bitmap::new(0))], "the empty request: every fragment");
-        nodes[0].handle(2, &asking(nack), &mut acts);
-        assert_eq!(tick(&mut nodes[0]).1, [0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn a_reset_assembly_asks_for_every_fragment_again() {
-        let mut nodes = make();
-        let (inits, ef) = five_fragment_leader(&mut nodes);
-        let b = &mut nodes[1];
-        let mut acts = Actions::new();
-        b.handle(0, &ef, &mut acts);
-        for body in inits.iter().take(4) {
-            b.handle(0, body, &mut acts);
-        }
-        assert_eq!(asks(&b.init_nack()), [(0, Bitmap::from_raw(0b10000, 5))]);
-        // An equivocating leader's last fragment does not hash to the root:
-        // the assembly resets; once the root is claimed again, every
-        // fragment is asked for.
-        let Body::CbcInit { frag_total, root, init_nack, .. } = &inits[4] else { unreachable!() };
-        let forged = Body::CbcInit {
-            instance: 0,
-            frag: 4,
-            frag_total: *frag_total,
-            root: *root,
-            data: Bytes::from_static(b"another value's tail"),
-            init_nack: init_nack.clone(),
-        };
-        b.handle(0, &forged, &mut acts);
-        assert!(b.insts[0].asm.claimed_root().is_none() && b.delivered(0).is_none());
-        b.handle(0, &ef, &mut acts);
-        assert_eq!(asks(&tick(b).0), [(0, Bitmap::new(0))]);
-    }
-
-    #[test]
-    fn a_root_a_peer_names_does_not_lock_out_the_leader_s_fragments() {
-        let mut nodes = make();
-        let (inits, _) = five_fragment_leader(&mut nodes);
-        let mut roots = vec![Digest32::zero(); 4];
-        roots[0] = Digest32::of(b"not node 0's value");
-        let poison = Body::CbcEchoFinish {
-            roots,
-            echo_shares: Vec::new(),
-            finish_sigs: Vec::new(),
-            echo_nack: Bitmap::new(4),
-            finish_nack: Bitmap::new(4),
-            init_nack: InitNack::new(4),
-        };
-        let b = &mut nodes[1];
-        let mut acts = Actions::new();
-        b.handle(2, &poison, &mut acts);
-        for body in &inits {
-            b.handle(0, body, &mut acts);
-        }
-        assert!(b.insts[0].asm.value().is_some(), "the leader's value was refused");
-        assert!(b.insts[0].cert.own().is_some(), "and not echoed");
     }
 
     #[test]
@@ -763,7 +578,7 @@ mod tests {
             |n, from, body, acts| n.handle(from, body, acts),
             |n| n.delivered_count() == 4,
         );
-        let (inits, _) = five_fragment_leader(&mut make());
+        let (_, inits, _) = five_fragment_proposer::<CbcBatch>();
         let Body::CbcEchoFinish { roots, finish_sigs, .. } = nodes[0].build_ef() else { unreachable!() };
         let certified = |roots: Vec<Digest32>| Body::CbcEchoFinish {
             roots,
@@ -778,16 +593,16 @@ mod tests {
         let mut acts = Actions::new();
         let forged = Digest32::of(b"an equivocator's root");
         b.handle_init(0, 0, 5, forged, &Bytes::from_static(b"x"), &mut acts);
-        assert_eq!(b.insts[0].asm.claimed_root(), Some(forged));
+        assert_eq!(b.init[0].claimed_root(), Some(forged));
         // The certificate in a packet naming a false root does not verify.
         let mut false_roots = roots.clone();
         false_roots[0] = forged;
         b.handle(2, &certified(false_roots), &mut acts);
-        assert!(b.insts[0].cert.output().is_none());
+        assert!(b.certs[0].output().is_none());
         // Under the root it certifies it does, and that root now decides.
         b.handle(2, &certified(roots.clone()), &mut acts);
-        assert!(b.insts[0].cert.output().is_some());
-        assert_eq!(b.insts[0].asm.claimed_root(), Some(roots[0]));
+        assert!(b.certs[0].output().is_some());
+        assert_eq!(b.init[0].claimed_root(), Some(roots[0]));
         for body in &inits {
             b.handle(0, body, &mut acts);
         }

@@ -4,23 +4,22 @@
 //! ConsensusBatcher changes how N parallel component instances are
 //! *packaged* into channel accesses, never what an instance does (paper
 //! §IV, Fig. 4–5). So the instance state machines live here and know
-//! nothing about packets: a proposal [`Assembler`], a Bracha [`VoteTally`]
-//! and a threshold-share [`Collector`] (under a [`Signer`]), composed into
-//! the three instances the protocols run — [`BrachaInst`] (RBC),
-//! [`CbcInst`] (CBC) and the PRBC [`DoneStage`]. The components (`rbc`,
-//! `cbc`, `prbc`) drive them and add only the combined packet a transition
-//! goes out in; when and in how many frames it goes out is the shared
-//! `Batcher`; the INITIAL NACKs a holder owes an answer to — down to the
-//! fragments they ask for, less those the air answered since — are
-//! [`InitNacks`].
+//! nothing about packets: the INITIAL phase of N instances ([`Initial`],
+//! over one proposal [`Assembler`] each), which RBC, PRBC and CBC share; a
+//! Bracha [`VoteTally`]; a threshold-share [`Collector`] under a
+//! [`Signer`]; and the PRBC [`DoneStage`]. The components (`rbc`, `cbc`,
+//! `prbc`) drive them and add only the combined packet a transition goes
+//! out in and the evidence of loss they report; when and in how many frames
+//! it goes out is the shared `Batcher`.
 
-use crate::context::{Actions, Params};
+use crate::context::{Actions, Batcher, Params};
 use crate::share_buf::{Collector, Quorum, Recorded};
 use bytes::Bytes;
+use std::ops::Index;
 use wbft_crypto::hash::Digest32;
 use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare, SigShare, ThresholdSignature};
 use wbft_net::init_nack::asked;
-use wbft_net::{Bitmap, InitNack};
+use wbft_net::{Bitmap, Body, InitNack};
 
 /// Maximum value bytes carried per INITIAL fragment (fits a LoRa frame
 /// after header, root, NACK and signature).
@@ -213,61 +212,158 @@ impl Assembler {
     }
 }
 
-/// Holder side of the INITIAL NACKs of N instances: which fragments of the
-/// values this node holds peers have asked for, until the next tick serves
-/// them. Requests for one instance are unioned, so one re-air of a fragment
-/// answers every peer that lacks it — and a fragment some other node airs
-/// first is no longer due here ([`InitNacks::overheard`]): a requester that
-/// missed that airing too asks again.
+// ----------------------------------------------------------- initial
+
+/// Builds the packet an INITIAL fragment of an instance airs in, with the
+/// sender's INITIAL NACK: `Body::RbcInit` or `Body::CbcInit`.
+pub(crate) type InitBody = fn(u8, Fragment, InitNack) -> Body;
+
+/// The INITIAL phase of N broadcast instances, shared by RBC, PRBC and CBC:
+/// per instance the proposal [`Assembler`], whether the value was heard
+/// aired whole, and the fragments peers asked this node to re-air.
+///
+/// A fragment is re-aired only on evidence it was lost:
+/// - **Asking** ([`Initial::init_nack`]). Once the component reported the
+///   value aired whole ([`Initial::aired`]: RBC on a peer's vote, CBC on
+///   the leader's packet, an echo share or a certificate), a node asks for
+///   every fragment it lacks — all of them, the empty request, while it
+///   holds none. Before that it asks only for gaps below the highest
+///   fragment it holds, as fragments air in ascending order. A root some
+///   packet names is no evidence.
+/// - **Serving** ([`Initial::note`], [`Initial::air_due`]). The requests
+///   for one instance are unioned, so one re-air at the next tick answers
+///   every peer that lacks the fragment. A fragment heard from another node
+///   — the one this node would air — is no longer due here
+///   ([`Initial::heard`]); a requester that missed that airing too asks
+///   again.
+/// - **Taking.** Which fragments an instance takes is decided by its first
+///   fragment, until the component claims a root it has evidence honest
+///   nodes hold ([`Initial::claim`]); never by a root a peer merely names.
 #[derive(Debug)]
-pub(crate) struct InitNacks {
-    /// Per instance, bit `f`: some peer asked for fragment `f`, and it has
-    /// not been heard on the air since.
-    due: Vec<u64>,
+pub(crate) struct Initial {
+    insts: Vec<InitInst>,
 }
 
-impl InitNacks {
+/// One instance of [`Initial`].
+#[derive(Debug, Default)]
+struct InitInst {
+    asm: Assembler,
+    /// The value was heard aired whole: a missing fragment was lost.
+    aired: bool,
+    /// Bit `f`: some peer asked for fragment `f`, and it has not been
+    /// heard on the air since.
+    due: u64,
+}
+
+impl Initial {
     pub(crate) fn new(n: usize) -> Self {
-        InitNacks { due: vec![0; n] }
+        Initial { insts: (0..n).map(|_| InitInst::default()).collect() }
     }
 
-    /// Notes a peer's INITIAL NACK against the values this node holds
-    /// (`frag_count`: how many fragments its value of an instance splits
-    /// into, `None` when it holds none); answers the NACKed instances it
-    /// can serve.
-    pub(crate) fn note(
-        &mut self,
-        init_nack: &InitNack,
-        frag_count: impl Fn(usize) -> Option<usize>,
-    ) -> Vec<usize> {
-        if init_nack.len() != self.due.len() {
-            return Vec::new();
+    pub(crate) fn get(&self, instance: usize) -> Option<&Assembler> {
+        self.insts.get(instance).map(|i| &i.asm)
+    }
+
+    /// Holds this node's own value of `instance`; returns its root.
+    pub(crate) fn hold(&mut self, instance: usize, value: Bytes) -> Digest32 {
+        self.insts[instance].asm.hold(value)
+    }
+
+    /// See [`Assembler::claim`].
+    pub(crate) fn claim(&mut self, instance: usize, root: Digest32) {
+        self.insts[instance].asm.claim(root);
+    }
+
+    /// The component heard evidence that `instance`'s value was aired whole.
+    pub(crate) fn aired(&mut self, instance: usize) {
+        if let Some(inst) = self.insts.get_mut(instance) {
+            inst.aired = true;
         }
-        let mut served = Vec::new();
-        for (j, request) in init_nack.iter() {
-            let asked = frag_count(j).map_or(0, |total| asked(request, total).to_raw());
-            if let Some(due) = self.due.get_mut(j).filter(|_| asked != 0) {
-                *due |= asked;
-                served.push(j);
+    }
+
+    /// This node's INITIAL NACK: the fragments it has evidence were lost.
+    pub(crate) fn init_nack(&self) -> InitNack {
+        let mut nack = InitNack::new(self.insts.len());
+        for (j, inst) in self.insts.iter().enumerate() {
+            if let Some(request) = inst.asm.request(inst.aired) {
+                nack.ask(j, request);
             }
         }
-        served
+        nack
     }
 
-    /// Another node aired fragment `frag` of `instance` (the one this node
-    /// would air): the request it answered is no longer due here.
-    pub(crate) fn overheard(&mut self, instance: usize, frag: usize) {
-        if let Some(due) = self.due.get_mut(instance) {
-            *due &= !1u64.checked_shl(frag as u32).unwrap_or(0);
+    /// Notes a peer's INITIAL NACK against the values this node holds: the
+    /// fragments asked for are due, and `out` learns the peer lacks them.
+    pub(crate) fn note(&mut self, init_nack: &InitNack, out: &mut Batcher) {
+        if init_nack.len() != self.insts.len() {
+            return;
+        }
+        for (j, request) in init_nack.iter() {
+            let Some(inst) = self.insts.get_mut(j) else { continue };
+            let asked = inst.asm.frag_count().map_or(0, |total| asked(request, total).to_raw());
+            if asked != 0 {
+                inst.due |= asked;
+                out.peer_lacks(j, 0);
+            }
         }
     }
 
-    /// Takes the instances whose INITIAL is due a re-send, each with the
-    /// fragments asked for (bit `f` = fragment `f`).
-    pub(crate) fn take_due(&mut self) -> Vec<(usize, u64)> {
-        let due = self.due.iter().copied().enumerate().filter(|&(_, f)| f != 0).collect();
-        self.due.fill(0);
-        due
+    /// Takes a fragment heard on the air. One this node would air itself
+    /// is no longer due here, also when the assembler refuses it.
+    pub(crate) fn heard(
+        &mut self,
+        instance: usize,
+        frag: usize,
+        frag_total: usize,
+        root: Digest32,
+        data: &Bytes,
+    ) -> Accepted {
+        let Some(inst) = self.insts.get_mut(instance) else { return Accepted::Refused };
+        if inst.asm.airs(frag, frag_total, root, data) {
+            inst.due &= !1u64.checked_shl(frag as u32).unwrap_or(0);
+        }
+        inst.asm.accept(frag, frag_total, root, data)
+    }
+
+    /// Airs the fragments of `instance`'s held value that `frags` names
+    /// (bit `f` = fragment `f`), each in the packet `body` builds.
+    pub(crate) fn air(&self, instance: usize, frags: u64, body: InitBody, acts: &mut Actions) {
+        self.air_with(&self.init_nack(), instance, frags, body, acts);
+    }
+
+    /// Airs the fragments peers asked for since the last call.
+    pub(crate) fn air_due(&mut self, body: InitBody, acts: &mut Actions) {
+        let init_nack = self.init_nack();
+        for j in 0..self.insts.len() {
+            let due = std::mem::take(&mut self.insts[j].due);
+            self.air_with(&init_nack, j, due, body, acts);
+        }
+    }
+
+    fn air_with(
+        &self,
+        init_nack: &InitNack,
+        instance: usize,
+        frags: u64,
+        body: InitBody,
+        acts: &mut Actions,
+    ) {
+        if frags == 0 {
+            return;
+        }
+        for f in self.insts[instance].asm.fragments() {
+            if frags >> f.frag & 1 == 1 {
+                acts.send(body(instance as u8, f, init_nack.clone()));
+            }
+        }
+    }
+}
+
+impl Index<usize> for Initial {
+    type Output = Assembler;
+
+    fn index(&self, instance: usize) -> &Assembler {
+        &self.insts[instance].asm
     }
 }
 
@@ -357,11 +453,6 @@ impl VoteTally {
         self.delivered
     }
 
-    /// Whether any node's vote has been seen.
-    pub(crate) fn any(&self) -> bool {
-        self.echo_roots.iter().chain(&self.ready_roots).any(Option::is_some)
-    }
-
     /// Echoes behind the most-echoed root.
     pub(crate) fn echo_support(&self) -> usize {
         count_votes(&self.echo_roots).map_or(0, |(_, c)| c)
@@ -397,55 +488,6 @@ impl VoteTally {
             }
         }
         step
-    }
-}
-
-/// One Bracha RBC instance: a proposal and the votes on its root.
-#[derive(Debug)]
-pub(crate) struct BrachaInst {
-    pub asm: Assembler,
-    pub votes: VoteTally,
-}
-
-impl BrachaInst {
-    pub(crate) fn new(n: usize) -> Self {
-        BrachaInst { asm: Assembler::default(), votes: VoteTally::new(n) }
-    }
-
-    /// Holds this node's own proposal and echoes it; returns its root.
-    pub(crate) fn propose(&mut self, me: usize, value: Bytes) -> Digest32 {
-        let root = self.asm.hold(value);
-        self.votes.cast_echo(me, root);
-        root
-    }
-
-    /// Takes one INITIAL fragment; a completed proposal is echoed.
-    pub(crate) fn on_fragment(
-        &mut self,
-        me: usize,
-        frag: usize,
-        frag_total: usize,
-        root: Digest32,
-        data: &Bytes,
-    ) -> Accepted {
-        let accepted = self.asm.accept(frag, frag_total, root, data);
-        if accepted == Accepted::Assembled(root) {
-            self.votes.cast_echo(me, root);
-        }
-        accepted
-    }
-
-    pub(crate) fn step(&mut self, p: &Params) -> Step {
-        self.votes.step(p, self.asm.held().map(|(_, root)| root))
-    }
-
-    pub(crate) fn delivered(&self) -> Option<&Bytes> {
-        self.asm.value().filter(|_| self.votes.delivered())
-    }
-
-    /// The delivered value's root (PRBC signs this): the held one.
-    pub(crate) fn delivered_root(&self) -> Option<Digest32> {
-        self.asm.held().filter(|_| self.votes.delivered()).map(|(_, root)| root)
     }
 }
 
@@ -557,60 +599,6 @@ impl Signer {
     }
 }
 
-/// One CBC instance: the leader's value and the quorum certificate over
-/// its root. Delivery = value + verified certificate, in either order.
-#[derive(Debug, Default)]
-pub(crate) struct CbcInst {
-    pub asm: Assembler,
-    pub cert: Collector,
-    /// The leader's value has been aired whole: its combined packet (which
-    /// it queues behind its fragments), or an echo share or certificate
-    /// over the value, was heard. Evidence that a missing fragment was lost.
-    pub aired: bool,
-}
-
-impl CbcInst {
-    pub(crate) fn delivered(&self) -> Option<&Bytes> {
-        self.asm.value().filter(|_| self.cert.output().is_some())
-    }
-
-    /// The quorum certificate, once delivered.
-    pub(crate) fn proof(&self) -> Option<&ThresholdSignature> {
-        self.cert.output().filter(|_| self.asm.value().is_some())
-    }
-
-    /// ECHO: signs the held value's root, once. The leader's own share
-    /// opens its collection. Returns the new share, its root, and the
-    /// certificate if the share completed it.
-    pub(crate) fn echo(
-        &mut self,
-        s: &Signer,
-        instance: usize,
-        acts: &mut Actions,
-    ) -> Option<(SigShare, Digest32, Option<ThresholdSignature>)> {
-        let (_, root) = self.asm.held()?;
-        let share = s.sign_own(&mut self.cert, instance, &root, acts)?;
-        let finish = self.record_echo(s, instance, share, acts).map(|(_, sig)| sig);
-        Some((share, root, finish))
-    }
-
-    /// Leader-side collection of an echo share (only the leader combines);
-    /// returns the root and certificate when this share completed it.
-    pub(crate) fn record_echo(
-        &mut self,
-        s: &Signer,
-        instance: usize,
-        share: SigShare,
-        acts: &mut Actions,
-    ) -> Option<(Digest32, ThresholdSignature)> {
-        if instance != s.p.me {
-            return None;
-        }
-        let root = self.asm.claimed_root()?;
-        s.record(&mut self.cert, instance, &root, share, acts).map(|sig| (root, sig))
-    }
-}
-
 /// PRBC's DONE phase over N instances: after delivering instance `j` a
 /// node signs a share over its root; f + 1 combine into the proof that an
 /// honest node delivered `j`. Shares and proofs are checked against the
@@ -694,7 +682,7 @@ impl DoneStage {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::SeedableRng;
     use wbft_crypto::{thresh_sig, GroupElem, ShareIndex, ThresholdCurve};
@@ -814,6 +802,14 @@ mod tests {
         assert_eq!(asm.request(false), None, "no gap below the highest held");
     }
 
+    /// The fragments, by `(instance, frag)`, `init`'s next tick re-airs.
+    fn air_due(init: &mut Initial) -> Vec<(u8, u8)> {
+        let mut acts = Actions::new();
+        init.air_due(crate::rbc::rbc_init, &mut acts);
+        let frag = |b: &Body| initial::fragment_of(b).map(|(j, f, _)| (j, f.frag)).unwrap();
+        acts.drain().0.iter().map(frag).collect()
+    }
+
     #[test]
     fn a_holder_serves_the_union_of_requests_less_what_the_air_answered() {
         let ask = |j: usize, request: Bitmap| {
@@ -821,27 +817,35 @@ mod tests {
             nack.ask(j, request);
             nack
         };
-        let mut nacks = InitNacks::new(4);
-        let holds_1 = |j: usize| (j == 1).then_some(5);
-        assert_eq!(nacks.note(&ask(1, Bitmap::from_raw(0b10110, 5)), holds_1), [1]);
-        assert_eq!(nacks.note(&ask(1, Bitmap::from_raw(0b00001, 5)), holds_1), [1]);
-        assert!(nacks.note(&ask(2, Bitmap::new(0)), holds_1).is_empty(), "not held here");
-        assert_eq!(nacks.take_due(), [(1, 0b10111)], "the union, once");
-        assert!(nacks.take_due().is_empty());
+        let mut init = Initial::new(4);
+        let root = init.hold(1, value(FRAG_BUDGET * 4 + 1));
+        let frags = init[1].fragments();
+        let mut out = Batcher::new(&tally_params(), 0);
+        let mut note = |init: &mut Initial, nack: &InitNack| init.note(nack, &mut out);
+        note(&mut init, &ask(1, Bitmap::from_raw(0b10110, 5)));
+        note(&mut init, &ask(1, Bitmap::from_raw(0b00001, 5)));
+        note(&mut init, &ask(2, Bitmap::new(0))); // not held here
+        note(&mut init, &InitNack::new(3)); // another committee
+        assert_eq!(air_due(&mut init), [(1, 0), (1, 1), (1, 2), (1, 4)], "the union, once");
+        assert!(air_due(&mut init).is_empty());
         // A request of another length than the held split asks for all.
-        nacks.note(&ask(1, Bitmap::from_raw(0b1, 3)), holds_1);
-        assert_eq!(nacks.take_due(), [(1, 0b11111)]);
+        note(&mut init, &ask(1, Bitmap::from_raw(0b1, 3)));
+        assert_eq!(air_due(&mut init).len(), 5);
         // Fragments another node aired since are not due; asked again, they are.
-        nacks.note(&ask(1, Bitmap::from_raw(0b00110, 5)), holds_1);
-        nacks.overheard(1, 2);
-        nacks.overheard(1, 64);
-        nacks.overheard(9, 1);
-        assert_eq!(nacks.take_due(), [(1, 0b00010)]);
-        nacks.note(&ask(1, Bitmap::from_raw(0b00100, 5)), holds_1);
-        nacks.overheard(1, 2);
-        assert!(nacks.take_due().is_empty());
-        nacks.note(&ask(1, Bitmap::from_raw(0b00100, 5)), holds_1);
-        assert_eq!(nacks.take_due(), [(1, 0b00100)]);
+        let heard = |init: &mut Initial, j: usize, frag: usize| {
+            let data = frags.get(frag).map_or_else(Bytes::new, |f| f.data.clone());
+            init.heard(j, frag, 5, root, &data)
+        };
+        note(&mut init, &ask(1, Bitmap::from_raw(0b00110, 5)));
+        assert_eq!(heard(&mut init, 1, 2), Accepted::Refused, "held already");
+        heard(&mut init, 1, 64);
+        assert_eq!(heard(&mut init, 9, 1), Accepted::Refused, "no such instance");
+        assert_eq!(air_due(&mut init), [(1, 1)]);
+        note(&mut init, &ask(1, Bitmap::from_raw(0b00100, 5)));
+        heard(&mut init, 1, 2);
+        assert!(air_due(&mut init).is_empty());
+        note(&mut init, &ask(1, Bitmap::from_raw(0b00100, 5)));
+        assert_eq!(air_due(&mut init), [(1, 2)]);
     }
 
     #[test]
@@ -899,7 +903,6 @@ mod tests {
     fn tally_becomes_ready_on_a_quorum_of_echoes() {
         let (p, root) = (tally_params(), Digest32::of(b"v"));
         let mut t = VoteTally::new(4);
-        assert!(!t.any());
         assert!(t.cast_echo(p.me, root));
         assert!(!t.cast_echo(p.me, Digest32::of(b"w")), "this node echoes once");
         t.echo(1, root);
@@ -1040,5 +1043,274 @@ mod tests {
         assert_eq!(acts.charge_us, 3 * s[0].keys.profile().verify_signature_us);
         assert!(!s[0].accept_cert(&mut c, 2, &root, &sig, &mut acts), "already held");
         assert_eq!(acts.charge_us, 3 * s[0].keys.profile().verify_signature_us);
+    }
+
+    /// The INITIAL phase through the components that run it: every check
+    /// below runs once against `RbcBatch` and once against `CbcBatch`.
+    pub(crate) mod initial {
+        use super::super::*;
+        use crate::cbc::CbcBatch;
+        use crate::context::Broadcaster;
+        use crate::rbc::tests::run_mesh;
+        use crate::rbc::RbcBatch;
+
+        /// A broadcast component, four nodes, as the checks drive it.
+        pub(crate) trait Component: Broadcaster + Sized {
+            /// Builds the component's INITIAL packets.
+            const INIT: InitBody;
+
+            /// Node `me` of four.
+            fn node(me: usize) -> Self;
+
+            fn initial(&self) -> &Initial;
+
+            /// A combined packet that says nothing but `init_nack`.
+            fn asking(init_nack: InitNack) -> Body;
+
+            /// Packets a peer may send naming `root` for instance 0 without
+            /// evidence that honest nodes hold it.
+            fn naming(root: Digest32) -> Vec<Body>;
+        }
+
+        /// The INITIAL fragment `body` carries, with its instance and NACK.
+        pub(crate) fn fragment_of(body: &Body) -> Option<(u8, Fragment, &InitNack)> {
+            match body {
+                Body::RbcInit { instance, frag, frag_total, root, data, init_nack }
+                | Body::CbcInit { instance, frag, frag_total, root, data, init_nack } => {
+                    let f = Fragment {
+                        frag: *frag,
+                        frag_total: *frag_total,
+                        root: *root,
+                        data: data.clone(),
+                    };
+                    Some((*instance, f, init_nack))
+                }
+                _ => None,
+            }
+        }
+
+        /// The requests of `nack`, by instance.
+        pub(crate) fn asks(nack: &InitNack) -> Vec<(usize, Bitmap)> {
+            nack.iter().map(|(j, request)| (j, *request)).collect()
+        }
+
+        /// Node 0's opening sends for a five-fragment value: its INITIAL
+        /// fragments and its combined packet.
+        pub(crate) fn five_fragment_proposer<C: Component>() -> (C, Vec<Body>, Body) {
+            let mut a = C::node(0);
+            let mut acts = Actions::new();
+            a.start(Bytes::from(vec![5u8; FRAG_BUDGET * 4 + 10]), &mut acts);
+            let (inits, combined): (Vec<Body>, Vec<Body>) =
+                acts.drain().0.into_iter().partition(|b| fragment_of(b).is_some());
+            assert_eq!((inits.len(), combined.len()), (5, 1));
+            (a, inits, combined.into_iter().next().unwrap())
+        }
+
+        /// What `node`'s next tick airs: the INITIAL NACK of its combined
+        /// packet and the INITIAL fragments (by index) it re-airs.
+        pub(crate) fn tick<C: Component>(node: &mut C) -> (InitNack, Vec<u8>) {
+            let mut acts = Actions::new();
+            node.on_timer(0, &mut acts);
+            let (mut nacks, mut frags) = (Vec::new(), Vec::new());
+            for body in acts.drain().0 {
+                match body {
+                    Body::RbcEchoReady { init_nack, .. }
+                    | Body::CbcEchoFinish { init_nack, .. } => nacks.push(init_nack),
+                    other => frags.push(fragment_of(&other).expect("an INITIAL fragment").1.frag),
+                }
+            }
+            assert_eq!(nacks.len(), 1, "one combined packet per tick");
+            (nacks.remove(0), frags)
+        }
+
+        /// `f` of instance `j` in `C`'s packet, with `data` in place of its own.
+        fn forged<C: Component>(j: u8, f: Fragment, nack: &InitNack, data: &'static [u8]) -> Body {
+            C::INIT(j, Fragment { data: Bytes::from_static(data), ..f }, nack.clone())
+        }
+
+        macro_rules! on_both {
+            ($($check:ident),* $(,)?) => {$(
+                #[test]
+                fn $check() {
+                    checks::$check::<RbcBatch>();
+                    checks::$check::<CbcBatch>();
+                }
+            )*};
+        }
+
+        on_both!(
+            a_nack_names_the_one_missing_fragment_and_the_holder_re_airs_only_it,
+            a_node_asks_only_for_gaps_until_the_proposer_s_packet_shows_it_aired,
+            a_due_fragment_another_node_airs_first_is_not_re_aired_unless_asked_again,
+            a_node_holding_no_fragment_of_an_aired_value_asks_for_all_of_them,
+            a_reset_assembly_asks_for_every_fragment_again,
+            a_root_a_peer_names_does_not_lock_out_the_proposer_s_fragments,
+            a_served_root_is_the_digest_of_the_value_it_is_served_for,
+        );
+
+        mod checks {
+            use super::*;
+
+            pub(super) fn a_nack_names_the_one_missing_fragment_and_the_holder_re_airs_only_it<
+                C: Component,
+            >() {
+                let (mut a, inits, combined) = five_fragment_proposer::<C>();
+                let mut b = C::node(1);
+                let mut acts = Actions::new();
+                for (i, body) in inits.iter().enumerate().filter(|(i, _)| *i != 2) {
+                    b.handle(0, body, &mut acts);
+                    assert!(b.delivered(0).is_none(), "fragment {i} alone completes nothing");
+                }
+                b.handle(0, &combined, &mut acts);
+                let (nack, _) = tick(&mut b);
+                let exactly_2 = [(0, Bitmap::from_raw(0b00100, 5))];
+                assert_eq!(asks(&nack), exactly_2, "exactly fragment 2 of 5");
+                // The holder's next tick re-airs that fragment alone, not all five.
+                a.handle(1, &C::asking(nack.clone()), &mut acts);
+                assert_eq!(tick(&mut a).1, [2]);
+                assert!(tick(&mut a).1.is_empty(), "served once");
+                // Two peers' requests are unioned and served on one tick.
+                let mut other = InitNack::new(4);
+                other.ask(0, Bitmap::from_raw(0b10001, 5));
+                a.handle(1, &C::asking(nack), &mut acts);
+                a.handle(2, &C::asking(other), &mut acts);
+                assert_eq!(tick(&mut a).1, [0, 2, 4]);
+            }
+
+            pub(super) fn a_node_asks_only_for_gaps_until_the_proposer_s_packet_shows_it_aired<
+                C: Component,
+            >() {
+                let (_, inits, combined) = five_fragment_proposer::<C>();
+                let mut b = C::node(1);
+                let mut acts = Actions::new();
+                b.handle(0, &inits[0], &mut acts);
+                assert!(asks(&tick(&mut b).0).is_empty(), "a lone first fragment asks nothing");
+                b.handle(0, &inits[1], &mut acts);
+                b.handle(0, &inits[3], &mut acts);
+                let gap = [(0, Bitmap::from_raw(0b00100, 5))];
+                assert_eq!(asks(&tick(&mut b).0), gap, "the gap");
+                // The proposer queues its combined packet behind its fragments.
+                b.handle(0, &combined, &mut acts);
+                let all_missing = [(0, Bitmap::from_raw(0b10100, 5))];
+                assert_eq!(asks(&tick(&mut b).0), all_missing, "then all missing");
+            }
+
+            pub(super) fn a_due_fragment_another_node_airs_first_is_not_re_aired_unless_asked_again<
+                C: Component,
+            >() {
+                let (mut a, inits, _) = five_fragment_proposer::<C>();
+                let mut nack = InitNack::new(4);
+                nack.ask(0, Bitmap::from_raw(0b00110, 5));
+                let mut acts = Actions::new();
+                a.handle(2, &C::asking(nack.clone()), &mut acts);
+                // Node 3 relays fragment 1 first; `a` holds the value, so
+                // takes nothing from it, but no longer owes that fragment.
+                a.handle(3, &inits[1], &mut acts);
+                assert_eq!(tick(&mut a).1, [2]);
+                // The requester missed the relay's airing and asks again: served.
+                a.handle(2, &C::asking(nack), &mut acts);
+                assert_eq!(tick(&mut a).1, [1, 2]);
+            }
+
+            pub(super) fn a_node_holding_no_fragment_of_an_aired_value_asks_for_all_of_them<
+                C: Component,
+            >() {
+                let (mut a, _, combined) = five_fragment_proposer::<C>();
+                let mut c = C::node(2);
+                let mut acts = Actions::new();
+                c.handle(0, &combined, &mut acts);
+                let (nack, _) = tick(&mut c);
+                assert_eq!(asks(&nack), [(0, Bitmap::new(0))], "the empty request: every fragment");
+                a.handle(2, &C::asking(nack), &mut acts);
+                assert_eq!(tick(&mut a).1, [0, 1, 2, 3, 4]);
+            }
+
+            pub(super) fn a_reset_assembly_asks_for_every_fragment_again<C: Component>() {
+                let (_, inits, combined) = five_fragment_proposer::<C>();
+                let mut b = C::node(1);
+                let mut acts = Actions::new();
+                b.handle(0, &combined, &mut acts);
+                for body in inits.iter().take(4) {
+                    b.handle(0, body, &mut acts);
+                }
+                assert_eq!(asks(&b.initial().init_nack()), [(0, Bitmap::from_raw(0b10000, 5))]);
+                // An equivocating proposer's last fragment does not hash to
+                // the root: the assembly resets, and every fragment is asked
+                // for again.
+                let (j, f, nack) = fragment_of(&inits[4]).unwrap();
+                b.handle(0, &forged::<C>(j, f, nack, b"another value's tail"), &mut acts);
+                assert!(b.initial()[0].claimed_root().is_none() && b.delivered(0).is_none());
+                assert_eq!(asks(&tick(&mut b).0), [(0, Bitmap::new(0))]);
+            }
+
+            pub(super) fn a_root_a_peer_names_does_not_lock_out_the_proposer_s_fragments<
+                C: Component,
+            >() {
+                let (_, inits, _) = five_fragment_proposer::<C>();
+                for poison in C::naming(Digest32::of(b"not node 0's proposal")) {
+                    let mut b = C::node(1);
+                    let mut acts = Actions::new();
+                    b.handle(2, &poison, &mut acts);
+                    for body in &inits {
+                        b.handle(0, body, &mut acts);
+                    }
+                    assert!(b.initial()[0].value().is_some(), "refused after {poison:?}");
+                }
+            }
+
+            pub(super) fn a_served_root_is_the_digest_of_the_value_it_is_served_for<
+                C: Component,
+            >() {
+                // Node 3's second INITIAL fragment is corrupted on the air:
+                // nobody else can assemble its value, instances 0–2 deliver.
+                let mut nodes: Vec<C> = (0..4).map(C::node).collect();
+                let mut vals: Vec<Bytes> = (0..4).map(|i| Bytes::from(format!("v-{i}"))).collect();
+                vals[3] = Bytes::from(vec![3u8; FRAG_BUDGET + 10]);
+                let mut i = 0;
+                run_mesh(
+                    &mut nodes,
+                    |n, acts| {
+                        n.start(vals[i].clone(), acts);
+                        i += 1;
+                    },
+                    |n, from, body, acts| match fragment_of(body) {
+                        Some((3, f, nack)) if f.frag == 1 => {
+                            n.handle(from, &forged::<C>(3, f, nack, b"not the fragment"), acts)
+                        }
+                        _ => n.handle(from, body, acts),
+                    },
+                    |n| n.delivered_count() == 3,
+                );
+                for node in &nodes {
+                    for j in 0..4 {
+                        let mut acts = Actions::new();
+                        node.initial().air(j, u64::MAX, C::INIT, &mut acts);
+                        let served: Vec<Digest32> =
+                            acts.drain().0.iter().map(|b| fragment_of(b).unwrap().1.root).collect();
+                        match node.initial()[j].value() {
+                            Some(v) => assert!(
+                                !served.is_empty() && served.iter().all(|r| *r == Digest32::of(v))
+                            ),
+                            None => assert!(served.is_empty()),
+                        }
+                    }
+                }
+                // The failed assembly left nothing to serve (a root learnt
+                // from votes since is a claim, not a digest).
+                for node in nodes.iter().take(3) {
+                    let asm = &node.initial()[3];
+                    assert!(asm.value().is_none() && asm.held().is_none());
+                    assert!(node.delivered(3).is_none());
+                }
+                // At the moment of the failed check the claim itself is dropped.
+                let mut fresh = C::node(0);
+                let root = Digest32::of(b"claimed");
+                let f = Fragment { frag: 0, frag_total: 1, root, data: Bytes::new() };
+                let claimed = forged::<C>(3, f, &InitNack::new(4), b"something else");
+                fresh.handle(3, &claimed, &mut Actions::new());
+                let asm = &fresh.initial()[3];
+                assert!(asm.value().is_none() && asm.claimed_root().is_none());
+            }
+        }
     }
 }

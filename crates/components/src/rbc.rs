@@ -9,15 +9,11 @@
 //! each node periodically rebroadcasts its combined packet while it is
 //! behind or sees evidence a peer is.
 //!
-//! INITIAL fragments are asked for only on evidence they were lost. Once a
-//! vote for an instance is heard — its voter held the whole proposal, so
-//! every fragment has been aired — a node asks for each fragment it lacks;
-//! before that, only for a gap below a fragment it holds, as fragments air
-//! in ascending order. Holders re-air the fragments asked for at their next
-//! tick, less any another node aired first. Which fragments an instance
-//! takes is decided by its first fragment until this node readies on a
-//! root (f + 1 honest nodes hold that value), never by a root a peer's
-//! packet names.
+//! The INITIAL phase is `instance::Initial`, whose doc states its rule.
+//! RBC's evidence that a proposal was aired whole is a peer's ECHO or READY
+//! for its instance (the voter held the whole proposal); the root this node
+//! readies on (f + 1 honest nodes hold that value) decides which fragments
+//! the instance takes.
 //!
 //! Votes are cast on the proposal digest, so equivocation by a Byzantine
 //! proposer splits the vote and the instance simply never delivers (its ABA
@@ -25,12 +21,12 @@
 //! eventually delivers the same value (Bracha's agreement + totality, which
 //! the integration tests exercise under loss and Byzantine proposers).
 //!
-//! That instance logic is `instance::BrachaInst`; this file gathers N of
-//! them into the combined packet, which the `Batcher` airs whole or, for
-//! the baseline, one instance per frame.
+//! The votes of one instance are `instance::VoteTally`; this file gathers
+//! N of them into the combined packet, which the `Batcher` airs whole or,
+//! for the baseline, one instance per frame.
 
 use crate::context::{Actions, Batcher, Broadcaster, Params};
-use crate::instance::{Accepted, BrachaInst, InitNacks};
+use crate::instance::{Accepted, Fragment, Initial, VoteTally};
 use bytes::Bytes;
 use wbft_crypto::hash::Digest32;
 use wbft_net::{Bitmap, Body, InitNack};
@@ -44,11 +40,22 @@ const TIMER_RETX: u32 = 0;
 #[derive(Debug)]
 pub struct RbcBatch {
     p: Params,
-    insts: Vec<BrachaInst>,
-    /// Peers' NACKs of proposals we can serve.
-    init_nacks: InitNacks,
+    init: Initial,
+    votes: Vec<VoteTally>,
     started: bool,
     out: Batcher,
+}
+
+/// The packet an RBC INITIAL fragment airs in.
+pub(crate) fn rbc_init(instance: u8, f: Fragment, init_nack: InitNack) -> Body {
+    Body::RbcInit {
+        instance,
+        frag: f.frag,
+        frag_total: f.frag_total,
+        root: f.root,
+        data: f.data,
+        init_nack,
+    }
 }
 
 impl RbcBatch {
@@ -56,8 +63,8 @@ impl RbcBatch {
     pub fn new(p: Params) -> Self {
         RbcBatch {
             p,
-            insts: (0..p.n).map(|_| BrachaInst::new(p.n)).collect(),
-            init_nacks: InitNacks::new(p.n),
+            init: Initial::new(p.n),
+            votes: (0..p.n).map(|_| VoteTally::new(p.n)).collect(),
             started: false,
             out: Batcher::new(&p, TIMER_RETX),
         }
@@ -68,39 +75,10 @@ impl RbcBatch {
         &self.p
     }
 
-    /// The delivered root of an instance (PRBC signs this).
+    /// The delivered root of an instance (PRBC signs this): the held one.
     pub fn delivered_root(&self, instance: usize) -> Option<Digest32> {
-        self.insts.get(instance).and_then(BrachaInst::delivered_root)
-    }
-
-    /// Airs the fragments of `instance`'s held value that `frags` names
-    /// (bit `f` = fragment `f`).
-    fn send_init_frags(&self, instance: usize, frags: u64, acts: &mut Actions) {
-        let init_nack = self.init_nack();
-        for f in self.insts[instance].asm.fragments() {
-            if frags >> f.frag & 1 == 1 {
-                acts.send(Body::RbcInit {
-                    instance: instance as u8,
-                    frag: f.frag,
-                    frag_total: f.frag_total,
-                    root: f.root,
-                    data: f.data,
-                    init_nack: init_nack.clone(),
-                });
-            }
-        }
-    }
-
-    fn init_nack(&self) -> InitNack {
-        let mut nack = InitNack::new(self.p.n);
-        for (j, inst) in self.insts.iter().enumerate() {
-            // A vote shows the whole proposal was aired (its voter held it):
-            // ask for every fragment still lacking. Before one, only gaps.
-            if let Some(request) = inst.asm.request(inst.votes.any()) {
-                nack.ask(j, request);
-            }
-        }
-        nack
+        let (_, root) = self.init.get(instance)?.held()?;
+        self.votes[instance].delivered().then_some(root)
     }
 
     fn build_er(&self) -> Body {
@@ -110,17 +88,17 @@ impl RbcBatch {
         let mut ready = Bitmap::new(n);
         let mut echo_nack = Bitmap::new(n);
         let mut ready_nack = Bitmap::new(n);
-        for (j, inst) in self.insts.iter().enumerate() {
-            let (my_echo, my_ready) = (inst.votes.my_echo(), inst.votes.my_ready());
+        for (j, votes) in self.votes.iter().enumerate() {
+            let (my_echo, my_ready) = (votes.my_echo(), votes.my_ready());
             // The root this node's votes refer to in the combined packet.
-            if let Some(r) = my_ready.or(my_echo).or(inst.asm.claimed_root()) {
+            if let Some(r) = my_ready.or(my_echo).or(self.init[j].claimed_root()) {
                 roots[j] = r;
                 echo.set(j, my_echo == Some(r));
                 ready.set(j, my_ready == Some(r));
             }
-            if !inst.votes.delivered() {
-                echo_nack.set(j, inst.votes.echo_support() < self.p.quorum());
-                ready_nack.set(j, inst.votes.ready_support() < self.p.quorum());
+            if !votes.delivered() {
+                echo_nack.set(j, votes.echo_support() < self.p.quorum());
+                ready_nack.set(j, votes.ready_support() < self.p.quorum());
             }
         }
         Body::RbcEchoReady {
@@ -129,7 +107,7 @@ impl RbcBatch {
             ready,
             echo_nack,
             ready_nack,
-            init_nack: self.init_nack(),
+            init_nack: self.init.init_nack(),
         }
     }
 
@@ -137,13 +115,15 @@ impl RbcBatch {
     /// the next combined packet. The root this node readies on is held by
     /// f + 1 honest nodes, so it decides which fragments are taken.
     fn advance(&mut self, j: usize) {
-        let step = self.insts[j].step(&self.p);
+        let held = self.init[j].held().map(|(_, root)| root);
+        let step = self.votes[j].step(&self.p, held);
         if let Some(root) = step.ready {
-            self.insts[j].asm.claim(root);
+            self.init.claim(j, root);
         }
         self.out.changed_if(step.ready.is_some() || step.delivered);
     }
 
+    /// A heard INITIAL fragment; a completed proposal is echoed.
     fn handle_init(
         &mut self,
         instance: usize,
@@ -152,24 +132,15 @@ impl RbcBatch {
         root: Digest32,
         data: &Bytes,
     ) {
-        let Some(inst) = self.insts.get_mut(instance) else { return };
-        if inst.asm.airs(frag, frag_total, root, data) {
-            self.init_nacks.overheard(instance, frag);
-        }
-        match inst.on_fragment(self.p.me, frag, frag_total, root, data) {
+        match self.init.heard(instance, frag, frag_total, root, data) {
             Accepted::Refused => return,
             Accepted::Buffered => {}
-            Accepted::Assembled(_) => self.out.changed(),
+            Accepted::Assembled(root) => {
+                self.votes[instance].cast_echo(self.p.me, root);
+                self.out.changed();
+            }
         }
         self.advance(instance);
-    }
-
-    /// Peers lacking fragments of a proposal we hold → schedule their
-    /// INITIAL re-send.
-    fn note_init_nack(&mut self, init_nack: &InitNack) {
-        for j in self.init_nacks.note(init_nack, |j| self.insts[j].asm.frag_count()) {
-            self.out.peer_lacks(j, 0);
-        }
     }
 
     #[expect(
@@ -189,23 +160,25 @@ impl RbcBatch {
         if roots.len() != self.p.n || echo.len() != self.p.n {
             return;
         }
-        self.note_init_nack(init_nack);
+        self.init.note(init_nack, &mut self.out);
         for (j, &root) in roots.iter().enumerate() {
-            let inst = &mut self.insts[j];
+            let votes = &mut self.votes[j];
             if !root.is_zero() {
                 if echo.get(j) {
-                    inst.votes.echo(from, root);
+                    votes.echo(from, root);
                 }
                 if ready.get(j) {
-                    inst.votes.ready(from, root);
+                    votes.ready(from, root);
+                }
+                // The voter held the whole proposal: it was aired.
+                if echo.get(j) || ready.get(j) {
+                    self.init.aired(j);
                 }
             }
             // Peer lacks quorums we already have votes for → our combined
             // packet helps them; mark for retransmission.
-            if (echo_nack.len() == self.p.n && echo_nack.get(j) && inst.votes.my_echo().is_some())
-                || (ready_nack.len() == self.p.n
-                    && ready_nack.get(j)
-                    && inst.votes.my_ready().is_some())
+            if (echo_nack.len() == self.p.n && echo_nack.get(j) && votes.my_echo().is_some())
+                || (ready_nack.len() == self.p.n && ready_nack.get(j) && votes.my_ready().is_some())
             {
                 self.out.peer_lacks(j, 0);
             }
@@ -226,8 +199,9 @@ impl Broadcaster for RbcBatch {
         assert!(!self.started, "RbcBatch started twice");
         self.started = true;
         let me = self.p.me;
-        self.insts[me].propose(me, my_value);
-        self.send_init_frags(me, u64::MAX, acts);
+        let root = self.init.hold(me, my_value);
+        self.votes[me].cast_echo(me, root);
+        self.init.air(me, u64::MAX, rbc_init, acts);
         self.out.changed();
         self.flush(acts);
         self.out.arm(acts);
@@ -239,7 +213,7 @@ impl Broadcaster for RbcBatch {
         }
         match body {
             Body::RbcInit { instance, frag, frag_total, root, data, init_nack } => {
-                self.note_init_nack(init_nack);
+                self.init.note(init_nack, &mut self.out);
                 self.handle_init(*instance as usize, *frag as usize, *frag_total as usize, *root, data);
             }
             Body::RbcEchoReady { roots, echo, ready, echo_nack, ready_nack, init_nack } => {
@@ -253,20 +227,18 @@ impl Broadcaster for RbcBatch {
     fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
         if let Some(behind) = self.out.tick(local_id, self.delivered_count() == self.p.n, acts) {
             // Serve the NACKed fragments first, then the combined vote packet.
-            for (j, frags) in self.init_nacks.take_due() {
-                self.send_init_frags(j, frags, acts);
-            }
+            self.init.air_due(rbc_init, acts);
             let body = self.build_er();
             self.out.resend(behind, body, acts);
         }
     }
 
     fn delivered(&self, instance: usize) -> Option<&Bytes> {
-        self.insts.get(instance).and_then(BrachaInst::delivered)
+        self.init.get(instance)?.value().filter(|_| self.votes[instance].delivered())
     }
 
     fn delivered_count(&self) -> usize {
-        self.insts.iter().filter(|i| i.votes.delivered()).count()
+        self.votes.iter().filter(|v| v.delivered()).count()
     }
 }
 
@@ -274,6 +246,8 @@ impl Broadcaster for RbcBatch {
 pub(crate) mod tests {
     use super::*;
     pub(crate) use crate::context::Packing;
+    use crate::instance::tests::initial::{asks, five_fragment_proposer, tick, Component};
+    use crate::instance::InitBody;
 
     /// Drives a set of in-memory nodes to completion by synchronously
     /// exchanging every send with every other node (no losses), joining
@@ -350,6 +324,7 @@ pub(crate) mod tests {
             for node in &nodes {
                 for (j, v) in vals.iter().enumerate() {
                     assert_eq!(node.delivered(j), Some(v));
+                    assert_eq!(node.delivered_root(j), Some(Digest32::of(v)));
                 }
             }
             // Channel-access comparison against batched RBC lives at the
@@ -464,192 +439,57 @@ pub(crate) mod tests {
         );
     }
 
-    /// Node 0's opening sends for a five-fragment proposal: its INITIAL
-    /// fragments and its vote packet.
-    fn five_fragment_proposer() -> (RbcBatch, Vec<Body>, Body) {
-        let mut a = RbcBatch::new(params(0));
-        let mut acts = Actions::new();
-        a.start(Bytes::from(vec![5u8; FRAG_BUDGET * 4 + 10]), &mut acts);
-        let (sends, _, _) = acts.drain();
-        let (inits, er): (Vec<Body>, Vec<Body>) =
-            sends.into_iter().partition(|b| matches!(b, Body::RbcInit { .. }));
-        assert_eq!((inits.len(), er.len()), (5, 1));
-        (a, inits, er.into_iter().next().unwrap())
-    }
+    impl Component for RbcBatch {
+        const INIT: InitBody = rbc_init;
 
-    /// The INITIAL NACK `node`'s next tick airs.
-    fn ticked_init_nack(node: &mut RbcBatch) -> InitNack {
-        let mut acts = Actions::new();
-        node.on_timer(TIMER_RETX, &mut acts);
-        let nacks: Vec<InitNack> = acts
-            .drain()
-            .0
-            .into_iter()
-            .filter_map(|b| match b {
-                Body::RbcEchoReady { init_nack, .. } => Some(init_nack),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(nacks.len(), 1, "one vote packet per tick");
-        nacks.into_iter().next().unwrap()
-    }
+        fn node(me: usize) -> Self {
+            RbcBatch::new(params(me))
+        }
 
-    /// The requests of `nack`, by instance.
-    pub(crate) fn asks(nack: &InitNack) -> Vec<(usize, Bitmap)> {
-        nack.iter().map(|(j, request)| (j, *request)).collect()
-    }
+        fn initial(&self) -> &Initial {
+            &self.init
+        }
 
-    /// A vote packet that says nothing but `init_nack`.
-    fn asking(init_nack: InitNack) -> Body {
-        Body::RbcEchoReady {
-            roots: vec![Digest32::zero(); 4],
-            echo: Bitmap::new(4),
-            ready: Bitmap::new(4),
-            echo_nack: Bitmap::new(4),
-            ready_nack: Bitmap::new(4),
-            init_nack,
+        fn asking(init_nack: InitNack) -> Body {
+            voting(Digest32::zero(), Bitmap::new(4), Bitmap::new(4), init_nack)
+        }
+
+        /// A packet naming `root` without a vote, and one echoing it.
+        fn naming(root: Digest32) -> Vec<Body> {
+            let echo = Bitmap::from_raw(0b0001, 4);
+            [Bitmap::new(4), echo]
+                .map(|echo| voting(root, echo, Bitmap::new(4), InitNack::new(4)))
+                .to_vec()
         }
     }
 
-    /// The INITIAL fragments (by index) `node`'s next tick re-airs.
-    fn ticked_fragments(node: &mut RbcBatch) -> Vec<u8> {
-        let mut acts = Actions::new();
-        node.on_timer(TIMER_RETX, &mut acts);
-        acts.drain()
-            .0
-            .iter()
-            .filter_map(|b| match b {
-                Body::RbcInit { frag, .. } => Some(*frag),
-                _ => None,
-            })
-            .collect()
+    /// A vote packet naming `root` for instance 0, with these vote bits.
+    fn voting(root: Digest32, echo: Bitmap, ready: Bitmap, init_nack: InitNack) -> Body {
+        let mut roots = vec![Digest32::zero(); 4];
+        roots[0] = root;
+        let (echo_nack, ready_nack) = (Bitmap::new(4), Bitmap::new(4));
+        Body::RbcEchoReady { roots, echo, ready, echo_nack, ready_nack, init_nack }
     }
 
     #[test]
-    fn a_nack_names_the_one_missing_fragment_and_the_holder_re_airs_only_it() {
-        let (mut a, inits, er) = five_fragment_proposer();
-        let mut b = RbcBatch::new(params(1));
-        let mut acts = Actions::new();
-        for (i, body) in inits.iter().enumerate().filter(|(i, _)| *i != 2) {
-            b.handle(0, body, &mut acts);
-            assert!(b.delivered(0).is_none(), "fragment {i} alone completes nothing");
-        }
-        b.handle(0, &er, &mut acts);
-        let nack = ticked_init_nack(&mut b);
-        assert_eq!(asks(&nack), [(0, Bitmap::from_raw(0b00100, 5))], "exactly fragment 2 of 5");
-        // The holder's next tick re-airs that fragment alone, not all five.
-        a.handle(1, &asking(nack.clone()), &mut acts);
-        assert_eq!(ticked_fragments(&mut a), [2]);
-        assert!(ticked_fragments(&mut a).is_empty(), "served once");
-        // Two peers' requests are unioned and served on one tick.
-        let mut other = InitNack::new(4);
-        other.ask(0, Bitmap::from_raw(0b10001, 5));
-        a.handle(1, &asking(nack), &mut acts);
-        a.handle(2, &asking(other), &mut acts);
-        assert_eq!(ticked_fragments(&mut a), [0, 2, 4]);
-    }
-
-    #[test]
-    fn a_node_asks_only_for_gaps_until_a_vote_shows_the_proposal_was_aired() {
-        let (_, inits, er) = five_fragment_proposer();
-        let mut b = RbcBatch::new(params(1));
-        let mut acts = Actions::new();
-        b.handle(0, &inits[0], &mut acts);
-        assert!(asks(&ticked_init_nack(&mut b)).is_empty(), "a lone first fragment asks nothing");
-        b.handle(0, &inits[1], &mut acts);
-        b.handle(0, &inits[3], &mut acts);
-        assert_eq!(asks(&ticked_init_nack(&mut b)), [(0, Bitmap::from_raw(0b00100, 5))], "the gap");
-        b.handle(0, &er, &mut acts);
-        let all_missing = [(0, Bitmap::from_raw(0b10100, 5))];
-        assert_eq!(asks(&ticked_init_nack(&mut b)), all_missing, "after a vote: all missing");
-    }
-
-    #[test]
-    fn a_due_fragment_another_node_airs_first_is_not_re_aired_unless_asked_again() {
-        let (mut a, inits, _) = five_fragment_proposer();
-        let mut nack = InitNack::new(4);
-        nack.ask(0, Bitmap::from_raw(0b00110, 5));
-        let mut acts = Actions::new();
-        a.handle(2, &asking(nack.clone()), &mut acts);
-        // Node 3 relays fragment 1 first; a holds the value, so takes
-        // nothing from it, but no longer owes that fragment.
-        a.handle(3, &inits[1], &mut acts);
-        assert_eq!(ticked_fragments(&mut a), [2]);
-        // The requester missed the relay's airing and asks again: served.
-        a.handle(2, &asking(nack), &mut acts);
-        assert_eq!(ticked_fragments(&mut a), [1, 2]);
-    }
-
-    #[test]
-    fn a_node_holding_no_fragment_of_a_voted_instance_asks_for_all_of_them() {
-        let (mut a, _, er) = five_fragment_proposer();
-        let mut c = RbcBatch::new(params(2));
-        let mut acts = Actions::new();
-        c.handle(0, &er, &mut acts);
-        let nack = ticked_init_nack(&mut c);
-        assert_eq!(asks(&nack), [(0, Bitmap::new(0))], "the empty request: every fragment");
-        a.handle(2, &asking(nack), &mut acts);
-        assert_eq!(ticked_fragments(&mut a), [0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn a_reset_assembly_asks_for_every_fragment_again() {
-        let (_, inits, er) = five_fragment_proposer();
-        let mut b = RbcBatch::new(params(1));
-        let mut acts = Actions::new();
-        b.handle(0, &er, &mut acts);
-        for body in inits.iter().take(4) {
-            b.handle(0, body, &mut acts);
-        }
-        assert_eq!(b.init_nack().request(0), Some(&Bitmap::from_raw(0b10000, 5)));
-        // An equivocating proposer's last fragment does not hash to the
-        // root: the assembly resets, and every fragment is asked for again.
-        let Body::RbcInit { frag_total, root, init_nack, .. } = &inits[4] else { unreachable!() };
-        let forged = Body::RbcInit {
-            instance: 0,
-            frag: 4,
-            frag_total: *frag_total,
-            root: *root,
-            data: Bytes::from_static(b"another value's tail"),
-            init_nack: init_nack.clone(),
-        };
-        b.handle(0, &forged, &mut acts);
-        assert!(b.insts[0].asm.claimed_root().is_none() && b.delivered(0).is_none());
-        assert_eq!(asks(&ticked_init_nack(&mut b)), [(0, Bitmap::new(0))]);
-    }
-
-    #[test]
-    fn a_root_a_peer_names_does_not_lock_out_the_proposer_s_fragments() {
-        let (_, inits, _) = five_fragment_proposer();
-        let false_root = Digest32::of(b"not node 0's proposal");
-        // One peer names a false root for instance 0 without a vote, another
-        // echoes it: neither may decide which fragments are taken.
-        for echo_bit in [false, true] {
+    fn a_peer_s_echo_or_ready_shows_the_proposal_was_aired() {
+        let (_, inits, _) = five_fragment_proposer::<RbcBatch>();
+        let Body::RbcInit { root, .. } = inits[0] else { unreachable!() };
+        let (vote, none) = (Bitmap::from_raw(0b0001, 4), Bitmap::new(4));
+        for (echo, ready) in [(vote, none), (none, vote)] {
             let mut b = RbcBatch::new(params(1));
-            let mut roots = vec![Digest32::zero(); 4];
-            roots[0] = false_root;
-            let mut echo = Bitmap::new(4);
-            echo.set(0, echo_bit);
-            let poison = Body::RbcEchoReady {
-                roots,
-                echo,
-                ready: Bitmap::new(4),
-                echo_nack: Bitmap::new(4),
-                ready_nack: Bitmap::new(4),
-                init_nack: InitNack::new(4),
-            };
             let mut acts = Actions::new();
-            b.handle(2, &poison, &mut acts);
-            for body in &inits {
-                b.handle(0, body, &mut acts);
-            }
-            assert!(b.insts[0].asm.value().is_some(), "echo bit {echo_bit}: value refused");
+            b.handle(0, &inits[0], &mut acts);
+            assert!(asks(&tick(&mut b).0).is_empty(), "a lone first fragment asks nothing");
+            b.handle(2, &voting(root, echo, ready, InitNack::new(4)), &mut acts);
+            let all_missing = [(0, Bitmap::from_raw(0b11110, 5))];
+            assert_eq!(asks(&tick(&mut b).0), all_missing, "echo {echo:?}: all missing");
         }
     }
 
     #[test]
     fn a_forged_first_fragment_gives_way_to_the_root_this_node_readies_on() {
-        let (_, inits, er) = five_fragment_proposer();
+        let (_, inits, er) = five_fragment_proposer::<RbcBatch>();
         let mut b = RbcBatch::new(params(1));
         let mut acts = Actions::new();
         let forged = Body::RbcInit {
@@ -664,17 +504,17 @@ pub(crate) mod tests {
         for body in &inits {
             b.handle(0, body, &mut acts);
         }
-        assert!(b.insts[0].asm.value().is_none(), "the forged root refuses the real fragments");
+        assert!(b.init[0].value().is_none(), "the forged root refuses the real fragments");
         // Echoes from 2f + 1 nodes: b readies on the real root and drops
         // the forged buffer, so the re-aired fragments assemble.
         for from in [0, 2, 3] {
             b.handle(from, &er, &mut acts);
         }
-        assert_eq!(asks(&ticked_init_nack(&mut b)), [(0, Bitmap::new(0))], "every fragment");
+        assert_eq!(asks(&tick(&mut b).0), [(0, Bitmap::new(0))], "every fragment");
         for body in &inits {
             b.handle(0, body, &mut acts);
         }
-        assert!(b.insts[0].asm.value().is_some());
+        assert!(b.init[0].value().is_some());
     }
 
     #[test]
@@ -691,59 +531,6 @@ pub(crate) mod tests {
         assert!(timers.is_empty(), "handling a packet does not arm the tick");
         early.start(Bytes::from_static(b"va"), &mut acts);
         assert_eq!(acts.drain().1.len(), 1, "start arms it, once");
-    }
-
-    #[test]
-    fn a_served_root_is_the_digest_of_the_value_it_is_served_for() {
-        // Node 3's second INITIAL fragment is corrupted on the air: nobody
-        // else can assemble its proposal, instances 0–2 deliver everywhere.
-        let mut nodes: Vec<RbcBatch> = (0..4).map(|i| RbcBatch::new(params(i))).collect();
-        let mut vals = values();
-        vals[3] = Bytes::from(vec![3u8; FRAG_BUDGET + 10]);
-        let mut i = 0;
-        run_mesh(
-            &mut nodes,
-            |n, acts| {
-                n.start(vals[i].clone(), acts);
-                i += 1;
-            },
-            |n, from, body, acts| match body {
-                Body::RbcInit { instance: 3, frag: 1, frag_total, root, init_nack, .. } => {
-                    let corrupt = Body::RbcInit {
-                        instance: 3,
-                        frag: 1,
-                        frag_total: *frag_total,
-                        root: *root,
-                        data: Bytes::from_static(b"not the fragment"),
-                        init_nack: init_nack.clone(),
-                    };
-                    n.handle(from, &corrupt, acts)
-                }
-                _ => n.handle(from, body, acts),
-            },
-            |n| n.delivered_count() == 3,
-        );
-        for node in &nodes {
-            for j in 0..4 {
-                assert_eq!(node.delivered_root(j), node.delivered(j).map(|v| Digest32::of(v)));
-            }
-        }
-        // The failed assembly left neither a value nor a root to serve it
-        // under (a root learnt from votes since is a claim, not a digest).
-        for node in nodes.iter().take(3) {
-            let asm = &node.insts[3].asm;
-            assert!(asm.value().is_none() && asm.held().is_none());
-            assert!(node.delivered_root(3).is_none());
-            let mut acts = Actions::new();
-            node.send_init_frags(3, u64::MAX, &mut acts);
-            assert!(acts.drain().0.is_empty());
-        }
-        // At the moment of the failed check the claim itself is dropped.
-        let mut fresh = RbcBatch::new(params(0));
-        let root = Digest32::of(b"claimed");
-        fresh.handle_init(3, 0, 1, root, &Bytes::from_static(b"something else"));
-        let asm = &fresh.insts[3].asm;
-        assert!(asm.value().is_none() && asm.claimed_root().is_none());
     }
 
     #[test]
