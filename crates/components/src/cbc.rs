@@ -545,20 +545,32 @@ mod tests {
     }
 
     #[test]
-    fn another_node_s_echo_share_shows_the_value_was_aired() {
+    fn the_leader_s_root_or_another_node_s_echo_share_shows_the_value_was_aired() {
         let (_, inits, _) = five_fragment_proposer::<CbcBatch>();
+        let Body::CbcInit { root, .. } = inits[0] else { unreachable!() };
         let mut nodes = make();
         let mut acts = Actions::new();
         for frag in [0, 1, 3] {
             nodes[1].handle(0, &inits[frag], &mut acts);
+            nodes[3].handle(0, &inits[frag], &mut acts);
         }
-        assert_eq!(asks(&tick(&mut nodes[1]).0), [(0, Bitmap::from_raw(0b00100, 5))], "the gap");
+        let gap = [(0, Bitmap::from_raw(0b00100, 5))];
+        let all_missing = [(0, Bitmap::from_raw(0b10100, 5))];
+        // The leader names its root only in packets it queues behind its
+        // fragments; another node naming it shows nothing.
+        let naming = CbcBatch::naming(root).remove(0);
+        nodes[3].handle(2, &naming, &mut acts);
+        assert_eq!(asks(&tick(&mut nodes[3]).0), gap, "a peer's root");
+        nodes[3].handle(0, &naming, &mut acts);
+        assert_eq!(asks(&tick(&mut nodes[3]).0), all_missing, "the leader's root");
+        // Another node's echo share: it held the whole value.
         for body in &inits {
             nodes[2].handle(0, body, &mut acts);
         }
         let echoed = nodes[2].build_ef();
+        assert_eq!(asks(&tick(&mut nodes[1]).0), gap);
         nodes[1].handle(2, &echoed, &mut acts);
-        assert_eq!(asks(&tick(&mut nodes[1]).0), [(0, Bitmap::from_raw(0b10100, 5))]);
+        assert_eq!(asks(&tick(&mut nodes[1]).0), all_missing, "an echo share");
     }
 
     #[test]
