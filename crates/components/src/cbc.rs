@@ -167,7 +167,7 @@ impl Broadcaster for CbcBatch {
         let me = self.p().me;
         self.init.hold(me, my_value);
         self.echo(me, acts);
-        self.init.air(me, u64::MAX, cbc_init, acts);
+        self.init.air(me, cbc_init, acts);
         self.out.changed();
         self.flush(acts);
         self.out.arm(acts);

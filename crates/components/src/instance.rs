@@ -325,10 +325,10 @@ impl Initial {
         inst.asm.accept(frag, frag_total, root, data)
     }
 
-    /// Airs the fragments of `instance`'s held value that `frags` names
-    /// (bit `f` = fragment `f`), each in the packet `body` builds.
-    pub(crate) fn air(&self, instance: usize, frags: u64, body: InitBody, acts: &mut Actions) {
-        self.air_with(&self.init_nack(), instance, frags, body, acts);
+    /// Airs every fragment of `instance`'s held value, each in the packet
+    /// `body` builds.
+    pub(crate) fn air(&self, instance: usize, body: InitBody, acts: &mut Actions) {
+        self.air_with(&self.init_nack(), instance, u64::MAX, body, acts);
     }
 
     /// Airs the fragments peers asked for since the last call.
@@ -340,6 +340,8 @@ impl Initial {
         }
     }
 
+    /// Airs the fragments of `instance` that `frags` names (bit `f` =
+    /// fragment `f`).
     fn air_with(
         &self,
         init_nack: &InitNack,
@@ -1284,7 +1286,7 @@ pub(crate) mod tests {
                 for node in &nodes {
                     for j in 0..4 {
                         let mut acts = Actions::new();
-                        node.initial().air(j, u64::MAX, C::INIT, &mut acts);
+                        node.initial().air(j, C::INIT, &mut acts);
                         let served: Vec<Digest32> =
                             acts.drain().0.iter().map(|b| fragment_of(b).unwrap().1.root).collect();
                         match node.initial()[j].value() {

@@ -201,7 +201,7 @@ impl Broadcaster for RbcBatch {
         let me = self.p.me;
         let root = self.init.hold(me, my_value);
         self.votes[me].cast_echo(me, root);
-        self.init.air(me, u64::MAX, rbc_init, acts);
+        self.init.air(me, rbc_init, acts);
         self.out.changed();
         self.flush(acts);
         self.out.arm(acts);
