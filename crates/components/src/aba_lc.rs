@@ -30,6 +30,7 @@
 //! cost).
 
 use crate::context::{Actions, Batcher, BinaryAgreement, Params};
+use crate::instance::Decisions;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use std::collections::BTreeMap;
@@ -94,54 +95,21 @@ impl RoundState {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Inst {
     active: bool,
     est: bool,
     round: u16,
     rounds: BTreeMap<u16, RoundState>,
-    decided: Option<bool>,
-    claims0: u64,
-    claims1: u64,
-    /// Highest round observed per peer (adaptive history floor: packets
-    /// carry votes back to the slowest undecided peer, so a laggard can
-    /// never drift past recovery).
-    peer_round: Vec<u16>,
-    peer_decided: u64,
 }
 
-impl Inst {
-    fn new(n: usize) -> Self {
-        Inst {
-            active: false,
-            est: false,
-            round: 0,
-            rounds: BTreeMap::new(),
-            decided: None,
-            claims0: 0,
-            claims1: 0,
-            peer_round: vec![0; n],
-            peer_decided: 0,
-        }
-    }
-
-    /// Oldest round any undecided peer is known to need.
-    fn history_floor(&self, me: usize) -> u16 {
-        let mut floor = self.round;
-        for (i, r) in self.peer_round.iter().enumerate() {
-            if i != me && self.peer_decided & (1 << i) == 0 {
-                floor = floor.min(*r);
-            }
-        }
-        floor
-    }
-}
-
-/// k parallel Bracha-ABA instances under ConsensusBatcher.
+/// k parallel Bracha-ABA instances under ConsensusBatcher. Termination is
+/// the decided-claim gossip of `instance::Decisions`.
 #[derive(Debug)]
 pub struct AbaLcBatch {
     p: Params,
     insts: Vec<Inst>,
+    decisions: Decisions,
     rng: ChaCha12Rng,
     out: Batcher,
 }
@@ -152,7 +120,8 @@ impl AbaLcBatch {
     pub fn new(p: Params) -> Self {
         let seed = 0x5_eeda_ba1c ^ ((p.me as u64) << 40) ^ p.session;
         AbaLcBatch {
-            insts: (0..p.n).map(|_| Inst::new(p.n)).collect(),
+            insts: (0..p.n).map(|_| Inst::default()).collect(),
+            decisions: Decisions::new(&p),
             rng: ChaCha12Rng::seed_from_u64(seed),
             out: Batcher::new(&p, TIMER_RETX),
             p,
@@ -214,9 +183,9 @@ impl AbaLcBatch {
 
     fn evaluate(&mut self, instance: usize) {
         loop {
-            let (active, round, decided) = {
+            let (active, round) = {
                 let i = &self.insts[instance];
-                (i.active, i.round, i.decided)
+                (i.active, i.round)
             };
             if !active {
                 return;
@@ -296,16 +265,7 @@ impl AbaLcBatch {
                         if ones >= zeros { (true, ones) } else { (false, zeros) };
                     rs.finished = true;
                     let next_est = if c >= quorum {
-                        // Decide v.
-                        let inst = &mut self.insts[instance];
-                        if inst.decided.is_none() {
-                            inst.decided = Some(v);
-                            if v {
-                                inst.claims1 |= 1 << me;
-                            } else {
-                                inst.claims0 |= 1 << me;
-                            }
-                        }
+                        self.decisions.decide(instance, v);
                         v
                     } else if c >= f1 {
                         v
@@ -313,19 +273,14 @@ impl AbaLcBatch {
                         self.rng.random_bool(0.5)
                     };
                     let inst = &mut self.insts[instance];
-                    if let Some(d) = decided.or(inst.decided) {
-                        inst.est = d; // decided nodes keep voting the decision
-                    } else {
-                        inst.est = next_est;
-                    }
+                    // decided nodes keep voting the decision
+                    inst.est = self.decisions.get(instance).unwrap_or(next_est);
                     inst.round = round + 1;
                     self.out.changed();
                     // Prune rounds nobody can still need: below both the
                     // static window and the slowest undecided peer.
-                    let me = self.p.me;
-                    let inst = &mut self.insts[instance];
-                    let keep_from =
-                        inst.round.saturating_sub(HISTORY_WINDOW).min(inst.history_floor(me));
+                    let floor = self.decisions.history_floor(instance, inst.round);
+                    let keep_from = inst.round.saturating_sub(HISTORY_WINDOW).min(floor);
                     inst.rounds.retain(|r, _| *r >= keep_from);
                     continue;
                 }
@@ -345,14 +300,14 @@ impl AbaLcBatch {
             let lo = inst
                 .round
                 .saturating_sub(HISTORY_WINDOW - 1)
-                .min(inst.history_floor(self.p.me));
+                .min(self.decisions.history_floor(j, inst.round));
             for r in lo..=inst.round {
                 if let Some(rs) = inst.rounds.get(&r) {
                     insts.push(AbaLcInst {
                         instance: j as u8,
                         round: r,
                         reports: rs.my_reports.clone(),
-                        decided: inst.decided.map(Vote::from_bool).unwrap_or(Vote::Unknown),
+                        decided: self.decisions.claim(j),
                     });
                 }
             }
@@ -366,11 +321,6 @@ impl AbaLcBatch {
             self.out.send(body, acts);
         }
         self.out.arm(acts);
-    }
-
-    fn is_complete(&self) -> bool {
-        self.insts.iter().all(|i| !i.active || i.decided.is_some())
-            && self.insts.iter().any(|i| i.active)
     }
 }
 
@@ -404,36 +354,14 @@ impl BinaryAgreement for AbaLcBatch {
                     self.record_report(j, wire.round, phase, voter, *vote, from);
                 }
             }
-            match wire.decided {
-                Vote::Zero => self.insts[j].claims0 |= 1 << from,
-                Vote::One => self.insts[j].claims1 |= 1 << from,
-                _ => {}
+            // Read before the claim is heard: a peer stuck behind an
+            // undecided node needs old rounds it still holds.
+            let undecided = self.decisions.get(j).is_none();
+            self.out.changed_if(self.decisions.hear(j, from, wire.round, wire.decided));
+            if undecided && self.decisions.peer_round(j, from) < self.insts[j].round {
+                self.out.peer_behind();
             }
-            {
-                let inst = &mut self.insts[j];
-                if wire.round > inst.peer_round[from] {
-                    inst.peer_round[from] = wire.round;
-                }
-                if wire.decided != Vote::Unknown {
-                    inst.peer_decided |= 1 << from;
-                }
-                // A peer stuck behind us needs old rounds we still hold.
-                if inst.peer_round[from] < inst.round && inst.decided.is_none() {
-                    self.out.peer_behind();
-                }
-            }
-            let f1 = (self.p.f + 1) as u32;
-            let inst = &mut self.insts[j];
-            if inst.decided.is_none() {
-                if inst.claims0.count_ones() >= f1 {
-                    inst.decided = Some(false);
-                    self.out.changed();
-                } else if inst.claims1.count_ones() >= f1 {
-                    inst.decided = Some(true);
-                    self.out.changed();
-                }
-            }
-            if inst.decided.is_some() && wire.decided == Vote::Unknown {
+            if self.decisions.get(j).is_some() && wire.decided == Vote::Unknown {
                 self.out.peer_behind();
             }
         }
@@ -444,18 +372,19 @@ impl BinaryAgreement for AbaLcBatch {
     }
 
     fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
-        if let Some(behind) = self.out.tick(local_id, self.is_complete(), acts) {
+        let complete = self.decisions.complete(|j| self.insts[j].active);
+        if let Some(behind) = self.out.tick(local_id, complete, acts) {
             let body = self.build_packet();
             self.out.resend(behind, body, acts);
         }
     }
 
     fn decided(&self, instance: usize) -> Option<bool> {
-        self.insts.get(instance).and_then(|i| i.decided)
+        self.decisions.get(instance)
     }
 
     fn decided_count(&self) -> usize {
-        self.insts.iter().filter(|i| i.decided.is_some()).count()
+        self.decisions.count()
     }
 }
 

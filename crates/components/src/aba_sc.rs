@@ -21,10 +21,11 @@
 //! Packets carry each instance's full per-round vote history within a small
 //! window, so a node that lost frames reconstructs everything from any
 //! single later packet — this is what makes the NACK-driven reliability
-//! converge. Termination uses decided-flag gossip: `f+1` matching decided
-//! claims are adopted (at least one is honest).
+//! converge. Termination is the decided-claim gossip of
+//! `instance::Decisions`, whose doc states its rule.
 
 use crate::context::{Actions, Batcher, BinaryAgreement, Params};
+use crate::instance::Decisions;
 use crate::share_buf::{Collector, Quorum, Recorded};
 use std::collections::BTreeMap;
 use wbft_crypto::thresh_coin::{self, CoinName, CoinPublicSet};
@@ -73,49 +74,16 @@ impl SeenRound {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Inst {
     active: bool,
     est: bool,
     round: u16,
     my_rounds: Vec<MyRound>,
     seen: Vec<SeenRound>,
-    decided: Option<bool>,
-    /// Decided-claim bitmasks per value.
-    claims0: u64,
-    claims1: u64,
-    /// Highest round observed per peer + decided mask (adaptive history
-    /// floor, see `aba_lc`).
-    peer_round: Vec<u16>,
-    peer_decided: u64,
 }
 
 impl Inst {
-    fn new(n: usize) -> Self {
-        Inst {
-            active: false,
-            est: false,
-            round: 0,
-            my_rounds: Vec::new(),
-            seen: Vec::new(),
-            decided: None,
-            claims0: 0,
-            claims1: 0,
-            peer_round: vec![0; n],
-            peer_decided: 0,
-        }
-    }
-
-    fn history_floor(&self, me: usize) -> u16 {
-        let mut floor = self.round;
-        for (i, r) in self.peer_round.iter().enumerate() {
-            if i != me && self.peer_decided & (1 << i) == 0 {
-                floor = floor.min(*r);
-            }
-        }
-        floor
-    }
-
     fn ensure_round(&mut self, r: u16) {
         while self.my_rounds.len() <= r as usize {
             self.my_rounds.push(MyRound::default());
@@ -158,6 +126,7 @@ pub struct AbaScBatch {
     coin_pub: CoinPublicSet,
     coin_sec: SecretKeyShare,
     insts: Vec<Inst>,
+    decisions: Decisions,
     /// One common coin per domain and round.
     coins: BTreeMap<(u8, u16), Coin>,
     out: Batcher,
@@ -202,14 +171,14 @@ impl AbaScBatch {
         coin_pub: CoinPublicSet,
         coin_sec: SecretKeyShare,
     ) -> Self {
-        let insts = (0..p.n).map(|_| Inst::new(p.n)).collect();
         AbaScBatch {
             p,
             flavor,
             shared_coin,
             coin_pub,
             coin_sec,
-            insts,
+            insts: (0..p.n).map(|_| Inst::default()).collect(),
+            decisions: Decisions::new(&p),
             coins: BTreeMap::new(),
             out: Batcher::new(&p, TIMER_RETX),
         }
@@ -377,25 +346,21 @@ impl AbaScBatch {
                     let next_est = match (vals0, vals1) {
                         (true, false) => {
                             if !coin {
-                                self.try_decide(instance, false);
+                                self.out.changed_if(self.decisions.decide(instance, false));
                             }
                             false
                         }
                         (false, true) => {
                             if coin {
-                                self.try_decide(instance, true);
+                                self.out.changed_if(self.decisions.decide(instance, true));
                             }
                             true
                         }
                         _ => coin,
                     };
                     let inst = &mut self.insts[instance];
-                    if let Some(decided) = inst.decided {
-                        // decided nodes keep voting their decision
-                        inst.est = decided;
-                    } else {
-                        inst.est = next_est;
-                    }
+                    // decided nodes keep voting their decision
+                    inst.est = self.decisions.get(instance).unwrap_or(next_est);
                     inst.round = round + 1;
                     let est = inst.est;
                     self.cast_bval(instance, round + 1, est);
@@ -406,20 +371,6 @@ impl AbaScBatch {
             if !progressed {
                 return;
             }
-        }
-    }
-
-    fn try_decide(&mut self, instance: usize, v: bool) {
-        let me = self.p.me;
-        let inst = &mut self.insts[instance];
-        if inst.decided.is_none() {
-            inst.decided = Some(v);
-            if v {
-                inst.claims1 |= 1 << me;
-            } else {
-                inst.claims0 |= 1 << me;
-            }
-            self.out.changed();
         }
     }
 
@@ -435,7 +386,7 @@ impl AbaScBatch {
             let lo = inst
                 .round
                 .saturating_sub(HISTORY_WINDOW - 1)
-                .min(inst.history_floor(self.p.me));
+                .min(self.decisions.history_floor(j, inst.round));
             for r in lo..=inst.round {
                 if (r as usize) < inst.my_rounds.len() {
                     let my = &inst.my_rounds[r as usize];
@@ -444,7 +395,7 @@ impl AbaScBatch {
                         round: r,
                         bval: my.bval,
                         aux: my.aux.map(Vote::from_bool).unwrap_or(Vote::Unknown),
-                        decided: inst.decided.map(Vote::from_bool).unwrap_or(Vote::Unknown),
+                        decided: self.decisions.claim(j),
                     });
                 }
                 let d = self.domain(j);
@@ -480,11 +431,6 @@ impl AbaScBatch {
             self.out.send(body, acts);
         }
         self.out.arm(acts);
-    }
-
-    fn is_complete(&self) -> bool {
-        self.insts.iter().all(|i| !i.active || i.decided.is_some())
-            && self.insts.iter().any(|i| i.active)
     }
 }
 
@@ -534,34 +480,13 @@ impl BinaryAgreement for AbaScBatch {
                 Vote::One => seen.aux1 |= from_bit,
                 _ => {}
             }
-            match wire.decided {
-                Vote::Zero => inst.claims0 |= from_bit,
-                Vote::One => inst.claims1 |= from_bit,
-                _ => {}
-            }
-            if wire.round > inst.peer_round[from] {
-                inst.peer_round[from] = wire.round;
-            }
-            if wire.decided != Vote::Unknown {
-                inst.peer_decided |= from_bit;
-            }
-            // Adopt on f+1 matching decided claims (≥ 1 honest).
-            if inst.decided.is_none() {
-                let f1 = (self.p.f + 1) as u32;
-                if inst.claims0.count_ones() >= f1 {
-                    inst.decided = Some(false);
-                    self.out.changed();
-                } else if inst.claims1.count_ones() >= f1 {
-                    inst.decided = Some(true);
-                    self.out.changed();
-                }
-            }
+            self.out.changed_if(self.decisions.hear(j, from, wire.round, wire.decided));
             // A peer still mid-protocol where we have decided → serve state.
             // Any peer's round is where a per-instance re-send reaches back
             // to: a peer that adopted a decision still needs its round's
             // votes to move on and vote in the rounds the others are in.
-            let at = self.insts[j].peer_round[from];
-            if wire.decided == Vote::Unknown && self.insts[j].decided.is_some() {
+            let at = self.decisions.peer_round(j, from);
+            if wire.decided == Vote::Unknown && self.decisions.get(j).is_some() {
                 self.out.peer_lacks(j, at);
             }
             self.out.peer_at(j, at);
@@ -588,18 +513,19 @@ impl BinaryAgreement for AbaScBatch {
     }
 
     fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
-        if let Some(behind) = self.out.tick(local_id, self.is_complete(), acts) {
+        let complete = self.decisions.complete(|j| self.insts[j].active);
+        if let Some(behind) = self.out.tick(local_id, complete, acts) {
             let body = self.build_packet();
             self.out.resend(behind, body, acts);
         }
     }
 
     fn decided(&self, instance: usize) -> Option<bool> {
-        self.insts.get(instance).and_then(|i| i.decided)
+        self.decisions.get(instance)
     }
 
     fn decided_count(&self) -> usize {
-        self.insts.iter().filter(|i| i.decided.is_some()).count()
+        self.decisions.count()
     }
 }
 
@@ -822,33 +748,5 @@ mod tests {
         let mut acts = Actions::new();
         nodes[0].handle(1, &pkt, &mut acts);
         assert_eq!(nodes[0].insts[0].seen[0].bval0, 0, "wrong-flavor votes must not count");
-    }
-
-    #[test]
-    fn decided_claims_adoption_needs_f_plus_1() {
-        let mut nodes = make_nodes(CoinFlavor::ThreshSig, true);
-        let mut acts = Actions::new();
-        nodes[0].set_input(0, true, &mut acts);
-        // One Byzantine claim alone must not cause adoption (f=1 → need 2).
-        let claim = |src: usize, nodes: &mut Vec<AbaScBatch>| {
-            let pkt = Body::AbaSc {
-                flavor: CoinFlavor::ThreshSig,
-                insts: vec![AbaScInst {
-                    instance: 0,
-                    round: 0,
-                    bval: BinValues::empty(),
-                    aux: Vote::Unknown,
-                    decided: Vote::Zero,
-                }],
-                coin_shares: vec![],
-                share_nack: Bitmap::new(4),
-            };
-            let mut acts = Actions::new();
-            nodes[0].handle(src, &pkt, &mut acts);
-        };
-        claim(1, &mut nodes);
-        assert_eq!(nodes[0].decided(0), None, "single claim must not be adopted");
-        claim(2, &mut nodes);
-        assert_eq!(nodes[0].decided(0), Some(false), "f+1 claims adopt");
     }
 }

@@ -13,18 +13,18 @@
 //! certificates ride in one combined `CBC_EF` packet per channel access
 //! (the baseline airs its entries one instance per frame).
 //!
-//! The INITIAL phase is `instance::Initial`, whose doc states its rule.
-//! CBC's evidence that a value was aired whole is the leader's combined
-//! packet (which it queues behind its fragments) or any echo share or
-//! certificate for the instance; a certificate that verifies under the
-//! root its packet names decides which fragments the instance takes.
+//! The INITIAL phase is `instance::Initial` and the ECHO / FINISH phase
+//! `instance::Certificates`; each type's doc states its rule. CBC's
+//! evidence that a value was aired whole is the leader's combined packet
+//! (which it queues behind its fragments) or any echo share or certificate
+//! for the instance; a certificate that verifies under the root its packet
+//! names decides which fragments the instance takes.
 
 use crate::context::{Actions, Batcher, Broadcaster, Params};
-use crate::instance::{Accepted, Fragment, Initial, Signer};
-use crate::share_buf::Collector;
+use crate::instance::{Accepted, Certificates, Fragment, Initial};
 use bytes::Bytes;
 use wbft_crypto::hash::Digest32;
-use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare, SigShare, ThresholdSignature};
+use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare, ThresholdSignature};
 use wbft_net::{Bitmap, Body, InitNack};
 
 pub use crate::instance::FRAG_BUDGET;
@@ -34,12 +34,10 @@ const TIMER_RETX: u32 = 0;
 /// N parallel CBC instances under ConsensusBatcher.
 #[derive(Debug)]
 pub struct CbcBatch {
-    signer: Signer,
     init: Initial,
-    /// Per instance: the echo shares over its root and, once combined or
-    /// adopted, the quorum certificate. Delivery = value + certificate, in
-    /// either order.
-    certs: Vec<Collector>,
+    /// Echo shares over each instance's root and, once combined or adopted,
+    /// its certificate. Delivery = value + certificate, in either order.
+    certs: Certificates,
     started: bool,
     out: Batcher,
 }
@@ -60,80 +58,41 @@ impl CbcBatch {
     /// Creates the batch over the `(2f, n)` CBC key set.
     pub fn new(p: Params, keys: PublicKeySet, secret: SecretKeyShare) -> Self {
         CbcBatch {
-            signer: Signer::cbc_echo(p, keys, secret),
             init: Initial::new(p.n),
-            certs: vec![Collector::default(); p.n],
+            certs: Certificates::cbc_echo(p, keys, secret),
             started: false,
             out: Batcher::new(&p, TIMER_RETX),
         }
     }
 
     fn p(&self) -> &Params {
-        &self.signer.p
+        self.certs.p()
     }
 
     /// The quorum certificate of a delivered instance.
     pub fn proof(&self, instance: usize) -> Option<&ThresholdSignature> {
         self.init.get(instance)?.value()?;
-        self.certs[instance].output()
+        self.certs.cert(instance)
     }
 
     fn build_ef(&self) -> Body {
-        let n = self.p().n;
-        let mut roots = vec![Digest32::zero(); n];
-        let mut echo_shares = Vec::new();
-        let mut finish_sigs = Vec::new();
-        let mut echo_nack = Bitmap::new(n);
-        let mut finish_nack = Bitmap::new(n);
-        for (j, cert) in self.certs.iter().enumerate() {
-            if let Some(r) = self.init[j].claimed_root() {
-                roots[j] = r;
-            }
-            if let Some(share) = cert.own() {
-                echo_shares.push((j as u8, share));
-            }
-            match cert.output() {
-                Some(sig) => finish_sigs.push((j as u8, *sig)),
-                None => {
-                    finish_nack.set(j, true);
-                    if self.p().me == j {
-                        let reported = cert.reporters().count_ones() as usize;
-                        echo_nack.set(j, reported < self.p().quorum());
-                    }
-                }
-            }
-        }
+        let root = |j| self.init[j].claimed_root().unwrap_or(Digest32::zero());
         Body::CbcEchoFinish {
-            roots,
-            echo_shares,
-            finish_sigs,
-            echo_nack,
-            finish_nack,
+            roots: (0..self.p().n).map(root).collect(),
+            echo_shares: self.certs.shares(),
+            finish_sigs: self.certs.certificates(),
+            echo_nack: self.certs.echo_nack(),
+            finish_nack: self.certs.finish_nack(),
             init_nack: self.init.init_nack(),
         }
     }
 
     /// ECHO: signs `instance`'s held value's root, once; the share and
-    /// whatever it completed ride in the next combined packet. The leader's
-    /// own share opens its collection.
+    /// whatever it completed ride in the next combined packet.
     fn echo(&mut self, instance: usize, acts: &mut Actions) {
-        let Some((_, root)) = self.init[instance].held() else { return };
-        let Some(share) = self.signer.sign_own(&mut self.certs[instance], instance, &root, acts)
-        else {
-            return;
-        };
-        self.record_echo(instance, share, acts);
-        self.out.changed();
-    }
-
-    /// Leader-side collection of an echo share (only the leader combines).
-    fn record_echo(&mut self, instance: usize, share: SigShare, acts: &mut Actions) {
-        if instance != self.p().me {
-            return;
+        if let Some((_, root)) = self.init[instance].held() {
+            self.out.changed_if(self.certs.sign(instance, &root, acts));
         }
-        let Some(root) = self.init[instance].claimed_root() else { return };
-        let cert = &mut self.certs[instance];
-        self.out.changed_if(self.signer.record(cert, instance, &root, share, acts).is_some());
     }
 
     /// A heard INITIAL fragment; a completed value is echoed.
@@ -210,7 +169,9 @@ impl Broadcaster for CbcBatch {
                 for (j, share) in echo_shares {
                     let j = *j as usize;
                     self.init.aired(j);
-                    self.record_echo(j, *share, acts);
+                    if let Some(root) = self.init.get(j).and_then(|a| a.claimed_root()) {
+                        self.out.changed_if(self.certs.record(j, &root, *share, acts));
+                    }
                 }
                 for (j, sig) in finish_sigs {
                     let j = *j as usize;
@@ -224,7 +185,7 @@ impl Broadcaster for CbcBatch {
                     if root.is_zero() || self.init[j].held().is_some_and(|(_, held)| held != root) {
                         continue;
                     }
-                    let adopted = self.signer.accept_cert(&mut self.certs[j], j, &root, sig, acts);
+                    let adopted = self.certs.adopt(j, &root, sig, acts);
                     if adopted {
                         self.init.claim(j, root);
                     }
@@ -232,11 +193,10 @@ impl Broadcaster for CbcBatch {
                 }
                 // NACK evidence: peers missing what we have.
                 self.init.note(init_nack, &mut self.out);
-                for (j, cert) in self.certs.iter().enumerate() {
-                    let lacks_finish =
-                        finish_nack.len() == n && finish_nack.get(j) && cert.output().is_some();
-                    let lacks_echo =
-                        echo_nack.len() == n && echo_nack.get(j) && cert.own().is_some();
+                for j in 0..n {
+                    let asks = |nack: &Bitmap| nack.len() == n && nack.get(j);
+                    let lacks_finish = asks(finish_nack) && self.certs.cert(j).is_some();
+                    let lacks_echo = asks(echo_nack) && self.certs.own(j).is_some();
                     if lacks_finish || lacks_echo {
                         self.out.peer_lacks(j, 0);
                     }
@@ -256,7 +216,7 @@ impl Broadcaster for CbcBatch {
     }
 
     fn delivered(&self, instance: usize) -> Option<&Bytes> {
-        self.certs.get(instance)?.output()?;
+        self.certs.cert(instance)?;
         self.init[instance].value()
     }
 
@@ -270,10 +230,9 @@ impl Broadcaster for CbcBatch {
 /// saving one phase of channel accesses. Dumbo's `CBC_commit` uses this.
 #[derive(Debug)]
 pub struct CbcSmallBatch {
-    signer: Signer,
     values: Vec<Option<Bitmap>>,
     /// Echo shares and certificate per instance, over [`small_root`].
-    certs: Vec<Collector>,
+    certs: Certificates,
     out: Batcher,
 }
 
@@ -286,22 +245,21 @@ impl CbcSmallBatch {
     /// Creates the batch over the `(2f, n)` CBC key set.
     pub fn new(p: Params, keys: PublicKeySet, secret: SecretKeyShare) -> Self {
         CbcSmallBatch {
-            signer: Signer::cbc_echo(p, keys, secret),
             values: vec![None; p.n],
-            certs: vec![Collector::default(); p.n],
+            certs: Certificates::cbc_echo(p, keys, secret),
             out: Batcher::new(&p, TIMER_RETX),
         }
     }
 
     fn p(&self) -> &Params {
-        &self.signer.p
+        self.certs.p()
     }
 
     /// Starts with this node's id-list value.
     pub fn start(&mut self, my_value: Bitmap, acts: &mut Actions) {
         let me = self.p().me;
         self.values[me] = Some(my_value);
-        self.echo_if_needed(me, acts);
+        self.echo(me, acts);
         self.out.changed();
         self.flush(acts);
     }
@@ -313,7 +271,7 @@ impl CbcSmallBatch {
 
     /// The quorum certificate of a delivered instance.
     pub fn proof(&self, instance: usize) -> Option<&ThresholdSignature> {
-        self.certs.get(instance).and_then(Collector::output)
+        self.certs.cert(instance)
     }
 
     /// Number of delivered instances.
@@ -326,57 +284,26 @@ impl CbcSmallBatch {
         self.values.get(instance)?.as_ref().map(small_root)
     }
 
-    fn echo_if_needed(&mut self, instance: usize, acts: &mut Actions) {
-        let Some(root) = self.root_of(instance) else { return };
-        let Some(share) = self.signer.sign_own(&mut self.certs[instance], instance, &root, acts)
-        else {
-            return;
-        };
-        self.out.changed();
-        self.record_share(instance, share, acts);
-    }
-
-    fn record_share(&mut self, instance: usize, share: SigShare, acts: &mut Actions) {
-        if instance != self.p().me {
-            return; // only the leader combines
+    fn echo(&mut self, instance: usize, acts: &mut Actions) {
+        if let Some(root) = self.root_of(instance) {
+            self.out.changed_if(self.certs.sign(instance, &root, acts));
         }
-        let Some(root) = self.root_of(instance) else { return };
-        let finish = self.signer.record(&mut self.certs[instance], instance, &root, share, acts);
-        self.out.changed_if(finish.is_some());
-    }
-
-    fn record_finish(&mut self, instance: usize, sig: &ThresholdSignature, acts: &mut Actions) {
-        let Some(root) = self.root_of(instance) else { return };
-        let cert = &mut self.certs[instance];
-        self.out.changed_if(self.signer.accept_cert(cert, instance, &root, sig, acts));
     }
 
     fn build(&self) -> Body {
         let n = self.p().n;
-        let mut values = Vec::with_capacity(n);
         let mut init_nack = Bitmap::new(n);
-        let mut echo_shares = Vec::new();
-        let mut finish_sigs = Vec::new();
-        let mut finish_nack = Bitmap::new(n);
-        let mut echo_nack = Bitmap::new(n);
-        for (j, cert) in self.certs.iter().enumerate() {
-            values.push(self.values[j].unwrap_or_else(|| Bitmap::new(0)));
-            init_nack.set(j, self.values[j].is_none());
-            if let Some(share) = cert.own() {
-                echo_shares.push((j as u8, share));
-            }
-            match cert.output() {
-                Some(sig) => finish_sigs.push((j as u8, *sig)),
-                None => {
-                    finish_nack.set(j, true);
-                    if j == self.p().me {
-                        let reported = cert.reporters().count_ones() as usize;
-                        echo_nack.set(j, reported < self.p().quorum());
-                    }
-                }
-            }
+        for (j, v) in self.values.iter().enumerate() {
+            init_nack.set(j, v.is_none());
         }
-        Body::CbcSmall { values, echo_shares, finish_sigs, init_nack, echo_nack, finish_nack }
+        Body::CbcSmall {
+            values: self.values.iter().map(|v| v.unwrap_or_else(|| Bitmap::new(0))).collect(),
+            echo_shares: self.certs.shares(),
+            finish_sigs: self.certs.certificates(),
+            init_nack,
+            echo_nack: self.certs.echo_nack(),
+            finish_nack: self.certs.finish_nack(),
+        }
     }
 
     fn flush(&mut self, acts: &mut Actions) {
@@ -393,6 +320,7 @@ impl CbcSmallBatch {
         if from >= n {
             return;
         }
+        // The echo NACK goes unread: see `Certificates`.
         let Body::CbcSmall { values, echo_shares, finish_sigs, init_nack, finish_nack, .. } = body
         else {
             return;
@@ -401,19 +329,25 @@ impl CbcSmallBatch {
             for (j, v) in values.iter().enumerate() {
                 if !v.is_empty() && self.values[j].is_none() {
                     self.values[j] = Some(*v);
-                    self.echo_if_needed(j, acts);
+                    self.echo(j, acts);
                 }
             }
         }
         for (j, share) in echo_shares {
-            self.record_share(*j as usize, *share, acts);
+            let j = *j as usize;
+            if let Some(root) = self.root_of(j) {
+                self.out.changed_if(self.certs.record(j, &root, *share, acts));
+            }
         }
         for (j, sig) in finish_sigs {
-            self.record_finish(*j as usize, sig, acts);
+            let j = *j as usize;
+            if let Some(root) = self.root_of(j) {
+                self.out.changed_if(self.certs.adopt(j, &root, sig, acts));
+            }
         }
         if (init_nack.len() == n && init_nack.iter_set().any(|j| self.values[j].is_some()))
             || (finish_nack.len() == n
-                && finish_nack.iter_set().any(|j| self.certs[j].output().is_some()))
+                && finish_nack.iter_set().any(|j| self.certs.cert(j).is_some()))
         {
             self.out.peer_behind();
         }
@@ -509,7 +443,7 @@ mod tests {
         );
         let sig = nodes[0].proof(2).unwrap();
         let root = Digest32::of(&vals[2]);
-        let keys = &nodes[0].signer.keys;
+        let keys = &nodes[0].certs.keys;
         keys.verify(&echo_msg(5, 2, &root), sig).unwrap();
         assert!(keys.verify(&echo_msg(5, 3, &root), sig).is_err());
     }
@@ -610,10 +544,10 @@ mod tests {
         let mut false_roots = roots.clone();
         false_roots[0] = forged;
         b.handle(2, &certified(false_roots), &mut acts);
-        assert!(b.certs[0].output().is_none());
+        assert!(b.certs.cert(0).is_none());
         // Under the root it certifies it does, and that root now decides.
         b.handle(2, &certified(roots.clone()), &mut acts);
-        assert!(b.certs[0].output().is_some());
+        assert!(b.certs.cert(0).is_some());
         assert_eq!(b.init[0].claimed_root(), Some(roots[0]));
         for body in &inits {
             b.handle(0, body, &mut acts);

@@ -1,16 +1,17 @@
-//! The per-instance logic of the broadcast primitives — once, for every
-//! deployment.
+//! The per-instance logic of the components — once, for every deployment.
 //!
 //! ConsensusBatcher changes how N parallel component instances are
 //! *packaged* into channel accesses, never what an instance does (paper
-//! §IV, Fig. 4–5). So the instance state machines live here and know
+//! §IV, Fig. 4–6). So the instance state machines live here and know
 //! nothing about packets: the INITIAL phase of N instances ([`Initial`],
 //! over one proposal [`Assembler`] each), which RBC, PRBC and CBC share; a
-//! Bracha [`VoteTally`]; a threshold-share [`Collector`] under a
-//! [`Signer`]; and the PRBC [`DoneStage`]. The components (`rbc`, `cbc`,
-//! `prbc`) drive them and add only the combined packet a transition goes
-//! out in and the evidence of loss they report; when and in how many frames
-//! it goes out is the shared `Batcher`.
+//! Bracha [`VoteTally`]; the certificate phase ([`Certificates`], a
+//! threshold-share [`Collector`] per instance), which CBC, CBC-small and
+//! PRBC share; and the decided-claim gossip ([`Decisions`]), which ABA-SC
+//! and ABA-LC share. The components drive them and add only the combined
+//! packet a transition goes out in, the evidence of loss they report and
+//! how they answer a peer's NACK; when and in how many frames a packet goes
+//! out is the shared `Batcher`.
 
 use crate::context::{Actions, Batcher, Params};
 use crate::share_buf::{Collector, Quorum, Recorded};
@@ -19,7 +20,7 @@ use std::ops::Index;
 use wbft_crypto::hash::Digest32;
 use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare, SigShare, ThresholdSignature};
 use wbft_net::init_nack::asked;
-use wbft_net::{Bitmap, Body, InitNack};
+use wbft_net::{Bitmap, Body, InitNack, Vote};
 
 /// Maximum value bytes carried per INITIAL fragment (fits a LoRa frame
 /// after header, root, NACK and signature).
@@ -493,7 +494,7 @@ impl VoteTally {
     }
 }
 
-// --------------------------------------------------- share collector
+// ------------------------------------------------------ certificates
 
 /// The message a threshold share signs: binds the phase tag, session,
 /// instance and value root.
@@ -516,170 +517,307 @@ pub(crate) fn done_msg(session: u64, instance: usize, root: &Digest32) -> Vec<u8
     signed_msg(b"wbft/prbc/done", session, instance, root)
 }
 
-/// What a component's collectors sign and verify under: one threshold key
-/// set, the message its shares sign, and how many combine.
+/// The certificate phase of N broadcast instances, shared by CBC, CBC-small
+/// and PRBC: per instance a threshold-share [`Collector`] under one key
+/// set, over the message its shares sign, and how many shares combine.
+///
+/// - **Signing** ([`Certificates::sign`]). This node signs its share over
+///   an instance's root once; where it combines that instance, the share
+///   is recorded as well.
+/// - **Combining** ([`Certificates::record`]). Who combines is fixed by the
+///   constructor. For a CBC echo, 2f + 1 shares under the `(2f, n)` set,
+///   only instance `j`'s leader combines `j`. For a PRBC DONE, f + 1
+///   shares under the `(f, n)` set, every node does. A peer's share is
+///   refused where this node does not combine.
+/// - **Adopting** ([`Certificates::adopt`]). A certificate combined
+///   elsewhere is held once it verifies under the root the caller names;
+///   which root that is stays the component's rule.
+/// - **Asking.** [`Certificates::finish_nack`] names the instances without
+///   a certificate here; [`Certificates::echo_nack`] those this node
+///   combines and holds fewer than the needed shares of. How a component
+///   answers a peer's NACK is its own. CBC and PRBC mark the instance the
+///   peer lacks. CBC-small marks a peer behind on a finish NACK and does
+///   not read the echo NACK at all: `Batcher::peer_behind` forces a
+///   re-send even after this node completed, so answering the leader's
+///   echo NACK would add re-sends once it had every certificate.
 #[derive(Debug)]
-pub(crate) struct Signer {
-    pub p: Params,
+pub(crate) struct Certificates {
+    p: Params,
     pub keys: PublicKeySet,
     secret: SecretKeyShare,
     msg: fn(u64, usize, &Digest32) -> Vec<u8>,
     need: usize,
+    /// Only instance `j`'s leader, node `j`, combines `j`'s shares.
+    leader_combines: bool,
+    insts: Vec<Collector>,
 }
 
-impl Signer {
+impl Certificates {
     fn new(
         p: Params,
         keys: PublicKeySet,
         secret: SecretKeyShare,
         msg: fn(u64, usize, &Digest32) -> Vec<u8>,
         need: usize,
+        leader_combines: bool,
     ) -> Self {
-        Signer { p, keys, secret, msg, need }
+        let insts = vec![Collector::default(); p.n];
+        Certificates { p, keys, secret, msg, need, leader_combines, insts }
     }
 
-    /// CBC echo shares under the `(2f, n)` set: 2f + 1 make a certificate.
+    /// CBC echo shares under the `(2f, n)` set: 2f + 1 make a certificate,
+    /// and only the instance's leader combines them.
     pub(crate) fn cbc_echo(p: Params, keys: PublicKeySet, secret: SecretKeyShare) -> Self {
-        Signer::new(p, keys, secret, echo_msg, p.quorum())
+        Certificates::new(p, keys, secret, echo_msg, p.quorum(), true)
     }
 
-    /// PRBC DONE shares under the `(f, n)` set: f + 1 make a proof.
+    /// PRBC DONE shares under the `(f, n)` set: f + 1 make a proof, and
+    /// every node combines them.
     pub(crate) fn prbc_done(p: Params, keys: PublicKeySet, secret: SecretKeyShare) -> Self {
-        Signer::new(p, keys, secret, done_msg, p.f + 1)
+        Certificates::new(p, keys, secret, done_msg, p.f + 1, false)
     }
 
-    /// The message a share over `(instance, root)` signs.
-    pub(crate) fn msg(&self, instance: usize, root: &Digest32) -> Vec<u8> {
+    pub(crate) fn p(&self) -> &Params {
+        &self.p
+    }
+
+    fn combines(&self, instance: usize) -> bool {
+        !self.leader_combines || instance == self.p.me
+    }
+
+    fn msg(&self, instance: usize, root: &Digest32) -> Vec<u8> {
         (self.msg)(self.p.session, instance, root)
     }
 
-    /// The quorum of this signer's collectors, priced from its key set.
-    pub(crate) fn quorum(&self) -> Quorum<'_, PublicKeySet> {
+    fn quorum(&self) -> Quorum<'_, PublicKeySet> {
         Quorum::new(&self.keys, self.need, self.p.n)
     }
 
-    /// Signs this node's share over `(instance, root)` — once; `None` when
-    /// it already exists.
-    pub(crate) fn sign_own(
-        &self,
-        c: &mut Collector,
-        instance: usize,
-        root: &Digest32,
-        acts: &mut Actions,
-    ) -> Option<SigShare> {
-        c.sign_own(&self.quorum(), || self.secret.sign_share(&self.msg(instance, root)), acts)
+    /// Signs this node's share over `(instance, root)`, once, and records
+    /// it where this node combines; `true` when the share is new.
+    pub(crate) fn sign(&mut self, instance: usize, root: &Digest32, acts: &mut Actions) -> bool {
+        if self.own(instance).is_some() || instance >= self.insts.len() {
+            return false;
+        }
+        let (msg, combines) = (self.msg(instance, root), self.combines(instance));
+        let q = Quorum::new(&self.keys, self.need, self.p.n);
+        let c = &mut self.insts[instance];
+        let Some(share) = c.sign_own(&q, || self.secret.sign_share(&msg), acts) else {
+            return false;
+        };
+        if combines {
+            c.record(&q, &msg[..], share, acts);
+        }
+        true
     }
 
-    /// Buffers a share over `(instance, root)`; returns the certificate
-    /// when this share completed it.
+    /// A peer's share over `(instance, root)`; `true` when it completed the
+    /// certificate.
     pub(crate) fn record(
-        &self,
-        c: &mut Collector,
+        &mut self,
         instance: usize,
         root: &Digest32,
         share: SigShare,
         acts: &mut Actions,
-    ) -> Option<ThresholdSignature> {
+    ) -> bool {
+        if !self.combines(instance) || instance >= self.insts.len() {
+            return false;
+        }
         let msg = self.msg(instance, root);
-        match c.record(&self.quorum(), &msg[..], share, acts) {
-            Recorded::Combined(cert) => cert,
-            _ => None,
-        }
+        let q = Quorum::new(&self.keys, self.need, self.p.n);
+        let recorded = self.insts[instance].record(&q, &msg[..], share, acts);
+        matches!(recorded, Recorded::Combined(Some(_)))
     }
 
-    /// Takes a certificate combined elsewhere; `true` when it verified
-    /// over `(instance, root)` and is now held.
-    pub(crate) fn accept_cert(
-        &self,
-        c: &mut Collector,
+    /// A certificate combined elsewhere; `true` when it verified over
+    /// `(instance, root)` and is now held.
+    pub(crate) fn adopt(
+        &mut self,
         instance: usize,
         root: &Digest32,
         sig: &ThresholdSignature,
         acts: &mut Actions,
     ) -> bool {
-        c.adopt(&self.quorum(), &self.msg(instance, root), *sig, acts)
-    }
-}
-
-/// PRBC's DONE phase over N instances: after delivering instance `j` a
-/// node signs a share over its root; f + 1 combine into the proof that an
-/// honest node delivered `j`. Shares and proofs are checked against the
-/// root this node delivered, so neither is taken before it has.
-#[derive(Debug)]
-pub(crate) struct DoneStage {
-    pub signer: Signer,
-    insts: Vec<Collector>,
-}
-
-impl DoneStage {
-    pub(crate) fn new(p: Params, keys: PublicKeySet, secret: SecretKeyShare) -> Self {
-        DoneStage {
-            insts: vec![Collector::default(); p.n],
-            signer: Signer::prbc_done(p, keys, secret),
+        if instance >= self.insts.len() {
+            return false;
         }
+        let msg = self.msg(instance, root);
+        let q = Quorum::new(&self.keys, self.need, self.p.n);
+        self.insts[instance].adopt(&q, &msg, *sig, acts)
     }
 
-    /// Signs — and collects — this node's DONE share for every instance
-    /// `delivered_root` now answers for; returns the new shares.
-    pub(crate) fn sign_new(
-        &mut self,
-        delivered_root: impl Fn(usize) -> Option<Digest32>,
-        acts: &mut Actions,
-    ) -> Vec<(usize, Digest32, SigShare)> {
-        let mut signed = Vec::new();
-        for (j, inst) in self.insts.iter_mut().enumerate() {
-            if inst.own().is_some() {
-                continue;
-            }
-            let Some(root) = delivered_root(j) else { continue };
-            if let Some(share) = self.signer.sign_own(inst, j, &root, acts) {
-                self.signer.record(inst, j, &root, share, acts);
-                signed.push((j, root, share));
-            }
-        }
-        signed
-    }
-
-    /// A peer's DONE share; `true` when it completed the proof.
-    pub(crate) fn record(
-        &mut self,
+    /// Checks a certificate over `(instance, root)` without holding it,
+    /// charged one signature verification.
+    pub(crate) fn check(
+        &self,
         instance: usize,
-        delivered_root: Option<Digest32>,
-        share: SigShare,
-        acts: &mut Actions,
-    ) -> bool {
-        match (self.insts.get_mut(instance), delivered_root) {
-            (Some(inst), Some(root)) => {
-                self.signer.record(inst, instance, &root, share, acts).is_some()
-            }
-            _ => false,
-        }
-    }
-
-    /// A proof combined elsewhere; `true` when it verified and is now held.
-    pub(crate) fn accept_proof(
-        &mut self,
-        instance: usize,
-        delivered_root: Option<Digest32>,
+        root: &Digest32,
         sig: &ThresholdSignature,
         acts: &mut Actions,
     ) -> bool {
-        match (self.insts.get_mut(instance), delivered_root) {
-            (Some(inst), Some(root)) => self.signer.accept_cert(inst, instance, &root, sig, acts),
-            _ => false,
-        }
+        self.quorum().check(&self.msg(instance, root), sig, acts)
     }
 
-    pub(crate) fn my_share(&self, instance: usize) -> Option<SigShare> {
+    /// This node's share of `instance`, once signed.
+    pub(crate) fn own(&self, instance: usize) -> Option<SigShare> {
         self.insts.get(instance).and_then(Collector::own)
     }
 
-    pub(crate) fn proof(&self, instance: usize) -> Option<&ThresholdSignature> {
+    /// The certificate of `instance`, once combined or adopted.
+    pub(crate) fn cert(&self, instance: usize) -> Option<&ThresholdSignature> {
         self.insts.get(instance).and_then(Collector::output)
     }
 
-    pub(crate) fn proven_count(&self) -> usize {
-        self.insts.iter().filter(|d| d.output().is_some()).count()
+    /// Instances with a certificate.
+    pub(crate) fn count(&self) -> usize {
+        self.insts.iter().filter(|c| c.output().is_some()).count()
+    }
+
+    /// This node's shares, by instance, as a packet carries them.
+    pub(crate) fn shares(&self) -> Vec<(u8, SigShare)> {
+        let own = |(j, c): (usize, &Collector)| Some((j as u8, c.own()?));
+        self.insts.iter().enumerate().filter_map(own).collect()
+    }
+
+    /// The certificates held, by instance, as a packet carries them.
+    pub(crate) fn certificates(&self) -> Vec<(u8, ThresholdSignature)> {
+        let cert = |(j, c): (usize, &Collector)| Some((j as u8, *c.output()?));
+        self.insts.iter().enumerate().filter_map(cert).collect()
+    }
+
+    /// The instances without a certificate here.
+    pub(crate) fn finish_nack(&self) -> Bitmap {
+        let mut nack = Bitmap::new(self.insts.len());
+        for (j, c) in self.insts.iter().enumerate() {
+            nack.set(j, c.output().is_none());
+        }
+        nack
+    }
+
+    /// The instances this node combines and still lacks shares of.
+    pub(crate) fn echo_nack(&self) -> Bitmap {
+        let mut nack = Bitmap::new(self.insts.len());
+        for (j, c) in self.insts.iter().enumerate() {
+            let short = (c.reporters().count_ones() as usize) < self.need;
+            nack.set(j, self.combines(j) && c.output().is_none() && short);
+        }
+        nack
+    }
+}
+
+// --------------------------------------------------------- decisions
+
+/// The decided-claim gossip of N binary agreement instances, shared by
+/// ABA-SC and ABA-LC: per instance the decision, the nodes heard claiming
+/// each value, and each peer's highest round and whether it claimed.
+///
+/// - **Deciding** ([`Decisions::decide`]). A decision is final; it is this
+///   node's claim from then on.
+/// - **Adopting** ([`Decisions::hear`]). Each packet names its sender's
+///   round and claim per instance. An undecided node adopts a value f + 1
+///   nodes claim, at least one of them honest.
+/// - **Reaching back** ([`Decisions::history_floor`]). A packet carries the
+///   votes back to the lowest round an undecided peer was heard at, so a
+///   laggard never drifts past recovery.
+///
+/// How far back a packet reaches at least (each ABA's own history window)
+/// and how a component answers a peer that is behind stay its own.
+#[derive(Debug)]
+pub(crate) struct Decisions {
+    me: usize,
+    f: usize,
+    insts: Vec<Decision>,
+}
+
+/// One instance of [`Decisions`].
+#[derive(Debug, Clone)]
+struct Decision {
+    value: Option<bool>,
+    /// Bit `i` of `claims[v]`: node `i` claims it decided `v`.
+    claims: [u64; 2],
+    /// Highest round heard per peer.
+    peer_round: Vec<u16>,
+    /// Peers heard claiming a decision.
+    peer_decided: u64,
+}
+
+impl Decisions {
+    pub(crate) fn new(p: &Params) -> Self {
+        let peer_round = vec![0; p.n];
+        let inst = Decision { value: None, claims: [0; 2], peer_round, peer_decided: 0 };
+        Decisions { me: p.me, f: p.f, insts: vec![inst; p.n] }
+    }
+
+    /// The decision of `instance`, once made or adopted.
+    pub(crate) fn get(&self, instance: usize) -> Option<bool> {
+        self.insts.get(instance).and_then(|d| d.value)
+    }
+
+    /// Decided instances.
+    pub(crate) fn count(&self) -> usize {
+        self.insts.iter().filter(|d| d.value.is_some()).count()
+    }
+
+    /// Whether some instance is `active` and every active one decided.
+    pub(crate) fn complete(&self, active: impl Fn(usize) -> bool) -> bool {
+        let n = self.insts.len();
+        (0..n).all(|j| !active(j) || self.get(j).is_some()) && (0..n).any(active)
+    }
+
+    /// This node's claim on `instance`, as its packets carry it.
+    pub(crate) fn claim(&self, instance: usize) -> Vote {
+        self.get(instance).map_or(Vote::Unknown, Vote::from_bool)
+    }
+
+    /// Decides `v` on `instance` unless decided already; `true` when newly
+    /// decided.
+    pub(crate) fn decide(&mut self, instance: usize, v: bool) -> bool {
+        let d = &mut self.insts[instance];
+        if d.value.is_some() {
+            return false;
+        }
+        d.value = Some(v);
+        d.claims[usize::from(v)] |= 1 << self.me;
+        true
+    }
+
+    /// Hears `from` at `round` of `instance`, with its `claim`; `true` when
+    /// f + 1 matching claims just decided the instance here.
+    pub(crate) fn hear(&mut self, instance: usize, from: usize, round: u16, claim: Vote) -> bool {
+        let d = &mut self.insts[instance];
+        match claim {
+            Vote::Zero => d.claims[0] |= 1 << from,
+            Vote::One => d.claims[1] |= 1 << from,
+            _ => {}
+        }
+        d.peer_round[from] = d.peer_round[from].max(round);
+        if claim != Vote::Unknown {
+            d.peer_decided |= 1 << from;
+        }
+        if d.value.is_some() {
+            return false;
+        }
+        let f1 = self.f as u32 + 1;
+        d.value = [false, true].into_iter().find(|&v| d.claims[usize::from(v)].count_ones() >= f1);
+        d.value.is_some()
+    }
+
+    /// The highest round `from` was heard at on `instance`.
+    pub(crate) fn peer_round(&self, instance: usize, from: usize) -> u16 {
+        self.insts[instance].peer_round[from]
+    }
+
+    /// The oldest round of `instance` an undecided peer is known to need,
+    /// this node being at `round`.
+    pub(crate) fn history_floor(&self, instance: usize, round: u16) -> u16 {
+        let d = &self.insts[instance];
+        let mut floor = round;
+        for (i, r) in d.peer_round.iter().enumerate() {
+            if i != self.me && d.peer_decided & (1 << i) == 0 {
+                floor = floor.min(*r);
+            }
+        }
+        floor
     }
 }
 
@@ -687,7 +825,8 @@ impl DoneStage {
 pub(crate) mod tests {
     use super::*;
     use rand::SeedableRng;
-    use wbft_crypto::{thresh_sig, GroupElem, ShareIndex, ThresholdCurve};
+    use crate::context::{deal_node_crypto, NodeCrypto};
+    use wbft_crypto::{CryptoSuite, GroupElem, ShareIndex};
 
     fn value(len: usize) -> Bytes {
         Bytes::from((0..len).map(|i| (i % 251) as u8).collect::<Vec<u8>>())
@@ -950,101 +1089,159 @@ pub(crate) mod tests {
         assert_eq!((t.echo_support(), t.ready_support(), t.my_ready()), (2, 1, None));
     }
 
-    fn signers(tag: u64) -> Vec<Signer> {
+    /// Four nodes' CBC echo phases.
+    fn cbc(tag: u64) -> Vec<Certificates> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(tag);
-        let (pks, sks) = thresh_sig::deal(4, 2, ThresholdCurve::Bn158, &mut rng);
-        sks.into_iter()
-            .enumerate()
-            .map(|(i, sk)| Signer::cbc_echo(Params::new(4, i, 9), pks.clone(), sk))
-            .collect()
+        let deal = deal_node_crypto(4, CryptoSuite::light(), &mut rng).into_iter().enumerate();
+        let phase = |(i, c): (usize, NodeCrypto)| {
+            Certificates::cbc_echo(Params::new(4, i, 9), c.cbc_pub, c.cbc_sec)
+        };
+        deal.map(phase).collect()
+    }
+
+    /// Four nodes' PRBC DONE phases.
+    fn prbc(tag: u64) -> Vec<Certificates> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(tag);
+        let deal = deal_node_crypto(4, CryptoSuite::light(), &mut rng).into_iter().enumerate();
+        let phase = |(i, c): (usize, NodeCrypto)| {
+            Certificates::prbc_done(Params::new(4, i, 9), c.prbc_pub, c.prbc_sec)
+        };
+        deal.map(phase).collect()
+    }
+
+    /// `node`'s share over `(instance, root)`.
+    fn share(node: &mut Certificates, instance: usize, root: &Digest32) -> SigShare {
+        node.sign(instance, root, &mut Actions::new());
+        node.own(instance).unwrap()
     }
 
     #[test]
-    fn collector_charges_foreign_shares_only_and_combines_at_quorum() {
-        let s = signers(83);
+    fn need_shares_make_a_certificate_and_only_foreign_ones_are_charged() {
+        let mut s = cbc(83);
         let root = Digest32::of(b"value");
         let profile = s[0].keys.profile();
-        let mut c = Collector::default();
         let mut acts = Actions::new();
-        let own = s[0].sign_own(&mut c, 0, &root, &mut acts).unwrap();
-        assert_eq!(acts.charge_us, profile.sign_share_us);
-        assert!(s[0].sign_own(&mut c, 0, &root, &mut acts).is_none(), "signed once");
-        assert_eq!(c.own(), Some(own));
-        assert!(s[0].record(&mut c, 0, &root, own, &mut acts).is_none());
-        assert_eq!(acts.charge_us, profile.sign_share_us, "own share is not charged");
-        assert!(s[0].record(&mut c, 0, &root, own, &mut acts).is_none(), "duplicate index");
-        assert_eq!(c.reporters().count_ones(), 1);
-
-        let mut theirs = Collector::default();
-        let mut scratch = Actions::new();
-        let s1 = s[1].sign_own(&mut theirs, 0, &root, &mut scratch).unwrap();
+        assert!(s[0].sign(0, &root, &mut acts));
+        assert_eq!(acts.charge_us, profile.sign_share_us, "the own share is recorded uncharged");
+        assert!(!s[0].sign(0, &root, &mut acts), "signed once");
+        let own = s[0].own(0).unwrap();
+        assert!(!s[0].record(0, &root, own, &mut acts), "duplicate index");
+        let s1 = share(&mut s[1], 0, &root);
         let mut far = s1;
         far.index = ShareIndex::new(5).unwrap();
-        assert!(s[0].record(&mut c, 0, &root, far, &mut acts).is_none(), "index out of range");
-        assert_eq!((c.reporters().count_ones(), acts.charge_us), (1, profile.sign_share_us));
-        assert!(s[0].record(&mut c, 0, &root, s1, &mut acts).is_none());
+        assert!(!s[0].record(0, &root, far, &mut acts), "index out of range");
+        assert_eq!(acts.charge_us, profile.sign_share_us);
+        assert!(!s[0].record(0, &root, s1, &mut acts));
         assert_eq!(acts.charge_us, profile.sign_share_us + profile.verify_share_us);
-
-        let s2 = s[2].sign_own(&mut Collector::default(), 0, &root, &mut scratch).unwrap();
-        let sig = s[0].record(&mut c, 0, &root, s2, &mut acts).expect("2f + 1 shares combine");
+        let s2 = share(&mut s[2], 0, &root);
+        assert!(s[0].record(0, &root, s2, &mut acts), "2f + 1 shares combine");
         assert_eq!(
             acts.charge_us,
             profile.sign_share_us + 2 * profile.verify_share_us + profile.combine_us
         );
-        assert_eq!(c.output(), Some(&sig));
+        let sig = *s[0].cert(0).unwrap();
+        assert_eq!((s[0].count(), s[0].certificates()), (1, vec![(0, sig)]));
         s[0].keys.verify(&echo_msg(9, 0, &root), &sig).unwrap();
         assert!(s[0].keys.verify(&done_msg(9, 0, &root), &sig).is_err(), "phase tag is bound");
         // Certified: later shares are not even buffered.
-        let s3 = s[3].sign_own(&mut Collector::default(), 0, &root, &mut scratch).unwrap();
-        assert!(s[0].record(&mut c, 0, &root, s3, &mut acts).is_none());
-        assert_eq!(c.reporters().count_ones(), 3);
+        let s3 = share(&mut s[3], 0, &root);
+        assert!(!s[0].record(0, &root, s3, &mut acts));
+        // A PRBC proof takes f + 1: the own share alone is none.
+        let mut d = prbc(85);
+        assert!(d[0].sign(1, &root, &mut acts) && d[0].cert(1).is_none());
+        let d2 = share(&mut d[2], 1, &root);
+        assert!(d[0].record(1, &root, d2, &mut acts), "f + 1 shares prove");
     }
 
     #[test]
-    fn collector_evicts_a_bad_share_and_reuses_its_slot() {
-        let s = signers(89);
+    fn only_a_cbc_instance_s_leader_combines_it() {
+        let mut s = cbc(87);
         let root = Digest32::of(b"value");
-        let mut scratch = Actions::new();
-        let shares: Vec<SigShare> = (0..3)
-            .map(|i| s[i].sign_own(&mut Collector::default(), 1, &root, &mut scratch).unwrap())
-            .collect();
+        let shares: Vec<SigShare> = (0..4).map(|i| share(&mut s[i], 0, &root)).collect();
+        let mut acts = Actions::new();
+        for &other in &shares {
+            assert!(!s[1].record(0, &root, other, &mut acts));
+        }
+        assert_eq!(acts.charge_us, 0, "a share this node does not combine is not even checked");
+        assert_eq!(s[1].echo_nack(), Bitmap::from_raw(0b0010, 4), "it asks for its own instance's");
+        assert_eq!(s[1].finish_nack(), Bitmap::from_raw(0b1111, 4));
+        assert!(!s[0].record(0, &root, shares[1], &mut acts));
+        assert!(s[0].record(0, &root, shares[2], &mut acts), "the leader combines");
+        assert_eq!(s[0].finish_nack(), Bitmap::from_raw(0b1110, 4));
+        // Every node combines a PRBC instance.
+        let mut d = prbc(87);
+        let d0 = share(&mut d[0], 0, &root);
+        d[1].sign(0, &root, &mut acts);
+        assert!(d[1].record(0, &root, d0, &mut acts));
+    }
+
+    #[test]
+    fn a_bad_share_is_evicted_and_its_slot_reused() {
+        let mut s = cbc(89);
+        let root = Digest32::of(b"value");
+        let shares: Vec<SigShare> = (0..3).map(|i| share(&mut s[i], 3, &root)).collect();
         let mut bad = shares[0];
         bad.value = bad.value.mul(&GroupElem::generator());
-        let mut c = Collector::default();
+        let leader = &mut s[3];
         let mut acts = Actions::new();
-        assert!(s[3].record(&mut c, 1, &root, bad, &mut acts).is_none());
-        assert!(s[3].record(&mut c, 1, &root, shares[0], &mut acts).is_none(), "slot taken");
-        assert!(s[3].record(&mut c, 1, &root, shares[1], &mut acts).is_none());
+        assert!(!leader.record(3, &root, bad, &mut acts));
+        assert!(!leader.record(3, &root, shares[0], &mut acts), "slot taken");
+        assert!(!leader.record(3, &root, shares[1], &mut acts));
         // The third share reaches the quorum; its check evicts the
         // bad one, so no certificate yet — and its slot is free again.
-        assert!(s[3].record(&mut c, 1, &root, shares[2], &mut acts).is_none());
-        assert_eq!(c.reporters().count_ones(), 2);
-        let sig = s[3].record(&mut c, 1, &root, shares[0], &mut acts).expect("corrected share");
-        s[3].keys.verify(&echo_msg(9, 1, &root), &sig).unwrap();
+        assert!(!leader.record(3, &root, shares[2], &mut acts));
+        assert!(leader.record(3, &root, shares[0], &mut acts), "corrected share");
+        leader.keys.verify(&echo_msg(9, 3, &root), leader.cert(3).unwrap()).unwrap();
     }
 
     #[test]
-    fn collector_takes_a_certificate_only_over_the_root_it_verifies() {
-        let s = signers(97);
+    fn a_certificate_is_adopted_only_over_the_root_it_verifies() {
+        let mut s = cbc(97);
         let (root, other) = (Digest32::of(b"value"), Digest32::of(b"other"));
-        let mut scratch = Actions::new();
-        let mut leader = Collector::default();
-        let mut sig = None;
-        for signer in &s[..3] {
-            let share =
-                signer.sign_own(&mut Collector::default(), 2, &root, &mut scratch).unwrap();
-            sig = s[2].record(&mut leader, 2, &root, share, &mut scratch);
+        let shares: Vec<SigShare> = (0..3).map(|i| share(&mut s[i], 2, &root)).collect();
+        for other in shares {
+            s[2].record(2, &root, other, &mut Actions::new());
         }
-        let sig = sig.expect("three shares certify");
-        let mut c = Collector::default();
+        let sig = *s[2].cert(2).expect("three shares certify");
         let mut acts = Actions::new();
-        assert!(!s[0].accept_cert(&mut c, 2, &other, &sig, &mut acts));
-        assert!(!s[0].accept_cert(&mut c, 3, &root, &sig, &mut acts));
-        assert!(c.output().is_none());
-        assert!(s[0].accept_cert(&mut c, 2, &root, &sig, &mut acts));
-        assert_eq!(acts.charge_us, 3 * s[0].keys.profile().verify_signature_us);
-        assert!(!s[0].accept_cert(&mut c, 2, &root, &sig, &mut acts), "already held");
-        assert_eq!(acts.charge_us, 3 * s[0].keys.profile().verify_signature_us);
+        assert!(!s[0].adopt(2, &other, &sig, &mut acts));
+        assert!(!s[0].adopt(3, &root, &sig, &mut acts));
+        assert!(s[0].cert(2).is_none());
+        assert!(s[0].adopt(2, &root, &sig, &mut acts));
+        let check = s[0].keys.profile().verify_signature_us;
+        assert_eq!(acts.charge_us, 3 * check);
+        assert!(!s[0].adopt(2, &root, &sig, &mut acts), "already held");
+        assert_eq!(acts.charge_us, 3 * check);
+    }
+
+    #[test]
+    fn decided_claims_adoption_needs_f_plus_1() {
+        let mut d = Decisions::new(&tally_params());
+        // One Byzantine claim alone must not cause adoption (f = 1: two needed).
+        assert!(!d.hear(0, 1, 0, Vote::Zero));
+        assert!(!d.hear(0, 2, 0, Vote::One), "nor one for the other value");
+        assert_eq!(d.get(0), None);
+        assert!(d.hear(0, 3, 0, Vote::Zero), "f + 1 claims adopt");
+        assert_eq!((d.get(0), d.claim(0), d.count()), (Some(false), Vote::Zero, 1));
+        assert!(!d.hear(0, 2, 0, Vote::One) && !d.decide(0, true), "a decision is final");
+        assert!(d.decide(1, true) && d.get(1) == Some(true));
+    }
+
+    #[test]
+    fn packets_reach_back_to_the_lowest_round_an_undecided_peer_was_heard_at() {
+        let mut d = Decisions::new(&tally_params());
+        assert_eq!(d.history_floor(0, 5), 0, "a peer not heard yet is at round 0");
+        d.hear(0, 1, 4, Vote::Unknown);
+        d.hear(0, 1, 3, Vote::Unknown);
+        d.hear(0, 2, 7, Vote::Unknown);
+        d.hear(0, 3, 2, Vote::One);
+        assert_eq!(d.peer_round(0, 1), 4, "a peer's highest round");
+        assert_eq!(d.history_floor(0, 5), 4, "node 3 claimed a decision");
+        assert_eq!(d.history_floor(0, 3), 3, "never above this node's own round");
+        // Complete once every active instance decided.
+        assert!(!d.complete(|_| false), "nothing active");
+        d.decide(2, false);
+        assert!(d.complete(|j| j == 2) && !d.complete(|j| j >= 1));
     }
 
     /// The INITIAL phase through the components that run it: every check

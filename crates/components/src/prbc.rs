@@ -8,15 +8,17 @@
 //! before an instance's value may be referenced by the agreement phase.
 //! DONE shares are batched into their own packet type because threshold
 //! material dominates packet space (§IV-C1). Signing, collecting and
-//! combining them is `instance::DoneStage`.
+//! combining them is `instance::Certificates`, the certificate phase CBC
+//! runs too; shares and proofs are checked against the root this node
+//! delivered, so neither is taken before it has.
 
 use crate::context::{Actions, Batcher, Broadcaster, Params};
-use crate::instance::DoneStage;
+use crate::instance::Certificates;
 use crate::rbc::RbcBatch;
 use bytes::Bytes;
 use wbft_crypto::hash::Digest32;
 use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare, ThresholdSignature};
-use wbft_net::{Bitmap, Body};
+use wbft_net::Body;
 
 /// Timer ids: 0 is used by the inner RBC; the DONE stage uses 1.
 const TIMER_DONE_RETX: u32 = 1;
@@ -25,7 +27,7 @@ const TIMER_DONE_RETX: u32 = 1;
 #[derive(Debug)]
 pub struct PrbcBatch {
     rbc: RbcBatch,
-    done: DoneStage,
+    certs: Certificates,
     out: Batcher,
 }
 
@@ -34,7 +36,7 @@ impl PrbcBatch {
     pub fn new(p: Params, keys: PublicKeySet, secret: SecretKeyShare) -> Self {
         PrbcBatch {
             rbc: RbcBatch::new(p),
-            done: DoneStage::new(p, keys, secret),
+            certs: Certificates::prbc_done(p, keys, secret),
             out: Batcher::new(&p, TIMER_DONE_RETX),
         }
     }
@@ -45,12 +47,12 @@ impl PrbcBatch {
 
     /// The delivery proof of an instance, once `f+1` DONE shares combined.
     pub fn proof(&self, instance: usize) -> Option<&ThresholdSignature> {
-        self.done.proof(instance)
+        self.certs.cert(instance)
     }
 
     /// Instances with a completed proof.
     pub fn proven_count(&self) -> usize {
-        self.done.proven_count()
+        self.certs.count()
     }
 
     /// Checks a delivery proof produced elsewhere (Dumbo's CBC values carry
@@ -62,35 +64,26 @@ impl PrbcBatch {
         proof: &ThresholdSignature,
         acts: &mut Actions,
     ) -> bool {
-        let signer = &self.done.signer;
-        signer.quorum().check(&signer.msg(instance, root), proof, acts)
+        self.certs.check(instance, root, proof, acts)
     }
 
     fn build_done(&self) -> Body {
-        let n = self.p().n;
-        let mut roots = vec![Digest32::zero(); n];
-        let mut shares = Vec::new();
-        let mut proofs = Vec::new();
-        let mut sig_nack = Bitmap::new(n);
-        for (j, root_slot) in roots.iter_mut().enumerate() {
-            if let Some(root) = self.rbc.delivered_root(j) {
-                *root_slot = root;
-                if let Some(share) = self.done.my_share(j) {
-                    shares.push((j as u8, share));
-                }
-            }
-            match self.done.proof(j) {
-                Some(p) => proofs.push((j as u8, *p)),
-                None => sig_nack.set(j, true),
-            }
+        let root = |j| self.rbc.delivered_root(j).unwrap_or(Digest32::zero());
+        Body::PrbcDone {
+            roots: (0..self.p().n).map(root).collect(),
+            shares: self.certs.shares(),
+            proofs: self.certs.certificates(),
+            sig_nack: self.certs.finish_nack(),
         }
-        Body::PrbcDone { roots, shares, proofs, sig_nack }
     }
 
     fn flush(&mut self, acts: &mut Actions) {
         // DONE shares for instances the inner RBC has newly delivered.
-        let rbc = &self.rbc;
-        self.out.changed_if(!self.done.sign_new(|j| rbc.delivered_root(j), acts).is_empty());
+        for j in 0..self.p().n {
+            if let Some(root) = self.rbc.delivered_root(j) {
+                self.out.changed_if(self.certs.sign(j, &root, acts));
+            }
+        }
         if self.out.flush() {
             let body = self.build_done();
             self.out.send(body, acts);
@@ -113,16 +106,18 @@ impl Broadcaster for PrbcBatch {
                 // first.
                 for (j, share) in shares {
                     let j = *j as usize;
-                    let root = self.rbc.delivered_root(j);
-                    self.out.changed_if(self.done.record(j, root, *share, acts));
+                    if let Some(root) = self.rbc.delivered_root(j) {
+                        self.out.changed_if(self.certs.record(j, &root, *share, acts));
+                    }
                 }
                 for (j, sig) in proofs {
                     let j = *j as usize;
-                    let root = self.rbc.delivered_root(j);
-                    self.out.changed_if(self.done.accept_proof(j, root, sig, acts));
+                    if let Some(root) = self.rbc.delivered_root(j) {
+                        self.out.changed_if(self.certs.adopt(j, &root, sig, acts));
+                    }
                 }
                 if sig_nack.len() == self.p().n {
-                    for j in sig_nack.iter_set().filter(|&j| self.done.proof(j).is_some()) {
+                    for j in sig_nack.iter_set().filter(|&j| self.certs.cert(j).is_some()) {
                         self.out.peer_lacks(j, 0);
                     }
                 }
@@ -202,20 +197,10 @@ mod tests {
                 let mut acts = Actions::new();
                 assert!(node.check_proof(j, &root, proof, &mut acts));
                 assert!(!node.check_proof((j + 1) % 4, &root, proof, &mut acts));
-                let check = node.done.signer.keys.profile().verify_signature_us;
+                let check = node.certs.keys.profile().verify_signature_us;
                 assert_eq!(acts.charge_us, 2 * check, "each check is charged");
             }
         }
-    }
-
-    #[test]
-    fn proof_requires_f_plus_1_shares() {
-        // A single node's own share must not produce a proof (f=1 → 2).
-        let mut nodes = make();
-        let mut acts = Actions::new();
-        nodes[0].start(Bytes::from_static(b"solo"), &mut acts);
-        assert_eq!(nodes[0].proven_count(), 0);
-        assert!(nodes[0].proof(0).is_none());
     }
 
     #[test]
