@@ -15,8 +15,7 @@
 //!
 //! The INITIAL phase is `instance::Initial` and the ECHO / FINISH phase
 //! `instance::Certificates`; each type's doc states its rule. CBC's
-//! evidence that a value was aired whole is the leader's combined packet
-//! (which it queues behind its fragments) or any echo share or certificate
+//! evidence that a value was aired whole is an echo share or a certificate
 //! for the instance; a certificate that verifies under the root its packet
 //! names decides which fragments the instance takes.
 
@@ -160,12 +159,8 @@ impl Broadcaster for CbcBatch {
                 if roots.len() != n {
                     return;
                 }
-                // Evidence the value was aired whole: the leader queues this
-                // packet behind its fragments, and a share or certificate
-                // is over the value.
-                if !roots[from].is_zero() {
-                    self.init.aired(from);
-                }
+                // Evidence the value was aired whole: a share or a
+                // certificate is over the value.
                 for (j, share) in echo_shares {
                     let j = *j as usize;
                     self.init.aired(j);
@@ -479,7 +474,7 @@ mod tests {
     }
 
     #[test]
-    fn the_leader_s_root_or_another_node_s_echo_share_shows_the_value_was_aired() {
+    fn a_peer_s_root_shows_nothing_and_an_echo_share_shows_the_value_was_aired() {
         let (_, inits, _) = five_fragment_proposer::<CbcBatch>();
         let Body::CbcInit { root, .. } = inits[0] else { unreachable!() };
         let mut nodes = make();
@@ -490,13 +485,10 @@ mod tests {
         }
         let gap = [(0, Bitmap::from_raw(0b00100, 5))];
         let all_missing = [(0, Bitmap::from_raw(0b10100, 5))];
-        // The leader names its root only in packets it queues behind its
-        // fragments; another node naming it shows nothing.
+        // A packet naming the root shows nothing.
         let naming = CbcBatch::naming(root).remove(0);
         nodes[3].handle(2, &naming, &mut acts);
         assert_eq!(asks(&tick(&mut nodes[3]).0), gap, "a peer's root");
-        nodes[3].handle(0, &naming, &mut acts);
-        assert_eq!(asks(&tick(&mut nodes[3]).0), all_missing, "the leader's root");
         // Another node's echo share: it held the whole value.
         for body in &inits {
             nodes[2].handle(0, body, &mut acts);

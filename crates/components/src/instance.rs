@@ -226,7 +226,7 @@ pub(crate) type InitBody = fn(u8, Fragment, InitNack) -> Body;
 /// A fragment is re-aired only on evidence it was lost:
 /// - **Asking** ([`Initial::init_nack`]). Once the component reported the
 ///   value aired whole ([`Initial::aired`]: RBC on a peer's vote, CBC on
-///   the leader's packet, an echo share or a certificate), a node asks for
+///   an echo share or a certificate), a node asks for
 ///   every fragment it lacks — all of them, the empty request, while it
 ///   holds none. Before that it asks only for gaps below the highest
 ///   fragment it holds, as fragments air in ascending order. A root some
