@@ -536,8 +536,8 @@ pub(crate) fn done_msg(session: u64, instance: usize, root: &Digest32) -> Vec<u8
 ///   a certificate here; [`Certificates::echo_nack`] those this node
 ///   combines and holds fewer than the needed shares of. How a component
 ///   answers a peer's NACK is its own. CBC and PRBC mark the instance the
-///   peer lacks. CBC-small marks a peer behind on a finish NACK and does
-///   not read the echo NACK at all: `Batcher::peer_behind` forces a
+///   peer lacks. CBC-small marks a peer behind on an init or finish NACK
+///   and does not read the echo NACK at all: `Batcher::peer_behind` forces a
 ///   re-send even after this node completed, so answering the leader's
 ///   echo NACK would add re-sends once it had every certificate.
 #[derive(Debug)]
@@ -711,8 +711,8 @@ impl Certificates {
 /// ABA-SC and ABA-LC: per instance the decision, the nodes heard claiming
 /// each value, and each peer's highest round and whether it claimed.
 ///
-/// - **Deciding** ([`Decisions::decide`]). A decision is final; it is this
-///   node's claim from then on.
+/// - **Deciding** ([`Decisions::decide`]). A decision is final; packets
+///   carry it as this node's claim ([`Decisions::claim`]).
 /// - **Adopting** ([`Decisions::hear`]). Each packet names its sender's
 ///   round and claim per instance. An undecided node adopts a value f + 1
 ///   nodes claim, at least one of them honest.
@@ -733,7 +733,7 @@ pub(crate) struct Decisions {
 #[derive(Debug, Clone)]
 struct Decision {
     value: Option<bool>,
-    /// Bit `i` of `claims[v]`: node `i` claims it decided `v`.
+    /// Bit `i` of `claims[v]`: peer `i` claims it decided `v`.
     claims: [u64; 2],
     /// Highest round heard per peer.
     peer_round: Vec<u16>,
@@ -777,7 +777,6 @@ impl Decisions {
             return false;
         }
         d.value = Some(v);
-        d.claims[usize::from(v)] |= 1 << self.me;
         true
     }
 
@@ -824,8 +823,8 @@ impl Decisions {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use rand::SeedableRng;
     use crate::context::{deal_node_crypto, NodeCrypto};
+    use rand::SeedableRng;
     use wbft_crypto::{CryptoSuite, GroupElem, ShareIndex};
 
     fn value(len: usize) -> Bytes {
