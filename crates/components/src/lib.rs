@@ -36,8 +36,9 @@
 //! | *share quorum, every row*    | [`Collector`] |
 //!
 //! A deployment style is a *packaging*, not a second implementation. What
-//! one RBC / CBC / PRBC instance does — reassembling the proposal, tallying
-//! Bracha's votes, collecting threshold shares into a certificate — lives
+//! one instance does — reassembling the proposal (RBC, CBC, PRBC), tallying
+//! Bracha's votes (RBC), collecting threshold shares into a certificate
+//! (CBC, CBC-small, PRBC), gossiping decided claims (both ABAs) — lives
 //! once, in the crate-private `instance` module, and each component builds
 //! one combined packet with its NACK bits whatever the packing.
 //!
