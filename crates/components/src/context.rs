@@ -6,7 +6,7 @@ use crate::aba_lc::AbaLcBatch;
 use crate::aba_sc::AbaScBatch;
 use bytes::Bytes;
 use rand::RngCore;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use wbft_crypto::profile::CryptoSuite;
 use wbft_crypto::schnorr::{KeyPair, PublicKey};
 use wbft_crypto::thresh_coin::CoinPublicSet;
@@ -311,7 +311,8 @@ impl Agreement {
 ///   instance a peer's NACK named, and of all instances when the evidence
 ///   named none ([`Batcher::peer_behind`]) — of an instance's rounds only
 ///   its latest, and older ones down to the lowest round a peer was seen at
-///   ([`Batcher::peer_at`]) or named.
+///   ([`Batcher::peer_at`]) or named. A coin frame's rounds are not its
+///   domain's instance's latest while that instance has vote frames.
 #[derive(Debug)]
 pub struct Batcher {
     rng: rand_chacha::ChaCha12Rng,
@@ -365,11 +366,19 @@ impl Frames {
     fn resend(&mut self, peer_behind: bool, body: Body, acts: &mut Actions) {
         let frames = wbft_net::split(body);
         // Per instance: its latest round, and whether it is incomplete here.
+        // A coin frame's instance is its coin domain, which a parallel
+        // batch's shared coin gives to instance 0: its rounds count only
+        // where the instance has no vote frame of its own.
+        let is_coin = |frame: &Body| matches!(frame, Body::BaseAbaCoin { .. });
+        let voted: BTreeSet<u8> =
+            frames.iter().filter(|f| !is_coin(f)).filter_map(|f| Some(f.place()?.0)).collect();
         let mut latest: BTreeMap<u8, (u16, bool)> = BTreeMap::new();
         for frame in &frames {
             let Some((instance, round)) = frame.place() else { continue };
-            let (top, asks) = latest.entry(instance).or_insert((round, false));
-            *top = (*top).max(round);
+            let (top, asks) = latest.entry(instance).or_insert((0, false));
+            if !(is_coin(frame) && voted.contains(&instance)) {
+                *top = (*top).max(round);
+            }
             *asks |= frame.asks() != 0;
         }
         let wanted = std::mem::take(&mut self.wanted);
@@ -758,5 +767,25 @@ mod tests {
         assert_eq!(b.tick(TIMER, true, &mut acts), Some(true));
         b.resend(true, body, &mut acts);
         assert_eq!(places(&mut acts), [(0, 3), (1, 2), (2, 4)]);
+    }
+
+    #[test]
+    fn a_per_instance_tick_resends_an_undecided_instance_whose_domain_holds_later_coins() {
+        // A parallel batch's shared coin is domain 0, so its coin frames
+        // place themselves at instance 0; rounds other instances reached
+        // must not make instance 0's round-0 vote stale.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let share = deal_node_crypto(4, CryptoSuite::light(), &mut rng)[0].coin_sec.sign_share(b"c");
+        let mut body = aba_body(&[(0, 0, false), (1, 7, true)]);
+        let Body::AbaSc { coin_shares, .. } = &mut body else { unreachable!() };
+        coin_shares.extend((0..=7).map(|round| (round, share)));
+        let mut b = Batcher::new(&Params::new(4, 0, 1).packed(Packing::PerInstance), TIMER);
+        let mut acts = Actions::new();
+        assert_eq!(b.tick(TIMER, false, &mut acts), Some(false));
+        b.resend(false, body, &mut acts);
+        let resent = acts.drain().0;
+        let vote = |f: &Body| matches!(f, Body::BaseAbaVote { inst, .. } if inst.instance == 0);
+        let votes: Vec<_> = resent.iter().filter(|f| vote(f)).map(Body::place).collect();
+        assert_eq!(votes, [Some((0, 0))], "instance 0's only round goes out: {resent:?}");
     }
 }
