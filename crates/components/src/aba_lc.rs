@@ -39,9 +39,9 @@ use wbft_net::{Body, Vote};
 
 const TIMER_RETX: u32 = 0;
 
-/// Rounds of report history carried per packet. Wide enough that a node
-/// left out of three fast peers' quorums for several rounds still finds
-/// every vote it needs in any single later packet.
+/// Rounds of report state kept below this node's round even once no peer
+/// needs them: packets carry from `Decisions::history_floor` on, which
+/// never reaches below what is kept.
 const HISTORY_WINDOW: u16 = 8;
 
 /// Per-round vote-lattice state for one instance.
@@ -278,7 +278,7 @@ impl AbaLcBatch {
                     inst.round = round + 1;
                     self.out.changed();
                     // Prune rounds nobody can still need: below both the
-                    // static window and the slowest undecided peer.
+                    // static window and the history floor.
                     let floor = self.decisions.history_floor(instance, inst.round);
                     let keep_from = inst.round.saturating_sub(HISTORY_WINDOW).min(floor);
                     inst.rounds.retain(|r, _| *r >= keep_from);
@@ -297,10 +297,7 @@ impl AbaLcBatch {
             if !inst.active {
                 continue;
             }
-            let lo = inst
-                .round
-                .saturating_sub(HISTORY_WINDOW - 1)
-                .min(self.decisions.history_floor(j, inst.round));
+            let lo = self.decisions.history_floor(j, inst.round);
             for r in lo..=inst.round {
                 if let Some(rs) = inst.rounds.get(&r) {
                     insts.push(AbaLcInst {
@@ -434,6 +431,26 @@ mod tests {
             .iter()
             .map(|n| (0..n_inst).map(|j| n.decided(j).unwrap()).collect())
             .collect()
+    }
+
+    #[test]
+    fn a_packet_carries_only_the_rounds_a_peer_can_still_use() {
+        let mut node = make().remove(0);
+        let mut acts = Actions::new();
+        node.set_input(0, true, &mut acts);
+        for r in 0..=3 {
+            node.cast(0, r, 0, Vote::One);
+        }
+        node.insts[0].round = 3;
+        let rounds = |node: &AbaLcBatch| match node.build_packet() {
+            Body::AbaLc { insts } => insts.iter().map(|e| e.round).collect::<Vec<_>>(),
+            other => panic!("an ABA-LC packet, got {other:?}"),
+        };
+        assert_eq!(rounds(&node), [0, 1, 2, 3], "peers not heard: round 0");
+        for peer in 1..4 {
+            node.decisions.hear(0, peer, 3, Vote::Unknown);
+        }
+        assert_eq!(rounds(&node), [3], "every peer at round 3");
     }
 
     #[test]

@@ -18,11 +18,13 @@
 //! domains and are activated one at a time, which also prevents premature
 //! share release for later instances (§V-A).
 //!
-//! Packets carry each instance's full per-round vote history within a small
-//! window, so a node that lost frames reconstructs everything from any
-//! single later packet — this is what makes the NACK-driven reliability
-//! converge. Termination is the decided-claim gossip of
-//! `instance::Decisions`, whose doc states its rule.
+//! Packets carry each instance's per-round vote history back to the lowest
+//! round a peer was heard at, until every peer claims a decision, so a node
+//! that lost frames reconstructs everything it still needs from any single
+//! later packet — this is what makes the NACK-driven reliability converge.
+//! How far back a packet reaches and termination are both the
+//! decided-claim gossip of `instance::Decisions`, whose doc states its
+//! rules.
 
 use crate::context::{Actions, Batcher, BinaryAgreement, Params};
 use crate::instance::Decisions;
@@ -35,11 +37,6 @@ use wbft_net::{BinValues, Bitmap, Body, CoinFlavor, Vote};
 
 /// Local timer id of the retransmission tick.
 const TIMER_RETX: u32 = 0;
-
-/// How many trailing rounds of vote history each packet carries (laggard
-/// catch-up window; a node can fall this many rounds behind and still
-/// recover from one packet).
-const HISTORY_WINDOW: u16 = 6;
 
 /// Per-round votes this node has cast.
 #[derive(Debug, Default, Clone)]
@@ -374,8 +371,9 @@ impl AbaScBatch {
         }
     }
 
-    /// Builds the combined packet: recent-round history for every active
-    /// instance plus this node's released coin shares in the window.
+    /// Builds the combined packet: every active instance's vote history
+    /// from its history floor on, plus this node's released coin shares of
+    /// the rounds carried.
     fn build_packet(&self) -> Body {
         let mut insts = Vec::new();
         let mut coin_rounds: Vec<(u8, u16)> = Vec::new();
@@ -383,10 +381,7 @@ impl AbaScBatch {
             if !inst.active {
                 continue;
             }
-            let lo = inst
-                .round
-                .saturating_sub(HISTORY_WINDOW - 1)
-                .min(self.decisions.history_floor(j, inst.round));
+            let lo = self.decisions.history_floor(j, inst.round);
             for r in lo..=inst.round {
                 if (r as usize) < inst.my_rounds.len() {
                     let my = &inst.my_rounds[r as usize];
@@ -726,6 +721,50 @@ mod tests {
         assert_eq!(nodes[0].domain(2), 2);
         let shared = make_nodes(CoinFlavor::ThreshSig, true);
         assert_eq!(shared[0].domain(2), 0);
+    }
+
+    /// Node 0 of a parallel batch, instance 0 at `round` with a BVAL and a
+    /// released coin share in every round up to it.
+    fn node_at_round(round: u16) -> AbaScBatch {
+        let mut node = make_nodes(CoinFlavor::ThreshSig, true).remove(0);
+        let mut acts = Actions::new();
+        node.set_input(0, true, &mut acts);
+        for r in 0..=round {
+            node.cast_bval(0, r, true);
+            node.release_share(0, r, &mut acts);
+        }
+        node.insts[0].round = round;
+        node
+    }
+
+    /// The rounds of a packet's vote entries and of its coin shares.
+    fn carried(body: &Body) -> (Vec<u16>, Vec<u16>) {
+        let Body::AbaSc { insts, coin_shares, .. } = body else { panic!("an ABA-SC packet") };
+        (insts.iter().map(|e| e.round).collect(), coin_shares.iter().map(|c| c.0 & 0xff).collect())
+    }
+
+    #[test]
+    fn a_packet_carries_only_the_rounds_a_peer_can_still_use() {
+        let mut node = node_at_round(3);
+        let all = vec![0, 1, 2, 3];
+        assert_eq!(carried(&node.build_packet()), (all.clone(), all), "peers not heard: round 0");
+        for peer in 1..4 {
+            node.decisions.hear(0, peer, 3, Vote::Unknown);
+        }
+        assert_eq!(carried(&node.build_packet()), (vec![3], vec![3]), "every peer at round 3");
+    }
+
+    #[test]
+    fn a_decided_laggard_is_served_its_rounds_while_some_peer_is_undecided() {
+        let mut node = node_at_round(5);
+        // Node 1 adopted a decision at round 2; nodes 2 and 3 are at 5.
+        node.decisions.hear(0, 1, 2, Vote::One);
+        node.decisions.hear(0, 2, 5, Vote::Unknown);
+        node.decisions.hear(0, 3, 5, Vote::One);
+        let from_2 = vec![2, 3, 4, 5];
+        assert_eq!(carried(&node.build_packet()), (from_2.clone(), from_2), "node 2 is undecided");
+        node.decisions.hear(0, 2, 5, Vote::One);
+        assert_eq!(carried(&node.build_packet()), (vec![5], vec![5]), "every peer claimed");
     }
 
     #[test]

@@ -716,12 +716,15 @@ impl Certificates {
 /// - **Adopting** ([`Decisions::hear`]). Each packet names its sender's
 ///   round and claim per instance. An undecided node adopts a value f + 1
 ///   nodes claim, at least one of them honest.
-/// - **Reaching back** ([`Decisions::history_floor`]). A packet carries the
-///   votes back to the lowest round an undecided peer was heard at, so a
-///   laggard never drifts past recovery.
+/// - **Reaching back** ([`Decisions::history_floor`]). The one rule for how
+///   far back a packet reaches: to the lowest round any peer was heard at,
+///   until every peer has claimed a decision; then only this node's own
+///   round. A decided peer counts, because undecided peers may need its
+///   votes when f nodes are silent; and a peer never heard from is at
+///   round 0. A laggard never drifts past recovery, and nobody re-airs
+///   rounds no peer is still at.
 ///
-/// How far back a packet reaches at least (each ABA's own history window)
-/// and how a component answers a peer that is behind stay its own.
+/// How a component answers a peer that is behind stays its own.
 #[derive(Debug)]
 pub(crate) struct Decisions {
     me: usize,
@@ -806,17 +809,16 @@ impl Decisions {
         self.insts[instance].peer_round[from]
     }
 
-    /// The oldest round of `instance` an undecided peer is known to need,
-    /// this node being at `round`.
+    /// The oldest round of `instance` a packet carries, this node being at
+    /// `round`: the lowest round any peer was heard at, decided or not,
+    /// until every peer has claimed a decision; then `round`.
     pub(crate) fn history_floor(&self, instance: usize, round: u16) -> u16 {
         let d = &self.insts[instance];
-        let mut floor = round;
-        for (i, r) in d.peer_round.iter().enumerate() {
-            if i != self.me && d.peer_decided & (1 << i) == 0 {
-                floor = floor.min(*r);
-            }
+        let peers = || d.peer_round.iter().enumerate().filter(|&(i, _)| i != self.me);
+        if peers().all(|(i, _)| d.peer_decided & (1 << i) != 0) {
+            return round;
         }
-        floor
+        peers().map(|(_, &r)| r).fold(round, u16::min)
     }
 }
 
@@ -1227,7 +1229,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn packets_reach_back_to_the_lowest_round_an_undecided_peer_was_heard_at() {
+    fn packets_reach_back_to_the_lowest_round_a_peer_was_heard_at_until_every_peer_claims() {
         let mut d = Decisions::new(&tally_params());
         assert_eq!(d.history_floor(0, 5), 0, "a peer not heard yet is at round 0");
         d.hear(0, 1, 4, Vote::Unknown);
@@ -1235,8 +1237,12 @@ pub(crate) mod tests {
         d.hear(0, 2, 7, Vote::Unknown);
         d.hear(0, 3, 2, Vote::One);
         assert_eq!(d.peer_round(0, 1), 4, "a peer's highest round");
-        assert_eq!(d.history_floor(0, 5), 4, "node 3 claimed a decision");
-        assert_eq!(d.history_floor(0, 3), 3, "never above this node's own round");
+        assert_eq!(d.history_floor(0, 5), 2, "node 3 claimed a decision, and still counts");
+        assert_eq!(d.history_floor(0, 1), 1, "never above this node's own round");
+        d.hear(0, 1, 4, Vote::One);
+        assert_eq!(d.history_floor(0, 5), 2, "node 2 has not claimed");
+        d.hear(0, 2, 7, Vote::One);
+        assert_eq!(d.history_floor(0, 5), 5, "every peer claimed: this node's round");
         // Complete once every active instance decided.
         assert!(!d.complete(|_| false), "nothing active");
         d.decide(2, false);

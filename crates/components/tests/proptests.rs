@@ -24,8 +24,8 @@ const STEPS: usize = 600;
 /// Mesh steps parallel ABA-SC may take under the per-instance packing: its
 /// four instances share each round's coin, but every vote and coin share
 /// is a frame of its own, so drops stall instances apart and the slowest
-/// one sets the pace. Above the 8 098 steps measured at the worst of the
-/// first 20 000 cases (p99.9 4 857).
+/// one sets the pace. Above the 7 424 steps measured at the worst of the
+/// first 20 000 cases (p99.9 4 454).
 const PER_INSTANCE_ABA_SC_STEPS: usize = 12_000;
 
 /// Drives nodes with a randomized delivery schedule: the pending-message

@@ -179,9 +179,11 @@ impl DecStage {
 
     fn on_timer(&mut self, local: u32, accepted: Option<&[usize]>, acts: &mut Actions) {
         // Nothing to re-send until some proposer is active (and no NACK can
-        // have named a share of ours before then).
-        let idle = !(0..self.p.n).any(|j| self.active(j));
-        let complete = idle || accepted.is_some_and(|a| self.complete_for(a));
+        // have named a share of ours before then). While the accepted set
+        // is open (the pipelined early start), every decryption started is
+        // what there is to finish.
+        let started: Vec<usize> = (0..self.p.n).filter(|&j| self.active(j)).collect();
+        let complete = started.is_empty() || self.complete_for(accepted.unwrap_or(&started));
         if let Some(behind) = self.out.tick(local, complete, acts) {
             let body = self.build();
             self.out.resend(behind, body, acts);
@@ -535,6 +537,34 @@ mod tests {
         assert_eq!(acts.charge_us, charged, "a refused share is not charged");
         let held = (dec.shares[1].reporters(), dec.shares[1].own().is_some());
         assert_eq!(held, (1, true), "only the own share is held");
+    }
+
+    #[test]
+    fn an_open_set_stops_re_sending_once_its_decryptions_finish_and_a_nack_still_asks() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let crypto = deal_node_crypto(4, CryptoSuite::light(), &mut rng);
+        let mut dec = DecStage::new(Params::new(4, 0, 1), 0);
+        let ct = crypto[0].enc_pub.encrypt(&ct_label(0, 1), b"payload", &mut rng);
+        let mut acts = Actions::new();
+        // The early start: decryption of proposer 1 begins before the
+        // accepted set is frozen, and a peer's share finishes it.
+        dec.activate(1, ct.clone(), &crypto[0], &mut acts);
+        let share = crypto[2].enc_sec.dec_share(&ct);
+        let batch = Body::DecShareBatch { shares: vec![(1, share)], dec_nack: Bitmap::new(4) };
+        dec.handle(&batch, &crypto[0], &mut acts);
+        assert!(dec.plaintexts[1].is_some(), "f + 1 shares decrypt");
+        acts.drain();
+        dec.on_timer(TIMER_DEC_RETX, None, &mut acts);
+        assert!(acts.drain().0.is_empty(), "nothing started is left to finish");
+        let nack = Body::DecShareBatch { shares: vec![], dec_nack: Bitmap::from_raw(0b0010, 4) };
+        dec.handle(&nack, &crypto[0], &mut acts);
+        acts.drain();
+        dec.on_timer(TIMER_DEC_RETX, None, &mut acts);
+        let sent = acts.drain().0;
+        assert!(
+            matches!(sent.as_slice(), [Body::DecShareBatch { shares, .. }] if shares[0].0 == 1),
+            "a peer lacking proposer 1's share is served: {sent:?}"
+        );
     }
 
     #[test]
