@@ -19,15 +19,15 @@ use wbft_net::CoinFlavor;
 const PINNED: [(&str, u64, f64, bool); 11] = [
     ("rbc-batched", 4679214, 3.75, true),
     ("rbc-baseline", 10679005, 19.5, true),
-    ("aba-batched", 2133209, 3.0, true),
-    ("aba-baseline", 23235958, 56.75, true),
+    ("aba-batched", 2073246, 3.0, true),
+    ("aba-baseline", 24034266, 57.75, true),
     ("prbc", 8766245, 6.75, true),
     ("rbc-small", 909604, 2.0, true),
     ("cbc-small", 2274651, 2.25, true),
     ("cbc-per-instance", 6100895, 8.75, true),
-    ("aba-cp-parallel", 3583885, 4.5, true),
-    ("aba-sc-serial", 16976697, 13.75, true),
-    ("aba-lc-serial", 9275772, 14.5, true),
+    ("aba-cp-parallel", 3153904, 4.5, true),
+    ("aba-sc-serial", 9675915, 13.0, true),
+    ("aba-lc-serial", 7088845, 13.75, true),
 ];
 
 /// Broadcast inputs: the first `parallelism` nodes propose one packet.
