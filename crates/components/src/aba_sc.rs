@@ -22,9 +22,8 @@
 //! round a peer was heard at, until every peer claims a decision, so a node
 //! that lost frames reconstructs everything it still needs from any single
 //! later packet — this is what makes the NACK-driven reliability converge.
-//! How far back a packet reaches and termination are both the
-//! decided-claim gossip of `instance::Decisions`, whose doc states its
-//! rules.
+//! How far back a packet reaches, and termination, are the decided-claim
+//! gossip of `instance::Decisions`, whose doc states both rules.
 
 use crate::context::{Actions, Batcher, BinaryAgreement, Params};
 use crate::instance::Decisions;
