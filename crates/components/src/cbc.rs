@@ -75,11 +75,15 @@ impl CbcBatch {
     }
 
     fn build_ef(&self) -> Body {
-        let root = |j| self.init[j].claimed_root().unwrap_or(Digest32::zero());
+        // A certificate is held only over the claimed root: combined over
+        // the held value's, or adopted, which claims the root it verified
+        // under.
+        let rooted = |(j, sig): (u8, ThresholdSignature)| {
+            Some((j, self.init[usize::from(j)].claimed_root()?, sig))
+        };
         Body::CbcEchoFinish {
-            roots: (0..self.p().n).map(root).collect(),
             echo_shares: self.certs.shares(),
-            finish_sigs: self.certs.certificates(),
+            finish_sigs: self.certs.certificates().into_iter().filter_map(rooted).collect(),
             echo_nack: self.certs.echo_nack(),
             finish_nack: self.certs.finish_nack(),
             init_nack: self.init.init_nack(),
@@ -147,18 +151,8 @@ impl Broadcaster for CbcBatch {
                     acts,
                 );
             }
-            Body::CbcEchoFinish {
-                roots,
-                echo_shares,
-                finish_sigs,
-                echo_nack,
-                finish_nack,
-                init_nack,
-            } => {
+            Body::CbcEchoFinish { echo_shares, finish_sigs, echo_nack, finish_nack, init_nack } => {
                 let n = self.p().n;
-                if roots.len() != n {
-                    return;
-                }
                 // Evidence the value was aired whole: a share or a
                 // certificate is over the value.
                 for (j, share) in echo_shares {
@@ -168,16 +162,15 @@ impl Broadcaster for CbcBatch {
                         self.out.changed_if(self.certs.record(j, &root, *share, acts));
                     }
                 }
-                for (j, sig) in finish_sigs {
-                    let j = *j as usize;
+                for &(j, root, ref sig) in finish_sigs {
+                    let j = j as usize;
                     if j >= n {
                         continue;
                     }
                     self.init.aired(j);
-                    // Checked against the root this packet names; one that
-                    // verifies is the root whose fragments are taken.
-                    let root = roots[j];
-                    if root.is_zero() || self.init[j].held().is_some_and(|(_, held)| held != root) {
+                    // Checked against the root beside it; one that verifies
+                    // is the root whose fragments are taken.
+                    if self.init[j].held().is_some_and(|(_, held)| held != root) {
                         continue;
                     }
                     let adopted = self.certs.adopt(j, &root, sig, acts);
@@ -455,40 +448,39 @@ mod tests {
         }
 
         fn asking(init_nack: InitNack) -> Body {
-            bare(vec![Digest32::zero(); 4], init_nack)
+            certified(Vec::new(), init_nack)
         }
 
-        /// A packet naming `root` for instance 0, and nothing else.
+        /// A CBC packet names a root only beside a certificate: here one
+        /// over another value, which does not verify under `root`.
         fn naming(root: Digest32) -> Vec<Body> {
-            let mut roots = vec![Digest32::zero(); 4];
-            roots[0] = root;
-            vec![bare(roots, InitNack::new(4))]
+            let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+            let crypto = deal_node_crypto(4, CryptoSuite::light(), &mut rng);
+            let msg = echo_msg(5, 0, &Digest32::of(b"another value"));
+            let shares: Vec<_> = crypto[..3].iter().map(|c| c.cbc_sec.sign_share(&msg)).collect();
+            let sig = crypto[0].cbc_pub.combine(&shares).unwrap();
+            vec![certified(vec![(0, root, sig)], InitNack::new(4))]
         }
     }
 
-    /// A combined packet that carries nothing but `roots` and `init_nack`.
-    fn bare(roots: Vec<Digest32>, init_nack: InitNack) -> Body {
-        let (echo_shares, finish_sigs) = (Vec::new(), Vec::new());
+    /// A combined packet that carries nothing but `finish_sigs` and
+    /// `init_nack`.
+    fn certified(finish_sigs: Vec<(u8, Digest32, ThresholdSignature)>, init_nack: InitNack) -> Body {
         let (echo_nack, finish_nack) = (Bitmap::new(4), Bitmap::new(4));
-        Body::CbcEchoFinish { roots, echo_shares, finish_sigs, echo_nack, finish_nack, init_nack }
+        let echo_shares = Vec::new();
+        Body::CbcEchoFinish { echo_shares, finish_sigs, echo_nack, finish_nack, init_nack }
     }
 
     #[test]
-    fn a_peer_s_root_shows_nothing_and_an_echo_share_shows_the_value_was_aired() {
+    fn an_echo_share_shows_the_value_was_aired() {
         let (_, inits, _) = five_fragment_proposer::<CbcBatch>();
-        let Body::CbcInit { root, .. } = inits[0] else { unreachable!() };
         let mut nodes = make();
         let mut acts = Actions::new();
         for frag in [0, 1, 3] {
             nodes[1].handle(0, &inits[frag], &mut acts);
-            nodes[3].handle(0, &inits[frag], &mut acts);
         }
         let gap = [(0, Bitmap::from_raw(0b00100, 5))];
         let all_missing = [(0, Bitmap::from_raw(0b10100, 5))];
-        // A packet naming the root shows nothing.
-        let naming = CbcBatch::naming(root).remove(0);
-        nodes[3].handle(2, &naming, &mut acts);
-        assert_eq!(asks(&tick(&mut nodes[3]).0), gap, "a peer's root");
         // Another node's echo share: it held the whole value.
         for body in &inits {
             nodes[2].handle(0, body, &mut acts);
@@ -500,7 +492,7 @@ mod tests {
     }
 
     #[test]
-    fn a_certificate_is_checked_under_the_root_its_packet_names_and_then_decides_the_root() {
+    fn a_certificate_is_checked_under_the_root_beside_it_and_then_decides_the_root() {
         // Every node delivers node 0's five-fragment value; its packet then
         // carries the certificate.
         let mut nodes = make();
@@ -517,30 +509,26 @@ mod tests {
             |n| n.delivered_count() == 4,
         );
         let (_, inits, _) = five_fragment_proposer::<CbcBatch>();
-        let Body::CbcEchoFinish { roots, finish_sigs, .. } = nodes[0].build_ef() else { unreachable!() };
-        let certified = |roots: Vec<Digest32>| Body::CbcEchoFinish {
-            roots,
-            echo_shares: Vec::new(),
-            finish_sigs: finish_sigs.clone(),
-            echo_nack: Bitmap::new(4),
-            finish_nack: Bitmap::new(4),
-            init_nack: InitNack::new(4),
-        };
+        let Body::CbcEchoFinish { finish_sigs, .. } = nodes[0].build_ef() else { unreachable!() };
+        // Every certificate travels beside the root it signs, and only there.
+        let root = Digest32::of(&val);
+        assert_eq!(finish_sigs.len(), 4);
+        assert!(finish_sigs.iter().all(|&(j, r, _)| r == Digest32::of(&vals[usize::from(j)])));
+        let (_, _, sig) = finish_sigs[0];
+        let beside = |root| certified(vec![(0, root, sig)], InitNack::new(4));
         // A fresh node first takes an equivocator's fragment under another root.
         let mut b = make().remove(1);
         let mut acts = Actions::new();
         let forged = Digest32::of(b"an equivocator's root");
         b.handle_init(0, 0, 5, forged, &Bytes::from_static(b"x"), &mut acts);
         assert_eq!(b.init[0].claimed_root(), Some(forged));
-        // The certificate in a packet naming a false root does not verify.
-        let mut false_roots = roots.clone();
-        false_roots[0] = forged;
-        b.handle(2, &certified(false_roots), &mut acts);
+        // The certificate beside a false root does not verify.
+        b.handle(2, &beside(forged), &mut acts);
         assert!(b.certs.cert(0).is_none());
-        // Under the root it certifies it does, and that root now decides.
-        b.handle(2, &certified(roots.clone()), &mut acts);
+        // Beside the root it certifies it does, and that root now decides.
+        b.handle(2, &beside(root), &mut acts);
         assert!(b.certs.cert(0).is_some());
-        assert_eq!(b.init[0].claimed_root(), Some(roots[0]));
+        assert_eq!(b.init[0].claimed_root(), Some(root));
         for body in &inits {
             b.handle(0, body, &mut acts);
         }
@@ -609,28 +597,32 @@ mod tests {
     }
 
     #[test]
-    fn small_packets_are_smaller_than_full_cbc_packets() {
+    fn a_small_cbc_start_airs_fewer_bytes_than_a_full_cbc_start() {
+        // CBC-small folds the INITIAL phase into its combined packet; full
+        // CBC airs its value in an INITIAL fragment beside the combined
+        // packet, which carries no value and, at start, no root.
         use wbft_net::Sizing;
         let mut rng = rand::rngs::StdRng::seed_from_u64(31);
         let crypto = deal_node_crypto(4, CryptoSuite::light(), &mut rng);
+        let (kp, sizing) = (&crypto[0].keypair, Sizing::light(4));
+        let aired = |session: u64, acts: &mut Actions| -> usize {
+            let sends = acts.drain().0;
+            let seal = |body| wbft_net::Envelope { src: 0, session, body }.seal(kp, &sizing);
+            sends.into_iter().map(|body| seal(body).unwrap().1).sum()
+        };
         let mut small =
             CbcSmallBatch::new(Params::new(4, 0, 1), crypto[0].cbc_pub.clone(), crypto[0].cbc_sec.clone());
         let mut acts = Actions::new();
         small.start(Bitmap::from_raw(0b0111, 4), &mut acts);
-        let small_body = small.build();
+        let small_len = aired(1, &mut acts);
         let mut full = CbcBatch::new(Params::new(4, 0, 2), crypto[0].cbc_pub.clone(), crypto[0].cbc_sec.clone());
         let mut acts = Actions::new();
         full.start(Bytes::from_static(b"0123456789abcdef"), &mut acts);
-        let full_body = full.build_ef();
-        let kp = &crypto[0].keypair;
-        let sizing = Sizing::light(4);
-        let (_, small_len) =
-            wbft_net::Envelope { src: 0, session: 1, body: small_body }.seal(kp, &sizing).unwrap();
-        let (_, full_len) =
-            wbft_net::Envelope { src: 0, session: 2, body: full_body }.seal(kp, &sizing).unwrap();
+        assert_eq!(acts.sends.len(), 2, "one INITIAL fragment and the combined packet");
+        let full_len = aired(2, &mut acts);
         assert!(
             small_len < full_len,
-            "CBC-small packet ({small_len}) should undercut CBC ({full_len})"
+            "CBC-small start ({small_len} B) should undercut CBC ({full_len} B)"
         );
     }
 }

@@ -10,7 +10,8 @@
 //! material dominates packet space (§IV-C1). Signing, collecting and
 //! combining them is `instance::Certificates`, the certificate phase CBC
 //! runs too; shares and proofs are checked against the root this node
-//! delivered, so neither is taken before it has.
+//! delivered, so neither is taken before it has — which is why a DONE
+//! packet carries no roots.
 
 use crate::context::{Actions, Batcher, Broadcaster, Params};
 use crate::instance::Certificates;
@@ -68,9 +69,7 @@ impl PrbcBatch {
     }
 
     fn build_done(&self) -> Body {
-        let root = |j| self.rbc.delivered_root(j).unwrap_or(Digest32::zero());
         Body::PrbcDone {
-            roots: (0..self.p().n).map(root).collect(),
             shares: self.certs.shares(),
             proofs: self.certs.certificates(),
             sig_nack: self.certs.finish_nack(),
@@ -100,7 +99,7 @@ impl Broadcaster for PrbcBatch {
 
     fn handle(&mut self, from: usize, body: &Body, acts: &mut Actions) {
         match body {
-            Body::PrbcDone { shares, proofs, sig_nack, .. } => {
+            Body::PrbcDone { shares, proofs, sig_nack } => {
                 // Shares and proofs for an instance not delivered here yet
                 // are dropped: the RBC NACK machinery fetches the value
                 // first.
@@ -200,6 +199,40 @@ mod tests {
                 let check = node.certs.keys.profile().verify_signature_us;
                 assert_eq!(acts.charge_us, 2 * check, "each check is charged");
             }
+        }
+    }
+
+    #[test]
+    fn a_done_packet_without_roots_combines_shares_and_adopts_proofs() {
+        // Every node delivers every instance over RBC alone. Node 0's DONE
+        // shares then combine at node 2 with its own (f + 1 = 2), against
+        // the roots node 2 delivered; node 3 adopts node 2's proofs.
+        let mut nodes = make();
+        let vals: Vec<Bytes> = (0..4).map(|i| Bytes::from(format!("d-{i}"))).collect();
+        let mut i = 0;
+        run_mesh(
+            &mut nodes,
+            |n, acts| {
+                n.rbc.start(vals[i].clone(), acts);
+                i += 1;
+            },
+            |n, from, body, acts| n.rbc.handle(from, body, acts),
+            |n| n.delivered_count() == 4,
+        );
+        let mut acts = Actions::new();
+        nodes[0].flush(&mut acts);
+        let from_0 = nodes[0].build_done();
+        let Body::PrbcDone { shares, proofs, .. } = &from_0 else { unreachable!() };
+        assert_eq!((shares.len(), proofs.len()), (4, 0), "a share per delivered instance");
+        nodes[2].handle(0, &from_0, &mut acts);
+        assert_eq!(nodes[2].proven_count(), 4);
+        let Body::PrbcDone { proofs, sig_nack, .. } = nodes[2].build_done() else { unreachable!() };
+        let proofs_only = Body::PrbcDone { shares: Vec::new(), proofs, sig_nack };
+        nodes[3].handle(2, &proofs_only, &mut acts);
+        assert_eq!(nodes[3].proven_count(), 4);
+        for (j, val) in vals.iter().enumerate() {
+            let proof = nodes[3].proof(j).unwrap();
+            assert!(nodes[3].check_proof(j, &Digest32::of(val), proof, &mut acts));
         }
     }
 

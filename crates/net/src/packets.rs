@@ -116,14 +116,15 @@ pub enum Body {
     },
     /// Batched ECHO+FINISH of N CBC instances (Fig. 4b, `CBC_EF`): echo
     /// signature shares (logically N-to-1 to each leader) and combined
-    /// FINISH signatures, in one frame.
+    /// FINISH signatures, in one frame. A root travels only beside the
+    /// certificate it verifies under: an echo share is checked by its
+    /// instance's leader, who holds the value and so its root.
     CbcEchoFinish {
-        /// Known value roots per instance (zero = unknown).
-        roots: Vec<Digest32>,
         /// This node's echo shares, one per instance it has received.
         echo_shares: Vec<(u8, SigShare)>,
-        /// Combined FINISH signatures this node holds (as leader or relay).
-        finish_sigs: Vec<(u8, ThresholdSignature)>,
+        /// Combined FINISH signatures this node holds (as leader or relay),
+        /// each with the value root it signs.
+        finish_sigs: Vec<(u8, Digest32, ThresholdSignature)>,
         /// Bit `j` = instance `j` lacks an echo quorum at its leader.
         echo_nack: Bitmap,
         /// Bit `j` = this node lacks instance `j`'s FINISH signature.
@@ -133,10 +134,10 @@ pub enum Body {
     },
     // ------------------------------------------------------ batched PRBC
     /// Batched DONE phase of N PRBC instances (Fig. 4c): threshold
-    /// signature shares attesting delivery, and combined proofs.
+    /// signature shares attesting delivery, and combined proofs. No root
+    /// travels: a receiver checks both against the root it delivered
+    /// itself, and takes neither before it has.
     PrbcDone {
-        /// Delivered roots per instance (zero = not delivered yet).
-        roots: Vec<Digest32>,
         /// This node's DONE shares for instances it delivered.
         shares: Vec<(u8, SigShare)>,
         /// Combined delivery proofs this node holds.
@@ -236,8 +237,6 @@ pub enum Body {
     BaseCbcEcho {
         /// Instance id.
         instance: u8,
-        /// Echoed value root.
-        root: Digest32,
         /// The sender's echo share.
         share: SigShare,
         /// Bits 0–2: the instance's echo, FINISH and INITIAL NACK, with the
@@ -260,8 +259,6 @@ pub enum Body {
     BaseCbcNack {
         /// Instance id.
         instance: u8,
-        /// The root the sender knows (zero = none).
-        root: Digest32,
         /// As [`Body::BaseCbcEcho`].
         nack: FrameNack,
     },
@@ -269,8 +266,6 @@ pub enum Body {
     BasePrbcDone {
         /// Instance id.
         instance: u8,
-        /// Delivered root.
-        root: Digest32,
         /// The sender's DONE share.
         share: SigShare,
         /// Bit 0: the sender lacks the instance's proof.
@@ -280,8 +275,6 @@ pub enum Body {
     BasePrbcProof {
         /// Instance id.
         instance: u8,
-        /// Delivered root (zero = not delivered at the sender).
-        root: Digest32,
         /// The combined proof.
         proof: ThresholdSignature,
         /// As [`Body::BasePrbcDone`].
@@ -446,8 +439,8 @@ body_codec! {
     0 => RbcInit { instance, frag, frag_total, root, data, init_nack };
     1 => RbcEchoReady { roots, echo, ready, echo_nack, ready_nack, init_nack };
     2 => CbcInit { instance, frag, frag_total, root, data, init_nack };
-    3 => CbcEchoFinish { roots, echo_shares, finish_sigs, echo_nack, finish_nack, init_nack };
-    4 => PrbcDone { roots, shares, proofs, sig_nack };
+    3 => CbcEchoFinish { echo_shares, finish_sigs, echo_nack, finish_nack, init_nack };
+    4 => PrbcDone { shares, proofs, sig_nack };
     5 => RbcSmall { values, echo, ready, init_nack, echo_nack, ready_nack };
     6 => CbcSmall { values, echo_shares, finish_sigs, init_nack, echo_nack, finish_nack };
     7 => AbaLc { insts };
@@ -458,11 +451,11 @@ body_codec! {
     25 => BaseRbcEcho { instance, root, nack };
     26 => BaseRbcReady { instance, root, nack };
     27 => BaseRbcNack { instance, root, nack };
-    28 => BaseCbcEcho { instance, root, share, nack };
+    28 => BaseCbcEcho { instance, share, nack };
     29 => BaseCbcFinish { instance, root, sig, nack };
-    30 => BaseCbcNack { instance, root, nack };
-    31 => BasePrbcDone { instance, root, share, nack };
-    32 => BasePrbcProof { instance, root, proof, nack };
+    30 => BaseCbcNack { instance, nack };
+    31 => BasePrbcDone { instance, share, nack };
+    32 => BasePrbcProof { instance, proof, nack };
     33 => BaseAbaVote { flavor, inst };
     34 => BaseAbaCoin { flavor, coin, share, share_nack } via put_base_coin, get_base_coin;
     35 => BaseDecShare { proposer, share, nack };
@@ -797,15 +790,13 @@ mod tests {
                 init_nack: InitNack::new(4),
             },
             Body::CbcEchoFinish {
-                roots: vec![d; 4],
                 echo_shares: vec![(0, share), (3, share)],
-                finish_sigs: vec![(1, sig)],
+                finish_sigs: vec![(1, d, sig)],
                 echo_nack: Bitmap::new(4),
                 finish_nack: Bitmap::full(4),
                 init_nack: InitNack::new(4),
             },
             Body::PrbcDone {
-                roots: vec![d; 4],
                 shares: vec![(2, share)],
                 proofs: vec![(0, sig), (1, sig)],
                 sig_nack: Bitmap::from_raw(0b1000, 4),
@@ -853,11 +844,11 @@ mod tests {
             Body::BaseRbcEcho { instance: 3, root: d, nack: 0b011.into() },
             Body::BaseRbcReady { instance: 3, root: d, nack: 0.into() },
             Body::BaseRbcNack { instance: 1, root: d, nack: FrameNack::new(0b111, Bitmap::from_raw(0b1001, 4)) },
-            Body::BaseCbcEcho { instance: 1, root: d, share, nack: 0b010.into() },
+            Body::BaseCbcEcho { instance: 1, share, nack: 0b010.into() },
             Body::BaseCbcFinish { instance: 1, root: d, sig, nack: 0b100.into() },
-            Body::BaseCbcNack { instance: 0, root: d, nack: 0b110.into() },
-            Body::BasePrbcDone { instance: 2, root: d, share, nack: 1 },
-            Body::BasePrbcProof { instance: 2, root: d, proof: sig, nack: 0 },
+            Body::BaseCbcNack { instance: 0, nack: 0b110.into() },
+            Body::BasePrbcDone { instance: 2, share, nack: 1 },
+            Body::BasePrbcProof { instance: 2, proof: sig, nack: 0 },
             Body::BaseAbaVote {
                 flavor: CoinFlavor::CoinFlip,
                 inst: AbaScInst {
@@ -1113,7 +1104,6 @@ mod tests {
         let (_, sks) = thresh_sig::deal(4, 1, ThresholdCurve::Bn158, &mut rng);
         let share = sks[0].sign_share(b"m");
         let body = Body::CbcEchoFinish {
-            roots: vec![Digest32::zero(); 4],
             echo_shares: vec![(0, share); 256],
             finish_sigs: Vec::new(),
             echo_nack: Bitmap::new(4),

@@ -73,31 +73,30 @@ pub fn split(body: Body) -> Vec<Body> {
                 }
             }
         }
-        Body::CbcEchoFinish { roots, echo_shares, finish_sigs, echo_nack, finish_nack, init_nack } => {
-            for (instance, root) in (0..=u8::MAX).zip(roots) {
-                let j = usize::from(instance);
+        Body::CbcEchoFinish { echo_shares, finish_sigs, echo_nack, finish_nack, init_nack } => {
+            let n = echo_nack.len().max(finish_nack.len()).max(init_nack.len());
+            for (instance, j) in (0..=u8::MAX).zip(0..n) {
                 let nack = pack([bit(&echo_nack, j), bit(&finish_nack, j)], &init_nack, j);
                 let share = echo_shares.iter().find(|(i, _)| *i == instance);
-                let sig = finish_sigs.iter().find(|(i, _)| *i == instance);
+                let sig = finish_sigs.iter().find(|(i, ..)| *i == instance);
                 if let Some(&(_, share)) = share {
-                    out.push(Body::BaseCbcEcho { instance, root, share, nack });
+                    out.push(Body::BaseCbcEcho { instance, share, nack });
                 }
-                if let Some(&(_, sig)) = sig {
+                if let Some(&(_, root, sig)) = sig {
                     out.push(Body::BaseCbcFinish { instance, root, sig, nack });
                 }
                 if share.is_none() && sig.is_none() && nack.bits() != 0 {
-                    out.push(Body::BaseCbcNack { instance, root, nack });
+                    out.push(Body::BaseCbcNack { instance, nack });
                 }
             }
         }
-        Body::PrbcDone { roots, shares, proofs, sig_nack } => {
-            let root = |j: u8| roots.get(usize::from(j)).copied().unwrap_or_else(Digest32::zero);
+        Body::PrbcDone { shares, proofs, sig_nack } => {
             let nack = |j: u8| u8::from(bit(&sig_nack, usize::from(j)));
             for (instance, share) in shares {
-                out.push(Body::BasePrbcDone { instance, root: root(instance), share, nack: nack(instance) });
+                out.push(Body::BasePrbcDone { instance, share, nack: nack(instance) });
             }
             for (instance, proof) in proofs {
-                out.push(Body::BasePrbcProof { instance, root: root(instance), proof, nack: nack(instance) });
+                out.push(Body::BasePrbcProof { instance, proof, nack: nack(instance) });
             }
         }
         Body::AbaSc { flavor, insts, coin_shares, share_nack } => {
@@ -153,25 +152,23 @@ pub fn join(body: &Body, n: usize) -> Cow<'_, Body> {
             ready_nack: nack_bit(nack.bits(), 1),
             init_nack: init_nack(nack),
         },
-        Body::BaseCbcEcho { root, nack, .. }
-        | Body::BaseCbcFinish { root, nack, .. }
-        | Body::BaseCbcNack { root, nack, .. } => Body::CbcEchoFinish {
-            roots: roots_of(*root),
+        Body::BaseCbcEcho { nack, .. }
+        | Body::BaseCbcFinish { nack, .. }
+        | Body::BaseCbcNack { nack, .. } => Body::CbcEchoFinish {
             echo_shares: match body {
                 Body::BaseCbcEcho { instance, share, .. } => vec![(*instance, *share)],
                 _ => Vec::new(),
             },
             finish_sigs: match body {
-                Body::BaseCbcFinish { instance, sig, .. } => vec![(*instance, *sig)],
+                Body::BaseCbcFinish { instance, root, sig, .. } => vec![(*instance, *root, *sig)],
                 _ => Vec::new(),
             },
             echo_nack: nack_bit(nack.bits(), 0),
             finish_nack: nack_bit(nack.bits(), 1),
             init_nack: init_nack(nack),
         },
-        Body::BasePrbcDone { root, nack, .. } | Body::BasePrbcProof { root, nack, .. } => {
+        Body::BasePrbcDone { nack, .. } | Body::BasePrbcProof { nack, .. } => {
             Body::PrbcDone {
-                roots: roots_of(*root),
                 shares: match body {
                     Body::BasePrbcDone { instance, share, .. } => vec![(*instance, *share)],
                     _ => Vec::new(),

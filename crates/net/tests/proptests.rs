@@ -173,19 +173,20 @@ fn arb_combined() -> impl Strategy<Value = Body> {
                 roots, echo, ready, echo_nack, ready_nack, init_nack
             }
         ),
-        (roots(), any::<u8>(), any::<u8>(), bitmaps()).prop_map(
+        (proptest::collection::vec(arb_digest(), n), any::<u8>(), any::<u8>(), bitmaps()).prop_map(
             move |(roots, shares, sigs, (echo_nack, finish_nack, init_nack))| Body::CbcEchoFinish {
-                roots,
                 echo_shares: pick(shares, m.share),
-                finish_sigs: pick(sigs, m.sig),
+                finish_sigs: pick(sigs, m.sig)
+                    .into_iter()
+                    .map(|(j, sig)| (j, roots[usize::from(j)], sig))
+                    .collect(),
                 echo_nack,
                 finish_nack,
                 init_nack,
             }
         ),
-        (roots(), any::<u8>(), any::<u8>(), arb_bitmap(n)).prop_map(
-            move |(roots, shares, proofs, sig_nack)| Body::PrbcDone {
-                roots,
+        (any::<u8>(), any::<u8>(), arb_bitmap(n)).prop_map(
+            move |(shares, proofs, sig_nack)| Body::PrbcDone {
                 shares: pick(shares, m.share),
                 proofs: pick(proofs, m.sig),
                 sig_nack,
@@ -252,20 +253,16 @@ fn facts(body: &Body) -> Facts {
             bits(ready_nack, "ready_nack", &mut fact);
             requests(init_nack, &mut fact);
         }
-        Body::CbcEchoFinish { roots, echo_shares, finish_sigs, echo_nack, finish_nack, init_nack } => {
-            for (j, root) in roots.iter().enumerate().filter(|(_, r)| !r.is_zero()) {
-                fact(j, 0, format!("root {root:?}"));
-            }
+        Body::CbcEchoFinish { echo_shares, finish_sigs, echo_nack, finish_nack, init_nack } => {
             echo_shares.iter().for_each(|(j, s)| fact(usize::from(*j), 0, format!("share {s:?}")));
-            finish_sigs.iter().for_each(|(j, s)| fact(usize::from(*j), 0, format!("sig {s:?}")));
+            for (j, root, s) in finish_sigs {
+                fact(usize::from(*j), 0, format!("sig {root:?} {s:?}"));
+            }
             bits(echo_nack, "echo_nack", &mut fact);
             bits(finish_nack, "finish_nack", &mut fact);
             requests(init_nack, &mut fact);
         }
-        Body::PrbcDone { roots, shares, proofs, sig_nack } => {
-            for (j, root) in roots.iter().enumerate().filter(|(_, r)| !r.is_zero()) {
-                fact(j, 0, format!("root {root:?}"));
-            }
+        Body::PrbcDone { shares, proofs, sig_nack } => {
             shares.iter().for_each(|(j, s)| fact(usize::from(*j), 0, format!("share {s:?}")));
             proofs.iter().for_each(|(j, s)| fact(usize::from(*j), 0, format!("proof {s:?}")));
             bits(sig_nack, "sig_nack", &mut fact);
@@ -291,15 +288,13 @@ fn facts(body: &Body) -> Facts {
 }
 
 /// The facts a split keeps: a PRBC or decryption entry with nothing but
-/// NACK bits has no frame to ride, an RBC or CBC entry with nothing but a
-/// root says nothing, and `Share_nack` needs a coin frame.
+/// NACK bits has no frame to ride, an RBC entry with nothing but a root
+/// says nothing, and `Share_nack` needs a coin frame.
 fn kept(body: &Body) -> Facts {
     let mut all = facts(body);
     let has = |f: &BTreeSet<String>, what: fn(&String) -> bool| f.iter().any(what);
     match body {
-        Body::RbcEchoReady { .. } | Body::CbcEchoFinish { .. } => {
-            all.retain(|_, f| has(f, |x| !x.starts_with("root")))
-        }
+        Body::RbcEchoReady { .. } => all.retain(|_, f| has(f, |x| !x.starts_with("root"))),
         Body::PrbcDone { .. } | Body::DecShareBatch { .. } => {
             all.retain(|_, f| has(f, |x| ["share ", "proof ", "dec "].iter().any(|p| x.starts_with(p))))
         }

@@ -41,8 +41,8 @@ const PINNED: &str = "\
 envelope.rbc_init 130 104 112 4b9183688671da32be7d6903a29c9318dc07d6e6076be16ce3fb71a2853f20cd
 envelope.rbc_echo_ready 214 188 196 d6f5819e70ddbc0a10e6c85b0b89687827d3d693deec93c1e7774266f37caff2
 envelope.cbc_init 125 99 107 209a869c16836d2dd45b1cbbd2a8d245ddd3a85d5954c391f345f1bee7a1cb11
-envelope.cbc_echo_finish 315 256 300 ad6502a10446981524da888ab79174d8e92baf463a824d958b6a4e2bad6010a9
-envelope.prbc_done 309 250 294 8dcbc6f3c79687d360fa320211d2ce126aef704898f6fbac5de31da6b0b141ff
+envelope.cbc_echo_finish 218 159 203 ed3f34b1b2bd8b2255230eb94341e2b4251aa3794348d14c5f3e225107e3a884
+envelope.prbc_done 180 121 165 339fd6ce35f49ce27d2409b15314852840e0425d395972e74eac87e2acbb58d9
 envelope.rbc_small 88 62 70 2a639d55347a0828ef8cf40501132d80aca49e4565fee0214698b584224b311d
 envelope.cbc_small 157 109 141 526a21b2cd6f049737fb241e066d62aae7b182949f8972d74287b2031fda3c2b
 envelope.aba_lc 96 70 78 7e2dcd3fe7c0cb5eaac909c093cbc69e5369ff8e2e31f1bd3700876b1c8bd474
@@ -51,11 +51,11 @@ envelope.aba_sc.flip 160 128 160 91a369487bdc73628a6808083fcaf07bf3b8b4686a12fb7
 envelope.base_rbc_echo 109 83 91 2f60dc886e2f7a627a3ec46cc73a7593ff3947291e5bfd101c4cd7f215364eab
 envelope.base_rbc_ready 109 83 91 85bf7aa21005c6f776eb6f20a0c32de6977866e0ba2361b184ba7c74df5c1738
 envelope.base_rbc_nack 111 85 93 d30abfc616734c7809332265b555daa58679266f88f01a1e43bd1e14742f22ac
-envelope.base_cbc_echo 143 106 126 ce724792c73dc071161bc2285a5fdabc5ac36724c6ad365ac0f6245d76c59d67
+envelope.base_cbc_echo 111 74 94 9224262590d1eaee8d469a564ee0734e589786833d1cc21d0a9c9d718693e094
 envelope.base_cbc_finish 143 106 126 094676ffc3939b9718d5b938900cf6d1a36e21dc2d1e81e450954f79a014bb85
-envelope.base_cbc_nack 110 84 92 6e9b0557dc84bd2396c196ac43014540da299edb5c5850a7a3f12d48494f8f2a
-envelope.base_prbc_done 143 106 126 698ac0cbe1ad08372fa399495d2f2e5ca10fde60a959040253b31b7f6f6da073
-envelope.base_prbc_proof 141 104 124 4e8aae2534da143500ff6bd06ff49852775902d86ce673f52f57da533dbb604e
+envelope.base_cbc_nack 78 52 60 3ce711f0c7c9c3f5b4d48a2acd4b04119c2fe94e2b2d70515b73cc810ee2aea3
+envelope.base_prbc_done 111 74 94 4d96cc6dc38ac8f7b4eafef178cafb463b1932fba5732d33503f217d04f443c5
+envelope.base_prbc_proof 109 72 92 9c31c05088279d9b58ea0b9697006dd34141a8c482fa6d30589caf1c7d3d8792
 envelope.base_aba_vote 80 54 62 e6e97c2b9bd5717714be0951fc262ccebbad9f1f27b3cb498b04066c045b69ff
 envelope.base_aba_coin.sig 114 77 97 fc779a3ea368afc3fe594737eaccfce07f838089ef89b24eafbda9300e848618
 envelope.base_aba_coin.flip 114 85 105 e5b6750d0aff068e45d64392f48cb73945cff909fe9fcf7ea67d42241ee90549
@@ -221,15 +221,13 @@ fn bodies() -> Vec<Body> {
             init_nack: init_nack(&[(3, Bitmap::from_raw(0b110, 3))]),
         },
         Body::CbcEchoFinish {
-            roots: vec![d, e, d, Digest32::zero()],
             echo_shares: vec![(0, share), (3, share)],
-            finish_sigs: vec![(1, sig)],
+            finish_sigs: vec![(1, e, sig)],
             echo_nack: bm(0b0100),
             finish_nack: Bitmap::full(4),
             init_nack: InitNack::new(4),
         },
         Body::PrbcDone {
-            roots: vec![d; 4],
             shares: vec![(2, share)],
             proofs: vec![(0, sig), (1, sig)],
             sig_nack: bm(0b1000),
@@ -289,7 +287,6 @@ fn bodies() -> Vec<Body> {
         },
         Body::BaseCbcEcho {
             instance: 1,
-            root: d,
             share,
             nack: 0b010.into(),
         },
@@ -301,18 +298,15 @@ fn bodies() -> Vec<Body> {
         },
         Body::BaseCbcNack {
             instance: 0,
-            root: e,
             nack: 0b110.into(),
         },
         Body::BasePrbcDone {
             instance: 2,
-            root: d,
             share,
             nack: 1,
         },
         Body::BasePrbcProof {
             instance: 3,
-            root: e,
             proof: sig,
             nack: 0,
         },
