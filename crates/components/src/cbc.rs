@@ -57,7 +57,7 @@ impl CbcBatch {
     /// Creates the batch over the `(2f, n)` CBC key set.
     pub fn new(p: Params, keys: PublicKeySet, secret: SecretKeyShare) -> Self {
         CbcBatch {
-            init: Initial::new(p.n),
+            init: Initial::new(p.n, cbc_init),
             certs: Certificates::cbc_echo(p, keys, secret),
             started: false,
             out: Batcher::new(&p, TIMER_RETX),
@@ -99,16 +99,8 @@ impl CbcBatch {
     }
 
     /// A heard INITIAL fragment; a completed value is echoed.
-    fn handle_init(
-        &mut self,
-        instance: usize,
-        frag: usize,
-        frag_total: usize,
-        root: Digest32,
-        data: &Bytes,
-        acts: &mut Actions,
-    ) {
-        if let Accepted::Assembled(_) = self.init.heard(instance, frag, frag_total, root, data) {
+    fn handle_init(&mut self, from: usize, instance: usize, f: Fragment, acts: &mut Actions) {
+        if let Accepted::Assembled(_) = self.init.heard(from, instance, f, acts) {
             self.echo(instance, acts);
             self.out.changed();
         }
@@ -129,7 +121,7 @@ impl Broadcaster for CbcBatch {
         let me = self.p().me;
         self.init.hold(me, my_value);
         self.echo(me, acts);
-        self.init.air(me, cbc_init, acts);
+        self.init.air(me, acts);
         self.out.changed();
         self.flush(acts);
         self.out.arm(acts);
@@ -142,14 +134,9 @@ impl Broadcaster for CbcBatch {
         match body {
             Body::CbcInit { instance, frag, frag_total, root, data, init_nack } => {
                 self.init.note(init_nack, &mut self.out);
-                self.handle_init(
-                    *instance as usize,
-                    *frag as usize,
-                    *frag_total as usize,
-                    *root,
-                    data,
-                    acts,
-                );
+                let (frag, frag_total, root) = (*frag, *frag_total, *root);
+                let fragment = Fragment { frag, frag_total, root, data: data.clone() };
+                self.handle_init(from, usize::from(*instance), fragment, acts);
             }
             Body::CbcEchoFinish { echo_shares, finish_sigs, echo_nack, finish_nack, init_nack } => {
                 let n = self.p().n;
@@ -197,7 +184,7 @@ impl Broadcaster for CbcBatch {
 
     fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
         if let Some(behind) = self.out.tick(local_id, self.delivered_count() == self.p().n, acts) {
-            self.init.air_due(cbc_init, acts);
+            self.init.air_due(acts);
             let body = self.build_ef();
             self.out.resend(behind, body, acts);
         }
@@ -463,9 +450,12 @@ mod tests {
         }
     }
 
+    /// A FINISH certificate beside the root it signs.
+    type Certified = (u8, Digest32, ThresholdSignature);
+
     /// A combined packet that carries nothing but `finish_sigs` and
     /// `init_nack`.
-    fn certified(finish_sigs: Vec<(u8, Digest32, ThresholdSignature)>, init_nack: InitNack) -> Body {
+    fn certified(finish_sigs: Vec<Certified>, init_nack: InitNack) -> Body {
         let (echo_nack, finish_nack) = (Bitmap::new(4), Bitmap::new(4));
         let echo_shares = Vec::new();
         Body::CbcEchoFinish { echo_shares, finish_sigs, echo_nack, finish_nack, init_nack }
@@ -520,7 +510,8 @@ mod tests {
         let mut b = make().remove(1);
         let mut acts = Actions::new();
         let forged = Digest32::of(b"an equivocator's root");
-        b.handle_init(0, 0, 5, forged, &Bytes::from_static(b"x"), &mut acts);
+        let data = Bytes::from_static(b"x");
+        b.handle_init(0, 0, Fragment { frag: 0, frag_total: 5, root: forged, data }, &mut acts);
         assert_eq!(b.init[0].claimed_root(), Some(forged));
         // The certificate beside a false root does not verify.
         b.handle(2, &beside(forged), &mut acts);

@@ -72,11 +72,16 @@ impl Params {
 }
 
 /// Commands a component emits during an event; the node driver turns sends
-/// into sealed packets and timers into simulator timers.
+/// into sealed packets, withdrawals into transmit-queue withdrawals and
+/// timers into simulator timers.
 #[derive(Debug, Default)]
 pub struct Actions {
     /// Packet bodies to broadcast (each becomes one channel access).
     pub sends: Vec<Body>,
+    /// [`Body::slot_key`]s of this component's queued sends that another
+    /// node was heard airing: the driver withdraws any that has not aired
+    /// yet (`wbft_net::withdraw`).
+    pub withdrawals: Vec<u64>,
     /// `(delay, local timer id)` requests.
     pub timers: Vec<(SimDuration, u32)>,
     /// Virtual CPU time to charge (µs) for crypto performed in this event.
@@ -94,6 +99,12 @@ impl Actions {
         self.sends.push(body);
     }
 
+    /// Withdraws this component's queued send with `slot_key`, if it has
+    /// not aired yet.
+    pub fn withdraw(&mut self, slot_key: u64) {
+        self.withdrawals.push(slot_key);
+    }
+
     /// Requests a timer.
     pub fn timer(&mut self, after: SimDuration, local_id: u32) {
         self.timers.push((after, local_id));
@@ -104,8 +115,11 @@ impl Actions {
         self.charge_us += us;
     }
 
-    /// Moves everything out (driver side).
+    /// Moves sends, timers and charge out (driver side) and drops the
+    /// withdrawals: a caller that wants them (one with a transmit queue)
+    /// takes [`Actions::withdrawals`] first.
     pub fn drain(&mut self) -> (Vec<Body>, Vec<(SimDuration, u32)>, u64) {
+        self.withdrawals.clear();
         (
             std::mem::take(&mut self.sends),
             std::mem::take(&mut self.timers),

@@ -36,7 +36,7 @@ pub const MAX_VALUE_BYTES: usize = MAX_FRAGS * FRAG_BUDGET;
 
 /// One INITIAL fragment of a held value, ready for whichever packet the
 /// deployment ships it in.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct Fragment {
     pub frag: u8,
     pub frag_total: u8,
@@ -235,14 +235,21 @@ pub(crate) type InitBody = fn(u8, Fragment, InitNack) -> Body;
 ///   for one instance are unioned, so one re-air at the next tick answers
 ///   every peer that lacks the fragment. A fragment heard from another node
 ///   — the one this node would air — is no longer due here
-///   ([`Initial::heard`]); a requester that missed that airing too asks
-///   again.
+///   ([`Initial::heard`]); heard from the instance's proposer, this node's
+///   copy still waiting in its transmit queue is withdrawn too
+///   (`Actions::withdraw`), as that airing reached the receivers the copy
+///   would reach. A relay's airing withdraws nothing: measured, withdrawing
+///   on every holder's airing was faster on the benchmark but completed
+///   fewer runs of the lossy multi-hop grid than the parent did. A
+///   requester that missed the airing asks again.
 /// - **Taking.** Which fragments an instance takes is decided by its first
 ///   fragment, until the component claims a root it has evidence honest
 ///   nodes hold ([`Initial::claim`]); never by a root a peer merely names.
 #[derive(Debug)]
 pub(crate) struct Initial {
     insts: Vec<InitInst>,
+    /// The packet a fragment airs in.
+    body: InitBody,
 }
 
 /// One instance of [`Initial`].
@@ -257,8 +264,9 @@ struct InitInst {
 }
 
 impl Initial {
-    pub(crate) fn new(n: usize) -> Self {
-        Initial { insts: (0..n).map(|_| InitInst::default()).collect() }
+    /// N instances whose fragments air in the packets `body` builds.
+    pub(crate) fn new(n: usize, body: InitBody) -> Self {
+        Initial { insts: (0..n).map(|_| InitInst::default()).collect(), body }
     }
 
     pub(crate) fn get(&self, instance: usize) -> Option<&Assembler> {
@@ -309,54 +317,52 @@ impl Initial {
         }
     }
 
-    /// Takes a fragment heard on the air. One this node would air itself
-    /// is no longer due here, also when the assembler refuses it.
+    /// Takes a fragment heard from `from` on the air. One this node would
+    /// air itself is no longer due here, also when the assembler refuses
+    /// it; heard from the instance's proposer, its queued copy is withdrawn.
     pub(crate) fn heard(
         &mut self,
+        from: usize,
         instance: usize,
-        frag: usize,
-        frag_total: usize,
-        root: Digest32,
-        data: &Bytes,
+        fragment: Fragment,
+        acts: &mut Actions,
     ) -> Accepted {
         let Some(inst) = self.insts.get_mut(instance) else { return Accepted::Refused };
-        if inst.asm.airs(frag, frag_total, root, data) {
+        let (frag, total) = (usize::from(fragment.frag), usize::from(fragment.frag_total));
+        let airs = inst.asm.airs(frag, total, fragment.root, &fragment.data);
+        let accepted = inst.asm.accept(frag, total, fragment.root, &fragment.data);
+        if airs {
             inst.due &= !1u64.checked_shl(frag as u32).unwrap_or(0);
         }
-        inst.asm.accept(frag, frag_total, root, data)
+        if airs && from == instance {
+            acts.withdraw((self.body)(instance as u8, fragment, InitNack::new(0)).slot_key());
+        }
+        accepted
     }
 
-    /// Airs every fragment of `instance`'s held value, each in the packet
-    /// `body` builds.
-    pub(crate) fn air(&self, instance: usize, body: InitBody, acts: &mut Actions) {
-        self.air_with(&self.init_nack(), instance, u64::MAX, body, acts);
+    /// Airs every fragment of `instance`'s held value.
+    pub(crate) fn air(&self, instance: usize, acts: &mut Actions) {
+        self.air_with(&self.init_nack(), instance, u64::MAX, acts);
     }
 
     /// Airs the fragments peers asked for since the last call.
-    pub(crate) fn air_due(&mut self, body: InitBody, acts: &mut Actions) {
+    pub(crate) fn air_due(&mut self, acts: &mut Actions) {
         let init_nack = self.init_nack();
         for j in 0..self.insts.len() {
             let due = std::mem::take(&mut self.insts[j].due);
-            self.air_with(&init_nack, j, due, body, acts);
+            self.air_with(&init_nack, j, due, acts);
         }
     }
 
     /// Airs the fragments of `instance` that `frags` names (bit `f` =
     /// fragment `f`).
-    fn air_with(
-        &self,
-        init_nack: &InitNack,
-        instance: usize,
-        frags: u64,
-        body: InitBody,
-        acts: &mut Actions,
-    ) {
+    fn air_with(&self, init_nack: &InitNack, instance: usize, frags: u64, acts: &mut Actions) {
         if frags == 0 {
             return;
         }
         for f in self.insts[instance].asm.fragments() {
             if frags >> f.frag & 1 == 1 {
-                acts.send(body(instance as u8, f, init_nack.clone()));
+                acts.send((self.body)(instance as u8, f, init_nack.clone()));
             }
         }
     }
@@ -947,7 +953,7 @@ pub(crate) mod tests {
     /// The fragments, by `(instance, frag)`, `init`'s next tick re-airs.
     fn air_due(init: &mut Initial) -> Vec<(u8, u8)> {
         let mut acts = Actions::new();
-        init.air_due(crate::rbc::rbc_init, &mut acts);
+        init.air_due(&mut acts);
         let frag = |b: &Body| initial::fragment_of(b).map(|(j, f, _)| (j, f.frag)).unwrap();
         acts.drain().0.iter().map(frag).collect()
     }
@@ -959,8 +965,8 @@ pub(crate) mod tests {
             nack.ask(j, request);
             nack
         };
-        let mut init = Initial::new(4);
-        let root = init.hold(1, value(FRAG_BUDGET * 4 + 1));
+        let mut init = Initial::new(4, crate::rbc::rbc_init);
+        init.hold(1, value(FRAG_BUDGET * 4 + 1));
         let frags = init[1].fragments();
         let mut out = Batcher::new(&tally_params(), 0);
         let mut note = |init: &mut Initial, nack: &InitNack| init.note(nack, &mut out);
@@ -974,9 +980,10 @@ pub(crate) mod tests {
         note(&mut init, &ask(1, Bitmap::from_raw(0b1, 3)));
         assert_eq!(air_due(&mut init).len(), 5);
         // Fragments another node aired since are not due; asked again, they are.
-        let heard = |init: &mut Initial, j: usize, frag: usize| {
-            let data = frags.get(frag).map_or_else(Bytes::new, |f| f.data.clone());
-            init.heard(j, frag, 5, root, &data)
+        let heard = |init: &mut Initial, j: usize, frag: u8| {
+            let none = || Fragment { frag, data: Bytes::new(), ..frags[0].clone() };
+            let fragment = frags.get(usize::from(frag)).cloned().unwrap_or_else(none);
+            init.heard(3, j, fragment, &mut Actions::new())
         };
         note(&mut init, &ask(1, Bitmap::from_raw(0b00110, 5)));
         assert_eq!(heard(&mut init, 1, 2), Accepted::Refused, "held already");
@@ -988,6 +995,33 @@ pub(crate) mod tests {
         assert!(air_due(&mut init).is_empty());
         note(&mut init, &ask(1, Bitmap::from_raw(0b00100, 5)));
         assert_eq!(air_due(&mut init), [(1, 2)]);
+    }
+
+    #[test]
+    fn overhearing_the_proposer_air_a_held_fragment_withdraws_exactly_its_slot() {
+        for body in [crate::rbc::rbc_init as InitBody, crate::cbc::cbc_init] {
+            let mut init = Initial::new(4, body);
+            init.hold(1, value(FRAG_BUDGET * 4 + 1));
+            let frags = init[1].fragments();
+            let slot = |j: u8, f: &Fragment| body(j, f.clone(), InitNack::new(4)).slot_key();
+            let mut acts = Actions::new();
+            // Another value's fragment, one of a value not held here, and a
+            // relay's airing: nothing is withdrawn.
+            let other = Fragment { data: Bytes::from_static(b"not it"), ..frags[2].clone() };
+            init.heard(1, 1, other, &mut acts);
+            init.heard(0, 0, frags[2].clone(), &mut acts);
+            init.heard(3, 1, frags[2].clone(), &mut acts);
+            assert!(acts.withdrawals.is_empty());
+            // Fragment 2 of the held value, from its proposer: its slot alone.
+            init.heard(1, 1, frags[2].clone(), &mut acts);
+            assert_eq!(acts.withdrawals, [slot(1, &frags[2])]);
+            let others = frags.iter().filter(|f| f.frag != 2).map(|f| slot(1, f));
+            assert!(others.chain([slot(0, &frags[2])]).all(|s| s != acts.withdrawals[0]));
+            // The slot the fragment airs under, whatever NACK rides with it.
+            let mut aired = Actions::new();
+            init.air(1, &mut aired);
+            assert_eq!(aired.sends[2].slot_key(), acts.withdrawals[0]);
+        }
     }
 
     #[test]
@@ -1488,7 +1522,7 @@ pub(crate) mod tests {
                 for node in &nodes {
                     for j in 0..4 {
                         let mut acts = Actions::new();
-                        node.initial().air(j, C::INIT, &mut acts);
+                        node.initial().air(j, &mut acts);
                         let served: Vec<Digest32> =
                             acts.drain().0.iter().map(|b| fragment_of(b).unwrap().1.root).collect();
                         match node.initial()[j].value() {

@@ -63,7 +63,7 @@ impl RbcBatch {
     pub fn new(p: Params) -> Self {
         RbcBatch {
             p,
-            init: Initial::new(p.n),
+            init: Initial::new(p.n, rbc_init),
             votes: (0..p.n).map(|_| VoteTally::new(p.n)).collect(),
             started: false,
             out: Batcher::new(&p, TIMER_RETX),
@@ -124,15 +124,8 @@ impl RbcBatch {
     }
 
     /// A heard INITIAL fragment; a completed proposal is echoed.
-    fn handle_init(
-        &mut self,
-        instance: usize,
-        frag: usize,
-        frag_total: usize,
-        root: Digest32,
-        data: &Bytes,
-    ) {
-        match self.init.heard(instance, frag, frag_total, root, data) {
+    fn handle_init(&mut self, from: usize, instance: usize, f: Fragment, acts: &mut Actions) {
+        match self.init.heard(from, instance, f, acts) {
             Accepted::Refused => return,
             Accepted::Buffered => {}
             Accepted::Assembled(root) => {
@@ -201,7 +194,7 @@ impl Broadcaster for RbcBatch {
         let me = self.p.me;
         let root = self.init.hold(me, my_value);
         self.votes[me].cast_echo(me, root);
-        self.init.air(me, rbc_init, acts);
+        self.init.air(me, acts);
         self.out.changed();
         self.flush(acts);
         self.out.arm(acts);
@@ -214,7 +207,9 @@ impl Broadcaster for RbcBatch {
         match body {
             Body::RbcInit { instance, frag, frag_total, root, data, init_nack } => {
                 self.init.note(init_nack, &mut self.out);
-                self.handle_init(*instance as usize, *frag as usize, *frag_total as usize, *root, data);
+                let (frag, frag_total, root) = (*frag, *frag_total, *root);
+                let fragment = Fragment { frag, frag_total, root, data: data.clone() };
+                self.handle_init(from, usize::from(*instance), fragment, acts);
             }
             Body::RbcEchoReady { roots, echo, ready, echo_nack, ready_nack, init_nack } => {
                 self.handle_er(from, roots, echo, ready, echo_nack, ready_nack, init_nack);
@@ -227,7 +222,7 @@ impl Broadcaster for RbcBatch {
     fn on_timer(&mut self, local_id: u32, acts: &mut Actions) {
         if let Some(behind) = self.out.tick(local_id, self.delivered_count() == self.p.n, acts) {
             // Serve the NACKed fragments first, then the combined vote packet.
-            self.init.air_due(rbc_init, acts);
+            self.init.air_due(acts);
             let body = self.build_er();
             self.out.resend(behind, body, acts);
         }

@@ -18,7 +18,9 @@
 //! [`wbft_wireless::NodeBehavior`]: it sends outgoing bodies as envelopes
 //! signed at transmit ([`wbft_net::broadcast_signed`]: the micro-ecc sign
 //! cost charged per queued send, the transmit-queue slot that lets a newer
-//! combined packet supersede a stale one), verifies and opens incoming
+//! combined packet supersede a stale one), withdraws queued sends another
+//! node was heard airing first ([`wbft_net::withdraw`], the same slot),
+//! verifies and opens incoming
 //! frames ([`wbft_net::open_shared`]: once per transmission, shared by its
 //! simulated receivers; charging the verify cost per receiver, dropping bad
 //! signatures and frames of another key epoch) and translates component
@@ -31,7 +33,7 @@
 use bytes::Bytes;
 use std::rc::Rc;
 use wbft_components::NodeCrypto;
-use wbft_net::{broadcast_signed, open_shared, Body, Envelope, Opened, Sizing};
+use wbft_net::{broadcast_signed, open_shared, withdraw, Body, Envelope, Opened, Sizing};
 use wbft_wireless::{ChannelId, Frame, NodeBehavior, NodeCtx, SimDuration, SimTime};
 
 /// A transaction committed in a block.
@@ -51,6 +53,9 @@ pub struct Block {
 pub struct EngineOut {
     /// `(session, body)` broadcasts.
     pub sends: Vec<(u64, Body)>,
+    /// `(session, slot key)` of queued sends to withdraw
+    /// ([`wbft_components::Actions::withdrawals`]).
+    pub withdrawals: Vec<(u64, u64)>,
     /// `(session, local id, delay)` timer requests.
     pub timers: Vec<(u64, u32, SimDuration)>,
     /// Virtual CPU to charge (µs).
@@ -65,6 +70,9 @@ impl EngineOut {
 
     /// Absorbs a component's [`wbft_components::Actions`] under a session.
     pub fn absorb(&mut self, session: u64, acts: &mut wbft_components::Actions) {
+        for slot_key in acts.withdrawals.drain(..) {
+            self.withdrawals.push((session, slot_key));
+        }
         let (sends, timers, charge) = acts.drain();
         for body in sends {
             self.sends.push((session, body));
@@ -401,8 +409,8 @@ impl<E: Engine> ProtocolNode<E> {
 
     /// Runs one step against the engine, then applies its output: records
     /// newly decided blocks (streaming them to the service and the
-    /// journal), charges its CPU, airs its sends and arms its timers. The
-    /// one place engine output reaches the radio.
+    /// journal), charges its CPU, withdraws and airs its sends and arms its
+    /// timers. The one place engine output reaches the radio.
     pub(crate) fn drive(&mut self, ctx: &mut NodeCtx, step: impl FnOnce(&mut E, &mut EngineOut)) {
         let mut out = std::mem::take(&mut self.scratch);
         step(&mut self.engine, &mut out);
@@ -427,6 +435,11 @@ impl<E: Engine> ProtocolNode<E> {
         }
         if out.charge_us > 0 {
             ctx.charge_cpu(SimDuration::from_micros(out.charge_us));
+        }
+        // A withdrawal names a send queued by an earlier event; one queued
+        // in this event goes after it.
+        for (session, slot_key) in out.withdrawals.drain(..) {
+            withdraw(ctx, self.channel, session, slot_key);
         }
         for (session, body) in out.sends.drain(..) {
             let tag = self.engine.key_epoch(session);

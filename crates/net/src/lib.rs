@@ -92,7 +92,7 @@ pub use init_nack::{FrameNack, InitNack};
 pub use open::{open_shared, Opened};
 pub use packets::{AbaLcInst, AbaScInst, Body, Envelope};
 pub use reliability::RetransmitPolicy;
-pub use send::broadcast_signed;
+pub use send::{broadcast_signed, queue_slot, withdraw};
 pub use split::{join, split};
 pub use vote::{BinValues, Vote};
 pub use wire::{CoinFlavor, Sizing, WireError};

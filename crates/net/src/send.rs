@@ -8,6 +8,10 @@
 //! hands over is [`Payload::Deferred`], finished by signing at the moment
 //! the frame leaves the node. Every signed frame of every node behaviour
 //! goes through here, and nothing else produces a deferred payload.
+//!
+//! A queued frame is named by its transmit-queue slot, [`queue_slot`]: the
+//! slot it is queued under and the slot [`withdraw`] drops it from, once a
+//! node has heard another node air the same thing.
 
 use crate::packets::{append_signature, Envelope};
 use crate::wire::{Sizing, WireError};
@@ -26,14 +30,19 @@ impl Finish for SignAtTransmit {
     }
 }
 
+/// The transmit-queue slot of a body with [`slot_key`](crate::Body::slot_key)
+/// `slot_key` sent under `session`: combined packets supersede their own
+/// stale queued versions, and the session keeps components apart.
+pub fn queue_slot(session: u64, slot_key: u64) -> u64 {
+    session.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(slot_key)
+}
+
 /// Queues `env` for broadcast on `channel`, to be signed by `keypair` when
 /// it is transmitted.
 ///
 /// Charges the curve's virtual signing cost now, per queued send (also for
 /// a send that turns out unencodable — the node did the work of building
-/// it). The transmit-queue slot is derived from the session and the body's
-/// [`slot_key`](crate::Body::slot_key): combined packets supersede their
-/// own stale queued versions, and the session keeps components apart.
+/// it). The frame is queued under [`queue_slot`].
 ///
 /// # Errors
 ///
@@ -49,10 +58,17 @@ pub fn broadcast_signed(
 ) -> Result<(), WireError> {
     ctx.charge_cpu(SimDuration::from_micros(sizing.suite.ecdsa.profile().sign_us));
     let (unfinished, nominal) = env.encode_signed_region(sizing, key_epoch)?;
-    let slot = env.session.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(env.body.slot_key());
+    let slot = queue_slot(env.session, env.body.slot_key());
     let finisher = Arc::new(SignAtTransmit(keypair.clone()));
     ctx.transmit(channel, Payload::Deferred { unfinished, finisher }, nominal, Some(slot));
     Ok(())
+}
+
+/// Withdraws the frame [`broadcast_signed`] queued on `channel` for a body
+/// with `slot_key` under `session`, if it has not started to air
+/// ([`wbft_wireless::Command::Withdraw`]). Its signing charge stays paid.
+pub fn withdraw(ctx: &mut NodeCtx, channel: ChannelId, session: u64, slot_key: u64) {
+    ctx.withdraw(channel, queue_slot(session, slot_key));
 }
 
 #[cfg(test)]
@@ -63,7 +79,9 @@ mod tests {
     use wbft_crypto::schnorr::{self, PublicKey, Role};
     use wbft_crypto::table::Stats;
     use wbft_crypto::{Digest32, EcdsaCurve};
-    use wbft_wireless::{Frame, NodeBehavior, NodeId, SimConfig, SimTime, Simulator, Topology};
+    use wbft_wireless::{
+        Command, Frame, NodeBehavior, NodeId, SimConfig, SimTime, Simulator, Topology,
+    };
 
     /// Node 0 sends one signed packet at start; node 1 keeps what it hears.
     struct Node {
@@ -87,6 +105,52 @@ mod tests {
             self.heard.push(frame.payload.clone());
         }
         fn on_timer(&mut self, _id: u64, _ctx: &mut NodeCtx) {}
+    }
+
+    #[test]
+    fn a_withdrawal_names_the_slot_the_packet_was_queued_under() {
+        /// Queues two packets at start and withdraws the first.
+        struct Withdrawer(KeyPair);
+        impl NodeBehavior for Withdrawer {
+            fn on_start(&mut self, ctx: &mut NodeCtx) {
+                let (sizing, digest) = (Sizing::light(2), Digest32::of(b"b"));
+                let decision = |epoch| Body::GlobalDecision { epoch, digest, tx_count: 1 };
+                for epoch in [3, 4] {
+                    let env = Envelope { src: 0, session: 55, body: decision(epoch) };
+                    let sent = broadcast_signed(ctx, ChannelId(0), &self.0, &sizing, &env, 0);
+                    sent.expect("encodes");
+                }
+                withdraw(ctx, ChannelId(0), 55, decision(3).slot_key());
+            }
+            fn on_frame(&mut self, _frame: &Frame, _ctx: &mut NodeCtx) {}
+            fn on_timer(&mut self, _id: u64, _ctx: &mut NodeCtx) {}
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let keypair = KeyPair::generate(EcdsaCurve::Secp160r1, &mut rng);
+
+        // The command names the slot the send was queued under …
+        let mut chacha = rand_chacha::ChaCha12Rng::seed_from_u64(1);
+        let mut ctx = NodeCtx::external(SimTime::ZERO, NodeId(0), &mut chacha);
+        Withdrawer(keypair.clone()).on_start(&mut ctx);
+        let (cmds, _) = ctx.finish();
+        let slots: Vec<(ChannelId, u64)> = cmds
+            .iter()
+            .map(|c| match c {
+                Command::Broadcast { channel, slot, .. } => (*channel, slot.expect("slotted")),
+                Command::Withdraw { channel, slot } => (*channel, *slot),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(slots.len(), 3);
+        assert_eq!(slots[2], slots[0], "the withdrawal names the first send's slot");
+        assert_ne!(slots[1], slots[0]);
+
+        // … so the simulator airs only the second packet.
+        let nodes = vec![Withdrawer(keypair.clone()), Withdrawer(keypair.clone())];
+        let mut sim = Simulator::new(SimConfig::default(), Topology::single_hop(2), nodes);
+        sim.run_until(SimTime::from_micros(10_000_000));
+        assert_eq!(sim.metrics().node(NodeId(0)).channel_accesses, 1);
+        assert_eq!(sim.metrics().withdrawn, 2, "one per node");
     }
 
     #[test]

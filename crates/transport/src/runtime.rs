@@ -10,6 +10,8 @@
 //!   coalescing is a transmit-queue concept and sends here are immediate,
 //!   so slots are ignored — superseding a frame that already left the
 //!   socket is impossible, exactly as on a real radio that already aired it;
+//! * [`Command::Withdraw`] is ignored for the same reason: no frame waits
+//!   in a queue to be withdrawn;
 //! * [`Command::SetTimer`] feeds a monotonic binary-heap timer wheel,
 //!   delivered in `(fire time, issue order)` order like the simulator's
 //!   event queue;
@@ -519,6 +521,8 @@ impl<B: NodeBehavior> UdpRuntime<B> {
                     // so its payload is finished at once.
                     self.broadcast(channel, payload.finish(), nominal_len);
                 }
+                // Every frame left at once: nothing waits to be withdrawn.
+                Command::Withdraw { .. } => {}
                 Command::SetTimer { after, id } => {
                     self.timer_seq += 1;
                     self.timers.push(Reverse((

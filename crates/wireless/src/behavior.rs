@@ -74,7 +74,7 @@ impl Payload {
 /// runtime (the simulator, or a real transport) after the callback returns.
 ///
 /// This enum is the full sans-io contract surface: any runtime that honours
-/// these four commands plus the three [`NodeBehavior`] callbacks runs the
+/// these five commands plus the three [`NodeBehavior`] callbacks runs the
 /// same protocol code the simulator does. External runtimes obtain them via
 /// [`NodeCtx::external`] / [`NodeCtx::finish`].
 #[derive(Clone, Debug)]
@@ -93,6 +93,19 @@ pub enum Command {
         nominal_len: usize,
         /// Transmit-queue coalescing slot, if any.
         slot: Option<u64>,
+    },
+    /// Drop the frame waiting in this node's transmit queue under `slot` on
+    /// `channel`, if it has not started to air: a node that overhears
+    /// another node air what it was about to air withdraws its own copy. A
+    /// frame already on the air is untouched, and so is every other slot or
+    /// channel. A runtime without a transmit queue (the UDP runtime, which
+    /// sends at once) has nothing to withdraw and ignores this, as it
+    /// ignores `slot` on a broadcast.
+    Withdraw {
+        /// The channel the frame was queued on.
+        channel: ChannelId,
+        /// Its transmit-queue slot.
+        slot: u64,
     },
     /// Deliver `on_timer(id)` after `after`.
     SetTimer {
@@ -179,6 +192,12 @@ impl<'a> NodeCtx<'a> {
         slot: Option<u64>,
     ) {
         self.cmds.push(Command::Broadcast { channel, payload, nominal_len, slot });
+    }
+
+    /// Withdraws the frame queued under `slot` on `channel` that has not
+    /// started to air; see [`Command::Withdraw`].
+    pub fn withdraw(&mut self, channel: ChannelId, slot: u64) {
+        self.cmds.push(Command::Withdraw { channel, slot });
     }
 
     /// Schedules `on_timer(id)` after `after` (subject to CPU availability).

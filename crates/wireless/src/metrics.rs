@@ -36,17 +36,21 @@ pub struct Metrics {
     per_node: Vec<NodeMetrics>,
     /// Collision events on the medium (each counted once, not per receiver).
     pub collisions: u64,
+    /// Queued frames dropped before they aired ([`crate::Command::Withdraw`]).
+    /// A run-level count, not part of a run report: counters rebuilt by
+    /// [`Metrics::from_parts`] read zero here.
+    pub withdrawn: u64,
 }
 
 impl Metrics {
     /// Creates counters for `n` nodes.
     pub fn new(n: usize) -> Self {
-        Metrics { per_node: vec![NodeMetrics::default(); n], collisions: 0 }
+        Metrics { per_node: vec![NodeMetrics::default(); n], collisions: 0, withdrawn: 0 }
     }
 
     /// Reassembles counters from per-node parts (report deserialization).
     pub fn from_parts(per_node: Vec<NodeMetrics>, collisions: u64) -> Self {
-        Metrics { per_node, collisions }
+        Metrics { per_node, collisions, withdrawn: 0 }
     }
 
     /// Number of nodes tracked.

@@ -478,6 +478,17 @@ impl<B: NodeBehavior> Simulator<B> {
                     // Frames leave the CPU only after the charged crypto work.
                     self.push(ready_at, EventKind::TxAttempt(node));
                 }
+                Command::Withdraw { channel, slot } => {
+                    // Frames leave the queue when they start to air, so
+                    // whatever is still in it has not.
+                    let queue = &mut self.nodes[node.index()].tx_queue;
+                    let queued =
+                        queue.iter().position(|q| q.slot == Some(slot) && q.channel == channel);
+                    if let Some(i) = queued {
+                        queue.remove(i);
+                        self.metrics.withdrawn += 1;
+                    }
+                }
                 Command::SetTimer { after, id } => {
                     self.push(self.now + after, EventKind::Timer(node, id));
                 }
@@ -1073,6 +1084,50 @@ mod tests {
         // the latest version airs once.
         assert_eq!(got, vec![3], "queued versions must coalesce, got {got:?}");
         assert_eq!(sim.metrics().node(NodeId(0)).channel_accesses, 1);
+    }
+
+    #[test]
+    fn a_withdrawn_frame_never_airs_and_nothing_else_is_touched() {
+        /// The sender queues frames 1 and 2 on channel 0 and frame 3 on
+        /// channel 1, frames 2 and 3 in slot 2, then withdraws slot 2 on
+        /// channel 0 and a slot it never used. Once frame 1 is on the air
+        /// (backoff ≤ 26.5 ms, airtime ≈ 70 ms) it withdraws frame 1's slot.
+        /// Both nodes are on both channels.
+        struct Node {
+            sender: bool,
+            heard: Vec<(ChannelId, u8)>,
+        }
+        impl NodeBehavior for Node {
+            fn on_start(&mut self, ctx: &mut NodeCtx) {
+                ctx.join_channel(ChannelId(1));
+                if !self.sender {
+                    return;
+                }
+                let (ch0, ch1) = (ChannelId(0), ChannelId(1));
+                ctx.broadcast_slot(ch0, Bytes::from_static(&[1; 40]), 40, 1);
+                ctx.broadcast_slot(ch0, Bytes::from_static(&[2; 40]), 40, 2);
+                ctx.broadcast_slot(ch1, Bytes::from_static(&[3; 40]), 40, 2);
+                ctx.withdraw(ch0, 2);
+                ctx.withdraw(ch0, 7);
+                ctx.set_timer(SimDuration::from_millis(30), 0);
+            }
+            fn on_frame(&mut self, f: &Frame, _ctx: &mut NodeCtx) {
+                self.heard.push((f.channel, f.payload[0]));
+            }
+            fn on_timer(&mut self, _id: u64, ctx: &mut NodeCtx) {
+                ctx.withdraw(ChannelId(0), 1);
+            }
+        }
+        let nodes = vec![
+            Node { sender: true, heard: Vec::new() },
+            Node { sender: false, heard: Vec::new() },
+        ];
+        let mut sim = Simulator::new(cfg(11), Topology::single_hop(2), nodes);
+        sim.run_until(SimTime::from_micros(30_000_000));
+        let heard = &sim.behavior(NodeId(1)).heard;
+        assert_eq!(heard, &[(ChannelId(0), 1), (ChannelId(1), 3)], "frame 2 must not air");
+        assert_eq!(sim.metrics().node(NodeId(0)).channel_accesses, 2);
+        assert_eq!(sim.metrics().withdrawn, 1, "only the queued frame counts");
     }
 
     #[test]

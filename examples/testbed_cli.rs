@@ -66,6 +66,7 @@ fn main() {
     println!("channel accesses:     {:.1} per node", report.channel_accesses_per_node);
     println!("bytes on air:         {}", report.bytes_on_air);
     println!("collisions:           {}", report.collisions);
+    println!("withdrawn:            {}", report.metrics.withdrawn);
     for (e, lat) in report.epoch_latencies.iter().enumerate() {
         println!("  epoch {e}: {:.1}s", lat.as_secs_f64());
     }
