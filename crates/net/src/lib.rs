@@ -27,6 +27,9 @@
 //! instances into one frame (one channel access instead of N), and
 //! *horizontal batching* folds a component's phases — ECHO with READY,
 //! INITIAL with the vote phases for small values — into that same frame.
+//! A layout carries only what its receiver reads: a CBC ECHO/FINISH packet
+//! names a value root only beside a certificate, a PRBC DONE packet none
+//! (see [`Body::CbcEchoFinish`], [`Body::PrbcDone`]).
 //!
 //! Every packet encodes twice: once into real bytes for the simulation, and
 //! once through a counting sink that prices crypto fields at the paper's
@@ -39,7 +42,9 @@
 //! [`broadcast_signed`] ([`send`]): encoded in full when queued, signed
 //! when the runtime transmits it (a byte-identical re-send reuses the
 //! signature from the signer's transcript table, see
-//! [`wbft_crypto::schnorr`]). Receiving is [`open_shared`] ([`open`]):
+//! [`wbft_crypto::schnorr`]), and [`withdraw`]n from the transmit queue,
+//! under the slot it was queued in, when another node was heard airing it
+//! first. Receiving is [`open_shared`] ([`open`]):
 //! [`Envelope::open_tagged`] behind a small per-thread table of recently
 //! opened frames, so the `n − 1` simulated receivers of one transmission
 //! share one decode and one signature check — served only on byte-for-byte
@@ -92,7 +97,7 @@ pub use init_nack::{FrameNack, InitNack};
 pub use open::{open_shared, Opened};
 pub use packets::{AbaLcInst, AbaScInst, Body, Envelope};
 pub use reliability::RetransmitPolicy;
-pub use send::{broadcast_signed, queue_slot, withdraw};
+pub use send::{broadcast_signed, withdraw};
 pub use split::{join, split};
 pub use vote::{BinValues, Vote};
 pub use wire::{CoinFlavor, Sizing, WireError};

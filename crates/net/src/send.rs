@@ -9,7 +9,7 @@
 //! the frame leaves the node. Every signed frame of every node behaviour
 //! goes through here, and nothing else produces a deferred payload.
 //!
-//! A queued frame is named by its transmit-queue slot, [`queue_slot`]: the
+//! A queued frame is named by its transmit-queue slot, `queue_slot`: the
 //! slot it is queued under and the slot [`withdraw`] drops it from, once a
 //! node has heard another node air the same thing.
 
@@ -33,7 +33,7 @@ impl Finish for SignAtTransmit {
 /// The transmit-queue slot of a body with [`slot_key`](crate::Body::slot_key)
 /// `slot_key` sent under `session`: combined packets supersede their own
 /// stale queued versions, and the session keeps components apart.
-pub fn queue_slot(session: u64, slot_key: u64) -> u64 {
+fn queue_slot(session: u64, slot_key: u64) -> u64 {
     session.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(slot_key)
 }
 
@@ -42,7 +42,7 @@ pub fn queue_slot(session: u64, slot_key: u64) -> u64 {
 ///
 /// Charges the curve's virtual signing cost now, per queued send (also for
 /// a send that turns out unencodable — the node did the work of building
-/// it). The frame is queued under [`queue_slot`].
+/// it). The frame is queued under `queue_slot`.
 ///
 /// # Errors
 ///
