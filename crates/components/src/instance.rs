@@ -238,10 +238,15 @@ pub(crate) type InitBody = fn(u8, Fragment, InitNack) -> Body;
 ///   ([`Initial::heard`]); heard from the instance's proposer, this node's
 ///   copy still waiting in its transmit queue is withdrawn too
 ///   (`Actions::withdraw`), as that airing reached the receivers the copy
-///   would reach. A relay's airing withdraws nothing: measured, withdrawing
-///   on every holder's airing was faster on the benchmark but completed
-///   fewer runs of the lossy multi-hop grid than the parent did. A
-///   requester that missed the airing asks again.
+///   would reach. A relay's airing withdraws nothing. That is a choice of
+///   timing, not of liveness: in a single-hop cluster any holder's airing
+///   reaches the same receivers, and with the engine's epoch retirement
+///   window unbounded the lossy multi-hop grid completes every run under
+///   either rule. With the window as shipped, withdrawing on every
+///   holder's airing was faster on the single-hop benchmark but completed
+///   fewer runs of that grid than no withdrawal, and reversed
+///   `tests/pipeline.rs`'s one-seed depth ranking; the proposer-only rule
+///   keeps both. A requester that missed the airing asks again.
 /// - **Taking.** Which fragments an instance takes is decided by its first
 ///   fragment, until the component claims a root it has evidence honest
 ///   nodes hold ([`Initial::claim`]); never by a root a peer merely names.
