@@ -1,32 +1,32 @@
 //! # wbft-bench — harness regenerating the paper's tables and figures
 //!
-//! Shared infrastructure for the bench targets (`table1_overhead`,
-//! `fig10_crypto`, `fig11_broadcast`, `fig12_aba`, `fig13_consensus` and the
-//! `hotpath_*` microbenches): the component rig, which runs a single
-//! consensus component across N wireless nodes and measures completion
-//! latency and channel accesses, plus report, timing and table-printing
-//! helpers.
+//! Shared infrastructure for the bench targets: `figures`, which runs the
+//! paper's evaluation (Table I, Figs. 10–13) as one table of claims, and the
+//! `hotpath_*` microbenches. It holds the component rig, which runs a single
+//! consensus component across four wireless nodes and measures completion
+//! latency, channel accesses and air bytes; the claim checker every figure
+//! row goes through; and report, timing and table-printing helpers.
 //!
 //! Each rig node is an ordinary [`ProtocolNode`] over `CompEngine`, an
 //! engine of one component: its frames are signed, opened once per
 //! transmission, fenced and charged by the same driver as every deployment's.
 
 use bytes::Bytes;
-use wbft_components::{aba_lc, aba_sc, cbc, prbc, rbc, rbc_small};
-use wbft_components::{deal_node_crypto, Actions, BinaryAgreement, Broadcaster, NodeCrypto, Params};
+use wbft_components::{cbc, prbc, rbc, rbc_small};
+use wbft_components::{deal_node_crypto, Actions, Agreement, BinaryAgreement, Broadcaster};
+use wbft_components::{NodeCrypto, Packing, Params};
 use wbft_consensus::{Block, Engine, EngineOut, ProtocolNode};
 use wbft_crypto::CryptoSuite;
-use wbft_net::{Bitmap, Body, Vote};
+use wbft_net::{Bitmap, Body, CoinFlavor, Vote};
 use wbft_wireless::{ChannelId, SimConfig, SimDuration, SimTime, Simulator, Topology};
 
 /// A consensus component under benchmark; its `Params` carry the packing,
-/// so a baseline is the same component built with
-/// [`Packing::PerInstance`](wbft_components::Packing). Build one with
-/// `.into()` from the component.
-pub enum Comp {
-    /// RBC or CBC: complete once the target count of instances delivered.
+/// so a baseline is the same component built under
+/// [`Packing::PerInstance`].
+enum Comp {
+    /// RBC or CBC: complete once every proposal delivered.
     Broadcast(Box<dyn Broadcaster>),
-    /// PRBC: complete once the target count delivered *and* is proven.
+    /// PRBC: complete once every proposal delivered *and* is proven.
     Prbc(Box<prbc::PrbcBatch>),
     /// RBC-small (one vote per instance).
     RbcSmall(Box<rbc_small::RbcSmallBatch>),
@@ -36,58 +36,77 @@ pub enum Comp {
     Aba(Box<dyn BinaryAgreement>),
 }
 
-/// Wraps each component in its [`Comp`] variant, so a `make` closure of
-/// [`run_component`] can end in `.into()`.
-macro_rules! comp_from {
-    ($($ty:ty => $variant:ident),*) => {$(
-        impl From<$ty> for Comp {
-            fn from(c: $ty) -> Self {
-                Comp::$variant(Box::new(c))
-            }
-        }
-    )*};
-}
-
-comp_from!(rbc::RbcBatch => Broadcast, cbc::CbcBatch => Broadcast, prbc::PrbcBatch => Prbc);
-comp_from!(rbc_small::RbcSmallBatch => RbcSmall, cbc::CbcSmallBatch => CbcSmall);
-comp_from!(aba_sc::AbaScBatch => Aba, aba_lc::AbaLcBatch => Aba);
-
-/// What each node feeds its component at start.
-#[derive(Clone, Debug)]
-pub enum CompInput {
-    /// A byte proposal (broadcast components); `None` = this node's
-    /// instance stays idle (parallelism sweeps).
-    Value(Option<Bytes>),
-    /// ABA inputs for `parallelism` instances, all activated at once.
-    AbaParallel {
-        /// Instances activated.
-        parallelism: usize,
-        /// Input value for each activated instance.
-        value: bool,
+/// What the nodes feed a rig component, which also says when it is complete.
+#[derive(Clone, Copy, Debug)]
+pub enum Load {
+    /// The first `proposers` nodes each broadcast a proposal of about
+    /// `packets` LoRa frames; complete once every node delivered (PRBC: and
+    /// proved) all of them.
+    Broadcast {
+        /// Nodes that propose; the other instances stay idle.
+        proposers: usize,
+        /// Proposal size in LoRa frames.
+        packets: usize,
     },
-    /// Serial ABA: instances activated one after the other by the rig.
-    AbaSerial {
-        /// How many instances run in sequence.
-        count: usize,
-        /// Input for each.
-        value: bool,
-    },
+    /// This many ABA instances with input 1, all activated at once.
+    Parallel(usize),
+    /// This many ABA instances with input 1, each activated once its
+    /// predecessor decided (Dumbo's pattern).
+    Serial(usize),
 }
 
 impl Comp {
-    fn start(&mut self, input: &CompInput, acts: &mut Actions) {
-        match (self, input) {
-            (Comp::Broadcast(c), CompInput::Value(Some(v))) => c.start(v.clone(), acts),
-            (Comp::Prbc(c), CompInput::Value(Some(v))) => c.start(v.clone(), acts),
-            (Comp::RbcSmall(c), CompInput::Value(Some(_))) => c.start(Vote::One, acts),
-            (Comp::CbcSmall(c), CompInput::Value(Some(_))) => {
+    /// Builds the component a figure names — `RBC`, `RBC-small`, `CBC`,
+    /// `CBC-small`, `PRBC`, `ABA-LC`, `ABA-SC` or `ABA-CP` — packed as `p`
+    /// says. A shared-coin ABA draws one coin per instance when its
+    /// instances run serially or it is packed per instance (Dumbo's election
+    /// and the baselines); otherwise all instances share one coin per round.
+    fn build(label: &str, load: Load, c: &NodeCrypto, p: Params) -> Comp {
+        let serial = matches!(load, Load::Serial(_)) || p.packing == Packing::PerInstance;
+        let coin = |flavor| Agreement::SharedCoin { flavor, serial };
+        match label {
+            "RBC" => Comp::Broadcast(Box::new(rbc::RbcBatch::new(p))),
+            "CBC" => Comp::Broadcast(Box::new(cbc::CbcBatch::new(
+                p,
+                c.cbc_pub.clone(),
+                c.cbc_sec.clone(),
+            ))),
+            "PRBC" => Comp::Prbc(Box::new(prbc::PrbcBatch::new(
+                p,
+                c.prbc_pub.clone(),
+                c.prbc_sec.clone(),
+            ))),
+            "RBC-small" => Comp::RbcSmall(Box::new(rbc_small::RbcSmallBatch::new(p))),
+            "CBC-small" => Comp::CbcSmall(Box::new(cbc::CbcSmallBatch::new(
+                p,
+                c.cbc_pub.clone(),
+                c.cbc_sec.clone(),
+            ))),
+            "ABA-LC" => Comp::Aba(Agreement::LocalCoin.build(p, c)),
+            "ABA-SC" => Comp::Aba(coin(CoinFlavor::ThreshSig).build(p, c)),
+            "ABA-CP" => Comp::Aba(coin(CoinFlavor::CoinFlip).build(p, c)),
+            _ => panic!("no rig component is labelled {label:?}"),
+        }
+    }
+
+    fn start(&mut self, load: Load, me: usize, acts: &mut Actions) {
+        match (self, load) {
+            (_, Load::Broadcast { proposers, .. }) if me >= proposers => {}
+            (Comp::Broadcast(c), Load::Broadcast { packets, .. }) => {
+                c.start(proposal_of_packets(packets, me), acts)
+            }
+            (Comp::Prbc(c), Load::Broadcast { packets, .. }) => {
+                c.start(proposal_of_packets(packets, me), acts)
+            }
+            (Comp::RbcSmall(c), Load::Broadcast { .. }) => c.start(Vote::One, acts),
+            (Comp::CbcSmall(c), Load::Broadcast { .. }) => {
                 c.start(Bitmap::from_raw(0b0111, 4), acts)
             }
-            (Comp::Aba(c), CompInput::AbaParallel { parallelism, value }) => {
-                (0..*parallelism).for_each(|j| c.set_input(j, *value, acts))
+            (Comp::Aba(c), Load::Parallel(count)) => {
+                (0..count).for_each(|j| c.set_input(j, true, acts))
             }
-            (Comp::Aba(c), CompInput::AbaSerial { value, .. }) => c.set_input(0, *value, acts),
-            _ => {}
+            (Comp::Aba(c), Load::Serial(_)) => c.set_input(0, true, acts),
+            (_, load) => panic!("a broadcast takes a broadcast load, an ABA an ABA load: {load:?}"),
         }
     }
 
@@ -113,47 +132,53 @@ impl Comp {
 
     /// Serial ABA: activates each instance whose predecessor decided
     /// (`set_input` ignores an instance already active).
-    fn poll_serial(&mut self, input: &CompInput, acts: &mut Actions) {
-        if let (Comp::Aba(c), CompInput::AbaSerial { count, value }) = (self, input) {
-            for j in 1..*count {
+    fn poll_serial(&mut self, load: Load, acts: &mut Actions) {
+        if let (Comp::Aba(c), Load::Serial(count)) = (self, load) {
+            for j in 1..count {
                 if c.decided(j - 1).is_some() {
-                    c.set_input(j, *value, acts);
+                    c.set_input(j, true, acts);
                 }
             }
         }
     }
 
-    /// Has this node met the experiment's target: `target` broadcast
-    /// instances delivered, or every ABA instance of `input` decided?
-    fn is_complete(&self, input: &CompInput, target: usize) -> bool {
-        match (self, input) {
-            (Comp::Broadcast(c), CompInput::Value(_)) => c.delivered_count() >= target,
-            (Comp::Prbc(c), CompInput::Value(_)) => {
-                c.delivered_count() >= target && c.proven_count() >= target
+    /// Has this node met the load's target: every proposal delivered, or
+    /// every ABA instance decided?
+    fn is_complete(&self, load: Load) -> bool {
+        match (self, load) {
+            (Comp::Broadcast(c), Load::Broadcast { proposers, .. }) => {
+                c.delivered_count() >= proposers
             }
-            (Comp::RbcSmall(c), CompInput::Value(_)) => c.delivered_count() >= target,
-            (Comp::CbcSmall(c), CompInput::Value(_)) => c.delivered_count() >= target,
-            (
-                Comp::Aba(c),
-                CompInput::AbaParallel { parallelism: count, .. }
-                | CompInput::AbaSerial { count, .. },
-            ) => (0..*count).all(|j| c.decided(j).is_some()),
+            (Comp::Prbc(c), Load::Broadcast { proposers, .. }) => {
+                c.delivered_count() >= proposers && c.proven_count() >= proposers
+            }
+            (Comp::RbcSmall(c), Load::Broadcast { proposers, .. }) => {
+                c.delivered_count() >= proposers
+            }
+            (Comp::CbcSmall(c), Load::Broadcast { proposers, .. }) => {
+                c.delivered_count() >= proposers
+            }
+            (Comp::Aba(c), Load::Parallel(count) | Load::Serial(count)) => {
+                (0..count).all(|j| c.decided(j).is_some())
+            }
             _ => false,
         }
     }
 }
 
+/// Nodes of every rig run.
+const RIG_NODES: usize = 4;
+
 /// The session every rig component runs at.
 const SESSION: u64 = 1;
 
 /// The engine of one rig node: one component at session 1, which decides
-/// one empty block the first time the experiment's target is met — the
+/// one empty block the first time its load's target is met — the
 /// driver's epoch clock then holds this node's completion time.
 struct CompEngine {
     comp: Comp,
-    input: CompInput,
-    target_instances: usize,
-    n: usize,
+    load: Load,
+    me: usize,
     blocks: Vec<Block>,
 }
 
@@ -161,9 +186,9 @@ impl CompEngine {
     /// Activates the next serial instance, hands the component's actions
     /// to the driver and decides once complete.
     fn settle(&mut self, mut acts: Actions, out: &mut EngineOut) {
-        self.comp.poll_serial(&self.input, &mut acts);
+        self.comp.poll_serial(self.load, &mut acts);
         out.absorb(SESSION, &mut acts);
-        if self.blocks.is_empty() && self.comp.is_complete(&self.input, self.target_instances) {
+        if self.blocks.is_empty() && self.comp.is_complete(self.load) {
             self.blocks.push(Block { epoch: 0, txs: Vec::new() });
         }
     }
@@ -172,13 +197,13 @@ impl CompEngine {
 impl Engine for CompEngine {
     fn start(&mut self, out: &mut EngineOut) {
         let mut acts = Actions::new();
-        self.comp.start(&self.input, &mut acts);
+        self.comp.start(self.load, self.me, &mut acts);
         self.settle(acts, out);
     }
 
     fn handle(&mut self, _session: u64, from: usize, body: &Body, out: &mut EngineOut) {
         let mut acts = Actions::new();
-        self.comp.handle(from, &wbft_net::join(body, self.n), &mut acts);
+        self.comp.handle(from, &wbft_net::join(body, RIG_NODES), &mut acts);
         self.settle(acts, out);
     }
 
@@ -207,6 +232,22 @@ impl Engine for CompEngine {
     }
 }
 
+/// One run of the component rig: a component, its packing, its load and
+/// the seed, on a 4-node single-hop LoRa network.
+#[derive(Clone, Copy, Debug)]
+pub struct RigPoint {
+    /// The component, by the label a figure prints: `RBC`, `RBC-small`,
+    /// `CBC`, `CBC-small`, `PRBC`, `ABA-LC`, `ABA-SC` or `ABA-CP`.
+    pub comp: &'static str,
+    /// Batched ([`Packing::Combined`]) or the baseline
+    /// ([`Packing::PerInstance`]).
+    pub packing: Packing,
+    /// What the nodes feed it.
+    pub load: Load,
+    /// Simulation seed.
+    pub seed: u64,
+}
+
 /// Result of one component experiment.
 #[derive(Clone, Copy, Debug)]
 pub struct CompResult {
@@ -214,41 +255,36 @@ pub struct CompResult {
     pub latency: SimDuration,
     /// Mean channel accesses per node at completion.
     pub accesses_per_node: f64,
+    /// Nominal bytes all nodes put on the air, as the simulator counts them.
+    pub air_bytes: u64,
     /// Whether all nodes completed before the deadline.
     pub completed: bool,
 }
 
-/// Runs one component experiment on an N-node single-hop LoRa network.
-///
-/// `make` builds each node's component from `(node id, crypto, params)`;
-/// `inputs` supplies each node's start input; `target_instances` is the
-/// number of instances every node must deliver for completion (broadcast
-/// components).
+/// Runs one component experiment.
 ///
 /// # Panics
 ///
-/// If a node's driver dropped a send whose body does not encode.
-pub fn run_component(
-    n: usize,
-    seed: u64,
-    make: impl Fn(usize, &NodeCrypto, Params) -> Comp,
-    inputs: impl Fn(usize) -> CompInput,
-    target_instances: usize,
-) -> CompResult {
+/// On a component label [`RigPoint::comp`] does not list, a load the
+/// component cannot take, or if a node's driver dropped a send whose body
+/// does not encode.
+pub fn run_component(point: &RigPoint) -> CompResult {
     use rand::SeedableRng;
+    let RigPoint { comp, packing, load, seed } = *point;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xbe9c);
-    let crypto = deal_node_crypto(n, CryptoSuite::light(), &mut rng);
+    let crypto = deal_node_crypto(RIG_NODES, CryptoSuite::light(), &mut rng);
     let nodes: Vec<ProtocolNode<CompEngine>> = crypto
         .into_iter()
         .enumerate()
-        .map(|(i, c)| {
-            let (comp, input) = (make(i, &c, Params::new(n, i, SESSION)), inputs(i));
-            let engine = CompEngine { comp, input, target_instances, n, blocks: Vec::new() };
+        .map(|(me, c)| {
+            let p = Params::new(RIG_NODES, me, SESSION).packed(packing);
+            let comp = Comp::build(comp, load, &c, p);
+            let engine = CompEngine { comp, load, me, blocks: Vec::new() };
             ProtocolNode::new(engine, c, ChannelId(0))
         })
         .collect();
     let cfg = SimConfig { seed, ..SimConfig::default() };
-    let mut sim = Simulator::new(cfg, Topology::single_hop(n), nodes);
+    let mut sim = Simulator::new(cfg, Topology::single_hop(RIG_NODES), nodes);
     let deadline = SimTime::from_micros(1_800_000_000);
     let completed = sim.run_until_pred(deadline, |s| s.behaviors().all(|(_, b)| b.is_done()));
     for (id, node) in sim.behaviors() {
@@ -260,7 +296,12 @@ pub fn run_component(
         .max()
         .unwrap_or(deadline)
         .saturating_since(SimTime::ZERO);
-    CompResult { latency, accesses_per_node: sim.metrics().mean_channel_accesses(), completed }
+    CompResult {
+        latency,
+        accesses_per_node: sim.metrics().mean_channel_accesses(),
+        air_bytes: sim.metrics().total_bytes_sent(),
+        completed,
+    }
 }
 
 /// Reports directory for one figure: `target/reports/<name>/`, created.
@@ -282,17 +323,6 @@ pub fn write_json(path: &std::path::Path, json: &wbft_report::Json) {
 /// Reads a JSON document back; panics with the path on failure.
 pub fn read_json(path: &std::path::Path) -> wbft_report::Json {
     wbft_report::read_file(path).unwrap_or_else(|e| panic!("cannot read report: {e}"))
-}
-
-impl wbft_report::ToJson for CompResult {
-    fn to_json(&self) -> wbft_report::Json {
-        use wbft_report::Json;
-        Json::obj([
-            ("latency_us", Json::u64(self.latency.as_micros())),
-            ("accesses_per_node", Json::f64(self.accesses_per_node)),
-            ("completed", Json::Bool(self.completed)),
-        ])
-    }
 }
 
 /// Formats a fixed-width table row.
@@ -339,8 +369,85 @@ pub fn banner(title: &str, note: &str) {
     println!("================================================================");
 }
 
-/// Convenience: a value proposal of roughly `packets` LoRa frames.
-pub fn proposal_of_packets(packets: usize, node: usize) -> Bytes {
+/// A value proposal of roughly `packets` LoRa frames.
+fn proposal_of_packets(packets: usize, node: usize) -> Bytes {
     let len = packets * wbft_components::rbc::FRAG_BUDGET - 10;
     Bytes::from(vec![0xA0 | node as u8; len.max(8)])
+}
+
+/// One claim of the paper's evaluation and what this reproduction measured
+/// for it: a row of the `figures` table.
+#[derive(Clone, Debug)]
+pub struct Row {
+    /// The figure, which also names the grid the row reads in the reports:
+    /// a `figure` of the rig report, or a sweep's directory.
+    pub figure: &'static str,
+    /// What is claimed.
+    pub claim: String,
+    /// The paper's value as this repo quotes it. `PAPER.md` holds only the
+    /// title, so a quote is the repo's reference, not verified text.
+    pub quote: &'static str,
+    /// What was measured.
+    pub measured: String,
+    /// `Some(holds)` for a checked shape claim, `None` for a comparison
+    /// that is reported only.
+    pub holds: Option<bool>,
+}
+
+impl Row {
+    /// A shape claim the `figures` program fails on when it does not hold.
+    pub fn checked(
+        figure: &'static str,
+        claim: impl Into<String>,
+        quote: &'static str,
+        measured: String,
+        holds: bool,
+    ) -> Row {
+        Row { figure, claim: claim.into(), quote, measured, holds: Some(holds) }
+    }
+
+    /// A comparison that is printed, never failed on.
+    pub fn reported(
+        figure: &'static str,
+        claim: impl Into<String>,
+        quote: &'static str,
+        measured: String,
+    ) -> Row {
+        Row { figure, claim: claim.into(), quote, measured, holds: None }
+    }
+}
+
+/// Prints every row and returns each checked row that does not hold, named
+/// `"<figure>: <claim>"`.
+pub fn check(rows: &[Row]) -> Vec<String> {
+    let mut violated = Vec::new();
+    for r in rows {
+        let status = match r.holds {
+            Some(true) => "ok",
+            Some(false) => "VIOLATED",
+            None => "reported",
+        };
+        println!("{status:>8}  {:<7} {}: {} (paper: {})", r.figure, r.claim, r.measured, r.quote);
+        if r.holds == Some(false) {
+            violated.push(format!("{}: {}", r.figure, r.claim));
+        }
+    }
+    violated
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_checker_names_every_violated_checked_row_and_no_reported_one() {
+        let rows = [
+            Row::checked("fig11a", "A below B", "below", "1 < 2".into(), true),
+            Row::checked("fig11a", "C below D", "below", "3 > 2".into(), false),
+            Row::reported("fig12b", "E below F", "below", "5 > 4 (inverted)".into()),
+            Row::checked("fig13b", "G completes", "—", "0 / 8".into(), false),
+        ];
+        assert_eq!(check(&rows), ["fig11a: C below D", "fig13b: G completes"]);
+        assert!(check(&rows[2..3]).is_empty(), "a reported row never fails");
+    }
 }

@@ -5,15 +5,8 @@
 //! serial activation paths). A change to how the rig hosts a component
 //! must leave every number exactly as it is.
 
-use wbft_bench::{proposal_of_packets, run_component, Comp, CompInput, CompResult};
-use wbft_components::aba_lc::AbaLcBatch;
-use wbft_components::aba_sc::AbaScBatch;
-use wbft_components::cbc::{CbcBatch, CbcSmallBatch};
-use wbft_components::prbc::PrbcBatch;
-use wbft_components::rbc::RbcBatch;
-use wbft_components::rbc_small::RbcSmallBatch;
-use wbft_components::{NodeCrypto, Packing, Params};
-use wbft_net::CoinFlavor;
+use wbft_bench::{run_component, CompResult, Load, RigPoint};
+use wbft_components::Packing::{Combined, PerInstance};
 
 /// `(run, latency µs, accesses per node, completed)`.
 const PINNED: [(&str, u64, f64, bool); 11] = [
@@ -30,84 +23,27 @@ const PINNED: [(&str, u64, f64, bool); 11] = [
     ("aba-lc-serial", 7088845, 13.75, true),
 ];
 
-/// Broadcast inputs: the first `parallelism` nodes propose one packet.
-fn values(parallelism: usize) -> impl Fn(usize) -> CompInput {
-    move |i| CompInput::Value((i < parallelism).then(|| proposal_of_packets(1, i)))
-}
-
-fn parallel(parallelism: usize) -> impl Fn(usize) -> CompInput {
-    move |_| CompInput::AbaParallel { parallelism, value: true }
-}
-
-fn serial(count: usize) -> impl Fn(usize) -> CompInput {
-    move |_| CompInput::AbaSerial { count, value: true }
-}
-
-fn aba_sc(c: &NodeCrypto, p: Params, flavor: CoinFlavor, serial: bool) -> Comp {
-    let (pk, sk) = (c.coin_pub.clone(), c.coin_sec.clone());
-    if serial {
-        AbaScBatch::new_serial(p, flavor, pk, sk).into()
-    } else {
-        AbaScBatch::new_parallel(p, flavor, pk, sk).into()
-    }
+/// Broadcast load: the first `proposers` nodes propose one packet.
+fn values(proposers: usize) -> Load {
+    Load::Broadcast { proposers, packets: 1 }
 }
 
 fn run(label: &str) -> CompResult {
-    let per_instance = |p: Params| p.packed(Packing::PerInstance);
-    match label {
-        "rbc-batched" => run_component(4, 11, |_, _, p| RbcBatch::new(p).into(), values(4), 4),
-        "rbc-baseline" => {
-            run_component(4, 11, |_, _, p| RbcBatch::new(per_instance(p)).into(), values(4), 4)
-        }
-        "aba-batched" => run_component(
-            4,
-            13,
-            |_, c, p| aba_sc(c, p, CoinFlavor::ThreshSig, false),
-            parallel(4),
-            4,
-        ),
-        "aba-baseline" => run_component(
-            4,
-            13,
-            |_, c, p| aba_sc(c, per_instance(p), CoinFlavor::ThreshSig, true),
-            parallel(4),
-            4,
-        ),
-        "prbc" => run_component(
-            4,
-            25,
-            |_, c, p| PrbcBatch::new(p, c.prbc_pub.clone(), c.prbc_sec.clone()).into(),
-            values(4),
-            4,
-        ),
-        "rbc-small" => run_component(4, 25, |_, _, p| RbcSmallBatch::new(p).into(), values(4), 4),
-        "cbc-small" => run_component(
-            4,
-            24,
-            |_, c, p| CbcSmallBatch::new(p, c.cbc_pub.clone(), c.cbc_sec.clone()).into(),
-            values(3),
-            3,
-        ),
-        "cbc-per-instance" => run_component(
-            4,
-            23,
-            |_, c, p| CbcBatch::new(per_instance(p), c.cbc_pub.clone(), c.cbc_sec.clone()).into(),
-            values(2),
-            2,
-        ),
-        "aba-cp-parallel" => run_component(
-            4,
-            45,
-            |_, c, p| aba_sc(c, p, CoinFlavor::CoinFlip, false),
-            parallel(4),
-            0,
-        ),
-        "aba-sc-serial" => {
-            run_component(4, 55, |_, c, p| aba_sc(c, p, CoinFlavor::ThreshSig, true), serial(4), 0)
-        }
-        "aba-lc-serial" => run_component(4, 55, |_, _, p| AbaLcBatch::new(p).into(), serial(4), 0),
+    let (comp, packing, load, seed) = match label {
+        "rbc-batched" => ("RBC", Combined, values(4), 11),
+        "rbc-baseline" => ("RBC", PerInstance, values(4), 11),
+        "aba-batched" => ("ABA-SC", Combined, Load::Parallel(4), 13),
+        "aba-baseline" => ("ABA-SC", PerInstance, Load::Parallel(4), 13),
+        "prbc" => ("PRBC", Combined, values(4), 25),
+        "rbc-small" => ("RBC-small", Combined, values(4), 25),
+        "cbc-small" => ("CBC-small", Combined, values(3), 24),
+        "cbc-per-instance" => ("CBC", PerInstance, values(2), 23),
+        "aba-cp-parallel" => ("ABA-CP", Combined, Load::Parallel(4), 45),
+        "aba-sc-serial" => ("ABA-SC", Combined, Load::Serial(4), 55),
+        "aba-lc-serial" => ("ABA-LC", Combined, Load::Serial(4), 55),
         _ => unreachable!("unknown run {label}"),
-    }
+    };
+    run_component(&RigPoint { comp, packing, load, seed })
 }
 
 #[test]

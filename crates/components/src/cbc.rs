@@ -586,30 +586,4 @@ mod tests {
             }
         }
     }
-
-    #[test]
-    fn small_packets_are_smaller_than_full_cbc_packets() {
-        use wbft_net::Sizing;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
-        let crypto = deal_node_crypto(4, CryptoSuite::light(), &mut rng);
-        let mut small =
-            CbcSmallBatch::new(Params::new(4, 0, 1), crypto[0].cbc_pub.clone(), crypto[0].cbc_sec.clone());
-        let mut acts = Actions::new();
-        small.start(Bitmap::from_raw(0b0111, 4), &mut acts);
-        let small_body = small.build();
-        let mut full = CbcBatch::new(Params::new(4, 0, 2), crypto[0].cbc_pub.clone(), crypto[0].cbc_sec.clone());
-        let mut acts = Actions::new();
-        full.start(Bytes::from_static(b"0123456789abcdef"), &mut acts);
-        let full_body = full.build_ef();
-        let kp = &crypto[0].keypair;
-        let sizing = Sizing::light(4);
-        let (_, small_len) =
-            wbft_net::Envelope { src: 0, session: 1, body: small_body }.seal(kp, &sizing).unwrap();
-        let (_, full_len) =
-            wbft_net::Envelope { src: 0, session: 2, body: full_body }.seal(kp, &sizing).unwrap();
-        assert!(
-            small_len < full_len,
-            "CBC-small packet ({small_len}) should undercut CBC ({full_len})"
-        );
-    }
 }

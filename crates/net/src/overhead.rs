@@ -3,9 +3,9 @@
 //! The paper counts the exact number of messages ("message overhead", not
 //! asymptotic complexity) one node sends in an N-component parallel
 //! protocol, in three deployments: wired point-to-point, the wireless
-//! broadcast baseline, and ConsensusBatcher. The benchmark
-//! `table1_overhead` checks the *measured* channel accesses of the
-//! implementation against these forms.
+//! broadcast baseline, and ConsensusBatcher. The Table I rows of the
+//! `figures` bench print the *measured* channel accesses of the
+//! implementation beside these forms.
 
 /// The five component rows of Table I.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
