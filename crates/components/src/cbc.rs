@@ -20,7 +20,7 @@
 //! names decides which fragments the instance takes.
 
 use crate::context::{Actions, Batcher, Broadcaster, Params};
-use crate::instance::{Accepted, Certificates, Fragment, Initial};
+use crate::instance::{stated, Accepted, Certificates, Fragment, Initial};
 use bytes::Bytes;
 use wbft_crypto::hash::Digest32;
 use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare, ThresholdSignature};
@@ -166,7 +166,12 @@ impl Broadcaster for CbcBatch {
                     }
                     self.out.changed_if(adopted);
                 }
-                // NACK evidence: peers missing what we have.
+                // What the sender holds, then NACK evidence: peers missing
+                // what we have.
+                let named = echo_shares.iter().map(|e| e.0).chain(finish_sigs.iter().map(|e| e.0));
+                let named = named.map(usize::from).chain(init_nack.iter().map(|(j, _)| j));
+                let named = named.chain(echo_nack.iter_set()).chain(finish_nack.iter_set());
+                self.certs.heard(from, finish_nack, &stated(self.p(), named));
                 self.init.note(init_nack, &mut self.out);
                 for j in 0..n {
                     let asks = |nack: &Bitmap| nack.len() == n && nack.get(j);
@@ -320,6 +325,8 @@ impl CbcSmallBatch {
                 self.out.changed_if(self.certs.adopt(j, &root, sig, acts));
             }
         }
+        // A CBC-small packet is never split: it states every instance.
+        self.certs.heard(from, finish_nack, &Bitmap::full(n));
         if (init_nack.len() == n && init_nack.iter_set().any(|j| self.values[j].is_some()))
             || (finish_nack.len() == n
                 && finish_nack.iter_set().any(|j| self.certs.cert(j).is_some()))
@@ -483,8 +490,9 @@ mod tests {
 
     #[test]
     fn a_certificate_is_checked_under_the_root_beside_it_and_then_decides_the_root() {
-        // Every node delivers node 0's five-fragment value; its packet then
-        // carries the certificate.
+        // Every node delivers node 0's five-fragment value. Once a restarted
+        // node 1's packet NACKs every certificate, node 0's packet carries
+        // them all again.
         let mut nodes = make();
         let val = Bytes::from(vec![5u8; FRAG_BUDGET * 4 + 10]);
         let vals = [val.clone(), Bytes::from_static(b"w-1"), Bytes::from_static(b"w-2"), Bytes::from_static(b"w-3")];
@@ -499,6 +507,8 @@ mod tests {
             |n| n.delivered_count() == 4,
         );
         let (_, inits, _) = five_fragment_proposer::<CbcBatch>();
+        let restarted = make().remove(1).build_ef();
+        nodes[0].handle(1, &restarted, &mut Actions::new());
         let Body::CbcEchoFinish { finish_sigs, .. } = nodes[0].build_ef() else { unreachable!() };
         // Every certificate travels beside the root it signs, and only there.
         let root = Digest32::of(&val);

@@ -13,7 +13,7 @@
 //! how they answer a peer's NACK; when and in how many frames a packet goes
 //! out is the shared `Batcher`.
 
-use crate::context::{Actions, Batcher, Params};
+use crate::context::{Actions, Batcher, Packing, Params};
 use crate::share_buf::{Collector, Quorum, Recorded};
 use bytes::Bytes;
 use std::ops::Index;
@@ -528,6 +528,23 @@ pub(crate) fn done_msg(session: u64, instance: usize, root: &Digest32) -> Vec<u8
     signed_msg(b"wbft/prbc/done", session, instance, root)
 }
 
+/// The instances whose NACK bits a received packet states, given the
+/// instances its entries and set NACK bits `named`. A combined packet states
+/// every instance. A joined per-instance frame states only its own, the one
+/// it names: `wbft_net::join` zero-fills every other bit, which says nothing.
+pub(crate) fn stated(p: &Params, named: impl IntoIterator<Item = usize>) -> Bitmap {
+    match p.packing {
+        Packing::Combined => Bitmap::full(p.n),
+        Packing::PerInstance => {
+            let mut stated = Bitmap::new(p.n);
+            for j in named.into_iter().filter(|&j| j < p.n) {
+                stated.set(j, true);
+            }
+            stated
+        }
+    }
+}
+
 /// The certificate phase of N broadcast instances, shared by CBC, CBC-small
 /// and PRBC: per instance a threshold-share [`Collector`] under one key
 /// set, over the message its shares sign, and how many shares combine.
@@ -543,6 +560,14 @@ pub(crate) fn done_msg(session: u64, instance: usize, root: &Digest32) -> Vec<u8
 /// - **Adopting** ([`Certificates::adopt`]). A certificate combined
 ///   elsewhere is held once it verifies under the root the caller names;
 ///   which root that is stays the component's rule.
+/// - **Airing** ([`Certificates::shares`], [`Certificates::certificates`]).
+///   A packet carries only what some peer can still use. This node's share
+///   of `j` rides until `j`'s certificate is held here: the certificate
+///   serves every receiver the share could. `j`'s certificate rides while
+///   some peer's latest packet has not shown that the peer holds it
+///   ([`Certificates::heard`]). That knowledge is each peer's latest word,
+///   never sticky: a peer that NACKs `j` again, a restarted node, gets the
+///   certificate back. A peer never heard from holds nothing.
 /// - **Asking.** [`Certificates::finish_nack`] names the instances without
 ///   a certificate here; [`Certificates::echo_nack`] those this node
 ///   combines and holds fewer than the needed shares of. How a component
@@ -561,6 +586,9 @@ pub(crate) struct Certificates {
     /// Only instance `j`'s leader, node `j`, combines `j`'s shares.
     leader_combines: bool,
     insts: Vec<Collector>,
+    /// Per peer, the instances whose certificate its latest packet showed
+    /// it holds.
+    held: Vec<Bitmap>,
 }
 
 impl Certificates {
@@ -573,7 +601,8 @@ impl Certificates {
         leader_combines: bool,
     ) -> Self {
         let insts = vec![Collector::default(); p.n];
-        Certificates { p, keys, secret, msg, need, leader_combines, insts }
+        let held = vec![Bitmap::new(p.n); p.n];
+        Certificates { p, keys, secret, msg, need, leader_combines, insts, held }
     }
 
     /// CBC echo shares under the `(2f, n)` set: 2f + 1 make a certificate,
@@ -684,16 +713,43 @@ impl Certificates {
         self.insts.iter().filter(|c| c.output().is_some()).count()
     }
 
-    /// This node's shares, by instance, as a packet carries them.
+    /// This node's shares of the instances without a certificate here, by
+    /// instance, as a packet carries them.
     pub(crate) fn shares(&self) -> Vec<(u8, SigShare)> {
-        let own = |(j, c): (usize, &Collector)| Some((j as u8, c.own()?));
+        let own = |(j, c): (usize, &Collector)| {
+            c.output().is_none().then_some((j as u8, c.own()?))
+        };
         self.insts.iter().enumerate().filter_map(own).collect()
     }
 
-    /// The certificates held, by instance, as a packet carries them.
+    /// The certificates some peer has not shown it holds, by instance, as a
+    /// packet carries them.
     pub(crate) fn certificates(&self) -> Vec<(u8, ThresholdSignature)> {
-        let cert = |(j, c): (usize, &Collector)| Some((j as u8, *c.output()?));
+        let cert = |(j, c): (usize, &Collector)| {
+            self.wanted(j).then_some((j as u8, *c.output()?))
+        };
         self.insts.iter().enumerate().filter_map(cert).collect()
+    }
+
+    /// `true` while some peer's latest packet has not shown it holds
+    /// `instance`'s certificate.
+    fn wanted(&self, instance: usize) -> bool {
+        let me = self.p.me;
+        self.held.iter().enumerate().any(|(peer, held)| peer != me && !held.get(instance))
+    }
+
+    /// `from`'s packet, whose finish NACK (PRBC's `sig_nack`) sets bit `j`
+    /// where `from` lacks `j`'s certificate: for each instance the packet
+    /// `stated` ([`stated`]), whether `from` holds that certificate
+    /// replaces what was known. A NACK of another length teaches nothing.
+    pub(crate) fn heard(&mut self, from: usize, finish_nack: &Bitmap, stated: &Bitmap) {
+        let n = self.p.n;
+        if from >= n || from == self.p.me || finish_nack.len() != n {
+            return;
+        }
+        for j in stated.iter_set().filter(|&j| j < n) {
+            self.held[from].set(j, !finish_nack.get(j));
+        }
     }
 
     /// The instances without a certificate here.
@@ -1252,6 +1308,103 @@ pub(crate) mod tests {
         assert_eq!(acts.charge_us, 3 * check);
         assert!(!s[0].adopt(2, &root, &sig, &mut acts), "already held");
         assert_eq!(acts.charge_us, 3 * check);
+    }
+
+    /// The instances of a packet's entries, in order.
+    fn ids<T>(entries: Vec<(u8, T)>) -> Vec<u8> {
+        entries.into_iter().map(|(j, _)| j).collect()
+    }
+
+    /// Node 0's PRBC DONE phase holding every instance's proof.
+    fn proven(tag: u64) -> Certificates {
+        let (mut d, root) = (prbc(tag), Digest32::of(b"value"));
+        for j in 0..4 {
+            let other = share(&mut d[1], j, &root);
+            d[0].sign(j, &root, &mut Actions::new());
+            d[0].record(j, &root, other, &mut Actions::new());
+        }
+        d.swap_remove(0)
+    }
+
+    #[test]
+    fn a_share_leaves_the_packet_once_its_certificate_is_held_here() {
+        let root = Digest32::of(b"value");
+        let mut acts = Actions::new();
+        // PRBC: node 0's proof of instance 1 serves every receiver its
+        // share could.
+        let mut d = prbc(91);
+        d[0].sign(1, &root, &mut acts);
+        d[0].sign(2, &root, &mut acts);
+        assert_eq!(ids(d[0].shares()), [1, 2]);
+        let other = share(&mut d[2], 1, &root);
+        assert!(d[0].record(1, &root, other, &mut acts));
+        assert_eq!(ids(d[0].shares()), [2]);
+        // CBC: the leader's share leaves once it combines; a non-leader's
+        // once it adopts the leader's certificate.
+        let mut s = cbc(91);
+        let shares: Vec<SigShare> = (0..3).map(|i| share(&mut s[i], 0, &root)).collect();
+        assert_eq!(ids(s[1].shares()), [0]);
+        for other in &shares[1..] {
+            s[0].record(0, &root, *other, &mut acts);
+        }
+        assert!(s[0].shares().is_empty());
+        let sig = *s[0].cert(0).unwrap();
+        assert!(s[1].adopt(0, &root, &sig, &mut acts));
+        assert!(s[1].shares().is_empty());
+    }
+
+    #[test]
+    fn a_certificate_rides_until_every_peer_s_latest_nack_shows_it_held() {
+        let mut d = proven(93);
+        let every = Bitmap::full(4);
+        assert_eq!(ids(d.certificates()), [0, 1, 2, 3], "no peer heard from holds any");
+        // Nodes 1 and 2 hold 0 and 1; node 3 holds 0 only.
+        d.heard(1, &Bitmap::from_raw(0b1100, 4), &every);
+        d.heard(2, &Bitmap::from_raw(0b1100, 4), &every);
+        assert_eq!(ids(d.certificates()), [0, 1, 2, 3], "node 3 is not heard from");
+        d.heard(3, &Bitmap::from_raw(0b1110, 4), &every);
+        assert_eq!(ids(d.certificates()), [1, 2, 3]);
+        d.heard(3, &Bitmap::from_raw(0b1100, 4), &every);
+        assert_eq!(ids(d.certificates()), [2, 3]);
+        // Its own NACK and a malformed one teach nothing.
+        d.heard(0, &Bitmap::full(4), &every);
+        d.heard(3, &Bitmap::full(5), &every);
+        assert_eq!(ids(d.certificates()), [2, 3]);
+        for peer in 1..4 {
+            d.heard(peer, &Bitmap::new(4), &every);
+        }
+        assert!(d.certificates().is_empty(), "every peer holds every certificate");
+        // A restarted node 2 NACKs instance 1 again: its certificate rides.
+        d.heard(2, &Bitmap::from_raw(0b0010, 4), &every);
+        assert_eq!(ids(d.certificates()), [1]);
+    }
+
+    #[test]
+    fn a_joined_per_instance_frame_states_its_own_instance_only() {
+        let mut d = proven(95);
+        let p = Params::new(4, 0, 9).packed(Packing::PerInstance);
+        let proof = *d.cert(1).unwrap();
+        // Node 3's combined packet shows it holds nothing.
+        d.heard(3, &Bitmap::full(4), &Bitmap::full(4));
+        for peer in 1..3 {
+            d.heard(peer, &Bitmap::new(4), &Bitmap::full(4));
+        }
+        assert_eq!(ids(d.certificates()), [0, 1, 2, 3]);
+        // Its frame for instance 1 once it holds that proof, joined: the
+        // proof and no NACK bit. The other bits are zero-filled and say
+        // nothing.
+        let frame = Body::BasePrbcProof { instance: 1, proof, nack: 0 };
+        let joined = wbft_net::join(&frame, 4);
+        let Body::PrbcDone { shares, proofs, sig_nack } = joined.as_ref() else { unreachable!() };
+        assert_eq!(*sig_nack, Bitmap::new(4));
+        let named = shares.iter().map(|e| e.0).chain(proofs.iter().map(|e| e.0));
+        let named = named.map(usize::from).chain(sig_nack.iter_set());
+        let said = stated(&p, named);
+        assert_eq!(said, Bitmap::from_raw(0b0010, 4));
+        d.heard(3, sig_nack, &said);
+        assert_eq!(ids(d.certificates()), [0, 2, 3]);
+        // Under the combined packing the same bits state every instance.
+        assert_eq!(stated(&Params::new(4, 0, 9), [1]), Bitmap::full(4));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! packet carries no roots.
 
 use crate::context::{Actions, Batcher, Broadcaster, Params};
-use crate::instance::Certificates;
+use crate::instance::{stated, Certificates};
 use crate::rbc::RbcBatch;
 use bytes::Bytes;
 use wbft_crypto::hash::Digest32;
@@ -115,6 +115,9 @@ impl Broadcaster for PrbcBatch {
                         self.out.changed_if(self.certs.adopt(j, &root, sig, acts));
                     }
                 }
+                let named = shares.iter().map(|e| e.0).chain(proofs.iter().map(|e| e.0));
+                let named = named.map(usize::from).chain(sig_nack.iter_set());
+                self.certs.heard(from, sig_nack, &stated(self.p(), named));
                 if sig_nack.len() == self.p().n {
                     for j in sig_nack.iter_set().filter(|&j| self.certs.cert(j).is_some()) {
                         self.out.peer_lacks(j, 0);
@@ -252,13 +255,30 @@ mod tests {
             |n, from, body, acts| n.handle(from, body, acts),
             |n| n.proven_count() == 4,
         );
-        // Build a fresh node that only saw RBC traffic (simulate by making a
-        // new node, replaying INITs + ERs from node 0's perspective is
-        // overkill — instead check the gossip packet carries proofs).
+        // A restarted node 3 that delivered every value over RBC alone and
+        // holds no proof; its DONE packet NACKs every one.
+        let mut fresh = make();
+        let mut i = 0;
+        run_mesh(
+            &mut fresh,
+            |n, acts| {
+                n.rbc.start(vals[i].clone(), acts);
+                i += 1;
+            },
+            |n, from, body, acts| n.rbc.handle(from, body, acts),
+            |n| n.delivered_count() == 4,
+        );
+        let mut lagging = fresh.remove(3);
+        let mut acts = Actions::new();
+        lagging.flush(&mut acts);
+        assert_eq!(lagging.proven_count(), 0);
+        nodes[0].handle(3, &lagging.build_done(), &mut acts);
         let pkt = nodes[0].build_done();
-        match pkt {
+        match &pkt {
             Body::PrbcDone { proofs, .. } => assert_eq!(proofs.len(), 4),
             _ => unreachable!(),
         }
+        lagging.handle(0, &pkt, &mut acts);
+        assert_eq!(lagging.proven_count(), 4);
     }
 }
