@@ -14,10 +14,10 @@ const PINNED: [(&str, u64, f64, bool); 11] = [
     ("rbc-baseline", 10679005, 19.5, true),
     ("aba-batched", 2073246, 3.0, true),
     ("aba-baseline", 24034266, 57.75, true),
-    ("prbc", 7009828, 6.25, true),
+    ("prbc", 6235930, 6.0, true),
     ("rbc-small", 909604, 2.0, true),
-    ("cbc-small", 2274651, 2.25, true),
-    ("cbc-per-instance", 4559393, 7.5, true),
+    ("cbc-small", 1694731, 2.0, true),
+    ("cbc-per-instance", 4123339, 6.75, true),
     ("aba-cp-parallel", 3153904, 4.5, true),
     ("aba-sc-serial", 9675915, 13.0, true),
     ("aba-lc-serial", 7088845, 13.75, true),
