@@ -11,7 +11,8 @@
 //!
 //! Under ConsensusBatcher all N instances' ECHO shares and FINISH
 //! certificates ride in one combined `CBC_EF` packet per channel access
-//! (the baseline airs its entries one instance per frame).
+//! (the baseline airs its entries one instance per frame), each only while
+//! some peer can still use it.
 //!
 //! The INITIAL phase is `instance::Initial` and the ECHO / FINISH phase
 //! `instance::Certificates`; each type's doc states its rule. CBC's

@@ -29,7 +29,10 @@
 //! INITIAL with the vote phases for small values — into that same frame.
 //! A layout carries only what its receiver reads: a CBC ECHO/FINISH packet
 //! names a value root only beside a certificate, a PRBC DONE packet none
-//! (see [`Body::CbcEchoFinish`], [`Body::PrbcDone`]).
+//! (see [`Body::CbcEchoFinish`], [`Body::PrbcDone`]). A packet carries only
+//! what some receiver can still use: a node's threshold share rides until
+//! it holds the instance's certificate, and a certificate rides while some
+//! peer's latest NACK has not shown that the peer holds it.
 //!
 //! Every packet encodes twice: once into real bytes for the simulation, and
 //! once through a counting sink that prices crypto fields at the paper's

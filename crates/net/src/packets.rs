@@ -73,7 +73,8 @@ pub enum Body {
         frag: u8,
         /// Total fragments of the proposal.
         frag_total: u8,
-        /// Merkle root identifying the proposal.
+        /// Digest of the whole proposal, `Digest32::of(value)`: no
+        /// component uses Merkle proofs.
         root: Digest32,
         /// Fragment payload.
         data: Bytes,
@@ -107,7 +108,7 @@ pub enum Body {
         frag: u8,
         /// Total fragments.
         frag_total: u8,
-        /// Root identifying the value.
+        /// Digest of the whole value, `Digest32::of(value)`.
         root: Digest32,
         /// Fragment payload.
         data: Bytes,
@@ -118,11 +119,14 @@ pub enum Body {
     /// signature shares (logically N-to-1 to each leader) and combined
     /// FINISH signatures, in one frame. A root travels only beside the
     /// certificate it verifies under: an echo share is checked by its
-    /// instance's leader, who holds the value and so its root.
+    /// instance's leader, who holds the value and so its root. Shares and
+    /// certificates ride only while some peer can use them.
     CbcEchoFinish {
-        /// This node's echo shares, one per instance it has received.
+        /// This node's echo shares, one per instance it has received and
+        /// holds no FINISH signature of.
         echo_shares: Vec<(u8, SigShare)>,
-        /// Combined FINISH signatures this node holds (as leader or relay),
+        /// Combined FINISH signatures this node holds (as leader or relay)
+        /// and some peer's latest `finish_nack` has not shown it holds,
         /// each with the value root it signs.
         finish_sigs: Vec<(u8, Digest32, ThresholdSignature)>,
         /// Bit `j` = instance `j` lacks an echo quorum at its leader.
@@ -136,11 +140,14 @@ pub enum Body {
     /// Batched DONE phase of N PRBC instances (Fig. 4c): threshold
     /// signature shares attesting delivery, and combined proofs. No root
     /// travels: a receiver checks both against the root it delivered
-    /// itself, and takes neither before it has.
+    /// itself, and takes neither before it has. Shares and proofs ride only
+    /// while some peer can use them.
     PrbcDone {
-        /// This node's DONE shares for instances it delivered.
+        /// This node's DONE shares for instances it delivered and holds no
+        /// proof of.
         shares: Vec<(u8, SigShare)>,
-        /// Combined delivery proofs this node holds.
+        /// Combined delivery proofs this node holds and some peer's latest
+        /// `sig_nack` has not shown it holds.
         proofs: Vec<(u8, ThresholdSignature)>,
         /// Bit `j` = this node lacks instance `j`'s combined proof.
         sig_nack: Bitmap,
@@ -168,9 +175,11 @@ pub enum Body {
     CbcSmall {
         /// `values[j]` = instance `j`'s id-list (empty bitmap = unknown).
         values: Vec<Bitmap>,
-        /// Echo signature shares.
+        /// Echo signature shares of instances without a FINISH signature
+        /// here.
         echo_shares: Vec<(u8, SigShare)>,
-        /// Combined FINISH signatures.
+        /// Combined FINISH signatures some peer's latest `finish_nack` has
+        /// not shown it holds.
         finish_sigs: Vec<(u8, ThresholdSignature)>,
         /// Missing-initial NACK.
         init_nack: Bitmap,

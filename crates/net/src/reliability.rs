@@ -6,8 +6,12 @@
 //! frames where NACK costs one. Concretely, every batched component
 //! rebroadcasts its current combined packet on a jittered timer until the
 //! component completes; peers whose packets carry set NACK bits trigger an
-//! immediate (well, next-timer) refresh because the combined packet always
-//! carries the node's full current state.
+//! immediate (well, next-timer) refresh, because the combined packet
+//! carries everything of the node's state some peer can still use. Votes
+//! and fragments ride in full; a threshold share rides until this node holds
+//! its instance's certificate, and a certificate while some peer's latest
+//! NACK has not shown that the peer holds it — a peer that NACKs it again
+//! gets it back.
 
 use wbft_wireless::SimDuration;
 use rand::Rng;
