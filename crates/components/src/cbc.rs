@@ -19,6 +19,10 @@
 //! evidence that a value was aired whole is an echo share or a certificate
 //! for the instance; a certificate that verifies under the root its packet
 //! names decides which fragments the instance takes.
+//!
+//! A `gated` batch takes CBC's external-validity predicate as an echo gate:
+//! a peer's value is echoed only once the caller's predicate admits it
+//! (`admit`), so a certificate had f + 1 honest echoers that admitted it.
 
 use crate::context::{Actions, Batcher, Broadcaster, Params};
 use crate::instance::{stated, Accepted, Certificates, Fragment, Initial};
@@ -38,6 +42,8 @@ pub struct CbcBatch {
     /// Echo shares over each instance's root and, once combined or adopted,
     /// its certificate. Delivery = value + certificate, in either order.
     certs: Certificates,
+    /// A peer's value waits for [`CbcBatch::admit`] to be echoed.
+    gated: bool,
     started: bool,
     out: Batcher,
 }
@@ -60,19 +66,31 @@ impl CbcBatch {
         CbcBatch {
             init: Initial::new(p.n, cbc_init),
             certs: Certificates::cbc_echo(p, keys, secret),
+            gated: false,
             started: false,
             out: Batcher::new(&p, TIMER_RETX),
         }
     }
 
-    fn p(&self) -> &Params {
-        self.certs.p()
+    /// The same batch, echoing a peer's value only once [`CbcBatch::admit`]
+    /// admits it (its own at `start`).
+    pub fn gated(self) -> Self {
+        CbcBatch { gated: true, ..self }
     }
 
-    /// The quorum certificate of a delivered instance.
-    pub fn proof(&self, instance: usize) -> Option<&ThresholdSignature> {
-        self.init.get(instance)?.value()?;
-        self.certs.cert(instance)
+    /// Echoes every held value `valid` admits; offered again as what
+    /// `valid` reads grows.
+    pub fn admit(&mut self, valid: impl Fn(&Bytes) -> bool, acts: &mut Actions) {
+        for j in 0..self.p().n {
+            if self.certs.own(j).is_none() && self.init[j].held().is_some_and(|(v, _)| valid(v)) {
+                self.echo(j, acts);
+            }
+        }
+        self.flush(acts);
+    }
+
+    fn p(&self) -> &Params {
+        self.certs.p()
     }
 
     fn build_ef(&self) -> Body {
@@ -99,10 +117,12 @@ impl CbcBatch {
         }
     }
 
-    /// A heard INITIAL fragment; a completed value is echoed.
+    /// A heard INITIAL fragment; a completed value is echoed unless gated.
     fn handle_init(&mut self, from: usize, instance: usize, f: Fragment, acts: &mut Actions) {
         if let Accepted::Assembled(_) = self.init.heard(from, instance, f, acts) {
-            self.echo(instance, acts);
+            if !self.gated {
+                self.echo(instance, acts);
+            }
             self.out.changed();
         }
     }
@@ -208,12 +228,15 @@ impl Broadcaster for CbcBatch {
 
 /// CBC over *small* values — node-id lists carried inline as N-bit sets
 /// (paper Fig. 5b): the INITIAL phase is folded into the combined packet,
-/// saving one phase of channel accesses. Dumbo's `CBC_commit` uses this.
+/// saving one phase of channel accesses. Dumbo's `CBC_value` and
+/// `CBC_commit` use this.
 #[derive(Debug)]
 pub struct CbcSmallBatch {
     values: Vec<Option<Bitmap>>,
     /// Echo shares and certificate per instance, over [`small_root`].
     certs: Certificates,
+    /// A peer's value waits for [`CbcSmallBatch::admit`] to be echoed.
+    gated: bool,
     out: Batcher,
 }
 
@@ -228,7 +251,29 @@ impl CbcSmallBatch {
         CbcSmallBatch {
             values: vec![None; p.n],
             certs: Certificates::cbc_echo(p, keys, secret),
+            gated: false,
             out: Batcher::new(&p, TIMER_RETX),
+        }
+    }
+
+    /// The same batch, echoing a peer's value only once
+    /// [`CbcSmallBatch::admit`] admits it (its own at `start`).
+    pub fn gated(self) -> Self {
+        CbcSmallBatch { gated: true, ..self }
+    }
+
+    /// Echoes every held value `valid` admits; offered again as what
+    /// `valid` reads grows. A batch that holds no value arms no tick here.
+    pub fn admit(&mut self, valid: impl Fn(&Bitmap) -> bool, acts: &mut Actions) {
+        let mut echoed = false;
+        for j in 0..self.p().n {
+            if self.certs.own(j).is_none() && self.values[j].is_some_and(|v| valid(&v)) {
+                self.echo(j, acts);
+                echoed = true;
+            }
+        }
+        if echoed {
+            self.flush(acts);
         }
     }
 
@@ -247,12 +292,8 @@ impl CbcSmallBatch {
 
     /// Delivered value of an instance.
     pub fn delivered_value(&self, instance: usize) -> Option<Bitmap> {
-        self.proof(instance).and_then(|_| self.values[instance])
-    }
-
-    /// The quorum certificate of a delivered instance.
-    pub fn proof(&self, instance: usize) -> Option<&ThresholdSignature> {
-        self.certs.cert(instance)
+        self.certs.cert(instance)?;
+        self.values[instance]
     }
 
     /// Number of delivered instances.
@@ -310,7 +351,9 @@ impl CbcSmallBatch {
             for (j, v) in values.iter().enumerate() {
                 if !v.is_empty() && self.values[j].is_none() {
                     self.values[j] = Some(*v);
-                    self.echo(j, acts);
+                    if !self.gated {
+                        self.echo(j, acts);
+                    }
                 }
             }
         }
@@ -387,7 +430,7 @@ mod tests {
             for node in &nodes {
                 for (j, val) in vals.iter().enumerate() {
                     assert_eq!(node.delivered(j), Some(val));
-                    assert!(node.proof(j).is_some(), "missing certificate for {j}");
+                    assert!(node.certs.cert(j).is_some(), "missing certificate for {j}");
                 }
             }
         }
@@ -402,9 +445,9 @@ mod tests {
             let p = Params::new(4, 0, 7).packed(packing);
             assert_eq!(crate::rbc::RbcBatch::new(p).delivered_root(n), None);
             let small = CbcSmallBatch::new(p, c.cbc_pub.clone(), c.cbc_sec.clone());
-            assert!(small.proof(n).is_none() && small.delivered_value(n).is_none());
+            assert!(small.delivered_value(n).is_none());
             let batched = CbcBatch::new(p, c.cbc_pub.clone(), c.cbc_sec.clone());
-            assert!(batched.proof(n).is_none() && batched.delivered(n).is_none());
+            assert!(batched.delivered(n).is_none());
             let batched = crate::prbc::PrbcBatch::new(p, c.prbc_pub.clone(), c.prbc_sec.clone());
             assert!(batched.proof(n).is_none() && batched.delivered(n).is_none());
         }
@@ -424,7 +467,7 @@ mod tests {
             |n, from, body, acts| n.handle(from, body, acts),
             |n| n.delivered_count() == 4,
         );
-        let sig = nodes[0].proof(2).unwrap();
+        let sig = nodes[0].certs.cert(2).unwrap();
         let root = Digest32::of(&vals[2]);
         let keys = &nodes[0].certs.keys;
         keys.verify(&echo_msg(5, 2, &root), sig).unwrap();
@@ -569,6 +612,53 @@ mod tests {
         for node in nodes.iter().take(3) {
             assert_eq!(node.delivered_count(), 3);
             assert!(node.delivered(3).is_none());
+        }
+    }
+
+    #[test]
+    fn a_gated_node_echoes_a_value_only_once_it_admits_it() {
+        // Node 0's value names instances 1 and 2. Gated node 1 holds the
+        // proof of instance 1 only, then of instance 2 as well.
+        let (lacking, holding) = (Bitmap::from_raw(0b0011, 4), Bitmap::from_raw(0b0111, 4));
+        for packing in PACKINGS {
+            let mut nodes = make_packed(packing);
+            let mut acts = Actions::new();
+            nodes[0].start(Bytes::from_static(&[1, 2]), &mut acts);
+            let mut node = nodes.swap_remove(1).gated();
+            for body in acts.drain().0 {
+                node.handle(0, &body, &mut acts);
+            }
+            assert!(node.init[0].value().is_some(), "{packing:?}: value held");
+            for proven in [lacking, holding] {
+                node.admit(|v| v.iter().all(|&j| proven.get(usize::from(j))), &mut acts);
+                let signed = node.certs.own(0).is_some();
+                assert_eq!(signed, proven == holding, "{packing:?}: echoed under {proven:?}");
+            }
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        let crypto = deal_node_crypto(4, CryptoSuite::light(), &mut rng);
+        let small = |i: usize| {
+            let c = &crypto[i];
+            CbcSmallBatch::new(Params::new(4, i, 6), c.cbc_pub.clone(), c.cbc_sec.clone())
+        };
+        let mut acts = Actions::new();
+        let mut node = small(1).gated();
+        // Holding no value, it neither sends nor arms its tick.
+        node.admit(|_| true, &mut acts);
+        let (sends, timers, _) = acts.drain();
+        assert!(sends.is_empty() && timers.is_empty(), "small: idle admit aired or armed");
+        small(0).start(Bitmap::from_raw(0b0110, 4), &mut acts);
+        for body in acts.drain().0 {
+            node.handle(0, &body, &mut acts);
+        }
+        let echoes = |sent: Vec<Body>| {
+            let echoes = |b: &Body| matches!(b, Body::CbcSmall { echo_shares, .. } if echo_shares.iter().any(|e| e.0 == 0));
+            sent.iter().any(echoes)
+        };
+        assert!(!echoes(acts.drain().0), "echoed on arrival");
+        for proven in [lacking, holding] {
+            node.admit(|v| v.iter_set().all(|j| proven.get(j)), &mut acts);
+            assert_eq!(echoes(acts.drain().0), proven == holding, "small: echoed under {proven:?}");
         }
     }
 

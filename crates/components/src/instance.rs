@@ -629,10 +629,6 @@ impl Certificates {
         (self.msg)(self.p.session, instance, root)
     }
 
-    fn quorum(&self) -> Quorum<'_, PublicKeySet> {
-        Quorum::new(&self.keys, self.need, self.p.n)
-    }
-
     /// Signs this node's share over `(instance, root)`, once, and records
     /// it where this node combines; `true` when the share is new.
     pub(crate) fn sign(&mut self, instance: usize, root: &Digest32, acts: &mut Actions) -> bool {
@@ -684,18 +680,6 @@ impl Certificates {
         let msg = self.msg(instance, root);
         let q = Quorum::new(&self.keys, self.need, self.p.n);
         self.insts[instance].adopt(&q, &msg, *sig, acts)
-    }
-
-    /// Checks a certificate over `(instance, root)` without holding it,
-    /// charged one signature verification.
-    pub(crate) fn check(
-        &self,
-        instance: usize,
-        root: &Digest32,
-        sig: &ThresholdSignature,
-        acts: &mut Actions,
-    ) -> bool {
-        self.quorum().check(&self.msg(instance, root), sig, acts)
     }
 
     /// This node's share of `instance`, once signed.

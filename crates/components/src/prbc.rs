@@ -6,6 +6,8 @@
 //! over `(session, j, root)`; any `f+1` shares combine into a proof that at
 //! least one honest node delivered `j` — the precondition Dumbo needs
 //! before an instance's value may be referenced by the agreement phase.
+//! A proof is held only beside its delivered value, so Dumbo's `W` names
+//! proven instances by id alone: DONE packets bring every node the proofs.
 //! DONE shares are batched into their own packet type because threshold
 //! material dominates packet space (§IV-C1). Signing, collecting and
 //! combining them is `instance::Certificates`, the certificate phase CBC
@@ -17,7 +19,6 @@ use crate::context::{Actions, Batcher, Broadcaster, Params};
 use crate::instance::{stated, Certificates};
 use crate::rbc::RbcBatch;
 use bytes::Bytes;
-use wbft_crypto::hash::Digest32;
 use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare, ThresholdSignature};
 use wbft_net::Body;
 
@@ -54,18 +55,6 @@ impl PrbcBatch {
     /// Instances with a completed proof.
     pub fn proven_count(&self) -> usize {
         self.certs.count()
-    }
-
-    /// Checks a delivery proof produced elsewhere (Dumbo's CBC values carry
-    /// them), charged one signature verification.
-    pub fn check_proof(
-        &self,
-        instance: usize,
-        root: &Digest32,
-        proof: &ThresholdSignature,
-        acts: &mut Actions,
-    ) -> bool {
-        self.certs.check(instance, root, proof, acts)
     }
 
     fn build_done(&self) -> Body {
@@ -154,8 +143,10 @@ impl Broadcaster for PrbcBatch {
 mod tests {
     use super::*;
     use crate::context::deal_node_crypto;
+    use crate::instance::done_msg;
     use crate::rbc::tests::{run_mesh, Packing, PACKINGS};
     use rand::SeedableRng;
+    use wbft_crypto::hash::Digest32;
     use wbft_crypto::CryptoSuite;
 
     fn make() -> Vec<PrbcBatch> {
@@ -196,11 +187,8 @@ mod tests {
                 assert_eq!(node.delivered(j), Some(val));
                 let proof = node.proof(j).unwrap();
                 let root = Digest32::of(val);
-                let mut acts = Actions::new();
-                assert!(node.check_proof(j, &root, proof, &mut acts));
-                assert!(!node.check_proof((j + 1) % 4, &root, proof, &mut acts));
-                let check = node.certs.keys.profile().verify_signature_us;
-                assert_eq!(acts.charge_us, 2 * check, "each check is charged");
+                assert!(node.certs.keys.verify(&done_msg(8, j, &root), proof).is_ok());
+                assert!(node.certs.keys.verify(&done_msg(8, (j + 1) % 4, &root), proof).is_err());
             }
         }
     }
@@ -235,7 +223,7 @@ mod tests {
         assert_eq!(nodes[3].proven_count(), 4);
         for (j, val) in vals.iter().enumerate() {
             let proof = nodes[3].proof(j).unwrap();
-            assert!(nodes[3].check_proof(j, &Digest32::of(val), proof, &mut acts));
+            assert!(nodes[3].certs.keys.verify(&done_msg(8, j, &Digest32::of(val)), proof).is_ok());
         }
     }
 

@@ -13,15 +13,29 @@
 //!
 //! Per epoch: N batched PRBC instances spread proposals and produce
 //! `(f,n)`-threshold *delivery proofs*; after `2f+1` proofs a node
-//! CBC-broadcasts its proof vector `W_i` (`CBC_value`); after `2f+1`
-//! `CBC_value` deliveries it CBC-broadcasts the id-set `S_i` of completed
-//! `CBC_value` instances (`CBC_commit`, small values → CBC-small packets);
-//! after `2f+1` commits, a common coin fixes a random permutation π and the
-//! nodes run **serial** ABA over candidates in π order — input 1 iff the
+//! CBC-broadcasts `W_i` (`CBC_value`), the set of PRBC instances whose proof
+//! it holds; after `2f+1` `CBC_value` deliveries it CBC-broadcasts the
+//! id-set `S_i` of completed `CBC_value` instances (`CBC_commit`); after
+//! `2f+1` commits, a common coin fixes a random permutation π and the nodes
+//! run **serial** ABA over candidates in π order — input 1 iff the
 //! candidate's commit was delivered — until one ABA outputs 1. The block is
-//! the union of the PRBC proposals referenced by the elected candidate's
-//! `W` vector. Serial activation also prevents premature coin-share release
-//! for later instances (§V-A).
+//! the union of the PRBC proposals the elected candidate's `W` names.
+//! Serial activation also prevents premature coin-share release for later
+//! instances (§V-A).
+//!
+//! Both CBCs carry an n-bit set of instances, so both are the same `SetCbc`:
+//! CBC-small packets, whose INITIAL rides the vote packet, or under
+//! [`Packing::PerInstance`] the ordinary CBC over [`encode_commit`]. `W`
+//! carries no roots and no proofs: the PRBC DONE phase airs every proof to
+//! every node already.
+//!
+//! **`W`'s external validity.** A node echoes `W_j` only once it admits it:
+//! `W_j` names at least `n − f` instances, and this node holds the PRBC
+//! proof of each, so it delivered each value. The lane offers every `W`
+//! again on each poll as its proofs arrive. A certified `W` had at least
+//! `f + 1` honest echoers, each of which delivered every value `W` names;
+//! by RBC totality every honest node delivers them too. So the block waits
+//! only for those values and checks no root or proof.
 //!
 //! This module is the protocol's [`Lane`]; the epoch pipeline around it is
 //! the shared [`crate::engine::EpochEngine`].
@@ -38,39 +52,18 @@ use wbft_components::{
     Actions, Agreement, Batcher, BinaryAgreement, Broadcaster, Collector, NodeCrypto, Packing,
     Params, Quorum, Recorded,
 };
-use wbft_crypto::hash::Digest32;
 use wbft_crypto::thresh_coin::{self, CoinName};
-use wbft_crypto::thresh_sig::{PublicKeySet, SigShare, ThresholdSignature};
-use wbft_net::wire::{checked_bitmap_len, ByteSink, Sink, Wire, WireReader};
+use wbft_crypto::thresh_sig::{PublicKeySet, SigShare};
+use wbft_net::wire::{checked_bitmap_len, ByteSink, Sink, WireReader};
 use wbft_net::{Bitmap, Body, CoinFlavor, WireError};
 
 const TIMER_PI_RETX: u32 = 0;
 
 // ------------------------------------------------------------------
-// W-vector and commit-set wire formats.
+// The set wire format.
 
-/// One `W` entry: a delivered PRBC instance, its value root and the
-/// delivery proof.
-type WEntry = (u8, Digest32, ThresholdSignature);
-
-/// Encodes a proof vector `W` (the `CBC_value` proposal): a count byte,
-/// then `(instance, root, proof)` per delivered PRBC instance. The count is
-/// bounded by the committee size, which `TestbedConfig::check` caps at 64.
-pub fn encode_w(entries: &[WEntry]) -> Bytes {
-    ByteSink::bounded(|s| {
-        s.count8(entries.len())?;
-        entries.iter().try_for_each(|e| e.put(s))
-    })
-}
-
-/// Inverse of [`encode_w`]; `None` on malformed input (a Byzantine
-/// candidate's `W` is adversary-controlled bytes).
-pub fn decode_w(data: &[u8]) -> Option<Vec<WEntry>> {
-    WireReader::exact(data, Vec::get).ok()
-}
-
-/// Commit-set (bitmap) encoding for the baseline's CBC_commit: the bit length,
-/// then the whole 64-bit word.
+/// Instance-set (bitmap) encoding for the baseline's `CBC_value` and
+/// `CBC_commit`: the bit length, then the whole 64-bit word.
 pub fn encode_commit(s: &Bitmap) -> Bytes {
     ByteSink::bounded(|w| {
         w.u8(checked_bitmap_len(s.len())?);
@@ -94,44 +87,64 @@ pub fn decode_commit(data: &[u8]) -> Option<Bitmap> {
 // ------------------------------------------------------------------
 // Deployment-style wrapper.
 
-/// CBC for the (small) commit sets: the batched form broadcasts the bitmap
-/// itself in CBC-small packets, whose INITIAL rides the vote packet; the
-/// baseline, which has no such fold, an encoded copy through the ordinary
-/// CBC.
-enum CommitCbc {
+/// CBC over an n-bit set of instances, `CBC_value`'s `W` and `CBC_commit`'s
+/// `S`: the batched form broadcasts the bitmap itself in CBC-small packets,
+/// whose INITIAL rides the vote packet; the baseline, which has no such
+/// fold, an encoded copy through the ordinary CBC.
+enum SetCbc {
     Small(CbcSmallBatch),
     Full(CbcBatch),
 }
 
-impl CommitCbc {
+impl SetCbc {
+    fn new(p: Params, c: &NodeCrypto) -> Self {
+        let (keys, secret) = (c.cbc_pub.clone(), c.cbc_sec.clone());
+        match p.packing {
+            Packing::Combined => SetCbc::Small(CbcSmallBatch::new(p, keys, secret)),
+            Packing::PerInstance => SetCbc::Full(CbcBatch::new(p, keys, secret)),
+        }
+    }
+    /// Echoes a peer's set only once [`SetCbc::admit`] admits it.
+    fn gated(self) -> Self {
+        match self {
+            SetCbc::Small(x) => SetCbc::Small(x.gated()),
+            SetCbc::Full(x) => SetCbc::Full(x.gated()),
+        }
+    }
+    fn admit(&mut self, valid: impl Fn(&Bitmap) -> bool, acts: &mut Actions) {
+        match self {
+            SetCbc::Small(x) => x.admit(valid, acts),
+            SetCbc::Full(x) => x.admit(|b| decode_commit(b).is_some_and(|s| valid(&s)), acts),
+        }
+    }
     fn start(&mut self, s: Bitmap, acts: &mut Actions) {
         match self {
-            CommitCbc::Small(x) => x.start(s, acts),
-            CommitCbc::Full(x) => x.start(encode_commit(&s), acts),
+            SetCbc::Small(x) => x.start(s, acts),
+            SetCbc::Full(x) => x.start(encode_commit(&s), acts),
         }
     }
     fn handle(&mut self, from: usize, body: &Body, acts: &mut Actions) {
         match self {
-            CommitCbc::Small(x) => x.handle(from, body, acts),
-            CommitCbc::Full(x) => x.handle(from, body, acts),
+            SetCbc::Small(x) => x.handle(from, body, acts),
+            SetCbc::Full(x) => x.handle(from, body, acts),
         }
     }
     fn on_timer(&mut self, local: u32, acts: &mut Actions) {
         match self {
-            CommitCbc::Small(x) => x.on_timer(local, acts),
-            CommitCbc::Full(x) => x.on_timer(local, acts),
+            SetCbc::Small(x) => x.on_timer(local, acts),
+            SetCbc::Full(x) => x.on_timer(local, acts),
         }
     }
     fn delivered_set(&self, j: usize) -> Option<Bitmap> {
         match self {
-            CommitCbc::Small(x) => x.delivered_value(j),
-            CommitCbc::Full(x) => x.delivered(j).and_then(|b| decode_commit(b)),
+            SetCbc::Small(x) => x.delivered_value(j),
+            SetCbc::Full(x) => x.delivered(j).and_then(|b| decode_commit(b)),
         }
     }
     fn delivered_count(&self) -> usize {
         match self {
-            CommitCbc::Small(x) => x.delivered_count(),
-            CommitCbc::Full(x) => x.delivered_count(),
+            SetCbc::Small(x) => x.delivered_count(),
+            SetCbc::Full(x) => x.delivered_count(),
         }
     }
 }
@@ -242,8 +255,8 @@ fn permutation(n: usize, coin: u64) -> Vec<usize> {
 /// One epoch's live components.
 pub struct DumboEpoch {
     prbc: PrbcBatch,
-    value_cbc: CbcBatch,
-    commit_cbc: CommitCbc,
+    value_cbc: SetCbc,
+    commit_cbc: SetCbc,
     pi: PiCoin,
     aba: Box<dyn BinaryAgreement + Send>,
     value_started: bool,
@@ -252,14 +265,12 @@ pub struct DumboEpoch {
     /// Position in π currently being voted.
     cursor: usize,
     elected: Option<usize>,
-    /// The elected candidate's W, once its proofs checked.
-    w: Option<Vec<WEntry>>,
     /// The epoch's block was handed to the engine.
     done: bool,
 }
 
-/// The Dumbo lane — PRBC → CBC_value → CBC_commit → π → serial ABA → W
-/// assembly — under one agreement and one packing. Pipelined depths
+/// The Dumbo lane — PRBC → CBC_value → CBC_commit → π → serial ABA → the
+/// union of the elected `W` — under one agreement and one packing. Pipelined depths
 /// overlap only the PRBC dissemination; the serial election is inherently
 /// per-epoch.
 #[derive(Clone, Copy, Debug)]
@@ -285,22 +296,13 @@ impl Lane for DumboLane {
         let (p_val, p_com) = (params(sessions::CBC_VALUE), params(sessions::CBC_COMMIT));
         let c = ctx.crypto;
         let mut prbc = PrbcBatch::new(p_prbc, c.prbc_pub.clone(), c.prbc_sec.clone());
-        let value_cbc = CbcBatch::new(p_val, c.cbc_pub.clone(), c.cbc_sec.clone());
-        let commit_cbc = match self.packing {
-            Packing::Combined => {
-                CommitCbc::Small(CbcSmallBatch::new(p_com, c.cbc_pub.clone(), c.cbc_sec.clone()))
-            }
-            Packing::PerInstance => {
-                CommitCbc::Full(CbcBatch::new(p_com, c.cbc_pub.clone(), c.cbc_sec.clone()))
-            }
-        };
         let mut acts = Actions::new();
         prbc.start(encode_batch(txs), &mut acts);
         out.absorb(p_prbc.session, &mut acts);
         DumboEpoch {
             prbc,
-            value_cbc,
-            commit_cbc,
+            value_cbc: SetCbc::new(p_val, c).gated(),
+            commit_cbc: SetCbc::new(p_com, c),
             pi: PiCoin::new(params(sessions::PI_COIN)),
             aba: self.agreement.build(params(sessions::ABA), c),
             value_started: false,
@@ -308,7 +310,6 @@ impl Lane for DumboLane {
             order: None,
             cursor: 0,
             elected: None,
-            w: None,
             done: false,
         }
     }
@@ -352,20 +353,25 @@ impl Lane for DumboLane {
         out: &mut EngineOut,
     ) -> Option<Block> {
         let quorum = ctx.quorum();
+        // A peer's W is echoed once it is valid here: it names n − f
+        // instances, and this node holds the proof of each.
+        let (n, f, prbc) = (ctx.n, ctx.f, &st.prbc);
+        let held = |w: &Bitmap| w.iter_set().all(|j| prbc.proof(j).is_some());
+        let valid = |w: &Bitmap| w.len() == n && w.count() >= n - f && held(w);
+        let mut acts = Actions::new();
+        st.value_cbc.admit(valid, &mut acts);
+        out.absorb(ctx.session(sessions::CBC_VALUE), &mut acts);
         // Stage 2: CBC_value after 2f+1 PRBC proofs. The whole agreement
         // stage (CBC → coin → election) hangs off this gate: starting the
         // CBC of a parked epoch early would exclude proposals still in
-        // flight behind pipelined traffic from the W vector.
+        // flight behind pipelined traffic from W.
         if !st.value_started && st.prbc.proven_count() >= quorum && may_agree {
             st.value_started = true;
-            let mut entries = Vec::new();
+            let mut w = Bitmap::new(ctx.n);
             for j in 0..ctx.n {
-                if let (Some(proof), Some(v)) = (st.prbc.proof(j), st.prbc.delivered(j)) {
-                    entries.push((j as u8, Digest32::of(v), *proof));
-                }
+                w.set(j, st.prbc.proof(j).is_some());
             }
-            let mut acts = Actions::new();
-            st.value_cbc.start(encode_w(&entries), &mut acts);
+            st.value_cbc.start(w, &mut acts);
             out.absorb(ctx.session(sessions::CBC_VALUE), &mut acts);
         }
         // Stage 3: CBC_commit after 2f+1 CBC_value deliveries.
@@ -373,9 +379,7 @@ impl Lane for DumboLane {
             st.commit_started = true;
             let mut s = Bitmap::new(ctx.n);
             for j in 0..ctx.n {
-                if st.value_cbc.delivered(j).is_some() {
-                    s.set(j, true);
-                }
+                s.set(j, st.value_cbc.delivered_set(j).is_some());
             }
             let mut acts = Actions::new();
             st.commit_cbc.start(s, &mut acts);
@@ -418,7 +422,7 @@ impl Lane for DumboLane {
                         // value locally means a 1-decision implies some
                         // honest node holds the W and can serve NACKs.
                         let input = st.commit_cbc.delivered_set(candidate).is_some()
-                            && st.value_cbc.delivered(candidate).is_some();
+                            && st.value_cbc.delivered_set(candidate).is_some();
                         let mut acts = Actions::new();
                         st.aba.set_input(candidate, input, &mut acts);
                         out.absorb(ctx.session(sessions::ABA), &mut acts);
@@ -427,39 +431,18 @@ impl Lane for DumboLane {
                 }
             }
         }
-        // Stage 6: assemble the block from the elected candidate's W, its
-        // proofs checked once. An absent W or PRBC value is on its way via
+        // Stage 6: the union of the values the elected W names, each
+        // delivered here by RBC totality; one still absent is on its way via
         // NACK retransmission.
         if st.done {
             return None;
         }
-        if st.w.is_none() {
-            let wbytes = st.value_cbc.delivered(st.elected?)?;
-            let mut acts = Actions::new();
-            let mut valid = |(id, root, proof): &WEntry| {
-                st.prbc.check_proof(*id as usize, root, proof, &mut acts)
-            };
-            // Every proof is checked (and charged), a forged one or not.
-            let w = decode_w(wbytes).filter(|w| w.iter().filter(|e| valid(e)).count() == w.len());
-            out.absorb(ctx.session(sessions::BROADCAST), &mut acts);
-            let Some(w) = w else {
-                // A malformed or forged W cannot come from an elected
-                // honest candidate; fall back to the next one.
-                st.elected = None;
-                st.cursor += 1;
-                return None;
-            };
-            st.w = Some(w);
-        }
-        let entries = st.w.as_ref()?;
-        if !entries.iter().all(|(id, _, _)| st.prbc.delivered(*id as usize).is_some()) {
+        let w = st.value_cbc.delivered_set(st.elected?)?;
+        if !w.iter_set().all(|j| st.prbc.delivered(j).is_some()) {
             return None;
         }
         st.done = true;
-        let batches = entries.iter().filter_map(|(id, root, _)| {
-            let v = st.prbc.delivered(*id as usize)?;
-            (Digest32::of(v) == *root).then_some(&v[..])
-        });
+        let batches = w.iter_set().filter_map(|j| st.prbc.delivered(j)).map(|v| &v[..]);
         Some(union_block(ctx.epoch, batches))
     }
 }
@@ -544,64 +527,99 @@ mod tests {
         }
     }
 
-    /// One Dumbo-SC epoch on four lanes over a lossless in-memory mesh
-    /// without timers, where node `victim` never receives an INITIAL
-    /// fragment of PRBC instance `held`. Returns the crypto and each node's
-    /// epoch.
-    fn mesh_withholding(victim: usize, held: u8) -> (Vec<NodeCrypto>, Vec<DumboEpoch>) {
+    fn ctx(c: &NodeCrypto) -> EpochCtx<'_> {
+        EpochCtx { epoch: 0, n: 4, f: 1, me: c.me, crypto: c }
+    }
+
+    /// What one epoch over [`mesh`] left behind.
+    struct Mesh {
+        crypto: Vec<NodeCrypto>,
+        /// Each node's epoch; `None` at the Byzantine node.
+        epochs: Vec<Option<DumboEpoch>>,
+        /// Each node's block, once its lane handed it over.
+        blocks: Vec<Option<Block>>,
+        /// Every packet sent: sender, session, body.
+        sent: Vec<(usize, u64, Body)>,
+    }
+
+    /// One Dumbo-SC epoch on four nodes over a lossless in-memory mesh
+    /// without timers. `byzantine = Some((b, w))` puts node `b` in no lane:
+    /// it leads a `CBC_value` instance proposing `w` and is silent
+    /// otherwise. Node `to` never receives a packet `lost(to, body)`.
+    fn mesh(byzantine: Option<(usize, Bitmap)>, lost: impl Fn(usize, &Body) -> bool) -> Mesh {
         let mut rng = rand::rngs::StdRng::seed_from_u64(77);
         let crypto = deal_node_crypto(4, CryptoSuite::light(), &mut rng);
-        fn ctx(c: &NodeCrypto) -> EpochCtx<'_> {
-            EpochCtx { epoch: 0, n: 4, f: 1, me: c.me, crypto: c }
-        }
         let workload = Workload::small();
         let mut chacha = rand_chacha::ChaCha12Rng::seed_from_u64(0);
         let mut queue = std::collections::VecDeque::new();
-        let mut epochs: Vec<DumboEpoch> = crypto
+        let mut liar = byzantine.map(|(b, w)| {
+            let (p, c) = (ctx(&crypto[b]).params(sessions::CBC_VALUE), &crypto[b]);
+            let mut cbc = CbcSmallBatch::new(p, c.cbc_pub.clone(), c.cbc_sec.clone());
+            let mut acts = Actions::new();
+            cbc.start(w, &mut acts);
+            queue.extend(acts.drain().0.into_iter().map(|body| (b, p.session, body)));
+            cbc
+        });
+        let mut epochs: Vec<Option<DumboEpoch>> = crypto
             .iter()
             .map(|c| {
-                let mut out = EngineOut::new();
-                let txs = workload.batch(0, c.me);
-                let st = SC.open(&ctx(c), &txs, &mut chacha, &mut out);
-                queue.extend(out.sends.into_iter().map(|(session, body)| (c.me, session, body)));
-                st
+                (byzantine.map(|(b, _)| b) != Some(c.me)).then(|| {
+                    let mut out = EngineOut::new();
+                    let txs = workload.batch(0, c.me);
+                    let st = SC.open(&ctx(c), &txs, &mut chacha, &mut out);
+                    let sends = out.sends.into_iter().map(|(session, body)| (c.me, session, body));
+                    queue.extend(sends);
+                    st
+                })
             })
             .collect();
+        let (mut blocks, mut sent) = (vec![None; 4], Vec::new());
         while let Some((from, session, body)) = queue.pop_front() {
-            for (to, st) in epochs.iter_mut().enumerate().filter(|(to, _)| *to != from) {
-                let init = matches!(body, Body::RbcInit { instance, .. } if instance == held);
-                if to == victim && init {
-                    continue;
-                }
-                let ctx = ctx(&crypto[to]);
+            let role = sessions::split(session).1;
+            for to in (0..4).filter(|&to| to != from && !lost(to, &body)) {
                 let mut acts = Actions::new();
-                SC.handle(st, &ctx, sessions::split(session).1, from, &body, &mut acts);
                 let mut out = EngineOut::new();
-                out.absorb(session, &mut acts);
-                SC.poll(st, &ctx, true, false, &mut out);
+                match (&mut epochs[to], &mut liar) {
+                    (Some(st), _) => {
+                        let ctx = ctx(&crypto[to]);
+                        SC.handle(st, &ctx, role, from, &body, &mut acts);
+                        out.absorb(session, &mut acts);
+                        if let Some(block) = SC.poll(st, &ctx, true, false, &mut out) {
+                            blocks[to] = Some(block);
+                        }
+                    }
+                    (None, Some(cbc)) if role == sessions::CBC_VALUE => {
+                        cbc.handle(from, &body, &mut acts);
+                        out.absorb(session, &mut acts);
+                    }
+                    _ => {}
+                }
                 queue.extend(out.sends.into_iter().map(|(session, body)| (to, session, body)));
             }
+            sent.push((from, session, body));
         }
-        (crypto, epochs)
+        Mesh { crypto, epochs, blocks, sent }
     }
 
     #[test]
-    fn the_elected_w_is_checked_once_while_a_value_it_names_is_missing() {
+    fn the_elected_set_waits_for_a_withheld_value_and_charges_nothing_per_poll() {
         let cases = (1..4usize).flat_map(|victim| (0..4u8).map(move |held| (victim, held)));
         for (victim, held) in cases.filter(|&(victim, held)| victim != held as usize) {
-            let (crypto, mut epochs) = mesh_withholding(victim, held);
-            let st = &mut epochs[victim];
-            let named = st.w.as_ref().is_some_and(|w| w.iter().any(|(id, ..)| *id == held));
-            if !named {
+            let init =
+                |body: &Body| matches!(body, Body::RbcInit { instance, .. } if *instance == held);
+            let mut m = mesh(None, |to, body| to == victim && init(body));
+            let Some(st) = m.epochs[victim].as_mut() else { unreachable!("no Byzantine node") };
+            let elected = st.elected.and_then(|j| st.value_cbc.delivered_set(j));
+            if !elected.is_some_and(|w| w.get(usize::from(held))) {
                 continue;
             }
-            assert!(st.prbc.delivered(held as usize).is_none(), "instance {held} withheld");
-            let ctx = EpochCtx { epoch: 0, n: 4, f: 1, me: victim, crypto: &crypto[victim] };
-            assert!(st.w.is_some() && !st.done, "node {victim} elected and checked the W");
+            assert!(st.prbc.delivered(usize::from(held)).is_none(), "instance {held} withheld");
+            assert!(!st.done && m.blocks[victim].is_none(), "node {victim} waits for it");
+            let ctx = ctx(&m.crypto[victim]);
             for poll in 0..2 {
                 let mut out = EngineOut::new();
                 assert_eq!(SC.poll(st, &ctx, true, false, &mut out), None);
-                assert_eq!(out.charge_us, 0, "poll {poll} re-checked the elected W");
+                assert_eq!(out.charge_us, 0, "poll {poll} charged for the elected set");
             }
             return;
         }
@@ -609,17 +627,27 @@ mod tests {
     }
 
     #[test]
-    fn w_vector_roundtrip() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let (pks, sks) =
-            wbft_crypto::thresh_sig::deal(4, 1, wbft_crypto::ThresholdCurve::Bn158, &mut rng);
-        let shares: Vec<_> = sks[..2].iter().map(|s| s.sign_share(b"m")).collect();
-        let sig = pks.combine(&shares).unwrap();
-        let entries =
-            vec![(0u8, Digest32::of(b"a"), sig), (3u8, Digest32::of(b"b"), sig)];
-        let enc = encode_w(&entries);
-        assert_eq!(decode_w(&enc), Some(entries));
-        assert_eq!(decode_w(&enc[..10]), None);
+    fn a_byzantine_leader_s_invalid_w_is_never_certified_and_the_epoch_commits() {
+        // Node 3 runs no PRBC, so no one proves instance 3. Its W names one
+        // instance, fewer than n − f, or three with instance 3 among them.
+        for w in [Bitmap::from_raw(0b0001, 4), Bitmap::from_raw(0b1011, 4)] {
+            let m = mesh(Some((3, w)), |_, _| false);
+            for (from, session, body) in m.sent.iter().filter(|(from, ..)| *from != 3) {
+                if let (sessions::CBC_VALUE, Body::CbcSmall { echo_shares, .. }) =
+                    (sessions::split(*session).1, body)
+                {
+                    let echoed = echo_shares.iter().any(|&(j, _)| j == 3);
+                    assert!(!echoed, "node {from} echoed W = {:#06b}", w.to_raw());
+                }
+            }
+            for st in m.epochs.iter().flatten() {
+                let certified = st.value_cbc.delivered_set(3).is_some();
+                assert!(!certified, "W = {:#06b} certified", w.to_raw());
+            }
+            let honest = &m.blocks[..3];
+            assert!(honest[0].is_some(), "W = {:#06b}: the epoch commits", w.to_raw());
+            assert!(honest.iter().all(|b| b == &honest[0]), "honest blocks agree");
+        }
     }
 
     #[test]

@@ -40,17 +40,21 @@ pub struct Metrics {
     /// A run-level count, not part of a run report: counters rebuilt by
     /// [`Metrics::from_parts`] read zero here.
     pub withdrawn: u64,
+    /// Frames longer than the radio's maximum, aired at that maximum's
+    /// airtime. Run-level like `withdrawn`.
+    pub oversize: u64,
 }
 
 impl Metrics {
     /// Creates counters for `n` nodes.
     pub fn new(n: usize) -> Self {
-        Metrics { per_node: vec![NodeMetrics::default(); n], collisions: 0, withdrawn: 0 }
+        Metrics { per_node: vec![NodeMetrics::default(); n], collisions: 0, withdrawn: 0, oversize: 0 }
     }
 
-    /// Reassembles counters from per-node parts (report deserialization).
+    /// Reassembles counters from per-node parts (report deserialization);
+    /// the run-level counts read zero.
     pub fn from_parts(per_node: Vec<NodeMetrics>, collisions: u64) -> Self {
-        Metrics { per_node, collisions, withdrawn: 0 }
+        Metrics { per_node, collisions, withdrawn: 0, oversize: 0 }
     }
 
     /// Number of nodes tracked.

@@ -546,7 +546,9 @@ impl<B: NodeBehavior> Simulator<B> {
         }
         let frame = self.nodes[node.index()].tx_queue.pop_front().expect("non-empty");
         let stretch = self.topology.routing_for(frame.channel).airtime_stretch;
-        let base = self.cfg.radio.airtime(frame.nominal_len.min(self.cfg.radio.max_frame_bytes));
+        let max = self.cfg.radio.max_frame_bytes;
+        self.metrics.oversize += u64::from(frame.nominal_len > max);
+        let base = self.cfg.radio.airtime(frame.nominal_len.min(max));
         let airtime = SimDuration::from_micros((base.as_micros() as f64 * stretch) as u64);
         let end = self.now + airtime;
         self.seq += 1;
@@ -1260,6 +1262,18 @@ mod tests {
         });
         assert!(ok);
         assert!(sim.now() < SimTime::from_micros(2_000_000), "stopped at {}", sim.now());
+    }
+
+    #[test]
+    fn an_over_size_frame_airs_at_the_maximum_and_is_counted() {
+        let topo = Topology::single_hop(2);
+        let behaviors = vec![Chatter::new(2, 300), Chatter::new(1, 255)];
+        let mut sim = Simulator::new(cfg(9), topo, behaviors);
+        let deadline = SimTime::from_micros(60_000_000);
+        sim.run_until_pred(deadline, |s| s.behavior(NodeId(1)).received.len() == 2);
+        let m = sim.metrics();
+        assert_eq!(m.oversize, 2, "node 0's two frames, not node 1's");
+        assert_eq!(m.node(NodeId(0)).airtime, RadioParams::default().airtime(255) * 2);
     }
 
     #[test]

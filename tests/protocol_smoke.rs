@@ -9,7 +9,7 @@
 
 use wbft_consensus::testbed::{run, TestbedConfig};
 use wbft_consensus::Protocol;
-use wbft_wireless::SimDuration;
+use wbft_wireless::{LossModel, SimDuration};
 
 #[test]
 fn every_protocol_variant_completes_one_epoch() {
@@ -43,5 +43,30 @@ fn every_protocol_variant_completes_one_epoch() {
             report.channel_accesses_per_node > 0.0,
             "{protocol} recorded no channel accesses — simulator not engaged?"
         );
+    }
+}
+
+/// No deployment airs a frame longer than the radio's maximum at n = 4: the
+/// simulator airs such a frame at the maximum's airtime, charging the run
+/// less than its bytes.
+#[test]
+fn no_deployment_airs_an_over_size_frame_at_four_nodes() {
+    let mut cfgs = Vec::new();
+    for protocol in Protocol::ALL {
+        for seed in 1..=4 {
+            cfgs.push(TestbedConfig { seed, epochs: 4, ..TestbedConfig::single_hop(protocol) });
+        }
+    }
+    for seed in 1..=3 {
+        let mut cfg = TestbedConfig::multi_hop(Protocol::DumboSc);
+        (cfg.seed, cfg.epochs, cfg.loss) = (seed, 4, LossModel::Uniform { p: 0.1 });
+        cfgs.push(cfg);
+    }
+    for cfg in &cfgs {
+        let report = run(cfg);
+        let (protocol, seed, multi) = (cfg.protocol, cfg.seed, cfg.clusters.is_some());
+        assert!(report.completed, "{protocol} seed {seed} (multi-hop: {multi}) did not complete");
+        let oversize = report.metrics.oversize;
+        assert_eq!(oversize, 0, "{protocol} seed {seed} (multi-hop: {multi}): {oversize} frames");
     }
 }

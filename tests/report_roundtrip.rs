@@ -4,7 +4,7 @@
 //! * `encode_batch`/`decode_batch` round-trip on arbitrary transaction
 //!   vectors (including empty and max-size transactions), and `decode_batch`
 //!   returns `None` — never panics — on truncated or garbage input. The
-//!   other proposal formats — Dumbo's W-vector and commit set, the
+//!   other proposal formats — Dumbo's instance set (`W` and commit set), the
 //!   multi-hop summary, the HB ciphertext — get the same battery, and so do
 //!   the INITIAL NACK's fragment requests (`InitNack`, `FrameNack`).
 //! * JSON: `encode → decode → encode` is a fixpoint for `RunReport` and
@@ -18,7 +18,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use std::path::{Path, PathBuf};
-use wbft_consensus::dumbo::{decode_commit, decode_w, encode_commit, encode_w};
+use wbft_consensus::dumbo::{decode_commit, encode_commit};
 use wbft_consensus::fuzz::{decode_fixture, fixture_string};
 use wbft_consensus::honeybadger::{decode_ciphertext, encode_ciphertext, CIPHERTEXT_OVERHEAD};
 use wbft_consensus::multihop::{decode_summary, encode_summary};
@@ -28,7 +28,7 @@ use wbft_consensus::testbed::{ChurnPlan, CrashEvent, CrashPlan, RunReport, Testb
 use wbft_consensus::workload::{decode_batch, encode_batch};
 use wbft_consensus::{ArrivalSpec, ByzantineMode, Protocol, ServiceConfig};
 use wbft_crypto::hash::Digest32;
-use wbft_crypto::{thresh_enc, thresh_sig, CryptoSuite, ThresholdCurve};
+use wbft_crypto::{thresh_enc, CryptoSuite, ThresholdCurve};
 use wbft_membership::MembershipOp;
 use wbft_net::wire::{ByteSink, Wire, WireReader};
 use wbft_net::{Bitmap, FrameNack, InitNack};
@@ -423,23 +423,6 @@ proptest! {
     }
 
     #[test]
-    fn w_vector_codec_is_exact(
-        picks in proptest::collection::vec((any::<u8>(), any::<[u8; 32]>(), any::<bool>()), 0..8),
-        seed in any::<u64>(),
-        extra in any::<u8>(),
-    ) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let (pks, sks) = thresh_sig::deal(4, 1, ThresholdCurve::Bn158, &mut rng);
-        let sign = |m: &[u8]| pks.combine(&[sks[0].sign_share(m), sks[2].sign_share(m)]).unwrap();
-        let proofs = [sign(b"a"), sign(b"b")];
-        let entries: Vec<_> = picks
-            .into_iter()
-            .map(|(id, root, which)| (id, Digest32(root), proofs[usize::from(which)]))
-            .collect();
-        exact_format(&entries, &encode_w(&entries), decode_w, extra)?;
-    }
-
-    #[test]
     fn commit_set_codec_is_exact(len in 0usize..=64, raw in any::<u64>(), extra in any::<u8>()) {
         let set = Bitmap::from_raw(raw, len);
         exact_format(&set, &encode_commit(&set), decode_commit, extra)?;
@@ -485,7 +468,6 @@ proptest! {
     fn proposal_decoders_never_panic_on_garbage(
         data in proptest::collection::vec(any::<u8>(), 0..400)
     ) {
-        let _ = decode_w(&data); // each must return, never panic
         let _ = decode_commit(&data);
         let _ = decode_summary(&data);
         let _ = decode_ciphertext(&data);

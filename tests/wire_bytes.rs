@@ -12,13 +12,13 @@
 //! Covered: one sealed `Envelope` per `Body` variant (both coin flavors
 //! where a body carries a coin share, plus one key-epoch-tagged seal), every
 //! `ClientMsg` and `SyncMsg` variant, a `DealSet`, both membership ops, a
-//! proposal batch, an HB ciphertext, a Dumbo W-vector and commit set, a
-//! multi-hop summary and a `Datagram`.
+//! proposal batch, an HB ciphertext, a Dumbo instance set (`W` and commit
+//! set), a multi-hop summary and a `Datagram`.
 
 use bytes::Bytes;
 use rand::SeedableRng;
 use wbft_components::deal_node_crypto;
-use wbft_consensus::dumbo::{decode_commit, decode_w, encode_commit, encode_w};
+use wbft_consensus::dumbo::{decode_commit, encode_commit};
 use wbft_consensus::honeybadger::{decode_ciphertext, encode_ciphertext};
 use wbft_consensus::multihop::{decode_summary, encode_summary};
 use wbft_consensus::workload::{decode_batch, encode_batch, Workload};
@@ -82,7 +82,6 @@ op.leave 11 - - bd86454aeab913821173c7339d9fd038ce4d59e0988022a3da87e4e96618c086
 batch 214 - - 6d45e6d26976b0253f54886877b578f3ba5a7ac5ed2112276b6af905e24ebc6b
 batch.empty 4 - - df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119
 ciphertext 278 - - 9c8452e82125a00215a7acc8d35a1992c0b6b0518e577c608581c41a18f69692
-dumbo.w_vector 131 - - 6426f13743c5fa5870359d520a3e19993ab42cdb087e9b227ecd011ffea25a2f
 dumbo.commit_set 9 - - 0e78682ccb4eaad1988975201aabe570e7f10f092e6d755c065b144f3fbf9119
 multihop.summary 45 - - eea98c1337cd3a6b6c95d8654ee4fc83911e7243fded039c48bcfa51c2f9c8cb
 datagram 116 - - 75eb13c534d047843a31da7c0b013bce6298a6deda6e04973b7647d56ed312aa
@@ -549,17 +548,6 @@ fn proposals(out: &mut String) {
     out.push_str(&line("ciphertext", &bytes, None));
     assert_eq!(decode_ciphertext(&bytes), Some(ct));
 
-    let (pks, sks) = deal(4, 1, ThresholdCurve::Bn158, &mut rng);
-    let proof = pks
-        .combine(&[sks[1].sign_share(b"w"), sks[3].sign_share(b"w")])
-        .unwrap();
-    let entries = vec![
-        (0u8, Digest32::of(b"a"), proof),
-        (3u8, Digest32::of(b"b"), proof),
-    ];
-    let bytes = encode_w(&entries);
-    out.push_str(&line("dumbo.w_vector", &bytes, None));
-    assert_eq!(decode_w(&bytes), Some(entries));
     let set = Bitmap::from_raw(0b1011, 4);
     let bytes = encode_commit(&set);
     out.push_str(&line("dumbo.commit_set", &bytes, None));
